@@ -8,12 +8,7 @@
 //! With `BENCH_PROFILE_JSON=<path>` set, writes a machine-readable
 //! summary (`BENCH_profile.json` in CI; schema-checked there).
 //!
-//! Also sweeps the fused RHS φ-tile block width (`phi_block`) over a
-//! small grid of candidates and reports the fastest, so retuning
-//! `DEFAULT_PHI_BLOCK` after a cache-hierarchy change is one bench run.
-//!
-//! Knobs: `YY_BENCH_PROFILE_GRID` (small|medium), `YY_BENCH_PROFILE_STEPS`,
-//! `YY_BENCH_PROFILE_BLOCK_STEPS` (steps per φ-block sweep point).
+//! Knobs: `YY_BENCH_PROFILE_GRID` (small|medium), `YY_BENCH_PROFILE_STEPS`.
 //!
 //! Run with: `cargo bench -p yy-bench --bench profile`
 
@@ -92,32 +87,6 @@ fn main() {
         projection.tflops()
     );
 
-    // φ-tile block sweep: same config, fused sweep, one short serial run
-    // per candidate width (0 = a single tile across φ). Median-free on
-    // purpose — the sweep is a tuning aid, not a CI gate; the gated
-    // numbers come from the profile above and the step bench.
-    let block_steps = env_u64("YY_BENCH_PROFILE_BLOCK_STEPS", 3);
-    let mut sweep_rows = String::new();
-    let (mut best_block, mut best_ns) = (0u64, f64::INFINITY);
-    for (i, &block) in [0usize, 2, 4, 8, 16, 32].iter().enumerate() {
-        let mut bcfg = cfg.clone();
-        bcfg.phi_block = block;
-        let mut bsim = SerialSim::new(bcfg);
-        let breport = bsim.run(block_steps, 0);
-        let ns_per_step = breport.wall_seconds * 1e9 / breport.steps as f64;
-        if ns_per_step < best_ns {
-            (best_block, best_ns) = (block as u64, ns_per_step);
-        }
-        println!("profile/phi_block_{block:<8} {:>12.2} µs/step", ns_per_step / 1e3);
-        sweep_rows.push_str(&format!(
-            "{}    {{ \"phi_block\": {}, \"ns_per_step\": {:.0} }}",
-            if i == 0 { "" } else { ",\n" },
-            block,
-            ns_per_step,
-        ));
-    }
-    println!("profile/phi_block_best   {best_block}");
-
     let json = format!(
         concat!(
             "{{\n",
@@ -126,12 +95,10 @@ fn main() {
             "  \"interior_points\": {},\n",
             "  \"flops_per_point_step\": {:.4},\n",
             "  \"es_flagship_tflops\": {:.3},\n",
-            "  \"kernels\": [\n{}\n  ],\n",
-            "  \"phi_block_sweep\": [\n{}\n  ],\n",
-            "  \"phi_block_best\": {}\n",
+            "  \"kernels\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        report.steps, interior, total, projection.tflops(), rows, sweep_rows, best_block
+        report.steps, interior, total, projection.tflops(), rows
     );
     if let Ok(path) = std::env::var("BENCH_PROFILE_JSON") {
         std::fs::write(&path, &json).expect("write BENCH_profile.json");

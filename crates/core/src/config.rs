@@ -22,13 +22,10 @@ pub struct RunConfig {
     pub cfl: f64,
     /// Recompute dt every this many steps (1 = every step).
     pub dt_every: usize,
-    /// Run the unfused reference RHS sweep instead of the fused,
-    /// φ-blocked production sweep. Both are bit-identical; the reference
+    /// Run the unfused reference RHS sweep instead of the fused
+    /// production sweep. Both are bit-identical; the reference
     /// exists as the exactness oracle (`rhs_impl=reference|fused`).
     pub rhs_reference: bool,
-    /// φ-tile block width for the fused RHS sweep; `0` means one tile
-    /// spanning the whole φ range (see `yy_mhd::rhs::DEFAULT_PHI_BLOCK`).
-    pub phi_block: usize,
 }
 
 impl RunConfig {
@@ -44,7 +41,6 @@ impl RunConfig {
             cfl: 0.3,
             dt_every: 5,
             rhs_reference: false,
-            phi_block: yy_mhd::rhs::DEFAULT_PHI_BLOCK,
         }
     }
 
@@ -107,7 +103,6 @@ impl RunConfig {
                 self.init.seed =
                     value.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?
             }
-            "phi_block" => self.phi_block = uv()?,
             "rhs_impl" => {
                 self.rhs_reference = match value {
                     "fused" => false,
@@ -162,9 +157,9 @@ mod tests {
         assert_eq!(cfg.params.mu, 0.5);
         assert_eq!(cfg.mag_bc, MagneticBc::ZeroGradient);
         assert!(!cfg.rhs_reference);
-        cfg.apply_args(["rhs_impl=reference".to_string(), "phi_block=4".into()]).unwrap();
+        cfg.apply_args(["rhs_impl=reference".to_string()]).unwrap();
         assert!(cfg.rhs_reference);
-        assert_eq!(cfg.phi_block, 4);
+        assert!(cfg.apply_override("phi_block", "4").is_err(), "the knob is gone");
         cfg.apply_override("rhs_impl", "fused").unwrap();
         assert!(!cfg.rhs_reference);
         assert!(cfg.apply_override("rhs_impl", "magic").is_err());

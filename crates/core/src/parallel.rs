@@ -1696,7 +1696,6 @@ impl<'a> RankSolver<'a> {
 
         let mut scratch = RhsScratch::new(shape);
         scratch.use_reference = cfg.rhs_reference;
-        scratch.phi_block = cfg.phi_block;
         let solver = RankSolver {
             world,
             cart,

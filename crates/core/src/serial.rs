@@ -261,7 +261,6 @@ impl SerialSim {
         let range = InteriorRange::full_panel(&grid);
         let mut scratch = RhsScratch::new(shape);
         scratch.use_reference = cfg.rhs_reference;
-        scratch.phi_block = cfg.phi_block;
         SerialSim {
             grid,
             metric,

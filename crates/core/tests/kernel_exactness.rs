@@ -1,4 +1,4 @@
-//! Bit-exactness of the fused, φ-blocked RHS kernels against the
+//! Bit-exactness of the fused RHS kernels against the
 //! pre-rewrite reference sweep, end to end through the drivers.
 //!
 //! The in-crate `yy-mhd` tests prove the two sweeps agree on a single
@@ -41,25 +41,18 @@ fn assert_states_bit_identical(tag: &str, a: &State, b: &State) {
     }
 }
 
-/// Serial trajectories: fused (at several φ-block widths) ≡ reference.
+/// Serial trajectories: fused ≡ reference.
 #[test]
 fn serial_fused_matches_reference_bitwise() {
     let mut reference = SerialSim::new(cfg(true));
+    let mut fused = SerialSim::new(cfg(false));
     let dt = reference.auto_dt();
     for _ in 0..STEPS {
         reference.advance(dt);
+        fused.advance(dt);
     }
-    for phi_block in [0, 1, 3, yy_mhd::rhs::DEFAULT_PHI_BLOCK, 1024] {
-        let mut fused_cfg = cfg(false);
-        fused_cfg.phi_block = phi_block;
-        let mut fused = SerialSim::new(fused_cfg);
-        for _ in 0..STEPS {
-            fused.advance(dt);
-        }
-        let tag = format!("serial phi_block={phi_block}");
-        assert_states_bit_identical(&format!("{tag} yin"), &fused.yin, &reference.yin);
-        assert_states_bit_identical(&format!("{tag} yang"), &fused.yang, &reference.yang);
-    }
+    assert_states_bit_identical("serial yin", &fused.yin, &reference.yin);
+    assert_states_bit_identical("serial yang", &fused.yang, &reference.yang);
 }
 
 /// Parallel trajectories at 1×1, 1×2 and 2×2 tiles per panel, both sync

@@ -97,35 +97,22 @@ impl<'a> Cols<'a> {
         }
     }
 
-    /// Reslice every row to the window `[i0−1, i1+1)` so that stencil
-    /// calls at the *local* index `li = i − i0 + 1` touch only in-bounds
-    /// lanes of nine equal-length slices. This is the shape LLVM can
-    /// bounds-check-elide and autovectorize: with `li` ranging over
-    /// `1..=i1−i0` and every slice `i1−i0+2` long, each access `row[li±1]`
-    /// is provably in range, so the radial inner loop compiles to
-    /// straight-line unit-stride vector code. Requires `i0 ≥ 1` and
-    /// `i1 + 1 ≤ nr` — the finite-difference interior always satisfies it.
+    /// Reslice every row to the window `[i0−1, i1+1)`, so that stencil
+    /// calls at the *local* index `li = i − i0 + 1` (ranging over
+    /// `1..=i1−i0`) stay inside nine slices of `i1−i0+2` lanes each.
+    /// Requires `i0 ≥ 1` and `i1 + 1 ≤ nr` — the finite-difference
+    /// interior always satisfies it. Windowing alone does not make a
+    /// radial loop vectorize: see [`Cols::fit`] for what does.
     #[inline]
     pub fn window(&self, i0: usize, i1: usize) -> Cols<'a> {
-        let w = |row: &'a [f64]| &row[i0 - 1..i1 + 1];
-        Cols {
-            c: w(self.c),
-            n: w(self.n),
-            s: w(self.s),
-            w: w(self.w),
-            e: w(self.e),
-            nw: w(self.nw),
-            ne: w(self.ne),
-            sw: w(self.sw),
-            se: w(self.se),
-        }
+        self.map(|row| &row[i0 - 1..i1 + 1])
     }
 
     /// [`Cols::new`] and [`Cols::window`] in one step: borrow the nine
     /// stencil rows already cut to `[i0−1, i1+1)`, skipping the
     /// intermediate full-row slices (the fused RHS builds eleven of
-    /// these per column, so the halved slice count is measurable).
-    /// Identical slices to `Cols::new(a, j, k).window(i0, i1)`.
+    /// these per column). Identical slices to
+    /// `Cols::new(a, j, k).window(i0, i1)`.
     #[inline]
     pub fn windowed(a: &'a Array3, j: isize, k: isize, i0: usize, i1: usize) -> Self {
         let w = |j: isize, k: isize| &a.row(j, k)[i0 - 1..i1 + 1];
@@ -142,63 +129,97 @@ impl<'a> Cols<'a> {
         }
     }
 
+    /// Re-cut every row to its first `len` lanes (panics if a row is
+    /// shorter). A no-op on the values; its point is what the optimizer
+    /// learns. A leaf kernel that calls this at its top — with `len`
+    /// derived from the length of its `&mut [f64]` output parameter —
+    /// pins all nine lengths to the one number its loop bound comes
+    /// from, inside the function being compiled, so every `row[li±1]`
+    /// bounds check folds away. Together with the output being a
+    /// parameter (`noalias` against every input row) and the stencil
+    /// helpers below being `#[inline(always)]` (a call in the loop body
+    /// blocks vectorization outright), that is what lets LLVM emit
+    /// packed f64 for the radial loop. Under `lto = "thin"` that
+    /// codegen happens at the final link: judge it in the linked
+    /// binary (`scripts/check_simd.sh`), not in the rlib's `--emit asm`.
+    #[inline(always)]
+    pub fn fit(&self, len: usize) -> Cols<'a> {
+        self.map(|row| &row[..len])
+    }
+
+    /// Apply one re-slicing to all nine rows.
+    #[inline(always)]
+    fn map(&self, f: impl Fn(&'a [f64]) -> &'a [f64]) -> Cols<'a> {
+        Cols {
+            c: f(self.c),
+            n: f(self.n),
+            s: f(self.s),
+            w: f(self.w),
+            e: f(self.e),
+            nw: f(self.nw),
+            ne: f(self.ne),
+            sw: f(self.sw),
+            se: f(self.se),
+        }
+    }
+
     /// ∂/∂r at radial index `i` (requires `1 ≤ i ≤ nr−2`).
-    #[inline]
+    #[inline(always)]
     pub fn ddr(&self, i: usize, sp: &Spacings) -> f64 {
         (self.c[i + 1] - self.c[i - 1]) * sp.inv_2dr
     }
 
     /// ∂/∂θ.
-    #[inline]
+    #[inline(always)]
     pub fn ddt(&self, i: usize, sp: &Spacings) -> f64 {
         (self.s[i] - self.n[i]) * sp.inv_2dt
     }
 
     /// ∂/∂φ.
-    #[inline]
+    #[inline(always)]
     pub fn ddp(&self, i: usize, sp: &Spacings) -> f64 {
         (self.e[i] - self.w[i]) * sp.inv_2dp
     }
 
     /// ∂²/∂r².
-    #[inline]
+    #[inline(always)]
     pub fn d2r(&self, i: usize, sp: &Spacings) -> f64 {
         (self.c[i + 1] - 2.0 * self.c[i] + self.c[i - 1]) * sp.inv_dr2
     }
 
     /// ∂²/∂θ².
-    #[inline]
+    #[inline(always)]
     pub fn d2t(&self, i: usize, sp: &Spacings) -> f64 {
         (self.s[i] - 2.0 * self.c[i] + self.n[i]) * sp.inv_dt2
     }
 
     /// ∂²/∂φ².
-    #[inline]
+    #[inline(always)]
     pub fn d2p(&self, i: usize, sp: &Spacings) -> f64 {
         (self.e[i] - 2.0 * self.c[i] + self.w[i]) * sp.inv_dp2
     }
 
     /// ∂²/∂r∂θ (4-point cross).
-    #[inline]
+    #[inline(always)]
     pub fn drt(&self, i: usize, sp: &Spacings) -> f64 {
         ((self.s[i + 1] - self.s[i - 1]) - (self.n[i + 1] - self.n[i - 1])) * sp.inv_4drdt
     }
 
     /// ∂²/∂r∂φ.
-    #[inline]
+    #[inline(always)]
     pub fn drp(&self, i: usize, sp: &Spacings) -> f64 {
         ((self.e[i + 1] - self.e[i - 1]) - (self.w[i + 1] - self.w[i - 1])) * sp.inv_4drdp
     }
 
     /// ∂²/∂θ∂φ.
-    #[inline]
+    #[inline(always)]
     pub fn dtp(&self, i: usize, sp: &Spacings) -> f64 {
         ((self.se[i] - self.sw[i]) - (self.ne[i] - self.nw[i])) * sp.inv_4dtdp
     }
 
     /// Scalar Laplacian in spherical coordinates:
     /// `∇²q = q_rr + (2/r) q_r + (1/r²)(q_θθ + cot θ q_θ) + q_φφ/(r² sin²θ)`.
-    #[inline]
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn laplacian(
         &self,

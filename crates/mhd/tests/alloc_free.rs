@@ -5,8 +5,10 @@
 //! stages per step it put the allocator on the critical path of every
 //! step. The table now lives in `Metric::r2`; this test pins the fix by
 //! wrapping the global allocator in a counter and asserting that a
-//! warmed-up step's kernels — fused RHS, reference RHS, the CFL wave
-//! scan, and the fused RK4 combine — perform **zero** heap allocations.
+//! warmed-up step's kernels — the RHS leaf kernels over a full range
+//! and over the overlapped driver's deep + shell split, the reference
+//! RHS, the CFL wave scan, and the fused RK4 combine — perform **zero**
+//! heap allocations.
 //! Any future per-call `Vec`/`Box` smuggled into these loops fails here.
 //!
 //! Everything runs inside one `#[test]` because the counter is global:
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use yy_field::Meters;
 use yy_mesh::{Metric, Panel, PatchGrid, PatchSpec};
 use yy_mhd::init::{initialize, InitOptions};
-use yy_mhd::rhs::{compute_rhs, InteriorRange, RhsScratch};
+use yy_mhd::rhs::{compute_rhs, compute_rhs_partial, InteriorRange, RhsScratch};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{wave_speed_max, ForceTables, PhysParams, State};
 
@@ -92,6 +94,20 @@ fn hot_kernels_do_not_allocate_in_steady_state() {
         compute_rhs(&state, &metric, &forces, &params, &range, &mut scratch, &mut out, &mut meter)
     });
     assert_eq!(n, 0, "fused RHS allocated {n} times in steady state");
+
+    // The overlapped driver's split sweep: leaf kernels on the deep
+    // interior and the θ/φ bands, the reference on the one-node radial
+    // slabs. The box list is the driver's setup-time allocation.
+    let boxes = range.split_overlap().all_ranges();
+    assert!(boxes.len() == 7, "a full panel splits into deep + six shell boxes");
+    let n = allocs_in(|| {
+        for b in &boxes {
+            compute_rhs_partial(
+                &state, &metric, &forces, &params, b, &mut scratch, &mut out, &mut meter,
+            );
+        }
+    });
+    assert_eq!(n, 0, "split RHS sweep allocated {n} times in steady state");
 
     // Reference sweep — the exactness oracle must be equally clean (this
     // is where the per-call r² Vec used to hide).

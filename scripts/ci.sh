@@ -21,6 +21,12 @@ cargo build --workspace --all-targets --offline
 echo "==> tests (offline)"
 cargo test -q --offline --workspace
 
+echo "==> RHS vectorization guard: packed f64 in every leaf kernel, exact in release"
+bash scripts/check_simd.sh
+# The debug test run above executes the kernels as scalar code; the
+# lane-remainder and n < width paths only exist in an optimized build.
+cargo test --release -q --offline -p yy-mhd --lib fused_kernels_match_reference
+
 echo "==> committed bench baselines present"
 # scripts/bench.sh writes these at the repo root and they are committed
 # as the reference numbers the gates below gate drift against. A
@@ -375,8 +381,7 @@ echo "==> bench smoke: measured kernel profile writes BENCH_profile.json"
 YY_BENCH_PROFILE_STEPS=3 \
 BENCH_PROFILE_JSON="$soak_dir/BENCH_profile.json" \
   cargo bench -p yy-bench --bench profile --offline >/dev/null
-for key in flops_per_point_step es_flagship_tflops avg_vector_length kernels \
-    phi_block_sweep; do
+for key in flops_per_point_step es_flagship_tflops avg_vector_length kernels; do
   grep -q "$key" "$soak_dir/BENCH_profile.json" || {
     echo "ERROR: BENCH_profile.json missing '$key'" >&2; exit 1; }
 done
