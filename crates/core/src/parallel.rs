@@ -44,7 +44,7 @@ use crate::obs::{recorders_to_chrome, ObsOpts};
 use crate::output::{pack_shard_payload, shard_file_name, CkptCodec, OutputStage, ShardMeta};
 pub use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
 use crate::report::{IoStats, PhaseBreakdown, RunReport, TimeSeriesPoint};
-use crate::serial::{combine_fused_tally, combine_tally, overset_donate_tally, overset_fill_tally};
+use crate::serial::{overset_donate_tally, overset_fill_tally};
 use crate::weights::ColumnCosts;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -56,10 +56,10 @@ use yy_mesh::{
     build_overset_columns, interp::interp_scalar_column, interp::interp_vector_column, Decomp2D,
     Metric, OversetColumn, Panel, PatchGrid, Tile,
 };
-use yy_mhd::rhs::{compute_rhs_partial, InteriorRange, OverlapSplit, RhsScratch};
+use yy_mhd::rhs::{sweep_rhs, InteriorRange, OverlapSplit, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
-    apply_physical_bc, cfl_timestep, compute_rhs, initialize, timestep::rho_min_owned,
+    apply_physical_bc, cfl_timestep, initialize, timestep::rho_min_owned,
     wave_speed_max, Diagnostics, ForceTables, State,
 };
 use yy_obs::counters::{kernel, CounterSet, CounterSnapshot, KernelTally};
@@ -1306,6 +1306,13 @@ impl PhaseClock {
     }
 }
 
+/// The step-head state and the two stage states the RK4 stages
+/// ping-pong between.
+struct Rk4Bufs {
+    y0: State,
+    stage: [State; 2],
+}
+
 /// Per-rank solver instance. The evolving `State` lives outside this
 /// struct (in `rank_main`) so boundary synchronisation can borrow the
 /// solver while mutating the state.
@@ -1344,13 +1351,9 @@ struct RankSolver<'a> {
     halo_free: bool,
     cfg: RunConfig,
     mode: SyncMode,
-    y0: State,
-    k: State,
-    stage: State,
-    /// Swap partner for `stage` during the fused sync⊗RHS, so the stage
-    /// state can be borrowed mutably alongside the solver without a
-    /// per-stage `State::zeros` (the legacy path's allocation).
-    spare: Option<State>,
+    /// RK4 work buffers; [`Self::advance`] takes them out for the step
+    /// so a stage state can be synced mutably alongside the solver.
+    rk4: Option<Rk4Bufs>,
     comm: CommScratch,
     scratch: RhsScratch,
     meter: Meters,
@@ -1713,10 +1716,10 @@ impl<'a> RankSolver<'a> {
             halo_free,
             cfg: cfg.clone(),
             mode,
-            y0: State::zeros(shape),
-            k: State::zeros(shape),
-            stage: State::zeros(shape),
-            spare: Some(State::zeros(shape)),
+            rk4: Some(Rk4Bufs {
+                y0: State::zeros(shape),
+                stage: [State::zeros(shape), State::zeros(shape)],
+            }),
             comm: CommScratch::new(shape.nr, balanced),
             scratch,
             meter: Meters::with_counters(Arc::new(if counters {
@@ -1761,20 +1764,25 @@ impl<'a> RankSolver<'a> {
     }
 
     /// The tentpole pipeline: the boundary synchronisation of `x` fused
-    /// with the RHS sweep of `x` into `self.k`. Sends are posted, a deep
+    /// with the RHS sweep of `x` into `sink`. Sends are posted, a deep
     /// interior chunk (whose stencils touch no ghost the in-flight
     /// message will fill) is computed while the messages travel, then the
     /// receives drain and the next exchange begins; the boundary shell is
-    /// swept last, when all ghosts, frames and walls are in place.
+    /// swept last, when all ghosts and frames are in place.
+    ///
+    /// The wall condition goes first: it is column-local (f = 0,
+    /// p = ρ_wall·T, A frozen or copied from the first interior node), so
+    /// on every column the deep sweep reads it already has its final
+    /// value, and the deep box can span the full radial extent. The
+    /// repeat after the drains covers the ghost and frame columns the
+    /// exchange overwrote (the condition is idempotent).
     ///
     /// Bitwise identical to `sync` followed by a full-range RHS: the
-    /// exchange only writes ghost/frame/wall points, deep-interior
-    /// stencils read none of them, and the deep ∪ shell boxes tile the
-    /// interior exactly with unchanged per-point arithmetic.
-    fn sync_rhs_overlapped(&mut self, x: &mut State) {
+    /// exchange only writes ghost/frame columns, deep-interior stencils
+    /// read none of them, and the deep ∪ shell boxes tile the interior
+    /// exactly with unchanged per-point arithmetic.
+    fn sync_rhs_overlapped(&mut self, x: &mut State, sink: &mut RhsSink) {
         let mut clock = PhaseClock::start();
-        self.k.fill_zero();
-        clock.lap(self.world, SolverPhase::Interior);
         // With no halo neighbours the overset donors read only owned
         // points: post them first, so the exchange is in flight for the
         // entire deep interior.
@@ -1782,17 +1790,19 @@ impl<'a> RankSolver<'a> {
             self.post_overset(x);
             clock.lap(self.world, SolverPhase::Overset);
         }
+        apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
+        clock.lap(self.world, SolverPhase::Boundary);
         // θ halo in flight over the first deep chunk.
         self.post_halo_sends(x, 0);
         clock.lap(self.world, SolverPhase::Pack);
-        self.rhs_deep_chunk(x, 0);
+        self.rhs_deep_chunk(x, 0, sink);
         clock.lap(self.world, SolverPhase::Interior);
         self.drain_halo(x, 0, &mut clock);
         // φ halo (rows extended into the just-filled θ ghosts) over the
         // second chunk.
         self.post_halo_sends(x, 1);
         clock.lap(self.world, SolverPhase::Pack);
-        self.rhs_deep_chunk(x, 1);
+        self.rhs_deep_chunk(x, 1, sink);
         clock.lap(self.world, SolverPhase::Interior);
         self.drain_halo(x, 1, &mut clock);
         // Overset columns (donor stencils may read halo ghosts, so only
@@ -1801,37 +1811,37 @@ impl<'a> RankSolver<'a> {
             self.post_overset(x);
             clock.lap(self.world, SolverPhase::Overset);
         }
-        self.rhs_deep_chunk(x, 2);
+        self.rhs_deep_chunk(x, 2, sink);
         clock.lap(self.world, SolverPhase::Interior);
         self.drain_overset(x, &mut clock);
         // Everything the shell stencils read is now in place.
         apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
         for b in 0..self.split.shell.len() {
             let shell_box = self.split.shell[b];
-            self.rhs_partial(x, &shell_box);
+            self.rhs_partial(x, &shell_box, sink);
         }
         clock.lap(self.world, SolverPhase::Boundary);
     }
 
-    /// RHS accumulation over one sub-range of the tile interior.
-    fn rhs_partial(&mut self, x: &State, range: &InteriorRange) {
-        compute_rhs_partial(
+    /// RHS sweep of one sub-range of the tile interior into `sink`.
+    fn rhs_partial(&mut self, x: &State, range: &InteriorRange, sink: &mut RhsSink) {
+        sweep_rhs(
             x,
             &self.metric,
             &self.forces,
             &self.cfg.params,
             range,
             &mut self.scratch,
-            &mut self.k,
+            sink,
             &mut self.meter,
         );
     }
 
     /// RHS over the `idx`-th φ slab of the deep interior (no-op when the
     /// tile is too thin to have that many deep chunks).
-    fn rhs_deep_chunk(&mut self, x: &State, idx: usize) {
+    fn rhs_deep_chunk(&mut self, x: &State, idx: usize, sink: &mut RhsSink) {
         if let Some(chunk) = self.deep_chunks.get(idx).copied() {
-            self.rhs_partial(x, &chunk);
+            self.rhs_partial(x, &chunk, sink);
         }
     }
 
@@ -2181,14 +2191,51 @@ impl<'a> RankSolver<'a> {
         cfl_timestep(max_speed, min_dx, min_rho, &self.cfg.params, self.cfg.cfl)
     }
 
-    /// One RK4 step (mirrors `SerialSim::advance`). Both modes produce
-    /// bitwise-identical states; they differ only in how boundary
-    /// synchronisation is scheduled against the RHS sweeps.
+    /// One RK4 step (mirrors `SerialSim::advance`: the stage sweeps
+    /// combine the tendency into `state` and the next stage buffer as
+    /// they go). Both modes produce bitwise-identical states; they differ
+    /// only in how boundary synchronisation is scheduled against the RHS
+    /// sweeps. Stage 0 needs no communication (`state` was synced at the
+    /// end of the previous step); each later stage syncs the buffer the
+    /// previous one built — fused with its sweep
+    /// ([`Self::sync_rhs_overlapped`]) or serialized before it (the
+    /// blocking baseline).
     fn advance(&mut self, state: &mut State, dt: f64) {
-        match self.mode {
-            SyncMode::Overlapped => self.advance_overlapped(state, dt),
-            SyncMode::Blocking => self.advance_blocking(state, dt),
+        let weights = geomath::rk4::RK4_WEIGHTS;
+        let nodes = [0.5, 0.5, 1.0];
+        let mut rk4 = self.rk4.take().expect("RK4 buffers are only out during a step");
+        let Rk4Bufs { y0, stage: [a, b] } = &mut rk4;
+        // The sweeps write interior nodes only and the wall condition
+        // leaves ρ (and conducting-wall A) alone: the stage buffers take
+        // those frozen values here, which also makes them valid after a
+        // restore, a rollback or a re-tile.
+        y0.copy_from(state);
+        a.copy_walls_from(state);
+        b.copy_walls_from(state);
+        let (y0, range) = (&*y0, self.range);
+        for s in 0..4 {
+            let (next, cur) = if s % 2 == 0 { (&mut *a, &mut *b) } else { (&mut *b, &mut *a) };
+            let mut sink = if s < 3 {
+                RhsSink::Stage { acc: state, y0, next, b: dt * weights[s], a: dt * nodes[s] }
+            } else {
+                RhsSink::Final { acc: state, b: dt * weights[s] }
+            };
+            let combine = sink.combine_tally();
+            match (s, self.mode) {
+                (0, _) => self.rhs_partial(y0, &range, &mut sink),
+                (_, SyncMode::Overlapped) => self.sync_rhs_overlapped(cur, &mut sink),
+                (_, SyncMode::Blocking) => {
+                    self.sync_blocking(cur);
+                    self.rhs_partial(cur, &range, &mut sink);
+                }
+            }
+            self.meter.kernel(kernel::RK4_COMBINE, combine);
         }
+        match self.mode {
+            SyncMode::Overlapped => self.sync(state),
+            SyncMode::Blocking => self.sync_blocking(state),
+        }
+        self.rk4 = Some(rk4);
         self.time += dt;
         self.step += 1;
         if self.step == 2 {
@@ -2197,119 +2244,6 @@ impl<'a> RankSolver<'a> {
             // path must not allocate.
             self.comm.warmed = true;
         }
-    }
-
-    /// The overlapped, allocation-free step: stage 0's RHS needs no
-    /// communication (`state` was synced at the end of the previous
-    /// step), and each later stage fuses its boundary synchronisation
-    /// with its RHS sweep ([`Self::sync_rhs_overlapped`]).
-    fn advance_overlapped(&mut self, state: &mut State, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0];
-        let (owned, columns) = self.owned_extent(state);
-        self.y0.copy_from(state);
-        self.stage.copy_from(state);
-        compute_rhs(
-            &self.stage,
-            &self.metric,
-            &self.forces,
-            &self.cfg.params,
-            &self.range,
-            &mut self.scratch,
-            &mut self.k,
-            &mut self.meter,
-        );
-        for s in 1..4 {
-            // Accumulate stage s-1's tendency into the result AND build
-            // stage s's input in one traversal of `k` — bit-identical to
-            // the separate `axpy` + `assign_axpy` pair, one stream fewer.
-            let t0 = self.meter.timer();
-            state.axpy_and_assign_axpy(
-                dt * weights[s - 1],
-                &self.k,
-                &mut self.stage,
-                &self.y0,
-                dt * nodes[s - 1],
-            );
-            self.meter.kernel_timed(
-                kernel::RK4_COMBINE,
-                combine_fused_tally(1, owned, columns),
-                t0,
-            );
-            // Swap the stage state out against the spare so the fused
-            // sync⊗RHS can borrow it mutably alongside the solver — the
-            // allocation-free replacement for the legacy per-stage
-            // `State::zeros`.
-            let spare = self.spare.take().expect("spare stage buffer");
-            let mut x = std::mem::replace(&mut self.stage, spare);
-            self.sync_rhs_overlapped(&mut x);
-            self.spare = Some(std::mem::replace(&mut self.stage, x));
-        }
-        // The last tendency only accumulates — nothing left to stage.
-        let t0 = self.meter.timer();
-        state.axpy(dt * weights[3], &self.k);
-        self.meter.kernel_timed(kernel::RK4_COMBINE, combine_tally(1, owned, columns), t0);
-        self.sync(state);
-    }
-
-    /// Owned (non-ghost) node and column counts of this rank's tile —
-    /// the combine-kernel accounting extent (the arrays themselves carry
-    /// halo/frame padding the tallies exclude).
-    fn owned_extent(&self, state: &State) -> (u64, u64) {
-        let sh = state.shape();
-        (
-            (sh.nr * sh.nth * sh.nph) as u64,
-            (sh.nth * sh.nph) as u64,
-        )
-    }
-
-    /// The legacy step: full-range RHS, then a serialized blocking sync,
-    /// with the original per-stage `State::zeros` allocation. The bench
-    /// baseline.
-    fn advance_blocking(&mut self, state: &mut State, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0];
-        let (owned, columns) = self.owned_extent(state);
-        self.y0.copy_from(state);
-        self.stage.copy_from(state);
-        for s in 0..4 {
-            compute_rhs(
-                &self.stage,
-                &self.metric,
-                &self.forces,
-                &self.cfg.params,
-                &self.range,
-                &mut self.scratch,
-                &mut self.k,
-                &mut self.meter,
-            );
-            if s < 3 {
-                // Fused accumulate + stage build (same pairing as the
-                // overlapped and serial drivers, so the kernel-time
-                // comparison between modes stays apples-to-apples).
-                let t0 = self.meter.timer();
-                state.axpy_and_assign_axpy(
-                    dt * weights[s],
-                    &self.k,
-                    &mut self.stage,
-                    &self.y0,
-                    dt * nodes[s],
-                );
-                self.meter.kernel_timed(
-                    kernel::RK4_COMBINE,
-                    combine_fused_tally(1, owned, columns),
-                    t0,
-                );
-                let mut stage = std::mem::replace(&mut self.stage, State::zeros(state.shape()));
-                self.sync_blocking(&mut stage);
-                self.stage = stage;
-            } else {
-                let t0 = self.meter.timer();
-                state.axpy(dt * weights[s], &self.k);
-                self.meter.kernel_timed(kernel::RK4_COMBINE, combine_tally(1, owned, columns), t0);
-            }
-        }
-        self.sync_blocking(state);
     }
 
     /// Restore this rank's owned block from a full-panel checkpoint.
@@ -2513,13 +2447,13 @@ impl<'a> RankSolver<'a> {
     }
 
     /// Measured compute imbalance across ranks: the slowest rank's
-    /// stencil wall time (RHS, RK4 combine, health scan — the work the
-    /// partitioner balances; comm wait excluded) over the mean.
+    /// stencil wall time (RHS with the RK4 combine inside it, health
+    /// scan — the work the partitioner balances; comm wait excluded)
+    /// over the mean.
     /// Collective — every rank calls; 1.0 when nothing was timed.
     fn achieved_imbalance(&self) -> f64 {
         let snap = self.meter.counters().snapshot();
         let local = (snap.kernels[kernel::RHS as usize].wall_ns
-            + snap.kernels[kernel::RK4_COMBINE as usize].wall_ns
             + snap.kernels[kernel::HEALTH_SCAN as usize].wall_ns) as f64;
         let max = self.world.allreduce_f64(local, ReduceOp::Max);
         let sum = self.world.allreduce_f64(local, ReduceOp::Sum);

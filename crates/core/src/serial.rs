@@ -6,14 +6,17 @@
 //! supplies every horizontal boundary value a stencil can read).
 //!
 //! The time stepper is classical RK4 with one boundary synchronisation
-//! per stage:
+//! per stage. The tendency `k_s` exists one column at a time: the RHS
+//! sweep combines it into the step as it goes (`yy_mhd::rhs::RhsSink`),
+//! so each stage is a single traversal of the state.
 //!
 //! ```text
-//! for each stage s = 1..4:
-//!     k_s   = RHS(stage state)            # FD interior only
+//! y0 = y;  walls(stage buffers) = walls(y)
+//! for each stage s = 1..4, per column of the FD interior:
+//!     k_s   = RHS(stage state)            # stage 1 reads y0
 //!     y    += dt b_s k_s                  # accumulate the answer
-//!     stage = y0 + dt c_{s+1} k_s         # next stage state
-//!     fill(stage)                         # overset + physical walls
+//!     next  = y0 + dt c_{s+1} k_s         # the other stage buffer
+//!   fill(next)                            # overset + physical walls
 //! fill(y)
 //! ```
 
@@ -29,11 +32,11 @@ use yy_mesh::{
     apply_scalar, apply_vector, build_overset_columns, Metric, OversetColumn, Panel, PatchGrid,
 };
 use yy_obs::counters::{kernel, CounterSet, KernelTally};
-use yy_mhd::rhs::{InteriorRange, RhsScratch};
+use yy_mhd::rhs::{sweep_rhs, InteriorRange, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
-    apply_physical_bc, cfl_timestep, compute_rhs, initialize, timestep::rho_min_owned,
-    wave_speed_breakdown, wave_speed_max, Diagnostics, ForceTables, SpeedBreakdown, State,
+    apply_physical_bc, cfl_timestep, initialize, timestep::rho_min_owned, wave_speed_breakdown,
+    wave_speed_max, Diagnostics, ForceTables, SpeedBreakdown, State,
 };
 
 /// Counter tally for donating `jobs` overset columns of radial length
@@ -65,45 +68,6 @@ pub(crate) fn overset_fill_tally(jobs: u64, nr: u64) -> KernelTally {
         flops: 0,
         bytes_read: rows * nr * 8,
         bytes_written: rows * nr * 8,
-    }
-}
-
-/// Counter tally for `ops` RK4 combine passes (axpy / assign_axpy) over a
-/// region of `owned_points` owned nodes in `owned_columns` (θ, φ)
-/// columns. Each pass touches the 8 state arrays at 2 flops per element
-/// and streams two operand arrays in, one out. Counting owned nodes only
-/// (the arrays themselves include padding) keeps the global totals
-/// decomposition-invariant; shared with the parallel driver.
-pub(crate) fn combine_tally(ops: u64, owned_points: u64, owned_columns: u64) -> KernelTally {
-    KernelTally {
-        points: ops * owned_points,
-        loops: ops * owned_columns,
-        vector_elements: ops * owned_points,
-        flops: ops * 16 * owned_points,
-        bytes_read: ops * 16 * owned_points * 8,
-        bytes_written: ops * 8 * owned_points * 8,
-    }
-}
-
-/// Counter tally for `pairs` **fused** RK4 combines
-/// (`axpy_and_assign_axpy`): each pair does the work of two combine ops
-/// (same points and flops) in a single traversal, so it bills one loop
-/// set and 3-in/2-out streams per state element instead of 4-in/2-out
-/// over two traversals. Shared by the serial and parallel drivers; the
-/// per-step global totals of points and flops are identical to the
-/// unfused accounting, bytes drop by the saved re-read of the tendency.
-pub(crate) fn combine_fused_tally(
-    pairs: u64,
-    owned_points: u64,
-    owned_columns: u64,
-) -> KernelTally {
-    KernelTally {
-        points: pairs * 2 * owned_points,
-        loops: pairs * owned_columns,
-        vector_elements: pairs * owned_points,
-        flops: pairs * 32 * owned_points,
-        bytes_read: pairs * 24 * owned_points * 8,
-        bytes_written: pairs * 16 * owned_points * 8,
     }
 }
 
@@ -204,10 +168,10 @@ pub struct SerialSim {
     pub yin: State,
     /// The Yang panel's state.
     pub yang: State,
-    // RK4 work buffers (shared across panels sequentially).
+    // RK4 work buffers, `[panel]`: the step-head state and the two
+    // stage states the stages ping-pong between (`[buffer][panel]`).
     y0: [State; 2],
-    k: [State; 2],
-    stage: [State; 2],
+    stage: [[State; 2]; 2],
     scratch: RhsScratch,
     /// Exact FLOP and per-kernel counters (reset by [`SerialSim::run`]
     /// at loop entry — the measurement window excludes setup).
@@ -268,8 +232,10 @@ impl SerialSim {
             cols,
             range,
             y0: [State::zeros(shape), State::zeros(shape)],
-            k: [State::zeros(shape), State::zeros(shape)],
-            stage: [State::zeros(shape), State::zeros(shape)],
+            stage: [
+                [State::zeros(shape), State::zeros(shape)],
+                [State::zeros(shape), State::zeros(shape)],
+            ],
             scratch,
             // The serial driver is the reference profile source, so its
             // per-kernel counters are always on.
@@ -326,66 +292,46 @@ impl SerialSim {
         let weights = geomath::rk4::RK4_WEIGHTS;
         let nodes = [0.5, 0.5, 1.0]; // stage-state coefficients c_2..c_4
 
-        for p in 0..2 {
-            let state = if p == 0 { &self.yin } else { &self.yang };
+        // The sweeps write interior nodes only, and the fills leave the
+        // wall ρ (and conducting-wall A) alone: the stage buffers take
+        // those frozen values here.
+        for (p, state) in [&self.yin, &self.yang].into_iter().enumerate() {
             self.y0[p].copy_from(state);
-            self.stage[p].copy_from(state);
+            for buf in &mut self.stage {
+                buf[p].copy_walls_from(state);
+            }
         }
 
-        // Owned-node extent for the combine accounting (both panels share
-        // one shape; padding is excluded from the tallies).
-        let shape = self.yin.shape();
-        let owned = (shape.nr * shape.nth * shape.nph) as u64;
-        let columns = (shape.nth * shape.nph) as u64;
-
         for s in 0..4 {
-            // RHS of the current stage state for both panels.
-            for p in 0..2 {
-                compute_rhs(
-                    &self.stage[p],
+            // Stage s reads the buffer stage s−1 built (the step head for
+            // s = 0) and builds the other one.
+            let [a, b] = &mut self.stage;
+            let (next, cur) = if s % 2 == 0 { (a, &*b) } else { (b, &*a) };
+            for (p, acc) in [&mut self.yin, &mut self.yang].into_iter().enumerate() {
+                let y0 = &self.y0[p];
+                let mut sink = if s < 3 {
+                    let (b, a) = (dt * weights[s], dt * nodes[s]);
+                    RhsSink::Stage { acc, y0, next: &mut next[p], b, a }
+                } else {
+                    RhsSink::Final { acc, b: dt * weights[s] }
+                };
+                let combine = sink.combine_tally();
+                sweep_rhs(
+                    if s == 0 { y0 } else { &cur[p] },
                     &self.metric,
                     &self.forces[p],
                     &self.cfg.params,
                     &self.range,
                     &mut self.scratch,
-                    &mut self.k[p],
+                    &mut sink,
                     &mut self.meter,
                 );
+                self.meter.kernel(kernel::RK4_COMBINE, combine);
             }
-            // Accumulate into the solution and (for non-final stages)
-            // build the next stage state in the same traversal of k —
-            // bit-identical to axpy followed by assign_axpy, at 3 array
-            // streams instead of 4.
             if s < 3 {
-                let t0 = self.meter.timer();
-                self.yin.axpy_and_assign_axpy(
-                    dt * weights[s],
-                    &self.k[0],
-                    &mut self.stage[0],
-                    &self.y0[0],
-                    dt * nodes[s],
-                );
-                self.yang.axpy_and_assign_axpy(
-                    dt * weights[s],
-                    &self.k[1],
-                    &mut self.stage[1],
-                    &self.y0[1],
-                    dt * nodes[s],
-                );
-                self.meter.kernel_timed(
-                    kernel::RK4_COMBINE,
-                    combine_fused_tally(2, owned, columns),
-                    t0,
-                );
-                let [s0, s1] = &mut self.stage;
-                let cols = &self.cols;
-                fill_pair(s0, s1, cols, self.cfg.params.t_inner, self.cfg.mag_bc, Some(&mut self.meter));
-            } else {
-                // Final stage: no next stage state to build.
-                let t0 = self.meter.timer();
-                self.yin.axpy(dt * weights[s], &self.k[0]);
-                self.yang.axpy(dt * weights[s], &self.k[1]);
-                self.meter.kernel_timed(kernel::RK4_COMBINE, combine_tally(2, owned, columns), t0);
+                let [n0, n1] = next;
+                let (t_inner, mag_bc) = (self.cfg.params.t_inner, self.cfg.mag_bc);
+                fill_pair(n0, n1, &self.cols, t_inner, mag_bc, Some(&mut self.meter));
             }
         }
         let cols = std::mem::take(&mut self.cols);

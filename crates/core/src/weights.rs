@@ -2,12 +2,12 @@
 //!
 //! [`Decomp2D::weighted`] balances arbitrary per-row/per-column costs;
 //! this module derives those costs from the per-kernel performance
-//! counters of a short serial probe run. Stencil work (RHS, RK4
-//! combine, health scan) spreads uniformly over every column; overset
-//! interpolation work is attributed to the donor and target columns the
-//! schedule actually touches, which is what makes the panel edges
-//! measurably heavier than the interior and the weighted cuts
-//! non-uniform.
+//! counters of a short serial probe run. Stencil work (the RHS sweep,
+//! which the RK4 combine runs inside of, and the health scan) spreads
+//! uniformly over every column; overset interpolation work is
+//! attributed to the donor and target columns the schedule actually
+//! touches, which is what makes the panel edges measurably heavier than
+//! the interior and the weighted cuts non-uniform.
 //!
 //! The probe's wall-clock numbers are nondeterministic, but they only
 //! move *cut boundaries* — the trajectory is decomposition-invariant
@@ -53,9 +53,8 @@ impl ColumnCosts {
                 k.flops as f64
             }
         };
-        let stencil = cost_of(kernel::RHS)
-            + cost_of(kernel::RK4_COMBINE)
-            + cost_of(kernel::HEALTH_SCAN);
+        // The RK4 combine's wall time is inside the RHS timer.
+        let stencil = cost_of(kernel::RHS) + cost_of(kernel::HEALTH_SCAN);
         let base = (stencil / (2 * nth * nph) as f64).max(1.0);
         let mut w = vec![base; nth * nph];
         let cols = build_overset_columns(grid)

@@ -96,13 +96,11 @@ fn per_kernel_totals_are_decomposition_invariant() {
                 kernel::name(id)
             );
             // Loop counts (and hence equivalent vector length) are a
-            // property of the sweep structure, which the overlapped
-            // pipeline legitimately changes for the RHS: the six-box
-            // shell decomposition chops the radial inner loop. Every
-            // other kernel keeps serial-identical loop structure.
-            if id != kernel::RHS {
-                assert_eq!(s.loops, p.loops, "{tag}: {} loops", kernel::name(id));
-            }
+            // property of the sweep structure — which the overlapped
+            // pipeline keeps: its deep box and shell bands all span the
+            // full radial extent, so the RHS makes the same radial
+            // passes per column as the serial sweep.
+            assert_eq!(s.loops, p.loops, "{tag}: {} loops", kernel::name(id));
         }
     }
 

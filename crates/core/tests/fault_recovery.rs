@@ -3,7 +3,7 @@
 //! the last checkpoint and reproduce the fault-free trajectory bitwise.
 
 use std::time::Duration;
-use yy_mhd::State;
+use yy_mhd::{MagneticBc, State};
 use yy_parcomm::FaultSpec;
 use yycore::checkpoint::Checkpoint;
 use yycore::parallel::{run_parallel, run_parallel_supervised, FailurePolicy, RecoveryOpts};
@@ -93,24 +93,31 @@ fn message_faults_complete_without_hang() {
 /// delays shuffle message *arrival* into that window and past it. The
 /// drain points still impose the data dependencies, so the result must
 /// match the serial reference bit for bit on every decomposition.
+///
+/// Both wall types run: the overlapped pipeline sets the column-local
+/// wall condition *before* the exchange, and under `ZeroGradient` that
+/// condition reads the stage state itself (A copied from the first
+/// interior node) while ghosts are still arriving late.
 #[test]
 fn overlap_under_injected_delays_matches_serial_bitwise() {
-    let cfg = quick_cfg();
-    let mut serial = SerialSim::new(cfg.clone());
-    serial.run(4, 0);
-    let opts = RecoveryOpts {
-        fault: FaultSpec::seeded(99).with_delay(0.5, Duration::from_millis(1)),
-        checkpoint_every: 0,
-        deadline: Duration::from_secs(20),
-        ..RecoveryOpts::default()
-    };
-    for (pth, pph) in [(1, 2), (2, 2)] {
-        let sup = run_parallel_supervised(&cfg, pth, pph, 4, 0, &opts)
-            .expect("delayed run completes");
-        assert!(sup.recoveries.is_empty(), "delays alone must not trigger recovery");
-        let tag = format!("{pth}x{pph}");
-        assert_owned_equal(&cfg, &sup.final_checkpoint.yin, &serial.yin, &format!("yin {tag}"));
-        assert_owned_equal(&cfg, &sup.final_checkpoint.yang, &serial.yang, &format!("yang {tag}"));
+    for mag_bc in [MagneticBc::ConductingWall, MagneticBc::ZeroGradient] {
+        let cfg = RunConfig { mag_bc, ..quick_cfg() };
+        let mut serial = SerialSim::new(cfg.clone());
+        serial.run(4, 0);
+        let opts = RecoveryOpts {
+            fault: FaultSpec::seeded(99).with_delay(0.5, Duration::from_millis(1)),
+            checkpoint_every: 0,
+            deadline: Duration::from_secs(20),
+            ..RecoveryOpts::default()
+        };
+        for (pth, pph) in [(1, 2), (2, 2)] {
+            let sup = run_parallel_supervised(&cfg, pth, pph, 4, 0, &opts)
+                .expect("delayed run completes");
+            assert!(sup.recoveries.is_empty(), "delays alone must not trigger recovery");
+            let tag = format!("{pth}x{pph} {mag_bc:?}");
+            assert_owned_equal(&cfg, &sup.final_checkpoint.yin, &serial.yin, &format!("yin {tag}"));
+            assert_owned_equal(&cfg, &sup.final_checkpoint.yang, &serial.yang, &format!("yang {tag}"));
+        }
     }
 }
 

@@ -161,46 +161,42 @@ impl InteriorRange {
     /// communication/compute overlap.
     ///
     /// The deep interior is the sub-range whose 9-point horizontal stencil
-    /// and radial neighbours read **no** node a boundary synchronisation
-    /// can modify: halo ghosts, overset frame columns, or the radial wall
-    /// planes. Since the stencil radius is 1 (in i, j and k) and every
-    /// edge of an interior range abuts sync-written data — ghost bands at
-    /// tile edges, frame columns at panel edges, wall planes radially —
-    /// shrinking by one node on every side is both necessary and
-    /// sufficient. The boundary shell is the set-difference, decomposed
-    /// into up to six disjoint boxes (two radial slabs, two θ bands, two
-    /// φ bands) that together with the deep interior exactly tile `self`.
+    /// reads **no** column a boundary exchange can modify: halo ghosts at
+    /// tile edges, overset frame columns at panel edges. The stencil
+    /// radius is 1, so shrinking by one column on each θ/φ side is both
+    /// necessary and sufficient. Radially the deep box keeps the full
+    /// extent `i0..i1`: the wall condition is column-local (it reads
+    /// nothing an exchange delivers), so the caller sets the wall planes
+    /// *before* the deep sweep instead of keeping the sweep off them.
+    /// The boundary shell is the set-difference — up to four disjoint
+    /// full-height boxes (two θ bands, two φ bands) that together with
+    /// the deep interior exactly tile `self`; every box spans `i0..i1`,
+    /// so every interior point runs full-length radial vector loops.
     ///
-    /// Degenerate (thin) ranges fall back to an empty deep interior with
-    /// the whole range as a single shell box.
+    /// Ranges fewer than two columns wide fall back to an empty deep
+    /// interior with the whole range as a single shell box.
     pub fn split_overlap(&self) -> OverlapSplit {
         if self.is_empty() {
             return OverlapSplit { deep: None, shell: Vec::new() };
         }
-        let (di, dj, dk) =
-            (self.i1 - self.i0, (self.j1 - self.j0) as usize, (self.k1 - self.k0) as usize);
-        if di < 2 || dj < 2 || dk < 2 {
-            // Too thin for the six-box decomposition to stay disjoint.
+        if self.j1 - self.j0 < 2 || self.k1 - self.k0 < 2 {
+            // Too thin for the four bands to stay disjoint.
             return OverlapSplit { deep: None, shell: vec![*self] };
         }
         let deep = InteriorRange {
-            i0: self.i0 + 1,
-            i1: self.i1 - 1,
             j0: self.j0 + 1,
             j1: self.j1 - 1,
             k0: self.k0 + 1,
             k1: self.k1 - 1,
+            ..*self
         };
         let shell = [
-            // Radial wall-adjacent slabs (full horizontal extent).
-            InteriorRange { i0: self.i0, i1: self.i0 + 1, ..*self },
-            InteriorRange { i0: self.i1 - 1, i1: self.i1, ..*self },
-            // θ bands at radially-deep levels.
-            InteriorRange { i0: deep.i0, i1: deep.i1, j1: self.j0 + 1, ..*self },
-            InteriorRange { i0: deep.i0, i1: deep.i1, j0: self.j1 - 1, ..*self },
-            // φ bands at radially-deep, θ-deep levels.
-            InteriorRange { i0: deep.i0, i1: deep.i1, j0: deep.j0, j1: deep.j1, k1: self.k0 + 1, ..*self },
-            InteriorRange { i0: deep.i0, i1: deep.i1, j0: deep.j0, j1: deep.j1, k0: self.k1 - 1, ..*self },
+            // θ bands (full φ width).
+            InteriorRange { j1: self.j0 + 1, ..*self },
+            InteriorRange { j0: self.j1 - 1, ..*self },
+            // φ bands at θ-deep columns.
+            InteriorRange { j0: deep.j0, j1: deep.j1, k1: self.k0 + 1, ..*self },
+            InteriorRange { j0: deep.j0, j1: deep.j1, k0: self.k1 - 1, ..*self },
         ]
         .into_iter()
         .filter(|r| !r.is_empty())
@@ -247,14 +243,17 @@ impl InteriorRange {
     }
 }
 
-/// Result of [`InteriorRange::split_overlap`]: the sync-independent deep
-/// interior plus the boundary-shell boxes that complete the tiling.
+/// Result of [`InteriorRange::split_overlap`]: the exchange-independent
+/// deep interior plus the boundary-shell bands that complete the tiling.
+/// Walls are column-local and set before the deep sweep; deep clears the
+/// θ/φ edges only.
 #[derive(Debug, Clone)]
 pub struct OverlapSplit {
-    /// Columns/levels whose stencils read nothing a boundary sync writes
-    /// (`None` when the range is too thin to have any).
+    /// Columns whose stencils read nothing a boundary exchange writes,
+    /// over the full radial extent (`None` when the range is too thin
+    /// to have any).
     pub deep: Option<InteriorRange>,
-    /// Disjoint boxes covering the rest of the range.
+    /// Disjoint full-height θ/φ bands covering the rest of the range.
     pub shell: Vec<InteriorRange>,
 }
 
@@ -271,37 +270,156 @@ impl OverlapSplit {
 /// per step, inside run-to-run noise (EXPERIMENTS.md).
 const PHI_BLOCK: isize = 2;
 
-/// Ranges with a radial extent below this run [`reference_sweep`] even
-/// in fused mode. The eleven leaf kernels pay a fixed cost per column
-/// (eleven calls, their slice re-cuts, a vector-loop preamble each)
-/// that one or two radial nodes cannot amortize — and the overlapped
-/// driver's two wall-adjacent shell slabs are exactly one node deep.
-/// Measured crossover (ns/point, reference vs. kernels, full-width
-/// slabs; medium nr = 24 grid / long-radial nr = 255 grid):
-/// extent 1: 370 vs 520 / 330 vs 430; extent 2: 240 vs 271 / 240 vs 241;
-/// extent 3: 200 vs 214 / 262 vs 217; extent 4: 186 vs 151 / 254 vs 187.
-/// Every other shell box (θ/φ bands, full radial extent) runs the
-/// kernels at 2.3–2.6× the reference's speed.
-const MIN_FUSED_EXTENT: usize = 3;
-
 /// The `[r, θ, φ]` component rows of one [`RowBufs`] field.
 type Rows3 = [Vec<f64>; 3];
 
-/// Per-column radial scratch rows for the fused sweep: intermediate
-/// fields (B, the current j, ∇p; `[r, θ, φ]` components) each pass
-/// stores for later passes of the same column. Together 9 radial rows
-/// (~2 KB at production nr) — L1-resident by construction.
+/// Per-column radial scratch rows for the sweeps: intermediate fields
+/// (B, the current j, ∇p; `[r, θ, φ]` components) each pass stores for
+/// later passes of the same column, and the column's eight tendency
+/// rows `k` (canonical [`State::arrays`] order) on their way to the
+/// [`RhsSink`]. Together 17 radial rows (~35 KB at nr = 255, 3 KB at
+/// nr = 24) — cache-resident by construction.
 #[derive(Debug, Clone)]
 struct RowBufs {
     b: Rows3,
     j: Rows3,
     gp: Rows3,
+    k: [Vec<f64>; 8],
 }
 
 impl RowBufs {
     fn new(nr: usize) -> Self {
         let rows = || [vec![0.0; nr], vec![0.0; nr], vec![0.0; nr]];
-        RowBufs { b: rows(), j: rows(), gp: rows() }
+        RowBufs { b: rows(), j: rows(), gp: rows(), k: std::array::from_fn(|_| vec![0.0; nr]) }
+    }
+}
+
+/// Where a sweep's tendency `k` goes. The sweeps leave each column's
+/// eight tendency rows in cache-resident buffers and flush them here,
+/// so an RK4 stage combines `k` into the step *inside* the RHS sweep
+/// and the tendency never travels to memory.
+pub enum RhsSink<'a> {
+    /// `out ← k` on the swept nodes: the unfused form [`compute_rhs`]
+    /// uses, and the oracle the fused forms are tested against.
+    Store(&'a mut State),
+    /// A non-final RK4 stage: `acc += b·k` and `next = y0 + a·k` on the
+    /// swept nodes — per element the expressions of
+    /// [`State::axpy_and_assign_axpy`], so the bits are the same. Nodes
+    /// outside the sweep (walls, frames, ghosts) are not touched: the
+    /// caller owns them ([`State::copy_walls_from`], the boundary sync).
+    Stage {
+        /// The step result being accumulated.
+        acc: &'a mut State,
+        /// The state at the step head.
+        y0: &'a State,
+        /// The next stage's input.
+        next: &'a mut State,
+        /// RK4 weight of this stage times dt.
+        b: f64,
+        /// RK4 node coefficient of the next stage times dt.
+        a: f64,
+    },
+    /// The final RK4 stage: `acc += b·k` ([`State::axpy`]'s expression).
+    Final {
+        /// The step result being accumulated.
+        acc: &'a mut State,
+        /// RK4 weight of this stage times dt.
+        b: f64,
+    },
+}
+
+impl RhsSink<'_> {
+    /// The `RK4_COMBINE` tally of one whole stage through this sink,
+    /// over the owned nodes of the accumulator (padding excluded, so
+    /// global totals are decomposition-invariant). Points, flops and
+    /// vector elements are those of the separate combine pass this
+    /// replaces — `Stage` does the work of two axpy-type ops, `Final` of
+    /// one, at 2 flops per element of 8 arrays. The byte model is what
+    /// still moves: `acc` and `y0` in, `acc` and `next` out (`acc` in
+    /// and out for `Final`); `k` stays in cache. The drivers bill it
+    /// untimed — the wall time is inside the RHS timer.
+    pub fn combine_tally(&self) -> KernelTally {
+        let (acc, ops) = match self {
+            RhsSink::Store(_) => return KernelTally::default(),
+            RhsSink::Stage { acc, .. } => (acc, 2),
+            RhsSink::Final { acc, .. } => (acc, 1),
+        };
+        let sh = acc.shape();
+        let (columns, owned) = ((sh.nth * sh.nph) as u64, sh.owned_len() as u64);
+        KernelTally {
+            points: ops * owned,
+            loops: columns,
+            vector_elements: owned,
+            flops: ops * 16 * owned,
+            bytes_read: ops * 8 * owned * 8,
+            bytes_written: ops * 8 * owned * 8,
+        }
+    }
+
+    /// Panic unless every state of the sink has the swept state's shape
+    /// (the flush addresses all of them by one flat row range).
+    fn check_shape(&self, shape: Shape) {
+        let same = match self {
+            RhsSink::Store(out) => out.shape() == shape,
+            RhsSink::Stage { acc, y0, next, .. } => {
+                acc.shape() == shape && y0.shape() == shape && next.shape() == shape
+            }
+            RhsSink::Final { acc, .. } => acc.shape() == shape,
+        };
+        assert!(same, "RhsSink state shape differs from the swept state's {shape:?}");
+    }
+
+    /// Flush the tendency rows `k[..row.len()]` of the column whose
+    /// swept nodes sit at flat indices `row` of every state array.
+    fn flush(&mut self, row: std::ops::Range<usize>, k: &[Vec<f64>; 8]) {
+        let n = row.len();
+        match self {
+            RhsSink::Store(out) => {
+                for (out, k) in out.arrays_mut().into_iter().zip(k) {
+                    out.data_mut()[row.clone()].copy_from_slice(&k[..n]);
+                }
+            }
+            RhsSink::Stage { acc, y0, next, b, a } => {
+                let arrays = acc.arrays_mut().into_iter().zip(next.arrays_mut()).zip(y0.arrays());
+                for (((acc, next), y0), k) in arrays.zip(k) {
+                    let acc = &mut acc.data_mut()[row.clone()];
+                    let next = &mut next.data_mut()[row.clone()];
+                    flush_stage(acc, next, &y0.data()[row.clone()], &k[..n], *b, *a);
+                }
+            }
+            RhsSink::Final { acc, b } => {
+                for (acc, k) in acc.arrays_mut().into_iter().zip(k) {
+                    flush_final(&mut acc.data_mut()[row.clone()], &k[..n], *b);
+                }
+            }
+        }
+    }
+}
+
+/// One row of a [`RhsSink::Stage`] flush. A leaf kernel for the reason
+/// the `pass_*` kernels are: slice *parameters* are `noalias`, and all
+/// four are cut to one length, so the loop is packed f64.
+#[inline(never)]
+fn flush_stage(acc: &mut [f64], next: &mut [f64], y0: &[f64], k: &[f64], b: f64, a: f64) {
+    let n = k.len();
+    let (acc, next, y0) = (&mut acc[..n], &mut next[..n], &y0[..n]);
+    for q in 0..n {
+        // Both loads before either store: the states are allocated
+        // alike, so `acc[q]` and `y0[q]` tend to sit 4 KiB-aliased, and a
+        // load behind an aliasing store stalls on it.
+        let (kq, yq, aq) = (k[q], y0[q], acc[q]);
+        next[q] = yq + a * kq;
+        acc[q] = aq + b * kq;
+    }
+}
+
+/// One row of a [`RhsSink::Final`] flush.
+#[inline(never)]
+fn flush_final(acc: &mut [f64], k: &[f64], b: f64) {
+    let n = k.len();
+    let acc = &mut acc[..n];
+    for q in 0..n {
+        acc[q] += b * k[q];
     }
 }
 
@@ -415,44 +533,41 @@ pub fn compute_rhs(
     meter: &mut Meters,
 ) {
     out.fill_zero();
-    compute_rhs_partial(state, metric, forces, params, range, scratch, out, meter);
+    sweep_rhs(state, metric, forces, params, range, scratch, &mut RhsSink::Store(out), meter);
 }
 
-/// Evaluate the RHS over `range` **without** zeroing `out` first — the
-/// building block for split (deep-interior / boundary-shell) sweeps that
-/// accumulate disjoint sub-ranges into one tendency state. The caller
-/// zeroes `out` once before the first partial sweep.
+/// Evaluate the RHS over `range` and hand each column's tendency to
+/// `sink` — the one stage-sweep entry point of the serial driver and
+/// both parallel sync modes, and the building block for split
+/// (deep-interior / boundary-shell) sweeps over disjoint sub-ranges.
+/// Only nodes of `range` are written, whatever the sink.
 ///
 /// `state` only needs valid values on `range` expanded by the stencil
 /// radius (one node in every direction): the subsidiary `v = f/ρ`,
 /// `T = p/ρ` fields are recomputed over exactly that expansion, so a
-/// deep-interior sweep can run before ghost/frame/wall data arrives.
-/// The per-point arithmetic is identical to [`compute_rhs`], so summing
-/// partial sweeps over a disjoint tiling of a range is bit-identical to
-/// one full sweep over it.
+/// deep-interior sweep can run before ghost/frame data arrives. The
+/// per-point arithmetic does not depend on the range, so sweeping a
+/// disjoint tiling of a range is bit-identical to one sweep over it.
 #[allow(clippy::too_many_arguments)]
-pub fn compute_rhs_partial(
+pub fn sweep_rhs(
     state: &State,
     metric: &Metric,
     forces: &ForceTables,
     params: &PhysParams,
     range: &InteriorRange,
     scratch: &mut RhsScratch,
-    out: &mut State,
+    sink: &mut RhsSink,
     meter: &mut Meters,
 ) {
     if range.is_empty() {
         return;
     }
+    sink.check_shape(state.shape());
     let t0 = meter.timer();
     primitives(state, range, scratch);
-    // Both sweeps are bit-identical, so the dispatch is purely a
-    // performance choice (see `MIN_FUSED_EXTENT`).
-    if scratch.use_reference || range.i1 - range.i0 < MIN_FUSED_EXTENT {
-        reference_sweep(state, metric, forces, params, range, scratch, out);
-    } else {
-        fused_sweep(state, metric, forces, params, range, scratch, out);
-    }
+    // Bit-identical sweeps: the reference is the oracle switch only.
+    let sweep = if scratch.use_reference { reference_sweep } else { fused_sweep };
+    sweep(state, metric, forces, params, range, scratch, sink);
 
     let points = range.points() as u64;
     let columns = ((range.j1 - range.j0) * (range.k1 - range.k0)) as u64;
@@ -522,7 +637,9 @@ fn primitives(state: &State, range: &InteriorRange, scratch: &mut RhsScratch) {
 /// The pre-rewrite RHS column sweep: one mega-loop per point evaluating
 /// every term. Kept (and kept allocation-free) as the bit-exactness
 /// reference for the fused kernel — `tests/` and the cross-layout
-/// harness in `yy-core` diff the two on every grid they touch.
+/// harness in `yy-core` diff the two on every grid they touch. Reached
+/// only through the [`RhsScratch::use_reference`] oracle switch; it
+/// hands its tendency rows to the sink exactly as the fused sweep does.
 #[allow(clippy::too_many_arguments)]
 fn reference_sweep(
     state: &State,
@@ -531,9 +648,9 @@ fn reference_sweep(
     params: &PhysParams,
     range: &InteriorRange,
     scratch: &mut RhsScratch,
-    out: &mut State,
+    sink: &mut RhsSink,
 ) {
-    let shape = state.shape();
+    let (rows, v, temp) = (&mut scratch.rows, &scratch.v, &scratch.temp);
     let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
     let gamma = params.gamma;
     let gm1 = gamma - 1.0;
@@ -549,28 +666,22 @@ fn reference_sweep(
         for j in range.j0..range.j1 {
             let g = ColGeom::new(metric, j);
             let p_cols = Cols::new(&state.press, j, k);
-            let t_cols = Cols::new(&scratch.temp, j, k);
+            let t_cols = Cols::new(temp, j, k);
             let fr_cols = Cols::new(&state.f.r, j, k);
             let ft_cols = Cols::new(&state.f.t, j, k);
             let fp_cols = Cols::new(&state.f.p, j, k);
-            let vr_cols = Cols::new(&scratch.v.r, j, k);
-            let vt_cols = Cols::new(&scratch.v.t, j, k);
-            let vp_cols = Cols::new(&scratch.v.p, j, k);
+            let vr_cols = Cols::new(&v.r, j, k);
+            let vt_cols = Cols::new(&v.t, j, k);
+            let vp_cols = Cols::new(&v.p, j, k);
             let ar_cols = Cols::new(&state.a.r, j, k);
             let at_cols = Cols::new(&state.a.t, j, k);
             let ap_cols = Cols::new(&state.a.p, j, k);
             let rho_row = state.rho.row(j, k);
             let (om_r, om_t, om_p) = forces.omega_at(j, k);
 
-            // Output rows for this column.
-            let base = shape.idx(0, j, k);
-            macro_rules! out_row {
-                ($a:expr) => {
-                    &mut $a.data_mut()[base..base + shape.nr]
-                };
-            }
-            // (Split mutable borrows by component through raw indexing.)
+            let [k_rho, k_p, k_fr, k_ft, k_fp, k_ar, k_at, k_ap] = &mut rows.k;
             for i in range.i0..range.i1 {
+                let q = i - range.i0;
                 let ir = inv_r[i];
                 let ir2 = ir * ir;
                 let rho_c = rho_row[i];
@@ -676,17 +787,18 @@ fn reference_sweep(
                 let vxb_p = vr_c * b_t - vt_c * b_r;
 
                 // --- assemble ----------------------------------------------------
-                out_row!(out.rho)[i] = -div_f;
-                out_row!(out.f.r)[i] =
-                    -adv_r - gp_r + jxb_r + rho_c * forces.grav[i] + cor_r + visc_r;
-                out_row!(out.f.t)[i] = -adv_t - gp_t + jxb_t + cor_t + visc_t;
-                out_row!(out.f.p)[i] = -adv_p - gp_p + jxb_p + cor_p + visc_p;
-                out_row!(out.press)[i] = -v_grad_p - gamma * p_c * div_v
+                k_rho[q] = -div_f;
+                k_fr[q] = -adv_r - gp_r + jxb_r + rho_c * forces.grav[i] + cor_r + visc_r;
+                k_ft[q] = -adv_t - gp_t + jxb_t + cor_t + visc_t;
+                k_fp[q] = -adv_p - gp_p + jxb_p + cor_p + visc_p;
+                k_p[q] = -v_grad_p - gamma * p_c * div_v
                     + gm1 * (kappa * lap_t + eta * j2 + phi_visc);
-                out_row!(out.a.r)[i] = vxb_r - eta * j_r;
-                out_row!(out.a.t)[i] = vxb_t - eta * j_t;
-                out_row!(out.a.p)[i] = vxb_p - eta * j_p;
+                k_ar[q] = vxb_r - eta * j_r;
+                k_at[q] = vxb_t - eta * j_t;
+                k_ap[q] = vxb_p - eta * j_p;
             }
+            let row = state.shape().idx(range.i0, j, k);
+            sink.flush(row..row + (range.i1 - range.i0), &rows.k);
         }
     }
 }
@@ -705,8 +817,10 @@ fn reference_sweep(
 /// its inputs at the top to the length of its output (`n`, or `n + 2`
 /// for stencil rows), so no bounds check survives in the loop.
 ///
-/// Intermediate per-column fields (B, j, ∇p) land in L1-resident radial
-/// row buffers; a f64 store/load roundtrip is exact, expression trees
+/// Intermediate per-column fields (B, j, ∇p) and the eight tendency
+/// rows land in cache-resident radial row buffers, the latter flushed
+/// to the [`RhsSink`] once the column's last pass has run; a f64
+/// store/load roundtrip is exact, expression trees
 /// are copied from the reference sweep verbatim (vector lanes evaluate
 /// the same IEEE operations in the same order as scalar code), and the
 /// force/pressure accumulations split the reference's left-associated
@@ -722,7 +836,7 @@ fn fused_sweep(
     params: &PhysParams,
     range: &InteriorRange,
     scratch: &mut RhsScratch,
-    out: &mut State,
+    sink: &mut RhsSink,
 ) {
     let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
     let (i0, i1) = (range.i0, range.i1);
@@ -762,14 +876,8 @@ fn fused_sweep(
                     g: &g,
                     params,
                 };
-                let rho_o = &mut out.rho.row_mut(j, k)[i0..i1];
-                let fr_o = &mut out.f.r.row_mut(j, k)[i0..i1];
-                let ft_o = &mut out.f.t.row_mut(j, k)[i0..i1];
-                let fp_o = &mut out.f.p.row_mut(j, k)[i0..i1];
-                let pr_o = &mut out.press.row_mut(j, k)[i0..i1];
-                let ar_o = &mut out.a.r.row_mut(j, k)[i0..i1];
-                let at_o = &mut out.a.t.row_mut(j, k)[i0..i1];
-                let ap_o = &mut out.a.p.row_mut(j, k)[i0..i1];
+                let [rho_o, pr_o, fr_o, ft_o, fp_o, ar_o, at_o, ap_o] =
+                    rows.k.each_mut().map(|row| &mut row[..n]);
 
                 pass_continuity(rho_o, &c);
                 let [b_r, b_t, b_p] = rows.b.each_mut().map(|row| &mut row[..n]);
@@ -785,6 +893,8 @@ fn fused_sweep(
                 pass_viscous(fr_o, ft_o, fp_o, &c);
                 pass_pressure(pr_o, &rows.gp, &rows.j, &c);
                 pass_induction(ar_o, at_o, ap_o, &rows.b, &rows.j, &c);
+                let row = state.shape().idx(i0, j, k);
+                sink.flush(row..row + n, &rows.k);
             }
         }
         kb = kb1;
@@ -1088,7 +1198,11 @@ mod tests {
     use yy_mesh::{Panel, PatchGrid, PatchSpec};
 
     fn setup(nth: usize) -> (PatchGrid, Metric, ForceTables, PhysParams) {
-        let grid = PatchGrid::new(PatchSpec::equal_spacing(16, nth, 0.35, 1.0));
+        setup_nr(16, nth)
+    }
+
+    fn setup_nr(nr: usize, nth: usize) -> (PatchGrid, Metric, ForceTables, PhysParams) {
+        let grid = PatchGrid::new(PatchSpec::equal_spacing(nr, nth, 0.35, 1.0));
         let metric = Metric::full(&grid);
         let params = PhysParams::default_laptop();
         let (_, nthg, nphg) = grid.dims();
@@ -1232,7 +1346,8 @@ mod tests {
     /// the published per-point constants, [`RHS_PASSES_PER_COLUMN`] loops
     /// per column — whichever implementation ran and however the range
     /// was split (deep + shell partial sweeps must bill what one full
-    /// sweep bills). The constants themselves are pinned: the ES
+    /// sweep bills), plus the tally of the RK4 combine a stage sweep
+    /// folds in. The constants themselves are pinned: the ES
     /// projection and the `ci.sh` window gate are functions of them.
     #[test]
     fn flop_accounting_matches_range() {
@@ -1273,23 +1388,43 @@ mod tests {
         assert!(split.deep.is_some() && !split.shell.is_empty());
         let parts = tally(&mut |m| {
             for sub in split.all_ranges() {
-                compute_rhs_partial(
-                    &state, &metric, &forces, &params, &sub, &mut scratch, &mut out, m,
-                );
+                let sink = &mut RhsSink::Store(&mut out);
+                sweep_rhs(&state, &metric, &forces, &params, &sub, &mut scratch, sink, m);
             }
         });
-        // Splitting changes how many (shorter) loops cover the points,
-        // never the per-point accounting.
+        // Every box spans the radial extent, so splitting regroups the
+        // columns and changes nothing in the accounting, loops included.
+        assert_eq!(parts, full);
+
+        // The combine folded into a stage sweep bills the points, flops
+        // and vector elements of the separate pass it replaced, over the
+        // owned nodes; only the byte model moved (`k` stays in cache).
+        let (columns, owned) = ((shape.nth * shape.nph) as u64, shape.owned_len() as u64);
+        let mut next = State::zeros(shape);
+        assert_eq!(RhsSink::Store(&mut next).combine_tally(), KernelTally::default());
         assert_eq!(
-            (parts.0, parts.2, parts.3, parts.4, parts.5),
-            (full.0, full.2, full.3, full.4, full.5)
+            RhsSink::Stage { acc: &mut out, y0: &state, next: &mut next, b: 0.1, a: 0.1 }
+                .combine_tally(),
+            KernelTally {
+                points: 2 * owned,
+                loops: columns,
+                vector_elements: owned,
+                flops: 32 * owned,
+                bytes_read: 2 * 8 * 8 * owned,
+                bytes_written: 2 * 8 * 8 * owned,
+            }
         );
-        let split_columns: u64 = split
-            .all_ranges()
-            .iter()
-            .map(|r| ((r.j1 - r.j0) * (r.k1 - r.k0)) as u64)
-            .sum();
-        assert_eq!(parts.1, 11 * split_columns);
+        assert_eq!(
+            RhsSink::Final { acc: &mut out, b: 0.1 }.combine_tally(),
+            KernelTally {
+                points: owned,
+                loops: columns,
+                vector_elements: owned,
+                flops: 16 * owned,
+                bytes_read: 8 * 8 * owned,
+                bytes_written: 8 * 8 * owned,
+            }
+        );
     }
 
     #[test]
@@ -1312,7 +1447,8 @@ mod tests {
     }
 
     /// Exhaustively verify that `split_overlap` tiles a range: every node
-    /// covered exactly once, deep interior one node inside every face.
+    /// covered exactly once, every box at full radial height, the deep
+    /// interior one column inside every θ/φ edge.
     fn assert_exact_tiling(r: &InteriorRange) {
         let split = r.split_overlap();
         let mut seen = std::collections::HashSet::new();
@@ -1333,8 +1469,10 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), r.points(), "gap in the tiling of {r:?}");
+        for sub in split.all_ranges() {
+            assert_eq!((sub.i0, sub.i1), (r.i0, r.i1), "{sub:?} must span the radial extent");
+        }
         if let Some(d) = split.deep {
-            assert_eq!((d.i0, d.i1), (r.i0 + 1, r.i1 - 1), "deep must clear the wall planes");
             assert_eq!((d.j0, d.j1), (r.j0 + 1, r.j1 - 1), "deep must clear the θ edges");
             assert_eq!((d.k0, d.k1), (r.k0 + 1, r.k1 - 1), "deep must clear the φ edges");
         }
@@ -1391,26 +1529,12 @@ mod tests {
         }
     }
 
-    /// The leaf kernels must reproduce the pre-rewrite reference
-    /// mega-loop **bit-for-bit** on every code path a vector loop
-    /// creates: radial extents below the lane width (`n < width` skips
-    /// the vector body), odd extents (scalar epilogue), and long ones —
-    /// for whole ranges starting at different radial offsets and for
-    /// every deep/shell box of their `split_overlap()`. The state is
-    /// noisy in every array, so no term of the RHS vanishes.
-    #[test]
-    fn fused_kernels_match_reference_over_radial_extents() {
-        let grid = PatchGrid::new(PatchSpec::equal_spacing(255, 9, 0.35, 1.0));
-        let metric = Metric::full(&grid);
-        let params = PhysParams::default_laptop();
-        let (_, nthg, nphg) = grid.dims();
-        let forces = ForceTables::new(
-            &metric, nthg, nphg, 1, params.g0, params.omega, rotation_axis(Panel::Yin),
-        );
-        let shape = grid.full_shape();
-        let mut state = State::zeros(shape);
-        initialize(&mut state, &grid, None, &params, &InitOptions::default(), Panel::Yin);
-        let mut rng = Lcg(0x5eed_cafe_f00d_0001);
+    /// An initialized state with noise in all eight arrays, so no term of
+    /// the RHS vanishes (and no value is −0.0).
+    fn noisy_state(grid: &PatchGrid, params: &PhysParams, seed: u64) -> State {
+        let mut state = State::zeros(grid.full_shape());
+        initialize(&mut state, grid, None, params, &InitOptions::default(), Panel::Yin);
+        let mut rng = Lcg(seed);
         let mut noise = move || rng.below(2001) as f64 / 1000.0 - 1.0;
         for x in state.rho.data_mut().iter_mut().chain(state.press.data_mut()) {
             *x *= 1.0 + 0.05 * noise();
@@ -1421,27 +1545,46 @@ mod tests {
         for a in [&mut state.a.r, &mut state.a.t, &mut state.a.p] {
             a.data_mut().iter_mut().for_each(|x| *x = 0.3 * noise());
         }
+        state
+    }
 
-        // The kernels are called directly: `compute_rhs_partial` would
-        // hand the short extents to the reference (`MIN_FUSED_EXTENT`).
+    fn assert_bitwise(a: &State, b: &State, what: &str) {
+        for (x, y) in a.arrays().into_iter().zip(b.arrays()) {
+            assert!(
+                x.data().iter().zip(y.data()).all(|(p, q)| p.to_bits() == q.to_bits()),
+                "{what}: states differ"
+            );
+        }
+    }
+
+    /// The leaf kernels must reproduce the pre-rewrite reference
+    /// mega-loop **bit-for-bit** on every code path a vector loop
+    /// creates: radial extents below the lane width (`n < width` skips
+    /// the vector body), odd extents (scalar epilogue), and long ones —
+    /// for whole ranges starting at different radial offsets and for
+    /// every deep/shell box of their `split_overlap()`.
+    #[test]
+    fn fused_kernels_match_reference_over_radial_extents() {
+        let (grid, metric, forces, params) = setup_nr(255, 9);
+        let shape = grid.full_shape();
+        let state = noisy_state(&grid, &params, 0x5eed_cafe_f00d_0001);
+
         let mut scratch = RhsScratch::new(shape);
+        let mut meter = Meters::new();
         let mut sweep = |boxes: &[InteriorRange], reference: bool| {
             let mut out = State::zeros(shape);
+            scratch.use_reference = reference;
             for r in boxes {
-                primitives(&state, r, &mut scratch);
-                let sweep = if reference { reference_sweep } else { fused_sweep };
-                sweep(&state, &metric, &forces, &params, r, &mut scratch, &mut out);
+                let sink = &mut RhsSink::Store(&mut out);
+                sweep_rhs(&state, &metric, &forces, &params, r, &mut scratch, sink, &mut meter);
             }
             out
         };
         let assert_same = |a: &State, b: &State, what: &str| {
-            for (x, y) in a.arrays().into_iter().zip(b.arrays()) {
+            for x in a.arrays() {
                 assert!(x.data().iter().any(|v| *v != 0.0), "{what}: a tendency array is all zero");
-                assert!(
-                    x.data().iter().zip(y.data()).all(|(p, q)| p.to_bits() == q.to_bits()),
-                    "{what}: fused differs from reference"
-                );
             }
+            assert_bitwise(a, b, what);
         };
         let full = InteriorRange::full_panel(&grid);
         for n in [1, 2, 3, 4, 5, 7, 8, 22, 253] {
@@ -1454,6 +1597,79 @@ mod tests {
             for b in &boxes {
                 let what = format!("n={n} box {b:?}");
                 assert_same(&sweep(&[*b], true), &sweep(&[*b], false), &what);
+            }
+        }
+    }
+
+    /// Folding the RK4 combine into the sweep must not move a bit: a
+    /// `Stage`/`Final` sink ≡ `compute_rhs` + `axpy_and_assign_axpy` /
+    /// `axpy`, on **every** node of `acc` and `next` — interior, walls,
+    /// frames, padding — once the walls are refreshed the way the drivers
+    /// do at the step head. `next` starts as the step-head state with
+    /// its interior and walls poisoned: the flush must overwrite exactly
+    /// the interior (a missed node stays NaN, a stray write off the range
+    /// or a −0.0 flip shows against `y0 + a·0`), and the refresh must
+    /// restore the frozen walls the sweep never writes.
+    #[test]
+    fn sink_flush_matches_unfused_combine_bitwise() {
+        for nr in [8, 24, 255] {
+            let (grid, metric, forces, params) = setup_nr(nr, 9);
+            let shape = grid.full_shape();
+            let y0 = noisy_state(&grid, &params, 0x5eed_0000 + nr as u64);
+            let acc0 = noisy_state(&grid, &params, 0xacc0_0000 + nr as u64);
+            let (b, a) = (1.7e-3 / 6.0, 0.85e-3);
+            let range = InteriorRange::full_panel(&grid);
+            let mut scratch = RhsScratch::new(shape);
+            let m = &mut Meters::new();
+
+            // The unfused oracle.
+            let mut k = State::zeros(shape);
+            compute_rhs(&y0, &metric, &forces, &params, &range, &mut scratch, &mut k, m);
+            let (mut acc_stage, mut acc_final) = (acc0.clone(), acc0.clone());
+            let mut next_ref = State::zeros(shape);
+            acc_stage.axpy_and_assign_axpy(b, &k, &mut next_ref, &y0, a);
+            acc_final.axpy(b, &k);
+
+            let mut poisoned = y0.clone();
+            for arr in poisoned.arrays_mut() {
+                for k in 0..shape.nph as isize {
+                    for j in 0..shape.nth as isize {
+                        let (interior_col, row) = (
+                            (range.j0..range.j1).contains(&j) && (range.k0..range.k1).contains(&k),
+                            arr.row_mut(j, k),
+                        );
+                        row[0] = f64::NAN;
+                        row[nr - 1] = f64::NAN;
+                        if interior_col {
+                            row[1..nr - 1].fill(f64::NAN);
+                        }
+                    }
+                }
+            }
+
+            let split = range.split_overlap().all_ranges();
+            assert_eq!(split.len(), 5, "deep + four bands");
+            for (boxes, tiling) in [(&[range][..], "full"), (&split[..], "split")] {
+                for reference in [false, true] {
+                    scratch.use_reference = reference;
+                    let what = format!("nr={nr} {tiling} reference={reference}");
+                    let (mut acc, mut next) = (acc0.clone(), poisoned.clone());
+                    for r in boxes {
+                        let sink =
+                            &mut RhsSink::Stage { acc: &mut acc, y0: &y0, next: &mut next, b, a };
+                        sweep_rhs(&y0, &metric, &forces, &params, r, &mut scratch, sink, m);
+                    }
+                    next.copy_walls_from(&y0);
+                    assert_bitwise(&acc, &acc_stage, &format!("{what}: Stage acc"));
+                    assert_bitwise(&next, &next_ref, &format!("{what}: Stage next"));
+
+                    let mut acc = acc0.clone();
+                    for r in boxes {
+                        let sink = &mut RhsSink::Final { acc: &mut acc, b };
+                        sweep_rhs(&y0, &metric, &forces, &params, r, &mut scratch, sink, m);
+                    }
+                    assert_bitwise(&acc, &acc_final, &format!("{what}: Final acc"));
+                }
             }
         }
     }
@@ -1544,19 +1760,10 @@ mod tests {
         parts.fill_zero();
         // Deep interior first (possibly φ-chunked), then the shell — the
         // order the overlapped driver uses.
-        if let Some(deep) = split.deep {
-            for c in deep.chunks_phi(3) {
-                compute_rhs_partial(
-                    &state, &metric, &forces, &params, &c, &mut scratch, &mut parts,
-                    &mut meter_parts,
-                );
-            }
-        }
-        for sub in &split.shell {
-            compute_rhs_partial(
-                &state, &metric, &forces, &params, sub, &mut scratch, &mut parts,
-                &mut meter_parts,
-            );
+        let chunks = split.deep.map(|deep| deep.chunks_phi(3)).unwrap_or_default();
+        for sub in chunks.iter().chain(&split.shell) {
+            let (sink, m) = (&mut RhsSink::Store(&mut parts), &mut meter_parts);
+            sweep_rhs(&state, &metric, &forces, &params, sub, &mut scratch, sink, m);
         }
         assert_eq!(meter_parts.flops(), meter_full.flops(), "split flop accounting must agree");
         for (a, b) in full.arrays().into_iter().zip(parts.arrays()) {

@@ -104,6 +104,21 @@ impl State {
         self.a.copy_from(&other.a);
     }
 
+    /// Copy the two radial wall nodes of every padded column from
+    /// `other`. An RK4 stage sweep writes interior nodes only and the wall
+    /// condition leaves ρ (and conducting-wall A) frozen, so a stage
+    /// buffer takes those values from the state at the step head.
+    pub fn copy_walls_from(&mut self, other: &State) {
+        let nr = self.shape().nr;
+        for (dst, src) in self.arrays_mut().into_iter().zip(other.arrays()) {
+            assert_eq!(dst.shape(), src.shape(), "copy_walls_from shape mismatch");
+            for (d, s) in dst.data_mut().chunks_exact_mut(nr).zip(src.data().chunks_exact(nr)) {
+                d[0] = s[0];
+                d[nr - 1] = s[nr - 1];
+            }
+        }
+    }
+
     /// Zero every array (ghosts included).
     pub fn fill_zero(&mut self) {
         for arr in self.arrays_mut() {

@@ -5,10 +5,11 @@
 //! stages per step it put the allocator on the critical path of every
 //! step. The table now lives in `Metric::r2`; this test pins the fix by
 //! wrapping the global allocator in a counter and asserting that a
-//! warmed-up step's kernels — the RHS leaf kernels over a full range
-//! and over the overlapped driver's deep + shell split, the reference
-//! RHS, the CFL wave scan, and the fused RK4 combine — perform **zero**
-//! heap allocations.
+//! warmed-up step's kernels — the RHS leaf kernels over a full range,
+//! the stage sweep (RK4 combine folded in through `RhsSink`) over the
+//! overlapped driver's deep + shell split, the reference RHS through
+//! every sink, the CFL wave scan, and the unfused RK4 combine — perform
+//! **zero** heap allocations.
 //! Any future per-call `Vec`/`Box` smuggled into these loops fails here.
 //!
 //! Everything runs inside one `#[test]` because the counter is global:
@@ -20,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use yy_field::Meters;
 use yy_mesh::{Metric, Panel, PatchGrid, PatchSpec};
 use yy_mhd::init::{initialize, InitOptions};
-use yy_mhd::rhs::{compute_rhs, compute_rhs_partial, InteriorRange, RhsScratch};
+use yy_mhd::rhs::{compute_rhs, sweep_rhs, InteriorRange, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{wave_speed_max, ForceTables, PhysParams, State};
 
@@ -95,19 +96,29 @@ fn hot_kernels_do_not_allocate_in_steady_state() {
     });
     assert_eq!(n, 0, "fused RHS allocated {n} times in steady state");
 
-    // The overlapped driver's split sweep: leaf kernels on the deep
-    // interior and the θ/φ bands, the reference on the one-node radial
-    // slabs. The box list is the driver's setup-time allocation.
+    // The drivers' stage sweeps over the overlapped split (deep interior
+    // + four θ/φ bands; the box list is the driver's setup-time
+    // allocation): store, stage and final sinks, kernels and reference.
     let boxes = range.split_overlap().all_ranges();
-    assert!(boxes.len() == 7, "a full panel splits into deep + six shell boxes");
-    let n = allocs_in(|| {
-        for b in &boxes {
-            compute_rhs_partial(
-                &state, &metric, &forces, &params, b, &mut scratch, &mut out, &mut meter,
-            );
-        }
-    });
-    assert_eq!(n, 0, "split RHS sweep allocated {n} times in steady state");
+    assert!(boxes.len() == 5, "a full panel splits into deep + four shell bands");
+    let mut acc = State::zeros(shape);
+    let mut stage = State::zeros(shape);
+    for reference in [false, true] {
+        scratch.use_reference = reference;
+        let n = allocs_in(|| {
+            for b in &boxes {
+                let mut sweep = |mut sink: RhsSink| {
+                    let m = &mut meter;
+                    sweep_rhs(&state, &metric, &forces, &params, b, &mut scratch, &mut sink, m)
+                };
+                sweep(RhsSink::Store(&mut out));
+                let (acc, next) = (&mut acc, &mut stage);
+                sweep(RhsSink::Stage { acc, y0: &state, next, b: 0.5, a: 0.25 });
+                sweep(RhsSink::Final { acc, b: 0.5 });
+            }
+        });
+        assert_eq!(n, 0, "split sweep (reference: {reference}) allocated {n} times");
+    }
 
     // Reference sweep — the exactness oracle must be equally clean (this
     // is where the per-call r² Vec used to hide).
@@ -124,9 +135,7 @@ fn hot_kernels_do_not_allocate_in_steady_state() {
     });
     assert_eq!(n, 0, "wave_speed_max allocated {n} times in steady state");
 
-    // Fused RK4 combine (accumulate + stage build in one traversal).
-    let mut acc = State::zeros(shape);
-    let mut stage = State::zeros(shape);
+    // The unfused RK4 combine (accumulate + stage build in one traversal).
     let base = State::zeros(shape);
     let n = allocs_in(|| {
         acc.axpy_and_assign_axpy(0.5, &out, &mut stage, &base, 0.25);

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Vectorization guard for the RHS leaf kernels (yy_mhd::rhs::pass_*).
+# Vectorization guard for the RHS leaf kernels (yy_mhd::rhs::pass_* and
+# the RhsSink row flushes yy_mhd::rhs::flush_*).
 #
 # Wall time alone cannot tell "vectorized" from "fast enough today", and
 # the rlib's own `--emit asm` cannot either: under `lto = "thin"` the
 # radial loops are only vectorized at the final link. So this reads the
 # instruction stream of a linked release binary and fails unless
-#   * all 11 kernels exist as symbols (none inlined away or renamed),
+#   * all 11 pass kernels and both flush kernels exist as symbols (none
+#     inlined away or renamed),
 #   * each holds packed f64 arithmetic (add/sub/mul/div `pd`, SSE or VEX
 #     spelling) at least as often as scalar `sd` — the scalar share is
 #     the loop epilogue, and
@@ -33,7 +35,7 @@ objdump -d -C --no-show-raw-insn "$bin" | awk '
     sym = $0; sub(/^[0-9a-f]+ </, "", sym); sub(/>:$/, "", sym)
     # Older demanglers keep the hash; thin LTO may append `.llvm.<n>`.
     sub(/\.llvm\.[0-9]+$/, "", sym); sub(/::h[0-9a-f]+$/, "", sym)
-    kernel = (sym ~ /^yy_mhd::rhs::pass_[a-z_]+$/)
+    kernel = (sym ~ /^yy_mhd::rhs::(pass|flush)_[a-z_]+$/)
     if (kernel) seen[sym] = 1
     next
   }
@@ -51,7 +53,7 @@ objdump -d -C --no-show-raw-insn "$bin" | awk '
         printf "ERROR: %s calls%s\n", s, named[s]; bad = 1
       }
     }
-    if (n != 11) { printf "ERROR: found %d pass_* kernels, expected 11\n", n; bad = 1 }
+    if (n != 13) { printf "ERROR: found %d pass_*/flush_* kernels, expected 11 + 2\n", n; bad = 1 }
     exit bad
   }' | sort
-echo "OK: all 11 RHS kernels are packed-f64 loops with no call in the body"
+echo "OK: all 11 RHS kernels and both sink flushes are packed-f64 loops with no call in the body"

@@ -24,8 +24,10 @@ cargo test -q --offline --workspace
 echo "==> RHS vectorization guard: packed f64 in every leaf kernel, exact in release"
 bash scripts/check_simd.sh
 # The debug test run above executes the kernels as scalar code; the
-# lane-remainder and n < width paths only exist in an optimized build.
-cargo test --release -q --offline -p yy-mhd --lib fused_kernels_match_reference
+# lane-remainder and n < width paths only exist in an optimized build —
+# of the pass kernels and of the sink flushes alike.
+cargo test --release -q --offline -p yy-mhd --lib -- \
+  fused_kernels_match_reference sink_flush_matches_unfused_combine
 
 echo "==> committed bench baselines present"
 # scripts/bench.sh writes these at the repo root and they are committed
