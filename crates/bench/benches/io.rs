@@ -15,11 +15,12 @@
 //! The `sync` row is the motivation — it records what the overlap
 //! hides. Write bandwidth and the payload compression ratio ride along.
 //!
-//! The JSON records `cores` (the host's available parallelism): on a
-//! single-core host the writer thread has no spare core to overlap
-//! onto, so `async` and `sync` both pay the full encode+write cost and
-//! the `async/off` ratio measures total output CPU, not overlap. CI
-//! gates `async` against `sync` instead in that case.
+//! The JSON records `cores` (the host's available parallelism) and
+//! `decomp`: with no more cores than rank threads (2 × pth × pph) the
+//! writer threads have no spare core to overlap onto, so `async` and
+//! `sync` both pay the full encode+write cost and the `async/off`
+//! ratio measures total output CPU, not overlap. CI gates `async`
+//! against `sync` instead in that case.
 //!
 //! With `BENCH_IO_JSON=<path>` set, writes a machine-readable summary.
 //!

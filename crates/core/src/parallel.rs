@@ -790,7 +790,7 @@ pub fn run_parallel_supervised(
         let final_checkpoint = slot
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone()
+            .take()
             .ok_or("no final checkpoint was captured")?;
         let predicted_imbalance = match &costs {
             Some(c) => c.predicted_imbalance(&decomp),
@@ -2314,24 +2314,31 @@ impl<'a> RankSolver<'a> {
             k0: 0,
             k1: self.tile.nph as isize,
         };
-        let mut buf = Vec::with_capacity(owned.len() * 8);
-        for arr in state.arrays() {
-            pack_region(arr, owned, &mut buf);
-        }
         if self.world.rank() != 0 {
+            let mut buf = Vec::with_capacity(owned.len() * 8);
+            for arr in state.arrays() {
+                pack_region(arr, owned, &mut buf);
+            }
             self.world.send_f64s(0, TAG_GATHER, buf, TrafficClass::Control);
             return;
         }
         let full = self.grid.full_shape();
-        // Reuse the scratch checkpoint when it exists; otherwise build
-        // *initialized* full panels — the serial driver's ghost padding
-        // keeps its initialization values forever (syncs only rewrite
-        // frames and walls), so a gathered checkpoint is byte-identical
-        // to a serial one only if the unowned padding carries the same
-        // initial bytes. A reused scratch preserves that invariant:
-        // every checkpoint that ever occupied it was built this way,
-        // and captures rewrite only owned blocks, frames and walls.
-        let mut ck = match self.ckpt_scratch.take() {
+        // Reuse the scratch checkpoint when it exists; failing that,
+        // clone the slot's occupant (the second capture of a pass: the
+        // first scratch went into the slot, and a copy is several times
+        // cheaper than a rebuild); only with neither build *initialized*
+        // full panels — the serial driver's ghost padding keeps its
+        // initialization values forever (syncs only rewrite frames and
+        // walls), so a gathered checkpoint is byte-identical to a serial
+        // one only if the unowned padding carries the same initial
+        // bytes. Every occupant of slot and scratch carries them — an
+        // earlier capture, or the serial-format checkpoint the run
+        // resumed from — and captures rewrite only owned blocks, frames
+        // and walls.
+        let scratch = self.ckpt_scratch.take().or_else(|| {
+            slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        });
+        let mut ck = match scratch {
             Some(ck) if ck.shape == full => ck,
             _ => {
                 let mut panels = [State::zeros(full), State::zeros(full)];
@@ -2343,11 +2350,6 @@ impl<'a> RankSolver<'a> {
             }
         };
         for world_rank in 0..2 * tiles {
-            let data = if world_rank == 0 {
-                std::mem::take(&mut buf)
-            } else {
-                self.world.recv_f64s(world_rank, TAG_GATHER)
-            };
             let (panel, pr) = panel_of_world(world_rank, tiles);
             let t = self.decomp.tile(pr);
             let region = Region {
@@ -2362,6 +2364,20 @@ impl<'a> RankSolver<'a> {
                 Panel::Yin => &mut ck.yin,
                 Panel::Yang => &mut ck.yang,
             };
+            if world_rank == 0 {
+                // This rank's own block goes row by row from the state,
+                // not through a gather buffer and back.
+                for (src, dst) in state.arrays().into_iter().zip(dst.arrays_mut()) {
+                    for k in owned.k0..owned.k1 {
+                        for j in owned.j0..owned.j1 {
+                            dst.row_mut(region.j0 + j, region.k0 + k)[..nr]
+                                .copy_from_slice(&src.row(j, k)[..nr]);
+                        }
+                    }
+                }
+                continue;
+            }
+            let data = self.world.recv_f64s(world_rank, TAG_GATHER);
             let mut rest: &[f64] = &data;
             for arr in dst.arrays_mut() {
                 rest = unpack_region(arr, region, rest);

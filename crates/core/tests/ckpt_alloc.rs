@@ -8,16 +8,22 @@
 //! slot occupant as scratch (`ckpt_scratch`) and build the column table
 //! once (`ckpt_cols`), so the marginal cost of an extra checkpoint is a
 //! handful of gather buffers. Likewise `Checkpoint::capture_into`
-//! refreshes a serial checkpoint fully in place. Both pins live here,
-//! in one `#[test]`, because the allocation counter is global.
+//! refreshes a serial checkpoint fully in place. The shard path is held
+//! to the same standard: its buffers (two pool slots, the delta base,
+//! the XOR scratch, the file image) all exist by the third checkpoint
+//! event, and from then on one more event — pack, delta, RLE, CRC, write
+//! — performs no payload-sized allocation on either side of the stage,
+//! so a run's total is bounded by the buffer count, not the event count.
+//! All pins live here, in one `#[test]`, because the allocation counter
+//! is global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use yycore::checkpoint::Checkpoint;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
-use yycore::{RunConfig, SerialSim};
+use yycore::{CkptCodec, RunConfig, SerialSim};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator (deallocations are free to happen; only acquiring memory
@@ -25,17 +31,27 @@ use yycore::{RunConfig, SerialSim};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Acquisitions of at least `BIG_FROM` bytes (off until a test sets it).
+static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BIG_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if size >= BIG_FROM.load(Ordering::Relaxed) {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -68,6 +84,33 @@ fn supervised_allocs(checkpoint_every: u64) -> u64 {
 }
 
 const STEPS: u64 = 6;
+
+/// Payload-sized allocations of a supervised 1×1 run of `STEPS` steps
+/// checkpointing every step (`STEPS + 1` events), with delta shards
+/// going to a scratch directory (sync or async writer) or with no
+/// shard directory at all.
+fn big_allocs(shards: Option<bool>) -> u64 {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = shards.map(|_| {
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("yy_ckpt_alloc_{}_{n}", std::process::id()))
+    });
+    let opts = RecoveryOpts {
+        checkpoint_every: 1,
+        deadline: Duration::from_secs(30),
+        ckpt_dir: dir.clone(),
+        ckpt_async: shards.unwrap_or(true),
+        ckpt_compress: CkptCodec::Delta,
+        ..RecoveryOpts::default()
+    };
+    let before = BIG_ALLOCS.load(Ordering::Relaxed);
+    run_parallel_supervised(&quick_cfg(), 1, 1, STEPS, 0, &opts).expect("run completes");
+    let n = BIG_ALLOCS.load(Ordering::Relaxed) - before;
+    if let Some(dir) = dir {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    n
+}
 
 #[test]
 fn checkpoint_capture_reuses_its_buffers() {
@@ -112,4 +155,22 @@ fn checkpoint_capture_reuses_its_buffers() {
          ({extra} over {} captures) — the slot is being rebuilt, not reused",
         STEPS - 1
     );
+
+    // Shards: what the shard path adds over the same run without a
+    // directory is its warm-up — per rank at most three payload buffers
+    // (two pool slots and the delta base), the XOR scratch and the file
+    // image — however many events follow. "Payload-sized" is half a
+    // rank's shard payload (8 arrays of owned f64s) and up.
+    let shape = quick_cfg().grid().full_shape();
+    BIG_FROM.store(8 * shape.nr * shape.nth * shape.nph * 8 / 2, Ordering::Relaxed);
+    for async_mode in [false, true] {
+        let added = big_allocs(Some(async_mode)).saturating_sub(big_allocs(None));
+        assert!(added > 0, "the shard path must at least allocate its buffers");
+        assert!(
+            added <= 2 * 5,
+            "async={async_mode}: {} checkpoint events made {added} payload-sized allocations \
+             on the shard path — more than its buffers, so some event is allocating",
+            STEPS + 1
+        );
+    }
 }

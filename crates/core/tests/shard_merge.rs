@@ -69,6 +69,16 @@ fn serial_ladder() -> &'static Vec<Checkpoint> {
 /// into `dir`, returning the in-memory final checkpoint.
 fn sharded_run(
     dir: &PathBuf,
+    layout: (usize, usize),
+    async_mode: bool,
+    codec: CkptCodec,
+) -> Checkpoint {
+    sharded_run_of(TOTAL, dir, layout, async_mode, codec)
+}
+
+fn sharded_run_of(
+    steps: u64,
+    dir: &PathBuf,
     (pth, pph): (usize, usize),
     async_mode: bool,
     codec: CkptCodec,
@@ -81,9 +91,25 @@ fn sharded_run(
         ckpt_compress: codec,
         ..RecoveryOpts::default()
     };
-    let sup = run_parallel_supervised(&quick_cfg(), pth, pph, TOTAL, 0, &opts)
+    let sup = run_parallel_supervised(&quick_cfg(), pth, pph, steps, 0, &opts)
         .expect("sharded run completes");
     sup.final_checkpoint
+}
+
+/// A run with nothing to integrate emits its step-0 shard twice (the
+/// pre-loop seed and the final shard). The second emission must not be
+/// coded as a delta against the first — same step, so it would name
+/// itself as base and overwrite the only self-contained link.
+#[test]
+fn zero_step_delta_run_leaves_a_terminating_chain() {
+    for async_mode in [false, true] {
+        let dir = fresh_dir("zero");
+        let final_ck = sharded_run_of(0, &dir, (1, 1), async_mode, CkptCodec::Delta);
+        let merged = merge_shards(&quick_cfg(), &dir, None).expect("step-0 set merges");
+        assert_eq!(bytes(&merged), bytes(&serial_ladder()[0]));
+        assert_eq!(bytes(&final_ck), bytes(&serial_ladder()[0]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 fn gen_case(g: &mut Gen) -> ((usize, usize), bool, CkptCodec, u64) {
