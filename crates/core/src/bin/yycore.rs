@@ -438,11 +438,12 @@ fn finish(report: &yycore::RunReport, o: &Opts) -> Result<(), String> {
         eprintln!("wrote report JSON to {}", path.display());
     }
     eprintln!(
-        "done: t = {:.5}, {} steps, {:.1} MFLOPS, {:.0} flops/point/step",
+        "done: t = {:.5}, {} steps, {:.1} MFLOPS, {:.0} flops/point/step, rhs kernels: {}",
         report.time,
         report.steps,
         report.mflops(),
-        report.flops_per_point_step()
+        report.flops_per_point_step(),
+        o.cfg.rhs_kernels.label()
     );
     Ok(())
 }
@@ -892,6 +893,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
 
     println!("measured kernel profile ({} steps, {} interior points):", report.steps, interior);
+    println!("rhs kernels: {}", o.cfg.rhs_kernels.label());
     println!(
         "{:<16} {:>10} {:>14} {:>10} {:>8} {:>8}",
         "kernel", "calls", "MFLOPS", "flops/B", "avg VL", "%flops"

@@ -1,7 +1,7 @@
 //! Run configuration for the geodynamo drivers.
 
 use yy_mesh::{PatchGrid, PatchSpec};
-use yy_mhd::{init::InitOptions, MagneticBc, PhysParams};
+use yy_mhd::{init::InitOptions, rhs::RhsKernels, MagneticBc, PhysParams};
 
 /// Everything needed to set up a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,10 +22,12 @@ pub struct RunConfig {
     pub cfl: f64,
     /// Recompute dt every this many steps (1 = every step).
     pub dt_every: usize,
-    /// Run the unfused reference RHS sweep instead of the fused
-    /// production sweep. Both are bit-identical; the reference
-    /// exists as the exactness oracle (`rhs_impl=reference|fused`).
-    pub rhs_reference: bool,
+    /// Which RHS sweep runs: the leaf kernels at the host's detected
+    /// vector width (`rhs_impl=fused`, the default) or the unfused
+    /// reference sweep, the exactness oracle (`rhs_impl=reference`).
+    /// All are bit-identical; the baseline instantiation is a value
+    /// for the tests only.
+    pub rhs_kernels: RhsKernels,
 }
 
 impl RunConfig {
@@ -40,7 +42,7 @@ impl RunConfig {
             init: InitOptions::default(),
             cfl: 0.3,
             dt_every: 5,
-            rhs_reference: false,
+            rhs_kernels: RhsKernels::Detected,
         }
     }
 
@@ -104,9 +106,9 @@ impl RunConfig {
                     value.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?
             }
             "rhs_impl" => {
-                self.rhs_reference = match value {
-                    "fused" => false,
-                    "reference" => true,
+                self.rhs_kernels = match value {
+                    "fused" => RhsKernels::Detected,
+                    "reference" => RhsKernels::Reference,
                     other => return Err(format!("unknown rhs_impl '{other}'")),
                 }
             }
@@ -156,12 +158,12 @@ mod tests {
         assert_eq!(cfg.nr, 20);
         assert_eq!(cfg.params.mu, 0.5);
         assert_eq!(cfg.mag_bc, MagneticBc::ZeroGradient);
-        assert!(!cfg.rhs_reference);
+        assert_eq!(cfg.rhs_kernels, RhsKernels::Detected);
         cfg.apply_args(["rhs_impl=reference".to_string()]).unwrap();
-        assert!(cfg.rhs_reference);
+        assert_eq!(cfg.rhs_kernels, RhsKernels::Reference);
         assert!(cfg.apply_override("phi_block", "4").is_err(), "the knob is gone");
         cfg.apply_override("rhs_impl", "fused").unwrap();
-        assert!(!cfg.rhs_reference);
+        assert_eq!(cfg.rhs_kernels, RhsKernels::Detected);
         assert!(cfg.apply_override("rhs_impl", "magic").is_err());
     }
 

@@ -126,19 +126,6 @@ pub fn scan_tally(columns: u64, nr: u64) -> yy_obs::KernelTally {
     }
 }
 
-/// Minimum of an array over the owned (non-ghost) region.
-fn min_owned(a: &yy_field::Array3, nth: usize, nph: usize) -> f64 {
-    let mut m = f64::INFINITY;
-    for k in 0..nph as isize {
-        for j in 0..nth as isize {
-            for &v in a.row(j, k) {
-                m = m.min(v);
-            }
-        }
-    }
-    m
-}
-
 /// Stateful health checker for one panel/tile.
 #[derive(Debug, Clone)]
 pub struct HealthGuard {
@@ -165,12 +152,11 @@ impl HealthGuard {
                 return Err(HealthViolation::NonFinite { field: name });
             }
         }
-        let s = state.shape();
-        let rho_min = min_owned(&state.rho, s.nth, s.nph);
+        let rho_min = state.rho.min_owned();
         if rho_min < self.limits.rho_floor {
             return Err(HealthViolation::DensityFloor { min: rho_min, floor: self.limits.rho_floor });
         }
-        let press_min = min_owned(&state.press, s.nth, s.nph);
+        let press_min = state.press.min_owned();
         if press_min < self.limits.press_floor {
             return Err(HealthViolation::PressureFloor {
                 min: press_min,

@@ -1698,7 +1698,7 @@ impl<'a> RankSolver<'a> {
         initialize(&mut state, &grid, Some(&tile), &cfg.params, &cfg.init, panel);
 
         let mut scratch = RhsScratch::new(shape);
-        scratch.use_reference = cfg.rhs_reference;
+        scratch.kernels = cfg.rhs_kernels;
         let solver = RankSolver {
             world,
             cart,

@@ -224,7 +224,7 @@ impl SerialSim {
         fill_pair(&mut yin, &mut yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
         let range = InteriorRange::full_panel(&grid);
         let mut scratch = RhsScratch::new(shape);
-        scratch.use_reference = cfg.rhs_reference;
+        scratch.kernels = cfg.rhs_kernels;
         SerialSim {
             grid,
             metric,

@@ -368,64 +368,112 @@ impl RhsSink<'_> {
         };
         assert!(same, "RhsSink state shape differs from the swept state's {shape:?}");
     }
+}
 
-    /// Flush the tendency rows `k[..row.len()]` of the column whose
-    /// swept nodes sit at flat indices `row` of every state array.
-    fn flush(&mut self, row: std::ops::Range<usize>, k: &[Vec<f64>; 8]) {
-        let n = row.len();
-        match self {
-            RhsSink::Store(out) => {
-                for (out, k) in out.arrays_mut().into_iter().zip(k) {
-                    out.data_mut()[row.clone()].copy_from_slice(&k[..n]);
-                }
+/// Stamp the ISA instantiations of one leaf kernel (DESIGN §6f). The
+/// function inside is the kernel's single body and becomes
+/// `#[inline(always)]`; beside it goes a module of the same name with
+/// one `#[inline(never)]` wrapper per instantiation — `baseline`, built
+/// for the compile-time target, and on x86-64 `avx2`, the same body at
+/// four f64 lanes. `avx2` alone, no `fma`: nothing may contract, the
+/// lanes must evaluate the baseline's IEEE operations in its order. The
+/// wrappers are leaf functions for the reason the kernels always were:
+/// their `&mut [f64]` outputs are *parameters*, `noalias` against every
+/// input row. The wide wrappers are safe `#[target_feature]` functions:
+/// callable without `unsafe` from a context that has `avx2` enabled
+/// (the `avx2` traversal below) and from nowhere else.
+macro_rules! isa_kernel {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$doc])*
+        #[inline(always)]
+        fn $name($($arg: $ty),*) $body
+
+        #[allow(clippy::too_many_arguments)]
+        mod $name {
+            #[allow(unused_imports)] // the flush kernels take plain slices only
+            use super::*;
+
+            #[inline(never)]
+            pub(super) fn baseline($($arg: $ty),*) {
+                super::$name($($arg),*)
             }
-            RhsSink::Stage { acc, y0, next, b, a } => {
-                let arrays = acc.arrays_mut().into_iter().zip(next.arrays_mut()).zip(y0.arrays());
-                for (((acc, next), y0), k) in arrays.zip(k) {
-                    let acc = &mut acc.data_mut()[row.clone()];
-                    let next = &mut next.data_mut()[row.clone()];
-                    flush_stage(acc, next, &y0.data()[row.clone()], &k[..n], *b, *a);
-                }
+
+            #[cfg(target_arch = "x86_64")]
+            #[inline(never)]
+            #[target_feature(enable = "avx2")]
+            pub(super) fn avx2($($arg: $ty),*) {
+                super::$name($($arg),*)
             }
-            RhsSink::Final { acc, b } => {
-                for (acc, k) in acc.arrays_mut().into_iter().zip(k) {
-                    flush_final(&mut acc.data_mut()[row.clone()], &k[..n], *b);
-                }
-            }
+        }
+    };
+}
+
+isa_kernel! {
+    /// One row of a [`RhsSink::Stage`] flush. A leaf kernel for the reason
+    /// the `pass_*` kernels are: slice *parameters* are `noalias`, and all
+    /// four are cut to one length, so the loop is packed f64.
+    fn flush_stage(acc: &mut [f64], next: &mut [f64], y0: &[f64], k: &[f64], b: f64, a: f64) {
+        let n = k.len();
+        let (acc, next, y0) = (&mut acc[..n], &mut next[..n], &y0[..n]);
+        for q in 0..n {
+            // Both loads before either store: the states are allocated
+            // alike, so `acc[q]` and `y0[q]` tend to sit 4 KiB-aliased, and a
+            // load behind an aliasing store stalls on it.
+            let (kq, yq, aq) = (k[q], y0[q], acc[q]);
+            next[q] = yq + a * kq;
+            acc[q] = aq + b * kq;
         }
     }
 }
 
-/// One row of a [`RhsSink::Stage`] flush. A leaf kernel for the reason
-/// the `pass_*` kernels are: slice *parameters* are `noalias`, and all
-/// four are cut to one length, so the loop is packed f64.
-#[inline(never)]
-fn flush_stage(acc: &mut [f64], next: &mut [f64], y0: &[f64], k: &[f64], b: f64, a: f64) {
-    let n = k.len();
-    let (acc, next, y0) = (&mut acc[..n], &mut next[..n], &y0[..n]);
-    for q in 0..n {
-        // Both loads before either store: the states are allocated
-        // alike, so `acc[q]` and `y0[q]` tend to sit 4 KiB-aliased, and a
-        // load behind an aliasing store stalls on it.
-        let (kq, yq, aq) = (k[q], y0[q], acc[q]);
-        next[q] = yq + a * kq;
-        acc[q] = aq + b * kq;
+isa_kernel! {
+    /// One row of a [`RhsSink::Final`] flush.
+    fn flush_final(acc: &mut [f64], k: &[f64], b: f64) {
+        let n = k.len();
+        let acc = &mut acc[..n];
+        for q in 0..n {
+            acc[q] += b * k[q];
+        }
     }
 }
 
-/// One row of a [`RhsSink::Final`] flush.
-#[inline(never)]
-fn flush_final(acc: &mut [f64], k: &[f64], b: f64) {
-    let n = k.len();
-    let acc = &mut acc[..n];
-    for q in 0..n {
-        acc[q] += b * k[q];
+/// Which implementation of the column sweep [`sweep_rhs`] runs. All
+/// three are bit-identical (asserted three ways by the tests here and
+/// the cross-layout harness in `yy-core`); they differ in speed only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RhsKernels {
+    /// The leaf kernels at the widest instantiation this host runs:
+    /// `avx2` where the CPU reports it, `baseline` everywhere else. A
+    /// property of the platform, so nothing configures it.
+    #[default]
+    Detected,
+    /// The leaf kernels built for the compile-time target — what a host
+    /// without AVX2 runs, selectable so the tests can diff it against
+    /// the wide instantiation on a host that has both.
+    Baseline,
+    /// The pre-rewrite reference sweep: the exactness oracle
+    /// (`rhs_impl=reference`).
+    Reference,
+}
+
+impl RhsKernels {
+    /// What a sweep under this selector runs on this host, as the run
+    /// summaries print it (`yycore run|parallel|profile`).
+    pub fn label(self) -> &'static str {
+        match self {
+            RhsKernels::Reference => "reference",
+            #[cfg(target_arch = "x86_64")]
+            RhsKernels::Detected if std::arch::is_x86_feature_detected!("avx2") => {
+                "avx2 (runtime-detected)"
+            }
+            RhsKernels::Detected | RhsKernels::Baseline => "baseline",
+        }
     }
 }
 
 /// Reusable scratch arrays for RHS evaluation (velocity and temperature
 /// over the padded tile, radial row buffers for the fused passes), plus
-/// the oracle switch. Everything the RHS path needs is allocated here
+/// the kernel selector. Everything the RHS path needs is allocated here
 /// once — steady state allocates nothing (regression-guarded by
 /// `tests/alloc_free.rs`).
 #[derive(Debug, Clone)]
@@ -436,20 +484,20 @@ pub struct RhsScratch {
     pub temp: Array3,
     /// Per-column radial rows for the fused passes.
     rows: RowBufs,
-    /// Run the pre-rewrite reference sweep instead of the fused one.
-    /// Same arithmetic per point bit-for-bit; exists so the exactness
-    /// harness (and debugging) can diff the two implementations.
-    pub use_reference: bool,
+    /// Which sweep implementation runs; same arithmetic per point
+    /// bit-for-bit, so only the exactness harness (and debugging) ever
+    /// moves it off the default.
+    pub kernels: RhsKernels,
 }
 
 impl RhsScratch {
-    /// Allocate scratch for tiles of `shape` (fused kernels).
+    /// Allocate scratch for tiles of `shape` (detected leaf kernels).
     pub fn new(shape: Shape) -> Self {
         RhsScratch {
             v: VectorField::zeros(shape),
             temp: Array3::zeros(shape),
             rows: RowBufs::new(shape.nr),
-            use_reference: false,
+            kernels: RhsKernels::Detected,
         }
     }
 }
@@ -565,9 +613,25 @@ pub fn sweep_rhs(
     sink.check_shape(state.shape());
     let t0 = meter.timer();
     primitives(state, range, scratch);
-    // Bit-identical sweeps: the reference is the oracle switch only.
-    let sweep = if scratch.use_reference { reference_sweep } else { fused_sweep };
-    sweep(state, metric, forces, params, range, scratch, sink);
+    // Bit-identical sweeps; which one runs is a property of the host
+    // (the reference is the oracle switch only).
+    match scratch.kernels {
+        RhsKernels::Reference => {
+            reference_sweep(state, metric, forces, params, range, scratch, sink)
+        }
+        #[cfg(target_arch = "x86_64")]
+        RhsKernels::Detected if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: `avx2::fused_sweep` is a safe `#[target_feature(enable =
+            // "avx2")]` function: all it requires of its caller is a CPU that
+            // executes AVX2, and this arm's guard has just detected that on
+            // the CPU we run on. Below this call safe `avx2` code calls safe
+            // `avx2` code; this is the only place the requirement is assumed.
+            unsafe { avx2::fused_sweep(state, metric, forces, params, range, scratch, sink) }
+        }
+        RhsKernels::Detected | RhsKernels::Baseline => {
+            baseline::fused_sweep(state, metric, forces, params, range, scratch, sink)
+        }
+    }
 
     let points = range.points() as u64;
     let columns = ((range.j1 - range.j0) * (range.k1 - range.k0)) as u64;
@@ -638,8 +702,8 @@ fn primitives(state: &State, range: &InteriorRange, scratch: &mut RhsScratch) {
 /// every term. Kept (and kept allocation-free) as the bit-exactness
 /// reference for the fused kernel — `tests/` and the cross-layout
 /// harness in `yy-core` diff the two on every grid they touch. Reached
-/// only through the [`RhsScratch::use_reference`] oracle switch; it
-/// hands its tendency rows to the sink exactly as the fused sweep does.
+/// only through the [`RhsKernels::Reference`] oracle switch; it hands
+/// its tendency rows to the sink exactly as the fused sweep does.
 #[allow(clippy::too_many_arguments)]
 fn reference_sweep(
     state: &State,
@@ -798,108 +862,165 @@ fn reference_sweep(
                 k_ap[q] = vxb_p - eta * j_p;
             }
             let row = state.shape().idx(range.i0, j, k);
-            sink.flush(row..row + (range.i1 - range.i0), &rows.k);
+            baseline::flush(sink, row..row + (range.i1 - range.i0), &rows.k);
         }
     }
 }
 
-/// The fused RHS sweep: [`RHS_PASSES_PER_COLUMN`] short stride-1 radial
-/// passes per `(θ, φ)` column instead of one register-starved mega-loop
-/// per point, over φ-bands of [`PHI_BLOCK`] columns.
-///
-/// This function only traverses: per column it gathers the input rows
-/// into a [`Column`] and calls the eleven `pass_*` leaf kernels below,
-/// which own the radial loops. The split is what makes those loops
-/// compile to packed f64 (see [`Cols::fit`]): each kernel is
-/// `#[inline(never)]`, so its `&mut [f64]` outputs are *parameters* —
-/// `noalias` against every input row, which a row sliced out of
-/// `out: &mut State` inside one big function never was — and it re-cuts
-/// its inputs at the top to the length of its output (`n`, or `n + 2`
-/// for stencil rows), so no bounds check survives in the loop.
-///
-/// Intermediate per-column fields (B, j, ∇p) and the eight tendency
-/// rows land in cache-resident radial row buffers, the latter flushed
-/// to the [`RhsSink`] once the column's last pass has run; a f64
-/// store/load roundtrip is exact, expression trees
-/// are copied from the reference sweep verbatim (vector lanes evaluate
-/// the same IEEE operations in the same order as scalar code), and the
-/// force/pressure accumulations split the reference's left-associated
-/// sums at association boundaries — so the result is **bit-identical**
-/// to [`reference_sweep`] (asserted by the tests here and the
-/// cross-layout harness in `yy-core`). Columns are independent, which
-/// makes the φ-band traversal reorder bit-exact too.
-#[allow(clippy::too_many_arguments)]
-fn fused_sweep(
-    state: &State,
-    metric: &Metric,
-    forces: &ForceTables,
-    params: &PhysParams,
-    range: &InteriorRange,
-    scratch: &mut RhsScratch,
-    sink: &mut RhsSink,
-) {
-    let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
-    let (i0, i1) = (range.i0, range.i1);
-    let n = i1 - i0;
-    let (rows, v, temp) = (&mut scratch.rows, &scratch.v, &scratch.temp);
+/// Stamp one ISA instantiation of the column traversal — the fused
+/// sweep and the sink flush it ends each column with — as module `$isa`,
+/// calling the `$isa` instantiation of every leaf kernel. The text is
+/// the same for all of them; what differs is the `#[target_feature]` it
+/// is compiled under, which is what lets the `avx2` traversal call the
+/// `avx2` kernels as the safe functions they are (DESIGN §6f).
+macro_rules! isa_traversal {
+    ($isa:ident $(, #[$feature:meta])?) => {
+        mod $isa {
+            use super::*;
 
-    // φ-band blocking: process `PHI_BLOCK`-wide bands of columns with j
-    // innermost, so a band's stencil rows stay cache-hot across the
-    // θ sweep (`InteriorRange::phi_blocks` is the checkable spelling of
-    // this loop; iterating inline keeps the kernel allocation-free).
-    let mut kb = range.k0;
-    while kb < range.k1 {
-        let kb1 = (kb + PHI_BLOCK).min(range.k1);
-        for j in range.j0..range.j1 {
-            let g = ColGeom::new(metric, j);
-            for k in kb..kb1 {
-                let win = |a| Cols::windowed(a, j, k, i0, i1);
-                let c = Column {
-                    p: win(&state.press),
-                    t: win(temp),
-                    fr: win(&state.f.r),
-                    ft: win(&state.f.t),
-                    fp: win(&state.f.p),
-                    vr: win(&v.r),
-                    vt: win(&v.t),
-                    vp: win(&v.p),
-                    ar: win(&state.a.r),
-                    at: win(&state.a.t),
-                    ap: win(&state.a.p),
-                    rho: &state.rho.row(j, k)[i0..i1],
-                    r: &metric.r[i0 - 1..i1 + 1],
-                    r2: &metric.r2[i0 - 1..i1 + 1],
-                    ir: &metric.inv_r[i0..i1],
-                    grav: &forces.grav[i0..i1],
-                    om: forces.omega_at(j, k),
-                    sp: &sp,
-                    g: &g,
-                    params,
-                };
-                let [rho_o, pr_o, fr_o, ft_o, fp_o, ar_o, at_o, ap_o] =
-                    rows.k.each_mut().map(|row| &mut row[..n]);
+            /// The fused RHS sweep: [`RHS_PASSES_PER_COLUMN`] short stride-1
+            /// radial passes per `(θ, φ)` column instead of one
+            /// register-starved mega-loop per point, over φ-bands of
+            /// [`PHI_BLOCK`] columns.
+            ///
+            /// This function only traverses: per column it gathers the input
+            /// rows into a [`Column`] and calls the eleven `pass_*` leaf
+            /// kernels below, which own the radial loops. The split is what
+            /// makes those loops compile to packed f64 (see [`Cols::fit`]):
+            /// each kernel is `#[inline(never)]`, so its `&mut [f64]` outputs
+            /// are *parameters* — `noalias` against every input row, which a
+            /// row sliced out of `out: &mut State` inside one big function
+            /// never was — and it re-cuts its inputs at the top to the length
+            /// of its output (`n`, or `n + 2` for stencil rows), so no bounds
+            /// check survives in the loop.
+            ///
+            /// Intermediate per-column fields (B, j, ∇p) and the eight
+            /// tendency rows land in cache-resident radial row buffers, the
+            /// latter flushed to the [`RhsSink`] once the column's last pass
+            /// has run; a f64 store/load roundtrip is exact, expression trees
+            /// are copied from the reference sweep verbatim (vector lanes
+            /// evaluate the same IEEE operations in the same order as scalar
+            /// code, at any lane count), and the force/pressure accumulations
+            /// split the reference's left-associated sums at association
+            /// boundaries — so the result is **bit-identical** to
+            /// [`reference_sweep`] (asserted by the tests here and the
+            /// cross-layout harness in `yy-core`). Columns are independent,
+            /// which makes the φ-band traversal reorder bit-exact too.
+            $(#[$feature])?
+            #[allow(clippy::too_many_arguments)]
+            pub(super) fn fused_sweep(
+                state: &State,
+                metric: &Metric,
+                forces: &ForceTables,
+                params: &PhysParams,
+                range: &InteriorRange,
+                scratch: &mut RhsScratch,
+                sink: &mut RhsSink,
+            ) {
+                let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
+                let (i0, i1) = (range.i0, range.i1);
+                let n = i1 - i0;
+                let (rows, v, temp) = (&mut scratch.rows, &scratch.v, &scratch.temp);
 
-                pass_continuity(rho_o, &c);
-                let [b_r, b_t, b_p] = rows.b.each_mut().map(|row| &mut row[..n]);
-                pass_curl_a(b_r, b_t, b_p, &c);
-                let [j_r, j_t, j_p] = rows.j.each_mut().map(|row| &mut row[..n]);
-                pass_current(j_r, j_t, j_p, &c);
-                let [gp_r, gp_t, gp_p] = rows.gp.each_mut().map(|row| &mut row[..n]);
-                pass_grad_p(gp_r, gp_t, gp_p, &c);
-                pass_advect_r(fr_o, &c);
-                pass_advect_t(ft_o, &c);
-                pass_advect_p(fp_o, &c);
-                pass_forces(fr_o, ft_o, fp_o, &rows.b, &rows.j, &rows.gp, &c);
-                pass_viscous(fr_o, ft_o, fp_o, &c);
-                pass_pressure(pr_o, &rows.gp, &rows.j, &c);
-                pass_induction(ar_o, at_o, ap_o, &rows.b, &rows.j, &c);
-                let row = state.shape().idx(i0, j, k);
-                sink.flush(row..row + n, &rows.k);
+                // φ-band blocking: process `PHI_BLOCK`-wide bands of columns
+                // with j innermost, so a band's stencil rows stay cache-hot
+                // across the θ sweep (`InteriorRange::phi_blocks` is the
+                // checkable spelling of this loop; iterating inline keeps the
+                // kernel allocation-free).
+                let mut kb = range.k0;
+                while kb < range.k1 {
+                    let kb1 = (kb + PHI_BLOCK).min(range.k1);
+                    for j in range.j0..range.j1 {
+                        let g = ColGeom::new(metric, j);
+                        for k in kb..kb1 {
+                            let win = |a| Cols::windowed(a, j, k, i0, i1);
+                            let c = Column {
+                                p: win(&state.press),
+                                t: win(temp),
+                                fr: win(&state.f.r),
+                                ft: win(&state.f.t),
+                                fp: win(&state.f.p),
+                                vr: win(&v.r),
+                                vt: win(&v.t),
+                                vp: win(&v.p),
+                                ar: win(&state.a.r),
+                                at: win(&state.a.t),
+                                ap: win(&state.a.p),
+                                rho: &state.rho.row(j, k)[i0..i1],
+                                r: &metric.r[i0 - 1..i1 + 1],
+                                r2: &metric.r2[i0 - 1..i1 + 1],
+                                ir: &metric.inv_r[i0..i1],
+                                grav: &forces.grav[i0..i1],
+                                om: forces.omega_at(j, k),
+                                sp: &sp,
+                                g: &g,
+                                params,
+                            };
+                            let [rho_o, pr_o, fr_o, ft_o, fp_o, ar_o, at_o, ap_o] =
+                                rows.k.each_mut().map(|row| &mut row[..n]);
+
+                            pass_continuity::$isa(rho_o, &c);
+                            let [b_r, b_t, b_p] = rows.b.each_mut().map(|row| &mut row[..n]);
+                            pass_curl_a::$isa(b_r, b_t, b_p, &c);
+                            let [j_r, j_t, j_p] = rows.j.each_mut().map(|row| &mut row[..n]);
+                            pass_current::$isa(j_r, j_t, j_p, &c);
+                            let [gp_r, gp_t, gp_p] = rows.gp.each_mut().map(|row| &mut row[..n]);
+                            pass_grad_p::$isa(gp_r, gp_t, gp_p, &c);
+                            pass_advect_r::$isa(fr_o, &c);
+                            pass_advect_t::$isa(ft_o, &c);
+                            pass_advect_p::$isa(fp_o, &c);
+                            pass_forces::$isa(fr_o, ft_o, fp_o, &rows.b, &rows.j, &rows.gp, &c);
+                            pass_viscous::$isa(fr_o, ft_o, fp_o, &c);
+                            pass_pressure::$isa(pr_o, &rows.gp, &rows.j, &c);
+                            pass_induction::$isa(ar_o, at_o, ap_o, &rows.b, &rows.j, &c);
+                            let row = state.shape().idx(i0, j, k);
+                            flush(sink, row..row + n, &rows.k);
+                        }
+                    }
+                    kb = kb1;
+                }
+            }
+
+            /// Flush the tendency rows `k[..row.len()]` of the column whose
+            /// swept nodes sit at flat indices `row` of every state array.
+            $(#[$feature])?
+            pub(super) fn flush(sink: &mut RhsSink, row: std::ops::Range<usize>, k: &[Vec<f64>; 8]) {
+                let n = row.len();
+                match sink {
+                    RhsSink::Store(out) => {
+                        for (out, k) in out.arrays_mut().into_iter().zip(k) {
+                            out.data_mut()[row.clone()].copy_from_slice(&k[..n]);
+                        }
+                    }
+                    // Indexed, not zipped by value: an array `IntoIter` live
+                    // across the call has a destructor, the call becomes an
+                    // `invoke`, and rustc 1.95 attaches a `#[target_feature]`
+                    // function's `inline(never)` to plain calls only — the
+                    // wide flush kernels would dissolve into the traversal
+                    // (`scripts/check_simd.sh` counts them).
+                    RhsSink::Stage { acc, y0, next, b, a } => {
+                        let (acc, next, y0) = (acc.arrays_mut(), next.arrays_mut(), y0.arrays());
+                        for (q, k) in k.iter().enumerate() {
+                            let acc = &mut acc[q].data_mut()[row.clone()];
+                            let next = &mut next[q].data_mut()[row.clone()];
+                            flush_stage::$isa(acc, next, &y0[q].data()[row.clone()], &k[..n], *b, *a);
+                        }
+                    }
+                    RhsSink::Final { acc, b } => {
+                        let acc = acc.arrays_mut();
+                        for (q, k) in k.iter().enumerate() {
+                            flush_final::$isa(&mut acc[q].data_mut()[row.clone()], &k[..n], *b);
+                        }
+                    }
+                }
             }
         }
-        kb = kb1;
-    }
+    };
 }
+
+isa_traversal!(baseline);
+#[cfg(target_arch = "x86_64")]
+isa_traversal!(avx2, #[target_feature(enable = "avx2")]);
 
 /// Everything the leaf kernels read of one `(θ, φ)` column. Stencil rows
 /// and the `r`/`r2` tables are windowed to `[i0−1, i1+1)` (local index
@@ -934,73 +1055,77 @@ fn fit3(rows: &Rows3, n: usize) -> (&[f64], &[f64], &[f64]) {
     (&rows[0][..n], &rows[1][..n], &rows[2][..n])
 }
 
-/// Pass 1: continuity, ∂ρ/∂t = −∇·f.
-#[inline(never)]
-fn pass_continuity(rho_o: &mut [f64], c: &Column) {
-    let n = rho_o.len();
-    let (fr, ft, fp) = (c.fr.fit(n + 2), c.ft.fit(n + 2), c.fp.fit(n + 2));
-    let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        let ir2 = ir * ir;
-        let div_f = ir2 * (r2_w[li + 1] * fr.c[li + 1] - r2_w[li - 1] * fr.c[li - 1]) * sp.inv_2dr
-            + ir * g.inv_sin
-                * ((g.sin_s * ft.s[li] - g.sin_n * ft.n[li]) * sp.inv_2dt
-                    + (fp.e[li] - fp.w[li]) * sp.inv_2dp);
-        rho_o[q] = -div_f;
+isa_kernel! {
+    /// Pass 1: continuity, ∂ρ/∂t = −∇·f.
+    fn pass_continuity(rho_o: &mut [f64], c: &Column) {
+        let n = rho_o.len();
+        let (fr, ft, fp) = (c.fr.fit(n + 2), c.ft.fit(n + 2), c.fp.fit(n + 2));
+        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            let ir2 = ir * ir;
+            let div_f = ir2 * (r2_w[li + 1] * fr.c[li + 1] - r2_w[li - 1] * fr.c[li - 1]) * sp.inv_2dr
+                + ir * g.inv_sin
+                    * ((g.sin_s * ft.s[li] - g.sin_n * ft.n[li]) * sp.inv_2dt
+                        + (fp.e[li] - fp.w[li]) * sp.inv_2dp);
+            rho_o[q] = -div_f;
+        }
     }
 }
 
-/// Pass 2: B = ∇×A into row buffers.
-#[inline(never)]
-fn pass_curl_a(b_r: &mut [f64], b_t: &mut [f64], b_p: &mut [f64], c: &Column) {
-    let n = b_r.len();
-    let (b_t, b_p) = (&mut b_t[..n], &mut b_p[..n]);
-    let (ar, at, ap) = (c.ar.fit(n + 2), c.at.fit(n + 2), c.ap.fit(n + 2));
-    let (r_w, ir_w, sp, g) = (&c.r[..n + 2], &c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        b_r[q] = ir * g.inv_sin
-            * ((g.sin_s * ap.s[li] - g.sin_n * ap.n[li]) * sp.inv_2dt
-                - (at.e[li] - at.w[li]) * sp.inv_2dp);
-        b_t[q] = ir
-            * (g.inv_sin * (ar.e[li] - ar.w[li]) * sp.inv_2dp
-                - (r_w[li + 1] * ap.c[li + 1] - r_w[li - 1] * ap.c[li - 1]) * sp.inv_2dr);
-        b_p[q] = ir
-            * ((r_w[li + 1] * at.c[li + 1] - r_w[li - 1] * at.c[li - 1]) * sp.inv_2dr
-                - (ar.s[li] - ar.n[li]) * sp.inv_2dt);
+isa_kernel! {
+    /// Pass 2: B = ∇×A into row buffers.
+    fn pass_curl_a(b_r: &mut [f64], b_t: &mut [f64], b_p: &mut [f64], c: &Column) {
+        let n = b_r.len();
+        let (b_t, b_p) = (&mut b_t[..n], &mut b_p[..n]);
+        let (ar, at, ap) = (c.ar.fit(n + 2), c.at.fit(n + 2), c.ap.fit(n + 2));
+        let (r_w, ir_w, sp, g) = (&c.r[..n + 2], &c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            b_r[q] = ir * g.inv_sin
+                * ((g.sin_s * ap.s[li] - g.sin_n * ap.n[li]) * sp.inv_2dt
+                    - (at.e[li] - at.w[li]) * sp.inv_2dp);
+            b_t[q] = ir
+                * (g.inv_sin * (ar.e[li] - ar.w[li]) * sp.inv_2dp
+                    - (r_w[li + 1] * ap.c[li + 1] - r_w[li - 1] * ap.c[li - 1]) * sp.inv_2dr);
+            b_p[q] = ir
+                * ((r_w[li + 1] * at.c[li + 1] - r_w[li - 1] * at.c[li - 1]) * sp.inv_2dr
+                    - (ar.s[li] - ar.n[li]) * sp.inv_2dt);
+        }
     }
 }
 
-/// Pass 3: current j = ∇(∇·A) − ∇²A into row buffers.
-#[inline(never)]
-fn pass_current(j_r: &mut [f64], j_t: &mut [f64], j_p: &mut [f64], c: &Column) {
-    let n = j_r.len();
-    let (j_t, j_p) = (&mut j_t[..n], &mut j_p[..n]);
-    let (ar, at, ap) = (c.ar.fit(n + 2), c.at.fit(n + 2), c.ap.fit(n + 2));
-    let (ir_w, sp, g) = (&c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let a2 = vec_second(&ar, &at, &ap, q + 1, sp, g, ir_w[q]);
-        j_r[q] = a2.grad_div[0] - a2.lap[0];
-        j_t[q] = a2.grad_div[1] - a2.lap[1];
-        j_p[q] = a2.grad_div[2] - a2.lap[2];
+isa_kernel! {
+    /// Pass 3: current j = ∇(∇·A) − ∇²A into row buffers.
+    fn pass_current(j_r: &mut [f64], j_t: &mut [f64], j_p: &mut [f64], c: &Column) {
+        let n = j_r.len();
+        let (j_t, j_p) = (&mut j_t[..n], &mut j_p[..n]);
+        let (ar, at, ap) = (c.ar.fit(n + 2), c.at.fit(n + 2), c.ap.fit(n + 2));
+        let (ir_w, sp, g) = (&c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let a2 = vec_second(&ar, &at, &ap, q + 1, sp, g, ir_w[q]);
+            j_r[q] = a2.grad_div[0] - a2.lap[0];
+            j_t[q] = a2.grad_div[1] - a2.lap[1];
+            j_p[q] = a2.grad_div[2] - a2.lap[2];
+        }
     }
 }
 
-/// Pass 4: pressure gradient into row buffers.
-#[inline(never)]
-fn pass_grad_p(gp_r: &mut [f64], gp_t: &mut [f64], gp_p: &mut [f64], c: &Column) {
-    let n = gp_r.len();
-    let (gp_t, gp_p) = (&mut gp_t[..n], &mut gp_p[..n]);
-    let (p, ir_w, sp, g) = (c.p.fit(n + 2), &c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        gp_r[q] = p.ddr(li, sp);
-        gp_t[q] = ir * p.ddt(li, sp);
-        gp_p[q] = ir * g.inv_sin * p.ddp(li, sp);
+isa_kernel! {
+    /// Pass 4: pressure gradient into row buffers.
+    fn pass_grad_p(gp_r: &mut [f64], gp_t: &mut [f64], gp_p: &mut [f64], c: &Column) {
+        let n = gp_r.len();
+        let (gp_t, gp_p) = (&mut gp_t[..n], &mut gp_p[..n]);
+        let (p, ir_w, sp, g) = (c.p.fit(n + 2), &c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            gp_r[q] = p.ddr(li, sp);
+            gp_t[q] = ir * p.ddt(li, sp);
+            gp_p[q] = ir * g.inv_sin * p.ddp(li, sp);
+        }
     }
 }
 
@@ -1027,166 +1152,172 @@ fn flux(
                 + (vp.e[li] * q.e[li] - vp.w[li] * q.w[li]) * sp.inv_2dp)
 }
 
-/// Passes 5–7: advection, one momentum component each — out.f = −∇·(vf).
-#[inline(never)]
-fn pass_advect_r(fr_o: &mut [f64], c: &Column) {
-    let n = fr_o.len();
-    let (fr, ft, fp) = (c.fr.fit(n + 2), c.ft.fit(n + 2), c.fp.fit(n + 2));
-    let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-    let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        let adv_r = flux(&fr, &vr, &vt, &vp, r2_w, li, ir, sp, g)
-            - (ft.c[li] * vt.c[li] + fp.c[li] * vp.c[li]) * ir;
-        fr_o[q] = -adv_r;
+isa_kernel! {
+    /// Passes 5–7: advection, one momentum component each — out.f = −∇·(vf).
+    fn pass_advect_r(fr_o: &mut [f64], c: &Column) {
+        let n = fr_o.len();
+        let (fr, ft, fp) = (c.fr.fit(n + 2), c.ft.fit(n + 2), c.fp.fit(n + 2));
+        let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
+        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            let adv_r = flux(&fr, &vr, &vt, &vp, r2_w, li, ir, sp, g)
+                - (ft.c[li] * vt.c[li] + fp.c[li] * vp.c[li]) * ir;
+            fr_o[q] = -adv_r;
+        }
     }
 }
 
-#[inline(never)]
-fn pass_advect_t(ft_o: &mut [f64], c: &Column) {
-    let n = ft_o.len();
-    let (ft, fp) = (c.ft.fit(n + 2), c.fp.fit(n + 2));
-    let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-    let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        let adv_t = flux(&ft, &vr, &vt, &vp, r2_w, li, ir, sp, g) + (ft.c[li] * vr.c[li]) * ir
-            - g.cot_t * (fp.c[li] * vp.c[li]) * ir;
-        ft_o[q] = -adv_t;
+isa_kernel! {
+    fn pass_advect_t(ft_o: &mut [f64], c: &Column) {
+        let n = ft_o.len();
+        let (ft, fp) = (c.ft.fit(n + 2), c.fp.fit(n + 2));
+        let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
+        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            let adv_t = flux(&ft, &vr, &vt, &vp, r2_w, li, ir, sp, g) + (ft.c[li] * vr.c[li]) * ir
+                - g.cot_t * (fp.c[li] * vp.c[li]) * ir;
+            ft_o[q] = -adv_t;
+        }
     }
 }
 
-#[inline(never)]
-fn pass_advect_p(fp_o: &mut [f64], c: &Column) {
-    let n = fp_o.len();
-    let fp = c.fp.fit(n + 2);
-    let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-    let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        let adv_p = flux(&fp, &vr, &vt, &vp, r2_w, li, ir, sp, g) + (fp.c[li] * vr.c[li]) * ir
-            + g.cot_t * (fp.c[li] * vt.c[li]) * ir;
-        fp_o[q] = -adv_p;
+isa_kernel! {
+    fn pass_advect_p(fp_o: &mut [f64], c: &Column) {
+        let n = fp_o.len();
+        let fp = c.fp.fit(n + 2);
+        let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
+        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            let adv_p = flux(&fp, &vr, &vt, &vp, r2_w, li, ir, sp, g) + (fp.c[li] * vr.c[li]) * ir
+                + g.cot_t * (fp.c[li] * vt.c[li]) * ir;
+            fp_o[q] = -adv_p;
+        }
     }
 }
 
-/// Pass 8: body forces — −∇p, j×B, gravity, Coriolis — accumulated onto
-/// −advection in the reference's left-associated order.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn pass_forces(
-    fr_o: &mut [f64],
-    ft_o: &mut [f64],
-    fp_o: &mut [f64],
-    b: &Rows3,
-    j: &Rows3,
-    gp: &Rows3,
-    c: &Column,
-) {
-    let n = fr_o.len();
-    let (ft_o, fp_o) = (&mut ft_o[..n], &mut fp_o[..n]);
-    let ((b_r, b_t, b_p), (j_r, j_t, j_p), (gp_r, gp_t, gp_p)) =
-        (fit3(b, n), fit3(j, n), fit3(gp, n));
-    let (fr, ft, fp) = (&c.fr.c[1..n + 1], &c.ft.c[1..n + 1], &c.fp.c[1..n + 1]);
-    let (rho, grav, (om_r, om_t, om_p)) = (&c.rho[..n], &c.grav[..n], c.om);
-    for q in 0..n {
-        let jxb_r = j_t[q] * b_p[q] - j_p[q] * b_t[q];
-        let jxb_t = j_p[q] * b_r[q] - j_r[q] * b_p[q];
-        let jxb_p = j_r[q] * b_t[q] - j_t[q] * b_r[q];
-        let cor_r = 2.0 * (ft[q] * om_p - fp[q] * om_t);
-        let cor_t = 2.0 * (fp[q] * om_r - fr[q] * om_p);
-        let cor_p = 2.0 * (fr[q] * om_t - ft[q] * om_r);
-        fr_o[q] = fr_o[q] - gp_r[q] + jxb_r + rho[q] * grav[q] + cor_r;
-        ft_o[q] = ft_o[q] - gp_t[q] + jxb_t + cor_t;
-        fp_o[q] = fp_o[q] - gp_p[q] + jxb_p + cor_p;
+isa_kernel! {
+    /// Pass 8: body forces — −∇p, j×B, gravity, Coriolis — accumulated onto
+    /// −advection in the reference's left-associated order.
+    fn pass_forces(
+        fr_o: &mut [f64],
+        ft_o: &mut [f64],
+        fp_o: &mut [f64],
+        b: &Rows3,
+        j: &Rows3,
+        gp: &Rows3,
+        c: &Column,
+    ) {
+        let n = fr_o.len();
+        let (ft_o, fp_o) = (&mut ft_o[..n], &mut fp_o[..n]);
+        let ((b_r, b_t, b_p), (j_r, j_t, j_p), (gp_r, gp_t, gp_p)) =
+            (fit3(b, n), fit3(j, n), fit3(gp, n));
+        let (fr, ft, fp) = (&c.fr.c[1..n + 1], &c.ft.c[1..n + 1], &c.fp.c[1..n + 1]);
+        let (rho, grav, (om_r, om_t, om_p)) = (&c.rho[..n], &c.grav[..n], c.om);
+        for q in 0..n {
+            let jxb_r = j_t[q] * b_p[q] - j_p[q] * b_t[q];
+            let jxb_t = j_p[q] * b_r[q] - j_r[q] * b_p[q];
+            let jxb_p = j_r[q] * b_t[q] - j_t[q] * b_r[q];
+            let cor_r = 2.0 * (ft[q] * om_p - fp[q] * om_t);
+            let cor_t = 2.0 * (fp[q] * om_r - fr[q] * om_p);
+            let cor_p = 2.0 * (fr[q] * om_t - ft[q] * om_r);
+            fr_o[q] = fr_o[q] - gp_r[q] + jxb_r + rho[q] * grav[q] + cor_r;
+            ft_o[q] = ft_o[q] - gp_t[q] + jxb_t + cor_t;
+            fp_o[q] = fp_o[q] - gp_p[q] + jxb_p + cor_p;
+        }
     }
 }
 
-/// Pass 9: viscous force µ(∇²v + ⅓∇(∇·v)), the final momentum addend.
-#[inline(never)]
-fn pass_viscous(fr_o: &mut [f64], ft_o: &mut [f64], fp_o: &mut [f64], c: &Column) {
-    let n = fr_o.len();
-    let (ft_o, fp_o) = (&mut ft_o[..n], &mut fp_o[..n]);
-    let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-    let (ir_w, sp, g, mu) = (&c.ir[..n], c.sp, c.g, c.params.mu);
-    for q in 0..n {
-        let v2 = vec_second(&vr, &vt, &vp, q + 1, sp, g, ir_w[q]);
-        fr_o[q] += mu * (v2.lap[0] + v2.grad_div[0] / 3.0);
-        ft_o[q] += mu * (v2.lap[1] + v2.grad_div[1] / 3.0);
-        fp_o[q] += mu * (v2.lap[2] + v2.grad_div[2] / 3.0);
+isa_kernel! {
+    /// Pass 9: viscous force µ(∇²v + ⅓∇(∇·v)), the final momentum addend.
+    fn pass_viscous(fr_o: &mut [f64], ft_o: &mut [f64], fp_o: &mut [f64], c: &Column) {
+        let n = fr_o.len();
+        let (ft_o, fp_o) = (&mut ft_o[..n], &mut fp_o[..n]);
+        let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
+        let (ir_w, sp, g, mu) = (&c.ir[..n], c.sp, c.g, c.params.mu);
+        for q in 0..n {
+            let v2 = vec_second(&vr, &vt, &vp, q + 1, sp, g, ir_w[q]);
+            fr_o[q] += mu * (v2.lap[0] + v2.grad_div[0] / 3.0);
+            ft_o[q] += mu * (v2.lap[1] + v2.grad_div[1] / 3.0);
+            fp_o[q] += mu * (v2.lap[2] + v2.grad_div[2] / 3.0);
+        }
     }
 }
 
-/// Pass 10: the whole pressure equation in one pass — advection
-/// −v·∇p − γp∇·v, viscous heating Φ from the strain tensor, diffusion
-/// κ∇²T and Ohmic heating ηj². `div_v` is computed once and shared
-/// between the advection and heating terms, exactly as the reference
-/// does; the assembled sum keeps the reference's left-associated order,
-/// so the merge is bit-exact.
-#[inline(never)]
-fn pass_pressure(pr_o: &mut [f64], gp: &Rows3, j: &Rows3, c: &Column) {
-    let n = pr_o.len();
-    let ((gp_r, gp_t, gp_p), (j_r, j_t, j_p)) = (fit3(gp, n), fit3(j, n));
-    let (p_c, t_c) = (&c.p.c[..n + 2], c.t.fit(n + 2));
-    let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-    let (ir_w, sp, g) = (&c.ir[..n], c.sp, c.g);
-    let PhysParams { gamma, mu, kappa, eta, .. } = *c.params;
-    let gm1 = gamma - 1.0;
-    for q in 0..n {
-        let li = q + 1;
-        let ir = ir_w[q];
-        let dvr_r = vr.ddr(li, sp);
-        let dvt_t = vt.ddt(li, sp);
-        let dvp_p = vp.ddp(li, sp);
-        let div_v = dvr_r
-            + 2.0 * ir * vr.c[li]
-            + ir * (g.cot_t * vt.c[li] + dvt_t)
-            + ir * g.inv_sin * dvp_p;
-        let v_grad_p = vr.c[li] * gp_r[q] + vt.c[li] * gp_t[q] + vp.c[li] * gp_p[q];
-        let lap_t = t_c.laplacian(li, sp, ir, g.inv_sin2, g.cot_t);
-        let j2 = j_r[q] * j_r[q] + j_t[q] * j_t[q] + j_p[q] * j_p[q];
-        let e_rr = dvr_r;
-        let e_tt = ir * dvt_t + vr.c[li] * ir;
-        let e_pp = ir * g.inv_sin * dvp_p + vr.c[li] * ir + g.cot_t * vt.c[li] * ir;
-        let e_rt = 0.5 * (ir * vr.ddt(li, sp) + vt.ddr(li, sp) - vt.c[li] * ir);
-        let e_rp = 0.5 * (ir * g.inv_sin * vr.ddp(li, sp) + vp.ddr(li, sp) - vp.c[li] * ir);
-        let e_tp = 0.5
-            * (ir * g.inv_sin * vt.ddp(li, sp) + ir * vp.ddt(li, sp) - g.cot_t * vp.c[li] * ir);
-        let ee = e_rr * e_rr
-            + e_tt * e_tt
-            + e_pp * e_pp
-            + 2.0 * (e_rt * e_rt + e_rp * e_rp + e_tp * e_tp);
-        let phi_visc = 2.0 * mu * (ee - div_v * div_v / 3.0);
-        pr_o[q] =
-            -v_grad_p - gamma * p_c[li] * div_v + gm1 * (kappa * lap_t + eta * j2 + phi_visc);
+isa_kernel! {
+    /// Pass 10: the whole pressure equation in one pass — advection
+    /// −v·∇p − γp∇·v, viscous heating Φ from the strain tensor, diffusion
+    /// κ∇²T and Ohmic heating ηj². `div_v` is computed once and shared
+    /// between the advection and heating terms, exactly as the reference
+    /// does; the assembled sum keeps the reference's left-associated order,
+    /// so the merge is bit-exact.
+    fn pass_pressure(pr_o: &mut [f64], gp: &Rows3, j: &Rows3, c: &Column) {
+        let n = pr_o.len();
+        let ((gp_r, gp_t, gp_p), (j_r, j_t, j_p)) = (fit3(gp, n), fit3(j, n));
+        let (p_c, t_c) = (&c.p.c[..n + 2], c.t.fit(n + 2));
+        let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
+        let (ir_w, sp, g) = (&c.ir[..n], c.sp, c.g);
+        let PhysParams { gamma, mu, kappa, eta, .. } = *c.params;
+        let gm1 = gamma - 1.0;
+        for q in 0..n {
+            let li = q + 1;
+            let ir = ir_w[q];
+            let dvr_r = vr.ddr(li, sp);
+            let dvt_t = vt.ddt(li, sp);
+            let dvp_p = vp.ddp(li, sp);
+            let div_v = dvr_r
+                + 2.0 * ir * vr.c[li]
+                + ir * (g.cot_t * vt.c[li] + dvt_t)
+                + ir * g.inv_sin * dvp_p;
+            let v_grad_p = vr.c[li] * gp_r[q] + vt.c[li] * gp_t[q] + vp.c[li] * gp_p[q];
+            let lap_t = t_c.laplacian(li, sp, ir, g.inv_sin2, g.cot_t);
+            let j2 = j_r[q] * j_r[q] + j_t[q] * j_t[q] + j_p[q] * j_p[q];
+            let e_rr = dvr_r;
+            let e_tt = ir * dvt_t + vr.c[li] * ir;
+            let e_pp = ir * g.inv_sin * dvp_p + vr.c[li] * ir + g.cot_t * vt.c[li] * ir;
+            let e_rt = 0.5 * (ir * vr.ddt(li, sp) + vt.ddr(li, sp) - vt.c[li] * ir);
+            let e_rp = 0.5 * (ir * g.inv_sin * vr.ddp(li, sp) + vp.ddr(li, sp) - vp.c[li] * ir);
+            let e_tp = 0.5
+                * (ir * g.inv_sin * vt.ddp(li, sp) + ir * vp.ddt(li, sp) - g.cot_t * vp.c[li] * ir);
+            let ee = e_rr * e_rr
+                + e_tt * e_tt
+                + e_pp * e_pp
+                + 2.0 * (e_rt * e_rt + e_rp * e_rp + e_tp * e_tp);
+            let phi_visc = 2.0 * mu * (ee - div_v * div_v / 3.0);
+            pr_o[q] =
+                -v_grad_p - gamma * p_c[li] * div_v + gm1 * (kappa * lap_t + eta * j2 + phi_visc);
+        }
     }
 }
 
-/// Pass 11: induction ∂A/∂t = v×B − ηj.
-#[inline(never)]
-fn pass_induction(
-    ar_o: &mut [f64],
-    at_o: &mut [f64],
-    ap_o: &mut [f64],
-    b: &Rows3,
-    j: &Rows3,
-    c: &Column,
-) {
-    let n = ar_o.len();
-    let (at_o, ap_o) = (&mut at_o[..n], &mut ap_o[..n]);
-    let ((b_r, b_t, b_p), (j_r, j_t, j_p)) = (fit3(b, n), fit3(j, n));
-    let (vr, vt, vp) = (&c.vr.c[1..n + 1], &c.vt.c[1..n + 1], &c.vp.c[1..n + 1]);
-    let eta = c.params.eta;
-    for q in 0..n {
-        let vxb_r = vt[q] * b_p[q] - vp[q] * b_t[q];
-        let vxb_t = vp[q] * b_r[q] - vr[q] * b_p[q];
-        let vxb_p = vr[q] * b_t[q] - vt[q] * b_r[q];
-        ar_o[q] = vxb_r - eta * j_r[q];
-        at_o[q] = vxb_t - eta * j_t[q];
-        ap_o[q] = vxb_p - eta * j_p[q];
+isa_kernel! {
+    /// Pass 11: induction ∂A/∂t = v×B − ηj.
+    fn pass_induction(
+        ar_o: &mut [f64],
+        at_o: &mut [f64],
+        ap_o: &mut [f64],
+        b: &Rows3,
+        j: &Rows3,
+        c: &Column,
+    ) {
+        let n = ar_o.len();
+        let (at_o, ap_o) = (&mut at_o[..n], &mut ap_o[..n]);
+        let ((b_r, b_t, b_p), (j_r, j_t, j_p)) = (fit3(b, n), fit3(j, n));
+        let (vr, vt, vp) = (&c.vr.c[1..n + 1], &c.vt.c[1..n + 1], &c.vp.c[1..n + 1]);
+        let eta = c.params.eta;
+        for q in 0..n {
+            let vxb_r = vt[q] * b_p[q] - vp[q] * b_t[q];
+            let vxb_t = vp[q] * b_r[q] - vr[q] * b_p[q];
+            let vxb_p = vr[q] * b_t[q] - vt[q] * b_r[q];
+            ar_o[q] = vxb_r - eta * j_r[q];
+            at_o[q] = vxb_t - eta * j_t[q];
+            ap_o[q] = vxb_p - eta * j_p[q];
+        }
     }
 }
 
@@ -1557,46 +1688,68 @@ mod tests {
         }
     }
 
-    /// The leaf kernels must reproduce the pre-rewrite reference
-    /// mega-loop **bit-for-bit** on every code path a vector loop
-    /// creates: radial extents below the lane width (`n < width` skips
-    /// the vector body), odd extents (scalar epilogue), and long ones —
-    /// for whole ranges starting at different radial offsets and for
-    /// every deep/shell box of their `split_overlap()`.
+    /// The three sweeps a [`RhsKernels`] selects. On a host without AVX2
+    /// `Detected` *is* `Baseline`: say so instead of passing silently.
+    fn selectors() -> [RhsKernels; 3] {
+        if RhsKernels::Detected.label() == RhsKernels::Baseline.label() {
+            println!("SKIP: no AVX2 on this host — the wide leg reruns the baseline kernels");
+        }
+        [RhsKernels::Reference, RhsKernels::Baseline, RhsKernels::Detected]
+    }
+
+    /// Both instantiations of the leaf kernels must reproduce the
+    /// pre-rewrite reference mega-loop **bit-for-bit** on every code path
+    /// a vector loop creates: radial extents below the lane width
+    /// (`n < width` skips the vector body), every residue mod 4 (scalar
+    /// epilogue of a four-lane loop), and long ones — for whole ranges
+    /// starting at different radial offsets and for the deep + shell
+    /// boxes of their `split_overlap()`, through all three sinks.
     #[test]
-    fn fused_kernels_match_reference_over_radial_extents() {
+    fn kernel_instantiations_match_reference_over_radial_extents() {
         let (grid, metric, forces, params) = setup_nr(255, 9);
         let shape = grid.full_shape();
-        let state = noisy_state(&grid, &params, 0x5eed_cafe_f00d_0001);
+        let y0 = noisy_state(&grid, &params, 0x5eed_cafe_f00d_0001);
+        let acc0 = noisy_state(&grid, &params, 0x5eed_cafe_f00d_0002);
+        let (b, a) = (1.7e-3 / 6.0, 0.85e-3);
 
         let mut scratch = RhsScratch::new(shape);
         let mut meter = Meters::new();
-        let mut sweep = |boxes: &[InteriorRange], reference: bool| {
-            let mut out = State::zeros(shape);
-            scratch.use_reference = reference;
+        // Sweep `boxes` through sink 0 (Store, into `next`), 1 (Stage) or
+        // 2 (Final); returns every state the sink may write.
+        let mut sweep = |kernels: RhsKernels, sink: usize, boxes: &[InteriorRange]| {
+            scratch.kernels = kernels;
+            let (mut acc, mut next) = (acc0.clone(), State::zeros(shape));
             for r in boxes {
-                let sink = &mut RhsSink::Store(&mut out);
-                sweep_rhs(&state, &metric, &forces, &params, r, &mut scratch, sink, &mut meter);
+                let sink = &mut match sink {
+                    0 => RhsSink::Store(&mut next),
+                    1 => RhsSink::Stage { acc: &mut acc, y0: &y0, next: &mut next, b, a },
+                    _ => RhsSink::Final { acc: &mut acc, b },
+                };
+                sweep_rhs(&y0, &metric, &forces, &params, r, &mut scratch, sink, &mut meter);
             }
-            out
-        };
-        let assert_same = |a: &State, b: &State, what: &str| {
-            for x in a.arrays() {
-                assert!(x.data().iter().any(|v| *v != 0.0), "{what}: a tendency array is all zero");
-            }
-            assert_bitwise(a, b, what);
+            (acc, next)
         };
         let full = InteriorRange::full_panel(&grid);
+        let [reference, instantiations @ ..] = selectors();
         for n in [1, 2, 3, 4, 5, 7, 8, 22, 253] {
             let i0 = 1 + (253 - n).min(n % 4);
             let range = InteriorRange { i0, i1: i0 + n, ..full };
-            let reference = sweep(&[range], true);
-            assert_same(&reference, &sweep(&[range], false), &format!("n={n} whole"));
-            let boxes = range.split_overlap().all_ranges();
-            assert_same(&reference, &sweep(&boxes, false), &format!("n={n} split"));
-            for b in &boxes {
-                let what = format!("n={n} box {b:?}");
-                assert_same(&sweep(&[*b], true), &sweep(&[*b], false), &what);
+            let split = range.split_overlap().all_ranges();
+            for sink in 0..3 {
+                let (acc_ref, next_ref) = sweep(reference, sink, &[range]);
+                if sink == 0 {
+                    for x in next_ref.arrays() {
+                        assert!(x.data().iter().any(|v| *v != 0.0), "n={n}: a tendency is all zero");
+                    }
+                }
+                for kernels in instantiations {
+                    for (boxes, tiling) in [(&[range][..], "whole"), (&split[..], "split")] {
+                        let what = format!("n={n} sink {sink} {kernels:?} {tiling}");
+                        let (acc, next) = sweep(kernels, sink, boxes);
+                        assert_bitwise(&acc, &acc_ref, &format!("{what}: acc"));
+                        assert_bitwise(&next, &next_ref, &format!("{what}: next"));
+                    }
+                }
             }
         }
     }
@@ -1650,9 +1803,9 @@ mod tests {
             let split = range.split_overlap().all_ranges();
             assert_eq!(split.len(), 5, "deep + four bands");
             for (boxes, tiling) in [(&[range][..], "full"), (&split[..], "split")] {
-                for reference in [false, true] {
-                    scratch.use_reference = reference;
-                    let what = format!("nr={nr} {tiling} reference={reference}");
+                for kernels in selectors() {
+                    scratch.kernels = kernels;
+                    let what = format!("nr={nr} {tiling} {kernels:?}");
                     let (mut acc, mut next) = (acc0.clone(), poisoned.clone());
                     for r in boxes {
                         let sink =

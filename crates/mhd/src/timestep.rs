@@ -11,18 +11,21 @@ use crate::rhs::InteriorRange;
 use crate::state::State;
 use yy_mesh::Metric;
 
-/// Maximum signal speed `|v| + c_s + v_A` over the FD interior.
+/// Hand `visit` the squared signal speeds `(|v|², c_s², v_A²)` of every
+/// node of `range`, in sweep order — the one traversal under both
+/// [`wave_speed_max`] and [`wave_speed_breakdown`], which differ only in
+/// how they fold it.
 ///
 /// `v_A = |B| / √ρ` is evaluated from `B = ∇×A` with the same central
-/// stencils as the solver; the cost is one sweep and is amortized by
-/// calling this every few steps (the drivers re-use the previous `dt`
-/// in between).
-pub fn wave_speed_max(
+/// stencils as the solver.
+#[inline(always)]
+fn for_each_speed2(
     state: &State,
     metric: &Metric,
     params: &PhysParams,
     range: &InteriorRange,
-) -> f64 {
+    mut visit: impl FnMut(f64, f64, f64),
+) {
     use crate::ops::{ColGeom, Cols, Spacings};
     let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
     // Loop-invariant scalars hoisted to locals so the inner loop reads
@@ -34,13 +37,12 @@ pub fn wave_speed_max(
     // the interior extent (centered stencils get the extent plus one
     // frame node on each side), so indexing with a local `q` bounded by
     // the loop is provably in-range and the checks vectorize away. The
-    // per-node arithmetic and the sequential max-reduction order are
-    // unchanged, so the result is bit-identical to the strided spelling.
+    // per-node arithmetic and the sequential visiting order are those of
+    // the strided spelling, so the folds are bit-identical to it.
     let (i0, i1) = (range.i0, range.i1);
     let n = i1 - i0;
     let r_w = &metric.r[i0 - 1..i1 + 1];
     let ir_w = &metric.inv_r[i0..i1];
-    let mut vmax: f64 = 0.0;
     for k in range.k0..range.k1 {
         for j in range.j0..range.j1 {
             let g = ColGeom::new(metric, j);
@@ -73,11 +75,26 @@ pub fn wave_speed_max(
                     * ((r_w[q + 2] * at_c[q + 2] - r_w[q] * at_c[q]) * inv_2dr
                         - (ar_s[q] - ar_n[q]) * inv_2dt);
                 let va2 = (b_r * b_r + b_t * b_t + b_p * b_p) / rho[q];
-                let s = v2.sqrt() + cs2.sqrt() + va2.sqrt();
-                vmax = vmax.max(s);
+                visit(v2, cs2, va2);
             }
         }
     }
+}
+
+/// Maximum signal speed `|v| + c_s + v_A` over the FD interior.
+///
+/// The cost is one sweep and is amortized by calling this every few
+/// steps (the drivers re-use the previous `dt` in between).
+pub fn wave_speed_max(
+    state: &State,
+    metric: &Metric,
+    params: &PhysParams,
+    range: &InteriorRange,
+) -> f64 {
+    let mut vmax: f64 = 0.0;
+    for_each_speed2(state, metric, params, range, |v2, cs2, va2| {
+        vmax = vmax.max(v2.sqrt() + cs2.sqrt() + va2.sqrt());
+    });
     vmax
 }
 
@@ -121,54 +138,12 @@ pub fn wave_speed_breakdown(
     params: &PhysParams,
     range: &InteriorRange,
 ) -> SpeedBreakdown {
-    use crate::ops::{ColGeom, Cols, Spacings};
-    let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
-    let (inv_2dr, inv_2dt, inv_2dp) = (sp.inv_2dr, sp.inv_2dt, sp.inv_2dp);
-    let gamma = params.gamma;
-    // Same radial-window spelling as `wave_speed_max` (see there).
-    let (i0, i1) = (range.i0, range.i1);
-    let n = i1 - i0;
-    let r_w = &metric.r[i0 - 1..i1 + 1];
-    let ir_w = &metric.inv_r[i0..i1];
     let mut out = SpeedBreakdown::default();
-    for k in range.k0..range.k1 {
-        for j in range.j0..range.j1 {
-            let g = ColGeom::new(metric, j);
-            let (inv_sin, sin_n, sin_s) = (g.inv_sin, g.sin_n, g.sin_s);
-            let rho = &state.rho.row(j, k)[i0..i1];
-            let prs = &state.press.row(j, k)[i0..i1];
-            let fr = &state.f.r.row(j, k)[i0..i1];
-            let ft = &state.f.t.row(j, k)[i0..i1];
-            let fp = &state.f.p.row(j, k)[i0..i1];
-            let ar = Cols::new(&state.a.r, j, k);
-            let at = Cols::new(&state.a.t, j, k);
-            let ap = Cols::new(&state.a.p, j, k);
-            let (ar_n, ar_s) = (&ar.n[i0..i1], &ar.s[i0..i1]);
-            let (ar_e, ar_w) = (&ar.e[i0..i1], &ar.w[i0..i1]);
-            let (at_e, at_w) = (&at.e[i0..i1], &at.w[i0..i1]);
-            let (ap_n, ap_s) = (&ap.n[i0..i1], &ap.s[i0..i1]);
-            let at_c = &at.c[i0 - 1..i1 + 1];
-            let ap_c = &ap.c[i0 - 1..i1 + 1];
-            for q in 0..n {
-                let ir = ir_w[q];
-                let v2 = (fr[q] * fr[q] + ft[q] * ft[q] + fp[q] * fp[q]) / (rho[q] * rho[q]);
-                let cs2 = gamma * prs[q] / rho[q];
-                let b_r = ir * inv_sin
-                    * ((sin_s * ap_s[q] - sin_n * ap_n[q]) * inv_2dt
-                        - (at_e[q] - at_w[q]) * inv_2dp);
-                let b_t = ir
-                    * (inv_sin * (ar_e[q] - ar_w[q]) * inv_2dp
-                        - (r_w[q + 2] * ap_c[q + 2] - r_w[q] * ap_c[q]) * inv_2dr);
-                let b_p = ir
-                    * ((r_w[q + 2] * at_c[q + 2] - r_w[q] * at_c[q]) * inv_2dr
-                        - (ar_s[q] - ar_n[q]) * inv_2dt);
-                let va2 = (b_r * b_r + b_t * b_t + b_p * b_p) / rho[q];
-                out.flow = out.flow.max(v2.sqrt());
-                out.sound = out.sound.max(cs2.sqrt());
-                out.alfven = out.alfven.max(va2.sqrt());
-            }
-        }
-    }
+    for_each_speed2(state, metric, params, range, |v2, cs2, va2| {
+        out.flow = out.flow.max(v2.sqrt());
+        out.sound = out.sound.max(cs2.sqrt());
+        out.alfven = out.alfven.max(va2.sqrt());
+    });
     out
 }
 
@@ -198,16 +173,7 @@ pub fn cfl_timestep(
 
 /// Minimum owned density (for the diffusive bound).
 pub fn rho_min_owned(state: &State) -> f64 {
-    let s = state.shape();
-    let mut m = f64::INFINITY;
-    for k in 0..s.nph as isize {
-        for j in 0..s.nth as isize {
-            for &v in state.rho.row(j, k) {
-                m = m.min(v);
-            }
-        }
-    }
-    m
+    state.rho.min_owned()
 }
 
 #[cfg(test)]
@@ -281,6 +247,44 @@ mod tests {
         }
         let sum = b.flow + b.sound + b.alfven;
         assert!(combined <= sum * (1.0 + 1e-12), "combined {combined} exceeds sum {sum}");
+    }
+
+    /// Both folds over the shared traversal reproduce, bit for bit, what
+    /// the two separate loops they replace computed (values recorded
+    /// from those) — on the static and the driven state of the tests
+    /// above, over the full panel and over an off-centre sub-box.
+    #[test]
+    fn speed_folds_match_recorded_bits() {
+        let (grid, metric, mut state, params) = setup();
+        let range = InteriorRange::full_panel(&grid);
+        let bits = |state: &State, range: &InteriorRange| {
+            let b = wave_speed_breakdown(state, &metric, &params, range);
+            let max = wave_speed_max(state, &metric, &params, range);
+            [max, b.flow, b.sound, b.alfven].map(f64::to_bits)
+        };
+        assert_eq!(
+            bits(&state, &range),
+            [0x3ffbf6f43b163698, 0x0000000000000000, 0x3ffbf5ed1e815262, 0x3f39b0492317346f]
+        );
+        state.f.p.fill(0.3);
+        let shape = state.shape();
+        for k in -1..(shape.nph as isize + 1) {
+            for j in -1..(shape.nth as isize + 1) {
+                let st = grid.theta().coord_signed(j).sin();
+                for i in 0..shape.nr {
+                    state.a.p.set(i, j, k, 0.8 * grid.r().coord(i) * st);
+                }
+            }
+        }
+        assert_eq!(
+            bits(&state, &range),
+            [0x40097a500eb84b12, 0x3fd2ceb7b5f9d831, 0x3ffbf5ed1e815262, 0x3ff956846a55b11f]
+        );
+        let sub = InteriorRange { i0: 3, i1: 8, j0: range.j0 + 1, k1: range.k1 - 2, ..range };
+        assert_eq!(
+            bits(&state, &sub),
+            [0x4009251f1e88c3ee, 0x3fcef55b0cd4b36b, 0x3ffa0119e5d766ee, 0x3ff6fcd11e72e5df]
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use yy_field::Meters;
 use yy_mesh::{Metric, Panel, PatchGrid, PatchSpec};
 use yy_mhd::init::{initialize, InitOptions};
-use yy_mhd::rhs::{compute_rhs, sweep_rhs, InteriorRange, RhsScratch, RhsSink};
+use yy_mhd::rhs::{compute_rhs, sweep_rhs, InteriorRange, RhsKernels, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{wave_speed_max, ForceTables, PhysParams, State};
 
@@ -103,8 +103,8 @@ fn hot_kernels_do_not_allocate_in_steady_state() {
     assert!(boxes.len() == 5, "a full panel splits into deep + four shell bands");
     let mut acc = State::zeros(shape);
     let mut stage = State::zeros(shape);
-    for reference in [false, true] {
-        scratch.use_reference = reference;
+    for kernels in [RhsKernels::Detected, RhsKernels::Baseline, RhsKernels::Reference] {
+        scratch.kernels = kernels;
         let n = allocs_in(|| {
             for b in &boxes {
                 let mut sweep = |mut sink: RhsSink| {
@@ -117,17 +117,17 @@ fn hot_kernels_do_not_allocate_in_steady_state() {
                 sweep(RhsSink::Final { acc, b: 0.5 });
             }
         });
-        assert_eq!(n, 0, "split sweep (reference: {reference}) allocated {n} times");
+        assert_eq!(n, 0, "split sweep ({kernels:?}) allocated {n} times");
     }
 
     // Reference sweep — the exactness oracle must be equally clean (this
     // is where the per-call r² Vec used to hide).
-    scratch.use_reference = true;
+    scratch.kernels = RhsKernels::Reference;
     let n = allocs_in(|| {
         compute_rhs(&state, &metric, &forces, &params, &range, &mut scratch, &mut out, &mut meter)
     });
     assert_eq!(n, 0, "reference RHS allocated {n} times in steady state");
-    scratch.use_reference = false;
+    scratch.kernels = RhsKernels::Detected;
 
     // CFL wave scan.
     let n = allocs_in(|| {

@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
 # Vectorization guard for the RHS leaf kernels (yy_mhd::rhs::pass_* and
-# the RhsSink row flushes yy_mhd::rhs::flush_*).
+# the RhsSink row flushes yy_mhd::rhs::flush_*), both ISA instantiations
+# (`<kernel>::baseline` and `<kernel>::avx2`, DESIGN §6f).
 #
 # Wall time alone cannot tell "vectorized" from "fast enough today", and
 # the rlib's own `--emit asm` cannot either: under `lto = "thin"` the
 # radial loops are only vectorized at the final link. So this reads the
 # instruction stream of a linked release binary and fails unless
-#   * all 11 pass kernels and both flush kernels exist as symbols (none
-#     inlined away or renamed),
+#   * all 11 pass kernels and both flush kernels exist as symbols in both
+#     instantiations (none inlined away or renamed),
 #   * each holds packed f64 arithmetic (add/sub/mul/div `pd`, SSE or VEX
 #     spelling) at least as often as scalar `sd` — the scalar share is
-#     the loop epilogue, and
+#     the loop epilogue — and in the wide instantiation the packed
+#     arithmetic counted is the `ymm` share alone (what is left on `xmm`
+#     is the two-lane epilogue step), with no `zmm` anywhere — there is
+#     no AVX-512 path — and no fused multiply-add: a contracted `a*b + c`
+#     rounds once where the baseline rounds twice,
 #   * none calls a named function: `vec_second`, `laplacian` or a `Cols`
 #     helper left out of line puts a call in the loop body and silently
 #     keeps it scalar. The only calls allowed are the up-front
 #     slice-length panics, which reach std through the GOT (`call *`).
+# It also fails if the workspace sources hold more than the one `unsafe`
+# block that selects the wide instantiation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +34,17 @@ command -v objdump >/dev/null || {
   exit 0
 }
 
+# One `unsafe` in the workspace: the root call in `sweep_rhs`. The
+# source trees hold the unit-test modules too; they have none either.
+unsafe_sites=$(grep -rnE --include='*.rs' '^[^/]*\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' \
+  crates/*/src src/ | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(printf '%s' "$unsafe_sites" | grep -c .)" != 1 ] ||
+   ! printf '%s' "$unsafe_sites" | grep -q '^crates/mhd/src/rhs.rs:.*avx2::fused_sweep'; then
+  echo "ERROR: expected exactly one unsafe site (sweep_rhs -> avx2::fused_sweep), found:"
+  printf '%s\n' "$unsafe_sites"
+  exit 1
+fi
+
 cargo build --release --offline -p yycore --bin yycore
 bin="${CARGO_TARGET_DIR:-target}/release/yycore"
 
@@ -35,25 +53,32 @@ objdump -d -C --no-show-raw-insn "$bin" | awk '
     sym = $0; sub(/^[0-9a-f]+ </, "", sym); sub(/>:$/, "", sym)
     # Older demanglers keep the hash; thin LTO may append `.llvm.<n>`.
     sub(/\.llvm\.[0-9]+$/, "", sym); sub(/::h[0-9a-f]+$/, "", sym)
-    kernel = (sym ~ /^yy_mhd::rhs::(pass|flush)_[a-z_]+$/)
-    if (kernel) seen[sym] = 1
+    kernel = (sym ~ /^yy_mhd::rhs::(pass|flush)_[a-z_]+::(baseline|avx2)$/)
+    if (kernel) { seen[sym] = 1; wide = (sym ~ /::avx2$/) }
     next
   }
-  kernel && $2 ~ /^v?(add|sub|mul|div)pd$/ { packed[sym]++ }
+  kernel && /zmm/ { zmm[sym]++ }
+  kernel && $2 ~ /^vfn?m(add|sub)/ { fma[sym]++ }
+  kernel && $2 ~ /^v?(add|sub|mul|div)pd$/ && (!wide || /ymm/) { packed[sym]++ }
   kernel && $2 ~ /^v?(add|sub|mul|div)sd$/ { scalar[sym]++ }
   kernel && $2 ~ /^call/ && $3 !~ /^\*/ { named[sym] = named[sym] " " $NF }
   END {
     for (s in seen) {
-      n++
-      printf "%-32s packed %4d  scalar %4d\n", s, packed[s], scalar[s]
+      if (s ~ /::avx2$/) nw++; else nb++
+      printf "%-40s packed %4d  scalar %4d\n", s, packed[s], scalar[s]
       if (packed[s] == 0 || packed[s] < scalar[s]) {
         printf "ERROR: %s is not vectorized\n", s; bad = 1
       }
+      if (zmm[s] > 0) { printf "ERROR: %s touches zmm registers\n", s; bad = 1 }
+      if (fma[s] > 0) { printf "ERROR: %s holds fused multiply-adds\n", s; bad = 1 }
       if (named[s] != "") {
         printf "ERROR: %s calls%s\n", s, named[s]; bad = 1
       }
     }
-    if (n != 13) { printf "ERROR: found %d pass_*/flush_* kernels, expected 11 + 2\n", n; bad = 1 }
+    if (nb != 13 || nw != 13) {
+      printf "ERROR: found %d baseline and %d avx2 pass_*/flush_* kernels, expected 13 + 13\n", nb, nw
+      bad = 1
+    }
     exit bad
   }' | sort
-echo "OK: all 11 RHS kernels and both sink flushes are packed-f64 loops with no call in the body"
+echo "OK: all 11 RHS kernels and both sink flushes are packed-f64 loops with no call in the body, xmm (baseline) and ymm (avx2)"

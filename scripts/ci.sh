@@ -25,9 +25,11 @@ echo "==> RHS vectorization guard: packed f64 in every leaf kernel, exact in rel
 bash scripts/check_simd.sh
 # The debug test run above executes the kernels as scalar code; the
 # lane-remainder and n < width paths only exist in an optimized build —
-# of the pass kernels and of the sink flushes alike.
+# of the pass kernels and of the sink flushes alike, at two lanes
+# (baseline) and four (avx2). Three-way against the reference sweep.
 cargo test --release -q --offline -p yy-mhd --lib -- \
-  fused_kernels_match_reference sink_flush_matches_unfused_combine
+  kernel_instantiations_match_reference sink_flush_matches_unfused_combine
+cargo test --release -q --offline -p yycore --test kernel_exactness
 
 echo "==> committed bench baselines present"
 # scripts/bench.sh writes these at the repo root and they are committed
