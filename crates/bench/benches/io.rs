@@ -33,7 +33,7 @@
 use std::time::Duration;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
 use yycore::report::IoStats;
-use yycore::{CkptCodec, RunConfig, SyncMode};
+use yycore::{CkptCodec, RunConfig};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -71,7 +71,6 @@ fn measure(
     });
     let opts = RecoveryOpts {
         deadline: Duration::from_secs(120),
-        sync_mode: SyncMode::Overlapped,
         checkpoint_every: every,
         ckpt_dir: dir.clone(),
         ckpt_async: shards.map(|(a, _)| a).unwrap_or(true),

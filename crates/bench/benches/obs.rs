@@ -33,7 +33,7 @@
 
 use std::time::Duration;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
-use yycore::{ObsOpts, RunConfig, SyncMode, TraceMode};
+use yycore::{ObsOpts, RunConfig, TraceMode};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -70,7 +70,6 @@ fn measure(
     let (pth, pph) = decomp();
     let opts = RecoveryOpts {
         deadline: Duration::from_secs(120),
-        sync_mode: SyncMode::Overlapped,
         obs,
         ..RecoveryOpts::default()
     };

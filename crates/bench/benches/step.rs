@@ -5,11 +5,11 @@
 //! * `overset_donate`  — interpolating + packing one panel frame's
 //!   donor columns (the send half of the overset exchange)
 //! * `overset_fill`    — placing received columns into the frame slots
-//! * `parallel_step`   — a full multi-rank RK4 step, overlapped vs.
-//!   legacy blocking sync (the tentpole comparison)
+//! * `parallel_step`   — a full multi-rank RK4 step, under an injected
+//!   per-message latency and kernel-bound
 //!
 //! With `BENCH_STEP_JSON=<path>` set, writes a machine-readable summary
-//! (median ns/step, points/s, phase breakdown, speedup) for CI.
+//! (median ns/step, points/s, phase breakdown) for CI.
 //!
 //! Knobs: `YY_BENCH_STEP_GRID` (small|medium), `YY_BENCH_STEP_STEPS`,
 //! `YY_BENCH_STEP_REPS`, `YY_BENCH_STEP_PTH`/`YY_BENCH_STEP_PPH`
@@ -29,14 +29,14 @@ use yy_mhd::{initialize, State};
 use yy_parcomm::stats::TrafficClass;
 use yy_parcomm::{FaultSpec, Universe};
 use yycore::parallel::{run_parallel_supervised, FailurePolicy, RecoveryOpts};
-use yycore::{run_parallel_with_mode, RunConfig, SyncMode};
+use yycore::{run_parallel, RunConfig};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// Tiles per panel for the step comparison. One tile per panel by
-/// default: 2 ranks keep the comparison meaningful even on single-core
+/// Tiles per panel for the step measurement. One tile per panel by
+/// default: 2 ranks keep the number meaningful even on single-core
 /// CI boxes, where more threads measure the scheduler, not the solver.
 fn step_decomp() -> (usize, usize) {
     (env_u64("YY_BENCH_STEP_PTH", 1) as usize, env_u64("YY_BENCH_STEP_PPH", 1) as usize)
@@ -163,25 +163,19 @@ fn bench_overset_donate_fill(c: &mut Harness) {
     group.finish();
 }
 
-/// Median seconds per step of a multi-rank run in the given mode, and
-/// the phase breakdown of the last rep. Setup (universe spawn, init,
-/// initial sync) is excluded — `RunReport.wall_seconds` starts after it.
+/// Seconds per step of a multi-rank run, and its phase breakdown.
+/// Setup (universe spawn, init, initial sync) is excluded —
+/// `RunReport.wall_seconds` starts after it.
 ///
 /// `delay_us > 0` runs under a deterministic injected per-message
 /// delivery latency (fixed, data-plane only), standing in for the latency
-/// the overlap exists to hide — on a single-core box the modes otherwise
-/// differ only by the blocking path's allocations, since every byte
-/// "travels" at memcpy speed. The injected plan is identical for both
-/// modes, and bit-exactness under it is covered by the core test suite.
-fn measure_step(
-    cfg: &RunConfig,
-    mode: SyncMode,
-    steps: u64,
-    delay_us: u64,
-) -> (f64, yycore::PhaseBreakdown, usize) {
+/// the overlap exists to hide — in-process every byte otherwise
+/// "travels" at memcpy speed. Bit-exactness under the injected plan is
+/// covered by the core test suite.
+fn measure_step(cfg: &RunConfig, steps: u64, delay_us: u64) -> (f64, yycore::PhaseBreakdown, usize) {
     let (pth, pph) = step_decomp();
     let report = if delay_us == 0 {
-        run_parallel_with_mode(cfg, pth, pph, steps, 0, false, mode).report
+        run_parallel(cfg, pth, pph, steps, 0, false).report
     } else {
         let opts = RecoveryOpts {
             fault: FaultSpec::seeded(11)
@@ -193,7 +187,6 @@ fn measure_step(
                 .with_data_floor(4096),
             checkpoint_every: 0,
             deadline: Duration::from_secs(120),
-            sync_mode: mode,
             ..RecoveryOpts::default()
         };
         run_parallel_supervised(cfg, pth, pph, steps, 0, &opts)
@@ -251,51 +244,34 @@ fn bench_parallel_step() -> String {
     let delay_us = env_u64("YY_BENCH_STEP_DELAY_US", 12_000);
     let (pth, pph) = step_decomp();
 
-    // Interleave the modes rep by rep, so slow drift of the host lands
-    // on both sides of the ratio instead of whichever mode ran last.
-    let (mut blocks, mut overs) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut overs = Vec::with_capacity(reps);
     let mut phases = yycore::PhaseBreakdown::default();
     let mut points = 0;
     for _ in 0..reps {
-        blocks.push(measure_step(&cfg, SyncMode::Blocking, steps, delay_us).0);
-        let (t, p, n) = measure_step(&cfg, SyncMode::Overlapped, steps, delay_us);
+        let (t, p, n) = measure_step(&cfg, steps, delay_us);
         overs.push(t);
         (phases, points) = (p, n);
     }
-    let (t_block, t_over) = (median(blocks), median(overs));
-    let speedup = t_block / t_over;
+    let t_over = median(overs);
     let pps = points as f64 / t_over;
 
-    // Kernel-bound companion measurement: the same comparison with the
-    // injected latency turned off, so the JSON carries a number dominated
-    // by compute rather than by the synthetic delay floor. This is the
-    // figure kernel rewrites are judged against (the delayed figure above
-    // answers the overlap question instead).
-    let (kb_block, kb_over) = if delay_us == 0 {
-        (t_block, t_over)
+    // Kernel-bound companion measurement: the same run with the injected
+    // latency turned off, so the JSON carries a number dominated by
+    // compute rather than by the synthetic delay floor. This is the
+    // figure kernel rewrites are judged against and CI gates on.
+    let kb_over = if delay_us == 0 {
+        t_over
     } else {
-        let (mut blocks0, mut overs0) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-        for _ in 0..reps {
-            blocks0.push(measure_step(&cfg, SyncMode::Blocking, steps, 0).0);
-            overs0.push(measure_step(&cfg, SyncMode::Overlapped, steps, 0).0);
-        }
-        (median(blocks0), median(overs0))
+        median((0..reps).map(|_| measure_step(&cfg, steps, 0).0).collect())
     };
     println!(
-        "parallel_step/kernel_bound_{pth}x{pph}            {:>12.2} µs/step blocking  {:>12.2} µs/step overlapped",
-        kb_block * 1e6,
+        "parallel_step/kernel_bound_{pth}x{pph}            {:>12.2} µs/step",
         kb_over * 1e6
     );
-
     println!(
-        "parallel_step/blocking_{pth}x{pph}_delay{delay_us}us      {:>12.2} µs/step",
-        t_block * 1e6
-    );
-    println!(
-        "parallel_step/overlapped_{pth}x{pph}_delay{delay_us}us    {:>12.2} µs/step  {:.2} Melem/s  speedup x{:.2}",
+        "parallel_step/overlapped_{pth}x{pph}_delay{delay_us}us    {:>12.2} µs/step  {:.2} Melem/s",
         t_over * 1e6,
-        pps / 1e6,
-        speedup
+        pps / 1e6
     );
     println!(
         "  phases (all-rank s): pack {:.4}  interior {:.4}  wait {:.4}  boundary {:.4}  overset {:.4}  hidden {:.2}",
@@ -322,7 +298,6 @@ fn bench_parallel_step() -> String {
             "  \"reps\": {},\n",
             "  \"decomp\": [{}, {}],\n",
             "  \"injected_delay_us\": {},\n",
-            "  \"blocking\": {{ \"median_ns_per_step\": {:.0}, \"points_per_s\": {:.0} }},\n",
             "  \"overlapped\": {{\n",
             "    \"median_ns_per_step\": {:.0},\n",
             "    \"points_per_s\": {:.0},\n",
@@ -330,16 +305,12 @@ fn bench_parallel_step() -> String {
             "\"boundary\": {:.6}, \"overset\": {:.6} }},\n",
             "    \"hidden_comm_fraction\": {:.4}\n",
             "  }},\n",
-            "  \"kernel_bound\": {{\n",
-            "    \"blocking_median_ns_per_step\": {:.0},\n",
-            "    \"overlapped_median_ns_per_step\": {:.0}\n",
-            "  }},\n",
+            "  \"kernel_bound\": {{ \"overlapped_median_ns_per_step\": {:.0} }},\n",
             "  \"elastic\": {{\n",
             "    \"retiles\": {},\n",
             "    \"steps_per_sec_before_shrink\": {:.2},\n",
             "    \"steps_per_sec_after_shrink\": {:.2}\n",
-            "  }},\n",
-            "  \"speedup_overlapped_vs_blocking\": {:.3}\n",
+            "  }}\n",
             "}}\n"
         ),
         points,
@@ -348,8 +319,6 @@ fn bench_parallel_step() -> String {
         pth,
         pph,
         delay_us,
-        t_block * 1e9,
-        points as f64 / t_block,
         t_over * 1e9,
         pps,
         phases.pack_s,
@@ -358,12 +327,10 @@ fn bench_parallel_step() -> String {
         phases.boundary_s,
         phases.overset_s,
         phases.hidden_comm_fraction(),
-        kb_block * 1e9,
         kb_over * 1e9,
         retiles,
         rate_before,
-        rate_after,
-        speedup
+        rate_after
     )
 }
 

@@ -29,28 +29,21 @@
 //!   report_json=P  write the RunReport JSON artifact here
 //!   log=PATH       write JSONL structured logs here
 //!   pth=N pph=N    process grid (parallel only)    [default 1x2]
-//!   mode=M         overlapped|blocking sync (parallel only)
-//!                  [default overlapped; blocking is the legacy
-//!                  compute-then-exchange baseline]
 //!   trace=PATH     (parallel) record per-rank flight recorders and
 //!                  write a Chrome trace-event JSON (Perfetto-loadable);
-//!                  failed passes dump PATH.postmortem. Routes the run
-//!                  through the supervised driver.
+//!                  failed passes dump PATH.postmortem.
 //!   profile_every=N (parallel) every N steps each rank appends
 //!                  per-kernel MFLOPS counter samples to its flight
 //!                  recorder ("C"-phase tracks in the Chrome trace).
-//!                  Routes through the supervised driver.
 //!   metrics_port=N (parallel) serve a live Prometheus text exposition
 //!                  of the allreduced counters on 127.0.0.1:N for the
-//!                  duration of the run. Routes through the supervised
-//!                  driver.
+//!                  duration of the run.
 //!
 //! science-telemetry keys (run/resume/parallel; see DESIGN.md §6j):
 //!   telemetry=1    arm the in-situ series store + physics watchdog;
 //!                  alert edges land in the report (`alerts`), the
 //!                  Chrome trace, and the metrics endpoint. Bit-exact:
 //!                  the armed trajectory is identical to unarmed.
-//!                  (parallel: routes through the supervised driver)
 //!   rules=PATH     watchdog rules file, one `name: channel kind k=v`
 //!                  rule per line           [default: built-in ruleset]
 //!   dt_collapse_at=N  fault-inject a CFL collapse: from step N the
@@ -78,16 +71,15 @@
 //!   ckpt_dir=PATH  (parallel) write per-rank checkpoint shards here at
 //!                  every checkpoint (pair with ckpt_every=N); restart
 //!                  with resume=PATH pointing at the directory, or
-//!                  reassemble with `yycore merge`. Routes through the
-//!                  supervised driver.
+//!                  reassemble with `yycore merge`.
 //!   ckpt_async=B   0|1 — write shards on a background writer thread,
 //!                  overlapped with the next steps' compute [default 1]
 //!   ckpt_compress=C  none|rle|delta shard payload codec: rle is
 //!                  self-contained run-length coding, delta XORs
 //!                  against the previous shard first    [default none]
 //!
-//! fault-tolerance keys (parallel only; any of them switches the run to
-//! the supervised driver, which recovers from the last checkpoint):
+//! fault-tolerance keys (parallel only; `yycore parallel` always runs
+//! under the supervisor, which recovers from the last checkpoint):
 //!   fault_seed=N   deterministic fault-schedule seed  [default 0]
 //!   drop=P         message drop probability (bounded retransmission)
 //!   delay=P        message delay probability
@@ -103,7 +95,7 @@
 //!   ckpt_every=N   checkpoint every N steps       [default 0 = ends only]
 //!   deadline_ms=N  per-receive comm deadline      [default 30000]
 //!
-//! elastic-decomposition keys (parallel only; also supervised):
+//! elastic-decomposition keys (parallel only):
 //!   on_failure=P   retry|retile|abort — what to do with a *persistent*
 //!                  fault (same node, same failure, twice) [default retry]
 //!   max_retiles=N  layout-shrink budget under retile    [default 2]
@@ -137,9 +129,7 @@ use yy_parcomm::FaultSpec;
 use yycore::checkpoint::Checkpoint;
 use yycore::output::{is_shard_dir, merge_shards};
 use yycore::parallel::{run_parallel_supervised, FailurePolicy, RecoveryOpts, WeightsMode};
-use yycore::{
-    run_parallel_with_mode, CkptCodec, ObsOpts, RunConfig, SerialSim, StreamOpts, SyncMode,
-};
+use yycore::{CkptCodec, ObsOpts, RunConfig, SerialSim, StreamOpts};
 
 /// Subcommand dispatch table. The dispatcher and the usage line both
 /// derive from this single list, so they cannot drift — a regression
@@ -206,7 +196,6 @@ struct Opts {
     kill_persistent: bool,
     ckpt_every: u64,
     deadline_ms: u64,
-    mode: SyncMode,
     profile_every: u64,
     metrics_port: Option<u16>,
     on_failure: FailurePolicy,
@@ -305,7 +294,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         kill_persistent: false,
         ckpt_every: 0,
         deadline_ms: 30_000,
-        mode: SyncMode::default(),
         profile_every: 0,
         metrics_port: None,
         on_failure: FailurePolicy::default(),
@@ -410,13 +398,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "metrics_hold_ms" => {
                 o.metrics_hold_ms =
                     v.parse().map_err(|e| format!("metrics_hold_ms: {e}"))?
-            }
-            "mode" => {
-                o.mode = match v {
-                    "overlapped" => SyncMode::Overlapped,
-                    "blocking" => SyncMode::Blocking,
-                    other => return Err(format!("mode: expected overlapped|blocking, got '{other}'")),
-                }
             }
             _ => o.cfg.apply_override(k, v)?,
         }
@@ -610,23 +591,6 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         o.pth,
         o.pph
     );
-    let spec = o.fault_spec();
-    // Any fault key, checkpoint request, or observability output routes
-    // through the supervised driver (fault injection, health guards,
-    // checkpointed recovery, flight recorders).
-    let supervised = spec.is_active()
-        || o.ckpt.is_some()
-        || o.ckpt_dir.is_some()
-        || o.ckpt_every > 0
-        || o.trace.is_some()
-        || o.log.is_some()
-        || o.profile_every > 0
-        || o.metrics_port.is_some()
-        || o.telemetry
-        || o.dt_collapse_at.is_some()
-        || o.resume.is_some()
-        || o.on_failure != FailurePolicy::default()
-        || o.weights != WeightsMode::default();
     // The CLI owns the metrics endpoint (instead of letting the driver
     // bind it) so `metrics_hold_ms=` can keep it serving the final
     // state after the run returns — that is what makes
@@ -639,104 +603,97 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         ),
         _ => None,
     };
-    let report = if supervised {
-        let resume_from = match &o.resume {
-            Some(path) if is_shard_dir(path) => {
-                let ck = merge_shards(&o.cfg, path, None)
-                    .map_err(|e| format!("merging shards in {}: {e}", path.display()))?;
-                eprintln!("merged shard set at step {} from {}", ck.step, path.display());
-                Some(ck)
-            }
-            Some(path) => Some(
-                Checkpoint::load(path)
-                    .map_err(|e| format!("loading resume checkpoint {}: {e}", path.display()))?,
-            ),
-            None => None,
-        };
-        let ropts = RecoveryOpts {
-            fault: spec,
-            checkpoint_every: o.ckpt_every,
-            deadline: Duration::from_millis(o.deadline_ms),
-            sync_mode: o.mode,
-            ckpt_dir: o.ckpt_dir.clone(),
-            ckpt_async: o.ckpt_async,
-            ckpt_compress: o.ckpt_compress,
-            obs: ObsOpts {
-                trace: o.trace.clone(),
-                log: o.log.clone(),
-                profile_every: o.profile_every,
-                metrics_hub: metrics_hub.clone(),
-                series: o.telemetry,
-                rules: o.rules.clone(),
-                ..ObsOpts::default()
-            },
-            dt_inject: o.dt_inject(),
-            on_failure: o.on_failure,
-            max_retiles: o.max_retiles,
-            retile_backoff: Duration::from_millis(o.retile_backoff_ms),
-            weights: o.weights,
-            resume_from,
-            ..RecoveryOpts::default()
-        };
-        let sup = run_parallel_supervised(&o.cfg, o.pth, o.pph, o.steps, o.sample, &ropts)?;
-        for ev in &sup.recoveries {
-            eprintln!(
-                "recovered: pass {} failed ({}); resumed from step {}",
-                ev.pass, ev.cause, ev.resume_step
-            );
+    let resume_from = match &o.resume {
+        Some(path) if is_shard_dir(path) => {
+            let ck = merge_shards(&o.cfg, path, None)
+                .map_err(|e| format!("merging shards in {}: {e}", path.display()))?;
+            eprintln!("merged shard set at step {} from {}", ck.step, path.display());
+            Some(ck)
         }
-        for rt in &sup.retiles {
-            eprintln!(
-                "retiled: pass {} excluded node {}; {}x{} -> {}x{}, resumed from step {}",
-                rt.pass, rt.excluded_node, rt.from.0, rt.from.1, rt.to.0, rt.to.1, rt.resume_step
-            );
-        }
-        if sup.degraded {
-            eprintln!(
-                "degraded mode: finished on {}x{} with {} node(s) excluded",
-                sup.final_layout.0,
-                sup.final_layout.1,
-                sup.excluded_nodes.len()
-            );
-        }
-        eprintln!(
-            "imbalance ({} weights): predicted {:.3}, achieved {:.3}",
-            o.weights.name(),
-            sup.predicted_imbalance,
-            sup.achieved_imbalance
-        );
-        if sup.passes.len() > 1 {
-            let first = &sup.passes[0];
-            let last = sup.passes.last().unwrap();
-            eprintln!(
-                "pass rates: {}x{} {:.1} steps/s -> {}x{} {:.1} steps/s",
-                first.pth,
-                first.pph,
-                first.steps_per_sec(),
-                last.pth,
-                last.pph,
-                last.steps_per_sec()
-            );
-        }
-        if sup.dt_scale != 1.0 {
-            eprintln!("health guards reduced dt by x{}", sup.dt_scale);
-        }
-        if let Some(path) = &o.ckpt {
-            sup.final_checkpoint
-                .save(path)
-                .map_err(|e| format!("writing checkpoint: {e}"))?;
-            eprintln!("wrote checkpoint to {}", path.display());
-        }
-        if let Some(path) = &o.trace {
-            eprintln!("wrote trace to {}", path.display());
-        }
-        eprintln!("max mailbox depth observed: {}", sup.report.max_queue_depth);
-        sup.report
-    } else {
-        let rep =
-            run_parallel_with_mode(&o.cfg, o.pth, o.pph, o.steps, o.sample, false, o.mode);
-        rep.report
+        Some(path) => Some(
+            Checkpoint::load(path)
+                .map_err(|e| format!("loading resume checkpoint {}: {e}", path.display()))?,
+        ),
+        None => None,
     };
+    let ropts = RecoveryOpts {
+        fault: o.fault_spec(),
+        checkpoint_every: o.ckpt_every,
+        deadline: Duration::from_millis(o.deadline_ms),
+        ckpt_dir: o.ckpt_dir.clone(),
+        ckpt_async: o.ckpt_async,
+        ckpt_compress: o.ckpt_compress,
+        obs: ObsOpts {
+            trace: o.trace.clone(),
+            log: o.log.clone(),
+            profile_every: o.profile_every,
+            metrics_hub: metrics_hub.clone(),
+            series: o.telemetry,
+            rules: o.rules.clone(),
+            ..ObsOpts::default()
+        },
+        dt_inject: o.dt_inject(),
+        on_failure: o.on_failure,
+        max_retiles: o.max_retiles,
+        retile_backoff: Duration::from_millis(o.retile_backoff_ms),
+        weights: o.weights,
+        resume_from,
+        ..RecoveryOpts::default()
+    };
+    let sup = run_parallel_supervised(&o.cfg, o.pth, o.pph, o.steps, o.sample, &ropts)?;
+    for ev in &sup.recoveries {
+        eprintln!(
+            "recovered: pass {} failed ({}); resumed from step {}",
+            ev.pass, ev.cause, ev.resume_step
+        );
+    }
+    for rt in &sup.retiles {
+        eprintln!(
+            "retiled: pass {} excluded node {}; {}x{} -> {}x{}, resumed from step {}",
+            rt.pass, rt.excluded_node, rt.from.0, rt.from.1, rt.to.0, rt.to.1, rt.resume_step
+        );
+    }
+    if sup.degraded {
+        eprintln!(
+            "degraded mode: finished on {}x{} with {} node(s) excluded",
+            sup.final_layout.0,
+            sup.final_layout.1,
+            sup.excluded_nodes.len()
+        );
+    }
+    eprintln!(
+        "imbalance ({} weights): predicted {:.3}, achieved {:.3}",
+        o.weights.name(),
+        sup.predicted_imbalance,
+        sup.achieved_imbalance
+    );
+    if sup.passes.len() > 1 {
+        let first = &sup.passes[0];
+        let last = sup.passes.last().unwrap();
+        eprintln!(
+            "pass rates: {}x{} {:.1} steps/s -> {}x{} {:.1} steps/s",
+            first.pth,
+            first.pph,
+            first.steps_per_sec(),
+            last.pth,
+            last.pph,
+            last.steps_per_sec()
+        );
+    }
+    if sup.dt_scale != 1.0 {
+        eprintln!("health guards reduced dt by x{}", sup.dt_scale);
+    }
+    if let Some(path) = &o.ckpt {
+        sup.final_checkpoint
+            .save(path)
+            .map_err(|e| format!("writing checkpoint: {e}"))?;
+        eprintln!("wrote checkpoint to {}", path.display());
+    }
+    if let Some(path) = &o.trace {
+        eprintln!("wrote trace to {}", path.display());
+    }
+    eprintln!("max mailbox depth observed: {}", sup.report.max_queue_depth);
+    let report = sup.report;
     eprintln!(
         "traffic: halo {} KiB, overset {} KiB",
         report.halo_bytes / 1024,
@@ -766,52 +723,50 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         // Feed the measured hidden fraction into the Earth Simulator
         // model: what the paper's flagship run would sustain if its
         // exchanges were hidden as well as this run's were.
-        if o.mode == SyncMode::Overlapped {
-            use yy_esmodel::model::{project_overlapped, RunShape};
-            use yy_esmodel::{EsMachine, EsModelParams, KernelProfile};
-            let hidden = p.hidden_comm_fraction();
-            let proj = project_overlapped(
+        use yy_esmodel::model::{project_overlapped, RunShape};
+        use yy_esmodel::{EsMachine, EsModelParams, KernelProfile};
+        let hidden = p.hidden_comm_fraction();
+        let proj = project_overlapped(
+            &EsMachine::earth_simulator(),
+            &EsModelParams::calibrated(),
+            &KernelProfile::yycore_default(),
+            &RunShape { procs: 4096, nr: 511, nth: 514, nph: 1538 },
+            hidden,
+        );
+        eprintln!(
+            "hidden comm fraction {:.2} -> ES 4096p projection: \
+             {:.1} TFlops sustained, {:.0}% of peak",
+            hidden,
+            proj.tflops(),
+            proj.efficiency * 100.0
+        );
+        // The mean hides the tail: feed the measured receive-wait
+        // p99/p50 spread into the tail-aware projection, which
+        // inflates the *exposed* communication accordingly. Only
+        // meaningful when the median wait is itself a real latency
+        // (≥1 µs, the injected-delay bench regime) — on an idle
+        // in-process run most receives find their message already
+        // delivered, p50 is a few ns, and the ratio is noise.
+        if !report.recv_wait.is_empty() && report.recv_wait.p50() >= 1_000 {
+            use yy_esmodel::model::{project_overlapped_tail, WaitTail};
+            let tail = WaitTail {
+                p50: report.recv_wait.p50() as f64,
+                p99: report.recv_wait.p99() as f64,
+            };
+            let tproj = project_overlapped_tail(
                 &EsMachine::earth_simulator(),
                 &EsModelParams::calibrated(),
                 &KernelProfile::yycore_default(),
                 &RunShape { procs: 4096, nr: 511, nth: 514, nph: 1538 },
                 hidden,
+                tail,
             );
             eprintln!(
-                "hidden comm fraction {:.2} -> ES 4096p projection: \
-                 {:.1} TFlops sustained, {:.0}% of peak",
-                hidden,
-                proj.tflops(),
-                proj.efficiency * 100.0
+                "recv-wait tail p99/p50 = x{:.1} -> tail-aware projection: \
+                 {:.1} TFlops sustained",
+                tail.ratio(),
+                tproj.tflops()
             );
-            // The mean hides the tail: feed the measured receive-wait
-            // p99/p50 spread into the tail-aware projection, which
-            // inflates the *exposed* communication accordingly. Only
-            // meaningful when the median wait is itself a real latency
-            // (≥1 µs, the injected-delay bench regime) — on an idle
-            // in-process run most receives find their message already
-            // delivered, p50 is a few ns, and the ratio is noise.
-            if !report.recv_wait.is_empty() && report.recv_wait.p50() >= 1_000 {
-                use yy_esmodel::model::{project_overlapped_tail, WaitTail};
-                let tail = WaitTail {
-                    p50: report.recv_wait.p50() as f64,
-                    p99: report.recv_wait.p99() as f64,
-                };
-                let tproj = project_overlapped_tail(
-                    &EsMachine::earth_simulator(),
-                    &EsModelParams::calibrated(),
-                    &KernelProfile::yycore_default(),
-                    &RunShape { procs: 4096, nr: 511, nth: 514, nph: 1538 },
-                    hidden,
-                    tail,
-                );
-                eprintln!(
-                    "recv-wait tail p99/p50 = x{:.1} -> tail-aware projection: \
-                     {:.1} TFlops sustained",
-                    tail.ratio(),
-                    tproj.tflops()
-                );
-            }
         }
     }
     print_alerts(&report);
@@ -1261,12 +1216,14 @@ fn ledger_entry_from_report(
     } else {
         0.0
     };
-    let layout = match doc.get("elastic") {
-        Some(e) => (
-            e.get("final_pth").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-            e.get("final_pph").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
+    // Reports carry the layout in `elastic`; BENCH_step.json in `decomp`.
+    let dim = |v: Option<&Json>| v.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
+    let layout = match (doc.get("decomp").and_then(|d| d.as_arr()), doc.get("elastic")) {
+        (Some(d), _) => (dim(d.first()), dim(d.get(1))),
+        (None, e) => (
+            dim(e.and_then(|e| e.get("final_pth"))),
+            dim(e.and_then(|e| e.get("final_pph"))),
         ),
-        None => (0, 0),
     };
     let codec = doc
         .get("io")
@@ -1678,11 +1635,13 @@ mod tests {
         let step = dir.join("BENCH_step.json");
         std::fs::write(
             &step,
-            r#"{"bench":"step","grid_points":1000,"steps":4,
-               "overlapped":{"median_ns_per_step":500000,"hidden_comm_fraction":0.54}}"#,
+            r#"{"bench":"step","grid_points":1000,"steps":4,"decomp":[1,2],
+               "overlapped":{"median_ns_per_step":500000,"hidden_comm_fraction":0.54},
+               "elastic":{"retiles":1}}"#,
         )
         .unwrap();
         let e = ledger_entry_from_report(&step, "bench-step", 0).unwrap();
+        assert_eq!(e.layout, (1, 2), "the bench's `decomp`, not `elastic`'s absent layout");
         assert_eq!(e.ns_per_point, 500.0);
         assert_eq!(e.hidden_comm_fraction, 0.54);
         assert!(e.es_tflops > 0.0, "hidden fraction implies a projection");

@@ -23,10 +23,9 @@ pub struct RunConfig {
     /// Recompute dt every this many steps (1 = every step).
     pub dt_every: usize,
     /// Which RHS sweep runs: the leaf kernels at the host's detected
-    /// vector width (`rhs_impl=fused`, the default) or the unfused
-    /// reference sweep, the exactness oracle (`rhs_impl=reference`).
-    /// All are bit-identical; the baseline instantiation is a value
-    /// for the tests only.
+    /// vector width (the default). All are bit-identical; the baseline
+    /// instantiation and the unfused reference sweep (the exactness
+    /// oracle) are values for the tests only, so no key selects them.
     pub rhs_kernels: RhsKernels,
 }
 
@@ -105,13 +104,6 @@ impl RunConfig {
                 self.init.seed =
                     value.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?
             }
-            "rhs_impl" => {
-                self.rhs_kernels = match value {
-                    "fused" => RhsKernels::Detected,
-                    "reference" => RhsKernels::Reference,
-                    other => return Err(format!("unknown rhs_impl '{other}'")),
-                }
-            }
             "mag_bc" => {
                 self.mag_bc = match value {
                     "conducting" => MagneticBc::ConductingWall,
@@ -159,12 +151,11 @@ mod tests {
         assert_eq!(cfg.params.mu, 0.5);
         assert_eq!(cfg.mag_bc, MagneticBc::ZeroGradient);
         assert_eq!(cfg.rhs_kernels, RhsKernels::Detected);
-        cfg.apply_args(["rhs_impl=reference".to_string()]).unwrap();
-        assert_eq!(cfg.rhs_kernels, RhsKernels::Reference);
-        assert!(cfg.apply_override("phi_block", "4").is_err(), "the knob is gone");
-        cfg.apply_override("rhs_impl", "fused").unwrap();
+        for gone in ["phi_block=4", "rhs_impl=reference"] {
+            let err = cfg.apply_args([gone.to_string()]).unwrap_err();
+            assert!(err.contains("unknown config key"), "{gone}: {err}");
+        }
         assert_eq!(cfg.rhs_kernels, RhsKernels::Detected);
-        assert!(cfg.apply_override("rhs_impl", "magic").is_err());
     }
 
     #[test]

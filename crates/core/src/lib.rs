@@ -54,8 +54,8 @@ pub use health::{HealthGuard, HealthLimits, HealthViolation};
 pub use obs::{ObsOpts, TraceMode};
 pub use output::{merge_shards, CkptCodec, IoTotals, OutputStage};
 pub use parallel::{
-    run_parallel, run_parallel_supervised, run_parallel_with_mode, FailurePolicy, ParallelReport,
-    PassStat, RecoveryEvent, RecoveryOpts, SupervisedReport, SyncMode, WeightsMode,
+    run_parallel, run_parallel_supervised, FailurePolicy, ParallelReport, PassStat, RecoveryEvent,
+    RecoveryOpts, SupervisedReport, WeightsMode,
 };
 pub use telemetry::{DtInject, ScienceTelemetry};
 pub use weights::ColumnCosts;

@@ -24,7 +24,7 @@
 //!
 //! # Fault tolerance
 //!
-//! [`run_parallel_supervised`] wraps the same rank program in the
+//! [`run_parallel_supervised`] runs the same rank program in the
 //! supervised runtime: deterministic fault injection
 //! ([`yy_parcomm::fault`]), comm deadlines with bounded retry, per-step
 //! solver health guards ([`crate::health`]), and periodic parallel
@@ -45,10 +45,11 @@ use crate::output::{pack_shard_payload, shard_file_name, CkptCodec, OutputStage,
 pub use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
 use crate::report::{IoStats, PhaseBreakdown, RunReport, TimeSeriesPoint};
 use crate::serial::{overset_donate_tally, overset_fill_tally};
+use crate::telemetry::{DtInject, ScienceTelemetry};
 use crate::weights::ColumnCosts;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use yy_field::{pack_region, unpack_region, Array3, Meters, Region};
 use yy_mesh::routing::{build_schedule, panel_of_world, OversetExchange, TargetSlot};
@@ -67,25 +68,13 @@ use yy_obs::event::counter;
 use yy_obs::hist::HistogramSnapshot;
 use yy_obs::{
     analyze, doctor_gauges_text, prometheus_text_with_phases, science_gauges_text, AnalysisInput,
-    Event, JsonlLogger, MetricsHub, MetricsServer,
+    Event, JsonlLogger, MetricsHub, MetricsServer, RecorderSet,
 };
 use yy_parcomm::stats::{SolverPhase, TrafficClass};
-use yy_parcomm::{CartComm, Comm, FaultPlan, FaultSpec, ReduceOp, SupervisedOpts, Universe};
-
-/// How a rank synchronises tile boundaries inside the RK4 stage loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Split each RHS sweep into a deep interior and a boundary shell:
-    /// post halo/overset sends, compute the deep interior while the
-    /// messages are in flight, then drain receives and compute the shell.
-    /// Allocation-free after warmup. Bit-identical to `Blocking`.
-    #[default]
-    Overlapped,
-    /// The legacy path: compute the full RHS, then block through a
-    /// serialized halo → overset → wall-condition sync (with its original
-    /// per-stage allocations). Kept as the bench baseline.
-    Blocking,
-}
+use yy_parcomm::{
+    CartComm, Comm, CommStats, FailureKind, FaultPlan, FaultSpec, RankFailure, ReduceOp,
+    SupervisedOpts, Universe,
+};
 
 /// User-tag space for the solver's point-to-point traffic.
 const TAG_HALO_THETA: u64 = 11;
@@ -93,12 +82,21 @@ const TAG_HALO_PHI: u64 = 12;
 const TAG_OVERSET: u64 = 13;
 const TAG_GATHER: u64 = 14;
 
+/// The supervisor's last-good checkpoint, replaced whole by rank 0.
+type CkptSlot = Mutex<Option<Checkpoint>>;
+
+/// A panicked rank thread cannot leave the slot half-written (it is
+/// only ever replaced whole), so a poisoned lock is still good.
+fn lock_slot(slot: &CkptSlot) -> MutexGuard<'_, Option<Checkpoint>> {
+    slot.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Result of a parallel run (assembled on world rank 0).
 pub struct ParallelReport {
     /// Run metrics and the diagnostic series.
     pub report: RunReport,
-    /// Gathered full Yin panel (owned values; ghosts as initialized)
-    /// when requested.
+    /// Gathered full Yin panel when requested (overset frames and wall
+    /// conditions filled, as a serial panel).
     pub yin: Option<State>,
     /// Gathered full Yang panel.
     pub yang: Option<State>,
@@ -108,7 +106,10 @@ pub struct ParallelReport {
 }
 
 /// Execute a parallel run with `pth × pph` tiles per panel
-/// (world size = `2 · pth · pph` rank threads).
+/// (world size = `2 · pth · pph` rank threads): the rank program of
+/// [`run_parallel_supervised`] in a plain universe, with no fault plan,
+/// no deadlines and no checkpoints. Panics on a solver health violation
+/// (there is nothing to roll back to).
 pub fn run_parallel(
     cfg: &RunConfig,
     pth: usize,
@@ -117,35 +118,35 @@ pub fn run_parallel(
     sample_every: u64,
     gather_state: bool,
 ) -> ParallelReport {
-    run_parallel_with_mode(cfg, pth, pph, steps, sample_every, gather_state, SyncMode::Overlapped)
-}
-
-/// [`run_parallel`] with an explicit boundary-synchronisation mode.
-/// `Overlapped` and `Blocking` are bitwise identical in output; the mode
-/// only selects the step pipeline (and is what the step benchmark
-/// contrasts).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_with_mode(
-    cfg: &RunConfig,
-    pth: usize,
-    pph: usize,
-    steps: u64,
-    sample_every: u64,
-    gather_state: bool,
-    mode: SyncMode,
-) -> ParallelReport {
     cfg.params.validate();
-    let tiles = pth * pph;
-    let nprocs = 2 * tiles;
-    let cfg = cfg.clone();
-    let results = Universe::run(nprocs, move |world| {
-        rank_main(&cfg, world, pth, pph, steps, sample_every, gather_state, mode)
+    let decomp = Decomp2D::new(pth, pph, &cfg.grid());
+    let plan = PassPlan {
+        steps,
+        sample_every,
+        checkpoint_every: 0,
+        health: HealthLimits::default(),
+        dt_scale: 1.0,
+        dt_inject: None,
+        counters: true,
+        profile_every: 0,
+        metrics: None,
+        shards: None,
+    };
+    // The gathered panels are the panels of a final checkpoint.
+    let slot = gather_state.then(|| Mutex::new(None));
+    let results = Universe::run(2 * decomp.tiles(), |world| {
+        rank_program(cfg, world, &decomp, &plan, None, slot.as_ref())
     });
-    results
-        .into_iter()
-        .flatten()
-        .next()
-        .expect("rank 0 must produce the report")
+    // A health verdict is collective: every rank returned the same `Err`.
+    let mut rep = match results.into_iter().next() {
+        Some(Ok(Some(rep))) => rep,
+        Some(Err(violation)) => panic!("{violation}"),
+        _ => panic!("rank 0 must produce the report"),
+    };
+    if let Some(ck) = slot.and_then(|s| lock_slot(&s).take()) {
+        (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
+    }
+    rep
 }
 
 /// What the supervisor does when a rank failure is classified as
@@ -234,10 +235,6 @@ pub struct RecoveryOpts {
     pub max_dt_reductions: u32,
     /// Solver health thresholds.
     pub health: HealthLimits,
-    /// Boundary-synchronisation mode of the rank program (both modes are
-    /// bitwise identical; `Blocking` exists as the benchmark baseline,
-    /// e.g. to compare delay sensitivity under an injected fault plan).
-    pub sync_mode: SyncMode,
     /// Observability: flight-recorder installation, Chrome-trace /
     /// JSONL output paths, ring sizing. Recording never perturbs the
     /// trajectory — the traced and untraced runs are bitwise identical.
@@ -273,7 +270,7 @@ pub struct RecoveryOpts {
     /// watchdog's `dt_collapse` precursor. The CFL/health machinery
     /// still sees the un-injected dt, so a short run completes. `None`
     /// (the default) in every production run.
-    pub dt_inject: Option<crate::telemetry::DtInject>,
+    pub dt_inject: Option<DtInject>,
 }
 
 impl Default for RecoveryOpts {
@@ -286,7 +283,6 @@ impl Default for RecoveryOpts {
             max_recoveries: 3,
             max_dt_reductions: 2,
             health: HealthLimits::default(),
-            sync_mode: SyncMode::Overlapped,
             obs: ObsOpts::default(),
             on_failure: FailurePolicy::Retry,
             max_retiles: 2,
@@ -381,14 +377,14 @@ pub struct SupervisedReport {
 
 /// Execute a parallel run under the fault-tolerant supervisor.
 ///
-/// The rank program is [`run_parallel`]'s, plus: a `fault_tick` at the
-/// top of every step (injected kills), per-step health scans with a
-/// global verdict, and periodic checkpoint capture at rank 0. The
-/// supervisor restarts the universe from the last good checkpoint when
-/// any rank fails, and additionally halves the time step when the
-/// failure was a solver health violation. With faults that only
-/// drop/delay/duplicate messages — or a kill recovered from checkpoint —
-/// the final state is bitwise identical to an uninterrupted run.
+/// The rank program is [`run_parallel`]'s, in a supervised universe: a
+/// `fault_tick` at the top of every step (injected kills), deadline-
+/// bounded receives, and checkpoint capture at rank 0. The supervisor
+/// restarts the universe from the last good checkpoint when any rank
+/// fails, and additionally halves the time step when the failure was a
+/// solver health violation. With faults that only drop/delay/duplicate
+/// messages — or a kill recovered from checkpoint — the final state is
+/// bitwise identical to an uninterrupted run.
 pub fn run_parallel_supervised(
     cfg: &RunConfig,
     pth: usize,
@@ -397,404 +393,533 @@ pub fn run_parallel_supervised(
     sample_every: u64,
     opts: &RecoveryOpts,
 ) -> Result<SupervisedReport, String> {
-    cfg.params.validate();
-    opts.check()?;
-    let grid = cfg.grid();
-    // Node identities are fixed at the *requested* size: world ranks of
-    // every pass map onto the first `nprocs` surviving nodes, so the
-    // fault plan (which targets node ids) keeps aiming at the same
-    // hardware across re-tiles, and an excluded node is gone for good.
-    let req_nprocs = 2 * pth * pph;
-    let plan = opts
-        .fault
-        .is_active()
-        .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs)));
-    // The supervisor — not the universe — owns the flight recorders, so
-    // ring contents survive the teardown of a failed pass and can be
-    // dumped as a post-mortem.
-    let recorders = opts.obs.make_recorders(req_nprocs);
-    let logger = match &opts.obs.log {
-        Some(path) => Some(
-            JsonlLogger::create(path).map_err(|e| format!("opening log {}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
-    let log = |level: &str, msg: &str, extra: &[(&str, String)]| {
-        if let Some(l) = &logger {
-            l.log(level, None, None, msg, extra);
+    let mut sup = Supervisor::setup(cfg, pth, pph, steps, sample_every, opts)?;
+    loop {
+        let pass = sup.run_pass()?;
+        let action = next_action(&mut sup.policy, &pass.outcome);
+        if sup.apply(action, &pass)? {
+            return sup.finish(pass);
         }
-    };
-    log(
-        "info",
-        "supervised run start",
-        &[
-            ("nprocs", req_nprocs.to_string()),
-            ("steps", steps.to_string()),
-            ("policy", opts.on_failure.name().to_string()),
-            ("weights", opts.weights.name().to_string()),
-            ("traced", recorders.is_some().to_string()),
-        ],
-    );
-    // Live metrics: tests may inject a hub to scrape without a socket;
-    // a configured port gets a hub plus the std-TcpListener endpoint.
-    // The server (if any) lives for the whole supervised run, including
-    // across pass restarts, and stops on drop.
-    let hub = opts
-        .obs
-        .metrics_hub
-        .clone()
-        .or_else(|| opts.obs.metrics_port.map(|_| Arc::new(MetricsHub::new())));
-    let _metrics_server = match (&hub, opts.obs.metrics_port) {
-        (Some(h), Some(port)) => {
-            let server = MetricsServer::start(Arc::clone(h), port)
-                .map_err(|e| format!("starting metrics endpoint on port {port}: {e}"))?;
-            log(
-                "info",
-                "metrics endpoint up",
-                &[("addr", server.local_addr().to_string())],
-            );
-            Some(server)
+    }
+}
+
+/// How one supervised pass ended, as the recovery policy sees it.
+#[derive(Debug)]
+enum PassOutcome {
+    /// Every rank ran to the last step.
+    Completed,
+    /// A rank died (injected kill, comm error, panic).
+    RankFailed {
+        /// Stable node id the rank ran on (survives re-tiles).
+        node: usize,
+        /// Failure signature: separates a deterministic re-kill from
+        /// unrelated trouble on the same hardware.
+        sig: String,
+        /// The failure, for the error and the recovery record.
+        cause: String,
+    },
+    /// Every rank survived and returned the collective health verdict.
+    Unhealthy(String),
+}
+
+impl PassOutcome {
+    fn cause(&self) -> &str {
+        match self {
+            PassOutcome::Completed => "",
+            PassOutcome::RankFailed { cause, .. } | PassOutcome::Unhealthy(cause) => cause,
         }
-        _ => None,
-    };
-    let rank_obs = RankObs {
-        counters: opts.obs.counters,
-        profile_every: opts.obs.profile_every,
-        metrics: hub,
-    };
-    // Measured column costs come from one serial probe, shared by every
-    // (re)build — re-probing mid-run would move cut boundaries between
-    // passes for no benefit.
-    let costs = match opts.weights {
-        WeightsMode::Measured => Some(ColumnCosts::measure(cfg, 2)),
-        WeightsMode::Uniform => None,
-    };
-    let build_decomp = |p: usize, q: usize| match &costs {
-        Some(c) => c.decompose(p, q, &grid),
-        None => Decomp2D::new(p, q, &grid),
-    };
-    // Disk persistence: each rank writes its owned region into the shard
-    // directory at every checkpoint event, overlapped with compute when
-    // `ckpt_async` (the tentpole). Presence is rank-uniform by
-    // construction — the config is decided here, once, for the run.
-    let shard_cfg: Option<Arc<ShardCfg>> = match &opts.ckpt_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("creating checkpoint directory {}: {e}", dir.display()))?;
-            Some(Arc::new(ShardCfg {
-                dir: dir.clone(),
-                async_mode: opts.ckpt_async,
-                codec: opts.ckpt_compress,
-            }))
+    }
+}
+
+/// What the supervisor does after a pass.
+#[derive(Debug, PartialEq)]
+enum Action {
+    /// The run is complete.
+    Finish,
+    /// Restart from the last good checkpoint on the same layout.
+    Rollback,
+    /// Restart from the last good checkpoint with half the time step.
+    HalveDt,
+    /// Exclude `node`, shrink the layout `from` → `PolicyState::layout`
+    /// and resume there.
+    Retile { node: usize, from: (usize, usize) },
+    /// Stop with this error.
+    GiveUp(String),
+}
+
+/// The budgets and counters [`next_action`] decides from, and the
+/// elastic state it advances: the current layout, the surviving node
+/// pool and the persistent-fault classifier.
+#[derive(Debug)]
+struct PolicyState {
+    on_failure: FailurePolicy,
+    max_recoveries: u32,
+    max_dt_reductions: u32,
+    max_retiles: u32,
+    /// Passes started so far (the 1-based index of the current one).
+    pass: u32,
+    layout: (usize, usize),
+    survivors: Vec<usize>,
+    rank_recoveries: u32,
+    dt_reductions: u32,
+    retiles: u32,
+    /// Failures so far by (node, signature): two make a fault persistent.
+    fail_counts: HashMap<(usize, String), u32>,
+}
+
+impl PolicyState {
+    fn new(opts: &RecoveryOpts, pth: usize, pph: usize) -> Self {
+        PolicyState {
+            on_failure: opts.on_failure,
+            max_recoveries: opts.max_recoveries,
+            max_dt_reductions: opts.max_dt_reductions,
+            max_retiles: opts.max_retiles,
+            pass: 0,
+            layout: (pth, pph),
+            // Node identities are fixed at the *requested* size: world
+            // ranks of every pass map onto the first `nprocs` surviving
+            // nodes, so the fault plan (which targets node ids) keeps
+            // aiming at the same hardware across re-tiles, and an
+            // excluded node is gone for good.
+            survivors: (0..2 * pth * pph).collect(),
+            rank_recoveries: 0,
+            dt_reductions: 0,
+            retiles: 0,
+            fail_counts: HashMap::new(),
         }
-        None => None,
+    }
+}
+
+/// The recovery policy, apart from its mechanism: decide what follows
+/// a pass and charge the budget it draws on. Pure — it reads and
+/// writes `st` only.
+fn next_action(st: &mut PolicyState, outcome: &PassOutcome) -> Action {
+    let (node, sig, cause) = match outcome {
+        PassOutcome::Completed => return Action::Finish,
+        PassOutcome::Unhealthy(cause) => {
+            if st.dt_reductions >= st.max_dt_reductions {
+                return Action::GiveUp(format!(
+                    "health violations persist after {} dt reductions: {cause}",
+                    st.dt_reductions
+                ));
+            }
+            st.dt_reductions += 1;
+            return Action::HalveDt;
+        }
+        PassOutcome::RankFailed { node, sig, cause } => (*node, sig, cause),
     };
-    let slot: Arc<Mutex<Option<Checkpoint>>> = Arc::new(Mutex::new(None));
-    // The restart-onto-any-layout path: a serial-format checkpoint from
-    // *any* producer (serial run, any tile layout) seeds the slot, and
-    // the first pass restores it exactly like a rollback would.
-    if let Some(ck) = &opts.resume_from {
-        if ck.shape != grid.full_shape() {
-            return Err(format!(
-                "resume checkpoint geometry {:?} does not match the run configuration {:?}",
-                ck.shape,
-                grid.full_shape()
+    let count = st.fail_counts.entry((node, sig.clone())).or_insert(0);
+    *count += 1;
+    let count = *count;
+    if st.on_failure == FailurePolicy::Abort {
+        return Action::GiveUp(format!("on_failure=abort: pass {}: {cause}", st.pass));
+    }
+    if count < 2 {
+        if st.rank_recoveries >= st.max_recoveries {
+            return Action::GiveUp(format!(
+                "giving up after {} rank-failure recoveries: {cause}",
+                st.rank_recoveries
             ));
         }
-        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(ck.clone());
+        st.rank_recoveries += 1;
+        return Action::Rollback;
     }
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    let mut dt_scale = 1.0_f64;
-    let mut rank_recoveries = 0_u32;
-    let mut dt_reductions = 0_u32;
-    let mut pass = 0_u32;
-    // Elastic state: current layout, surviving node pool, and the
-    // persistent-fault classifier (same node, same failure signature).
-    let (mut cur_pth, mut cur_pph) = (pth, pph);
-    let mut survivors: Vec<usize> = (0..req_nprocs).collect();
-    let mut excluded_nodes: Vec<usize> = Vec::new();
-    let mut retiles: Vec<RetileRecord> = Vec::new();
-    let mut fail_counts: HashMap<(usize, String), u32> = HashMap::new();
-    let mut degraded = false;
-    let mut eff_ckpt_every = opts.checkpoint_every;
-    let mut passes: Vec<PassStat> = Vec::new();
-    // Science telemetry is supervisor-owned: built up front (so a bad
-    // rules file fails the launch, not the landing) and fed from the
-    // final pass's diagnostic series after success. The rank program
-    // never sees it — armed runs stay bit-identical to unarmed ones.
-    let mut science = crate::telemetry::ScienceTelemetry::from_opts(&opts.obs)?;
-    loop {
-        pass += 1;
-        let nprocs = 2 * cur_pth * cur_pph;
-        let node_map: Vec<usize> = survivors[..nprocs].to_vec();
-        let decomp = Arc::new(build_decomp(cur_pth, cur_pph));
-        // Messages stuck in limbo belong to the previous (dead) pass.
-        if let Some(plan) = &plan {
-            plan.begin_pass();
+    if st.on_failure == FailurePolicy::Retry {
+        // Don't burn the remaining retry budget replaying a
+        // deterministic failure — surface it with the fix.
+        return Action::GiveUp(format!(
+            "persistent fault: node {node} failed identically {count} times ({sig}); \
+             on_failure=retry cannot make progress — use on_failure=retile: {cause}"
+        ));
+    }
+    if st.retiles >= st.max_retiles {
+        return Action::GiveUp(format!("giving up after {} re-tiles: {cause}", st.retiles));
+    }
+    // Exclude the node and shrink the layout until the survivors cover
+    // it (2×2 → 1×2 → 1×1).
+    st.survivors.retain(|&n| n != node);
+    let from = st.layout;
+    let (mut pth, mut pph) = from;
+    while 2 * pth * pph > st.survivors.len() {
+        if pth >= pph && pth > 1 {
+            pth /= 2;
+        } else if pph > 1 {
+            pph /= 2;
+        } else {
+            return Action::GiveUp(format!(
+                "only {} nodes survive — too few for even a 1x1 layout: {cause}",
+                st.survivors.len()
+            ));
         }
-        let resume = Arc::new(slot.lock().unwrap_or_else(|e| e.into_inner()).clone());
-        let start_step = resume.as_ref().as_ref().map_or(0, |ck| ck.step);
-        let sup = SupervisedOpts {
-            fault: plan.clone(),
-            deadline: opts.deadline,
-            retry_base: opts.retry_base,
-            recorders: recorders.clone(),
-            nodes: Some(node_map.clone()),
+    }
+    st.layout = (pth, pph);
+    st.retiles += 1;
+    Action::Retile { node, from }
+}
+
+/// What every rank of one pass is told. Rank-uniform by construction —
+/// decided once, by the caller — so the collectives these settings
+/// gate stay matched.
+struct PassPlan {
+    /// Absolute step number the run ends at.
+    steps: u64,
+    sample_every: u64,
+    /// Capture a checkpoint every this many steps (0 = only the ends).
+    checkpoint_every: u64,
+    health: HealthLimits,
+    /// Scale on the CFL step (halved by each health rollback).
+    dt_scale: f64,
+    dt_inject: Option<DtInject>,
+    /// Arm the per-kernel counters.
+    counters: bool,
+    /// Profile-sample / metrics-publish cadence in steps (0 = off).
+    profile_every: u64,
+    metrics: Option<Arc<MetricsHub>>,
+    /// Write this rank's owned region at every checkpoint event.
+    shards: Option<ShardCfg>,
+}
+
+/// One finished pass.
+struct Pass {
+    outcome: PassOutcome,
+    /// Rank 0's report (completed passes only).
+    report: Option<ParallelReport>,
+    decomp: Decomp2D,
+    /// Step of the last good checkpoint after the pass.
+    resume_step: u64,
+}
+
+/// Append one line to the supervisor's JSONL log, if it keeps one.
+fn log(logger: &Option<JsonlLogger>, level: &str, msg: &str, extra: &[(&str, String)]) {
+    if let Some(l) = logger {
+        l.log(level, None, None, msg, extra);
+    }
+}
+
+/// The mechanism of a supervised run: everything that outlives a pass.
+struct Supervisor<'a> {
+    cfg: &'a RunConfig,
+    opts: &'a RecoveryOpts,
+    grid: PatchGrid,
+    fault: Option<Arc<FaultPlan>>,
+    /// The supervisor — not the universe — owns the flight recorders, so
+    /// ring contents survive the teardown of a failed pass and can be
+    /// dumped as a post-mortem.
+    recorders: Option<Arc<RecorderSet>>,
+    logger: Option<JsonlLogger>,
+    /// Lives for the whole run, across pass restarts; stops on drop.
+    _metrics_server: Option<MetricsServer>,
+    /// Measured column costs come from one serial probe, shared by every
+    /// (re)build — re-probing mid-run would move cut boundaries between
+    /// passes for no benefit.
+    costs: Option<ColumnCosts>,
+    /// Science telemetry is supervisor-owned: built up front (so a bad
+    /// rules file fails the launch, not the landing) and fed from the
+    /// final pass's diagnostic series after success. The rank program
+    /// never sees it — armed runs stay bit-identical to unarmed ones.
+    science: Option<ScienceTelemetry>,
+    slot: CkptSlot,
+    plan: PassPlan,
+    policy: PolicyState,
+    recoveries: Vec<RecoveryEvent>,
+    /// Every layout shrink so far; the run is *degraded* from the first.
+    retiles: Vec<RetileRecord>,
+    passes: Vec<PassStat>,
+}
+
+impl<'a> Supervisor<'a> {
+    fn setup(
+        cfg: &'a RunConfig,
+        pth: usize,
+        pph: usize,
+        steps: u64,
+        sample_every: u64,
+        opts: &'a RecoveryOpts,
+    ) -> Result<Self, String> {
+        cfg.params.validate();
+        opts.check()?;
+        let grid = cfg.grid();
+        let req_nprocs = 2 * pth * pph;
+        let recorders = opts.obs.make_recorders(req_nprocs);
+        let logger = match &opts.obs.log {
+            Some(path) => Some(
+                JsonlLogger::create(path)
+                    .map_err(|e| format!("opening log {}: {e}", path.display()))?,
+            ),
+            None => None,
         };
-        let cfg2 = cfg.clone();
-        let slot2 = Arc::clone(&slot);
-        let obs2 = rank_obs.clone();
-        let decomp2 = Arc::clone(&decomp);
-        let shards2 = shard_cfg.clone();
-        let dt_inject = opts.dt_inject;
-        let (checkpoint_every, health, sync_mode) = (eff_ckpt_every, opts.health, opts.sync_mode);
-        let pass_started = Instant::now();
-        let results = Universe::run_supervised(nprocs, sup, move |world| {
-            rank_main_supervised(
-                &cfg2,
-                world,
-                &decomp2,
+        log(
+            &logger,
+            "info",
+            "supervised run start",
+            &[
+                ("nprocs", req_nprocs.to_string()),
+                ("steps", steps.to_string()),
+                ("policy", opts.on_failure.name().to_string()),
+                ("weights", opts.weights.name().to_string()),
+                ("traced", recorders.is_some().to_string()),
+            ],
+        );
+        // Live metrics: tests may inject a hub to scrape without a socket;
+        // a configured port gets a hub plus the std-TcpListener endpoint.
+        let metrics = opts
+            .obs
+            .metrics_hub
+            .clone()
+            .or_else(|| opts.obs.metrics_port.map(|_| Arc::new(MetricsHub::new())));
+        let metrics_server = match (&metrics, opts.obs.metrics_port) {
+            (Some(h), Some(port)) => {
+                let server = MetricsServer::start(Arc::clone(h), port)
+                    .map_err(|e| format!("starting metrics endpoint on port {port}: {e}"))?;
+                let addr = server.local_addr().to_string();
+                log(&logger, "info", "metrics endpoint up", &[("addr", addr)]);
+                Some(server)
+            }
+            _ => None,
+        };
+        let costs = match opts.weights {
+            WeightsMode::Measured => Some(ColumnCosts::measure(cfg, 2)),
+            WeightsMode::Uniform => None,
+        };
+        // Disk persistence: each rank writes its owned region into the
+        // shard directory at every checkpoint event, overlapped with
+        // compute when `ckpt_async`.
+        let shards = match &opts.ckpt_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir).map_err(|e| {
+                    format!("creating checkpoint directory {}: {e}", dir.display())
+                })?;
+                Some(ShardCfg {
+                    dir: dir.clone(),
+                    async_mode: opts.ckpt_async,
+                    codec: opts.ckpt_compress,
+                })
+            }
+            None => None,
+        };
+        // The restart-onto-any-layout path: a serial-format checkpoint from
+        // *any* producer (serial run, any tile layout) seeds the slot, and
+        // the first pass restores it exactly like a rollback would.
+        if let Some(ck) = &opts.resume_from {
+            if ck.shape != grid.full_shape() {
+                return Err(format!(
+                    "resume checkpoint geometry {:?} does not match the run configuration {:?}",
+                    ck.shape,
+                    grid.full_shape()
+                ));
+            }
+        }
+        Ok(Supervisor {
+            cfg,
+            opts,
+            grid,
+            fault: opts
+                .fault
+                .is_active()
+                .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
+            recorders,
+            logger,
+            _metrics_server: metrics_server,
+            costs,
+            science: ScienceTelemetry::from_opts(&opts.obs)?,
+            slot: Mutex::new(opts.resume_from.clone()),
+            plan: PassPlan {
                 steps,
                 sample_every,
-                checkpoint_every,
-                health,
-                dt_scale,
-                resume.as_ref().as_ref(),
-                &slot2,
-                sync_mode,
-                &obs2,
-                shards2.as_deref(),
-                dt_inject,
-            )
+                checkpoint_every: opts.checkpoint_every,
+                health: opts.health,
+                dt_scale: 1.0,
+                dt_inject: opts.dt_inject,
+                counters: opts.obs.counters,
+                profile_every: opts.obs.profile_every,
+                metrics,
+                shards,
+            },
+            policy: PolicyState::new(opts, pth, pph),
+            recoveries: Vec::new(),
+            retiles: Vec::new(),
+            passes: Vec::new(),
+        })
+    }
+
+    /// Run the rank program once, on the current layout and surviving
+    /// nodes, from the last good checkpoint; classify how it ended.
+    fn run_pass(&mut self) -> Result<Pass, String> {
+        self.policy.pass += 1;
+        let (pth, pph) = self.policy.layout;
+        let nprocs = 2 * pth * pph;
+        let node_map: Vec<usize> = self.policy.survivors[..nprocs].to_vec();
+        let decomp = match &self.costs {
+            Some(c) => c.decompose(pth, pph, &self.grid),
+            None => Decomp2D::new(pth, pph, &self.grid),
+        };
+        // Messages stuck in limbo belong to the previous (dead) pass.
+        if let Some(plan) = &self.fault {
+            plan.begin_pass();
+        }
+        let resume = lock_slot(&self.slot).clone();
+        let start_step = resume.as_ref().map_or(0, |ck| ck.step);
+        let sup = SupervisedOpts {
+            fault: self.fault.clone(),
+            deadline: self.opts.deadline,
+            retry_base: self.opts.retry_base,
+            recorders: self.recorders.clone(),
+            nodes: Some(node_map.clone()),
+        };
+        let started = Instant::now();
+        let (cfg, plan, slot) = (self.cfg, &self.plan, &self.slot);
+        let results = Universe::run_supervised(nprocs, sup, |world| {
+            rank_program(cfg, world, &decomp, plan, resume.as_ref(), Some(slot))
         });
 
-        // Classify the pass. A rank failure (kill, comm error, panic)
-        // outranks a graceful health Err: health returns are collective,
-        // so they only decide the outcome when every rank survived. Among
-        // rank failures the root cause — an injected kill — wins over
-        // the peer-death errors it cascades into.
-        let mut failure: Option<yy_parcomm::RankFailure> = None;
-        let mut health_err = None;
+        // A rank failure (kill, comm error, panic) outranks a graceful
+        // health Err: health returns are collective, so they only decide
+        // the outcome when every rank survived. Among rank failures the
+        // root cause — an injected kill — wins over the peer-death
+        // errors it cascades into.
+        let is_kill = |f: &RankFailure| matches!(f.kind, FailureKind::InjectedKill { .. });
+        let mut failure: Option<RankFailure> = None;
+        let mut unhealthy = None;
         let mut report = None;
         for r in results {
             match r {
-                Ok(Ok(Some(rep))) => report = Some(rep),
-                Ok(Ok(None)) => {}
-                Ok(Err(h)) => {
-                    health_err.get_or_insert(h);
-                }
+                Ok(Ok(rep)) => report = report.or(rep),
+                Ok(Err(verdict)) => unhealthy = Some(verdict),
                 Err(f) => {
-                    let root = matches!(f.kind, yy_parcomm::FailureKind::InjectedKill { .. });
-                    if failure.is_none()
-                        || (root
-                            && !matches!(
-                                failure.as_ref().map(|p| &p.kind),
-                                Some(yy_parcomm::FailureKind::InjectedKill { .. })
-                            ))
-                    {
+                    if failure.as_ref().is_none_or(|prev| is_kill(&f) && !is_kill(prev)) {
                         failure = Some(f);
                     }
                 }
             }
         }
-        let resume_step = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map_or(start_step, |ck| ck.step);
-        passes.push(PassStat {
-            pass,
-            pth: cur_pth,
-            pph: cur_pph,
+        let outcome = match (failure, unhealthy) {
+            (Some(f), _) => PassOutcome::RankFailed {
+                node: node_map.get(f.rank).copied().unwrap_or(f.rank),
+                sig: match &f.kind {
+                    FailureKind::InjectedKill { step } => format!("kill@{step}"),
+                    FailureKind::Comm(_) => "comm".to_string(),
+                    FailureKind::Panic => "panic".to_string(),
+                },
+                cause: f.to_string(),
+            },
+            (None, Some(verdict)) => PassOutcome::Unhealthy(verdict),
+            (None, None) => PassOutcome::Completed,
+        };
+        let resume_step = lock_slot(&self.slot).as_ref().map_or(start_step, |ck| ck.step);
+        self.passes.push(PassStat {
+            pass: self.policy.pass,
+            pth,
+            pph,
             steps_advanced: resume_step.saturating_sub(start_step),
-            wall_s: pass_started.elapsed().as_secs_f64(),
+            wall_s: started.elapsed().as_secs_f64(),
         });
         // Any abandoned pass — rank failure or health rollback — dumps
         // every surviving rank's flight recorder, so the last N events
         // before death are inspectable. Last failure wins the path.
-        if failure.is_some() || health_err.is_some() {
-            if let (Some(path), Some(set)) = (opts.obs.postmortem_path(), &recorders) {
+        if !matches!(outcome, PassOutcome::Completed) {
+            if let (Some(path), Some(set)) = (self.opts.obs.postmortem_path(), &self.recorders) {
                 std::fs::write(&path, recorders_to_chrome(set))
                     .map_err(|e| format!("writing post-mortem trace {}: {e}", path.display()))?;
                 log(
+                    &self.logger,
                     "warn",
                     "wrote post-mortem trace",
-                    &[("path", path.display().to_string()), ("pass", pass.to_string())],
+                    &[
+                        ("path", path.display().to_string()),
+                        ("pass", self.policy.pass.to_string()),
+                    ],
                 );
             }
         }
-        if let Some(f) = failure {
-            // Persistent-fault classification: count failures by (node,
-            // signature). The node id is stable across re-tiles; the
-            // signature separates a deterministic re-kill from unrelated
-            // trouble on the same hardware.
-            let node = node_map.get(f.rank).copied().unwrap_or(f.rank);
-            let sig = match &f.kind {
-                yy_parcomm::FailureKind::InjectedKill { step } => format!("kill@{step}"),
-                yy_parcomm::FailureKind::Comm(_) => "comm".to_string(),
-                yy_parcomm::FailureKind::Panic => "panic".to_string(),
-            };
-            let count = {
-                let c = fail_counts.entry((node, sig.clone())).or_insert(0);
-                *c += 1;
-                *c
-            };
-            let persistent = count >= 2;
-            let cause = f.to_string();
-            if opts.on_failure == FailurePolicy::Abort {
-                log("error", "aborting on rank failure", &[("cause", cause.clone())]);
-                return Err(format!("on_failure=abort: pass {pass}: {cause}"));
+        Ok(Pass { outcome, report, decomp, resume_step })
+    }
+
+    /// Carry out what [`next_action`] decided. `Ok(true)`: the run is
+    /// complete; `Ok(false)`: the recovery is recorded (trace instant,
+    /// log line, [`RecoveryEvent`]) and the next pass may start.
+    fn apply(&mut self, action: Action, pass: &Pass) -> Result<bool, String> {
+        let (n, resume_step) = (self.policy.pass, pass.resume_step);
+        let rollback = Event::Rollback { pass: n as u64, resume_step };
+        let mut cause = pass.outcome.cause().to_string();
+        let retiled = matches!(action, Action::Retile { .. });
+        let (event, what) = match action {
+            Action::Finish => return Ok(true),
+            Action::GiveUp(msg) => {
+                log(&self.logger, "error", "giving up", &[("cause", msg.clone())]);
+                return Err(msg);
             }
-            if !persistent {
-                if rank_recoveries >= opts.max_recoveries {
-                    log("error", "giving up on rank failures", &[("cause", cause.clone())]);
-                    return Err(format!(
-                        "giving up after {rank_recoveries} rank-failure recoveries: {cause}"
-                    ));
-                }
-                rank_recoveries += 1;
-                if let Some(set) = &recorders {
-                    set.record_all(Event::Rollback { pass: pass as u64, resume_step });
-                }
-                log(
-                    "warn",
-                    "rank failure; rolling back",
-                    &[
-                        ("pass", pass.to_string()),
-                        ("resume_step", resume_step.to_string()),
-                        ("cause", cause.clone()),
-                    ],
-                );
-                recoveries.push(RecoveryEvent { pass, resume_step, cause });
-                continue;
+            Action::Rollback => (rollback, "rank failure; rolling back"),
+            Action::HalveDt => {
+                self.plan.dt_scale *= 0.5;
+                (rollback, "health rollback; dt halved")
             }
-            if opts.on_failure == FailurePolicy::Retry {
-                // Don't burn the remaining retry budget replaying a
-                // deterministic failure — surface it with the fix.
-                log(
-                    "error",
-                    "persistent fault under on_failure=retry",
-                    &[("node", node.to_string()), ("signature", sig.clone())],
-                );
-                return Err(format!(
-                    "persistent fault: node {node} failed identically {count} times ({sig}); \
-                     on_failure=retry cannot make progress — use on_failure=retile: {cause}"
-                ));
-            }
-            // Retile: exclude the node, shrink the layout until the
-            // survivors cover it (2×2 → 1×2 → 1×1), and resume from the
-            // last good checkpoint on the new layout.
-            if retiles.len() as u32 >= opts.max_retiles {
-                log("error", "retile budget exhausted", &[("cause", cause.clone())]);
-                return Err(format!("giving up after {} re-tiles: {cause}", retiles.len()));
-            }
-            survivors.retain(|&n| n != node);
-            excluded_nodes.push(node);
-            let from = (cur_pth, cur_pph);
-            while 2 * cur_pth * cur_pph > survivors.len() {
-                if cur_pth >= cur_pph && cur_pth > 1 {
-                    cur_pth /= 2;
-                } else if cur_pph > 1 {
-                    cur_pph /= 2;
-                } else {
-                    log("error", "out of survivor nodes", &[("cause", cause.clone())]);
-                    return Err(format!(
-                        "only {} nodes survive — too few for even a 1x1 layout: {cause}",
-                        survivors.len()
-                    ));
-                }
-            }
-            if let Some(set) = &recorders {
-                set.record_all(Event::Retile {
-                    pth: cur_pth as u16,
-                    pph: cur_pph as u16,
-                    pass: pass as u64,
+            Action::Retile { node, from } => {
+                let to = self.policy.layout;
+                self.retiles.push(RetileRecord {
+                    pass: n,
+                    from,
+                    to,
+                    excluded_node: node,
                     resume_step,
                 });
+                let sig = match &pass.outcome {
+                    PassOutcome::RankFailed { sig, .. } => sig.as_str(),
+                    _ => "",
+                };
+                cause = format!(
+                    "persistent fault on node {node} ({sig}); re-tiled {}x{} -> {}x{}: {cause}",
+                    from.0, from.1, to.0, to.1
+                );
+                let (pth, pph) = (to.0 as u16, to.1 as u16);
+                (
+                    Event::Retile { pth, pph, pass: n as u64, resume_step },
+                    "persistent fault; re-tiling",
+                )
             }
-            log(
-                "warn",
-                "persistent fault; re-tiling",
-                &[
-                    ("pass", pass.to_string()),
-                    ("node", node.to_string()),
-                    ("signature", sig.clone()),
-                    ("from", format!("{}x{}", from.0, from.1)),
-                    ("to", format!("{cur_pth}x{cur_pph}")),
-                    ("resume_step", resume_step.to_string()),
-                ],
-            );
-            retiles.push(RetileRecord {
-                pass,
-                from,
-                to: (cur_pth, cur_pph),
-                excluded_node: node,
-                resume_step,
-            });
-            recoveries.push(RecoveryEvent {
-                pass,
-                resume_step,
-                cause: format!(
-                    "persistent fault on node {node} ({sig}); re-tiled {}x{} -> \
-                     {cur_pth}x{cur_pph}: {cause}",
-                    from.0, from.1
-                ),
-            });
-            if !degraded {
+        };
+        if let Some(set) = &self.recorders {
+            set.record_all(event);
+        }
+        log(
+            &self.logger,
+            "warn",
+            what,
+            &[
+                ("pass", n.to_string()),
+                ("resume_step", resume_step.to_string()),
+                ("dt_scale", self.plan.dt_scale.to_string()),
+                ("cause", cause.clone()),
+            ],
+        );
+        self.recoveries.push(RecoveryEvent { pass: n, resume_step, cause });
+        if retiled {
+            if self.retiles.len() == 1 {
                 // First shrink enters degraded mode: capacity is gone,
                 // so widen the checkpoint cadence (gathers cost a larger
                 // fraction of the smaller machine) and flag the run.
-                degraded = true;
-                eff_ckpt_every = eff_ckpt_every.saturating_mul(2);
-                if let Some(set) = &recorders {
-                    set.record_all(Event::Degraded {
-                        pass: pass as u64,
-                        checkpoint_every: eff_ckpt_every,
-                    });
+                let every = self.plan.checkpoint_every.saturating_mul(2);
+                self.plan.checkpoint_every = every;
+                if let Some(set) = &self.recorders {
+                    set.record_all(Event::Degraded { pass: n as u64, checkpoint_every: every });
                 }
-                log(
-                    "warn",
-                    "entering degraded mode",
-                    &[("checkpoint_every", eff_ckpt_every.to_string())],
-                );
+                let every = every.to_string();
+                log(&self.logger, "warn", "entering degraded mode", &[("checkpoint_every", every)]);
             }
-            std::thread::sleep(opts.retile_backoff.saturating_mul(retiles.len() as u32));
-            continue;
+            std::thread::sleep(self.opts.retile_backoff.saturating_mul(self.retiles.len() as u32));
         }
-        if let Some(cause) = health_err {
-            if dt_reductions >= opts.max_dt_reductions {
-                log("error", "giving up on health violations", &[("cause", cause.clone())]);
-                return Err(format!(
-                    "health violations persist after {dt_reductions} dt reductions: {cause}"
-                ));
-            }
-            dt_reductions += 1;
-            dt_scale *= 0.5;
-            if let Some(set) = &recorders {
-                set.record_all(Event::Rollback { pass: pass as u64, resume_step });
-            }
-            log(
-                "warn",
-                "health rollback; dt halved",
-                &[
-                    ("pass", pass.to_string()),
-                    ("resume_step", resume_step.to_string()),
-                    ("dt_scale", dt_scale.to_string()),
-                    ("cause", cause.clone()),
-                ],
-            );
-            recoveries.push(RecoveryEvent { pass, resume_step, cause });
-            continue;
-        }
-        let rep = report.ok_or("rank 0 produced no report")?;
-        let final_checkpoint = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .ok_or("no final checkpoint was captured")?;
-        let predicted_imbalance = match &costs {
-            Some(c) => c.predicted_imbalance(&decomp),
-            None => ColumnCosts::uniform(&grid).predicted_imbalance(&decomp),
+        Ok(false)
+    }
+
+    /// Assemble the report of a completed run: the final pass's report
+    /// plus the post-run diagnosis, the science telemetry, the trace and
+    /// the supervisor's own record.
+    fn finish(mut self, pass: Pass) -> Result<SupervisedReport, String> {
+        let rep = pass.report.ok_or("rank 0 produced no report")?;
+        let final_checkpoint =
+            lock_slot(&self.slot).take().ok_or("no final checkpoint was captured")?;
+        let predicted_imbalance = match &self.costs {
+            Some(c) => c.predicted_imbalance(&pass.decomp),
+            None => ColumnCosts::uniform(&self.grid).predicted_imbalance(&pass.decomp),
         };
         let achieved_imbalance = rep.achieved_imbalance;
         let mut report = rep.report;
@@ -803,7 +928,7 @@ pub fn run_parallel_supervised(
         // back into the rings as `analysis` instants *before* the trace
         // is written, so the exported trace carries its own diagnosis.
         // Strictly post-run — the solver never observes any of this.
-        if let Some(set) = &recorders {
+        if let Some(set) = &self.recorders {
             let streams = set.snapshots();
             let retained = (0..set.len())
                 .map(|r| {
@@ -837,24 +962,24 @@ pub fn run_parallel_supervised(
                 }
             }
             // The endpoint's final body carries the diagnosis gauges.
-            if let Some(h) = &rank_obs.metrics {
+            if let Some(h) = &self.plan.metrics {
                 let body = format!("{}{}", h.scrape(), doctor_gauges_text(&analysis.gauges()));
                 h.publish(body);
             }
-            log("info", "diagnosis", &[("verdict", analysis.verdict.clone())]);
+            log(&self.logger, "info", "diagnosis", &[("verdict", analysis.verdict.clone())]);
             report.analysis = analysis;
         }
-        if let Some(tel) = science.as_mut() {
+        if let Some(tel) = self.science.as_mut() {
             // Feed the sampled series (skipping the pre-loop seed point,
             // whose dt is a placeholder) and evaluate the watchdog.
             // Per-sample step wall is not tracked rank-side; the channel
             // carries NaN for parallel runs (serial runs fill it).
-            for p in report.series.iter().skip(1).cloned().collect::<Vec<_>>() {
-                tel.record(&p, f64::NAN, None);
+            for p in report.series.iter().skip(1) {
+                tel.record(p, f64::NAN, None);
             }
             // Alert edges become rank-0 trace instants, stamped before
             // the trace write below so the export carries them.
-            if let Some(set) = &recorders {
+            if let Some(set) = &self.recorders {
                 for a in tel.alerts() {
                     set.rank(0).record(Event::Alert {
                         rule: a.rule_index as u32,
@@ -866,12 +991,13 @@ pub fn run_parallel_supervised(
             }
             // The endpoint's final body gains the science gauges
             // (energies, dt, dominant m, alert states).
-            if let Some(h) = &rank_obs.metrics {
+            if let Some(h) = &self.plan.metrics {
                 let body = format!("{}{}", h.scrape(), science_gauges_text(&tel.gauges()));
                 h.publish(body);
             }
             let fired = tel.alerts().iter().filter(|a| a.firing).count();
             log(
+                &self.logger,
                 "info",
                 "science telemetry",
                 &[
@@ -882,47 +1008,51 @@ pub fn run_parallel_supervised(
             report.alerts = tel.alerts().to_vec();
             report.telemetry = Some(tel.store_json());
         }
-        if let (Some(path), Some(set)) = (&opts.obs.trace, &recorders) {
+        if let (Some(path), Some(set)) = (&self.opts.obs.trace, &self.recorders) {
             std::fs::write(path, recorders_to_chrome(set))
                 .map_err(|e| format!("writing trace {}: {e}", path.display()))?;
-            log("info", "wrote trace", &[("path", path.display().to_string())]);
+            log(&self.logger, "info", "wrote trace", &[("path", path.display().to_string())]);
         }
-        report.recoveries = recoveries.clone();
+        let (final_pth, final_pph) = self.policy.layout;
+        let degraded = !self.retiles.is_empty();
+        let excluded_nodes: Vec<usize> = self.retiles.iter().map(|r| r.excluded_node).collect();
+        report.recoveries = self.recoveries.clone();
         report.elastic = ElasticSummary {
-            policy: opts.on_failure.name().to_string(),
-            weights: opts.weights.name().to_string(),
+            policy: self.opts.on_failure.name().to_string(),
+            weights: self.opts.weights.name().to_string(),
             degraded,
-            final_pth: cur_pth,
-            final_pph: cur_pph,
+            final_pth,
+            final_pph,
             excluded_nodes: excluded_nodes.clone(),
-            retiles: retiles.clone(),
+            retiles: self.retiles.clone(),
             predicted_imbalance,
             achieved_imbalance,
         };
         log(
+            &self.logger,
             "info",
             "supervised run complete",
             &[
-                ("passes", pass.to_string()),
-                ("recoveries", recoveries.len().to_string()),
-                ("layout", format!("{cur_pth}x{cur_pph}")),
-                ("retiles", retiles.len().to_string()),
+                ("passes", self.policy.pass.to_string()),
+                ("recoveries", self.recoveries.len().to_string()),
+                ("layout", format!("{final_pth}x{final_pph}")),
+                ("retiles", self.retiles.len().to_string()),
                 ("degraded", degraded.to_string()),
             ],
         );
-        return Ok(SupervisedReport {
+        Ok(SupervisedReport {
             report,
             final_checkpoint,
-            recoveries,
-            dt_scale,
-            final_layout: (cur_pth, cur_pph),
-            retiles,
+            recoveries: self.recoveries,
+            dt_scale: self.plan.dt_scale,
+            final_layout: self.policy.layout,
+            retiles: self.retiles,
             excluded_nodes,
             degraded,
             predicted_imbalance,
             achieved_imbalance,
-            passes,
-        });
+            passes: self.passes,
+        })
     }
 }
 
@@ -945,31 +1075,40 @@ pub fn parallel_checkpoint(
     Checkpoint { shape: yin.shape(), step, time, dt_cache, yin, yang }
 }
 
-/// The supervised rank program. Returns `Err` (on every rank, via a
-/// collective verdict) for graceful solver-health violations; comm
-/// failures and injected kills surface as panics that
-/// [`Universe::run_supervised`] converts to [`yy_parcomm::RankFailure`].
-#[allow(clippy::too_many_arguments)]
-fn rank_main_supervised(
+/// Collective verdict: `Ok` on every rank, or — when any rank brings a
+/// complaint — the lowest complaining rank's message as `Err` on every
+/// rank, so all of them return together and whichever `Err` the caller
+/// reads names the rank that saw the problem.
+fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
+    let me = if complaint.is_some() { world.rank() } else { world.size() };
+    let first = world.allreduce_f64(me as f64, ReduceOp::Min) as usize;
+    if first == world.size() {
+        return Ok(());
+    }
+    Err(world.broadcast(first, complaint.filter(|_| world.rank() == first)))
+}
+
+/// The rank program: one RK4 step loop for every driver. Returns `Err`
+/// (the same on every rank, via [`agree`]) for graceful solver-health
+/// violations and shard-write failures; comm failures and injected
+/// kills surface as panics that [`Universe::run_supervised`] converts
+/// to [`yy_parcomm::RankFailure`].
+///
+/// `slot`, when given, receives a serial-format checkpoint of the
+/// initial state, of every `plan.checkpoint_every`-th step and of the
+/// final state (a collective gather at rank 0); `plan.shards` adds this
+/// rank's shard file at the same events. With neither, the program
+/// gathers nothing.
+fn rank_program(
     cfg: &RunConfig,
     world: Comm,
     decomp: &Decomp2D,
-    steps: u64,
-    sample_every: u64,
-    checkpoint_every: u64,
-    health: HealthLimits,
-    dt_scale: f64,
+    plan: &PassPlan,
     resume: Option<&Checkpoint>,
-    slot: &Mutex<Option<Checkpoint>>,
-    sync_mode: SyncMode,
-    obs: &RankObs,
-    shards: Option<&ShardCfg>,
-    dt_inject: Option<crate::telemetry::DtInject>,
+    slot: Option<&CkptSlot>,
 ) -> Result<Option<ParallelReport>, String> {
-    let tiles = decomp.tiles();
-    let (mut solver, mut state) =
-        RankSolver::new(cfg, &world, decomp, sync_mode, obs.counters);
-    let mut emitter = shards.map(ShardEmitter::new);
+    let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters);
+    let mut emitter = plan.shards.as_ref().map(ShardEmitter::new);
     let mut dt_cache = match resume {
         Some(ck) => {
             solver.restore_tile(&mut state, ck);
@@ -978,7 +1117,7 @@ fn rank_main_supervised(
         None => 0.0,
     };
     solver.sync(&mut state);
-    let mut guard = HealthGuard::new(health);
+    let mut guard = HealthGuard::new(plan.health);
 
     let started = Instant::now();
     let mut series = Vec::new();
@@ -993,11 +1132,7 @@ fn rank_main_supervised(
     // A fresh pass seeds the checkpoint slot with the initial state so
     // even a failure before the first periodic capture can recover.
     if resume.is_none() {
-        solver.capture_checkpoint(&state, tiles, dt_cache, slot);
-        if let Some(em) = &mut emitter {
-            em.emit(&mut solver, &state, dt_cache);
-        }
-        world.record_event(Event::CheckpointSaved { step: solver.step });
+        solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
     }
 
     // Open the counter measurement window at loop entry (setup, restore
@@ -1007,14 +1142,14 @@ fn rank_main_supervised(
     // snapshot), for windowed MFLOPS deltas. Local to the rank; the
     // emitted counter events are local ring appends, never collectives.
     let mut last_profile: Option<(Instant, CounterSnapshot)> = None;
-    while solver.step < steps {
+    while solver.step < plan.steps {
         let step_started = Instant::now();
         world.record_event(Event::StepBegin { step: solver.step });
         world.fault_tick(solver.step);
         // dt cadence at *absolute* step numbers, so a resumed pass
         // recomputes dt at exactly the steps the clean run did.
         if dt_cache == 0.0 || solver.step % solver.cfg.dt_every as u64 == 0 {
-            dt_cache = solver.global_dt(&state) * dt_scale;
+            dt_cache = solver.global_dt(&state) * plan.dt_scale;
             if let Err(v) = guard.check_dt(dt_cache) {
                 world.record_event(Event::HealthViolation { code: v.code(), step: solver.step });
                 // global_dt is allreduced, so every rank returns together.
@@ -1024,7 +1159,7 @@ fn rank_main_supervised(
         // The applied dt: identical to the CFL cache except under the
         // blow-up smoke's injection (deterministic in the step number,
         // so every rank scales identically).
-        let dt = match &dt_inject {
+        let dt = match &plan.dt_inject {
             Some(inj) => inj.scaled(solver.step, dt_cache),
             None => dt_cache,
         };
@@ -1039,30 +1174,25 @@ fn rank_main_supervised(
         if let Err(v) = &local {
             world.record_event(Event::HealthViolation { code: v.code(), step: solver.step });
         }
-        let verdict =
-            world.allreduce_f64(if local.is_err() { 1.0 } else { 0.0 }, ReduceOp::Max);
-        if verdict > 0.0 {
-            return Err(match local {
-                Err(v) => format!("rank {} step {}: {v}", world.rank(), solver.step),
-                Ok(()) => format!("health violation on a peer rank at step {}", solver.step),
-            });
-        }
-        if sample_every > 0 && solver.step % sample_every == 0 {
+        agree(
+            &world,
+            local.err().map(|v| format!("rank {} step {}: {v}", world.rank(), solver.step)),
+        )?;
+        if plan.sample_every > 0 && solver.step % plan.sample_every == 0 {
             record(&solver, &state, dt, &mut series);
         }
-        if checkpoint_every > 0 && solver.step % checkpoint_every == 0 && solver.step < steps {
-            solver.capture_checkpoint(&state, tiles, dt_cache, slot);
-            if let Some(em) = &mut emitter {
-                em.emit(&mut solver, &state, dt_cache);
-            }
-            world.record_event(Event::CheckpointSaved { step: solver.step });
+        if plan.checkpoint_every > 0
+            && solver.step % plan.checkpoint_every == 0
+            && solver.step < plan.steps
+        {
+            solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
         }
         world.sample_queue_depth();
         world.record_step_ns(step_started.elapsed().as_nanos() as u64);
         // Periodic profile sampler: each rank appends its own per-kernel
         // MFLOPS counter samples (Chrome "C"-phase tracks) to its flight
         // recorder — purely local, cannot perturb the trajectory.
-        if obs.profile_every > 0 && solver.step % obs.profile_every == 0 {
+        if plan.profile_every > 0 && solver.step % plan.profile_every == 0 {
             let now = Instant::now();
             let snap = solver.meter.counters().snapshot();
             if let Some((prev_t, prev)) = last_profile.replace((now, snap)) {
@@ -1089,22 +1219,14 @@ fn rank_main_supervised(
         // Live metrics: allreduce the counter words (a collective every
         // rank joins — the gate is rank-uniform) and let rank 0 render
         // the exposition into the hub for the endpoint thread to serve.
-        if let Some(hub) = &obs.metrics {
-            if solver.step % obs.profile_every.max(1) == 0 {
+        if let Some(hub) = &plan.metrics {
+            if solver.step % plan.profile_every.max(1) == 0 {
                 // Counter words plus the 6 phase-ns words ride one
                 // allreduce — the extension is rank-uniform, so the
                 // collective stays matched on every rank.
                 let mut words = solver.meter.counters().snapshot().to_f64s();
                 let nwords = words.len();
-                let stats = world.stats();
-                words.extend_from_slice(&[
-                    stats.ns_pack as f64,
-                    stats.ns_interior as f64,
-                    stats.ns_wait as f64,
-                    stats.ns_boundary as f64,
-                    stats.ns_overset as f64,
-                    stats.ns_writer_wait as f64,
-                ]);
+                words.extend_from_slice(&phase_ns_words(&world.stats()));
                 let merged = world.allreduce_vec(&words, ReduceOp::Sum);
                 if world.rank() == 0 {
                     let snap = CounterSnapshot::from_f64s(&merged[..nwords]);
@@ -1130,29 +1252,35 @@ fn rank_main_supervised(
         series.push(TimeSeriesPoint { step: solver.step, time: solver.time, dt: dt_cache, diag: d });
     }
 
+    // The zero-allocation guarantee: after warmup the step path must be
+    // served entirely from the persistent scratch.
+    if solver.comm.balanced {
+        assert_eq!(
+            solver.comm.steady_allocs,
+            0,
+            "rank {}: step path allocated after warmup",
+            world.rank()
+        );
+    }
+
     // Final shard + writer drain *before* the counter aggregation, so
     // the writer_wait phase and the IO totals are complete. The drain is
     // local; the error verdict is collective (presence of `shards` is
     // rank-uniform), so every rank returns together on a write failure.
-    let io_totals = match emitter {
+    let io = match emitter {
         Some(mut em) => {
             em.emit(&mut solver, &state, dt_cache);
             world.record_phase_ns(SolverPhase::WriterWait, em.stage.flush());
-            Some(em.stage.finish())
-        }
-        None => None,
-    };
-    let io = match &io_totals {
-        Some(result) => {
-            let bad = world
-                .allreduce_f64(if result.is_err() { 1.0 } else { 0.0 }, ReduceOp::Max);
-            if bad > 0.0 {
-                return Err(match result {
-                    Err(e) => format!("rank {}: checkpoint shard write: {e}", world.rank()),
-                    Ok(_) => "checkpoint shard write failed on a peer rank".to_string(),
-                });
-            }
-            let t = result.as_ref().expect("error ranks returned above");
+            let ShardEmitter { stage, codec, .. } = em;
+            let async_mode = stage.is_async();
+            let totals = stage.finish();
+            agree(
+                &world,
+                totals.as_ref().err().map(|e| {
+                    format!("rank {}: checkpoint shard write: {e}", world.rank())
+                }),
+            )?;
+            let t = totals.expect("an error on any rank returned above");
             let sums = world.allreduce_vec(
                 &[
                     t.files_written as f64,
@@ -1164,56 +1292,32 @@ fn rank_main_supervised(
             );
             IoStats {
                 shards_written: sums[0] as u64,
-                snapshots_written: 0,
                 bytes_raw: sums[1] as u64,
                 bytes_written: sums[2] as u64,
                 write_wall_s: sums[3] / 1e9,
-                writer_wait_s: 0.0, // filled from the phase breakdown below
-                async_mode: shards.map(|s| s.async_mode).unwrap_or(false),
-                codec: shards.map(|s| s.codec.name()).unwrap_or("none").to_string(),
+                async_mode,
+                codec: codec.name().to_string(),
+                ..IoStats::default()
             }
         }
         None => IoStats::default(),
     };
-    let (flops, halo_bytes, overset_bytes, max_queue_depth, phases, hists, kernels) =
-        solver.aggregate_counters();
-    let io = IoStats { writer_wait_s: phases.writer_wait_s, ..io };
+    let mut report = solver.aggregate_counters();
     let achieved_imbalance = solver.achieved_imbalance();
-    solver.capture_checkpoint(&state, tiles, dt_cache, slot);
-    world.record_event(Event::CheckpointSaved { step: solver.step });
-
-    if world.rank() == 0 {
-        let [recv_wait, step_wall, queue_depth] = hists;
-        Ok(Some(ParallelReport {
-            report: RunReport {
-                time: solver.time,
-                steps,
-                flops,
-                wall_seconds: started.elapsed().as_secs_f64(),
-                grid_points: solver.grid.total_points(),
-                halo_bytes,
-                overset_bytes,
-                max_queue_depth,
-                phases,
-                recv_wait,
-                step_wall,
-                queue_depth,
-                recoveries: Vec::new(),
-                elastic: Default::default(),
-                kernels,
-                io,
-                analysis: Default::default(),
-                series,
-                alerts: Vec::new(),
-                telemetry: None,
-            },
-            yin: None,
-            yang: None,
-            achieved_imbalance,
-        }))
-    } else {
-        Ok(None)
+    if let Some(slot) = slot {
+        solver.capture_checkpoint(&state, dt_cache, slot);
+        world.record_event(Event::CheckpointSaved { step: solver.step });
     }
+    if world.rank() != 0 {
+        return Ok(None);
+    }
+    report.time = solver.time;
+    report.steps = plan.steps;
+    report.wall_seconds = started.elapsed().as_secs_f64();
+    report.grid_points = solver.grid.total_points();
+    report.io = IoStats { writer_wait_s: report.phases.writer_wait_s, ..io };
+    report.series = series;
+    Ok(Some(ParallelReport { report, yin: None, yang: None, achieved_imbalance }))
 }
 
 /// Persistent per-rank communication scratch. Message buffers circulate
@@ -1231,9 +1335,11 @@ struct CommScratch {
     vr: Vec<f64>,
     vt: Vec<f64>,
     vp: Vec<f64>,
-    /// True once the circulation has had time to reach steady state
-    /// (set after the second full step).
-    warmed: bool,
+    /// Steps this solver has completed. Two give the circulation time
+    /// to reach steady state; from the third on the pool is *warmed*.
+    /// (This solver's steps, not the run's: a pass resumed from a
+    /// checkpoint starts with an empty pool.)
+    steps_done: u64,
     /// Pool misses / capacity growth observed after warmup.
     steady_allocs: u64,
     /// Whether this rank's per-sync buffer takes equal its puts. Halo
@@ -1252,7 +1358,7 @@ impl CommScratch {
             vr: vec![0.0; nr],
             vt: vec![0.0; nr],
             vp: vec![0.0; nr],
-            warmed: false,
+            steps_done: 0,
             steady_allocs: 0,
             balanced,
         }
@@ -1265,7 +1371,7 @@ impl CommScratch {
             Some(mut b) => {
                 b.clear();
                 if b.capacity() < capacity {
-                    if self.warmed {
+                    if self.steps_done >= 2 {
                         self.steady_allocs += 1;
                     }
                     b.reserve(capacity);
@@ -1273,7 +1379,7 @@ impl CommScratch {
                 b
             }
             None => {
-                if self.warmed {
+                if self.steps_done >= 2 {
                     self.steady_allocs += 1;
                 }
                 Vec::with_capacity(capacity)
@@ -1314,7 +1420,7 @@ struct Rk4Bufs {
 }
 
 /// Per-rank solver instance. The evolving `State` lives outside this
-/// struct (in `rank_main`) so boundary synchronisation can borrow the
+/// struct (in `rank_program`) so boundary synchronisation can borrow the
 /// solver while mutating the state.
 struct RankSolver<'a> {
     world: &'a Comm,
@@ -1350,7 +1456,6 @@ struct RankSolver<'a> {
     /// chunk.
     halo_free: bool,
     cfg: RunConfig,
-    mode: SyncMode,
     /// RK4 work buffers; [`Self::advance`] takes them out for the step
     /// so a stage state can be synced mutably alongside the solver.
     rk4: Option<Rk4Bufs>,
@@ -1370,18 +1475,7 @@ struct RankSolver<'a> {
     ckpt_cols: Option<Vec<OversetColumn>>,
 }
 
-/// Per-rank observability knobs the supervised rank program receives
-/// from [`RecoveryOpts::obs`] (the subset that lives inside the step
-/// loop; recorder installation stays with the supervisor).
-#[derive(Clone)]
-struct RankObs {
-    counters: bool,
-    profile_every: u64,
-    metrics: Option<Arc<MetricsHub>>,
-}
-
-/// Output-pipeline configuration the supervisor hands every rank
-/// (rank-uniform, so the collective error check never diverges).
+/// Output-pipeline configuration the supervisor hands every rank.
 struct ShardCfg {
     dir: PathBuf,
     async_mode: bool,
@@ -1480,6 +1574,26 @@ fn fill_tally_owned(owned: u64, actual: u64, nr: u64) -> KernelTally {
     }
 }
 
+/// The owned block of tile `t` over the full radial extent, in panel
+/// coordinates (`global`) or in the tile's own.
+fn tile_region(t: &Tile, nr: usize, global: bool) -> Region {
+    let (j0, k0) = if global { (t.j0 as isize, t.k0 as isize) } else { (0, 0) };
+    Region { i0: 0, i1: nr, j0, j1: j0 + t.nth as isize, k0, k1: k0 + t.nph as isize }
+}
+
+/// The six phase counters of `stats` as allreduce words, in the order
+/// of `yy_obs::event::phase::NAMES` and [`PhaseBreakdown`].
+fn phase_ns_words(stats: &CommStats) -> [f64; 6] {
+    [
+        stats.ns_pack as f64,
+        stats.ns_interior as f64,
+        stats.ns_wait as f64,
+        stats.ns_boundary as f64,
+        stats.ns_overset as f64,
+        stats.ns_writer_wait as f64,
+    ]
+}
+
 /// Counter tally for moving one halo band of `region` (× the 8 state
 /// arrays) through a pack or unpack loop. Halo volume is a property of
 /// the decomposition, not the physics, so this kernel is the documented
@@ -1497,131 +1611,6 @@ fn halo_tally(region: Region) -> KernelTally {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    cfg: &RunConfig,
-    world: Comm,
-    pth: usize,
-    pph: usize,
-    steps: u64,
-    sample_every: u64,
-    gather_state: bool,
-    mode: SyncMode,
-) -> Option<ParallelReport> {
-    let tiles = pth * pph;
-    let decomp = Decomp2D::new(pth, pph, &cfg.grid());
-    let (mut solver, mut state) = RankSolver::new(cfg, &world, &decomp, mode, true);
-    solver.sync(&mut state);
-
-    let started = Instant::now();
-    let mut series = Vec::new();
-    let record = |solver: &RankSolver, state: &State, dt: f64, series: &mut Vec<TimeSeriesPoint>| {
-        let d = solver.reduce_diag(state);
-        if solver.world.rank() == 0 {
-            series.push(TimeSeriesPoint { step: solver.step, time: solver.time, dt, diag: d });
-        }
-    };
-    record(&solver, &state, 0.0, &mut series);
-
-    // Open the measurement window at loop entry: setup and the initial
-    // sync are excluded, exactly like the serial driver's `run`.
-    solver.meter.reset();
-    let mut dt_cache = 0.0_f64;
-    for n in 0..steps {
-        let step_started = Instant::now();
-        world.record_event(Event::StepBegin { step: solver.step });
-        if dt_cache == 0.0 || solver.step % solver.cfg.dt_every as u64 == 0 {
-            dt_cache = solver.global_dt(&state);
-        }
-        solver.advance(&mut state, dt_cache);
-        world.sample_queue_depth();
-        world.record_step_ns(step_started.elapsed().as_nanos() as u64);
-        let scan_t0 = solver.meter.timer();
-        assert!(
-            !state.has_non_finite(),
-            "rank {}: solution became non-finite at step {}",
-            world.rank(),
-            solver.step
-        );
-        assert!(
-            state.is_physical(),
-            "rank {}: solution became unphysical (non-positive density/pressure) at step {}",
-            world.rank(),
-            solver.step
-        );
-        {
-            let sh = state.shape();
-            let tally = crate::health::scan_tally((sh.nth * sh.nph) as u64, sh.nr as u64);
-            solver.meter.kernel_timed(kernel::HEALTH_SCAN, tally, scan_t0);
-        }
-        if sample_every > 0 && (n + 1) % sample_every == 0 {
-            record(&solver, &state, dt_cache, &mut series);
-        }
-    }
-    // Final sample (every rank joins the collective; rank 0 records only
-    // if the last loop iteration did not already sample this step).
-    let d = solver.reduce_diag(&state);
-    if world.rank() == 0 && series.last().map(|p| p.step) != Some(solver.step) {
-        series.push(TimeSeriesPoint { step: solver.step, time: solver.time, dt: dt_cache, diag: d });
-    }
-
-    // The zero-allocation guarantee: after warmup the step path must be
-    // served entirely from the persistent scratch.
-    if solver.mode == SyncMode::Overlapped && steps >= 3 && solver.comm.balanced {
-        assert_eq!(
-            solver.comm.steady_allocs,
-            0,
-            "rank {}: overlapped step path allocated after warmup",
-            world.rank()
-        );
-    }
-
-    // Aggregate counters.
-    let (flops, halo_bytes, overset_bytes, max_queue_depth, phases, hists, kernels) =
-        solver.aggregate_counters();
-    let achieved_imbalance = solver.achieved_imbalance();
-
-    // Optionally gather the full panels at rank 0.
-    let (yin, yang) = if gather_state {
-        solver.gather_panels(&state, tiles)
-    } else {
-        (None, None)
-    };
-
-    if world.rank() == 0 {
-        let [recv_wait, step_wall, queue_depth] = hists;
-        Some(ParallelReport {
-            report: RunReport {
-                time: solver.time,
-                steps,
-                flops,
-                wall_seconds: started.elapsed().as_secs_f64(),
-                grid_points: solver.grid.total_points(),
-                halo_bytes,
-                overset_bytes,
-                max_queue_depth,
-                phases,
-                recv_wait,
-                step_wall,
-                queue_depth,
-                recoveries: Vec::new(),
-                elastic: Default::default(),
-                kernels,
-                io: IoStats::default(),
-                analysis: Default::default(),
-                series,
-                alerts: Vec::new(),
-                telemetry: None,
-            },
-            yin,
-            yang,
-            achieved_imbalance,
-        })
-    } else {
-        None
-    }
-}
-
 impl<'a> RankSolver<'a> {
     /// Build the per-rank solver: split the world into panel groups,
     /// carve the Cartesian tile, precompute metric/force tables and the
@@ -1630,7 +1619,6 @@ impl<'a> RankSolver<'a> {
         cfg: &RunConfig,
         world: &'a Comm,
         decomp: &Decomp2D,
-        mode: SyncMode,
         counters: bool,
     ) -> (Self, State) {
         let tiles = decomp.tiles();
@@ -1715,7 +1703,6 @@ impl<'a> RankSolver<'a> {
             deep_chunks,
             halo_free,
             cfg: cfg.clone(),
-            mode,
             rk4: Some(Rk4Bufs {
                 y0: State::zeros(shape),
                 stage: [State::zeros(shape), State::zeros(shape)],
@@ -1737,8 +1724,7 @@ impl<'a> RankSolver<'a> {
 
     /// Halo exchange + overset exchange + physical walls on `s`, drawing
     /// every message buffer from the persistent scratch (allocation-free
-    /// after warmup). Message contents, ordering and arithmetic are
-    /// identical to [`Self::sync_blocking`].
+    /// after warmup).
     fn sync(&mut self, s: &mut State) {
         let mut clock = PhaseClock::start();
         // Same early overset post as the fused pipeline (see
@@ -1763,7 +1749,7 @@ impl<'a> RankSolver<'a> {
         clock.lap(self.world, SolverPhase::Boundary);
     }
 
-    /// The tentpole pipeline: the boundary synchronisation of `x` fused
+    /// The step pipeline: the boundary synchronisation of `x` fused
     /// with the RHS sweep of `x` into `sink`. Sends are posted, a deep
     /// interior chunk (whose stencils touch no ghost the in-flight
     /// message will fill) is computed while the messages travel, then the
@@ -2015,166 +2001,6 @@ impl<'a> RankSolver<'a> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Legacy blocking path — `SyncMode::Blocking`. Kept verbatim (fresh
-    // allocations and all) as the baseline the step benchmark contrasts
-    // the overlapped pipeline against.
-    // ------------------------------------------------------------------
-
-    /// Halo exchange + overset exchange + physical walls on `s`.
-    fn sync_blocking(&mut self, s: &mut State) {
-        let mut clock = PhaseClock::start();
-        self.halo_exchange(s, &mut clock);
-        self.overset_exchange(s, &mut clock);
-        apply_physical_bc(s, self.cfg.params.t_inner, self.cfg.mag_bc);
-        clock.lap(self.world, SolverPhase::Boundary);
-    }
-
-    /// Two-phase nearest-neighbour halo exchange (θ, then φ over the
-    /// θ-extended rows so corners fill without diagonal messages).
-    fn halo_exchange(&mut self, s: &mut State, clock: &mut PhaseClock) {
-        let h = self.grid.spec().halo as isize;
-        let (nth, nph) = (self.tile.nth as isize, self.tile.nph as isize);
-        let nr = self.grid.spec().nr;
-        let [north, south, west, east] = self.cart.neighbors4();
-
-        // --- phase θ ------------------------------------------------------
-        let send_n = Region { i0: 0, i1: nr, j0: 0, j1: h, k0: 0, k1: nph };
-        let send_s = Region { i0: 0, i1: nr, j0: nth - h, j1: nth, k0: 0, k1: nph };
-        let recv_n = Region { i0: 0, i1: nr, j0: -h, j1: 0, k0: 0, k1: nph };
-        let recv_s = Region { i0: 0, i1: nr, j0: nth, j1: nth + h, k0: 0, k1: nph };
-        self.exchange_bands(
-            s, north, south, send_n, send_s, recv_n, recv_s, TAG_HALO_THETA, clock,
-        );
-
-        // --- phase φ (rows extended into the θ ghosts) ---------------------
-        let send_w = Region { i0: 0, i1: nr, j0: -h, j1: nth + h, k0: 0, k1: h };
-        let send_e = Region { i0: 0, i1: nr, j0: -h, j1: nth + h, k0: nph - h, k1: nph };
-        let recv_w = Region { i0: 0, i1: nr, j0: -h, j1: nth + h, k0: -h, k1: 0 };
-        let recv_e = Region { i0: 0, i1: nr, j0: -h, j1: nth + h, k0: nph, k1: nph + h };
-        self.exchange_bands(s, west, east, send_w, send_e, recv_w, recv_e, TAG_HALO_PHI, clock);
-    }
-
-    /// Symmetric exchange with the (lo, hi) neighbour pair along one
-    /// dimension: all eight state arrays packed into a single message per
-    /// neighbour, as the real code batches its halo traffic.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_bands(
-        &mut self,
-        s: &mut State,
-        lo: Option<usize>,
-        hi: Option<usize>,
-        send_lo: Region,
-        send_hi: Region,
-        recv_lo: Region,
-        recv_hi: Region,
-        tag: u64,
-        clock: &mut PhaseClock,
-    ) {
-        // Post sends first (buffered): no deadlock in symmetric exchange.
-        for (peer, region) in [(lo, send_lo), (hi, send_hi)] {
-            if let Some(dst) = peer {
-                let t0 = self.meter.timer();
-                let mut buf = Vec::with_capacity(region.len() * 8);
-                for arr in s.arrays() {
-                    pack_region(arr, region, &mut buf);
-                }
-                self.meter.kernel_timed(kernel::HALO_PACK, halo_tally(region), t0);
-                self.cart.comm().send_f64s(dst, tag, buf, TrafficClass::Halo);
-            }
-        }
-        clock.lap(self.world, SolverPhase::Pack);
-        for (peer, region) in [(lo, recv_lo), (hi, recv_hi)] {
-            if let Some(src) = peer {
-                let buf = self.cart.comm().recv_f64s(src, tag);
-                clock.lap(self.world, SolverPhase::Wait);
-                let t0 = self.meter.timer();
-                let mut rest: &[f64] = &buf;
-                for arr in s.arrays_mut() {
-                    rest = unpack_region(arr, region, rest);
-                }
-                assert!(rest.is_empty(), "halo message size mismatch from rank {src}");
-                self.meter.kernel_timed(kernel::HALO_UNPACK, halo_tally(region), t0);
-                clock.lap(self.world, SolverPhase::Pack);
-            }
-        }
-    }
-
-    /// Overset exchange: donate interpolated columns to partner-panel
-    /// ranks and fill my frame slots from theirs.
-    fn overset_exchange(&mut self, s: &mut State, clock: &mut PhaseClock) {
-        let nr = self.grid.spec().nr;
-        // Donate.
-        for (si, send) in self.exchange.sends.iter().enumerate() {
-            let t0 = self.meter.timer();
-            let mut buf = Vec::with_capacity(send.jobs.len() * 8 * nr);
-            let mut row = vec![0.0; nr];
-            let (mut vr, mut vt, mut vp) = (vec![0.0; nr], vec![0.0; nr], vec![0.0; nr]);
-            for job in &send.jobs {
-                let col = OversetColumn {
-                    tgt_j: 0,
-                    tgt_k: 0,
-                    don_j: job.dj as usize,
-                    don_k: job.dk as usize,
-                    w: job.w,
-                    rot: job.rot,
-                };
-                interp_scalar_column(&col, &s.rho, &mut row);
-                buf.extend_from_slice(&row);
-                interp_scalar_column(&col, &s.press, &mut row);
-                buf.extend_from_slice(&row);
-                interp_vector_column(&col, &s.f.r, &s.f.t, &s.f.p, &mut vr, &mut vt, &mut vp);
-                buf.extend_from_slice(&vr);
-                buf.extend_from_slice(&vt);
-                buf.extend_from_slice(&vp);
-                interp_vector_column(&col, &s.a.r, &s.a.t, &s.a.p, &mut vr, &mut vt, &mut vp);
-                buf.extend_from_slice(&vr);
-                buf.extend_from_slice(&vt);
-                buf.extend_from_slice(&vp);
-            }
-            self.meter.kernel_timed(
-                kernel::OVERSET_DONATE,
-                donate_tally_owned(self.owned_jobs[si], send.jobs.len() as u64, nr as u64),
-                t0,
-            );
-            self.world.send_f64s(send.to_world, TAG_OVERSET, buf, TrafficClass::Overset);
-        }
-        clock.lap(self.world, SolverPhase::Overset);
-        // Receive and place.
-        for (ri, recv) in self.exchange.recvs.iter().enumerate() {
-            let buf = self.world.recv_f64s(recv.from_world, TAG_OVERSET);
-            clock.lap(self.world, SolverPhase::Wait);
-            let t0 = self.meter.timer();
-            assert_eq!(
-                buf.len(),
-                recv.slots.len() * 8 * nr,
-                "overset message size mismatch from rank {}",
-                recv.from_world
-            );
-            let mut pos = 0;
-            for slot in &recv.slots {
-                let mut take = |arr: &mut Array3| {
-                    arr.row_mut(slot.tj, slot.tk).copy_from_slice(&buf[pos..pos + nr]);
-                    pos += nr;
-                };
-                take(&mut s.rho);
-                take(&mut s.press);
-                take(&mut s.f.r);
-                take(&mut s.f.t);
-                take(&mut s.f.p);
-                take(&mut s.a.r);
-                take(&mut s.a.t);
-                take(&mut s.a.p);
-            }
-            self.meter.kernel_timed(
-                kernel::OVERSET_FILL,
-                fill_tally_owned(self.owned_slots[ri], recv.slots.len() as u64, nr as u64),
-                t0,
-            );
-            clock.lap(self.world, SolverPhase::Overset);
-        }
-    }
-
     /// Globally reduced CFL time step.
     ///
     /// The *ingredients* (max speed, min spacing, min density) are reduced
@@ -2193,16 +2019,11 @@ impl<'a> RankSolver<'a> {
 
     /// One RK4 step (mirrors `SerialSim::advance`: the stage sweeps
     /// combine the tendency into `state` and the next stage buffer as
-    /// they go). Both modes produce bitwise-identical states; they differ
-    /// only in how boundary synchronisation is scheduled against the RHS
-    /// sweeps. Stage 0 needs no communication (`state` was synced at the
-    /// end of the previous step); each later stage syncs the buffer the
-    /// previous one built — fused with its sweep
-    /// ([`Self::sync_rhs_overlapped`]) or serialized before it (the
-    /// blocking baseline).
+    /// they go). Stage 0 needs no communication (`state` was synced at
+    /// the end of the previous step); each later stage syncs the buffer
+    /// the previous one built, fused with its sweep
+    /// ([`Self::sync_rhs_overlapped`]).
     fn advance(&mut self, state: &mut State, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0];
         let mut rk4 = self.rk4.take().expect("RK4 buffers are only out during a step");
         let Rk4Bufs { y0, stage: [a, b] } = &mut rk4;
         // The sweeps write interior nodes only and the wall condition
@@ -2215,35 +2036,20 @@ impl<'a> RankSolver<'a> {
         let (y0, range) = (&*y0, self.range);
         for s in 0..4 {
             let (next, cur) = if s % 2 == 0 { (&mut *a, &mut *b) } else { (&mut *b, &mut *a) };
-            let mut sink = if s < 3 {
-                RhsSink::Stage { acc: state, y0, next, b: dt * weights[s], a: dt * nodes[s] }
-            } else {
-                RhsSink::Final { acc: state, b: dt * weights[s] }
-            };
+            let mut sink = RhsSink::rk4_stage(s, dt, state, y0, next);
             let combine = sink.combine_tally();
-            match (s, self.mode) {
-                (0, _) => self.rhs_partial(y0, &range, &mut sink),
-                (_, SyncMode::Overlapped) => self.sync_rhs_overlapped(cur, &mut sink),
-                (_, SyncMode::Blocking) => {
-                    self.sync_blocking(cur);
-                    self.rhs_partial(cur, &range, &mut sink);
-                }
+            if s == 0 {
+                self.rhs_partial(y0, &range, &mut sink);
+            } else {
+                self.sync_rhs_overlapped(cur, &mut sink);
             }
             self.meter.kernel(kernel::RK4_COMBINE, combine);
         }
-        match self.mode {
-            SyncMode::Overlapped => self.sync(state),
-            SyncMode::Blocking => self.sync_blocking(state),
-        }
+        self.sync(state);
         self.rk4 = Some(rk4);
         self.time += dt;
         self.step += 1;
-        if self.step == 2 {
-            // Two steps give the buffer circulation time to grow every
-            // pooled Vec to its steady capacity; from here on the step
-            // path must not allocate.
-            self.comm.warmed = true;
-        }
+        self.comm.steps_done += 1;
     }
 
     /// Restore this rank's owned block from a full-panel checkpoint.
@@ -2260,23 +2066,8 @@ impl<'a> RankSolver<'a> {
         let (panel, _) = panel_of_world(self.world.rank(), tiles);
         let src = [&ck.yin, &ck.yang][panel.index()];
         let nr = self.grid.spec().nr;
-        let t = &self.tile;
-        let global = Region {
-            i0: 0,
-            i1: nr,
-            j0: t.j0 as isize,
-            j1: (t.j0 + t.nth) as isize,
-            k0: t.k0 as isize,
-            k1: (t.k0 + t.nph) as isize,
-        };
-        let local = Region {
-            i0: 0,
-            i1: nr,
-            j0: 0,
-            j1: t.nth as isize,
-            k0: 0,
-            k1: t.nph as isize,
-        };
+        let global = tile_region(&self.tile, nr, true);
+        let local = tile_region(&self.tile, nr, false);
         let mut buf = Vec::with_capacity(global.len());
         for (src_arr, dst_arr) in src.arrays().into_iter().zip(state.arrays_mut()) {
             buf.clear();
@@ -2298,22 +2089,9 @@ impl<'a> RankSolver<'a> {
     /// The slot is only ever replaced whole — a rank killed mid-gather
     /// panics this rank before the swap, leaving the last good
     /// checkpoint untouched.
-    fn capture_checkpoint(
-        &mut self,
-        state: &State,
-        tiles: usize,
-        dt_cache: f64,
-        slot: &Mutex<Option<Checkpoint>>,
-    ) {
+    fn capture_checkpoint(&mut self, state: &State, dt_cache: f64, slot: &CkptSlot) {
         let nr = self.grid.spec().nr;
-        let owned = Region {
-            i0: 0,
-            i1: nr,
-            j0: 0,
-            j1: self.tile.nth as isize,
-            k0: 0,
-            k1: self.tile.nph as isize,
-        };
+        let owned = tile_region(&self.tile, nr, false);
         if self.world.rank() != 0 {
             let mut buf = Vec::with_capacity(owned.len() * 8);
             for arr in state.arrays() {
@@ -2335,9 +2113,7 @@ impl<'a> RankSolver<'a> {
         // earlier capture, or the serial-format checkpoint the run
         // resumed from — and captures rewrite only owned blocks, frames
         // and walls.
-        let scratch = self.ckpt_scratch.take().or_else(|| {
-            slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
-        });
+        let scratch = self.ckpt_scratch.take().or_else(|| lock_slot(slot).clone());
         let mut ck = match scratch {
             Some(ck) if ck.shape == full => ck,
             _ => {
@@ -2349,17 +2125,10 @@ impl<'a> RankSolver<'a> {
                 Checkpoint { shape: full, step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
             }
         };
+        let tiles = self.decomp.tiles();
         for world_rank in 0..2 * tiles {
             let (panel, pr) = panel_of_world(world_rank, tiles);
-            let t = self.decomp.tile(pr);
-            let region = Region {
-                i0: 0,
-                i1: nr,
-                j0: t.j0 as isize,
-                j1: (t.j0 + t.nth) as isize,
-                k0: t.k0 as isize,
-                k1: (t.k0 + t.nph) as isize,
-            };
+            let region = tile_region(&self.decomp.tile(pr), nr, true);
             let dst = match panel {
                 Panel::Yin => &mut ck.yin,
                 Panel::Yang => &mut ck.yang,
@@ -2404,7 +2173,29 @@ impl<'a> RankSolver<'a> {
         ck.step = self.step;
         ck.time = self.time;
         ck.dt_cache = dt_cache;
-        self.ckpt_scratch = slot.lock().unwrap_or_else(|e| e.into_inner()).replace(ck);
+        self.ckpt_scratch = lock_slot(slot).replace(ck);
+    }
+
+    /// One checkpoint event: gather a serial-format checkpoint into
+    /// `slot` and write this rank's shard, whichever the run has. Every
+    /// rank must call this — the gather is collective.
+    fn checkpoint(
+        &mut self,
+        state: &State,
+        dt_cache: f64,
+        slot: Option<&CkptSlot>,
+        emitter: Option<&mut ShardEmitter>,
+    ) {
+        if slot.is_none() && emitter.is_none() {
+            return;
+        }
+        if let Some(slot) = slot {
+            self.capture_checkpoint(state, dt_cache, slot);
+        }
+        if let Some(em) = emitter {
+            em.emit(self, state, dt_cache);
+        }
+        self.world.record_event(Event::CheckpointSaved { step: self.step });
     }
 
     /// Merge one per-rank histogram snapshot across every rank: bucket
@@ -2417,13 +2208,10 @@ impl<'a> RankSolver<'a> {
         HistogramSnapshot::from_f64s(&words, max)
     }
 
-    /// Allreduced run counters: (flops, halo bytes, overset bytes, max
-    /// observed mailbox depth, all-rank phase breakdown, merged
-    /// [receive-wait, step-wall, queue-depth] histograms, merged
-    /// per-kernel counter snapshot).
-    fn aggregate_counters(
-        &self,
-    ) -> (u64, u64, u64, u64, PhaseBreakdown, [HistogramSnapshot; 3], CounterSnapshot) {
+    /// The allreduced run counters, as the counter fields of a report:
+    /// flops, traffic bytes, max observed mailbox depth, all-rank phase
+    /// breakdown, merged histograms and per-kernel counters. Collective.
+    fn aggregate_counters(&self) -> RunReport {
         let stats = self.world.stats();
         let flops = self.world.allreduce_f64(self.meter.flops() as f64, ReduceOp::Sum) as u64;
         let halo_bytes = self.world.allreduce_f64(stats.bytes_halo as f64, ReduceOp::Sum) as u64;
@@ -2431,17 +2219,7 @@ impl<'a> RankSolver<'a> {
             self.world.allreduce_f64(stats.bytes_overset as f64, ReduceOp::Sum) as u64;
         let max_queue_depth =
             self.world.allreduce_f64(stats.max_queue_depth as f64, ReduceOp::Max) as u64;
-        let ns = self.world.allreduce_vec(
-            &[
-                stats.ns_pack as f64,
-                stats.ns_interior as f64,
-                stats.ns_wait as f64,
-                stats.ns_boundary as f64,
-                stats.ns_overset as f64,
-                stats.ns_writer_wait as f64,
-            ],
-            ReduceOp::Sum,
-        );
+        let ns = self.world.allreduce_vec(&phase_ns_words(&stats), ReduceOp::Sum);
         let phases = PhaseBreakdown {
             pack_s: ns[0] / 1e9,
             interior_s: ns[1] / 1e9,
@@ -2450,16 +2228,26 @@ impl<'a> RankSolver<'a> {
             overset_s: ns[4] / 1e9,
             writer_wait_s: ns[5] / 1e9,
         };
-        let hists = [stats.recv_wait, stats.step_wall, stats.queue_depth]
-            .map(|h| self.merge_hist(h));
+        let [recv_wait, step_wall, queue_depth] =
+            [stats.recv_wait, stats.step_wall, stats.queue_depth].map(|h| self.merge_hist(h));
         // Every tally word is an exact integer (or a ns sum) far below
         // 2⁵³, so the f64 Sum allreduce merges the per-rank kernel
         // counters losslessly — same trick as the histograms.
         let kwords = self
             .world
             .allreduce_vec(&self.meter.counters().snapshot().to_f64s(), ReduceOp::Sum);
-        let kernels = CounterSnapshot::from_f64s(&kwords);
-        (flops, halo_bytes, overset_bytes, max_queue_depth, phases, hists, kernels)
+        RunReport {
+            flops,
+            halo_bytes,
+            overset_bytes,
+            max_queue_depth,
+            phases,
+            recv_wait,
+            step_wall,
+            queue_depth,
+            kernels: CounterSnapshot::from_f64s(&kwords),
+            ..RunReport::default()
+        }
     }
 
     /// Measured compute imbalance across ranks: the slowest rank's
@@ -2494,63 +2282,6 @@ impl<'a> RankSolver<'a> {
         let sums = self.world.allreduce_vec(&v[..4], ReduceOp::Sum);
         let maxs = self.world.allreduce_vec(&v[4..], ReduceOp::Max);
         Diagnostics::from_slice(&[sums[0], sums[1], sums[2], sums[3], maxs[0], maxs[1]])
-    }
-
-    /// Gather owned blocks of both panels at world rank 0.
-    fn gather_panels(&self, state: &State, tiles: usize) -> (Option<State>, Option<State>) {
-        let nr = self.grid.spec().nr;
-        // Pack my owned block.
-        let owned = Region {
-            i0: 0,
-            i1: nr,
-            j0: 0,
-            j1: self.tile.nth as isize,
-            k0: 0,
-            k1: self.tile.nph as isize,
-        };
-        let mut buf = Vec::with_capacity(owned.len() * 8);
-        for arr in state.arrays() {
-            pack_region(arr, owned, &mut buf);
-        }
-        if self.world.rank() == 0 {
-            // Assemble into *initialized* full panels, not zeros: the
-            // serial driver's ghost padding keeps its initialization
-            // values forever (syncs only rewrite frames and walls), so a
-            // gathered checkpoint is byte-identical to a serial one only
-            // if the unowned padding carries the same initial bytes.
-            let mut panels =
-                [State::zeros(self.grid.full_shape()), State::zeros(self.grid.full_shape())];
-            for (p, s) in [Panel::Yin, Panel::Yang].into_iter().zip(panels.iter_mut()) {
-                initialize(s, &self.grid, None, &self.cfg.params, &self.cfg.init, p);
-            }
-            for world_rank in 0..2 * tiles {
-                let data = if world_rank == 0 {
-                    std::mem::take(&mut buf)
-                } else {
-                    self.world.recv_f64s(world_rank, TAG_GATHER)
-                };
-                let (panel, pr) = panel_of_world(world_rank, tiles);
-                let t = self.decomp.tile(pr);
-                let region = Region {
-                    i0: 0,
-                    i1: nr,
-                    j0: t.j0 as isize,
-                    j1: (t.j0 + t.nth) as isize,
-                    k0: t.k0 as isize,
-                    k1: (t.k0 + t.nph) as isize,
-                };
-                let mut rest: &[f64] = &data;
-                for arr in panels[panel.index()].arrays_mut() {
-                    rest = unpack_region(arr, region, rest);
-                }
-                assert!(rest.is_empty());
-            }
-            let [yin, yang] = panels;
-            (Some(yin), Some(yang))
-        } else {
-            self.world.send_f64s(0, TAG_GATHER, buf, TrafficClass::Control);
-            (None, None)
-        }
     }
 }
 
@@ -2609,29 +2340,6 @@ mod tests {
             }
             assert!(checked > 100_000, "comparison actually covered the grid");
         }
-    }
-
-    /// The overlapped pipeline reorders *scheduling*, never arithmetic:
-    /// both sync modes must produce bitwise-identical panels.
-    #[test]
-    fn blocking_and_overlapped_agree_bitwise() {
-        let cfg = quick_cfg();
-        let a = run_parallel_with_mode(&cfg, 2, 1, 3, 0, true, SyncMode::Overlapped);
-        let b = run_parallel_with_mode(&cfg, 2, 1, 3, 0, true, SyncMode::Blocking);
-        for (ov, bl) in [
-            (a.yin.as_ref().unwrap(), b.yin.as_ref().unwrap()),
-            (a.yang.as_ref().unwrap(), b.yang.as_ref().unwrap()),
-        ] {
-            for (x, y) in ov.arrays().into_iter().zip(bl.arrays()) {
-                assert_eq!(x.data(), y.data());
-            }
-        }
-        // Same arithmetic is also metered the same.
-        assert_eq!(a.report.flops, b.report.flops);
-        // Only the overlapped pipeline computes while messages fly.
-        assert!(a.report.phases.interior_s > 0.0);
-        assert_eq!(b.report.phases.interior_s, 0.0);
-        assert!(b.report.phases.wait_s > 0.0);
     }
 
     /// Five steps through a 2×2 decomposition: the in-rank steady-state
@@ -2700,5 +2408,150 @@ mod tests {
             ..RecoveryOpts::default()
         };
         assert!(slow.check().unwrap_err().contains("retile_backoff"));
+    }
+
+    /// The blow-up configuration of the hang report: a violent start at
+    /// the CFL limit goes unphysical within a few dozen steps.
+    fn blowup_cfg() -> RunConfig {
+        let mut cfg = RunConfig { nr: 12, nth_nominal: 9, cfl: 1.0, ..RunConfig::small() };
+        cfg.init.perturb_amplitude = 0.9;
+        cfg
+    }
+
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// One rank tripping the health scan must end the plain driver, not
+    /// strand its peers in a receive: the verdict is collective, so
+    /// every rank returns and `run_parallel` panics with the violation.
+    /// The serial driver reaches the same verdict at the same step.
+    #[test]
+    fn plain_run_fails_instead_of_hanging_on_a_health_violation() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome =
+                std::panic::catch_unwind(|| run_parallel(&blowup_cfg(), 1, 2, 600, 0, false));
+            tx.send(outcome.map(|_| ()).map_err(panic_text)).ok();
+        });
+        let par = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_parallel hung on a health violation")
+            .expect_err("the blow-up must not complete");
+        let serial = std::panic::catch_unwind(|| SerialSim::new(blowup_cfg()).run(600, 0))
+            .map(|_| ())
+            .map_err(panic_text)
+            .expect_err("the serial blow-up must not complete");
+        // "rank R step S: <violation>" against
+        // "step S (t = …): <violation>; <advice>".
+        let (par_head, par_violation) = par.split_once(": ").expect("rank and step, then text");
+        let (ser_head, ser_rest) = serial.split_once(": ").expect("step and time, then text");
+        let (ser_violation, advice) = ser_rest.split_once("; ").expect("violation, then advice");
+        assert!(par_head.starts_with("rank "), "names the rank: {par}");
+        assert_eq!(par_head.rsplit(' ').next(), ser_head.split(' ').nth(1), "{par} vs {serial}");
+        assert_eq!(par_violation, ser_violation);
+        assert_eq!(advice, "reduce cfl, reduce dt_every, or increase dissipation");
+    }
+
+    fn policy(on_failure: FailurePolicy, pth: usize, pph: usize) -> PolicyState {
+        PolicyState::new(&RecoveryOpts { on_failure, ..RecoveryOpts::default() }, pth, pph)
+    }
+
+    fn killed(node: usize, step: u64) -> PassOutcome {
+        PassOutcome::RankFailed {
+            node,
+            sig: format!("kill@{step}"),
+            cause: format!("rank {node}: injected kill at step {step}"),
+        }
+    }
+
+    fn give_up(action: Action) -> String {
+        match action {
+            Action::GiveUp(msg) => msg,
+            other => panic!("expected GiveUp, got {other:?}"),
+        }
+    }
+
+    /// The recovery policy as a table, with no universe behind it.
+    #[test]
+    fn next_action_follows_the_policy_table() {
+        // A clean pass finishes, whatever the policy.
+        let mut st = policy(FailurePolicy::Abort, 1, 2);
+        assert_eq!(next_action(&mut st, &PassOutcome::Completed), Action::Finish);
+
+        // Transient failures (distinct signatures) roll back until the
+        // retry budget is spent.
+        let mut st = policy(FailurePolicy::Retry, 1, 2);
+        for step in 0..st.max_recoveries as u64 {
+            assert_eq!(next_action(&mut st, &killed(1, step)), Action::Rollback);
+        }
+        let msg = give_up(next_action(&mut st, &killed(1, 99)));
+        assert!(msg.starts_with("giving up after 3 rank-failure recoveries: rank 1"), "{msg}");
+
+        // The same node failing the same way twice is persistent: under
+        // `retry` that is an error naming the remedy.
+        let mut st = policy(FailurePolicy::Retry, 2, 2);
+        assert_eq!(next_action(&mut st, &killed(1, 4)), Action::Rollback);
+        let msg = give_up(next_action(&mut st, &killed(1, 4)));
+        assert!(
+            msg.starts_with("persistent fault: node 1 failed identically 2 times (kill@4)")
+                && msg.contains("use on_failure=retile"),
+            "{msg}"
+        );
+
+        // `abort` gives up on the first failure and names the pass.
+        let mut st = policy(FailurePolicy::Abort, 1, 2);
+        st.pass = 1;
+        let msg = give_up(next_action(&mut st, &killed(0, 2)));
+        assert!(msg.starts_with("on_failure=abort: pass 1: rank 0"), "{msg}");
+
+        // Health violations halve dt until that budget is spent.
+        let mut st = policy(FailurePolicy::Retry, 1, 1);
+        let sick = PassOutcome::Unhealthy("rank 0 step 3: density floor violated".into());
+        assert_eq!(next_action(&mut st, &sick), Action::HalveDt);
+        assert_eq!(next_action(&mut st, &sick), Action::HalveDt);
+        let msg = give_up(next_action(&mut st, &sick));
+        assert!(
+            msg.starts_with("health violations persist after 2 dt reductions: rank 0"),
+            "{msg}"
+        );
+    }
+
+    /// Under `retile` every persistent node is excluded and the layout
+    /// shrinks θ-first — 2×2 → 1×2 → 1×1 — until the budget or the node
+    /// pool runs out.
+    #[test]
+    fn next_action_shrinks_the_layout_in_order() {
+        let mut st = policy(FailurePolicy::Retile, 2, 2);
+        (st.max_retiles, st.max_recoveries) = (8, 100);
+        let persistent = |st: &mut PolicyState, node: usize| {
+            assert_eq!(next_action(st, &killed(node, 4)), Action::Rollback);
+            next_action(st, &killed(node, 4))
+        };
+        assert_eq!(persistent(&mut st, 1), Action::Retile { node: 1, from: (2, 2) });
+        assert_eq!(st.layout, (1, 2));
+        assert_eq!(st.survivors, vec![0, 2, 3, 4, 5, 6, 7]);
+        // Seven survivors still cover 1×2 (four ranks): three more
+        // exclusions do not shrink, the fourth does.
+        for node in [0, 2, 3] {
+            assert_eq!(persistent(&mut st, node), Action::Retile { node, from: (1, 2) });
+            assert_eq!(st.layout, (1, 2));
+        }
+        assert_eq!(persistent(&mut st, 4), Action::Retile { node: 4, from: (1, 2) });
+        assert_eq!(st.layout, (1, 1));
+        assert_eq!(persistent(&mut st, 5), Action::Retile { node: 5, from: (1, 1) });
+        let msg = give_up(persistent(&mut st, 6));
+        assert!(msg.starts_with("only 1 nodes survive — too few for even a 1x1 layout"), "{msg}");
+
+        // The re-tile budget is charged per shrink decision.
+        let mut st = policy(FailurePolicy::Retile, 2, 2);
+        st.max_retiles = 1;
+        assert!(matches!(persistent(&mut st, 1), Action::Retile { .. }));
+        let msg = give_up(persistent(&mut st, 0));
+        assert!(msg.starts_with("giving up after 1 re-tiles: rank 0"), "{msg}");
     }
 }

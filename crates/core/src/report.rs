@@ -610,37 +610,6 @@ mod tests {
         assert!(rhs.get("intensity").unwrap().as_f64().unwrap() > 0.0);
     }
 
-    /// The v2→v3 compatibility contract: a reader written against
-    /// `yy.runreport.v2` — which keys on field presence, not the schema
-    /// string — must keep working on v3 output, since v3 only *adds*
-    /// the `elastic` section. This test is that reader (it exercises
-    /// every v2 field, including the kernel table v2 itself added).
-    #[test]
-    fn v2_reader_keeps_working_on_v3_output() {
-        use yy_obs::Json;
-        let r = RunReport {
-            time: 0.5,
-            steps: 3,
-            flops: 1234,
-            wall_seconds: 0.25,
-            grid_points: 99,
-            ..Default::default()
-        };
-        let doc = Json::parse(&r.to_json()).unwrap();
-        // The v2 reader reads the kernel table and every v1 field; it
-        // never touches (or needs) the new `elastic` section.
-        let table = doc.get("kernels").unwrap().as_arr().unwrap();
-        assert_eq!(table.len(), kernel::COUNT);
-        for row in table {
-            assert!(row.get("name").and_then(|n| n.as_str()).is_some());
-            assert!(row.get("mflops").and_then(|v| v.as_f64()).is_some());
-        }
-        for field in ["time", "steps", "flops", "wall_seconds", "grid_points"] {
-            assert!(doc.get(field).and_then(|v| v.as_f64()).is_some(), "v2 field {field}");
-        }
-        assert!(doc.get("recoveries").unwrap().as_arr().is_some());
-    }
-
     /// The v3 `elastic` section: always present, schema-stable keys,
     /// retile records carried through.
     #[test]
@@ -684,35 +653,6 @@ mod tests {
         assert_eq!(e.get("achieved_imbalance").unwrap().as_f64(), Some(1.0));
     }
 
-    /// The v3→v4 compatibility contract: a reader written against
-    /// `yy.runreport.v3` — which keys on field presence, not the schema
-    /// string — must keep working on v4 output, since v4 only *adds*
-    /// the `io` section and `phases.writer_wait_s`. This test is that
-    /// reader (it exercises the v3 `elastic` section and every earlier
-    /// field family a v3 consumer reads).
-    #[test]
-    fn v3_reader_keeps_working_on_v4_output() {
-        use yy_obs::Json;
-        let r = RunReport {
-            time: 0.5,
-            steps: 3,
-            flops: 1234,
-            wall_seconds: 0.25,
-            grid_points: 99,
-            ..Default::default()
-        };
-        let doc = Json::parse(&r.to_json()).unwrap();
-        let e = doc.get("elastic").expect("v3 elastic section");
-        assert!(e.get("policy").unwrap().as_str().is_some());
-        assert!(e.get("retiles").unwrap().as_arr().is_some());
-        assert_eq!(doc.get("kernels").unwrap().as_arr().unwrap().len(), kernel::COUNT);
-        for field in ["time", "steps", "flops", "wall_seconds", "grid_points"] {
-            assert!(doc.get(field).and_then(|v| v.as_f64()).is_some(), "v3 field {field}");
-        }
-        assert!(doc.get("phases").unwrap().get("hidden_comm_fraction").is_some());
-        // The v3 reader never touches (or needs) the new `io` section.
-    }
-
     /// The v4 `io` section: always present, schema-stable keys, totals
     /// and derived compression ratio carried through.
     #[test]
@@ -753,38 +693,6 @@ mod tests {
         assert_eq!(io.get("compression_ratio").unwrap().as_f64(), Some(1.0));
     }
 
-    /// The v4→v5 compatibility contract: a reader written against
-    /// `yy.runreport.v4` — which keys on field presence, not the schema
-    /// string — must keep working on v5 output, since v5 only *adds*
-    /// the `analysis` section. This test is that reader (it exercises
-    /// the v4 `io` section, `phases.writer_wait_s`, and every earlier
-    /// field family a v4 consumer reads).
-    #[test]
-    fn v4_reader_keeps_working_on_v5_output() {
-        use yy_obs::Json;
-        let r = RunReport {
-            time: 0.5,
-            steps: 3,
-            flops: 1234,
-            wall_seconds: 0.25,
-            grid_points: 99,
-            ..Default::default()
-        };
-        let doc = Json::parse(&r.to_json()).unwrap();
-        let io = doc.get("io").expect("v4 io section");
-        assert!(io.get("codec").unwrap().as_str().is_some());
-        assert!(io.get("compression_ratio").unwrap().as_f64().is_some());
-        assert!(doc.get("phases").unwrap().get("writer_wait_s").unwrap().as_f64().is_some());
-        let e = doc.get("elastic").expect("v3 elastic section");
-        assert!(e.get("policy").unwrap().as_str().is_some());
-        assert_eq!(doc.get("kernels").unwrap().as_arr().unwrap().len(), kernel::COUNT);
-        for field in ["time", "steps", "flops", "wall_seconds", "grid_points"] {
-            assert!(doc.get(field).and_then(|v| v.as_f64()).is_some(), "v4 field {field}");
-        }
-        // The v4 reader never touches (or needs) the new `analysis`
-        // section.
-    }
-
     /// The v5 `analysis` section: always present, roundtrips through
     /// the obs-side reader, defaults for unanalyzed runs.
     #[test]
@@ -821,37 +729,6 @@ mod tests {
         let a = plain.get("analysis").expect("default analysis section");
         assert_eq!(a.get("steps_analyzed").unwrap().as_f64(), Some(0.0));
         assert_eq!(a.get("stragglers").unwrap().as_arr().unwrap().len(), 0);
-    }
-
-    /// The v5→v6 compatibility contract: a reader written against
-    /// `yy.runreport.v5` — which keys on field presence, not the schema
-    /// string — must keep working on v6 output, since v6 only *adds*
-    /// the `alerts` array and the `telemetry` section. This test is
-    /// that reader (it exercises the v5 `analysis` section and every
-    /// earlier field family a v5 consumer reads).
-    #[test]
-    fn v5_reader_keeps_working_on_v6_output() {
-        use yy_obs::Json;
-        let r = RunReport {
-            time: 0.5,
-            steps: 3,
-            flops: 1234,
-            wall_seconds: 0.25,
-            grid_points: 99,
-            ..Default::default()
-        };
-        let doc = Json::parse(&r.to_json()).unwrap();
-        let a = doc.get("analysis").expect("v5 analysis section");
-        assert!(a.get("steps_analyzed").unwrap().as_f64().is_some());
-        assert!(a.get("verdict").unwrap().as_str().is_some());
-        let io = doc.get("io").expect("v4 io section");
-        assert!(io.get("codec").unwrap().as_str().is_some());
-        assert!(doc.get("elastic").unwrap().get("policy").unwrap().as_str().is_some());
-        assert_eq!(doc.get("kernels").unwrap().as_arr().unwrap().len(), kernel::COUNT);
-        for field in ["time", "steps", "flops", "wall_seconds", "grid_points"] {
-            assert!(doc.get(field).and_then(|v| v.as_f64()).is_some(), "v5 field {field}");
-        }
-        // The v5 reader never touches (or needs) `alerts`/`telemetry`.
     }
 
     /// The v6 `alerts` + `telemetry` sections: always-present alerts
@@ -891,12 +768,12 @@ mod tests {
         assert_eq!(chans[0].get("name").unwrap().as_str(), Some("dt"));
     }
 
-    /// The v1→v2 compatibility contract: a reader written against
-    /// `yy.runreport.v1` — which keys on field presence, not the schema
-    /// string — must keep working on v2 output, since v2 only *adds*
-    /// the kernel table. This test is that reader.
+    /// The compatibility contract of the schema: every version so far
+    /// only *added* keys, and consumers key on field presence, not the
+    /// schema string — so v6 output must still carry every key of v1–v5
+    /// with the type it had when introduced.
     #[test]
-    fn v1_reader_keeps_working_on_v2_output() {
+    fn v6_output_keeps_every_key_since_v1() {
         use yy_obs::Json;
         let mut r = RunReport {
             time: 0.5,
@@ -916,30 +793,50 @@ mod tests {
             diag: Diagnostics::default(),
         });
         let doc = Json::parse(&r.to_json()).unwrap();
-        // Every v1 field, read exactly as PR 4's consumers read them;
-        // the reader never touches (or needs) the new `kernels` array.
-        for field in [
-            "time",
-            "steps",
-            "flops",
-            "wall_seconds",
-            "grid_points",
-            "mflops",
-            "flops_per_point_step",
-            "halo_bytes",
-            "overset_bytes",
-            "max_queue_depth",
-        ] {
-            assert!(
-                doc.get(field).and_then(|v| v.as_f64()).is_some(),
-                "v1 field {field} missing or non-numeric in v2 output"
-            );
+        // (schema version that introduced it, path, type: n|s|a|o)
+        let keys: &[(u32, &[&str], char)] = &[
+            (1, &["time"], 'n'),
+            (1, &["steps"], 'n'),
+            (1, &["flops"], 'n'),
+            (1, &["wall_seconds"], 'n'),
+            (1, &["grid_points"], 'n'),
+            (1, &["mflops"], 'n'),
+            (1, &["flops_per_point_step"], 'n'),
+            (1, &["halo_bytes"], 'n'),
+            (1, &["overset_bytes"], 'n'),
+            (1, &["max_queue_depth"], 'n'),
+            (1, &["histograms", "recv_wait_ns"], 'o'),
+            (1, &["histograms", "step_wall_ns"], 'o'),
+            (1, &["histograms", "queue_depth"], 'o'),
+            (1, &["phases", "hidden_comm_fraction"], 'n'),
+            (1, &["recoveries"], 'a'),
+            (1, &["series"], 'a'),
+            (2, &["kernels"], 'a'),
+            (3, &["elastic", "policy"], 's'),
+            (3, &["elastic", "retiles"], 'a'),
+            (4, &["io", "codec"], 's'),
+            (4, &["io", "compression_ratio"], 'n'),
+            (4, &["phases", "writer_wait_s"], 'n'),
+            (5, &["analysis", "steps_analyzed"], 'n'),
+            (5, &["analysis", "verdict"], 's'),
+        ];
+        for (version, path, kind) in keys {
+            let v = path.iter().try_fold(&doc, |d, k| d.get(k));
+            let ok = match (v, kind) {
+                (Some(v), 'n') => v.as_f64().is_some(),
+                (Some(v), 's') => v.as_str().is_some(),
+                (Some(v), 'a') => v.as_arr().is_some(),
+                (Some(_), _) => true,
+                (None, _) => false,
+            };
+            assert!(ok, "v{version} key {} missing or retyped", path.join("."));
         }
-        for h in ["recv_wait_ns", "step_wall_ns", "queue_depth"] {
-            assert!(doc.get("histograms").unwrap().get(h).is_some(), "v1 histogram {h}");
-        }
-        assert!(doc.get("phases").unwrap().get("hidden_comm_fraction").is_some());
-        assert!(doc.get("recoveries").unwrap().as_arr().is_some());
         assert_eq!(doc.get("series").unwrap().as_arr().unwrap().len(), 1);
+        let table = doc.get("kernels").unwrap().as_arr().unwrap();
+        assert_eq!(table.len(), kernel::COUNT);
+        for row in table {
+            assert!(row.get("name").and_then(|n| n.as_str()).is_some());
+            assert!(row.get("mflops").and_then(|v| v.as_f64()).is_some());
+        }
     }
 }

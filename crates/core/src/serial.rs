@@ -21,6 +21,7 @@
 //! ```
 
 use crate::config::RunConfig;
+use crate::health::{HealthGuard, HealthLimits};
 use crate::output::OutputStage;
 use crate::report::{series_csv_of, IoStats, RunReport, TimeSeriesPoint};
 use std::path::PathBuf;
@@ -289,9 +290,6 @@ impl SerialSim {
 
     /// Advance one RK4 step of size `dt`.
     pub fn advance(&mut self, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0]; // stage-state coefficients c_2..c_4
-
         // The sweeps write interior nodes only, and the fills leave the
         // wall ρ (and conducting-wall A) alone: the stage buffers take
         // those frozen values here.
@@ -309,12 +307,7 @@ impl SerialSim {
             let (next, cur) = if s % 2 == 0 { (a, &*b) } else { (b, &*a) };
             for (p, acc) in [&mut self.yin, &mut self.yang].into_iter().enumerate() {
                 let y0 = &self.y0[p];
-                let mut sink = if s < 3 {
-                    let (b, a) = (dt * weights[s], dt * nodes[s]);
-                    RhsSink::Stage { acc, y0, next: &mut next[p], b, a }
-                } else {
-                    RhsSink::Final { acc, b: dt * weights[s] }
-                };
+                let mut sink = RhsSink::rk4_stage(s, dt, acc, y0, &mut next[p]);
                 let combine = sink.combine_tally();
                 sweep_rhs(
                     if s == 0 { y0 } else { &cur[p] },
@@ -474,7 +467,9 @@ impl SerialSim {
         let step_wall = yy_obs::Histogram::new();
         let mut series = vec![self.sample(0.0)];
         let mut last_step_ms = 0.0;
-        for n in 0..steps {
+        let guard = HealthGuard::new(HealthLimits::default());
+        let end = self.step + steps;
+        while self.step < end {
             let step_started = Instant::now();
             if self.dt_cache == 0.0 || self.step % self.cfg.dt_every as u64 == 0 {
                 self.dt_cache = self.auto_dt();
@@ -488,23 +483,18 @@ impl SerialSim {
             step_wall.record(step_ns);
             last_step_ms = step_ns as f64 / 1e6;
             let scan_t0 = self.meter.timer();
-            assert!(
-                !self.yin.has_non_finite() && !self.yang.has_non_finite(),
-                "solution became non-finite at step {} (t = {:.4e}); \
-                 reduce cfl or increase dissipation",
-                self.step,
-                self.time
-            );
-            // Positivity is the cheap early-warning for blow-up: a run can
-            // go badly unphysical (negative ρ or p) while every value is
-            // still finite.
-            assert!(
-                self.yin.is_physical() && self.yang.is_physical(),
-                "solution became unphysical (non-positive density/pressure) at step {} \
-                 (t = {:.4e}); reduce cfl, reduce dt_every, or increase dissipation",
-                self.step,
-                self.time
-            );
+            // The verdict the rank program reaches collectively, here
+            // over both panels; a serial run has no checkpoint to roll
+            // back to, so a violation ends it.
+            for panel in [&self.yin, &self.yang] {
+                if let Err(v) = guard.check_state(panel) {
+                    panic!(
+                        "step {} (t = {:.4e}): {v}; reduce cfl, reduce dt_every, \
+                         or increase dissipation",
+                        self.step, self.time
+                    );
+                }
+            }
             {
                 // Health scans over both panels (owned nodes only, so the
                 // totals match any decomposition of the same grid).
@@ -513,7 +503,9 @@ impl SerialSim {
                 self.meter.kernel_timed(kernel::HEALTH_SCAN, tally, scan_t0);
                 self.meter.kernel(kernel::HEALTH_SCAN, tally);
             }
-            if sample_every > 0 && (n + 1) % sample_every == 0 {
+            // Sample at absolute step numbers, like the dt cadence, so a
+            // resumed run's series lines up with the uninterrupted one's.
+            if sample_every > 0 && self.step % sample_every == 0 {
                 series.push(self.sample(dt));
                 self.feed_telemetry(&series, last_step_ms);
                 if let Some(st) = stream.as_deref_mut() {
@@ -524,8 +516,8 @@ impl SerialSim {
                 // Periodic Fig. 2 slices; the final step always gets
                 // one below, so skip a coinciding periodic emission.
                 if st.opts.snapshot_every > 0
-                    && (n + 1) % st.opts.snapshot_every == 0
-                    && n + 1 < steps
+                    && self.step % st.opts.snapshot_every == 0
+                    && self.step < end
                 {
                     self.emit_snapshot(st);
                 }
@@ -545,21 +537,12 @@ impl SerialSim {
             flops: self.meter.flops(),
             wall_seconds: started.elapsed().as_secs_f64(),
             grid_points: self.grid.total_points(),
-            halo_bytes: 0,
-            overset_bytes: 0,
-            max_queue_depth: 0,
-            phases: Default::default(),
-            recv_wait: Default::default(),
             step_wall: step_wall.snapshot(),
-            queue_depth: Default::default(),
-            recoveries: Vec::new(),
-            elastic: Default::default(),
             kernels: self.meter.counters().snapshot(),
-            io: Default::default(),
-            analysis: Default::default(),
             series,
             alerts: self.telemetry.as_ref().map(|t| t.alerts().to_vec()).unwrap_or_default(),
             telemetry: self.telemetry.as_ref().map(|t| t.store_json()),
+            ..RunReport::default()
         }
     }
 
@@ -602,6 +585,20 @@ mod tests {
         assert!(sim.yang.is_physical());
         assert_eq!(report.series.len(), 6);
         assert!(report.flops > 0);
+    }
+
+    /// Samples land on absolute step numbers, so a run resumed mid-way
+    /// samples where the uninterrupted run does (plus its own end points).
+    #[test]
+    fn resumed_run_samples_at_the_uninterrupted_cadence() {
+        let steps = |r: &RunReport| r.series.iter().map(|p| p.step).collect::<Vec<_>>();
+        let whole = steps(&SerialSim::new(quick_cfg()).run(8, 3));
+        assert_eq!(whole, [0, 3, 6, 8]);
+        let mut sim = SerialSim::new(quick_cfg());
+        let (first, second) = (steps(&sim.run(4, 3)), steps(&sim.run(4, 3)));
+        assert_eq!((first.as_slice(), second.as_slice()), (&[0, 3, 4][..], &[4, 6, 8][..]));
+        let seam = 4;
+        assert!(first.iter().chain(&second).all(|s| *s == seam || whole.contains(s)));
     }
 
     #[test]

@@ -249,8 +249,7 @@ impl ShallowSim {
 
     /// One RK4 step.
     pub fn advance(&mut self, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0];
+        let (weights, nodes) = (geomath::rk4::RK4_WEIGHTS, geomath::rk4::RK4_NODES);
         let shape = self.grid.full_shape();
         let (nth_pad, gth, gph) = (shape.nth_pad(), shape.gth, shape.gph);
         for p in 0..2 {
@@ -274,7 +273,7 @@ impl ShallowSim {
             }
             if st < 3 {
                 for p in 0..2 {
-                    self.stage[p].assign_axpy(&self.s0[p], dt * nodes[st], &self.k[p]);
+                    self.stage[p].assign_axpy(&self.s0[p], dt * nodes[st + 1], &self.k[p]);
                 }
                 Self::fill(&mut self.stage, &self.cols, &self.zero_r, &mut self.scratch_r);
             }

@@ -176,8 +176,7 @@ impl TransportSim {
 
     /// One RK4 step of size `dt` (stage fills included).
     pub fn advance(&mut self, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0];
+        let (weights, nodes) = (geomath::rk4::RK4_WEIGHTS, geomath::rk4::RK4_NODES);
         for p in 0..2 {
             self.q0[p].copy_from(&self.q[p]);
             self.stage[p].copy_from(&self.q[p]);
@@ -189,7 +188,7 @@ impl TransportSim {
             }
             if s < 3 {
                 for p in 0..2 {
-                    self.stage[p].assign_axpy(&self.q0[p], dt * nodes[s], &self.k[p]);
+                    self.stage[p].assign_axpy(&self.q0[p], dt * nodes[s + 1], &self.k[p]);
                 }
                 self.fill_stage();
             }

@@ -15,8 +15,7 @@
 //!    decomposition.)
 
 use yy_obs::counters::kernel;
-use yycore::parallel::run_parallel_with_mode;
-use yycore::{RunConfig, SerialSim, SyncMode};
+use yycore::{run_parallel, RunConfig, SerialSim};
 
 fn quick_cfg() -> RunConfig {
     let mut cfg = RunConfig::small();
@@ -52,8 +51,8 @@ fn per_kernel_totals_are_decomposition_invariant() {
     let cfg = quick_cfg();
     let mut sim = SerialSim::new(cfg.clone());
     let serial = sim.run(STEPS, 0);
-    let p12 = run_parallel_with_mode(&cfg, 1, 2, STEPS, 0, false, SyncMode::Overlapped);
-    let p22 = run_parallel_with_mode(&cfg, 2, 2, STEPS, 0, false, SyncMode::Overlapped);
+    let p12 = run_parallel(&cfg, 1, 2, STEPS, 0, false);
+    let p22 = run_parallel(&cfg, 2, 2, STEPS, 0, false);
 
     for (tag, par) in [("1x2", &p12.report), ("2x2", &p22.report)] {
         // The parallel conservation law holds per decomposition too.

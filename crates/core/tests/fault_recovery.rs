@@ -140,6 +140,33 @@ fn persistent_health_violation_degrades_then_reports() {
     assert!(err.contains("dt reductions"), "unexpected error: {err}");
 }
 
+/// The health error is the verdict of the rank that saw the violation
+/// — rank, step and field or floor — whichever rank that is. (It used
+/// to be whichever rank's `Err` the supervisor read first: at 1×1 a
+/// blow-up on the Yang panel was reported in rank 0's words, "health
+/// violation on a peer rank".)
+#[test]
+fn health_error_names_rank_step_and_field() {
+    let mut cfg = RunConfig { nr: 12, nth_nominal: 9, cfl: 1.0, ..RunConfig::small() };
+    cfg.init.perturb_amplitude = 0.9;
+    let opts = RecoveryOpts {
+        max_dt_reductions: 0,
+        deadline: Duration::from_secs(20),
+        ..RecoveryOpts::default()
+    };
+    for (pth, pph) in [(1, 1), (1, 2)] {
+        let err = run_parallel_supervised(&cfg, pth, pph, 600, 0, &opts)
+            .expect_err("the blow-up must be reported");
+        let cause = err
+            .strip_prefix("health violations persist after 0 dt reductions: ")
+            .unwrap_or_else(|| panic!("unexpected error: {err}"));
+        assert!(cause.starts_with("rank "), "names the rank: {err}");
+        assert!(cause.contains(" step "), "names the step: {err}");
+        assert!(cause.contains("floor") || cause.contains("field `"), "names the field: {err}");
+        assert!(!err.contains("peer rank"), "no second-hand verdicts: {err}");
+    }
+}
+
 fn checkpoint_bytes(ck: &Checkpoint) -> Vec<u8> {
     let mut v = Vec::new();
     ck.write_to(&mut v).expect("serialize checkpoint");

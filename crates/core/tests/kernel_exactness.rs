@@ -18,7 +18,7 @@ use yy_mhd::rhs::RhsKernels;
 use yy_mhd::{MagneticBc, State};
 use yy_parcomm::FaultSpec;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
-use yycore::{run_parallel_with_mode, RunConfig, SerialSim, SyncMode};
+use yycore::{run_parallel, RunConfig, SerialSim};
 
 fn cfg(reference: bool) -> RunConfig {
     cfg_with(if reference { RhsKernels::Reference } else { RhsKernels::Detected })
@@ -76,34 +76,32 @@ fn serial_kernels_match_reference_bitwise() {
     }
 }
 
-/// Parallel trajectories at 1×1, 1×2 and 2×2 tiles per panel, both sync
-/// modes (deep + shell split sweeps and whole-range ones), both wall
-/// types: the gathered panels of a baseline and of a detected run ≡ a
+/// Parallel trajectories at 1×1, 1×2 and 2×2 tiles per panel (deep +
+/// shell split sweeps; the serial test above has the whole-range ones),
+/// both wall types: the gathered panels of a baseline and of a detected run ≡ a
 /// reference run.
 #[test]
 fn parallel_kernels_match_reference_across_layouts() {
     for (pth, pph) in [(1, 1), (1, 2), (2, 2)] {
-        for mode in [SyncMode::Overlapped, SyncMode::Blocking] {
-            for mag_bc in [MagneticBc::ConductingWall, MagneticBc::ZeroGradient] {
-                let run = |kernels| {
-                    let cfg = RunConfig { mag_bc, ..cfg_with(kernels) };
-                    run_parallel_with_mode(&cfg, pth, pph, STEPS, 0, true, mode)
-                };
-                let refr = run(RhsKernels::Reference);
-                for kernels in instantiations() {
-                    let got = run(kernels);
-                    let tag = format!("{pth}x{pph} {mode:?} {mag_bc:?} {kernels:?}");
-                    assert_states_bit_identical(
-                        &format!("{tag} yin"),
-                        got.yin.as_ref().unwrap(),
-                        refr.yin.as_ref().unwrap(),
-                    );
-                    assert_states_bit_identical(
-                        &format!("{tag} yang"),
-                        got.yang.as_ref().unwrap(),
-                        refr.yang.as_ref().unwrap(),
-                    );
-                }
+        for mag_bc in [MagneticBc::ConductingWall, MagneticBc::ZeroGradient] {
+            let run = |kernels| {
+                let cfg = RunConfig { mag_bc, ..cfg_with(kernels) };
+                run_parallel(&cfg, pth, pph, STEPS, 0, true)
+            };
+            let refr = run(RhsKernels::Reference);
+            for kernels in instantiations() {
+                let got = run(kernels);
+                let tag = format!("{pth}x{pph} {mag_bc:?} {kernels:?}");
+                assert_states_bit_identical(
+                    &format!("{tag} yin"),
+                    got.yin.as_ref().unwrap(),
+                    refr.yin.as_ref().unwrap(),
+                );
+                assert_states_bit_identical(
+                    &format!("{tag} yang"),
+                    got.yang.as_ref().unwrap(),
+                    refr.yang.as_ref().unwrap(),
+                );
             }
         }
     }
@@ -125,7 +123,6 @@ fn delayed_messages_do_not_break_kernel_exactness() {
                 .with_data_floor(1024),
             checkpoint_every: 0,
             deadline: Duration::from_secs(60),
-            sync_mode: SyncMode::Overlapped,
             ..RecoveryOpts::default()
         };
         run_parallel_supervised(&cfg(reference), 1, 2, STEPS, 0, &opts)

@@ -1,7 +1,7 @@
 //! Checkpoint-portable restart, as a property: a checkpoint taken at
 //! any step resumes bit-identically onto *any* tile layout — serial,
-//! 1×1, 1×2, 2×2, 2×1 — under either sync mode, including a checkpoint
-//! produced by a run that itself rolled back mid-flight. The checkpoint
+//! 1×1, 1×2, 2×2, 2×1 — including a checkpoint produced by a run that
+//! itself rolled back mid-flight. The checkpoint
 //! format is layout-free (serial full-panel geometry), so restart is a
 //! pure function of (state, remaining steps), never of the decomposition
 //! that wrote or reads it.
@@ -12,7 +12,7 @@ use yy_parcomm::FaultSpec;
 use yy_testkit::{check_with, tk_assert, tk_assert_eq, Config, Gen};
 use yycore::checkpoint::Checkpoint;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
-use yycore::{RunConfig, SerialSim, SyncMode};
+use yycore::{RunConfig, SerialSim};
 
 /// Total trajectory length every resumed run must reach.
 const TOTAL: u64 = 6;
@@ -70,12 +70,7 @@ fn mid_rollback_checkpoint() -> &'static Checkpoint {
 
 /// Advance `ck` to `TOTAL` steps on the given layout and return the
 /// final checkpoint bytes.
-fn resume_onto(
-    cfg: &RunConfig,
-    ck: &Checkpoint,
-    layout: Option<(usize, usize)>,
-    mode: SyncMode,
-) -> Vec<u8> {
+fn resume_onto(cfg: &RunConfig, ck: &Checkpoint, layout: Option<(usize, usize)>) -> Vec<u8> {
     match layout {
         None => {
             let mut sim = SerialSim::new(cfg.clone());
@@ -86,7 +81,6 @@ fn resume_onto(
         Some((pth, pph)) => {
             let opts = RecoveryOpts {
                 resume_from: Some(ck.clone()),
-                sync_mode: mode,
                 deadline: Duration::from_secs(30),
                 ..RecoveryOpts::default()
             };
@@ -97,14 +91,13 @@ fn resume_onto(
     }
 }
 
-fn gen_case(g: &mut Gen) -> (u64, usize, SyncMode) {
+fn gen_case(g: &mut Gen) -> (u64, usize) {
     let step = g.range_usize(1, TOTAL as usize) as u64;
     let layout = g.range_usize(0, LAYOUTS.len());
-    let mode = if g.below(2) == 0 { SyncMode::Overlapped } else { SyncMode::Blocking };
-    (step, layout, mode)
+    (step, layout)
 }
 
-/// Any (checkpoint step, layout, sync mode): restart reproduces the
+/// Any (checkpoint step, layout): restart reproduces the
 /// uninterrupted serial trajectory byte for byte.
 #[test]
 fn restart_onto_any_layout_is_byte_identical() {
@@ -114,16 +107,15 @@ fn restart_onto_any_layout_is_byte_identical() {
         Config::with_cases(10),
         "restart_onto_any_layout_is_byte_identical",
         gen_case,
-        |&(step, layout, mode)| {
+        |&(step, layout)| {
             let ck = &serial_ladder()[step as usize];
             tk_assert_eq!(ck.step, step);
-            let out = resume_onto(&cfg, ck, LAYOUTS[layout], mode);
+            let out = resume_onto(&cfg, ck, LAYOUTS[layout]);
             tk_assert!(
                 out == reference,
-                "restart from step {} onto {:?} ({:?}) diverged",
+                "restart from step {} onto {:?} diverged",
                 step,
-                LAYOUTS[layout],
-                mode
+                LAYOUTS[layout]
             );
             Ok(())
         },
@@ -146,18 +138,13 @@ fn mid_rollback_checkpoint_restarts_cleanly_everywhere() {
     check_with(
         Config::with_cases(6),
         "mid_rollback_checkpoint_restarts_cleanly_everywhere",
-        |g| {
-            let layout = g.range_usize(0, LAYOUTS.len());
-            let mode = if g.below(2) == 0 { SyncMode::Overlapped } else { SyncMode::Blocking };
-            (layout, mode)
-        },
-        |&(layout, mode)| {
-            let out = resume_onto(&cfg, mid_rollback_checkpoint(), LAYOUTS[layout], mode);
+        |g| g.range_usize(0, LAYOUTS.len()),
+        |&layout| {
+            let out = resume_onto(&cfg, mid_rollback_checkpoint(), LAYOUTS[layout]);
             tk_assert!(
                 out == reference,
-                "mid-rollback restart onto {:?} ({:?}) diverged",
-                LAYOUTS[layout],
-                mode
+                "mid-rollback restart onto {:?} diverged",
+                LAYOUTS[layout]
             );
             Ok(())
         },

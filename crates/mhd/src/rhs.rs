@@ -328,7 +328,26 @@ pub enum RhsSink<'a> {
     },
 }
 
-impl RhsSink<'_> {
+impl<'a> RhsSink<'a> {
+    /// The sink of RK4 stage `s` (0-based) of a step of size `dt`, from
+    /// the shared tableau: stages 0–2 accumulate `dt·b_s·k` into `acc`
+    /// and build `next = y0 + dt·c_{s+1}·k`; stage 3 only accumulates.
+    pub fn rk4_stage(
+        s: usize,
+        dt: f64,
+        acc: &'a mut State,
+        y0: &'a State,
+        next: &'a mut State,
+    ) -> Self {
+        use geomath::rk4::{RK4_NODES, RK4_WEIGHTS};
+        let b = dt * RK4_WEIGHTS[s];
+        if s < 3 {
+            RhsSink::Stage { acc, y0, next, b, a: dt * RK4_NODES[s + 1] }
+        } else {
+            RhsSink::Final { acc, b }
+        }
+    }
+
     /// The `RK4_COMBINE` tally of one whole stage through this sink,
     /// over the owned nodes of the accumulator (padding excluded, so
     /// global totals are decomposition-invariant). Points, flops and
@@ -451,8 +470,8 @@ pub enum RhsKernels {
     /// without AVX2 runs, selectable so the tests can diff it against
     /// the wide instantiation on a host that has both.
     Baseline,
-    /// The pre-rewrite reference sweep: the exactness oracle
-    /// (`rhs_impl=reference`).
+    /// The pre-rewrite reference sweep: the exactness oracle, a value
+    /// for the tests only like `Baseline`.
     Reference,
 }
 

@@ -2,8 +2,8 @@
 # Benchmark driver for the geodynamo workspace.
 #
 # Runs the full step pipeline benchmark (halo round-trip, overset
-# donate/fill, overlapped-vs-blocking parallel RK4 step under a fixed
-# injected message latency) and leaves a machine-readable summary in
+# donate/fill, the parallel RK4 step under a fixed injected message
+# latency and kernel-bound) and leaves a machine-readable summary in
 # BENCH_step.json at the repo root. CI smoke-runs the same bench with
 # tiny knobs (see scripts/ci.sh); this script is the full-fat version.
 #
