@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo bench -p yy-bench --bench profile`
 
-use yy_esmodel::model::{project, project_kernels, KernelCost, RunShape};
+use yy_esmodel::model::{project, project_kernels, RunShape};
 use yy_esmodel::{EsMachine, EsModelParams, KernelProfile};
 use yy_obs::counters::kernel;
 use yycore::{RunConfig, SerialSim};
@@ -29,26 +29,16 @@ fn main() {
     cfg.init.perturb_amplitude = 1e-2;
     let steps = env_u64("YY_BENCH_PROFILE_STEPS", 5);
 
-    let nr = cfg.nr as f64;
     let mut sim = SerialSim::new(cfg.clone());
     let interior = sim.interior_points();
     let report = sim.run(steps, 0);
     let snap = &report.kernels;
-    let denom = report.steps as f64 * interior as f64;
-
-    let costs: Vec<KernelCost> = (0..kernel::COUNT)
-        .filter(|&id| snap.kernels[id].flops > 0)
-        .map(|id| KernelCost {
-            name: kernel::name(id as u8).to_string(),
-            flops_per_point_step: snap.kernels[id].flops as f64 / denom,
-            vl_fraction: (snap.kernels[id].avg_vector_length() / nr).clamp(0.01, 1.0),
-        })
-        .collect();
+    let costs = report.kernel_costs(interior, cfg.nr);
     let total: f64 = costs.iter().map(|k| k.flops_per_point_step).sum();
 
     let machine = EsMachine::earth_simulator();
     let params = EsModelParams::calibrated();
-    let shape = RunShape { procs: 4096, nr: 511, nth: 514, nph: 1538 };
+    let shape = RunShape::flagship();
     let projection = project(&machine, &params, &KernelProfile::from_kernels(&costs), &shape);
 
     let mut rows = String::new();

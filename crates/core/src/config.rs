@@ -1,5 +1,6 @@
 //! Run configuration for the geodynamo drivers.
 
+use crate::cli::{key, num, suggestion, Key, SOLVER};
 use yy_mesh::{PatchGrid, PatchSpec};
 use yy_mhd::{init::InitOptions, rhs::RhsKernels, MagneticBc, PhysParams};
 
@@ -77,43 +78,15 @@ impl RunConfig {
         )
     }
 
-    /// Apply `key=value` overrides (the examples' tiny CLI):
-    /// `nr`, `nth`, `ext`, `cfl`, `steps`-unrelated physics keys
-    /// `mu`, `kappa`, `eta`, `omega`, `g0`, `t_inner`, `gamma`,
-    /// `perturb`, `seed_amp`, `seed`.
+    /// Apply one `key=value` override: a lookup in [`KEYS`].
     pub fn apply_override(&mut self, key: &str, value: &str) -> Result<(), String> {
-        let fv = || value.parse::<f64>().map_err(|e| format!("bad float for {key}: {e}"));
-        let uv = || value.parse::<usize>().map_err(|e| format!("bad integer for {key}: {e}"));
-        match key {
-            "nr" => self.nr = uv()?,
-            "nth" => self.nth_nominal = uv()?,
-            "ext" => self.ext = uv()?,
-            "cfl" => self.cfl = fv()?,
-            "dt_every" => self.dt_every = uv()?,
-            "mu" => self.params.mu = fv()?,
-            "kappa" => self.params.kappa = fv()?,
-            "eta" => self.params.eta = fv()?,
-            "omega" => self.params.omega = fv()?,
-            "g0" => self.params.g0 = fv()?,
-            "t_inner" => self.params.t_inner = fv()?,
-            "gamma" => self.params.gamma = fv()?,
-            "ri" => self.params.ri = fv()?,
-            "perturb" => self.init.perturb_amplitude = fv()?,
-            "seed_amp" => self.init.seed_amplitude = fv()?,
-            "seed" => {
-                self.init.seed =
-                    value.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?
-            }
-            "mag_bc" => {
-                self.mag_bc = match value {
-                    "conducting" => MagneticBc::ConductingWall,
-                    "zero_gradient" => MagneticBc::ZeroGradient,
-                    other => return Err(format!("unknown mag_bc '{other}'")),
-                }
-            }
-            other => return Err(format!("unknown config key '{other}'")),
+        match KEYS.iter().find(|row| row.name == key) {
+            Some(row) => row.apply(self, value),
+            None => Err(format!(
+                "unknown config key '{key}'{}",
+                suggestion(key, KEYS.iter().map(|row| row.name))
+            )),
         }
-        Ok(())
     }
 
     /// Parse a list of `key=value` arguments (e.g. from `std::env::args`).
@@ -127,6 +100,36 @@ impl RunConfig {
         Ok(())
     }
 }
+
+/// The `key=value` rows of a [`RunConfig`] — the examples' whole CLI
+/// ([`RunConfig::apply_args`]) and the physics half of `yycore help`.
+pub const KEYS: [Key<RunConfig>; 17] = [
+    key!("nr", "N", SOLVER, "radial nodes [16]", |c, v| c.nr = num(v)?),
+    key!("nth", "N", SOLVER, "nodes across the nominal 90-degree colatitude span [13]",
+        |c, v| c.nth_nominal = num(v)?),
+    key!("ext", "N", SOLVER, "patch extension cells [2]", |c, v| c.ext = num(v)?),
+    key!("cfl", "F", SOLVER, "advective CFL safety factor [0.3]", |c, v| c.cfl = num(v)?),
+    key!("dt_every", "N", SOLVER, "recompute dt every N steps [5]", |c, v| c.dt_every = num(v)?),
+    key!("mu", "F", SOLVER, "dynamic viscosity", |c, v| c.params.mu = num(v)?),
+    key!("kappa", "F", SOLVER, "thermal conductivity", |c, v| c.params.kappa = num(v)?),
+    key!("eta", "F", SOLVER, "electrical resistivity", |c, v| c.params.eta = num(v)?),
+    key!("omega", "F", SOLVER, "frame rotation rate", |c, v| c.params.omega = num(v)?),
+    key!("g0", "F", SOLVER, "gravity coefficient, g = -g0/r^2", |c, v| c.params.g0 = num(v)?),
+    key!("t_inner", "F", SOLVER, "inner-wall temperature", |c, v| c.params.t_inner = num(v)?),
+    key!("gamma", "F", SOLVER, "ratio of specific heats", |c, v| c.params.gamma = num(v)?),
+    key!("ri", "F", SOLVER, "inner radius (outer = 1)", |c, v| c.params.ri = num(v)?),
+    key!("perturb", "F", SOLVER, "relative pressure perturbation amplitude [0.03 from yycore]",
+        |c, v| c.init.perturb_amplitude = num(v)?),
+    key!("seed_amp", "F", SOLVER, "magnetic seed amplitude",
+        |c, v| c.init.seed_amplitude = num(v)?),
+    key!("seed", "N", SOLVER, "master RNG seed of the perturbations", |c, v| c.init.seed = num(v)?),
+    key!("mag_bc", "conducting|zero_gradient", SOLVER, "magnetic wall condition [conducting]",
+        |c, v| c.mag_bc = match v {
+            "conducting" => MagneticBc::ConductingWall,
+            "zero_gradient" => MagneticBc::ZeroGradient,
+            other => return Err(format!("expected conducting|zero_gradient, got '{other}'")),
+        }),
+];
 
 #[cfg(test)]
 mod tests {

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod cli;
 pub mod config;
 pub mod health;
 pub mod obs;
@@ -42,11 +43,8 @@ pub mod output;
 pub mod parallel;
 pub mod report;
 pub mod serial;
-pub mod shallow;
 pub mod snapshots;
 pub mod telemetry;
-pub mod trace;
-pub mod transport;
 pub mod weights;
 
 pub use config::RunConfig;

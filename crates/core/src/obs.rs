@@ -7,7 +7,7 @@
 //! in `yy-obs`; this module only decides *whether* recorders are
 //! installed for a supervised run and turns their contents into files.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use yy_obs::{chrome_trace_json, MetricsHub, RankTrace, RecorderSet};
 
@@ -44,10 +44,6 @@ pub struct ObsOpts {
     /// Append JSONL structured log records (pass lifecycle, recoveries,
     /// artifact writes) here.
     pub log: Option<PathBuf>,
-    /// Flight-recorder ring capacity in events; 0 = the `yy-obs`
-    /// default. The ring keeps the newest events on wrap, so a small
-    /// capacity still yields a useful post-mortem tail.
-    pub ring_capacity: usize,
     /// Recorder installation policy (see [`TraceMode`]).
     pub mode: TraceMode,
     /// Arm the per-kernel performance counters (default on). Off leaves
@@ -60,13 +56,10 @@ pub struct ObsOpts {
     /// is rendered to the hub. 0 disables the sampler (the hub, if any,
     /// then publishes every step).
     pub profile_every: u64,
-    /// Serve the live Prometheus text exposition on
-    /// `127.0.0.1:<port>` (rank 0's allreduced view) for the duration of
-    /// the supervised run. `None` = no endpoint.
-    pub metrics_port: Option<u16>,
-    /// Pre-built metrics hub to publish into. Tests inject one to scrape
-    /// without a socket; when `None` and `metrics_port` is set the
-    /// driver creates its own.
+    /// Metrics hub rank 0 publishes the live Prometheus exposition
+    /// into. The caller owns the endpoint: the CLI binds a
+    /// [`yy_obs::MetricsServer`] on it (so the endpoint can outlive the
+    /// run), tests scrape it without a socket.
     pub metrics_hub: Option<Arc<MetricsHub>>,
     /// Arm the science-telemetry layer: a multi-resolution
     /// [`yy_obs::SeriesStore`] fed at the sample cadence plus the
@@ -83,11 +76,9 @@ impl Default for ObsOpts {
         ObsOpts {
             trace: None,
             log: None,
-            ring_capacity: 0,
             mode: TraceMode::default(),
             counters: true,
             profile_every: 0,
-            metrics_port: None,
             metrics_hub: None,
             series: false,
             rules: None,
@@ -113,7 +104,7 @@ impl ObsOpts {
     /// post-mortem dumps possible.
     pub fn make_recorders(&self, nranks: usize) -> Option<Arc<RecorderSet>> {
         self.recording()
-            .map(|armed| Arc::new(RecorderSet::new(nranks, self.ring_capacity, armed)))
+            .map(|armed| Arc::new(RecorderSet::new(nranks, 0, armed)))
     }
 
     /// The deterministic post-mortem dump path next to the trace path.
@@ -136,12 +127,6 @@ pub fn recorders_to_chrome(set: &RecorderSet) -> String {
         .map(|(rank, events)| RankTrace { rank, events })
         .collect();
     chrome_trace_json(&tracks)
-}
-
-/// Dump the recorder set to `path` as a Chrome trace.
-pub fn write_chrome_trace(path: &Path, set: &RecorderSet) -> Result<(), String> {
-    std::fs::write(path, recorders_to_chrome(set))
-        .map_err(|e| format!("writing trace {}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ use yy_obs::event::counter;
 use yy_obs::hist::HistogramSnapshot;
 use yy_obs::{
     analyze, doctor_gauges_text, prometheus_text_with_phases, science_gauges_text, AnalysisInput,
-    Event, JsonlLogger, MetricsHub, MetricsServer, RecorderSet,
+    Event, JsonlLogger, MetricsHub, RecorderSet,
 };
 use yy_parcomm::stats::{SolverPhase, TrafficClass};
 use yy_parcomm::{
@@ -173,7 +173,7 @@ impl FailurePolicy {
             "retry" => Ok(FailurePolicy::Retry),
             "retile" => Ok(FailurePolicy::Retile),
             "abort" => Ok(FailurePolicy::Abort),
-            other => Err(format!("on_failure: expected retry|retile|abort, got '{other}'")),
+            other => Err(format!("expected retry|retile|abort, got '{other}'")),
         }
     }
 
@@ -204,7 +204,7 @@ impl WeightsMode {
         match s {
             "uniform" => Ok(WeightsMode::Uniform),
             "measured" => Ok(WeightsMode::Measured),
-            other => Err(format!("weights: expected uniform|measured, got '{other}'")),
+            other => Err(format!("expected uniform|measured, got '{other}'")),
         }
     }
 
@@ -227,8 +227,6 @@ pub struct RecoveryOpts {
     pub checkpoint_every: u64,
     /// Per-receive communication deadline.
     pub deadline: Duration,
-    /// Base interval of the bounded retry/limbo-pump loop.
-    pub retry_base: Duration,
     /// Give up after this many rank-failure recoveries.
     pub max_recoveries: u32,
     /// Give up after this many health-triggered dt reductions.
@@ -279,7 +277,6 @@ impl Default for RecoveryOpts {
             fault: FaultSpec::disabled(),
             checkpoint_every: 0,
             deadline: Duration::from_secs(30),
-            retry_base: Duration::from_micros(200),
             max_recoveries: 3,
             max_dt_reductions: 2,
             health: HealthLimits::default(),
@@ -607,8 +604,6 @@ struct Supervisor<'a> {
     /// dumped as a post-mortem.
     recorders: Option<Arc<RecorderSet>>,
     logger: Option<JsonlLogger>,
-    /// Lives for the whole run, across pass restarts; stops on drop.
-    _metrics_server: Option<MetricsServer>,
     /// Measured column costs come from one serial probe, shared by every
     /// (re)build — re-probing mid-run would move cut boundaries between
     /// passes for no benefit.
@@ -660,23 +655,6 @@ impl<'a> Supervisor<'a> {
                 ("traced", recorders.is_some().to_string()),
             ],
         );
-        // Live metrics: tests may inject a hub to scrape without a socket;
-        // a configured port gets a hub plus the std-TcpListener endpoint.
-        let metrics = opts
-            .obs
-            .metrics_hub
-            .clone()
-            .or_else(|| opts.obs.metrics_port.map(|_| Arc::new(MetricsHub::new())));
-        let metrics_server = match (&metrics, opts.obs.metrics_port) {
-            (Some(h), Some(port)) => {
-                let server = MetricsServer::start(Arc::clone(h), port)
-                    .map_err(|e| format!("starting metrics endpoint on port {port}: {e}"))?;
-                let addr = server.local_addr().to_string();
-                log(&logger, "info", "metrics endpoint up", &[("addr", addr)]);
-                Some(server)
-            }
-            _ => None,
-        };
         let costs = match opts.weights {
             WeightsMode::Measured => Some(ColumnCosts::measure(cfg, 2)),
             WeightsMode::Uniform => None,
@@ -719,7 +697,6 @@ impl<'a> Supervisor<'a> {
                 .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
             recorders,
             logger,
-            _metrics_server: metrics_server,
             costs,
             science: ScienceTelemetry::from_opts(&opts.obs)?,
             slot: Mutex::new(opts.resume_from.clone()),
@@ -732,7 +709,7 @@ impl<'a> Supervisor<'a> {
                 dt_inject: opts.dt_inject,
                 counters: opts.obs.counters,
                 profile_every: opts.obs.profile_every,
-                metrics,
+                metrics: opts.obs.metrics_hub.clone(),
                 shards,
             },
             policy: PolicyState::new(opts, pth, pph),
@@ -762,7 +739,6 @@ impl<'a> Supervisor<'a> {
         let sup = SupervisedOpts {
             fault: self.fault.clone(),
             deadline: self.opts.deadline,
-            retry_base: self.opts.retry_base,
             recorders: self.recorders.clone(),
             nodes: Some(node_map.clone()),
         };
@@ -2377,7 +2353,7 @@ mod tests {
         assert_eq!(FailurePolicy::parse("retile").unwrap(), FailurePolicy::Retile);
         assert_eq!(FailurePolicy::parse("abort").unwrap(), FailurePolicy::Abort);
         let err = FailurePolicy::parse("panic").unwrap_err();
-        assert_eq!(err, "on_failure: expected retry|retile|abort, got 'panic'");
+        assert_eq!(err, "expected retry|retile|abort, got 'panic'");
         assert_eq!(FailurePolicy::Retile.name(), "retile");
     }
 
@@ -2386,7 +2362,7 @@ mod tests {
         assert_eq!(WeightsMode::parse("uniform").unwrap(), WeightsMode::Uniform);
         assert_eq!(WeightsMode::parse("measured").unwrap(), WeightsMode::Measured);
         let err = WeightsMode::parse("guessed").unwrap_err();
-        assert_eq!(err, "weights: expected uniform|measured, got 'guessed'");
+        assert_eq!(err, "expected uniform|measured, got 'guessed'");
         assert_eq!(WeightsMode::Measured.name(), "measured");
     }
 

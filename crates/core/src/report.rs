@@ -2,11 +2,11 @@
 //! distributions, and the machine-readable JSON artifact.
 
 use yy_mhd::Diagnostics;
-use yy_obs::analysis::Analysis;
+use yy_obs::analysis::{Analysis, LedgerEntry};
 use yy_obs::counters::{kernel, CounterSnapshot};
-use yy_obs::hist::HistogramSnapshot;
-use yy_obs::json::{escape, num};
-use yy_obs::registry::hist_json;
+use yy_obs::hist::{hist_json, HistogramSnapshot};
+use yy_obs::dashboard::panel_line;
+use yy_obs::json::{escape, num, Json};
 
 /// One sample of the diagnostic time series (§V's energy curves).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -345,6 +345,24 @@ impl RunReport {
         self.flops as f64 / self.steps as f64 / self.grid_points as f64
     }
 
+    /// The measured per-kernel profile the ES model consumes: counters
+    /// normalized to flops per point per step. FLOP tallies follow the
+    /// owned-node convention, so dividing by `interior_points` (both
+    /// panels, [`crate::SerialSim::interior_points`]) × steps is exact;
+    /// the measured equivalent vector length (points per innermost loop)
+    /// maps onto the model's fraction of the radial length `nr`.
+    pub fn kernel_costs(&self, interior_points: usize, nr: usize) -> Vec<yy_esmodel::KernelCost> {
+        let denom = self.steps as f64 * interior_points as f64;
+        (self.kernels.kernels.iter().enumerate())
+            .filter(|(_, k)| k.flops > 0)
+            .map(|(id, k)| yy_esmodel::KernelCost {
+                name: kernel::name(id as u8).to_string(),
+                flops_per_point_step: k.flops as f64 / denom,
+                vl_fraction: (k.avg_vector_length() / nr as f64).clamp(0.01, 1.0),
+            })
+            .collect()
+    }
+
     /// Render the series as CSV (`step,time,dt,kinetic,magnetic,thermal,
     /// mass,max_speed,max_b`).
     pub fn series_csv(&self) -> String {
@@ -486,6 +504,146 @@ impl RunReport {
             series.join(","),
         )
     }
+}
+
+/// Read the `analysis` section back out of a report artifact
+/// ([`RunReport::to_json`]) — what `yycore doctor report=` renders.
+pub fn analysis_from_report(text: &str) -> Result<Analysis, String> {
+    let doc = Json::parse(text)?;
+    let section = doc.get("analysis").ok_or("no analysis section (pre-v5 artifact?)")?;
+    Analysis::from_json(section)
+}
+
+/// One dashboard frame from a v6 report artifact: sparklines over every
+/// telemetry channel's raw tail plus the recorded alert edges.
+pub fn report_frame(text: &str, width: usize) -> Result<String, String> {
+    let doc = Json::parse(text).map_err(|e| format!("parsing report: {e}"))?;
+    let tel = doc
+        .get("telemetry")
+        .ok_or("report has no telemetry section (pre-v6 artifact?)")?;
+    let channels = tel.get("channels").and_then(|c| c.as_arr()).ok_or(
+        "report's telemetry was not armed — rerun with telemetry=1 to record the series store",
+    )?;
+    let mut out = String::new();
+    if let Some(steps) = doc.get("steps").and_then(|v| v.as_f64()) {
+        out.push_str(&format!("run: {steps:.0} steps"));
+        if let Some(t) = doc.get("time").and_then(|v| v.as_f64()) {
+            out.push_str(&format!(", t = {t:.5}"));
+        }
+        out.push('\n');
+    }
+    for ch in channels {
+        let name = ch.get("name").and_then(|v| v.as_str()).unwrap_or("?");
+        let vals: Vec<f64> = ch
+            .get("raw")
+            .and_then(|r| r.as_arr())
+            .map(|pairs| {
+                pairs
+                    .iter()
+                    .filter_map(|p| p.as_f64_array())
+                    .filter_map(|p| p.get(1).copied())
+                    .collect()
+            })
+            .unwrap_or_default();
+        out.push_str(&panel_line(name, &vals, width));
+    }
+    let edges = match doc.get("alerts") {
+        Some(a) => crate::telemetry::alerts_from_json(a).ok_or("report's alerts array is malformed")?,
+        None => Vec::new(),
+    };
+    for e in &edges {
+        out.push_str(&format!(
+            "alert {} ({}): {} at step {}\n",
+            e.rule,
+            yy_obs::event::alert::name(e.kind_code),
+            if e.firing { "FIRED" } else { "cleared" },
+            e.step
+        ));
+    }
+    if edges.is_empty() {
+        out.push_str("alerts: none recorded\n");
+    }
+    Ok(out)
+}
+
+/// Summarize a report artifact into one regression-ledger entry:
+/// normalized step cost, per-kernel MFLOPS, hidden-communication
+/// fraction, and the ES flagship projection that fraction supports.
+/// Besides [`RunReport::to_json`] output this accepts the two bench
+/// shapes `scripts/bench.sh` ingests (`BENCH_step.json`,
+/// `BENCH_profile.json`).
+pub fn ledger_entry_from_report(text: &str, label: &str, seq: u64) -> Result<LedgerEntry, String> {
+    let doc = Json::parse(text)?;
+    let f = |k: &str| doc.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
+    let steps = f("steps") as u64;
+    let grid_points = f("grid_points") as u64;
+    let wall = f("wall_seconds");
+    // RunReports carry wall_seconds; BENCH_step.json carries the
+    // overlapped median directly — accept either shape.
+    let overlapped_ns = doc
+        .get("overlapped")
+        .and_then(|o| o.get("median_ns_per_step"))
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0);
+    let ns_per_point = if steps > 0 && grid_points > 0 && wall > 0.0 {
+        wall * 1e9 / (steps as f64 * grid_points as f64)
+    } else if grid_points > 0 && overlapped_ns > 0.0 {
+        overlapped_ns / grid_points as f64
+    } else {
+        0.0
+    };
+    let mut kernel_mflops = Vec::new();
+    if let Some(arr) = doc.get("kernels").and_then(|v| v.as_arr()) {
+        for row in arr {
+            let name = row.get("name").and_then(|v| v.as_str()).unwrap_or("");
+            let mflops = row.get("mflops").and_then(|v| v.as_f64()).unwrap_or(0.0);
+            if !name.is_empty() && mflops > 0.0 {
+                kernel_mflops.push((name.to_string(), mflops));
+            }
+        }
+    }
+    let hidden = doc
+        .get("phases")
+        .and_then(|p| p.get("hidden_comm_fraction"))
+        .or_else(|| doc.get("overlapped").and_then(|o| o.get("hidden_comm_fraction")))
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0);
+    // BENCH_profile.json carries its own exact-counter projection;
+    // prefer it over the hiding-derived one.
+    let es_tflops = if f("es_flagship_tflops") > 0.0 {
+        f("es_flagship_tflops")
+    } else if hidden > 0.0 {
+        yy_esmodel::flagship_projection(hidden).tflops()
+    } else {
+        0.0
+    };
+    // Reports carry the layout in `elastic`; BENCH_step.json in `decomp`.
+    let dim = |v: Option<&Json>| v.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
+    let layout = match (doc.get("decomp").and_then(|d| d.as_arr()), doc.get("elastic")) {
+        (Some(d), _) => (dim(d.first()), dim(d.get(1))),
+        (None, e) => (
+            dim(e.and_then(|e| e.get("final_pth"))),
+            dim(e.and_then(|e| e.get("final_pph"))),
+        ),
+    };
+    let codec = doc
+        .get("io")
+        .and_then(|io| io.get("codec"))
+        .and_then(|v| v.as_str())
+        .unwrap_or("none")
+        .to_string();
+    Ok(LedgerEntry {
+        label: label.to_string(),
+        seq,
+        steps,
+        grid_points,
+        layout,
+        codec,
+        ns_per_point,
+        kernel_mflops,
+        hidden_comm_fraction: hidden,
+        es_tflops,
+    })
 }
 
 #[cfg(test)]
@@ -720,7 +878,8 @@ mod tests {
         let doc = Json::parse(&r.to_json()).unwrap();
         let a = doc.get("analysis").expect("analysis section");
         assert_eq!(a.get("steps_analyzed").unwrap().as_f64(), Some(12.0));
-        let back = Analysis::from_json(a).expect("obs reader must decode");
+        let back = analysis_from_report(&r.to_json()).expect("the reader beside the writer decodes");
+        assert_eq!(back, r.analysis);
         assert_eq!(back.stragglers[0].reason, reason::LATE_SENDER);
         assert_eq!(back.gating[0].phase, "wait");
         assert_eq!(back.disruptions[0].kind, "kill");
@@ -766,6 +925,33 @@ mod tests {
         let tel = doc.get("telemetry").expect("telemetry section");
         let chans = tel.get("channels").unwrap().as_arr().unwrap();
         assert_eq!(chans[0].get("name").unwrap().as_str(), Some("dt"));
+    }
+
+    /// Writer → reader: the ledger ingester recovers step cost, kernel
+    /// rates, hiding, layout and codec from what `to_json` wrote.
+    #[test]
+    fn ledger_entry_reads_what_to_json_writes() {
+        let mut kernels = CounterSnapshot::default();
+        kernels.kernels[kernel::RHS as usize].flops = 3_000_000;
+        kernels.kernels[kernel::RHS as usize].wall_ns = 1_000_000;
+        let r = RunReport {
+            steps: 4,
+            grid_points: 1000,
+            wall_seconds: 0.002,
+            phases: PhaseBreakdown { interior_s: 3.0, wait_s: 1.0, ..Default::default() },
+            elastic: ElasticSummary { final_pth: 2, final_pph: 1, ..Default::default() },
+            io: IoStats { codec: "delta".into(), ..Default::default() },
+            kernels,
+            ..Default::default()
+        };
+        let e = ledger_entry_from_report(&r.to_json(), "ci", 3).expect("ingests");
+        assert_eq!((e.label.as_str(), e.seq, e.steps, e.grid_points), ("ci", 3, 4, 1000));
+        assert_eq!((e.layout, e.codec.as_str()), ((2, 1), "delta"));
+        assert_eq!(e.ns_per_point, 500.0);
+        assert_eq!(e.kernel_mflops, vec![("rhs".to_string(), 3000.0)]);
+        assert_eq!(e.hidden_comm_fraction, 0.75);
+        assert_eq!(e.es_tflops, yy_esmodel::flagship_projection(0.75).tflops());
+        assert!(ledger_entry_from_report("{", "ci", 0).is_err());
     }
 
     /// The compatibility contract of the schema: every version so far

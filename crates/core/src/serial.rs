@@ -118,22 +118,6 @@ pub fn fill_pair(
     apply_physical_bc(yang, t_inner, mag_bc);
 }
 
-/// Overset-fill a *scalar* pair: each panel's frame columns interpolated
-/// from the partner (no vector rotation, no physical wall condition).
-/// Used by the transport validation solver and the slicing utilities.
-pub fn fill_pair_scalar(
-    yin: &mut yy_field::Array3,
-    yang: &mut yy_field::Array3,
-    cols: &[OversetColumn],
-) {
-    for col in cols {
-        apply_scalar(col, yang, yin);
-    }
-    for col in cols {
-        apply_scalar(col, yin, yang);
-    }
-}
-
 /// Options for [`SerialSim::run_streaming`]: where the live output
 /// products land and how the writer behaves.
 #[derive(Debug, Clone)]
@@ -146,6 +130,13 @@ pub struct StreamOpts {
     /// Route writes through the background writer thread so they
     /// overlap the next steps' compute (`false` = write inline).
     pub async_mode: bool,
+}
+
+impl Default for StreamOpts {
+    /// Products under `out/`, one slice at the end, overlapped writes.
+    fn default() -> Self {
+        StreamOpts { dir: PathBuf::from("out"), snapshot_every: 0, async_mode: true }
+    }
 }
 
 /// Live state of an output stream during a streaming run.

@@ -125,7 +125,7 @@ fn armed_run_appends_doctor_gauges_to_the_final_body() {
 
 #[test]
 fn tcp_endpoint_serves_the_exposition_mid_run() {
-    // Arrange the server exactly as the driver does for `metrics_port=`,
+    // Arrange the server exactly as the CLI does for `metrics_port=`,
     // but on port 0 so the OS picks a free one, and keep the hub handle
     // so the scrape can race the run: the body must be valid whenever it
     // is non-empty, including while ranks are still stepping.

@@ -169,6 +169,19 @@ pub fn flagship_projection(hidden: f64) -> Projection {
     )
 }
 
+/// [`flagship_projection`] with the measured receive-wait tail folded
+/// in ([`project_overlapped_tail`]).
+pub fn flagship_projection_tail(hidden: f64, tail: WaitTail) -> Projection {
+    project_overlapped_tail(
+        &crate::EsMachine::earth_simulator(),
+        &EsModelParams::calibrated(),
+        &KernelProfile::yycore_default(),
+        &RunShape::flagship(),
+        hidden.clamp(0.0, 1.0),
+        tail,
+    )
+}
+
 impl RunShape {
     /// The paper's flagship shape: 4096 processes, 511 × 514 × 1538 × 2
     /// grid points (Table II's headline row).

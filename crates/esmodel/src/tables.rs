@@ -179,11 +179,31 @@ pub const TABLE3_OTHERS: [Table3Entry; 4] = [
     },
 ];
 
+/// The per-kernel projection ([`crate::project_kernels`]) as text: what
+/// each measured kernel costs and how fast it would run on the machine.
+pub fn kernel_projection_text(rows: &[crate::KernelProjection]) -> String {
+    let mut s = format!(
+        "{:<16} {:>14} {:>10} {:>12} {:>8}\n",
+        "kernel", "flops/pt/step", "proj VL", "AP GFLOPS", "%time"
+    );
+    for row in rows {
+        s.push_str(&format!(
+            "{:<16} {:>14.2} {:>10.1} {:>12.2} {:>8.2}\n",
+            row.name,
+            row.flops_per_point_step,
+            row.vector_length,
+            row.ap_rate / 1e9,
+            row.time_fraction * 100.0
+        ));
+    }
+    s
+}
+
 /// Table III as text, with this code's (projected) flagship entry last.
 pub fn table3_text(profile: &KernelProfile) -> String {
     let machine = EsMachine::earth_simulator();
     let params = EsModelParams::calibrated();
-    let flagship = RunShape { procs: 4096, nr: 511, nth: 514, nph: 1538 };
+    let flagship = RunShape::flagship();
     let proj = project(&machine, &params, profile, &flagship);
     let aps_per_node = machine.ap_per_node;
 

@@ -34,11 +34,6 @@ impl VectorField {
         [&self.r, &self.t, &self.p]
     }
 
-    /// Mutable component arrays in fixed order `(r, θ, φ)`.
-    pub fn components_mut(&mut self) -> [&mut Array3; 3] {
-        [&mut self.r, &mut self.t, &mut self.p]
-    }
-
     /// `self ← self + c * other` on every component.
     pub fn axpy(&mut self, c: f64, other: &VectorField) {
         self.r.axpy(c, &other.r);

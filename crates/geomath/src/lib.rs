@@ -35,11 +35,6 @@ pub use spherical::{SphericalBasis, SphericalPoint};
 pub use vec3::Vec3;
 pub use yinyang::{yang_from_yin_point, yin_from_yang_point, YinYangMap};
 
-/// Machine-epsilon-scale tolerance used by the geometric predicates in this
-/// crate. Double precision round-off through a handful of trig calls stays
-/// well below this.
-pub const GEOM_EPS: f64 = 1e-12;
-
 /// Relative comparison helper used across the workspace's tests.
 ///
 /// Returns `true` when `a` and `b` agree to within `tol` relative to the

@@ -94,12 +94,6 @@ impl PatchSpec {
         self.ext = ext;
         self
     }
-
-    /// Override the halo width.
-    pub fn with_halo(mut self, halo: usize) -> Self {
-        self.halo = halo;
-        self
-    }
 }
 
 /// The discretized geometry of one component grid.

@@ -171,6 +171,63 @@ impl Analysis {
         }
     }
 
+    /// Human rendering — the tables `yycore doctor` prints. `source`
+    /// names the artifact the diagnosis came from.
+    pub fn render(&self, source: &str) -> String {
+        let mut out = format!("doctor: {source}\n  verdict: {}\n", self.verdict);
+        out.push_str(&format!(
+            "  steps analyzed: {} (ring coverage {:.0}%)\n",
+            self.steps_analyzed,
+            self.coverage * 100.0
+        ));
+        if !self.gating.is_empty() {
+            out.push_str("  gating phases:\n");
+            for g in &self.gating {
+                let share = if self.steps_analyzed > 0 {
+                    100.0 * g.steps as f64 / self.steps_analyzed as f64
+                } else {
+                    0.0
+                };
+                out.push_str(&format!(
+                    "    {:<12} {:>6} step(s)  {:>5.1}%\n",
+                    g.phase, g.steps, share
+                ));
+            }
+        }
+        if self.rank_path.iter().any(|&n| n > 0) {
+            out.push_str("  critical-path appearances by rank:\n");
+            for (r, n) in self.rank_path.iter().enumerate().filter(|(_, &n)| n > 0) {
+                out.push_str(&format!("    rank {r:<4} {n:>6} step(s)\n"));
+            }
+        }
+        if !self.stragglers.is_empty() {
+            out.push_str("  stragglers (worst first):\n");
+            for s in &self.stragglers {
+                out.push_str(&format!(
+                    "    rank {}: {} (severity x{:.2}) -- {}\n",
+                    s.rank,
+                    reason::name(s.reason),
+                    s.severity,
+                    s.detail
+                ));
+            }
+        }
+        for d in &self.disruptions {
+            if d.rank >= 0 {
+                out.push_str(&format!(
+                    "  critical-path disruption: {} on rank {} at step {}\n",
+                    d.kind, d.rank, d.step
+                ));
+            } else {
+                out.push_str(&format!(
+                    "  critical-path disruption: {} at step {}\n",
+                    d.kind, d.step
+                ));
+            }
+        }
+        out
+    }
+
     /// Serialize as the report's `analysis` section object.
     pub fn to_json(&self) -> String {
         let gating: Vec<String> = self
@@ -1072,6 +1129,14 @@ mod tests {
         assert_eq!(a.stragglers.len(), b.stragglers.len());
         assert_eq!(a.stragglers[0].reason, b.stragglers[0].reason);
         assert!((a.stragglers[0].severity - b.stragglers[0].severity).abs() < 1e-9);
+        // The reader's rendering is the writer's: every section prints.
+        let text = b.render("section");
+        assert_eq!(text, a.render("section"));
+        for want in ["doctor: section", "gating phases:", "stragglers (worst first):", "late sender",
+            "critical-path disruption: kill on rank 1 at step 5"]
+        {
+            assert!(text.contains(want), "render lacks {want:?}:\n{text}");
+        }
     }
 
     #[test]

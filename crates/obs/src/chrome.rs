@@ -207,6 +207,28 @@ pub struct TraceCheck {
     pub counter_tracks: usize,
 }
 
+impl TraceCheck {
+    /// The one-line census `yycore tracecheck` prints.
+    pub fn summary(&self) -> String {
+        format!(
+            "trace ok: {} events, {} spans, {} flow arrows, {} kill(s), {} track(s), \
+             {} counter sample(s) on {} counter track(s), {} retile(s), {} degrade(s), \
+             {} analysis mark(s), {} alert edge(s)",
+            self.events,
+            self.spans,
+            self.flow_starts,
+            self.kills,
+            self.tracks,
+            self.counter_samples,
+            self.counter_tracks,
+            self.retiles,
+            self.degrades,
+            self.analysis_marks,
+            self.alerts
+        )
+    }
+}
+
 /// Parse and structurally validate a Chrome trace produced by
 /// [`chrome_trace_json`] (or anything shaped like it): the document must
 /// parse, carry a `traceEvents` array, every event must have the

@@ -322,6 +322,37 @@ impl CounterSnapshot {
         self.kernels.iter().map(|k| k.flops).sum()
     }
 
+    /// The roofline table `yycore profile` prints: one row per kernel
+    /// that ran — calls, measured MFLOPS, arithmetic intensity,
+    /// equivalent vector length, share of the total flops.
+    pub fn roofline_text(&self) -> String {
+        let total_flops = self.total_flops().max(1);
+        let mut out = format!(
+            "{:<16} {:>10} {:>14} {:>10} {:>8} {:>8}\n",
+            "kernel", "calls", "MFLOPS", "flops/B", "avg VL", "%flops"
+        );
+        for (id, k) in self.kernels.iter().enumerate().filter(|(_, k)| k.calls > 0) {
+            // A kernel that counts flops but no wall time of its own runs
+            // inside another kernel's timer: the RK4 combine, flushed per
+            // column by the RHS sweep.
+            let rate = if k.flops > 0 && k.wall_ns == 0 {
+                "fused into rhs".to_string()
+            } else {
+                format!("{:.1}", k.mflops())
+            };
+            out.push_str(&format!(
+                "{:<16} {:>10} {:>14} {:>10.3} {:>8.1} {:>8.2}\n",
+                kernel::name(id as u8),
+                k.calls,
+                rate,
+                k.intensity(),
+                k.avg_vector_length(),
+                100.0 * k.flops as f64 / total_flops as f64
+            ));
+        }
+        out
+    }
+
     /// Elementwise merge (every field adds — wall times are per-rank
     /// attributions, so their sum is all-rank seconds like the phase
     /// breakdown). Associative and commutative with the default as

@@ -15,6 +15,7 @@
 //! through an f64 allreduce (exact while counts stay below 2⁵³, see
 //! [`HistogramSnapshot::to_f64s`]).
 
+use crate::json::num;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets; covers the full `u64` value range.
@@ -193,6 +194,30 @@ impl HistogramSnapshot {
     }
 }
 
+/// Render one histogram snapshot as a JSON object with its summary
+/// quantiles plus the non-empty buckets as `[index, count]` pairs
+/// (enough to reconstruct the full distribution).
+pub fn hist_json(h: &HistogramSnapshot) -> String {
+    let buckets: Vec<String> = h
+        .buckets
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &c)| format!("[{i},{c}]"))
+        .collect();
+    format!(
+        r#"{{"count":{},"sum":{},"mean":{},"p50":{},"p90":{},"p99":{},"max":{},"buckets":[{}]}}"#,
+        h.count,
+        h.sum,
+        num(h.mean()),
+        h.p50(),
+        h.p90(),
+        h.p99(),
+        h.max,
+        buckets.join(",")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +252,13 @@ mod tests {
         let p99 = s.p99();
         assert!(p99 >= 524_288, "p99 {p99} should sit in the slow bucket");
         assert!((s.mean() - 100_900.0).abs() < 1.0);
+        // The JSON rendering carries the same summary plus the two
+        // non-empty buckets.
+        let doc = crate::Json::parse(&hist_json(&s)).expect("histogram JSON must parse");
+        assert_eq!(doc.get("count").unwrap().as_f64(), Some(100.0));
+        assert_eq!(doc.get("p50").unwrap().as_f64(), Some(p50 as f64));
+        assert_eq!(doc.get("max").unwrap().as_f64(), Some(1e6));
+        assert_eq!(doc.get("buckets").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]

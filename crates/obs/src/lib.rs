@@ -12,10 +12,9 @@
 //!   relaxed atomics) behind an enabled-flag fast path, so a disabled
 //!   recorder costs one atomic load per event site and a missing
 //!   recorder (`Option::None` in the comm layer) costs one branch.
-//! * **Metrics** ([`Histogram`], [`Registry`]) — log₂-bucketed latency
-//!   histograms with exact associative/commutative merge (so per-rank
-//!   distributions can be allreduced), plus a small named
-//!   counter/gauge/histogram registry for driver-level metrics.
+//! * **Metrics** ([`Histogram`]) — log₂-bucketed latency histograms
+//!   with exact associative/commutative merge (so per-rank
+//!   distributions can be allreduced).
 //! * **Exporters** ([`chrome`], [`logger`], [`json`]) — Chrome
 //!   trace-event JSON (one track per rank, spans + message flow arrows,
 //!   loadable in Perfetto / `chrome://tracing`), JSONL structured logs,
@@ -30,12 +29,12 @@
 pub mod analysis;
 pub mod chrome;
 pub mod counters;
+pub mod dashboard;
 pub mod event;
 pub mod hist;
 pub mod json;
 pub mod logger;
 pub mod metrics;
-pub mod registry;
 pub mod ring;
 pub mod series;
 pub mod watch;
@@ -54,7 +53,6 @@ pub use metrics::{
     doctor_gauges_text, prometheus_text, prometheus_text_with_phases, science_gauges_text,
     MetricsHub, MetricsServer, ScienceGauges,
 };
-pub use registry::{MetricsSnapshot, Registry};
 pub use ring::{FlightRecorder, RecorderSet};
 pub use series::{Bucket, Channel, SeriesSpec, SeriesStore, Tier};
 pub use watch::{parse_rules, AlertEvent, Rule, RuleKind, Watchdog};

@@ -216,6 +216,55 @@ pub fn science_gauges_text(g: &ScienceGauges) -> String {
     out
 }
 
+/// Parse a text exposition (the format the `*_text` writers above
+/// emit) into `(sample name, value)` pairs. The sample name keeps its
+/// `{label="v"}` part; comment and blank lines are skipped.
+pub fn parse_exposition(text: &str) -> Vec<(String, f64)> {
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| {
+            let (name, value) = l.rsplit_once(' ')?;
+            Some((name.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// The first `"quoted"` label value inside a sample name, e.g.
+/// `kinetic` from `yy_energy{component="kinetic"}`.
+pub fn label_value(sample: &str) -> Option<&str> {
+    let start = sample.find('"')? + 1;
+    let end = start + sample[start..].find('"')?;
+    Some(&sample[start..end])
+}
+
+/// Plain HTTP/1.0 GET over a std `TcpStream` — the client half of
+/// [`MetricsServer`]. `url` is `http://host:port[/path]` (the path
+/// defaults to `/metrics`). Returns the response body.
+pub fn http_get(url: &str) -> Result<String, String> {
+    let rest = url
+        .strip_prefix("http://")
+        .ok_or_else(|| format!("only http:// URLs are supported, got '{url}'"))?;
+    let (hostport, path) = match rest.split_once('/') {
+        Some((h, p)) => (h, format!("/{p}")),
+        None => (rest, "/metrics".to_string()),
+    };
+    let mut stream = std::net::TcpStream::connect(hostport)
+        .map_err(|e| format!("connecting {hostport}: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .map_err(|e| format!("configuring socket to {hostport}: {e}"))?;
+    write!(stream, "GET {path} HTTP/1.0\r\nHost: {hostport}\r\nConnection: close\r\n\r\n")
+        .map_err(|e| format!("sending request to {hostport}: {e}"))?;
+    let mut resp = String::new();
+    stream
+        .read_to_string(&mut resp)
+        .map_err(|e| format!("reading response from {hostport}: {e}"))?;
+    match resp.split_once("\r\n\r\n") {
+        Some((_, body)) => Ok(body.to_string()),
+        None => Err(format!("{hostport}: malformed HTTP response")),
+    }
+}
+
 /// Minimal HTTP/1.0 server publishing a [`MetricsHub`] body on every
 /// request. Bind with port 0 to let the OS choose (tests); stop via
 /// [`MetricsServer::stop`] or drop.
@@ -434,6 +483,51 @@ mod tests {
         let mut resp = String::new();
         stream.read_to_string(&mut resp).expect("response 2");
         assert!(resp.ends_with("yy_step 9\n"));
+        // The in-repo client sees exactly the hub's body, at any path.
+        assert_eq!(http_get(&format!("http://{addr}")).as_deref(), Ok("yy_step 9\n"));
+        assert_eq!(http_get(&format!("http://{addr}/x")).as_deref(), Ok("yy_step 9\n"));
         server.stop();
+        assert!(http_get(&format!("http://{addr}")).unwrap_err().starts_with("connecting "));
+        let err = http_get("https://example.com").unwrap_err();
+        assert_eq!(err, "only http:// URLs are supported, got 'https://example.com'");
+    }
+
+    /// Writer → reader: the parser recovers every sample line the
+    /// exposition writers emit, name (with labels) and value.
+    #[test]
+    fn parser_recovers_every_sample_the_writers_emit() {
+        let g = ScienceGauges {
+            energy: vec![("kinetic".into(), 1.5), ("magnetic".into(), 0.25)],
+            dt: 1.25e-3,
+            max_speed: 3.5,
+            max_b: 0.125,
+            dominant_m: 4,
+            alerts: vec![("energy_blowup".into(), true, 2)],
+        };
+        let phases = [("interior", 1.25), ("writer_wait", 0.03125)];
+        let body = format!(
+            "{}{}",
+            prometheus_text_with_phases(&sample_snapshot(), 12, 3, &phases),
+            science_gauges_text(&g)
+        );
+        let samples = parse_exposition(&body);
+        let sample_lines = body.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).count();
+        assert_eq!(samples.len(), sample_lines, "every sample line parses");
+        let value_of = |name: &str| samples.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        assert_eq!(value_of("yy_step"), Some(12.0));
+        assert_eq!(value_of("yy_kernel_flops_total{kernel=\"rhs\"}"), Some(40960.0));
+        assert_eq!(value_of("yy_phase_wall_seconds{phase=\"writer_wait\"}"), Some(0.03125));
+        assert_eq!(value_of("yy_energy{component=\"magnetic\"}"), Some(0.25));
+        assert_eq!(value_of("yy_dt"), Some(1.25e-3));
+        assert_eq!(value_of("yy_dominant_m"), Some(4.0));
+        assert_eq!(value_of("yy_alert_active{rule=\"energy_blowup\"}"), Some(1.0));
+        assert_eq!(value_of("yy_alert_fired_total{rule=\"energy_blowup\"}"), Some(2.0));
+        let labels: Vec<_> = samples
+            .iter()
+            .filter(|(n, _)| n.starts_with("yy_energy{"))
+            .map(|(n, _)| label_value(n))
+            .collect();
+        assert_eq!(labels, [Some("kinetic"), Some("magnetic")]);
+        assert_eq!(label_value("yy_dt"), None);
     }
 }

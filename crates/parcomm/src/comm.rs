@@ -25,6 +25,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// First retry slice of the bounded receive loop; doubles up to 32× per
+/// wait.
+const RETRY_BASE: Duration = Duration::from_micros(200);
+
 /// A structured communication failure, produced instead of hanging when
 /// the universe runs supervised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +84,6 @@ pub(crate) struct RuntimeCtl {
     /// Bound on any single receive; `None` means unbounded (plain
     /// universes, where a missing message is a bug, not a fault).
     pub deadline: Option<Duration>,
-    /// First retry slice of the bounded receive loop; doubles up to
-    /// 32× per wait.
-    pub retry_base: Duration,
 }
 
 impl RuntimeCtl {
@@ -93,7 +94,6 @@ impl RuntimeCtl {
             nodes: (0..nprocs).collect(),
             fault: None,
             deadline: None,
-            retry_base: Duration::from_micros(200),
         }
     }
 
@@ -157,12 +157,6 @@ impl Comm {
         self.members.len()
     }
 
-    /// World rank of communicator rank `r`.
-    #[inline]
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// Traffic statistics snapshot for this rank, including the mailbox
     /// queue-depth high-water mark and duplicate-discard count.
     ///
@@ -218,12 +212,6 @@ impl Comm {
     /// This rank's flight recorder, if the launcher installed one.
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
-    }
-
-    /// Injected-fault counters for the universe, if a fault plan is
-    /// installed.
-    pub fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.world.ctl.fault.as_ref().map(|p| p.stats())
     }
 
     /// Fault-injection step hook: call once per solver step. If the
@@ -358,8 +346,8 @@ impl Comm {
         if !ctl.bounded() {
             return Ok(mailbox.recv_match(self.context, src_world, tag));
         }
-        let mut slice = ctl.retry_base;
-        let slice_cap = ctl.retry_base * 32;
+        let mut slice = RETRY_BASE;
+        let slice_cap = RETRY_BASE * 32;
         let mut retries: u64 = 0;
         loop {
             if let Some(plan) = &ctl.fault {
@@ -456,23 +444,6 @@ impl Comm {
                 self.rank,
                 std::any::type_name::<T>()
             ),
-        }
-    }
-
-    /// Timed receive of field data; `None` on timeout. Test helper — turns
-    /// deadlocks into failures.
-    pub fn recv_f64s_timeout(&self, src: usize, tag: u64, timeout: Duration) -> Option<Vec<f64>> {
-        self.check_peer(src, "source");
-        let my_world = self.members[self.rank];
-        let my_mb = &self.world.mailboxes[my_world];
-        if let Some(plan) = &self.world.ctl.fault {
-            plan.pump(my_world, my_mb);
-        }
-        let env = my_mb.recv_match_timeout(self.context, self.members[src], tag, timeout)?;
-        self.stats.record_recv(env.payload.byte_len());
-        match env.payload {
-            Payload::F64s(v) => Some(v),
-            Payload::Any(_) => panic!("type mismatch in recv_f64s_timeout"),
         }
     }
 

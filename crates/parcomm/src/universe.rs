@@ -68,8 +68,6 @@ pub struct SupervisedOpts {
     /// enough that a healthy-but-slow peer never trips it, short enough
     /// that a soak test finishes.
     pub deadline: Duration,
-    /// First retry slice of the bounded receive loop.
-    pub retry_base: Duration,
     /// Per-rank flight recorders to install (rank `r` gets
     /// `recorders.rank(r)`). The caller keeps its own `Arc`, so the
     /// rings outlive the universe — that is what makes post-mortem
@@ -88,7 +86,6 @@ impl Default for SupervisedOpts {
         SupervisedOpts {
             fault: None,
             deadline: Duration::from_secs(5),
-            retry_base: Duration::from_micros(200),
             recorders: None,
             nodes: None,
         }
@@ -249,7 +246,6 @@ impl Universe {
                 nodes,
                 fault: opts.fault.clone(),
                 deadline: Some(opts.deadline),
-                retry_base: opts.retry_base,
             },
         });
         Self::spawn_all(nprocs, world, opts.recorders.clone(), body, |rank, world, run| {

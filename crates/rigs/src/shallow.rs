@@ -20,7 +20,7 @@
 //! with the axis tilted 90° the flow runs straight over the panels'
 //! seams and the geographic poles.
 
-use crate::serial::fill_pair_scalar;
+use crate::fill_pair_scalar;
 use geomath::spherical::SphericalBasis;
 use geomath::{SphericalPoint, Vec3, YinYangMap};
 use yy_field::Array3;

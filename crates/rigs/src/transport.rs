@@ -17,7 +17,7 @@
 //! only the Yang panel covers, which is exactly the regime the
 //! latitude–longitude grid fails on and the Yin-Yang grid was built for.
 
-use crate::serial::fill_pair_scalar;
+use crate::fill_pair_scalar;
 use geomath::spherical::SphericalBasis;
 use geomath::{SphericalPoint, Vec3, YinYangMap};
 use yy_field::{Array3, VectorField};

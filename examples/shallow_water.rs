@@ -9,7 +9,7 @@
 
 use geomath::Vec3;
 use yy_mesh::{PatchGrid, PatchSpec};
-use yycore::shallow::{williamson_tc2, ShallowSim};
+use yy_rigs::shallow::{williamson_tc2, ShallowSim};
 
 fn main() {
     let mut t_end: f64 = 2.0;

@@ -15,7 +15,7 @@
 
 use geomath::Vec3;
 use yy_mesh::{PatchGrid, PatchSpec};
-use yycore::transport::{cosine_bell, TransportSim};
+use yy_rigs::transport::{cosine_bell, TransportSim};
 
 fn main() {
     let mut tilt_deg: f64 = 45.0;

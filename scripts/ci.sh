@@ -31,6 +31,34 @@ cargo test --release -q --offline -p yy-mhd --lib -- \
   kernel_instantiations_match_reference sink_flush_matches_unfused_combine
 cargo test --release -q --offline -p yycore --test kernel_exactness
 
+echo "==> repo benchmark smoke: the harness builds against this tree, golden verifies"
+# examples/benchmark is the one external consumer of the public API
+# (its own package, outside the workspace build above).
+bash examples/benchmark/run.sh --smoke >/dev/null
+
+echo "==> CLI key table: every key= this script passes is in yycore help; misplaced keys are refused"
+# The keys of every yycore invocation below (continuation lines joined,
+# text after the subcommand) plus the two shared argument strings.
+yy_help=$(./target/release/yycore help)
+used_keys=$({ sed -e ':a' -e '/\\$/N; s/\\\n//; ta' "$0" | sed -n 's/.*release\/yycore [a-z]* //p'
+    sed -n 's/^w\{0,1\}soak=//p' "$0"; } | grep -oE '(^|[ "])[a-z][a-z_0-9]+=' | tr -d ' "' | sort -u)
+[ "$(echo "$used_keys" | wc -l)" -ge 30 ] || {
+  echo "ERROR: key extraction found too few keys: $used_keys" >&2; exit 1; }
+for k in $used_keys; do
+  echo "$yy_help" | grep -q "^  $k" || {
+    echo "ERROR: ci.sh passes '$k' but yycore help does not list it" >&2; exit 1; }
+done
+reject() { # reject "<args>" "<message>": exit 1 and the message on stderr
+  local out rc=0
+  out=$(./target/release/yycore $1 2>&1 >/dev/null) || rc=$?
+  [ "$rc" = 1 ] && echo "$out" | grep -qF "$2" || {
+    echo "ERROR: 'yycore $1' exited $rc saying: $out (wanted exit 1: $2)" >&2; exit 1; }
+}
+reject "run pth=2" "key 'pth' is not read by 'run' (read by: parallel)"
+reject "parallel snapshot_every=2" "key 'snapshot_every' is not read by 'parallel' (read by: run)"
+reject "run stepz=1" "unknown config key 'stepz' (did you mean 'steps'?)"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 3 misplaced/unknown keys refused"
+
 echo "==> committed bench baselines present"
 # scripts/bench.sh writes these at the repo root and they are committed
 # as the reference numbers the gates below gate drift against. A
@@ -269,7 +297,7 @@ wait "$wpid" 2>/dev/null || true
 echo "OK: yycore watch renders file and live-endpoint dashboards"
 
 echo "==> profile smoke: roofline table + measured-profile ES projection"
-profile_out=$(./target/release/yycore profile steps=3 sample=0)
+profile_out=$(./target/release/yycore profile steps=3)
 echo "$profile_out" | grep -q 'measured kernel profile' || {
   echo "ERROR: profile did not print the roofline table" >&2; exit 1; }
 echo "$profile_out" | grep -q 'measured-profile flagship projection' || {
