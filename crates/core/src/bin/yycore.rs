@@ -403,7 +403,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         // p99/p50 spread into the tail-aware projection, which
         // inflates the *exposed* communication accordingly. Only
         // meaningful when the median wait is itself a real latency
-        // (≥1 µs, the injected-delay bench regime) — on an idle
+        // (≥1 µs, the injected-delay regime of `delay= delay_us=`) — on an idle
         // in-process run most receives find their message already
         // delivered, p50 is a few ns, and the ratio is noise.
         if !report.recv_wait.is_empty() && report.recv_wait.p50() >= 1_000 {
@@ -622,9 +622,8 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
             latest.seq
         );
         // Baselines come from the same run family only: one ledger can
-        // interleave bench-step, bench-profile and ci entries, and their
-        // metrics are not mutually comparable (different grids and
-        // different projection estimators).
+        // interleave entries under several labels, and their metrics
+        // are not mutually comparable (different grids and layouts).
         let family: Vec<LedgerEntry> =
             past.iter().filter(|e| e.label == latest.label).cloned().collect();
         for v in compare(latest, &family, a.tol) {
@@ -702,7 +701,7 @@ mod tests {
     use super::*;
     use yy_obs::dashboard::{metrics_frame, sparkline, WatchHistory};
     use yy_obs::metrics::{label_value, parse_exposition};
-    use yycore::report::{ledger_entry_from_report, report_frame};
+    use yycore::report::report_frame;
     use yycore::{CkptCodec, ObsOpts};
 
     fn strings(args: &[&str]) -> Vec<String> {
@@ -809,27 +808,6 @@ mod tests {
         // The same artifact's (default) analysis section renders too.
         cmd_doctor(&[format!("report={}", report.display())]).expect("report= renders");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// scripts/bench.sh ingests the bench JSONs directly; both the step
-    /// shape (overlapped.*) and the profile shape (kernels +
-    /// es_flagship_tflops) must map onto ledger metrics.
-    #[test]
-    fn ledger_ingest_accepts_bench_step_and_profile_shapes() {
-        let step = r#"{"bench":"step","grid_points":1000,"steps":4,"decomp":[1,2],
-               "overlapped":{"median_ns_per_step":500000,"hidden_comm_fraction":0.54},
-               "elastic":{"retiles":1}}"#;
-        let e = ledger_entry_from_report(step, "bench-step", 0).unwrap();
-        assert_eq!(e.layout, (1, 2), "the bench's `decomp`, not `elastic`'s absent layout");
-        assert_eq!(e.ns_per_point, 500.0);
-        assert_eq!(e.hidden_comm_fraction, 0.54);
-        assert!(e.es_tflops > 0.0, "hidden fraction implies a projection");
-        let profile = r#"{"bench":"profile","es_flagship_tflops":14.7,
-               "kernels":[{"name":"rhs","mflops":4100.0}]}"#;
-        let e = ledger_entry_from_report(profile, "bench-profile", 1).unwrap();
-        assert_eq!(e.es_tflops, 14.7, "explicit projection wins");
-        assert_eq!(e.kernel_mflops, vec![("rhs".to_string(), 4100.0)]);
-        assert_eq!(e.ns_per_point, 0.0, "no wall clock in the profile shape");
     }
 
     #[test]

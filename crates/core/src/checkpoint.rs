@@ -23,10 +23,12 @@
 //! same trajectory as one that never stopped (verified by an integration
 //! test), because the ghost/frame values are stored too.
 
+use crate::config::RunConfig;
 use crate::serial::SerialSim;
 use std::io::{self, Read, Write};
 use yy_field::{Array3, Shape};
-use yy_mhd::State;
+use yy_mesh::{Panel, PatchGrid};
+use yy_mhd::{initialize, State};
 
 pub(crate) const MAGIC: &[u8; 8] = b"YYCORE\0\x02";
 
@@ -34,7 +36,7 @@ pub(crate) const MAGIC: &[u8; 8] = b"YYCORE\0\x02";
 /// header must fail here, not in a multi-terabyte allocation.
 pub(crate) const MAX_DIM: u64 = 65_536;
 /// Largest accepted ghost width.
-pub(crate) const MAX_GHOST: u64 = 64;
+const MAX_GHOST: u64 = 64;
 
 // -- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) ---------------------
 
@@ -169,6 +171,83 @@ pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// Truncation context for a field of the `noun` container: the
+/// checkpoint's are bare, a shard's carry the noun.
+fn field(noun: &str, what: &str) -> String {
+    if noun == "checkpoint" { what.to_string() } else { format!("{noun} {what}") }
+}
+
+pub(crate) fn read_u64<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
+    let mut b = [0u8; 8];
+    read_exact_ctx(r, &mut b, what)?;
+    Ok(u64::from_le_bytes(b))
+}
+
+/// The header fields that follow the magic in both containers
+/// (`noun`: "checkpoint" or "shard"): padded geometry, step, time and
+/// cached dt, with the geometry bounded before anything is allocated.
+pub(crate) fn read_header<R: Read>(r: &mut R, noun: &str) -> io::Result<(Shape, u64, f64, f64)> {
+    const GEOMETRY: [(&str, u64); 5] = [
+        ("nr", MAX_DIM),
+        ("nth", MAX_DIM),
+        ("nph", MAX_DIM),
+        ("gth", MAX_GHOST),
+        ("gph", MAX_GHOST),
+    ];
+    let mut g = [0u64; 5];
+    for (v, (name, _)) in g.iter_mut().zip(GEOMETRY) {
+        *v = read_u64(r, &field(noun, &format!("geometry ({name})")))?;
+    }
+    let step = read_u64(r, &field(noun, "step counter"))?;
+    for (v, (name, cap)) in g.into_iter().zip(GEOMETRY) {
+        if v > cap {
+            return Err(invalid(format!(
+                "implausible {noun} geometry: {name} = {v} (limit {cap}); header is corrupt"
+            )));
+        }
+    }
+    let [nr, nth, nph, gth, gph] = g;
+    if nr == 0 || nth == 0 || nph == 0 {
+        return Err(invalid(format!(
+            "implausible {noun} geometry: nr/nth/nph = {nr}/{nth}/{nph} (must be nonzero)"
+        )));
+    }
+    let time = f64::from_bits(read_u64(r, &field(noun, "time"))?);
+    let dt_cache = f64::from_bits(read_u64(r, &field(noun, "dt cache"))?);
+    let shape = Shape::new(nr as usize, nth as usize, nph as usize, gth as usize, gph as usize);
+    Ok((shape, step, time, dt_cache))
+}
+
+/// Read the `length: u64, crc32: u32` footer and check it against the
+/// `len` bytes hashed into `crc`. `r` is the underlying reader: the
+/// footer covers what precedes it and must not hash itself. `at`
+/// locates the file in a CRC message (empty for a checkpoint).
+pub(crate) fn check_footer<R: Read>(
+    r: &mut R,
+    noun: &str,
+    len: u64,
+    crc: u32,
+    at: std::fmt::Arguments<'_>,
+) -> io::Result<()> {
+    let stored_len = read_u64(r, &field(noun, "length footer"))?;
+    let mut cb = [0u8; 4];
+    read_exact_ctx(r, &mut cb, &field(noun, "CRC footer"))?;
+    let stored_crc = u32::from_le_bytes(cb);
+    if stored_len != len {
+        let counted = if noun == "checkpoint" { "payload" } else { "hashed" };
+        return Err(invalid(format!(
+            "{noun} length mismatch: footer records {stored_len} {counted} bytes, read {len}"
+        )));
+    }
+    if stored_crc != crc {
+        return Err(invalid(format!(
+            "{noun} CRC mismatch: stored {stored_crc:#010x}, computed {crc:#010x}{at}; \
+             the file is corrupt"
+        )));
+    }
+    Ok(())
+}
+
 /// Checkpoint payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -279,41 +358,7 @@ impl Checkpoint {
                 invalid("not a yycore checkpoint (bad magic)".to_string())
             });
         }
-        let mut u = [0u8; 8];
-        let mut next_u64 = |hr: &mut HashingReader<'_, R>, what: &str| -> io::Result<u64> {
-            read_exact_ctx(hr, &mut u, what)?;
-            Ok(u64::from_le_bytes(u))
-        };
-        let nr = next_u64(&mut hr, "geometry (nr)")?;
-        let nth = next_u64(&mut hr, "geometry (nth)")?;
-        let nph = next_u64(&mut hr, "geometry (nph)")?;
-        let gth = next_u64(&mut hr, "geometry (gth)")?;
-        let gph = next_u64(&mut hr, "geometry (gph)")?;
-        let step = next_u64(&mut hr, "step counter")?;
-        for (name, v, cap) in [
-            ("nr", nr, MAX_DIM),
-            ("nth", nth, MAX_DIM),
-            ("nph", nph, MAX_DIM),
-            ("gth", gth, MAX_GHOST),
-            ("gph", gph, MAX_GHOST),
-        ] {
-            if v > cap {
-                return Err(invalid(format!(
-                    "implausible checkpoint geometry: {name} = {v} (limit {cap}); header is corrupt"
-                )));
-            }
-        }
-        if nr == 0 || nth == 0 || nph == 0 {
-            return Err(invalid(format!(
-                "implausible checkpoint geometry: nr/nth/nph = {nr}/{nth}/{nph} (must be nonzero)"
-            )));
-        }
-        let mut f = [0u8; 8];
-        read_exact_ctx(&mut hr, &mut f, "time")?;
-        let time = f64::from_le_bytes(f);
-        read_exact_ctx(&mut hr, &mut f, "dt cache")?;
-        let dt_cache = f64::from_le_bytes(f);
-        let shape = Shape::new(nr as usize, nth as usize, nph as usize, gth as usize, gph as usize);
+        let (shape, step, time, dt_cache) = read_header(&mut hr, "checkpoint")?;
         let mut yin = State::zeros(shape);
         let mut yang = State::zeros(shape);
         for panel in [&mut yin, &mut yang] {
@@ -321,28 +366,8 @@ impl Checkpoint {
                 read_array(&mut hr, arr)?;
             }
         }
-        let payload_len = hr.len;
-        let crc = hr.crc.finish();
-        // The footer is read from the underlying reader: it covers the
-        // payload and must not hash itself.
-        let mut lb = [0u8; 8];
-        read_exact_ctx(r, &mut lb, "length footer")?;
-        let stored_len = u64::from_le_bytes(lb);
-        let mut cb = [0u8; 4];
-        read_exact_ctx(r, &mut cb, "CRC footer")?;
-        let stored_crc = u32::from_le_bytes(cb);
-        if stored_len != payload_len {
-            return Err(invalid(format!(
-                "checkpoint length mismatch: footer records {stored_len} payload bytes, \
-                 read {payload_len}"
-            )));
-        }
-        if stored_crc != crc {
-            return Err(invalid(format!(
-                "checkpoint CRC mismatch: stored {stored_crc:#010x}, computed {crc:#010x}; \
-                 the file is corrupt"
-            )));
-        }
+        let (payload_len, crc) = (hr.len, hr.crc.finish());
+        check_footer(r, "checkpoint", payload_len, crc, format_args!(""))?;
         Ok(Checkpoint { shape, step, time, dt_cache, yin, yang })
     }
 
@@ -358,6 +383,19 @@ impl Checkpoint {
         let mut r = io::BufReader::new(std::fs::File::open(path)?);
         Checkpoint::read_from(&mut r)
     }
+}
+
+/// Full `[yin, yang]` panels of `cfg`'s run, *initialized* rather than
+/// zeroed: the serial driver's ghost padding keeps its initialization
+/// values forever (syncs only rewrite frames and walls), so a checkpoint
+/// assembled from owned blocks is byte-identical to a serial one only if
+/// the unowned padding carries the same initial bytes.
+pub(crate) fn blank_panels(cfg: &RunConfig, grid: &PatchGrid) -> [State; 2] {
+    [Panel::Yin, Panel::Yang].map(|p| {
+        let mut s = State::zeros(grid.full_shape());
+        initialize(&mut s, grid, None, &cfg.params, &cfg.init, p);
+        s
+    })
 }
 
 pub(crate) fn write_array<W: Write>(w: &mut W, a: &Array3) -> io::Result<()> {

@@ -14,21 +14,18 @@ use yy_obs::{chrome_trace_json, MetricsHub, RankTrace, RecorderSet};
 /// Recorder installation policy for a supervised parallel run.
 ///
 /// `Auto` is what the CLI uses: recorders exist exactly when a trace
-/// output path was requested. The explicit variants exist for the
-/// overhead benchmark, which must compare a run with no recorders at
-/// all (`Off`, the "compiled-out" shape: one `Option` branch per event
-/// site), recorders installed but disarmed (`Disabled`, adding the
-/// enabled-flag load), and recorders actually recording (`Enabled`).
+/// output path was requested. The explicit variants decouple the two
+/// for callers that measure or inspect recording itself: no recorders
+/// whatever the path says (`Off`: one `Option` branch per event site),
+/// or recorders without a path (`Enabled`). Recorders that exist record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// Install + arm recorders iff [`ObsOpts::trace`] is set.
+    /// Install recorders iff [`ObsOpts::trace`] is set.
     #[default]
     Auto,
     /// Never install recorders.
     Off,
-    /// Install recorders but leave them disarmed (fast-path benchmark).
-    Disabled,
-    /// Install and arm recorders even without a trace path.
+    /// Install recorders even without a trace path.
     Enabled,
 }
 
@@ -47,8 +44,8 @@ pub struct ObsOpts {
     /// Recorder installation policy (see [`TraceMode`]).
     pub mode: TraceMode,
     /// Arm the per-kernel performance counters (default on). Off leaves
-    /// exactly one relaxed load per kernel site — the overhead-benchmark
-    /// baseline — and reports an all-zero kernel table.
+    /// exactly one relaxed load per kernel site and reports an all-zero
+    /// kernel table.
     pub counters: bool,
     /// Every this many steps, each rank appends per-kernel MFLOPS
     /// counter samples ("C"-phase tracks) to its flight recorder, and —
@@ -87,24 +84,18 @@ impl Default for ObsOpts {
 }
 
 impl ObsOpts {
-    /// Whether recorders should be installed, and if so whether armed.
-    /// `None` means no recorders (the comm layer's zero-cost shape).
-    pub fn recording(&self) -> Option<bool> {
-        match self.mode {
-            TraceMode::Auto => self.trace.is_some().then_some(true),
-            TraceMode::Off => None,
-            TraceMode::Disabled => Some(false),
-            TraceMode::Enabled => Some(true),
-        }
-    }
-
-    /// Build the per-rank recorder set this policy asks for. The caller
+    /// Build the per-rank recorder set this policy asks for; `None`
+    /// means no recorders (the comm layer's zero-cost shape). The caller
     /// (the supervisor) keeps the `Arc`, so ring contents survive the
     /// universe teardown of a failed pass — that is what makes
     /// post-mortem dumps possible.
     pub fn make_recorders(&self, nranks: usize) -> Option<Arc<RecorderSet>> {
-        self.recording()
-            .map(|armed| Arc::new(RecorderSet::new(nranks, 0, armed)))
+        let install = match self.mode {
+            TraceMode::Auto => self.trace.is_some(),
+            TraceMode::Off => false,
+            TraceMode::Enabled => true,
+        };
+        install.then(|| Arc::new(RecorderSet::new(nranks, 0)))
     }
 
     /// The deterministic post-mortem dump path next to the trace path.
@@ -138,13 +129,10 @@ mod tests {
     #[test]
     fn auto_mode_follows_the_trace_path() {
         let mut o = ObsOpts::default();
-        assert_eq!(o.recording(), None);
         assert!(o.make_recorders(2).is_none());
         o.trace = Some(PathBuf::from("/tmp/t.json"));
-        assert_eq!(o.recording(), Some(true));
         let set = o.make_recorders(2).expect("recorders");
         assert_eq!(set.len(), 2);
-        assert!(set.rank(0).is_enabled());
         assert_eq!(
             o.postmortem_path().unwrap(),
             PathBuf::from("/tmp/t.json.postmortem")
@@ -153,9 +141,8 @@ mod tests {
 
     #[test]
     fn explicit_modes_override_the_path() {
-        let o = ObsOpts { mode: TraceMode::Disabled, ..Default::default() };
-        let set = o.make_recorders(1).expect("installed");
-        assert!(!set.rank(0).is_enabled());
+        let o = ObsOpts { mode: TraceMode::Enabled, ..Default::default() };
+        assert_eq!(o.make_recorders(1).expect("installed").len(), 1);
         let o = ObsOpts {
             mode: TraceMode::Off,
             trace: Some(PathBuf::from("x")),

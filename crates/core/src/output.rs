@@ -47,7 +47,8 @@
 //!    exactly how much output cost the pipeline failed to hide.
 
 use crate::checkpoint::{
-    invalid, read_exact_ctx, Checkpoint, Crc32, HashingReader, MAX_DIM, MAX_GHOST,
+    blank_panels, check_footer, invalid, read_exact_ctx, read_header, read_u64, Checkpoint, Crc32,
+    HashingReader, MAX_DIM,
 };
 use crate::config::RunConfig;
 use crate::parallel::parallel_checkpoint;
@@ -57,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use yy_field::{unpack_region, Region, Shape};
-use yy_mhd::{initialize, State};
+use yy_mhd::State;
 
 /// Shard format magic: same prefix as the serial checkpoint, version 3.
 pub(crate) const SHARD_MAGIC: &[u8; 8] = b"YYCORE\0\x03";
@@ -434,54 +435,22 @@ pub(crate) fn read_shard<R: Read>(
             invalid("not a yycore checkpoint shard (bad magic)".to_string())
         });
     }
-    let mut u = [0u8; 8];
-    let mut next_u64 = |hr: &mut HashingReader<'_, R>, what: &str| -> io::Result<u64> {
-        read_exact_ctx(hr, &mut u, what)?;
-        Ok(u64::from_le_bytes(u))
-    };
-    let nr = next_u64(&mut hr, "shard geometry (nr)")?;
-    let nth = next_u64(&mut hr, "shard geometry (nth)")?;
-    let nph = next_u64(&mut hr, "shard geometry (nph)")?;
-    let gth = next_u64(&mut hr, "shard geometry (gth)")?;
-    let gph = next_u64(&mut hr, "shard geometry (gph)")?;
-    let step = next_u64(&mut hr, "shard step counter")?;
-    for (name, v, cap) in [
-        ("nr", nr, MAX_DIM),
-        ("nth", nth, MAX_DIM),
-        ("nph", nph, MAX_DIM),
-        ("gth", gth, MAX_GHOST),
-        ("gph", gph, MAX_GHOST),
-    ] {
-        if v > cap {
-            return Err(invalid(format!(
-                "implausible shard geometry: {name} = {v} (limit {cap}); header is corrupt"
-            )));
-        }
-    }
-    if nr == 0 || nth == 0 || nph == 0 {
-        return Err(invalid(format!(
-            "implausible shard geometry: nr/nth/nph = {nr}/{nth}/{nph} (must be nonzero)"
-        )));
-    }
-    let mut f = [0u8; 8];
-    read_exact_ctx(&mut hr, &mut f, "shard time")?;
-    let time = f64::from_le_bytes(f);
-    read_exact_ctx(&mut hr, &mut f, "shard dt cache")?;
-    let dt_cache = f64::from_le_bytes(f);
-    let pth = next_u64(&mut hr, "shard layout (pth)")?;
-    let pph = next_u64(&mut hr, "shard layout (pph)")?;
-    let rank = next_u64(&mut hr, "shard rank")?;
-    let panel = next_u64(&mut hr, "shard panel")?;
-    let j0 = next_u64(&mut hr, "shard tile (j0)")?;
-    let tnth = next_u64(&mut hr, "shard tile (nth)")?;
-    let k0 = next_u64(&mut hr, "shard tile (k0)")?;
-    let tnph = next_u64(&mut hr, "shard tile (nph)")?;
-    let flags = next_u64(&mut hr, "shard flags")?;
-    let base_step = next_u64(&mut hr, "shard base step")?;
-    let raw_len = next_u64(&mut hr, "shard payload length")?;
-    let enc_len = next_u64(&mut hr, "shard encoded length")?;
+    let (shape, step, time, dt_cache) = read_header(&mut hr, "shard")?;
+    let (nth, nph) = (shape.nth as u64, shape.nph as u64);
+    let pth = read_u64(&mut hr, "shard layout (pth)")?;
+    let pph = read_u64(&mut hr, "shard layout (pph)")?;
+    let rank = read_u64(&mut hr, "shard rank")?;
+    let panel = read_u64(&mut hr, "shard panel")?;
+    let j0 = read_u64(&mut hr, "shard tile (j0)")?;
+    let tnth = read_u64(&mut hr, "shard tile (nth)")?;
+    let k0 = read_u64(&mut hr, "shard tile (k0)")?;
+    let tnph = read_u64(&mut hr, "shard tile (nph)")?;
+    let flags = read_u64(&mut hr, "shard flags")?;
+    let base_step = read_u64(&mut hr, "shard base step")?;
+    let raw_len = read_u64(&mut hr, "shard payload length")?;
+    let enc_len = read_u64(&mut hr, "shard encoded length")?;
     let meta = ShardMeta {
-        shape: Shape::new(nr as usize, nth as usize, nph as usize, gth as usize, gph as usize),
+        shape,
         step,
         time,
         dt_cache,
@@ -557,26 +526,13 @@ pub(crate) fn read_shard<R: Read>(
         xor_with(&mut raw, &prev);
     }
     header_crc.update(&raw);
-    let crc = header_crc.finish();
-    let r = hr.inner;
-    let mut lb = [0u8; 8];
-    read_exact_ctx(r, &mut lb, "shard length footer")?;
-    let stored_len = u64::from_le_bytes(lb);
-    let mut cb = [0u8; 4];
-    read_exact_ctx(r, &mut cb, "shard CRC footer")?;
-    let stored_crc = u32::from_le_bytes(cb);
-    if stored_len != header_len + raw_len {
-        return Err(invalid(format!(
-            "shard length mismatch: footer records {stored_len} hashed bytes, read {}",
-            header_len + raw_len
-        )));
-    }
-    if stored_crc != crc {
-        return Err(invalid(format!(
-            "shard CRC mismatch: stored {stored_crc:#010x}, computed {crc:#010x} \
-             (step {step}, rank {rank}); the file is corrupt"
-        )));
-    }
+    check_footer(
+        hr.inner,
+        "shard",
+        header_len + raw_len,
+        header_crc.finish(),
+        format_args!(" (step {step}, rank {rank})"),
+    )?;
     Ok((meta, raw))
 }
 
@@ -680,13 +636,7 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             first.0.shape, shape
         )));
     }
-    // Initialized full panels (not zeros): serial ghost padding keeps
-    // its initialization bytes forever, and byte-identity with a serial
-    // checkpoint requires reproducing them.
-    let mut panels = [State::zeros(shape), State::zeros(shape)];
-    for (p, s) in [yy_mesh::Panel::Yin, yy_mesh::Panel::Yang].into_iter().zip(panels.iter_mut()) {
-        initialize(s, &grid, None, &cfg.params, &cfg.init, p);
-    }
+    let mut panels = blank_panels(cfg, &grid);
     // Coverage check: each panel's interior must be tiled exactly once.
     let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
     for rank in 0..world {
@@ -896,8 +846,7 @@ pub struct OutputStage {
 
 impl OutputStage {
     /// Build a stage. `async_mode = false` keeps every write on the
-    /// caller's thread (the synchronous baseline the bench compares
-    /// against); `true` spawns the writer thread.
+    /// caller's thread; `true` spawns the writer thread.
     pub fn new(async_mode: bool) -> OutputStage {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {

@@ -37,7 +37,7 @@
 //! numbers, a recovered run reproduces the fault-free trajectory
 //! bitwise.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{blank_panels, Checkpoint};
 use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
 use crate::obs::{recorders_to_chrome, ObsOpts};
@@ -259,7 +259,7 @@ pub struct RecoveryOpts {
     pub ckpt_dir: Option<PathBuf>,
     /// Overlap shard writes with compute via the per-rank writer thread
     /// (`true`, the default) or write inline at the capture point
-    /// (`false`, the synchronous baseline the IO bench compares).
+    /// (`false`; the CLI's closing `io:` line then reads `(inline)`).
     pub ckpt_async: bool,
     /// Shard payload codec (`none` | `rle` | `delta`).
     pub ckpt_compress: CkptCodec,
@@ -315,7 +315,7 @@ impl RecoveryOpts {
 }
 
 /// One supervised pass's timing, for the before/after-shrink step-rate
-/// comparison the bench records.
+/// comparison the CLI prints (`pass rates:`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassStat {
     /// 1-based pass index.
@@ -368,7 +368,7 @@ pub struct SupervisedReport {
     pub predicted_imbalance: f64,
     /// Measured per-rank compute imbalance of the final pass.
     pub achieved_imbalance: f64,
-    /// Per-pass timing, in order (the bench's before/after-shrink rate).
+    /// Per-pass timing, in order (the before/after-shrink rate).
     pub passes: Vec<PassStat>,
 }
 
@@ -2080,24 +2080,16 @@ impl<'a> RankSolver<'a> {
         // Reuse the scratch checkpoint when it exists; failing that,
         // clone the slot's occupant (the second capture of a pass: the
         // first scratch went into the slot, and a copy is several times
-        // cheaper than a rebuild); only with neither build *initialized*
-        // full panels — the serial driver's ghost padding keeps its
-        // initialization values forever (syncs only rewrite frames and
-        // walls), so a gathered checkpoint is byte-identical to a serial
-        // one only if the unowned padding carries the same initial
-        // bytes. Every occupant of slot and scratch carries them — an
-        // earlier capture, or the serial-format checkpoint the run
-        // resumed from — and captures rewrite only owned blocks, frames
-        // and walls.
+        // cheaper than a rebuild); only with neither build blank panels.
+        // Every occupant of slot and scratch carries their initialized
+        // padding — an earlier capture, or the serial-format checkpoint
+        // the run resumed from — and captures rewrite only owned blocks,
+        // frames and walls.
         let scratch = self.ckpt_scratch.take().or_else(|| lock_slot(slot).clone());
         let mut ck = match scratch {
             Some(ck) if ck.shape == full => ck,
             _ => {
-                let mut panels = [State::zeros(full), State::zeros(full)];
-                for (p, s) in [Panel::Yin, Panel::Yang].into_iter().zip(panels.iter_mut()) {
-                    initialize(s, &self.grid, None, &self.cfg.params, &self.cfg.init, p);
-                }
-                let [yin, yang] = panels;
+                let [yin, yang] = blank_panels(&self.cfg, &self.grid);
                 Checkpoint { shape: full, step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
             }
         };

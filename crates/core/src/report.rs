@@ -569,26 +569,14 @@ pub fn report_frame(text: &str, width: usize) -> Result<String, String> {
 /// Summarize a report artifact into one regression-ledger entry:
 /// normalized step cost, per-kernel MFLOPS, hidden-communication
 /// fraction, and the ES flagship projection that fraction supports.
-/// Besides [`RunReport::to_json`] output this accepts the two bench
-/// shapes `scripts/bench.sh` ingests (`BENCH_step.json`,
-/// `BENCH_profile.json`).
 pub fn ledger_entry_from_report(text: &str, label: &str, seq: u64) -> Result<LedgerEntry, String> {
     let doc = Json::parse(text)?;
     let f = |k: &str| doc.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
     let steps = f("steps") as u64;
     let grid_points = f("grid_points") as u64;
     let wall = f("wall_seconds");
-    // RunReports carry wall_seconds; BENCH_step.json carries the
-    // overlapped median directly — accept either shape.
-    let overlapped_ns = doc
-        .get("overlapped")
-        .and_then(|o| o.get("median_ns_per_step"))
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
     let ns_per_point = if steps > 0 && grid_points > 0 && wall > 0.0 {
         wall * 1e9 / (steps as f64 * grid_points as f64)
-    } else if grid_points > 0 && overlapped_ns > 0.0 {
-        overlapped_ns / grid_points as f64
     } else {
         0.0
     };
@@ -605,27 +593,17 @@ pub fn ledger_entry_from_report(text: &str, label: &str, seq: u64) -> Result<Led
     let hidden = doc
         .get("phases")
         .and_then(|p| p.get("hidden_comm_fraction"))
-        .or_else(|| doc.get("overlapped").and_then(|o| o.get("hidden_comm_fraction")))
         .and_then(|v| v.as_f64())
         .unwrap_or(0.0);
-    // BENCH_profile.json carries its own exact-counter projection;
-    // prefer it over the hiding-derived one.
-    let es_tflops = if f("es_flagship_tflops") > 0.0 {
-        f("es_flagship_tflops")
-    } else if hidden > 0.0 {
+    let es_tflops = if hidden > 0.0 {
         yy_esmodel::flagship_projection(hidden).tflops()
     } else {
         0.0
     };
-    // Reports carry the layout in `elastic`; BENCH_step.json in `decomp`.
-    let dim = |v: Option<&Json>| v.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-    let layout = match (doc.get("decomp").and_then(|d| d.as_arr()), doc.get("elastic")) {
-        (Some(d), _) => (dim(d.first()), dim(d.get(1))),
-        (None, e) => (
-            dim(e.and_then(|e| e.get("final_pth"))),
-            dim(e.and_then(|e| e.get("final_pph"))),
-        ),
+    let dim = |k: &str| {
+        doc.get("elastic").and_then(|e| e.get(k)).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64
     };
+    let layout = (dim("final_pth"), dim("final_pph"));
     let codec = doc
         .get("io")
         .and_then(|io| io.get("codec"))

@@ -116,3 +116,30 @@ fn per_kernel_totals_are_decomposition_invariant() {
         assert_eq!(a.points, b.points, "{} points 1x2 vs 2x2", kernel::name(id));
     }
 }
+
+/// The measured-run → ES-projection path of `yycore profile`. Both
+/// readings are pure functions of the exact counters, not of the host:
+/// a projection outside the paper's window means the flop/vector-length
+/// accounting changed; an RHS intensity under 2.0 flops/byte (the fused
+/// sweep models 2.76, the unfused one 1.25) means per-leg stencil
+/// billing came back without the model being retuned.
+#[test]
+fn measured_profile_projects_into_the_flagship_window() {
+    use yy_esmodel::model::{project, RunShape};
+    use yy_esmodel::{in_flagship_window, EsMachine, EsModelParams, KernelProfile};
+
+    let cfg = quick_cfg();
+    let mut sim = SerialSim::new(cfg.clone());
+    let interior = sim.interior_points();
+    let report = sim.run(STEPS, 0);
+    let profile = KernelProfile::from_kernels(&report.kernel_costs(interior, cfg.nr));
+    let projection = project(
+        &EsMachine::earth_simulator(),
+        &EsModelParams::calibrated(),
+        &profile,
+        &RunShape::flagship(),
+    );
+    assert!(in_flagship_window(projection.tflops()), "{:.1} TFlops", projection.tflops());
+    let rhs = report.kernels.kernels[kernel::RHS as usize].intensity();
+    assert!(rhs > 2.0, "RHS intensity {rhs:.2} flops/byte");
+}

@@ -14,10 +14,9 @@
 //! counters would report), and modeled bytes moved. Wall time per kernel
 //! is sampled with a monotonic clock only while the set is enabled.
 //!
-//! Like the flight-recorder ring, a disabled `CounterSet` costs **one
-//! relaxed atomic load** per site and nothing else — no clock reads, no
-//! tallying — and the CI overhead gate (`bench/benches/obs.rs`) holds the
-//! enabled path under the same tolerance as the recorder.
+//! A disabled `CounterSet` costs **one relaxed atomic load** per site
+//! and nothing else — no clock reads, no tallying; the repo benchmark's
+//! `obs.all_armed_ratio` row measures the enabled path against it.
 //!
 //! Snapshots reduce across ranks exactly: every tally is an integer far
 //! below 2⁵³, so an elementwise-Sum allreduce over the

@@ -16,15 +16,13 @@
 //!
 //! ## Cost model
 //!
-//! `record` behind a disabled flag is one relaxed load and a branch
-//! (~1 ns); enabled it is one `Instant::elapsed`, one relaxed
-//! `fetch_add` and four relaxed stores. The comm layer holds the
-//! recorder as `Option<Arc<FlightRecorder>>`, so a build that never
-//! creates one pays only the `None` branch ("compiled out" in the
-//! overhead bench's terms).
+//! `record` is one `Instant::elapsed`, one relaxed `fetch_add` and four
+//! relaxed stores. A recorder that exists records: the comm layer holds
+//! it as `Option<Arc<FlightRecorder>>`, so a run that never creates one
+//! pays only the `None` branch per event site.
 
 use crate::event::{Event, TimedEvent};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,7 +35,6 @@ pub const DEFAULT_CAPACITY: usize = 8192;
 
 /// A single-writer ring buffer of timestamped [`Event`]s.
 pub struct FlightRecorder {
-    enabled: AtomicBool,
     /// Total events ever recorded; slot index is `head % capacity`.
     head: AtomicU64,
     /// `capacity × WORDS` atomic words.
@@ -46,13 +43,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An enabled recorder with `capacity` event slots, timestamping
+    /// A recorder with `capacity` event slots, timestamping
     /// relative to `origin` (share one origin across ranks so their
     /// tracks align).
     pub fn new(capacity: usize, origin: Instant) -> Self {
         assert!(capacity >= 1, "flight recorder needs at least one slot");
         FlightRecorder {
-            enabled: AtomicBool::new(true),
             head: AtomicU64::new(0),
             slots: (0..capacity * WORDS).map(|_| AtomicU64::new(0)).collect(),
             origin,
@@ -62,16 +58,6 @@ impl FlightRecorder {
     /// Number of event slots.
     pub fn capacity(&self) -> usize {
         self.slots.len() / WORDS
-    }
-
-    /// Whether [`FlightRecorder::record`] currently records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off. The ring contents survive a disable.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Total events recorded over the recorder's lifetime (may exceed
@@ -86,22 +72,15 @@ impl FlightRecorder {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Record `event` stamped "now". The fast path when disabled is one
-    /// relaxed load and a branch.
+    /// Record `event` stamped "now".
     #[inline]
     pub fn record(&self, event: Event) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.record_at(self.now_ns(), event);
     }
 
     /// Record `event` with an explicit timestamp (nanoseconds since the
     /// origin); used by span sites that measured their own start time.
     pub fn record_at(&self, ts_ns: u64, event: Event) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let n = self.head.fetch_add(1, Ordering::Relaxed);
         let cap = self.capacity() as u64;
         let base = (n % cap) as usize * WORDS;
@@ -149,15 +128,12 @@ pub struct RecorderSet {
 
 impl RecorderSet {
     /// `nranks` recorders of `capacity` slots each (0 ⇒
-    /// [`DEFAULT_CAPACITY`]), all enabled iff `enabled`.
-    pub fn new(nranks: usize, capacity: usize, enabled: bool) -> Self {
+    /// [`DEFAULT_CAPACITY`]).
+    pub fn new(nranks: usize, capacity: usize) -> Self {
         let capacity = if capacity == 0 { DEFAULT_CAPACITY } else { capacity };
         let origin = Instant::now();
-        let recorders: Vec<_> =
+        let recorders =
             (0..nranks).map(|_| Arc::new(FlightRecorder::new(capacity, origin))).collect();
-        for r in &recorders {
-            r.set_enabled(enabled);
-        }
         RecorderSet { recorders }
     }
 
@@ -236,19 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let r = FlightRecorder::new(8, Instant::now());
-        r.set_enabled(false);
-        r.record(ev(1));
-        r.record_at(123, ev(2));
-        assert_eq!(r.recorded(), 0);
-        assert!(r.snapshot().is_empty());
-        r.set_enabled(true);
-        r.record(ev(3));
-        assert_eq!(r.snapshot().len(), 1);
-    }
-
-    #[test]
     fn explicit_timestamps_are_kept() {
         let r = FlightRecorder::new(4, Instant::now());
         r.record_at(42, ev(0));
@@ -258,7 +221,7 @@ mod tests {
 
     #[test]
     fn recorder_set_shares_one_timeline() {
-        let set = RecorderSet::new(3, 16, true);
+        let set = RecorderSet::new(3, 16);
         assert_eq!(set.len(), 3);
         set.rank(0).record(ev(1));
         set.rank(2).record(ev(2));
@@ -272,7 +235,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_requests_get_the_default() {
-        let set = RecorderSet::new(1, 0, true);
+        let set = RecorderSet::new(1, 0);
         assert_eq!(set.rank(0).capacity(), DEFAULT_CAPACITY);
     }
 }

@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn installed_recorders_capture_traffic_and_kills() {
-        let set = Arc::new(RecorderSet::new(2, 64, true));
+        let set = Arc::new(RecorderSet::new(2, 64));
         let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(3).with_kill(1, 1), 2));
         let opts = SupervisedOpts {
             fault: Some(plan),
