@@ -8,7 +8,7 @@
 //! yycore merge    <shard_dir> <out.ck> [k=v]   shards -> serial checkpoint
 //! yycore profile  [key=value ...]              roofline table + ES projection
 //! yycore tables | tracecheck <trace.json>      paper tables | trace validation
-//! yycore doctor   [key=value ...]              diagnose trace/report/ledger
+//! yycore doctor   [key=value ...]              diagnose a trace or a report
 //! yycore watch    <url|report.json> [k=v]      telemetry dashboard
 //! yycore help     [command]                    every key, or one command's
 //! ```
@@ -223,6 +223,14 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     };
     let a = cli::parse("resume", &args[1..])?;
     let ck = Checkpoint::load(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
+    let shape = a.cfg.grid().full_shape();
+    if ck.shape != shape {
+        return Err(format!(
+            "resume checkpoint geometry {:?} does not match the run configuration {shape:?}; \
+             pass the nr= nth= ext= it was written with",
+            ck.shape
+        ));
+    }
     let mut sim = SerialSim::new(a.cfg.clone());
     ck.restore(&mut sim);
     arm_serial(&a, &mut sim)?;
@@ -239,20 +247,24 @@ fn cmd_slice(args: &[String]) -> Result<(), String> {
     };
     let out_dir = PathBuf::from(args.get(1).map(String::as_str).unwrap_or("out"));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    // Reconstruct a config whose grid matches the checkpoint geometry.
+    // Reconstruct a config whose grid matches the checkpoint geometry:
+    // nth owned = nominal + 2 ext, and `slice` takes no keys, so only a
+    // default-ext checkpoint inverts.
     let ck = Checkpoint::load(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
     let mut cfg = RunConfig::small();
     cfg.nr = ck.shape.nr;
-    // nth owned = nominal + 2 ext → invert with the default ext.
-    cfg.nth_nominal = ck.shape.nth - 2 * cfg.ext;
-    let grid = cfg.grid();
-    if grid.full_shape() != ck.shape {
+    let grid = ck.shape.nth.checked_sub(2 * cfg.ext).and_then(|nth| {
+        cfg.nth_nominal = nth;
+        cfg.check().ok()?;
+        Some(cfg.grid()).filter(|g| g.full_shape() == ck.shape)
+    });
+    let Some(grid) = grid else {
         return Err(format!(
-            "checkpoint geometry {:?} does not match a default-spec grid; \
-             pass matching nr/nth via a run config instead",
-            ck.shape
+            "{path}: checkpoint geometry {:?} is not a grid of the default ext={}; slice takes \
+             no ext= key and reads only checkpoints written with the default",
+            ck.shape, cfg.ext
         ));
-    }
+    };
     let metric = Metric::full(&grid);
 
     let t_yin = temperature(&ck.yin);
@@ -336,8 +348,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         );
     }
     eprintln!(
-        "imbalance ({} weights): predicted {:.3}, achieved {:.3}",
-        a.recovery.weights.name(),
+        "imbalance (max/mean): predicted {:.3}, achieved {:.3}",
         sup.predicted_imbalance,
         sup.achieved_imbalance
     );
@@ -558,24 +569,15 @@ fn cmd_tracecheck(args: &[String]) -> Result<(), String> {
 /// The perf doctor: interpret the observability artifacts the other
 /// commands produce. `trace=` re-imports a Chrome trace and runs the
 /// critical-path/straggler analysis; `report=` prints a report's
-/// `analysis` section; `ledger=` compares the newest entry of a
-/// `runs.jsonl` regression ledger against its history (`ingest=` first
-/// appends a fresh entry summarized from a report artifact).
+/// `analysis` section.
 fn cmd_doctor(args: &[String]) -> Result<(), String> {
-    use yy_obs::{analyze, compare, streams_from_chrome, AnalysisInput, LedgerEntry};
-    use yycore::report::{analysis_from_report, ledger_entry_from_report};
+    use yy_obs::{analyze, streams_from_chrome, AnalysisInput};
+    use yycore::report::analysis_from_report;
 
     let a = cli::parse("doctor", args)?;
     let trace = &a.recovery.obs.trace;
-    if a.ingest.is_some() && a.ledger.is_none() {
-        return Err("ingest= needs ledger=PATH to append to".into());
-    }
-    if trace.is_none() && a.report.is_none() && a.ledger.is_none() {
-        return Err(
-            "doctor needs trace=PATH, report=PATH, or ledger=PATH \
-             (optionally ingest=REPORT label=L tol=F)"
-                .into(),
-        );
+    if trace.is_none() && a.report.is_none() {
+        return Err("doctor needs trace=PATH or report=PATH".into());
     }
     if let Some(path) = trace {
         let streams = at(path, streams_from_chrome(&read(path)?))?;
@@ -589,59 +591,6 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     if let Some(path) = &a.report {
         let diagnosis = at(path, analysis_from_report(&read(path)?))?;
         print!("{}", diagnosis.render(&format!("report {}", path.display())));
-    }
-    if let Some(path) = &a.ledger {
-        let mut history = match std::fs::read_to_string(path) {
-            Ok(text) => at(path, LedgerEntry::parse_ledger(&text))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(format!("reading {}: {e}", path.display())),
-        };
-        if let Some(src) = &a.ingest {
-            let seq = history.len() as u64;
-            let entry = at(src, ledger_entry_from_report(&read(src)?, &a.label, seq))?;
-            let mut text = entry.to_json_line();
-            text.push('\n');
-            use std::io::Write as _;
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(text.as_bytes()))
-                .map_err(|e| format!("appending to {}: {e}", path.display()))?;
-            println!("ingested {} as {}#{}", src.display(), entry.label, entry.seq);
-            history.push(entry);
-        }
-        let Some((latest, past)) = history.split_last() else {
-            return Err(format!("{}: ledger is empty", path.display()));
-        };
-        println!(
-            "ledger {}: {} entrie(s); latest {}#{}",
-            path.display(),
-            history.len(),
-            latest.label,
-            latest.seq
-        );
-        // Baselines come from the same run family only: one ledger can
-        // interleave entries under several labels, and their metrics
-        // are not mutually comparable (different grids and layouts).
-        let family: Vec<LedgerEntry> =
-            past.iter().filter(|e| e.label == latest.label).cloned().collect();
-        for v in compare(latest, &family, a.tol) {
-            println!("  {}", v.line());
-        }
-        if latest.es_tflops > 0.0 {
-            println!(
-                "  es projection: {:.1} TFlops, {:+.1}% vs paper headline {:.1} ({})",
-                latest.es_tflops,
-                yy_esmodel::flagship_delta_pct(latest.es_tflops),
-                yy_esmodel::PAPER_FLAGSHIP_TFLOPS,
-                if yy_esmodel::in_flagship_window(latest.es_tflops) {
-                    "within window"
-                } else {
-                    "outside window"
-                }
-            );
-        }
     }
     Ok(())
 }
@@ -759,55 +708,50 @@ mod tests {
         assert!(err.starts_with("delay_src: "), "{err}");
     }
 
+    /// Key values that used to reach an assertion deep in the mesh,
+    /// the universe or the checkpoint: each is refused up front with one
+    /// line that names the key to change.
+    #[test]
+    fn unusable_geometry_and_layout_values_are_one_line_errors() {
+        let dir = std::env::temp_dir().join(format!("yy_cli_geometry_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let small = ["steps=1", "sample=0", "nr=8", "nth=9"];
+        for (ext, ck) in [("ext=2", at("y.ck")), ("ext=1", at("x.ck"))] {
+            let ckpt = format!("ckpt={ck}");
+            cmd_run(&strings(&[&small[..], &[ext, &ckpt]].concat())).expect("writes a checkpoint");
+        }
+        let (y, x, out) = (at("y.ck"), at("x.ck"), at("out"));
+        let cases: [(Cmd, &[&str], &[&str]); 5] = [
+            (cmd_run, &["nr=12", "nth=9", "ext=3"], &["ext", "nth=9", "1..=2"]),
+            (cmd_parallel, &["pth=1", "pph=16", "nr=12", "nth=9"], &["pph=16", "1..=14"]),
+            (cmd_parallel, &["pth=0"], &["pth=0", "1..=8"]),
+            (cmd_resume, &[&y, "nr=16"], &["geometry", "nr="]),
+            (cmd_slice, &[&x, &out], &["x.ck", "ext=2"]),
+        ];
+        for (cmd, args, names) in cases {
+            let err = cmd(&strings(args)).expect_err(&format!("{args:?} must be refused"));
+            assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+            for name in names {
+                assert!(err.contains(name), "{args:?}: '{err}' does not name {name}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn doctor_rejects_bad_usage_with_clear_messages() {
         let run = |args: &[&str]| cmd_doctor(&strings(args)).unwrap_err();
         assert!(run(&[]).contains("doctor needs"), "{}", run(&[]));
         assert!(run(&["verbose"]).contains("expected key=value"));
         assert_eq!(run(&["mode=loud"]), "doctor: unknown key 'mode'");
-        assert_eq!(run(&["ingest=r.json"]), "ingest= needs ledger=PATH to append to");
         let err = run(&["trace=/nonexistent-yy-doctor.json"]);
         assert!(err.contains("reading"), "{err}");
-        let err = run(&["ledger=/nonexistent-dir-yy/runs.jsonl", "tol=0.2"]);
-        assert!(err.contains("reading") || err.contains("empty"), "{err}");
-    }
-
-    #[test]
-    fn doctor_ledger_roundtrip_through_files() {
-        let dir = std::env::temp_dir().join(format!("yy_cli_doctor_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ledger = dir.join("runs.jsonl");
-        let e = yy_obs::LedgerEntry {
-            label: "t".into(),
-            seq: 0,
-            steps: 4,
-            grid_points: 1000,
-            layout: (1, 2),
-            codec: "none".into(),
-            ns_per_point: 500.0,
-            kernel_mflops: vec![("rhs".into(), 4000.0)],
-            hidden_comm_fraction: 0.5,
-            es_tflops: 14.7,
-        };
-        std::fs::write(&ledger, format!("{}\n", e.to_json_line())).unwrap();
-        let args = vec![format!("ledger={}", ledger.display())];
-        cmd_doctor(&args).expect("single-entry ledger compares against empty history");
-        // A report artifact ingests and appends a second line.
-        let report = dir.join("report.json");
+        // A well-formed artifact's (default) analysis section renders.
+        let report = std::env::temp_dir().join(format!("yy_cli_doctor_{}.json", std::process::id()));
         std::fs::write(&report, RunReport::default().to_json()).unwrap();
-        let args = vec![
-            format!("ledger={}", ledger.display()),
-            format!("ingest={}", report.display()),
-            "label=test".to_string(),
-        ];
-        cmd_doctor(&args).expect("ingest must append and compare");
-        let text = std::fs::read_to_string(&ledger).unwrap();
-        let entries = yy_obs::LedgerEntry::parse_ledger(&text).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!((entries[1].label.as_str(), entries[1].seq), ("test", 1));
-        // The same artifact's (default) analysis section renders too.
         cmd_doctor(&[format!("report={}", report.display())]).expect("report= renders");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&report).ok();
     }
 
     #[test]
@@ -957,7 +901,7 @@ mod tests {
     #[test]
     fn watch_rejects_bad_usage_with_clear_messages() {
         assert!(cmd_watch(&[]).unwrap_err().contains("watch needs"));
-        let err = cmd_watch(&strings(&["https://example.com", "once=1", "retries=0"])).unwrap_err();
+        let err = cmd_watch(&strings(&["https://example.com", "frames=1", "retries=0"])).unwrap_err();
         assert!(err.contains("only http://"), "{err}");
         let err = cmd_watch(&strings(&["report.json", "cadence=5"])).unwrap_err();
         assert_eq!(err, "watch: unknown key 'cadence'");

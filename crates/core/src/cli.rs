@@ -9,7 +9,7 @@
 
 use crate::config::{self, RunConfig};
 use crate::output::CkptCodec;
-use crate::parallel::{FailurePolicy, RecoveryOpts, WeightsMode};
+use crate::parallel::{FailurePolicy, RecoveryOpts};
 use crate::serial::StreamOpts;
 use crate::telemetry::DtInject;
 use std::fmt::Display;
@@ -108,7 +108,7 @@ pub const COMMANDS: [(&str, &str, &str); 11] = [
     ("profile", "[key=value ...]", "serial run + per-kernel roofline table and ES projection"),
     ("tables", "", "print Tables I-III and List 1"),
     ("tracecheck", "<trace.json>", "validate a Chrome trace artifact"),
-    ("doctor", "[key=value ...]", "diagnose a trace, a report, or the regression ledger"),
+    ("doctor", "[key=value ...]", "diagnose a trace or a report"),
     ("watch", "<url|report.json> [key=value ...]", "terminal dashboard over the science telemetry"),
     ("help", "[command]", "list every key, or one command's keys"),
 ];
@@ -148,10 +148,6 @@ pub struct Args {
     pub metrics_hold_ms: u64,
     pub step: Option<u64>,
     pub report: Option<PathBuf>,
-    pub ledger: Option<PathBuf>,
-    pub ingest: Option<PathBuf>,
-    pub label: String,
-    pub tol: f64,
     pub interval_ms: u64,
     /// `None`: one frame from a file, unbounded from a URL.
     pub frames: Option<u64>,
@@ -184,10 +180,6 @@ impl Default for Args {
             metrics_hold_ms: 0,
             step: None,
             report: None,
-            ledger: None,
-            ingest: None,
-            label: "run".to_string(),
-            tol: 0.05,
             interval_ms: 1000,
             frames: None,
             width: 48,
@@ -215,7 +207,7 @@ fn dt_collapse(a: &mut Args) -> &mut DtInject {
 }
 
 /// Every key that is not a [`RunConfig`] field.
-pub const KEYS: [Key<Args>; 48] = [
+pub const KEYS: [Key<Args>; 42] = [
     key!("steps", "N", STEPPED, "total steps [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
@@ -278,8 +270,6 @@ pub const KEYS: [Key<Args>; 48] = [
         |a, v| a.recovery.max_retiles = num(v)?),
     key!("retile_backoff_ms", "N", PAR, "backoff before a re-tiled pass [50]",
         |a, v| a.recovery.retile_backoff = Duration::from_millis(num(v)?)),
-    key!("weights", "uniform|measured", PAR, "tile cuts by node count or by probed column cost",
-        |a, v| a.recovery.weights = WeightsMode::parse(v)?),
     // Science telemetry (DESIGN.md §6j).
     key!("telemetry", "0|1", RUNS, "arm the series store + physics watchdog (bit-exact)",
         |a, v| a.recovery.obs.series = flag(v)?),
@@ -293,16 +283,6 @@ pub const KEYS: [Key<Args>; 48] = [
         |a, v| a.step = Some(num(v)?)),
     key!("report", "PATH", DOCTOR, "print the analysis section of this report artifact",
         |a, v| a.report = Some(v.into())),
-    key!("ledger", "PATH", DOCTOR, "regression ledger (JSONL): newest entry vs its history",
-        |a, v| a.ledger = Some(v.into())),
-    key!("ingest", "REPORT", DOCTOR, "append this report to ledger= first",
-        |a, v| a.ingest = Some(v.into())),
-    key!("label", "L", DOCTOR, "run family stamped on ingested entries [run]",
-        |a, v| a.label = v.into()),
-    key!("tol", "F", DOCTOR, "baseline noise tolerance, relative [0.05]", |a, v| a.tol = num(v)?),
-    key!("once", "0|1", WATCH, "print a single frame and exit", |a, v| if flag(v)? {
-        a.frames = Some(1)
-    }),
     key!("interval_ms", "N", WATCH, "poll cadence [1000]", |a, v| a.interval_ms = num(v)?),
     key!("frames", "N", WATCH, "stop after N frames [1 from a file; 0 = unbounded from a URL]",
         |a, v| a.frames = Some(num(v)?)),
@@ -400,7 +380,7 @@ mod tests {
         match placeholder {
             "N" => (vec!["12"], Some("a dozen")),
             "F" | "P" => (vec!["0.25"], Some("a quarter")),
-            "PATH" | "REPORT" | "L" => (vec!["x/y"], None),
+            "PATH" => (vec!["x/y"], None),
             alternatives => (alternatives.split('|').collect(), Some("?")),
         }
     }
@@ -466,7 +446,7 @@ mod tests {
     #[test]
     fn help_lists_every_row_once_and_each_command_its_own() {
         let rows: Vec<_> = all_rows().collect();
-        assert_eq!(rows.len(), 65);
+        assert_eq!(rows.len(), 59);
         for (i, (name, _, _, readers)) in rows.iter().enumerate() {
             assert!(rows[..i].iter().all(|r| r.0 != *name), "duplicate key '{name}'");
             assert!(!readers.is_empty(), "nobody reads '{name}'");

@@ -61,6 +61,17 @@ impl RunConfig {
         if self.nth_nominal < 9 {
             return Err(format!("nth must be at least 9 (got {})", self.nth_nominal));
         }
+        // `PatchGrid::new` asserts this margin: the extended span plus a
+        // halo and a half of ghost nodes must stay off the poles. With
+        // no extension the overset border finds no interior donors.
+        let max_ext = (self.nth_nominal - 5) / 2;
+        if !(1..=max_ext).contains(&self.ext) {
+            return Err(format!(
+                "ext must lie in 1..={max_ext} for nth={} (got {}): the extended patch \
+                 must overlap its partner and stay off the poles",
+                self.nth_nominal, self.ext
+            ));
+        }
         if !(self.cfl > 0.0 && self.cfl <= 1.0) {
             return Err(format!("cfl must lie in (0, 1] (got {})", self.cfl));
         }

@@ -45,7 +45,6 @@ pub mod report;
 pub mod serial;
 pub mod snapshots;
 pub mod telemetry;
-pub mod weights;
 
 pub use config::RunConfig;
 pub use health::{HealthGuard, HealthLimits, HealthViolation};
@@ -53,9 +52,8 @@ pub use obs::{ObsOpts, TraceMode};
 pub use output::{merge_shards, CkptCodec, IoTotals, OutputStage};
 pub use parallel::{
     run_parallel, run_parallel_supervised, FailurePolicy, ParallelReport, PassStat, RecoveryEvent,
-    RecoveryOpts, SupervisedReport, WeightsMode,
+    RecoveryOpts, SupervisedReport,
 };
 pub use telemetry::{DtInject, ScienceTelemetry};
-pub use weights::ColumnCosts;
 pub use report::{IoStats, PhaseBreakdown, RunReport, TimeSeriesPoint};
 pub use serial::{SerialSim, StreamOpts};

@@ -58,7 +58,7 @@ pub struct ObsOpts {
     /// [`yy_obs::MetricsServer`] on it (so the endpoint can outlive the
     /// run), tests scrape it without a socket.
     pub metrics_hub: Option<Arc<MetricsHub>>,
-    /// Arm the science-telemetry layer: a multi-resolution
+    /// Arm the science-telemetry layer: a
     /// [`yy_obs::SeriesStore`] fed at the sample cadence plus the
     /// physics watchdog ([`yy_obs::Watchdog`]). Alert edges land in the
     /// report (`alerts`), the Chrome trace, and the metrics endpoint.

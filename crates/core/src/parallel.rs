@@ -46,12 +46,12 @@ pub use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
 use crate::report::{IoStats, PhaseBreakdown, RunReport, TimeSeriesPoint};
 use crate::serial::{overset_donate_tally, overset_fill_tally};
 use crate::telemetry::{DtInject, ScienceTelemetry};
-use crate::weights::ColumnCosts;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use yy_field::{pack_region, unpack_region, Array3, Meters, Region};
+use yy_mesh::partition::MIN_TILE_WIDTH;
 use yy_mesh::routing::{build_schedule, panel_of_world, OversetExchange, TargetSlot};
 use yy_mesh::{
     build_overset_columns, interp::interp_scalar_column, interp::interp_vector_column, Decomp2D,
@@ -187,36 +187,6 @@ impl FailurePolicy {
     }
 }
 
-/// How the θ/φ partitioner weighs columns when (re)building a layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightsMode {
-    /// Near-equal node counts — the historical layout.
-    #[default]
-    Uniform,
-    /// Balance measured per-column cost from a serial probe's kernel
-    /// counters ([`crate::weights::ColumnCosts`]).
-    Measured,
-}
-
-impl WeightsMode {
-    /// Parse a CLI/config value (`uniform` | `measured`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "uniform" => Ok(WeightsMode::Uniform),
-            "measured" => Ok(WeightsMode::Measured),
-            other => Err(format!("expected uniform|measured, got '{other}'")),
-        }
-    }
-
-    /// The canonical config-key spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            WeightsMode::Uniform => "uniform",
-            WeightsMode::Measured => "measured",
-        }
-    }
-}
-
 /// Knobs for [`run_parallel_supervised`].
 #[derive(Debug, Clone)]
 pub struct RecoveryOpts {
@@ -245,8 +215,6 @@ pub struct RecoveryOpts {
     /// Base backoff slept before a re-tiled pass starts (scaled by the
     /// retile count).
     pub retile_backoff: Duration,
-    /// Partitioner weighting for the (re)built layouts.
-    pub weights: WeightsMode,
     /// Start from this serial-format checkpoint instead of initial
     /// conditions — the `restart onto (pth', pph')` path. Any layout's
     /// checkpoint restores onto any other layout bit-exactly.
@@ -284,7 +252,6 @@ impl Default for RecoveryOpts {
             on_failure: FailurePolicy::Retry,
             max_retiles: 2,
             retile_backoff: Duration::from_millis(50),
-            weights: WeightsMode::Uniform,
             resume_from: None,
             ckpt_dir: None,
             ckpt_async: true,
@@ -604,10 +571,6 @@ struct Supervisor<'a> {
     /// dumped as a post-mortem.
     recorders: Option<Arc<RecorderSet>>,
     logger: Option<JsonlLogger>,
-    /// Measured column costs come from one serial probe, shared by every
-    /// (re)build — re-probing mid-run would move cut boundaries between
-    /// passes for no benefit.
-    costs: Option<ColumnCosts>,
     /// Science telemetry is supervisor-owned: built up front (so a bad
     /// rules file fails the launch, not the landing) and fed from the
     /// final pass's diagnostic series after success. The rank program
@@ -634,6 +597,18 @@ impl<'a> Supervisor<'a> {
         cfg.params.validate();
         opts.check()?;
         let grid = cfg.grid();
+        // Layout pre-flight, so `Decomp2D::new` and the universe never
+        // assert on a caller's value. Re-tiling only ever halves an
+        // axis, so every shrunk layout passes if this one does.
+        let (_, nth, nph) = grid.dims();
+        if pth == 0 || pph == 0 || nth < MIN_TILE_WIDTH * pth || nph < MIN_TILE_WIDTH * pph {
+            return Err(format!(
+                "layout pth={pth} pph={pph} does not fit the {nth}x{nph}-column panel: pth must \
+                 lie in 1..={} and pph in 1..={} (tiles at least {MIN_TILE_WIDTH} columns wide)",
+                nth / MIN_TILE_WIDTH,
+                nph / MIN_TILE_WIDTH
+            ));
+        }
         let req_nprocs = 2 * pth * pph;
         let recorders = opts.obs.make_recorders(req_nprocs);
         let logger = match &opts.obs.log {
@@ -651,14 +626,9 @@ impl<'a> Supervisor<'a> {
                 ("nprocs", req_nprocs.to_string()),
                 ("steps", steps.to_string()),
                 ("policy", opts.on_failure.name().to_string()),
-                ("weights", opts.weights.name().to_string()),
                 ("traced", recorders.is_some().to_string()),
             ],
         );
-        let costs = match opts.weights {
-            WeightsMode::Measured => Some(ColumnCosts::measure(cfg, 2)),
-            WeightsMode::Uniform => None,
-        };
         // Disk persistence: each rank writes its owned region into the
         // shard directory at every checkpoint event, overlapped with
         // compute when `ckpt_async`.
@@ -697,7 +667,6 @@ impl<'a> Supervisor<'a> {
                 .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
             recorders,
             logger,
-            costs,
             science: ScienceTelemetry::from_opts(&opts.obs)?,
             slot: Mutex::new(opts.resume_from.clone()),
             plan: PassPlan {
@@ -726,10 +695,7 @@ impl<'a> Supervisor<'a> {
         let (pth, pph) = self.policy.layout;
         let nprocs = 2 * pth * pph;
         let node_map: Vec<usize> = self.policy.survivors[..nprocs].to_vec();
-        let decomp = match &self.costs {
-            Some(c) => c.decompose(pth, pph, &self.grid),
-            None => Decomp2D::new(pth, pph, &self.grid),
-        };
+        let decomp = Decomp2D::new(pth, pph, &self.grid);
         // Messages stuck in limbo belong to the previous (dead) pass.
         if let Some(plan) = &self.fault {
             plan.begin_pass();
@@ -893,10 +859,7 @@ impl<'a> Supervisor<'a> {
         let rep = pass.report.ok_or("rank 0 produced no report")?;
         let final_checkpoint =
             lock_slot(&self.slot).take().ok_or("no final checkpoint was captured")?;
-        let predicted_imbalance = match &self.costs {
-            Some(c) => c.predicted_imbalance(&pass.decomp),
-            None => ColumnCosts::uniform(&self.grid).predicted_imbalance(&pass.decomp),
-        };
+        let predicted_imbalance = pass.decomp.predicted_imbalance();
         let achieved_imbalance = rep.achieved_imbalance;
         let mut report = rep.report;
         // Post-run diagnosis: read every ring once, extract the per-step
@@ -995,7 +958,6 @@ impl<'a> Supervisor<'a> {
         report.recoveries = self.recoveries.clone();
         report.elastic = ElasticSummary {
             policy: self.opts.on_failure.name().to_string(),
-            weights: self.opts.weights.name().to_string(),
             degraded,
             final_pth,
             final_pph,
@@ -1402,9 +1364,8 @@ struct RankSolver<'a> {
     world: &'a Comm,
     cart: CartComm,
     grid: PatchGrid,
-    /// The tile layout this rank was built from (possibly weighted);
-    /// gather/restore must use it — not a rebuilt uniform layout — or a
-    /// weighted run would scatter blocks to the wrong coordinates.
+    /// The tile layout this rank was built from; gather/restore
+    /// address blocks through it.
     decomp: Decomp2D,
     tile: Tile,
     metric: Metric,
@@ -2347,15 +2308,6 @@ mod tests {
         let err = FailurePolicy::parse("panic").unwrap_err();
         assert_eq!(err, "expected retry|retile|abort, got 'panic'");
         assert_eq!(FailurePolicy::Retile.name(), "retile");
-    }
-
-    #[test]
-    fn weights_mode_parses_and_rejects() {
-        assert_eq!(WeightsMode::parse("uniform").unwrap(), WeightsMode::Uniform);
-        assert_eq!(WeightsMode::parse("measured").unwrap(), WeightsMode::Measured);
-        let err = WeightsMode::parse("guessed").unwrap_err();
-        assert_eq!(err, "expected uniform|measured, got 'guessed'");
-        assert_eq!(WeightsMode::Measured.name(), "measured");
     }
 
     #[test]

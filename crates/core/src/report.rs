@@ -2,7 +2,7 @@
 //! distributions, and the machine-readable JSON artifact.
 
 use yy_mhd::Diagnostics;
-use yy_obs::analysis::{Analysis, LedgerEntry};
+use yy_obs::analysis::Analysis;
 use yy_obs::counters::{kernel, CounterSnapshot};
 use yy_obs::hist::{hist_json, HistogramSnapshot};
 use yy_obs::dashboard::panel_line;
@@ -101,8 +101,6 @@ pub struct RetileRecord {
 pub struct ElasticSummary {
     /// Failure policy in effect (`retry` | `retile` | `abort`).
     pub policy: String,
-    /// Partitioner weighting (`uniform` | `measured`).
-    pub weights: String,
     /// Whether the run finished in degraded mode (widened checkpoint
     /// cadence after a retile).
     pub degraded: bool,
@@ -114,7 +112,8 @@ pub struct ElasticSummary {
     pub excluded_nodes: Vec<usize>,
     /// Every layout change, in order.
     pub retiles: Vec<RetileRecord>,
-    /// Partitioner-predicted load imbalance (max tile cost / mean).
+    /// Partitioner-predicted load imbalance (largest tile's node count
+    /// over the mean).
     pub predicted_imbalance: f64,
     /// Measured per-rank compute-time imbalance of the final pass
     /// (max rank compute time / mean).
@@ -125,7 +124,6 @@ impl Default for ElasticSummary {
     fn default() -> Self {
         ElasticSummary {
             policy: "retry".into(),
-            weights: "uniform".into(),
             degraded: false,
             final_pth: 0,
             final_pph: 0,
@@ -156,12 +154,11 @@ impl ElasticSummary {
             self.excluded_nodes.iter().map(|n| n.to_string()).collect();
         format!(
             concat!(
-                r#"{{"policy":"{}","weights":"{}","degraded":{},"#,
+                r#"{{"policy":"{}","degraded":{},"#,
                 r#""final_pth":{},"final_pph":{},"excluded_nodes":[{}],"#,
                 r#""retiles":[{}],"predicted_imbalance":{},"achieved_imbalance":{}}}"#
             ),
             escape(&self.policy),
-            escape(&self.weights),
             self.degraded,
             self.final_pth,
             self.final_pph,
@@ -298,7 +295,7 @@ pub struct RunReport {
     /// Physics-watchdog fire/clear edges, in evaluation order. Empty
     /// when telemetry was not armed (or nothing fired).
     pub alerts: Vec<yy_obs::AlertEvent>,
-    /// The multi-resolution science series store as a pre-rendered JSON
+    /// The science series store as a pre-rendered JSON
     /// document ([`yy_obs::SeriesStore::to_json`]); `None` when
     /// telemetry was not armed.
     pub telemetry: Option<String>,
@@ -376,10 +373,13 @@ impl RunReport {
     /// schema version — renames or removals bump the version. v6 is a
     /// strict superset of v5 (itself a superset of v4, v3, v2 and v1):
     /// it adds the `alerts` array (physics-watchdog fire/clear edges)
-    /// and the `telemetry` section (the multi-resolution science series
-    /// store; `null` when telemetry was not armed), changing nothing
-    /// else, so v1–v5 readers that ignore unknown fields keep working
-    /// (pinned by the `v5_reader_keeps_working_on_v6_output` test). All
+    /// and the `telemetry` section (the science series store; `null`
+    /// when telemetry was not armed), changing nothing else, so v1–v5
+    /// readers that ignore unknown fields keep working (pinned by the
+    /// `v5_reader_keeps_working_on_v6_output` test). The one removal
+    /// made without a bump: `elastic.weights` and the telemetry
+    /// section's downsampling-tier members went with the code that
+    /// wrote them, because no reader ever consumed them. All
     /// histogram and counter values are exact integers, so the artifact
     /// is bitwise reproducible for a deterministic run.
     pub fn to_json(&self) -> String {
@@ -566,64 +566,6 @@ pub fn report_frame(text: &str, width: usize) -> Result<String, String> {
     Ok(out)
 }
 
-/// Summarize a report artifact into one regression-ledger entry:
-/// normalized step cost, per-kernel MFLOPS, hidden-communication
-/// fraction, and the ES flagship projection that fraction supports.
-pub fn ledger_entry_from_report(text: &str, label: &str, seq: u64) -> Result<LedgerEntry, String> {
-    let doc = Json::parse(text)?;
-    let f = |k: &str| doc.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let steps = f("steps") as u64;
-    let grid_points = f("grid_points") as u64;
-    let wall = f("wall_seconds");
-    let ns_per_point = if steps > 0 && grid_points > 0 && wall > 0.0 {
-        wall * 1e9 / (steps as f64 * grid_points as f64)
-    } else {
-        0.0
-    };
-    let mut kernel_mflops = Vec::new();
-    if let Some(arr) = doc.get("kernels").and_then(|v| v.as_arr()) {
-        for row in arr {
-            let name = row.get("name").and_then(|v| v.as_str()).unwrap_or("");
-            let mflops = row.get("mflops").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            if !name.is_empty() && mflops > 0.0 {
-                kernel_mflops.push((name.to_string(), mflops));
-            }
-        }
-    }
-    let hidden = doc
-        .get("phases")
-        .and_then(|p| p.get("hidden_comm_fraction"))
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let es_tflops = if hidden > 0.0 {
-        yy_esmodel::flagship_projection(hidden).tflops()
-    } else {
-        0.0
-    };
-    let dim = |k: &str| {
-        doc.get("elastic").and_then(|e| e.get(k)).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64
-    };
-    let layout = (dim("final_pth"), dim("final_pph"));
-    let codec = doc
-        .get("io")
-        .and_then(|io| io.get("codec"))
-        .and_then(|v| v.as_str())
-        .unwrap_or("none")
-        .to_string();
-    Ok(LedgerEntry {
-        label: label.to_string(),
-        seq,
-        steps,
-        grid_points,
-        layout,
-        codec,
-        ns_per_point,
-        kernel_mflops,
-        hidden_comm_fraction: hidden,
-        es_tflops,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,7 +696,6 @@ mod tests {
         let mut r = RunReport::default();
         r.elastic = ElasticSummary {
             policy: "retile".into(),
-            weights: "measured".into(),
             degraded: true,
             final_pth: 1,
             final_pph: 2,
@@ -772,7 +713,6 @@ mod tests {
         let doc = Json::parse(&r.to_json()).unwrap();
         let e = doc.get("elastic").expect("elastic section");
         assert_eq!(e.get("policy").unwrap().as_str(), Some("retile"));
-        assert_eq!(e.get("weights").unwrap().as_str(), Some("measured"));
         assert_eq!(e.get("degraded").unwrap().as_bool(), Some(true));
         assert_eq!(e.get("final_pth").unwrap().as_f64(), Some(1.0));
         assert_eq!(e.get("final_pph").unwrap().as_f64(), Some(2.0));
@@ -873,14 +813,14 @@ mod tests {
     /// for armed ones, alerts roundtrip through the core-side reader.
     #[test]
     fn alerts_and_telemetry_sections_land_in_the_artifact() {
-        use yy_obs::{AlertEvent, Json, SeriesSpec, SeriesStore};
+        use yy_obs::{AlertEvent, Json, SeriesStore};
         // Unarmed: empty alerts, null telemetry (key still present).
         let plain = Json::parse(&RunReport::default().to_json()).unwrap();
         assert_eq!(plain.get("alerts").unwrap().as_arr().unwrap().len(), 0);
         assert!(plain.get("telemetry").unwrap().as_f64().is_none());
         assert!(matches!(plain.get("telemetry"), Some(Json::Null)));
         // Armed: alerts decode back, telemetry carries the store shape.
-        let mut store = SeriesStore::new(&["dt"], SeriesSpec::default());
+        let mut store = SeriesStore::new(&["dt"], 256);
         store.push_row(&[1e-3]);
         let mut r = RunReport::default();
         r.telemetry = Some(store.to_json());
@@ -903,33 +843,6 @@ mod tests {
         let tel = doc.get("telemetry").expect("telemetry section");
         let chans = tel.get("channels").unwrap().as_arr().unwrap();
         assert_eq!(chans[0].get("name").unwrap().as_str(), Some("dt"));
-    }
-
-    /// Writer → reader: the ledger ingester recovers step cost, kernel
-    /// rates, hiding, layout and codec from what `to_json` wrote.
-    #[test]
-    fn ledger_entry_reads_what_to_json_writes() {
-        let mut kernels = CounterSnapshot::default();
-        kernels.kernels[kernel::RHS as usize].flops = 3_000_000;
-        kernels.kernels[kernel::RHS as usize].wall_ns = 1_000_000;
-        let r = RunReport {
-            steps: 4,
-            grid_points: 1000,
-            wall_seconds: 0.002,
-            phases: PhaseBreakdown { interior_s: 3.0, wait_s: 1.0, ..Default::default() },
-            elastic: ElasticSummary { final_pth: 2, final_pph: 1, ..Default::default() },
-            io: IoStats { codec: "delta".into(), ..Default::default() },
-            kernels,
-            ..Default::default()
-        };
-        let e = ledger_entry_from_report(&r.to_json(), "ci", 3).expect("ingests");
-        assert_eq!((e.label.as_str(), e.seq, e.steps, e.grid_points), ("ci", 3, 4, 1000));
-        assert_eq!((e.layout, e.codec.as_str()), ((2, 1), "delta"));
-        assert_eq!(e.ns_per_point, 500.0);
-        assert_eq!(e.kernel_mflops, vec![("rhs".to_string(), 3000.0)]);
-        assert_eq!(e.hidden_comm_fraction, 0.75);
-        assert_eq!(e.es_tflops, yy_esmodel::flagship_projection(0.75).tflops());
-        assert!(ledger_entry_from_report("{", "ci", 0).is_err());
     }
 
     /// The compatibility contract of the schema: every version so far

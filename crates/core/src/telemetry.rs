@@ -14,7 +14,7 @@
 
 use crate::obs::ObsOpts;
 use crate::report::TimeSeriesPoint;
-use yy_obs::{parse_rules, AlertEvent, ScienceGauges, SeriesSpec, SeriesStore, Watchdog};
+use yy_obs::{parse_rules, AlertEvent, ScienceGauges, SeriesStore, Watchdog};
 
 /// Channel layout of the science series store, in row order. The first
 /// six come from the reduced [`yy_mhd::Diagnostics`]; `dt`,
@@ -30,6 +30,10 @@ pub const CHANNELS: [&str; 9] = [
     "dominant_m",
     "mass",
 ];
+
+/// Samples each channel keeps (the built-in rules look back 64 at
+/// most, `yycore watch` draws 48 by default).
+const RAW_CAPACITY: usize = 256;
 
 /// Azimuthal-mode budget for the equatorial vorticity probe (clamped to
 /// the ring's Nyquist limit by [`yy_mhd::spectra::probe`]).
@@ -76,7 +80,7 @@ impl ScienceTelemetry {
     /// Telemetry with the standard channel layout and the given rules.
     pub fn new(rules: Vec<yy_obs::Rule>) -> ScienceTelemetry {
         ScienceTelemetry {
-            store: SeriesStore::new(&CHANNELS, SeriesSpec::default()),
+            store: SeriesStore::new(&CHANNELS, RAW_CAPACITY),
             watch: Watchdog::new(rules),
             alerts: Vec::new(),
         }
@@ -130,7 +134,7 @@ impl ScienceTelemetry {
         edges
     }
 
-    /// The multi-resolution store.
+    /// The series store.
     pub fn store(&self) -> &SeriesStore {
         &self.store
     }

@@ -53,8 +53,8 @@ pub mod tables;
 pub use machine::EsMachine;
 pub use model::{EsModelParams, KernelCost, KernelProfile, KernelProjection, Projection, RunShape};
 pub use model::{
-    flagship_delta_pct, flagship_projection, flagship_projection_tail, in_flagship_window,
-    project, project_kernels, project_overlapped, FLAGSHIP_WINDOW_TFLOPS, PAPER_FLAGSHIP_TFLOPS,
+    flagship_projection, flagship_projection_tail, in_flagship_window, project, project_kernels,
+    project_overlapped, FLAGSHIP_WINDOW_TFLOPS, PAPER_FLAGSHIP_TFLOPS,
 };
 pub use tables::{
     kernel_projection_text, table1_text, table2_rows, table2_text, table3_text, Table2Row,

@@ -134,7 +134,7 @@ pub struct RunShape {
 }
 
 /// The paper's headline sustained performance at the flagship shape, in
-/// TFlops — the fixed point ledger `es_tflops` verdicts are read against.
+/// TFlops — the fixed point projections are read against.
 pub const PAPER_FLAGSHIP_TFLOPS: f64 = 15.2;
 
 /// Half-width of the acceptance window around
@@ -143,13 +143,6 @@ pub const PAPER_FLAGSHIP_TFLOPS: f64 = 15.2;
 /// crate's own calibration tests assert).
 pub const FLAGSHIP_WINDOW_TFLOPS: f64 = 2.0;
 
-/// Signed delta of a projected sustained TFlops vs the paper's
-/// headline, in percent — what `yycore doctor` quotes next to an
-/// `es_tflops` verdict.
-pub fn flagship_delta_pct(tflops: f64) -> f64 {
-    (tflops - PAPER_FLAGSHIP_TFLOPS) / PAPER_FLAGSHIP_TFLOPS * 100.0
-}
-
 /// Whether a projection lands inside the paper's flagship window.
 pub fn in_flagship_window(tflops: f64) -> bool {
     (tflops - PAPER_FLAGSHIP_TFLOPS).abs() <= FLAGSHIP_WINDOW_TFLOPS
@@ -157,8 +150,7 @@ pub fn in_flagship_window(tflops: f64) -> bool {
 
 /// Flagship-shape projection from a measured hidden-communication
 /// fraction: what the paper's 4096-process run would sustain if its
-/// exchanges were hidden as well as the measured run's were. This is
-/// the `es_tflops` the doctor's ledger ingester stamps on each entry.
+/// exchanges were hidden as well as the measured run's were.
 pub fn flagship_projection(hidden: f64) -> Projection {
     project_overlapped(
         &crate::EsMachine::earth_simulator(),
@@ -500,16 +492,12 @@ mod tests {
     fn flagship_window_helpers_agree_with_the_calibration() {
         assert_eq!(RunShape::flagship(), paper_shape(4096, 511));
         // With nothing hidden the helper equals the blocking `project`,
-        // which the calibration pins inside the paper window; the delta
-        // vs the headline stays within the window's relative width.
+        // which the calibration pins inside the paper window.
         let proj = flagship_projection(0.0);
         assert!(in_flagship_window(proj.tflops()), "{:.1} TFlops", proj.tflops());
-        let pct = flagship_delta_pct(proj.tflops());
-        assert!(pct.abs() <= 100.0 * FLAGSHIP_WINDOW_TFLOPS / PAPER_FLAGSHIP_TFLOPS);
         // Hiding communication can only raise the projection.
         assert!(flagship_projection(1.0).tflops() >= proj.tflops());
         assert!(!in_flagship_window(9.0) && !in_flagship_window(20.0));
-        assert_eq!(flagship_delta_pct(PAPER_FLAGSHIP_TFLOPS), 0.0);
     }
 
     #[test]

@@ -265,34 +265,6 @@ impl Array3 {
         m.into_iter().fold(f64::INFINITY, f64::min)
     }
 
-    /// Sum of `w(i,j,k) * f(self[i,j,k])` over the owned region, with the
-    /// weight supplied per dimension (the quadrature pattern).
-    pub fn weighted_sum_owned<F: Fn(f64) -> f64>(
-        &self,
-        wr: &[f64],
-        wth: &[f64],
-        wph: &[f64],
-        f: F,
-    ) -> f64 {
-        assert_eq!(wr.len(), self.shape.nr);
-        assert_eq!(wth.len(), self.shape.nth);
-        assert_eq!(wph.len(), self.shape.nph);
-        let mut total = 0.0;
-        for k in 0..self.shape.nph {
-            let wk = wph[k];
-            for j in 0..self.shape.nth {
-                let wjk = wk * wth[j];
-                let row = self.row(j as isize, k as isize);
-                let mut s = 0.0;
-                for (i, &v) in row.iter().enumerate() {
-                    s += wr[i] * f(v);
-                }
-                total += wjk * s;
-            }
-        }
-        total
-    }
-
     /// `true` iff any element (owned or ghost) is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -415,15 +387,6 @@ mod tests {
                 assert_eq!(a.min_owned().to_bits(), seq.to_bits(), "nr={nr} at={at}");
             }
         }
-    }
-
-    #[test]
-    fn weighted_sum_constant_gives_weight_product() {
-        let s = Shape::new(3, 2, 2, 1, 1);
-        let a = Array3::filled(s, 2.0);
-        let total = a.weighted_sum_owned(&[1.0, 1.0, 1.0], &[0.5, 0.5], &[2.0, 2.0], |v| v);
-        // sum w = 3 * 1 * 4 = 12 ; f = 2 → 24... wait: wth sums to 1, wph to 4, wr to 3.
-        assert!((total - 2.0 * 3.0 * 1.0 * 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl FlopMeter {
         self.flops = 0;
         self.started = Instant::now();
     }
-
-    /// Merge counts from another meter (e.g. gathered from another rank).
-    pub fn merge_counts(&mut self, other: &FlopMeter) {
-        self.flops += other.flops;
-    }
 }
 
 /// The solver's instrument panel: the aggregate [`FlopMeter`] plus a
@@ -203,16 +198,6 @@ mod tests {
         m.add(5);
         m.reset();
         assert_eq!(m.flops(), 0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = FlopMeter::new();
-        let mut b = FlopMeter::new();
-        a.add(3);
-        b.add(4);
-        a.merge_counts(&b);
-        assert_eq!(a.flops(), 7);
     }
 
     #[test]

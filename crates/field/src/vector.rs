@@ -70,25 +70,6 @@ impl VectorField {
         self.p.copy_from(&other.p);
     }
 
-    /// Maximum pointwise magnitude `max √(vr² + vθ² + vφ²)` over the owned
-    /// region (used for CFL estimates).
-    pub fn max_magnitude_owned(&self) -> f64 {
-        let s = self.shape();
-        let mut m2: f64 = 0.0;
-        for k in 0..s.nph as isize {
-            for j in 0..s.nth as isize {
-                let rr = self.r.row(j, k);
-                let tt = self.t.row(j, k);
-                let pp = self.p.row(j, k);
-                for i in 0..s.nr {
-                    let v2 = rr[i] * rr[i] + tt[i] * tt[i] + pp[i] * pp[i];
-                    m2 = m2.max(v2);
-                }
-            }
-        }
-        m2.sqrt()
-    }
-
     /// `true` iff any component holds a NaN/inf anywhere.
     pub fn has_non_finite(&self) -> bool {
         self.r.has_non_finite() || self.t.has_non_finite() || self.p.has_non_finite()
@@ -114,23 +95,6 @@ mod tests {
         assert_eq!(v.r.at(0, 0, 0), 2.0);
         assert_eq!(v.t.at(1, 1, 1), 4.0);
         assert_eq!(v.p.at(2, 3, 4), 6.0);
-    }
-
-    #[test]
-    fn max_magnitude_is_euclidean() {
-        let mut v = VectorField::zeros(shape());
-        v.r.set(0, 0, 0, 3.0);
-        v.t.set(0, 0, 0, 4.0);
-        // Larger single component elsewhere but smaller magnitude.
-        v.p.set(1, 2, 3, 4.5);
-        assert!((v.max_magnitude_owned() - 5.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn ghost_values_do_not_affect_max_magnitude() {
-        let mut v = VectorField::zeros(shape());
-        v.r.set(0, -1, 0, 99.0);
-        assert_eq!(v.max_magnitude_owned(), 0.0);
     }
 
     #[test]

@@ -36,58 +36,14 @@ pub fn owner_of(n: usize, parts: usize, g: usize) -> usize {
 }
 
 /// Narrowest tile either axis may be cut to: one interior node per halo
-/// side, matching the uniform constructor's historical assertion.
+/// side.
 pub const MIN_TILE_WIDTH: usize = 2;
-
-/// Cut points for a contiguous 1-D partition of `n` items into `parts`
-/// blocks balancing the given per-item weights: returns `parts + 1`
-/// boundaries with `starts[0] == 0` and `starts[parts] == n`, every
-/// block at least `min_len` wide. Deterministic in the weights; a
-/// non-positive total falls back to the uniform [`block_range`] layout.
-///
-/// Greedy prefix walk: block `i` ends at the first index whose
-/// cumulative weight reaches `(i + 1) / parts` of the total, clamped so
-/// the remaining blocks can still meet `min_len`.
-pub fn weighted_starts(weights: &[f64], parts: usize, min_len: usize) -> Vec<usize> {
-    let n = weights.len();
-    assert!(parts >= 1, "need at least one block");
-    assert!(n >= parts * min_len, "cannot cut {n} items into {parts} blocks of >= {min_len}");
-    let w: Vec<f64> = weights.iter().map(|&x| x.max(0.0)).collect();
-    let total: f64 = w.iter().sum();
-    let mut starts = Vec::with_capacity(parts + 1);
-    starts.push(0usize);
-    if !(total > 0.0) {
-        for idx in 1..parts {
-            starts.push(block_range(n, parts, idx).0);
-        }
-        starts.push(n);
-        return starts;
-    }
-    let mut cum = 0.0;
-    let mut at = 0usize;
-    for i in 1..parts {
-        let target = total * i as f64 / parts as f64;
-        let lo = starts[i - 1] + min_len;
-        let hi = n - (parts - i) * min_len;
-        while at < hi && (at < lo || cum + w[at] <= target) {
-            cum += w[at];
-            at += 1;
-        }
-        let cut = at.clamp(lo, hi);
-        starts.push(cut);
-    }
-    starts.push(n);
-    starts
-}
 
 /// The (θ, φ) process-grid decomposition of one panel.
 ///
-/// Boundaries are stored explicitly so a decomposition may balance
-/// *measured cost* instead of node counts (the elastic re-tile path);
-/// the uniform constructor reproduces the historical [`block_range`]
-/// layout exactly. `tile` and `owner` stay mutually inverse for any
-/// boundary set — routing, gathering, and checkpoint restore all lean on
-/// that invariant.
+/// Blocks follow the [`block_range`] layout on both axes. `tile` and
+/// `owner` are mutually inverse — routing, gathering, and checkpoint
+/// restore all lean on that invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decomp2D {
     /// Process count along colatitude.
@@ -98,10 +54,6 @@ pub struct Decomp2D {
     pub nth: usize,
     /// Global owned longitude node count.
     pub nph: usize,
-    /// θ cut points: `pth + 1` boundaries, first 0, last `nth`.
-    th_starts: Vec<usize>,
-    /// φ cut points: `pph + 1` boundaries, first 0, last `nph`.
-    ph_starts: Vec<usize>,
 }
 
 impl Decomp2D {
@@ -113,31 +65,7 @@ impl Decomp2D {
             nth >= MIN_TILE_WIDTH * pth && nph >= MIN_TILE_WIDTH * pph,
             "tiles would be thinner than 2 nodes"
         );
-        let th_starts = (0..pth).map(|i| block_range(nth, pth, i).0).chain([nth]).collect();
-        let ph_starts = (0..pph).map(|i| block_range(nph, pph, i).0).chain([nph]).collect();
-        Decomp2D { pth, pph, nth, nph, th_starts, ph_starts }
-    }
-
-    /// Decompose balancing per-column cost: `th_weights` (len `nth`) and
-    /// `ph_weights` (len `nph`) are the marginal costs of each θ row and
-    /// φ column; cuts are chosen by [`weighted_starts`].
-    pub fn weighted(
-        pth: usize,
-        pph: usize,
-        grid: &PatchGrid,
-        th_weights: &[f64],
-        ph_weights: &[f64],
-    ) -> Self {
-        let (_, nth, nph) = grid.dims();
-        assert_eq!(th_weights.len(), nth, "θ weight vector length");
-        assert_eq!(ph_weights.len(), nph, "φ weight vector length");
-        assert!(
-            nth >= MIN_TILE_WIDTH * pth && nph >= MIN_TILE_WIDTH * pph,
-            "tiles would be thinner than 2 nodes"
-        );
-        let th_starts = weighted_starts(th_weights, pth, MIN_TILE_WIDTH);
-        let ph_starts = weighted_starts(ph_weights, pph, MIN_TILE_WIDTH);
-        Decomp2D { pth, pph, nth, nph, th_starts, ph_starts }
+        Decomp2D { pth, pph, nth, nph }
     }
 
     /// Number of tiles (= panel communicator size).
@@ -151,17 +79,25 @@ impl Decomp2D {
         assert!(rank < self.tiles());
         let cth = rank / self.pph;
         let cph = rank % self.pph;
-        let (j0, nth) = (self.th_starts[cth], self.th_starts[cth + 1] - self.th_starts[cth]);
-        let (k0, nph) = (self.ph_starts[cph], self.ph_starts[cph + 1] - self.ph_starts[cph]);
+        let (j0, nth) = block_range(self.nth, self.pth, cth);
+        let (k0, nph) = block_range(self.nph, self.pph, cph);
         Tile { rank, cth, cph, j0, nth, k0, nph }
     }
 
     /// Panel-rank owning global column `(j, k)`.
     pub fn owner(&self, j: usize, k: usize) -> usize {
-        assert!(j < self.nth && k < self.nph);
-        let cth = self.th_starts[1..].partition_point(|&s| s <= j);
-        let cph = self.ph_starts[1..].partition_point(|&s| s <= k);
-        cth * self.pph + cph
+        owner_of(self.nth, self.pth, j) * self.pph + owner_of(self.nph, self.pph, k)
+    }
+
+    /// Predicted load imbalance of this layout: the largest tile's node
+    /// count over the mean tile's (1.0 = perfectly balanced; a parallel
+    /// run's achieved imbalance is the same ratio over measured per-rank
+    /// compute time).
+    pub fn predicted_imbalance(&self) -> f64 {
+        // The first block of each axis is a widest one.
+        let largest = block_range(self.nth, self.pth, 0).1 * block_range(self.nph, self.pph, 0).1;
+        let mean = (self.nth * self.nph) as f64 / self.tiles() as f64;
+        largest as f64 / mean
     }
 }
 
@@ -327,48 +263,13 @@ mod tests {
     }
 
     #[test]
-    fn weighted_starts_balance_and_respect_min_width() {
-        // Heavily front-loaded weights: the first block must stay narrow.
-        let w: Vec<f64> = (0..16).map(|i| if i < 4 { 10.0 } else { 1.0 }).collect();
-        let s = weighted_starts(&w, 4, 2);
-        assert_eq!(s[0], 0);
-        assert_eq!(s[4], 16);
-        for pair in s.windows(2) {
-            assert!(pair[1] - pair[0] >= 2, "block thinner than min width: {s:?}");
-        }
-        // The heavy prefix (weight 40 of 52) lands in the first blocks:
-        // the first cut must come before the uniform cut at 4.
-        assert!(s[1] <= 4, "front-loaded weights must narrow the first block: {s:?}");
-        // Degenerate weights fall back to the uniform layout.
-        let z = weighted_starts(&vec![0.0; 12], 3, 2);
-        assert_eq!(z, vec![0, 4, 8, 12]);
-    }
-
-    #[test]
-    fn weighted_decomp_keeps_owner_and_tile_inverse() {
-        let g = grid();
-        let (_, nth, nph) = g.dims();
-        let th_w: Vec<f64> = (0..nth).map(|j| 1.0 + (j as f64 - 3.0).abs()).collect();
-        let ph_w: Vec<f64> = (0..nph).map(|k| if k % 5 == 0 { 8.0 } else { 1.0 }).collect();
-        let d = Decomp2D::weighted(3, 4, &g, &th_w, &ph_w);
-        let mut hit = vec![false; nth * nph];
-        for r in 0..d.tiles() {
-            let t = d.tile(r);
-            assert!(t.nth >= MIN_TILE_WIDTH && t.nph >= MIN_TILE_WIDTH);
-            for j in t.j0..t.j0 + t.nth {
-                for k in t.k0..t.k0 + t.nph {
-                    assert!(!hit[j * nph + k], "column ({j},{k}) owned twice");
-                    hit[j * nph + k] = true;
-                    assert_eq!(d.owner(j, k), r, "owner/tile disagree at ({j},{k})");
-                }
-            }
-        }
-        assert!(hit.iter().all(|&b| b), "weighted tiles must cover the panel");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot cut")]
-    fn weighted_starts_reject_infeasible_min_width() {
-        weighted_starts(&[1.0; 5], 3, 2);
+    fn predicted_imbalance_is_largest_tile_over_mean() {
+        // The default 16×13 grid owns 17 × 41 columns per panel.
+        let g = PatchGrid::new(PatchSpec::equal_spacing(16, 13, 0.35, 1.0));
+        assert_eq!(Decomp2D::new(1, 1, &g).predicted_imbalance(), 1.0);
+        // 2×2 cuts them 9+8 × 21+20: 189 nodes against a mean of 174.25.
+        let imb = Decomp2D::new(2, 2, &g).predicted_imbalance();
+        assert_eq!(imb, 189.0 / 174.25);
+        assert_eq!(format!("{imb:.4}"), "1.0846");
     }
 }

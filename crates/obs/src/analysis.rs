@@ -2,7 +2,7 @@
 //! contents — the layer that *interprets* what the rest of `yy-obs`
 //! collects.
 //!
-//! Three engines, all pure functions over per-rank event streams (so
+//! Two engines, both pure functions over per-rank event streams (so
 //! they run post-hoc on [`crate::RecorderSet`] snapshots, on a re-parsed
 //! Chrome trace, or on synthetic streams in tests — and can never
 //! perturb the solver):
@@ -17,9 +17,6 @@
 //!    send→recv lag asymmetry (a sender whose messages consistently
 //!    arrive late relative to its peers), and writer-backpressure skew,
 //!    folded into a ranked suspect list with a stated [`reason`].
-//! 3. **Cross-run regression ledger** ([`LedgerEntry`], [`compare`]) —
-//!    append-only JSONL of compact run summaries with noise-aware
-//!    baseline verdicts (`ok | regressed | improved`).
 //!
 //! Analysis degrades gracefully under ring wraparound: the fixed-capacity
 //! recorder keeps only the newest events, so [`Analysis::coverage`]
@@ -34,7 +31,7 @@ use std::collections::{BTreeMap, HashMap};
 /// [`crate::event`] sub-enums.
 pub mod reason {
     /// The rank's stencil/compute wall is far above the mean (bad tile,
-    /// slow node, or a mispredicted weighted decomposition).
+    /// or slow node).
     pub const SLOW_COMPUTE: u8 = 0;
     /// The rank's *sent* messages arrive late at their receivers (its
     /// peers stall in `wait` through no fault of their own).
@@ -705,205 +702,6 @@ pub fn streams_from_chrome(text: &str) -> Result<Vec<Vec<TimedEvent>>, String> {
     Ok(out)
 }
 
-/// Ledger schema tag, written on every line of `runs.jsonl`.
-pub const LEDGER_SCHEMA: &str = "yy.doctor.ledger.v1";
-
-/// One compact run summary in the cross-run regression ledger.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LedgerEntry {
-    /// Free-form source label (`bench`, `ci`, a hostname, …).
-    pub label: String,
-    /// Position in the ledger file (assigned by the appender; `since`
-    /// references use `label#seq`).
-    pub seq: u64,
-    /// Steps the summarized run advanced.
-    pub steps: u64,
-    /// Grid points of the run.
-    pub grid_points: u64,
-    /// Tile layout `(pth, pph)`; `(0, 0)` for serial.
-    pub layout: (u64, u64),
-    /// Checkpoint shard codec in effect (`none` when output was off).
-    pub codec: String,
-    /// Step cost normalized to the grid (lower is better).
-    pub ns_per_point: f64,
-    /// Per-kernel achieved MFLOPS (higher is better), kernel-name keyed.
-    pub kernel_mflops: Vec<(String, f64)>,
-    /// `interior / (interior + wait)` of the run (higher is better).
-    pub hidden_comm_fraction: f64,
-    /// ES flagship projection in TFlops (0.0 when the source had none).
-    pub es_tflops: f64,
-}
-
-impl LedgerEntry {
-    /// One JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let kernels: Vec<String> = self
-            .kernel_mflops
-            .iter()
-            .map(|(k, v)| format!(r#""{}":{}"#, escape(k), num(*v)))
-            .collect();
-        format!(
-            r#"{{"schema":"{}","label":"{}","seq":{},"steps":{},"grid_points":{},"layout":[{},{}],"codec":"{}","ns_per_point":{},"kernel_mflops":{{{}}},"hidden_comm_fraction":{},"es_tflops":{}}}"#,
-            LEDGER_SCHEMA,
-            escape(&self.label),
-            self.seq,
-            self.steps,
-            self.grid_points,
-            self.layout.0,
-            self.layout.1,
-            escape(&self.codec),
-            num(self.ns_per_point),
-            kernels.join(","),
-            num(self.hidden_comm_fraction),
-            num(self.es_tflops),
-        )
-    }
-
-    /// Parse one ledger object (schema-checked).
-    pub fn from_json(j: &Json) -> Result<LedgerEntry, String> {
-        let schema = j.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-        if schema != LEDGER_SCHEMA {
-            return Err(format!("ledger entry schema '{schema}' != '{LEDGER_SCHEMA}'"));
-        }
-        let f = |k: &str| j.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let layout = match j.get("layout").and_then(|v| v.as_arr()) {
-            Some(a) if a.len() == 2 => (
-                a[0].as_f64().unwrap_or(0.0) as u64,
-                a[1].as_f64().unwrap_or(0.0) as u64,
-            ),
-            _ => (0, 0),
-        };
-        let mut kernel_mflops = Vec::new();
-        if let Some(obj) = j.get("kernel_mflops").and_then(|v| v.as_obj()) {
-            for (k, v) in obj {
-                kernel_mflops.push((k.clone(), v.as_f64().unwrap_or(0.0)));
-            }
-        }
-        Ok(LedgerEntry {
-            label: j.get("label").and_then(|v| v.as_str()).unwrap_or("").to_string(),
-            seq: f("seq") as u64,
-            steps: f("steps") as u64,
-            grid_points: f("grid_points") as u64,
-            layout,
-            codec: j.get("codec").and_then(|v| v.as_str()).unwrap_or("none").to_string(),
-            ns_per_point: f("ns_per_point"),
-            kernel_mflops,
-            hidden_comm_fraction: f("hidden_comm_fraction"),
-            es_tflops: f("es_tflops"),
-        })
-    }
-
-    /// Parse a whole `runs.jsonl` document, skipping blank lines;
-    /// errors carry the 1-based line number.
-    pub fn parse_ledger(text: &str) -> Result<Vec<LedgerEntry>, String> {
-        let mut out = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let j = Json::parse(line).map_err(|e| format!("ledger line {}: {e}", i + 1))?;
-            out.push(LedgerEntry::from_json(&j).map_err(|e| format!("ledger line {}: {e}", i + 1))?);
-        }
-        Ok(out)
-    }
-}
-
-/// One baseline-comparison verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// Metric name (`ns_per_point`, `mflops:rhs`, `es_tflops`, …).
-    pub metric: String,
-    /// `ok` | `regressed` | `improved`.
-    pub status: String,
-    /// Signed relative delta vs the baseline, in percent (positive =
-    /// metric went up).
-    pub delta_pct: f64,
-    /// `label#seq` of the baseline entry the delta is against.
-    pub since: String,
-}
-
-impl Verdict {
-    /// The one-line rendering ci prints: `ok(metric, +1.2%, since x#3)`.
-    pub fn line(&self) -> String {
-        format!("{}({}, {:+.1}%, since {})", self.status, self.metric, self.delta_pct, self.since)
-    }
-}
-
-/// Extract each history value of one metric: `(value, "label#seq")`.
-fn metric_history(history: &[LedgerEntry], metric: &str) -> Vec<(f64, String)> {
-    history
-        .iter()
-        .filter_map(|e| {
-            let v = match metric {
-                "ns_per_point" => e.ns_per_point,
-                "hidden_comm_fraction" => e.hidden_comm_fraction,
-                "es_tflops" => e.es_tflops,
-                _ => metric
-                    .strip_prefix("mflops:")
-                    .and_then(|k| e.kernel_mflops.iter().find(|(n, _)| n == k))
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0.0),
-            };
-            (v > 0.0).then(|| (v, format!("{}#{}", e.label, e.seq)))
-        })
-        .collect()
-}
-
-/// Compare the newest ledger entry against its history with noise-aware
-/// thresholds: a metric regresses only when it is worse than the best
-/// historical value by more than `max(base_tol, 3 × the history's
-/// coefficient of variation)` — so a noisy metric needs a bigger move to
-/// trip than a quiet one. Lower-is-better metrics (`ns_per_point`) are
-/// handled by sign; metrics the latest entry lacks are skipped.
-pub fn compare(latest: &LedgerEntry, history: &[LedgerEntry], base_tol: f64) -> Vec<Verdict> {
-    let mut metrics: Vec<(String, bool)> = vec![("ns_per_point".into(), false)];
-    for (k, _) in &latest.kernel_mflops {
-        metrics.push((format!("mflops:{k}"), true));
-    }
-    metrics.push(("hidden_comm_fraction".into(), true));
-    metrics.push(("es_tflops".into(), true));
-    let mut out = Vec::new();
-    for (metric, higher_is_better) in metrics {
-        let cur = metric_history(std::slice::from_ref(latest), &metric);
-        let Some(&(cur, _)) = cur.first() else { continue };
-        let hist = metric_history(history, &metric);
-        if hist.is_empty() {
-            out.push(Verdict {
-                metric,
-                status: "ok".into(),
-                delta_pct: 0.0,
-                since: "no-history".into(),
-            });
-            continue;
-        }
-        let values: Vec<f64> = hist.iter().map(|(v, _)| *v).collect();
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        let tol = base_tol.max(3.0 * cv);
-        // Baseline = best historical value; "since" names the newest
-        // entry that achieved it (the point to bisect back to).
-        let (best, since) = hist
-            .iter()
-            .rev()
-            .max_by(|(a, _), (b, _)| if higher_is_better { a.total_cmp(b) } else { b.total_cmp(a) })
-            .cloned()
-            .expect("non-empty history");
-        let delta_pct = (cur - best) / best * 100.0;
-        let worse = if higher_is_better { cur < best * (1.0 - tol) } else { cur > best * (1.0 + tol) };
-        let better = if higher_is_better { cur > best * (1.0 + tol) } else { cur < best * (1.0 - tol) };
-        let status = if worse {
-            "regressed"
-        } else if better {
-            "improved"
-        } else {
-            "ok"
-        };
-        out.push(Verdict { metric, status: status.into(), delta_pct, since });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1177,68 +975,5 @@ mod tests {
         assert!(streams_from_chrome("not json").is_err());
         assert!(streams_from_chrome("{}").is_err());
         assert!(streams_from_chrome(r#"{"traceEvents":[]}"#).is_err());
-    }
-
-    fn entry(label: &str, seq: u64, ns_per_point: f64, rhs: f64) -> LedgerEntry {
-        LedgerEntry {
-            label: label.into(),
-            seq,
-            steps: 10,
-            grid_points: 100_000,
-            layout: (1, 2),
-            codec: "delta".into(),
-            ns_per_point,
-            kernel_mflops: vec![("rhs".into(), rhs), ("rk4_combine".into(), rhs / 2.0)],
-            hidden_comm_fraction: 0.8,
-            es_tflops: 14.7,
-        }
-    }
-
-    #[test]
-    fn ledger_lines_roundtrip() {
-        let e = entry("bench", 3, 612.5, 4100.0);
-        let line = e.to_json_line();
-        let parsed = LedgerEntry::parse_ledger(&format!("{line}\n\n{line}\n")).expect("parse");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0], e);
-        assert!(LedgerEntry::parse_ledger("{\"schema\":\"bogus\"}").is_err());
-        assert!(LedgerEntry::parse_ledger("not json").is_err());
-    }
-
-    #[test]
-    fn compare_flags_regression_and_improvement() {
-        let history = vec![entry("b", 0, 600.0, 4000.0), entry("b", 1, 610.0, 4050.0)];
-        // 30% slower step, 30% faster rhs.
-        let mut latest = entry("b", 2, 800.0, 5300.0);
-        latest.es_tflops = 14.7;
-        let verdicts = compare(&latest, &history, 0.10);
-        let by = |m: &str| verdicts.iter().find(|v| v.metric == m).unwrap();
-        assert_eq!(by("ns_per_point").status, "regressed");
-        assert!(by("ns_per_point").line().contains("regressed(ns_per_point"), "{}", by("ns_per_point").line());
-        assert_eq!(by("mflops:rhs").status, "improved");
-        assert_eq!(by("es_tflops").status, "ok");
-        // The regression's "since" names the best historical entry.
-        assert_eq!(by("ns_per_point").since, "b#0");
-    }
-
-    #[test]
-    fn compare_is_noise_aware() {
-        // History with ~20% swings: a 25% drop is within 3×cv noise.
-        let history = vec![
-            entry("b", 0, 500.0, 4000.0),
-            entry("b", 1, 700.0, 4000.0),
-            entry("b", 2, 520.0, 4000.0),
-            entry("b", 3, 690.0, 4000.0),
-        ];
-        let latest = entry("b", 4, 620.0, 4000.0);
-        let verdicts = compare(&latest, &history, 0.10);
-        let ns = verdicts.iter().find(|v| v.metric == "ns_per_point").unwrap();
-        assert_eq!(ns.status, "ok", "noisy history must widen the threshold: {ns:?}");
-    }
-
-    #[test]
-    fn compare_without_history_is_ok() {
-        let verdicts = compare(&entry("b", 0, 600.0, 4000.0), &[], 0.10);
-        assert!(verdicts.iter().all(|v| v.status == "ok" && v.since == "no-history"));
     }
 }

@@ -351,8 +351,7 @@ pub enum Event {
         id: u8,
         /// Sampled value (MFLOPS, queue depth, …) as `f64::to_bits` —
         /// kept as raw bits so the event stays `Eq` and the ring slot
-        /// roundtrips exactly. Build with [`Event::counter_sample`],
-        /// read with [`Event::counter_value`].
+        /// roundtrips exactly. Build with [`Event::counter_sample`].
         value_bits: u64,
     },
 }
@@ -361,15 +360,6 @@ impl Event {
     /// A [`Event::CounterSample`] from an f64 value.
     pub fn counter_sample(id: u8, value: f64) -> Event {
         Event::CounterSample { id, value_bits: value.to_bits() }
-    }
-
-    /// The f64 value of a [`Event::CounterSample`]; `None` for other
-    /// variants.
-    pub fn counter_value(&self) -> Option<f64> {
-        match *self {
-            Event::CounterSample { value_bits, .. } => Some(f64::from_bits(value_bits)),
-            _ => None,
-        }
     }
 
     /// Pack into the three payload words of a ring slot.
@@ -494,8 +484,8 @@ mod tests {
     #[test]
     fn counter_sample_value_roundtrips_bits() {
         let e = Event::counter_sample(counter::QUEUE_DEPTH, 3.75);
-        assert_eq!(e.counter_value(), Some(3.75));
-        assert_eq!(Event::StepBegin { step: 1 }.counter_value(), None);
+        let bits = 3.75_f64.to_bits();
+        assert_eq!(e, Event::CounterSample { id: counter::QUEUE_DEPTH, value_bits: bits });
     }
 
     #[test]

@@ -39,10 +39,7 @@ pub mod ring;
 pub mod series;
 pub mod watch;
 
-pub use analysis::{
-    analyze, compare, streams_from_chrome, Analysis, AnalysisInput, DoctorGauges, LedgerEntry,
-    Verdict,
-};
+pub use analysis::{analyze, streams_from_chrome, Analysis, AnalysisInput, DoctorGauges};
 pub use chrome::{chrome_trace_json, validate_chrome_trace, RankTrace, TraceCheck};
 pub use counters::{kernel, CounterSet, CounterSnapshot, KernelSnapshot, KernelTally};
 pub use event::{Event, TimedEvent};
@@ -54,5 +51,5 @@ pub use metrics::{
     MetricsHub, MetricsServer, ScienceGauges,
 };
 pub use ring::{FlightRecorder, RecorderSet};
-pub use series::{Bucket, Channel, SeriesSpec, SeriesStore, Tier};
+pub use series::{Channel, SeriesStore};
 pub use watch::{parse_rules, AlertEvent, Rule, RuleKind, Watchdog};

@@ -1,26 +1,12 @@
-//! Multi-resolution science time-series store.
+//! Science time-series store.
 //!
 //! The solver's physics diagnostics (energies, peak speeds, dt, step
-//! wall, dominant azimuthal mode) are sampled at a fixed cadence, but a
-//! long run produces far more samples than any fixed-memory process
-//! should retain. The [`SeriesStore`] keeps, per named channel:
-//!
-//! * a **raw tail** — the most recent `raw_capacity` samples verbatim,
-//!   ring-buffered; and
-//! * a ladder of **downsampled tiers** — buckets of 4×, 16×, 64×, …
-//!   consecutive samples (widths configurable), each bucket holding the
-//!   *exact* min / mean / max of the samples it covers, again
-//!   ring-buffered at a fixed bucket count per tier.
-//!
-//! Memory is therefore bounded at construction time
-//! (`raw_capacity + tiers × tier_capacity` slots per channel) no matter
-//! how long the run is, while the store can still answer both "what
-//! happened in the last few hundred steps" (raw) and "what was the
-//! envelope over the whole run" (coarse tiers). Bucket aggregates are
-//! exact, not approximate: each closed bucket's min/mean/max equals a
-//! recomputation over the covered sample window — the
-//! `tier_aggregates_are_exact` property below proves this survives any
-//! amount of ring wraparound.
+//! wall, dominant azimuthal mode) are sampled at a fixed cadence. The
+//! [`SeriesStore`] keeps, per named channel, a **raw tail** — the most
+//! recent `raw_capacity` samples verbatim, ring-buffered — so memory is
+//! bounded at construction time no matter how long the run is. It is
+//! what the watchdog's windowed rules and the dashboard's sparklines
+//! read.
 //!
 //! The store is plain data, no locks: the drivers feed it from the
 //! sampling path (one owner), and exporters read it after the run (or
@@ -28,116 +14,7 @@
 
 use crate::json::num;
 
-/// Sizing policy for a [`SeriesStore`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSpec {
-    /// Samples kept verbatim in the raw tail ring.
-    pub raw_capacity: usize,
-    /// Bucket widths (samples per bucket) of the downsampling tiers,
-    /// finest first. Each must be ≥ 2 and strictly increasing.
-    pub tier_widths: Vec<u64>,
-    /// Closed buckets kept per tier ring.
-    pub tier_capacity: usize,
-}
-
-impl Default for SeriesSpec {
-    fn default() -> Self {
-        // 256 raw + 3 tiers × 128 buckets covers the last 256 samples
-        // exactly and the last 64×128 = 8192 samples in envelope form,
-        // in ~4.5 KiB per channel.
-        SeriesSpec { raw_capacity: 256, tier_widths: vec![4, 16, 64], tier_capacity: 128 }
-    }
-}
-
-/// One closed (or accumulating) downsample bucket.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bucket {
-    /// Index (0-based, monotonically increasing) of the first sample
-    /// this bucket covers.
-    pub first: u64,
-    /// Samples absorbed so far (== tier width once closed).
-    pub count: u64,
-    /// Minimum over the covered samples.
-    pub min: f64,
-    /// Maximum over the covered samples.
-    pub max: f64,
-    /// Sum over the covered samples (mean = sum / count).
-    pub sum: f64,
-}
-
-impl Bucket {
-    fn empty(first: u64) -> Bucket {
-        Bucket { first, count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY, sum: 0.0 }
-    }
-
-    fn absorb(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        // Explicit comparisons (not f64::min/max) so a NaN sample
-        // poisons the sum/mean but cannot silently shrink the envelope.
-        if v < self.min || self.min.is_infinite() {
-            self.min = v;
-        }
-        if v > self.max || self.max.is_infinite() {
-            self.max = v;
-        }
-    }
-
-    /// Mean of the covered samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// One downsampling tier: a ring of closed buckets plus the bucket
-/// currently accumulating.
-#[derive(Debug, Clone)]
-pub struct Tier {
-    /// Samples per bucket.
-    pub width: u64,
-    open: Bucket,
-    ring: Vec<Bucket>,
-    head: usize,
-    capacity: usize,
-}
-
-impl Tier {
-    fn new(width: u64, capacity: usize) -> Tier {
-        Tier { width, open: Bucket::empty(0), ring: Vec::with_capacity(capacity), head: 0, capacity }
-    }
-
-    fn push(&mut self, index: u64, v: f64) {
-        if self.open.count == 0 {
-            self.open.first = index;
-        }
-        self.open.absorb(v);
-        if self.open.count == self.width {
-            let closed = self.open;
-            if self.ring.len() < self.capacity {
-                self.ring.push(closed);
-            } else {
-                self.ring[self.head] = closed;
-                self.head = (self.head + 1) % self.capacity;
-            }
-            self.open = Bucket::empty(index + 1);
-        }
-    }
-
-    /// Closed buckets in chronological order (oldest retained first).
-    pub fn buckets(&self) -> Vec<Bucket> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        for i in 0..self.ring.len() {
-            out.push(self.ring[(self.head + i) % self.ring.len()]);
-        }
-        out
-    }
-}
-
-/// One named channel: raw tail ring + downsampling tiers.
+/// One named channel: a ring of the newest samples.
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Channel name (stable identifier, e.g. `kinetic`, `dt`).
@@ -146,18 +23,16 @@ pub struct Channel {
     raw: Vec<(u64, f64)>,
     raw_head: usize,
     raw_capacity: usize,
-    tiers: Vec<Tier>,
 }
 
 impl Channel {
-    fn new(name: &str, spec: &SeriesSpec) -> Channel {
+    fn new(name: &str, raw_capacity: usize) -> Channel {
         Channel {
             name: name.to_string(),
             pushed: 0,
-            raw: Vec::with_capacity(spec.raw_capacity),
+            raw: Vec::with_capacity(raw_capacity),
             raw_head: 0,
-            raw_capacity: spec.raw_capacity,
-            tiers: spec.tier_widths.iter().map(|&w| Tier::new(w, spec.tier_capacity)).collect(),
+            raw_capacity,
         }
     }
 
@@ -169,9 +44,6 @@ impl Channel {
         } else {
             self.raw[self.raw_head] = (index, v);
             self.raw_head = (self.raw_head + 1) % self.raw_capacity;
-        }
-        for t in &mut self.tiers {
-            t.push(index, v);
         }
     }
 
@@ -189,11 +61,6 @@ impl Channel {
         out
     }
 
-    /// The downsampling tiers, finest first.
-    pub fn tiers(&self) -> &[Tier] {
-        &self.tiers
-    }
-
     /// The most recent value, if any sample was pushed.
     pub fn latest(&self) -> Option<f64> {
         self.raw_tail().last().map(|&(_, v)| v)
@@ -208,31 +75,21 @@ impl Channel {
     }
 }
 
-/// Fixed-memory multi-resolution store over a set of named channels, all
-/// fed in lock-step: one [`SeriesStore::push_row`] per sample cadence.
+/// Fixed-memory store over a set of named channels, all fed in
+/// lock-step: one [`SeriesStore::push_row`] per sample cadence.
 #[derive(Debug, Clone)]
 pub struct SeriesStore {
-    spec: SeriesSpec,
+    raw_capacity: usize,
     channels: Vec<Channel>,
 }
 
 impl SeriesStore {
-    /// A store with one channel per name, sized by `spec`.
-    pub fn new(names: &[&str], spec: SeriesSpec) -> SeriesStore {
-        assert!(spec.raw_capacity > 0, "raw tail must hold at least one sample");
-        assert!(spec.tier_capacity > 0, "tiers must hold at least one bucket");
-        let mut prev = 1;
-        for &w in &spec.tier_widths {
-            assert!(w >= 2 && w > prev, "tier widths must be >= 2 and strictly increasing");
-            prev = w;
-        }
-        let channels = names.iter().map(|n| Channel::new(n, &spec)).collect();
-        SeriesStore { spec, channels }
-    }
-
-    /// The sizing policy this store was built with.
-    pub fn spec(&self) -> &SeriesSpec {
-        &self.spec
+    /// A store with one channel per name, each keeping its newest
+    /// `raw_capacity` samples.
+    pub fn new(names: &[&str], raw_capacity: usize) -> SeriesStore {
+        assert!(raw_capacity > 0, "raw tail must hold at least one sample");
+        let channels = names.iter().map(|n| Channel::new(n, raw_capacity)).collect();
+        SeriesStore { raw_capacity, channels }
     }
 
     /// All channels, in declaration order.
@@ -260,8 +117,7 @@ impl SeriesStore {
     }
 
     /// Render the store as a JSON object (the report's `telemetry`
-    /// section): per channel, the sample count, raw tail and closed
-    /// tier buckets.
+    /// section): per channel, the sample count and the raw tail.
     pub fn to_json(&self) -> String {
         let mut chans = Vec::with_capacity(self.channels.len());
         for c in &self.channels {
@@ -270,48 +126,17 @@ impl SeriesStore {
                 .iter()
                 .map(|&(i, v)| format!("[{},{}]", i, num(v)))
                 .collect();
-            let tiers: Vec<String> = c
-                .tiers()
-                .iter()
-                .map(|t| {
-                    let buckets: Vec<String> = t
-                        .buckets()
-                        .iter()
-                        .map(|b| {
-                            format!(
-                                "[{},{},{},{},{}]",
-                                b.first,
-                                b.count,
-                                num(b.min),
-                                num(b.mean()),
-                                num(b.max)
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "{{\"width\":{},\"buckets\":[{}]}}",
-                        t.width,
-                        buckets.join(",")
-                    )
-                })
-                .collect();
             chans.push(format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"pushed\":{},",
-                    "\"raw\":[{}],",
-                    "\"tiers\":[{}]}}"
-                ),
+                "{{\"name\":\"{}\",\"pushed\":{},\"raw\":[{}]}}",
                 crate::json::escape(&c.name),
                 c.pushed,
-                raw.join(","),
-                tiers.join(",")
+                raw.join(",")
             ));
         }
         format!(
-            "{{\"rows\":{},\"raw_capacity\":{},\"tier_capacity\":{},\"channels\":[{}]}}",
+            "{{\"rows\":{},\"raw_capacity\":{},\"channels\":[{}]}}",
             self.rows(),
-            self.spec.raw_capacity,
-            self.spec.tier_capacity,
+            self.raw_capacity,
             chans.join(",")
         )
     }
@@ -320,15 +145,10 @@ impl SeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yy_testkit::{check, tk_assert};
-
-    fn tiny_spec() -> SeriesSpec {
-        SeriesSpec { raw_capacity: 8, tier_widths: vec![2, 4], tier_capacity: 3 }
-    }
 
     #[test]
     fn raw_tail_keeps_the_newest_samples_in_order() {
-        let mut s = SeriesStore::new(&["a"], tiny_spec());
+        let mut s = SeriesStore::new(&["a"], 8);
         for i in 0..12 {
             s.push_row(&[i as f64]);
         }
@@ -341,29 +161,21 @@ mod tests {
         }
         assert_eq!(s.channel("a").unwrap().latest(), Some(11.0));
         assert_eq!(s.channel("a").unwrap().tail_values(3), vec![9.0, 10.0, 11.0]);
-    }
-
-    #[test]
-    fn buckets_close_at_width_and_ring_evicts_oldest() {
-        let mut s = SeriesStore::new(&["a"], tiny_spec());
-        // 2-wide tier with capacity 3: after 10 samples, 5 buckets have
-        // closed and the ring holds the last 3 (first = 4, 6, 8).
-        for i in 0..10 {
-            s.push_row(&[i as f64]);
+        // Under any amount of wraparound the tail is the literal newest
+        // samples.
+        for (cap, n) in [(1usize, 5usize), (3, 3), (5, 4), (7, 400)] {
+            let mut s = SeriesStore::new(&["x"], cap);
+            (0..n).for_each(|i| s.push_row(&[i as f64 * 0.5]));
+            let c = s.channel("x").unwrap();
+            assert_eq!(c.pushed(), n as u64);
+            let newest: Vec<_> = (n.saturating_sub(cap)..n).map(|i| (i as u64, i as f64 * 0.5)).collect();
+            assert_eq!(c.raw_tail(), newest, "cap {cap}, {n} samples");
         }
-        let t = &s.channel("a").unwrap().tiers()[0];
-        let buckets = t.buckets();
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0].first, 4);
-        assert_eq!(buckets[2].first, 8);
-        assert_eq!(buckets[2].min, 8.0);
-        assert_eq!(buckets[2].max, 9.0);
-        assert_eq!(buckets[2].mean(), 8.5);
     }
 
     #[test]
     fn json_snapshot_parses_and_carries_every_channel() {
-        let mut s = SeriesStore::new(&["kinetic", "dt"], tiny_spec());
+        let mut s = SeriesStore::new(&["kinetic", "dt"], 8);
         for i in 0..20 {
             s.push_row(&[i as f64, 1.0 / (i + 1) as f64]);
         }
@@ -372,72 +184,8 @@ mod tests {
         assert_eq!(chans.len(), 2);
         assert_eq!(chans[0].get("name").unwrap().as_str(), Some("kinetic"));
         assert_eq!(doc.get("rows").unwrap().as_f64(), Some(20.0));
-        let tiers = chans[1].get("tiers").unwrap().as_arr().unwrap();
-        assert_eq!(tiers.len(), 2);
-        assert_eq!(tiers[0].get("width").unwrap().as_f64(), Some(2.0));
-    }
-
-    #[test]
-    fn nan_poisons_the_mean_but_keeps_the_envelope() {
-        let mut s = SeriesStore::new(&["a"], tiny_spec());
-        s.push_row(&[1.0]);
-        s.push_row(&[f64::NAN]);
-        let b = s.channel("a").unwrap().tiers()[0].buckets()[0];
-        assert_eq!(b.min, 1.0);
-        assert_eq!(b.max, 1.0);
-        assert!(b.mean().is_nan());
-    }
-
-    /// The tentpole invariant: every *closed* bucket's min/mean/max is
-    /// exactly the aggregate of the samples it claims to cover, for
-    /// random specs and sample counts — i.e. downsampling survives any
-    /// amount of ring wraparound without smearing windows.
-    #[test]
-    fn tier_aggregates_are_exact_under_wraparound() {
-        check(
-            "series_tier_aggregates_exact",
-            |g| {
-                let raw_cap = g.range_usize(1, 16);
-                let tier_cap = g.range_usize(1, 8);
-                let w0 = g.range_usize(2, 6) as u64;
-                let w1 = w0 * g.range_usize(2, 4) as u64;
-                let samples = g.vec_f64(-1e3, 1e3, 1, 400);
-                (raw_cap, tier_cap, w0, w1, samples)
-            },
-            |(raw_cap, tier_cap, w0, w1, samples)| {
-                let spec = SeriesSpec {
-                    raw_capacity: *raw_cap,
-                    tier_widths: vec![*w0, *w1],
-                    tier_capacity: *tier_cap,
-                };
-                let mut s = SeriesStore::new(&["x"], spec);
-                for &v in samples {
-                    s.push_row(&[v]);
-                }
-                let c = s.channel("x").unwrap();
-                tk_assert!(c.pushed() == samples.len() as u64, "pushed count");
-                for t in c.tiers() {
-                    for b in t.buckets() {
-                        tk_assert!(b.count == t.width, "closed bucket is full");
-                        let window =
-                            &samples[b.first as usize..(b.first + b.count) as usize];
-                        let min = window.iter().copied().fold(f64::INFINITY, f64::min);
-                        let max = window.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                        let sum: f64 = window.iter().sum();
-                        tk_assert!(b.min == min, "min exact: {} vs {}", b.min, min);
-                        tk_assert!(b.max == max, "max exact: {} vs {}", b.max, max);
-                        tk_assert!(b.sum == sum, "sum exact: {} vs {}", b.sum, sum);
-                    }
-                }
-                // The raw tail is always the literal newest samples.
-                let tail = c.raw_tail();
-                let skip = samples.len().saturating_sub(*raw_cap);
-                for (k, &(i, v)) in tail.iter().enumerate() {
-                    tk_assert!(i as usize == skip + k, "tail index");
-                    tk_assert!(v == samples[skip + k], "tail value");
-                }
-                Ok(())
-            },
-        );
+        assert_eq!(doc.get("raw_capacity").unwrap().as_f64(), Some(8.0));
+        assert_eq!(chans[1].get("pushed").unwrap().as_f64(), Some(20.0));
+        assert_eq!(chans[1].get("raw").unwrap().as_arr().unwrap().len(), 8);
     }
 }

@@ -331,11 +331,11 @@ pub fn parse_rules(text: &str) -> Result<Vec<Rule>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{SeriesSpec, SeriesStore};
+    use crate::series::SeriesStore;
     use yy_testkit::{check, tk_assert};
 
     fn store(names: &[&str]) -> SeriesStore {
-        SeriesStore::new(names, SeriesSpec { raw_capacity: 64, tier_widths: vec![4], tier_capacity: 8 })
+        SeriesStore::new(names, 64)
     }
 
     #[test]
@@ -464,7 +464,7 @@ dynamo_stall:  magnetic flatline window=64 eps=1e-12  # trailing comment
     /// Edge discipline under arbitrary signals and hysteresis counts:
     /// fire and clear edges strictly alternate (never two fires without
     /// a clear between them), no matter how the signal crosses the
-    /// threshold or where downsample bucket boundaries fall.
+    /// threshold or how soon the raw ring wraps.
     #[test]
     fn hysteresis_never_double_fires() {
         check(
@@ -474,18 +474,12 @@ dynamo_stall:  magnetic flatline window=64 eps=1e-12  # trailing comment
                 let clear_s = g.range_usize(1, 5) as u32;
                 let threshold = g.range_f64(-1.0, 1.0);
                 let signal = g.vec_f64(-2.0, 2.0, 1, 300);
-                // Small raw capacity + tier width 4: edges land on and
-                // across downsample bucket boundaries constantly.
+                // Small raw capacity: the ring wraps constantly.
                 let raw_cap = g.range_usize(1, 12);
                 (for_s, clear_s, threshold, signal, raw_cap)
             },
             |(for_s, clear_s, threshold, signal, raw_cap)| {
-                let spec = SeriesSpec {
-                    raw_capacity: *raw_cap,
-                    tier_widths: vec![4],
-                    tier_capacity: 4,
-                };
-                let mut s = SeriesStore::new(&["x"], spec);
+                let mut s = SeriesStore::new(&["x"], *raw_cap);
                 let mut w = Watchdog::new(vec![Rule {
                     name: "r".into(),
                     channel: "x".into(),

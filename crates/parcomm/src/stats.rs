@@ -228,11 +228,6 @@ impl CommStats {
         self.bytes_halo + self.bytes_overset
     }
 
-    /// Total bytes sent across all classes.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.bytes_halo + self.bytes_overset + self.bytes_collective + self.bytes_control
-    }
-
     /// Element-wise sum (for aggregating across ranks).
     pub fn merged(self, other: CommStats) -> CommStats {
         CommStats {
@@ -278,7 +273,6 @@ mod tests {
         assert_eq!(snap.bytes_halo, 100);
         assert_eq!(snap.bytes_overset, 50);
         assert_eq!(snap.field_bytes_sent(), 150);
-        assert_eq!(snap.total_bytes_sent(), 174);
         assert_eq!(snap.msgs_recv, 1);
         assert_eq!(snap.bytes_recv, 25);
     }

@@ -33,29 +33,6 @@ impl CartComm {
         CartComm { comm, dims, periodic }
     }
 
-    /// Pick a near-square factorization of `size` into `[p0, p1]`, the
-    /// equivalent of `MPI_DIMS_CREATE`. Prefers `p0 ≤ p1` (more processes
-    /// along the longer longitude dimension, matching the patch's 1:3
-    /// aspect ratio).
-    pub fn dims_create(size: usize) -> [usize; 2] {
-        assert!(size >= 1);
-        let mut best = [1, size];
-        let mut best_gap = usize::MAX;
-        let mut d = 1;
-        while d * d <= size {
-            if size % d == 0 {
-                let other = size / d;
-                let gap = other - d;
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = [d, other];
-                }
-            }
-            d += 1;
-        }
-        best
-    }
-
     /// The underlying communicator.
     #[inline]
     pub fn comm(&self) -> &Comm {
@@ -130,16 +107,6 @@ impl CartComm {
 mod tests {
     use super::*;
     use crate::Universe;
-
-    #[test]
-    fn dims_create_prefers_near_square() {
-        assert_eq!(CartComm::dims_create(1), [1, 1]);
-        assert_eq!(CartComm::dims_create(4), [2, 2]);
-        assert_eq!(CartComm::dims_create(6), [2, 3]);
-        assert_eq!(CartComm::dims_create(12), [3, 4]);
-        assert_eq!(CartComm::dims_create(7), [1, 7]);
-        assert_eq!(CartComm::dims_create(2048), [32, 64]);
-    }
 
     #[test]
     fn coords_and_rank_are_inverse() {
