@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use yy_obs::JsonlLogger;
 use yycore::checkpoint::Checkpoint;
 use yycore::cli::{self, Args};
 use yycore::output::{is_shard_dir, merge_shards};
@@ -125,37 +124,6 @@ fn finish(report: &RunReport, a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// JSONL log for the serial drivers: run parameters, every series
-/// sample, and the closing summary. (The supervised parallel driver
-/// writes its own richer log — pass lifecycle, rollbacks — from inside
-/// `run_parallel_supervised`.)
-fn write_serial_log(path: &Path, report: &RunReport) -> Result<(), String> {
-    let log = JsonlLogger::create(path).map_err(|e| format!("opening log: {e}"))?;
-    log.log("info", None, None, "serial run start", &[("steps", report.steps.to_string())]);
-    for p in &report.series {
-        log.log(
-            "info",
-            None,
-            Some(p.step),
-            "sample",
-            &[
-                ("time", format!("{:.8e}", p.time)),
-                ("dt", format!("{:.4e}", p.dt)),
-                ("kinetic", format!("{:.8e}", p.diag.kinetic)),
-                ("magnetic", format!("{:.8e}", p.diag.magnetic)),
-            ],
-        );
-    }
-    log.log(
-        "info",
-        None,
-        Some(report.steps),
-        "serial run complete",
-        &[("wall_seconds", format!("{:.3}", report.wall_seconds))],
-    );
-    Ok(())
-}
-
 /// Arm the science-telemetry layer and the dt-collapse injector on a
 /// serial simulation (no-ops unless `telemetry=1`/`dt_collapse_at=`).
 fn arm_serial(a: &Args, sim: &mut SerialSim) -> Result<(), String> {
@@ -175,10 +143,6 @@ fn save_checkpoint(ck: &Checkpoint, a: &Args) -> Result<(), String> {
 /// What `run` and `resume` do once the stepping is over.
 fn finish_serial(sim: &SerialSim, report: &RunReport, a: &Args) -> Result<(), String> {
     save_checkpoint(&Checkpoint::capture(sim), a)?;
-    if let Some(path) = &a.recovery.obs.log {
-        write_serial_log(path, report)?;
-        eprintln!("wrote log to {}", path.display());
-    }
     print_alerts(report);
     finish(report, a)
 }
@@ -333,24 +297,24 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
             ev.pass, ev.cause, ev.resume_step
         );
     }
-    for rt in &sup.retiles {
+    let elastic = &sup.report.elastic;
+    for rt in &elastic.retiles {
         eprintln!(
             "retiled: pass {} excluded node {}; {}x{} -> {}x{}, resumed from step {}",
             rt.pass, rt.excluded_node, rt.from.0, rt.from.1, rt.to.0, rt.to.1, rt.resume_step
         );
     }
-    if sup.degraded {
+    if elastic.degraded {
         eprintln!(
             "degraded mode: finished on {}x{} with {} node(s) excluded",
-            sup.final_layout.0,
-            sup.final_layout.1,
-            sup.excluded_nodes.len()
+            elastic.final_pth,
+            elastic.final_pph,
+            elastic.excluded_nodes.len()
         );
     }
     eprintln!(
         "imbalance (max/mean): predicted {:.3}, achieved {:.3}",
-        sup.predicted_imbalance,
-        sup.achieved_imbalance
+        elastic.predicted_imbalance, elastic.achieved_imbalance
     );
     if let [first, .., last] = sup.passes.as_slice() {
         eprintln!(

@@ -132,7 +132,7 @@ pub struct Args {
     pub cfg: RunConfig,
     /// Supervisor policy, with the fault plan (`fault`) and the
     /// observability options (`obs`) inside. The serial drivers read
-    /// `obs.{log, series, rules}` and `dt_inject` from here too; the
+    /// `obs.{series, rules}` and `dt_inject` from here too; the
     /// doctor reads `obs.trace`.
     pub recovery: RecoveryOpts,
     pub stream: StreamOpts,
@@ -207,7 +207,7 @@ fn dt_collapse(a: &mut Args) -> &mut DtInject {
 }
 
 /// Every key that is not a [`RunConfig`] field.
-pub const KEYS: [Key<Args>; 42] = [
+pub const KEYS: [Key<Args>; 40] = [
     key!("steps", "N", STEPPED, "total steps [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
@@ -216,8 +216,6 @@ pub const KEYS: [Key<Args>; 42] = [
         |a, v| a.series = Some(v.into())),
     key!("report_json", "PATH", STEPPED, "write the RunReport JSON artifact here",
         |a, v| a.report_json = Some(v.into())),
-    key!("log", "PATH", RUNS, "write JSONL structured logs here",
-        |a, v| a.recovery.obs.log = Some(v.into())),
     key!("trace", "PATH", &["parallel", "doctor"],
         "Chrome trace: parallel writes it (+ PATH.postmortem per failed pass), doctor reads it",
         |a, v| a.recovery.obs.trace = Some(v.into())),
@@ -268,8 +266,6 @@ pub const KEYS: [Key<Args>; 42] = [
         |a, v| a.recovery.on_failure = FailurePolicy::parse(v)?),
     key!("max_retiles", "N", PAR, "layout-shrink budget under retile [2]",
         |a, v| a.recovery.max_retiles = num(v)?),
-    key!("retile_backoff_ms", "N", PAR, "backoff before a re-tiled pass [50]",
-        |a, v| a.recovery.retile_backoff = Duration::from_millis(num(v)?)),
     // Science telemetry (DESIGN.md §6j).
     key!("telemetry", "0|1", RUNS, "arm the series store + physics watchdog (bit-exact)",
         |a, v| a.recovery.obs.series = flag(v)?),
@@ -340,6 +336,7 @@ pub fn parse(cmd: &str, args: &[String]) -> Result<Args, String> {
     a.recovery.fault.kills.retain(|k| k.rank != NEVER as usize);
     a.recovery.dt_inject = a.recovery.dt_inject.filter(|d| d.at_step != NEVER);
     a.cfg.check()?;
+    a.recovery.check()?;
     Ok(a)
 }
 
@@ -446,7 +443,7 @@ mod tests {
     #[test]
     fn help_lists_every_row_once_and_each_command_its_own() {
         let rows: Vec<_> = all_rows().collect();
-        assert_eq!(rows.len(), 59);
+        assert_eq!(rows.len(), 57);
         for (i, (name, _, _, readers)) in rows.iter().enumerate() {
             assert!(rows[..i].iter().all(|r| r.0 != *name), "duplicate key '{name}'");
             assert!(!readers.is_empty(), "nobody reads '{name}'");

@@ -38,9 +38,6 @@ pub struct ObsOpts {
     /// to `<trace>.postmortem` — a deterministic sibling path, so CI and
     /// humans can find the wreckage without parsing driver output.
     pub trace: Option<PathBuf>,
-    /// Append JSONL structured log records (pass lifecycle, recoveries,
-    /// artifact writes) here.
-    pub log: Option<PathBuf>,
     /// Recorder installation policy (see [`TraceMode`]).
     pub mode: TraceMode,
     /// Arm the per-kernel performance counters (default on). Off leaves
@@ -72,7 +69,6 @@ impl Default for ObsOpts {
     fn default() -> Self {
         ObsOpts {
             trace: None,
-            log: None,
             mode: TraceMode::default(),
             counters: true,
             profile_every: 0,

@@ -67,8 +67,8 @@ use yy_obs::counters::{kernel, CounterSet, CounterSnapshot, KernelTally};
 use yy_obs::event::counter;
 use yy_obs::hist::HistogramSnapshot;
 use yy_obs::{
-    analyze, doctor_gauges_text, prometheus_text_with_phases, science_gauges_text, AnalysisInput,
-    Event, JsonlLogger, MetricsHub, RecorderSet,
+    analyze, prometheus_text_with_phases, science_gauges_text, AnalysisInput, Event, MetricsHub,
+    RecorderSet,
 };
 use yy_parcomm::stats::{SolverPhase, TrafficClass};
 use yy_parcomm::{
@@ -203,8 +203,8 @@ pub struct RecoveryOpts {
     pub max_dt_reductions: u32,
     /// Solver health thresholds.
     pub health: HealthLimits,
-    /// Observability: flight-recorder installation, Chrome-trace /
-    /// JSONL output paths, ring sizing. Recording never perturbs the
+    /// Observability: flight-recorder installation, the Chrome-trace
+    /// output path, ring sizing. Recording never perturbs the
     /// trajectory — the traced and untraced runs are bitwise identical.
     pub obs: ObsOpts,
     /// What to do when a fault is classified as persistent (same node,
@@ -212,9 +212,6 @@ pub struct RecoveryOpts {
     pub on_failure: FailurePolicy,
     /// Give up after this many layout shrinks (`Retile` policy only).
     pub max_retiles: u32,
-    /// Base backoff slept before a re-tiled pass starts (scaled by the
-    /// retile count).
-    pub retile_backoff: Duration,
     /// Start from this serial-format checkpoint instead of initial
     /// conditions — the `restart onto (pth', pph')` path. Any layout's
     /// checkpoint restores onto any other layout bit-exactly.
@@ -251,7 +248,6 @@ impl Default for RecoveryOpts {
             obs: ObsOpts::default(),
             on_failure: FailurePolicy::Retry,
             max_retiles: 2,
-            retile_backoff: Duration::from_millis(50),
             resume_from: None,
             ckpt_dir: None,
             ckpt_async: true,
@@ -271,11 +267,8 @@ impl RecoveryOpts {
         if self.on_failure == FailurePolicy::Retile && self.max_retiles == 0 {
             return Err("max_retiles must be at least 1 when on_failure=retile".into());
         }
-        if self.retile_backoff > Duration::from_secs(60) {
-            return Err(format!(
-                "retile_backoff must be at most 60s (got {:?})",
-                self.retile_backoff
-            ));
+        if let Some(inj) = self.dt_inject.filter(|inj| !(inj.factor > 0.0 && inj.factor < 1.0)) {
+            return Err(format!("dt_collapse_factor must lie in (0, 1) (got {})", inj.factor));
         }
         Ok(())
     }
@@ -322,19 +315,6 @@ pub struct SupervisedReport {
     /// Time-step scale the run finished with (1.0 unless health guards
     /// forced reductions).
     pub dt_scale: f64,
-    /// Layout the run finished on (differs from the requested layout
-    /// after elastic shrinks).
-    pub final_layout: (usize, usize),
-    /// Every elastic layout change, in order.
-    pub retiles: Vec<RetileRecord>,
-    /// Nodes excluded by the persistent-fault classifier.
-    pub excluded_nodes: Vec<usize>,
-    /// Whether the run finished in degraded mode.
-    pub degraded: bool,
-    /// Partitioner-predicted imbalance of the final layout.
-    pub predicted_imbalance: f64,
-    /// Measured per-rank compute imbalance of the final pass.
-    pub achieved_imbalance: f64,
     /// Per-pass timing, in order (the before/after-shrink rate).
     pub passes: Vec<PassStat>,
 }
@@ -553,13 +533,6 @@ struct Pass {
     resume_step: u64,
 }
 
-/// Append one line to the supervisor's JSONL log, if it keeps one.
-fn log(logger: &Option<JsonlLogger>, level: &str, msg: &str, extra: &[(&str, String)]) {
-    if let Some(l) = logger {
-        l.log(level, None, None, msg, extra);
-    }
-}
-
 /// The mechanism of a supervised run: everything that outlives a pass.
 struct Supervisor<'a> {
     cfg: &'a RunConfig,
@@ -570,7 +543,6 @@ struct Supervisor<'a> {
     /// ring contents survive the teardown of a failed pass and can be
     /// dumped as a post-mortem.
     recorders: Option<Arc<RecorderSet>>,
-    logger: Option<JsonlLogger>,
     /// Science telemetry is supervisor-owned: built up front (so a bad
     /// rules file fails the launch, not the landing) and fed from the
     /// final pass's diagnostic series after success. The rank program
@@ -610,25 +582,13 @@ impl<'a> Supervisor<'a> {
             ));
         }
         let req_nprocs = 2 * pth * pph;
+        opts.fault.check(req_nprocs)?;
         let recorders = opts.obs.make_recorders(req_nprocs);
-        let logger = match &opts.obs.log {
-            Some(path) => Some(
-                JsonlLogger::create(path)
-                    .map_err(|e| format!("opening log {}: {e}", path.display()))?,
-            ),
-            None => None,
-        };
-        log(
-            &logger,
-            "info",
-            "supervised run start",
-            &[
-                ("nprocs", req_nprocs.to_string()),
-                ("steps", steps.to_string()),
-                ("policy", opts.on_failure.name().to_string()),
-                ("traced", recorders.is_some().to_string()),
-            ],
-        );
+        // Claim the trace path now, so a bad one fails the launch rather
+        // than the landing (after the run, with the checkpoint unsaved).
+        if let (Some(path), Some(_)) = (&opts.obs.trace, &recorders) {
+            std::fs::File::create(path).map_err(|e| format!("trace={}: {e}", path.display()))?;
+        }
         // Disk persistence: each rank writes its owned region into the
         // shard directory at every checkpoint event, overlapped with
         // compute when `ckpt_async`.
@@ -666,7 +626,6 @@ impl<'a> Supervisor<'a> {
                 .is_active()
                 .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
             recorders,
-            logger,
             science: ScienceTelemetry::from_opts(&opts.obs)?,
             slot: Mutex::new(opts.resume_from.clone()),
             plan: PassPlan {
@@ -762,15 +721,6 @@ impl<'a> Supervisor<'a> {
             if let (Some(path), Some(set)) = (self.opts.obs.postmortem_path(), &self.recorders) {
                 std::fs::write(&path, recorders_to_chrome(set))
                     .map_err(|e| format!("writing post-mortem trace {}: {e}", path.display()))?;
-                log(
-                    &self.logger,
-                    "warn",
-                    "wrote post-mortem trace",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("pass", self.policy.pass.to_string()),
-                    ],
-                );
             }
         }
         Ok(Pass { outcome, report, decomp, resume_step })
@@ -778,22 +728,19 @@ impl<'a> Supervisor<'a> {
 
     /// Carry out what [`next_action`] decided. `Ok(true)`: the run is
     /// complete; `Ok(false)`: the recovery is recorded (trace instant,
-    /// log line, [`RecoveryEvent`]) and the next pass may start.
+    /// [`RecoveryEvent`]) and the next pass may start.
     fn apply(&mut self, action: Action, pass: &Pass) -> Result<bool, String> {
         let (n, resume_step) = (self.policy.pass, pass.resume_step);
         let rollback = Event::Rollback { pass: n as u64, resume_step };
         let mut cause = pass.outcome.cause().to_string();
         let retiled = matches!(action, Action::Retile { .. });
-        let (event, what) = match action {
+        let event = match action {
             Action::Finish => return Ok(true),
-            Action::GiveUp(msg) => {
-                log(&self.logger, "error", "giving up", &[("cause", msg.clone())]);
-                return Err(msg);
-            }
-            Action::Rollback => (rollback, "rank failure; rolling back"),
+            Action::GiveUp(msg) => return Err(msg),
+            Action::Rollback => rollback,
             Action::HalveDt => {
                 self.plan.dt_scale *= 0.5;
-                (rollback, "health rollback; dt halved")
+                rollback
             }
             Action::Retile { node, from } => {
                 let to = self.policy.layout;
@@ -813,41 +760,22 @@ impl<'a> Supervisor<'a> {
                     from.0, from.1, to.0, to.1
                 );
                 let (pth, pph) = (to.0 as u16, to.1 as u16);
-                (
-                    Event::Retile { pth, pph, pass: n as u64, resume_step },
-                    "persistent fault; re-tiling",
-                )
+                Event::Retile { pth, pph, pass: n as u64, resume_step }
             }
         };
         if let Some(set) = &self.recorders {
             set.record_all(event);
         }
-        log(
-            &self.logger,
-            "warn",
-            what,
-            &[
-                ("pass", n.to_string()),
-                ("resume_step", resume_step.to_string()),
-                ("dt_scale", self.plan.dt_scale.to_string()),
-                ("cause", cause.clone()),
-            ],
-        );
         self.recoveries.push(RecoveryEvent { pass: n, resume_step, cause });
-        if retiled {
-            if self.retiles.len() == 1 {
-                // First shrink enters degraded mode: capacity is gone,
-                // so widen the checkpoint cadence (gathers cost a larger
-                // fraction of the smaller machine) and flag the run.
-                let every = self.plan.checkpoint_every.saturating_mul(2);
-                self.plan.checkpoint_every = every;
-                if let Some(set) = &self.recorders {
-                    set.record_all(Event::Degraded { pass: n as u64, checkpoint_every: every });
-                }
-                let every = every.to_string();
-                log(&self.logger, "warn", "entering degraded mode", &[("checkpoint_every", every)]);
+        if retiled && self.retiles.len() == 1 {
+            // First shrink enters degraded mode: capacity is gone, so
+            // widen the checkpoint cadence (gathers cost a larger
+            // fraction of the smaller machine) and flag the run.
+            let every = self.plan.checkpoint_every.saturating_mul(2);
+            self.plan.checkpoint_every = every;
+            if let Some(set) = &self.recorders {
+                set.record_all(Event::Degraded { pass: n as u64, checkpoint_every: every });
             }
-            std::thread::sleep(self.opts.retile_backoff.saturating_mul(self.retiles.len() as u32));
         }
         Ok(false)
     }
@@ -862,11 +790,9 @@ impl<'a> Supervisor<'a> {
         let predicted_imbalance = pass.decomp.predicted_imbalance();
         let achieved_imbalance = rep.achieved_imbalance;
         let mut report = rep.report;
-        // Post-run diagnosis: read every ring once, extract the per-step
-        // critical path and straggler attribution, and stamp the verdict
-        // back into the rings as `analysis` instants *before* the trace
-        // is written, so the exported trace carries its own diagnosis.
-        // Strictly post-run — the solver never observes any of this.
+        // Post-run diagnosis: read every ring once and extract the
+        // per-step critical path and straggler attribution. Strictly
+        // post-run — the solver never observes any of this.
         if let Some(set) = &self.recorders {
             let streams = set.snapshots();
             let retained = (0..set.len())
@@ -875,38 +801,8 @@ impl<'a> Supervisor<'a> {
                     (rec.recorded(), rec.capacity())
                 })
                 .collect();
-            let analysis =
+            report.analysis =
                 analyze(&AnalysisInput { streams: &streams, retained, predicted_imbalance });
-            for gate in &analysis.gating {
-                if let Some(code) = yy_obs::event::phase::code(&gate.phase) {
-                    let share_permille = if analysis.steps_analyzed > 0 {
-                        gate.steps * 1000 / analysis.steps_analyzed
-                    } else {
-                        0
-                    };
-                    set.rank(0).record(Event::CriticalGate {
-                        phase: code,
-                        share_permille,
-                        steps: gate.steps,
-                    });
-                }
-            }
-            for s in &analysis.stragglers {
-                if (s.rank as usize) < set.len() {
-                    set.rank(s.rank as usize).record(Event::StragglerFlagged {
-                        rank: s.rank,
-                        reason: s.reason,
-                        severity_permille: (s.severity * 1000.0) as u64,
-                    });
-                }
-            }
-            // The endpoint's final body carries the diagnosis gauges.
-            if let Some(h) = &self.plan.metrics {
-                let body = format!("{}{}", h.scrape(), doctor_gauges_text(&analysis.gauges()));
-                h.publish(body);
-            }
-            log(&self.logger, "info", "diagnosis", &[("verdict", analysis.verdict.clone())]);
-            report.analysis = analysis;
         }
         if let Some(tel) = self.science.as_mut() {
             // Feed the sampled series (skipping the pre-loop seed point,
@@ -934,61 +830,30 @@ impl<'a> Supervisor<'a> {
                 let body = format!("{}{}", h.scrape(), science_gauges_text(&tel.gauges()));
                 h.publish(body);
             }
-            let fired = tel.alerts().iter().filter(|a| a.firing).count();
-            log(
-                &self.logger,
-                "info",
-                "science telemetry",
-                &[
-                    ("rows", tel.store().rows().to_string()),
-                    ("alerts_fired", fired.to_string()),
-                ],
-            );
             report.alerts = tel.alerts().to_vec();
             report.telemetry = Some(tel.store_json());
         }
         if let (Some(path), Some(set)) = (&self.opts.obs.trace, &self.recorders) {
             std::fs::write(path, recorders_to_chrome(set))
                 .map_err(|e| format!("writing trace {}: {e}", path.display()))?;
-            log(&self.logger, "info", "wrote trace", &[("path", path.display().to_string())]);
         }
         let (final_pth, final_pph) = self.policy.layout;
-        let degraded = !self.retiles.is_empty();
-        let excluded_nodes: Vec<usize> = self.retiles.iter().map(|r| r.excluded_node).collect();
         report.recoveries = self.recoveries.clone();
         report.elastic = ElasticSummary {
             policy: self.opts.on_failure.name().to_string(),
-            degraded,
+            degraded: !self.retiles.is_empty(),
             final_pth,
             final_pph,
-            excluded_nodes: excluded_nodes.clone(),
-            retiles: self.retiles.clone(),
+            excluded_nodes: self.retiles.iter().map(|r| r.excluded_node).collect(),
+            retiles: self.retiles,
             predicted_imbalance,
             achieved_imbalance,
         };
-        log(
-            &self.logger,
-            "info",
-            "supervised run complete",
-            &[
-                ("passes", self.policy.pass.to_string()),
-                ("recoveries", self.recoveries.len().to_string()),
-                ("layout", format!("{final_pth}x{final_pph}")),
-                ("retiles", self.retiles.len().to_string()),
-                ("degraded", degraded.to_string()),
-            ],
-        );
         Ok(SupervisedReport {
             report,
             final_checkpoint,
             recoveries: self.recoveries,
             dt_scale: self.plan.dt_scale,
-            final_layout: self.policy.layout,
-            retiles: self.retiles,
-            excluded_nodes,
-            degraded,
-            predicted_imbalance,
-            achieved_imbalance,
             passes: self.passes,
         })
     }
@@ -2323,11 +2188,40 @@ mod tests {
         assert!(err.contains("max_retiles must be at least 1"), "unexpected: {err}");
         let dead = RecoveryOpts { deadline: Duration::ZERO, ..RecoveryOpts::default() };
         assert!(dead.check().unwrap_err().contains("deadline"));
-        let slow = RecoveryOpts {
-            retile_backoff: Duration::from_secs(120),
+    }
+
+    /// Launch inputs that used to panic, be silently ignored, or fail
+    /// only after the run: each is one `Err` line naming the key, from
+    /// `Supervisor::setup`, before any rank thread exists.
+    #[test]
+    fn unusable_launch_inputs_are_one_line_errors() {
+        let fault = |spec: FaultSpec| RecoveryOpts { fault: spec, ..RecoveryOpts::default() };
+        let collapse = |factor| RecoveryOpts {
+            dt_inject: Some(DtInject { at_step: 1, factor }),
             ..RecoveryOpts::default()
         };
-        assert!(slow.check().unwrap_err().contains("retile_backoff"));
+        let trace = RecoveryOpts {
+            obs: ObsOpts { trace: Some("/nonexistent-yy/x.json".into()), ..ObsOpts::default() },
+            ..RecoveryOpts::default()
+        };
+        let us = Duration::from_micros(1);
+        let cases = [
+            (fault(FaultSpec::seeded(1).with_delay(2.0, us)), "delay"),
+            (fault(FaultSpec::seeded(1).with_drop(0.6).with_delay(0.6, us)), "drop + delay + dup"),
+            (fault(FaultSpec::seeded(1).with_drop(-0.5)), "drop"),
+            (fault(FaultSpec::seeded(1).with_duplicate(f64::NAN)), "dup"),
+            (fault(FaultSpec::seeded(1).with_kill(99, 0)), "kill_rank=99"),
+            (fault(FaultSpec::seeded(1).with_delay(0.5, us).with_delay_src(99)), "delay_src=99"),
+            (collapse(2.0), "dt_collapse_factor"),
+            (collapse(0.0), "dt_collapse_factor"),
+            (trace, "trace=/nonexistent-yy/x.json"),
+        ];
+        for (opts, key) in cases {
+            let err = run_parallel_supervised(&quick_cfg(), 1, 2, 1, 0, &opts)
+                .expect_err(&format!("{key} must be refused"));
+            assert_eq!(err.lines().count(), 1, "{key}: {err}");
+            assert!(err.starts_with(key), "'{err}' does not lead with {key}");
+        }
     }
 
     /// The blow-up configuration of the hang report: a violent start at

@@ -144,11 +144,6 @@ impl ScienceTelemetry {
         &self.alerts
     }
 
-    /// Whether any rule fired at least once.
-    pub fn any_fired(&self) -> bool {
-        self.alerts.iter().any(|a| a.firing)
-    }
-
     /// Snapshot for the Prometheus endpoint.
     pub fn gauges(&self) -> ScienceGauges {
         let latest = |name: &str| {
@@ -288,8 +283,10 @@ mod tests {
         }
         assert_eq!(tel.store().rows(), 24);
         assert_eq!(tel.store().channel("dominant_m").unwrap().latest(), Some(6.0));
-        assert!(tel.any_fired(), "dt halving must trip energy_blowup");
-        assert!(tel.alerts().iter().any(|a| a.rule == "energy_blowup" && a.firing));
+        assert!(
+            tel.alerts().iter().any(|a| a.rule == "energy_blowup" && a.firing),
+            "dt halving must trip energy_blowup"
+        );
         let g = tel.gauges();
         assert_eq!(g.dominant_m, 6);
         assert!(g.alerts.iter().any(|(n, firing, fired)| n == "energy_blowup" && *firing && *fired >= 1));

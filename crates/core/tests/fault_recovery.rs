@@ -190,19 +190,19 @@ fn persistent_kill_retiles_and_matches_serial_bytewise() {
         deadline: Duration::from_secs(30),
         on_failure: FailurePolicy::Retile,
         max_retiles: 2,
-        retile_backoff: Duration::from_millis(1),
         ..RecoveryOpts::default()
     };
     let sup = run_parallel_supervised(&cfg, 2, 2, 6, 0, &opts)
         .expect("persistent kill must be survived by re-tiling");
-    assert_eq!(sup.retiles.len(), 1, "exactly one shrink: {:?}", sup.retiles);
-    let rt = &sup.retiles[0];
+    let elastic = &sup.report.elastic;
+    assert_eq!(elastic.retiles.len(), 1, "exactly one shrink: {:?}", elastic.retiles);
+    let rt = &elastic.retiles[0];
     assert_eq!(rt.from, (2, 2));
     assert_eq!(rt.to, (1, 2));
     assert_eq!(rt.excluded_node, 1);
-    assert_eq!(sup.final_layout, (1, 2));
-    assert_eq!(sup.excluded_nodes, vec![1]);
-    assert!(sup.degraded, "a shrunk run finishes in degraded mode");
+    assert_eq!((elastic.final_pth, elastic.final_pph), (1, 2));
+    assert_eq!(elastic.excluded_nodes, vec![1]);
+    assert!(elastic.degraded, "a shrunk run finishes in degraded mode");
     assert!(
         sup.recoveries.iter().any(|ev| ev.cause.contains("persistent fault")),
         "the classifier's verdict is recorded: {:?}",
@@ -273,7 +273,6 @@ fn retile_budget_exhaustion_reports() {
         deadline: Duration::from_secs(30),
         on_failure: FailurePolicy::Retile,
         max_retiles: 1,
-        retile_backoff: Duration::from_millis(1),
         ..RecoveryOpts::default()
     };
     let err = run_parallel_supervised(&cfg, 2, 2, 6, 0, &opts)

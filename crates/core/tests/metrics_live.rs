@@ -100,29 +100,6 @@ fn injected_hub_publishes_parseable_exposition_without_perturbing() {
     );
 }
 
-/// With the recorder armed (no trace path needed), the supervisor's
-/// final publish appends the doctor gauges to the exposition: per-phase
-/// critical-path shares and the top-straggler id.
-#[test]
-fn armed_run_appends_doctor_gauges_to_the_final_body() {
-    let hub = Arc::new(MetricsHub::new());
-    let _run = run_with_obs(ObsOpts {
-        metrics_hub: Some(Arc::clone(&hub)),
-        profile_every: 2,
-        mode: yycore::TraceMode::Enabled,
-        ..ObsOpts::default()
-    });
-    let body = hub.scrape();
-    assert!(body.contains("# TYPE yy_critical_path_share gauge"), "{body}");
-    let shares: f64 = yy_obs::event::phase::NAMES
-        .iter()
-        .filter_map(|n| sample_value(&body, &format!("yy_critical_path_share{{phase=\"{n}\"}}")))
-        .sum();
-    assert!((0.0..=1.01).contains(&shares), "shares sum to at most 1, got {shares}");
-    let top = sample_value(&body, "yy_top_straggler_rank").expect("top-straggler gauge present");
-    assert!((-1.0..8.0).contains(&top), "top straggler is a rank id or -1, got {top}");
-}
-
 #[test]
 fn tcp_endpoint_serves_the_exposition_mid_run() {
     // Arrange the server exactly as the CLI does for `metrics_port=`,

@@ -41,7 +41,6 @@ fn traced_faulted_run_writes_artifacts_and_stays_bit_identical() {
     let cfg = quick_cfg();
     let dir = scratch("traced");
     let trace = dir.join("trace.json");
-    let log = dir.join("run.jsonl");
 
     // The baseline run records nothing: no trace, no counters, no
     // profile sampler.
@@ -58,7 +57,6 @@ fn traced_faulted_run_writes_artifacts_and_stays_bit_identical() {
     // profile sampler (counter tracks in the Chrome trace).
     let obs = ObsOpts {
         trace: Some(trace.clone()),
-        log: Some(log.clone()),
         profile_every: 2,
         ..ObsOpts::default()
     };
@@ -106,8 +104,7 @@ fn traced_faulted_run_writes_artifacts_and_stays_bit_identical() {
     );
     // The v5 analysis section: populated on the traced run (recorders
     // armed), carried in the artifact, and the injected kill shows up
-    // as a critical-path disruption. The trace itself carries the
-    // diagnosis instants the supervisor stamped before writing it.
+    // as a critical-path disruption.
     assert!(report.analysis.steps_analyzed > 0, "analysis ran: {}", report.analysis.verdict);
     assert!(report.analysis.coverage > 0.0);
     assert!(
@@ -119,7 +116,6 @@ fn traced_faulted_run_writes_artifacts_and_stays_bit_identical() {
         doc.get("analysis").unwrap().get("verdict").unwrap().as_str().is_some(),
         "analysis section serialized"
     );
-    assert!(fc.analysis_marks > 0, "trace carries the doctor's analysis instants");
     // The untraced run had no recorders: its analysis stays default.
     assert_eq!(untraced.report.analysis.steps_analyzed, 0);
     let kernels = doc.get("kernels").expect("v2 report carries the kernel table");
@@ -128,13 +124,6 @@ fn traced_faulted_run_writes_artifacts_and_stays_bit_identical() {
         "kernel table must have rows"
     );
     assert!(report.kernels.total_flops() > 0, "counters armed by default");
-
-    // The JSONL log captured the rollback lifecycle.
-    let logged = std::fs::read_to_string(&log).expect("jsonl log written");
-    assert!(logged.contains("rolling back"), "log records the recovery: {logged}");
-    for line in logged.lines() {
-        yy_obs::Json::parse(line).expect("every log line is valid JSON");
-    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -74,18 +74,6 @@ impl Shape {
         let kp = (k + self.gph as isize) as usize;
         (kp * self.nth_pad() + jp) * self.nr + i
     }
-
-    /// Stride between consecutive `j` (colatitude) nodes.
-    #[inline]
-    pub const fn stride_j(&self) -> usize {
-        self.nr
-    }
-
-    /// Stride between consecutive `k` (longitude) nodes.
-    #[inline]
-    pub const fn stride_k(&self) -> usize {
-        self.nr * self.nth_pad()
-    }
 }
 
 /// A dense 3-D array of `f64` with the [`Shape`] layout.
@@ -286,8 +274,6 @@ mod tests {
         assert_eq!(s.nph_pad(), 9);
         assert_eq!(s.len(), 4 * 5 * 9);
         assert_eq!(s.owned_len(), 60);
-        assert_eq!(s.stride_j(), 4);
-        assert_eq!(s.stride_k(), 20);
         assert!(!s.is_empty());
     }
 

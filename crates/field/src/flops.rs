@@ -53,12 +53,6 @@ impl FlopMeter {
         self.flops += n;
     }
 
-    /// Record a per-point kernel: `points * flops_per_point`.
-    #[inline]
-    pub fn add_kernel(&mut self, points: usize, flops_per_point: u64) {
-        self.flops += points as u64 * flops_per_point;
-    }
-
     /// Total operations recorded.
     #[inline]
     pub fn flops(&self) -> u64 {
@@ -188,7 +182,7 @@ mod tests {
     fn accumulates_counts() {
         let mut m = FlopMeter::new();
         m.add(10);
-        m.add_kernel(100, 7);
+        m.add(700);
         assert_eq!(m.flops(), 710);
     }
 
@@ -203,7 +197,7 @@ mod tests {
     #[test]
     fn mflops_is_finite_and_nonnegative() {
         let mut m = FlopMeter::new();
-        m.add_kernel(1000, 100);
+        m.add(100_000);
         std::thread::sleep(std::time::Duration::from_millis(1));
         let rate = m.mflops();
         assert!(rate.is_finite() && rate > 0.0);

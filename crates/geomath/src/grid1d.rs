@@ -42,12 +42,6 @@ impl Grid1D {
         false
     }
 
-    /// Total node count including ghosts: `n + 2 * nghost`.
-    #[inline]
-    pub fn len_with_ghosts(&self) -> usize {
-        self.n + 2 * self.nghost
-    }
-
     /// Ghost layer width per side.
     #[inline]
     pub fn nghost(&self) -> usize {
@@ -148,7 +142,6 @@ mod tests {
     fn coords_and_spacing() {
         let g = Grid1D::new(5, 0.0, 1.0, 2);
         assert_eq!(g.len(), 5);
-        assert_eq!(g.len_with_ghosts(), 9);
         assert!(approx_eq(g.spacing(), 0.25, 1e-15));
         assert_eq!(g.coord(0), 0.0);
         assert_eq!(g.coord(4), 1.0);

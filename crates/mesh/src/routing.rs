@@ -68,11 +68,6 @@ pub struct OversetExchange {
 }
 
 impl OversetExchange {
-    /// Total columns this rank donates.
-    pub fn donated_columns(&self) -> usize {
-        self.sends.iter().map(|s| s.jobs.len()).sum()
-    }
-
     /// Total columns this rank receives.
     pub fn received_columns(&self) -> usize {
         self.recvs.iter().map(|r| r.slots.len()).sum()
@@ -269,7 +264,7 @@ mod tests {
         for ex in &schedule {
             assert_eq!(ex.sends.len(), 1);
             assert_eq!(ex.recvs.len(), 1);
-            assert_eq!(ex.donated_columns(), cols.len());
+            assert_eq!(ex.sends[0].jobs.len(), cols.len());
             assert_eq!(ex.received_columns(), cols.len());
         }
     }

@@ -204,28 +204,6 @@ impl InteriorRange {
         OverlapSplit { deep: (!deep.is_empty()).then_some(deep), shell }
     }
 
-    /// Split the range into consecutive φ-tiles of width `block` (the
-    /// last tile may be narrower). `block = 0` means "no blocking": the
-    /// whole range as a single tile. The tiles are disjoint, consecutive
-    /// in k, cover `self` exactly, and keep the i/j bounds — the
-    /// cache-blocking decomposition the fused kernel sweeps (it iterates
-    /// the same tiles without allocating; this method is the checkable
-    /// spelling of that loop).
-    pub fn phi_blocks(&self, block: usize) -> Vec<InteriorRange> {
-        let nk = (self.k1 - self.k0).max(0) as usize;
-        if block == 0 || block >= nk {
-            return vec![*self];
-        }
-        let mut out = Vec::with_capacity(nk.div_ceil(block));
-        let mut k = self.k0;
-        while k < self.k1 {
-            let k_next = (k + block as isize).min(self.k1);
-            out.push(InteriorRange { k0: k, k1: k_next, ..*self });
-            k = k_next;
-        }
-        out
-    }
-
     /// Split the range into up to `n` consecutive φ-chunks (for pipelining
     /// the deep-interior sweep between communication phases). The chunks
     /// are disjoint, cover `self`, and preserve the (k, j, i) sweep order.
@@ -943,9 +921,7 @@ macro_rules! isa_traversal {
 
                 // φ-band blocking: process `PHI_BLOCK`-wide bands of columns
                 // with j innermost, so a band's stencil rows stay cache-hot
-                // across the θ sweep (`InteriorRange::phi_blocks` is the
-                // checkable spelling of this loop; iterating inline keeps the
-                // kernel allocation-free).
+                // across the θ sweep.
                 let mut kb = range.k0;
                 while kb < range.k1 {
                     let kb1 = (kb + PHI_BLOCK).min(range.k1);
@@ -1842,45 +1818,6 @@ mod tests {
                     }
                     assert_bitwise(&acc, &acc_final, &format!("{what}: Final acc"));
                 }
-            }
-        }
-    }
-
-    /// Seeded property suite: every block size exactly tiles every
-    /// `InteriorRange` — consecutive φ-tiles, i/j bounds preserved, full
-    /// coverage, and every tile but the last exactly `block` wide.
-    #[test]
-    fn phi_blocks_tile_every_range_seeded() {
-        let mut rng = Lcg(0x1234_5678_9abc_def0);
-        for _ in 0..300 {
-            let i0 = 1 + rng.below(6) as usize;
-            let i1 = i0 + rng.below(12) as usize;
-            let j0 = rng.below(7) as isize - 3;
-            let j1 = j0 + rng.below(9) as isize;
-            let k0 = rng.below(7) as isize - 3;
-            let k1 = k0 + rng.below(25) as isize;
-            let r = InteriorRange { i0, i1, j0, j1, k0, k1 };
-            let nk = (k1 - k0).max(0) as usize;
-            for block in 0..=(nk + 2) {
-                let tiles = r.phi_blocks(block);
-                assert!(!tiles.is_empty(), "phi_blocks must cover {r:?}");
-                let mut k = r.k0;
-                let mut pts = 0;
-                for (idx, t) in tiles.iter().enumerate() {
-                    assert_eq!(t.k0, k, "tiles must be consecutive for {r:?} block {block}");
-                    assert_eq!((t.i0, t.i1, t.j0, t.j1), (r.i0, r.i1, r.j0, r.j1));
-                    if block > 0 && block < nk && idx + 1 < tiles.len() {
-                        assert_eq!(
-                            (t.k1 - t.k0) as usize,
-                            block,
-                            "non-final tile width for {r:?} block {block}"
-                        );
-                    }
-                    k = t.k1;
-                    pts += t.points();
-                }
-                assert_eq!(k, r.k1, "tiles must end at k1 for {r:?} block {block}");
-                assert_eq!(pts, r.points(), "tiles must cover {r:?} block {block}");
             }
         }
     }

@@ -138,36 +138,7 @@ pub struct Analysis {
     pub verdict: String,
 }
 
-/// What the live metrics endpoint exports from an [`Analysis`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DoctorGauges {
-    /// `(phase name, share of analyzed steps gated)` pairs.
-    pub shares: Vec<(String, f64)>,
-    /// World rank of the top straggler, −1 when none.
-    pub top_straggler: i64,
-}
-
-impl Default for DoctorGauges {
-    fn default() -> Self {
-        DoctorGauges { shares: Vec::new(), top_straggler: -1 }
-    }
-}
-
 impl Analysis {
-    /// The gauges the Prometheus endpoint exports
-    /// ([`crate::metrics::doctor_gauges_text`]).
-    pub fn gauges(&self) -> DoctorGauges {
-        let total: u64 = self.gating.iter().map(|g| g.steps).sum();
-        DoctorGauges {
-            shares: self
-                .gating
-                .iter()
-                .map(|g| (g.phase.clone(), if total == 0 { 0.0 } else { g.steps as f64 / total as f64 }))
-                .collect(),
-            top_straggler: self.stragglers.first().map_or(-1, |s| s.rank as i64),
-        }
-    }
-
     /// Human rendering — the tables `yycore doctor` prints. `source`
     /// names the artifact the diagnosis came from.
     pub fn render(&self, source: &str) -> String {
@@ -935,18 +906,6 @@ mod tests {
         {
             assert!(text.contains(want), "render lacks {want:?}:\n{text}");
         }
-    }
-
-    #[test]
-    fn gauges_expose_shares_and_top_straggler() {
-        let streams = late_sender_streams(4, 2_000_000);
-        let a = analyze(&AnalysisInput { streams: &streams, retained: vec![], predicted_imbalance: 1.0 });
-        let g = a.gauges();
-        assert_eq!(g.top_straggler, 0);
-        let total: f64 = g.shares.iter().map(|(_, s)| s).sum();
-        assert!((total - 1.0).abs() < 1e-9, "shares must sum to 1, got {total}");
-        assert!(Analysis::default().gauges().shares.is_empty());
-        assert_eq!(Analysis::default().gauges().top_straggler, -1);
     }
 
     #[test]

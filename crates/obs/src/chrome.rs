@@ -115,15 +115,6 @@ fn push_event(out: &mut Vec<String>, rank: usize, te: &TimedEvent) {
             r#"{{"name":"step {step}","ph":"i","s":"t","pid":0,"tid":{tid},"ts":{},"cat":"step","args":{{"step":{step}}}}}"#,
             us(te.ts_ns),
         )),
-        Event::CriticalGate { phase: p, share_permille, steps } => out.push(format!(
-            r#"{{"name":"critical path","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"analysis","args":{{"phase":"{}","share_permille":{share_permille},"steps":{steps}}}}}"#,
-            us(te.ts_ns),
-            phase::name(p),
-        )),
-        Event::StragglerFlagged { rank: r, reason, severity_permille } => out.push(format!(
-            r#"{{"name":"straggler","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"analysis","args":{{"rank":{r},"reason":{reason},"severity_permille":{severity_permille}}}}}"#,
-            us(te.ts_ns),
-        )),
         Event::Alert { rule, kind, firing, step } => out.push(format!(
             r#"{{"name":"alert {}","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"alert","args":{{"rule":{rule},"kind":"{}","step":{step}}}}}"#,
             if firing { "fire" } else { "clear" },
@@ -193,9 +184,6 @@ pub struct TraceCheck {
     pub retiles: usize,
     /// `"degraded"` instants (degraded-mode entries).
     pub degrades: usize,
-    /// `"critical path"` / `"straggler"` diagnosis instants stamped by
-    /// the post-run analyzer.
-    pub analysis_marks: usize,
     /// `"alert fire"` / `"alert clear"` watchdog instants.
     pub alerts: usize,
     /// Distinct `tid` tracks seen (metadata excluded).
@@ -213,7 +201,7 @@ impl TraceCheck {
         format!(
             "trace ok: {} events, {} spans, {} flow arrows, {} kill(s), {} track(s), \
              {} counter sample(s) on {} counter track(s), {} retile(s), {} degrade(s), \
-             {} analysis mark(s), {} alert edge(s)",
+             {} alert edge(s)",
             self.events,
             self.spans,
             self.flow_starts,
@@ -223,7 +211,6 @@ impl TraceCheck {
             self.counter_tracks,
             self.retiles,
             self.degrades,
-            self.analysis_marks,
             self.alerts
         )
     }
@@ -297,8 +284,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                     check.retiles += 1;
                 } else if name == "degraded" {
                     check.degrades += 1;
-                } else if name == "critical path" || name == "straggler" {
-                    check.analysis_marks += 1;
                 } else if name == "alert fire" || name == "alert clear" {
                     check.alerts += 1;
                 }
@@ -362,14 +347,6 @@ mod tests {
             },
             TimedEvent { ts_ns: 8_900, event: Event::Degraded { pass: 2, checkpoint_every: 4 } },
             TimedEvent {
-                ts_ns: 9_000,
-                event: Event::CriticalGate { phase: phase::WAIT, share_permille: 583, steps: 7 },
-            },
-            TimedEvent {
-                ts_ns: 9_100,
-                event: Event::StragglerFlagged { rank: 1, reason: 1, severity_permille: 14_200 },
-            },
-            TimedEvent {
                 ts_ns: 9_200,
                 event: Event::Alert { rule: 0, kind: alert::DT_COLLAPSE, firing: true, step: 6 },
             },
@@ -389,7 +366,6 @@ mod tests {
         assert_eq!(check.kills, 1);
         assert_eq!(check.retiles, 1);
         assert_eq!(check.degrades, 1);
-        assert_eq!(check.analysis_marks, 2, "critical path + straggler instants");
         assert_eq!(check.alerts, 2, "alert fire + clear instants");
         assert_eq!(check.flow_starts, 1);
         assert_eq!(check.flow_finishes, 1);

@@ -209,8 +209,7 @@ const D_STEP: u8 = 9;
 const D_COUNTER: u8 = 10;
 const D_RETILE: u8 = 11;
 const D_DEGRADED: u8 = 12;
-const D_CRITICAL_GATE: u8 = 13;
-const D_STRAGGLER: u8 = 14;
+// 13 and 14 are retired, not free: reusing them would misread old rings.
 const D_ALERT: u8 = 15;
 
 /// One flight-recorder event. See the module docs for the wire layout.
@@ -310,26 +309,6 @@ pub enum Event {
         /// The widened checkpoint cadence now in effect.
         checkpoint_every: u64,
     },
-    /// Post-run diagnosis mark: one row of the critical-path histogram
-    /// (the doctor stamps these into the rings after analysis, so the
-    /// exported trace carries its own verdict).
-    CriticalGate {
-        /// [`phase`] code of the gating phase.
-        phase: u8,
-        /// Share of analyzed steps this phase gated, in permille.
-        share_permille: u64,
-        /// Steps this phase gated.
-        steps: u64,
-    },
-    /// Post-run diagnosis mark: one ranked straggler suspect.
-    StragglerFlagged {
-        /// World rank of the suspect.
-        rank: u32,
-        /// [`crate::analysis::reason`] code.
-        reason: u8,
-        /// Severity ratio in permille (1000 = at the peer baseline).
-        severity_permille: u64,
-    },
     /// A physics-watchdog alert edge: a rule started or stopped firing
     /// (`yy_obs::watch`). Fire/clear edges land as instants in the
     /// Chrome trace so a blow-up is visible on the same timeline as the
@@ -391,12 +370,6 @@ impl Event {
             Event::Degraded { pass, checkpoint_every } => {
                 [head(D_DEGRADED, 0, 0, 0), pass, checkpoint_every]
             }
-            Event::CriticalGate { phase, share_permille, steps } => {
-                [head(D_CRITICAL_GATE, phase, 0, 0), share_permille, steps]
-            }
-            Event::StragglerFlagged { rank, reason, severity_permille } => {
-                [head(D_STRAGGLER, reason, 0, rank), severity_permille, 0]
-            }
             Event::Alert { rule, kind, firing, step } => {
                 [head(D_ALERT, kind, firing as u16, rule), step, 0]
             }
@@ -425,8 +398,6 @@ impl Event {
             D_STEP => Event::StepBegin { step: a },
             D_RETILE => Event::Retile { pth: tag16, pph: peer as u16, pass: a, resume_step: b },
             D_DEGRADED => Event::Degraded { pass: a, checkpoint_every: b },
-            D_CRITICAL_GATE => Event::CriticalGate { phase: sub, share_permille: a, steps: b },
-            D_STRAGGLER => Event::StragglerFlagged { rank: peer, reason: sub, severity_permille: a },
             D_ALERT => Event::Alert { rule: peer, kind: sub, firing: tag16 != 0, step: a },
             D_COUNTER => Event::CounterSample { id: sub, value_bits: a },
             _ => return None,
@@ -473,8 +444,6 @@ mod tests {
         roundtrip(Event::Retile { pth: 1, pph: 2, pass: 3, resume_step: 4 });
         roundtrip(Event::Retile { pth: u16::MAX, pph: u16::MAX, pass: u64::MAX, resume_step: 0 });
         roundtrip(Event::Degraded { pass: 2, checkpoint_every: 8 });
-        roundtrip(Event::CriticalGate { phase: phase::WAIT, share_permille: 583, steps: 7 });
-        roundtrip(Event::StragglerFlagged { rank: u32::MAX, reason: 1, severity_permille: 14_200 });
         roundtrip(Event::Alert { rule: 0, kind: alert::DT_COLLAPSE, firing: true, step: 12 });
         roundtrip(Event::Alert { rule: u32::MAX, kind: alert::FLATLINE, firing: false, step: 0 });
         roundtrip(Event::counter_sample(counter::TOTAL_MFLOPS, 1234.5));

@@ -15,11 +15,10 @@
 //! * **Metrics** ([`Histogram`]) — log₂-bucketed latency histograms
 //!   with exact associative/commutative merge (so per-rank
 //!   distributions can be allreduced).
-//! * **Exporters** ([`chrome`], [`logger`], [`json`]) — Chrome
-//!   trace-event JSON (one track per rank, spans + message flow arrows,
-//!   loadable in Perfetto / `chrome://tracing`), JSONL structured logs,
-//!   and the minimal JSON writer/parser the artifact tests round-trip
-//!   through.
+//! * **Exporters** ([`chrome`], [`json`]) — Chrome trace-event JSON
+//!   (one track per rank, spans + message flow arrows, loadable in
+//!   Perfetto / `chrome://tracing`) and the minimal JSON writer/parser
+//!   the artifact tests round-trip through.
 //!
 //! Everything here is plain `std`: no registry dependencies, in keeping
 //! with the workspace's hermetic-build rule (DESIGN.md §3a).
@@ -33,22 +32,20 @@ pub mod dashboard;
 pub mod event;
 pub mod hist;
 pub mod json;
-pub mod logger;
 pub mod metrics;
 pub mod ring;
 pub mod series;
 pub mod watch;
 
-pub use analysis::{analyze, streams_from_chrome, Analysis, AnalysisInput, DoctorGauges};
+pub use analysis::{analyze, streams_from_chrome, Analysis, AnalysisInput};
 pub use chrome::{chrome_trace_json, validate_chrome_trace, RankTrace, TraceCheck};
 pub use counters::{kernel, CounterSet, CounterSnapshot, KernelSnapshot, KernelTally};
 pub use event::{Event, TimedEvent};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
-pub use logger::JsonlLogger;
 pub use metrics::{
-    doctor_gauges_text, prometheus_text, prometheus_text_with_phases, science_gauges_text,
-    MetricsHub, MetricsServer, ScienceGauges,
+    prometheus_text, prometheus_text_with_phases, science_gauges_text, MetricsHub, MetricsServer,
+    ScienceGauges,
 };
 pub use ring::{FlightRecorder, RecorderSet};
 pub use series::{Channel, SeriesStore};

@@ -124,35 +124,6 @@ pub fn prometheus_text_with_phases(
     out
 }
 
-/// Render the doctor's post-run gauges: critical-path phase shares and
-/// the top straggler's world rank (−1 when none). The supervisor appends
-/// this to the hub's final body so the endpoint carries the diagnosis.
-pub fn doctor_gauges_text(g: &crate::analysis::DoctorGauges) -> String {
-    let mut out = String::with_capacity(256);
-    if !g.shares.is_empty() {
-        family(
-            &mut out,
-            "yy_critical_path_share",
-            "gauge",
-            "Share of analyzed steps each phase gated.",
-        );
-        for (phase, share) in &g.shares {
-            out.push_str(&format!(
-                "yy_critical_path_share{{phase=\"{phase}\"}} {}\n",
-                crate::json::num(*share)
-            ));
-        }
-    }
-    family(
-        &mut out,
-        "yy_top_straggler_rank",
-        "gauge",
-        "World rank of the strongest straggler suspect (-1 when none).",
-    );
-    out.push_str(&format!("yy_top_straggler_rank {}\n", g.top_straggler));
-    out
-}
-
 /// One science-telemetry snapshot for the live endpoint: the latest
 /// sampled physics values plus the watchdog's firing state, rendered as
 /// Prometheus gauges. The supervisor appends this to the body it
@@ -448,16 +419,7 @@ mod tests {
         assert!(text.contains("yy_phase_wall_seconds{phase=\"writer_wait\"} 0.03125"));
         // The output kernel slot is live in every kernel family.
         assert!(text.contains("yy_kernel_wall_ns_total{kernel=\"output\"} 0"));
-        let g = crate::analysis::DoctorGauges {
-            shares: vec![("wait".into(), 0.583), ("interior".into(), 0.417)],
-            top_straggler: 1,
-        };
-        let dg = doctor_gauges_text(&g);
-        assert!(dg.contains("yy_critical_path_share{phase=\"wait\"} 0.583"));
-        assert!(dg.contains("yy_top_straggler_rank 1\n"));
-        assert!(doctor_gauges_text(&Default::default()).contains("yy_top_straggler_rank -1"));
-        // Appending doctor gauges keeps the exposition well-formed.
-        assert_well_formed_exposition(&format!("{text}{dg}"));
+        assert_well_formed_exposition(&text);
     }
 
     #[test]

@@ -447,15 +447,6 @@ impl Comm {
         }
     }
 
-    /// "Immediate" receive in the style of `MPI_IRECV`: registers interest
-    /// and returns a future to `wait` on. (Reception is lazy: the matching
-    /// happens at `wait`; semantics are equivalent because our sends are
-    /// always buffered.)
-    pub fn irecv_f64s(&self, src: usize, tag: u64) -> RecvFuture<'_> {
-        self.check_peer(src, "source");
-        RecvFuture { comm: self, src, tag }
-    }
-
     /// Create sub-communicators: all callers with the same `color` form a
     /// new communicator, ranked by `(key, parent rank)` — the
     /// `MPI_COMM_SPLIT` contract. Every member of this communicator must
@@ -539,20 +530,6 @@ impl Comm {
                 _ => panic!("allgather payload mismatch"),
             }
         }
-    }
-}
-
-/// Pending receive returned by [`Comm::irecv_f64s`].
-pub struct RecvFuture<'c> {
-    comm: &'c Comm,
-    src: usize,
-    tag: u64,
-}
-
-impl RecvFuture<'_> {
-    /// Block until the message arrives and return it.
-    pub fn wait(self) -> Vec<f64> {
-        self.comm.recv_f64s(self.src, self.tag)
     }
 }
 

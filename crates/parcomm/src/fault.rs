@@ -186,6 +186,33 @@ impl FaultSpec {
         self
     }
 
+    /// Pre-flight validation against a universe of `nprocs` ranks: each
+    /// probability finite in `[0, 1]`, their sum at most 1, and every
+    /// kill rank and `delay_src` a rank that exists (a fault aimed past
+    /// the layout would silently never fire). Names are the CLI keys.
+    pub fn check(&self, nprocs: usize) -> Result<(), String> {
+        let probs = [("drop", self.drop_p), ("delay", self.delay_p), ("dup", self.duplicate_p)];
+        for (key, p) in probs {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{key} must be a probability in [0, 1] (got {p})"));
+            }
+        }
+        let sum: f64 = probs.iter().map(|(_, p)| p).sum();
+        if sum > 1.0 + 1e-12 {
+            return Err(format!("drop + delay + dup must sum to at most 1 (got {sum})"));
+        }
+        let targets = self.kills.iter().map(|k| ("kill_rank", k.rank));
+        for (key, rank) in targets.chain(self.delay_src.map(|r| ("delay_src", r))) {
+            if rank >= nprocs {
+                return Err(format!(
+                    "{key}={rank} names no rank of the {nprocs}-rank layout (ranks 0..={})",
+                    nprocs.saturating_sub(1)
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Whether this spec injects anything at all.
     pub fn is_active(&self) -> bool {
         self.drop_p > 0.0 || self.delay_p > 0.0 || self.duplicate_p > 0.0 || !self.kills.is_empty()

@@ -47,7 +47,7 @@ pub mod stats;
 pub mod topology;
 pub mod universe;
 
-pub use comm::{Comm, CommError, RecvFuture};
+pub use comm::{Comm, CommError};
 pub use fault::{FaultPlan, FaultSpec, FaultStats, KillSpec};
 pub use stats::{CommStats, MailboxGauges, SolverPhase};
 pub use topology::CartComm;

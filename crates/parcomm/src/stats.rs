@@ -222,12 +222,6 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Total field-data bytes sent (halo + overset), the quantity the
-    /// performance model charges against interconnect bandwidth.
-    pub fn field_bytes_sent(&self) -> u64 {
-        self.bytes_halo + self.bytes_overset
-    }
-
     /// Element-wise sum (for aggregating across ranks).
     pub fn merged(self, other: CommStats) -> CommStats {
         CommStats {
@@ -272,7 +266,6 @@ mod tests {
         assert_eq!(snap.msgs_sent, 4);
         assert_eq!(snap.bytes_halo, 100);
         assert_eq!(snap.bytes_overset, 50);
-        assert_eq!(snap.field_bytes_sent(), 150);
         assert_eq!(snap.msgs_recv, 1);
         assert_eq!(snap.bytes_recv, 25);
     }

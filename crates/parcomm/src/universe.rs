@@ -306,17 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_then_wait() {
-        let out = Universe::run(2, |comm| {
-            let peer = 1 - comm.rank();
-            let pending = comm.irecv_f64s(peer, 9);
-            comm.send_f64s(peer, 9, vec![42.0 + comm.rank() as f64], TrafficClass::Halo);
-            pending.wait()[0]
-        });
-        assert_eq!(out, vec![43.0, 42.0]);
-    }
-
-    #[test]
     fn typed_any_messages() {
         #[derive(Clone, Debug, PartialEq)]
         struct Table {
@@ -414,7 +403,6 @@ mod tests {
         for s in out {
             assert_eq!(s.bytes_halo, 800);
             assert_eq!(s.bytes_overset, 80);
-            assert_eq!(s.field_bytes_sent(), 880);
             assert_eq!(s.msgs_recv, 2);
             assert_eq!(s.bytes_recv, 880);
             assert!(s.max_queue_depth >= 1, "depth high-water must register");

@@ -61,15 +61,20 @@ reject "run ext=3 nth=9" "ext must lie in 1..=2 for nth=9 (got 3)"
 reject "parallel pth=0" "layout pth=0 pph=2 does not fit"
 reject "parallel weights=measured" "unknown config key 'weights'"
 reject "doctor ledger=x" "doctor: unknown key 'ledger'"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 7 misplaced/unknown/unusable values refused"
+reject "parallel log=x" "unknown config key 'log'"
+gone="retile""_backoff_ms" # split so the deleted-names guard below does not match this line
+reject "parallel $gone=1" "unknown config key '$gone'"
+reject "parallel delay=2" "delay must be a probability in [0, 1] (got 2)"
+reject "parallel kill_rank=99" "kill_rank=99 names no rank of the 4-rank layout"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 11 misplaced/unknown/unusable values refused"
 
-echo "==> one measurement system: nothing names the deleted bench harness, partitioner, ledger or tiers"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -99,7 +104,7 @@ echo "==> chaos soak: permanent rank loss must re-tile 2x2 -> 1x2 and finish byt
   ckpt_every=2 ckpt="$soak_dir/chaos.ck" \
   report_json="$soak_dir/chaos-report.json" trace="$soak_dir/chaos-trace.json" \
   kill_rank=1 kill_step=5 kill_persistent=1 \
-  on_failure=retile max_retiles=2 retile_backoff_ms=10 \
+  on_failure=retile max_retiles=2 \
   >/dev/null 2>"$soak_dir/chaos.log"
 grep -q 'retiled: pass .* 2x2 -> 1x2' "$soak_dir/chaos.log" || {
   echo "ERROR: chaos run did not report a 2x2 -> 1x2 re-tile" >&2
@@ -185,7 +190,7 @@ echo "OK: v4 report io section well-formed"
 
 echo "==> observability smoke: faulted supervised run leaves a post-mortem trace"
 ./target/release/yycore parallel $soak trace="$soak_dir/trace.json" \
-  log="$soak_dir/run.jsonl" report_json="$soak_dir/report.json" \
+  report_json="$soak_dir/report.json" \
   fault_seed=42 kill_rank=1 kill_step=4 >/dev/null
 test -s "$soak_dir/trace.json.postmortem" || {
   echo "ERROR: post-mortem trace missing" >&2; exit 1; }
@@ -214,8 +219,7 @@ for key in '"analysis"' '"verdict"' '"gating"' '"stragglers"' \
   grep -q "$key" "$soak_dir/report.json" || {
     echo "ERROR: report.json missing v5 analysis key $key" >&2; exit 1; }
 done
-test -s "$soak_dir/run.jsonl" || { echo "ERROR: JSONL log missing" >&2; exit 1; }
-echo "OK: post-mortem + final traces valid, report versioned, log written"
+echo "OK: post-mortem + final traces valid, report versioned"
 
 echo "==> counter-track smoke: profile-enabled trace carries C-phase counter samples"
 ./target/release/yycore parallel $soak trace="$soak_dir/ptrace.json" \
