@@ -592,30 +592,24 @@ impl<'a> Supervisor<'a> {
         // Disk persistence: each rank writes its owned region into the
         // shard directory at every checkpoint event, overlapped with
         // compute when `ckpt_async`.
-        let shards = match &opts.ckpt_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| {
-                    format!("creating checkpoint directory {}: {e}", dir.display())
-                })?;
-                Some(ShardCfg {
-                    dir: dir.clone(),
-                    async_mode: opts.ckpt_async,
-                    codec: opts.ckpt_compress,
-                })
-            }
-            None => None,
-        };
+        let shards = opts.ckpt_dir.as_ref().map(|dir| ShardCfg {
+            dir: dir.clone(),
+            async_mode: opts.ckpt_async,
+            codec: opts.ckpt_compress,
+        });
+        if let Some(dir) = &opts.ckpt_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("creating checkpoint directory {}: {e}", dir.display()))?;
+        }
         // The restart-onto-any-layout path: a serial-format checkpoint from
         // *any* producer (serial run, any tile layout) seeds the slot, and
         // the first pass restores it exactly like a rollback would.
-        if let Some(ck) = &opts.resume_from {
-            if ck.shape != grid.full_shape() {
-                return Err(format!(
-                    "resume checkpoint geometry {:?} does not match the run configuration {:?}",
-                    ck.shape,
-                    grid.full_shape()
-                ));
-            }
+        if let Some(ck) = opts.resume_from.as_ref().filter(|ck| ck.shape != grid.full_shape()) {
+            return Err(format!(
+                "resume checkpoint geometry {:?} does not match the run configuration {:?}",
+                ck.shape,
+                grid.full_shape()
+            ));
         }
         Ok(Supervisor {
             cfg,
@@ -795,12 +789,8 @@ impl<'a> Supervisor<'a> {
         // post-run — the solver never observes any of this.
         if let Some(set) = &self.recorders {
             let streams = set.snapshots();
-            let retained = (0..set.len())
-                .map(|r| {
-                    let rec = set.rank(r);
-                    (rec.recorded(), rec.capacity())
-                })
-                .collect();
+            let retained =
+                (0..set.len()).map(|r| (set.rank(r).recorded(), set.rank(r).capacity())).collect();
             report.analysis =
                 analyze(&AnalysisInput { streams: &streams, retained, predicted_imbalance });
         }
