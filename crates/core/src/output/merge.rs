@@ -1,0 +1,187 @@
+//! Shard-set operations: list a directory's steps, and reassemble a
+//! complete set into the serial-format [`Checkpoint`] byte-identically.
+
+use super::shard::{load_shard, parse_shard_name};
+use crate::checkpoint::{blank_panels, invalid, Checkpoint};
+use crate::config::RunConfig;
+use std::io;
+use std::path::Path;
+use yy_field::unpack_region;
+use yy_mesh::build_overset_columns;
+use yy_mhd::State;
+
+/// The steps for which `dir` holds at least one shard, ascending.
+pub fn shard_steps(dir: &Path) -> io::Result<Vec<u64>> {
+    let mut steps: Vec<u64> = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some((step, _)) = parse_shard_name(&entry.file_name().to_string_lossy()) {
+            steps.push(step);
+        }
+    }
+    steps.sort_unstable();
+    steps.dedup();
+    Ok(steps)
+}
+
+/// Reassemble a shard set into the serial-format [`Checkpoint`] —
+/// byte-identical to the one a serial run (or the rank-0 gather path)
+/// would have written at the same step.
+///
+/// `step` selects a specific shard set; `None` takes the newest step
+/// with a complete, mutually consistent set. The configuration must
+/// match the set's geometry: the unowned ghost padding of a serial
+/// checkpoint carries *initialization* values, so the merger rebuilds
+/// them from `cfg` exactly as the serial driver does, places every
+/// shard's owned block, and refills the overset frames and walls.
+pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Result<Checkpoint> {
+    let steps = shard_steps(dir)?;
+    if steps.is_empty() {
+        return Err(invalid(format!("no checkpoint shards found in {}", dir.display())));
+    }
+    let candidates: Vec<u64> = match step {
+        Some(s) => {
+            if !steps.contains(&s) {
+                return Err(invalid(format!(
+                    "no shards for step {s} in {} (available steps: {steps:?})",
+                    dir.display()
+                )));
+            }
+            vec![s]
+        }
+        // Newest first; fall back to older sets if the newest is
+        // incomplete (a kill can land mid-flight between two ranks'
+        // atomic renames).
+        None => steps.iter().rev().copied().collect(),
+    };
+    let mut last_err: Option<io::Error> = None;
+    for s in candidates {
+        match merge_step(cfg, dir, s) {
+            Ok(ck) => return Ok(ck),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err.expect("at least one candidate step was tried"))
+}
+
+fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> {
+    // Which ranks wrote a shard at this step?
+    let mut ranks: Vec<usize> = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        if let Some((s, r)) = parse_shard_name(&entry?.file_name().to_string_lossy()) {
+            if s == step {
+                ranks.push(r);
+            }
+        }
+    }
+    ranks.sort_unstable();
+    let first = load_shard(dir, step, *ranks.first().expect("caller saw this step"))?;
+    let world = (2 * first.0.pth * first.0.pph) as usize;
+    if ranks != (0..world).collect::<Vec<_>>() {
+        return Err(invalid(format!(
+            "shard set at step {step} is incomplete: layout {}x{} needs ranks 0..{world}, \
+             found {ranks:?}",
+            first.0.pth, first.0.pph
+        )));
+    }
+    let grid = cfg.grid();
+    let shape = grid.full_shape();
+    if first.0.shape != shape {
+        return Err(invalid(format!(
+            "shard geometry {:?} does not match the run configuration {:?}",
+            first.0.shape, shape
+        )));
+    }
+    let mut panels = blank_panels(cfg, &grid);
+    // Coverage check: each panel's interior must be tiled exactly once.
+    let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
+    for rank in 0..world {
+        let (meta, raw) = if rank == first.0.rank as usize {
+            first.clone()
+        } else {
+            load_shard(dir, step, rank)?
+        };
+        for (what, a, b) in [
+            ("layout", meta.pth, first.0.pth),
+            ("layout", meta.pph, first.0.pph),
+            ("step", meta.step, first.0.step),
+            ("time", meta.time.to_bits(), first.0.time.to_bits()),
+            ("dt cache", meta.dt_cache.to_bits(), first.0.dt_cache.to_bits()),
+        ] {
+            if a != b {
+                return Err(invalid(format!(
+                    "shard set at step {step} is inconsistent: rank {rank} disagrees with \
+                     rank {} on the {what}",
+                    first.0.rank
+                )));
+            }
+        }
+        if meta.shape != shape || meta.rank != rank as u64 {
+            return Err(invalid(format!(
+                "shard set at step {step} is inconsistent: rank {rank} header says rank {} \
+                 shape {:?}",
+                meta.rank, meta.shape
+            )));
+        }
+        let cover = &mut covered[meta.panel as usize];
+        for j in meta.j0..meta.j0 + meta.tnth {
+            for k in meta.k0..meta.k0 + meta.tnph {
+                let cell = &mut cover[j as usize * shape.nph + k as usize];
+                if *cell {
+                    return Err(invalid(format!(
+                        "shard set at step {step} overlaps at panel {} node ({j}, {k})",
+                        meta.panel
+                    )));
+                }
+                *cell = true;
+            }
+        }
+        // Place the owned block.
+        let vals: Vec<f64> = raw
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
+        let region = meta.global_region();
+        let mut rest: &[f64] = &vals;
+        for arr in panels[meta.panel as usize].arrays_mut() {
+            rest = unpack_region(arr, region, rest);
+        }
+        debug_assert!(rest.is_empty());
+    }
+    for (p, cover) in covered.iter().enumerate() {
+        if let Some(hole) = cover.iter().position(|&c| !c) {
+            return Err(invalid(format!(
+                "shard set at step {step} leaves panel {p} node ({}, {}) uncovered",
+                hole / shape.nph,
+                hole % shape.nph
+            )));
+        }
+    }
+    let [yin, yang] = panels;
+    Ok(parallel_checkpoint(cfg, yin, yang, step, first.0.time, first.0.dt_cache))
+}
+
+/// Whether `path` names a shard *directory* (as opposed to a serial
+/// checkpoint file): used by `resume=` to pick the reader.
+pub fn is_shard_dir(path: &Path) -> bool {
+    path.is_dir()
+}
+
+/// Assemble gathered panels into a serial-format-compatible
+/// [`Checkpoint`]: the gathered states carry owned values only, so the
+/// overset frames and wall conditions are refilled exactly as the serial
+/// driver's boundary synchronisation would.
+fn parallel_checkpoint(
+    cfg: &RunConfig,
+    mut yin: State,
+    mut yang: State,
+    step: u64,
+    time: f64,
+    dt_cache: f64,
+) -> Checkpoint {
+    let grid = cfg.grid();
+    let cols = build_overset_columns(&grid)
+        .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}"));
+    crate::serial::fill_pair(&mut yin, &mut yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
+    Checkpoint { shape: yin.shape(), step, time, dt_cache, yin, yang }
+}

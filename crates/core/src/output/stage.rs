@@ -1,0 +1,331 @@
+//! The writer stage: a two-slot buffer pool feeding an inline write or a
+//! per-rank writer thread that encodes and writes shards behind compute.
+
+use super::codec::CkptCodec;
+use super::shard::{encode_shard, ShardMeta};
+use std::collections::VecDeque;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+
+/// Totals the writer accumulates (readable while the stage runs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoTotals {
+    /// Files durably written (checkpoint shards + snapshot products).
+    pub files_written: u64,
+    /// Encoded bytes written to disk.
+    pub bytes_written: u64,
+    /// Uncompressed payload bytes behind those writes.
+    pub bytes_raw: u64,
+    /// Wall nanoseconds spent on the consumer side — shard encoding
+    /// plus file writes (the cost the async mode hides behind compute).
+    pub write_wall_ns: u64,
+    /// Wall nanoseconds the *producer* spent blocked on the buffer pool
+    /// (async backpressure) or writing inline (sync mode).
+    pub writer_wait_ns: u64,
+}
+
+/// One queued write: either a fully serialized file image (`shard:
+/// None`, written verbatim) or a raw shard payload (`shard: Some`) that
+/// the *consumer* — the writer thread in async mode — encodes with the
+/// delta/RLE codec before writing, keeping everything but the pack
+/// memcpy off the step path.
+struct Job {
+    path: PathBuf,
+    bytes: Vec<u8>,
+    raw_len: u64,
+    shard: Option<(ShardMeta, CkptCodec)>,
+}
+
+/// Shard-encoding state owned by the consumer side: the previous raw
+/// payload (the delta base) and its step, the XOR-image scratch and the
+/// file image — recycled event to event, so encoding allocates nothing.
+/// One consumer at a time touches it — the writer thread in async mode,
+/// the submitting producer in sync mode — so the mutex never contends.
+#[derive(Default)]
+struct EncState {
+    prev: Vec<u8>,
+    prev_step: Option<u64>,
+    delta: Vec<u8>,
+    out: Vec<u8>,
+}
+
+struct PoolState {
+    free: Vec<Vec<u8>>,
+    jobs: VecDeque<Job>,
+    open: bool,
+    in_flight: usize,
+    err: Option<String>,
+}
+
+struct Shared {
+    state: Mutex<PoolState>,
+    // Signaled when a buffer returns to the pool (producer side waits).
+    free_cv: Condvar,
+    // Signaled when work arrives or the stage closes (writer side waits).
+    work_cv: Condvar,
+    enc: Mutex<EncState>,
+    files_written: AtomicU64,
+    bytes_written: AtomicU64,
+    bytes_raw: AtomicU64,
+    write_wall_ns: AtomicU64,
+}
+
+impl Shared {
+    /// Encode (shard jobs) and write one job; returns the buffer to
+    /// recycle. All of this runs on the consumer side — hidden behind
+    /// compute in async mode, inline (the measured baseline) in sync.
+    fn write_one(&self, job: Job) -> Vec<u8> {
+        let Job { path, mut bytes, raw_len, shard } = job;
+        let t0 = std::time::Instant::now();
+        let (res, on_disk) = match shard {
+            None => (write_atomic(&path, &bytes), bytes.len() as u64),
+            Some((meta, codec)) => {
+                let mut enc = self.enc.lock().unwrap_or_else(|p| p.into_inner());
+                let EncState { prev, prev_step, delta, out } = &mut *enc;
+                // Only an *older* step is a base: re-emitting a step
+                // (a 0-step run's final shard) must not overwrite the
+                // file with a delta against itself.
+                let base = prev_step.filter(|&s| s < meta.step).map(|s| (s, prev.as_slice()));
+                encode_shard(&meta, &bytes, base, codec, delta, out);
+                let res = write_atomic(&path, out);
+                if res.is_ok() {
+                    // The payload just written becomes the next delta
+                    // base; the old base buffer goes back to the pool.
+                    std::mem::swap(prev, &mut bytes);
+                    *prev_step = Some(meta.step);
+                }
+                (res, out.len() as u64)
+            }
+        };
+        self.write_wall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        match res {
+            Ok(()) => {
+                self.files_written.fetch_add(1, Ordering::Relaxed);
+                self.bytes_written.fetch_add(on_disk, Ordering::Relaxed);
+                self.bytes_raw.fetch_add(raw_len, Ordering::Relaxed);
+            }
+            Err(e) => {
+                let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+                st.err.get_or_insert_with(|| format!("writing {}: {e}", path.display()));
+            }
+        }
+        bytes
+    }
+}
+
+/// Write `bytes` to `path` atomically: a sibling temp file is renamed
+/// into place, so a reader (or a post-kill merge) never sees a torn
+/// file — any shard that exists is complete and CRC-checked.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The per-rank output stage: a two-slot buffer pool feeding either an
+/// inline write (sync mode, the before/after baseline) or a dedicated
+/// writer thread (async mode, writes hidden behind compute).
+///
+/// Producer protocol: [`OutputStage::acquire`] a free buffer (blocking
+/// when both slots are in flight — the measured backpressure), fill it
+/// with a serialized file image, [`OutputStage::submit`] it. The stage
+/// must be [`OutputStage::finish`]ed to surface write errors.
+pub struct OutputStage {
+    shared: Arc<Shared>,
+    handle: Option<std::thread::JoinHandle<()>>,
+    async_mode: bool,
+}
+
+impl OutputStage {
+    /// Build a stage. `async_mode = false` keeps every write on the
+    /// caller's thread; `true` spawns the writer thread.
+    pub fn new(async_mode: bool) -> OutputStage {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(PoolState {
+                free: vec![Vec::new(), Vec::new()],
+                jobs: VecDeque::new(),
+                open: true,
+                in_flight: 0,
+                err: None,
+            }),
+            free_cv: Condvar::new(),
+            work_cv: Condvar::new(),
+            enc: Mutex::new(EncState::default()),
+            files_written: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
+            bytes_raw: AtomicU64::new(0),
+            write_wall_ns: AtomicU64::new(0),
+        });
+        let handle = if async_mode {
+            let sh = Arc::clone(&shared);
+            Some(
+                std::thread::Builder::new()
+                    .name("yy-output-writer".into())
+                    .spawn(move || writer_main(&sh))
+                    .expect("spawn output writer thread"),
+            )
+        } else {
+            None
+        };
+        OutputStage { shared, handle, async_mode }
+    }
+
+    /// Whether writes overlap compute.
+    pub fn is_async(&self) -> bool {
+        self.async_mode
+    }
+
+    /// Take a free buffer, blocking while both slots are in flight.
+    /// Returns the buffer (cleared) and the nanoseconds spent blocked —
+    /// the caller charges them to the `writer_wait` phase.
+    pub fn acquire(&self) -> (Vec<u8>, u64) {
+        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(mut buf) = st.free.pop() {
+            buf.clear();
+            return (buf, 0);
+        }
+        let t0 = std::time::Instant::now();
+        loop {
+            st = self.shared.free_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            if let Some(mut buf) = st.free.pop() {
+                buf.clear();
+                return (buf, t0.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+
+    /// Hand a filled buffer to the writer. In async mode this returns
+    /// immediately (the write overlaps the next steps); in sync mode the
+    /// write happens here and its nanoseconds are returned so the caller
+    /// can charge them like a blocked acquire.
+    pub fn submit(&self, path: PathBuf, bytes: Vec<u8>, raw_len: u64) -> u64 {
+        self.submit_job(Job { path, bytes, raw_len, shard: None })
+    }
+
+    /// Hand a *raw* shard payload to the writer; the consumer side
+    /// encodes it (delta chain, RLE) and writes the result, so in async
+    /// mode the producer pays only for the pack memcpy. Shards must be
+    /// submitted in step order — the consumer chains each one against
+    /// the previous payload it saw.
+    pub fn submit_shard(
+        &self,
+        path: PathBuf,
+        raw: Vec<u8>,
+        meta: ShardMeta,
+        codec: CkptCodec,
+    ) -> u64 {
+        let raw_len = raw.len() as u64;
+        self.submit_job(Job { path, bytes: raw, raw_len, shard: Some((meta, codec)) })
+    }
+
+    fn submit_job(&self, job: Job) -> u64 {
+        if self.async_mode {
+            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+            st.jobs.push_back(job);
+            drop(st);
+            self.shared.work_cv.notify_one();
+            0
+        } else {
+            let t0 = std::time::Instant::now();
+            let buf = self.shared.write_one(job);
+            let ns = t0.elapsed().as_nanos() as u64;
+            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+            st.free.push(buf);
+            ns
+        }
+    }
+
+    /// Block until every submitted write is durable. Returns the
+    /// nanoseconds spent blocked (charged to `writer_wait`).
+    pub fn flush(&self) -> u64 {
+        let t0 = std::time::Instant::now();
+        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        while !st.jobs.is_empty() || st.in_flight > 0 {
+            st = self.shared.free_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        t0.elapsed().as_nanos() as u64
+    }
+
+    /// Totals so far (the report reads these after a flush).
+    pub fn totals(&self) -> IoTotals {
+        IoTotals {
+            files_written: self.shared.files_written.load(Ordering::Relaxed),
+            bytes_written: self.shared.bytes_written.load(Ordering::Relaxed),
+            bytes_raw: self.shared.bytes_raw.load(Ordering::Relaxed),
+            write_wall_ns: self.shared.write_wall_ns.load(Ordering::Relaxed),
+            writer_wait_ns: 0,
+        }
+    }
+
+    /// Drain the queue, stop the writer thread, and surface any write
+    /// error. Returns the final totals.
+    pub fn finish(mut self) -> Result<IoTotals, String> {
+        {
+            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+            st.open = false;
+            drop(st);
+            self.shared.work_cv.notify_all();
+        }
+        if let Some(h) = self.handle.take() {
+            h.join().map_err(|_| "output writer thread panicked".to_string())?;
+        }
+        let st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        match &st.err {
+            Some(e) => Err(e.clone()),
+            None => Ok(IoTotals {
+                files_written: self.shared.files_written.load(Ordering::Relaxed),
+                bytes_written: self.shared.bytes_written.load(Ordering::Relaxed),
+                bytes_raw: self.shared.bytes_raw.load(Ordering::Relaxed),
+                write_wall_ns: self.shared.write_wall_ns.load(Ordering::Relaxed),
+                writer_wait_ns: 0,
+            }),
+        }
+    }
+}
+
+impl Drop for OutputStage {
+    fn drop(&mut self) {
+        // A dropped stage (failed pass teardown) must not leak the
+        // thread: close the queue and let it drain.
+        {
+            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+            st.open = false;
+            drop(st);
+            self.shared.work_cv.notify_all();
+        }
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+fn writer_main(shared: &Shared) {
+    loop {
+        let job = {
+            let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
+            loop {
+                if let Some(job) = st.jobs.pop_front() {
+                    st.in_flight += 1;
+                    break Some(job);
+                }
+                if !st.open {
+                    break None;
+                }
+                st = shared.work_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            }
+        };
+        let Some(job) = job else { return };
+        let buf = shared.write_one(job);
+        let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        st.in_flight -= 1;
+        if st.free.len() < 2 {
+            st.free.push(buf);
+        }
+        drop(st);
+        shared.free_cv.notify_all();
+    }
+}

@@ -1,0 +1,627 @@
+//! The parallel driver: the paper's flat-MPI parallelization, run on the
+//! in-process message-passing substrate.
+//!
+//! Process layout (paper §IV):
+//!
+//! 1. the world communicator is split into two *panels* — the Yin group
+//!    and the Yang group (`MPI_COMM_SPLIT`, color = panel);
+//! 2. inside each panel, a 2-D Cartesian process grid over (θ, φ)
+//!    (`MPI_CART_CREATE`); each process owns the full radial extent of a
+//!    horizontal tile and exchanges halos with its ≤ 4 neighbours
+//!    (`MPI_SEND` / `MPI_IRECV` with `MPI_CART_SHIFT` ranks);
+//! 3. overset interpolation data flows between the panels under the world
+//!    communicator: the rank owning the donor cell interpolates (and
+//!    rotates vector components) and sends finished radial columns.
+//!
+//! Every boundary synchronisation performs: (a) a two-phase halo exchange
+//! (θ first, then φ over the θ-extended rows, so corner ghosts fill
+//! without diagonal messages), (b) the overset exchange, (c) the physical
+//! wall conditions. The two-phase trick is the standard way real codes
+//! avoid 8-neighbour communication.
+//!
+//! The result is bitwise identical to [`crate::serial::SerialSim`] — an
+//! integration test asserts exactly that.
+//!
+//! # Fault tolerance
+//!
+//! [`run_parallel_supervised`] runs the same rank program in the
+//! supervised runtime: deterministic fault injection
+//! ([`yy_parcomm::fault`]), comm deadlines with bounded retry, per-step
+//! solver health guards ([`crate::health`]), and periodic parallel
+//! checkpoints. When a rank dies (injected kill, comm timeout, panic)
+//! the whole universe is torn down and restarted from the last good
+//! checkpoint; when the *solver* goes unhealthy the supervisor rolls
+//! back **and** halves the time step. Because delivery is exactly-once
+//! and in-order even under injected drops/delays/duplicates, and
+//! because the restart replays the dt/sampling cadence at absolute step
+//! numbers, a recovered run reproduces the fault-free trajectory
+//! bitwise.
+//!
+//! # Layout
+//!
+//! This file holds the public option and report types and the two entry
+//! points. `supervisor` is the recovery policy and the pass loop
+//! around it; `rank` the rank program every driver runs; `solver`
+//! the per-rank solver (construction, RK4 step, checkpoint capture and
+//! restore, counter aggregation); `exchange` its boundary
+//! synchronisation and the overlapped step pipeline. `parallel` sits
+//! strictly above [`crate::output`]: nothing there imports from here.
+
+mod exchange;
+mod rank;
+mod solver;
+mod supervisor;
+
+use crate::checkpoint::Checkpoint;
+use crate::config::RunConfig;
+use crate::health::HealthLimits;
+use crate::obs::ObsOpts;
+use crate::output::CkptCodec;
+pub use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
+use crate::report::RunReport;
+use crate::telemetry::DtInject;
+use rank::{rank_program, PassPlan};
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
+use supervisor::{next_action, Supervisor};
+use yy_mesh::Decomp2D;
+use yy_mhd::State;
+use yy_parcomm::{FaultSpec, Universe};
+
+/// The supervisor's last-good checkpoint, replaced whole by rank 0.
+type CkptSlot = Mutex<Option<Checkpoint>>;
+
+/// A panicked rank thread cannot leave the slot half-written (it is
+/// only ever replaced whole), so a poisoned lock is still good.
+fn lock_slot(slot: &CkptSlot) -> MutexGuard<'_, Option<Checkpoint>> {
+    slot.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Result of a parallel run (assembled on world rank 0).
+pub struct ParallelReport {
+    /// Run metrics and the diagnostic series.
+    pub report: RunReport,
+    /// Gathered full Yin panel when requested (overset frames and wall
+    /// conditions filled, as a serial panel).
+    pub yin: Option<State>,
+    /// Gathered full Yang panel.
+    pub yang: Option<State>,
+    /// Measured per-rank compute imbalance: the slowest rank's stencil
+    /// wall time over the mean (1.0 = perfectly balanced).
+    pub achieved_imbalance: f64,
+}
+
+/// Execute a parallel run with `pth × pph` tiles per panel
+/// (world size = `2 · pth · pph` rank threads): the rank program of
+/// [`run_parallel_supervised`] in a plain universe, with no fault plan,
+/// no deadlines and no checkpoints. Panics on a solver health violation
+/// (there is nothing to roll back to).
+pub fn run_parallel(
+    cfg: &RunConfig,
+    pth: usize,
+    pph: usize,
+    steps: u64,
+    sample_every: u64,
+    gather_state: bool,
+) -> ParallelReport {
+    cfg.params.validate();
+    let decomp = Decomp2D::new(pth, pph, &cfg.grid());
+    let plan = PassPlan {
+        steps,
+        sample_every,
+        checkpoint_every: 0,
+        health: HealthLimits::default(),
+        dt_scale: 1.0,
+        dt_inject: None,
+        counters: true,
+        profile_every: 0,
+        metrics: None,
+        shards: None,
+    };
+    // The gathered panels are the panels of a final checkpoint.
+    let slot = gather_state.then(|| Mutex::new(None));
+    let results = Universe::run(2 * decomp.tiles(), |world| {
+        rank_program(cfg, world, &decomp, &plan, None, slot.as_ref())
+    });
+    // A health verdict is collective: every rank returned the same `Err`.
+    let mut rep = match results.into_iter().next() {
+        Some(Ok(Some(rep))) => rep,
+        Some(Err(violation)) => panic!("{violation}"),
+        _ => panic!("rank 0 must produce the report"),
+    };
+    if let Some(ck) = slot.and_then(|s| lock_slot(&s).take()) {
+        (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
+    }
+    rep
+}
+
+/// What the supervisor does when a rank failure is classified as
+/// *persistent* (the same node fails the same way twice).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FailurePolicy {
+    /// Keep rolling back to the last checkpoint on the same layout.
+    /// Persistent faults surface a structured error after 2 identical
+    /// failures instead of burning the whole retry budget.
+    #[default]
+    Retry,
+    /// Exclude the persistently failing node from the survivor set and
+    /// re-tile the run onto the remaining nodes, degrading the layout
+    /// (2×2 → 1×2 → 1×1) when the survivors no longer cover it.
+    Retile,
+    /// Fail fast: any rank failure aborts the run immediately.
+    Abort,
+}
+
+impl FailurePolicy {
+    /// Parse a CLI/config value (`retry` | `retile` | `abort`).
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "retry" => Ok(FailurePolicy::Retry),
+            "retile" => Ok(FailurePolicy::Retile),
+            "abort" => Ok(FailurePolicy::Abort),
+            other => Err(format!("expected retry|retile|abort, got '{other}'")),
+        }
+    }
+
+    /// The canonical config-key spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            FailurePolicy::Retry => "retry",
+            FailurePolicy::Retile => "retile",
+            FailurePolicy::Abort => "abort",
+        }
+    }
+}
+
+/// Knobs for [`run_parallel_supervised`].
+#[derive(Debug, Clone)]
+pub struct RecoveryOpts {
+    /// Deterministic fault-injection plan (disabled by default).
+    pub fault: FaultSpec,
+    /// Capture a checkpoint every this many steps (0 = only the initial
+    /// and final states).
+    pub checkpoint_every: u64,
+    /// Per-receive communication deadline.
+    pub deadline: Duration,
+    /// Give up after this many rank-failure recoveries.
+    pub max_recoveries: u32,
+    /// Give up after this many health-triggered dt reductions.
+    pub max_dt_reductions: u32,
+    /// Solver health thresholds.
+    pub health: HealthLimits,
+    /// Observability: flight-recorder installation, the Chrome-trace
+    /// output path, ring sizing. Recording never perturbs the
+    /// trajectory — the traced and untraced runs are bitwise identical.
+    pub obs: ObsOpts,
+    /// What to do when a fault is classified as persistent (same node,
+    /// same failure, twice).
+    pub on_failure: FailurePolicy,
+    /// Give up after this many layout shrinks (`Retile` policy only).
+    pub max_retiles: u32,
+    /// Start from this serial-format checkpoint instead of initial
+    /// conditions — the `restart onto (pth', pph')` path. Any layout's
+    /// checkpoint restores onto any other layout bit-exactly.
+    pub resume_from: Option<Checkpoint>,
+    /// Directory for per-rank checkpoint *shards* (`None` disables disk
+    /// persistence; the in-memory rollback slot always works). Each rank
+    /// writes its owned region at every checkpoint event; any complete
+    /// shard set merges back into a serial-format checkpoint
+    /// byte-identically ([`crate::output::merge_shards`]).
+    pub ckpt_dir: Option<PathBuf>,
+    /// Overlap shard writes with compute via the per-rank writer thread
+    /// (`true`, the default) or write inline at the capture point
+    /// (`false`; the CLI's closing `io:` line then reads `(inline)`).
+    pub ckpt_async: bool,
+    /// Shard payload codec (`none` | `rle` | `delta`).
+    pub ckpt_compress: CkptCodec,
+    /// Seeded dt-collapse injection for the blow-up smoke: from the
+    /// given step the *applied* dt shrinks geometrically, tripping the
+    /// watchdog's `dt_collapse` precursor. The CFL/health machinery
+    /// still sees the un-injected dt, so a short run completes. `None`
+    /// (the default) in every production run.
+    pub dt_inject: Option<DtInject>,
+}
+
+impl Default for RecoveryOpts {
+    fn default() -> Self {
+        RecoveryOpts {
+            fault: FaultSpec::disabled(),
+            checkpoint_every: 0,
+            deadline: Duration::from_secs(30),
+            max_recoveries: 3,
+            max_dt_reductions: 2,
+            health: HealthLimits::default(),
+            obs: ObsOpts::default(),
+            on_failure: FailurePolicy::Retry,
+            max_retiles: 2,
+            resume_from: None,
+            ckpt_dir: None,
+            ckpt_async: true,
+            ckpt_compress: CkptCodec::Raw,
+            dt_inject: None,
+        }
+    }
+}
+
+impl RecoveryOpts {
+    /// Pre-flight validation of the policy surface. Returns a one-line
+    /// diagnostic instead of panicking mid-run.
+    pub fn check(&self) -> Result<(), String> {
+        if self.deadline.is_zero() {
+            return Err("deadline must be positive".into());
+        }
+        if self.on_failure == FailurePolicy::Retile && self.max_retiles == 0 {
+            return Err("max_retiles must be at least 1 when on_failure=retile".into());
+        }
+        if let Some(inj) = self.dt_inject.filter(|inj| !(inj.factor > 0.0 && inj.factor < 1.0)) {
+            return Err(format!("dt_collapse_factor must lie in (0, 1) (got {})", inj.factor));
+        }
+        Ok(())
+    }
+}
+
+/// One supervised pass's timing, for the before/after-shrink step-rate
+/// comparison the CLI prints (`pass rates:`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PassStat {
+    /// 1-based pass index.
+    pub pass: u32,
+    /// Layout the pass ran on.
+    pub pth: usize,
+    /// Layout the pass ran on.
+    pub pph: usize,
+    /// Checkpointed steps the pass contributed (progress measured at
+    /// checkpoint granularity; work after the last capture of a failed
+    /// pass is rolled back and not counted).
+    pub steps_advanced: u64,
+    /// Wall-clock seconds of the pass.
+    pub wall_s: f64,
+}
+
+impl PassStat {
+    /// Checkpointed steps per second of this pass.
+    pub fn steps_per_sec(&self) -> f64 {
+        if self.wall_s <= 0.0 {
+            return 0.0;
+        }
+        self.steps_advanced as f64 / self.wall_s
+    }
+}
+
+/// Result of a supervised parallel run.
+#[derive(Debug, Clone)]
+pub struct SupervisedReport {
+    /// Metrics and diagnostic series of the *final* (successful) pass.
+    pub report: RunReport,
+    /// Checkpoint of the final state, serial-format compatible (overset
+    /// frames and wall conditions filled).
+    pub final_checkpoint: Checkpoint,
+    /// Every rollback the supervisor performed, in order.
+    pub recoveries: Vec<RecoveryEvent>,
+    /// Time-step scale the run finished with (1.0 unless health guards
+    /// forced reductions).
+    pub dt_scale: f64,
+    /// Per-pass timing, in order (the before/after-shrink rate).
+    pub passes: Vec<PassStat>,
+}
+
+/// Execute a parallel run under the fault-tolerant supervisor.
+///
+/// The rank program is [`run_parallel`]'s, in a supervised universe: a
+/// `fault_tick` at the top of every step (injected kills), deadline-
+/// bounded receives, and checkpoint capture at rank 0. The supervisor
+/// restarts the universe from the last good checkpoint when any rank
+/// fails, and additionally halves the time step when the failure was a
+/// solver health violation. With faults that only drop/delay/duplicate
+/// messages — or a kill recovered from checkpoint — the final state is
+/// bitwise identical to an uninterrupted run.
+pub fn run_parallel_supervised(
+    cfg: &RunConfig,
+    pth: usize,
+    pph: usize,
+    steps: u64,
+    sample_every: u64,
+    opts: &RecoveryOpts,
+) -> Result<SupervisedReport, String> {
+    let mut sup = Supervisor::setup(cfg, pth, pph, steps, sample_every, opts)?;
+    loop {
+        let pass = sup.run_pass()?;
+        let action = next_action(&mut sup.policy, &pass.outcome);
+        if sup.apply(action, &pass)? {
+            return sup.finish(pass);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use super::supervisor::{Action, PassOutcome, PolicyState};
+    use crate::serial::SerialSim;
+
+    fn quick_cfg() -> RunConfig {
+        let mut cfg = RunConfig::small();
+        cfg.init.perturb_amplitude = 1e-2;
+        cfg
+    }
+
+    #[test]
+    fn parallel_runs_and_reports() {
+        let rep = run_parallel(&quick_cfg(), 1, 2, 3, 1, false);
+        assert_eq!(rep.report.steps, 3);
+        assert!(rep.report.flops > 0);
+        assert!(rep.report.halo_bytes > 0, "1x2 decomposition must exchange halos");
+        assert!(rep.report.overset_bytes > 0);
+        assert!(rep.yin.is_none());
+    }
+
+    /// The central correctness property: any decomposition produces the
+    /// same owned values as the serial reference, bitwise.
+    #[test]
+    fn parallel_matches_serial_bitwise() {
+        let cfg = quick_cfg();
+        let mut serial = SerialSim::new(cfg.clone());
+        serial.run(3, 0);
+        // (1,1) is the halo-free decomposition where the overset post is
+        // hoisted to the top of the sync; (1,2)/(2,2) exercise the
+        // interleaved halo dims.
+        for (pth, pph) in [(1, 1), (1, 2), (2, 2)] {
+            let rep = run_parallel(&cfg, pth, pph, 3, 0, true);
+            let yin = rep.yin.expect("gathered yin");
+            let yang = rep.yang.expect("gathered yang");
+            let (_, nth, nph) = serial.grid.dims();
+            let mut checked = 0usize;
+            for (ser, par) in [(&serial.yin, &yin), (&serial.yang, &yang)] {
+                for (sa, pa) in ser.arrays().into_iter().zip(par.arrays()) {
+                    for k in 0..nph as isize {
+                        for j in 0..nth as isize {
+                            for i in 0..serial.grid.spec().nr {
+                                assert_eq!(
+                                    sa.at(i, j, k),
+                                    pa.at(i, j, k),
+                                    "mismatch at panel array node ({i},{j},{k}) under {pth}x{pph}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(checked > 100_000, "comparison actually covered the grid");
+        }
+    }
+
+    /// Five steps through a 2×2 decomposition: the in-rank steady-state
+    /// assertion (zero scratch allocations after warmup) must hold and
+    /// the phase breakdown must be populated.
+    #[test]
+    fn overlapped_steady_state_is_allocation_free_and_phased() {
+        let rep = run_parallel(&quick_cfg(), 2, 2, 5, 0, false);
+        let p = rep.report.phases;
+        assert!(p.pack_s > 0.0, "pack phase must be instrumented");
+        assert!(p.interior_s > 0.0, "interior phase must be instrumented");
+        assert!(p.boundary_s > 0.0, "boundary phase must be instrumented");
+        assert!(p.overset_s > 0.0, "overset phase must be instrumented");
+        let hidden = p.hidden_comm_fraction();
+        assert!(hidden > 0.0 && hidden <= 1.0, "hidden fraction {hidden} out of range");
+    }
+
+    #[test]
+    fn diagnostics_agree_with_serial_to_roundoff() {
+        let cfg = quick_cfg();
+        let mut serial = SerialSim::new(cfg.clone());
+        let s_rep = serial.run(2, 1);
+        let p_rep = run_parallel(&cfg, 2, 1, 2, 1, false);
+        let s_last = s_rep.series.last().unwrap().diag;
+        let p_last = p_rep.report.series.last().unwrap().diag;
+        assert!(geomath::approx_eq(s_last.kinetic, p_last.kinetic, 1e-12));
+        assert!(geomath::approx_eq(s_last.thermal, p_last.thermal, 1e-12));
+        assert!(geomath::approx_eq(s_last.mass, p_last.mass, 1e-12));
+        assert_eq!(s_last.max_speed, p_last.max_speed); // max is exact
+    }
+
+    #[test]
+    fn failure_policy_parses_and_rejects() {
+        assert_eq!(FailurePolicy::parse("retry").unwrap(), FailurePolicy::Retry);
+        assert_eq!(FailurePolicy::parse("retile").unwrap(), FailurePolicy::Retile);
+        assert_eq!(FailurePolicy::parse("abort").unwrap(), FailurePolicy::Abort);
+        let err = FailurePolicy::parse("panic").unwrap_err();
+        assert_eq!(err, "expected retry|retile|abort, got 'panic'");
+        assert_eq!(FailurePolicy::Retile.name(), "retile");
+    }
+
+    #[test]
+    fn recovery_opts_check_rejects_bad_combinations() {
+        let ok = RecoveryOpts::default();
+        assert!(ok.check().is_ok());
+        let zero_retiles = RecoveryOpts {
+            on_failure: FailurePolicy::Retile,
+            max_retiles: 0,
+            ..RecoveryOpts::default()
+        };
+        let err = zero_retiles.check().unwrap_err();
+        assert!(err.contains("max_retiles must be at least 1"), "unexpected: {err}");
+        let dead = RecoveryOpts { deadline: Duration::ZERO, ..RecoveryOpts::default() };
+        assert!(dead.check().unwrap_err().contains("deadline"));
+    }
+
+    /// Launch inputs that used to panic, be silently ignored, or fail
+    /// only after the run: each is one `Err` line naming the key, from
+    /// `Supervisor::setup`, before any rank thread exists.
+    #[test]
+    fn unusable_launch_inputs_are_one_line_errors() {
+        let fault = |spec: FaultSpec| RecoveryOpts { fault: spec, ..RecoveryOpts::default() };
+        let collapse = |factor| RecoveryOpts {
+            dt_inject: Some(DtInject { at_step: 1, factor }),
+            ..RecoveryOpts::default()
+        };
+        let trace = RecoveryOpts {
+            obs: ObsOpts { trace: Some("/nonexistent-yy/x.json".into()), ..ObsOpts::default() },
+            ..RecoveryOpts::default()
+        };
+        let us = Duration::from_micros(1);
+        let cases = [
+            (fault(FaultSpec::seeded(1).with_delay(2.0, us)), "delay"),
+            (fault(FaultSpec::seeded(1).with_drop(0.6).with_delay(0.6, us)), "drop + delay + dup"),
+            (fault(FaultSpec::seeded(1).with_drop(-0.5)), "drop"),
+            (fault(FaultSpec::seeded(1).with_duplicate(f64::NAN)), "dup"),
+            (fault(FaultSpec::seeded(1).with_kill(99, 0)), "kill_rank=99"),
+            (fault(FaultSpec::seeded(1).with_delay(0.5, us).with_delay_src(99)), "delay_src=99"),
+            (collapse(2.0), "dt_collapse_factor"),
+            (collapse(0.0), "dt_collapse_factor"),
+            (trace, "trace=/nonexistent-yy/x.json"),
+        ];
+        for (opts, key) in cases {
+            let err = run_parallel_supervised(&quick_cfg(), 1, 2, 1, 0, &opts)
+                .expect_err(&format!("{key} must be refused"));
+            assert_eq!(err.lines().count(), 1, "{key}: {err}");
+            assert!(err.starts_with(key), "'{err}' does not lead with {key}");
+        }
+    }
+
+    /// The blow-up configuration of the hang report: a violent start at
+    /// the CFL limit goes unphysical within a few dozen steps.
+    fn blowup_cfg() -> RunConfig {
+        let mut cfg = RunConfig { nr: 12, nth_nominal: 9, cfl: 1.0, ..RunConfig::small() };
+        cfg.init.perturb_amplitude = 0.9;
+        cfg
+    }
+
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// One rank tripping the health scan must end the plain driver, not
+    /// strand its peers in a receive: the verdict is collective, so
+    /// every rank returns and `run_parallel` panics with the violation.
+    /// The serial driver reaches the same verdict at the same step.
+    #[test]
+    fn plain_run_fails_instead_of_hanging_on_a_health_violation() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome =
+                std::panic::catch_unwind(|| run_parallel(&blowup_cfg(), 1, 2, 600, 0, false));
+            tx.send(outcome.map(|_| ()).map_err(panic_text)).ok();
+        });
+        let par = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_parallel hung on a health violation")
+            .expect_err("the blow-up must not complete");
+        let serial = std::panic::catch_unwind(|| SerialSim::new(blowup_cfg()).run(600, 0))
+            .map(|_| ())
+            .map_err(panic_text)
+            .expect_err("the serial blow-up must not complete");
+        // "rank R step S: <violation>" against
+        // "step S (t = …): <violation>; <advice>".
+        let (par_head, par_violation) = par.split_once(": ").expect("rank and step, then text");
+        let (ser_head, ser_rest) = serial.split_once(": ").expect("step and time, then text");
+        let (ser_violation, advice) = ser_rest.split_once("; ").expect("violation, then advice");
+        assert!(par_head.starts_with("rank "), "names the rank: {par}");
+        assert_eq!(par_head.rsplit(' ').next(), ser_head.split(' ').nth(1), "{par} vs {serial}");
+        assert_eq!(par_violation, ser_violation);
+        assert_eq!(advice, "reduce cfl, reduce dt_every, or increase dissipation");
+    }
+
+    fn policy(on_failure: FailurePolicy, pth: usize, pph: usize) -> PolicyState {
+        PolicyState::new(&RecoveryOpts { on_failure, ..RecoveryOpts::default() }, pth, pph)
+    }
+
+    fn killed(node: usize, step: u64) -> PassOutcome {
+        PassOutcome::RankFailed {
+            node,
+            sig: format!("kill@{step}"),
+            cause: format!("rank {node}: injected kill at step {step}"),
+        }
+    }
+
+    fn give_up(action: Action) -> String {
+        match action {
+            Action::GiveUp(msg) => msg,
+            other => panic!("expected GiveUp, got {other:?}"),
+        }
+    }
+
+    /// The recovery policy as a table, with no universe behind it.
+    #[test]
+    fn next_action_follows_the_policy_table() {
+        // A clean pass finishes, whatever the policy.
+        let mut st = policy(FailurePolicy::Abort, 1, 2);
+        assert_eq!(next_action(&mut st, &PassOutcome::Completed), Action::Finish);
+
+        // Transient failures (distinct signatures) roll back until the
+        // retry budget is spent.
+        let mut st = policy(FailurePolicy::Retry, 1, 2);
+        for step in 0..st.max_recoveries as u64 {
+            assert_eq!(next_action(&mut st, &killed(1, step)), Action::Rollback);
+        }
+        let msg = give_up(next_action(&mut st, &killed(1, 99)));
+        assert!(msg.starts_with("giving up after 3 rank-failure recoveries: rank 1"), "{msg}");
+
+        // The same node failing the same way twice is persistent: under
+        // `retry` that is an error naming the remedy.
+        let mut st = policy(FailurePolicy::Retry, 2, 2);
+        assert_eq!(next_action(&mut st, &killed(1, 4)), Action::Rollback);
+        let msg = give_up(next_action(&mut st, &killed(1, 4)));
+        assert!(
+            msg.starts_with("persistent fault: node 1 failed identically 2 times (kill@4)")
+                && msg.contains("use on_failure=retile"),
+            "{msg}"
+        );
+
+        // `abort` gives up on the first failure and names the pass.
+        let mut st = policy(FailurePolicy::Abort, 1, 2);
+        st.pass = 1;
+        let msg = give_up(next_action(&mut st, &killed(0, 2)));
+        assert!(msg.starts_with("on_failure=abort: pass 1: rank 0"), "{msg}");
+
+        // Health violations halve dt until that budget is spent.
+        let mut st = policy(FailurePolicy::Retry, 1, 1);
+        let sick = PassOutcome::Unhealthy("rank 0 step 3: density floor violated".into());
+        assert_eq!(next_action(&mut st, &sick), Action::HalveDt);
+        assert_eq!(next_action(&mut st, &sick), Action::HalveDt);
+        let msg = give_up(next_action(&mut st, &sick));
+        assert!(
+            msg.starts_with("health violations persist after 2 dt reductions: rank 0"),
+            "{msg}"
+        );
+    }
+
+    /// Under `retile` every persistent node is excluded and the layout
+    /// shrinks θ-first — 2×2 → 1×2 → 1×1 — until the budget or the node
+    /// pool runs out.
+    #[test]
+    fn next_action_shrinks_the_layout_in_order() {
+        let mut st = policy(FailurePolicy::Retile, 2, 2);
+        (st.max_retiles, st.max_recoveries) = (8, 100);
+        let persistent = |st: &mut PolicyState, node: usize| {
+            assert_eq!(next_action(st, &killed(node, 4)), Action::Rollback);
+            next_action(st, &killed(node, 4))
+        };
+        assert_eq!(persistent(&mut st, 1), Action::Retile { node: 1, from: (2, 2) });
+        assert_eq!(st.layout, (1, 2));
+        assert_eq!(st.survivors, vec![0, 2, 3, 4, 5, 6, 7]);
+        // Seven survivors still cover 1×2 (four ranks): three more
+        // exclusions do not shrink, the fourth does.
+        for node in [0, 2, 3] {
+            assert_eq!(persistent(&mut st, node), Action::Retile { node, from: (1, 2) });
+            assert_eq!(st.layout, (1, 2));
+        }
+        assert_eq!(persistent(&mut st, 4), Action::Retile { node: 4, from: (1, 2) });
+        assert_eq!(st.layout, (1, 1));
+        assert_eq!(persistent(&mut st, 5), Action::Retile { node: 5, from: (1, 1) });
+        let msg = give_up(persistent(&mut st, 6));
+        assert!(msg.starts_with("only 1 nodes survive — too few for even a 1x1 layout"), "{msg}");
+
+        // The re-tile budget is charged per shrink decision.
+        let mut st = policy(FailurePolicy::Retile, 2, 2);
+        st.max_retiles = 1;
+        assert!(matches!(persistent(&mut st, 1), Action::Retile { .. }));
+        let msg = give_up(persistent(&mut st, 0));
+        assert!(msg.starts_with("giving up after 1 re-tiles: rank 0"), "{msg}");
+    }
+}

@@ -1,0 +1,366 @@
+//! The rank program: the one RK4 step loop every driver runs, the
+//! per-pass plan it is told, the collective verdict ([`agree`]) that
+//! keeps its early returns matched, and the per-rank shard emitter.
+
+use super::solver::{phase_ns_words, RankSolver};
+use super::{CkptSlot, ParallelReport};
+use crate::checkpoint::Checkpoint;
+use crate::config::RunConfig;
+use crate::health::{HealthGuard, HealthLimits};
+use crate::output::{pack_shard_payload, shard_file_name, CkptCodec, OutputStage, ShardMeta};
+use crate::report::{IoStats, TimeSeriesPoint};
+use crate::telemetry::DtInject;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Instant;
+use yy_mesh::routing::panel_of_world;
+use yy_mesh::Decomp2D;
+use yy_mhd::State;
+use yy_obs::counters::{kernel, CounterSnapshot, KernelTally};
+use yy_obs::event::counter;
+use yy_obs::{prometheus_text_with_phases, Event, MetricsHub};
+use yy_parcomm::stats::SolverPhase;
+use yy_parcomm::{Comm, ReduceOp};
+
+/// What every rank of one pass is told. Rank-uniform by construction —
+/// decided once, by the caller — so the collectives these settings
+/// gate stay matched.
+pub(super) struct PassPlan {
+    /// Absolute step number the run ends at.
+    pub(super) steps: u64,
+    pub(super) sample_every: u64,
+    /// Capture a checkpoint every this many steps (0 = only the ends).
+    pub(super) checkpoint_every: u64,
+    pub(super) health: HealthLimits,
+    /// Scale on the CFL step (halved by each health rollback).
+    pub(super) dt_scale: f64,
+    pub(super) dt_inject: Option<DtInject>,
+    /// Arm the per-kernel counters.
+    pub(super) counters: bool,
+    /// Profile-sample / metrics-publish cadence in steps (0 = off).
+    pub(super) profile_every: u64,
+    pub(super) metrics: Option<Arc<MetricsHub>>,
+    /// Write this rank's owned region at every checkpoint event.
+    pub(super) shards: Option<ShardCfg>,
+}
+
+/// Collective verdict: `Ok` on every rank, or — when any rank brings a
+/// complaint — the lowest complaining rank's message as `Err` on every
+/// rank, so all of them return together and whichever `Err` the caller
+/// reads names the rank that saw the problem.
+fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
+    let me = if complaint.is_some() { world.rank() } else { world.size() };
+    let first = world.allreduce_f64(me as f64, ReduceOp::Min) as usize;
+    if first == world.size() {
+        return Ok(());
+    }
+    Err(world.broadcast(first, complaint.filter(|_| world.rank() == first)))
+}
+
+/// The rank program: one RK4 step loop for every driver. Returns `Err`
+/// (the same on every rank, via [`agree`]) for graceful solver-health
+/// violations and shard-write failures; comm failures and injected
+/// kills surface as panics that [`yy_parcomm::Universe::run_supervised`] converts
+/// to [`yy_parcomm::RankFailure`].
+///
+/// `slot`, when given, receives a serial-format checkpoint of the
+/// initial state, of every `plan.checkpoint_every`-th step and of the
+/// final state (a collective gather at rank 0); `plan.shards` adds this
+/// rank's shard file at the same events. With neither, the program
+/// gathers nothing.
+pub(super) fn rank_program(
+    cfg: &RunConfig,
+    world: Comm,
+    decomp: &Decomp2D,
+    plan: &PassPlan,
+    resume: Option<&Checkpoint>,
+    slot: Option<&CkptSlot>,
+) -> Result<Option<ParallelReport>, String> {
+    let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters);
+    let mut emitter = plan.shards.as_ref().map(ShardEmitter::new);
+    let mut dt_cache = match resume {
+        Some(ck) => {
+            solver.restore_tile(&mut state, ck);
+            ck.dt_cache
+        }
+        None => 0.0,
+    };
+    solver.sync(&mut state);
+    let mut guard = HealthGuard::new(plan.health);
+
+    let started = Instant::now();
+    let mut series = Vec::new();
+    let record = |solver: &RankSolver, state: &State, dt: f64, series: &mut Vec<TimeSeriesPoint>| {
+        let d = solver.reduce_diag(state);
+        if solver.world.rank() == 0 {
+            series.push(TimeSeriesPoint { step: solver.step, time: solver.time, dt, diag: d });
+        }
+    };
+    record(&solver, &state, dt_cache, &mut series);
+
+    // A fresh pass seeds the checkpoint slot with the initial state so
+    // even a failure before the first periodic capture can recover.
+    if resume.is_none() {
+        solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
+    }
+
+    // Open the counter measurement window at loop entry (setup, restore
+    // and the initial sync are bookkeeping, not stepping).
+    solver.meter.reset();
+    // Sampler state: the previous profile sample's (wall clock, counter
+    // snapshot), for windowed MFLOPS deltas. Local to the rank; the
+    // emitted counter events are local ring appends, never collectives.
+    let mut last_profile: Option<(Instant, CounterSnapshot)> = None;
+    while solver.step < plan.steps {
+        let step_started = Instant::now();
+        world.record_event(Event::StepBegin { step: solver.step });
+        world.fault_tick(solver.step);
+        // dt cadence at *absolute* step numbers, so a resumed pass
+        // recomputes dt at exactly the steps the clean run did.
+        if dt_cache == 0.0 || solver.step % solver.cfg.dt_every as u64 == 0 {
+            dt_cache = solver.global_dt(&state) * plan.dt_scale;
+            if let Err(v) = guard.check_dt(dt_cache) {
+                world.record_event(Event::HealthViolation { code: v.code(), step: solver.step });
+                // global_dt is allreduced, so every rank returns together.
+                return Err(format!("step {}: {v}", solver.step));
+            }
+        }
+        // The applied dt: identical to the CFL cache except under the
+        // blow-up smoke's injection (deterministic in the step number,
+        // so every rank scales identically).
+        let dt = match &plan.dt_inject {
+            Some(inj) => inj.scaled(solver.step, dt_cache),
+            None => dt_cache,
+        };
+        solver.advance(&mut state, dt);
+        let scan_t0 = solver.meter.timer();
+        let local = guard.check_state(&state);
+        {
+            let sh = state.shape();
+            let tally = crate::health::scan_tally((sh.nth * sh.nph) as u64, sh.nr as u64);
+            solver.meter.kernel_timed(kernel::HEALTH_SCAN, tally, scan_t0);
+        }
+        if let Err(v) = &local {
+            world.record_event(Event::HealthViolation { code: v.code(), step: solver.step });
+        }
+        agree(
+            &world,
+            local.err().map(|v| format!("rank {} step {}: {v}", world.rank(), solver.step)),
+        )?;
+        if plan.sample_every > 0 && solver.step % plan.sample_every == 0 {
+            record(&solver, &state, dt, &mut series);
+        }
+        if plan.checkpoint_every > 0
+            && solver.step % plan.checkpoint_every == 0
+            && solver.step < plan.steps
+        {
+            solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
+        }
+        world.sample_queue_depth();
+        world.record_step_ns(step_started.elapsed().as_nanos() as u64);
+        // Periodic profile sampler: each rank appends its own per-kernel
+        // MFLOPS counter samples (Chrome "C"-phase tracks) to its flight
+        // recorder — purely local, cannot perturb the trajectory.
+        if plan.profile_every > 0 && solver.step % plan.profile_every == 0 {
+            let now = Instant::now();
+            let snap = solver.meter.counters().snapshot();
+            if let Some((prev_t, prev)) = last_profile.replace((now, snap)) {
+                let dt_s = now.duration_since(prev_t).as_secs_f64();
+                if dt_s > 0.0 {
+                    let mut total = 0.0;
+                    for id in 0..kernel::COUNT {
+                        let df =
+                            snap.kernels[id].flops.saturating_sub(prev.kernels[id].flops) as f64;
+                        let mflops = df / dt_s / 1e6;
+                        total += mflops;
+                        if snap.kernels[id].flops > 0 {
+                            world.record_event(Event::counter_sample(id as u8, mflops));
+                        }
+                    }
+                    world.record_event(Event::counter_sample(counter::TOTAL_MFLOPS, total));
+                    world.record_event(Event::counter_sample(
+                        counter::QUEUE_DEPTH,
+                        world.stats().max_queue_depth as f64,
+                    ));
+                }
+            }
+        }
+        // Live metrics: allreduce the counter words (a collective every
+        // rank joins — the gate is rank-uniform) and let rank 0 render
+        // the exposition into the hub for the endpoint thread to serve.
+        if let Some(hub) = &plan.metrics {
+            if solver.step % plan.profile_every.max(1) == 0 {
+                // Counter words plus the 6 phase-ns words ride one
+                // allreduce — the extension is rank-uniform, so the
+                // collective stays matched on every rank.
+                let mut words = solver.meter.counters().snapshot().to_f64s();
+                let nwords = words.len();
+                words.extend_from_slice(&phase_ns_words(&world.stats()));
+                let merged = world.allreduce_vec(&words, ReduceOp::Sum);
+                if world.rank() == 0 {
+                    let snap = CounterSnapshot::from_f64s(&merged[..nwords]);
+                    let phase_s: Vec<(&str, f64)> = yy_obs::event::phase::NAMES
+                        .iter()
+                        .enumerate()
+                        .map(|(i, name)| (*name, merged[nwords + i] / 1e9))
+                        .collect();
+                    hub.publish(prometheus_text_with_phases(
+                        &snap,
+                        solver.step,
+                        world.stats().max_queue_depth,
+                        &phase_s,
+                    ));
+                }
+            }
+        }
+    }
+    // Final sample (every rank joins the collective; rank 0 records only
+    // if the last loop iteration did not already sample this step).
+    let d = solver.reduce_diag(&state);
+    if world.rank() == 0 && series.last().map(|p| p.step) != Some(solver.step) {
+        series.push(TimeSeriesPoint { step: solver.step, time: solver.time, dt: dt_cache, diag: d });
+    }
+
+    // The zero-allocation guarantee: after warmup the step path must be
+    // served entirely from the persistent scratch.
+    if solver.comm.balanced {
+        assert_eq!(
+            solver.comm.steady_allocs,
+            0,
+            "rank {}: step path allocated after warmup",
+            world.rank()
+        );
+    }
+
+    // Final shard + writer drain *before* the counter aggregation, so
+    // the writer_wait phase and the IO totals are complete. The drain is
+    // local; the error verdict is collective (presence of `shards` is
+    // rank-uniform), so every rank returns together on a write failure.
+    let io = match emitter {
+        Some(mut em) => {
+            em.emit(&mut solver, &state, dt_cache);
+            world.record_phase_ns(SolverPhase::WriterWait, em.stage.flush());
+            let ShardEmitter { stage, codec, .. } = em;
+            let async_mode = stage.is_async();
+            let totals = stage.finish();
+            agree(
+                &world,
+                totals.as_ref().err().map(|e| {
+                    format!("rank {}: checkpoint shard write: {e}", world.rank())
+                }),
+            )?;
+            let t = totals.expect("an error on any rank returned above");
+            let sums = world.allreduce_vec(
+                &[
+                    t.files_written as f64,
+                    t.bytes_raw as f64,
+                    t.bytes_written as f64,
+                    t.write_wall_ns as f64,
+                ],
+                ReduceOp::Sum,
+            );
+            IoStats {
+                shards_written: sums[0] as u64,
+                bytes_raw: sums[1] as u64,
+                bytes_written: sums[2] as u64,
+                write_wall_s: sums[3] / 1e9,
+                async_mode,
+                codec: codec.name().to_string(),
+                ..IoStats::default()
+            }
+        }
+        None => IoStats::default(),
+    };
+    let mut report = solver.aggregate_counters();
+    let achieved_imbalance = solver.achieved_imbalance();
+    if let Some(slot) = slot {
+        solver.capture_checkpoint(&state, dt_cache, slot);
+        world.record_event(Event::CheckpointSaved { step: solver.step });
+    }
+    if world.rank() != 0 {
+        return Ok(None);
+    }
+    report.time = solver.time;
+    report.steps = plan.steps;
+    report.wall_seconds = started.elapsed().as_secs_f64();
+    report.grid_points = solver.grid.total_points();
+    report.io = IoStats { writer_wait_s: report.phases.writer_wait_s, ..io };
+    report.series = series;
+    Ok(Some(ParallelReport { report, yin: None, yang: None, achieved_imbalance }))
+}
+
+/// Output-pipeline configuration the supervisor hands every rank.
+pub(super) struct ShardCfg {
+    pub(super) dir: PathBuf,
+    pub(super) async_mode: bool,
+    pub(super) codec: CkptCodec,
+}
+
+/// Per-rank shard emitter: packs this rank's owned region at every
+/// checkpoint event and hands the *raw* payload to the [`OutputStage`],
+/// whose consumer side (the writer thread, in async mode) does the
+/// delta/RLE encoding and the file write — so the step path pays only
+/// for the pack memcpy plus any buffer-pool backpressure.
+pub(super) struct ShardEmitter {
+    stage: OutputStage,
+    dir: PathBuf,
+    codec: CkptCodec,
+}
+
+impl ShardEmitter {
+    fn new(cfg: &ShardCfg) -> ShardEmitter {
+        ShardEmitter {
+            stage: OutputStage::new(cfg.async_mode),
+            dir: cfg.dir.clone(),
+            codec: cfg.codec,
+        }
+    }
+
+    /// Pack and submit one shard of the current state. Purely local
+    /// (no collectives — a peer death cannot strand it); time blocked
+    /// on the buffer pool (or encoding and writing inline, in sync
+    /// mode) is charged to the `writer_wait` phase, and the pack work
+    /// to the `output` kernel slot.
+    pub(super) fn emit(&mut self, solver: &mut RankSolver, state: &State, dt_cache: f64) {
+        let t0 = solver.meter.timer();
+        let (mut raw, mut wait_ns) = self.stage.acquire();
+        pack_shard_payload(state, solver.tile.nth, solver.tile.nph, &mut raw);
+        let dims = solver.cart.dims();
+        let (panel, _) = panel_of_world(solver.world.rank(), dims[0] * dims[1]);
+        let meta = ShardMeta {
+            shape: solver.grid.full_shape(),
+            step: solver.step,
+            time: solver.time,
+            dt_cache,
+            pth: dims[0] as u64,
+            pph: dims[1] as u64,
+            rank: solver.world.rank() as u64,
+            panel: panel.index() as u64,
+            j0: solver.tile.j0 as u64,
+            tnth: solver.tile.nth as u64,
+            k0: solver.tile.k0 as u64,
+            tnph: solver.tile.nph as u64,
+            flags: 0,
+            base_step: u64::MAX,
+        };
+        let raw_len = raw.len() as u64;
+        let path = self.dir.join(shard_file_name(meta.step, solver.world.rank()));
+        wait_ns += self.stage.submit_shard(path, raw, meta, self.codec);
+        solver.world.record_phase_ns(SolverPhase::WriterWait, wait_ns);
+        // Producer-side tally: the pack traffic. The encoded size is
+        // not known here (the consumer compresses later); the on-disk
+        // byte totals live in the report's `io` section instead.
+        solver.meter.kernel_timed(
+            kernel::OUTPUT,
+            KernelTally {
+                points: raw_len / 8,
+                loops: 1,
+                vector_elements: raw_len / 8,
+                flops: 0,
+                bytes_read: raw_len,
+                bytes_written: raw_len,
+            },
+            t0,
+        );
+    }
+}

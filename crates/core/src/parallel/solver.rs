@@ -1,0 +1,495 @@
+//! The per-rank solver: construction (panel split, tile, metric, overset
+//! schedule), the RK4 step, checkpoint capture and restore, and the
+//! end-of-run counter aggregation. The boundary synchronisation its
+//! step runs on lives in [`super::exchange`].
+
+use super::exchange::{CommScratch, TAG_GATHER};
+use super::rank::ShardEmitter;
+use super::{lock_slot, CkptSlot};
+use crate::checkpoint::{blank_panels, Checkpoint};
+use crate::config::RunConfig;
+use crate::report::{PhaseBreakdown, RunReport};
+use std::sync::Arc;
+use yy_field::{pack_region, unpack_region, Meters, Region};
+use yy_mesh::routing::{build_schedule, panel_of_world, OversetExchange, TargetSlot};
+use yy_mesh::{build_overset_columns, Decomp2D, Metric, OversetColumn, Panel, PatchGrid, Tile};
+use yy_mhd::rhs::{InteriorRange, OverlapSplit, RhsScratch, RhsSink};
+use yy_mhd::tables::rotation_axis;
+use yy_mhd::{
+    cfl_timestep, initialize, timestep::rho_min_owned, wave_speed_max, Diagnostics, ForceTables,
+    State,
+};
+use yy_obs::counters::{kernel, CounterSet, CounterSnapshot};
+use yy_obs::hist::HistogramSnapshot;
+use yy_obs::Event;
+use yy_parcomm::stats::TrafficClass;
+use yy_parcomm::{CartComm, Comm, CommStats, ReduceOp};
+
+/// The step-head state and the two stage states the RK4 stages
+/// ping-pong between.
+struct Rk4Bufs {
+    y0: State,
+    stage: [State; 2],
+}
+
+/// Per-rank solver instance. The evolving `State` lives outside this
+/// struct (in `rank_program`) so boundary synchronisation can borrow the
+/// solver while mutating the state.
+pub(super) struct RankSolver<'a> {
+    pub(super) world: &'a Comm,
+    pub(super) cart: CartComm,
+    pub(super) grid: PatchGrid,
+    /// The tile layout this rank was built from; gather/restore
+    /// address blocks through it.
+    decomp: Decomp2D,
+    pub(super) tile: Tile,
+    pub(super) metric: Metric,
+    pub(super) forces: ForceTables,
+    pub(super) exchange: OversetExchange,
+    /// Per send set (aligned with `exchange.sends`): how many of its
+    /// jobs target *owned* columns of the destination tile. The overset
+    /// counters tally flops/points/loops against these so the global
+    /// totals are decomposition-invariant — ghost frame columns in a
+    /// neighbour's padded region are interpolated redundantly, the same
+    /// way halo nodes duplicate state, and redundant work is excluded
+    /// from the owned-node accounting (bytes keep the real traffic).
+    pub(super) owned_jobs: Vec<u64>,
+    /// Per recv set (aligned with `exchange.recvs`): owned target slots.
+    pub(super) owned_slots: Vec<u64>,
+    range: InteriorRange,
+    /// Deep-interior / boundary-shell partition of `range` (tentpole).
+    pub(super) split: OverlapSplit,
+    /// The deep interior cut into φ slabs, one per in-flight exchange.
+    pub(super) deep_chunks: Vec<InteriorRange>,
+    /// No tile-halo neighbours in either dimension (one tile per panel):
+    /// overset donor stencils then read only owned points, so the
+    /// overset send's true dependency frontier is the start of the sync
+    /// and it can overlap the *whole* deep interior, not just the last
+    /// chunk.
+    pub(super) halo_free: bool,
+    pub(super) cfg: RunConfig,
+    /// RK4 work buffers; [`Self::advance`] takes them out for the step
+    /// so a stage state can be synced mutably alongside the solver.
+    rk4: Option<Rk4Bufs>,
+    pub(super) comm: CommScratch,
+    pub(super) scratch: RhsScratch,
+    pub(super) meter: Meters,
+    pub(super) time: f64,
+    pub(super) step: u64,
+    /// Rank 0's reusable checkpoint-assembly buffer: swapped with the
+    /// supervisor's last-good slot at every capture, so steady-state
+    /// checkpointing stops reallocating two full panel states per event
+    /// (pinned by the `ckpt_alloc` regression test). Always `None` on
+    /// other ranks.
+    ckpt_scratch: Option<Checkpoint>,
+    /// Rank 0's cached overset columns for the checkpoint frame refill
+    /// (building them is the other per-capture allocation storm).
+    ckpt_cols: Option<Vec<OversetColumn>>,
+}
+
+/// The owned block of tile `t` over the full radial extent, in panel
+/// coordinates (`global`) or in the tile's own.
+fn tile_region(t: &Tile, nr: usize, global: bool) -> Region {
+    let (j0, k0) = if global { (t.j0 as isize, t.k0 as isize) } else { (0, 0) };
+    Region { i0: 0, i1: nr, j0, j1: j0 + t.nth as isize, k0, k1: k0 + t.nph as isize }
+}
+
+/// The six phase counters of `stats` as allreduce words, in the order
+/// of `yy_obs::event::phase::NAMES` and [`PhaseBreakdown`].
+pub(super) fn phase_ns_words(stats: &CommStats) -> [f64; 6] {
+    [
+        stats.ns_pack as f64,
+        stats.ns_interior as f64,
+        stats.ns_wait as f64,
+        stats.ns_boundary as f64,
+        stats.ns_overset as f64,
+        stats.ns_writer_wait as f64,
+    ]
+}
+
+impl<'a> RankSolver<'a> {
+    /// Build the per-rank solver: split the world into panel groups,
+    /// carve the Cartesian tile, precompute metric/force tables and the
+    /// overset schedule, and initialize the tile state (not yet synced).
+    pub(super) fn new(
+        cfg: &RunConfig,
+        world: &'a Comm,
+        decomp: &Decomp2D,
+        counters: bool,
+    ) -> (Self, State) {
+        let tiles = decomp.tiles();
+        let (panel, panel_rank) = panel_of_world(world.rank(), tiles);
+        // The paper's MPI_COMM_SPLIT: color = panel, key = world rank, so the
+        // panel communicator preserves world order and panel_rank == cart rank.
+        let panel_comm = world.split(panel.index() as u64, world.rank() as i64);
+        assert_eq!(panel_comm.rank(), panel_rank);
+        let cart = CartComm::new(panel_comm, [decomp.pth, decomp.pph], [false, false]);
+
+        let grid = cfg.grid();
+        let tile = decomp.tile(panel_rank);
+        let metric = Metric::new(&grid, &tile);
+        let halo = grid.spec().halo;
+        let forces = ForceTables::new(
+            &metric,
+            tile.nth,
+            tile.nph,
+            halo,
+            cfg.params.g0,
+            cfg.params.omega,
+            rotation_axis(panel),
+        );
+        let cols: Vec<OversetColumn> = build_overset_columns(&grid)
+            .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}"));
+        let mut schedule = build_schedule(&grid, decomp, &cols);
+        // Owned-target job/slot counts for the overset counters (see the
+        // `owned_jobs` field). Send and receive lists pair up
+        // positionally, so the destination's recv set from us names the
+        // target slots our jobs will fill.
+        let owned_in = |t: &Tile, s: &TargetSlot| {
+            s.tj >= 0 && (s.tj as usize) < t.nth && s.tk >= 0 && (s.tk as usize) < t.nph
+        };
+        let me = world.rank();
+        let owned_jobs: Vec<u64> = schedule[me]
+            .sends
+            .iter()
+            .map(|snd| {
+                let (_, pr) = panel_of_world(snd.to_world, tiles);
+                let peer_tile = decomp.tile(pr);
+                schedule[snd.to_world]
+                    .recvs
+                    .iter()
+                    .find(|r| r.from_world == me)
+                    .map_or(0, |r| {
+                        r.slots.iter().filter(|s| owned_in(&peer_tile, s)).count() as u64
+                    })
+            })
+            .collect();
+        let owned_slots: Vec<u64> = schedule[me]
+            .recvs
+            .iter()
+            .map(|r| r.slots.iter().filter(|s| owned_in(&tile, s)).count() as u64)
+            .collect();
+        let exchange = std::mem::take(&mut schedule[world.rank()]);
+        let range = InteriorRange::for_tile(&grid, &tile);
+        let split = range.split_overlap();
+        let deep_chunks =
+            split.deep.as_ref().map(|d| d.chunks_phi(3)).unwrap_or_default();
+        let balanced = exchange.sends.len() == exchange.recvs.len();
+        let halo_free = cart.neighbors4().iter().all(Option::is_none);
+
+        let shape = tile.shape(&grid);
+        let mut state = State::zeros(shape);
+        initialize(&mut state, &grid, Some(&tile), &cfg.params, &cfg.init, panel);
+
+        let mut scratch = RhsScratch::new(shape);
+        scratch.kernels = cfg.rhs_kernels;
+        let solver = RankSolver {
+            world,
+            cart,
+            grid,
+            decomp: decomp.clone(),
+            tile,
+            metric,
+            forces,
+            exchange,
+            owned_jobs,
+            owned_slots,
+            range,
+            split,
+            deep_chunks,
+            halo_free,
+            cfg: cfg.clone(),
+            rk4: Some(Rk4Bufs {
+                y0: State::zeros(shape),
+                stage: [State::zeros(shape), State::zeros(shape)],
+            }),
+            comm: CommScratch::new(shape.nr, balanced),
+            scratch,
+            meter: Meters::with_counters(Arc::new(if counters {
+                CounterSet::enabled()
+            } else {
+                CounterSet::new()
+            })),
+            time: 0.0,
+            step: 0,
+            ckpt_scratch: None,
+            ckpt_cols: None,
+        };
+        (solver, state)
+    }
+
+    /// Globally reduced CFL time step.
+    ///
+    /// The *ingredients* (max speed, min spacing, min density) are reduced
+    /// globally and the formula is then evaluated identically on every
+    /// rank — reducing per-tile `dt`s instead would give
+    /// `min(dxᵢ/speedᵢ) ≠ min(dx)/max(speed)` whenever the smallest cell
+    /// and the fastest signal live on different tiles, and would break the
+    /// bitwise equivalence with the serial reference.
+    pub(super) fn global_dt(&self, state: &State) -> f64 {
+        let speed = wave_speed_max(state, &self.metric, &self.cfg.params, &self.range);
+        let max_speed = self.world.allreduce_f64(speed, ReduceOp::Max);
+        let min_dx = self.world.allreduce_f64(self.metric.min_spacing(), ReduceOp::Min);
+        let min_rho = self.world.allreduce_f64(rho_min_owned(state), ReduceOp::Min);
+        cfl_timestep(max_speed, min_dx, min_rho, &self.cfg.params, self.cfg.cfl)
+    }
+
+    /// One RK4 step (mirrors `SerialSim::advance`: the stage sweeps
+    /// combine the tendency into `state` and the next stage buffer as
+    /// they go). Stage 0 needs no communication (`state` was synced at
+    /// the end of the previous step); each later stage syncs the buffer
+    /// the previous one built, fused with its sweep
+    /// ([`Self::sync_rhs_overlapped`]).
+    pub(super) fn advance(&mut self, state: &mut State, dt: f64) {
+        let mut rk4 = self.rk4.take().expect("RK4 buffers are only out during a step");
+        let Rk4Bufs { y0, stage: [a, b] } = &mut rk4;
+        // The sweeps write interior nodes only and the wall condition
+        // leaves ρ (and conducting-wall A) alone: the stage buffers take
+        // those frozen values here, which also makes them valid after a
+        // restore, a rollback or a re-tile.
+        y0.copy_from(state);
+        a.copy_walls_from(state);
+        b.copy_walls_from(state);
+        let (y0, range) = (&*y0, self.range);
+        for s in 0..4 {
+            let (next, cur) = if s % 2 == 0 { (&mut *a, &mut *b) } else { (&mut *b, &mut *a) };
+            let mut sink = RhsSink::rk4_stage(s, dt, state, y0, next);
+            let combine = sink.combine_tally();
+            if s == 0 {
+                self.rhs_partial(y0, &range, &mut sink);
+            } else {
+                self.sync_rhs_overlapped(cur, &mut sink);
+            }
+            self.meter.kernel(kernel::RK4_COMBINE, combine);
+        }
+        self.sync(state);
+        self.rk4 = Some(rk4);
+        self.time += dt;
+        self.step += 1;
+        self.comm.steps_done += 1;
+    }
+
+    /// Restore this rank's owned block from a full-panel checkpoint.
+    /// Ghosts are left for the following `sync` to fill — the synced
+    /// state is a pure function of the owned values, which is what makes
+    /// checkpointed recovery bit-exact.
+    pub(super) fn restore_tile(&mut self, state: &mut State, ck: &Checkpoint) {
+        assert_eq!(
+            ck.shape,
+            self.grid.full_shape(),
+            "checkpoint geometry does not match the run configuration"
+        );
+        let tiles = self.cart.dims()[0] * self.cart.dims()[1];
+        let (panel, _) = panel_of_world(self.world.rank(), tiles);
+        let src = [&ck.yin, &ck.yang][panel.index()];
+        let nr = self.grid.spec().nr;
+        let global = tile_region(&self.tile, nr, true);
+        let local = tile_region(&self.tile, nr, false);
+        let mut buf = Vec::with_capacity(global.len());
+        for (src_arr, dst_arr) in src.arrays().into_iter().zip(state.arrays_mut()) {
+            buf.clear();
+            pack_region(src_arr, global, &mut buf);
+            let rest = unpack_region(dst_arr, local, &buf);
+            assert!(rest.is_empty());
+        }
+        self.time = ck.time;
+        self.step = ck.step;
+    }
+
+    /// Gather the panels and (on world rank 0) store a serial-compatible
+    /// checkpoint of the current state into the supervisor's slot. Every
+    /// rank must call this — the gather is collective.
+    ///
+    /// Rank 0 assembles into a reusable scratch checkpoint and *swaps*
+    /// it with the slot, so steady-state captures stop reallocating two
+    /// full panel states (and rebuilding the overset columns) per event.
+    /// The slot is only ever replaced whole — a rank killed mid-gather
+    /// panics this rank before the swap, leaving the last good
+    /// checkpoint untouched.
+    pub(super) fn capture_checkpoint(&mut self, state: &State, dt_cache: f64, slot: &CkptSlot) {
+        let nr = self.grid.spec().nr;
+        let owned = tile_region(&self.tile, nr, false);
+        if self.world.rank() != 0 {
+            let mut buf = Vec::with_capacity(owned.len() * 8);
+            for arr in state.arrays() {
+                pack_region(arr, owned, &mut buf);
+            }
+            self.world.send_f64s(0, TAG_GATHER, buf, TrafficClass::Control);
+            return;
+        }
+        let full = self.grid.full_shape();
+        // Reuse the scratch checkpoint when it exists; failing that,
+        // clone the slot's occupant (the second capture of a pass: the
+        // first scratch went into the slot, and a copy is several times
+        // cheaper than a rebuild); only with neither build blank panels.
+        // Every occupant of slot and scratch carries their initialized
+        // padding — an earlier capture, or the serial-format checkpoint
+        // the run resumed from — and captures rewrite only owned blocks,
+        // frames and walls.
+        let scratch = self.ckpt_scratch.take().or_else(|| lock_slot(slot).clone());
+        let mut ck = match scratch {
+            Some(ck) if ck.shape == full => ck,
+            _ => {
+                let [yin, yang] = blank_panels(&self.cfg, &self.grid);
+                Checkpoint { shape: full, step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
+            }
+        };
+        let tiles = self.decomp.tiles();
+        for world_rank in 0..2 * tiles {
+            let (panel, pr) = panel_of_world(world_rank, tiles);
+            let region = tile_region(&self.decomp.tile(pr), nr, true);
+            let dst = match panel {
+                Panel::Yin => &mut ck.yin,
+                Panel::Yang => &mut ck.yang,
+            };
+            if world_rank == 0 {
+                // This rank's own block goes row by row from the state,
+                // not through a gather buffer and back.
+                for (src, dst) in state.arrays().into_iter().zip(dst.arrays_mut()) {
+                    for k in owned.k0..owned.k1 {
+                        for j in owned.j0..owned.j1 {
+                            dst.row_mut(region.j0 + j, region.k0 + k)[..nr]
+                                .copy_from_slice(&src.row(j, k)[..nr]);
+                        }
+                    }
+                }
+                continue;
+            }
+            let data = self.world.recv_f64s(world_rank, TAG_GATHER);
+            let mut rest: &[f64] = &data;
+            for arr in dst.arrays_mut() {
+                rest = unpack_region(arr, region, rest);
+            }
+            assert!(rest.is_empty());
+        }
+        // Refill the overset frames and wall conditions exactly as
+        // `parallel_checkpoint` would, against columns built once.
+        if self.ckpt_cols.is_none() {
+            self.ckpt_cols = Some(
+                build_overset_columns(&self.grid)
+                    .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}")),
+            );
+        }
+        let cols = self.ckpt_cols.as_ref().expect("just filled");
+        crate::serial::fill_pair(
+            &mut ck.yin,
+            &mut ck.yang,
+            cols,
+            self.cfg.params.t_inner,
+            self.cfg.mag_bc,
+            None,
+        );
+        ck.step = self.step;
+        ck.time = self.time;
+        ck.dt_cache = dt_cache;
+        self.ckpt_scratch = lock_slot(slot).replace(ck);
+    }
+
+    /// One checkpoint event: gather a serial-format checkpoint into
+    /// `slot` and write this rank's shard, whichever the run has. Every
+    /// rank must call this — the gather is collective.
+    pub(super) fn checkpoint(
+        &mut self,
+        state: &State,
+        dt_cache: f64,
+        slot: Option<&CkptSlot>,
+        emitter: Option<&mut ShardEmitter>,
+    ) {
+        if slot.is_none() && emitter.is_none() {
+            return;
+        }
+        if let Some(slot) = slot {
+            self.capture_checkpoint(state, dt_cache, slot);
+        }
+        if let Some(em) = emitter {
+            em.emit(self, state, dt_cache);
+        }
+        self.world.record_event(Event::CheckpointSaved { step: self.step });
+    }
+
+    /// Merge one per-rank histogram snapshot across every rank: bucket
+    /// counts and sums are exact integers far below 2⁵³, so a `Sum`
+    /// allreduce over the f64 words is lossless; the observed max
+    /// reduces separately under `Max`. Collective — all ranks call.
+    fn merge_hist(&self, h: HistogramSnapshot) -> HistogramSnapshot {
+        let words = self.world.allreduce_vec(&h.to_f64s(), ReduceOp::Sum);
+        let max = self.world.allreduce_f64(h.max as f64, ReduceOp::Max) as u64;
+        HistogramSnapshot::from_f64s(&words, max)
+    }
+
+    /// The allreduced run counters, as the counter fields of a report:
+    /// flops, traffic bytes, max observed mailbox depth, all-rank phase
+    /// breakdown, merged histograms and per-kernel counters. Collective.
+    pub(super) fn aggregate_counters(&self) -> RunReport {
+        let stats = self.world.stats();
+        let flops = self.world.allreduce_f64(self.meter.flops() as f64, ReduceOp::Sum) as u64;
+        let halo_bytes = self.world.allreduce_f64(stats.bytes_halo as f64, ReduceOp::Sum) as u64;
+        let overset_bytes =
+            self.world.allreduce_f64(stats.bytes_overset as f64, ReduceOp::Sum) as u64;
+        let max_queue_depth =
+            self.world.allreduce_f64(stats.max_queue_depth as f64, ReduceOp::Max) as u64;
+        let ns = self.world.allreduce_vec(&phase_ns_words(&stats), ReduceOp::Sum);
+        let phases = PhaseBreakdown {
+            pack_s: ns[0] / 1e9,
+            interior_s: ns[1] / 1e9,
+            wait_s: ns[2] / 1e9,
+            boundary_s: ns[3] / 1e9,
+            overset_s: ns[4] / 1e9,
+            writer_wait_s: ns[5] / 1e9,
+        };
+        let [recv_wait, step_wall, queue_depth] =
+            [stats.recv_wait, stats.step_wall, stats.queue_depth].map(|h| self.merge_hist(h));
+        // Every tally word is an exact integer (or a ns sum) far below
+        // 2⁵³, so the f64 Sum allreduce merges the per-rank kernel
+        // counters losslessly — same trick as the histograms.
+        let kwords = self
+            .world
+            .allreduce_vec(&self.meter.counters().snapshot().to_f64s(), ReduceOp::Sum);
+        RunReport {
+            flops,
+            halo_bytes,
+            overset_bytes,
+            max_queue_depth,
+            phases,
+            recv_wait,
+            step_wall,
+            queue_depth,
+            kernels: CounterSnapshot::from_f64s(&kwords),
+            ..RunReport::default()
+        }
+    }
+
+    /// Measured compute imbalance across ranks: the slowest rank's
+    /// stencil wall time (RHS with the RK4 combine inside it, health
+    /// scan — the work the partitioner balances; comm wait excluded)
+    /// over the mean.
+    /// Collective — every rank calls; 1.0 when nothing was timed.
+    pub(super) fn achieved_imbalance(&self) -> f64 {
+        let snap = self.meter.counters().snapshot();
+        let local = (snap.kernels[kernel::RHS as usize].wall_ns
+            + snap.kernels[kernel::HEALTH_SCAN as usize].wall_ns) as f64;
+        let max = self.world.allreduce_f64(local, ReduceOp::Max);
+        let sum = self.world.allreduce_f64(local, ReduceOp::Sum);
+        if sum > 0.0 {
+            max * self.world.size() as f64 / sum
+        } else {
+            1.0
+        }
+    }
+
+    /// Globally reduced diagnostics (sums for energies, max for maxima).
+    pub(super) fn reduce_diag(&self, state: &State) -> Diagnostics {
+        let local = yy_mhd::energy::compute_diagnostics(
+            state,
+            &self.grid,
+            &self.metric,
+            Some(&self.tile),
+            &self.cfg.params,
+            &self.range,
+        );
+        let v = local.to_vec();
+        let sums = self.world.allreduce_vec(&v[..4], ReduceOp::Sum);
+        let maxs = self.world.allreduce_vec(&v[4..], ReduceOp::Max);
+        Diagnostics::from_slice(&[sums[0], sums[1], sums[2], sums[3], maxs[0], maxs[1]])
+    }
+}
