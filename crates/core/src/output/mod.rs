@@ -45,10 +45,6 @@
 //!    backpressure is measured and charged to the `writer_wait` phase
 //!    (and the `output` kernel counter), so the run report shows
 //!    exactly how much output cost the pipeline failed to hide.
-//!
-//! One file per piece: `codec` (RLE + XOR delta), `shard` (the v3
-//! container), `merge` (shard set → serial checkpoint) and `stage`
-//! (the writer).
 
 mod codec;
 mod merge;

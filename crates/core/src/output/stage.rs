@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Totals the writer accumulates (readable while the stage runs).
+/// Totals the writer accumulates, returned by [`OutputStage::finish`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoTotals {
     /// Files durably written (checkpoint shards + snapshot products).
@@ -21,9 +21,6 @@ pub struct IoTotals {
     /// Wall nanoseconds spent on the consumer side — shard encoding
     /// plus file writes (the cost the async mode hides behind compute).
     pub write_wall_ns: u64,
-    /// Wall nanoseconds the *producer* spent blocked on the buffer pool
-    /// (async backpressure) or writing inline (sync mode).
-    pub writer_wait_ns: u64,
 }
 
 /// One queued write: either a fully serialized file image (`shard:
@@ -250,17 +247,6 @@ impl OutputStage {
         t0.elapsed().as_nanos() as u64
     }
 
-    /// Totals so far (the report reads these after a flush).
-    pub fn totals(&self) -> IoTotals {
-        IoTotals {
-            files_written: self.shared.files_written.load(Ordering::Relaxed),
-            bytes_written: self.shared.bytes_written.load(Ordering::Relaxed),
-            bytes_raw: self.shared.bytes_raw.load(Ordering::Relaxed),
-            write_wall_ns: self.shared.write_wall_ns.load(Ordering::Relaxed),
-            writer_wait_ns: 0,
-        }
-    }
-
     /// Drain the queue, stop the writer thread, and surface any write
     /// error. Returns the final totals.
     pub fn finish(mut self) -> Result<IoTotals, String> {
@@ -281,7 +267,6 @@ impl OutputStage {
                 bytes_written: self.shared.bytes_written.load(Ordering::Relaxed),
                 bytes_raw: self.shared.bytes_raw.load(Ordering::Relaxed),
                 write_wall_ns: self.shared.write_wall_ns.load(Ordering::Relaxed),
-                writer_wait_ns: 0,
             }),
         }
     }

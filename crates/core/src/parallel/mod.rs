@@ -40,12 +40,9 @@
 //! # Layout
 //!
 //! This file holds the public option and report types and the two entry
-//! points. `supervisor` is the recovery policy and the pass loop
-//! around it; `rank` the rank program every driver runs; `solver`
-//! the per-rank solver (construction, RK4 step, checkpoint capture and
-//! restore, counter aggregation); `exchange` its boundary
-//! synchronisation and the overlapped step pipeline. `parallel` sits
-//! strictly above [`crate::output`]: nothing there imports from here.
+//! points; `supervisor`, `rank`, `solver` and `exchange` each say what
+//! they hold. `parallel` sits strictly above [`crate::output`]: nothing
+//! there imports from here.
 
 mod exchange;
 mod rank;
