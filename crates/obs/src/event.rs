@@ -209,7 +209,7 @@ const D_STEP: u8 = 9;
 const D_COUNTER: u8 = 10;
 const D_RETILE: u8 = 11;
 const D_DEGRADED: u8 = 12;
-// 13 and 14 are retired, not free: reusing them would misread old rings.
+// 13 and 14 went with their variants; the gap is deliberate.
 const D_ALERT: u8 = 15;
 
 /// One flight-recorder event. See the module docs for the wire layout.

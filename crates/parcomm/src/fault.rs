@@ -293,10 +293,9 @@ impl FaultPlan {
     /// Build a plan for a universe of `nprocs` ranks.
     pub fn new(spec: FaultSpec, nprocs: usize) -> Self {
         assert!(spec.max_resends >= 1, "max_resends must be at least 1");
-        assert!(
-            spec.drop_p + spec.delay_p + spec.duplicate_p <= 1.0 + 1e-12,
-            "fault probabilities must sum to at most 1"
-        );
+        if let Err(e) = spec.check(nprocs) {
+            panic!("{e}");
+        }
         let kill_fired = spec.kills.iter().map(|_| AtomicBool::new(false)).collect();
         FaultPlan {
             spec,
