@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+use yy_obs::event::Phase;
 use yycore::checkpoint::Checkpoint;
 use yycore::cli::{self, Args};
 use yycore::output::{is_shard_dir, merge_shards};
@@ -92,7 +93,7 @@ fn print_alerts(report: &RunReport) {
         eprintln!(
             "watchdog {} ({}): {} at step {} (t = {:.5}, value {:.4e})",
             a.rule,
-            yy_obs::event::alert::name(a.kind_code),
+            a.kind.name(),
             if a.firing { "FIRED" } else { "cleared" },
             a.step,
             a.time,
@@ -343,11 +344,8 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
     );
     let p = &report.phases;
     if p.total_s() > 0.0 {
-        eprintln!(
-            "phases (all-rank s): pack {:.3}, interior {:.3}, wait {:.3}, \
-             boundary {:.3}, overset {:.3}, writer_wait {:.3}",
-            p.pack_s, p.interior_s, p.wait_s, p.boundary_s, p.overset_s, p.writer_wait_s
-        );
+        let each = Phase::ALL.map(|ph| format!("{} {:.3}", ph.name(), p.get(ph)));
+        eprintln!("phases (all-rank s): {}", each.join(", "));
         if report.io.shards_written > 0 {
             eprintln!(
                 "io: {} shard(s), {} -> {} KiB (x{:.2} compression, {}), \

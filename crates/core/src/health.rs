@@ -14,6 +14,7 @@
 //! the first sync, so including them would trip false positives.
 
 use yy_mhd::State;
+use yy_obs::event::HealthCode;
 
 /// Thresholds for the solver health scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,16 +70,15 @@ pub enum HealthViolation {
 }
 
 impl HealthViolation {
-    /// The `yy-obs` event code for this violation class, so flight
+    /// Which guard tripped, without the measured values, so flight
     /// recorders can log a fixed-width [`yy_obs::Event::HealthViolation`]
     /// without carrying the formatted message.
-    pub fn code(&self) -> u8 {
-        use yy_obs::event::health;
+    pub fn code(&self) -> HealthCode {
         match self {
-            HealthViolation::NonFinite { .. } => health::NON_FINITE,
-            HealthViolation::DensityFloor { .. } => health::DENSITY_FLOOR,
-            HealthViolation::PressureFloor { .. } => health::PRESSURE_FLOOR,
-            HealthViolation::DtCollapse { .. } => health::DT_COLLAPSE,
+            HealthViolation::NonFinite { .. } => HealthCode::NonFinite,
+            HealthViolation::DensityFloor { .. } => HealthCode::DensityFloor,
+            HealthViolation::PressureFloor { .. } => HealthCode::PressureFloor,
+            HealthViolation::DtCollapse { .. } => HealthCode::DtCollapse,
         }
     }
 }
@@ -246,15 +246,6 @@ mod tests {
             guard.check_state(&s),
             Err(HealthViolation::PressureFloor { min: -0.5, floor: 1e-10 })
         );
-    }
-
-    #[test]
-    fn violation_codes_match_the_obs_name_table() {
-        use yy_obs::event::health;
-        let v = HealthViolation::NonFinite { field: "rho" };
-        assert_eq!(v.code(), health::NON_FINITE);
-        let v = HealthViolation::DtCollapse { dt: 1e-9, reference: 1e-3 };
-        assert_eq!(v.code(), health::DT_COLLAPSE);
     }
 
     #[test]

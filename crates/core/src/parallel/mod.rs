@@ -396,10 +396,10 @@ mod tests {
     fn overlapped_steady_state_is_allocation_free_and_phased() {
         let rep = run_parallel(&quick_cfg(), 2, 2, 5, 0, false);
         let p = rep.report.phases;
-        assert!(p.pack_s > 0.0, "pack phase must be instrumented");
-        assert!(p.interior_s > 0.0, "interior phase must be instrumented");
-        assert!(p.boundary_s > 0.0, "boundary phase must be instrumented");
-        assert!(p.overset_s > 0.0, "overset phase must be instrumented");
+        use yy_obs::event::Phase;
+        for phase in [Phase::Pack, Phase::Interior, Phase::Boundary, Phase::Overset] {
+            assert!(p.get(phase) > 0.0, "{} phase must be instrumented", phase.name());
+        }
         let hidden = p.hidden_comm_fraction();
         assert!(hidden > 0.0 && hidden <= 1.0, "hidden fraction {hidden} out of range");
     }

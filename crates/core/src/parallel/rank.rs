@@ -2,7 +2,7 @@
 //! per-pass plan it is told, the collective verdict ([`agree`]) that
 //! keeps its early returns matched, and the per-rank shard emitter.
 
-use super::solver::{phase_ns_words, RankSolver};
+use super::solver::RankSolver;
 use super::{CkptSlot, ParallelReport};
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
@@ -17,8 +17,8 @@ use yy_mesh::routing::panel_of_world;
 use yy_mesh::Decomp2D;
 use yy_mhd::State;
 use yy_obs::counters::{kernel, CounterSnapshot, KernelTally};
-use yy_obs::event::counter;
-use yy_obs::{prometheus_text_with_phases, Event, MetricsHub};
+use yy_obs::event::{CounterTrack, Gauge};
+use yy_obs::{prometheus_text, Event, MetricsHub};
 use yy_parcomm::stats::SolverPhase;
 use yy_parcomm::{Comm, ReduceOp};
 
@@ -168,20 +168,19 @@ pub(super) fn rank_program(
                 let dt_s = now.duration_since(prev_t).as_secs_f64();
                 if dt_s > 0.0 {
                     let mut total = 0.0;
-                    for id in 0..kernel::COUNT {
-                        let df =
-                            snap.kernels[id].flops.saturating_sub(prev.kernels[id].flops) as f64;
-                        let mflops = df / dt_s / 1e6;
+                    for ((k, now), before) in snap.rows().zip(&prev.kernels) {
+                        let mflops = now.flops.saturating_sub(before.flops) as f64 / dt_s / 1e6;
                         total += mflops;
-                        if snap.kernels[id].flops > 0 {
-                            world.record_event(Event::counter_sample(id as u8, mflops));
+                        if now.flops > 0 {
+                            world.record_event(Event::counter_sample(CounterTrack::Kernel(k), mflops));
                         }
                     }
-                    world.record_event(Event::counter_sample(counter::TOTAL_MFLOPS, total));
-                    world.record_event(Event::counter_sample(
-                        counter::QUEUE_DEPTH,
-                        world.stats().max_queue_depth as f64,
-                    ));
+                    for (gauge, value) in [
+                        (Gauge::TotalMflops, total),
+                        (Gauge::QueueDepth, world.stats().max_queue_depth as f64),
+                    ] {
+                        world.record_event(Event::counter_sample(CounterTrack::Gauge(gauge), value));
+                    }
                 }
             }
         }
@@ -190,25 +189,19 @@ pub(super) fn rank_program(
         // the exposition into the hub for the endpoint thread to serve.
         if let Some(hub) = &plan.metrics {
             if solver.step % plan.profile_every.max(1) == 0 {
-                // Counter words plus the 6 phase-ns words ride one
+                // Counter words plus the per-phase ns words ride one
                 // allreduce — the extension is rank-uniform, so the
                 // collective stays matched on every rank.
                 let mut words = solver.meter.counters().snapshot().to_f64s();
                 let nwords = words.len();
-                words.extend_from_slice(&phase_ns_words(&world.stats()));
+                words.extend(world.stats().phase_ns.map(|ns| ns as f64));
                 let merged = world.allreduce_vec(&words, ReduceOp::Sum);
                 if world.rank() == 0 {
-                    let snap = CounterSnapshot::from_f64s(&merged[..nwords]);
-                    let phase_s: Vec<(&str, f64)> = yy_obs::event::phase::NAMES
-                        .iter()
-                        .enumerate()
-                        .map(|(i, name)| (*name, merged[nwords + i] / 1e9))
-                        .collect();
-                    hub.publish(prometheus_text_with_phases(
-                        &snap,
+                    hub.publish(prometheus_text(
+                        &CounterSnapshot::from_f64s(&merged[..nwords]),
                         solver.step,
                         world.stats().max_queue_depth,
-                        &phase_s,
+                        &std::array::from_fn(|p| merged[nwords + p] / 1e9),
                     ));
                 }
             }
@@ -284,7 +277,7 @@ pub(super) fn rank_program(
     report.steps = plan.steps;
     report.wall_seconds = started.elapsed().as_secs_f64();
     report.grid_points = solver.grid.total_points();
-    report.io = IoStats { writer_wait_s: report.phases.writer_wait_s, ..io };
+    report.io = IoStats { writer_wait_s: report.phases.get(SolverPhase::WriterWait), ..io };
     report.series = series;
     Ok(Some(ParallelReport { report, yin: None, yang: None, achieved_imbalance }))
 }

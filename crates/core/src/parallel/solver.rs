@@ -23,7 +23,7 @@ use yy_obs::counters::{kernel, CounterSet, CounterSnapshot};
 use yy_obs::hist::HistogramSnapshot;
 use yy_obs::Event;
 use yy_parcomm::stats::TrafficClass;
-use yy_parcomm::{CartComm, Comm, CommStats, ReduceOp};
+use yy_parcomm::{CartComm, Comm, ReduceOp};
 
 /// The step-head state and the two stage states the RK4 stages
 /// ping-pong between.
@@ -92,19 +92,6 @@ pub(super) struct RankSolver<'a> {
 fn tile_region(t: &Tile, nr: usize, global: bool) -> Region {
     let (j0, k0) = if global { (t.j0 as isize, t.k0 as isize) } else { (0, 0) };
     Region { i0: 0, i1: nr, j0, j1: j0 + t.nth as isize, k0, k1: k0 + t.nph as isize }
-}
-
-/// The six phase counters of `stats` as allreduce words, in the order
-/// of `yy_obs::event::phase::NAMES` and [`PhaseBreakdown`].
-pub(super) fn phase_ns_words(stats: &CommStats) -> [f64; 6] {
-    [
-        stats.ns_pack as f64,
-        stats.ns_interior as f64,
-        stats.ns_wait as f64,
-        stats.ns_boundary as f64,
-        stats.ns_overset as f64,
-        stats.ns_writer_wait as f64,
-    ]
 }
 
 impl<'a> RankSolver<'a> {
@@ -423,20 +410,12 @@ impl<'a> RankSolver<'a> {
     pub(super) fn aggregate_counters(&self) -> RunReport {
         let stats = self.world.stats();
         let flops = self.world.allreduce_f64(self.meter.flops() as f64, ReduceOp::Sum) as u64;
-        let halo_bytes = self.world.allreduce_f64(stats.bytes_halo as f64, ReduceOp::Sum) as u64;
-        let overset_bytes =
-            self.world.allreduce_f64(stats.bytes_overset as f64, ReduceOp::Sum) as u64;
+        let [halo_bytes, overset_bytes] = [TrafficClass::Halo, TrafficClass::Overset]
+            .map(|c| self.world.allreduce_f64(stats.bytes(c) as f64, ReduceOp::Sum) as u64);
         let max_queue_depth =
             self.world.allreduce_f64(stats.max_queue_depth as f64, ReduceOp::Max) as u64;
-        let ns = self.world.allreduce_vec(&phase_ns_words(&stats), ReduceOp::Sum);
-        let phases = PhaseBreakdown {
-            pack_s: ns[0] / 1e9,
-            interior_s: ns[1] / 1e9,
-            wait_s: ns[2] / 1e9,
-            boundary_s: ns[3] / 1e9,
-            overset_s: ns[4] / 1e9,
-            writer_wait_s: ns[5] / 1e9,
-        };
+        let ns = self.world.allreduce_vec(&stats.phase_ns.map(|ns| ns as f64), ReduceOp::Sum);
+        let phases = PhaseBreakdown { seconds: std::array::from_fn(|p| ns[p] / 1e9) };
         let [recv_wait, step_wall, queue_depth] =
             [stats.recv_wait, stats.step_wall, stats.queue_depth].map(|h| self.merge_hist(h));
         // Every tally word is an exact integer (or a ns sum) far below

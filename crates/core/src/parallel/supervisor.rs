@@ -457,7 +457,7 @@ impl<'a> Supervisor<'a> {
                 for a in tel.alerts() {
                     set.rank(0).record(Event::Alert {
                         rule: a.rule_index as u32,
-                        kind: a.kind_code,
+                        kind: a.kind,
                         firing: a.firing,
                         step: a.step,
                     });

@@ -3,7 +3,8 @@
 
 use yy_mhd::Diagnostics;
 use yy_obs::analysis::Analysis;
-use yy_obs::counters::{kernel, CounterSnapshot};
+use yy_obs::counters::{CounterSnapshot, KernelSnapshot};
+use yy_obs::event::Phase;
 use yy_obs::hist::{hist_json, HistogramSnapshot};
 use yy_obs::dashboard::panel_line;
 use yy_obs::json::{escape, num, Json};
@@ -22,35 +23,25 @@ pub struct TimeSeriesPoint {
 }
 
 /// Per-phase wall-clock breakdown of the parallel step pipeline, summed
-/// over all ranks (seconds). Zero for serial runs and for drivers that
-/// predate the overlapped exchange.
+/// over all ranks. Zero for serial runs, but for `WriterWait`: the time
+/// blocked on the async output writer's buffer pool (or inside inline
+/// writes in sync mode) — the *unhidden* cost of checkpoint and snapshot
+/// emission, the output pipeline's analogue of `Wait`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Packing/unpacking halo bands and posting sends.
-    pub pack_s: f64,
-    /// Deep-interior stencil work overlapped with in-flight messages.
-    pub interior_s: f64,
-    /// Time blocked in receives — the *unhidden* communication cost.
-    pub wait_s: f64,
-    /// Boundary-shell stencil work + wall conditions after the drain.
-    pub boundary_s: f64,
-    /// Overset interpolation, packing and placement.
-    pub overset_s: f64,
-    /// Time blocked on the async output writer's buffer pool (or inside
-    /// inline writes in sync mode) — the *unhidden* cost of checkpoint
-    /// and snapshot emission, the output pipeline's analogue of `wait_s`.
-    pub writer_wait_s: f64,
+    /// Seconds per [`Phase`], indexed `phase as usize`.
+    pub seconds: [f64; Phase::COUNT],
 }
 
 impl PhaseBreakdown {
+    /// Seconds charged to `phase`.
+    pub fn get(&self, phase: Phase) -> f64 {
+        self.seconds[phase as usize]
+    }
+
     /// Total instrumented time across the phases.
     pub fn total_s(&self) -> f64 {
-        self.pack_s
-            + self.interior_s
-            + self.wait_s
-            + self.boundary_s
-            + self.overset_s
-            + self.writer_wait_s
+        self.seconds.iter().sum()
     }
 
     /// Fraction of the exchange window covered by deep-interior compute:
@@ -58,11 +49,11 @@ impl PhaseBreakdown {
     /// message already delivered; 0.0 means nothing was hidden. This is
     /// the measured input to `yy-esmodel`'s overlap-aware projection.
     pub fn hidden_comm_fraction(&self) -> f64 {
-        let window = self.interior_s + self.wait_s;
+        let window = self.get(Phase::Interior) + self.get(Phase::Wait);
         if window <= 0.0 {
             return 0.0;
         }
-        self.interior_s / window
+        self.get(Phase::Interior) / window
     }
 }
 
@@ -350,10 +341,10 @@ impl RunReport {
     /// maps onto the model's fraction of the radial length `nr`.
     pub fn kernel_costs(&self, interior_points: usize, nr: usize) -> Vec<yy_esmodel::KernelCost> {
         let denom = self.steps as f64 * interior_points as f64;
-        (self.kernels.kernels.iter().enumerate())
+        (self.kernels.rows())
             .filter(|(_, k)| k.flops > 0)
-            .map(|(id, k)| yy_esmodel::KernelCost {
-                name: kernel::name(id as u8).to_string(),
+            .map(|(kernel, k)| yy_esmodel::KernelCost {
+                name: kernel.name().to_string(),
                 flops_per_point_step: k.flops as f64 / denom,
                 vl_fraction: (k.avg_vector_length() / nr as f64).clamp(0.01, 1.0),
             })
@@ -385,43 +376,26 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let kernels: Vec<String> = self
             .kernels
-            .kernels
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
+            .rows()
+            .map(|(kernel, k)| {
+                let words: String = (KernelSnapshot::WORD_NAMES.iter().zip(k.words()))
+                    .map(|(name, word)| format!(r#""{name}":{word},"#))
+                    .collect();
                 format!(
-                    concat!(
-                        r#"{{"name":"{}","calls":{},"points":{},"loops":{},"#,
-                        r#""vector_elements":{},"flops":{},"#,
-                        r#""bytes_read":{},"bytes_written":{},"wall_ns":{},"#,
-                        r#""mflops":{},"intensity":{},"avg_vector_length":{}}}"#
-                    ),
-                    kernel::name(i as u8),
-                    k.calls,
-                    k.points,
-                    k.loops,
-                    k.vector_elements,
-                    k.flops,
-                    k.bytes_read,
-                    k.bytes_written,
-                    k.wall_ns,
+                    r#"{{"name":"{}",{words}"mflops":{},"intensity":{},"avg_vector_length":{}}}"#,
+                    kernel.name(),
                     num(k.mflops()),
                     num(k.intensity()),
                     num(k.avg_vector_length()),
                 )
             })
             .collect();
+        let phase_seconds: String = Phase::ALL
+            .iter()
+            .map(|&p| format!(r#""{}_s":{},"#, p.name(), num(self.phases.get(p))))
+            .collect();
         let phases = format!(
-            concat!(
-                r#"{{"pack_s":{},"interior_s":{},"wait_s":{},"boundary_s":{},"#,
-                r#""overset_s":{},"writer_wait_s":{},"hidden_comm_fraction":{}}}"#
-            ),
-            num(self.phases.pack_s),
-            num(self.phases.interior_s),
-            num(self.phases.wait_s),
-            num(self.phases.boundary_s),
-            num(self.phases.overset_s),
-            num(self.phases.writer_wait_s),
+            r#"{{{phase_seconds}"hidden_comm_fraction":{}}}"#,
             num(self.phases.hidden_comm_fraction()),
         );
         let hists = format!(
@@ -521,22 +495,21 @@ pub fn report_frame(text: &str, width: usize) -> Result<String, String> {
     let tel = doc
         .get("telemetry")
         .ok_or("report has no telemetry section (pre-v6 artifact?)")?;
-    let channels = tel.get("channels").and_then(|c| c.as_arr()).ok_or(
+    let channels = tel.arr_at("channels").ok_or(
         "report's telemetry was not armed — rerun with telemetry=1 to record the series store",
     )?;
     let mut out = String::new();
-    if let Some(steps) = doc.get("steps").and_then(|v| v.as_f64()) {
+    if let Some(steps) = doc.f64_at("steps") {
         out.push_str(&format!("run: {steps:.0} steps"));
-        if let Some(t) = doc.get("time").and_then(|v| v.as_f64()) {
+        if let Some(t) = doc.f64_at("time") {
             out.push_str(&format!(", t = {t:.5}"));
         }
         out.push('\n');
     }
     for ch in channels {
-        let name = ch.get("name").and_then(|v| v.as_str()).unwrap_or("?");
+        let name = ch.str_at("name").unwrap_or("?");
         let vals: Vec<f64> = ch
-            .get("raw")
-            .and_then(|r| r.as_arr())
+            .arr_at("raw")
             .map(|pairs| {
                 pairs
                     .iter()
@@ -555,7 +528,7 @@ pub fn report_frame(text: &str, width: usize) -> Result<String, String> {
         out.push_str(&format!(
             "alert {} ({}): {} at step {}\n",
             e.rule,
-            yy_obs::event::alert::name(e.kind_code),
+            e.kind.name(),
             if e.firing { "FIRED" } else { "cleared" },
             e.step
         ));
@@ -592,14 +565,7 @@ mod tests {
 
     #[test]
     fn hidden_fraction_is_interior_over_window() {
-        let p = PhaseBreakdown {
-            pack_s: 0.1,
-            interior_s: 3.0,
-            wait_s: 1.0,
-            boundary_s: 0.5,
-            overset_s: 0.2,
-            writer_wait_s: 0.4,
-        };
+        let p = PhaseBreakdown { seconds: [0.1, 3.0, 1.0, 0.5, 0.2, 0.4] };
         // writer_wait is charged to the total, but the hidden-comm
         // fraction stays a property of the exchange window alone.
         assert!((p.hidden_comm_fraction() - 0.75).abs() < 1e-15);
@@ -660,7 +626,7 @@ mod tests {
 
     #[test]
     fn kernel_table_lands_in_the_artifact() {
-        use yy_obs::counters::{CounterSet, KernelTally};
+        use yy_obs::counters::{kernel, CounterSet, KernelTally};
         use yy_obs::Json;
         let set = CounterSet::enabled();
         set.add(
@@ -677,7 +643,7 @@ mod tests {
         let r = RunReport { flops: 640 * 64, kernels: set.snapshot(), ..Default::default() };
         let doc = Json::parse(&r.to_json()).unwrap();
         let table = doc.get("kernels").unwrap().as_arr().unwrap();
-        assert_eq!(table.len(), kernel::COUNT);
+        assert_eq!(table.len(), yy_obs::Kernel::COUNT);
         let rhs = table
             .iter()
             .find(|k| k.get("name").and_then(|n| n.as_str()) == Some("rhs"))
@@ -745,7 +711,7 @@ mod tests {
             async_mode: true,
             codec: "delta".into(),
         };
-        r.phases.writer_wait_s = 0.03;
+        r.phases.seconds[Phase::WriterWait as usize] = 0.03;
         let doc = Json::parse(&r.to_json()).unwrap();
         let io = doc.get("io").expect("io section");
         assert_eq!(io.get("shards_written").unwrap().as_f64(), Some(6.0));
@@ -773,20 +739,20 @@ mod tests {
     /// the obs-side reader, defaults for unanalyzed runs.
     #[test]
     fn analysis_section_lands_in_the_artifact() {
-        use yy_obs::analysis::{reason, Disruption, PhaseGate, Straggler};
+        use yy_obs::analysis::{Disruption, PhaseGate, Reason, Straggler};
         use yy_obs::Json;
         let mut r = RunReport::default();
         r.analysis = Analysis {
             steps_analyzed: 12,
             coverage: 1.0,
             gating: vec![
-                PhaseGate { phase: "wait".into(), steps: 7 },
-                PhaseGate { phase: "interior".into(), steps: 5 },
+                PhaseGate { phase: Phase::Wait, steps: 7 },
+                PhaseGate { phase: Phase::Interior, steps: 5 },
             ],
             rank_path: vec![2, 7, 2, 1],
             stragglers: vec![Straggler {
                 rank: 1,
-                reason: reason::LATE_SENDER,
+                reason: Reason::LateSender,
                 severity: 14.2,
                 detail: "mean send->recv lag 2150us vs median 12us".into(),
             }],
@@ -798,8 +764,8 @@ mod tests {
         assert_eq!(a.get("steps_analyzed").unwrap().as_f64(), Some(12.0));
         let back = analysis_from_report(&r.to_json()).expect("the reader beside the writer decodes");
         assert_eq!(back, r.analysis);
-        assert_eq!(back.stragglers[0].reason, reason::LATE_SENDER);
-        assert_eq!(back.gating[0].phase, "wait");
+        assert_eq!(back.stragglers[0].reason, Reason::LateSender);
+        assert_eq!(back.gating[0].phase, Phase::Wait);
         assert_eq!(back.disruptions[0].kind, "kill");
         // Default reports still carry the section (schema-checked in CI).
         let plain = Json::parse(&RunReport::default().to_json()).unwrap();
@@ -827,7 +793,7 @@ mod tests {
         r.alerts.push(AlertEvent {
             rule: "energy_blowup".into(),
             rule_index: 0,
-            kind_code: yy_obs::event::alert::DT_COLLAPSE,
+            kind: yy_obs::event::AlertKind::DtCollapse,
             firing: true,
             step: 7,
             time: 0.07,
@@ -839,7 +805,7 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "energy_blowup");
         assert!(alerts[0].firing);
-        assert_eq!(alerts[0].kind_code, yy_obs::event::alert::DT_COLLAPSE);
+        assert_eq!(alerts[0].kind, yy_obs::event::AlertKind::DtCollapse);
         let tel = doc.get("telemetry").expect("telemetry section");
         let chans = tel.get("channels").unwrap().as_arr().unwrap();
         assert_eq!(chans[0].get("name").unwrap().as_str(), Some("dt"));
@@ -910,7 +876,7 @@ mod tests {
         }
         assert_eq!(doc.get("series").unwrap().as_arr().unwrap().len(), 1);
         let table = doc.get("kernels").unwrap().as_arr().unwrap();
-        assert_eq!(table.len(), kernel::COUNT);
+        assert_eq!(table.len(), yy_obs::Kernel::COUNT);
         for row in table {
             assert!(row.get("name").and_then(|n| n.as_str()).is_some());
             assert!(row.get("mflops").and_then(|v| v.as_f64()).is_some());

@@ -33,6 +33,7 @@ use yy_mesh::{
     apply_scalar, apply_vector, build_overset_columns, Metric, OversetColumn, Panel, PatchGrid,
 };
 use yy_obs::counters::{kernel, CounterSet, KernelTally};
+use yy_obs::event::Phase;
 use yy_mhd::rhs::{sweep_rhs, InteriorRange, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
@@ -397,7 +398,7 @@ impl SerialSim {
             .finish()
             .map_err(|e| format!("output stream: {e}"))?;
         let writer_wait_s = stream.wait_ns as f64 / 1e9;
-        report.phases.writer_wait_s = writer_wait_s;
+        report.phases.seconds[Phase::WriterWait as usize] = writer_wait_s;
         report.io = IoStats {
             shards_written: 0,
             snapshots_written: totals.files_written,

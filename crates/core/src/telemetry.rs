@@ -14,6 +14,7 @@
 
 use crate::obs::ObsOpts;
 use crate::report::TimeSeriesPoint;
+use yy_obs::event::AlertKind;
 use yy_obs::{parse_rules, AlertEvent, ScienceGauges, SeriesStore, Watchdog};
 
 /// Channel layout of the science series store, in row order. The first
@@ -186,7 +187,7 @@ pub fn alerts_json(alerts: &[AlertEvent]) -> String {
         out.push_str(&format!(
             "{{\"rule\":\"{}\",\"kind\":\"{}\",\"firing\":{},\"step\":{},\"time\":{},\"value\":{}}}",
             yy_obs::json::escape(&a.rule),
-            yy_obs::event::alert::name(a.kind_code),
+            a.kind.name(),
             a.firing,
             a.step,
             yy_obs::json::num(a.time),
@@ -198,23 +199,20 @@ pub fn alerts_json(alerts: &[AlertEvent]) -> String {
 }
 
 /// Parse a report's `alerts` array back into edges (the inverse of
-/// [`alerts_json`] up to the kind name → code mapping).
+/// [`alerts_json`]; `None` for a member missing, mistyped or naming no
+/// [`AlertKind`]).
 pub fn alerts_from_json(v: &yy_obs::Json) -> Option<Vec<AlertEvent>> {
     let arr = v.as_arr()?;
     let mut out = Vec::with_capacity(arr.len());
     for a in arr {
-        let kind_name = a.get("kind")?.as_str()?;
-        let kind_code = (1..=5u8)
-            .find(|&c| yy_obs::event::alert::name(c) == kind_name)
-            .unwrap_or(0);
         out.push(AlertEvent {
-            rule: a.get("rule")?.as_str()?.to_string(),
+            rule: a.str_at("rule")?.to_string(),
             rule_index: 0,
-            kind_code,
+            kind: AlertKind::from_name(a.str_at("kind")?)?,
             firing: a.get("firing")?.as_bool()?,
-            step: a.get("step")?.as_f64()? as u64,
-            time: a.get("time")?.as_f64()?,
-            value: a.get("value").and_then(|x| x.as_f64()).unwrap_or(f64::NAN),
+            step: a.f64_at("step")? as u64,
+            time: a.f64_at("time")?,
+            value: a.f64_at("value").unwrap_or(f64::NAN),
         });
     }
     Some(out)
@@ -311,7 +309,7 @@ mod tests {
         let back = alerts_from_json(&parsed).expect("decodes");
         assert_eq!(back.len(), tel.alerts().len());
         assert_eq!(back[0].rule, tel.alerts()[0].rule);
-        assert_eq!(back[0].kind_code, tel.alerts()[0].kind_code);
+        assert_eq!(back[0].kind, tel.alerts()[0].kind);
         assert_eq!(back[0].step, tel.alerts()[0].step);
         assert!(alerts_json(&[]).starts_with('[') && alerts_json(&[]).ends_with(']'));
     }

@@ -14,7 +14,7 @@
 //!    documented exception: ghost traffic genuinely depends on the
 //!    decomposition.)
 
-use yy_obs::counters::kernel;
+use yy_obs::Kernel;
 use yycore::{run_parallel, RunConfig, SerialSim};
 
 fn quick_cfg() -> RunConfig {
@@ -37,11 +37,11 @@ fn per_kernel_flops_sum_exactly_to_the_aggregate() {
     );
     // Every compute kernel was exercised; halo kernels carry no flops
     // anywhere (serial has no halos at all).
-    for id in [kernel::RHS, kernel::RK4_COMBINE, kernel::OVERSET_DONATE, kernel::HEALTH_SCAN] {
+    for id in [Kernel::Rhs, Kernel::Rk4Combine, Kernel::OversetDonate, Kernel::HealthScan] {
         let k = &report.kernels.kernels[id as usize];
-        assert!(k.calls > 0 && k.flops > 0, "{} must be exercised", kernel::name(id));
+        assert!(k.calls > 0 && k.flops > 0, "{} must be exercised", id.name());
     }
-    for id in [kernel::HALO_PACK, kernel::HALO_UNPACK] {
+    for id in [Kernel::HaloPack, Kernel::HaloUnpack] {
         assert_eq!(report.kernels.kernels[id as usize].calls, 0);
     }
 }
@@ -61,29 +61,29 @@ fn per_kernel_totals_are_decomposition_invariant() {
             par.flops,
             "{tag}: per-kernel cells must sum to the aggregate"
         );
-        for id in 0..kernel::COUNT {
-            let s = &serial.kernels.kernels[id];
-            let p = &par.kernels.kernels[id];
+        for id in Kernel::ALL {
+            let s = &serial.kernels.kernels[id as usize];
+            let p = &par.kernels.kernels[id as usize];
             assert_eq!(
                 s.flops,
                 p.flops,
                 "{tag}: {} global FLOP total must match serial exactly",
-                kernel::name(id as u8)
+                id.name()
             );
         }
         // Owned-node point tallies are decomposition-invariant as well —
         // overset included, since its counters tally owned-target jobs
         // only (halo tallies depend on how the boundary is cut).
         for id in [
-            kernel::RHS,
-            kernel::RK4_COMBINE,
-            kernel::OVERSET_DONATE,
-            kernel::OVERSET_FILL,
-            kernel::HEALTH_SCAN,
+            Kernel::Rhs,
+            Kernel::Rk4Combine,
+            Kernel::OversetDonate,
+            Kernel::OversetFill,
+            Kernel::HealthScan,
         ] {
             let s = &serial.kernels.kernels[id as usize];
             let p = &par.kernels.kernels[id as usize];
-            assert_eq!(s.points, p.points, "{tag}: {} points", kernel::name(id));
+            assert_eq!(s.points, p.points, "{tag}: {} points", id.name());
             // Vector-element tallies are per-point models (a P-pass fused
             // sweep counts P·points), so they are decomposition-invariant
             // everywhere — including the fused RHS and the fused RK4
@@ -92,28 +92,28 @@ fn per_kernel_totals_are_decomposition_invariant() {
                 s.vector_elements,
                 p.vector_elements,
                 "{tag}: {} vector_elements",
-                kernel::name(id)
+                id.name()
             );
             // Loop counts (and hence equivalent vector length) are a
             // property of the sweep structure — which the overlapped
             // pipeline keeps: its deep box and shell bands all span the
             // full radial extent, so the RHS makes the same radial
             // passes per column as the serial sweep.
-            assert_eq!(s.loops, p.loops, "{tag}: {} loops", kernel::name(id));
+            assert_eq!(s.loops, p.loops, "{tag}: {} loops", id.name());
         }
     }
 
     // And the two decompositions agree with each other on everything
     // global, including the overset interpolation volume.
-    for id in 0..kernel::COUNT {
-        let a = &p12.report.kernels.kernels[id];
-        let b = &p22.report.kernels.kernels[id];
-        assert_eq!(a.flops, b.flops, "{} flops 1x2 vs 2x2", kernel::name(id as u8));
-    }
-    for id in [kernel::OVERSET_DONATE, kernel::OVERSET_FILL] {
+    for id in Kernel::ALL {
         let a = &p12.report.kernels.kernels[id as usize];
         let b = &p22.report.kernels.kernels[id as usize];
-        assert_eq!(a.points, b.points, "{} points 1x2 vs 2x2", kernel::name(id));
+        assert_eq!(a.flops, b.flops, "{} flops 1x2 vs 2x2", id.name());
+    }
+    for id in [Kernel::OversetDonate, Kernel::OversetFill] {
+        let a = &p12.report.kernels.kernels[id as usize];
+        let b = &p22.report.kernels.kernels[id as usize];
+        assert_eq!(a.points, b.points, "{} points 1x2 vs 2x2", id.name());
     }
 }
 
@@ -140,6 +140,6 @@ fn measured_profile_projects_into_the_flagship_window() {
         &RunShape::flagship(),
     );
     assert!(in_flagship_window(projection.tflops()), "{:.1} TFlops", projection.tflops());
-    let rhs = report.kernels.kernels[kernel::RHS as usize].intensity();
+    let rhs = report.kernels.kernels[Kernel::Rhs as usize].intensity();
     assert!(rhs > 2.0, "RHS intensity {rhs:.2} flops/byte");
 }

@@ -74,7 +74,7 @@ fn injected_hub_publishes_parseable_exposition_without_perturbing() {
     let ww = sample_value(&body, "yy_phase_wall_seconds{phase=\"writer_wait\"}")
         .expect("writer_wait phase gauge present");
     assert!(ww >= 0.0);
-    for name in yy_obs::event::phase::NAMES {
+    for name in yy_obs::event::Phase::ALL.map(|p| p.name()) {
         assert!(
             sample_value(&body, &format!("yy_phase_wall_seconds{{phase=\"{name}\"}}")).is_some(),
             "phase gauge {name} missing from exposition"

@@ -151,7 +151,7 @@ fn late_sender_is_named_top_straggler_with_reason() {
     assert!(a.steps_analyzed > 0, "analysis must cover steps: {}", a.verdict);
     let top = a.stragglers.first().expect("a straggler must be named");
     assert_eq!(top.rank, 3, "the delayed sender is the top straggler: {:?}", a.stragglers);
-    assert_eq!(yy_obs::analysis::reason::name(top.reason), "late sender");
+    assert_eq!(top.reason.name(), "late sender");
     assert!(a.verdict.contains("late sender"), "{}", a.verdict);
     assert!(top.detail.contains("lag"), "{}", top.detail);
 }

@@ -16,54 +16,31 @@
 //!    the mean (read against the partitioner's predicted imbalance),
 //!    send→recv lag asymmetry (a sender whose messages consistently
 //!    arrive late relative to its peers), and writer-backpressure skew,
-//!    folded into a ranked suspect list with a stated [`reason`].
+//!    folded into a ranked suspect list with a stated [`Reason`].
 //!
 //! Analysis degrades gracefully under ring wraparound: the fixed-capacity
 //! recorder keeps only the newest events, so [`Analysis::coverage`]
 //! reports the retained fraction and the step walk simply analyzes the
 //! steps every rank still has — never panicking on a truncated stream.
 
-use crate::event::{phase, Event, TimedEvent};
+use crate::event::{code_table, Event, Phase, TimedEvent};
 use crate::json::{escape, num, Json};
 use std::collections::{BTreeMap, HashMap};
 
-/// Straggler reason codes, with the same name-table discipline as the
-/// [`crate::event`] sub-enums.
-pub mod reason {
-    /// The rank's stencil/compute wall is far above the mean (bad tile,
-    /// or slow node).
-    pub const SLOW_COMPUTE: u8 = 0;
-    /// The rank's *sent* messages arrive late at their receivers (its
-    /// peers stall in `wait` through no fault of their own).
-    pub const LATE_SENDER: u8 = 1;
-    /// The rank spends disproportionate time blocked on the async
-    /// output writer's buffer pool.
-    pub const IO_BACKPRESSURE: u8 = 2;
-
-    /// Human-readable reason name.
-    pub fn name(code: u8) -> &'static str {
-        match code {
-            SLOW_COMPUTE => "slow compute",
-            LATE_SENDER => "late sender",
-            IO_BACKPRESSURE => "io backpressure",
-            _ => "reason?",
-        }
-    }
-
-    /// Inverse of [`name`] (JSON readers).
-    pub fn code(name: &str) -> Option<u8> {
-        match name {
-            "slow compute" => Some(SLOW_COMPUTE),
-            "late sender" => Some(LATE_SENDER),
-            "io backpressure" => Some(IO_BACKPRESSURE),
-            _ => None,
-        }
+code_table! {
+    /// Why a rank is a straggler suspect.
+    pub enum Reason {
+        /// The rank's stencil/compute wall is far above the mean (bad tile,
+        /// or slow node).
+        SlowCompute = 0 => "slow compute",
+        /// The rank's *sent* messages arrive late at their receivers (its
+        /// peers stall in `wait` through no fault of their own).
+        LateSender = 1 => "late sender",
+        /// The rank spends disproportionate time blocked on the async
+        /// output writer's buffer pool.
+        IoBackpressure = 2 => "io backpressure",
     }
 }
-
-/// Number of solver phases the analyzer attributes (mirrors
-/// [`phase`]'s code space).
-const NPHASE: usize = 6;
 
 /// Everything [`analyze`] consumes.
 pub struct AnalysisInput<'a> {
@@ -80,10 +57,10 @@ pub struct AnalysisInput<'a> {
 }
 
 /// One row of the gating-phase histogram.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseGate {
-    /// Phase name (from [`phase::name`]).
-    pub phase: String,
+    /// The gating phase.
+    pub phase: Phase,
     /// Steps this phase gated.
     pub steps: u64,
 }
@@ -93,8 +70,8 @@ pub struct PhaseGate {
 pub struct Straggler {
     /// World rank of the suspect.
     pub rank: u32,
-    /// [`reason`] code.
-    pub reason: u8,
+    /// The strongest signal against the rank.
+    pub reason: Reason,
     /// Dimensionless severity (ratio vs the peer median/mean; higher is
     /// worse). Comparable across reasons for ranking purposes.
     pub severity: f64,
@@ -158,7 +135,9 @@ impl Analysis {
                 };
                 out.push_str(&format!(
                     "    {:<12} {:>6} step(s)  {:>5.1}%\n",
-                    g.phase, g.steps, share
+                    g.phase.name(),
+                    g.steps,
+                    share
                 ));
             }
         }
@@ -174,7 +153,7 @@ impl Analysis {
                 out.push_str(&format!(
                     "    rank {}: {} (severity x{:.2}) -- {}\n",
                     s.rank,
-                    reason::name(s.reason),
+                    s.reason.name(),
                     s.severity,
                     s.detail
                 ));
@@ -201,7 +180,7 @@ impl Analysis {
         let gating: Vec<String> = self
             .gating
             .iter()
-            .map(|g| format!(r#"{{"phase":"{}","steps":{}}}"#, escape(&g.phase), g.steps))
+            .map(|g| format!(r#"{{"phase":"{}","steps":{}}}"#, g.phase.name(), g.steps))
             .collect();
         let ranks: Vec<String> = self.rank_path.iter().map(|n| n.to_string()).collect();
         let stragglers: Vec<String> = self
@@ -211,7 +190,7 @@ impl Analysis {
                 format!(
                     r#"{{"rank":{},"reason":"{}","severity":{},"detail":"{}"}}"#,
                     s.rank,
-                    reason::name(s.reason),
+                    s.reason.name(),
                     num(s.severity),
                     escape(&s.detail)
                 )
@@ -237,62 +216,54 @@ impl Analysis {
     }
 
     /// Parse the `analysis` section object back (doctor's offline
-    /// report mode; also the roundtrip test). Unknown reasons decode to
-    /// 255 rather than failing, keeping the reader forward-tolerant.
+    /// report mode; also the roundtrip test). A phase or reason name
+    /// outside the tables is an error.
     pub fn from_json(j: &Json) -> Result<Analysis, String> {
-        let u = |k: &str| -> Result<u64, String> {
-            j.get(k).and_then(|v| v.as_f64()).map(|f| f as u64).ok_or(format!("analysis: missing {k}"))
-        };
-        let mut a = Analysis {
-            steps_analyzed: u("steps_analyzed")?,
-            coverage: j.get("coverage").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            verdict: j.get("verdict").and_then(|v| v.as_str()).unwrap_or("").to_string(),
-            ..Analysis::default()
-        };
-        if let Some(arr) = j.get("gating").and_then(|v| v.as_arr()) {
-            for g in arr {
-                a.gating.push(PhaseGate {
-                    phase: g.get("phase").and_then(|v| v.as_str()).unwrap_or("phase?").to_string(),
-                    steps: g.get("steps").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-                });
-            }
-        }
-        if let Some(arr) = j.get("rank_path").and_then(|v| v.as_arr()) {
-            for r in arr {
-                a.rank_path.push(r.as_f64().unwrap_or(0.0) as u64);
-            }
-        }
-        if let Some(arr) = j.get("stragglers").and_then(|v| v.as_arr()) {
-            for s in arr {
-                a.stragglers.push(Straggler {
-                    rank: s.get("rank").and_then(|v| v.as_f64()).unwrap_or(0.0) as u32,
-                    reason: s
-                        .get("reason")
-                        .and_then(|v| v.as_str())
-                        .and_then(reason::code)
-                        .unwrap_or(255),
-                    severity: s.get("severity").and_then(|v| v.as_f64()).unwrap_or(0.0),
-                    detail: s.get("detail").and_then(|v| v.as_str()).unwrap_or("").to_string(),
-                });
-            }
-        }
-        if let Some(arr) = j.get("disruptions").and_then(|v| v.as_arr()) {
-            for d in arr {
-                a.disruptions.push(Disruption {
-                    rank: d.get("rank").and_then(|v| v.as_f64()).unwrap_or(-1.0) as i64,
-                    step: d.get("step").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-                    kind: d.get("kind").and_then(|v| v.as_str()).unwrap_or("").to_string(),
-                });
-            }
-        }
-        Ok(a)
+        let items = |key: &str| j.arr_at(key).unwrap_or(&[]).iter();
+        let count = |j: &Json, key: &str| j.f64_at(key).unwrap_or(0.0) as u64;
+        let text = |j: &Json, key: &str| j.str_at(key).unwrap_or("").to_string();
+        Ok(Analysis {
+            steps_analyzed: j.f64_at("steps_analyzed").ok_or("analysis: missing steps_analyzed")?
+                as u64,
+            coverage: j.f64_at("coverage").unwrap_or(0.0),
+            gating: items("gating")
+                .map(|g| {
+                    let name = g.str_at("phase").unwrap_or("");
+                    let phase = Phase::from_name(name)
+                        .ok_or_else(|| format!("analysis: unknown gating phase {name:?}"))?;
+                    Ok(PhaseGate { phase, steps: count(g, "steps") })
+                })
+                .collect::<Result<_, String>>()?,
+            rank_path: items("rank_path").map(|r| r.as_f64().unwrap_or(0.0) as u64).collect(),
+            stragglers: items("stragglers")
+                .map(|s| {
+                    let name = s.str_at("reason").unwrap_or("");
+                    let reason = Reason::from_name(name)
+                        .ok_or_else(|| format!("analysis: unknown straggler reason {name:?}"))?;
+                    Ok(Straggler {
+                        rank: s.f64_at("rank").unwrap_or(0.0) as u32,
+                        reason,
+                        severity: s.f64_at("severity").unwrap_or(0.0),
+                        detail: text(s, "detail"),
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            disruptions: items("disruptions")
+                .map(|d| Disruption {
+                    rank: d.f64_at("rank").unwrap_or(-1.0) as i64,
+                    step: count(d, "step"),
+                    kind: text(d, "kind"),
+                })
+                .collect(),
+            verdict: text(j, "verdict"),
+        })
     }
 }
 
 /// One rank's phase work inside one step.
 #[derive(Default, Clone)]
 struct Segment {
-    phase_ns: [u64; NPHASE],
+    phase_ns: [u64; Phase::COUNT],
     /// Timestamp of the last phase span recorded in this segment (phase
     /// spans are end-stamped, so this is when the rank's step work
     /// finished).
@@ -315,7 +286,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
     // Pass 1: per-rank step segments, phase totals, the global send map,
     // and the recovery-plane disruptions.
     let mut segs: Vec<BTreeMap<u64, Segment>> = vec![BTreeMap::new(); nranks];
-    let mut totals = vec![[0u64; NPHASE]; nranks];
+    let mut totals = vec![[0u64; Phase::COUNT]; nranks];
     // (src, dst, tag16, seq) -> send timestamps, oldest first. Sequence
     // numbers restart on every supervised pass, so a key can legally
     // repeat; receive matching picks the newest send at or before the
@@ -333,7 +304,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
                     // abandoned pass's segment: newest evidence wins.
                     segs[r].insert(step, Segment::default());
                 }
-                Event::Phase { phase: p, dur_ns } if (p as usize) < NPHASE => {
+                Event::Phase { phase: p, dur_ns } => {
                     totals[r][p as usize] += dur_ns;
                     if let Some(s) = cur {
                         if let Some(seg) = segs[r].get_mut(&s) {
@@ -390,18 +361,21 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
             .collect(),
         None => Vec::new(),
     };
-    let mut gating_steps = [0u64; NPHASE];
+    let mut gating_steps = [0u64; Phase::COUNT];
     let mut rank_path = vec![0u64; nranks];
     let mut wait_blame = vec![0u64; nranks]; // steps a rank's late send gated a peer's wait
     for &step in &common {
-        let gater = (0..nranks)
-            .max_by_key(|&r| segs[r][&step].end_ts)
-            .expect("nranks > 0");
+        // Both ranges are non-empty: nranks == 0 returned above, and
+        // `Phase::ALL` is a non-empty table.
+        let gater = (0..nranks).max_by_key(|&r| segs[r][&step].end_ts).expect("nranks > 0");
         let seg = &segs[gater][&step];
-        let gphase = (0..NPHASE).max_by_key(|&p| seg.phase_ns[p]).expect("NPHASE > 0");
+        let gphase = Phase::ALL
+            .into_iter()
+            .max_by_key(|&p| seg.phase_ns[p as usize])
+            .expect("Phase::ALL is non-empty");
         rank_path[gater] += 1;
-        gating_steps[gphase] += 1;
-        if gphase == phase::WAIT as usize {
+        gating_steps[gphase as usize] += 1;
+        if gphase == Phase::Wait {
             // The gating rank stalled in receives: blame the sender of
             // its latest-arriving message relative to the send time.
             let late = seg
@@ -434,12 +408,13 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
     }
 
     // Straggler attribution: strongest signal per rank, ranked.
-    let compute: Vec<u64> = (0..nranks)
-        .map(|r| {
-            totals[r][phase::PACK as usize]
-                + totals[r][phase::INTERIOR as usize]
-                + totals[r][phase::BOUNDARY as usize]
-                + totals[r][phase::OVERSET as usize]
+    let compute: Vec<u64> = totals
+        .iter()
+        .map(|t| {
+            [Phase::Pack, Phase::Interior, Phase::Boundary, Phase::Overset]
+                .iter()
+                .map(|&p| t[p as usize])
+                .sum()
         })
         .collect();
     let mean_compute = (compute.iter().sum::<u64>() as f64 / nranks as f64).max(1.0);
@@ -450,7 +425,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
     // Lower median, so a single outlier among few ranks cannot drag the
     // baseline up to itself.
     let lag_median = sorted_lags[(nranks - 1) / 2];
-    let writer: Vec<u64> = (0..nranks).map(|r| totals[r][phase::WRITER_WAIT as usize]).collect();
+    let writer: Vec<u64> = totals.iter().map(|t| t[Phase::WriterWait as usize]).collect();
     let mean_writer = (writer.iter().sum::<u64>() as f64 / nranks as f64).max(1.0);
     let mut stragglers: Vec<Straggler> = Vec::new();
     for r in 0..nranks {
@@ -464,7 +439,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
         if compute_ratio > 1.10 {
             consider(Straggler {
                 rank: r as u32,
-                reason: reason::SLOW_COMPUTE,
+                reason: Reason::SlowCompute,
                 severity: compute_ratio,
                 detail: format!(
                     "compute wall {:.2}x the rank mean (predicted imbalance {:.2})",
@@ -475,7 +450,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
         if lag_mean[r] > 50_000.0 && lag_mean[r] > 2.0 * lag_median.max(1.0) {
             consider(Straggler {
                 rank: r as u32,
-                reason: reason::LATE_SENDER,
+                reason: Reason::LateSender,
                 severity: lag_mean[r] / lag_median.max(1_000.0),
                 detail: format!(
                     "mean send->recv lag {:.0}us vs median {:.0}us; gated peers' wait {} time(s)",
@@ -491,7 +466,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
         if writer[r] > 1_000_000 && writer_ratio >= 2.0 {
             consider(Straggler {
                 rank: r as u32,
-                reason: reason::IO_BACKPRESSURE,
+                reason: Reason::IoBackpressure,
                 severity: writer_ratio,
                 detail: format!(
                     "writer backpressure {:.1}ms, {:.2}x the rank mean",
@@ -530,9 +505,10 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
         })
         .fold(1.0_f64, f64::min);
 
-    let mut gating: Vec<PhaseGate> = (0..NPHASE)
-        .filter(|&p| gating_steps[p] > 0)
-        .map(|p| PhaseGate { phase: phase::name(p as u8).to_string(), steps: gating_steps[p] })
+    let mut gating: Vec<PhaseGate> = Phase::ALL
+        .into_iter()
+        .map(|phase| PhaseGate { phase, steps: gating_steps[phase as usize] })
+        .filter(|g| g.steps > 0)
         .collect();
     gating.sort_by(|a, b| b.steps.cmp(&a.steps));
 
@@ -545,15 +521,17 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
         match stragglers.first() {
             Some(s) => format!(
                 "{}-gated {:.0}% of {} steps; top straggler rank {} ({})",
-                top.phase,
+                top.phase.name(),
                 share,
                 steps_analyzed,
                 s.rank,
-                reason::name(s.reason)
+                s.reason.name()
             ),
             None => format!(
                 "{}-gated {:.0}% of {} steps; no stragglers",
-                top.phase, share, steps_analyzed
+                top.phase.name(),
+                share,
+                steps_analyzed
             ),
         }
     };
@@ -561,122 +539,11 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
     Analysis { steps_analyzed, coverage, gating, rank_path, stragglers, disruptions, verdict }
 }
 
-/// Rebuild per-rank event streams from a Chrome trace produced by
-/// [`crate::chrome_trace_json`] — the offline half of `yycore doctor`,
-/// so a trace file on disk is as analyzable as a live recorder set.
-///
-/// Only the event kinds the analyzer consumes are reconstructed (phase
-/// spans, step markers, send/recv instants, kills, rollbacks, retiles,
-/// degraded marks); flow arrows, counters and metadata are skipped.
-pub fn streams_from_chrome(text: &str) -> Result<Vec<Vec<TimedEvent>>, String> {
-    let doc = Json::parse(text)?;
-    let events =
-        doc.get("traceEvents").and_then(|v| v.as_arr()).ok_or("missing traceEvents array")?;
-    let mut streams: BTreeMap<usize, Vec<TimedEvent>> = BTreeMap::new();
-    let ns = |v: f64| -> u64 { (v * 1000.0).round().max(0.0) as u64 };
-    for e in events {
-        let ph = e.get("ph").and_then(|v| v.as_str()).unwrap_or("");
-        if ph != "X" && ph != "i" {
-            continue;
-        }
-        let name = e.get("name").and_then(|v| v.as_str()).unwrap_or("");
-        let rank = match e.get("tid").and_then(|v| v.as_f64()) {
-            Some(t) if t >= 0.0 => t as usize,
-            _ => continue,
-        };
-        let ts = match e.get("ts").and_then(|v| v.as_f64()) {
-            Some(t) => t,
-            None => continue,
-        };
-        let arg = |k: &str| e.get("args").and_then(|a| a.get(k)).and_then(|v| v.as_f64());
-        let event = if ph == "X" {
-            let Some(code) = phase::code(name) else { continue };
-            let dur = e.get("dur").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            // The ring stamps spans at their end; the trace stores the
-            // start, so re-stamp at start + duration.
-            Some(TimedEvent {
-                ts_ns: ns(ts + dur),
-                event: Event::Phase { phase: code, dur_ns: ns(dur) },
-            })
-        } else if let Some(rest) = name.strip_prefix("send ") {
-            let _ = rest;
-            Some(TimedEvent {
-                ts_ns: ns(ts),
-                event: Event::Send {
-                    peer: arg("to").unwrap_or(0.0) as u32,
-                    class: crate::event::class::UNKNOWN,
-                    bytes: arg("bytes").unwrap_or(0.0) as u64,
-                    tag16: arg("tag").unwrap_or(0.0) as u16,
-                    seq: arg("seq").unwrap_or(0.0) as u64,
-                },
-            })
-        } else if name.starts_with("recv ") {
-            Some(TimedEvent {
-                ts_ns: ns(ts),
-                event: Event::Recv {
-                    peer: arg("from").unwrap_or(0.0) as u32,
-                    class: crate::event::class::UNKNOWN,
-                    bytes: arg("bytes").unwrap_or(0.0) as u64,
-                    tag16: arg("tag").unwrap_or(0.0) as u16,
-                    seq: arg("seq").unwrap_or(0.0) as u64,
-                },
-            })
-        } else if name.starts_with("step ") {
-            arg("step").map(|s| TimedEvent { ts_ns: ns(ts), event: Event::StepBegin { step: s as u64 } })
-        } else if name == "kill injected" {
-            arg("step")
-                .map(|s| TimedEvent { ts_ns: ns(ts), event: Event::KillInjected { step: s as u64 } })
-        } else if name == "rollback" {
-            Some(TimedEvent {
-                ts_ns: ns(ts),
-                event: Event::Rollback {
-                    pass: arg("pass").unwrap_or(0.0) as u64,
-                    resume_step: arg("resume_step").unwrap_or(0.0) as u64,
-                },
-            })
-        } else if name == "retile" {
-            Some(TimedEvent {
-                ts_ns: ns(ts),
-                event: Event::Retile {
-                    pth: arg("pth").unwrap_or(0.0) as u16,
-                    pph: arg("pph").unwrap_or(0.0) as u16,
-                    pass: arg("pass").unwrap_or(0.0) as u64,
-                    resume_step: arg("resume_step").unwrap_or(0.0) as u64,
-                },
-            })
-        } else if name == "degraded" {
-            Some(TimedEvent {
-                ts_ns: ns(ts),
-                event: Event::Degraded {
-                    pass: arg("pass").unwrap_or(0.0) as u64,
-                    checkpoint_every: arg("checkpoint_every").unwrap_or(0.0) as u64,
-                },
-            })
-        } else {
-            None
-        };
-        if let Some(te) = event {
-            streams.entry(rank).or_default().push(te);
-        }
-    }
-    if streams.is_empty() {
-        return Err("trace contains no analyzable events".into());
-    }
-    // Dense world-rank indexing up to the highest tid, ring order
-    // (oldest first) restored within each stream.
-    let max_rank = *streams.keys().max().expect("non-empty");
-    let mut out = vec![Vec::new(); max_rank + 1];
-    for (r, mut evs) in streams {
-        evs.sort_by_key(|te| te.ts_ns);
-        out[r] = evs;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::class;
+    use crate::chrome::streams_from_chrome;
+    use crate::event::TrafficClass;
     use crate::ring::FlightRecorder;
 
     /// Build one rank's stream: per step, a begin marker plus phase
@@ -689,13 +556,13 @@ mod tests {
             t += step_ns;
             out.push(TimedEvent {
                 ts_ns: t,
-                event: Event::Phase { phase: phase::INTERIOR, dur_ns: step_ns },
+                event: Event::Phase { phase: Phase::Interior, dur_ns: step_ns },
             });
             if wait_ns > 0 {
                 t += wait_ns;
                 out.push(TimedEvent {
                     ts_ns: t,
-                    event: Event::Phase { phase: phase::WAIT, dur_ns: wait_ns },
+                    event: Event::Phase { phase: Phase::Wait, dur_ns: wait_ns },
                 });
             }
         }
@@ -708,7 +575,7 @@ mod tests {
         let a = analyze(&AnalysisInput { streams: &streams, retained: vec![], predicted_imbalance: 1.0 });
         assert_eq!(a.steps_analyzed, 6);
         assert_eq!(a.coverage, 1.0);
-        assert_eq!(a.gating[0].phase, "interior");
+        assert_eq!(a.gating[0].phase, Phase::Interior);
         assert_eq!(a.gating[0].steps, 6);
         assert!(a.stragglers.is_empty(), "{:?}", a.stragglers);
         assert_eq!(a.rank_path.iter().sum::<u64>(), 6);
@@ -724,7 +591,7 @@ mod tests {
         assert_eq!(a.rank_path, vec![0, 5]);
         let top = &a.stragglers[0];
         assert_eq!(top.rank, 1);
-        assert_eq!(top.reason, reason::SLOW_COMPUTE);
+        assert_eq!(top.reason, Reason::SlowCompute);
         assert!(top.severity > 1.4, "{}", top.severity);
     }
 
@@ -740,32 +607,32 @@ mod tests {
             s1.push(TimedEvent { ts_ns: t0, event: Event::StepBegin { step: s } });
             s0.push(TimedEvent {
                 ts_ns: t0 + 100,
-                event: Event::Send { peer: 1, class: class::HALO, bytes: 800, tag16: 11, seq: s },
+                event: Event::Send { peer: 1, class: TrafficClass::Halo, bytes: 800, tag16: 11, seq: s },
             });
             s1.push(TimedEvent {
                 ts_ns: t0 + 200,
-                event: Event::Send { peer: 0, class: class::HALO, bytes: 800, tag16: 11, seq: s },
+                event: Event::Send { peer: 0, class: TrafficClass::Halo, bytes: 800, tag16: 11, seq: s },
             });
             s0.push(TimedEvent {
                 ts_ns: t0 + 300,
-                event: Event::Recv { peer: 1, class: class::UNKNOWN, bytes: 800, tag16: 11, seq: s },
+                event: Event::Recv { peer: 1, class: None, bytes: 800, tag16: 11, seq: s },
             });
             s0.push(TimedEvent {
                 ts_ns: t0 + step_ns,
-                event: Event::Phase { phase: phase::INTERIOR, dur_ns: step_ns },
+                event: Event::Phase { phase: Phase::Interior, dur_ns: step_ns },
             });
             // Rank 1's receive is delayed by the full lag.
             s1.push(TimedEvent {
                 ts_ns: t0 + 100 + lag_ns,
-                event: Event::Recv { peer: 0, class: class::UNKNOWN, bytes: 800, tag16: 11, seq: s },
+                event: Event::Recv { peer: 0, class: None, bytes: 800, tag16: 11, seq: s },
             });
             s1.push(TimedEvent {
                 ts_ns: t0 + 1000 + lag_ns,
-                event: Event::Phase { phase: phase::WAIT, dur_ns: lag_ns },
+                event: Event::Phase { phase: Phase::Wait, dur_ns: lag_ns },
             });
             s1.push(TimedEvent {
                 ts_ns: t0 + 1000 + lag_ns + 2000,
-                event: Event::Phase { phase: phase::INTERIOR, dur_ns: 2000 },
+                event: Event::Phase { phase: Phase::Interior, dur_ns: 2000 },
             });
         }
         vec![s0, s1]
@@ -776,10 +643,10 @@ mod tests {
         let streams = late_sender_streams(8, 5_000_000);
         let a = analyze(&AnalysisInput { streams: &streams, retained: vec![], predicted_imbalance: 1.0 });
         // Rank 1 stalls in wait and gates; the blame lands on rank 0.
-        assert_eq!(a.gating[0].phase, "wait");
+        assert_eq!(a.gating[0].phase, Phase::Wait);
         let top = &a.stragglers[0];
         assert_eq!(top.rank, 0, "{:?}", a.stragglers);
-        assert_eq!(top.reason, reason::LATE_SENDER);
+        assert_eq!(top.reason, Reason::LateSender);
         assert!(top.detail.contains("gated peers' wait"), "{}", top.detail);
         assert!(a.verdict.contains("late sender"), "{}", a.verdict);
     }
@@ -793,12 +660,12 @@ mod tests {
             t += 2_000_000;
             streams[1].push(TimedEvent {
                 ts_ns: t,
-                event: Event::Phase { phase: phase::WRITER_WAIT, dur_ns: 2_000_000 },
+                event: Event::Phase { phase: Phase::WriterWait, dur_ns: 2_000_000 },
             });
         }
         let a = analyze(&AnalysisInput { streams: &streams, retained: vec![], predicted_imbalance: 1.0 });
         let top = &a.stragglers[0];
-        assert_eq!((top.rank, top.reason), (1, reason::IO_BACKPRESSURE));
+        assert_eq!((top.rank, top.reason), (1, Reason::IoBackpressure));
     }
 
     #[test]
@@ -833,10 +700,10 @@ mod tests {
             for s in 0..steps {
                 let t = 10_000 * s;
                 rec.record_at(t, Event::StepBegin { step: s });
-                rec.record_at(t + 1_000 + s, Event::Phase { phase: phase::INTERIOR, dur_ns: 1000 + s });
+                rec.record_at(t + 1_000 + s, Event::Phase { phase: Phase::Interior, dur_ns: 1000 + s });
                 rec.record_at(
                     t + 2_000,
-                    Event::Send { peer: 0, class: class::HALO, bytes: 8, tag16: 11, seq: s },
+                    Event::Send { peer: 0, class: TrafficClass::Halo, bytes: 8, tag16: 11, seq: s },
                 );
             }
             let stream = rec.snapshot();
@@ -869,8 +736,8 @@ mod tests {
         // A stream that wrapped mid-step: phase spans with no opening
         // StepBegin must not be attributed (or panic).
         let streams = vec![vec![
-            TimedEvent { ts_ns: 10, event: Event::Phase { phase: phase::WAIT, dur_ns: 5 } },
-            TimedEvent { ts_ns: 20, event: Event::Recv { peer: 9, class: 255, bytes: 1, tag16: 1, seq: 0 } },
+            TimedEvent { ts_ns: 10, event: Event::Phase { phase: Phase::Wait, dur_ns: 5 } },
+            TimedEvent { ts_ns: 20, event: Event::Recv { peer: 9, class: None, bytes: 1, tag16: 1, seq: 0 } },
         ]];
         let a = analyze(&AnalysisInput { streams: &streams, retained: vec![], predicted_imbalance: 1.0 });
         assert_eq!(a.steps_analyzed, 0);
@@ -898,6 +765,12 @@ mod tests {
         assert_eq!(a.stragglers.len(), b.stragglers.len());
         assert_eq!(a.stragglers[0].reason, b.stragglers[0].reason);
         assert!((a.stragglers[0].severity - b.stragglers[0].severity).abs() < 1e-9);
+        // A name outside the tables is an error, not a placeholder.
+        for (from, to) in [("late sender", "lazy sender"), (r#""phase":"wait""#, r#""phase":"nap""#)] {
+            let j = Json::parse(&a.to_json().replace(from, to)).unwrap();
+            let err = Analysis::from_json(&j).unwrap_err();
+            assert!(err.starts_with("analysis: unknown "), "{err}");
+        }
         // The reader's rendering is the writer's: every section prints.
         let text = b.render("section");
         assert_eq!(text, a.render("section"));

@@ -1,4 +1,5 @@
-//! Chrome trace-event JSON export of flight-recorder contents.
+//! Chrome trace-event JSON: the export of flight-recorder contents and
+//! its re-import.
 //!
 //! The output is the classic `{"traceEvents":[...]}` format understood
 //! by Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: one
@@ -9,13 +10,25 @@
 //! are microseconds (the format's unit) on the recorder set's shared
 //! timeline.
 //!
-//! [`validate_chrome_trace`] is the export's own adversary: it re-parses
-//! the JSON with [`crate::json`], checks the required keys on every
-//! event, and asserts per-track timestamp monotonicity — CI runs it on
-//! every post-mortem trace a faulted run produces.
+//! This module owns the record format: `encode` writes an [`Event`] as
+//! its record(s), `decode` is the inverse, and both readers are one
+//! `walk` over a document — [`validate_chrome_trace`] (the export's own
+//! adversary; CI runs it on every post-mortem trace a faulted run
+//! produces) counts what decodes, [`streams_from_chrome`] collects it.
+//! The round trip is exact up to two documented roundings: timestamps
+//! and durations pass through f64 microseconds, and integers through
+//! JSON numbers (exact below 2⁵³).
 
-use crate::event::{alert, class, counter, fault, health, phase, Event, TimedEvent};
-use crate::json::num;
+use crate::event::{
+    AlertKind, CounterTrack, Event, FaultKind, HealthCode, Phase, TimedEvent, TrafficClass,
+};
+use crate::json::{num, Json};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Ranks a trace may name. A `tid` indexes per-rank tables in every
+/// reader, so one read from a file is checked against this bound before
+/// anything is sized by it (the paper's largest run used 4096 ranks).
+pub const MAX_TRACE_RANKS: usize = 1 << 16;
 
 /// One rank's decoded flight-recorder contents, ready for export.
 pub struct RankTrace {
@@ -28,6 +41,12 @@ pub struct RankTrace {
 
 fn us(ts_ns: u64) -> String {
     num(ts_ns as f64 / 1000.0)
+}
+
+/// Inverse of [`us`] on the parsed number (saturating; negatives clamp
+/// to 0).
+fn ns(us: f64) -> u64 {
+    (us * 1000.0).round() as u64
 }
 
 /// The flow-arrow id pairing a send with its receive: a pure mix of the
@@ -45,92 +64,160 @@ pub fn flow_id(src: u64, dst: u64, tag16: u64, seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn push_event(out: &mut Vec<String>, rank: usize, te: &TimedEvent) {
+/// Write one event as its trace record(s) on track `rank`.
+fn encode(out: &mut Vec<String>, rank: usize, te: &TimedEvent) {
     let tid = rank;
-    match te.event {
-        Event::Phase { phase: p, dur_ns } => {
+    let ts = us(te.ts_ns);
+    // Everything but a span and a counter sample is an instant, scoped
+    // to its thread (`t`) or drawn across all of them (`g`).
+    let instant = |name: &str, scope: char, cat: &str, args: String| {
+        format!(
+            r#"{{"name":"{name}","ph":"i","s":"{scope}","pid":0,"tid":{tid},"ts":{ts},"cat":"{cat}","args":{{{args}}}}}"#
+        )
+    };
+    // A message instant is followed by its end of the flow arrow.
+    let arrow = |name: &str, ph: &str, id: u64| {
+        format!(
+            r#"{{"name":"{name}",{ph},"id":"0x{id:x}","pid":0,"tid":{tid},"ts":{ts},"cat":"msg"}}"#
+        )
+    };
+    let last = match te.event {
+        Event::Phase { phase, dur_ns } => {
             // The ring stamps a phase span at its *end*; Chrome wants
             // the start.
             let start = te.ts_ns.saturating_sub(dur_ns);
-            out.push(format!(
+            format!(
                 r#"{{"name":"{}","ph":"X","pid":0,"tid":{tid},"ts":{},"dur":{},"cat":"phase"}}"#,
-                phase::name(p),
+                phase.name(),
                 us(start),
                 us(dur_ns),
-            ));
+            )
         }
-        Event::Send { peer, class: c, bytes, tag16, seq } => {
-            let id = flow_id(rank as u64, peer as u64, tag16 as u64, seq);
-            let ts = us(te.ts_ns);
-            let name = class::name(c);
-            out.push(format!(
-                r#"{{"name":"send {name}","ph":"i","s":"t","pid":0,"tid":{tid},"ts":{ts},"cat":"msg","args":{{"to":{peer},"bytes":{bytes},"tag":{tag16},"seq":{seq}}}}}"#,
-            ));
-            out.push(format!(
-                r#"{{"name":"{name}","ph":"s","id":"0x{id:x}","pid":0,"tid":{tid},"ts":{ts},"cat":"msg"}}"#,
-            ));
+        Event::Send { peer, class, bytes, tag16, seq } => {
+            let name = class.name();
+            let args = format!(r#""to":{peer},"bytes":{bytes},"tag":{tag16},"seq":{seq}"#);
+            out.push(instant(&format!("send {name}"), 't', "msg", args));
+            arrow(name, r#""ph":"s""#, flow_id(rank as u64, peer as u64, tag16 as u64, seq))
         }
-        Event::Recv { peer, class: c, bytes, tag16, seq } => {
-            let id = flow_id(peer as u64, rank as u64, tag16 as u64, seq);
-            let ts = us(te.ts_ns);
-            let name = class::name(c);
-            out.push(format!(
-                r#"{{"name":"recv {name}","ph":"i","s":"t","pid":0,"tid":{tid},"ts":{ts},"cat":"msg","args":{{"from":{peer},"bytes":{bytes},"tag":{tag16},"seq":{seq}}}}}"#,
-            ));
-            out.push(format!(
-                r#"{{"name":"{name}","ph":"f","bp":"e","id":"0x{id:x}","pid":0,"tid":{tid},"ts":{ts},"cat":"msg"}}"#,
-            ));
+        Event::Recv { peer, class, bytes, tag16, seq } => {
+            // The wire envelope does not carry the class.
+            let name = class.map_or("msg", TrafficClass::name);
+            let args = format!(r#""from":{peer},"bytes":{bytes},"tag":{tag16},"seq":{seq}"#);
+            out.push(instant(&format!("recv {name}"), 't', "msg", args));
+            arrow(name, r#""ph":"f","bp":"e""#, flow_id(peer as u64, rank as u64, tag16 as u64, seq))
         }
-        Event::FaultInjected { kind, peer, param } => out.push(format!(
-            r#"{{"name":"fault {}","ph":"i","s":"t","pid":0,"tid":{tid},"ts":{},"cat":"fault","args":{{"to":{peer},"param":{param}}}}}"#,
-            fault::name(kind),
-            us(te.ts_ns),
-        )),
-        Event::KillInjected { step } => out.push(format!(
-            r#"{{"name":"kill injected","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"fault","args":{{"step":{step}}}}}"#,
-            us(te.ts_ns),
-        )),
-        Event::HealthViolation { code, step } => out.push(format!(
-            r#"{{"name":"health {}","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"health","args":{{"step":{step}}}}}"#,
-            health::name(code),
-            us(te.ts_ns),
-        )),
-        Event::CheckpointSaved { step } => out.push(format!(
-            r#"{{"name":"checkpoint","ph":"i","s":"t","pid":0,"tid":{tid},"ts":{},"cat":"ckpt","args":{{"step":{step}}}}}"#,
-            us(te.ts_ns),
-        )),
-        Event::Rollback { pass, resume_step } => out.push(format!(
-            r#"{{"name":"rollback","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"ckpt","args":{{"pass":{pass},"resume_step":{resume_step}}}}}"#,
-            us(te.ts_ns),
-        )),
-        Event::Retile { pth, pph, pass, resume_step } => out.push(format!(
-            r#"{{"name":"retile","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"elastic","args":{{"pth":{pth},"pph":{pph},"pass":{pass},"resume_step":{resume_step}}}}}"#,
-            us(te.ts_ns),
-        )),
-        Event::Degraded { pass, checkpoint_every } => out.push(format!(
-            r#"{{"name":"degraded","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"elastic","args":{{"pass":{pass},"checkpoint_every":{checkpoint_every}}}}}"#,
-            us(te.ts_ns),
-        )),
-        Event::StepBegin { step } => out.push(format!(
-            r#"{{"name":"step {step}","ph":"i","s":"t","pid":0,"tid":{tid},"ts":{},"cat":"step","args":{{"step":{step}}}}}"#,
-            us(te.ts_ns),
-        )),
-        Event::Alert { rule, kind, firing, step } => out.push(format!(
-            r#"{{"name":"alert {}","ph":"i","s":"g","pid":0,"tid":{tid},"ts":{},"cat":"alert","args":{{"rule":{rule},"kind":"{}","step":{step}}}}}"#,
-            if firing { "fire" } else { "clear" },
-            us(te.ts_ns),
-            alert::name(kind),
-        )),
+        Event::FaultInjected { kind, peer, param } => {
+            let args = format!(r#""to":{peer},"param":{param}"#);
+            instant(&format!("fault {}", kind.name()), 't', "fault", args)
+        }
+        Event::KillInjected { step } => {
+            instant("kill injected", 'g', "fault", format!(r#""step":{step}"#))
+        }
+        Event::HealthViolation { code, step } => {
+            instant(&format!("health {}", code.name()), 'g', "health", format!(r#""step":{step}"#))
+        }
+        Event::CheckpointSaved { step } => {
+            instant("checkpoint", 't', "ckpt", format!(r#""step":{step}"#))
+        }
+        Event::Rollback { pass, resume_step } => {
+            instant("rollback", 'g', "ckpt", format!(r#""pass":{pass},"resume_step":{resume_step}"#))
+        }
+        Event::Retile { pth, pph, pass, resume_step } => {
+            let args =
+                format!(r#""pth":{pth},"pph":{pph},"pass":{pass},"resume_step":{resume_step}"#);
+            instant("retile", 'g', "elastic", args)
+        }
+        Event::Degraded { pass, checkpoint_every } => {
+            let args = format!(r#""pass":{pass},"checkpoint_every":{checkpoint_every}"#);
+            instant("degraded", 'g', "elastic", args)
+        }
+        Event::StepBegin { step } => {
+            instant(&format!("step {step}"), 't', "step", format!(r#""step":{step}"#))
+        }
+        Event::Alert { rule, kind, firing, step } => {
+            let args = format!(r#""rule":{rule},"kind":"{}","step":{step}"#, kind.name());
+            instant(if firing { "alert fire" } else { "alert clear" }, 'g', "alert", args)
+        }
         // Perfetto keys counter tracks by (pid, name), not tid, so the
         // rank goes into the name to keep one track per counter per
         // rank.
-        Event::CounterSample { id, value_bits } => out.push(format!(
-            r#"{{"name":"{} r{tid}","ph":"C","pid":0,"tid":{tid},"ts":{},"cat":"counter","args":{{"value":{}}}}}"#,
-            counter::name(id),
-            us(te.ts_ns),
+        Event::CounterSample { track, value_bits } => format!(
+            r#"{{"name":"{} r{tid}","ph":"C","pid":0,"tid":{tid},"ts":{ts},"cat":"counter","args":{{"value":{}}}}}"#,
+            track.name(),
             num(f64::from_bits(value_bits)),
-        )),
-    }
+        ),
+    };
+    out.push(last);
+}
+
+/// Inverse of [`encode`] for one record (`ts` in microseconds). `None`
+/// for a record no event writes by itself: metadata, the flow arrow that
+/// follows a send/receive instant, a name or argument outside the
+/// format.
+fn decode(ph: &str, name: &str, ts: f64, record: &Json) -> Option<TimedEvent> {
+    let args = record.get("args");
+    let n = |key: &str| Some(args?.f64_at(key)? as u64);
+    let event = match ph {
+        "X" => {
+            let dur = record.f64_at("dur")?;
+            // The ring stamps spans at their end; the trace stores the
+            // start, so re-stamp at start + duration.
+            return Some(TimedEvent {
+                ts_ns: ns(ts + dur),
+                event: Event::Phase { phase: Phase::from_name(name)?, dur_ns: ns(dur) },
+            });
+        }
+        "C" => Event::CounterSample {
+            track: CounterTrack::from_name(name.rsplit_once(" r")?.0)?,
+            value_bits: args?.f64_at("value")?.to_bits(),
+        },
+        "i" => match (name, name.split_once(' ')) {
+            (_, Some(("send", class))) => Event::Send {
+                peer: n("to")? as u32,
+                class: TrafficClass::from_name(class)?,
+                bytes: n("bytes")?,
+                tag16: n("tag")? as u16,
+                seq: n("seq")?,
+            },
+            (_, Some(("recv", class))) => Event::Recv {
+                peer: n("from")? as u32,
+                class: TrafficClass::from_name(class),
+                bytes: n("bytes")?,
+                tag16: n("tag")? as u16,
+                seq: n("seq")?,
+            },
+            (_, Some(("fault", kind))) => Event::FaultInjected {
+                kind: FaultKind::from_name(kind)?,
+                peer: n("to")? as u32,
+                param: n("param")?,
+            },
+            ("kill injected", _) => Event::KillInjected { step: n("step")? },
+            (_, Some(("health", code))) => {
+                Event::HealthViolation { code: HealthCode::from_name(code)?, step: n("step")? }
+            }
+            ("checkpoint", _) => Event::CheckpointSaved { step: n("step")? },
+            ("rollback", _) => Event::Rollback { pass: n("pass")?, resume_step: n("resume_step")? },
+            ("retile", _) => Event::Retile {
+                pth: n("pth")? as u16,
+                pph: n("pph")? as u16,
+                pass: n("pass")?,
+                resume_step: n("resume_step")?,
+            },
+            ("degraded", _) => {
+                Event::Degraded { pass: n("pass")?, checkpoint_every: n("checkpoint_every")? }
+            }
+            (_, Some(("step", _))) => Event::StepBegin { step: n("step")? },
+            ("alert fire" | "alert clear", _) => Event::Alert {
+                rule: n("rule")? as u32,
+                kind: AlertKind::from_name(args?.str_at("kind")?)?,
+                firing: name == "alert fire",
+                step: n("step")?,
+            },
+            _ => return None,
+        },
+        _ => return None,
+    };
+    Some(TimedEvent { ts_ns: ns(ts), event })
 }
 
 /// Render rank tracks as a Chrome trace-event JSON document.
@@ -158,7 +245,7 @@ pub fn chrome_trace_json(tracks: &[RankTrace]) -> String {
             _ => te.ts_ns,
         });
         for te in evs {
-            push_event(&mut out, t.rank, te);
+            encode(&mut out, t.rank, te);
         }
     }
     let mut doc = String::from("{\"traceEvents\":[\n");
@@ -172,26 +259,25 @@ pub fn chrome_trace_json(tracks: &[RankTrace]) -> String {
 pub struct TraceCheck {
     /// Total trace events (metadata included).
     pub events: usize,
-    /// `"X"` complete-span events.
+    /// Phase spans (`"X"` records of a known phase).
     pub spans: usize,
     /// Flow arrows (`"s"` starts; each should have a matching `"f"`).
     pub flow_starts: usize,
     /// Flow finishes.
     pub flow_finishes: usize,
-    /// `"kill injected"` instants.
+    /// [`Event::KillInjected`] instants.
     pub kills: usize,
-    /// `"retile"` instants (elastic layout changes).
+    /// [`Event::Retile`] instants (elastic layout changes).
     pub retiles: usize,
-    /// `"degraded"` instants (degraded-mode entries).
+    /// [`Event::Degraded`] instants (degraded-mode entries).
     pub degrades: usize,
-    /// `"alert fire"` / `"alert clear"` watchdog instants.
+    /// [`Event::Alert`] fire/clear watchdog instants.
     pub alerts: usize,
     /// Distinct `tid` tracks seen (metadata excluded).
     pub tracks: usize,
-    /// `"C"` counter samples.
+    /// [`Event::CounterSample`] records.
     pub counter_samples: usize,
-    /// Distinct counter tracks (by name; the rank is baked into counter
-    /// names, so this is per counter per rank).
+    /// Distinct counter tracks (per counter per rank).
     pub counter_tracks: usize,
 }
 
@@ -216,118 +302,134 @@ impl TraceCheck {
     }
 }
 
-/// Parse and structurally validate a Chrome trace produced by
-/// [`chrome_trace_json`] (or anything shaped like it): the document must
-/// parse, carry a `traceEvents` array, every event must have the
-/// required keys for its phase type, and within each `tid` track the
-/// non-metadata timestamps must be monotone non-decreasing.
-pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
-    let doc = crate::json::Json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing traceEvents array")?;
-    let mut check = TraceCheck { events: events.len(), ..TraceCheck::default() };
-    let mut last_ts: Vec<(f64, f64)> = Vec::new(); // (tid, last ts)
-    let mut counter_names: Vec<String> = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let name = e
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("event {i}: missing name"))?;
-        e.get("pid").and_then(|v| v.as_f64()).ok_or_else(|| format!("event {i}: missing pid"))?;
+/// The one reader of the format: parse `text`, check every record —
+/// the required keys for its `ph`, a `tid` below [`MAX_TRACE_RANKS`],
+/// monotone non-decreasing timestamps within each `tid` track, finite
+/// counter values — and hand each non-metadata record to `visit` as
+/// `(rank, ph, what it decodes to)`. Returns the record count, metadata
+/// included.
+fn walk(
+    text: &str,
+    mut visit: impl FnMut(usize, &str, Option<TimedEvent>),
+) -> Result<usize, String> {
+    let doc = Json::parse(text)?;
+    let records = doc.arr_at("traceEvents").ok_or("missing traceEvents array")?;
+    let mut last_ts: BTreeMap<usize, f64> = BTreeMap::new();
+    for (i, e) in records.iter().enumerate() {
+        let ph = e.str_at("ph").ok_or_else(|| format!("event {i}: missing ph"))?;
+        let name = e.str_at("name").ok_or_else(|| format!("event {i}: missing name"))?;
+        e.f64_at("pid").ok_or_else(|| format!("event {i}: missing pid"))?;
         if ph == "M" {
             continue; // metadata carries no timestamp
         }
-        let tid = e
-            .get("tid")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("event {i}: missing tid"))?;
-        let ts = e
-            .get("ts")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("event {i} ({name}): missing ts"))?;
-        match last_ts.iter_mut().find(|(t, _)| *t == tid) {
-            Some((_, last)) => {
-                if ts < *last {
-                    return Err(format!(
-                        "event {i} ({name}): ts {ts} goes backwards on track {tid} (last {last})"
-                    ));
-                }
-                *last = ts;
+        let tid = e.f64_at("tid").ok_or_else(|| format!("event {i}: missing tid"))?;
+        if !(tid >= 0.0 && tid < MAX_TRACE_RANKS as f64 && tid.fract() == 0.0) {
+            return Err(format!(
+                "event {i} ({name}): tid {tid} is not an integer rank below {MAX_TRACE_RANKS}"
+            ));
+        }
+        let rank = tid as usize;
+        let ts = e.f64_at("ts").ok_or_else(|| format!("event {i} ({name}): missing ts"))?;
+        if let Some(last) = last_ts.insert(rank, ts) {
+            if ts < last {
+                return Err(format!(
+                    "event {i} ({name}): ts {ts} goes backwards on track {rank} (last {last})"
+                ));
             }
-            None => last_ts.push((tid, ts)),
         }
         match ph {
             "X" => {
-                check.spans += 1;
-                e.get("dur")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("event {i} ({name}): X without dur"))?;
+                e.f64_at("dur").ok_or_else(|| format!("event {i} ({name}): X without dur"))?;
             }
             "s" | "f" => {
                 e.get("id").ok_or_else(|| format!("event {i} ({name}): flow without id"))?;
-                if ph == "s" {
-                    check.flow_starts += 1;
-                } else {
-                    check.flow_finishes += 1;
-                }
             }
-            "i" => {
-                if name == "kill injected" {
-                    check.kills += 1;
-                } else if name == "retile" {
-                    check.retiles += 1;
-                } else if name == "degraded" {
-                    check.degrades += 1;
-                } else if name == "alert fire" || name == "alert clear" {
-                    check.alerts += 1;
-                }
-            }
+            "i" => {}
             "C" => {
-                check.counter_samples += 1;
-                let value = e
-                    .get("args")
-                    .and_then(|a| a.get("value"))
-                    .and_then(|v| v.as_f64())
+                let value = (e.get("args").and_then(|a| a.f64_at("value")))
                     .ok_or_else(|| format!("event {i} ({name}): C without args.value"))?;
                 if !value.is_finite() {
-                    return Err(format!(
-                        "event {i} ({name}): non-finite counter value {value}"
-                    ));
-                }
-                if !counter_names.iter().any(|n| n == name) {
-                    counter_names.push(name.to_string());
+                    return Err(format!("event {i} ({name}): non-finite counter value {value}"));
                 }
             }
             other => return Err(format!("event {i} ({name}): unexpected ph {other:?}")),
         }
+        visit(rank, ph, decode(ph, name, ts, e));
     }
-    check.tracks = last_ts.len();
-    check.counter_tracks = counter_names.len();
-    Ok(check)
+    Ok(records.len())
+}
+
+/// Parse and structurally validate a Chrome trace produced by
+/// [`chrome_trace_json`] (or anything shaped like it; see `walk` for
+/// the checks) and take a census of the events it decodes to.
+pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
+    let mut check = TraceCheck::default();
+    let mut tracks = BTreeSet::new();
+    let mut counter_tracks = BTreeSet::new();
+    let events = walk(text, |rank, ph, decoded| {
+        tracks.insert(rank);
+        match (ph, decoded.map(|te| te.event)) {
+            ("s", _) => check.flow_starts += 1,
+            ("f", _) => check.flow_finishes += 1,
+            (_, Some(Event::Phase { .. })) => check.spans += 1,
+            (_, Some(Event::KillInjected { .. })) => check.kills += 1,
+            (_, Some(Event::Retile { .. })) => check.retiles += 1,
+            (_, Some(Event::Degraded { .. })) => check.degrades += 1,
+            (_, Some(Event::Alert { .. })) => check.alerts += 1,
+            (_, Some(Event::CounterSample { track, .. })) => {
+                check.counter_samples += 1;
+                counter_tracks.insert((rank, track));
+            }
+            _ => {}
+        }
+    })?;
+    Ok(TraceCheck { events, tracks: tracks.len(), counter_tracks: counter_tracks.len(), ..check })
+}
+
+/// Rebuild per-rank event streams (world-rank indexed, oldest first)
+/// from a Chrome trace produced by [`chrome_trace_json`] — the offline
+/// half of `yycore doctor`, so a trace file on disk is as analyzable as
+/// a live recorder set. The trace must pass the same checks as
+/// [`validate_chrome_trace`]; every record that decodes is kept.
+pub fn streams_from_chrome(text: &str) -> Result<Vec<Vec<TimedEvent>>, String> {
+    let mut streams: Vec<Vec<TimedEvent>> = Vec::new();
+    walk(text, |rank, _, decoded| {
+        if let Some(te) = decoded {
+            if streams.len() <= rank {
+                streams.resize_with(rank + 1, Vec::new);
+            }
+            streams[rank].push(te);
+        }
+    })?;
+    if streams.is_empty() {
+        return Err("trace contains no analyzable events".into());
+    }
+    // Ring order: the trace sorted spans by their start, the ring by
+    // their end.
+    for stream in &mut streams {
+        stream.sort_by_key(|te| te.ts_ns);
+    }
+    Ok(streams)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Kernel;
+    use crate::event::Gauge;
 
     fn demo_tracks() -> Vec<RankTrace> {
         let t0 = vec![
             TimedEvent { ts_ns: 1_000, event: Event::StepBegin { step: 0 } },
             TimedEvent {
                 ts_ns: 3_000,
-                event: Event::Send { peer: 1, class: class::HALO, bytes: 800, tag16: 11, seq: 0 },
+                event: Event::Send { peer: 1, class: TrafficClass::Halo, bytes: 800, tag16: 11, seq: 0 },
             },
-            TimedEvent { ts_ns: 9_000, event: Event::Phase { phase: phase::INTERIOR, dur_ns: 5_000 } },
-            TimedEvent { ts_ns: 9_200, event: Event::counter_sample(0, 512.25) },
+            TimedEvent { ts_ns: 9_000, event: Event::Phase { phase: Phase::Interior, dur_ns: 5_000 } },
+            TimedEvent { ts_ns: 9_200, event: Event::counter_sample(CounterTrack::Kernel(Kernel::Rhs), 512.25) },
             TimedEvent {
                 ts_ns: 9_200,
-                event: Event::counter_sample(counter::QUEUE_DEPTH, 2.0),
+                event: Event::counter_sample(CounterTrack::Gauge(Gauge::QueueDepth), 2.0),
             },
             TimedEvent { ts_ns: 9_500, event: Event::KillInjected { step: 4 } },
         ];
@@ -335,12 +437,12 @@ mod tests {
             TimedEvent { ts_ns: 2_000, event: Event::StepBegin { step: 0 } },
             TimedEvent {
                 ts_ns: 6_000,
-                event: Event::Recv { peer: 0, class: class::UNKNOWN, bytes: 800, tag16: 11, seq: 0 },
+                event: Event::Recv { peer: 0, class: None, bytes: 800, tag16: 11, seq: 0 },
             },
             TimedEvent { ts_ns: 8_000, event: Event::CheckpointSaved { step: 2 } },
-            TimedEvent { ts_ns: 8_500, event: Event::HealthViolation { code: 1, step: 3 } },
+            TimedEvent { ts_ns: 8_500, event: Event::HealthViolation { code: HealthCode::DensityFloor, step: 3 } },
             TimedEvent { ts_ns: 8_600, event: Event::Rollback { pass: 1, resume_step: 2 } },
-            TimedEvent { ts_ns: 8_700, event: Event::FaultInjected { kind: 0, peer: 0, param: 2 } },
+            TimedEvent { ts_ns: 8_700, event: Event::FaultInjected { kind: FaultKind::Drop, peer: 0, param: 2 } },
             TimedEvent {
                 ts_ns: 8_800,
                 event: Event::Retile { pth: 1, pph: 2, pass: 2, resume_step: 4 },
@@ -348,11 +450,11 @@ mod tests {
             TimedEvent { ts_ns: 8_900, event: Event::Degraded { pass: 2, checkpoint_every: 4 } },
             TimedEvent {
                 ts_ns: 9_200,
-                event: Event::Alert { rule: 0, kind: alert::DT_COLLAPSE, firing: true, step: 6 },
+                event: Event::Alert { rule: 0, kind: AlertKind::DtCollapse, firing: true, step: 6 },
             },
             TimedEvent {
                 ts_ns: 9_300,
-                event: Event::Alert { rule: 0, kind: alert::DT_COLLAPSE, firing: false, step: 8 },
+                event: Event::Alert { rule: 0, kind: AlertKind::DtCollapse, firing: false, step: 8 },
             },
         ];
         vec![RankTrace { rank: 0, events: t0 }, RankTrace { rank: 1, events: t1 }]
@@ -450,6 +552,45 @@ mod tests {
         assert!(err.contains("without dur"), "{err}");
         assert!(validate_chrome_trace("{}").is_err());
         assert!(validate_chrome_trace("not json").is_err());
+    }
+
+    #[test]
+    fn tid_must_be_an_integer_rank_below_the_bound() {
+        let with_tid = |tid: &str| {
+            format!(
+                r#"{{"traceEvents":[{{"name":"step 1","ph":"i","pid":0,"tid":{tid},"ts":1,"args":{{"step":1}}}}]}}"#
+            )
+        };
+        for bad in ["4000000000000", "65536", "-1", "0.5", "1e999"] {
+            for err in [
+                validate_chrome_trace(&with_tid(bad)).unwrap_err(),
+                streams_from_chrome(&with_tid(bad)).unwrap_err(),
+            ] {
+                assert!(
+                    err.starts_with("event 0 (step 1): tid ")
+                        && err.ends_with("is not an integer rank below 65536"),
+                    "{bad}: {err}"
+                );
+            }
+        }
+        let streams = streams_from_chrome(&with_tid("65535")).expect("the last rank in range");
+        assert_eq!(streams.len(), 65_536);
+        assert_eq!(streams[65_535].len(), 1);
+    }
+
+    #[test]
+    fn census_counts_decoded_events_and_tolerates_foreign_records() {
+        let doc = r#"{"traceEvents":[
+            {"name":"gc","ph":"X","pid":0,"tid":0,"ts":1.0,"dur":1.0},
+            {"name":"kill injected","ph":"i","pid":0,"tid":0,"ts":2.0,"args":{}},
+            {"name":"alert maybe","ph":"i","pid":0,"tid":0,"ts":3.0,"args":{"rule":0,"kind":"above","step":1}},
+            {"name":"mflops:nope r0","ph":"C","pid":0,"tid":0,"ts":4.0,"args":{"value":1.0}},
+            {"name":"wait","ph":"X","pid":0,"tid":0,"ts":5.0,"dur":1.0}
+        ]}"#;
+        let check = validate_chrome_trace(doc).expect("structurally fine");
+        assert_eq!(check.events, 5);
+        assert_eq!((check.spans, check.kills, check.alerts, check.counter_samples), (1, 0, 0, 0));
+        assert_eq!(streams_from_chrome(doc).unwrap()[0].len(), 1);
     }
 
     #[test]

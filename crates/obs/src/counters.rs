@@ -26,48 +26,56 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Kernel identifiers: the per-kernel counter namespace.
-///
-/// Stable u8 ids, used both as `CounterSet` indices and as the `sub`
-/// byte of [`crate::Event::CounterSample`] wire records.
-pub mod kernel {
-    /// The RHS finite-difference sweep (640 flops/point, `yy-mhd`).
-    pub const RHS: u8 = 0;
-    /// RK4 state combines (axpy / assign-axpy over the 8 state arrays).
-    pub const RK4_COMBINE: u8 = 1;
-    /// Halo region pack (owned boundary bands → message buffers).
-    pub const HALO_PACK: u8 = 2;
-    /// Halo region unpack (message buffers → ghost bands).
-    pub const HALO_UNPACK: u8 = 3;
-    /// Overset donate: bilinear interpolation + tangent rotation of
-    /// donor columns for the partner panel.
-    pub const OVERSET_DONATE: u8 = 4;
-    /// Overset fill: placing received (or locally interpolated) columns
-    /// into the target frame.
-    pub const OVERSET_FILL: u8 = 5;
-    /// Solver health scan (NaN/Inf + positivity floors).
-    pub const HEALTH_SCAN: u8 = 6;
-    /// Output pipeline: checkpoint/snapshot shard pack, encode (delta +
-    /// RLE) and file write. `flops` stays 0 — the slot exists so the
-    /// roofline table shows where the output bytes and wall time go.
-    pub const OUTPUT: u8 = 7;
-    /// Number of kernels.
-    pub const COUNT: usize = 8;
-
-    /// Kernel name for reports and exposition labels.
-    pub fn name(id: u8) -> &'static str {
-        match id {
-            RHS => "rhs",
-            RK4_COMBINE => "rk4_combine",
-            HALO_PACK => "halo_pack",
-            HALO_UNPACK => "halo_unpack",
-            OVERSET_DONATE => "overset_donate",
-            OVERSET_FILL => "overset_fill",
-            HEALTH_SCAN => "health_scan",
-            OUTPUT => "output",
-            _ => "unknown",
-        }
+crate::event::code_table! {
+    /// Kernel identifiers: the per-kernel counter namespace. The codes
+    /// are dense from 0 — they index [`CounterSet`]'s cells and
+    /// [`CounterSnapshot::kernels`] — and double as the `sub` byte of a
+    /// per-kernel [`crate::event::CounterTrack`].
+    pub enum Kernel {
+        /// The RHS finite-difference sweep (640 flops/point, `yy-mhd`).
+        Rhs = 0 => "rhs",
+        /// RK4 state combines (axpy / assign-axpy over the 8 state arrays).
+        Rk4Combine = 1 => "rk4_combine",
+        /// Halo region pack (owned boundary bands → message buffers).
+        HaloPack = 2 => "halo_pack",
+        /// Halo region unpack (message buffers → ghost bands).
+        HaloUnpack = 3 => "halo_unpack",
+        /// Overset donate: bilinear interpolation + tangent rotation of
+        /// donor columns for the partner panel.
+        OversetDonate = 4 => "overset_donate",
+        /// Overset fill: placing received (or locally interpolated) columns
+        /// into the target frame.
+        OversetFill = 5 => "overset_fill",
+        /// Solver health scan (NaN/Inf + positivity floors).
+        HealthScan = 6 => "health_scan",
+        /// Output pipeline: checkpoint/snapshot shard pack, encode (delta +
+        /// RLE) and file write. `flops` stays 0 — the slot exists so the
+        /// roofline table shows where the output bytes and wall time go.
+        Output = 7 => "output",
     }
+}
+
+/// The [`Kernel`] ids as plain `u8`s: what `yy_field::Meters::kernel`
+/// and [`CounterSet::add`] take, so a tally site names its kernel
+/// without a cast.
+pub mod kernel {
+    use super::Kernel;
+    /// [`Kernel::Rhs`].
+    pub const RHS: u8 = Kernel::Rhs as u8;
+    /// [`Kernel::Rk4Combine`].
+    pub const RK4_COMBINE: u8 = Kernel::Rk4Combine as u8;
+    /// [`Kernel::HaloPack`].
+    pub const HALO_PACK: u8 = Kernel::HaloPack as u8;
+    /// [`Kernel::HaloUnpack`].
+    pub const HALO_UNPACK: u8 = Kernel::HaloUnpack as u8;
+    /// [`Kernel::OversetDonate`].
+    pub const OVERSET_DONATE: u8 = Kernel::OversetDonate as u8;
+    /// [`Kernel::OversetFill`].
+    pub const OVERSET_FILL: u8 = Kernel::OversetFill as u8;
+    /// [`Kernel::HealthScan`].
+    pub const HEALTH_SCAN: u8 = Kernel::HealthScan as u8;
+    /// [`Kernel::Output`].
+    pub const OUTPUT: u8 = Kernel::Output as u8;
 }
 
 /// One site's contribution to a kernel's counters. All counts are exact
@@ -93,29 +101,23 @@ pub struct KernelTally {
     pub bytes_written: u64,
 }
 
-/// Per-kernel atomic counter cell.
-#[derive(Debug, Default)]
-struct KernelCell {
-    calls: AtomicU64,
-    points: AtomicU64,
-    loops: AtomicU64,
-    vector_elements: AtomicU64,
-    flops: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    wall_ns: AtomicU64,
-}
+/// Words per kernel cell: [`KernelSnapshot::words`]'s length.
+const WORDS: usize = 8;
 
-/// The per-rank performance-counter registry: one cell per kernel id,
-/// behind an enabled flag with the flight recorder's fast-path
-/// discipline (one relaxed load when disabled).
+/// Number of f64 words [`CounterSnapshot::to_f64s`] produces.
+pub const COUNTER_MERGE_WORDS: usize = WORDS * Kernel::COUNT;
+
+/// The per-rank performance-counter registry: one cell of
+/// [`KernelSnapshot::words`] per kernel id, behind an enabled flag with
+/// the flight recorder's fast-path discipline (one relaxed load when
+/// disabled).
 ///
 /// All mutation is relaxed-atomic, so a set can be shared (`Arc`)
 /// between the solver thread and a snapshotting sampler or exporter.
 #[derive(Debug)]
 pub struct CounterSet {
     enabled: AtomicBool,
-    cells: [KernelCell; kernel::COUNT],
+    cells: [[AtomicU64; WORDS]; Kernel::COUNT],
 }
 
 impl Default for CounterSet {
@@ -151,15 +153,8 @@ impl CounterSet {
 
     /// Zero every cell (the stepping-window reset at loop entry).
     pub fn reset(&self) {
-        for cell in &self.cells {
-            cell.calls.store(0, Ordering::Relaxed);
-            cell.points.store(0, Ordering::Relaxed);
-            cell.loops.store(0, Ordering::Relaxed);
-            cell.vector_elements.store(0, Ordering::Relaxed);
-            cell.flops.store(0, Ordering::Relaxed);
-            cell.bytes_read.store(0, Ordering::Relaxed);
-            cell.bytes_written.store(0, Ordering::Relaxed);
-            cell.wall_ns.store(0, Ordering::Relaxed);
+        for word in self.cells.iter().flatten() {
+            word.store(0, Ordering::Relaxed);
         }
     }
 
@@ -167,21 +162,25 @@ impl CounterSet {
     /// disabled.
     #[inline]
     pub fn add(&self, id: u8, t: KernelTally) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.add_always(id, t, 0);
         }
-        self.add_always(id, t);
     }
 
-    fn add_always(&self, id: u8, t: KernelTally) {
-        let c = &self.cells[id as usize];
-        c.calls.fetch_add(1, Ordering::Relaxed);
-        c.points.fetch_add(t.points, Ordering::Relaxed);
-        c.loops.fetch_add(t.loops, Ordering::Relaxed);
-        c.vector_elements.fetch_add(t.vector_elements, Ordering::Relaxed);
-        c.flops.fetch_add(t.flops, Ordering::Relaxed);
-        c.bytes_read.fetch_add(t.bytes_read, Ordering::Relaxed);
-        c.bytes_written.fetch_add(t.bytes_written, Ordering::Relaxed);
+    fn add_always(&self, id: u8, t: KernelTally, wall_ns: u64) {
+        let one_call = KernelSnapshot {
+            calls: 1,
+            points: t.points,
+            loops: t.loops,
+            vector_elements: t.vector_elements,
+            flops: t.flops,
+            bytes_read: t.bytes_read,
+            bytes_written: t.bytes_written,
+            wall_ns,
+        };
+        for (cell, word) in self.cells[id as usize].iter().zip(one_call.words()) {
+            cell.fetch_add(word, Ordering::Relaxed);
+        }
     }
 
     /// Start a wall-time sample: `Some(now)` when enabled, `None` (no
@@ -203,30 +202,18 @@ impl CounterSet {
         let Some(t0) = t0 else {
             return;
         };
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.add_always(id, t, t0.elapsed().as_nanos() as u64);
         }
-        self.add_always(id, t);
-        self.cells[id as usize]
-            .wall_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// An immutable copy of every cell.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
-            kernels: std::array::from_fn(|i| {
-                let c = &self.cells[i];
-                KernelSnapshot {
-                    calls: c.calls.load(Ordering::Relaxed),
-                    points: c.points.load(Ordering::Relaxed),
-                    loops: c.loops.load(Ordering::Relaxed),
-                    vector_elements: c.vector_elements.load(Ordering::Relaxed),
-                    flops: c.flops.load(Ordering::Relaxed),
-                    bytes_read: c.bytes_read.load(Ordering::Relaxed),
-                    bytes_written: c.bytes_written.load(Ordering::Relaxed),
-                    wall_ns: c.wall_ns.load(Ordering::Relaxed),
-                }
+            kernels: std::array::from_fn(|k| {
+                KernelSnapshot::from_words(std::array::from_fn(|w| {
+                    self.cells[k][w].load(Ordering::Relaxed)
+                }))
             }),
         }
     }
@@ -253,13 +240,51 @@ pub struct KernelSnapshot {
     pub wall_ns: u64,
 }
 
-/// Words per kernel in the f64 merge encoding.
-const WORDS_PER_KERNEL: usize = 8;
-
-/// Number of f64 words [`CounterSnapshot::to_f64s`] produces.
-pub const COUNTER_MERGE_WORDS: usize = WORDS_PER_KERNEL * kernel::COUNT;
-
 impl KernelSnapshot {
+    /// The names of [`KernelSnapshot::words`], in order: the report's
+    /// per-kernel JSON keys.
+    pub const WORD_NAMES: [&'static str; WORDS] = [
+        "calls",
+        "points",
+        "loops",
+        "vector_elements",
+        "flops",
+        "bytes_read",
+        "bytes_written",
+        "wall_ns",
+    ];
+
+    /// Every field as one array: what the cells, the merge, the f64
+    /// encoding and the exporters walk.
+    pub fn words(&self) -> [u64; WORDS] {
+        [
+            self.calls,
+            self.points,
+            self.loops,
+            self.vector_elements,
+            self.flops,
+            self.bytes_read,
+            self.bytes_written,
+            self.wall_ns,
+        ]
+    }
+
+    /// Inverse of [`KernelSnapshot::words`].
+    pub fn from_words(words: [u64; WORDS]) -> KernelSnapshot {
+        let [calls, points, loops, vector_elements, flops, bytes_read, bytes_written, wall_ns] =
+            words;
+        KernelSnapshot {
+            calls,
+            points,
+            loops,
+            vector_elements,
+            flops,
+            bytes_read,
+            bytes_written,
+            wall_ns,
+        }
+    }
+
     /// Achieved MFLOPS over the kernel's attributed wall time (0 when
     /// untimed).
     pub fn mflops(&self) -> f64 {
@@ -296,19 +321,18 @@ impl KernelSnapshot {
 
 /// Immutable all-kernel counter state: what crosses rank boundaries and
 /// lands in run reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Per-kernel snapshots, indexed by [`kernel`] id.
-    pub kernels: [KernelSnapshot; kernel::COUNT],
-}
-
-impl Default for CounterSnapshot {
-    fn default() -> Self {
-        CounterSnapshot { kernels: [KernelSnapshot::default(); kernel::COUNT] }
-    }
+    /// Per-kernel snapshots, indexed by [`Kernel`] id.
+    pub kernels: [KernelSnapshot; Kernel::COUNT],
 }
 
 impl CounterSnapshot {
+    /// Every kernel with its snapshot, in id order.
+    pub fn rows(&self) -> impl Iterator<Item = (Kernel, &KernelSnapshot)> {
+        Kernel::ALL.into_iter().zip(&self.kernels)
+    }
+
     /// Whether any kernel recorded anything.
     pub fn is_empty(&self) -> bool {
         self.kernels.iter().all(|k| k.calls == 0)
@@ -330,7 +354,7 @@ impl CounterSnapshot {
             "{:<16} {:>10} {:>14} {:>10} {:>8} {:>8}\n",
             "kernel", "calls", "MFLOPS", "flops/B", "avg VL", "%flops"
         );
-        for (id, k) in self.kernels.iter().enumerate().filter(|(_, k)| k.calls > 0) {
+        for (kernel, k) in self.rows().filter(|(_, k)| k.calls > 0) {
             // A kernel that counts flops but no wall time of its own runs
             // inside another kernel's timer: the RK4 combine, flushed per
             // column by the RHS sweep.
@@ -341,7 +365,7 @@ impl CounterSnapshot {
             };
             out.push_str(&format!(
                 "{:<16} {:>10} {:>14} {:>10.3} {:>8.1} {:>8.2}\n",
-                kernel::name(id as u8),
+                kernel.name(),
                 k.calls,
                 rate,
                 k.intensity(),
@@ -358,18 +382,9 @@ impl CounterSnapshot {
     /// identity.
     pub fn merged(self, other: CounterSnapshot) -> CounterSnapshot {
         CounterSnapshot {
-            kernels: std::array::from_fn(|i| {
-                let (a, b) = (self.kernels[i], other.kernels[i]);
-                KernelSnapshot {
-                    calls: a.calls + b.calls,
-                    points: a.points + b.points,
-                    loops: a.loops + b.loops,
-                    vector_elements: a.vector_elements + b.vector_elements,
-                    flops: a.flops + b.flops,
-                    bytes_read: a.bytes_read + b.bytes_read,
-                    bytes_written: a.bytes_written + b.bytes_written,
-                    wall_ns: a.wall_ns + b.wall_ns,
-                }
+            kernels: std::array::from_fn(|k| {
+                let (a, b) = (self.kernels[k].words(), other.kernels[k].words());
+                KernelSnapshot::from_words(std::array::from_fn(|w| a[w] + b[w]))
             }),
         }
     }
@@ -377,38 +392,15 @@ impl CounterSnapshot {
     /// All cells as f64 words for an elementwise-Sum allreduce. Exact
     /// while every count stays below 2⁵³.
     pub fn to_f64s(&self) -> Vec<f64> {
-        let mut v = Vec::with_capacity(COUNTER_MERGE_WORDS);
-        for k in &self.kernels {
-            v.extend_from_slice(&[
-                k.calls as f64,
-                k.points as f64,
-                k.loops as f64,
-                k.vector_elements as f64,
-                k.flops as f64,
-                k.bytes_read as f64,
-                k.bytes_written as f64,
-                k.wall_ns as f64,
-            ]);
-        }
-        v
+        self.kernels.iter().flat_map(|k| k.words()).map(|w| w as f64).collect()
     }
 
     /// Rebuild from [`CounterSnapshot::to_f64s`] words.
     pub fn from_f64s(words: &[f64]) -> CounterSnapshot {
         assert_eq!(words.len(), COUNTER_MERGE_WORDS, "merged counter word count");
         CounterSnapshot {
-            kernels: std::array::from_fn(|i| {
-                let w = &words[i * WORDS_PER_KERNEL..(i + 1) * WORDS_PER_KERNEL];
-                KernelSnapshot {
-                    calls: w[0] as u64,
-                    points: w[1] as u64,
-                    loops: w[2] as u64,
-                    vector_elements: w[3] as u64,
-                    flops: w[4] as u64,
-                    bytes_read: w[5] as u64,
-                    bytes_written: w[6] as u64,
-                    wall_ns: w[7] as u64,
-                }
+            kernels: std::array::from_fn(|k| {
+                KernelSnapshot::from_words(std::array::from_fn(|w| words[k * WORDS + w] as u64))
             }),
         }
     }
@@ -500,12 +492,23 @@ mod tests {
     #[test]
     fn kernel_names_are_stable() {
         let mut seen = std::collections::BTreeSet::new();
-        for id in 0..kernel::COUNT as u8 {
-            let n = kernel::name(id);
-            assert_ne!(n, "unknown");
-            assert!(seen.insert(n), "duplicate kernel name {n}");
+        for (i, k) in Kernel::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "kernel ids are dense: they index the cells");
+            assert!(seen.insert(k.name()), "duplicate kernel name {}", k.name());
+            assert_eq!(Kernel::from_name(k.name()), Some(k));
         }
-        assert_eq!(kernel::name(200), "unknown");
+        assert_eq!((kernel::RHS, kernel::OUTPUT), (0, 7));
+        assert_eq!(Kernel::from_code(200), None);
+    }
+
+    #[test]
+    fn words_are_the_fields_in_name_order() {
+        let words = [1, 2, 3, 4, 5, 6, 7, 8];
+        let k = KernelSnapshot::from_words(words);
+        assert_eq!(k.words(), words);
+        assert_eq!((k.calls, k.flops, k.wall_ns), (1, 5, 8));
+        let at = |name| KernelSnapshot::WORD_NAMES.iter().position(|&n| n == name);
+        assert_eq!((at("calls"), at("flops"), at("wall_ns")), (Some(0), Some(4), Some(7)));
     }
 
     #[test]

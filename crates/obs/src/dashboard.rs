@@ -49,13 +49,11 @@ pub struct WatchHistory {
 
 impl WatchHistory {
     fn push(&mut self, key: &str, value: f64, cap: usize) {
-        let vals = match self.panels.iter_mut().find(|(k, _)| k == key) {
-            Some((_, vals)) => vals,
-            None => {
-                self.panels.push((key.to_string(), Vec::new()));
-                &mut self.panels.last_mut().expect("just pushed").1
-            }
-        };
+        let i = self.panels.iter().position(|(k, _)| k == key).unwrap_or_else(|| {
+            self.panels.push((key.to_string(), Vec::new()));
+            self.panels.len() - 1
+        });
+        let vals = &mut self.panels[i].1;
         vals.push(value);
         if vals.len() > cap {
             vals.remove(0);

@@ -1,4 +1,5 @@
-//! The flight-recorder event model and its fixed-width encoding.
+//! The flight-recorder event model, its code spaces and its
+//! fixed-width encoding.
 //!
 //! Events must be recordable from the solver's hot paths, so each one
 //! packs into three 64-bit words (plus the timestamp word the ring adds):
@@ -10,192 +11,192 @@
 //! ```
 //!
 //! The `sub` byte carries the small enums (solver phase, traffic class,
-//! fault kind, health code) as plain integers; the name tables below map
-//! them back to strings at export time. Keeping the codes here — rather
-//! than referencing `yy-parcomm`'s own enums — lets this crate sit at the
-//! bottom of the dependency graph.
+//! fault kind, health code, alert kind, counter track). Each of those
+//! code spaces is declared here, once, by [`code_table!`]: the enum, its
+//! wire byte and its exported name in one line per code. The crates
+//! above (`yy-parcomm`'s stats, `yycore`'s report) re-export or index by
+//! these types instead of keeping their own copies.
 
-/// Solver-phase codes (`sub` byte of [`Event::Phase`]); mirrors
-/// `yy_parcomm::SolverPhase` in declaration order.
-pub mod phase {
-    /// Packing/unpacking halo bands and posting sends.
-    pub const PACK: u8 = 0;
-    /// Deep-interior stencil work overlapped with in-flight messages.
-    pub const INTERIOR: u8 = 1;
-    /// Blocked in receives (the unhidden communication cost).
-    pub const WAIT: u8 = 2;
-    /// Boundary-shell stencil work and wall conditions.
-    pub const BOUNDARY: u8 = 3;
-    /// Overset interpolation, packing and placement.
-    pub const OVERSET: u8 = 4;
-    /// Blocked on the async output writer's buffer pool.
-    pub const WRITER_WAIT: u8 = 5;
+use crate::counters::Kernel;
 
-    /// Phase names in code order — iterate this to render one entry per
-    /// phase (live gauges, doctor tables).
-    pub const NAMES: [&str; 6] =
-        ["pack", "interior", "wait", "boundary", "overset", "writer_wait"];
+/// Declare one code space: a `#[repr(u8)]` enum whose every variant
+/// carries its wire byte and its exported name.
+macro_rules! code_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $ty:ident {
+            $($(#[$vmeta:meta])* $var:ident = $code:literal => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        #[repr(u8)]
+        $vis enum $ty {
+            $($(#[$vmeta])* $var = $code,)+
+        }
 
-    /// Human-readable phase name (exporters).
-    pub fn name(code: u8) -> &'static str {
-        match code {
-            PACK => "pack",
-            INTERIOR => "interior",
-            WAIT => "wait",
-            BOUNDARY => "boundary",
-            OVERSET => "overset",
-            WRITER_WAIT => "writer_wait",
-            _ => "phase?",
+        impl $ty {
+            /// Number of codes.
+            pub const COUNT: usize = [$($code,)+].len();
+            /// Every code, in declaration order.
+            pub const ALL: [$ty; Self::COUNT] = [$($ty::$var,)+];
+
+            /// The exported name (trace records, report keys, labels).
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$var => $name,)+
+                }
+            }
+
+            /// Inverse of [`Self::name`]; `None` for a name outside the table.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                Self::ALL.into_iter().find(|c| c.name() == name)
+            }
+
+            /// Inverse of `as u8`; `None` for a byte outside the table.
+            pub fn from_code(code: u8) -> Option<$ty> {
+                Self::ALL.into_iter().find(|&c| c as u8 == code)
+            }
+        }
+    };
+}
+pub(crate) use code_table;
+
+code_table! {
+    /// One phase of the solver's overlapped step pipeline. The codes are
+    /// dense from 0, so per-phase records are arrays indexed `as usize`.
+    pub enum Phase {
+        /// Packing/unpacking halo bands and posting sends.
+        Pack = 0 => "pack",
+        /// Deep-interior stencil work overlapped with in-flight messages.
+        Interior = 1 => "interior",
+        /// Blocked in receives (the *unhidden* communication cost).
+        Wait = 2 => "wait",
+        /// Boundary-shell stencil work and wall conditions after the drain.
+        Boundary = 3 => "boundary",
+        /// Overset interpolation, packing and placement.
+        Overset = 4 => "overset",
+        /// Blocked handing a packed output buffer to the async writer (the
+        /// backpressure cost of checkpoint/snapshot emission; zero when the
+        /// two-slot pool always has a free buffer).
+        WriterWait = 5 => "writer_wait",
+    }
+}
+
+code_table! {
+    /// What kind of traffic a message carries (dense from 0, like
+    /// [`Phase`]). A receive does not know it — the wire envelope does
+    /// not carry the class — so [`Event::Recv`] holds an `Option`.
+    pub enum TrafficClass {
+        /// Nearest-neighbour halo exchange inside a panel (θ/φ neighbours).
+        Halo = 0 => "halo",
+        /// Yin↔Yang overset interpolation data between the two panels.
+        Overset = 1 => "overset",
+        /// Reductions and other collective plumbing.
+        Collective = 2 => "collective",
+        /// Setup/control messages (routing tables, split negotiation).
+        Control = 3 => "control",
+    }
+}
+
+code_table! {
+    /// What the fault plan did to a message.
+    pub enum FaultKind {
+        /// First transmission lost; `param` holds the resend count.
+        Drop = 0 => "drop",
+        /// Message held back; `param` holds the injected delay in microseconds.
+        Delay = 1 => "delay",
+        /// Message delivered twice.
+        Duplicate = 2 => "duplicate",
+    }
+}
+
+code_table! {
+    /// Which health guard tripped.
+    pub enum HealthCode {
+        /// NaN/Inf detected in a state field.
+        NonFinite = 0 => "non-finite",
+        /// Density fell under the floor.
+        DensityFloor = 1 => "density-floor",
+        /// Pressure fell under the floor.
+        PressureFloor = 2 => "pressure-floor",
+        /// Time step collapsed.
+        DtCollapse = 3 => "dt-collapse",
+    }
+}
+
+code_table! {
+    /// The condition kind of a watchdog rule ([`crate::watch::RuleKind`]
+    /// without its parameters).
+    pub enum AlertKind {
+        /// Latest value above a threshold.
+        Above = 1 => "above",
+        /// Latest value below a threshold.
+        Below = 2 => "below",
+        /// Rate of change over a window above a limit.
+        Trend = 3 => "trend",
+        /// Signal envelope collapsed (stall).
+        Flatline = 4 => "flatline",
+        /// Value fell below a ratio of the trailing window max (dt
+        /// collapse, the NaN precursor).
+        DtCollapse = 5 => "dt-collapse",
+    }
+}
+
+code_table! {
+    /// The run-level counter tracks (the per-kernel ones are
+    /// [`CounterTrack::Kernel`]); the codes sit above every [`Kernel`] id.
+    pub enum Gauge {
+        /// Mailbox queue depth sampled after the step.
+        QueueDepth = 250 => "queue_depth",
+        /// Whole-rank achieved MFLOPS over the sampling window.
+        TotalMflops = 251 => "mflops_total",
+    }
+}
+
+/// One counter track of [`Event::CounterSample`]: a kernel's achieved
+/// MFLOPS or a run-level [`Gauge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CounterTrack {
+    /// Achieved MFLOPS of one kernel, exported as `mflops:<kernel>`.
+    Kernel(Kernel),
+    /// A run-level gauge, exported under its own name.
+    Gauge(Gauge),
+}
+
+impl CounterTrack {
+    fn code(self) -> u8 {
+        match self {
+            CounterTrack::Kernel(k) => k as u8,
+            CounterTrack::Gauge(g) => g as u8,
         }
     }
 
-    /// Inverse of [`name`] (trace re-importers); `None` for unknown
-    /// names, including the `"phase?"` placeholder.
-    pub fn code(name: &str) -> Option<u8> {
-        match name {
-            "pack" => Some(PACK),
-            "interior" => Some(INTERIOR),
-            "wait" => Some(WAIT),
-            "boundary" => Some(BOUNDARY),
-            "overset" => Some(OVERSET),
-            "writer_wait" => Some(WRITER_WAIT),
-            _ => None,
+    fn from_code(code: u8) -> Option<CounterTrack> {
+        Kernel::from_code(code)
+            .map(CounterTrack::Kernel)
+            .or_else(|| Gauge::from_code(code).map(CounterTrack::Gauge))
+    }
+
+    /// The exported track name.
+    pub fn name(self) -> String {
+        match self {
+            CounterTrack::Kernel(k) => format!("mflops:{}", k.name()),
+            CounterTrack::Gauge(g) => g.name().to_string(),
+        }
+    }
+
+    /// Inverse of [`CounterTrack::name`].
+    pub fn from_name(name: &str) -> Option<CounterTrack> {
+        match name.strip_prefix("mflops:") {
+            Some(kernel) => Kernel::from_name(kernel).map(CounterTrack::Kernel),
+            None => Gauge::from_name(name).map(CounterTrack::Gauge),
         }
     }
 }
 
-/// Traffic-class codes (`sub` byte of [`Event::Send`]/[`Event::Recv`]);
-/// mirrors `yy_parcomm::stats::TrafficClass` in declaration order, with
-/// an extra `UNKNOWN` for receives (the wire envelope does not carry the
-/// class).
-pub mod class {
-    /// Nearest-neighbour halo exchange inside a panel.
-    pub const HALO: u8 = 0;
-    /// Yin↔Yang overset interpolation data.
-    pub const OVERSET: u8 = 1;
-    /// Reductions and other collective plumbing.
-    pub const COLLECTIVE: u8 = 2;
-    /// Setup/control messages.
-    pub const CONTROL: u8 = 3;
-    /// Class not known at the recording site.
-    pub const UNKNOWN: u8 = 255;
-
-    /// Human-readable class name (exporters).
-    pub fn name(code: u8) -> &'static str {
-        match code {
-            HALO => "halo",
-            OVERSET => "overset",
-            COLLECTIVE => "collective",
-            CONTROL => "control",
-            _ => "msg",
-        }
-    }
-}
-
-/// Injected-fault kinds (`sub` byte of [`Event::FaultInjected`]).
-pub mod fault {
-    /// First transmission lost; `a` holds the resend count.
-    pub const DROP: u8 = 0;
-    /// Message held back; `a` holds the injected delay in microseconds.
-    pub const DELAY: u8 = 1;
-    /// Message delivered twice.
-    pub const DUPLICATE: u8 = 2;
-
-    /// Human-readable fault name (exporters).
-    pub fn name(code: u8) -> &'static str {
-        match code {
-            DROP => "drop",
-            DELAY => "delay",
-            DUPLICATE => "duplicate",
-            _ => "fault?",
-        }
-    }
-}
-
-/// Health-violation codes (`sub` byte of [`Event::HealthViolation`]);
-/// mirrors `yycore::health::HealthViolation` in declaration order.
-pub mod health {
-    /// NaN/Inf detected in a state field.
-    pub const NON_FINITE: u8 = 0;
-    /// Density fell under the floor.
-    pub const DENSITY_FLOOR: u8 = 1;
-    /// Pressure fell under the floor.
-    pub const PRESSURE_FLOOR: u8 = 2;
-    /// Time step collapsed.
-    pub const DT_COLLAPSE: u8 = 3;
-
-    /// Human-readable health-violation name (exporters).
-    pub fn name(code: u8) -> &'static str {
-        match code {
-            NON_FINITE => "non-finite",
-            DENSITY_FLOOR => "density-floor",
-            PRESSURE_FLOOR => "pressure-floor",
-            DT_COLLAPSE => "dt-collapse",
-            _ => "health?",
-        }
-    }
-}
-
-/// Watchdog rule-kind codes (`sub` byte of [`Event::Alert`]); mirrors
-/// `crate::watch::RuleKind` (see [`crate::watch::RuleKind::code`]).
-pub mod alert {
-    /// Latest value above a threshold.
-    pub const ABOVE: u8 = 1;
-    /// Latest value below a threshold.
-    pub const BELOW: u8 = 2;
-    /// Rate of change over a window above a limit.
-    pub const TREND: u8 = 3;
-    /// Signal envelope collapsed (stall).
-    pub const FLATLINE: u8 = 4;
-    /// Value fell below a ratio of the trailing window max (dt
-    /// collapse, the NaN precursor).
-    pub const DT_COLLAPSE: u8 = 5;
-
-    /// Human-readable rule-kind name (exporters).
-    pub fn name(code: u8) -> &'static str {
-        match code {
-            ABOVE => "above",
-            BELOW => "below",
-            TREND => "trend",
-            FLATLINE => "flatline",
-            DT_COLLAPSE => "dt-collapse",
-            _ => "alert?",
-        }
-    }
-}
-
-/// Counter-track ids (`sub` byte of [`Event::CounterSample`]). Ids
-/// below [`crate::counters::kernel::COUNT`] are per-kernel achieved
-/// MFLOPS tracks; the high ids are run-level gauges.
-pub mod counter {
-    use crate::counters::kernel;
-
-    /// Mailbox queue depth sampled after the step.
-    pub const QUEUE_DEPTH: u8 = 250;
-    /// Whole-rank achieved MFLOPS over the sampling window.
-    pub const TOTAL_MFLOPS: u8 = 251;
-
-    /// Track name for exporters: `mflops:<kernel>` for kernel ids,
-    /// gauge names for the run-level ids.
-    pub fn name(id: u8) -> &'static str {
-        match id {
-            QUEUE_DEPTH => "queue_depth",
-            TOTAL_MFLOPS => "mflops_total",
-            _ if (id as usize) < kernel::COUNT => match id {
-                0 => "mflops:rhs",
-                1 => "mflops:rk4_combine",
-                2 => "mflops:halo_pack",
-                3 => "mflops:halo_unpack",
-                4 => "mflops:overset_donate",
-                5 => "mflops:overset_fill",
-                6 => "mflops:health_scan",
-                7 => "mflops:output",
-                _ => "mflops:unknown",
-            },
-            _ => "counter?",
-        }
-    }
-}
+/// `sub` byte of a receive whose class is unknown.
+const CLASS_UNKNOWN: u8 = 255;
 
 const D_PHASE: u8 = 1;
 const D_SEND: u8 = 2;
@@ -219,8 +220,8 @@ pub enum Event {
     /// the span's *end* (exporters subtract the duration to get the
     /// start, which is how `PhaseClock::lap` measures).
     Phase {
-        /// [`phase`] code.
-        phase: u8,
+        /// Which phase.
+        phase: Phase,
         /// Span length in nanoseconds.
         dur_ns: u64,
     },
@@ -228,8 +229,8 @@ pub enum Event {
     Send {
         /// Destination world rank.
         peer: u32,
-        /// [`class`] code.
-        class: u8,
+        /// Traffic class the sender metered the message under.
+        class: TrafficClass,
         /// Payload bytes.
         bytes: u64,
         /// Low 16 bits of the message tag (enough to disambiguate the
@@ -242,8 +243,8 @@ pub enum Event {
     Recv {
         /// Source world rank.
         peer: u32,
-        /// [`class`] code ([`class::UNKNOWN`] unless the receiver knows).
-        class: u8,
+        /// Traffic class, when the recording site knows it.
+        class: Option<TrafficClass>,
         /// Payload bytes.
         bytes: u64,
         /// Low 16 bits of the message tag.
@@ -253,8 +254,8 @@ pub enum Event {
     },
     /// The fault plan acted on a message this rank sent.
     FaultInjected {
-        /// [`fault`] code.
-        kind: u8,
+        /// What was done to the message.
+        kind: FaultKind,
         /// Destination world rank of the afflicted message.
         peer: u32,
         /// Kind-specific parameter (resends / delay µs / 0).
@@ -267,8 +268,8 @@ pub enum Event {
     },
     /// A health guard tripped.
     HealthViolation {
-        /// [`health`] code.
-        code: u8,
+        /// Which guard.
+        code: HealthCode,
         /// Solver step of the violation.
         step: u64,
     },
@@ -316,18 +317,18 @@ pub enum Event {
     Alert {
         /// Rule index in the run's rule list.
         rule: u32,
-        /// [`alert`] rule-kind code.
-        kind: u8,
+        /// The rule's condition kind.
+        kind: AlertKind,
         /// `true` on a fire edge, `false` on a clear edge.
         firing: bool,
         /// Solver step at the edge.
         step: u64,
     },
-    /// A periodic counter sample: one point on a [`counter`] track
+    /// A periodic counter sample: one point on a [`CounterTrack`]
     /// (Chrome "C"-phase records, so Perfetto plots the series).
     CounterSample {
-        /// [`counter`] track id.
-        id: u8,
+        /// Which track.
+        track: CounterTrack,
         /// Sampled value (MFLOPS, queue depth, …) as `f64::to_bits` —
         /// kept as raw bits so the event stays `Eq` and the ring slot
         /// roundtrips exactly. Build with [`Event::counter_sample`].
@@ -337,8 +338,8 @@ pub enum Event {
 
 impl Event {
     /// A [`Event::CounterSample`] from an f64 value.
-    pub fn counter_sample(id: u8, value: f64) -> Event {
-        Event::CounterSample { id, value_bits: value.to_bits() }
+    pub fn counter_sample(track: CounterTrack, value: f64) -> Event {
+        Event::CounterSample { track, value_bits: value.to_bits() }
     }
 
     /// Pack into the three payload words of a ring slot.
@@ -347,18 +348,18 @@ impl Event {
             d as u64 | (sub as u64) << 8 | (tag as u64) << 16 | (peer as u64) << 32
         };
         match *self {
-            Event::Phase { phase, dur_ns } => [head(D_PHASE, phase, 0, 0), dur_ns, 0],
+            Event::Phase { phase, dur_ns } => [head(D_PHASE, phase as u8, 0, 0), dur_ns, 0],
             Event::Send { peer, class, bytes, tag16, seq } => {
-                [head(D_SEND, class, tag16, peer), bytes, seq]
+                [head(D_SEND, class as u8, tag16, peer), bytes, seq]
             }
             Event::Recv { peer, class, bytes, tag16, seq } => {
-                [head(D_RECV, class, tag16, peer), bytes, seq]
+                [head(D_RECV, class.map_or(CLASS_UNKNOWN, |c| c as u8), tag16, peer), bytes, seq]
             }
             Event::FaultInjected { kind, peer, param } => {
-                [head(D_FAULT, kind, 0, peer), param, 0]
+                [head(D_FAULT, kind as u8, 0, peer), param, 0]
             }
             Event::KillInjected { step } => [head(D_KILL, 0, 0, 0), step, 0],
-            Event::HealthViolation { code, step } => [head(D_HEALTH, code, 0, 0), step, 0],
+            Event::HealthViolation { code, step } => [head(D_HEALTH, code as u8, 0, 0), step, 0],
             Event::CheckpointSaved { step } => [head(D_CKPT, 0, 0, 0), step, 0],
             Event::Rollback { pass, resume_step } => {
                 [head(D_ROLLBACK, 0, 0, 0), pass, resume_step]
@@ -371,35 +372,50 @@ impl Event {
                 [head(D_DEGRADED, 0, 0, 0), pass, checkpoint_every]
             }
             Event::Alert { rule, kind, firing, step } => {
-                [head(D_ALERT, kind, firing as u16, rule), step, 0]
+                [head(D_ALERT, kind as u8, firing as u16, rule), step, 0]
             }
-            Event::CounterSample { id, value_bits } => {
-                [head(D_COUNTER, id, 0, 0), value_bits, 0]
+            Event::CounterSample { track, value_bits } => {
+                [head(D_COUNTER, track.code(), 0, 0), value_bits, 0]
             }
         }
     }
 
-    /// Decode a ring slot; `None` for an unrecognised discriminant (an
-    /// empty or torn slot).
+    /// Decode a ring slot; `None` for an unrecognised discriminant or
+    /// `sub` byte (an empty or torn slot).
     pub fn decode(words: [u64; 3]) -> Option<Event> {
         let [w0, a, b] = words;
         let sub = (w0 >> 8) as u8;
         let tag16 = (w0 >> 16) as u16;
         let peer = (w0 >> 32) as u32;
         Some(match w0 as u8 {
-            D_PHASE => Event::Phase { phase: sub, dur_ns: a },
-            D_SEND => Event::Send { peer, class: sub, bytes: a, tag16, seq: b },
-            D_RECV => Event::Recv { peer, class: sub, bytes: a, tag16, seq: b },
-            D_FAULT => Event::FaultInjected { kind: sub, peer, param: a },
+            D_PHASE => Event::Phase { phase: Phase::from_code(sub)?, dur_ns: a },
+            D_SEND => {
+                Event::Send { peer, class: TrafficClass::from_code(sub)?, bytes: a, tag16, seq: b }
+            }
+            D_RECV => {
+                let class = match sub {
+                    CLASS_UNKNOWN => None,
+                    known => Some(TrafficClass::from_code(known)?),
+                };
+                Event::Recv { peer, class, bytes: a, tag16, seq: b }
+            }
+            D_FAULT => Event::FaultInjected { kind: FaultKind::from_code(sub)?, peer, param: a },
             D_KILL => Event::KillInjected { step: a },
-            D_HEALTH => Event::HealthViolation { code: sub, step: a },
+            D_HEALTH => Event::HealthViolation { code: HealthCode::from_code(sub)?, step: a },
             D_CKPT => Event::CheckpointSaved { step: a },
             D_ROLLBACK => Event::Rollback { pass: a, resume_step: b },
             D_STEP => Event::StepBegin { step: a },
             D_RETILE => Event::Retile { pth: tag16, pph: peer as u16, pass: a, resume_step: b },
             D_DEGRADED => Event::Degraded { pass: a, checkpoint_every: b },
-            D_ALERT => Event::Alert { rule: peer, kind: sub, firing: tag16 != 0, step: a },
-            D_COUNTER => Event::CounterSample { id: sub, value_bits: a },
+            D_ALERT => Event::Alert {
+                rule: peer,
+                kind: AlertKind::from_code(sub)?,
+                firing: tag16 != 0,
+                step: a,
+            },
+            D_COUNTER => {
+                Event::CounterSample { track: CounterTrack::from_code(sub)?, value_bits: a }
+            }
             _ => return None,
         })
     }
@@ -426,76 +442,79 @@ mod tests {
 
     #[test]
     fn all_variants_roundtrip() {
-        roundtrip(Event::Phase { phase: phase::WAIT, dur_ns: u64::MAX });
+        roundtrip(Event::Phase { phase: Phase::Wait, dur_ns: u64::MAX });
         roundtrip(Event::Send {
             peer: u32::MAX,
-            class: class::HALO,
+            class: TrafficClass::Halo,
             bytes: 1 << 50,
             tag16: u16::MAX,
             seq: 123,
         });
-        roundtrip(Event::Recv { peer: 7, class: class::UNKNOWN, bytes: 0, tag16: 11, seq: 0 });
-        roundtrip(Event::FaultInjected { kind: fault::DELAY, peer: 3, param: 200 });
+        roundtrip(Event::Recv { peer: 7, class: None, bytes: 0, tag16: 11, seq: 0 });
+        roundtrip(Event::Recv {
+            peer: 7,
+            class: Some(TrafficClass::Control),
+            bytes: 0,
+            tag16: 11,
+            seq: 0,
+        });
+        roundtrip(Event::FaultInjected { kind: FaultKind::Delay, peer: 3, param: 200 });
         roundtrip(Event::KillInjected { step: 4 });
-        roundtrip(Event::HealthViolation { code: health::DT_COLLAPSE, step: 9 });
+        roundtrip(Event::HealthViolation { code: HealthCode::DtCollapse, step: 9 });
         roundtrip(Event::CheckpointSaved { step: 2 });
         roundtrip(Event::Rollback { pass: 1, resume_step: 4 });
         roundtrip(Event::StepBegin { step: 0 });
         roundtrip(Event::Retile { pth: 1, pph: 2, pass: 3, resume_step: 4 });
         roundtrip(Event::Retile { pth: u16::MAX, pph: u16::MAX, pass: u64::MAX, resume_step: 0 });
         roundtrip(Event::Degraded { pass: 2, checkpoint_every: 8 });
-        roundtrip(Event::Alert { rule: 0, kind: alert::DT_COLLAPSE, firing: true, step: 12 });
-        roundtrip(Event::Alert { rule: u32::MAX, kind: alert::FLATLINE, firing: false, step: 0 });
-        roundtrip(Event::counter_sample(counter::TOTAL_MFLOPS, 1234.5));
-        roundtrip(Event::counter_sample(0, -0.0));
+        roundtrip(Event::Alert { rule: 0, kind: AlertKind::DtCollapse, firing: true, step: 12 });
+        roundtrip(Event::Alert { rule: u32::MAX, kind: AlertKind::Flatline, firing: false, step: 0 });
+        roundtrip(Event::counter_sample(CounterTrack::Gauge(Gauge::TotalMflops), 1234.5));
+        roundtrip(Event::counter_sample(CounterTrack::Kernel(Kernel::Rhs), -0.0));
     }
 
     #[test]
     fn counter_sample_value_roundtrips_bits() {
-        let e = Event::counter_sample(counter::QUEUE_DEPTH, 3.75);
-        let bits = 3.75_f64.to_bits();
-        assert_eq!(e, Event::CounterSample { id: counter::QUEUE_DEPTH, value_bits: bits });
-    }
-
-    #[test]
-    fn counter_track_names_match_kernel_table() {
-        use crate::counters::kernel;
-        for id in 0..kernel::COUNT as u8 {
-            assert_eq!(
-                counter::name(id),
-                format!("mflops:{}", kernel::name(id)),
-                "counter track {id} out of sync with kernel name table"
-            );
-        }
-        assert_eq!(counter::name(counter::QUEUE_DEPTH), "queue_depth");
-        assert_eq!(counter::name(counter::TOTAL_MFLOPS), "mflops_total");
-        assert_eq!(counter::name(99), "counter?");
+        let track = CounterTrack::Gauge(Gauge::QueueDepth);
+        let e = Event::counter_sample(track, 3.75);
+        assert_eq!(e, Event::CounterSample { track, value_bits: 3.75_f64.to_bits() });
     }
 
     #[test]
     fn zero_slot_decodes_to_none() {
         assert_eq!(Event::decode([0, 0, 0]), None);
         assert_eq!(Event::decode([0xFF, 1, 2]), None);
+        // A known discriminant with a `sub` byte outside its table is a
+        // torn slot too.
+        assert_eq!(Event::decode([D_PHASE as u64 | 200 << 8, 1, 0]), None);
+        assert_eq!(Event::decode([D_COUNTER as u64 | 99 << 8, 1, 0]), None);
     }
 
     #[test]
     fn name_tables_cover_codes() {
-        assert_eq!(phase::name(phase::INTERIOR), "interior");
-        assert_eq!(class::name(class::OVERSET), "overset");
-        assert_eq!(class::name(class::UNKNOWN), "msg");
-        assert_eq!(fault::name(fault::DROP), "drop");
-        assert_eq!(health::name(health::NON_FINITE), "non-finite");
-        assert_eq!(alert::name(alert::DT_COLLAPSE), "dt-collapse");
-        assert_eq!(alert::name(200), "alert?");
-        assert_eq!(phase::name(200), "phase?");
+        assert_eq!(Phase::Interior.name(), "interior");
+        assert_eq!(TrafficClass::Overset.name(), "overset");
+        assert_eq!(FaultKind::Drop.name(), "drop");
+        assert_eq!(HealthCode::NonFinite.name(), "non-finite");
+        assert_eq!(AlertKind::DtCollapse.name(), "dt-collapse");
+        assert_eq!(CounterTrack::Kernel(Kernel::HaloPack).name(), "mflops:halo_pack");
+        assert_eq!(CounterTrack::Gauge(Gauge::QueueDepth).name(), "queue_depth");
+        assert_eq!(AlertKind::from_code(200), None);
+        assert_eq!(AlertKind::COUNT, 5);
     }
 
     #[test]
     fn phase_codes_invert_names() {
-        for p in 0..6u8 {
-            assert_eq!(phase::code(phase::name(p)), Some(p));
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "phase codes are dense: records index by them");
+            assert_eq!(Phase::from_name(p.name()), Some(p));
+            assert_eq!(Phase::from_code(p as u8), Some(p));
         }
-        assert_eq!(phase::code("phase?"), None);
-        assert_eq!(phase::code(""), None);
+        assert_eq!(Phase::from_name("phase?"), None);
+        assert_eq!(Phase::from_name(""), None);
+        for track in Kernel::ALL.map(CounterTrack::Kernel) {
+            assert_eq!(CounterTrack::from_name(&track.name()), Some(track));
+        }
+        assert_eq!(CounterTrack::from_name("mflops:unknown"), None);
     }
 }

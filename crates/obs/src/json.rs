@@ -10,7 +10,14 @@
 //! with escapes, numbers, booleans, null) with two deliberate
 //! simplifications: numbers are parsed as `f64` (fine for trace
 //! timestamps and report metrics) and `\uXXXX` surrogate pairs are
-//! combined but lone surrogates are replaced with U+FFFD.
+//! combined but lone surrogates are replaced with U+FFFD. Nesting is
+//! bounded by [`MAX_DEPTH`].
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a file of `[[[[…` from
+/// outside overflows the stack; every artifact this workspace writes
+/// nests at most 6 deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// Escape `s` as the *contents* of a JSON string (no surrounding
 /// quotes).
@@ -61,9 +68,9 @@ pub enum Json {
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage is an error).
+    /// trailing garbage or nesting beyond [`MAX_DEPTH`] is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        let mut p = Parser { b: text.as_bytes(), i: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -79,6 +86,21 @@ impl Json {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Member `key` as a number.
+    pub fn f64_at(&self, key: &str) -> Option<f64> {
+        self.get(key)?.as_f64()
+    }
+
+    /// Member `key` as a string.
+    pub fn str_at(&self, key: &str) -> Option<&str> {
+        self.get(key)?.as_str()
+    }
+
+    /// Member `key` as an array.
+    pub fn arr_at(&self, key: &str) -> Option<&[Json]> {
+        self.get(key)?.as_arr()
     }
 
     /// The number value, if this is a number.
@@ -137,8 +159,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The document; always the bytes of a `&str`.
     b: &'a [u8],
     i: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -176,8 +201,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -186,6 +211,16 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.i)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -295,12 +330,13 @@ impl Parser<'_> {
                 }
                 c if c < 0x20 => return Err("raw control character in string".to_string()),
                 _ => {
-                    // Copy one UTF-8 scalar (input is &str, so valid).
+                    // Copy one UTF-8 scalar.
                     let start = self.i;
                     self.i += 1;
                     while self.i < self.b.len() && (self.b[self.i] & 0xC0) == 0x80 {
                         self.i += 1;
                     }
+                    // `b` is a `&str`'s bytes and [start, i) spans whole scalars.
                     out.push_str(std::str::from_utf8(&self.b[start..self.i]).unwrap());
                 }
             }
@@ -330,6 +366,7 @@ impl Parser<'_> {
                 self.i += 1;
             }
         }
+        // Only ASCII sign, digit, '.', 'e' bytes were consumed.
         let s = std::str::from_utf8(&self.b[start..self.i]).unwrap();
         s.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number '{s}'"))
     }
@@ -381,6 +418,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        // The ISSUE's input: 300 000 unclosed brackets, mixed with objects.
+        assert!(Json::parse(&"[".repeat(300_000)).unwrap_err().contains("nesting deeper"));
+        assert!(Json::parse(&"{\"a\":[".repeat(100_000)).unwrap_err().contains("nesting deeper"));
+        // Depth is nesting, not element count: siblings do not accumulate.
+        assert!(Json::parse(&format!("[{}1]", "[[]],".repeat(1000))).is_ok());
     }
 
     #[test]

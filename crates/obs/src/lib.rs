@@ -37,15 +37,16 @@ pub mod ring;
 pub mod series;
 pub mod watch;
 
-pub use analysis::{analyze, streams_from_chrome, Analysis, AnalysisInput};
-pub use chrome::{chrome_trace_json, validate_chrome_trace, RankTrace, TraceCheck};
-pub use counters::{kernel, CounterSet, CounterSnapshot, KernelSnapshot, KernelTally};
+pub use analysis::{analyze, Analysis, AnalysisInput};
+pub use chrome::{
+    chrome_trace_json, streams_from_chrome, validate_chrome_trace, RankTrace, TraceCheck,
+};
+pub use counters::{kernel, CounterSet, CounterSnapshot, Kernel, KernelSnapshot, KernelTally};
 pub use event::{Event, TimedEvent};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use metrics::{
-    prometheus_text, prometheus_text_with_phases, science_gauges_text, MetricsHub, MetricsServer,
-    ScienceGauges,
+    prometheus_text, science_gauges_text, MetricsHub, MetricsServer, ScienceGauges,
 };
 pub use ring::{FlightRecorder, RecorderSet};
 pub use series::{Channel, SeriesStore};

@@ -23,7 +23,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::counters::{kernel, CounterSnapshot};
+use crate::counters::{CounterSnapshot, KernelSnapshot};
+use crate::event::Phase;
+use crate::json::num;
 
 /// Shared exposition body: the solver publishes, the server (and tests)
 /// scrape.
@@ -49,12 +51,6 @@ impl MetricsHub {
     }
 }
 
-/// Render a merged counter snapshot (plus run-level gauges) in the
-/// Prometheus text exposition format.
-pub fn prometheus_text(snap: &CounterSnapshot, step: u64, queue_depth: u64) -> String {
-    prometheus_text_with_phases(snap, step, queue_depth, &[])
-}
-
 /// Push the `# HELP` + `# TYPE` header pair for a metric family. Every
 /// family in the exposition goes through here, so the parser test can
 /// require both lines for every sample.
@@ -62,64 +58,59 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// [`prometheus_text`] plus per-phase wall gauges: `phase_wall_s` is
-/// `(phase name, allreduced wall seconds)` pairs, rendered as
-/// `yy_phase_wall_seconds{phase="..."}` — this is where the PR 8 io
-/// telemetry (`writer_wait`) becomes scrapeable live instead of only in
-/// the final report.
-pub fn prometheus_text_with_phases(
+/// Help text of the `yy_kernel_<word>_total` family per entry of
+/// [`KernelSnapshot::WORD_NAMES`]; `None` keeps that word out of the
+/// exposition.
+const KERNEL_WORD_HELP: [Option<&str>; KernelSnapshot::WORD_NAMES.len()] = [
+    Some("Kernel invocations since run start."),
+    Some("Grid points the kernel processed."),
+    None, // loops
+    None, // vector_elements
+    Some("Exact modeled floating-point operations."),
+    Some("Modeled bytes read by the kernel."),
+    Some("Modeled bytes written by the kernel."),
+    Some("Wall nanoseconds spent in the kernel."),
+];
+
+/// Render a merged counter snapshot, the run-level gauges and the
+/// allreduced wall seconds of every solver phase (indexed by [`Phase`];
+/// the `WriterWait` gauge is where the io telemetry becomes scrapeable
+/// live) in the Prometheus text exposition format — the body rank 0
+/// publishes.
+pub fn prometheus_text(
     snap: &CounterSnapshot,
     step: u64,
     queue_depth: u64,
-    phase_wall_s: &[(&str, f64)],
+    phase_wall_s: &[f64; Phase::COUNT],
 ) -> String {
     let mut out = String::with_capacity(4096);
     family(&mut out, "yy_step", "gauge", "Current solver step.");
     out.push_str(&format!("yy_step {step}\n"));
     family(&mut out, "yy_queue_depth", "gauge", "Mailbox queue depth after the last step.");
     out.push_str(&format!("yy_queue_depth {queue_depth}\n"));
-    type Get = fn(&crate::counters::KernelSnapshot) -> u64;
-    let counters: [(&str, &str, Get); 6] = [
-        ("yy_kernel_calls_total", "Kernel invocations since run start.", |k| k.calls),
-        ("yy_kernel_points_total", "Grid points the kernel processed.", |k| k.points),
-        ("yy_kernel_flops_total", "Exact modeled floating-point operations.", |k| k.flops),
-        ("yy_kernel_bytes_read_total", "Modeled bytes read by the kernel.", |k| k.bytes_read),
-        ("yy_kernel_bytes_written_total", "Modeled bytes written by the kernel.", |k| {
-            k.bytes_written
-        }),
-        ("yy_kernel_wall_ns_total", "Wall nanoseconds spent in the kernel.", |k| k.wall_ns),
-    ];
-    for (metric, help, get) in counters {
-        family(&mut out, metric, "counter", help);
-        for (i, k) in snap.kernels.iter().enumerate() {
-            out.push_str(&format!(
-                "{metric}{{kernel=\"{}\"}} {}\n",
-                kernel::name(i as u8),
-                get(k)
-            ));
+    for (word, (name, help)) in KernelSnapshot::WORD_NAMES.iter().zip(KERNEL_WORD_HELP).enumerate() {
+        let Some(help) = help else { continue };
+        let metric = format!("yy_kernel_{name}_total");
+        family(&mut out, &metric, "counter", help);
+        for (kernel, k) in snap.rows() {
+            out.push_str(&format!("{metric}{{kernel=\"{}\"}} {}\n", kernel.name(), k.words()[word]));
         }
     }
     family(&mut out, "yy_kernel_mflops", "gauge", "Achieved MFLOPS over the last window.");
-    for (i, k) in snap.kernels.iter().enumerate() {
+    for (kernel, k) in snap.rows() {
         out.push_str(&format!(
             "yy_kernel_mflops{{kernel=\"{}\"}} {}\n",
-            kernel::name(i as u8),
-            crate::json::num(k.mflops())
+            kernel.name(),
+            num(k.mflops())
         ));
     }
-    if !phase_wall_s.is_empty() {
-        family(
-            &mut out,
-            "yy_phase_wall_seconds",
-            "gauge",
-            "Allreduced wall seconds per solver phase.",
-        );
-        for (name, secs) in phase_wall_s {
-            out.push_str(&format!(
-                "yy_phase_wall_seconds{{phase=\"{name}\"}} {}\n",
-                crate::json::num(*secs)
-            ));
-        }
+    family(&mut out, "yy_phase_wall_seconds", "gauge", "Allreduced wall seconds per solver phase.");
+    for (phase, secs) in Phase::ALL.into_iter().zip(phase_wall_s) {
+        out.push_str(&format!(
+            "yy_phase_wall_seconds{{phase=\"{}\"}} {}\n",
+            phase.name(),
+            num(*secs)
+        ));
     }
     out
 }
@@ -154,16 +145,16 @@ pub fn science_gauges_text(g: &ScienceGauges) -> String {
         for (component, e) in &g.energy {
             out.push_str(&format!(
                 "yy_energy{{component=\"{component}\"}} {}\n",
-                crate::json::num(*e)
+                num(*e)
             ));
         }
     }
     family(&mut out, "yy_dt", "gauge", "Latest CFL time step.");
-    out.push_str(&format!("yy_dt {}\n", crate::json::num(g.dt)));
+    out.push_str(&format!("yy_dt {}\n", num(g.dt)));
     family(&mut out, "yy_max_speed", "gauge", "Maximum flow speed over the grid.");
-    out.push_str(&format!("yy_max_speed {}\n", crate::json::num(g.max_speed)));
+    out.push_str(&format!("yy_max_speed {}\n", num(g.max_speed)));
     family(&mut out, "yy_max_b", "gauge", "Maximum magnetic field strength over the grid.");
-    out.push_str(&format!("yy_max_b {}\n", crate::json::num(g.max_b)));
+    out.push_str(&format!("yy_max_b {}\n", num(g.max_b)));
     family(
         &mut out,
         "yy_dominant_m",
@@ -257,8 +248,7 @@ impl MetricsServer {
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("yy-metrics".into())
-            .spawn(move || serve(listener, hub, stop2))
-            .expect("spawn metrics thread");
+            .spawn(move || serve(listener, hub, stop2))?;
         Ok(MetricsServer { addr, stop, handle: Some(handle) })
     }
 
@@ -369,7 +359,7 @@ mod tests {
 
     #[test]
     fn exposition_has_help_and_type_for_every_sample() {
-        let text = prometheus_text(&sample_snapshot(), 12, 3);
+        let text = prometheus_text(&sample_snapshot(), 12, 3, &[0.0; Phase::COUNT]);
         assert!(text.contains("# HELP yy_kernel_flops_total "));
         assert!(text.contains("# TYPE yy_kernel_flops_total counter"));
         assert!(text.contains("yy_kernel_flops_total{kernel=\"rhs\"} 40960"));
@@ -402,7 +392,8 @@ mod tests {
         assert_well_formed_exposition(&text);
         // Appended to the counter exposition it stays well-formed — the
         // shape the supervisor actually publishes.
-        let full = format!("{}{}", prometheus_text(&sample_snapshot(), 12, 3), text);
+        let full =
+            format!("{}{}", prometheus_text(&sample_snapshot(), 12, 3, &[0.0; Phase::COUNT]), text);
         assert_well_formed_exposition(&full);
         // An unprobed run renders -1 and no alert families.
         let bare = science_gauges_text(&ScienceGauges::default());
@@ -413,8 +404,8 @@ mod tests {
 
     #[test]
     fn phase_and_doctor_gauges_render() {
-        let phases = [("interior", 1.25), ("wait", 0.5), ("writer_wait", 0.03125)];
-        let text = prometheus_text_with_phases(&sample_snapshot(), 3, 0, &phases);
+        let phases = [0.0, 1.25, 0.5, 0.0, 0.0, 0.03125];
+        let text = prometheus_text(&sample_snapshot(), 3, 0, &phases);
         assert!(text.contains("# TYPE yy_phase_wall_seconds gauge"));
         assert!(text.contains("yy_phase_wall_seconds{phase=\"writer_wait\"} 0.03125"));
         // The output kernel slot is live in every kernel family.
@@ -425,7 +416,7 @@ mod tests {
     #[test]
     fn server_serves_hub_body_over_tcp() {
         let hub = Arc::new(MetricsHub::new());
-        hub.publish(prometheus_text(&sample_snapshot(), 5, 0));
+        hub.publish(prometheus_text(&sample_snapshot(), 5, 0, &[0.0; Phase::COUNT]));
         let mut server = MetricsServer::start(Arc::clone(&hub), 0).expect("bind");
         let addr = server.local_addr();
 
@@ -466,10 +457,10 @@ mod tests {
             dominant_m: 4,
             alerts: vec![("energy_blowup".into(), true, 2)],
         };
-        let phases = [("interior", 1.25), ("writer_wait", 0.03125)];
+        let phases = [0.0, 1.25, 0.0, 0.0, 0.0, 0.03125];
         let body = format!(
             "{}{}",
-            prometheus_text_with_phases(&sample_snapshot(), 12, 3, &phases),
+            prometheus_text(&sample_snapshot(), 12, 3, &phases),
             science_gauges_text(&g)
         );
         let samples = parse_exposition(&body);

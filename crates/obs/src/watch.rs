@@ -32,6 +32,7 @@
 //! dynamo_stall:  magnetic flatline window=64 eps=1e-12
 //! ```
 
+use crate::event::AlertKind;
 use crate::series::SeriesStore;
 
 /// Condition kinds a [`Rule`] can express.
@@ -74,15 +75,15 @@ pub enum RuleKind {
 }
 
 impl RuleKind {
-    /// Fixed-width code for flight-recorder events
-    /// ([`crate::event::alert`] is the inverse name table).
-    pub fn code(&self) -> u8 {
+    /// The condition kind without its parameters: what alert edges,
+    /// trace instants and reports name.
+    pub fn alert_kind(&self) -> AlertKind {
         match self {
-            RuleKind::Above { .. } => crate::event::alert::ABOVE,
-            RuleKind::Below { .. } => crate::event::alert::BELOW,
-            RuleKind::TrendAbove { .. } => crate::event::alert::TREND,
-            RuleKind::Flatline { .. } => crate::event::alert::FLATLINE,
-            RuleKind::DtCollapse { .. } => crate::event::alert::DT_COLLAPSE,
+            RuleKind::Above { .. } => AlertKind::Above,
+            RuleKind::Below { .. } => AlertKind::Below,
+            RuleKind::TrendAbove { .. } => AlertKind::Trend,
+            RuleKind::Flatline { .. } => AlertKind::Flatline,
+            RuleKind::DtCollapse { .. } => AlertKind::DtCollapse,
         }
     }
 }
@@ -109,8 +110,8 @@ pub struct AlertEvent {
     pub rule: String,
     /// Rule index in the watchdog's rule list.
     pub rule_index: usize,
-    /// [`RuleKind::code`] of the rule.
-    pub kind_code: u8,
+    /// Condition kind of the rule.
+    pub kind: AlertKind,
     /// `true` on a fire edge, `false` on a clear edge.
     pub firing: bool,
     /// Solver step at evaluation time.
@@ -237,25 +238,16 @@ impl Watchdog {
                 st.violate_streak = 0;
             }
             let value = store.channel(&rule.channel).and_then(|c| c.latest()).unwrap_or(f64::NAN);
-            if !st.firing && st.violate_streak >= rule.for_samples {
-                st.firing = true;
-                st.fired_count += 1;
+            let fires = !st.firing && st.violate_streak >= rule.for_samples;
+            let clears = st.firing && st.satisfy_streak >= rule.clear_samples;
+            if fires || clears {
+                st.firing = fires;
+                st.fired_count += fires as u32;
                 edges.push(AlertEvent {
                     rule: rule.name.clone(),
                     rule_index: i,
-                    kind_code: rule.kind.code(),
-                    firing: true,
-                    step,
-                    time,
-                    value,
-                });
-            } else if st.firing && st.satisfy_streak >= rule.clear_samples {
-                st.firing = false;
-                edges.push(AlertEvent {
-                    rule: rule.name.clone(),
-                    rule_index: i,
-                    kind_code: rule.kind.code(),
-                    firing: false,
+                    kind: rule.kind.alert_kind(),
+                    firing: fires,
                     step,
                     time,
                     value,
@@ -457,8 +449,7 @@ dynamo_stall:  magnetic flatline window=64 eps=1e-12  # trailing comment
     fn default_rules_include_the_blowup_precursor() {
         let rules = Watchdog::default_rules();
         assert!(rules.iter().any(|r| r.name == "energy_blowup" && r.channel == "dt"));
-        let codes: Vec<u8> = rules.iter().map(|r| r.kind.code()).collect();
-        assert!(codes.contains(&crate::event::alert::DT_COLLAPSE));
+        assert!(rules.iter().any(|r| r.kind.alert_kind() == AlertKind::DtCollapse));
     }
 
     /// Edge discipline under arbitrary signals and hysteresis counts:

@@ -17,7 +17,7 @@ use crate::fault::{FaultAction, FaultPlan, InjectedKill};
 use crate::mailbox::{Envelope, Mailbox, Payload};
 use crate::stats::{MailboxGauges, StatsCell, TrafficClass};
 use std::any::Any;
-use yy_obs::event::{class as ob_class, fault as ob_fault};
+use yy_obs::event::FaultKind;
 use yy_obs::{Event, FlightRecorder};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -182,7 +182,7 @@ impl Comm {
     pub fn record_phase_ns(&self, phase: crate::stats::SolverPhase, ns: u64) {
         self.stats.record_phase_ns(phase, ns);
         if let Some(rec) = &self.recorder {
-            rec.record(Event::Phase { phase: phase_code(phase), dur_ns: ns });
+            rec.record(Event::Phase { phase, dur_ns: ns });
         }
     }
 
@@ -264,7 +264,7 @@ impl Comm {
         if let Some(rec) = &self.recorder {
             rec.record(Event::Send {
                 peer: dest_world as u32,
-                class: class_code(class),
+                class,
                 bytes: payload.byte_len() as u64,
                 tag16: tag as u16,
                 seq,
@@ -278,9 +278,9 @@ impl Comm {
                 if action != FaultAction::Deliver {
                     if let Some(rec) = &self.recorder {
                         let (kind, param) = match action {
-                            FaultAction::Drop { resends } => (ob_fault::DROP, resends as u64),
-                            FaultAction::Delay { micros } => (ob_fault::DELAY, micros),
-                            FaultAction::Duplicate => (ob_fault::DUPLICATE, 0),
+                            FaultAction::Drop { resends } => (FaultKind::Drop, resends as u64),
+                            FaultAction::Delay { micros } => (FaultKind::Delay, micros),
+                            FaultAction::Duplicate => (FaultKind::Duplicate, 0),
                             FaultAction::Deliver => unreachable!(),
                         };
                         rec.record(Event::FaultInjected {
@@ -325,7 +325,7 @@ impl Comm {
         if let Some(rec) = &self.recorder {
             rec.record(Event::Recv {
                 peer: src_world as u32,
-                class: ob_class::UNKNOWN,
+                class: None, // the envelope does not carry it
                 bytes: env.payload.byte_len() as u64,
                 tag16: tag as u16,
                 seq: env.seq,
@@ -530,31 +530,6 @@ impl Comm {
                 _ => panic!("allgather payload mismatch"),
             }
         }
-    }
-}
-
-/// Map a [`TrafficClass`] onto the recorder's class byte (the recorder
-/// crate sits below this one, so the mapping lives here).
-fn class_code(class: TrafficClass) -> u8 {
-    match class {
-        TrafficClass::Halo => ob_class::HALO,
-        TrafficClass::Overset => ob_class::OVERSET,
-        TrafficClass::Collective => ob_class::COLLECTIVE,
-        TrafficClass::Control => ob_class::CONTROL,
-    }
-}
-
-/// Map a [`crate::stats::SolverPhase`] onto the recorder's phase byte.
-fn phase_code(phase: crate::stats::SolverPhase) -> u8 {
-    use crate::stats::SolverPhase as P;
-    use yy_obs::event::phase as ob;
-    match phase {
-        P::Pack => ob::PACK,
-        P::Interior => ob::INTERIOR,
-        P::Wait => ob::WAIT,
-        P::Boundary => ob::BOUNDARY,
-        P::Overset => ob::OVERSET,
-        P::WriterWait => ob::WRITER_WAIT,
     }
 }
 

@@ -75,7 +75,7 @@ pub struct FaultSpec {
     pub delay_p: f64,
     /// Restrict delay injection to messages *sent by* this world rank
     /// (`None` delays every edge). Models one rank behind a congested
-    /// link — the "late sender" scenario the perf doctor attributes —
+    /// link — the late-sender scenario the perf doctor attributes —
     /// without perturbing the rest of the fabric.
     pub delay_src: Option<usize>,
     /// Lower bound on an injected delay (0 by default; raising it

@@ -8,39 +8,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use yy_obs::hist::{Histogram, HistogramSnapshot};
-
-/// What kind of traffic a message carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficClass {
-    /// Nearest-neighbour halo exchange inside a panel (θ/φ neighbours).
-    Halo,
-    /// Yin↔Yang overset interpolation data between the two panels.
-    Overset,
-    /// Reductions and other collective plumbing.
-    Collective,
-    /// Setup/control messages (routing tables, split negotiation).
-    Control,
-}
-
-/// One phase of the solver's overlapped step pipeline, for the per-phase
-/// wall-clock breakdown the drivers surface in their run reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverPhase {
-    /// Packing/unpacking halo bands and posting sends.
-    Pack,
-    /// Deep-interior stencil work executed while messages are in flight.
-    Interior,
-    /// Blocked in receives (the *unhidden* communication cost).
-    Wait,
-    /// Boundary-shell stencil work and wall conditions after the drain.
-    Boundary,
-    /// Overset interpolation, packing and placement.
-    Overset,
-    /// Blocked handing a packed output buffer to the async writer (the
-    /// backpressure cost of checkpoint/snapshot emission; zero when the
-    /// two-slot pool always has a free buffer).
-    WriterWait,
-}
+/// The two code spaces the counters are resolved by; `yy-obs` declares
+/// them (names, wire bytes) and this crate indexes its records by them.
+pub use yy_obs::event::{Phase as SolverPhase, TrafficClass};
 
 /// Lock-free counters for one rank.
 ///
@@ -49,19 +19,11 @@ pub enum SolverPhase {
 #[derive(Debug, Default)]
 pub struct StatsCell {
     msgs_sent: AtomicU64,
-    bytes_halo: AtomicU64,
-    bytes_overset: AtomicU64,
-    bytes_collective: AtomicU64,
-    bytes_control: AtomicU64,
+    class_bytes: [AtomicU64; TrafficClass::COUNT],
     msgs_recv: AtomicU64,
     bytes_recv: AtomicU64,
     recv_retries: AtomicU64,
-    ns_pack: AtomicU64,
-    ns_interior: AtomicU64,
-    ns_wait: AtomicU64,
-    ns_boundary: AtomicU64,
-    ns_overset: AtomicU64,
-    ns_writer_wait: AtomicU64,
+    phase_ns: [AtomicU64; SolverPhase::COUNT],
     recv_wait: Histogram,
     step_wall: Histogram,
     queue_depth: Histogram,
@@ -76,13 +38,7 @@ impl StatsCell {
     /// Count one outgoing message of `bytes` under `class`.
     pub fn record_send(&self, class: TrafficClass, bytes: usize) {
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        let target = match class {
-            TrafficClass::Halo => &self.bytes_halo,
-            TrafficClass::Overset => &self.bytes_overset,
-            TrafficClass::Collective => &self.bytes_collective,
-            TrafficClass::Control => &self.bytes_control,
-        };
-        target.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.class_bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Count one received message of `bytes`.
@@ -100,15 +56,7 @@ impl StatsCell {
 
     /// Charge `ns` nanoseconds of wall-clock time to a solver phase.
     pub fn record_phase_ns(&self, phase: SolverPhase, ns: u64) {
-        let target = match phase {
-            SolverPhase::Pack => &self.ns_pack,
-            SolverPhase::Interior => &self.ns_interior,
-            SolverPhase::Wait => &self.ns_wait,
-            SolverPhase::Boundary => &self.ns_boundary,
-            SolverPhase::Overset => &self.ns_overset,
-            SolverPhase::WriterWait => &self.ns_writer_wait,
-        };
-        target.fetch_add(ns, Ordering::Relaxed);
+        self.phase_ns[phase as usize].fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Record the wall-clock nanoseconds one receive spent blocked
@@ -136,23 +84,16 @@ impl StatsCell {
     /// through it; calling this directly (tests, partial views) with
     /// [`MailboxGauges::default`] yields zeros for those two fields.
     pub fn snapshot(&self, mailbox: MailboxGauges) -> CommStats {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         CommStats {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_halo: self.bytes_halo.load(Ordering::Relaxed),
-            bytes_overset: self.bytes_overset.load(Ordering::Relaxed),
-            bytes_collective: self.bytes_collective.load(Ordering::Relaxed),
-            bytes_control: self.bytes_control.load(Ordering::Relaxed),
-            msgs_recv: self.msgs_recv.load(Ordering::Relaxed),
-            bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
-            recv_retries: self.recv_retries.load(Ordering::Relaxed),
+            msgs_sent: load(&self.msgs_sent),
+            class_bytes: std::array::from_fn(|c| load(&self.class_bytes[c])),
+            msgs_recv: load(&self.msgs_recv),
+            bytes_recv: load(&self.bytes_recv),
+            recv_retries: load(&self.recv_retries),
             max_queue_depth: mailbox.max_queue_depth,
             dups_discarded: mailbox.dups_discarded,
-            ns_pack: self.ns_pack.load(Ordering::Relaxed),
-            ns_interior: self.ns_interior.load(Ordering::Relaxed),
-            ns_wait: self.ns_wait.load(Ordering::Relaxed),
-            ns_boundary: self.ns_boundary.load(Ordering::Relaxed),
-            ns_overset: self.ns_overset.load(Ordering::Relaxed),
-            ns_writer_wait: self.ns_writer_wait.load(Ordering::Relaxed),
+            phase_ns: std::array::from_fn(|p| load(&self.phase_ns[p])),
             recv_wait: self.recv_wait.snapshot(),
             step_wall: self.step_wall.snapshot(),
             queue_depth: self.queue_depth.snapshot(),
@@ -178,14 +119,8 @@ pub struct MailboxGauges {
 pub struct CommStats {
     /// Messages sent (all classes).
     pub msgs_sent: u64,
-    /// Bytes sent as intra-panel halo exchange.
-    pub bytes_halo: u64,
-    /// Bytes sent as Yin↔Yang overset data.
-    pub bytes_overset: u64,
-    /// Bytes sent by collective plumbing.
-    pub bytes_collective: u64,
-    /// Bytes sent as setup/control traffic.
-    pub bytes_control: u64,
+    /// Bytes sent per [`TrafficClass`], indexed `class as usize`.
+    pub class_bytes: [u64; TrafficClass::COUNT],
     /// Messages received.
     pub msgs_recv: u64,
     /// Bytes received.
@@ -199,20 +134,10 @@ pub struct CommStats {
     pub max_queue_depth: u64,
     /// Duplicate deliveries discarded by the sequence check.
     pub dups_discarded: u64,
-    /// Wall-clock nanoseconds spent packing halo bands and posting sends.
-    pub ns_pack: u64,
-    /// Nanoseconds of deep-interior compute overlapped with in-flight
-    /// messages.
-    pub ns_interior: u64,
-    /// Nanoseconds blocked in receives — the unhidden communication cost.
-    pub ns_wait: u64,
-    /// Nanoseconds of boundary-shell compute + wall conditions.
-    pub ns_boundary: u64,
-    /// Nanoseconds of overset interpolation/packing/placement.
-    pub ns_overset: u64,
-    /// Nanoseconds blocked on the async output writer's buffer pool —
-    /// the unhidden cost of checkpoint/snapshot emission.
-    pub ns_writer_wait: u64,
+    /// Wall-clock nanoseconds charged to each [`SolverPhase`], indexed
+    /// `phase as usize`. `Wait` is the unhidden communication cost,
+    /// `WriterWait` the unhidden cost of checkpoint/snapshot emission.
+    pub phase_ns: [u64; SolverPhase::COUNT],
     /// Distribution of per-receive blocked time (nanoseconds).
     pub recv_wait: HistogramSnapshot,
     /// Distribution of per-step wall time (nanoseconds).
@@ -222,14 +147,16 @@ pub struct CommStats {
 }
 
 impl CommStats {
+    /// Bytes sent under `class`.
+    pub fn bytes(&self, class: TrafficClass) -> u64 {
+        self.class_bytes[class as usize]
+    }
+
     /// Element-wise sum (for aggregating across ranks).
     pub fn merged(self, other: CommStats) -> CommStats {
         CommStats {
             msgs_sent: self.msgs_sent + other.msgs_sent,
-            bytes_halo: self.bytes_halo + other.bytes_halo,
-            bytes_overset: self.bytes_overset + other.bytes_overset,
-            bytes_collective: self.bytes_collective + other.bytes_collective,
-            bytes_control: self.bytes_control + other.bytes_control,
+            class_bytes: std::array::from_fn(|c| self.class_bytes[c] + other.class_bytes[c]),
             msgs_recv: self.msgs_recv + other.msgs_recv,
             bytes_recv: self.bytes_recv + other.bytes_recv,
             recv_retries: self.recv_retries + other.recv_retries,
@@ -237,12 +164,7 @@ impl CommStats {
             // value answers "how deep did any one queue get".
             max_queue_depth: self.max_queue_depth.max(other.max_queue_depth),
             dups_discarded: self.dups_discarded + other.dups_discarded,
-            ns_pack: self.ns_pack + other.ns_pack,
-            ns_interior: self.ns_interior + other.ns_interior,
-            ns_wait: self.ns_wait + other.ns_wait,
-            ns_boundary: self.ns_boundary + other.ns_boundary,
-            ns_overset: self.ns_overset + other.ns_overset,
-            ns_writer_wait: self.ns_writer_wait + other.ns_writer_wait,
+            phase_ns: std::array::from_fn(|p| self.phase_ns[p] + other.phase_ns[p]),
             recv_wait: self.recv_wait.merged(other.recv_wait),
             step_wall: self.step_wall.merged(other.step_wall),
             queue_depth: self.queue_depth.merged(other.queue_depth),
@@ -264,8 +186,8 @@ mod tests {
         s.record_recv(25);
         let snap = s.snapshot(MailboxGauges::default());
         assert_eq!(snap.msgs_sent, 4);
-        assert_eq!(snap.bytes_halo, 100);
-        assert_eq!(snap.bytes_overset, 50);
+        assert_eq!(snap.class_bytes, [100, 50, 8, 16]);
+        assert_eq!(snap.bytes(TrafficClass::Overset), 50);
         assert_eq!(snap.msgs_recv, 1);
         assert_eq!(snap.bytes_recv, 25);
     }
@@ -274,14 +196,13 @@ mod tests {
     fn merged_adds_everything() {
         let mut a = CommStats::default();
         a.msgs_sent = 2;
-        a.bytes_halo = 10;
+        a.class_bytes[TrafficClass::Halo as usize] = 10;
         let mut b = CommStats::default();
         b.msgs_sent = 3;
-        b.bytes_overset = 7;
+        b.class_bytes[TrafficClass::Overset as usize] = 7;
         let m = a.merged(b);
         assert_eq!(m.msgs_sent, 5);
-        assert_eq!(m.bytes_halo, 10);
-        assert_eq!(m.bytes_overset, 7);
+        assert_eq!(m.class_bytes, [10, 7, 0, 0]);
     }
 
     #[test]
@@ -295,16 +216,10 @@ mod tests {
         s.record_phase_ns(SolverPhase::Wait, 3);
         s.record_phase_ns(SolverPhase::WriterWait, 17);
         let snap = s.snapshot(MailboxGauges::default());
-        assert_eq!(snap.ns_pack, 5);
-        assert_eq!(snap.ns_interior, 100);
-        assert_eq!(snap.ns_wait, 10);
-        assert_eq!(snap.ns_boundary, 30);
-        assert_eq!(snap.ns_overset, 11);
-        assert_eq!(snap.ns_writer_wait, 17);
+        assert_eq!(snap.phase_ns, [5, 100, 10, 30, 11, 17]);
+        assert_eq!(snap.phase_ns[SolverPhase::Wait as usize], 10);
         let m = snap.merged(snap);
-        assert_eq!(m.ns_wait, 20, "phase times aggregate by sum across ranks");
-        assert_eq!(m.ns_interior, 200);
-        assert_eq!(m.ns_writer_wait, 34);
+        assert_eq!(m.phase_ns, [10, 200, 20, 60, 22, 34], "phase times sum across ranks");
     }
 
     #[test]

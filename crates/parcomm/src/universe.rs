@@ -401,8 +401,8 @@ mod tests {
             comm.stats()
         });
         for s in out {
-            assert_eq!(s.bytes_halo, 800);
-            assert_eq!(s.bytes_overset, 80);
+            assert_eq!(s.bytes(TrafficClass::Halo), 800);
+            assert_eq!(s.bytes(TrafficClass::Overset), 80);
             assert_eq!(s.msgs_recv, 2);
             assert_eq!(s.bytes_recv, 880);
             assert!(s.max_queue_depth >= 1, "depth high-water must register");

@@ -68,18 +68,38 @@ reject "parallel delay=2" "delay must be a probability in [0, 1] (got 2)"
 reject "parallel kill_rank=99" "kill_rank=99 names no rank of the 4-rank layout"
 echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 11 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
   echo "$stale" >&2; exit 1; }
 echo "OK: no tracked file outside the history names the deleted systems"
+
+echo "==> one-definition guard: a vocabulary name is one literal, a trace record name lives in chrome.rs"
+# yy_obs::event declares each code space once (enum, wire byte, name);
+# a second literal of a name is a mirror somebody has to keep in step.
+# Counted on the non-test lines (up to the first #[cfg(test)]) of the
+# three crates that share the vocabularies.
+vocab_srcs=$(git ls-files 'crates/obs/src/*.rs' 'crates/parcomm/src/*.rs' 'crates/core/src/*.rs')
+nontest_hits() { # nontest_hits <fixed string>: file:line of every non-test match
+  awk -v pat="$1" 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
+    !test && index($0, pat) { print FILENAME ":" FNR }' $vocab_srcs
+}
+for name in '"writer_wait"' '"density-floor"' '"late sender"'; do
+  hits=$(nontest_hits "$name")
+  [ "$(echo "$hits" | grep -c .)" = 1 ] || {
+    echo "ERROR: $name must be written once outside tests, found:" >&2; echo "$hits" >&2; exit 1; }
+done
+stray=$(nontest_hits 'kill injected' | grep -v '^crates/obs/src/chrome.rs:' || true)
+[ -z "$stray" ] || {
+  echo "ERROR: a Chrome record name outside chrome.rs:" >&2; echo "$stray" >&2; exit 1; }
+echo "OK: phase, health and reason names are single literals; record names stay in chrome.rs"
 
 echo "==> fault-injection soak: seeded drops/delays + a rank kill must recover bit-exactly"
 soak_dir=$(mktemp -d)
@@ -201,6 +221,19 @@ echo "$pm"
 echo "$pm" | grep -qE ' [1-9][0-9]* kill' || {
   echo "ERROR: post-mortem trace has no kill event" >&2; exit 1; }
 ./target/release/yycore tracecheck "$soak_dir/trace.json" >/dev/null
+# Hostile artifacts are one error line, not an abort: 300 000 unclosed
+# brackets once overflowed the parser's stack, and a huge tid once sized
+# an allocation.
+head -c 300000 /dev/zero | tr '\0' '[' >"$soak_dir/deep.json"
+echo '{"traceEvents":[{"name":"step 1","ph":"i","pid":0,"tid":4000000000000,"ts":1,"args":{"step":1}}]}' \
+  >"$soak_dir/tid.json"
+for reader in "tracecheck " "doctor trace=" "watch "; do
+  reject "$reader$soak_dir/deep.json" "nesting deeper than 128 at byte 128"
+done
+for reader in "tracecheck " "doctor trace="; do
+  reject "$reader$soak_dir/tid.json" \
+    "event 0 (step 1): tid 4000000000000 is not an integer rank below 65536"
+done
 grep -q '"schema":"yy.runreport.v6"' "$soak_dir/report.json" || {
   echo "ERROR: report.json missing schema tag" >&2; exit 1; }
 # The v6 additions are always present: an (empty here) alerts array and
