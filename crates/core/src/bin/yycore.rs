@@ -172,7 +172,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
         report
     } else {
-        sim.run(a.steps, a.sample)
+        sim.try_run(a.steps, a.sample)?
     };
     let b = sim.speed_breakdown();
     eprintln!(
@@ -200,7 +200,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     ck.restore(&mut sim);
     arm_serial(&a, &mut sim)?;
     eprintln!("resumed at step {}, t = {:.5}", sim.step, sim.time);
-    let report = sim.run(a.steps, a.sample);
+    let report = sim.try_run(a.steps, a.sample)?;
     finish_serial(&sim, &report, &a)
 }
 
@@ -364,7 +364,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         // model: what the paper's flagship run would sustain if its
         // exchanges were hidden as well as this run's were.
         let hidden = p.hidden_comm_fraction();
-        let proj = yy_esmodel::flagship_projection(hidden);
+        let proj = yy_esmodel::flagship_projection(hidden, yy_esmodel::WaitTail::default());
         eprintln!(
             "hidden comm fraction {:.2} -> ES 4096p projection: \
              {:.1} TFlops sustained, {:.0}% of peak",
@@ -380,11 +380,11 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         // in-process run most receives find their message already
         // delivered, p50 is a few ns, and the ratio is noise.
         if !report.recv_wait.is_empty() && report.recv_wait.p50() >= 1_000 {
-            let tail = yy_esmodel::model::WaitTail {
+            let tail = yy_esmodel::WaitTail {
                 p50: report.recv_wait.p50() as f64,
                 p99: report.recv_wait.p99() as f64,
             };
-            let tproj = yy_esmodel::flagship_projection_tail(hidden, tail);
+            let tproj = yy_esmodel::flagship_projection(hidden, tail);
             eprintln!(
                 "recv-wait tail p99/p50 = x{:.1} -> tail-aware projection: \
                  {:.1} TFlops sustained",
@@ -445,16 +445,14 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 /// reconstructed from the *measured* kernel costs rather than the
 /// hand-derived defaults.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use yy_esmodel::model::{project, project_kernels, RunShape};
-    use yy_esmodel::mpiproginf::{list1_text, ReportShape};
     use yy_esmodel::{
-        kernel_projection_text, table2_text, table3_text, EsMachine, EsModelParams, KernelProfile,
+        kernel_projection_text, project_kernels, EsMachine, EsModelParams, KernelProfile, RunShape,
     };
 
     let a = cli::parse("profile", args)?;
     let mut sim = SerialSim::new(a.cfg.clone());
     let interior = sim.interior_points();
-    let report = sim.run(a.steps, 0);
+    let report = sim.try_run(a.steps, 0)?;
     if report.kernels.total_flops() == 0 {
         return Err("profile run recorded no flops".into());
     }
@@ -463,49 +461,31 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     print!("{}", report.kernels.roofline_text());
 
     let costs = report.kernel_costs(interior, a.cfg.nr);
-    let machine = EsMachine::earth_simulator();
-    let params = EsModelParams::calibrated();
-    let shape = RunShape::flagship();
+    let rows = project_kernels(
+        &EsMachine::earth_simulator(),
+        &EsModelParams::calibrated(),
+        &costs,
+        &RunShape::flagship(),
+    );
     println!();
     println!("ES projection at the flagship shape (4096 procs, 511x514x1538):");
-    print!("{}", kernel_projection_text(&project_kernels(&machine, &params, &costs, &shape)));
+    print!("{}", kernel_projection_text(&rows));
 
-    let profile = KernelProfile::from_kernels(&costs);
+    let art = yy_esmodel::artifacts(&KernelProfile::from_kernels(&costs));
     println!();
-    println!("{}", table2_text(&profile));
-    println!("{}", table3_text(&profile));
-    let projection = project(&machine, &params, &profile, &shape);
+    print!("{}", art.tables);
     println!(
         "measured-profile flagship projection: {:.1} TFlops sustained \
          ({:.0}% of peak; paper reports 15.2)",
-        projection.tflops(),
-        projection.efficiency * 100.0
+        art.flagship.tflops(),
+        art.flagship.efficiency * 100.0
     );
-    println!("{}", list1_text(&ReportShape::paper_window(projection)));
+    println!("{}", art.list1);
     finish(&report, &a)
 }
 
 fn cmd_tables(_args: &[String]) -> Result<(), String> {
-    use yy_esmodel::model::{project, RunShape};
-    use yy_esmodel::mpiproginf::{list1_text, ReportShape};
-    use yy_esmodel::*;
-    let mut cfg = RunConfig::small();
-    cfg.init.perturb_amplitude = 1e-2;
-    let mut sim = SerialSim::new(cfg);
-    let interior = sim.interior_points();
-    let report = sim.run(3, 0);
-    let measured = report.flops as f64 / report.steps as f64 / interior as f64;
-    let profile = KernelProfile::yycore_default().with_measured_flops(measured);
-    println!("{}", table1_text());
-    println!("{}", table2_text(&profile));
-    println!("{}", table3_text(&profile));
-    let projection = project(
-        &EsMachine::earth_simulator(),
-        &EsModelParams::calibrated(),
-        &profile,
-        &RunShape::flagship(),
-    );
-    println!("{}", list1_text(&ReportShape::paper_window(projection)));
+    print!("{}", yycore::report::paper_tables_text());
     Ok(())
 }
 

@@ -46,6 +46,7 @@ const LANE_HI: u64 = 0x8080_8080_8080_8080;
 /// `k` of the word is byte `at + k`).
 #[inline(always)]
 fn word_at(src: &[u8], at: usize) -> u64 {
+    // An `[at..at + 8]` slice is eight bytes; both callers loop on `at + 8 <= src.len()`.
     u64::from_le_bytes(src[at..at + 8].try_into().expect("eight-byte window"))
 }
 

@@ -2,13 +2,12 @@
 //! complete set into the serial-format [`Checkpoint`] byte-identically.
 
 use super::shard::{load_shard, parse_shard_name};
-use crate::checkpoint::{blank_panels, invalid, Checkpoint};
+use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
+use crate::serial::overset_columns;
 use std::io;
 use std::path::Path;
 use yy_field::unpack_region;
-use yy_mesh::build_overset_columns;
-use yy_mhd::State;
 
 /// The steps for which `dir` holds at least one shard, ascending.
 pub fn shard_steps(dir: &Path) -> io::Result<Vec<u64>> {
@@ -61,6 +60,7 @@ pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Resul
             Err(e) => last_err = Some(e),
         }
     }
+    // `steps` is non-empty (checked above) and so is either `candidates`.
     Err(last_err.expect("at least one candidate step was tried"))
 }
 
@@ -75,7 +75,11 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
         }
     }
     ranks.sort_unstable();
-    let first = load_shard(dir, step, *ranks.first().expect("caller saw this step"))?;
+    // The caller listed this step, but the directory can change under us.
+    let Some(&first_rank) = ranks.first() else {
+        return Err(invalid(format!("no shards for step {step} in {}", dir.display())));
+    };
+    let first = load_shard(dir, step, first_rank)?;
     let world = (2 * first.0.pth * first.0.pph) as usize;
     if ranks != (0..world).collect::<Vec<_>>() {
         return Err(invalid(format!(
@@ -92,7 +96,7 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             first.0.shape, shape
         )));
     }
-    let mut panels = blank_panels(cfg, &grid);
+    let mut ck = Checkpoint::blank(cfg, &grid);
     // Coverage check: each panel's interior must be tiled exactly once.
     let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
     for rank in 0..world {
@@ -137,13 +141,15 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             }
         }
         // Place the owned block.
+        // `chunks_exact(8)` yields eight-byte slices.
         let vals: Vec<f64> = raw
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
             .collect();
         let region = meta.global_region();
         let mut rest: &[f64] = &vals;
-        for arr in panels[meta.panel as usize].arrays_mut() {
+        let panel = if meta.panel == 0 { &mut ck.yin } else { &mut ck.yang };
+        for arr in panel.arrays_mut() {
             rest = unpack_region(arr, region, rest);
         }
         debug_assert!(rest.is_empty());
@@ -157,31 +163,12 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             )));
         }
     }
-    let [yin, yang] = panels;
-    Ok(parallel_checkpoint(cfg, yin, yang, step, first.0.time, first.0.dt_cache))
+    ck.seal(cfg, &overset_columns(&grid), step, first.0.time, first.0.dt_cache);
+    Ok(ck)
 }
 
 /// Whether `path` names a shard *directory* (as opposed to a serial
 /// checkpoint file): used by `resume=` to pick the reader.
 pub fn is_shard_dir(path: &Path) -> bool {
     path.is_dir()
-}
-
-/// Assemble gathered panels into a serial-format-compatible
-/// [`Checkpoint`]: the gathered states carry owned values only, so the
-/// overset frames and wall conditions are refilled exactly as the serial
-/// driver's boundary synchronisation would.
-fn parallel_checkpoint(
-    cfg: &RunConfig,
-    mut yin: State,
-    mut yang: State,
-    step: u64,
-    time: f64,
-    dt_cache: f64,
-) -> Checkpoint {
-    let grid = cfg.grid();
-    let cols = build_overset_columns(&grid)
-        .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}"));
-    crate::serial::fill_pair(&mut yin, &mut yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
-    Checkpoint { shape: yin.shape(), step, time, dt_cache, yin, yang }
 }

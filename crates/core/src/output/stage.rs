@@ -163,6 +163,8 @@ impl OutputStage {
                 std::thread::Builder::new()
                     .name("yy-output-writer".into())
                     .spawn(move || writer_main(&sh))
+                    // As `std::thread::spawn` does: a process the OS refuses
+                    // one more thread cannot start its ranks either.
                     .expect("spawn output writer thread"),
             )
         } else {

@@ -12,7 +12,7 @@ use yy_mesh::interp::{interp_scalar_column, interp_vector_column};
 use yy_mesh::OversetColumn;
 use yy_mhd::rhs::{sweep_rhs, InteriorRange, RhsSink};
 use yy_mhd::{apply_physical_bc, State};
-use yy_obs::counters::{kernel, KernelTally};
+use yy_obs::counters::{Kernel, KernelTally};
 use yy_parcomm::stats::{SolverPhase, TrafficClass};
 use yy_parcomm::Comm;
 
@@ -114,29 +114,6 @@ impl PhaseClock {
     }
 }
 
-/// Overset donate tally with owned-target accounting: flops, points and
-/// loops count the `owned` jobs (decomposition-invariant); bytes count
-/// every `actual` job — ghost duplicates are real interpolation work
-/// and real wire traffic, excluded only from the FLOP convention.
-fn donate_tally_owned(owned: u64, actual: u64, nr: u64) -> KernelTally {
-    let real = overset_donate_tally(actual, nr);
-    KernelTally {
-        bytes_read: real.bytes_read,
-        bytes_written: real.bytes_written,
-        ..overset_donate_tally(owned, nr)
-    }
-}
-
-/// [`donate_tally_owned`]'s fill-side twin.
-fn fill_tally_owned(owned: u64, actual: u64, nr: u64) -> KernelTally {
-    let real = overset_fill_tally(actual, nr);
-    KernelTally {
-        bytes_read: real.bytes_read,
-        bytes_written: real.bytes_written,
-        ..overset_fill_tally(owned, nr)
-    }
-}
-
 /// Counter tally for moving one halo band of `region` (× the 8 state
 /// arrays) through a pack or unpack loop. Halo volume is a property of
 /// the decomposition, not the physics, so this kernel is the documented
@@ -144,14 +121,7 @@ fn fill_tally_owned(owned: u64, actual: u64, nr: u64) -> KernelTally {
 fn halo_tally(region: Region) -> KernelTally {
     let values = 8 * region.len() as u64;
     let nr = (region.i1 - region.i0).max(1) as u64;
-    KernelTally {
-        points: values,
-        loops: values / nr,
-        vector_elements: values,
-        flops: 0,
-        bytes_read: values * 8,
-        bytes_written: values * 8,
-    }
+    KernelTally::copy(values, 8, values / nr)
 }
 
 impl RankSolver<'_> {
@@ -312,7 +282,7 @@ impl RankSolver<'_> {
                 for arr in s.arrays() {
                     pack_region(arr, region, &mut buf);
                 }
-                self.meter.kernel_timed(kernel::HALO_PACK, halo_tally(region), t0);
+                self.meter.kernel_timed(Kernel::HaloPack, halo_tally(region), t0);
                 self.cart.comm().send_f64s(dst, tag, buf, TrafficClass::Halo);
             }
         }
@@ -333,7 +303,7 @@ impl RankSolver<'_> {
                     rest = unpack_region(arr, region, rest);
                 }
                 assert!(rest.is_empty(), "halo message size mismatch from rank {src}");
-                self.meter.kernel_timed(kernel::HALO_UNPACK, halo_tally(region), t0);
+                self.meter.kernel_timed(Kernel::HaloUnpack, halo_tally(region), t0);
                 self.comm.put_buf(buf);
                 clock.lap(self.world, SolverPhase::Pack);
             }
@@ -387,8 +357,11 @@ impl RankSolver<'_> {
                 buf.extend_from_slice(&self.comm.vp);
             }
             self.meter.kernel_timed(
-                kernel::OVERSET_DONATE,
-                donate_tally_owned(self.owned_jobs[si], send.jobs.len() as u64, nr as u64),
+                Kernel::OversetDonate,
+                // Counts are of the owned-target jobs (decomposition-invariant);
+                // ghost duplicates are interpolated and sent too, so bytes are of all.
+                overset_donate_tally(self.owned_jobs[si], nr as u64)
+                    .with_traffic_of(overset_donate_tally(send.jobs.len() as u64, nr as u64)),
                 t0,
             );
             self.world.send_f64s(send.to_world, TAG_OVERSET, buf, TrafficClass::Overset);
@@ -425,8 +398,9 @@ impl RankSolver<'_> {
                 take(&mut s.a.p);
             }
             self.meter.kernel_timed(
-                kernel::OVERSET_FILL,
-                fill_tally_owned(self.owned_slots[ri], recv.slots.len() as u64, nr as u64),
+                Kernel::OversetFill,
+                overset_fill_tally(self.owned_slots[ri], nr as u64)
+                    .with_traffic_of(overset_fill_tally(recv.slots.len() as u64, nr as u64)),
                 t0,
             );
             self.comm.put_buf(buf);

@@ -124,7 +124,9 @@ pub fn run_parallel(
     // A health verdict is collective: every rank returned the same `Err`.
     let mut rep = match results.into_iter().next() {
         Some(Ok(Some(rep))) => rep,
+        // This entry point's contract (`run_parallel_supervised` returns it).
         Some(Err(violation)) => panic!("{violation}"),
+        // `rank_program` returns `Ok(Some(_))` on rank 0, and the universe has ≥ 2 ranks.
         _ => panic!("rank 0 must produce the report"),
     };
     if let Some(ck) = slot.and_then(|s| lock_slot(&s).take()) {

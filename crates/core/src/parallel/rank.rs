@@ -16,7 +16,7 @@ use std::time::Instant;
 use yy_mesh::routing::panel_of_world;
 use yy_mesh::Decomp2D;
 use yy_mhd::State;
-use yy_obs::counters::{kernel, CounterSnapshot, KernelTally};
+use yy_obs::counters::{CounterSnapshot, Kernel, KernelTally};
 use yy_obs::event::{CounterTrack, Gauge};
 use yy_obs::{prometheus_text, Event, MetricsHub};
 use yy_parcomm::stats::SolverPhase;
@@ -138,7 +138,7 @@ pub(super) fn rank_program(
         {
             let sh = state.shape();
             let tally = crate::health::scan_tally((sh.nth * sh.nph) as u64, sh.nr as u64);
-            solver.meter.kernel_timed(kernel::HEALTH_SCAN, tally, scan_t0);
+            solver.meter.kernel_timed(Kernel::HealthScan, tally, scan_t0);
         }
         if let Err(v) = &local {
             world.record_event(Event::HealthViolation { code: v.code(), step: solver.step });
@@ -343,17 +343,6 @@ impl ShardEmitter {
         // Producer-side tally: the pack traffic. The encoded size is
         // not known here (the consumer compresses later); the on-disk
         // byte totals live in the report's `io` section instead.
-        solver.meter.kernel_timed(
-            kernel::OUTPUT,
-            KernelTally {
-                points: raw_len / 8,
-                loops: 1,
-                vector_elements: raw_len / 8,
-                flops: 0,
-                bytes_read: raw_len,
-                bytes_written: raw_len,
-            },
-            t0,
-        );
+        solver.meter.kernel_timed(Kernel::Output, KernelTally::copy(raw_len / 8, 8, 1), t0);
     }
 }

@@ -6,20 +6,21 @@
 use super::exchange::{CommScratch, TAG_GATHER};
 use super::rank::ShardEmitter;
 use super::{lock_slot, CkptSlot};
-use crate::checkpoint::{blank_panels, Checkpoint};
+use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::report::{PhaseBreakdown, RunReport};
+use crate::serial::overset_columns;
 use std::sync::Arc;
 use yy_field::{pack_region, unpack_region, Meters, Region};
 use yy_mesh::routing::{build_schedule, panel_of_world, OversetExchange, TargetSlot};
-use yy_mesh::{build_overset_columns, Decomp2D, Metric, OversetColumn, Panel, PatchGrid, Tile};
+use yy_mesh::{Decomp2D, Metric, OversetColumn, Panel, PatchGrid, Tile};
 use yy_mhd::rhs::{InteriorRange, OverlapSplit, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
     cfl_timestep, initialize, timestep::rho_min_owned, wave_speed_max, Diagnostics, ForceTables,
     State,
 };
-use yy_obs::counters::{kernel, CounterSet, CounterSnapshot};
+use yy_obs::counters::{CounterSet, CounterSnapshot, Kernel};
 use yy_obs::hist::HistogramSnapshot;
 use yy_obs::Event;
 use yy_parcomm::stats::TrafficClass;
@@ -125,8 +126,7 @@ impl<'a> RankSolver<'a> {
             cfg.params.omega,
             rotation_axis(panel),
         );
-        let cols: Vec<OversetColumn> = build_overset_columns(&grid)
-            .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}"));
+        let cols = overset_columns(&grid);
         let mut schedule = build_schedule(&grid, decomp, &cols);
         // Owned-target job/slot counts for the overset counters (see the
         // `owned_jobs` field). Send and receive lists pair up
@@ -247,7 +247,7 @@ impl<'a> RankSolver<'a> {
             } else {
                 self.sync_rhs_overlapped(cur, &mut sink);
             }
-            self.meter.kernel(kernel::RK4_COMBINE, combine);
+            self.meter.kernel(Kernel::Rk4Combine, combine);
         }
         self.sync(state);
         self.rk4 = Some(rk4);
@@ -316,10 +316,7 @@ impl<'a> RankSolver<'a> {
         let scratch = self.ckpt_scratch.take().or_else(|| lock_slot(slot).clone());
         let mut ck = match scratch {
             Some(ck) if ck.shape == full => ck,
-            _ => {
-                let [yin, yang] = blank_panels(&self.cfg, &self.grid);
-                Checkpoint { shape: full, step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
-            }
+            _ => Checkpoint::blank(&self.cfg, &self.grid),
         };
         let tiles = self.decomp.tiles();
         for world_rank in 0..2 * tiles {
@@ -349,26 +346,9 @@ impl<'a> RankSolver<'a> {
             }
             assert!(rest.is_empty());
         }
-        // Refill the overset frames and wall conditions exactly as
-        // `parallel_checkpoint` would, against columns built once.
-        if self.ckpt_cols.is_none() {
-            self.ckpt_cols = Some(
-                build_overset_columns(&self.grid)
-                    .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}")),
-            );
-        }
-        let cols = self.ckpt_cols.as_ref().expect("just filled");
-        crate::serial::fill_pair(
-            &mut ck.yin,
-            &mut ck.yang,
-            cols,
-            self.cfg.params.t_inner,
-            self.cfg.mag_bc,
-            None,
-        );
-        ck.step = self.step;
-        ck.time = self.time;
-        ck.dt_cache = dt_cache;
+        // Against columns built once per solver.
+        let cols = self.ckpt_cols.get_or_insert_with(|| overset_columns(&self.grid));
+        ck.seal(&self.cfg, cols, self.step, self.time, dt_cache);
         self.ckpt_scratch = lock_slot(slot).replace(ck);
     }
 
@@ -445,8 +425,8 @@ impl<'a> RankSolver<'a> {
     /// Collective — every rank calls; 1.0 when nothing was timed.
     pub(super) fn achieved_imbalance(&self) -> f64 {
         let snap = self.meter.counters().snapshot();
-        let local = (snap.kernels[kernel::RHS as usize].wall_ns
-            + snap.kernels[kernel::HEALTH_SCAN as usize].wall_ns) as f64;
+        let local =
+            (snap.get(Kernel::Rhs).wall_ns + snap.get(Kernel::HealthScan).wall_ns) as f64;
         let max = self.world.allreduce_f64(local, ReduceOp::Max);
         let sum = self.world.allreduce_f64(local, ReduceOp::Sum);
         if sum > 0.0 {

@@ -314,6 +314,24 @@ pub(crate) fn series_csv_of(series: &[TimeSeriesPoint]) -> String {
     out
 }
 
+/// What `yycore tables` and `examples/es_performance.rs` print: Tables
+/// I–III and the flagship List 1, projected from the flops per grid point
+/// per step a short instrumented run *measures*. Per interior point —
+/// frame and wall nodes are interpolated, not differenced, and at the
+/// paper's resolutions a negligible fraction of the grid. Exact counts
+/// only, so the text is the same on every host.
+pub fn paper_tables_text() -> String {
+    let mut cfg = crate::RunConfig::small();
+    cfg.init.perturb_amplitude = 1e-2;
+    let mut sim = crate::SerialSim::new(cfg);
+    let interior = sim.interior_points();
+    let report = sim.run(3, 0);
+    let measured = report.flops as f64 / report.steps as f64 / interior as f64;
+    let profile = yy_esmodel::KernelProfile::yycore_default().with_measured_flops(measured);
+    let art = yy_esmodel::artifacts(&profile);
+    format!("{}\n{}{}\n", yy_esmodel::table1_text(), art.tables, art.list1)
+}
+
 impl RunReport {
     /// Measured MFLOPS over the run.
     pub fn mflops(&self) -> f64 {
@@ -626,11 +644,11 @@ mod tests {
 
     #[test]
     fn kernel_table_lands_in_the_artifact() {
-        use yy_obs::counters::{kernel, CounterSet, KernelTally};
+        use yy_obs::counters::{CounterSet, Kernel, KernelTally};
         use yy_obs::Json;
         let set = CounterSet::enabled();
         set.add(
-            kernel::RHS,
+            Kernel::Rhs,
             KernelTally {
                 points: 64,
                 loops: 8,

@@ -32,7 +32,7 @@ use yy_mesh::interp::{INTERP_SCALAR_FLOPS_PER_NODE, INTERP_VECTOR_FLOPS_PER_NODE
 use yy_mesh::{
     apply_scalar, apply_vector, build_overset_columns, Metric, OversetColumn, Panel, PatchGrid,
 };
-use yy_obs::counters::{kernel, CounterSet, KernelTally};
+use yy_obs::counters::{CounterSet, Kernel, KernelTally};
 use yy_obs::event::Phase;
 use yy_mhd::rhs::{sweep_rhs, InteriorRange, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
@@ -60,17 +60,17 @@ pub(crate) fn overset_donate_tally(jobs: u64, nr: u64) -> KernelTally {
 }
 
 /// Counter tally for placing `jobs` donated overset columns into their
-/// target frames (pure row copies — zero flops).
+/// target frames (pure row copies of the 8 state arrays).
 pub(crate) fn overset_fill_tally(jobs: u64, nr: u64) -> KernelTally {
-    let rows = 8 * jobs;
-    KernelTally {
-        points: rows * nr,
-        loops: rows,
-        vector_elements: rows * nr,
-        flops: 0,
-        bytes_read: rows * nr * 8,
-        bytes_written: rows * nr * 8,
-    }
+    KernelTally::copy(8 * jobs * nr, 8, 8 * jobs)
+}
+
+/// The overset columns of a run's grid. The only grid
+/// `build_overset_columns` refuses is one with no extension (frame
+/// images fall outside the partner, or donors inside its frame), and
+/// [`RunConfig::check`] bounds `ext ≥ 1`.
+pub(crate) fn overset_columns(grid: &PatchGrid) -> Vec<OversetColumn> {
+    build_overset_columns(grid).unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}"))
 }
 
 /// Fill the overset frames of both panels from each other, then apply the
@@ -112,8 +112,8 @@ pub fn fill_pair(
         // per-job constants, so global totals match any decomposition.
         let jobs = 2 * cols.len() as u64;
         let nr = yin.shape().nr as u64;
-        m.kernel_timed(kernel::OVERSET_DONATE, overset_donate_tally(jobs, nr), t0);
-        m.kernel(kernel::OVERSET_FILL, overset_fill_tally(jobs, nr));
+        m.kernel_timed(Kernel::OversetDonate, overset_donate_tally(jobs, nr), t0);
+        m.kernel(Kernel::OversetFill, overset_fill_tally(jobs, nr));
     }
     apply_physical_bc(yin, t_inner, mag_bc);
     apply_physical_bc(yang, t_inner, mag_bc);
@@ -207,8 +207,7 @@ impl SerialSim {
                 rotation_axis(p),
             )
         });
-        let cols = build_overset_columns(&grid)
-            .unwrap_or_else(|e| panic!("invalid Yin-Yang configuration: {e}"));
+        let cols = overset_columns(&grid);
         let shape = grid.full_shape();
         let mut yin = State::zeros(shape);
         let mut yang = State::zeros(shape);
@@ -311,7 +310,7 @@ impl SerialSim {
                     &mut sink,
                     &mut self.meter,
                 );
-                self.meter.kernel(kernel::RK4_COMBINE, combine);
+                self.meter.kernel(Kernel::Rk4Combine, combine);
             }
             if s < 3 {
                 let [n0, n1] = next;
@@ -364,8 +363,17 @@ impl SerialSim {
     }
 
     /// Run `steps` steps with automatic dt, sampling diagnostics every
-    /// `sample_every` steps (0 = only at start/end).
+    /// `sample_every` steps (0 = only at start/end). Panics on a health
+    /// violation; [`try_run`](Self::try_run) returns it.
     pub fn run(&mut self, steps: u64, sample_every: u64) -> RunReport {
+        self.try_run(steps, sample_every).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run`](Self::run), with a health violation (NaN/Inf, density or
+    /// pressure floor) as `Err` naming the step and the guard. The
+    /// simulation is left at the violating step: a serial run has no
+    /// checkpoint to roll back to.
+    pub fn try_run(&mut self, steps: u64, sample_every: u64) -> Result<RunReport, String> {
         self.run_impl(steps, sample_every, None)
     }
 
@@ -391,7 +399,7 @@ impl SerialSim {
             stage: OutputStage::new(opts.async_mode),
             wait_ns: 0,
         };
-        let mut report = self.run_impl(steps, sample_every, Some(&mut stream));
+        let mut report = self.run_impl(steps, sample_every, Some(&mut stream))?;
         stream.wait_ns += stream.stage.flush();
         let totals = stream
             .stage
@@ -421,18 +429,7 @@ impl SerialSim {
         let raw = buf.len() as u64;
         wait_ns += stream.stage.submit(stream.opts.dir.join(name), buf, raw);
         stream.wait_ns += wait_ns;
-        self.meter.kernel_timed(
-            kernel::OUTPUT,
-            KernelTally {
-                points: raw,
-                loops: 1,
-                vector_elements: raw,
-                flops: 0,
-                bytes_read: raw,
-                bytes_written: raw,
-            },
-            t0,
-        );
+        self.meter.kernel_timed(Kernel::Output, KernelTally::copy(raw, 1, 1), t0);
     }
 
     /// The Fig. 2 product: an equatorial temperature slice of the
@@ -450,7 +447,7 @@ impl SerialSim {
         steps: u64,
         sample_every: u64,
         mut stream: Option<&mut Stream<'_>>,
-    ) -> RunReport {
+    ) -> Result<RunReport, String> {
         let started = Instant::now();
         self.meter.reset();
         // Per-step wall-time distribution: the serial driver fills the
@@ -479,21 +476,21 @@ impl SerialSim {
             // over both panels; a serial run has no checkpoint to roll
             // back to, so a violation ends it.
             for panel in [&self.yin, &self.yang] {
-                if let Err(v) = guard.check_state(panel) {
-                    panic!(
+                guard.check_state(panel).map_err(|v| {
+                    format!(
                         "step {} (t = {:.4e}): {v}; reduce cfl, reduce dt_every, \
                          or increase dissipation",
                         self.step, self.time
-                    );
-                }
+                    )
+                })?;
             }
             {
                 // Health scans over both panels (owned nodes only, so the
                 // totals match any decomposition of the same grid).
                 let s = self.yin.shape();
                 let tally = crate::health::scan_tally((s.nth * s.nph) as u64, s.nr as u64);
-                self.meter.kernel_timed(kernel::HEALTH_SCAN, tally, scan_t0);
-                self.meter.kernel(kernel::HEALTH_SCAN, tally);
+                self.meter.kernel_timed(Kernel::HealthScan, tally, scan_t0);
+                self.meter.kernel(Kernel::HealthScan, tally);
             }
             // Sample at absolute step numbers, like the dt cadence, so a
             // resumed run's series lines up with the uninterrupted one's.
@@ -523,7 +520,7 @@ impl SerialSim {
             self.emit_snapshot(st);
             self.emit_product(st, "energy.csv".into(), series_csv_of(&series));
         }
-        RunReport {
+        Ok(RunReport {
             time: self.time,
             steps,
             flops: self.meter.flops(),
@@ -535,7 +532,7 @@ impl SerialSim {
             alerts: self.telemetry.as_ref().map(|t| t.alerts().to_vec()).unwrap_or_default(),
             telemetry: self.telemetry.as_ref().map(|t| t.store_json()),
             ..RunReport::default()
-        }
+        })
     }
 
     fn sample(&self, dt: f64) -> TimeSeriesPoint {
@@ -591,6 +588,34 @@ mod tests {
         assert_eq!((first.as_slice(), second.as_slice()), (&[0, 3, 4][..], &[4, 6, 8][..]));
         let seam = 4;
         assert!(first.iter().chain(&second).all(|s| *s == seam || whole.contains(s)));
+    }
+
+    /// A positivity-floor violation is an `Err` naming the step and the
+    /// guard (it was a panic), reached on the trajectory an uninterrupted
+    /// run takes.
+    #[test]
+    fn blow_up_is_an_err_naming_the_step_and_the_guard() {
+        use crate::checkpoint::Checkpoint;
+        let mut cfg = RunConfig::small();
+        (cfg.nr, cfg.nth_nominal, cfg.cfl, cfg.dt_every) = (12, 9, 1.0, 50);
+        cfg.init.perturb_amplitude = 0.9;
+        let mut failed = SerialSim::new(cfg.clone());
+        let err = failed.try_run(600, 0).expect_err("cfl=1 cannot survive a 0.9 perturbation");
+        let k = failed.step;
+        assert!(k > 1 && err.starts_with(&format!("step {k} (t = ")), "{err}");
+        assert!(err.contains(" floor violated: min "), "{err}");
+        assert!(err.ends_with("; reduce cfl, reduce dt_every, or increase dissipation"), "{err}");
+        // The k − 1 healthy steps are those of a run that stops there, and
+        // one more step from it fails the same way in the same state.
+        let mut whole = SerialSim::new(cfg);
+        whole.run(k - 1, 0);
+        assert_eq!(whole.try_run(1, 0).expect_err("step k violates"), err);
+        let bytes = |sim: &SerialSim| {
+            let mut out = Vec::new();
+            Checkpoint::capture(sim).write_to(&mut out).unwrap();
+            out
+        };
+        assert_eq!(bytes(&whole), bytes(&failed));
     }
 
     #[test]

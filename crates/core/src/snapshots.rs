@@ -152,6 +152,8 @@ pub fn sample_equatorial(
             let q = map.transform_point(p);
             (yang, q.theta, q.phi)
         };
+        // Yin's nominal span and Yang's image of its complement cover the
+        // sphere, and the grid's owned span contains the nominal one.
         let (jd, fy) = grid
             .theta()
             .locate(theta, 1e-9)
@@ -212,6 +214,7 @@ pub fn sample_meridional(
             let q = map.transform_point(p);
             (yang, q.theta, q.phi)
         };
+        // Covered for the same reason as `sample_equatorial`'s points.
         let (jd, fy) = grid
             .theta()
             .locate(th, 1e-9)
@@ -402,6 +405,7 @@ pub fn write_ppm(path: &Path, width: usize, height: usize, pixels: &[(u8, u8, u8
 /// Fig. 2a): white outside the shell, diverging colormap inside.
 pub fn equatorial_disk_ppm(field: &EquatorialField, path: &Path, size: usize) -> io::Result<()> {
     let max = field.max_abs().max(1e-300);
+    // Non-empty, as `r[0]` beside it needs: the samplers fill `r` from the grid's radial nodes.
     let (ri, ro) = (field.r[0], *field.r.last().expect("radial nodes"));
     let nphi = field.phi.len();
     let mut pixels = vec![(255u8, 255u8, 255u8); size * size];

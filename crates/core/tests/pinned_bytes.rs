@@ -2,6 +2,8 @@
 //! before the vocabularies (`yy_obs::event`) became typed and the
 //! exporters became loops over them, from these same inputs. A diff here
 //! is a format change every reader of a trace, a scrape or a report sees.
+//! `fixtures/tables.txt` is the stdout of `yycore tables` at the commit
+//! before its printout moved into `yycore::report::paper_tables_text`.
 
 use yy_obs::chrome::{chrome_trace_json, RankTrace};
 use yy_obs::event::{
@@ -125,4 +127,10 @@ fn run_report_bytes_are_pinned() {
         ..Default::default()
     };
     assert_eq!(report.to_json(), include_str!("fixtures/run_report.json"));
+}
+
+/// Exact counts in, no timings: the same text in every build on every host.
+#[test]
+fn paper_tables_text_is_pinned() {
+    assert_eq!(yycore::report::paper_tables_text(), include_str!("fixtures/tables.txt"));
 }

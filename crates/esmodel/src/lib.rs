@@ -53,10 +53,10 @@ pub mod tables;
 pub use machine::EsMachine;
 pub use model::{EsModelParams, KernelCost, KernelProfile, KernelProjection, Projection, RunShape};
 pub use model::{
-    flagship_projection, flagship_projection_tail, in_flagship_window, project, project_kernels,
-    project_overlapped, FLAGSHIP_WINDOW_TFLOPS, PAPER_FLAGSHIP_TFLOPS,
+    flagship_projection, in_flagship_window, project, project_kernels, WaitTail,
+    FLAGSHIP_WINDOW_TFLOPS, PAPER_FLAGSHIP_TFLOPS,
 };
 pub use tables::{
-    kernel_projection_text, table1_text, table2_rows, table2_text, table3_text, Table2Row,
-    TABLE2_PAPER,
+    artifacts, kernel_projection_text, table1_text, table2_rows, table2_text, table3_text,
+    Artifacts, Table2Row, TABLE2_PAPER,
 };

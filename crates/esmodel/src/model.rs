@@ -149,29 +149,13 @@ pub fn in_flagship_window(tflops: f64) -> bool {
 }
 
 /// Flagship-shape projection from a measured hidden-communication
-/// fraction: what the paper's 4096-process run would sustain if its
-/// exchanges were hidden as well as the measured run's were.
-pub fn flagship_projection(hidden: f64) -> Projection {
-    project_overlapped(
-        &crate::EsMachine::earth_simulator(),
-        &EsModelParams::calibrated(),
-        &KernelProfile::yycore_default(),
-        &RunShape::flagship(),
-        hidden.clamp(0.0, 1.0),
-    )
-}
-
-/// [`flagship_projection`] with the measured receive-wait tail folded
-/// in ([`project_overlapped_tail`]).
-pub fn flagship_projection_tail(hidden: f64, tail: WaitTail) -> Projection {
-    project_overlapped_tail(
-        &crate::EsMachine::earth_simulator(),
-        &EsModelParams::calibrated(),
-        &KernelProfile::yycore_default(),
-        &RunShape::flagship(),
-        hidden.clamp(0.0, 1.0),
-        tail,
-    )
+/// fraction and receive-wait tail ([`Projection::with_exposed_comm`]):
+/// what the paper's 4096-process run would sustain if its exchanges were
+/// hidden, and its waits spread, as the measured run's were.
+pub fn flagship_projection(hidden: f64, tail: WaitTail) -> Projection {
+    let (machine, profile) = (EsMachine::earth_simulator(), KernelProfile::yycore_default());
+    project(&machine, &EsModelParams::calibrated(), &profile, &RunShape::flagship())
+        .with_exposed_comm(&machine, &profile, hidden.clamp(0.0, 1.0), tail)
 }
 
 impl RunShape {
@@ -317,6 +301,37 @@ impl Projection {
     pub fn tflops(&self) -> f64 {
         self.sustained / 1e12
     }
+
+    /// The step with only part of its communication exposed. `hidden` is
+    /// the fraction of the per-step communication time covered by
+    /// deep-interior compute while messages are in flight — measured:
+    /// `RunReport::phases` of an overlapped parallel run exposes it as
+    /// `hidden_comm_fraction()` (`interior / (interior + wait)`). At
+    /// scale the slowest rank's exchange sets the step, not the median
+    /// one, so what stays exposed is inflated by the receive-wait `tail`:
+    /// `t_step = t_compute + (1 − hidden) · t_comm · tail.ratio()`.
+    /// `t_comm` keeps the modeled exchange volume; nothing hidden and a
+    /// tight tail is `self` exactly.
+    pub fn with_exposed_comm(
+        self,
+        machine: &EsMachine,
+        profile: &KernelProfile,
+        hidden: f64,
+        tail: WaitTail,
+    ) -> Projection {
+        assert!((0.0..=1.0).contains(&hidden), "hidden fraction {hidden} must be in [0, 1]");
+        let exposed_comm = (1.0 - hidden) * self.t_comm * tail.ratio();
+        let t_step = self.t_compute + exposed_comm;
+        let points = self.shape.grid_points() as f64;
+        let sustained = profile.flops_per_point_step * points / t_step;
+        Projection {
+            t_step,
+            sustained,
+            efficiency: sustained / machine.peak_of(self.shape.procs),
+            comm_fraction: exposed_comm / t_step,
+            ..self
+        }
+    }
 }
 
 /// Project a run shape onto the machine.
@@ -332,8 +347,8 @@ pub fn project(
     let flops_per_proc_step = profile.flops_per_point_step * per_proc_points;
 
     let vl = machine.avg_vector_length(shape.nr);
-    let (nth_l0, nph_l0) = shape.tile_extent();
-    let columns_per_proc = nth_l0 * nph_l0;
+    let (nth_l, nph_l) = shape.tile_extent();
+    let columns_per_proc = nth_l * nph_l;
     // The slowest (largest) tile sets the step time.
     let t_compute = shape.imbalance()
         * (flops_per_proc_step / params.ap_rate(machine, vl)
@@ -341,7 +356,6 @@ pub fn project(
 
     // Halo traffic: each process sends its tile perimeter (both θ edges +
     // both φ edges, one ghost layer), all fields, every sync.
-    let (nth_l, nph_l) = shape.tile_extent();
     let perimeter_nodes = 2.0 * (nth_l + nph_l + 2.0);
     let halo_values = perimeter_nodes * shape.nr as f64 * profile.fields as f64;
     // Overset traffic: the panel's frame columns (≈ the panel perimeter
@@ -370,43 +384,11 @@ pub fn project(
     }
 }
 
-/// [`project`] with communication/computation overlap: `hidden` is the
-/// fraction of the per-step communication time covered by deep-interior
-/// compute while messages are in flight, so only `(1 − hidden) · t_comm`
-/// extends the step.
-///
-/// `hidden` comes from measurement — `RunReport::phases` of an overlapped
-/// parallel run exposes it as `hidden_comm_fraction()`
-/// (`interior / (interior + wait)`), which is exactly this quantity: the
-/// share of the exchange window the ranks spent computing rather than
-/// blocked. `project_overlapped(…, 0.0)` equals `project` identically.
-pub fn project_overlapped(
-    machine: &EsMachine,
-    params: &EsModelParams,
-    profile: &KernelProfile,
-    shape: &RunShape,
-    hidden: f64,
-) -> Projection {
-    assert!((0.0..=1.0).contains(&hidden), "hidden fraction {hidden} must be in [0, 1]");
-    let blocking = project(machine, params, profile, shape);
-    let exposed_comm = (1.0 - hidden) * blocking.t_comm;
-    let t_step = blocking.t_compute + exposed_comm;
-    let points = shape.grid_points() as f64;
-    let sustained = profile.flops_per_point_step * points / t_step;
-    Projection {
-        t_step,
-        sustained,
-        efficiency: sustained / machine.peak_of(shape.procs),
-        comm_fraction: exposed_comm / t_step,
-        ..blocking
-    }
-}
-
-/// Receive-wait tail summary feeding [`project_overlapped_tail`]:
+/// Receive-wait tail summary feeding [`Projection::with_exposed_comm`]:
 /// p50/p99 of the measured per-receive wait distribution (`yy-obs`
 /// histograms in the run report). Units cancel — only the ratio enters
-/// the model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the model; the default is a tight distribution (ratio 1).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WaitTail {
     /// Median per-receive wait.
     pub p50: f64,
@@ -423,36 +405,6 @@ impl WaitTail {
         } else {
             1.0
         }
-    }
-}
-
-/// [`project_overlapped`] with a measured receive-wait tail: at scale
-/// the step time is set by the *slowest* rank's exchange, not the
-/// median one, so the exposed (unhidden) communication term is
-/// inflated by the tail ratio. A perfectly tight distribution
-/// (`ratio() == 1`) reproduces `project_overlapped` identically; a
-/// heavy tail degrades the sustained projection the way straggler
-/// ranks degrade a real run.
-pub fn project_overlapped_tail(
-    machine: &EsMachine,
-    params: &EsModelParams,
-    profile: &KernelProfile,
-    shape: &RunShape,
-    hidden: f64,
-    tail: WaitTail,
-) -> Projection {
-    assert!((0.0..=1.0).contains(&hidden), "hidden fraction {hidden} must be in [0, 1]");
-    let blocking = project(machine, params, profile, shape);
-    let exposed_comm = (1.0 - hidden) * blocking.t_comm * tail.ratio();
-    let t_step = blocking.t_compute + exposed_comm;
-    let points = shape.grid_points() as f64;
-    let sustained = profile.flops_per_point_step * points / t_step;
-    Projection {
-        t_step,
-        sustained,
-        efficiency: sustained / machine.peak_of(shape.procs),
-        comm_fraction: exposed_comm / t_step,
-        ..blocking
     }
 }
 
@@ -493,10 +445,10 @@ mod tests {
         assert_eq!(RunShape::flagship(), paper_shape(4096, 511));
         // With nothing hidden the helper equals the blocking `project`,
         // which the calibration pins inside the paper window.
-        let proj = flagship_projection(0.0);
+        let proj = flagship_projection(0.0, WaitTail::default());
         assert!(in_flagship_window(proj.tflops()), "{:.1} TFlops", proj.tflops());
         // Hiding communication can only raise the projection.
-        assert!(flagship_projection(1.0).tflops() >= proj.tflops());
+        assert!(flagship_projection(1.0, WaitTail::default()).tflops() >= proj.tflops());
         assert!(!in_flagship_window(9.0) && !in_flagship_window(20.0));
     }
 
@@ -536,10 +488,9 @@ mod tests {
         let (m, p, k) = setup();
         let shape = paper_shape(4096, 511);
         let blocking = project(&m, &p, &k, &shape);
-        let none = project_overlapped(&m, &p, &k, &shape, 0.0);
-        assert_eq!(blocking, none, "zero hidden fraction must reduce to project()");
-        let half = project_overlapped(&m, &p, &k, &shape, 0.5);
-        let full = project_overlapped(&m, &p, &k, &shape, 1.0);
+        let hide = |hidden| blocking.with_exposed_comm(&m, &k, hidden, WaitTail::default());
+        assert_eq!(blocking, hide(0.0), "zero hidden fraction must reduce to project()");
+        let (half, full) = (hide(0.5), hide(1.0));
         // t_comm reports the *modeled* exchange volume unchanged; the step
         // time and exposed comm fraction shrink with the hidden fraction.
         assert_eq!(half.t_comm, blocking.t_comm);
@@ -568,20 +519,52 @@ mod tests {
         let shape = paper_shape(4096, 511);
         let flat = WaitTail { p50: 10.0, p99: 10.0 };
         let heavy = WaitTail { p50: 10.0, p99: 40.0 };
+        let expose = |hidden, tail| project(&m, &p, &k, &shape).with_exposed_comm(&m, &k, hidden, tail);
         // A tight distribution reproduces the tail-free projection.
-        assert_eq!(
-            project_overlapped_tail(&m, &p, &k, &shape, 0.5, flat),
-            project_overlapped(&m, &p, &k, &shape, 0.5)
-        );
+        let base = expose(0.5, WaitTail::default());
+        assert_eq!(expose(0.5, flat), base);
         // A heavy tail slows the step and lowers sustained flops…
-        let base = project_overlapped(&m, &p, &k, &shape, 0.5);
-        let tailed = project_overlapped_tail(&m, &p, &k, &shape, 0.5, heavy);
+        let tailed = expose(0.5, heavy);
         assert!(tailed.t_step > base.t_step);
         assert!(tailed.sustained < base.sustained);
         assert!(tailed.comm_fraction > base.comm_fraction);
         // …but a fully hidden exchange has no exposed comm to inflate.
-        let hidden = project_overlapped_tail(&m, &p, &k, &shape, 1.0, heavy);
+        let hidden = expose(1.0, heavy);
         assert!((hidden.t_step - base.t_compute).abs() < 1e-15);
+    }
+
+    /// `(hidden, tail ratio, t_step, sustained, efficiency, comm_fraction)`
+    /// of the flagship shape, written down from the overlap-only and the
+    /// overlap-plus-tail projection functions (and their two flagship
+    /// wrappers, which agreed with them) before one exposed-communication
+    /// step replaced them.
+    const EXPOSED_FLAGSHIP: [(f64, f64, f64, f64, f64, f64); 6] = [
+        (0.0, 1.0, 0.14923084912318108, 14552613813511.129, 0.44411052897678005, 0.20783761075923166),
+        (0.0, 4.0, 0.24227819852318105, 8963658016237.945, 0.273549133796324, 0.512068907931322),
+        (0.37, 1.0, 0.1377550093638477, 15764936072966.785, 0.4811076682423946, 0.14184561029203518),
+        (0.37, 4.0, 0.19637483948584772, 11058946869354.459, 0.33749227506574886, 0.39801317572373013),
+        (1.0, 1.0, 0.11821506598984773, 18370745709675.49, 0.5606306674095303, 0.0),
+        (1.0, 4.0, 0.11821506598984773, 18370745709675.49, 0.5606306674095303, 0.0),
+    ];
+
+    #[test]
+    fn exposed_comm_step_reproduces_the_three_functions_it_replaced() {
+        let (m, p, k) = setup();
+        let blocking = project(&m, &p, &k, &RunShape::flagship());
+        for (hidden, ratio, t_step, sustained, efficiency, comm_fraction) in EXPOSED_FLAGSHIP {
+            let tail = WaitTail { p50: 10.0, p99: 10.0 * ratio };
+            let got = blocking.with_exposed_comm(&m, &k, hidden, tail);
+            assert_eq!(got.t_step, blocking.t_compute + (1.0 - hidden) * ratio * blocking.t_comm);
+            assert_eq!(
+                got,
+                Projection { t_step, sustained, efficiency, comm_fraction, ..blocking },
+                "hidden {hidden}, tail ratio {ratio}"
+            );
+            // What the CLI's `hidden comm fraction` and `recv-wait tail` lines print.
+            assert_eq!(got, flagship_projection(hidden, tail));
+        }
+        // Nothing hidden, tight tail: `project`, field for field.
+        assert_eq!(blocking.with_exposed_comm(&m, &k, 0.0, WaitTail::default()), blocking);
     }
 
     fn measured_like_kernels() -> Vec<KernelCost> {

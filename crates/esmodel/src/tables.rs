@@ -1,7 +1,9 @@
-//! Generators for Table I, Table II and Table III of the paper.
+//! Generators for Table I, Table II and Table III of the paper, and the
+//! one sequence from a measured profile to everything it projects to.
 
 use crate::machine::EsMachine;
 use crate::model::{project, EsModelParams, KernelProfile, Projection, RunShape};
+use crate::mpiproginf::{list1_text, ReportShape};
 
 /// A published Table II row: `(procs, nr, TFlops, efficiency)` with the
 /// horizontal grid fixed at 514 × 1538 × 2.
@@ -244,6 +246,36 @@ pub fn table3_text(profile: &KernelProfile) -> String {
         "finite difference",
     );
     s
+}
+
+/// What one measured profile projects to, as the paper prints it: the
+/// pieces `yycore tables`, `yycore profile` and
+/// `examples/es_performance.rs` print under their own headers.
+#[derive(Debug)]
+pub struct Artifacts {
+    /// Tables II and III, each closed by a blank line.
+    pub tables: String,
+    /// The flagship run's projection: Table II's headline row and the
+    /// window of List 1.
+    pub flagship: Projection,
+    /// List 1: the flagship run's `MPIPROGINF` listing.
+    pub list1: String,
+}
+
+/// Project `profile` onto the calibrated machine: Tables II and III and
+/// the flagship List 1.
+pub fn artifacts(profile: &KernelProfile) -> Artifacts {
+    let flagship = project(
+        &EsMachine::earth_simulator(),
+        &EsModelParams::calibrated(),
+        profile,
+        &RunShape::flagship(),
+    );
+    Artifacts {
+        tables: format!("{}\n{}\n", table2_text(profile), table3_text(profile)),
+        flagship,
+        list1: list1_text(&ReportShape::paper_window(flagship)),
+    }
 }
 
 #[cfg(test)]

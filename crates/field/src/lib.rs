@@ -19,6 +19,6 @@ pub mod pack;
 pub mod vector;
 
 pub use array3::{Array3, Shape};
-pub use flops::{FlopMeter, Meters};
+pub use flops::Meters;
 pub use pack::{pack_region, unpack_region, Region};
 pub use vector::VectorField;

@@ -56,7 +56,7 @@ use crate::state::State;
 use crate::tables::ForceTables;
 use yy_field::{Array3, Meters, Shape, VectorField};
 use yy_mesh::Metric;
-use yy_obs::counters::{kernel, KernelTally};
+use yy_obs::counters::{Kernel, KernelTally};
 
 /// Approximate floating-point operations per interior grid point of one
 /// RHS evaluation, counted from the kernel source (stencil arithmetic,
@@ -633,7 +633,7 @@ pub fn sweep_rhs(
     let points = range.points() as u64;
     let columns = ((range.j1 - range.j0) * (range.k1 - range.k0)) as u64;
     meter.kernel_timed(
-        kernel::RHS,
+        Kernel::Rhs,
         KernelTally {
             points,
             // The radial sweep is the innermost (vectorized) loop and the
@@ -1494,7 +1494,7 @@ mod tests {
                 yy_obs::counters::CounterSet::enabled(),
             ));
             sweep(&mut meter);
-            let k = meter.counters().snapshot().kernels[kernel::RHS as usize];
+            let k = meter.counters().snapshot().get(Kernel::Rhs);
             assert_eq!(meter.flops(), k.flops);
             (k.points, k.loops, k.vector_elements, k.flops, k.bytes_read, k.bytes_written)
         };

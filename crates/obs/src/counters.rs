@@ -55,29 +55,6 @@ crate::event::code_table! {
     }
 }
 
-/// The [`Kernel`] ids as plain `u8`s: what `yy_field::Meters::kernel`
-/// and [`CounterSet::add`] take, so a tally site names its kernel
-/// without a cast.
-pub mod kernel {
-    use super::Kernel;
-    /// [`Kernel::Rhs`].
-    pub const RHS: u8 = Kernel::Rhs as u8;
-    /// [`Kernel::Rk4Combine`].
-    pub const RK4_COMBINE: u8 = Kernel::Rk4Combine as u8;
-    /// [`Kernel::HaloPack`].
-    pub const HALO_PACK: u8 = Kernel::HaloPack as u8;
-    /// [`Kernel::HaloUnpack`].
-    pub const HALO_UNPACK: u8 = Kernel::HaloUnpack as u8;
-    /// [`Kernel::OversetDonate`].
-    pub const OVERSET_DONATE: u8 = Kernel::OversetDonate as u8;
-    /// [`Kernel::OversetFill`].
-    pub const OVERSET_FILL: u8 = Kernel::OversetFill as u8;
-    /// [`Kernel::HealthScan`].
-    pub const HEALTH_SCAN: u8 = Kernel::HealthScan as u8;
-    /// [`Kernel::Output`].
-    pub const OUTPUT: u8 = Kernel::Output as u8;
-}
-
 /// One site's contribution to a kernel's counters. All counts are exact
 /// (derived from loop bounds and per-point constants, never sampled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,6 +76,29 @@ pub struct KernelTally {
     pub bytes_read: u64,
     /// Modeled bytes written.
     pub bytes_written: u64,
+}
+
+impl KernelTally {
+    /// A flop-free copy kernel: `values` values of `width` bytes each,
+    /// moved in `rows` inner loops, every value read once and written
+    /// once (halo pack/unpack, overset fill, the output packs).
+    pub fn copy(values: u64, width: u64, rows: u64) -> KernelTally {
+        KernelTally {
+            points: values,
+            loops: rows,
+            vector_elements: values,
+            flops: 0,
+            bytes_read: values * width,
+            bytes_written: values * width,
+        }
+    }
+
+    /// Owned counts, real traffic: this tally's points, loops and flops
+    /// (the decomposition-invariant owned-node convention) with the
+    /// bytes of `real`, the work a rank did on ghosts as well.
+    pub fn with_traffic_of(self, real: KernelTally) -> KernelTally {
+        KernelTally { bytes_read: real.bytes_read, bytes_written: real.bytes_written, ..self }
+    }
 }
 
 /// Words per kernel cell: [`KernelSnapshot::words`]'s length.
@@ -161,13 +161,13 @@ impl CounterSet {
     /// Tally one kernel invocation. No-op (one relaxed load) when
     /// disabled.
     #[inline]
-    pub fn add(&self, id: u8, t: KernelTally) {
+    pub fn add(&self, id: Kernel, t: KernelTally) {
         if self.is_enabled() {
             self.add_always(id, t, 0);
         }
     }
 
-    fn add_always(&self, id: u8, t: KernelTally, wall_ns: u64) {
+    fn add_always(&self, id: Kernel, t: KernelTally, wall_ns: u64) {
         let one_call = KernelSnapshot {
             calls: 1,
             points: t.points,
@@ -198,7 +198,7 @@ impl CounterSet {
     /// [`CounterSet::timer`]). When `t0` is `None` the set was disabled
     /// at span start; re-check once and drop the span.
     #[inline]
-    pub fn add_timed(&self, id: u8, t: KernelTally, t0: Option<Instant>) {
+    pub fn add_timed(&self, id: Kernel, t: KernelTally, t0: Option<Instant>) {
         let Some(t0) = t0 else {
             return;
         };
@@ -328,6 +328,11 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
+    /// One kernel's snapshot.
+    pub fn get(&self, kernel: Kernel) -> KernelSnapshot {
+        self.kernels[kernel as usize]
+    }
+
     /// Every kernel with its snapshot, in id order.
     pub fn rows(&self) -> impl Iterator<Item = (Kernel, &KernelSnapshot)> {
         Kernel::ALL.into_iter().zip(&self.kernels)
@@ -338,9 +343,8 @@ impl CounterSnapshot {
         self.kernels.iter().all(|k| k.calls == 0)
     }
 
-    /// Sum of per-kernel FLOP counts — the number the aggregate
-    /// [`crate::hist`]-style property test pins against the scalar
-    /// flop meter.
+    /// Sum of per-kernel FLOP counts — what the core tests pin against
+    /// the aggregate `RunReport.flops`.
     pub fn total_flops(&self) -> u64 {
         self.kernels.iter().map(|k| k.flops).sum()
     }
@@ -424,20 +428,20 @@ mod tests {
     #[test]
     fn disabled_set_records_nothing() {
         let set = CounterSet::new();
-        set.add(kernel::RHS, tally(64, 640));
+        set.add(Kernel::Rhs, tally(64, 640));
         assert!(set.timer().is_none(), "disabled set must not read the clock");
-        set.add_timed(kernel::RHS, tally(64, 640), None);
+        set.add_timed(Kernel::Rhs, tally(64, 640), None);
         assert!(set.snapshot().is_empty());
     }
 
     #[test]
     fn enabled_set_tallies_exactly() {
         let set = CounterSet::enabled();
-        set.add(kernel::RHS, tally(64, 640 * 64));
-        set.add(kernel::RHS, tally(64, 640 * 64));
-        set.add(kernel::RK4_COMBINE, tally(8, 112 * 8));
+        set.add(Kernel::Rhs, tally(64, 640 * 64));
+        set.add(Kernel::Rhs, tally(64, 640 * 64));
+        set.add(Kernel::Rk4Combine, tally(8, 112 * 8));
         let s = set.snapshot();
-        let rhs = s.kernels[kernel::RHS as usize];
+        let rhs = s.get(Kernel::Rhs);
         assert_eq!(rhs.calls, 2);
         assert_eq!(rhs.points, 128);
         assert_eq!(rhs.loops, 16);
@@ -453,8 +457,8 @@ mod tests {
         let set = CounterSet::enabled();
         let t0 = set.timer();
         assert!(t0.is_some());
-        set.add_timed(kernel::HEALTH_SCAN, tally(100, 1000), t0);
-        let k = set.snapshot().kernels[kernel::HEALTH_SCAN as usize];
+        set.add_timed(Kernel::HealthScan, tally(100, 1000), t0);
+        let k = set.snapshot().get(Kernel::HealthScan);
         assert_eq!(k.calls, 1);
         assert!(k.wall_ns > 0, "a timed add must accumulate wall time");
         assert!(k.mflops() > 0.0);
@@ -463,7 +467,7 @@ mod tests {
     #[test]
     fn reset_zeroes_but_keeps_enablement() {
         let set = CounterSet::enabled();
-        set.add(kernel::RHS, tally(64, 640));
+        set.add(Kernel::Rhs, tally(64, 640));
         set.reset();
         assert!(set.snapshot().is_empty());
         assert!(set.is_enabled());
@@ -472,10 +476,10 @@ mod tests {
     #[test]
     fn f64_words_roundtrip_and_sum_merge() {
         let a = CounterSet::enabled();
-        a.add(kernel::RHS, tally(64, 640 * 64));
-        a.add(kernel::HALO_PACK, tally(32, 0));
+        a.add(Kernel::Rhs, tally(64, 640 * 64));
+        a.add(Kernel::HaloPack, tally(32, 0));
         let b = CounterSet::enabled();
-        b.add(kernel::RHS, tally(16, 640 * 16));
+        b.add(Kernel::Rhs, tally(16, 640 * 16));
         let (sa, sb) = (a.snapshot(), b.snapshot());
         // Simulate the allreduce: elementwise sum of the words.
         let summed: Vec<f64> =
@@ -497,7 +501,7 @@ mod tests {
             assert!(seen.insert(k.name()), "duplicate kernel name {}", k.name());
             assert_eq!(Kernel::from_name(k.name()), Some(k));
         }
-        assert_eq!((kernel::RHS, kernel::OUTPUT), (0, 7));
+        assert_eq!((Kernel::Rhs as u8, Kernel::Output as u8), (0, 7));
         assert_eq!(Kernel::from_code(200), None);
     }
 

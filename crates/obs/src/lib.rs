@@ -41,7 +41,7 @@ pub use analysis::{analyze, Analysis, AnalysisInput};
 pub use chrome::{
     chrome_trace_json, streams_from_chrome, validate_chrome_trace, RankTrace, TraceCheck,
 };
-pub use counters::{kernel, CounterSet, CounterSnapshot, Kernel, KernelSnapshot, KernelTally};
+pub use counters::{CounterSet, CounterSnapshot, Kernel, KernelSnapshot, KernelTally};
 pub use event::{Event, TimedEvent};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;

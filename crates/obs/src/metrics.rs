@@ -300,13 +300,13 @@ fn serve(listener: TcpListener, hub: Arc<MetricsHub>, stop: Arc<AtomicBool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{kernel, CounterSet, KernelTally};
+    use crate::counters::{CounterSet, Kernel, KernelTally};
     use std::net::TcpStream;
 
     fn sample_snapshot() -> CounterSnapshot {
         let set = CounterSet::enabled();
         set.add(
-            kernel::RHS,
+            Kernel::Rhs,
             KernelTally {
                 points: 64,
                 loops: 8,

@@ -1,5 +1,6 @@
 //! Regenerate the paper's performance artifacts: Table I, Table II,
-//! Table III and the MPIPROGINF report (List 1).
+//! Table III and the MPIPROGINF report (List 1) — what `yycore tables`
+//! prints.
 //!
 //! The kernel workload (flops per grid point per step) is *measured* from
 //! a real instrumented run of the solver, then projected onto the Earth
@@ -10,42 +11,6 @@
 //! cargo run --release --example es_performance
 //! ```
 
-use yy_esmodel::model::{project, RunShape};
-use yy_esmodel::mpiproginf::{list1_text, ReportShape};
-use yy_esmodel::{table1_text, table2_text, table3_text, EsMachine, EsModelParams, KernelProfile};
-use yycore::{RunConfig, SerialSim};
-
 fn main() {
-    // Measure the real kernel intensity from a short instrumented run.
-    // Normalize by *interior* points: frame/wall nodes are filled by
-    // interpolation rather than finite differences, and at the paper's
-    // resolutions they are a negligible fraction of the grid — so the
-    // per-interior-point count is the resolution-independent intensity
-    // to project.
-    let mut cfg = RunConfig::small();
-    cfg.init.perturb_amplitude = 1e-2;
-    let mut sim = SerialSim::new(cfg);
-    let interior = sim.interior_points();
-    let report = sim.run(5, 0);
-    let measured = report.flops as f64 / report.steps as f64 / interior as f64;
-    println!(
-        "measured kernel intensity: {measured:.0} flops per (interior) grid point per step \
-         ({} steps, {} interior of {} total points)\n",
-        report.steps, interior, report.grid_points
-    );
-    let profile = KernelProfile::yycore_default().with_measured_flops(measured);
-
-    println!("{}", table1_text());
-    println!("{}", table2_text(&profile));
-    println!("{}", table3_text(&profile));
-
-    // List 1: the flagship 4096-process window.
-    let projection = project(
-        &EsMachine::earth_simulator(),
-        &EsModelParams::calibrated(),
-        &profile,
-        &RunShape { procs: 4096, nr: 511, nth: 514, nph: 1538 },
-    );
-    println!("List 1: projected MPIPROGINF output of the flagship run");
-    println!("{}", list1_text(&ReportShape::paper_window(projection)));
+    print!("{}", yycore::report::paper_tables_text());
 }

@@ -48,11 +48,12 @@ for k in $used_keys; do
   echo "$yy_help" | grep -q "^  $k" || {
     echo "ERROR: ci.sh passes '$k' but yycore help does not list it" >&2; exit 1; }
 done
-reject() { # reject "<args>" "<message>": exit 1 and the message on stderr
+reject() { # reject "<args>" "<message>": exit 1, the message in stderr's one error: line, no panic
   local out rc=0
   out=$(./target/release/yycore $1 2>&1 >/dev/null) || rc=$?
-  [ "$rc" = 1 ] && echo "$out" | grep -qF "$2" || {
-    echo "ERROR: 'yycore $1' exited $rc saying: $out (wanted exit 1: $2)" >&2; exit 1; }
+  [ "$rc" = 1 ] && echo "$out" | grep -qF "$2" \
+    && [ "$(echo "$out" | grep -c '^error:')" = 1 ] && ! echo "$out" | grep -q 'panicked at' || {
+    echo "ERROR: 'yycore $1' exited $rc saying: $out (wanted exit 1, one error: line: $2)" >&2; exit 1; }
 }
 reject "run pth=2" "key 'pth' is not read by 'run' (read by: parallel)"
 reject "parallel snapshot_every=2" "key 'snapshot_every' is not read by 'parallel' (read by: run)"
@@ -66,15 +67,18 @@ gone="retile""_backoff_ms" # split so the deleted-names guard below does not mat
 reject "parallel $gone=1" "unknown config key '$gone'"
 reject "parallel delay=2" "delay must be a probability in [0, 1] (got 2)"
 reject "parallel kill_rank=99" "kill_rank=99 names no rank of the 4-rank layout"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 11 misplaced/unknown/unusable values refused"
+# The serial blow-up: `parallel` rolls back and reduces dt; `run` has no checkpoint, and says so.
+reject "run steps=400 cfl=1.0 dt_every=50 perturb=0.5 sample=0" \
+  "step 145 (t = 9.5248e-1): density floor violated"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 12 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
