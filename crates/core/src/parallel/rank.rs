@@ -47,14 +47,17 @@ pub(super) struct PassPlan {
 /// Collective verdict: `Ok` on every rank, or — when any rank brings a
 /// complaint — the lowest complaining rank's message as `Err` on every
 /// rank, so all of them return together and whichever `Err` the caller
-/// reads names the rank that saw the problem.
+/// reads names the rank that saw the problem. The message travels as its
+/// UTF-8 bytes, one `f64` per byte.
 fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
     let me = if complaint.is_some() { world.rank() } else { world.size() };
     let first = world.allreduce_f64(me as f64, ReduceOp::Min) as usize;
     if first == world.size() {
         return Ok(());
     }
-    Err(world.broadcast(first, complaint.filter(|_| world.rank() == first)))
+    let bytes = complaint.map_or(Vec::new(), |c| c.bytes().map(f64::from).collect());
+    let text: Vec<u8> = world.broadcast(first, bytes).into_iter().map(|b| b as u8).collect();
+    Err(String::from_utf8_lossy(&text).into_owned())
 }
 
 /// The rank program: one RK4 step loop for every driver. Returns `Err`

@@ -314,9 +314,9 @@ pub(crate) fn series_csv_of(series: &[TimeSeriesPoint]) -> String {
     out
 }
 
-/// What `yycore tables` and `examples/es_performance.rs` print: Tables
-/// I–III and the flagship List 1, projected from the flops per grid point
-/// per step a short instrumented run *measures*. Per interior point —
+/// What `yycore tables` prints: Tables I–III and the flagship List 1,
+/// projected from the flops per grid point per step a short
+/// instrumented run *measures*. Per interior point —
 /// frame and wall nodes are interpolated, not differenced, and at the
 /// paper's resolutions a negligible fraction of the grid. Exact counts
 /// only, so the text is the same on every host.

@@ -127,6 +127,48 @@ pub struct EquatorialField {
     pub values: Vec<Vec<f64>>,
 }
 
+/// The bilinear stencil of the panel covering one direction: the donor
+/// cell `(jd, kd)` and the fractional offsets `(fy, fx)` in θ and φ.
+struct Bilinear<'a> {
+    arr: &'a Array3,
+    jd: isize,
+    kd: isize,
+    fy: f64,
+    fx: f64,
+}
+
+impl<'a> Bilinear<'a> {
+    /// Stencil at direction `p`, on Yin if its nominal span covers `p`
+    /// and on Yang otherwise. `None` when the chosen panel's grid does
+    /// not contain the point.
+    fn covering(
+        yin: &'a Array3,
+        yang: &'a Array3,
+        grid: &PatchGrid,
+        map: &YinYangMap,
+        p: SphericalPoint,
+    ) -> Option<Self> {
+        let (arr, theta, lon) = if PatchGrid::in_nominal_span(p.theta, p.phi) {
+            (yin, p.theta, p.phi)
+        } else {
+            let q = map.transform_point(p);
+            (yang, q.theta, q.phi)
+        };
+        let (jd, fy) = grid.theta().locate(theta, 1e-9)?;
+        let (kd, fx) = grid.phi().locate(lon, 1e-9)?;
+        Some(Bilinear { arr, jd: jd as isize, kd: kd as isize, fy, fx })
+    }
+
+    /// The blended value at radial index `i`.
+    fn at(&self, i: usize) -> f64 {
+        let Bilinear { arr, jd, kd, fy, fx } = *self;
+        (1.0 - fy) * (1.0 - fx) * arr.at(i, jd, kd)
+            + fy * (1.0 - fx) * arr.at(i, jd + 1, kd)
+            + (1.0 - fy) * fx * arr.at(i, jd, kd + 1)
+            + fy * fx * arr.at(i, jd + 1, kd + 1)
+    }
+}
+
 /// Sample a scalar stored on both panels (e.g. temperature, a global
 /// Cartesian velocity component, axial vorticity) on the equatorial
 /// plane. Per direction, the panel whose *nominal* span covers it is
@@ -146,30 +188,12 @@ pub fn sample_equatorial(
         let phi_g = -std::f64::consts::PI + std::f64::consts::TAU * m as f64 / nphi as f64;
         phi.push(phi_g);
         let p = SphericalPoint::new(1.0, std::f64::consts::FRAC_PI_2, phi_g);
-        let (arr, theta, lon) = if PatchGrid::in_nominal_span(p.theta, p.phi) {
-            (yin, p.theta, p.phi)
-        } else {
-            let q = map.transform_point(p);
-            (yang, q.theta, q.phi)
-        };
         // Yin's nominal span and Yang's image of its complement cover the
         // sphere, and the grid's owned span contains the nominal one.
-        let (jd, fy) = grid
-            .theta()
-            .locate(theta, 1e-9)
+        let cell = Bilinear::covering(yin, yang, grid, &map, p)
             .expect("equator must be covered by the chosen panel");
-        let (kd, fx) = grid.phi().locate(lon, 1e-9).expect("longitude within panel");
         for (i, col) in values.iter_mut().enumerate() {
-            let v00 = arr.at(i, jd as isize, kd as isize);
-            let v10 = arr.at(i, jd as isize + 1, kd as isize);
-            let v01 = arr.at(i, jd as isize, kd as isize + 1);
-            let v11 = arr.at(i, jd as isize + 1, kd as isize + 1);
-            col.push(
-                (1.0 - fy) * (1.0 - fx) * v00
-                    + fy * (1.0 - fx) * v10
-                    + (1.0 - fy) * fx * v01
-                    + fy * fx * v11,
-            );
+            col.push(cell.at(i));
         }
     }
     EquatorialField { r, phi, values }
@@ -208,29 +232,11 @@ pub fn sample_meridional(
             )
         };
         let p = SphericalPoint::new(1.0, theta, phi);
-        let (arr, th, lon) = if PatchGrid::in_nominal_span(p.theta, p.phi) {
-            (yin, p.theta, p.phi)
-        } else {
-            let q = map.transform_point(p);
-            (yang, q.theta, q.phi)
-        };
         // Covered for the same reason as `sample_equatorial`'s points.
-        let (jd, fy) = grid
-            .theta()
-            .locate(th, 1e-9)
+        let cell = Bilinear::covering(yin, yang, grid, &map, p)
             .expect("meridian must be covered by the chosen panel");
-        let (kd, fx) = grid.phi().locate(lon, 1e-9).expect("longitude within panel");
         for (i, col) in values.iter_mut().enumerate() {
-            let v00 = arr.at(i, jd as isize, kd as isize);
-            let v10 = arr.at(i, jd as isize + 1, kd as isize);
-            let v01 = arr.at(i, jd as isize, kd as isize + 1);
-            let v11 = arr.at(i, jd as isize + 1, kd as isize + 1);
-            col.push(
-                (1.0 - fy) * (1.0 - fx) * v00
-                    + fy * (1.0 - fx) * v10
-                    + (1.0 - fy) * fx * v01
-                    + fy * fx * v11,
-            );
+            col.push(cell.at(i));
         }
     }
     EquatorialField { r, phi: angle, values }
@@ -358,21 +364,10 @@ pub fn orthographic_shell_ppm(
             let w = (1.0 - rho2).sqrt();
             let dir = e1 * u + e2 * v + e3 * w; // front hemisphere point
             let p = SphericalPoint::from_cartesian(dir);
-            let (arr, theta, lon) = if PatchGrid::in_nominal_span(p.theta, p.phi) {
-                (yin, p.theta, p.phi)
-            } else {
-                let q = map.transform_point(p);
-                (yang, q.theta, q.phi)
-            };
-            let (Some((jd, fy)), Some((kd, fx))) =
-                (grid.theta().locate(theta, 1e-9), grid.phi().locate(lon, 1e-9))
-            else {
+            let Some(cell) = Bilinear::covering(yin, yang, grid, &map, p) else {
                 continue;
             };
-            let sample = (1.0 - fy) * (1.0 - fx) * arr.at(ri_index, jd as isize, kd as isize)
-                + fy * (1.0 - fx) * arr.at(ri_index, jd as isize + 1, kd as isize)
-                + (1.0 - fy) * fx * arr.at(ri_index, jd as isize, kd as isize + 1)
-                + fy * fx * arr.at(ri_index, jd as isize + 1, kd as isize + 1);
+            let sample = cell.at(ri_index);
             vmax = vmax.max(sample.abs());
             vals[py * size + px] = Some(sample);
         }

@@ -1,12 +1,14 @@
-//! Compile-only pin of the `yycore` surface `examples/benchmark/src`
-//! builds against. The benchmark is a package of its own that tier-1
-//! never compiles, so a move that breaks one of its imports would
-//! otherwise show only in `run.sh --smoke`.
+//! Compile-only pin of the `yycore` and `yy_parcomm` surface
+//! `examples/benchmark/src` builds against. The benchmark is a package of
+//! its own that tier-1 never compiles, so a move that breaks one of its
+//! imports would otherwise show only in `run.sh --smoke`.
 
 #![allow(unused_imports)]
 
 use std::path::PathBuf;
 use std::time::Duration;
+use yy_parcomm::stats::TrafficClass;
+use yy_parcomm::{Comm, ReduceOp, Universe};
 use yycore::checkpoint::Checkpoint;
 use yycore::output::{rle_decode, rle_encode};
 use yycore::serial::fill_pair;
@@ -39,4 +41,20 @@ fn benchmark_imports_and_struct_literals_compile() {
     let _reads = |sup: SupervisedReport| -> (RunReport, Checkpoint, usize) {
         (sup.report, sup.final_checkpoint, sup.recoveries.len())
     };
+}
+
+/// The `yy_parcomm` calls the benchmark's comm section makes, at the
+/// signatures it makes them with.
+#[test]
+fn benchmark_parcomm_calls_keep_their_signatures() {
+    let _rank: fn(&Comm) -> usize = Comm::rank;
+    let _send: fn(&Comm, usize, u64, Vec<f64>, TrafficClass) = Comm::send_f64s;
+    let _recv: fn(&Comm, usize, u64) -> Vec<f64> = Comm::recv_f64s;
+    let _reduce: fn(&Comm, f64, ReduceOp) -> f64 = Comm::allreduce_f64;
+    let out = Universe::run(2, |world| {
+        let peer = 1 - world.rank();
+        world.send_f64s(peer, 7, vec![world.rank() as f64], TrafficClass::Halo);
+        world.recv_f64s(peer, 7)[0] + world.allreduce_f64(1.0, ReduceOp::Max)
+    });
+    assert_eq!(out, vec![2.0, 1.0]);
 }

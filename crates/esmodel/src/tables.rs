@@ -249,8 +249,8 @@ pub fn table3_text(profile: &KernelProfile) -> String {
 }
 
 /// What one measured profile projects to, as the paper prints it: the
-/// pieces `yycore tables`, `yycore profile` and
-/// `examples/es_performance.rs` print under their own headers.
+/// pieces `yycore tables` and `yycore profile` print under their own
+/// headers.
 #[derive(Debug)]
 pub struct Artifacts {
     /// Tables II and III, each closed by a blank line.

@@ -7,10 +7,8 @@
 //! equivalence tests rely on.
 
 use crate::comm::{Comm, USER_TAG_LIMIT};
-use crate::mailbox::Payload;
 use crate::stats::TrafficClass;
 use crate::ReduceOp;
-use std::any::Any;
 
 impl Comm {
     fn coll_tag(&self, seq: u64) -> u64 {
@@ -19,8 +17,7 @@ impl Comm {
 
     /// Synchronize all ranks of this communicator.
     pub fn barrier(&self) {
-        let seq = self.bump_coll_seq();
-        let _: Vec<u8> = self.internal_allgather(seq, 0_u8);
+        self.allreduce_f64(0.0, ReduceOp::Sum);
     }
 
     /// Reduce a scalar over all ranks with `op`; every rank receives the
@@ -37,7 +34,9 @@ impl Comm {
         if self.rank == 0 {
             let mut acc = values.to_vec();
             for r in 1..self.size() {
-                let contrib = self.recv_collective_f64s(r, tag);
+                let contrib = self.take(r, tag).data;
+                // Every caller passes the same length (a collective's
+                // shape is rank-uniform); a mismatch is a caller bug.
                 assert_eq!(
                     contrib.len(),
                     acc.len(),
@@ -48,60 +47,28 @@ impl Comm {
                 }
             }
             for r in 1..self.size() {
-                self.send_collective_f64s(r, tag, acc.clone());
+                self.post_collective(r, tag, acc.clone());
             }
             acc
         } else {
-            self.send_collective_f64s(0, tag, values.to_vec());
-            self.recv_collective_f64s(0, tag)
+            self.post_collective(0, tag, values.to_vec());
+            self.take(0, tag).data
         }
     }
 
-    /// Broadcast `value` from `root` to every rank; each rank returns its
-    /// copy (`root` passes its own value through).
-    pub fn broadcast<T: Any + Send + Clone>(&self, root: usize, value: Option<T>) -> T {
+    /// Broadcast `root`'s `data` to every rank; each rank returns the
+    /// root's buffer (the other ranks' `data` is ignored, like the
+    /// receive buffer of `MPI_BCAST`).
+    pub fn broadcast(&self, root: usize, data: Vec<f64>) -> Vec<f64> {
         let seq = self.bump_coll_seq();
         let tag = self.coll_tag(seq);
         if self.rank == root {
-            let v = value.expect("broadcast root must supply a value");
-            for r in 0..self.size() {
-                if r != root {
-                    self.post_internal(r, tag, Payload::Any(Box::new(v.clone())));
-                }
+            for r in (0..self.size()).filter(|&r| r != root) {
+                self.post_collective(r, tag, data.clone());
             }
-            v
+            data
         } else {
-            let env = self.take_internal(root, tag);
-            match env.payload {
-                Payload::Any(b) => *b.downcast::<T>().expect("broadcast type mismatch"),
-                _ => panic!("broadcast payload mismatch"),
-            }
-        }
-    }
-
-    /// Gather each rank's value at `root`; `root` gets `Some(vec)` in rank
-    /// order, others get `None`.
-    pub fn gather<T: Any + Send>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        let seq = self.bump_coll_seq();
-        let tag = self.coll_tag(seq);
-        if self.rank == root {
-            let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            slots[root] = Some(value);
-            for r in 0..self.size() {
-                if r != root {
-                    let env = self.take_internal(r, tag);
-                    match env.payload {
-                        Payload::Any(b) => {
-                            slots[r] = Some(*b.downcast::<T>().expect("gather type mismatch"))
-                        }
-                        _ => panic!("gather payload mismatch"),
-                    }
-                }
-            }
-            Some(slots.into_iter().map(|s| s.expect("gather slot")).collect())
-        } else {
-            self.post_internal(root, tag, Payload::Any(Box::new(value)));
-            None
+            self.take(root, tag).data
         }
     }
 
@@ -109,6 +76,8 @@ impl Comm {
     /// rank `r`; returns the buffer received from each rank. Used by the
     /// overset routing setup.
     pub fn alltoall_f64s(&self, outgoing: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        // One buffer per destination, self included, is the calling
+        // contract (`MPI_ALLTOALLV`'s counts array).
         assert_eq!(outgoing.len(), self.size(), "alltoall needs one buffer per rank");
         let seq = self.bump_coll_seq();
         let tag = self.coll_tag(seq);
@@ -117,43 +86,24 @@ impl Comm {
             if r == self.rank {
                 incoming.push(buf); // self-exchange short-circuits
             } else {
-                self.send_collective_f64s(r, tag, buf);
+                self.post_collective(r, tag, buf);
                 incoming.push(Vec::new());
             }
         }
         for r in 0..self.size() {
             if r != self.rank {
-                incoming[r] = self.recv_collective_f64s(r, tag);
+                incoming[r] = self.take(r, tag).data;
             }
         }
         incoming
     }
 
-    // -- internal plumbing (bypasses the user-tag guard) ------------------
-    //
-    // Routed through the same `post`/`take` as user traffic so collective
-    // messages get sequence numbers, fault injection, and deadline-bounded
-    // waits — a reduction can both suffer and survive message faults.
-
-    fn post_internal(&self, dest: usize, tag: u64, payload: Payload) {
-        self.post(dest, tag, payload, TrafficClass::Collective);
-    }
-
-    fn take_internal(&self, src: usize, tag: u64) -> crate::mailbox::Envelope {
-        let env = self.take(src, tag);
-        self.stats.record_recv(env.payload.byte_len());
-        env
-    }
-
-    fn send_collective_f64s(&self, dest: usize, tag: u64, data: Vec<f64>) {
-        self.post_internal(dest, tag, Payload::F64s(data));
-    }
-
-    fn recv_collective_f64s(&self, src: usize, tag: u64) -> Vec<f64> {
-        match self.take_internal(src, tag).payload {
-            Payload::F64s(v) => v,
-            _ => panic!("collective payload mismatch"),
-        }
+    /// Collective traffic bypasses the user-tag guard but goes through
+    /// the same `post`/`take` as user traffic, so it gets sequence
+    /// numbers, fault injection and deadline-bounded waits — a reduction
+    /// can both suffer and survive message faults.
+    fn post_collective(&self, dest: usize, tag: u64, data: Vec<f64>) {
+        self.post(dest, tag, data, TrafficClass::Collective);
     }
 }
 
@@ -206,18 +156,8 @@ mod tests {
 
     #[test]
     fn broadcast_from_nonzero_root() {
-        let out = Universe::run(3, |comm| {
-            let v: String = comm.broadcast(2, (comm.rank() == 2).then(|| "yy".to_string()));
-            v
-        });
-        assert!(out.iter().all(|s| s == "yy"));
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = Universe::run(4, |comm| comm.gather(1, comm.rank() * 10));
-        assert!(out[0].is_none());
-        assert_eq!(out[1].as_deref(), Some(&[0, 10, 20, 30][..]));
+        let out = Universe::run(3, |comm| comm.broadcast(2, vec![comm.rank() as f64; 2]));
+        assert!(out.iter().all(|v| v == &[2.0, 2.0]));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! engages and receives are the original blocking waits.
 
 use crate::fault::{FaultAction, FaultPlan, InjectedKill};
-use crate::mailbox::{Envelope, Mailbox, Payload};
-use crate::stats::{MailboxGauges, StatsCell, TrafficClass};
-use std::any::Any;
+use crate::mailbox::{Envelope, Mailbox};
+use crate::stats::{StatsCell, TrafficClass};
+use crate::ReduceOp;
 use yy_obs::event::FaultKind;
 use yy_obs::{Event, FlightRecorder};
 use std::cell::{Cell, RefCell};
@@ -144,6 +144,10 @@ pub struct Comm {
 /// collective traffic above it.
 pub(crate) const USER_TAG_LIMIT: u64 = 1 << 40;
 
+/// Integers of magnitude below 2⁵³ survive the round trip through `f64`
+/// exactly, which is what lets `split` negotiate over `allreduce_vec`.
+const F64_EXACT_INT: u64 = 1 << 53;
+
 impl Comm {
     /// My rank in this communicator.
     #[inline]
@@ -158,19 +162,15 @@ impl Comm {
     }
 
     /// Traffic statistics snapshot for this rank, including the mailbox
-    /// queue-depth high-water mark and duplicate-discard count.
+    /// queue-depth high-water mark.
     ///
-    /// This is the one place where the mailbox-owned gauges meet the
-    /// [`StatsCell`] counters: the snapshot call takes them as an
-    /// explicit [`MailboxGauges`] argument, read here from the rank's
-    /// live mailbox (a regression test in `universe.rs` holds this
-    /// path to account).
+    /// This is the one place where the mailbox-owned gauge meets the
+    /// [`StatsCell`] counters: it is read here from the rank's live
+    /// mailbox (a regression test in `universe.rs` holds this path to
+    /// account).
     pub fn stats(&self) -> crate::CommStats {
         let mb = &self.world.mailboxes[self.members[self.rank]];
-        self.stats.snapshot(MailboxGauges {
-            max_queue_depth: mb.max_depth() as u64,
-            dups_discarded: mb.dups_discarded(),
-        })
+        self.stats.snapshot(mb.max_depth() as u64)
     }
 
     /// Charge wall-clock time to a solver pipeline phase. The counters
@@ -241,6 +241,9 @@ impl Comm {
         self.world.ctl.nodes[self.members[self.rank]]
     }
 
+    /// A peer index names a member of this communicator — the
+    /// `MPI_ERR_RANK` check; the solver derives every peer from its own
+    /// layout, so a miss is a caller bug.
     fn check_peer(&self, peer: usize, what: &str) {
         assert!(
             peer < self.members.len(),
@@ -249,9 +252,8 @@ impl Comm {
         );
     }
 
-    pub(crate) fn post(&self, dest: usize, tag: u64, payload: Payload, class: TrafficClass) {
+    pub(crate) fn post(&self, dest: usize, tag: u64, data: Vec<f64>, class: TrafficClass) {
         self.check_peer(dest, "destination");
-        self.stats.record_send(class, payload.byte_len());
         let src_world = self.members[self.rank];
         let dest_world = self.members[dest];
         let seq = {
@@ -261,54 +263,37 @@ impl Comm {
             *c += 1;
             s
         };
-        if let Some(rec) = &self.recorder {
-            rec.record(Event::Send {
-                peer: dest_world as u32,
-                class,
-                bytes: payload.byte_len() as u64,
-                tag16: tag as u16,
-                seq,
-            });
-        }
-        let env = Envelope { src_world, context: self.context, tag, seq, payload };
+        let env = Envelope { src_world, context: self.context, tag, seq, data };
+        self.stats.record_send(class, env.byte_len());
+        self.record_event(Event::Send {
+            peer: dest_world as u32,
+            class,
+            bytes: env.byte_len() as u64,
+            tag16: tag as u16,
+            seq,
+        });
         let mailbox = &self.world.mailboxes[dest_world];
-        match &self.world.ctl.fault {
-            Some(plan) => {
-                let action = plan.route(src_world, dest_world, env, mailbox);
-                if action != FaultAction::Deliver {
-                    if let Some(rec) = &self.recorder {
-                        let (kind, param) = match action {
-                            FaultAction::Drop { resends } => (FaultKind::Drop, resends as u64),
-                            FaultAction::Delay { micros } => (FaultKind::Delay, micros),
-                            FaultAction::Duplicate => (FaultKind::Duplicate, 0),
-                            FaultAction::Deliver => unreachable!(),
-                        };
-                        rec.record(Event::FaultInjected {
-                            kind,
-                            peer: dest_world as u32,
-                            param,
-                        });
-                    }
-                }
-            }
-            None => mailbox.deliver(env),
-        }
+        let Some(plan) = &self.world.ctl.fault else {
+            return mailbox.deliver(env);
+        };
+        let (kind, param) = match plan.route(src_world, dest_world, env, mailbox) {
+            FaultAction::Deliver => return,
+            FaultAction::Drop { resends } => (FaultKind::Drop, resends as u64),
+            FaultAction::Delay { micros } => (FaultKind::Delay, micros),
+            FaultAction::Duplicate => (FaultKind::Duplicate, 0),
+        };
+        self.record_event(Event::FaultInjected { kind, peer: dest_world as u32, param });
     }
 
-    /// Send a slice of `f64` field data to `dest` (buffered, non-blocking).
-    ///
-    /// This is the hot path used by halo exchange and overset
-    /// interpolation; its byte volume is metered under `class`.
+    /// Send a buffer of `f64`s to `dest` (buffered, non-blocking) — the
+    /// one message type, used by halo exchange, overset interpolation
+    /// and control traffic alike; its byte volume is metered under
+    /// `class`.
     pub fn send_f64s(&self, dest: usize, tag: u64, data: Vec<f64>, class: TrafficClass) {
+        // Tags at or above the limit belong to the collectives; a user
+        // tag there would match a reduction's message.
         assert!(tag < USER_TAG_LIMIT, "user tag {tag} collides with internal tag space");
-        self.post(dest, tag, Payload::F64s(data), class);
-    }
-
-    /// Send an arbitrary `Send` value (control plane; byte volume not
-    /// modelled).
-    pub fn send<T: Any + Send>(&self, dest: usize, tag: u64, value: T) {
-        assert!(tag < USER_TAG_LIMIT, "user tag {tag} collides with internal tag space");
-        self.post(dest, tag, Payload::Any(Box::new(value)), TrafficClass::Control);
+        self.post(dest, tag, data, class);
     }
 
     /// The bounded receive loop. In a plain universe this is a direct
@@ -326,7 +311,7 @@ impl Comm {
             rec.record(Event::Recv {
                 peer: src_world as u32,
                 class: None, // the envelope does not carry it
-                bytes: env.payload.byte_len() as u64,
+                bytes: env.byte_len() as u64,
                 tag16: tag as u16,
                 seq: env.seq,
             });
@@ -348,16 +333,13 @@ impl Comm {
         }
         let mut slice = RETRY_BASE;
         let slice_cap = RETRY_BASE * 32;
-        let mut retries: u64 = 0;
         loop {
             if let Some(plan) = &ctl.fault {
                 plan.pump(my_world, mailbox);
             }
             if let Some(env) = mailbox.recv_match_timeout(self.context, src_world, tag, slice) {
-                self.stats.record_retries(retries);
                 return Ok(env);
             }
-            retries += 1;
             if ctl.dead[src_world].load(Ordering::Acquire) {
                 // The peer died, but messages it sent before dying (or
                 // that sit in limbo) must still be receivable: drain the
@@ -366,7 +348,6 @@ impl Comm {
                     plan.pump(my_world, mailbox);
                 }
                 if let Some(env) = mailbox.try_match(self.context, src_world, tag) {
-                    self.stats.record_retries(retries);
                     return Ok(env);
                 }
                 return Err(CommError::PeerDead { src_world, tag });
@@ -397,54 +378,21 @@ impl Comm {
         }
     }
 
-    fn expect_f64s(&self, env: Envelope, src: usize, tag: u64) -> Vec<f64> {
-        self.stats.record_recv(env.payload.byte_len());
-        match env.payload {
-            Payload::F64s(v) => v,
-            Payload::Any(_) => panic!(
-                "type mismatch: rank {} expected f64 data from rank {src} tag {tag}",
-                self.rank
-            ),
-        }
-    }
-
-    /// Blocking receive of `f64` field data from `src`.
+    /// Blocking receive of `f64` data from `src`.
     ///
     /// In a supervised universe a deadline overrun or peer death unwinds
     /// with a [`CommError`] payload (reported as a
     /// [`crate::RankFailure`]); use [`Comm::recv_f64s_checked`] to handle
     /// the error in place instead.
     pub fn recv_f64s(&self, src: usize, tag: u64) -> Vec<f64> {
-        let env = self.take(src, tag);
-        self.expect_f64s(env, src, tag)
+        self.take(src, tag).data
     }
 
     /// Like [`Comm::recv_f64s`] but returns the communication failure as
     /// a value instead of unwinding.
     pub fn recv_f64s_checked(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         self.check_peer(src, "source");
-        let env = self.wait_match(self.members[src], tag)?;
-        Ok(self.expect_f64s(env, src, tag))
-    }
-
-    /// Blocking receive of an arbitrary value from `src`.
-    pub fn recv<T: Any + Send>(&self, src: usize, tag: u64) -> T {
-        let env = self.take(src, tag);
-        self.stats.record_recv(env.payload.byte_len());
-        match env.payload {
-            Payload::Any(b) => *b.downcast::<T>().unwrap_or_else(|_| {
-                panic!(
-                    "type mismatch: rank {} expected {} from rank {src} tag {tag}",
-                    self.rank,
-                    std::any::type_name::<T>()
-                )
-            }),
-            Payload::F64s(_) => panic!(
-                "type mismatch: rank {} expected {} but got f64 data (rank {src}, tag {tag})",
-                self.rank,
-                std::any::type_name::<T>()
-            ),
-        }
+        Ok(self.wait_match(self.members[src], tag)?.data)
     }
 
     /// Create sub-communicators: all callers with the same `color` form a
@@ -452,18 +400,28 @@ impl Comm {
     /// `MPI_COMM_SPLIT` contract. Every member of this communicator must
     /// call `split` collectively.
     pub fn split(&self, color: u64, key: i64) -> Comm {
-        let seq = self.bump_coll_seq();
-        // Allgather (color, key) over the parent communicator via rank 0.
-        let triples: Vec<(u64, i64, usize)> =
-            self.internal_allgather(seq, (color, key, self.rank));
-        let mut mine: Vec<(i64, usize)> = triples
-            .iter()
-            .filter(|(c, _, _)| *c == color)
-            .map(|(_, k, r)| (*k, *r))
+        assert!(
+            color < F64_EXACT_INT && key.unsigned_abs() < F64_EXACT_INT,
+            "split color {color} and key {key} must be below 2^53 in magnitude to travel as f64"
+        );
+        // Allgather (color, key, parent rank) as a sum over a zero
+        // vector in which each rank fills its own slot: exact, since
+        // x + 0 = x. The allreduce runs as collective number `seq`, the
+        // number the child context is derived from.
+        let seq = self.coll_seq.get();
+        let mut slots = vec![0.0; 3 * self.size()];
+        slots[3 * self.rank..3 * self.rank + 3]
+            .copy_from_slice(&[color as f64, key as f64, self.rank as f64]);
+        let all = self.allreduce_vec(&slots, ReduceOp::Sum);
+        let mut mine: Vec<(i64, usize)> = all
+            .chunks_exact(3)
+            .filter(|t| t[0] as u64 == color)
+            .map(|t| (t[1] as i64, t[2] as usize))
             .collect();
         mine.sort_unstable();
         let members: Vec<usize> =
             mine.iter().map(|(_, parent_rank)| self.members[*parent_rank]).collect();
+        // Our own slot carries our color, so the filter kept it.
         let my_new_rank = mine
             .iter()
             .position(|(_, parent_rank)| *parent_rank == self.rank)
@@ -502,34 +460,6 @@ impl Comm {
         let s = self.coll_seq.get();
         self.coll_seq.set(s + 1);
         s
-    }
-
-    /// Internal allgather used by `split` (and the collectives module):
-    /// gather to communicator rank 0, then broadcast. Deterministic order.
-    pub(crate) fn internal_allgather<T: Any + Send + Clone>(&self, seq: u64, value: T) -> Vec<T> {
-        let tag = USER_TAG_LIMIT + seq;
-        if self.rank == 0 {
-            let mut all = Vec::with_capacity(self.size());
-            all.push(value);
-            for r in 1..self.size() {
-                let env = self.take(r, tag);
-                match env.payload {
-                    Payload::Any(b) => all.push(*b.downcast::<T>().expect("allgather type")),
-                    _ => panic!("allgather payload mismatch"),
-                }
-            }
-            for r in 1..self.size() {
-                self.post(r, tag, Payload::Any(Box::new(all.clone())), TrafficClass::Control);
-            }
-            all
-        } else {
-            self.post(0, tag, Payload::Any(Box::new(value)), TrafficClass::Control);
-            let env = self.take(0, tag);
-            match env.payload {
-                Payload::Any(b) => *b.downcast::<Vec<T>>().expect("allgather type"),
-                _ => panic!("allgather payload mismatch"),
-            }
-        }
     }
 }
 

@@ -187,9 +187,10 @@ impl FaultSpec {
     }
 
     /// Pre-flight validation against a universe of `nprocs` ranks: each
-    /// probability finite in `[0, 1]`, their sum at most 1, and every
-    /// kill rank and `delay_src` a rank that exists (a fault aimed past
-    /// the layout would silently never fire). Names are the CLI keys.
+    /// probability finite in `[0, 1]`, their sum at most 1, at least one
+    /// resend per drop, and every kill rank and `delay_src` a rank that
+    /// exists (a fault aimed past the layout would silently never fire).
+    /// Names are the CLI keys.
     pub fn check(&self, nprocs: usize) -> Result<(), String> {
         let probs = [("drop", self.drop_p), ("delay", self.delay_p), ("dup", self.duplicate_p)];
         for (key, p) in probs {
@@ -200,6 +201,9 @@ impl FaultSpec {
         let sum: f64 = probs.iter().map(|(_, p)| p).sum();
         if sum > 1.0 + 1e-12 {
             return Err(format!("drop + delay + dup must sum to at most 1 (got {sum})"));
+        }
+        if self.max_resends == 0 {
+            return Err("max_resends must be at least 1".to_string());
         }
         let targets = self.kills.iter().map(|k| ("kill_rank", k.rank));
         for (key, rank) in targets.chain(self.delay_src.map(|r| ("delay_src", r))) {
@@ -290,9 +294,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Build a plan for a universe of `nprocs` ranks.
+    /// Build a plan for a universe of `nprocs` ranks. Panics on a spec
+    /// [`FaultSpec::check`] refuses: launchers run that check first and
+    /// report its `Err`, so a bad spec here is a caller bug.
     pub fn new(spec: FaultSpec, nprocs: usize) -> Self {
-        assert!(spec.max_resends >= 1, "max_resends must be at least 1");
         if let Err(e) = spec.check(nprocs) {
             panic!("{e}");
         }
@@ -354,7 +359,7 @@ impl FaultPlan {
         env: Envelope,
         mailbox: &Mailbox,
     ) -> FaultAction {
-        if env.payload.byte_len() < self.spec.data_floor_bytes {
+        if env.byte_len() < self.spec.data_floor_bytes {
             mailbox.deliver(env);
             return FaultAction::Deliver;
         }
@@ -379,19 +384,13 @@ impl FaultPlan {
                 self.hold(dst, Held { due, env });
             }
             FaultAction::Duplicate => {
-                // Only field payloads are cloneable; control payloads
-                // degrade to a plain delivery.
-                match env.try_clone() {
-                    Some(copy) => {
-                        self.duplicated.fetch_add(1, Ordering::Relaxed);
-                        mailbox.deliver(env);
-                        mailbox.deliver(copy);
-                    }
-                    None => {
-                        mailbox.deliver(env);
-                        return FaultAction::Deliver;
-                    }
-                }
+                self.duplicated.fetch_add(1, Ordering::Relaxed);
+                // The original goes first, so the receiver keeps the
+                // sender's buffer (and its capacity) and the mailbox
+                // discards the copy.
+                let copy = env.clone();
+                mailbox.deliver(env);
+                mailbox.deliver(copy);
             }
         }
         action
@@ -487,10 +486,9 @@ fn schedule_hash(seed: u64, src: u64, dst: u64, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mailbox::Payload;
 
     fn env(src: usize, seq: u64) -> Envelope {
-        Envelope { src_world: src, context: 0, tag: 0, seq, payload: Payload::F64s(vec![seq as f64]) }
+        Envelope { src_world: src, context: 0, tag: 0, seq, data: vec![seq as f64] }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! This crate reproduces that programming model inside one OS process: a
 //! [`Universe`] spawns one thread per rank; each rank holds a [`Comm`]
-//! supporting tagged point-to-point messages, communicator splitting,
+//! supporting tagged point-to-point messages of `f64` buffers (the one
+//! message type — the paper's code moves nothing but numbers),
+//! communicator splitting,
 //! Cartesian topologies, and the collectives the solver needs. Message
 //! traffic is metered ([`CommStats`]) so the Earth Simulator performance
 //! model can convert measured communication volume into projected wall
@@ -25,8 +27,9 @@
 //! * rank numbering inside a split communicator follows the `(key, parent
 //!   rank)` order, exactly like `MPI_COMM_SPLIT`.
 //!
-//! Misuse (wrong payload type, rank out of range) panics with a clear
-//! message — the moral equivalent of `MPI_Abort`.
+//! Misuse — a peer rank out of range, a user tag in the collectives' tag
+//! space, mismatched collective lengths — panics with a message naming
+//! the broken contract: the moral equivalent of `MPI_Abort`.
 //!
 //! ## Fault tolerance
 //!
@@ -49,7 +52,7 @@ pub mod universe;
 
 pub use comm::{Comm, CommError};
 pub use fault::{FaultPlan, FaultSpec, FaultStats, KillSpec};
-pub use stats::{CommStats, MailboxGauges, SolverPhase};
+pub use stats::{CommStats, SolverPhase};
 pub use topology::CartComm;
 pub use universe::{FailureKind, RankFailure, SupervisedOpts, Universe};
 

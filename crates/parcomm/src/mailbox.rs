@@ -40,33 +40,14 @@
 //!   with no notification; all waits loop around a deadline and re-check
 //!   the match predicate every iteration.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Message payload. Field data travels as `F64s` (counted by the traffic
-/// meter); control-plane data (setup tables, requests) travels as `Any`.
-pub enum Payload {
-    /// A flat buffer of field data (the metered hot path).
-    F64s(Vec<f64>),
-    /// An arbitrary typed value (control plane).
-    Any(Box<dyn Any + Send>),
-}
-
-impl Payload {
-    /// Approximate wire size in bytes, used by the traffic statistics.
-    pub fn byte_len(&self) -> usize {
-        match self {
-            Payload::F64s(v) => v.len() * std::mem::size_of::<f64>(),
-            // Control messages are not modelled; charge a fixed small
-            // header so message *counts* still register.
-            Payload::Any(_) => 16,
-        }
-    }
-}
-
-/// A queued message.
+/// A queued message. Every message is a flat `f64` buffer, as in the
+/// paper's flat-MPI code: field data, reductions and the split
+/// negotiation alike.
+#[derive(Clone)]
 pub struct Envelope {
     /// Sender's world rank.
     pub src_world: usize,
@@ -77,32 +58,21 @@ pub struct Envelope {
     /// Position in the `(context, src, tag)` stream, ascending from 0.
     pub seq: u64,
     /// The message contents.
-    pub payload: Payload,
+    pub data: Vec<f64>,
 }
 
 impl Envelope {
+    /// Wire size in bytes, as the traffic statistics count it.
+    pub fn byte_len(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
+    }
+
     fn matches(&self, context: u64, src_world: usize, tag: u64) -> bool {
         self.context == context && self.src_world == src_world && self.tag == tag
     }
 
     fn stream(&self) -> (u64, usize, u64) {
         (self.context, self.src_world, self.tag)
-    }
-
-    /// Clone the envelope if the payload is cloneable (field data).
-    /// Control payloads (`Payload::Any`) are opaque boxes and cannot be
-    /// duplicated; the fault injector degrades to a single delivery.
-    pub(crate) fn try_clone(&self) -> Option<Envelope> {
-        match &self.payload {
-            Payload::F64s(v) => Some(Envelope {
-                src_world: self.src_world,
-                context: self.context,
-                tag: self.tag,
-                seq: self.seq,
-                payload: Payload::F64s(v.clone()),
-            }),
-            Payload::Any(_) => None,
-        }
     }
 }
 
@@ -258,14 +228,11 @@ mod tests {
     use std::sync::Arc;
 
     fn env(src: usize, ctx: u64, tag: u64, seq: u64, val: f64) -> Envelope {
-        Envelope { src_world: src, context: ctx, tag, seq, payload: Payload::F64s(vec![val]) }
+        Envelope { src_world: src, context: ctx, tag, seq, data: vec![val] }
     }
 
     fn value(e: Envelope) -> f64 {
-        match e.payload {
-            Payload::F64s(v) => v[0],
-            _ => panic!("expected f64 payload"),
-        }
+        e.data[0]
     }
 
     #[test]
@@ -429,7 +396,7 @@ mod tests {
 
     #[test]
     fn payload_byte_len() {
-        assert_eq!(Payload::F64s(vec![0.0; 10]).byte_len(), 80);
-        assert_eq!(Payload::Any(Box::new(5_u32)).byte_len(), 16);
+        let e = Envelope { data: vec![0.0; 10], ..env(0, 0, 0, 0, 0.0) };
+        assert_eq!(e.byte_len(), 80);
     }
 }

@@ -18,11 +18,7 @@ pub use yy_obs::event::{Phase as SolverPhase, TrafficClass};
 /// snapshot covers world + panel + cart traffic.
 #[derive(Debug, Default)]
 pub struct StatsCell {
-    msgs_sent: AtomicU64,
     class_bytes: [AtomicU64; TrafficClass::COUNT],
-    msgs_recv: AtomicU64,
-    bytes_recv: AtomicU64,
-    recv_retries: AtomicU64,
     phase_ns: [AtomicU64; SolverPhase::COUNT],
     recv_wait: Histogram,
     step_wall: Histogram,
@@ -37,21 +33,7 @@ impl StatsCell {
 
     /// Count one outgoing message of `bytes` under `class`.
     pub fn record_send(&self, class: TrafficClass, bytes: usize) {
-        self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.class_bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Count one received message of `bytes`.
-    pub fn record_recv(&self, bytes: usize) {
-        self.msgs_recv.fetch_add(1, Ordering::Relaxed);
-        self.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Count `n` empty retry slices spent inside one bounded receive.
-    pub fn record_retries(&self, n: u64) {
-        if n > 0 {
-            self.recv_retries.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Charge `ns` nanoseconds of wall-clock time to a solver phase.
@@ -79,20 +61,14 @@ impl StatsCell {
     /// An immutable copy of the current counters.
     ///
     /// The cell itself cannot see the rank's mailbox, so the caller
-    /// supplies the mailbox-owned gauges. [`crate::Comm::stats`] is the
-    /// one place that does this with live values — take snapshots
-    /// through it; calling this directly (tests, partial views) with
-    /// [`MailboxGauges::default`] yields zeros for those two fields.
-    pub fn snapshot(&self, mailbox: MailboxGauges) -> CommStats {
+    /// supplies its queue-depth high-water mark. [`crate::Comm::stats`]
+    /// is the one place that does this with the live value — take
+    /// snapshots through it.
+    pub fn snapshot(&self, max_queue_depth: u64) -> CommStats {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         CommStats {
-            msgs_sent: load(&self.msgs_sent),
             class_bytes: std::array::from_fn(|c| load(&self.class_bytes[c])),
-            msgs_recv: load(&self.msgs_recv),
-            bytes_recv: load(&self.bytes_recv),
-            recv_retries: load(&self.recv_retries),
-            max_queue_depth: mailbox.max_queue_depth,
-            dups_discarded: mailbox.dups_discarded,
+            max_queue_depth,
             phase_ns: std::array::from_fn(|p| load(&self.phase_ns[p])),
             recv_wait: self.recv_wait.snapshot(),
             step_wall: self.step_wall.snapshot(),
@@ -101,39 +77,15 @@ impl StatsCell {
     }
 }
 
-/// The two counters that live in the rank's [`crate::mailbox::Mailbox`]
-/// rather than in its [`StatsCell`]: queue-depth high-water and
-/// duplicate discards. [`crate::Comm::stats`] reads them from the live
-/// mailbox and passes them in — the single path by which they enter a
-/// [`CommStats`] snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MailboxGauges {
-    /// High-water mark of the mailbox queue depth.
-    pub max_queue_depth: u64,
-    /// Duplicate deliveries discarded by the sequence check.
-    pub dups_discarded: u64,
-}
-
 /// An immutable snapshot of one rank's traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
-    /// Messages sent (all classes).
-    pub msgs_sent: u64,
     /// Bytes sent per [`TrafficClass`], indexed `class as usize`.
     pub class_bytes: [u64; TrafficClass::COUNT],
-    /// Messages received.
-    pub msgs_recv: u64,
-    /// Bytes received.
-    pub bytes_recv: u64,
-    /// Empty retry slices spent in bounded receives (0 on the fault-free
-    /// fast path).
-    pub recv_retries: u64,
     /// High-water mark of this rank's mailbox queue depth (filled in by
     /// [`crate::Comm::stats`]; soak tests assert it stays bounded under
     /// delay injection).
     pub max_queue_depth: u64,
-    /// Duplicate deliveries discarded by the sequence check.
-    pub dups_discarded: u64,
     /// Wall-clock nanoseconds charged to each [`SolverPhase`], indexed
     /// `phase as usize`. `Wait` is the unhidden communication cost,
     /// `WriterWait` the unhidden cost of checkpoint/snapshot emission.
@@ -155,15 +107,10 @@ impl CommStats {
     /// Element-wise sum (for aggregating across ranks).
     pub fn merged(self, other: CommStats) -> CommStats {
         CommStats {
-            msgs_sent: self.msgs_sent + other.msgs_sent,
             class_bytes: std::array::from_fn(|c| self.class_bytes[c] + other.class_bytes[c]),
-            msgs_recv: self.msgs_recv + other.msgs_recv,
-            bytes_recv: self.bytes_recv + other.bytes_recv,
-            recv_retries: self.recv_retries + other.recv_retries,
             // A high-water mark aggregates by max, not sum: the merged
             // value answers "how deep did any one queue get".
             max_queue_depth: self.max_queue_depth.max(other.max_queue_depth),
-            dups_discarded: self.dups_discarded + other.dups_discarded,
             phase_ns: std::array::from_fn(|p| self.phase_ns[p] + other.phase_ns[p]),
             recv_wait: self.recv_wait.merged(other.recv_wait),
             step_wall: self.step_wall.merged(other.step_wall),
@@ -183,26 +130,24 @@ mod tests {
         s.record_send(TrafficClass::Overset, 50);
         s.record_send(TrafficClass::Collective, 8);
         s.record_send(TrafficClass::Control, 16);
-        s.record_recv(25);
-        let snap = s.snapshot(MailboxGauges::default());
-        assert_eq!(snap.msgs_sent, 4);
-        assert_eq!(snap.class_bytes, [100, 50, 8, 16]);
+        s.record_send(TrafficClass::Halo, 4);
+        let snap = s.snapshot(0);
+        assert_eq!(snap.class_bytes, [104, 50, 8, 16]);
         assert_eq!(snap.bytes(TrafficClass::Overset), 50);
-        assert_eq!(snap.msgs_recv, 1);
-        assert_eq!(snap.bytes_recv, 25);
     }
 
     #[test]
     fn merged_adds_everything() {
         let mut a = CommStats::default();
-        a.msgs_sent = 2;
         a.class_bytes[TrafficClass::Halo as usize] = 10;
+        a.phase_ns[SolverPhase::Pack as usize] = 2;
         let mut b = CommStats::default();
-        b.msgs_sent = 3;
+        b.class_bytes[TrafficClass::Halo as usize] = 5;
         b.class_bytes[TrafficClass::Overset as usize] = 7;
+        b.phase_ns[SolverPhase::Pack as usize] = 3;
         let m = a.merged(b);
-        assert_eq!(m.msgs_sent, 5);
-        assert_eq!(m.class_bytes, [10, 7, 0, 0]);
+        assert_eq!(m.class_bytes, [15, 7, 0, 0]);
+        assert_eq!(m.phase_ns[SolverPhase::Pack as usize], 5);
     }
 
     #[test]
@@ -215,7 +160,7 @@ mod tests {
         s.record_phase_ns(SolverPhase::Overset, 11);
         s.record_phase_ns(SolverPhase::Wait, 3);
         s.record_phase_ns(SolverPhase::WriterWait, 17);
-        let snap = s.snapshot(MailboxGauges::default());
+        let snap = s.snapshot(0);
         assert_eq!(snap.phase_ns, [5, 100, 10, 30, 11, 17]);
         assert_eq!(snap.phase_ns[SolverPhase::Wait as usize], 10);
         let m = snap.merged(snap);
@@ -225,12 +170,8 @@ mod tests {
     #[test]
     fn snapshot_carries_the_supplied_mailbox_gauges() {
         let s = StatsCell::new();
-        let snap = s.snapshot(MailboxGauges { max_queue_depth: 9, dups_discarded: 2 });
-        assert_eq!(snap.max_queue_depth, 9);
-        assert_eq!(snap.dups_discarded, 2);
-        let zeroed = s.snapshot(MailboxGauges::default());
-        assert_eq!(zeroed.max_queue_depth, 0);
-        assert_eq!(zeroed.dups_discarded, 0);
+        assert_eq!(s.snapshot(9).max_queue_depth, 9);
+        assert_eq!(s.snapshot(0).max_queue_depth, 0);
     }
 
     #[test]
@@ -240,7 +181,7 @@ mod tests {
         s.record_wait_ns(64_000);
         s.record_step_ns(2_000_000);
         s.record_queue_depth(3);
-        let snap = s.snapshot(MailboxGauges::default());
+        let snap = s.snapshot(0);
         assert_eq!(snap.recv_wait.count, 2);
         assert_eq!(snap.recv_wait.max, 64_000);
         assert_eq!(snap.step_wall.count, 1);
@@ -253,16 +194,9 @@ mod tests {
 
     #[test]
     fn merged_takes_max_of_the_depth_high_water() {
-        let mut a = CommStats::default();
-        a.max_queue_depth = 5;
-        a.recv_retries = 2;
-        let mut b = CommStats::default();
-        b.max_queue_depth = 3;
-        b.recv_retries = 1;
-        b.dups_discarded = 4;
-        let m = a.merged(b);
-        assert_eq!(m.max_queue_depth, 5, "high-water mark merges by max");
-        assert_eq!(m.recv_retries, 3);
-        assert_eq!(m.dups_discarded, 4);
+        let a = CommStats { max_queue_depth: 5, ..CommStats::default() };
+        let b = CommStats { max_queue_depth: 3, ..CommStats::default() };
+        assert_eq!(a.merged(b).max_queue_depth, 5, "high-water mark merges by max");
+        assert_eq!(b.merged(a).max_queue_depth, 5);
     }
 }

@@ -54,7 +54,7 @@ impl CartComm {
     /// Coordinates of rank `r`.
     #[inline]
     pub fn coords_of(&self, r: usize) -> [usize; 2] {
-        assert!(r < self.comm.size());
+        assert!(r < self.comm.size(), "rank {r} outside the {}-rank topology", self.comm.size());
         [r / self.dims[1], r % self.dims[1]]
     }
 
@@ -70,7 +70,7 @@ impl CartComm {
     /// the rank that would send to me, `destination` the rank I would send
     /// to, `None` at a non-periodic edge.
     pub fn shift(&self, dim: usize, displacement: isize) -> (Option<usize>, Option<usize>) {
-        assert!(dim < 2);
+        assert!(dim < 2, "dimension {dim} of a 2-D (θ, φ) topology");
         let me = self.coords();
         (self.neighbor(me, dim, -displacement), self.neighbor(me, dim, displacement))
     }

@@ -1,14 +1,15 @@
 //! Property tests of the fault-injection layer on the `yy-testkit`
 //! harness: the schedule is a pure function of the seed, drop+retry
-//! always converges, and a supervised universe reports exactly the rank
-//! the plan killed.
+//! always converges, a supervised universe reports exactly the rank the
+//! plan killed, and collectives suffer and survive faults like any other
+//! message.
 
 use std::sync::Arc;
 use std::time::Duration;
 use yy_parcomm::fault::{FaultAction, FaultPlan, FaultSpec};
 use yy_parcomm::stats::TrafficClass;
 use yy_parcomm::universe::{FailureKind, SupervisedOpts};
-use yy_parcomm::Universe;
+use yy_parcomm::{ReduceOp, Universe};
 use yy_testkit::{check_with, tk_assert, tk_assert_eq, Config, Gen};
 
 fn random_spec(g: &mut Gen) -> FaultSpec {
@@ -189,12 +190,65 @@ fn duplicates_are_discarded_exactly_once() {
         for _ in 0..10 {
             got.push(comm.recv_f64s(peer, 1)[0]);
         }
-        (got, comm.stats())
+        got
     });
     for r in out {
-        let (got, stats) = r.expect("duplication must not fail the run");
-        assert_eq!(got, (0..10).map(f64::from).collect::<Vec<_>>());
-        assert_eq!(stats.dups_discarded, 10, "every message was duplicated once");
+        let got = r.expect("duplication must not fail the run");
+        assert_eq!(got, (0..10).map(f64::from).collect::<Vec<_>>(), "each message once, in order");
     }
     assert_eq!(plan.stats().duplicated, 20, "10 messages each way");
+}
+
+/// The split negotiation and the collectives travel the same faultable
+/// path as field data. Under full duplication every one of their
+/// messages is duplicated — split 2(n−1), barrier 2(n−1), broadcast
+/// n−1, allreduce 2(n−1) — and under seeded drops and delays they still
+/// return the fault-free values.
+#[test]
+fn split_and_collectives_survive_every_message_fault() {
+    check_with(
+        Config::with_cases(12),
+        "split_and_collectives_survive_every_message_fault",
+        |g| {
+            let n = g.range_usize(2, 5);
+            let spec = if g.bool() {
+                FaultSpec::seeded(g.below(u64::MAX)).with_duplicate(1.0)
+            } else {
+                FaultSpec::seeded(g.below(u64::MAX))
+                    .with_drop(g.range_f64(0.0, 0.5))
+                    .with_delay(g.range_f64(0.0, 0.4), Duration::from_micros(g.below(2000) + 1))
+            };
+            (n, spec)
+        },
+        |(n, spec)| {
+            let n = *n;
+            let plan = Arc::new(FaultPlan::new(spec.clone(), n));
+            let opts = SupervisedOpts {
+                fault: Some(Arc::clone(&plan)),
+                deadline: Duration::from_secs(20),
+                ..SupervisedOpts::default()
+            };
+            let out = Universe::run_supervised(n, opts, |comm| {
+                // One group, ranks reversed by key.
+                let sub = comm.split(0, -(comm.rank() as i64));
+                sub.barrier();
+                let root = 1;
+                let b = sub.broadcast(root, vec![sub.rank() as f64 + 0.5; 3]);
+                let s = sub.allreduce_vec(&[sub.rank() as f64, 1.0], ReduceOp::Sum);
+                (sub.rank(), b, s)
+            });
+            for (rank, r) in out.into_iter().enumerate() {
+                let got = match r {
+                    Ok(v) => v,
+                    Err(f) => return Err(format!("rank {rank} failed: {f}")),
+                };
+                let sum = (n * (n - 1) / 2) as f64;
+                tk_assert_eq!(got, (n - 1 - rank, vec![1.5; 3], vec![sum, n as f64]));
+            }
+            if spec.duplicate_p == 1.0 {
+                tk_assert_eq!(plan.stats().duplicated, 7 * (n as u64 - 1));
+            }
+            Ok(())
+        },
+    );
 }

@@ -5,7 +5,7 @@
 //! duplicated, which the per-stream sequence cursors must repair.
 
 use std::time::Duration;
-use yy_parcomm::mailbox::{Envelope, Mailbox, Payload};
+use yy_parcomm::mailbox::{Envelope, Mailbox};
 use yy_testkit::{check_with, tk_assert, tk_assert_eq, Config, Gen};
 
 /// A random traffic pattern: (src, context, tag, seq, value) tuples with
@@ -31,16 +31,13 @@ fn deliver_all(mb: &Mailbox, msgs: &[(usize, u64, u64, u64, f64)]) {
             context: ctx,
             tag,
             seq,
-            payload: Payload::F64s(vec![val]),
+            data: vec![val],
         });
     }
 }
 
 fn value(e: Envelope) -> f64 {
-    match e.payload {
-        Payload::F64s(v) => v[0],
-        _ => panic!("expected f64 payload"),
-    }
+    e.data[0]
 }
 
 #[test]
@@ -126,7 +123,7 @@ fn shuffled_and_duplicated_arrivals_drain_in_stream_order() {
                     context: ctx,
                     tag,
                     seq,
-                    payload: Payload::F64s(vec![val]),
+                    data: vec![val],
                 };
                 mb.deliver(make());
                 if dup_mask[i] {

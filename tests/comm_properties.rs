@@ -132,30 +132,3 @@ fn cart_shift_is_invertible() {
         },
     );
 }
-
-/// Gathered values arrive in rank order for any root.
-#[test]
-fn gather_order_for_any_root() {
-    check_with(
-        Config::with_cases(16),
-        "gather_order_for_any_root",
-        |g| {
-            let n = g.range_usize(2, 6);
-            let root = g.range_usize(0, n);
-            (n, root)
-        },
-        |&(n, root)| {
-            let out = Universe::run(n, move |comm| comm.gather(root, comm.rank() as f64 * 2.0));
-            for (r, res) in out.iter().enumerate() {
-                if r == root {
-                    let v = res.as_ref().expect("root gets the vector");
-                    let expect: Vec<f64> = (0..n).map(|i| i as f64 * 2.0).collect();
-                    tk_assert_eq!(v, &expect);
-                } else {
-                    tk_assert!(res.is_none());
-                }
-            }
-            Ok(())
-        },
-    );
-}
