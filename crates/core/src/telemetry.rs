@@ -89,9 +89,9 @@ impl ScienceTelemetry {
 
     /// Build from driver options: `None` when `series` is off, the
     /// default geodynamo ruleset when no rules file is given, else the
-    /// parsed file. Errors on an unreadable or malformed rules file —
-    /// a watchdog that silently watches nothing is worse than a failed
-    /// launch.
+    /// parsed file. Errors on an unreadable or malformed rules file, or
+    /// one watching a channel outside [`CHANNELS`] — a watchdog that
+    /// silently watches nothing is worse than a failed launch.
     pub fn from_opts(opts: &ObsOpts) -> Result<Option<ScienceTelemetry>, String> {
         if !opts.series {
             return Ok(None);
@@ -101,7 +101,20 @@ impl ScienceTelemetry {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("reading rules {}: {e}", path.display()))?;
-                parse_rules(&text)?
+                let rules = parse_rules(&text)?;
+                // Each line again on its own, so the error can name it.
+                for (n, line) in text.lines().enumerate() {
+                    let rule = parse_rules(line)?.pop();
+                    if let Some(r) = rule.filter(|r| !CHANNELS.contains(&r.channel.as_str())) {
+                        return Err(format!(
+                            "rules line {}: unknown channel {:?} (channels: {}): {line:?}",
+                            n + 1,
+                            r.channel,
+                            CHANNELS.join(" ")
+                        ));
+                    }
+                }
+                rules
             }
         };
         Ok(Some(ScienceTelemetry::new(rules)))
@@ -267,6 +280,14 @@ mod tests {
             ..Default::default()
         };
         assert!(ScienceTelemetry::from_opts(&missing).is_err());
+        // A rule on a channel the store does not have would never fire.
+        let path = std::env::temp_dir().join(format!("yy_rules_{}", std::process::id()));
+        std::fs::write(&path, "# ok\nfine: dt above threshold=1\ntypo: kinetc above threshold=1\n")
+            .unwrap();
+        let typo = ObsOpts { series: true, rules: Some(path.clone()), ..Default::default() };
+        let err = ScienceTelemetry::from_opts(&typo).expect_err("unknown channel");
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.starts_with("rules line 3: unknown channel \"kinetc\""), "{err}");
     }
 
     #[test]

@@ -1,12 +1,28 @@
-//! Compile-only pin of the `yycore` and `yy_parcomm` surface
-//! `examples/benchmark/src` builds against. The benchmark is a package of
-//! its own that tier-1 never compiles, so a move that breaks one of its
-//! imports would otherwise show only in `run.sh --smoke`.
+//! Compile-only pin of the surface `examples/benchmark/src` builds
+//! against: `yycore`, and what it imports from the crates `yycore`
+//! depends on. The benchmark is a package of its own that tier-1 never
+//! compiles, so a move that breaks one of its imports would otherwise
+//! show only in `run.sh --smoke`.
 
 #![allow(unused_imports)]
 
 use std::path::PathBuf;
 use std::time::Duration;
+use yy_esmodel::model::{project, RunShape};
+use yy_esmodel::{EsMachine, EsModelParams, KernelProfile};
+use yy_field::pack::{pack_region, unpack_region, Region};
+use yy_field::Meters;
+use yy_mesh::interp::{interp_scalar_column, interp_vector_column};
+use yy_mesh::{build_overset_columns, Metric, OversetColumn, Panel};
+use yy_mhd::rhs::{InteriorRange, RhsScratch, RHS_READS_PER_POINT, RHS_WRITES_PER_POINT};
+use yy_mhd::tables::rotation_axis;
+use yy_mhd::{
+    apply_physical_bc, compute_rhs, initialize, Diagnostics, ForceTables, State,
+    RHS_FLOPS_PER_POINT,
+};
+use yy_obs::counters::CounterSet;
+use yy_obs::json::{escape, num};
+use yy_obs::Json;
 use yy_parcomm::stats::TrafficClass;
 use yy_parcomm::{Comm, ReduceOp, Universe};
 use yycore::checkpoint::Checkpoint;

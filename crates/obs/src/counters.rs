@@ -28,9 +28,8 @@ use std::time::Instant;
 
 crate::event::code_table! {
     /// Kernel identifiers: the per-kernel counter namespace. The codes
-    /// are dense from 0 — they index [`CounterSet`]'s cells and
-    /// [`CounterSnapshot::kernels`] — and double as the `sub` byte of a
-    /// per-kernel [`crate::event::CounterTrack`].
+    /// are dense from 0: they index [`CounterSet`]'s cells and
+    /// [`CounterSnapshot::kernels`].
     pub enum Kernel {
         /// The RHS finite-difference sweep (640 flops/point, `yy-mhd`).
         Rhs = 0 => "rhs",
@@ -502,7 +501,6 @@ mod tests {
             assert_eq!(Kernel::from_name(k.name()), Some(k));
         }
         assert_eq!((Kernel::Rhs as u8, Kernel::Output as u8), (0, 7));
-        assert_eq!(Kernel::from_code(200), None);
     }
 
     #[test]

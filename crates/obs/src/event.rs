@@ -1,26 +1,17 @@
-//! The flight-recorder event model, its code spaces and its
-//! fixed-width encoding.
+//! The flight-recorder event model and its code spaces.
 //!
-//! Events must be recordable from the solver's hot paths, so each one
-//! packs into three 64-bit words (plus the timestamp word the ring adds):
-//!
-//! ```text
-//! w0: [ peer:32 | tag:16 | sub:8 | discriminant:8 ]
-//! w1: a   (duration, bytes, step, …)
-//! w2: b   (sequence number, resume step, …)
-//! ```
-//!
-//! The `sub` byte carries the small enums (solver phase, traffic class,
-//! fault kind, health code, alert kind, counter track). Each of those
-//! code spaces is declared here, once, by [`code_table!`]: the enum, its
-//! wire byte and its exported name in one line per code. The crates
-//! above (`yy-parcomm`'s stats, `yycore`'s report) re-export or index by
-//! these types instead of keeping their own copies.
+//! An [`Event`] is plain `Copy` data; the ring stores it as it is, and
+//! `chrome.rs` owns its one on-disk form. The small enums it carries
+//! (solver phase, traffic class, fault kind, health code, alert kind,
+//! counter track) are each declared here, once, by [`code_table!`]: the
+//! enum, its code and its exported name in one line per code. The
+//! crates above (`yy-parcomm`'s stats, `yycore`'s report) re-export or
+//! index by these types instead of keeping their own copies.
 
 use crate::counters::Kernel;
 
 /// Declare one code space: a `#[repr(u8)]` enum whose every variant
-/// carries its wire byte and its exported name.
+/// carries its code and its exported name.
 macro_rules! code_table {
     (
         $(#[$meta:meta])*
@@ -51,11 +42,6 @@ macro_rules! code_table {
             /// Inverse of [`Self::name`]; `None` for a name outside the table.
             pub fn from_name(name: &str) -> Option<$ty> {
                 Self::ALL.into_iter().find(|c| c.name() == name)
-            }
-
-            /// Inverse of `as u8`; `None` for a byte outside the table.
-            pub fn from_code(code: u8) -> Option<$ty> {
-                Self::ALL.into_iter().find(|&c| c as u8 == code)
             }
         }
     };
@@ -145,12 +131,12 @@ code_table! {
 
 code_table! {
     /// The run-level counter tracks (the per-kernel ones are
-    /// [`CounterTrack::Kernel`]); the codes sit above every [`Kernel`] id.
+    /// [`CounterTrack::Kernel`]).
     pub enum Gauge {
         /// Mailbox queue depth sampled after the step.
-        QueueDepth = 250 => "queue_depth",
+        QueueDepth = 0 => "queue_depth",
         /// Whole-rank achieved MFLOPS over the sampling window.
-        TotalMflops = 251 => "mflops_total",
+        TotalMflops = 1 => "mflops_total",
     }
 }
 
@@ -165,19 +151,6 @@ pub enum CounterTrack {
 }
 
 impl CounterTrack {
-    fn code(self) -> u8 {
-        match self {
-            CounterTrack::Kernel(k) => k as u8,
-            CounterTrack::Gauge(g) => g as u8,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<CounterTrack> {
-        Kernel::from_code(code)
-            .map(CounterTrack::Kernel)
-            .or_else(|| Gauge::from_code(code).map(CounterTrack::Gauge))
-    }
-
     /// The exported track name.
     pub fn name(self) -> String {
         match self {
@@ -195,25 +168,7 @@ impl CounterTrack {
     }
 }
 
-/// `sub` byte of a receive whose class is unknown.
-const CLASS_UNKNOWN: u8 = 255;
-
-const D_PHASE: u8 = 1;
-const D_SEND: u8 = 2;
-const D_RECV: u8 = 3;
-const D_FAULT: u8 = 4;
-const D_KILL: u8 = 5;
-const D_HEALTH: u8 = 6;
-const D_CKPT: u8 = 7;
-const D_ROLLBACK: u8 = 8;
-const D_STEP: u8 = 9;
-const D_COUNTER: u8 = 10;
-const D_RETILE: u8 = 11;
-const D_DEGRADED: u8 = 12;
-// 13 and 14 went with their variants; the gap is deliberate.
-const D_ALERT: u8 = 15;
-
-/// One flight-recorder event. See the module docs for the wire layout.
+/// One flight-recorder event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A completed solver-phase span of `dur_ns`; the ring timestamp is
@@ -330,8 +285,8 @@ pub enum Event {
         /// Which track.
         track: CounterTrack,
         /// Sampled value (MFLOPS, queue depth, …) as `f64::to_bits` —
-        /// kept as raw bits so the event stays `Eq` and the ring slot
-        /// roundtrips exactly. Build with [`Event::counter_sample`].
+        /// kept as raw bits so the event stays `Eq`. Build with
+        /// [`Event::counter_sample`].
         value_bits: u64,
     },
 }
@@ -340,84 +295,6 @@ impl Event {
     /// A [`Event::CounterSample`] from an f64 value.
     pub fn counter_sample(track: CounterTrack, value: f64) -> Event {
         Event::CounterSample { track, value_bits: value.to_bits() }
-    }
-
-    /// Pack into the three payload words of a ring slot.
-    pub fn encode(&self) -> [u64; 3] {
-        let head = |d: u8, sub: u8, tag: u16, peer: u32| {
-            d as u64 | (sub as u64) << 8 | (tag as u64) << 16 | (peer as u64) << 32
-        };
-        match *self {
-            Event::Phase { phase, dur_ns } => [head(D_PHASE, phase as u8, 0, 0), dur_ns, 0],
-            Event::Send { peer, class, bytes, tag16, seq } => {
-                [head(D_SEND, class as u8, tag16, peer), bytes, seq]
-            }
-            Event::Recv { peer, class, bytes, tag16, seq } => {
-                [head(D_RECV, class.map_or(CLASS_UNKNOWN, |c| c as u8), tag16, peer), bytes, seq]
-            }
-            Event::FaultInjected { kind, peer, param } => {
-                [head(D_FAULT, kind as u8, 0, peer), param, 0]
-            }
-            Event::KillInjected { step } => [head(D_KILL, 0, 0, 0), step, 0],
-            Event::HealthViolation { code, step } => [head(D_HEALTH, code as u8, 0, 0), step, 0],
-            Event::CheckpointSaved { step } => [head(D_CKPT, 0, 0, 0), step, 0],
-            Event::Rollback { pass, resume_step } => {
-                [head(D_ROLLBACK, 0, 0, 0), pass, resume_step]
-            }
-            Event::StepBegin { step } => [head(D_STEP, 0, 0, 0), step, 0],
-            Event::Retile { pth, pph, pass, resume_step } => {
-                [head(D_RETILE, 0, pth, pph as u32), pass, resume_step]
-            }
-            Event::Degraded { pass, checkpoint_every } => {
-                [head(D_DEGRADED, 0, 0, 0), pass, checkpoint_every]
-            }
-            Event::Alert { rule, kind, firing, step } => {
-                [head(D_ALERT, kind as u8, firing as u16, rule), step, 0]
-            }
-            Event::CounterSample { track, value_bits } => {
-                [head(D_COUNTER, track.code(), 0, 0), value_bits, 0]
-            }
-        }
-    }
-
-    /// Decode a ring slot; `None` for an unrecognised discriminant or
-    /// `sub` byte (an empty or torn slot).
-    pub fn decode(words: [u64; 3]) -> Option<Event> {
-        let [w0, a, b] = words;
-        let sub = (w0 >> 8) as u8;
-        let tag16 = (w0 >> 16) as u16;
-        let peer = (w0 >> 32) as u32;
-        Some(match w0 as u8 {
-            D_PHASE => Event::Phase { phase: Phase::from_code(sub)?, dur_ns: a },
-            D_SEND => {
-                Event::Send { peer, class: TrafficClass::from_code(sub)?, bytes: a, tag16, seq: b }
-            }
-            D_RECV => {
-                let class = match sub {
-                    CLASS_UNKNOWN => None,
-                    known => Some(TrafficClass::from_code(known)?),
-                };
-                Event::Recv { peer, class, bytes: a, tag16, seq: b }
-            }
-            D_FAULT => Event::FaultInjected { kind: FaultKind::from_code(sub)?, peer, param: a },
-            D_KILL => Event::KillInjected { step: a },
-            D_HEALTH => Event::HealthViolation { code: HealthCode::from_code(sub)?, step: a },
-            D_CKPT => Event::CheckpointSaved { step: a },
-            D_ROLLBACK => Event::Rollback { pass: a, resume_step: b },
-            D_STEP => Event::StepBegin { step: a },
-            D_RETILE => Event::Retile { pth: tag16, pph: peer as u16, pass: a, resume_step: b },
-            D_DEGRADED => Event::Degraded { pass: a, checkpoint_every: b },
-            D_ALERT => Event::Alert {
-                rule: peer,
-                kind: AlertKind::from_code(sub)?,
-                firing: tag16 != 0,
-                step: a,
-            },
-            D_COUNTER => {
-                Event::CounterSample { track: CounterTrack::from_code(sub)?, value_bits: a }
-            }
-            _ => return None,
-        })
     }
 }
 
@@ -428,7 +305,7 @@ impl Event {
 pub struct TimedEvent {
     /// Nanoseconds since the recorder origin.
     pub ts_ns: u64,
-    /// The decoded event.
+    /// The event.
     pub event: Event,
 }
 
@@ -436,58 +313,11 @@ pub struct TimedEvent {
 mod tests {
     use super::*;
 
-    fn roundtrip(e: Event) {
-        assert_eq!(Event::decode(e.encode()), Some(e), "{e:?}");
-    }
-
-    #[test]
-    fn all_variants_roundtrip() {
-        roundtrip(Event::Phase { phase: Phase::Wait, dur_ns: u64::MAX });
-        roundtrip(Event::Send {
-            peer: u32::MAX,
-            class: TrafficClass::Halo,
-            bytes: 1 << 50,
-            tag16: u16::MAX,
-            seq: 123,
-        });
-        roundtrip(Event::Recv { peer: 7, class: None, bytes: 0, tag16: 11, seq: 0 });
-        roundtrip(Event::Recv {
-            peer: 7,
-            class: Some(TrafficClass::Control),
-            bytes: 0,
-            tag16: 11,
-            seq: 0,
-        });
-        roundtrip(Event::FaultInjected { kind: FaultKind::Delay, peer: 3, param: 200 });
-        roundtrip(Event::KillInjected { step: 4 });
-        roundtrip(Event::HealthViolation { code: HealthCode::DtCollapse, step: 9 });
-        roundtrip(Event::CheckpointSaved { step: 2 });
-        roundtrip(Event::Rollback { pass: 1, resume_step: 4 });
-        roundtrip(Event::StepBegin { step: 0 });
-        roundtrip(Event::Retile { pth: 1, pph: 2, pass: 3, resume_step: 4 });
-        roundtrip(Event::Retile { pth: u16::MAX, pph: u16::MAX, pass: u64::MAX, resume_step: 0 });
-        roundtrip(Event::Degraded { pass: 2, checkpoint_every: 8 });
-        roundtrip(Event::Alert { rule: 0, kind: AlertKind::DtCollapse, firing: true, step: 12 });
-        roundtrip(Event::Alert { rule: u32::MAX, kind: AlertKind::Flatline, firing: false, step: 0 });
-        roundtrip(Event::counter_sample(CounterTrack::Gauge(Gauge::TotalMflops), 1234.5));
-        roundtrip(Event::counter_sample(CounterTrack::Kernel(Kernel::Rhs), -0.0));
-    }
-
     #[test]
     fn counter_sample_value_roundtrips_bits() {
         let track = CounterTrack::Gauge(Gauge::QueueDepth);
         let e = Event::counter_sample(track, 3.75);
         assert_eq!(e, Event::CounterSample { track, value_bits: 3.75_f64.to_bits() });
-    }
-
-    #[test]
-    fn zero_slot_decodes_to_none() {
-        assert_eq!(Event::decode([0, 0, 0]), None);
-        assert_eq!(Event::decode([0xFF, 1, 2]), None);
-        // A known discriminant with a `sub` byte outside its table is a
-        // torn slot too.
-        assert_eq!(Event::decode([D_PHASE as u64 | 200 << 8, 1, 0]), None);
-        assert_eq!(Event::decode([D_COUNTER as u64 | 99 << 8, 1, 0]), None);
     }
 
     #[test]
@@ -499,7 +329,6 @@ mod tests {
         assert_eq!(AlertKind::DtCollapse.name(), "dt-collapse");
         assert_eq!(CounterTrack::Kernel(Kernel::HaloPack).name(), "mflops:halo_pack");
         assert_eq!(CounterTrack::Gauge(Gauge::QueueDepth).name(), "queue_depth");
-        assert_eq!(AlertKind::from_code(200), None);
         assert_eq!(AlertKind::COUNT, 5);
     }
 
@@ -508,11 +337,11 @@ mod tests {
         for (i, p) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(p as usize, i, "phase codes are dense: records index by them");
             assert_eq!(Phase::from_name(p.name()), Some(p));
-            assert_eq!(Phase::from_code(p as u8), Some(p));
         }
         assert_eq!(Phase::from_name("phase?"), None);
         assert_eq!(Phase::from_name(""), None);
-        for track in Kernel::ALL.map(CounterTrack::Kernel) {
+        let gauges = Gauge::ALL.map(CounterTrack::Gauge);
+        for track in Kernel::ALL.map(CounterTrack::Kernel).into_iter().chain(gauges) {
             assert_eq!(CounterTrack::from_name(&track.name()), Some(track));
         }
         assert_eq!(CounterTrack::from_name("mflops:unknown"), None);

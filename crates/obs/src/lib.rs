@@ -8,10 +8,9 @@
 //! * **Flight recorder** ([`FlightRecorder`]) — a per-rank fixed-capacity
 //!   ring buffer of timestamped [`Event`]s (solver phase spans, message
 //!   send/recv, fault injections, health violations,
-//!   checkpoint/rollback). Recording is lock-free (single-writer ring of
-//!   relaxed atomics) behind an enabled-flag fast path, so a disabled
-//!   recorder costs one atomic load per event site and a missing
-//!   recorder (`Option::None` in the comm layer) costs one branch.
+//!   checkpoint/rollback), stored as the events themselves. Recording
+//!   is one uncontended lock; a run without a recorder
+//!   (`Option::None` in the comm layer) pays one branch per event site.
 //! * **Metrics** ([`Histogram`]) — log₂-bucketed latency histograms
 //!   with exact associative/commutative merge (so per-rank
 //!   distributions can be allreduced).

@@ -1,44 +1,69 @@
-//! The per-rank flight recorder: a fixed-capacity, lock-free ring of
-//! timestamped events.
+//! The crate's one ring buffer, and the per-rank flight recorder built
+//! on it.
 //!
-//! ## Design
-//!
-//! Each rank is a single OS thread, so the ring has exactly one writer;
-//! readers (the supervisor building a post-mortem trace) only look after
-//! that thread has been joined. That lets every operation use relaxed
-//! atomics — the thread-join provides the happens-before edge — while
-//! staying 100 % safe Rust: a slot is four `AtomicU64` words
-//! (`[ts, w0, a, b]`, see [`crate::event`]), the head index is a
-//! monotonically increasing `AtomicU64`, and a wrapped ring simply
-//! overwrites its oldest slots. The *newest* events are therefore never
-//! lost — exactly what a post-mortem wants: the last `capacity` things a
-//! rank did before dying.
-//!
-//! ## Cost model
-//!
-//! `record` is one `Instant::elapsed`, one relaxed `fetch_add` and four
-//! relaxed stores. A recorder that exists records: the comm layer holds
-//! it as `Option<Arc<FlightRecorder>>`, so a run that never creates one
-//! pays only the `None` branch per event site.
+//! A [`Ring`] keeps the newest `capacity` values pushed — a post-mortem
+//! wants the last things a rank did before dying — and counts every
+//! push. A [`FlightRecorder`] is a `Mutex` over a `Ring<TimedEvent>`
+//! written by its rank thread; the supervisor's snapshots (trace and
+//! post-mortem dumps) and `record_all` between passes mostly run after
+//! that thread is joined, and a snapshot taken while it records is
+//! still a consistent in-order run. `record` costs one
+//! `Instant::elapsed`, one uncontended lock and one event copy; a run
+//! without a recorder pays one `None` branch per event site (the comm
+//! layer holds an `Option<Arc<FlightRecorder>>`).
 
 use crate::event::{Event, TimedEvent};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-const WORDS: usize = 4;
 
 /// Default ring capacity (events per rank) when the caller does not
 /// choose one: deep enough to hold several steps of a 2-D-decomposed
 /// panel's traffic, small enough (~256 KiB/rank) to always leave on.
 pub const DEFAULT_CAPACITY: usize = 8192;
 
-/// A single-writer ring buffer of timestamped [`Event`]s.
+/// A `VecDeque` allocated once that keeps the newest `capacity` values
+/// pushed, oldest first, and counts every push.
+#[derive(Debug, Clone)]
+pub(crate) struct Ring<T> {
+    values: VecDeque<T>,
+    capacity: usize,
+    pushed: u64,
+}
+
+impl<T> Ring<T> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity >= 1, "a ring needs at least one slot");
+        Ring { values: VecDeque::with_capacity(capacity), capacity, pushed: 0 }
+    }
+
+    pub(crate) fn push(&mut self, value: T) {
+        if self.values.len() == self.capacity {
+            self.values.pop_front();
+        }
+        self.values.push_back(value);
+        self.pushed += 1;
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Values ever pushed; the oldest held one is push number
+    /// `pushed - len` (0-based).
+    pub(crate) fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// The held values, oldest → newest.
+    pub(crate) fn iter(&self) -> std::collections::vec_deque::Iter<'_, T> {
+        self.values.iter()
+    }
+}
+
+/// A per-rank ring of timestamped [`Event`]s.
 pub struct FlightRecorder {
-    /// Total events ever recorded; slot index is `head % capacity`.
-    head: AtomicU64,
-    /// `capacity × WORDS` atomic words.
-    slots: Box<[AtomicU64]>,
+    ring: Mutex<Ring<TimedEvent>>,
     origin: Instant,
 }
 
@@ -47,23 +72,24 @@ impl FlightRecorder {
     /// relative to `origin` (share one origin across ranks so their
     /// tracks align).
     pub fn new(capacity: usize, origin: Instant) -> Self {
-        assert!(capacity >= 1, "flight recorder needs at least one slot");
-        FlightRecorder {
-            head: AtomicU64::new(0),
-            slots: (0..capacity * WORDS).map(|_| AtomicU64::new(0)).collect(),
-            origin,
-        }
+        FlightRecorder { ring: Mutex::new(Ring::new(capacity)), origin }
+    }
+
+    /// The ring; a push never panics, so even a poisoned lock guards a
+    /// whole ring.
+    fn ring(&self) -> MutexGuard<'_, Ring<TimedEvent>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of event slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len() / WORDS
+        self.ring().capacity()
     }
 
     /// Total events recorded over the recorder's lifetime (may exceed
     /// the capacity; the ring keeps the newest `capacity` of them).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.ring().pushed()
     }
 
     /// Nanoseconds since the recorder's origin.
@@ -81,39 +107,13 @@ impl FlightRecorder {
     /// Record `event` with an explicit timestamp (nanoseconds since the
     /// origin); used by span sites that measured their own start time.
     pub fn record_at(&self, ts_ns: u64, event: Event) {
-        let n = self.head.fetch_add(1, Ordering::Relaxed);
-        let cap = self.capacity() as u64;
-        let base = (n % cap) as usize * WORDS;
-        let [w0, a, b] = event.encode();
-        self.slots[base].store(ts_ns, Ordering::Relaxed);
-        self.slots[base + 1].store(w0, Ordering::Relaxed);
-        self.slots[base + 2].store(a, Ordering::Relaxed);
-        self.slots[base + 3].store(b, Ordering::Relaxed);
+        self.ring().push(TimedEvent { ts_ns, event });
     }
 
-    /// The ring contents, oldest → newest. Meant to be called when the
-    /// writing thread is quiescent (joined); a concurrent snapshot is
-    /// memory-safe but may contain a torn slot, which decodes to `None`
-    /// and is skipped.
+    /// The ring contents, oldest → newest: the newest `capacity` events
+    /// recorded before the call.
     pub fn snapshot(&self) -> Vec<TimedEvent> {
-        let head = self.head.load(Ordering::Relaxed);
-        let cap = self.capacity() as u64;
-        let len = head.min(cap);
-        let first = head - len; // index of the oldest surviving event
-        let mut out = Vec::with_capacity(len as usize);
-        for n in first..head {
-            let base = (n % cap) as usize * WORDS;
-            let ts_ns = self.slots[base].load(Ordering::Relaxed);
-            let words = [
-                self.slots[base + 1].load(Ordering::Relaxed),
-                self.slots[base + 2].load(Ordering::Relaxed),
-                self.slots[base + 3].load(Ordering::Relaxed),
-            ];
-            if let Some(event) = Event::decode(words) {
-                out.push(TimedEvent { ts_ns, event });
-            }
-        }
-        out
+        self.ring().iter().copied().collect()
     }
 }
 

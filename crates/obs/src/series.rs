@@ -13,65 +13,38 @@
 //! render snapshots of it into Prometheus gauge text).
 
 use crate::json::num;
+use crate::ring::Ring;
 
 /// One named channel: a ring of the newest samples.
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Channel name (stable identifier, e.g. `kinetic`, `dt`).
     pub name: String,
-    pushed: u64,
-    raw: Vec<(u64, f64)>,
-    raw_head: usize,
-    raw_capacity: usize,
+    raw: Ring<f64>,
 }
 
 impl Channel {
-    fn new(name: &str, raw_capacity: usize) -> Channel {
-        Channel {
-            name: name.to_string(),
-            pushed: 0,
-            raw: Vec::with_capacity(raw_capacity),
-            raw_head: 0,
-            raw_capacity,
-        }
-    }
-
-    fn push(&mut self, v: f64) {
-        let index = self.pushed;
-        self.pushed += 1;
-        if self.raw.len() < self.raw_capacity {
-            self.raw.push((index, v));
-        } else {
-            self.raw[self.raw_head] = (index, v);
-            self.raw_head = (self.raw_head + 1) % self.raw_capacity;
-        }
-    }
-
     /// Total samples ever pushed into this channel.
     pub fn pushed(&self) -> u64 {
-        self.pushed
+        self.raw.pushed()
     }
 
     /// The raw tail in chronological order, as `(sample index, value)`.
     pub fn raw_tail(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::with_capacity(self.raw.len());
-        for i in 0..self.raw.len() {
-            out.push(self.raw[(self.raw_head + i) % self.raw.len()]);
-        }
-        out
+        let oldest = self.raw.pushed() - self.raw.iter().len() as u64;
+        (oldest..).zip(self.raw.iter().copied()).collect()
     }
 
     /// The most recent value, if any sample was pushed.
     pub fn latest(&self) -> Option<f64> {
-        self.raw_tail().last().map(|&(_, v)| v)
+        self.raw.iter().next_back().copied()
     }
 
     /// The last `n` raw values in chronological order (fewer if the
     /// channel holds fewer).
     pub fn tail_values(&self, n: usize) -> Vec<f64> {
-        let tail = self.raw_tail();
-        let skip = tail.len().saturating_sub(n);
-        tail[skip..].iter().map(|&(_, v)| v).collect()
+        let tail = self.raw.iter();
+        tail.clone().skip(tail.len().saturating_sub(n)).copied().collect()
     }
 }
 
@@ -88,7 +61,8 @@ impl SeriesStore {
     /// `raw_capacity` samples.
     pub fn new(names: &[&str], raw_capacity: usize) -> SeriesStore {
         assert!(raw_capacity > 0, "raw tail must hold at least one sample");
-        let channels = names.iter().map(|n| Channel::new(n, raw_capacity)).collect();
+        let channel = |n: &&str| Channel { name: n.to_string(), raw: Ring::new(raw_capacity) };
+        let channels = names.iter().map(channel).collect();
         SeriesStore { raw_capacity, channels }
     }
 
@@ -104,7 +78,7 @@ impl SeriesStore {
 
     /// Rows pushed so far (every channel advances together).
     pub fn rows(&self) -> u64 {
-        self.channels.first().map(|c| c.pushed).unwrap_or(0)
+        self.channels.first().map_or(0, Channel::pushed)
     }
 
     /// Push one sample row, `values` aligned with the channel order the
@@ -112,7 +86,7 @@ impl SeriesStore {
     pub fn push_row(&mut self, values: &[f64]) {
         assert_eq!(values.len(), self.channels.len(), "row width must match channel count");
         for (c, &v) in self.channels.iter_mut().zip(values) {
-            c.push(v);
+            c.raw.push(v);
         }
     }
 
@@ -129,7 +103,7 @@ impl SeriesStore {
             chans.push(format!(
                 "{{\"name\":\"{}\",\"pushed\":{},\"raw\":[{}]}}",
                 crate::json::escape(&c.name),
-                c.pushed,
+                c.pushed(),
                 raw.join(",")
             ));
         }

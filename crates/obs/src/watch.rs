@@ -34,6 +34,7 @@
 
 use crate::event::AlertKind;
 use crate::series::SeriesStore;
+use std::str::FromStr;
 
 /// Condition kinds a [`Rule`] can express.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,17 +259,21 @@ impl Watchdog {
     }
 }
 
-fn parse_f64(params: &[(String, String)], key: &str) -> Option<f64> {
-    params.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.parse().ok())
-}
-
-fn parse_usize(params: &[(String, String)], key: &str) -> Option<usize> {
-    params.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.parse().ok())
+/// The value of `key=` parsed as `T`; `default` when the key is absent
+/// (`None`: the key is required).
+fn param<T: FromStr>(params: &[(&str, &str)], key: &str, default: Option<T>) -> Result<T, String>
+{
+    match params.iter().find(|(k, _)| *k == key) {
+        Some((_, v)) => v.parse().map_err(|_| format!("{key}={v} does not parse")),
+        None => default.ok_or_else(|| format!("needs {key}=")),
+    }
 }
 
 /// Parse the line-oriented rule format (`name: channel kind k=v ...`;
 /// `#` comments and blank lines ignored). See the module docs for
-/// examples and the per-kind parameters.
+/// examples and the per-kind parameters. A key the kind does not read
+/// and a value that does not parse are errors naming the line, like a
+/// malformed line: a rule that can never fire must not load.
 pub fn parse_rules(text: &str) -> Result<Vec<Rule>, String> {
     let mut rules = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -281,40 +286,40 @@ pub fn parse_rules(text: &str) -> Result<Vec<Rule>, String> {
         let mut toks = rest.split_whitespace();
         let channel = toks.next().ok_or_else(|| err("missing channel"))?;
         let kind_tok = toks.next().ok_or_else(|| err("missing kind"))?;
-        let params: Vec<(String, String)> = toks
+        let params: Vec<(&str, &str)> = toks
             .map(|t| {
-                t.split_once('=')
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .ok_or_else(|| err(&format!("bad param {t:?} (want key=value)")))
+                t.split_once('=').ok_or_else(|| err(&format!("bad param {t:?} (want key=value)")))
             })
             .collect::<Result<_, _>>()?;
-        let kind = match kind_tok {
-            "above" => RuleKind::Above {
-                threshold: parse_f64(&params, "threshold").ok_or_else(|| err("above needs threshold="))?,
-            },
-            "below" => RuleKind::Below {
-                threshold: parse_f64(&params, "threshold").ok_or_else(|| err("below needs threshold="))?,
-            },
-            "trend_above" => RuleKind::TrendAbove {
-                window: parse_usize(&params, "window").unwrap_or(16).max(2),
-                rate: parse_f64(&params, "rate").ok_or_else(|| err("trend_above needs rate="))?,
-            },
-            "flatline" => RuleKind::Flatline {
-                window: parse_usize(&params, "window").unwrap_or(16).max(2),
-                eps: parse_f64(&params, "eps").ok_or_else(|| err("flatline needs eps="))?,
-            },
-            "dt_collapse" => RuleKind::DtCollapse {
-                window: parse_usize(&params, "window").unwrap_or(16).max(2),
-                ratio: parse_f64(&params, "ratio").unwrap_or(0.5),
-            },
+        let keys: &[&str] = match kind_tok {
+            "above" | "below" => &["threshold"],
+            "trend_above" => &["window", "rate"],
+            "flatline" => &["window", "eps"],
+            "dt_collapse" => &["window", "ratio"],
             other => return Err(err(&format!("unknown kind {other:?}"))),
+        };
+        let known = |k: &&str| keys.contains(k) || ["for", "clear"].contains(k);
+        if let Some((k, _)) = params.iter().find(|(k, _)| !known(k)) {
+            return Err(err(&format!("unknown key {k:?} for {kind_tok}")));
+        }
+        let fail = |m: String| err(&format!("{kind_tok} {m}"));
+        let num = |key, default| param::<f64>(&params, key, default).map_err(fail);
+        let window = || param::<usize>(&params, "window", Some(16)).map(|w| w.max(2)).map_err(fail);
+        let count = |key| param::<u32>(&params, key, Some(1)).map(|n| n.max(1)).map_err(fail);
+        let kind = match kind_tok {
+            "above" => RuleKind::Above { threshold: num("threshold", None)? },
+            "below" => RuleKind::Below { threshold: num("threshold", None)? },
+            "trend_above" => RuleKind::TrendAbove { window: window()?, rate: num("rate", None)? },
+            "flatline" => RuleKind::Flatline { window: window()?, eps: num("eps", None)? },
+            // "dt_collapse": the `keys` match returned on every other kind.
+            _ => RuleKind::DtCollapse { window: window()?, ratio: num("ratio", Some(0.5))? },
         };
         rules.push(Rule {
             name: name.trim().to_string(),
             channel: channel.to_string(),
             kind,
-            for_samples: parse_usize(&params, "for").unwrap_or(1).max(1) as u32,
-            clear_samples: parse_usize(&params, "clear").unwrap_or(1).max(1) as u32,
+            for_samples: count("for")?,
+            clear_samples: count("clear")?,
         });
     }
     Ok(rules)
@@ -440,9 +445,22 @@ dynamo_stall:  magnetic flatline window=64 eps=1e-12  # trailing comment
         assert_eq!(rules[0].clear_samples, 4);
         assert_eq!(rules[1].kind, RuleKind::Above { threshold: 1e6 });
         assert_eq!(rules[2].channel, "magnetic");
-        assert!(parse_rules("bad line with no colon").is_err());
-        assert!(parse_rules("x: chan unknown_kind").is_err());
-        assert!(parse_rules("x: chan above").is_err(), "above without threshold=");
+        let example = include_str!("../../../examples/watch.rules");
+        assert_eq!(parse_rules(example).map(|r| r.len()), Ok(4), "the shipped sample loads");
+        for (bad, why) in [
+            ("bad line with no colon", "missing `name:`"),
+            ("x: chan unknown_kind", "unknown kind \"unknown_kind\""),
+            ("x: chan above", "above needs threshold="),
+            ("\n\nx: chan dt_collapse windw=8", "rules line 3: unknown key \"windw\""),
+            ("x: chan above threshold=1 eps=2", "unknown key \"eps\" for above"),
+            ("x: chan dt_collapse window=abc", "dt_collapse window=abc does not parse"),
+            ("x: chan above threshold=1 for=x", "above for=x does not parse"),
+            ("x: chan dt_collapse ratio=x", "dt_collapse ratio=x does not parse"),
+            ("x: chan flatline eps=1e-9 clear=-1", "flatline clear=-1 does not parse"),
+        ] {
+            let e = parse_rules(bad).expect_err(bad);
+            assert!(e.starts_with("rules line ") && e.contains(why), "{bad:?}: {e}");
+        }
     }
 
     #[test]

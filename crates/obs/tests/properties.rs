@@ -7,7 +7,8 @@
 //! depend on it. The f64 round-trip must be exact because the drivers
 //! ship histogram words over an f64 allreduce. The flight-recorder ring
 //! must keep the *newest* events when it wraps — a post-mortem wants the
-//! moments before the failure, not the start of the run.
+//! moments before the failure, not the start of the run — and a
+//! snapshot taken while a rank still records must be an in-order run.
 //!
 //! The Chrome trace is the one artifact this crate both writes and
 //! reads back from disk: every event must survive the round trip, and
@@ -181,6 +182,82 @@ fn every_variant(g: &mut Gen) -> Vec<Vec<TimedEvent>> {
         streams[i % 2].push(TimedEvent { ts_ns, event });
     }
     streams
+}
+
+#[test]
+fn ring_keeps_the_newest_events_of_every_variant_with_their_timestamps() {
+    check(
+        "ring_keeps_every_variant",
+        |g| {
+            let mut events = every_variant(g).concat();
+            events.sort_by_key(|te| te.ts_ns);
+            let repeats = g.range_usize(1, 4);
+            (g.range_usize(1, 33), events.repeat(repeats))
+        },
+        |(capacity, events)| {
+            let rec = FlightRecorder::new(*capacity, Instant::now());
+            for te in events {
+                rec.record_at(te.ts_ns, te.event);
+            }
+            let newest = &events[events.len().saturating_sub(*capacity)..];
+            tk_assert!(rec.snapshot() == newest, "capacity {capacity}: {:?}", rec.snapshot());
+            tk_assert!(rec.recorded() == events.len() as u64, "recorded() {}", rec.recorded());
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn a_snapshot_taken_while_the_rank_records_is_a_contiguous_run() {
+    check_with(
+        Config::with_cases(8),
+        "ring_live_snapshot",
+        |g| g.range_usize(1, 257),
+        |&capacity| {
+            const TOTAL: u64 = 10_000;
+            let rec = &FlightRecorder::new(capacity, Instant::now());
+            // The writer stops halfway until a snapshot has seen it there,
+            // so at least one snapshot lands between its first and last
+            // record however the threads are scheduled.
+            let (resume, paused) = std::sync::mpsc::sync_channel(0);
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    for step in 0..TOTAL {
+                        // A failed reader drops `resume`: stop, do not hang.
+                        if step == TOTAL / 2 && paused.recv().is_err() {
+                            return;
+                        }
+                        rec.record(Event::StepBegin { step });
+                    }
+                });
+                let resume = resume;
+                let mut last_recorded = 0;
+                while last_recorded < TOTAL {
+                    let snap = rec.snapshot();
+                    let recorded = rec.recorded();
+                    tk_assert!(recorded >= last_recorded, "recorded() fell to {recorded}");
+                    last_recorded = recorded;
+                    let steps: Vec<u64> = snap
+                        .iter()
+                        .map(|te| match te.event {
+                            Event::StepBegin { step } => step,
+                            other => panic!("unexpected {other:?}"),
+                        })
+                        .collect();
+                    tk_assert!(steps.len() <= capacity, "{} events in {capacity} slots", steps.len());
+                    tk_assert!(steps.windows(2).all(|w| w[1] == w[0] + 1), "a gap: {steps:?}");
+                    tk_assert!(
+                        steps.last().is_none_or(|&s| s < recorded),
+                        "step {steps:?} past recorded() {recorded}"
+                    );
+                    if recorded == TOTAL / 2 {
+                        let _ = resume.try_send(());
+                    }
+                }
+                Ok(())
+            })
+        },
+    );
 }
 
 fn trace_of(streams: &[Vec<TimedEvent>]) -> String {

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use yy_obs::hist::{Histogram, HistogramSnapshot};
 /// The two code spaces the counters are resolved by; `yy-obs` declares
-/// them (names, wire bytes) and this crate indexes its records by them.
+/// them (names, codes) and this crate indexes its records by them.
 pub use yy_obs::event::{Phase as SolverPhase, TrafficClass};
 
 /// Lock-free counters for one rank.

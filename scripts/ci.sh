@@ -67,18 +67,25 @@ gone="retile""_backoff_ms" # split so the deleted-names guard below does not mat
 reject "parallel $gone=1" "unknown config key '$gone'"
 reject "parallel delay=2" "delay must be a probability in [0, 1] (got 2)"
 reject "parallel kill_rank=99" "kill_rank=99 names no rank of the 4-rank layout"
+# A watchdog rule that could never fire fails the launch.
+soak_dir=$(mktemp -d) # scratch for these rules files and every soak below
+trap 'rm -rf "$soak_dir"' EXIT
+echo 'typo: kinetc above threshold=1' >"$soak_dir/channel.rules"
+echo 'typo: dt dt_collapse windw=8' >"$soak_dir/key.rules"
+reject "run telemetry=1 rules=$soak_dir/channel.rules" 'rules line 1: unknown channel "kinetc"'
+reject "run telemetry=1 rules=$soak_dir/key.rules" 'rules line 1: unknown key "windw"'
 # The serial blow-up: `parallel` rolls back and reduces dt; `run` has no checkpoint, and says so.
 reject "run steps=400 cfl=1.0 dt_every=50 perturb=0.5 sample=0" \
   "step 145 (t = 9.5248e-1): density floor violated"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 12 misplaced/unknown/unusable values refused"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 14 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -86,7 +93,7 @@ stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|ob
 echo "OK: no tracked file outside the history names the deleted systems"
 
 echo "==> one-definition guard: a vocabulary name is one literal, a trace record name lives in chrome.rs"
-# yy_obs::event declares each code space once (enum, wire byte, name);
+# yy_obs::event declares each code space once (enum, code, name);
 # a second literal of a name is a mirror somebody has to keep in step.
 # Counted on the non-test lines (up to the first #[cfg(test)]) of the
 # three crates that share the vocabularies.
@@ -106,8 +113,6 @@ stray=$(nontest_hits 'kill injected' | grep -v '^crates/obs/src/chrome.rs:' || t
 echo "OK: phase, health and reason names are single literals; record names stay in chrome.rs"
 
 echo "==> fault-injection soak: seeded drops/delays + a rank kill must recover bit-exactly"
-soak_dir=$(mktemp -d)
-trap 'rm -rf "$soak_dir"' EXIT
 soak="pth=1 pph=2 steps=6 sample=0 nr=12 nth=9"
 # Clean supervised run (checkpointing only, no faults).
 ./target/release/yycore parallel $soak ckpt_every=2 ckpt="$soak_dir/clean.ck" >/dev/null
