@@ -264,10 +264,8 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
     let mut a = cli::parse("parallel", args)?;
     eprintln!("{} ranks: 2 panels x {}x{} tiles", 2 * a.pth * a.pph, a.pth, a.pph);
     // The CLI owns the metrics endpoint (the driver only publishes into
-    // the hub) so `metrics_hold_ms=` can keep it serving the final
-    // state after the run returns — that is what makes
-    // `yycore watch http://...` against a just-finished run race-free.
-    let mut metrics_server = match a.metrics_port {
+    // the hub); it serves until this command returns.
+    let _metrics_server = match a.metrics_port {
         Some(port) => {
             let hub = Arc::new(yy_obs::MetricsHub::new());
             a.recovery.obs.metrics_hub = Some(Arc::clone(&hub));
@@ -394,21 +392,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         }
     }
     print_alerts(&report);
-    finish(&report, &a)?;
-    if let Some(server) = metrics_server.as_mut() {
-        if a.metrics_hold_ms > 0 {
-            eprintln!(
-                "holding metrics endpoint http://{} for {} ms (scrape it with \
-                 `yycore watch http://{}`)",
-                server.local_addr(),
-                a.metrics_hold_ms,
-                server.local_addr()
-            );
-            std::thread::sleep(Duration::from_millis(a.metrics_hold_ms));
-        }
-        server.stop();
-    }
-    Ok(())
+    finish(&report, &a)
 }
 
 /// Reassemble per-rank checkpoint shards into a serial-format
@@ -741,7 +725,6 @@ mod tests {
                 "rules=watch.rules",
                 "dt_collapse_factor=0.25",
                 "dt_collapse_at=10",
-                "metrics_hold_ms=1500",
             ],
         )
         .unwrap();
@@ -749,7 +732,6 @@ mod tests {
         assert_eq!(a.recovery.obs.rules.as_deref(), Some(Path::new("watch.rules")));
         let inj = a.recovery.dt_inject.expect("injector armed");
         assert_eq!((inj.at_step, inj.factor), (10, 0.25));
-        assert_eq!(a.metrics_hold_ms, 1500);
         // The factor alone arms nothing.
         let off = parse("run", &["telemetry=0", "dt_collapse_factor=0.25"]).unwrap();
         assert!(off.recovery.dt_inject.is_none() && !off.recovery.obs.series);

@@ -145,7 +145,6 @@ pub struct Args {
     pub report_json: Option<PathBuf>,
     pub resume: Option<PathBuf>,
     pub metrics_port: Option<u16>,
-    pub metrics_hold_ms: u64,
     pub step: Option<u64>,
     pub report: Option<PathBuf>,
     pub interval_ms: u64,
@@ -177,7 +176,6 @@ impl Default for Args {
             report_json: None,
             resume: None,
             metrics_port: None,
-            metrics_hold_ms: 0,
             step: None,
             report: None,
             interval_ms: 1000,
@@ -207,7 +205,7 @@ fn dt_collapse(a: &mut Args) -> &mut DtInject {
 }
 
 /// Every key that is not a [`RunConfig`] field.
-pub const KEYS: [Key<Args>; 40] = [
+pub const KEYS: [Key<Args>; 39] = [
     key!("steps", "N", STEPPED, "total steps [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
@@ -228,8 +226,6 @@ pub const KEYS: [Key<Args>; 40] = [
         |a, v| a.recovery.obs.profile_every = num(v)?),
     key!("metrics_port", "N", PAR, "serve the live Prometheus exposition on 127.0.0.1:N",
         |a, v| a.metrics_port = Some(num(v)?)),
-    key!("metrics_hold_ms", "N", PAR, "keep the endpoint up this long after the run, for `watch`",
-        |a, v| a.metrics_hold_ms = num(v)?),
     // Output pipeline (DESIGN.md §6h).
     key!("snapshot_every", "N", RUN, "stream an equatorial slice every N steps + live energy.csv",
         |a, v| a.stream.snapshot_every = num(v)?),
@@ -443,7 +439,7 @@ mod tests {
     #[test]
     fn help_lists_every_row_once_and_each_command_its_own() {
         let rows: Vec<_> = all_rows().collect();
-        assert_eq!(rows.len(), 57);
+        assert_eq!(rows.len(), 56);
         for (i, (name, _, _, readers)) in rows.iter().enumerate() {
             assert!(rows[..i].iter().all(|r| r.0 != *name), "duplicate key '{name}'");
             assert!(!readers.is_empty(), "nobody reads '{name}'");

@@ -52,8 +52,7 @@ pub struct ObsOpts {
     pub profile_every: u64,
     /// Metrics hub rank 0 publishes the live Prometheus exposition
     /// into. The caller owns the endpoint: the CLI binds a
-    /// [`yy_obs::MetricsServer`] on it (so the endpoint can outlive the
-    /// run), tests scrape it without a socket.
+    /// [`yy_obs::MetricsServer`] on it, tests scrape it without a socket.
     pub metrics_hub: Option<Arc<MetricsHub>>,
     /// Arm the science-telemetry layer: a
     /// [`yy_obs::SeriesStore`] fed at the sample cadence plus the

@@ -115,6 +115,7 @@ pub fn run_parallel(
         profile_every: 0,
         metrics: None,
         shards: None,
+        science: None,
     };
     // The gathered panels are the panels of a final checkpoint.
     let slot = gather_state.then(|| Mutex::new(None));
@@ -459,6 +460,12 @@ mod tests {
             obs: ObsOpts { trace: Some("/nonexistent-yy/x.json".into()), ..ObsOpts::default() },
             ..RecoveryOpts::default()
         };
+        // No rank probes the equatorial ring, so this rule could never fire.
+        let rules = std::env::temp_dir().join(format!("yy_par_rules_{}", std::process::id()));
+        let text = "fine: dt above threshold=1\ncolumns: dominant_m above threshold=4\n";
+        std::fs::write(&rules, text).expect("write rules file");
+        let armed = ObsOpts { series: true, rules: Some(rules.clone()), ..ObsOpts::default() };
+        let serial_only = RecoveryOpts { obs: armed.clone(), ..RecoveryOpts::default() };
         let us = Duration::from_micros(1);
         let cases = [
             (fault(FaultSpec::seeded(1).with_delay(2.0, us)), "delay"),
@@ -470,6 +477,7 @@ mod tests {
             (collapse(2.0), "dt_collapse_factor"),
             (collapse(0.0), "dt_collapse_factor"),
             (trace, "trace=/nonexistent-yy/x.json"),
+            (serial_only, "rules line 2: channel \"dominant_m\" is recorded by serial runs only"),
         ];
         for (opts, key) in cases {
             let err = run_parallel_supervised(&quick_cfg(), 1, 2, 1, 0, &opts)
@@ -477,6 +485,10 @@ mod tests {
             assert_eq!(err.lines().count(), 1, "{key}: {err}");
             assert!(err.starts_with(key), "'{err}' does not lead with {key}");
         }
+        // The serial driver fills the channel, so `run` takes the file.
+        let mut sim = SerialSim::new(quick_cfg());
+        sim.arm_telemetry(&armed).expect("a serial run records dominant_m");
+        std::fs::remove_file(&rules).ok();
     }
 
     /// The blow-up configuration of the hang report: a violent start at

@@ -9,7 +9,7 @@ use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
 use crate::output::{pack_shard_payload, shard_file_name, CkptCodec, OutputStage, ShardMeta};
 use crate::report::{IoStats, TimeSeriesPoint};
-use crate::telemetry::DtInject;
+use crate::telemetry::{DtInject, ScienceTelemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,7 +18,7 @@ use yy_mesh::Decomp2D;
 use yy_mhd::State;
 use yy_obs::counters::{CounterSnapshot, Kernel, KernelTally};
 use yy_obs::event::{CounterTrack, Gauge};
-use yy_obs::{prometheus_text, Event, MetricsHub};
+use yy_obs::{prometheus_text, science_gauges_text, Event, MetricsHub};
 use yy_parcomm::stats::SolverPhase;
 use yy_parcomm::{Comm, ReduceOp};
 
@@ -42,6 +42,20 @@ pub(super) struct PassPlan {
     pub(super) metrics: Option<Arc<MetricsHub>>,
     /// Write this rank's owned region at every checkpoint event.
     pub(super) shards: Option<ShardCfg>,
+    /// Armed science telemetry, never fed: rank 0 of every pass feeds a
+    /// fresh clone at its samples. It only reads the series, so armed
+    /// runs stay bit-identical to unarmed ones.
+    pub(super) science: Option<ScienceTelemetry>,
+}
+
+/// Rank 0's feed of one just-taken sample: the watchdog sees it with
+/// this rank's own step wall, and each alert edge enters the flight
+/// recorder as it fires.
+fn feed(tel: &mut ScienceTelemetry, world: &Comm, point: &TimeSeriesPoint, step_wall_ms: f64) {
+    for a in tel.record(point, step_wall_ms, None) {
+        let (kind, firing, step) = (a.kind, a.firing, a.step);
+        world.record_event(Event::Alert { rule: a.rule_index as u32, kind, firing, step });
+    }
 }
 
 /// Collective verdict: `Ok` on every rank, or — when any rank brings a
@@ -100,6 +114,10 @@ pub(super) fn rank_program(
         }
     };
     record(&solver, &state, dt_cache, &mut series);
+    // Rank 0 keeps the series, so it alone feeds the watchdog, from a
+    // fresh copy each pass as the series starts fresh.
+    let mut science = plan.science.as_ref().filter(|_| world.rank() == 0).cloned();
+    let mut step_wall_ms = 0.0;
 
     // A fresh pass seeds the checkpoint slot with the initial state so
     // even a failure before the first periodic capture can recover.
@@ -136,6 +154,7 @@ pub(super) fn rank_program(
             None => dt_cache,
         };
         solver.advance(&mut state, dt);
+        step_wall_ms = step_started.elapsed().as_secs_f64() * 1e3;
         let scan_t0 = solver.meter.timer();
         let local = guard.check_state(&state);
         {
@@ -152,6 +171,9 @@ pub(super) fn rank_program(
         )?;
         if plan.sample_every > 0 && solver.step % plan.sample_every == 0 {
             record(&solver, &state, dt, &mut series);
+            if let (Some(tel), Some(point)) = (science.as_mut(), series.last()) {
+                feed(tel, &world, point, step_wall_ms);
+            }
         }
         if plan.checkpoint_every > 0
             && solver.step % plan.checkpoint_every == 0
@@ -200,12 +222,16 @@ pub(super) fn rank_program(
                 words.extend(world.stats().phase_ns.map(|ns| ns as f64));
                 let merged = world.allreduce_vec(&words, ReduceOp::Sum);
                 if world.rank() == 0 {
-                    hub.publish(prometheus_text(
+                    let mut body = prometheus_text(
                         &CounterSnapshot::from_f64s(&merged[..nwords]),
                         solver.step,
                         world.stats().max_queue_depth,
                         &std::array::from_fn(|p| merged[nwords + p] / 1e9),
-                    ));
+                    );
+                    if let Some(tel) = &science {
+                        body.push_str(&science_gauges_text(&tel.gauges()));
+                    }
+                    hub.publish(body);
                 }
             }
         }
@@ -214,7 +240,11 @@ pub(super) fn rank_program(
     // if the last loop iteration did not already sample this step).
     let d = solver.reduce_diag(&state);
     if world.rank() == 0 && series.last().map(|p| p.step) != Some(solver.step) {
-        series.push(TimeSeriesPoint { step: solver.step, time: solver.time, dt: dt_cache, diag: d });
+        let point = TimeSeriesPoint { step: solver.step, time: solver.time, dt: dt_cache, diag: d };
+        if let Some(tel) = science.as_mut() {
+            feed(tel, &world, &point, step_wall_ms);
+        }
+        series.push(point);
     }
 
     // The zero-allocation guarantee: after warmup the step path must be
@@ -282,6 +312,10 @@ pub(super) fn rank_program(
     report.grid_points = solver.grid.total_points();
     report.io = IoStats { writer_wait_s: report.phases.get(SolverPhase::WriterWait), ..io };
     report.series = series;
+    if let Some(tel) = science {
+        report.alerts = tel.alerts().to_vec();
+        report.telemetry = Some(tel.store().to_json());
+    }
     Ok(Some(ParallelReport { report, yin: None, yang: None, achieved_imbalance }))
 }
 

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use yy_mesh::partition::MIN_TILE_WIDTH;
 use yy_mesh::{Decomp2D, PatchGrid};
-use yy_obs::{analyze, science_gauges_text, AnalysisInput, Event, RecorderSet};
+use yy_obs::{analyze, AnalysisInput, Event, RecorderSet};
 use yy_parcomm::{FailureKind, FaultPlan, RankFailure, SupervisedOpts, Universe};
 
 /// How one supervised pass ended, as the recovery policy sees it.
@@ -192,11 +192,6 @@ pub(super) struct Supervisor<'a> {
     /// ring contents survive the teardown of a failed pass and can be
     /// dumped as a post-mortem.
     recorders: Option<Arc<RecorderSet>>,
-    /// Science telemetry is supervisor-owned: built up front (so a bad
-    /// rules file fails the launch, not the landing) and fed from the
-    /// final pass's diagnostic series after success. The rank program
-    /// never sees it — armed runs stay bit-identical to unarmed ones.
-    science: Option<ScienceTelemetry>,
     slot: CkptSlot,
     plan: PassPlan,
     pub(super) policy: PolicyState,
@@ -269,7 +264,6 @@ impl<'a> Supervisor<'a> {
                 .is_active()
                 .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
             recorders,
-            science: ScienceTelemetry::from_opts(&opts.obs)?,
             slot: Mutex::new(opts.resume_from.clone()),
             plan: PassPlan {
                 steps,
@@ -282,6 +276,8 @@ impl<'a> Supervisor<'a> {
                 profile_every: opts.obs.profile_every,
                 metrics: opts.obs.metrics_hub.clone(),
                 shards,
+                // Built here, so a bad rules file fails the launch.
+                science: ScienceTelemetry::from_opts(&opts.obs, false)?,
             },
             policy: PolicyState::new(opts, pth, pph),
             recoveries: Vec::new(),
@@ -424,9 +420,9 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Assemble the report of a completed run: the final pass's report
-    /// plus the post-run diagnosis, the science telemetry, the trace and
-    /// the supervisor's own record.
-    pub(super) fn finish(mut self, pass: Pass) -> Result<SupervisedReport, String> {
+    /// plus the post-run diagnosis, the trace and the supervisor's own
+    /// record.
+    pub(super) fn finish(self, pass: Pass) -> Result<SupervisedReport, String> {
         let rep = pass.report.ok_or("rank 0 produced no report")?;
         let final_checkpoint =
             lock_slot(&self.slot).take().ok_or("no final checkpoint was captured")?;
@@ -442,35 +438,6 @@ impl<'a> Supervisor<'a> {
                 (0..set.len()).map(|r| (set.rank(r).recorded(), set.rank(r).capacity())).collect();
             report.analysis =
                 analyze(&AnalysisInput { streams: &streams, retained, predicted_imbalance });
-        }
-        if let Some(tel) = self.science.as_mut() {
-            // Feed the sampled series (skipping the pre-loop seed point,
-            // whose dt is a placeholder) and evaluate the watchdog.
-            // Per-sample step wall is not tracked rank-side; the channel
-            // carries NaN for parallel runs (serial runs fill it).
-            for p in report.series.iter().skip(1) {
-                tel.record(p, f64::NAN, None);
-            }
-            // Alert edges become rank-0 trace instants, stamped before
-            // the trace write below so the export carries them.
-            if let Some(set) = &self.recorders {
-                for a in tel.alerts() {
-                    set.rank(0).record(Event::Alert {
-                        rule: a.rule_index as u32,
-                        kind: a.kind,
-                        firing: a.firing,
-                        step: a.step,
-                    });
-                }
-            }
-            // The endpoint's final body gains the science gauges
-            // (energies, dt, dominant m, alert states).
-            if let Some(h) = &self.plan.metrics {
-                let body = format!("{}{}", h.scrape(), science_gauges_text(&tel.gauges()));
-                h.publish(body);
-            }
-            report.alerts = tel.alerts().to_vec();
-            report.telemetry = Some(tel.store_json());
         }
         if let (Some(path), Some(set)) = (&self.opts.obs.trace, &self.recorders) {
             std::fs::write(path, recorders_to_chrome(set))

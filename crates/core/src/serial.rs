@@ -251,7 +251,7 @@ impl SerialSim {
     /// Arm (or disarm) science telemetry per the driver options. Errors
     /// on a bad rules file.
     pub fn arm_telemetry(&mut self, opts: &crate::obs::ObsOpts) -> Result<(), String> {
-        self.telemetry = crate::telemetry::ScienceTelemetry::from_opts(opts)?;
+        self.telemetry = crate::telemetry::ScienceTelemetry::from_opts(opts, true)?;
         Ok(())
     }
 
@@ -530,7 +530,7 @@ impl SerialSim {
             kernels: self.meter.counters().snapshot(),
             series,
             alerts: self.telemetry.as_ref().map(|t| t.alerts().to_vec()).unwrap_or_default(),
-            telemetry: self.telemetry.as_ref().map(|t| t.store_json()),
+            telemetry: self.telemetry.as_ref().map(|t| t.store().to_json()),
             ..RunReport::default()
         })
     }

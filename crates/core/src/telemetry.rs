@@ -32,6 +32,10 @@ pub const CHANNELS: [&str; 9] = [
     "mass",
 ];
 
+/// The channel only the serial driver fills: the equatorial probe needs
+/// the whole field, which a rank does not hold.
+pub const SERIAL_ONLY: &str = "dominant_m";
+
 /// Samples each channel keeps (the built-in rules look back 64 at
 /// most, `yycore watch` draws 48 by default).
 const RAW_CAPACITY: usize = 256;
@@ -90,9 +94,11 @@ impl ScienceTelemetry {
     /// Build from driver options: `None` when `series` is off, the
     /// default geodynamo ruleset when no rules file is given, else the
     /// parsed file. Errors on an unreadable or malformed rules file, or
-    /// one watching a channel outside [`CHANNELS`] — a watchdog that
-    /// silently watches nothing is worse than a failed launch.
-    pub fn from_opts(opts: &ObsOpts) -> Result<Option<ScienceTelemetry>, String> {
+    /// one watching a channel outside [`CHANNELS`] — or, unless `serial`,
+    /// the [`SERIAL_ONLY`] channel, which a parallel run never fills: a
+    /// watchdog that silently watches nothing is worse than a failed
+    /// launch.
+    pub fn from_opts(opts: &ObsOpts, serial: bool) -> Result<Option<ScienceTelemetry>, String> {
         if !opts.series {
             return Ok(None);
         }
@@ -104,15 +110,16 @@ impl ScienceTelemetry {
                 let rules = parse_rules(&text)?;
                 // Each line again on its own, so the error can name it.
                 for (n, line) in text.lines().enumerate() {
-                    let rule = parse_rules(line)?.pop();
-                    if let Some(r) = rule.filter(|r| !CHANNELS.contains(&r.channel.as_str())) {
-                        return Err(format!(
-                            "rules line {}: unknown channel {:?} (channels: {}): {line:?}",
-                            n + 1,
-                            r.channel,
-                            CHANNELS.join(" ")
-                        ));
-                    }
+                    let Some(r) = parse_rules(line)?.pop() else { continue };
+                    let why = if !CHANNELS.contains(&r.channel.as_str()) {
+                        let known = CHANNELS.join(" ");
+                        format!("unknown channel {:?} (channels: {known})", r.channel)
+                    } else if !serial && r.channel == SERIAL_ONLY {
+                        format!("channel {:?} is recorded by serial runs only", r.channel)
+                    } else {
+                        continue;
+                    };
+                    return Err(format!("rules line {}: {why}: {line:?}", n + 1));
                 }
                 rules
             }
@@ -182,11 +189,6 @@ impl ScienceTelemetry {
                 .map(|(i, r)| (r.name.clone(), self.watch.is_firing(i), self.watch.fired_count(i)))
                 .collect(),
         }
-    }
-
-    /// The report's `telemetry` section (the store's JSON document).
-    pub fn store_json(&self) -> String {
-        self.store.to_json()
     }
 }
 
@@ -268,9 +270,9 @@ mod tests {
     #[test]
     fn disarmed_opts_build_nothing_and_armed_build_defaults() {
         let opts = ObsOpts::default();
-        assert!(ScienceTelemetry::from_opts(&opts).unwrap().is_none());
+        assert!(ScienceTelemetry::from_opts(&opts, true).unwrap().is_none());
         let opts = ObsOpts { series: true, ..Default::default() };
-        let tel = ScienceTelemetry::from_opts(&opts).unwrap().expect("armed");
+        let tel = ScienceTelemetry::from_opts(&opts, false).unwrap().expect("armed");
         assert_eq!(tel.store().channels().len(), CHANNELS.len());
         let named: Vec<&str> = tel.store().channels().iter().map(|c| c.name.as_str()).collect();
         assert_eq!(named, CHANNELS.to_vec());
@@ -279,13 +281,13 @@ mod tests {
             rules: Some(std::path::PathBuf::from("/nonexistent/rules")),
             ..Default::default()
         };
-        assert!(ScienceTelemetry::from_opts(&missing).is_err());
+        assert!(ScienceTelemetry::from_opts(&missing, true).is_err());
         // A rule on a channel the store does not have would never fire.
         let path = std::env::temp_dir().join(format!("yy_rules_{}", std::process::id()));
         std::fs::write(&path, "# ok\nfine: dt above threshold=1\ntypo: kinetc above threshold=1\n")
             .unwrap();
         let typo = ObsOpts { series: true, rules: Some(path.clone()), ..Default::default() };
-        let err = ScienceTelemetry::from_opts(&typo).expect_err("unknown channel");
+        let err = ScienceTelemetry::from_opts(&typo, true).expect_err("unknown channel");
         std::fs::remove_file(&path).unwrap();
         assert!(err.starts_with("rules line 3: unknown channel \"kinetc\""), "{err}");
     }

@@ -156,31 +156,50 @@ fn late_sender_is_named_top_straggler_with_reason() {
     assert!(top.detail.contains("lag"), "{}", top.detail);
 }
 
+/// The seeded blow-up rehearsal: series armed, and from step 10 the
+/// applied dt halves every step, which trips `energy_blowup`.
+fn collapse_opts(obs: ObsOpts) -> RecoveryOpts {
+    RecoveryOpts {
+        deadline: Duration::from_secs(30),
+        obs: ObsOpts { series: true, ..obs },
+        dt_inject: Some(yycore::DtInject { at_step: 10, factor: 0.5 }),
+        ..RecoveryOpts::default()
+    }
+}
+
+/// The `step_wall_ms` samples of an armed report's telemetry section
+/// (NaN where the store holds none).
+fn step_walls(report: &yycore::RunReport) -> Vec<f64> {
+    let text = report.telemetry.as_deref().expect("telemetry armed");
+    let doc = yy_obs::Json::parse(text).expect("telemetry parses");
+    let channels = doc.arr_at("channels").expect("channels");
+    let wall = channels.iter().find(|c| c.str_at("name") == Some("step_wall_ms")).unwrap();
+    let raw = wall.arr_at("raw").expect("raw samples");
+    let ms = |s: &yy_obs::Json| s.as_arr().and_then(|s| s.get(1)).and_then(|v| v.as_f64());
+    raw.iter().map(|s| ms(s).unwrap_or(f64::NAN)).collect()
+}
+
 /// Science telemetry end to end in the supervised driver: a seeded
 /// dt-collapse run with series armed must (a) fire the `energy_blowup`
-/// watchdog rule into the report's `alerts`, (b) stamp the alert edge
-/// into the exported Chrome trace, (c) publish `yy_alert_active` /
-/// `yy_energy` science gauges into the metrics hub, and (d) carry the
-/// series store in the v6 report — while a clean armed run fires
-/// nothing and stays bit-identical to an unarmed one.
+/// watchdog rule into the report's `alerts`, (b) stamp each alert edge
+/// into the exported Chrome trace at the step it fired, (c) publish
+/// `yy_alert_active` / `yy_energy` science gauges into the metrics hub,
+/// and (d) carry the series store, step wall included, in the v6 report
+/// — while a clean armed run fires nothing and stays bit-identical to an
+/// unarmed one.
 #[test]
 fn seeded_collapse_fires_alerts_into_report_trace_and_gauges() {
     use std::sync::Arc;
+    use yy_obs::Event;
     let cfg = quick_cfg();
     let dir = scratch("watchdog");
     let trace = dir.join("trace.json");
     let hub = Arc::new(yy_obs::MetricsHub::new());
-    let opts = RecoveryOpts {
-        deadline: Duration::from_secs(30),
-        obs: ObsOpts {
-            series: true,
-            trace: Some(trace.clone()),
-            metrics_hub: Some(Arc::clone(&hub)),
-            ..ObsOpts::default()
-        },
-        dt_inject: Some(yycore::DtInject { at_step: 10, factor: 0.5 }),
-        ..RecoveryOpts::default()
-    };
+    let opts = collapse_opts(ObsOpts {
+        trace: Some(trace.clone()),
+        metrics_hub: Some(Arc::clone(&hub)),
+        ..ObsOpts::default()
+    });
     let sup = run_parallel_supervised(&cfg, 1, 2, 16, 1, &opts).expect("seeded run completes");
     // (a) Report alerts.
     let fired: Vec<_> = sup.report.alerts.iter().filter(|a| a.firing).collect();
@@ -193,10 +212,28 @@ fn seeded_collapse_fires_alerts_into_report_trace_and_gauges() {
     let doc = yy_obs::Json::parse(&sup.report.to_json()).expect("report parses");
     assert!(!doc.get("alerts").unwrap().as_arr().unwrap().is_empty());
     assert!(doc.get("telemetry").unwrap().get("channels").is_some());
-    // (b) Trace instants.
+    let walls = step_walls(&sup.report);
+    assert!(!walls.is_empty() && walls.iter().all(|ms| ms.is_finite()), "{walls:?}");
+    // (b) Trace instants, each before the next step begins: rank 0
+    // records the edge when the sample fires it.
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let check = yy_obs::validate_chrome_trace(&text).expect("trace valid");
     assert!(check.alerts >= 1, "alert instants in the trace: {check:?}");
+    let streams = yy_obs::streams_from_chrome(&text).expect("trace streams");
+    let rank0 = &streams[0];
+    let mut early = 0;
+    for (i, te) in rank0.iter().enumerate() {
+        if let Event::Alert { step, .. } = te.event {
+            if step < 16 {
+                early += 1;
+                assert!(
+                    rank0[i..].iter().any(|t| t.event == Event::StepBegin { step }),
+                    "alert at step {step} is not followed by that step's begin"
+                );
+            }
+        }
+    }
+    assert!(early >= 1, "the collapse fires before the last step");
     // (c) Science gauges on the endpoint body.
     let body = hub.scrape();
     assert!(body.contains("yy_alert_active{rule=\"energy_blowup\"} 1"), "gauges: {body}");
@@ -238,6 +275,31 @@ fn seeded_collapse_fires_alerts_into_report_trace_and_gauges() {
         "arming telemetry changed the trajectory"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One feed, two drivers: the serial loop and rank 0 of a supervised
+/// 1x2 run each feed the samples of the same trajectory, with their own
+/// step wall, as they take them — so the seeded collapse fires the same
+/// alert edges at the same step and time.
+#[test]
+fn serial_and_parallel_collapse_fire_the_same_edges() {
+    let cfg = quick_cfg();
+    let opts = collapse_opts(ObsOpts::default());
+    let mut sim = yycore::SerialSim::new(cfg.clone());
+    sim.arm_telemetry(&opts.obs).expect("default rules arm");
+    sim.dt_inject = opts.dt_inject;
+    let serial = sim.run(16, 1);
+    let par = run_parallel_supervised(&cfg, 1, 2, 16, 1, &opts).expect("seeded run completes");
+    let edges = |r: &yycore::RunReport| {
+        let edge = |a: &yy_obs::AlertEvent| (a.rule.clone(), a.kind, a.firing, a.step, a.time);
+        r.alerts.iter().map(edge).collect::<Vec<_>>()
+    };
+    assert!(serial.alerts.iter().any(|a| a.firing), "the collapse fires: {:?}", serial.alerts);
+    assert_eq!(edges(&serial), edges(&par.report));
+    for walls in [step_walls(&serial), step_walls(&par.report)] {
+        assert_eq!(walls.len(), 16, "one fed sample per step");
+        assert!(walls.iter().all(|ms| ms.is_finite()), "{walls:?}");
+    }
 }
 
 /// Step-wall histograms merge across ranks: an 8-rank run over `n`

@@ -41,13 +41,6 @@ impl VectorField {
         self.p.axpy(c, &other.p);
     }
 
-    /// `self ← other + c * delta` on every component.
-    pub fn assign_axpy(&mut self, other: &VectorField, c: f64, delta: &VectorField) {
-        self.r.assign_axpy(&other.r, c, &delta.r);
-        self.t.assign_axpy(&other.t, c, &delta.t);
-        self.p.assign_axpy(&other.p, c, &delta.p);
-    }
-
     /// Fused `self ← self + a·delta` and `stage ← base + c·delta` on
     /// every component (see [`Array3::axpy_and_assign_axpy`]).
     pub fn axpy_and_assign_axpy(

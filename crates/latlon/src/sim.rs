@@ -7,12 +7,12 @@ use geomath::rng::{node_key, node_noise};
 use std::time::Instant;
 use yy_field::Meters;
 use yy_mesh::{Metric, Panel};
-use yy_mhd::rhs::{InteriorRange, RhsScratch};
+use yy_mhd::rhs::{sweep_rhs, InteriorRange, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
-    apply_physical_bc, cfl_timestep, compute_rhs, hydrostatic_profile,
-    init::InitOptions, timestep::rho_min_owned, wave_speed_max, Diagnostics, ForceTables,
-    MagneticBc, PhysParams, State,
+    apply_physical_bc, cfl_timestep, hydrostatic_profile, init::InitOptions,
+    timestep::rho_min_owned, wave_speed_max, Diagnostics, ForceTables, MagneticBc, PhysParams,
+    State,
 };
 
 /// Ghost fill for the full sphere: periodic in φ, antipodal across the
@@ -70,9 +70,10 @@ pub struct LatLonSim {
     range: InteriorRange,
     /// The full-sphere state.
     pub state: State,
+    // RK4 work buffers: the step-head state and the two stage states the
+    // stages ping-pong between.
     y0: State,
-    k: State,
-    stage: State,
+    stage: [State; 2],
     scratch: RhsScratch,
     /// Exact FLOP counter.
     pub meter: Meters,
@@ -124,8 +125,7 @@ impl LatLonSim {
             cfl: 0.3,
             range,
             y0: State::zeros(shape),
-            k: State::zeros(shape),
-            stage: State::zeros(shape),
+            stage: [State::zeros(shape), State::zeros(shape)],
             scratch: RhsScratch::new(shape),
             meter: Meters::new(),
             time: 0.0,
@@ -137,15 +137,9 @@ impl LatLonSim {
         sim
     }
 
-    fn fill_state(grid: &LatLonGrid, params: &PhysParams, mag_bc: MagneticBc, s: &mut State) {
-        fill_sphere(s, grid, params.t_inner, mag_bc);
-    }
-
     /// Ghost fill of the main state.
     pub fn fill(&mut self) {
-        let mut s = std::mem::replace(&mut self.state, State::zeros(self.grid.shape()));
-        Self::fill_state(&self.grid, &self.params, self.mag_bc, &mut s);
-        self.state = s;
+        fill_sphere(&mut self.state, &self.grid, self.params.t_inner, self.mag_bc);
     }
 
     /// CFL step — limited by the pole-adjacent cells.
@@ -160,27 +154,34 @@ impl LatLonSim {
         )
     }
 
-    /// One RK4 step.
+    /// One RK4 step: each stage's sweep combines its tendency into the
+    /// step inside the RHS sink, as the Yin-Yang drivers step.
     pub fn advance(&mut self, dt: f64) {
-        let weights = geomath::rk4::RK4_WEIGHTS;
-        let nodes = [0.5, 0.5, 1.0];
+        // The sweep writes interior nodes only, and the fill leaves the
+        // wall ρ (and conducting-wall A) alone: the stage buffers take
+        // those frozen values here.
         self.y0.copy_from(&self.state);
-        self.stage.copy_from(&self.state);
+        for buf in &mut self.stage {
+            buf.copy_walls_from(&self.state);
+        }
         for s in 0..4 {
-            compute_rhs(
-                &self.stage,
+            // Stage s reads the buffer stage s−1 built (the step head for
+            // s = 0) and builds the other one.
+            let [a, b] = &mut self.stage;
+            let (next, cur) = if s % 2 == 0 { (a, &*b) } else { (b, &*a) };
+            let mut sink = RhsSink::rk4_stage(s, dt, &mut self.state, &self.y0, next);
+            sweep_rhs(
+                if s == 0 { &self.y0 } else { cur },
                 &self.metric,
                 &self.forces,
                 &self.params,
                 &self.range,
                 &mut self.scratch,
-                &mut self.k,
+                &mut sink,
                 &mut self.meter,
             );
-            self.state.axpy(dt * weights[s], &self.k);
             if s < 3 {
-                self.stage.assign_axpy(&self.y0, dt * nodes[s], &self.k);
-                Self::fill_state(&self.grid, &self.params, self.mag_bc, &mut self.stage);
+                fill_sphere(next, &self.grid, self.params.t_inner, self.mag_bc);
             }
         }
         self.fill();
@@ -308,6 +309,39 @@ mod tests {
                 assert_eq!(sim.state.press.at(i, j, nph as isize), sim.state.press.at(i, j, 0));
             }
         }
+    }
+
+    /// The fused step (each stage combined inside the RHS sink) lands on
+    /// the state the unfused sequence builds: a stored tendency, a
+    /// separate combine pass, and a fill of every stage.
+    #[test]
+    fn fused_step_matches_the_unfused_sequence() {
+        let mut fused = quick();
+        let mut plain = quick();
+        let mut k = State::zeros(plain.grid.shape());
+        let mut y0 = k.clone();
+        let mut stage = k.clone();
+        let (w, c) = (geomath::rk4::RK4_WEIGHTS, geomath::rk4::RK4_NODES);
+        for _ in 0..5 {
+            let dt = fused.auto_dt();
+            fused.advance(dt);
+            let p = &mut plain;
+            y0.copy_from(&p.state);
+            stage.copy_from(&p.state);
+            for s in 0..4 {
+                let (metric, forces, params, range) = (&p.metric, &p.forces, &p.params, &p.range);
+                let (scratch, meter) = (&mut p.scratch, &mut p.meter);
+                yy_mhd::compute_rhs(&stage, metric, forces, params, range, scratch, &mut k, meter);
+                if s < 3 {
+                    p.state.axpy_and_assign_axpy(dt * w[s], &k, &mut stage, &y0, dt * c[s + 1]);
+                    fill_sphere(&mut stage, &p.grid, p.params.t_inner, p.mag_bc);
+                } else {
+                    p.state.axpy(dt * w[s], &k);
+                }
+            }
+            p.fill();
+        }
+        assert!(fused.state == plain.state, "the fused step moved the trajectory");
     }
 
     #[test]

@@ -70,18 +70,11 @@ impl State {
         self.a.axpy(c, &other.a);
     }
 
-    /// `self ← base + c · delta` on all eight arrays.
-    pub fn assign_axpy(&mut self, base: &State, c: f64, delta: &State) {
-        self.rho.assign_axpy(&base.rho, c, &delta.rho);
-        self.press.assign_axpy(&base.press, c, &delta.press);
-        self.f.assign_axpy(&base.f, c, &delta.f);
-        self.a.assign_axpy(&base.a, c, &delta.a);
-    }
-
     /// Fused RK4 combine on all eight arrays: `self ← self + a·delta`
     /// and `stage ← base + c·delta` in one traversal of `delta` —
-    /// bit-identical to `axpy` followed by `assign_axpy` with the same
-    /// coefficients, reading the stage tendency once instead of twice.
+    /// bit-identical to `axpy` followed by [`Array3::assign_axpy`] with
+    /// the same coefficients, reading the stage tendency once instead of
+    /// twice.
     pub fn axpy_and_assign_axpy(
         &mut self,
         a: f64,
@@ -180,17 +173,6 @@ mod tests {
         assert_eq!(a.rho.at(1, 1, 1), 1.0);
         assert_eq!(a.a.p.at(1, 1, 1), -2.0);
         assert_eq!(a.press.at(1, 1, 1), 0.0);
-    }
-
-    #[test]
-    fn assign_axpy_builds_stage_state() {
-        let mut base = State::zeros(shape());
-        base.rho.fill(1.0);
-        let mut k = State::zeros(shape());
-        k.rho.fill(10.0);
-        let mut stage = State::zeros(shape());
-        stage.assign_axpy(&base, 0.1, &k);
-        assert!((stage.rho.at(0, 0, 0) - 2.0).abs() < 1e-15);
     }
 
     #[test]

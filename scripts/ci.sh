@@ -74,18 +74,24 @@ echo 'typo: kinetc above threshold=1' >"$soak_dir/channel.rules"
 echo 'typo: dt dt_collapse windw=8' >"$soak_dir/key.rules"
 reject "run telemetry=1 rules=$soak_dir/channel.rules" 'rules line 1: unknown channel "kinetc"'
 reject "run telemetry=1 rules=$soak_dir/key.rules" 'rules line 1: unknown key "windw"'
+# No rank probes the equatorial ring, so a parallel rule on it never fires.
+echo 'columns: dominant_m above threshold=4' >"$soak_dir/serial.rules"
+reject "parallel telemetry=1 rules=$soak_dir/serial.rules" \
+  'rules line 1: channel "dominant_m" is recorded by serial runs only'
+gone="metrics_hol""d_ms" # split like the one above
+reject "parallel $gone=1" "unknown config key '$gone'"
 # The serial blow-up: `parallel` rolls back and reduces dt; `run` has no checkpoint, and says so.
 reject "run steps=400 cfl=1.0 dt_every=50 perturb=0.5 sample=0" \
   "step 145 (t = 9.5248e-1): density floor violated"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 14 misplaced/unknown/unusable values refused"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 16 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -308,12 +314,13 @@ echo "$watch_out" | grep -q 'alert energy_blowup (dt-collapse): FIRED' || {
   echo "$watch_out" >&2; exit 1; }
 echo "$watch_out" | grep -q 'kinetic' || {
   echo "ERROR: watch (file mode) did not render channel panels" >&2; exit 1; }
-# URL mode: re-run the seeded collapse serving live metrics, and hold
-# the endpoint open after the run ends so the single-frame watcher can
-# scrape the final science gauges race-free.
+# URL mode: the seeded collapse again, serving live metrics, on a grid
+# large enough that the alert stays FIRING for seconds, and with more
+# steps than it will ever finish: the watcher must see the alert while
+# the run is still stepping, then the run is killed.
 wport=${YY_CI_WATCH_PORT:-19184}
-./target/release/yycore parallel $wsoak telemetry=1 dt_collapse_at=10 \
-  metrics_port="$wport" metrics_hold_ms=30000 >/dev/null 2>&1 &
+./target/release/yycore parallel pth=1 pph=2 steps=100000 sample=1 nr=24 nth=17 \
+  telemetry=1 dt_collapse_at=10 metrics_port="$wport" >/dev/null 2>&1 &
 wpid=$!
 live_ok=0
 for _ in $(seq 1 40); do
@@ -326,8 +333,8 @@ done
 kill "$wpid" 2>/dev/null || true
 wait "$wpid" 2>/dev/null || true
 [ "$live_ok" = 1 ] || {
-  echo "ERROR: watch (URL mode) never saw the firing alert gauge" >&2; exit 1; }
-echo "OK: yycore watch renders file and live-endpoint dashboards"
+  echo "ERROR: watch (URL mode) never saw the firing alert gauge of a running run" >&2; exit 1; }
+echo "OK: yycore watch renders the report artifact and a running run's live gauges"
 
 echo "==> profile smoke: roofline table + measured-profile ES projection"
 profile_out=$(./target/release/yycore profile steps=3)
