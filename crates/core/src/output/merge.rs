@@ -79,44 +79,45 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
     let Some(&first_rank) = ranks.first() else {
         return Err(invalid(format!("no shards for step {step} in {}", dir.display())));
     };
-    let first = load_shard(dir, step, first_rank)?;
-    let world = (2 * first.0.pth * first.0.pph) as usize;
+    let (first, first_raw) = load_shard(dir, step, first_rank)?;
+    let world = (2 * first.pth * first.pph) as usize;
     if ranks != (0..world).collect::<Vec<_>>() {
         return Err(invalid(format!(
             "shard set at step {step} is incomplete: layout {}x{} needs ranks 0..{world}, \
              found {ranks:?}",
-            first.0.pth, first.0.pph
+            first.pth, first.pph
         )));
     }
     let grid = cfg.grid();
     let shape = grid.full_shape();
-    if first.0.shape != shape {
+    if first.shape != shape {
         return Err(invalid(format!(
             "shard geometry {:?} does not match the run configuration {:?}",
-            first.0.shape, shape
+            first.shape, shape
         )));
     }
     let mut ck = Checkpoint::blank(cfg, &grid);
     // Coverage check: each panel's interior must be tiled exactly once.
     let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
+    let mut first_raw = Some(first_raw);
+    let mut vals: Vec<f64> = Vec::new();
     for rank in 0..world {
-        let (meta, raw) = if rank == first.0.rank as usize {
-            first.clone()
-        } else {
-            load_shard(dir, step, rank)?
+        let (meta, raw) = match first_raw.take_if(|_| rank == first.rank as usize) {
+            Some(raw) => (first, raw),
+            None => load_shard(dir, step, rank)?,
         };
         for (what, a, b) in [
-            ("layout", meta.pth, first.0.pth),
-            ("layout", meta.pph, first.0.pph),
-            ("step", meta.step, first.0.step),
-            ("time", meta.time.to_bits(), first.0.time.to_bits()),
-            ("dt cache", meta.dt_cache.to_bits(), first.0.dt_cache.to_bits()),
+            ("layout", meta.pth, first.pth),
+            ("layout", meta.pph, first.pph),
+            ("step", meta.step, first.step),
+            ("time", meta.time.to_bits(), first.time.to_bits()),
+            ("dt cache", meta.dt_cache.to_bits(), first.dt_cache.to_bits()),
         ] {
             if a != b {
                 return Err(invalid(format!(
                     "shard set at step {step} is inconsistent: rank {rank} disagrees with \
                      rank {} on the {what}",
-                    first.0.rank
+                    first.rank
                 )));
             }
         }
@@ -141,11 +142,11 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             }
         }
         // Place the owned block.
+        vals.clear();
         // `chunks_exact(8)` yields eight-byte slices.
-        let vals: Vec<f64> = raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
+        vals.extend(
+            raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
         let region = meta.global_region();
         let mut rest: &[f64] = &vals;
         let panel = if meta.panel == 0 { &mut ck.yin } else { &mut ck.yang };
@@ -163,7 +164,7 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             )));
         }
     }
-    ck.seal(cfg, &overset_columns(&grid), step, first.0.time, first.0.dt_cache);
+    ck.seal(cfg, &overset_columns(&grid), step, first.time, first.dt_cache);
     Ok(ck)
 }
 

@@ -6,7 +6,7 @@ use super::codec::{rle_decode, rle_encode, xor_with, CkptCodec};
 use crate::checkpoint::{
     check_footer, invalid, read_exact_ctx, read_header, read_u64, Crc32, HashingReader, MAX_DIM,
 };
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use yy_field::{Region, Shape};
 use yy_mhd::State;
@@ -185,12 +185,14 @@ pub(crate) fn encode_shard(
     (flags, base_step)
 }
 
-/// Read one shard: header and **decoded** (uncompressed) payload, with
-/// the CRC footer verified over header + uncompressed bytes. `base`
-/// resolves a delta shard's base payload by step; self-contained shards
-/// never call it.
-pub(crate) fn read_shard<R: Read>(
-    r: &mut R,
+/// Read one shard from the file image `r` (advanced past it): header and
+/// **decoded** (uncompressed) payload, with the CRC footer verified over
+/// header + uncompressed bytes. `base` resolves a delta shard's base
+/// payload by step; self-contained shards never call it. Both payload
+/// lengths are checked against the bytes actually present before
+/// anything is sized by them.
+pub(crate) fn read_shard(
+    r: &mut &[u8],
     base: &mut dyn FnMut(u64) -> io::Result<Vec<u8>>,
 ) -> io::Result<(ShardMeta, Vec<u8>)> {
     let mut hr = HashingReader { inner: r, crc: Crc32::new(), len: 0 };
@@ -261,24 +263,41 @@ pub(crate) fn read_shard<R: Read>(
              bytes; header is corrupt"
         )));
     }
-    let header_len = hr.len;
-    let mut header_crc = hr.crc;
-    let mut encoded = vec![0u8; enc_len as usize];
-    // Read the encoded payload from the *raw* reader: the CRC hashes the
-    // decoded bytes instead.
-    read_exact_ctx(hr.inner, &mut encoded, "shard payload")?;
-    let mut raw = Vec::with_capacity(raw_len as usize);
-    if flags & FLAG_RLE != 0 {
-        rle_decode(&encoded, raw_len as usize, &mut raw)?;
-    } else {
-        if encoded.len() != raw_len as usize {
+    let (header_len, mut header_crc) = (hr.len, hr.crc);
+    // The encoded payload is taken from the *raw* image: the CRC hashes
+    // the decoded bytes instead.
+    let rest: &[u8] = hr.inner;
+    let Some((encoded, footer)) =
+        usize::try_from(enc_len).ok().and_then(|n| rest.split_at_checked(n))
+    else {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "shard truncated: encoded length {enc_len} exceeds the {} bytes left in the file",
+                rest.len()
+            ),
+        ));
+    };
+    *hr.inner = footer;
+    let mut raw = if flags & FLAG_RLE != 0 {
+        // A repeat frame turns 2 bytes into at most 130.
+        if raw_len > 65 * enc_len {
             return Err(invalid(format!(
-                "shard raw payload is {} bytes, header records {raw_len}",
-                encoded.len()
+                "shard payload length {raw_len} exceeds 65 x the encoded length {enc_len}, the \
+                 codec's largest expansion; header is corrupt"
             )));
         }
-        raw = encoded;
-    }
+        let mut raw = Vec::with_capacity(raw_len as usize);
+        rle_decode(encoded, raw_len as usize, &mut raw)?;
+        raw
+    } else {
+        if enc_len != raw_len {
+            return Err(invalid(format!(
+                "shard raw payload is {enc_len} bytes, header records {raw_len}"
+            )));
+        }
+        encoded.to_vec()
+    };
     if flags & FLAG_DELTA != 0 {
         if base_step == NO_BASE {
             return Err(invalid(

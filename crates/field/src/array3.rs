@@ -94,6 +94,16 @@ impl Array3 {
         Array3 { shape, data: vec![value; shape.len()] }
     }
 
+    /// Take `data` as the storage of `shape` (laid out as [`Shape::idx`]
+    /// indexes it).
+    ///
+    /// # Panics
+    /// If `data` does not hold exactly `shape.len()` values.
+    pub fn from_vec(shape: Shape, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), shape.len(), "storage length does not match {shape:?}");
+        Array3 { shape, data }
+    }
+
     /// Build from a function of owned-relative indices `(i, j, k)`,
     /// evaluated over the **whole padded range** including ghosts.
     pub fn from_fn<F: FnMut(usize, isize, isize) -> f64>(shape: Shape, mut f: F) -> Self {

@@ -26,6 +26,23 @@ impl State {
         }
     }
 
+    /// Assemble a state from its eight arrays in the canonical order of
+    /// [`State::arrays`].
+    ///
+    /// # Panics
+    /// If the arrays do not all share one shape.
+    pub fn from_arrays(arrays: [Array3; 8]) -> Self {
+        let shape = arrays[0].shape();
+        assert!(arrays.iter().all(|a| a.shape() == shape), "state arrays differ in shape");
+        let [rho, press, fr, ft, fp, ar, at, ap] = arrays;
+        State {
+            rho,
+            press,
+            f: VectorField { r: fr, t: ft, p: fp },
+            a: VectorField { r: ar, t: at, p: ap },
+        }
+    }
+
     /// Shared shape of the eight arrays.
     #[inline]
     pub fn shape(&self) -> Shape {

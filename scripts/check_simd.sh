@@ -20,8 +20,11 @@
 #     helper left out of line puts a call in the loop body and silently
 #     keeps it scalar. The only calls allowed are the up-front
 #     slice-length panics, which reach std through the GOT (`call *`).
-# It also fails if the workspace sources hold more than the one `unsafe`
-# block that selects the wide instantiation.
+# The CRC-32 fold (`yycore::checkpoint::crc32_clmul`) is judged from the
+# same binary: it must exist as a symbol and hold carry-less multiplies.
+# It also fails unless the workspace sources hold exactly the two
+# `unsafe` blocks that call a runtime-detected `#[target_feature]`
+# function: the wide RHS instantiation and the CRC fold.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,19 +37,43 @@ command -v objdump >/dev/null || {
   exit 0
 }
 
-# One `unsafe` in the workspace: the root call in `sweep_rhs`. The
-# source trees hold the unit-test modules too; they have none either.
+# Two `unsafe` in the workspace: the root call in `sweep_rhs` and the
+# CRC dispatch in `Crc32::update`. The source trees hold the unit-test
+# modules too; they have none either.
 unsafe_sites=$(grep -rnE --include='*.rs' '^[^/]*\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' \
   crates/*/src src/ | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ "$(printf '%s' "$unsafe_sites" | grep -c .)" != 1 ] ||
-   ! printf '%s' "$unsafe_sites" | grep -q '^crates/mhd/src/rhs.rs:.*avx2::fused_sweep'; then
-  echo "ERROR: expected exactly one unsafe site (sweep_rhs -> avx2::fused_sweep), found:"
+if [ "$(printf '%s' "$unsafe_sites" | grep -c .)" != 2 ] ||
+   ! printf '%s' "$unsafe_sites" | grep -q '^crates/mhd/src/rhs.rs:.*avx2::fused_sweep' ||
+   ! printf '%s' "$unsafe_sites" | grep -q '^crates/core/src/checkpoint.rs:.*crc32_clmul'; then
+  echo "ERROR: expected exactly two unsafe sites (sweep_rhs -> avx2::fused_sweep," \
+    "Crc32::update -> crc32_clmul), found:"
   printf '%s\n' "$unsafe_sites"
   exit 1
 fi
 
 cargo build --release --offline -p yycore --bin yycore
 bin="${CARGO_TARGET_DIR:-target}/release/yycore"
+
+# The fold: its own (`#[inline(never)]`) symbol, holding the carry-less
+# multiplies; objdump spells them `pclmul{l,h}q{l,h}qdq`.
+clmuls=$(objdump -d -C --no-show-raw-insn "$bin" | awk '
+  /^[0-9a-f]+ <.*>:$/ {
+    sym = $0; sub(/^[0-9a-f]+ </, "", sym); sub(/>:$/, "", sym)
+    sub(/\.llvm\.[0-9]+$/, "", sym); sub(/::h[0-9a-f]+$/, "", sym)
+    fold = (sym == "yycore::checkpoint::crc32_clmul"); if (fold) seen = 1
+    next
+  }
+  fold && $2 ~ /^v?pclmul/ { n++ }
+  END { if (seen) print n + 0; else print "missing" }')
+if [ "$clmuls" = missing ]; then
+  echo "ERROR: the linked yycore has no yycore::checkpoint::crc32_clmul symbol"
+  exit 1
+fi
+if [ "$clmuls" -lt 8 ]; then
+  echo "ERROR: crc32_clmul holds $clmuls pclmulqdq; the four-lane fold alone needs 8"
+  exit 1
+fi
+echo "crc32_clmul: $clmuls pclmulqdq"
 
 objdump -d -C --no-show-raw-insn "$bin" | awk '
   /^[0-9a-f]+ <.*>:$/ {
@@ -81,4 +108,4 @@ objdump -d -C --no-show-raw-insn "$bin" | awk '
     }
     exit bad
   }' | sort
-echo "OK: all 11 RHS kernels and both sink flushes are packed-f64 loops with no call in the body, xmm (baseline) and ymm (avx2)"
+echo "OK: all 11 RHS kernels and both sink flushes are packed-f64 loops with no call in the body, xmm (baseline) and ymm (avx2); the CRC fold is pclmulqdq"

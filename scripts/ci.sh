@@ -83,7 +83,27 @@ reject "parallel $gone=1" "unknown config key '$gone'"
 # The serial blow-up: `parallel` rolls back and reduces dt; `run` has no checkpoint, and says so.
 reject "run steps=400 cfl=1.0 dt_every=50 perturb=0.5 sample=0" \
   "step 145 (t = 9.5248e-1): density floor violated"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 16 misplaced/unknown/unusable values refused"
+# Headers inside the geometry caps (65 536 per axis) that claim petabytes
+# of payload the file does not hold: the readers run out of bytes, not
+# of memory (each once aborted in the allocation).
+le64() { # le64 N...: each N as a little-endian u64 (-1 is u64::MAX)
+  local v i
+  for v in "$@"; do
+    for i in 0 1 2 3 4 5 6 7; do printf "\\$(printf %03o $(((v >> (8 * i)) & 255)))"; done
+  done
+}
+{ printf 'YYCORE\000\002'; le64 65536 65536 65536 2 2 0 0 0; head -c 64 /dev/zero; } \
+  >"$soak_dir/huge.ck"
+reject "slice $soak_dir/huge.ck $soak_dir/huge-slices" \
+  "checkpoint truncated while reading field data"
+mkdir "$soak_dir/huge-shards"
+for r in 0 1; do
+  { printf 'YYCORE\000\003'; le64 65536 65536 65536 2 2 0 0 0 1 1 $r $r 0 65536 0 65536 0 -1 \
+      $((1 << 54)) $((1 << 54)); } >"$soak_dir/huge-shards/step0000000000.r000$r.yys"
+done
+reject "merge $soak_dir/huge-shards $soak_dir/huge-merged.ck" \
+  "shard truncated: encoded length 18014398509481984 exceeds the 0 bytes left in the file"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 18 misplaced/unknown/unusable values refused"
 
 echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
