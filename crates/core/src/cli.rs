@@ -205,7 +205,7 @@ fn dt_collapse(a: &mut Args) -> &mut DtInject {
 }
 
 /// Every key that is not a [`RunConfig`] field.
-pub const KEYS: [Key<Args>; 39] = [
+pub const KEYS: [Key<Args>; 38] = [
     key!("steps", "N", STEPPED, "total steps [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
@@ -235,11 +235,7 @@ pub const KEYS: [Key<Args>; 39] = [
         |a, v| a.recovery.checkpoint_every = num(v)?),
     key!("ckpt_dir", "PATH", PAR, "write per-rank checkpoint shards here (see resume=, `merge`)",
         |a, v| a.recovery.ckpt_dir = Some(v.into())),
-    key!("ckpt_async", "0|1", &["run", "parallel"], "write output on a background thread [1]", |a, v| {
-        a.recovery.ckpt_async = flag(v)?;
-        a.stream.async_mode = a.recovery.ckpt_async
-    }),
-    key!("ckpt_compress", "none|rle|delta", PAR, "shard payload codec [none]",
+    key!("ckpt_compress", "none|delta", PAR, "shard payload codec [none]",
         |a, v| a.recovery.ckpt_compress = CkptCodec::parse(v)?),
     // Fault injection and recovery.
     key!("fault_seed", "N", PAR, "fault-schedule seed [0]", |a, v| a.recovery.fault.seed = num(v)?),
@@ -439,7 +435,7 @@ mod tests {
     #[test]
     fn help_lists_every_row_once_and_each_command_its_own() {
         let rows: Vec<_> = all_rows().collect();
-        assert_eq!(rows.len(), 56);
+        assert_eq!(rows.len(), 55);
         for (i, (name, _, _, readers)) in rows.iter().enumerate() {
             assert!(rows[..i].iter().all(|r| r.0 != *name), "duplicate key '{name}'");
             assert!(!readers.is_empty(), "nobody reads '{name}'");

@@ -10,11 +10,10 @@ pub enum CkptCodec {
     /// Raw little-endian f64 bytes (the v2 discipline).
     #[default]
     Raw,
-    /// Byte-wise run-length compression of the payload.
-    Rle,
     /// XOR-delta against the previous checkpoint's payload, then RLE.
-    /// The first shard of a run (or after a re-tile) is written
-    /// self-contained; later shards name their base step.
+    /// The first shard of a run (or after a re-tile) has no base and is
+    /// written as the self-contained RLE-only shard; later shards name
+    /// their base step.
     Delta,
 }
 
@@ -23,9 +22,8 @@ impl CkptCodec {
     pub fn parse(s: &str) -> Result<CkptCodec, String> {
         match s {
             "none" | "raw" => Ok(CkptCodec::Raw),
-            "rle" => Ok(CkptCodec::Rle),
             "delta" => Ok(CkptCodec::Delta),
-            other => Err(format!("expected none|rle|delta, got '{other}'")),
+            other => Err(format!("expected none|delta, got '{other}'")),
         }
     }
 
@@ -33,7 +31,6 @@ impl CkptCodec {
     pub fn name(&self) -> &'static str {
         match self {
             CkptCodec::Raw => "none",
-            CkptCodec::Rle => "rle",
             CkptCodec::Delta => "delta",
         }
     }

@@ -1,5 +1,5 @@
 //! The overlapped output pipeline: per-rank checkpoint/snapshot shards,
-//! delta + RLE compression, and the async double-buffered writer.
+//! delta + RLE compression, and the double-buffered writer thread.
 //!
 //! The paper's production runs emitted 500 GB 3-D snapshots while
 //! sustaining 15.2 TFlops — output has to hide behind compute the same
@@ -33,10 +33,11 @@
 //!    byte-wise RLE codec (PackBits-style: literal runs and repeat runs,
 //!    worst-case expansion 1/128 + 2 bytes). Delta shards name their
 //!    base step; the merging reader walks the chain back to the nearest
-//!    self-contained shard.
+//!    self-contained shard. `ckpt_compress=` picks `none` or `delta`;
+//!    a `delta` shard with no base is the self-contained RLE-only one.
 //!
 //! 3. **The writer.** [`OutputStage`] owns a two-slot buffer pool and
-//!    (in async mode) one writer thread per rank. The producer packs
+//!    one writer thread per rank. The producer packs
 //!    into a free slot and hands it off; encoding and the file write
 //!    overlap the next RK4 steps when a core is free for the writer,
 //!    and are paid in full when none is — so an event is kept as cheap
@@ -44,7 +45,9 @@
 //!    When both slots are in flight the producer blocks — that
 //!    backpressure is measured and charged to the `writer_wait` phase
 //!    (and the `output` kernel counter), so the run report shows
-//!    exactly how much output cost the pipeline failed to hide.
+//!    exactly how much output cost the pipeline failed to hide. The
+//!    inline write (`OutputStage::new` given `false`) survives only as the
+//!    synchronous oracle of the tests.
 
 mod codec;
 mod merge;
@@ -307,7 +310,7 @@ mod tests {
         let meta = meta_for(&sim, 0, 0);
         let mut raw = Vec::new();
         pack_shard_payload(&sim.yin, meta.tnth as usize, meta.tnph as usize, &mut raw);
-        for codec in [CkptCodec::Raw, CkptCodec::Rle, CkptCodec::Delta] {
+        for codec in [CkptCodec::Raw, CkptCodec::Delta] {
             let file = encode(&meta, &raw, None, codec).0;
             let (back_meta, back_raw) =
                 read_shard(&mut file.as_slice(), &mut no_base).unwrap();
@@ -337,10 +340,11 @@ mod tests {
     }
 
     /// Format v3 pinned, not inferred: (file length, CRC-32 of the whole
-    /// file) for one synthetic block under `none`, `rle`, `delta` with no
-    /// base, and a two-link delta chain — recorded with the byte-wise
-    /// encoder and slice-by-8 CRC of the commit before the word-wise
-    /// rewrite. A change here is a format change.
+    /// file) for one synthetic block under `none`, `delta` with no base
+    /// (the RLE-only shard older binaries also wrote as `rle`), and a
+    /// two-link delta chain — recorded with the byte-wise encoder and
+    /// slice-by-8 CRC of the commit before the word-wise rewrite. A
+    /// change here is a format change.
     #[test]
     fn shard_format_v3_bytes_are_pinned() {
         let shape = Shape::new(8, 6, 10, 2, 2);
@@ -368,7 +372,6 @@ mod tests {
         let (a, b, c) = (payload(0), payload(5), payload(3));
         let files = [
             encode(&meta(0), &a, None, CkptCodec::Raw).0,
-            encode(&meta(0), &a, None, CkptCodec::Rle).0,
             encode(&meta(0), &a, None, CkptCodec::Delta).0,
             encode(&meta(2), &b, Some((0, &a)), CkptCodec::Delta).0,
             encode(&meta(4), &c, Some((2, &b)), CkptCodec::Delta).0,
@@ -384,14 +387,13 @@ mod tests {
         let pinned = [
             (0x78b4, 0xddef_9e72),
             (0x3618, 0xfae4_79c6),
-            (0x3618, 0xfae4_79c6),
             (0x0cc1, 0x8ee7_10da),
             (0x1a29, 0x9c73_9ce7),
         ];
         assert_eq!(got, pinned, "shard format v3 bytes changed");
         // The chain still decodes to the payloads it was built from.
         let mut chain = |s: u64| Ok(if s == 0 { a.clone() } else { b.clone() });
-        assert_eq!(read_shard(&mut files[4].as_slice(), &mut chain).unwrap().1, c);
+        assert_eq!(read_shard(&mut files[3].as_slice(), &mut chain).unwrap().1, c);
     }
 
     #[test]
@@ -425,7 +427,7 @@ mod tests {
         let meta = meta_for(&sim, 0, 0);
         let mut raw = Vec::new();
         pack_shard_payload(&sim.yin, meta.tnth as usize, meta.tnph as usize, &mut raw);
-        let file = encode(&meta, &raw, None, CkptCodec::Rle).0;
+        let file = encode(&meta, &raw, None, CkptCodec::Delta).0;
         // Truncation anywhere names what was being read.
         for cut in [4, 60, 180, file.len() / 2, file.len() - 6, file.len() - 1] {
             let err = read_shard(&mut &file[..cut], &mut no_base).unwrap_err();
@@ -463,11 +465,12 @@ mod tests {
     #[test]
     fn codec_parse_accepts_the_cli_names() {
         assert_eq!(CkptCodec::parse("none"), Ok(CkptCodec::Raw));
-        assert_eq!(CkptCodec::parse("rle"), Ok(CkptCodec::Rle));
         assert_eq!(CkptCodec::parse("delta"), Ok(CkptCodec::Delta));
         let err = CkptCodec::parse("zip").unwrap_err();
-        assert!(err.contains("expected none|rle|delta"), "{err}");
-        for c in [CkptCodec::Raw, CkptCodec::Rle, CkptCodec::Delta] {
+        assert!(err.contains("expected none|delta"), "{err}");
+        let err = CkptCodec::parse("rle").unwrap_err();
+        assert_eq!(err, "expected none|delta, got 'rle'");
+        for c in [CkptCodec::Raw, CkptCodec::Delta] {
             assert_eq!(CkptCodec::parse(c.name()), Ok(c));
         }
     }
@@ -476,15 +479,15 @@ mod tests {
     fn output_stage_writes_atomically_in_both_modes() {
         let dir = std::env::temp_dir().join(format!("yy_output_stage_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for async_mode in [false, true] {
-            let stage = OutputStage::new(async_mode);
+        for threaded in [false, true] {
+            let stage = OutputStage::new(threaded);
             let mut waited = 0;
             for i in 0..5u32 {
                 let (mut buf, w) = stage.acquire();
                 waited += w;
                 buf.clear();
-                buf.extend_from_slice(format!("payload {i} ({async_mode})").as_bytes());
-                let name = dir.join(format!("f{async_mode}_{i}.bin"));
+                buf.extend_from_slice(format!("payload {i} ({threaded})").as_bytes());
+                let name = dir.join(format!("f{threaded}_{i}.bin"));
                 waited += stage.submit(name, buf, 10);
             }
             waited += stage.flush();
@@ -495,8 +498,8 @@ mod tests {
             let _ = waited; // blocking is legal, not required
             for i in 0..5u32 {
                 let body =
-                    std::fs::read_to_string(dir.join(format!("f{async_mode}_{i}.bin"))).unwrap();
-                assert_eq!(body, format!("payload {i} ({async_mode})"));
+                    std::fs::read_to_string(dir.join(format!("f{threaded}_{i}.bin"))).unwrap();
+                assert_eq!(body, format!("payload {i} ({threaded})"));
             }
             // No temp litter after a flush.
             assert!(

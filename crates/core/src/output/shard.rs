@@ -126,7 +126,7 @@ pub(crate) fn encode_shard(
     delta: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> (u64, u64) {
-    let base = base.filter(|(_, prev)| codec == CkptCodec::Delta && prev.len() == raw.len());
+    let base = base.filter(|(_, prev)| prev.len() == raw.len());
     let (flags, base_step) = match (codec, base) {
         (CkptCodec::Raw, _) => (0, NO_BASE),
         (_, None) => (FLAG_RLE, NO_BASE),

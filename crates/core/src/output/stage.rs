@@ -1,5 +1,6 @@
-//! The writer stage: a two-slot buffer pool feeding an inline write or a
-//! per-rank writer thread that encodes and writes shards behind compute.
+//! The writer stage: a two-slot buffer pool feeding a per-rank writer
+//! thread that encodes and writes shards behind compute. Tests also build
+//! it inline, as the synchronous oracle.
 
 use super::codec::CkptCodec;
 use super::shard::{encode_shard, ShardMeta};
@@ -19,15 +20,15 @@ pub struct IoTotals {
     /// Uncompressed payload bytes behind those writes.
     pub bytes_raw: u64,
     /// Wall nanoseconds spent on the consumer side — shard encoding
-    /// plus file writes (the cost the async mode hides behind compute).
+    /// plus file writes (the cost the writer thread hides behind compute).
     pub write_wall_ns: u64,
 }
 
 /// One queued write: either a fully serialized file image (`shard:
 /// None`, written verbatim) or a raw shard payload (`shard: Some`) that
-/// the *consumer* — the writer thread in async mode — encodes with the
-/// delta/RLE codec before writing, keeping everything but the pack
-/// memcpy off the step path.
+/// the *consumer* — the writer thread — encodes with the delta/RLE
+/// codec before writing, keeping everything but the pack memcpy off the
+/// step path.
 struct Job {
     path: PathBuf,
     bytes: Vec<u8>,
@@ -38,8 +39,8 @@ struct Job {
 /// Shard-encoding state owned by the consumer side: the previous raw
 /// payload (the delta base) and its step, the XOR-image scratch and the
 /// file image — recycled event to event, so encoding allocates nothing.
-/// One consumer at a time touches it — the writer thread in async mode,
-/// the submitting producer in sync mode — so the mutex never contends.
+/// One consumer at a time touches it — the writer thread, or the
+/// submitting producer in the inline oracle — so the mutex never contends.
 #[derive(Default)]
 struct EncState {
     prev: Vec<u8>,
@@ -71,8 +72,8 @@ struct Shared {
 
 impl Shared {
     /// Encode (shard jobs) and write one job; returns the buffer to
-    /// recycle. All of this runs on the consumer side — hidden behind
-    /// compute in async mode, inline (the measured baseline) in sync.
+    /// recycle. All of this runs on the consumer side: the writer
+    /// thread, or the caller in the inline oracle.
     fn write_one(&self, job: Job) -> Vec<u8> {
         let Job { path, mut bytes, raw_len, shard } = job;
         let t0 = std::time::Instant::now();
@@ -123,9 +124,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// The per-rank output stage: a two-slot buffer pool feeding either an
-/// inline write (sync mode, the before/after baseline) or a dedicated
-/// writer thread (async mode, writes hidden behind compute).
+/// The per-rank output stage: a two-slot buffer pool feeding a dedicated
+/// writer thread, so writes hide behind compute.
 ///
 /// Producer protocol: [`OutputStage::acquire`] a free buffer (blocking
 /// when both slots are in flight — the measured backpressure), fill it
@@ -133,14 +133,16 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// must be [`OutputStage::finish`]ed to surface write errors.
 pub struct OutputStage {
     shared: Arc<Shared>,
+    /// The writer thread; `None` for the inline oracle.
     handle: Option<std::thread::JoinHandle<()>>,
-    async_mode: bool,
 }
 
 impl OutputStage {
-    /// Build a stage. `async_mode = false` keeps every write on the
-    /// caller's thread; `true` spawns the writer thread.
-    pub fn new(async_mode: bool) -> OutputStage {
+    /// Build a stage. Every driver passes `true`, which spawns the
+    /// writer thread. `false` is the synchronous oracle, reached from
+    /// tests only: every write runs on the caller's thread inside
+    /// `submit`, which returns its nanoseconds.
+    pub fn new(threaded: bool) -> OutputStage {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 free: vec![Vec::new(), Vec::new()],
@@ -157,7 +159,7 @@ impl OutputStage {
             bytes_raw: AtomicU64::new(0),
             write_wall_ns: AtomicU64::new(0),
         });
-        let handle = if async_mode {
+        let handle = if threaded {
             let sh = Arc::clone(&shared);
             Some(
                 std::thread::Builder::new()
@@ -170,12 +172,7 @@ impl OutputStage {
         } else {
             None
         };
-        OutputStage { shared, handle, async_mode }
-    }
-
-    /// Whether writes overlap compute.
-    pub fn is_async(&self) -> bool {
-        self.async_mode
+        OutputStage { shared, handle }
     }
 
     /// Take a free buffer, blocking while both slots are in flight.
@@ -197,17 +194,17 @@ impl OutputStage {
         }
     }
 
-    /// Hand a filled buffer to the writer. In async mode this returns
-    /// immediately (the write overlaps the next steps); in sync mode the
-    /// write happens here and its nanoseconds are returned so the caller
-    /// can charge them like a blocked acquire.
+    /// Hand a filled buffer to the writer. This returns 0 at once (the
+    /// write overlaps the next steps); the inline oracle writes here and
+    /// returns the nanoseconds, which the caller charges like a blocked
+    /// acquire.
     pub fn submit(&self, path: PathBuf, bytes: Vec<u8>, raw_len: u64) -> u64 {
         self.submit_job(Job { path, bytes, raw_len, shard: None })
     }
 
     /// Hand a *raw* shard payload to the writer; the consumer side
-    /// encodes it (delta chain, RLE) and writes the result, so in async
-    /// mode the producer pays only for the pack memcpy. Shards must be
+    /// encodes it (delta chain, RLE) and writes the result, so the
+    /// producer pays only for the pack memcpy. Shards must be
     /// submitted in step order — the consumer chains each one against
     /// the previous payload it saw.
     pub fn submit_shard(
@@ -222,7 +219,7 @@ impl OutputStage {
     }
 
     fn submit_job(&self, job: Job) -> u64 {
-        if self.async_mode {
+        if self.handle.is_some() {
             let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
             st.jobs.push_back(job);
             drop(st);

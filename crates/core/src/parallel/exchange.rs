@@ -1,8 +1,7 @@
 //! Boundary synchronisation of one rank: the persistent message scratch,
-//! the phase clock, the halo and overset post/drain halves, and the two
-//! schedules built from them — the plain `sync` and the step pipeline
-//! `sync_rhs_overlapped`, which hides the exchange behind the deep
-//! interior's RHS sweep.
+//! the phase clock, the halo and overset post/drain halves, and the one
+//! schedule built from them, `sync`, which given an RHS sink hides the
+//! exchange behind the deep interior's sweep.
 
 use super::solver::RankSolver;
 use crate::serial::{overset_donate_tally, overset_fill_tally};
@@ -125,89 +124,66 @@ fn halo_tally(region: Region) -> KernelTally {
 }
 
 impl RankSolver<'_> {
-    /// Halo exchange + overset exchange + physical walls on `s`, drawing
+    /// Halo exchange + overset exchange + physical walls on `x`, drawing
     /// every message buffer from the persistent scratch (allocation-free
     /// after warmup).
-    pub(super) fn sync(&mut self, s: &mut State) {
-        let mut clock = PhaseClock::start();
-        // Same early overset post as the fused pipeline (see
-        // `sync_rhs_overlapped`): without halo neighbours the donors
-        // read only owned points, and posting first lets the exchange
-        // travel while the (no-op) halo dims and the peer's turn run.
-        if self.halo_free {
-            self.post_overset(s);
-            clock.lap(self.world, SolverPhase::Overset);
-        }
-        for dim in 0..2 {
-            self.post_halo_sends(s, dim);
-            clock.lap(self.world, SolverPhase::Pack);
-            self.drain_halo(s, dim, &mut clock);
-        }
-        if !self.halo_free {
-            self.post_overset(s);
-            clock.lap(self.world, SolverPhase::Overset);
-        }
-        self.drain_overset(s, &mut clock);
-        apply_physical_bc(s, self.cfg.params.t_inner, self.cfg.mag_bc);
-        clock.lap(self.world, SolverPhase::Boundary);
-    }
-
-    /// The step pipeline: the boundary synchronisation of `x` fused
-    /// with the RHS sweep of `x` into `sink`. Sends are posted, a deep
+    ///
+    /// With a `sink` this is the step pipeline: the exchange fused with
+    /// the RHS sweep of `x` into `sink`. Sends are posted, a deep
     /// interior chunk (whose stencils touch no ghost the in-flight
     /// message will fill) is computed while the messages travel, then the
     /// receives drain and the next exchange begins; the boundary shell is
-    /// swept last, when all ghosts and frames are in place.
+    /// swept last, when all ghosts and frames are in place. Without one,
+    /// the same messages are posted and drained in the same order, and
+    /// only the closing wall condition runs.
     ///
-    /// The wall condition goes first: it is column-local (f = 0,
+    /// The sink's wall condition goes first: it is column-local (f = 0,
     /// p = ρ_wall·T, A frozen or copied from the first interior node), so
     /// on every column the deep sweep reads it already has its final
     /// value, and the deep box can span the full radial extent. The
     /// repeat after the drains covers the ghost and frame columns the
     /// exchange overwrote (the condition is idempotent).
     ///
-    /// Bitwise identical to `sync` followed by a full-range RHS: the
-    /// exchange only writes ghost/frame columns, deep-interior stencils
-    /// read none of them, and the deep ∪ shell boxes tile the interior
-    /// exactly with unchanged per-point arithmetic.
-    pub(super) fn sync_rhs_overlapped(&mut self, x: &mut State, sink: &mut RhsSink) {
+    /// Bitwise identical to a sink-less `sync` followed by a full-range
+    /// RHS: the exchange only writes ghost/frame columns, deep-interior
+    /// stencils read none of them, and the deep ∪ shell boxes tile the
+    /// interior exactly with unchanged per-point arithmetic.
+    pub(super) fn sync(&mut self, x: &mut State, mut sink: Option<&mut RhsSink>) {
         let mut clock = PhaseClock::start();
         // With no halo neighbours the overset donors read only owned
         // points: post them first, so the exchange is in flight for the
-        // entire deep interior.
+        // entire deep interior (and the peer's turn).
         if self.halo_free {
             self.post_overset(x);
             clock.lap(self.world, SolverPhase::Overset);
         }
-        apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
-        clock.lap(self.world, SolverPhase::Boundary);
-        // θ halo in flight over the first deep chunk.
-        self.post_halo_sends(x, 0);
-        clock.lap(self.world, SolverPhase::Pack);
-        self.rhs_deep_chunk(x, 0, sink);
-        clock.lap(self.world, SolverPhase::Interior);
-        self.drain_halo(x, 0, &mut clock);
-        // φ halo (rows extended into the just-filled θ ghosts) over the
-        // second chunk.
-        self.post_halo_sends(x, 1);
-        clock.lap(self.world, SolverPhase::Pack);
-        self.rhs_deep_chunk(x, 1, sink);
-        clock.lap(self.world, SolverPhase::Interior);
-        self.drain_halo(x, 1, &mut clock);
+        if sink.is_some() {
+            apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
+            clock.lap(self.world, SolverPhase::Boundary);
+        }
+        // θ halo in flight over the first deep chunk, then the φ halo
+        // (rows extended into the just-filled θ ghosts) over the second.
+        for dim in 0..2 {
+            self.post_halo_sends(x, dim);
+            clock.lap(self.world, SolverPhase::Pack);
+            self.rhs_deep_chunk(x, dim, sink.as_deref_mut(), &mut clock);
+            self.drain_halo(x, dim, &mut clock);
+        }
         // Overset columns (donor stencils may read halo ghosts, so only
         // after the full halo drain) over the third chunk.
         if !self.halo_free {
             self.post_overset(x);
             clock.lap(self.world, SolverPhase::Overset);
         }
-        self.rhs_deep_chunk(x, 2, sink);
-        clock.lap(self.world, SolverPhase::Interior);
+        self.rhs_deep_chunk(x, 2, sink.as_deref_mut(), &mut clock);
         self.drain_overset(x, &mut clock);
         // Everything the shell stencils read is now in place.
         apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
-        for b in 0..self.split.shell.len() {
-            let shell_box = self.split.shell[b];
-            self.rhs_partial(x, &shell_box, sink);
+        if let Some(sink) = sink {
+            for b in 0..self.split.shell.len() {
+                let shell_box = self.split.shell[b];
+                self.rhs_partial(x, &shell_box, sink);
+            }
         }
         clock.lap(self.world, SolverPhase::Boundary);
     }
@@ -226,12 +202,21 @@ impl RankSolver<'_> {
         );
     }
 
-    /// RHS over the `idx`-th φ slab of the deep interior (no-op when the
-    /// tile is too thin to have that many deep chunks).
-    fn rhs_deep_chunk(&mut self, x: &State, idx: usize, sink: &mut RhsSink) {
+    /// RHS over the `idx`-th φ slab of the deep interior into `sink`,
+    /// lapped as `Interior`. No-op without a sink; with one, the sweep is
+    /// a no-op when the tile is too thin to have that many deep chunks.
+    fn rhs_deep_chunk(
+        &mut self,
+        x: &State,
+        idx: usize,
+        sink: Option<&mut RhsSink>,
+        clock: &mut PhaseClock,
+    ) {
+        let Some(sink) = sink else { return };
         if let Some(chunk) = self.deep_chunks.get(idx).copied() {
             self.rhs_partial(x, &chunk, sink);
         }
+        clock.lap(self.world, SolverPhase::Interior);
     }
 
     /// Neighbour pair, send regions, recv regions and tag for one halo

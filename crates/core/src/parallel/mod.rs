@@ -209,11 +209,7 @@ pub struct RecoveryOpts {
     /// shard set merges back into a serial-format checkpoint
     /// byte-identically ([`crate::output::merge_shards`]).
     pub ckpt_dir: Option<PathBuf>,
-    /// Overlap shard writes with compute via the per-rank writer thread
-    /// (`true`, the default) or write inline at the capture point
-    /// (`false`; the CLI's closing `io:` line then reads `(inline)`).
-    pub ckpt_async: bool,
-    /// Shard payload codec (`none` | `rle` | `delta`).
+    /// Shard payload codec (`none` | `delta`).
     pub ckpt_compress: CkptCodec,
     /// Seeded dt-collapse injection for the blow-up smoke: from the
     /// given step the *applied* dt shrinks geometrically, tripping the
@@ -237,7 +233,6 @@ impl Default for RecoveryOpts {
             max_retiles: 2,
             resume_from: None,
             ckpt_dir: None,
-            ckpt_async: true,
             ckpt_compress: CkptCodec::Raw,
             dt_inject: None,
         }

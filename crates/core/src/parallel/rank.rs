@@ -102,7 +102,7 @@ pub(super) fn rank_program(
         }
         None => 0.0,
     };
-    solver.sync(&mut state);
+    solver.sync(&mut state, None);
     let mut guard = HealthGuard::new(plan.health);
 
     let started = Instant::now();
@@ -181,7 +181,6 @@ pub(super) fn rank_program(
         {
             solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
         }
-        world.sample_queue_depth();
         world.record_step_ns(step_started.elapsed().as_nanos() as u64);
         // Periodic profile sampler: each rank appends its own per-kernel
         // MFLOPS counter samples (Chrome "C"-phase tracks) to its flight
@@ -267,7 +266,6 @@ pub(super) fn rank_program(
             em.emit(&mut solver, &state, dt_cache);
             world.record_phase_ns(SolverPhase::WriterWait, em.stage.flush());
             let ShardEmitter { stage, codec, .. } = em;
-            let async_mode = stage.is_async();
             let totals = stage.finish();
             agree(
                 &world,
@@ -290,7 +288,6 @@ pub(super) fn rank_program(
                 bytes_raw: sums[1] as u64,
                 bytes_written: sums[2] as u64,
                 write_wall_s: sums[3] / 1e9,
-                async_mode,
                 codec: codec.name().to_string(),
                 ..IoStats::default()
             }
@@ -322,15 +319,14 @@ pub(super) fn rank_program(
 /// Output-pipeline configuration the supervisor hands every rank.
 pub(super) struct ShardCfg {
     pub(super) dir: PathBuf,
-    pub(super) async_mode: bool,
     pub(super) codec: CkptCodec,
 }
 
 /// Per-rank shard emitter: packs this rank's owned region at every
 /// checkpoint event and hands the *raw* payload to the [`OutputStage`],
-/// whose consumer side (the writer thread, in async mode) does the
-/// delta/RLE encoding and the file write — so the step path pays only
-/// for the pack memcpy plus any buffer-pool backpressure.
+/// whose writer thread does the delta/RLE encoding and the file write —
+/// so the step path pays only for the pack memcpy plus any buffer-pool
+/// backpressure.
 pub(super) struct ShardEmitter {
     stage: OutputStage,
     dir: PathBuf,
@@ -340,7 +336,7 @@ pub(super) struct ShardEmitter {
 impl ShardEmitter {
     fn new(cfg: &ShardCfg) -> ShardEmitter {
         ShardEmitter {
-            stage: OutputStage::new(cfg.async_mode),
+            stage: OutputStage::new(true),
             dir: cfg.dir.clone(),
             codec: cfg.codec,
         }
@@ -348,9 +344,8 @@ impl ShardEmitter {
 
     /// Pack and submit one shard of the current state. Purely local
     /// (no collectives — a peer death cannot strand it); time blocked
-    /// on the buffer pool (or encoding and writing inline, in sync
-    /// mode) is charged to the `writer_wait` phase, and the pack work
-    /// to the `output` kernel slot.
+    /// on the buffer pool is charged to the `writer_wait` phase, and
+    /// the pack work to the `output` kernel slot.
     pub(super) fn emit(&mut self, solver: &mut RankSolver, state: &State, dt_cache: f64) {
         let t0 = solver.meter.timer();
         let (mut raw, mut wait_ns) = self.stage.acquire();

@@ -225,8 +225,8 @@ impl<'a> RankSolver<'a> {
     /// combine the tendency into `state` and the next stage buffer as
     /// they go). Stage 0 needs no communication (`state` was synced at
     /// the end of the previous step); each later stage syncs the buffer
-    /// the previous one built, fused with its sweep
-    /// ([`Self::sync_rhs_overlapped`]).
+    /// the previous one built, fused with its sweep ([`Self::sync`] with
+    /// a sink).
     pub(super) fn advance(&mut self, state: &mut State, dt: f64) {
         let mut rk4 = self.rk4.take().expect("RK4 buffers are only out during a step");
         let Rk4Bufs { y0, stage: [a, b] } = &mut rk4;
@@ -245,11 +245,11 @@ impl<'a> RankSolver<'a> {
             if s == 0 {
                 self.rhs_partial(y0, &range, &mut sink);
             } else {
-                self.sync_rhs_overlapped(cur, &mut sink);
+                self.sync(cur, Some(&mut sink));
             }
             self.meter.kernel(Kernel::Rk4Combine, combine);
         }
-        self.sync(state);
+        self.sync(state, None);
         self.rk4 = Some(rk4);
         self.time += dt;
         self.step += 1;
@@ -396,8 +396,7 @@ impl<'a> RankSolver<'a> {
             self.world.allreduce_f64(stats.max_queue_depth as f64, ReduceOp::Max) as u64;
         let ns = self.world.allreduce_vec(&stats.phase_ns.map(|ns| ns as f64), ReduceOp::Sum);
         let phases = PhaseBreakdown { seconds: std::array::from_fn(|p| ns[p] / 1e9) };
-        let [recv_wait, step_wall, queue_depth] =
-            [stats.recv_wait, stats.step_wall, stats.queue_depth].map(|h| self.merge_hist(h));
+        let [recv_wait, step_wall] = [stats.recv_wait, stats.step_wall].map(|h| self.merge_hist(h));
         // Every tally word is an exact integer (or a ns sum) far below
         // 2⁵³, so the f64 Sum allreduce merges the per-rank kernel
         // counters losslessly — same trick as the histograms.
@@ -412,7 +411,6 @@ impl<'a> RankSolver<'a> {
             phases,
             recv_wait,
             step_wall,
-            queue_depth,
             kernels: CounterSnapshot::from_f64s(&kwords),
             ..RunReport::default()
         }

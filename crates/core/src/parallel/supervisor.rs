@@ -235,10 +235,9 @@ impl<'a> Supervisor<'a> {
         }
         // Disk persistence: each rank writes its owned region into the
         // shard directory at every checkpoint event, overlapped with
-        // compute when `ckpt_async`.
+        // compute by its writer thread.
         let shards = opts.ckpt_dir.as_ref().map(|dir| ShardCfg {
             dir: dir.clone(),
-            async_mode: opts.ckpt_async,
             codec: opts.ckpt_compress,
         });
         if let Some(dir) = &opts.ckpt_dir {

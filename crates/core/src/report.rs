@@ -24,9 +24,9 @@ pub struct TimeSeriesPoint {
 
 /// Per-phase wall-clock breakdown of the parallel step pipeline, summed
 /// over all ranks. Zero for serial runs, but for `WriterWait`: the time
-/// blocked on the async output writer's buffer pool (or inside inline
-/// writes in sync mode) — the *unhidden* cost of checkpoint and snapshot
-/// emission, the output pipeline's analogue of `Wait`.
+/// blocked on the output writer's buffer pool — the *unhidden* cost of
+/// checkpoint and snapshot emission, the output pipeline's analogue of
+/// `Wait`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Seconds per [`Phase`], indexed `phase as usize`.
@@ -162,8 +162,8 @@ impl ElasticSummary {
 }
 
 /// The `io` section of the v4 report: what the output pipeline wrote
-/// and what it cost. All-zero (with `async_mode=false`, `codec="none"`)
-/// when no output directory was configured.
+/// and what it cost. All-zero (with `codec="none"`) when no output
+/// directory was configured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoStats {
     /// Checkpoint shards durably written, summed over every rank.
@@ -174,15 +174,13 @@ pub struct IoStats {
     pub bytes_raw: u64,
     /// Encoded bytes that actually hit disk.
     pub bytes_written: u64,
-    /// Wall seconds spent inside file writes, summed over ranks (hidden
-    /// behind compute in async mode).
+    /// Wall seconds spent inside file writes on the writer threads,
+    /// summed over ranks.
     pub write_wall_s: f64,
     /// Wall seconds the solver threads spent blocked on the writer —
     /// duplicates `phases.writer_wait_s` for self-contained consumers.
     pub writer_wait_s: f64,
-    /// Whether writes overlapped compute.
-    pub async_mode: bool,
-    /// Payload codec name (`none` | `rle` | `delta`).
+    /// Payload codec name (`none` | `delta`).
     pub codec: String,
 }
 
@@ -195,7 +193,6 @@ impl Default for IoStats {
             bytes_written: 0,
             write_wall_s: 0.0,
             writer_wait_s: 0.0,
-            async_mode: false,
             codec: "none".into(),
         }
     }
@@ -215,7 +212,7 @@ impl IoStats {
             concat!(
                 r#"{{"shards_written":{},"snapshots_written":{},"bytes_raw":{},"#,
                 r#""bytes_written":{},"write_wall_s":{},"writer_wait_s":{},"#,
-                r#""async_mode":{},"codec":"{}","compression_ratio":{}}}"#
+                r#""codec":"{}","compression_ratio":{}}}"#
             ),
             self.shards_written,
             self.snapshots_written,
@@ -223,7 +220,6 @@ impl IoStats {
             self.bytes_written,
             num(self.write_wall_s),
             num(self.writer_wait_s),
-            self.async_mode,
             escape(&self.codec),
             num(self.compression_ratio()),
         )
@@ -260,9 +256,6 @@ pub struct RunReport {
     /// Wall time per completed step (nanoseconds; all ranks for
     /// parallel runs, the single driver thread for serial runs).
     pub step_wall: HistogramSnapshot,
-    /// Mailbox depth sampled once per step on every rank — the
-    /// distribution behind the `max_queue_depth` point value.
-    pub queue_depth: HistogramSnapshot,
     /// Supervisor interventions (rollbacks), in order; empty for
     /// unsupervised and fault-free runs.
     pub recoveries: Vec<RecoveryEvent>,
@@ -385,10 +378,11 @@ impl RunReport {
     /// and the `telemetry` section (the science series store; `null`
     /// when telemetry was not armed), changing nothing else, so v1–v5
     /// readers that ignore unknown fields keep working (pinned by the
-    /// `v5_reader_keeps_working_on_v6_output` test). The one removal
-    /// made without a bump: `elastic.weights` and the telemetry
-    /// section's downsampling-tier members went with the code that
-    /// wrote them, because no reader ever consumed them. All
+    /// `v5_reader_keeps_working_on_v6_output` test). The removals made
+    /// without a bump: `elastic.weights`, the telemetry section's
+    /// downsampling-tier members, `histograms.queue_depth` and
+    /// `io.async_mode` went with the code that wrote them, because no
+    /// reader ever consumed them. All
     /// histogram and counter values are exact integers, so the artifact
     /// is bitwise reproducible for a deterministic run.
     pub fn to_json(&self) -> String {
@@ -417,10 +411,9 @@ impl RunReport {
             num(self.phases.hidden_comm_fraction()),
         );
         let hists = format!(
-            r#"{{"recv_wait_ns":{},"step_wall_ns":{},"queue_depth":{}}}"#,
+            r#"{{"recv_wait_ns":{},"step_wall_ns":{}}}"#,
             hist_json(&self.recv_wait),
             hist_json(&self.step_wall),
-            hist_json(&self.queue_depth),
         );
         let recoveries: Vec<String> = self
             .recoveries
@@ -726,7 +719,6 @@ mod tests {
             bytes_written: 1000,
             write_wall_s: 0.25,
             writer_wait_s: 0.03,
-            async_mode: true,
             codec: "delta".into(),
         };
         r.phases.seconds[Phase::WriterWait as usize] = 0.03;
@@ -738,7 +730,6 @@ mod tests {
         assert_eq!(io.get("bytes_written").unwrap().as_f64(), Some(1000.0));
         assert_eq!(io.get("write_wall_s").unwrap().as_f64(), Some(0.25));
         assert_eq!(io.get("writer_wait_s").unwrap().as_f64(), Some(0.03));
-        assert_eq!(io.get("async_mode").unwrap().as_bool(), Some(true));
         assert_eq!(io.get("codec").unwrap().as_str(), Some("delta"));
         assert_eq!(io.get("compression_ratio").unwrap().as_f64(), Some(4.0));
         assert_eq!(
@@ -749,7 +740,6 @@ mod tests {
         let plain = Json::parse(&RunReport::default().to_json()).unwrap();
         let io = plain.get("io").expect("default io section");
         assert_eq!(io.get("codec").unwrap().as_str(), Some("none"));
-        assert_eq!(io.get("async_mode").unwrap().as_bool(), Some(false));
         assert_eq!(io.get("compression_ratio").unwrap().as_f64(), Some(1.0));
     }
 
@@ -832,7 +822,8 @@ mod tests {
     /// The compatibility contract of the schema: every version so far
     /// only *added* keys, and consumers key on field presence, not the
     /// schema string — so v6 output must still carry every key of v1–v5
-    /// with the type it had when introduced.
+    /// with the type it had when introduced, but the unread ones
+    /// `to_json` names as removed.
     #[test]
     fn v6_output_keeps_every_key_since_v1() {
         use yy_obs::Json;
@@ -868,7 +859,6 @@ mod tests {
             (1, &["max_queue_depth"], 'n'),
             (1, &["histograms", "recv_wait_ns"], 'o'),
             (1, &["histograms", "step_wall_ns"], 'o'),
-            (1, &["histograms", "queue_depth"], 'o'),
             (1, &["phases", "hidden_comm_fraction"], 'n'),
             (1, &["recoveries"], 'a'),
             (1, &["series"], 'a'),

@@ -120,7 +120,7 @@ pub fn fill_pair(
 }
 
 /// Options for [`SerialSim::run_streaming`]: where the live output
-/// products land and how the writer behaves.
+/// products land and how often.
 #[derive(Debug, Clone)]
 pub struct StreamOpts {
     /// Directory the products are written into (created if missing).
@@ -128,15 +128,12 @@ pub struct StreamOpts {
     /// Emit an equatorial temperature slice every this many steps
     /// (0 = only at the end; one is always written at the final step).
     pub snapshot_every: u64,
-    /// Route writes through the background writer thread so they
-    /// overlap the next steps' compute (`false` = write inline).
-    pub async_mode: bool,
 }
 
 impl Default for StreamOpts {
-    /// Products under `out/`, one slice at the end, overlapped writes.
+    /// Products under `out/`, one slice at the end.
     fn default() -> Self {
-        StreamOpts { dir: PathBuf::from("out"), snapshot_every: 0, async_mode: true }
+        StreamOpts { dir: PathBuf::from("out"), snapshot_every: 0 }
     }
 }
 
@@ -396,7 +393,7 @@ impl SerialSim {
             .map_err(|e| format!("creating output directory {}: {e}", opts.dir.display()))?;
         let mut stream = Stream {
             opts,
-            stage: OutputStage::new(opts.async_mode),
+            stage: OutputStage::new(true),
             wait_ns: 0,
         };
         let mut report = self.run_impl(steps, sample_every, Some(&mut stream))?;
@@ -414,7 +411,6 @@ impl SerialSim {
             bytes_written: totals.bytes_written,
             write_wall_s: totals.write_wall_ns as f64 / 1e9,
             writer_wait_s,
-            async_mode: opts.async_mode,
             codec: "none".into(),
         };
         Ok(report)
@@ -630,7 +626,7 @@ mod tests {
             .run_streaming(
                 4,
                 2,
-                &StreamOpts { dir: dir.clone(), snapshot_every: 2, async_mode: true },
+                &StreamOpts { dir: dir.clone(), snapshot_every: 2 },
             )
             .expect("streaming run");
         // The stream only reads state: the trajectory is untouched.
@@ -652,7 +648,7 @@ mod tests {
         assert_eq!(snap, expect);
         // The io section accounts for the stream.
         assert!(report.io.snapshots_written >= 3, "io: {:?}", report.io);
-        assert!(report.io.async_mode && report.io.bytes_written > 0);
+        assert!(report.io.bytes_written > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

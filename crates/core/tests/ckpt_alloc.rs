@@ -87,11 +87,10 @@ const STEPS: u64 = 6;
 
 /// Payload-sized allocations of a supervised 1×1 run of `STEPS` steps
 /// checkpointing every step (`STEPS + 1` events), with delta shards
-/// going to a scratch directory (sync or async writer) or with no
-/// shard directory at all.
-fn big_allocs(shards: Option<bool>) -> u64 {
+/// going to a scratch directory or with no shard directory at all.
+fn big_allocs(shards: bool) -> u64 {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = shards.map(|_| {
+    let dir = shards.then(|| {
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("yy_ckpt_alloc_{}_{n}", std::process::id()))
     });
@@ -99,7 +98,6 @@ fn big_allocs(shards: Option<bool>) -> u64 {
         checkpoint_every: 1,
         deadline: Duration::from_secs(30),
         ckpt_dir: dir.clone(),
-        ckpt_async: shards.unwrap_or(true),
         ckpt_compress: CkptCodec::Delta,
         ..RecoveryOpts::default()
     };
@@ -163,14 +161,12 @@ fn checkpoint_capture_reuses_its_buffers() {
     // rank's shard payload (8 arrays of owned f64s) and up.
     let shape = quick_cfg().grid().full_shape();
     BIG_FROM.store(8 * shape.nr * shape.nth * shape.nph * 8 / 2, Ordering::Relaxed);
-    for async_mode in [false, true] {
-        let added = big_allocs(Some(async_mode)).saturating_sub(big_allocs(None));
-        assert!(added > 0, "the shard path must at least allocate its buffers");
-        assert!(
-            added <= 2 * 5,
-            "async={async_mode}: {} checkpoint events made {added} payload-sized allocations \
-             on the shard path — more than its buffers, so some event is allocating",
-            STEPS + 1
-        );
-    }
+    let added = big_allocs(true).saturating_sub(big_allocs(false));
+    assert!(added > 0, "the shard path must at least allocate its buffers");
+    assert!(
+        added <= 2 * 5,
+        "{} checkpoint events made {added} payload-sized allocations on the shard path \
+         — more than its buffers, so some event is allocating",
+        STEPS + 1
+    );
 }

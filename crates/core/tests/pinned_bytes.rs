@@ -2,6 +2,8 @@
 //! before the vocabularies (`yy_obs::event`) became typed and the
 //! exporters became loops over them, from these same inputs. A diff here
 //! is a format change every reader of a trace, a scrape or a report sees.
+//! `fixtures/run_report.json` has since lost the two keys no reader
+//! consumed, `histograms.queue_depth` and `io.async_mode`, and nothing else.
 //! `fixtures/tables.txt` is the stdout of `yycore tables` at the commit
 //! before its printout moved into `yycore::report::paper_tables_text`.
 

@@ -1,7 +1,7 @@
 //! The sharded-output round trip, as a property: any complete shard set
-//! — whatever tile layout wrote it (1×1, 1×2, 2×2, 2×1), whether the
-//! writer ran sync or async, and under every payload codec (raw, RLE,
-//! XOR-delta) — merges back into a serial-format checkpoint that is
+//! — whatever tile layout wrote it (1×1, 1×2, 2×2, 2×1), and under
+//! either payload codec (raw, or XOR-delta whose first link is RLE only)
+//! — merges back into a serial-format checkpoint that is
 //! **byte-identical** to the one the uninterrupted serial integrator
 //! would have written at the same step. That property is what makes the
 //! shard directory a real checkpoint: kill the run anywhere, merge what
@@ -26,7 +26,7 @@ const TOTAL: u64 = 6;
 /// The parallel layouts a shard set may be written by.
 const LAYOUTS: [(usize, usize); 4] = [(1, 1), (1, 2), (2, 2), (2, 1)];
 
-const CODECS: [CkptCodec; 3] = [CkptCodec::Raw, CkptCodec::Rle, CkptCodec::Delta];
+const CODECS: [CkptCodec; 2] = [CkptCodec::Raw, CkptCodec::Delta];
 
 fn quick_cfg() -> RunConfig {
     let mut cfg = RunConfig::small();
@@ -67,27 +67,20 @@ fn serial_ladder() -> &'static Vec<Checkpoint> {
 
 /// Run `TOTAL` supervised steps writing shards (checkpoint cadence 2)
 /// into `dir`, returning the in-memory final checkpoint.
-fn sharded_run(
-    dir: &PathBuf,
-    layout: (usize, usize),
-    async_mode: bool,
-    codec: CkptCodec,
-) -> Checkpoint {
-    sharded_run_of(TOTAL, dir, layout, async_mode, codec)
+fn sharded_run(dir: &PathBuf, layout: (usize, usize), codec: CkptCodec) -> Checkpoint {
+    sharded_run_of(TOTAL, dir, layout, codec)
 }
 
 fn sharded_run_of(
     steps: u64,
     dir: &PathBuf,
     (pth, pph): (usize, usize),
-    async_mode: bool,
     codec: CkptCodec,
 ) -> Checkpoint {
     let opts = RecoveryOpts {
         checkpoint_every: 2,
         deadline: Duration::from_secs(30),
         ckpt_dir: Some(dir.clone()),
-        ckpt_async: async_mode,
         ckpt_compress: codec,
         ..RecoveryOpts::default()
     };
@@ -102,26 +95,23 @@ fn sharded_run_of(
 /// itself as base and overwrite the only self-contained link.
 #[test]
 fn zero_step_delta_run_leaves_a_terminating_chain() {
-    for async_mode in [false, true] {
-        let dir = fresh_dir("zero");
-        let final_ck = sharded_run_of(0, &dir, (1, 1), async_mode, CkptCodec::Delta);
-        let merged = merge_shards(&quick_cfg(), &dir, None).expect("step-0 set merges");
-        assert_eq!(bytes(&merged), bytes(&serial_ladder()[0]));
-        assert_eq!(bytes(&final_ck), bytes(&serial_ladder()[0]));
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = fresh_dir("zero");
+    let final_ck = sharded_run_of(0, &dir, (1, 1), CkptCodec::Delta);
+    let merged = merge_shards(&quick_cfg(), &dir, None).expect("step-0 set merges");
+    assert_eq!(bytes(&merged), bytes(&serial_ladder()[0]));
+    assert_eq!(bytes(&final_ck), bytes(&serial_ladder()[0]));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-fn gen_case(g: &mut Gen) -> ((usize, usize), bool, CkptCodec, u64) {
+fn gen_case(g: &mut Gen) -> ((usize, usize), CkptCodec, u64) {
     let layout = LAYOUTS[g.range_usize(0, LAYOUTS.len())];
-    let async_mode = g.below(2) == 0;
     let codec = CODECS[g.range_usize(0, CODECS.len())];
     // A step the run checkpoints at: 0, 2, 4 (periodic) or TOTAL (final).
     let step = 2 * g.range_usize(0, (TOTAL as usize) / 2 + 1) as u64;
-    (layout, async_mode, codec, step)
+    (layout, codec, step)
 }
 
-/// Any (layout, sync mode, codec): merging the shard set at any
+/// Any (layout, codec): merging the shard set at any
 /// checkpointed step reproduces the serial checkpoint of that step byte
 /// for byte, and the newest complete set matches the run's own final
 /// in-memory checkpoint.
@@ -132,15 +122,15 @@ fn merged_shards_match_serial_checkpoints_byte_for_byte() {
         Config::with_cases(8),
         "merged_shards_match_serial_checkpoints_byte_for_byte",
         gen_case,
-        |&(layout, async_mode, codec, step)| {
+        |&(layout, codec, step)| {
             let dir = fresh_dir("prop");
-            let final_ck = sharded_run(&dir, layout, async_mode, codec);
+            let final_ck = sharded_run(&dir, layout, codec);
             tk_assert_eq!(bytes(&final_ck), bytes(&serial_ladder()[TOTAL as usize]));
             // The selected step, explicitly.
             let merged = merge_shards(&cfg, &dir, Some(step)).map_err(|e| e.to_string())?;
             tk_assert!(
                 bytes(&merged) == bytes(&serial_ladder()[step as usize]),
-                "merge of {layout:?} async={async_mode} {codec:?} shards at step {step} \
+                "merge of {layout:?} {codec:?} shards at step {step} \
                  is not byte-identical to the serial checkpoint"
             );
             // The newest complete set, implicitly.
@@ -167,7 +157,6 @@ fn mid_rollback_shard_set_merges_cleanly() {
         checkpoint_every: 2,
         deadline: Duration::from_secs(30),
         ckpt_dir: Some(dir.clone()),
-        ckpt_async: true,
         ckpt_compress: CkptCodec::Delta,
         ..RecoveryOpts::default()
     };
@@ -195,7 +184,8 @@ fn mid_rollback_shard_set_merges_cleanly() {
 fn corrupt_or_incomplete_shards_are_rejected_with_context() {
     let cfg = quick_cfg();
     let dir = fresh_dir("corrupt");
-    sharded_run(&dir, (1, 2), false, CkptCodec::Rle);
+    // The victim is a delta link: its RLE stream decodes before the XOR.
+    sharded_run(&dir, (1, 2), CkptCodec::Delta);
     let victim = dir.join(yycore::output::shard_file_name(TOTAL, 1));
     let original = std::fs::read(&victim).expect("victim shard exists");
 
@@ -241,7 +231,7 @@ fn corrupt_or_incomplete_shards_are_rejected_with_context() {
 fn restart_from_merged_shards_is_byte_identical() {
     let cfg = quick_cfg();
     let dir = fresh_dir("restart");
-    sharded_run(&dir, (2, 2), true, CkptCodec::Delta);
+    sharded_run(&dir, (2, 2), CkptCodec::Delta);
     let merged = merge_shards(&cfg, &dir, Some(4)).expect("merge step 4");
     let opts = RecoveryOpts {
         resume_from: Some(merged),

@@ -192,13 +192,6 @@ impl Comm {
         self.stats.record_step_ns(ns);
     }
 
-    /// Sample this rank's current mailbox queue depth into the
-    /// queue-depth histogram; the solver calls it once per step.
-    pub fn sample_queue_depth(&self) {
-        let mb = &self.world.mailboxes[self.members[self.rank]];
-        self.stats.record_queue_depth(mb.peek_depth() as u64);
-    }
-
     /// Record a solver-level event (step begin, health violation,
     /// checkpoint, …) into this rank's flight recorder, if one is
     /// installed. One branch when there is none.

@@ -205,12 +205,6 @@ impl Mailbox {
         self.lock().queue.len()
     }
 
-    /// Current queue depth (alias of [`Mailbox::pending`], named for the
-    /// stats surface).
-    pub fn peek_depth(&self) -> usize {
-        self.pending()
-    }
-
     /// High-water mark of the queue depth over the mailbox lifetime.
     pub fn max_depth(&self) -> usize {
         self.lock().max_depth
@@ -324,15 +318,15 @@ mod tests {
     #[test]
     fn depth_stats_track_the_high_water_mark() {
         let mb = Mailbox::new();
-        assert_eq!(mb.peek_depth(), 0);
+        assert_eq!(mb.pending(), 0);
         assert_eq!(mb.max_depth(), 0);
         mb.deliver(env(0, 1, 0, 0, 1.0));
         mb.deliver(env(0, 1, 1, 0, 2.0));
         mb.deliver(env(0, 1, 2, 0, 3.0));
-        assert_eq!(mb.peek_depth(), 3);
+        assert_eq!(mb.pending(), 3);
         let _ = mb.recv_match(1, 0, 0);
         let _ = mb.recv_match(1, 0, 1);
-        assert_eq!(mb.peek_depth(), 1);
+        assert_eq!(mb.pending(), 1);
         assert_eq!(mb.max_depth(), 3, "high-water mark survives draining");
     }
 

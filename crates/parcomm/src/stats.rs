@@ -22,7 +22,6 @@ pub struct StatsCell {
     phase_ns: [AtomicU64; SolverPhase::COUNT],
     recv_wait: Histogram,
     step_wall: Histogram,
-    queue_depth: Histogram,
 }
 
 impl StatsCell {
@@ -53,11 +52,6 @@ impl StatsCell {
         self.step_wall.record(ns);
     }
 
-    /// Record a sampled mailbox queue depth.
-    pub fn record_queue_depth(&self, depth: u64) {
-        self.queue_depth.record(depth);
-    }
-
     /// An immutable copy of the current counters.
     ///
     /// The cell itself cannot see the rank's mailbox, so the caller
@@ -72,7 +66,6 @@ impl StatsCell {
             phase_ns: std::array::from_fn(|p| load(&self.phase_ns[p])),
             recv_wait: self.recv_wait.snapshot(),
             step_wall: self.step_wall.snapshot(),
-            queue_depth: self.queue_depth.snapshot(),
         }
     }
 }
@@ -94,8 +87,6 @@ pub struct CommStats {
     pub recv_wait: HistogramSnapshot,
     /// Distribution of per-step wall time (nanoseconds).
     pub step_wall: HistogramSnapshot,
-    /// Distribution of sampled mailbox queue depths.
-    pub queue_depth: HistogramSnapshot,
 }
 
 impl CommStats {
@@ -114,7 +105,6 @@ impl CommStats {
             phase_ns: std::array::from_fn(|p| self.phase_ns[p] + other.phase_ns[p]),
             recv_wait: self.recv_wait.merged(other.recv_wait),
             step_wall: self.step_wall.merged(other.step_wall),
-            queue_depth: self.queue_depth.merged(other.queue_depth),
         }
     }
 }
@@ -180,12 +170,10 @@ mod tests {
         s.record_wait_ns(1_000);
         s.record_wait_ns(64_000);
         s.record_step_ns(2_000_000);
-        s.record_queue_depth(3);
         let snap = s.snapshot(0);
         assert_eq!(snap.recv_wait.count, 2);
         assert_eq!(snap.recv_wait.max, 64_000);
         assert_eq!(snap.step_wall.count, 1);
-        assert_eq!(snap.queue_depth.count, 1);
         let m = snap.merged(snap);
         assert_eq!(m.recv_wait.count, 4, "histograms aggregate by merge across ranks");
         assert_eq!(m.recv_wait.max, 64_000);

@@ -80,6 +80,9 @@ reject "parallel telemetry=1 rules=$soak_dir/serial.rules" \
   'rules line 1: channel "dominant_m" is recorded by serial runs only'
 gone="metrics_hol""d_ms" # split like the one above
 reject "parallel $gone=1" "unknown config key '$gone'"
+gone="ckpt_asyn""c" # the writer thread is the only writer
+reject "parallel $gone=0" "unknown config key '$gone'"
+reject "parallel ckpt_compress=rle" "ckpt_compress: expected none|delta, got 'rle'"
 # The serial blow-up: `parallel` rolls back and reduces dt; `run` has no checkpoint, and says so.
 reject "run steps=400 cfl=1.0 dt_every=50 perturb=0.5 sample=0" \
   "step 145 (t = 9.5248e-1): density floor violated"
@@ -103,15 +106,15 @@ for r in 0 1; do
 done
 reject "merge $soak_dir/huge-shards $soak_dir/huge-merged.ck" \
   "shard truncated: encoded length 18014398509481984 exceeds the 0 bytes left in the file"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 18 misplaced/unknown/unusable values refused"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 20 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -209,13 +212,13 @@ echo "==> elastic restart smoke: serial checkpoint resumes onto a shrunk layout"
 cmp "$soak_dir/chaos-serial.ck" "$soak_dir/resumed.ck"
 echo "OK: restart onto 1x2 is byte-identical to the unbroken run"
 
-echo "==> output soak: faulted 2x2 async compressed shards, restart from the merged set"
+echo "==> output soak: faulted 2x2 compressed shards, restart from the merged set"
 # A 2x2 supervised run under seeded message faults plus a mid-run rank
-# kill, writing per-rank delta-compressed shards through the async
+# kill, writing per-rank delta-compressed shards through the
 # writer thread. The shard stream must survive the rollback, merge back
 # into a serial-format checkpoint, and seed a bit-exact restart.
 ./target/release/yycore parallel pth=2 pph=2 steps=8 sample=0 nr=12 nth=9 \
-  ckpt_every=2 ckpt_dir="$soak_dir/shards" ckpt_async=1 ckpt_compress=delta \
+  ckpt_every=2 ckpt_dir="$soak_dir/shards" ckpt_compress=delta \
   report_json="$soak_dir/io-report.json" \
   fault_seed=42 drop=0.10 delay=0.10 delay_us=200 kill_rank=1 kill_step=4 \
   >/dev/null 2>&1
@@ -234,7 +237,7 @@ cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-resumed-dir.ck"
 echo "OK: merged-shard restarts are byte-identical to the clean serial run"
 # The v4 report's io section must carry the output-pipeline accounting.
 for key in '"io"' '"shards_written"' '"bytes_raw"' '"bytes_written"' \
-    '"write_wall_s"' '"writer_wait_s"' '"async_mode":true' '"codec":"delta"' \
+    '"write_wall_s"' '"writer_wait_s"' '"codec":"delta"' \
     '"compression_ratio"'; do
   grep -q "$key" "$soak_dir/io-report.json" || {
     echo "ERROR: io report missing $key" >&2; exit 1; }
