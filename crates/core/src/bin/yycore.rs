@@ -722,22 +722,12 @@ mod tests {
 
     #[test]
     fn telemetry_keys_parse_and_reject_garbage() {
-        let a = parse(
-            "parallel",
-            &[
-                "telemetry=1",
-                "rules=watch.rules",
-                "dt_collapse_factor=0.25",
-                "dt_collapse_at=10",
-            ],
-        )
-        .unwrap();
+        let a = parse("parallel", &["telemetry=1", "rules=watch.rules", "dt_collapse_at=10"]).unwrap();
         assert!(a.recovery.obs.series);
         assert_eq!(a.recovery.obs.rules.as_deref(), Some(Path::new("watch.rules")));
         let inj = a.recovery.dt_inject.expect("injector armed");
-        assert_eq!((inj.at_step, inj.factor), (10, 0.25));
-        // The factor alone arms nothing.
-        let off = parse("run", &["telemetry=0", "dt_collapse_factor=0.25"]).unwrap();
+        assert_eq!(inj.at_step, 10);
+        let off = parse("run", &["telemetry=0"]).unwrap();
         assert!(off.recovery.dt_inject.is_none() && !off.recovery.obs.series);
         assert!(parse_err("run", &["telemetry=yes"]).contains("telemetry"));
         assert!(parse_err("run", &["dt_collapse_at=soon"]).starts_with("dt_collapse_at:"));
@@ -809,7 +799,7 @@ mod tests {
         cfg.init.perturb_amplitude = 1e-2;
         let mut sim = SerialSim::new(cfg.clone());
         sim.arm_telemetry(&ObsOpts { series: true, ..ObsOpts::default() }).unwrap();
-        sim.dt_inject = Some(yycore::DtInject { at_step: 10, factor: 0.5 });
+        sim.dt_inject = Some(yycore::DtInject { at_step: 10 });
         let report = sim.run(16, 1);
         let frame = report_frame(&report.to_json(), 32).expect("frame renders");
         for channel in yycore::telemetry::CHANNELS {

@@ -186,26 +186,22 @@ impl Default for Args {
     }
 }
 
-/// Rank/step that never occurs: marks a kill or dt collapse whose
-/// modifier keys (`kill_step=`, `dt_collapse_factor=`) arrived without
-/// the key that arms it. [`parse`] drops such entries.
-const NEVER: u64 = u64::MAX;
+/// Rank that never occurs: marks a kill whose modifier keys
+/// (`kill_step=`, `kill_persistent=`) arrived without the key that arms
+/// it. [`parse`] drops such entries.
+const NEVER: usize = usize::MAX;
 
 /// The one kill the CLI can schedule.
 fn kill(a: &mut Args) -> &mut KillSpec {
     let kills = &mut a.recovery.fault.kills;
     if kills.is_empty() {
-        kills.push(KillSpec { rank: NEVER as usize, step: 0, persistent: false });
+        kills.push(KillSpec { rank: NEVER, step: 0, persistent: false });
     }
     &mut kills[0]
 }
 
-fn dt_collapse(a: &mut Args) -> &mut DtInject {
-    a.recovery.dt_inject.get_or_insert(DtInject { at_step: NEVER, factor: 0.5 })
-}
-
 /// Every key that is not a [`RunConfig`] field.
-pub const KEYS: [Key<Args>; 38] = [
+pub const KEYS: [Key<Args>; 36] = [
     key!("steps", "N", STEPPED, "total steps [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
@@ -222,8 +218,6 @@ pub const KEYS: [Key<Args>; 38] = [
     key!("resume", "PATH", PAR,
         "start from this checkpoint or shard directory (newest complete set); any layout",
         |a, v| a.resume = Some(v.into())),
-    key!("profile_every", "N", PAR, "per-kernel MFLOPS samples into the trace every N steps",
-        |a, v| a.recovery.obs.profile_every = num(v)?),
     key!("metrics_port", "N", PAR, "serve the live Prometheus exposition on 127.0.0.1:N",
         |a, v| a.metrics_port = Some(num(v)?)),
     // Output pipeline (DESIGN.md §6h).
@@ -264,9 +258,7 @@ pub const KEYS: [Key<Args>; 38] = [
     key!("rules", "PATH", RUNS, "watchdog rules file [built-in ruleset]",
         |a, v| a.recovery.obs.rules = Some(v.into())),
     key!("dt_collapse_at", "N", RUNS, "fault-inject a geometric dt collapse from step N",
-        |a, v| dt_collapse(a).at_step = num(v)?),
-    key!("dt_collapse_factor", "F", RUNS, "per-step collapse factor [0.5]",
-        |a, v| dt_collapse(a).factor = num(v)?),
+        |a, v| a.recovery.dt_inject = Some(DtInject { at_step: num(v)? })),
     key!("step", "N", &["merge"], "shard set to merge [newest complete]",
         |a, v| a.step = Some(num(v)?)),
     key!("report", "PATH", DOCTOR, "print the analysis section of this report artifact",
@@ -325,8 +317,7 @@ pub fn parse(cmd: &str, args: &[String]) -> Result<Args, String> {
             })
         })?;
     }
-    a.recovery.fault.kills.retain(|k| k.rank != NEVER as usize);
-    a.recovery.dt_inject = a.recovery.dt_inject.filter(|d| d.at_step != NEVER);
+    a.recovery.fault.kills.retain(|k| k.rank != NEVER);
     a.cfg.check()?;
     a.recovery.check()?;
     Ok(a)
@@ -435,7 +426,7 @@ mod tests {
     #[test]
     fn help_lists_every_row_once_and_each_command_its_own() {
         let rows: Vec<_> = all_rows().collect();
-        assert_eq!(rows.len(), 55);
+        assert_eq!(rows.len(), 52);
         for (i, (name, _, _, readers)) in rows.iter().enumerate() {
             assert!(rows[..i].iter().all(|r| r.0 != *name), "duplicate key '{name}'");
             assert!(!readers.is_empty(), "nobody reads '{name}'");

@@ -15,7 +15,7 @@ pub struct RunConfig {
     pub ext: usize,
     /// Physics.
     pub params: PhysParams,
-    /// Magnetic wall condition.
+    /// Magnetic wall condition (one value: the conducting wall).
     pub mag_bc: MagneticBc,
     /// Initial perturbation controls.
     pub init: InitOptions,
@@ -114,7 +114,7 @@ impl RunConfig {
 
 /// The `key=value` rows of a [`RunConfig`] — the examples' whole CLI
 /// ([`RunConfig::apply_args`]) and the physics half of `yycore help`.
-pub const KEYS: [Key<RunConfig>; 17] = [
+pub const KEYS: [Key<RunConfig>; 16] = [
     key!("nr", "N", SOLVER, "radial nodes [16]", |c, v| c.nr = num(v)?),
     key!("nth", "N", SOLVER, "nodes across the nominal 90-degree colatitude span [13]",
         |c, v| c.nth_nominal = num(v)?),
@@ -134,12 +134,6 @@ pub const KEYS: [Key<RunConfig>; 17] = [
     key!("seed_amp", "F", SOLVER, "magnetic seed amplitude",
         |c, v| c.init.seed_amplitude = num(v)?),
     key!("seed", "N", SOLVER, "master RNG seed of the perturbations", |c, v| c.init.seed = num(v)?),
-    key!("mag_bc", "conducting|zero_gradient", SOLVER, "magnetic wall condition [conducting]",
-        |c, v| c.mag_bc = match v {
-            "conducting" => MagneticBc::ConductingWall,
-            "zero_gradient" => MagneticBc::ZeroGradient,
-            other => return Err(format!("expected conducting|zero_gradient, got '{other}'")),
-        }),
 ];
 
 #[cfg(test)]
@@ -159,13 +153,11 @@ mod tests {
     #[test]
     fn overrides_apply() {
         let mut cfg = RunConfig::small();
-        cfg.apply_args(["nr=20".to_string(), "mu=0.5".to_string(), "mag_bc=zero_gradient".into()])
-            .unwrap();
+        cfg.apply_args(["nr=20".to_string(), "mu=0.5".to_string()]).unwrap();
         assert_eq!(cfg.nr, 20);
         assert_eq!(cfg.params.mu, 0.5);
-        assert_eq!(cfg.mag_bc, MagneticBc::ZeroGradient);
         assert_eq!(cfg.rhs_kernels, RhsKernels::Detected);
-        for gone in ["phi_block=4", "rhs_impl=reference"] {
+        for gone in ["phi_block=4", "rhs_impl=reference", "mag_bc=conducting"] {
             let err = cfg.apply_args([gone.to_string()]).unwrap_err();
             assert!(err.contains("unknown config key"), "{gone}: {err}");
         }

@@ -44,14 +44,8 @@ pub struct ObsOpts {
     /// exactly one relaxed load per kernel site and reports an all-zero
     /// kernel table.
     pub counters: bool,
-    /// Every this many steps, each rank appends per-kernel MFLOPS
-    /// counter samples ("C"-phase tracks) to its flight recorder, and —
-    /// when a metrics hub is attached — the allreduced counter snapshot
-    /// is rendered to the hub. 0 disables the sampler (the hub, if any,
-    /// then publishes every step).
-    pub profile_every: u64,
     /// Metrics hub rank 0 publishes the live Prometheus exposition
-    /// into. The caller owns the endpoint: the CLI binds a
+    /// into, every step. The caller owns the endpoint: the CLI binds a
     /// [`yy_obs::MetricsServer`] on it, tests scrape it without a socket.
     pub metrics_hub: Option<Arc<MetricsHub>>,
     /// Arm the science-telemetry layer: a
@@ -70,7 +64,6 @@ impl Default for ObsOpts {
             trace: None,
             mode: TraceMode::default(),
             counters: true,
-            profile_every: 0,
             metrics_hub: None,
             series: false,
             rules: None,

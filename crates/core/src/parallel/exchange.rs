@@ -135,14 +135,15 @@ impl RankSolver<'_> {
     /// receives drain and the next exchange begins; the boundary shell is
     /// swept last, when all ghosts and frames are in place. Without one,
     /// the same messages are posted and drained in the same order, and
-    /// only the closing wall condition runs.
+    /// nothing is swept.
     ///
-    /// The sink's wall condition goes first: it is column-local (f = 0,
-    /// p = ρ_wall·T, A frozen or copied from the first interior node), so
-    /// on every column the deep sweep reads it already has its final
-    /// value, and the deep box can span the full radial extent. The
-    /// repeat after the drains covers the ghost and frame columns the
-    /// exchange overwrote (the condition is idempotent).
+    /// The wall condition runs once, after the drains, for the ghost and
+    /// frame columns the exchange overwrote. The owned columns the deep
+    /// sweep reads already hold their final wall values, so the deep box
+    /// can span the full radial extent: the stage buffers take every wall
+    /// node from the synced step head (`copy_walls_from`), the sweeps
+    /// write interior nodes only, and the condition (f = 0, p = ρ·T, A
+    /// frozen) would rewrite those nodes from the same frozen ρ.
     ///
     /// Bitwise identical to a sink-less `sync` followed by a full-range
     /// RHS: the exchange only writes ghost/frame columns, deep-interior
@@ -156,10 +157,6 @@ impl RankSolver<'_> {
         if self.halo_free {
             self.post_overset(x);
             clock.lap(self.world, SolverPhase::Overset);
-        }
-        if sink.is_some() {
-            apply_physical_bc(x, self.cfg.params.t_inner, self.cfg.mag_bc);
-            clock.lap(self.world, SolverPhase::Boundary);
         }
         // θ halo in flight over the first deep chunk, then the φ halo
         // (rows extended into the just-filled θ ghosts) over the second.

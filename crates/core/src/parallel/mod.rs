@@ -112,7 +112,6 @@ pub fn run_parallel(
         dt_scale: 1.0,
         dt_inject: None,
         counters: true,
-        profile_every: 0,
         metrics: None,
         shards: None,
         science: None,
@@ -248,9 +247,6 @@ impl RecoveryOpts {
         }
         if self.on_failure == FailurePolicy::Retile && self.max_retiles == 0 {
             return Err("max_retiles must be at least 1 when on_failure=retile".into());
-        }
-        if let Some(inj) = self.dt_inject.filter(|inj| !(inj.factor > 0.0 && inj.factor < 1.0)) {
-            return Err(format!("dt_collapse_factor must lie in (0, 1) (got {})", inj.factor));
         }
         Ok(())
     }
@@ -447,10 +443,6 @@ mod tests {
     #[test]
     fn unusable_launch_inputs_are_one_line_errors() {
         let fault = |spec: FaultSpec| RecoveryOpts { fault: spec, ..RecoveryOpts::default() };
-        let collapse = |factor| RecoveryOpts {
-            dt_inject: Some(DtInject { at_step: 1, factor }),
-            ..RecoveryOpts::default()
-        };
         let trace = RecoveryOpts {
             obs: ObsOpts { trace: Some("/nonexistent-yy/x.json".into()), ..ObsOpts::default() },
             ..RecoveryOpts::default()
@@ -469,8 +461,6 @@ mod tests {
             (fault(FaultSpec::seeded(1).with_duplicate(f64::NAN)), "dup"),
             (fault(FaultSpec::seeded(1).with_kill(99, 0)), "kill_rank=99"),
             (fault(FaultSpec::seeded(1).with_delay(0.5, us).with_delay_src(99)), "delay_src=99"),
-            (collapse(2.0), "dt_collapse_factor"),
-            (collapse(0.0), "dt_collapse_factor"),
             (trace, "trace=/nonexistent-yy/x.json"),
             (serial_only, "rules line 2: channel \"dominant_m\" is recorded by serial runs only"),
         ];

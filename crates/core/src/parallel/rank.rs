@@ -17,7 +17,6 @@ use yy_mesh::routing::panel_of_world;
 use yy_mesh::Decomp2D;
 use yy_mhd::State;
 use yy_obs::counters::{CounterSnapshot, Kernel, KernelTally};
-use yy_obs::event::{CounterTrack, Gauge};
 use yy_obs::{prometheus_text, science_gauges_text, Event, MetricsHub};
 use yy_parcomm::stats::SolverPhase;
 use yy_parcomm::{Comm, ReduceOp};
@@ -37,8 +36,6 @@ pub(super) struct PassPlan {
     pub(super) dt_inject: Option<DtInject>,
     /// Arm the per-kernel counters.
     pub(super) counters: bool,
-    /// Profile-sample / metrics-publish cadence in steps (0 = off).
-    pub(super) profile_every: u64,
     pub(super) metrics: Option<Arc<MetricsHub>>,
     /// Write this rank's owned region at every checkpoint event.
     pub(super) shards: Option<ShardCfg>,
@@ -128,10 +125,6 @@ pub(super) fn rank_program(
     // Open the counter measurement window at loop entry (setup, restore
     // and the initial sync are bookkeeping, not stepping).
     solver.meter.reset();
-    // Sampler state: the previous profile sample's (wall clock, counter
-    // snapshot), for windowed MFLOPS deltas. Local to the rank; the
-    // emitted counter events are local ring appends, never collectives.
-    let mut last_profile: Option<(Instant, CounterSnapshot)> = None;
     while solver.step < plan.steps {
         let step_started = Instant::now();
         world.record_event(Event::StepBegin { step: solver.step });
@@ -182,56 +175,26 @@ pub(super) fn rank_program(
             solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
         }
         world.record_step_ns(step_started.elapsed().as_nanos() as u64);
-        // Periodic profile sampler: each rank appends its own per-kernel
-        // MFLOPS counter samples (Chrome "C"-phase tracks) to its flight
-        // recorder — purely local, cannot perturb the trajectory.
-        if plan.profile_every > 0 && solver.step % plan.profile_every == 0 {
-            let now = Instant::now();
-            let snap = solver.meter.counters().snapshot();
-            if let Some((prev_t, prev)) = last_profile.replace((now, snap)) {
-                let dt_s = now.duration_since(prev_t).as_secs_f64();
-                if dt_s > 0.0 {
-                    let mut total = 0.0;
-                    for ((k, now), before) in snap.rows().zip(&prev.kernels) {
-                        let mflops = now.flops.saturating_sub(before.flops) as f64 / dt_s / 1e6;
-                        total += mflops;
-                        if now.flops > 0 {
-                            world.record_event(Event::counter_sample(CounterTrack::Kernel(k), mflops));
-                        }
-                    }
-                    for (gauge, value) in [
-                        (Gauge::TotalMflops, total),
-                        (Gauge::QueueDepth, world.stats().max_queue_depth as f64),
-                    ] {
-                        world.record_event(Event::counter_sample(CounterTrack::Gauge(gauge), value));
-                    }
-                }
-            }
-        }
-        // Live metrics: allreduce the counter words (a collective every
-        // rank joins — the gate is rank-uniform) and let rank 0 render
-        // the exposition into the hub for the endpoint thread to serve.
+        // Live metrics, every step: allreduce the counter words (a
+        // collective every rank joins — the gate is rank-uniform) and let
+        // rank 0 render the exposition into the hub for the endpoint
+        // thread to serve. The per-phase ns words ride the same allreduce.
         if let Some(hub) = &plan.metrics {
-            if solver.step % plan.profile_every.max(1) == 0 {
-                // Counter words plus the per-phase ns words ride one
-                // allreduce — the extension is rank-uniform, so the
-                // collective stays matched on every rank.
-                let mut words = solver.meter.counters().snapshot().to_f64s();
-                let nwords = words.len();
-                words.extend(world.stats().phase_ns.map(|ns| ns as f64));
-                let merged = world.allreduce_vec(&words, ReduceOp::Sum);
-                if world.rank() == 0 {
-                    let mut body = prometheus_text(
-                        &CounterSnapshot::from_f64s(&merged[..nwords]),
-                        solver.step,
-                        world.stats().max_queue_depth,
-                        &std::array::from_fn(|p| merged[nwords + p] / 1e9),
-                    );
-                    if let Some(tel) = &science {
-                        body.push_str(&science_gauges_text(&tel.gauges()));
-                    }
-                    hub.publish(body);
+            let mut words = solver.meter.counters().snapshot().to_f64s();
+            let nwords = words.len();
+            words.extend(world.stats().phase_ns.map(|ns| ns as f64));
+            let merged = world.allreduce_vec(&words, ReduceOp::Sum);
+            if world.rank() == 0 {
+                let mut body = prometheus_text(
+                    &CounterSnapshot::from_f64s(&merged[..nwords]),
+                    solver.step,
+                    world.stats().max_queue_depth,
+                    &std::array::from_fn(|p| merged[nwords + p] / 1e9),
+                );
+                if let Some(tel) = &science {
+                    body.push_str(&science_gauges_text(&tel.gauges()));
                 }
+                hub.publish(body);
             }
         }
     }

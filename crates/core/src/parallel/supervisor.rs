@@ -272,7 +272,6 @@ impl<'a> Supervisor<'a> {
                 dt_scale: 1.0,
                 dt_inject: opts.dt_inject,
                 counters: opts.obs.counters,
-                profile_every: opts.obs.profile_every,
                 metrics: opts.obs.metrics_hub.clone(),
                 shards,
                 // Built here, so a bad rules file fails the launch.

@@ -693,7 +693,7 @@ mod tests {
         // `energy_blowup` rule (latest < ½ × window max, for 2 samples)
         // must fire within a few samples, while the run itself stays
         // finite (a smaller dt is *more* stable).
-        sim.dt_inject = Some(DtInject { at_step: 10, factor: 0.5 });
+        sim.dt_inject = Some(DtInject { at_step: 10 });
         let report = sim.run(16, 1);
         let fired: Vec<_> = report.alerts.iter().filter(|a| a.firing).collect();
         assert!(

@@ -48,27 +48,28 @@ pub const PROBE_M_MAX: usize = 40;
 pub const PROBE_NPHI: usize = 128;
 
 /// Seeded dt-collapse injection: from `at_step` on, the applied time
-/// step is the CFL step scaled by `factor^(k+1)` on the k-th affected
-/// step. With the default `factor = 0.5` the watchdog's `dt_collapse`
-/// rule (latest < ½ × window max) trips within two samples, while the
-/// shrinking-dt trajectory itself stays finite — the smoke test's way
-/// of rehearsing a blow-up without one.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// step is the CFL step scaled by `0.5^(k+1)` on the k-th affected step.
+/// The watchdog's `dt_collapse` rule (latest < ½ × window max) then
+/// trips within two samples, while the shrinking-dt trajectory itself
+/// stays finite — the smoke test's way of rehearsing a blow-up without
+/// one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DtInject {
     /// First step the scaling applies to.
     pub at_step: u64,
-    /// Per-step shrink factor in `(0, 1)`.
-    pub factor: f64,
 }
 
 impl DtInject {
+    /// Per-step shrink factor of the applied dt.
+    const FACTOR: f64 = 0.5;
+
     /// The dt to apply at `step` given the CFL step `dt`.
     pub fn scaled(&self, step: u64, dt: f64) -> f64 {
         if step < self.at_step {
             return dt;
         }
         let k = (step - self.at_step + 1).min(512) as i32;
-        dt * self.factor.powi(k)
+        dt * Self::FACTOR.powi(k)
     }
 }
 

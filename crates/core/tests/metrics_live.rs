@@ -53,7 +53,6 @@ fn injected_hub_publishes_parseable_exposition_without_perturbing() {
     let hub = Arc::new(MetricsHub::new());
     let with_metrics = run_with_obs(ObsOpts {
         metrics_hub: Some(Arc::clone(&hub)),
-        profile_every: 2,
         ..ObsOpts::default()
     });
 
@@ -127,13 +126,9 @@ fn tcp_endpoint_serves_the_exposition_mid_run() {
         panic!("no exposition published within the polling budget");
     });
 
-    // profile_every=1 publishes every step, so the scraper thread races
-    // a live, repeatedly-updated body.
-    let _run = run_with_obs(ObsOpts {
-        metrics_hub: Some(Arc::clone(&hub)),
-        profile_every: 1,
-        ..ObsOpts::default()
-    });
+    // The hub is published every step, so the scraper thread races a
+    // live, repeatedly-updated body.
+    let _run = run_with_obs(ObsOpts { metrics_hub: Some(Arc::clone(&hub)), ..ObsOpts::default() });
 
     let body = scraper.join().expect("scraper thread");
     assert!(body.contains("yy_step"), "exposition has the step gauge: {body}");

@@ -4,15 +4,15 @@
 //! is a format change every reader of a trace, a scrape or a report sees.
 //! `fixtures/run_report.json` has since lost the two keys no reader
 //! consumed, `histograms.queue_depth` and `io.async_mode`, and nothing else.
+//! `fixtures/chrome_trace.json` has lost its three `"ph":"C"` counter
+//! records, which the format no longer has, and nothing else.
 //! `fixtures/tables.txt` is the stdout of `yycore tables` at the commit
 //! before its printout moved into `yycore::report::paper_tables_text`.
 
 use yy_obs::chrome::{chrome_trace_json, RankTrace};
-use yy_obs::event::{
-    AlertKind, CounterTrack, FaultKind, Gauge, HealthCode, Phase, TrafficClass,
-};
+use yy_obs::event::{AlertKind, FaultKind, HealthCode, Phase, TrafficClass};
 use yy_obs::analysis::{Analysis, Disruption, PhaseGate, Reason, Straggler};
-use yy_obs::{AlertEvent, CounterSnapshot, Event, Kernel, TimedEvent};
+use yy_obs::{AlertEvent, CounterSnapshot, Event, TimedEvent};
 use yycore::report::{PhaseBreakdown, RunReport};
 
 /// Seconds per phase, in [`Phase::ALL`] order.
@@ -22,8 +22,7 @@ fn te(ts_ns: u64, event: Event) -> TimedEvent {
     TimedEvent { ts_ns, event }
 }
 
-/// One of every [`Event`] variant over two ranks (both alert edges, all
-/// three kinds of counter track).
+/// One of every [`Event`] variant over two ranks (both alert edges).
 fn every_variant() -> Vec<RankTrace> {
     let t0 = vec![
         te(1_000, Event::StepBegin { step: 7 }),
@@ -31,9 +30,6 @@ fn every_variant() -> Vec<RankTrace> {
         te(3_500, Event::Send { peer: 1, class: TrafficClass::Overset, bytes: 96, tag16: 12, seq: 3 }),
         te(9_000, Event::Phase { phase: Phase::Interior, dur_ns: 5_000 }),
         te(9_100, Event::Phase { phase: Phase::WriterWait, dur_ns: 50 }),
-        te(9_200, Event::counter_sample(CounterTrack::Kernel(Kernel::Rhs), 512.25)),
-        te(9_200, Event::counter_sample(CounterTrack::Gauge(Gauge::QueueDepth), 2.0)),
-        te(9_250, Event::counter_sample(CounterTrack::Gauge(Gauge::TotalMflops), 1024.5)),
         te(9_500, Event::KillInjected { step: 4 }),
     ];
     let t1 = vec![
@@ -72,13 +68,13 @@ fn fixed_snapshot() -> CounterSnapshot {
 fn chrome_trace_bytes_are_pinned() {
     let doc = chrome_trace_json(&every_variant());
     assert_eq!(doc, include_str!("fixtures/chrome_trace.json"));
-    // And the pinned document reads back as the 21 events that wrote it.
+    // And the pinned document reads back as the 18 events that wrote it.
     let check = yy_obs::validate_chrome_trace(&doc).expect("valid");
     assert_eq!((check.spans, check.kills, check.retiles, check.degrades), (3, 1, 1, 1));
-    assert_eq!((check.alerts, check.counter_samples, check.counter_tracks), (2, 3, 3));
+    assert_eq!(check.alerts, 2);
     assert_eq!((check.flow_starts, check.flow_finishes, check.tracks), (2, 1, 2));
     let streams = yy_obs::streams_from_chrome(&doc).expect("re-imports");
-    assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [9, 12]);
+    assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [6, 12]);
 }
 
 #[test]

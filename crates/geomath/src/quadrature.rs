@@ -4,8 +4,8 @@
 //! Energy diagnostics in the solver are integrals
 //! `∫ q(r, θ, φ) r² sin θ dr dθ dφ` over a patch. On a uniform node grid the
 //! composite trapezoid rule gives weight `d` to interior nodes and `d / 2`
-//! to end nodes in each dimension; the full 3-D weight is the product of
-//! the per-dimension weights times the metric `r² sin θ`.
+//! to end nodes in each dimension; the callers multiply the per-dimension
+//! weights and the metric `r² sin θ` inside their own loops.
 
 use crate::grid1d::Grid1D;
 
@@ -20,70 +20,22 @@ pub fn trapezoid_weights(g: &Grid1D) -> Vec<f64> {
     w
 }
 
-/// Integrate samples `f[i]` given at the nodes of `g` with the composite
-/// trapezoid rule.
-pub fn integrate_1d(g: &Grid1D, f: &[f64]) -> f64 {
-    assert_eq!(f.len(), g.len(), "sample count must match grid size");
-    trapezoid_weights(g).iter().zip(f).map(|(w, v)| w * v).sum()
-}
-
-/// Volume element weights `w_r(i) * w_θ(j) * w_φ(k) * r_i² sin θ_j` for a
-/// spherical-shell patch, returned as per-dimension factor arrays so the
-/// caller can fuse them into its own loops without materialising an
-/// `nr × nθ × nφ` array.
-pub struct ShellWeights {
-    /// `w_r(i) * r_i²`
-    pub radial: Vec<f64>,
-    /// `w_θ(j) * sin θ_j`
-    pub colat: Vec<f64>,
-    /// `w_φ(k)`
-    pub lon: Vec<f64>,
-}
-
-impl ShellWeights {
-    /// Build the per-dimension weight factors for a shell patch.
-    pub fn new(r: &Grid1D, theta: &Grid1D, phi: &Grid1D) -> Self {
-        let radial = trapezoid_weights(r)
-            .into_iter()
-            .zip(r.coords())
-            .map(|(w, ri)| w * ri * ri)
-            .collect();
-        let colat = trapezoid_weights(theta)
-            .into_iter()
-            .zip(theta.coords())
-            .map(|(w, tj)| w * tj.sin())
-            .collect();
-        let lon = trapezoid_weights(phi);
-        ShellWeights { radial, colat, lon }
-    }
-
-    /// Total measure `∫ dV` of the patch (sum of all weights).
-    pub fn volume(&self) -> f64 {
-        let sr: f64 = self.radial.iter().sum();
-        let st: f64 = self.colat.iter().sum();
-        let sp: f64 = self.lon.iter().sum();
-        sr * st * sp
-    }
-
-    /// Weight of the single node `(i, j, k)`.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.radial[i] * self.colat[j] * self.lon[k]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
     use std::f64::consts::PI;
 
+    /// The composite trapezoid rule over the nodes of `g`.
+    fn integrate(g: &Grid1D, f: impl Fn(f64) -> f64) -> f64 {
+        trapezoid_weights(g).iter().zip(g.coords()).map(|(w, x)| w * f(x)).sum()
+    }
+
     #[test]
     fn integrate_polynomial_exactly_for_linear() {
         // Trapezoid is exact for linear functions.
         let g = Grid1D::new(9, 0.0, 2.0, 0);
-        let f: Vec<f64> = g.coords().map(|x| 3.0 * x + 1.0).collect();
-        assert!(approx_eq(integrate_1d(&g, &f), 8.0, 1e-13)); // ∫(3x+1) over [0,2] = 6+2
+        assert!(approx_eq(integrate(&g, |x| 3.0 * x + 1.0), 8.0, 1e-13)); // ∫(3x+1) over [0,2] = 6+2
     }
 
     #[test]
@@ -91,64 +43,10 @@ mod tests {
         // ∫ sin(x) dx over [0, π] = 2, with O(d²) error.
         let err = |n: usize| {
             let g = Grid1D::new(n, 0.0, PI, 0);
-            let f: Vec<f64> = g.coords().map(f64::sin).collect();
-            (integrate_1d(&g, &f) - 2.0).abs()
+            (integrate(&g, f64::sin) - 2.0).abs()
         };
         let (e1, e2) = (err(17), err(33));
         let rate = (e1 / e2).log2();
         assert!(rate > 1.9 && rate < 2.1, "rate = {rate}");
-    }
-
-    #[test]
-    fn full_shell_volume() {
-        // Full shell ri..ro, θ ∈ [0, π], φ ∈ (−π, π]:
-        // V = 4π/3 (ro³ − ri³).
-        let (ri, ro) = (0.35, 1.0);
-        let w = ShellWeights::new(
-            &Grid1D::new(129, ri, ro, 0),
-            &Grid1D::new(129, 0.0, PI, 0),
-            &Grid1D::new(257, -PI, PI, 0),
-        );
-        let exact = 4.0 * PI / 3.0 * (ro.powi(3) - ri.powi(3));
-        assert!(
-            approx_eq(w.volume(), exact, 1e-3),
-            "volume {} vs exact {}",
-            w.volume(),
-            exact
-        );
-    }
-
-    #[test]
-    fn yin_patch_area_fraction() {
-        // The nominal Yin patch (θ ∈ [π/4, 3π/4], φ ∈ [−3π/4, 3π/4])
-        // covers sin(π/4)·√2 … analytically: area = Δφ (cos π/4 − cos 3π/4)
-        // = (3π/2)(√2) / (4π) of the sphere = 3√2/8 ≈ 0.5303.
-        let w = ShellWeights::new(
-            &Grid1D::new(2, 1.0 - 1e-9, 1.0, 0), // thin radial sliver
-            &Grid1D::new(257, PI / 4.0, 3.0 * PI / 4.0, 0),
-            &Grid1D::new(513, -3.0 * PI / 4.0, 3.0 * PI / 4.0, 0),
-        );
-        let st: f64 = w.colat.iter().sum();
-        let sp: f64 = w.lon.iter().sum();
-        let frac = st * sp / (4.0 * PI);
-        let exact = 3.0 * 2.0_f64.sqrt() / 8.0;
-        assert!(approx_eq(frac, exact, 1e-4), "frac {frac} vs {exact}");
-    }
-
-    #[test]
-    fn at_matches_factor_product() {
-        let w = ShellWeights::new(
-            &Grid1D::new(4, 0.5, 1.0, 0),
-            &Grid1D::new(5, 1.0, 2.0, 0),
-            &Grid1D::new(6, -1.0, 1.0, 0),
-        );
-        assert!(approx_eq(w.at(1, 2, 3), w.radial[1] * w.colat[2] * w.lon[3], 1e-15));
-    }
-
-    #[test]
-    #[should_panic(expected = "sample count")]
-    fn integrate_checks_length() {
-        let g = Grid1D::new(4, 0.0, 1.0, 0);
-        integrate_1d(&g, &[1.0, 2.0]);
     }
 }

@@ -3,8 +3,7 @@
 //! The paper integrates the MHD system with classical RK4. The solver
 //! crates use the same Butcher tableau but drive it through their own
 //! staged loop (they must refill ghost zones between stages); this module
-//! provides the reference implementation used for convergence testing and
-//! for small ODE work (e.g. tracer advection in the examples), plus the
+//! provides the reference step used for convergence testing, plus the
 //! tableau constants shared with the PDE integrator.
 
 /// RK4 stage weights `(b1, b2, b3, b4) = (1/6, 1/3, 1/3, 1/6)`.
@@ -76,32 +75,26 @@ impl Rk4Work {
     }
 }
 
-/// Integrate from `t0` to `t1` in `steps` equal RK4 steps.
-pub fn rk4_integrate<F>(t0: f64, t1: f64, steps: usize, y: &mut [f64], rhs: F)
-where
-    F: FnMut(f64, &[f64], &mut [f64]) + Copy,
-{
-    assert!(steps > 0);
-    let dt = (t1 - t0) / steps as f64;
-    let mut work = Rk4Work::new(y.len());
-    let mut t = t0;
-    for _ in 0..steps {
-        rk4_step(t, dt, y, &mut work, rhs);
-        t += dt;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    /// `steps` equal RK4 steps from t = 0 to `t1`.
+    fn integrate(t1: f64, steps: usize, y: &mut [f64], rhs: impl Fn(f64, &[f64], &mut [f64])) {
+        let dt = t1 / steps as f64;
+        let mut work = Rk4Work::new(y.len());
+        for n in 0..steps {
+            rk4_step(n as f64 * dt, dt, y, &mut work, &rhs);
+        }
+    }
 
     #[test]
     fn exponential_decay_exact_to_fourth_order() {
         // y' = −y, y(0) = 1 → y(1) = e⁻¹.
         let run = |steps: usize| {
             let mut y = [1.0];
-            rk4_integrate(0.0, 1.0, steps, &mut y, |_, y, dy| dy[0] = -y[0]);
+            integrate(1.0, steps, &mut y, |_, y, dy| dy[0] = -y[0]);
             (y[0] - (-1.0_f64).exp()).abs()
         };
         let (e1, e2) = (run(10), run(20));
@@ -113,7 +106,7 @@ mod tests {
     fn harmonic_oscillator_conserves_energy_well() {
         // y'' = −y as a system; RK4 has tiny energy drift per period.
         let mut y = [1.0, 0.0];
-        rk4_integrate(0.0, 2.0 * std::f64::consts::PI, 200, &mut y, |_, y, dy| {
+        integrate(2.0 * std::f64::consts::PI, 200, &mut y, |_, y, dy| {
             dy[0] = y[1];
             dy[1] = -y[0];
         });

@@ -17,7 +17,7 @@ use yy_mhd::{
 
 /// Ghost fill for the full sphere: periodic in φ, antipodal across the
 /// poles (with tangential sign flips), then the radial wall conditions.
-pub fn fill_sphere(state: &mut State, grid: &LatLonGrid, t_inner: f64, mag_bc: MagneticBc) {
+pub fn fill_sphere(state: &mut State, grid: &LatLonGrid, t_inner: f64) {
     let (nr, nth, nph) = grid.dims();
     let h = grid.halo() as isize;
     let nth = nth as isize;
@@ -52,7 +52,7 @@ pub fn fill_sphere(state: &mut State, grid: &LatLonGrid, t_inner: f64, mag_bc: M
             }
         }
     }
-    apply_physical_bc(state, t_inner, mag_bc);
+    apply_physical_bc(state, t_inner, MagneticBc::ConductingWall);
 }
 
 /// Serial full-sphere simulation on the latitude–longitude grid.
@@ -63,8 +63,6 @@ pub struct LatLonSim {
     forces: ForceTables,
     /// Physics parameters.
     pub params: PhysParams,
-    /// Magnetic wall condition.
-    pub mag_bc: MagneticBc,
     /// Advective CFL safety factor.
     pub cfl: f64,
     range: InteriorRange,
@@ -121,7 +119,6 @@ impl LatLonSim {
             metric,
             forces,
             params,
-            mag_bc: MagneticBc::ConductingWall,
             cfl: 0.3,
             range,
             y0: State::zeros(shape),
@@ -139,7 +136,7 @@ impl LatLonSim {
 
     /// Ghost fill of the main state.
     pub fn fill(&mut self) {
-        fill_sphere(&mut self.state, &self.grid, self.params.t_inner, self.mag_bc);
+        fill_sphere(&mut self.state, &self.grid, self.params.t_inner);
     }
 
     /// CFL step — limited by the pole-adjacent cells.
@@ -181,7 +178,7 @@ impl LatLonSim {
                 &mut self.meter,
             );
             if s < 3 {
-                fill_sphere(next, &self.grid, self.params.t_inner, self.mag_bc);
+                fill_sphere(next, &self.grid, self.params.t_inner);
             }
         }
         self.fill();
@@ -334,7 +331,7 @@ mod tests {
                 yy_mhd::compute_rhs(&stage, metric, forces, params, range, scratch, &mut k, meter);
                 if s < 3 {
                     p.state.axpy_and_assign_axpy(dt * w[s], &k, &mut stage, &y0, dt * c[s + 1]);
-                    fill_sphere(&mut stage, &p.grid, p.params.t_inner, p.mag_bc);
+                    fill_sphere(&mut stage, &p.grid, p.params.t_inner);
                 } else {
                     p.state.axpy(dt * w[s], &k);
                 }

@@ -8,14 +8,10 @@
 //! * `p = ρ_wall · T_wall` with the wall density frozen at its initial
 //!   hydrostatic value (a Dirichlet treatment; together with `f = 0` the
 //!   wall thermodynamic state is simply pinned — robust at 2nd order);
-//! * magnetic condition selectable:
-//!   [`MagneticBc::ConductingWall`] — tangential electric field zero, so
-//!   the wall values of A stay frozen at the (tiny) initial seed; this is
-//!   automatic because the RK4 update never touches the wall planes, so
-//!   the variant is a no-op that *documents* the physics;
-//!   [`MagneticBc::ZeroGradient`] — ∂A/∂r = 0, a crude open condition
-//!   copying the first interior plane outward (useful for ablation
-//!   studies of the wall condition).
+//! * perfectly conducting magnetic walls ([`MagneticBc::ConductingWall`]):
+//!   tangential electric field zero, so the wall values of A stay frozen
+//!   at the (tiny) initial seed. This is automatic because the RK4 update
+//!   never touches the wall planes, so A is not written here at all.
 //!
 //! The radial wall planes are *not* evolved by the RHS (its interior
 //! range is `1..nr−1`), so this function is the only writer of wall data
@@ -23,21 +19,22 @@
 
 use crate::state::State;
 
-/// Magnetic wall condition.
+/// Magnetic wall condition. It has one value, the paper's conducting
+/// wall; the type stays so callers keep naming the condition they run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MagneticBc {
     /// Perfectly conducting, line-tied walls: wall A frozen.
     #[default]
     ConductingWall,
-    /// Zero-gradient (∂A/∂r = 0) walls.
-    ZeroGradient,
 }
 
 /// Apply the physical wall conditions to `state`.
 ///
 /// `t_inner` is the fixed inner-wall temperature; the outer wall is at the
-/// normalized temperature 1.
+/// normalized temperature 1. `mag_bc` has one value, under which A is
+/// left as it is.
 pub fn apply_physical_bc(state: &mut State, t_inner: f64, mag_bc: MagneticBc) {
+    let MagneticBc::ConductingWall = mag_bc;
     let shape = state.shape();
     let nr = shape.nr;
     let (gth, gph) = (shape.gth as isize, shape.gph as isize);
@@ -53,20 +50,6 @@ pub fn apply_physical_bc(state: &mut State, t_inner: f64, mag_bc: MagneticBc) {
             let p_out = state.rho.at(nr - 1, j, k) * 1.0;
             state.press.set(0, j, k, p_in);
             state.press.set(nr - 1, j, k, p_out);
-            match mag_bc {
-                MagneticBc::ConductingWall => {
-                    // Wall A frozen: nothing to do (RHS never updates the
-                    // wall planes).
-                }
-                MagneticBc::ZeroGradient => {
-                    for arr in [&mut state.a.r, &mut state.a.t, &mut state.a.p] {
-                        let inner = arr.at(1, j, k);
-                        arr.set(0, j, k, inner);
-                        let outer = arr.at(nr - 2, j, k);
-                        arr.set(nr - 1, j, k, outer);
-                    }
-                }
-            }
         }
     }
 }
@@ -114,23 +97,13 @@ mod tests {
         assert_eq!(s.a.p.at(4, 1, 1), before_out);
     }
 
-    #[test]
-    fn zero_gradient_copies_interior_planes() {
-        let mut s = dirty_state();
-        s.a.t.set(1, 1, 1, 3.25);
-        s.a.t.set(3, 1, 1, -1.5);
-        apply_physical_bc(&mut s, 2.0, MagneticBc::ZeroGradient);
-        assert_eq!(s.a.t.at(0, 1, 1), 3.25);
-        assert_eq!(s.a.t.at(4, 1, 1), -1.5);
-    }
-
-    /// Bitwise, for both magnetic variants, on a state with noise in
-    /// every array (ghost columns included): the overlapped pipeline
-    /// applies the condition before *and* after the exchange and relies
-    /// on the second application changing nothing it did not have to.
+    /// Bitwise, on a state with noise in every array (ghost columns
+    /// included): the rank pipeline applies the condition once per sync,
+    /// the serial fill after every overset, and neither may change a bit
+    /// a previous application already set.
     #[test]
     fn bc_is_idempotent() {
-        for mag_bc in [MagneticBc::ConductingWall, MagneticBc::ZeroGradient] {
+        for mag_bc in [MagneticBc::ConductingWall] {
             let mut s = State::zeros(Shape::new(7, 4, 5, 1, 1));
             let mut x = 0x9e37_79b9_7f4a_7c15_u64;
             for arr in s.arrays_mut() {

@@ -46,34 +46,6 @@ impl PhysParams {
         }
     }
 
-    /// Parameters *shaped like* the paper's flagship run: the paper
-    /// quotes Rayleigh number ≈ 3 × 10⁶ and Ekman number ≈ 2 × 10⁻⁵
-    /// (its exact normalization is not spelled out, so we choose µ, K and
-    /// Ω to land on those dimensionless targets under this crate's
-    /// definitions). Only usable at resolutions far beyond a laptop —
-    /// provided so the performance model and documentation can reference
-    /// the real regime.
-    pub fn paper_flagship() -> Self {
-        PhysParams {
-            gamma: 5.0 / 3.0,
-            mu: 3.1e-4,
-            kappa: 3.1e-4,
-            eta: 3.1e-4,
-            g0: 1.0,
-            omega: 18.0,
-            t_inner: 2.0,
-            ri: 1200.0 / 3500.0, // Earth's inner-core / core radius ratio
-        }
-    }
-
-    /// A convection-only configuration for the Fig. 2 flow-structure
-    /// studies: pair it with a zero magnetic seed (the induction equation
-    /// then stays identically zero). η is left at the default — raising
-    /// it would needlessly throttle the explicit diffusive CFL bound.
-    pub fn convection_only() -> Self {
-        Self::default_laptop()
-    }
-
     /// Sound speed at temperature `t`: `c_s = √(γ T)`.
     #[inline]
     pub fn sound_speed(&self, t: f64) -> f64 {
@@ -142,22 +114,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         PhysParams::default_laptop().validate();
-        PhysParams::paper_flagship().validate();
-        PhysParams::convection_only().validate();
-    }
-
-    #[test]
-    fn paper_flagship_is_in_the_advertised_regime() {
-        let p = PhysParams::paper_flagship();
-        // Ekman number ~2e-5 (paper §III).
-        let ek = p.ekman();
-        assert!(
-            (5e-6..5e-5).contains(&ek),
-            "Ekman number {ek:.2e} not in the paper's regime"
-        );
-        // Rayleigh-like index within an order of magnitude of 3e6.
-        let ra = p.rayleigh();
-        assert!((3e5..3e7).contains(&ra), "Rayleigh index {ra:.2e}");
     }
 
     #[test]
@@ -173,13 +129,5 @@ mod tests {
         let mut p = PhysParams::default_laptop();
         p.t_inner = 0.5;
         p.validate();
-    }
-
-    #[test]
-    fn convection_only_keeps_dissipation_mild() {
-        // The dynamo is disabled by a zero seed, not by huge η (which
-        // would throttle the diffusive CFL bound for no benefit).
-        let p = PhysParams::convection_only();
-        assert!(p.eta < 0.1);
     }
 }

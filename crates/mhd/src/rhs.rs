@@ -166,8 +166,8 @@ impl InteriorRange {
     /// radius is 1, so shrinking by one column on each θ/φ side is both
     /// necessary and sufficient. Radially the deep box keeps the full
     /// extent `i0..i1`: the wall condition is column-local (it reads
-    /// nothing an exchange delivers), so the caller sets the wall planes
-    /// *before* the deep sweep instead of keeping the sweep off them.
+    /// nothing an exchange delivers), so an owned column's wall planes
+    /// already hold their final values when the deep sweep reads them.
     /// The boundary shell is the set-difference — up to four disjoint
     /// full-height boxes (two θ bands, two φ bands) that together with
     /// the deep interior exactly tile `self`; every box spans `i0..i1`,

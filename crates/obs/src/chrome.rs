@@ -19,9 +19,7 @@
 //! and durations pass through f64 microseconds, and integers through
 //! JSON numbers (exact below 2⁵³).
 
-use crate::event::{
-    AlertKind, CounterTrack, Event, FaultKind, HealthCode, Phase, TimedEvent, TrafficClass,
-};
+use crate::event::{AlertKind, Event, FaultKind, HealthCode, Phase, TimedEvent, TrafficClass};
 use crate::json::{num, Json};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,8 +66,7 @@ pub fn flow_id(src: u64, dst: u64, tag16: u64, seq: u64) -> u64 {
 fn encode(out: &mut Vec<String>, rank: usize, te: &TimedEvent) {
     let tid = rank;
     let ts = us(te.ts_ns);
-    // Everything but a span and a counter sample is an instant, scoped
-    // to its thread (`t`) or drawn across all of them (`g`).
+    // Everything but a span is an instant, scoped to its thread (`t`) or drawn across all of them (`g`).
     let instant = |name: &str, scope: char, cat: &str, args: String| {
         format!(
             r#"{{"name":"{name}","ph":"i","s":"{scope}","pid":0,"tid":{tid},"ts":{ts},"cat":"{cat}","args":{{{args}}}}}"#
@@ -138,14 +135,6 @@ fn encode(out: &mut Vec<String>, rank: usize, te: &TimedEvent) {
             let args = format!(r#""rule":{rule},"kind":"{}","step":{step}"#, kind.name());
             instant(if firing { "alert fire" } else { "alert clear" }, 'g', "alert", args)
         }
-        // Perfetto keys counter tracks by (pid, name), not tid, so the
-        // rank goes into the name to keep one track per counter per
-        // rank.
-        Event::CounterSample { track, value_bits } => format!(
-            r#"{{"name":"{} r{tid}","ph":"C","pid":0,"tid":{tid},"ts":{ts},"cat":"counter","args":{{"value":{}}}}}"#,
-            track.name(),
-            num(f64::from_bits(value_bits)),
-        ),
     };
     out.push(last);
 }
@@ -167,10 +156,6 @@ fn decode(ph: &str, name: &str, ts: f64, record: &Json) -> Option<TimedEvent> {
                 event: Event::Phase { phase: Phase::from_name(name)?, dur_ns: ns(dur) },
             });
         }
-        "C" => Event::CounterSample {
-            track: CounterTrack::from_name(name.rsplit_once(" r")?.0)?,
-            value_bits: args?.f64_at("value")?.to_bits(),
-        },
         "i" => match (name, name.split_once(' ')) {
             (_, Some(("send", class))) => Event::Send {
                 peer: n("to")? as u32,
@@ -275,10 +260,6 @@ pub struct TraceCheck {
     pub alerts: usize,
     /// Distinct `tid` tracks seen (metadata excluded).
     pub tracks: usize,
-    /// [`Event::CounterSample`] records.
-    pub counter_samples: usize,
-    /// Distinct counter tracks (per counter per rank).
-    pub counter_tracks: usize,
 }
 
 impl TraceCheck {
@@ -286,15 +267,12 @@ impl TraceCheck {
     pub fn summary(&self) -> String {
         format!(
             "trace ok: {} events, {} spans, {} flow arrows, {} kill(s), {} track(s), \
-             {} counter sample(s) on {} counter track(s), {} retile(s), {} degrade(s), \
-             {} alert edge(s)",
+             {} retile(s), {} degrade(s), {} alert edge(s)",
             self.events,
             self.spans,
             self.flow_starts,
             self.kills,
             self.tracks,
-            self.counter_samples,
-            self.counter_tracks,
             self.retiles,
             self.degrades,
             self.alerts
@@ -304,8 +282,8 @@ impl TraceCheck {
 
 /// The one reader of the format: parse `text`, check every record —
 /// the required keys for its `ph`, a `tid` below [`MAX_TRACE_RANKS`],
-/// monotone non-decreasing timestamps within each `tid` track, finite
-/// counter values — and hand each non-metadata record to `visit` as
+/// monotone non-decreasing timestamps within each `tid` track — and
+/// hand each non-metadata record to `visit` as
 /// `(rank, ph, what it decodes to)`. Returns the record count, metadata
 /// included.
 fn walk(
@@ -345,13 +323,6 @@ fn walk(
                 e.get("id").ok_or_else(|| format!("event {i} ({name}): flow without id"))?;
             }
             "i" => {}
-            "C" => {
-                let value = (e.get("args").and_then(|a| a.f64_at("value")))
-                    .ok_or_else(|| format!("event {i} ({name}): C without args.value"))?;
-                if !value.is_finite() {
-                    return Err(format!("event {i} ({name}): non-finite counter value {value}"));
-                }
-            }
             other => return Err(format!("event {i} ({name}): unexpected ph {other:?}")),
         }
         visit(rank, ph, decode(ph, name, ts, e));
@@ -365,7 +336,6 @@ fn walk(
 pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     let mut check = TraceCheck::default();
     let mut tracks = BTreeSet::new();
-    let mut counter_tracks = BTreeSet::new();
     let events = walk(text, |rank, ph, decoded| {
         tracks.insert(rank);
         match (ph, decoded.map(|te| te.event)) {
@@ -376,14 +346,10 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             (_, Some(Event::Retile { .. })) => check.retiles += 1,
             (_, Some(Event::Degraded { .. })) => check.degrades += 1,
             (_, Some(Event::Alert { .. })) => check.alerts += 1,
-            (_, Some(Event::CounterSample { track, .. })) => {
-                check.counter_samples += 1;
-                counter_tracks.insert((rank, track));
-            }
             _ => {}
         }
     })?;
-    Ok(TraceCheck { events, tracks: tracks.len(), counter_tracks: counter_tracks.len(), ..check })
+    Ok(TraceCheck { events, tracks: tracks.len(), ..check })
 }
 
 /// Rebuild per-rank event streams (world-rank indexed, oldest first)
@@ -415,8 +381,6 @@ pub fn streams_from_chrome(text: &str) -> Result<Vec<Vec<TimedEvent>>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::Kernel;
-    use crate::event::Gauge;
 
     fn demo_tracks() -> Vec<RankTrace> {
         let t0 = vec![
@@ -426,11 +390,6 @@ mod tests {
                 event: Event::Send { peer: 1, class: TrafficClass::Halo, bytes: 800, tag16: 11, seq: 0 },
             },
             TimedEvent { ts_ns: 9_000, event: Event::Phase { phase: Phase::Interior, dur_ns: 5_000 } },
-            TimedEvent { ts_ns: 9_200, event: Event::counter_sample(CounterTrack::Kernel(Kernel::Rhs), 512.25) },
-            TimedEvent {
-                ts_ns: 9_200,
-                event: Event::counter_sample(CounterTrack::Gauge(Gauge::QueueDepth), 2.0),
-            },
             TimedEvent { ts_ns: 9_500, event: Event::KillInjected { step: 4 } },
         ];
         let t1 = vec![
@@ -472,39 +431,20 @@ mod tests {
         assert_eq!(check.flow_starts, 1);
         assert_eq!(check.flow_finishes, 1);
         assert_eq!(check.tracks, 2);
-        assert_eq!(check.counter_samples, 2);
-        assert_eq!(check.counter_tracks, 2, "mflops:rhs r0 and queue_depth r0");
     }
 
-    #[test]
-    fn counter_samples_become_per_rank_counter_tracks() {
-        let doc = chrome_trace_json(&demo_tracks());
-        assert!(doc.contains(r#""name":"mflops:rhs r0","ph":"C""#), "{doc}");
-        assert!(doc.contains(r#""args":{"value":512.25}"#));
-        let parsed = crate::json::Json::parse(&doc).unwrap();
-        let evs = parsed.get("traceEvents").unwrap().as_arr().unwrap();
-        let c: Vec<_> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("C"))
-            .collect();
-        assert_eq!(c.len(), 2);
-        for e in c {
-            assert!(e.get("args").unwrap().get("value").unwrap().as_f64().is_some());
-        }
-    }
-
+    /// The format has no counter records: a `"C"` record (older binaries
+    /// wrote them) is refused by both readers, well-formed or not.
     #[test]
     fn validator_rejects_bad_counter_records() {
-        let no_value = r#"{"traceEvents":[
-            {"name":"c","ph":"C","pid":0,"tid":0,"ts":1.0,"args":{}}
-        ]}"#;
-        let err = validate_chrome_trace(no_value).unwrap_err();
-        assert!(err.contains("without args.value"), "{err}");
-        let non_finite = r#"{"traceEvents":[
-            {"name":"c","ph":"C","pid":0,"tid":0,"ts":1.0,"args":{"value":1e999}}
-        ]}"#;
-        let err = validate_chrome_trace(non_finite).unwrap_err();
-        assert!(err.contains("non-finite"), "{err}");
+        for args in [r#"{"value":512.25}"#, "{}"] {
+            let doc = format!(
+                r#"{{"traceEvents":[{{"name":"mflops:rhs r0","ph":"C","pid":0,"tid":0,"ts":1.0,"args":{args}}}]}}"#
+            );
+            for err in [validate_chrome_trace(&doc).unwrap_err(), streams_from_chrome(&doc).unwrap_err()] {
+                assert_eq!(err, r#"event 0 (mflops:rhs r0): unexpected ph "C""#);
+            }
+        }
     }
 
     #[test]
@@ -584,12 +524,12 @@ mod tests {
             {"name":"gc","ph":"X","pid":0,"tid":0,"ts":1.0,"dur":1.0},
             {"name":"kill injected","ph":"i","pid":0,"tid":0,"ts":2.0,"args":{}},
             {"name":"alert maybe","ph":"i","pid":0,"tid":0,"ts":3.0,"args":{"rule":0,"kind":"above","step":1}},
-            {"name":"mflops:nope r0","ph":"C","pid":0,"tid":0,"ts":4.0,"args":{"value":1.0}},
+            {"name":"mystery","ph":"i","pid":0,"tid":0,"ts":4.0,"args":{}},
             {"name":"wait","ph":"X","pid":0,"tid":0,"ts":5.0,"dur":1.0}
         ]}"#;
         let check = validate_chrome_trace(doc).expect("structurally fine");
         assert_eq!(check.events, 5);
-        assert_eq!((check.spans, check.kills, check.alerts, check.counter_samples), (1, 0, 0, 0));
+        assert_eq!((check.spans, check.kills, check.alerts), (1, 0, 0));
         assert_eq!(streams_from_chrome(doc).unwrap()[0].len(), 1);
     }
 

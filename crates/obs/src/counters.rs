@@ -133,9 +133,7 @@ impl CounterSet {
 
     /// A zeroed, enabled counter set.
     pub fn enabled() -> Self {
-        let set = CounterSet::new();
-        set.set_enabled(true);
-        set
+        CounterSet { enabled: AtomicBool::new(true), cells: Default::default() }
     }
 
     /// Whether tallies are currently recorded — the one relaxed load
@@ -143,11 +141,6 @@ impl CounterSet {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable recording (counts are kept across toggles).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Zero every cell (the stepping-window reset at loop entry).

@@ -2,13 +2,11 @@
 //!
 //! An [`Event`] is plain `Copy` data; the ring stores it as it is, and
 //! `chrome.rs` owns its one on-disk form. The small enums it carries
-//! (solver phase, traffic class, fault kind, health code, alert kind,
-//! counter track) are each declared here, once, by [`code_table!`]: the
+//! (solver phase, traffic class, fault kind, health code, alert kind)
+//! are each declared here, once, by [`code_table!`]: the
 //! enum, its code and its exported name in one line per code. The
 //! crates above (`yy-parcomm`'s stats, `yycore`'s report) re-export or
 //! index by these types instead of keeping their own copies.
-
-use crate::counters::Kernel;
 
 /// Declare one code space: a `#[repr(u8)]` enum whose every variant
 /// carries its code and its exported name.
@@ -129,45 +127,6 @@ code_table! {
     }
 }
 
-code_table! {
-    /// The run-level counter tracks (the per-kernel ones are
-    /// [`CounterTrack::Kernel`]).
-    pub enum Gauge {
-        /// Mailbox queue depth sampled after the step.
-        QueueDepth = 0 => "queue_depth",
-        /// Whole-rank achieved MFLOPS over the sampling window.
-        TotalMflops = 1 => "mflops_total",
-    }
-}
-
-/// One counter track of [`Event::CounterSample`]: a kernel's achieved
-/// MFLOPS or a run-level [`Gauge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CounterTrack {
-    /// Achieved MFLOPS of one kernel, exported as `mflops:<kernel>`.
-    Kernel(Kernel),
-    /// A run-level gauge, exported under its own name.
-    Gauge(Gauge),
-}
-
-impl CounterTrack {
-    /// The exported track name.
-    pub fn name(self) -> String {
-        match self {
-            CounterTrack::Kernel(k) => format!("mflops:{}", k.name()),
-            CounterTrack::Gauge(g) => g.name().to_string(),
-        }
-    }
-
-    /// Inverse of [`CounterTrack::name`].
-    pub fn from_name(name: &str) -> Option<CounterTrack> {
-        match name.strip_prefix("mflops:") {
-            Some(kernel) => Kernel::from_name(kernel).map(CounterTrack::Kernel),
-            None => Gauge::from_name(name).map(CounterTrack::Gauge),
-        }
-    }
-}
-
 /// One flight-recorder event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
@@ -279,23 +238,6 @@ pub enum Event {
         /// Solver step at the edge.
         step: u64,
     },
-    /// A periodic counter sample: one point on a [`CounterTrack`]
-    /// (Chrome "C"-phase records, so Perfetto plots the series).
-    CounterSample {
-        /// Which track.
-        track: CounterTrack,
-        /// Sampled value (MFLOPS, queue depth, …) as `f64::to_bits` —
-        /// kept as raw bits so the event stays `Eq`. Build with
-        /// [`Event::counter_sample`].
-        value_bits: u64,
-    },
-}
-
-impl Event {
-    /// A [`Event::CounterSample`] from an f64 value.
-    pub fn counter_sample(track: CounterTrack, value: f64) -> Event {
-        Event::CounterSample { track, value_bits: value.to_bits() }
-    }
 }
 
 /// An event plus the nanosecond timestamp the ring stamped it with
@@ -314,21 +256,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sample_value_roundtrips_bits() {
-        let track = CounterTrack::Gauge(Gauge::QueueDepth);
-        let e = Event::counter_sample(track, 3.75);
-        assert_eq!(e, Event::CounterSample { track, value_bits: 3.75_f64.to_bits() });
-    }
-
-    #[test]
     fn name_tables_cover_codes() {
         assert_eq!(Phase::Interior.name(), "interior");
         assert_eq!(TrafficClass::Overset.name(), "overset");
         assert_eq!(FaultKind::Drop.name(), "drop");
         assert_eq!(HealthCode::NonFinite.name(), "non-finite");
         assert_eq!(AlertKind::DtCollapse.name(), "dt-collapse");
-        assert_eq!(CounterTrack::Kernel(Kernel::HaloPack).name(), "mflops:halo_pack");
-        assert_eq!(CounterTrack::Gauge(Gauge::QueueDepth).name(), "queue_depth");
         assert_eq!(AlertKind::COUNT, 5);
     }
 
@@ -340,10 +273,5 @@ mod tests {
         }
         assert_eq!(Phase::from_name("phase?"), None);
         assert_eq!(Phase::from_name(""), None);
-        let gauges = Gauge::ALL.map(CounterTrack::Gauge);
-        for track in Kernel::ALL.map(CounterTrack::Kernel).into_iter().chain(gauges) {
-            assert_eq!(CounterTrack::from_name(&track.name()), Some(track));
-        }
-        assert_eq!(CounterTrack::from_name("mflops:unknown"), None);
     }
 }

@@ -16,14 +16,12 @@
 
 use std::time::Instant;
 use yy_obs::chrome::{chrome_trace_json, RankTrace, MAX_TRACE_RANKS};
-use yy_obs::event::{
-    AlertKind, CounterTrack, FaultKind, Gauge, HealthCode, Phase, TrafficClass,
-};
+use yy_obs::event::{AlertKind, FaultKind, HealthCode, Phase, TrafficClass};
 use yy_obs::hist::{Histogram, HistogramSnapshot};
 use yy_obs::ring::FlightRecorder;
 use yy_obs::{
     analyze, streams_from_chrome, validate_chrome_trace, Analysis, AnalysisInput, Event, Json,
-    Kernel, TimedEvent,
+    TimedEvent,
 };
 use yy_testkit::{check, check_with, tk_assert, Config, Gen};
 
@@ -143,7 +141,7 @@ fn ring_wrap_keeps_the_newest_events() {
 
 
 /// Two rank streams holding one event of every variant (both receive
-/// flavours, both counter-track flavours) with seeded fields inside the
+/// flavours) with seeded fields inside the
 /// documented exact range: integers below 2⁵³ (they ride JSON numbers),
 /// strictly increasing timestamps below 2⁴⁵ ns, spans that start after 0.
 fn every_variant(g: &mut Gen) -> Vec<Vec<TimedEvent>> {
@@ -172,8 +170,6 @@ fn every_variant(g: &mut Gen) -> Vec<Vec<TimedEvent>> {
         Event::Retile { pth: tag16, pph: g.below(1 << 16) as u16, pass: word(g), resume_step: word(g) },
         Event::Degraded { pass: word(g), checkpoint_every: word(g) },
         Event::Alert { rule: peer, kind: pick(g, AlertKind::ALL), firing: g.bool(), step: word(g) },
-        Event::counter_sample(CounterTrack::Kernel(pick(g, Kernel::ALL)), g.range_f64(-1e12, 1e12)),
-        Event::counter_sample(CounterTrack::Gauge(pick(g, Gauge::ALL)), g.range_f64(0.0, 1e6)),
     ];
     let mut streams = vec![Vec::new(), Vec::new()];
     let mut ts_ns = 1 << 30;
@@ -276,7 +272,7 @@ fn every_event_variant_round_trips_through_the_chrome_pair() {
         let back = streams_from_chrome(&doc)?;
         tk_assert!(&back == streams, "decoded {back:?}");
         let check = validate_chrome_trace(&doc)?;
-        tk_assert!(check.events == 3 + 15 + 3, "metadata + events + flow arrows: {check:?}");
+        tk_assert!(check.events == 3 + 13 + 3, "metadata + events + flow arrows: {check:?}");
         tk_assert!((check.flow_starts, check.flow_finishes) == (1, 2), "{check:?}");
         Ok(())
     });
@@ -300,7 +296,7 @@ enum Mutation {
 const CLASSES: &[u8] = b"{}[],:\"0.-ex";
 /// Numeric members that size, index or order something in a reader.
 const KEYS: &[&str] =
-    &["tid", "ts", "dur", "value", "bytes", "seq", "step", "rank", "steps_analyzed"];
+    &["tid", "ts", "dur", "bytes", "seq", "step", "rank", "steps_analyzed"];
 const LIES: &[&str] = &[
     "4000000000000", "65536", "65535", "-1", "0.5", "1e999", "-1e999", "18446744073709551616",
     "1e-320", "null", "\"7\"", "[]",

@@ -27,8 +27,8 @@ use yycore::{RunConfig, SerialSim};
 fn main() {
     let mut steps: u64 = 300;
     let mut cfg = RunConfig::medium();
-    // Vigorous rotating convection, negligible magnetic field.
-    cfg.params = yy_mhd::PhysParams::convection_only();
+    // Vigorous rotating convection (the laptop defaults at a faster
+    // rotation), negligible magnetic field.
     cfg.params.omega = 4.0;
     cfg.init.perturb_amplitude = 5e-2;
     cfg.init.seed_amplitude = 0.0;

@@ -83,6 +83,11 @@ reject "parallel $gone=1" "unknown config key '$gone'"
 gone="ckpt_asyn""c" # the writer thread is the only writer
 reject "parallel $gone=0" "unknown config key '$gone'"
 reject "parallel ckpt_compress=rle" "ckpt_compress: expected none|delta, got 'rle'"
+reject "run mag_bc=conducting" "unknown config key 'mag_bc'" # one magnetic wall, no key
+gone="profile_ever""y" # the trace has no counter tracks
+reject "parallel $gone=1" "unknown config key '$gone'"
+gone="dt_collapse_facto""r" # the injected collapse halves dt per step
+reject "run $gone=0.25" "unknown config key '$gone'"
 # The serial blow-up: `parallel` rolls back and reduces dt; `run` has no checkpoint, and says so.
 reject "run steps=400 cfl=1.0 dt_every=50 perturb=0.5 sample=0" \
   "step 145 (t = 9.5248e-1): density floor violated"
@@ -106,15 +111,15 @@ for r in 0 1; do
 done
 reject "merge $soak_dir/huge-shards $soak_dir/huge-merged.ck" \
   "shard truncated: encoded length 18014398509481984 exceeds the 0 bytes left in the file"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 20 misplaced/unknown/unusable values refused"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 23 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -291,14 +296,6 @@ for key in '"analysis"' '"verdict"' '"gating"' '"stragglers"' \
     echo "ERROR: report.json missing v5 analysis key $key" >&2; exit 1; }
 done
 echo "OK: post-mortem + final traces valid, report versioned"
-
-echo "==> counter-track smoke: profile-enabled trace carries C-phase counter samples"
-./target/release/yycore parallel $soak trace="$soak_dir/ptrace.json" \
-  profile_every=1 >/dev/null
-ptc=$(./target/release/yycore tracecheck "$soak_dir/ptrace.json")
-echo "$ptc"
-echo "$ptc" | grep -qE ' [1-9][0-9]* counter sample' || {
-  echo "ERROR: profile-enabled trace has no counter samples" >&2; exit 1; }
 
 echo "==> science telemetry smoke: seeded dt collapse fires the blow-up alert"
 # A supervised run with the series store + watchdog armed and a seeded

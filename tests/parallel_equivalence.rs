@@ -13,14 +13,14 @@ fn cfg() -> RunConfig {
 }
 
 /// Asymmetric decomposition (3 × 2 — six tiles per panel, twelve ranks)
-/// with a magnetic seed active, zero-gradient magnetic walls, over enough
+/// with a magnetic seed active, conducting magnetic walls, over enough
 /// steps that every communication path (halo corners, overset ghost
 /// frames, dt reduction) has fired repeatedly.
 #[test]
 fn asymmetric_decomposition_matches_serial_bitwise() {
     let mut cfg = cfg();
     cfg.nth_nominal = 17; // enough rows for a 3-way θ split
-    cfg.mag_bc = MagneticBc::ZeroGradient;
+    cfg.mag_bc = MagneticBc::ConductingWall;
     let mut serial = SerialSim::new(cfg.clone());
     serial.run(4, 0);
     let rep = run_parallel(&cfg, 3, 2, 4, 0, true);
