@@ -354,14 +354,14 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
                 report.io.compression_ratio(),
                 report.io.codec,
                 report.io.write_wall_s,
-                report.io.writer_wait_s,
+                p.get(Phase::WriterWait),
             );
         }
         // Feed the measured hidden fraction into the Earth Simulator
         // model: what the paper's flagship run would sustain if its
         // exchanges were hidden as well as this run's were.
         let hidden = p.hidden_comm_fraction();
-        let proj = yy_esmodel::flagship_projection(hidden, yy_esmodel::WaitTail::default());
+        let proj = yy_esmodel::flagship_projection(hidden);
         eprintln!(
             "hidden comm fraction {:.2} -> ES 4096p projection: \
              {:.1} TFlops sustained, {:.0}% of peak",
@@ -369,26 +369,6 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
             proj.tflops(),
             proj.efficiency * 100.0
         );
-        // The mean hides the tail: feed the measured receive-wait
-        // p99/p50 spread into the tail-aware projection, which
-        // inflates the *exposed* communication accordingly. Only
-        // meaningful when the median wait is itself a real latency
-        // (≥1 µs, the injected-delay regime of `delay= delay_us=`) — on an idle
-        // in-process run most receives find their message already
-        // delivered, p50 is a few ns, and the ratio is noise.
-        if !report.recv_wait.is_empty() && report.recv_wait.p50() >= 1_000 {
-            let tail = yy_esmodel::WaitTail {
-                p50: report.recv_wait.p50() as f64,
-                p99: report.recv_wait.p99() as f64,
-            };
-            let tproj = yy_esmodel::flagship_projection(hidden, tail);
-            eprintln!(
-                "recv-wait tail p99/p50 = x{:.1} -> tail-aware projection: \
-                 {:.1} TFlops sustained",
-                tail.ratio(),
-                tproj.tflops()
-            );
-        }
     }
     print_alerts(&report);
     finish(&report, &a)

@@ -174,7 +174,6 @@ pub(super) fn rank_program(
         {
             solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
         }
-        world.record_step_ns(step_started.elapsed().as_nanos() as u64);
         // Live metrics, every step: allreduce the counter words (a
         // collective every rank joins — the gate is rank-uniform) and let
         // rank 0 render the exposition into the hub for the endpoint
@@ -270,7 +269,7 @@ pub(super) fn rank_program(
     report.steps = plan.steps;
     report.wall_seconds = started.elapsed().as_secs_f64();
     report.grid_points = solver.grid.total_points();
-    report.io = IoStats { writer_wait_s: report.phases.get(SolverPhase::WriterWait), ..io };
+    report.io = io;
     report.series = series;
     if let Some(tel) = science {
         report.alerts = tel.alerts().to_vec();

@@ -21,7 +21,6 @@ use yy_mhd::{
     State,
 };
 use yy_obs::counters::{CounterSet, CounterSnapshot, Kernel};
-use yy_obs::hist::HistogramSnapshot;
 use yy_obs::Event;
 use yy_parcomm::stats::TrafficClass;
 use yy_parcomm::{CartComm, Comm, ReduceOp};
@@ -374,19 +373,9 @@ impl<'a> RankSolver<'a> {
         self.world.record_event(Event::CheckpointSaved { step: self.step });
     }
 
-    /// Merge one per-rank histogram snapshot across every rank: bucket
-    /// counts and sums are exact integers far below 2⁵³, so a `Sum`
-    /// allreduce over the f64 words is lossless; the observed max
-    /// reduces separately under `Max`. Collective — all ranks call.
-    fn merge_hist(&self, h: HistogramSnapshot) -> HistogramSnapshot {
-        let words = self.world.allreduce_vec(&h.to_f64s(), ReduceOp::Sum);
-        let max = self.world.allreduce_f64(h.max as f64, ReduceOp::Max) as u64;
-        HistogramSnapshot::from_f64s(&words, max)
-    }
-
     /// The allreduced run counters, as the counter fields of a report:
     /// flops, traffic bytes, max observed mailbox depth, all-rank phase
-    /// breakdown, merged histograms and per-kernel counters. Collective.
+    /// breakdown and per-kernel counters. Collective.
     pub(super) fn aggregate_counters(&self) -> RunReport {
         let stats = self.world.stats();
         let flops = self.world.allreduce_f64(self.meter.flops() as f64, ReduceOp::Sum) as u64;
@@ -396,10 +385,9 @@ impl<'a> RankSolver<'a> {
             self.world.allreduce_f64(stats.max_queue_depth as f64, ReduceOp::Max) as u64;
         let ns = self.world.allreduce_vec(&stats.phase_ns.map(|ns| ns as f64), ReduceOp::Sum);
         let phases = PhaseBreakdown { seconds: std::array::from_fn(|p| ns[p] / 1e9) };
-        let [recv_wait, step_wall] = [stats.recv_wait, stats.step_wall].map(|h| self.merge_hist(h));
         // Every tally word is an exact integer (or a ns sum) far below
         // 2⁵³, so the f64 Sum allreduce merges the per-rank kernel
-        // counters losslessly — same trick as the histograms.
+        // counters losslessly.
         let kwords = self
             .world
             .allreduce_vec(&self.meter.counters().snapshot().to_f64s(), ReduceOp::Sum);
@@ -409,8 +397,6 @@ impl<'a> RankSolver<'a> {
             overset_bytes,
             max_queue_depth,
             phases,
-            recv_wait,
-            step_wall,
             kernels: CounterSnapshot::from_f64s(&kwords),
             ..RunReport::default()
         }

@@ -1,11 +1,10 @@
-//! Run reports: diagnostic time series, performance counters, latency
-//! distributions, and the machine-readable JSON artifact.
+//! Run reports: diagnostic time series, performance counters, phase
+//! times, and the machine-readable JSON artifact.
 
 use yy_mhd::Diagnostics;
 use yy_obs::analysis::Analysis;
 use yy_obs::counters::{CounterSnapshot, KernelSnapshot};
 use yy_obs::event::Phase;
-use yy_obs::hist::{hist_json, HistogramSnapshot};
 use yy_obs::dashboard::panel_line;
 use yy_obs::json::{escape, num, Json};
 
@@ -177,9 +176,6 @@ pub struct IoStats {
     /// Wall seconds spent inside file writes on the writer threads,
     /// summed over ranks.
     pub write_wall_s: f64,
-    /// Wall seconds the solver threads spent blocked on the writer —
-    /// duplicates `phases.writer_wait_s` for self-contained consumers.
-    pub writer_wait_s: f64,
     /// Payload codec name (`none` | `delta`).
     pub codec: String,
 }
@@ -192,7 +188,6 @@ impl Default for IoStats {
             bytes_raw: 0,
             bytes_written: 0,
             write_wall_s: 0.0,
-            writer_wait_s: 0.0,
             codec: "none".into(),
         }
     }
@@ -211,7 +206,7 @@ impl IoStats {
         format!(
             concat!(
                 r#"{{"shards_written":{},"snapshots_written":{},"bytes_raw":{},"#,
-                r#""bytes_written":{},"write_wall_s":{},"writer_wait_s":{},"#,
+                r#""bytes_written":{},"write_wall_s":{},"#,
                 r#""codec":"{}","compression_ratio":{}}}"#
             ),
             self.shards_written,
@@ -219,7 +214,6 @@ impl IoStats {
             self.bytes_raw,
             self.bytes_written,
             num(self.write_wall_s),
-            num(self.writer_wait_s),
             escape(&self.codec),
             num(self.compression_ratio()),
         )
@@ -249,13 +243,6 @@ pub struct RunReport {
     /// Per-phase step-pipeline breakdown (all-rank sums; zero for serial
     /// runs).
     pub phases: PhaseBreakdown,
-    /// Time blocked in receives, per receive, merged over every rank
-    /// (nanoseconds). Empty for serial runs. The p50/p99 spread is the
-    /// tail the mean `phases.wait_s` hides.
-    pub recv_wait: HistogramSnapshot,
-    /// Wall time per completed step (nanoseconds; all ranks for
-    /// parallel runs, the single driver thread for serial runs).
-    pub step_wall: HistogramSnapshot,
     /// Supervisor interventions (rollbacks), in order; empty for
     /// unsupervised and fault-free runs.
     pub recoveries: Vec<RecoveryEvent>,
@@ -380,11 +367,12 @@ impl RunReport {
     /// readers that ignore unknown fields keep working (pinned by the
     /// `v5_reader_keeps_working_on_v6_output` test). The removals made
     /// without a bump: `elastic.weights`, the telemetry section's
-    /// downsampling-tier members, `histograms.queue_depth` and
-    /// `io.async_mode` went with the code that wrote them, because no
-    /// reader ever consumed them. All
-    /// histogram and counter values are exact integers, so the artifact
-    /// is bitwise reproducible for a deterministic run.
+    /// downsampling-tier members, the whole `histograms` section
+    /// (`queue_depth`, `recv_wait_ns`, `step_wall_ns`), `io.async_mode`
+    /// and `io.writer_wait_s` (a copy of `phases.writer_wait_s`) went
+    /// with the code that wrote them, because no reader ever consumed
+    /// them. All counter values are exact integers, so the artifact is
+    /// bitwise reproducible for a deterministic run.
     pub fn to_json(&self) -> String {
         let kernels: Vec<String> = self
             .kernels
@@ -409,11 +397,6 @@ impl RunReport {
         let phases = format!(
             r#"{{{phase_seconds}"hidden_comm_fraction":{}}}"#,
             num(self.phases.hidden_comm_fraction()),
-        );
-        let hists = format!(
-            r#"{{"recv_wait_ns":{},"step_wall_ns":{}}}"#,
-            hist_json(&self.recv_wait),
-            hist_json(&self.step_wall),
         );
         let recoveries: Vec<String> = self
             .recoveries
@@ -456,7 +439,6 @@ impl RunReport {
                 "\"grid_points\":{},\"mflops\":{},\"flops_per_point_step\":{},\n",
                 "\"halo_bytes\":{},\"overset_bytes\":{},\"max_queue_depth\":{},\n",
                 "\"phases\":{},\n",
-                "\"histograms\":{},\n",
                 "\"kernels\":[{}],\n",
                 "\"recoveries\":[{}],\n",
                 "\"elastic\":{},\n",
@@ -478,7 +460,6 @@ impl RunReport {
             self.overset_bytes,
             self.max_queue_depth,
             phases,
-            hists,
             kernels.join(",\n"),
             recoveries.join(","),
             self.elastic.to_json(),
@@ -600,18 +581,13 @@ mod tests {
 
     #[test]
     fn json_artifact_parses_and_is_versioned() {
-        use yy_obs::hist::Histogram;
         use yy_obs::Json;
-        let h = Histogram::new();
-        h.record(100);
-        h.record(200_000);
         let mut r = RunReport {
             time: 0.5,
             steps: 3,
             flops: 1234,
             wall_seconds: 0.25,
             grid_points: 99,
-            recv_wait: h.snapshot(),
             ..Default::default()
         };
         r.recoveries.push(RecoveryEvent {
@@ -628,8 +604,6 @@ mod tests {
         let doc = Json::parse(&r.to_json()).expect("report JSON must parse");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("yy.runreport.v6"));
         assert_eq!(doc.get("steps").unwrap().as_f64(), Some(3.0));
-        let wait = doc.get("histograms").unwrap().get("recv_wait_ns").unwrap();
-        assert_eq!(wait.get("count").unwrap().as_f64(), Some(2.0));
         let rec = &doc.get("recoveries").unwrap().as_arr().unwrap()[0];
         assert_eq!(rec.get("cause").unwrap().as_str(), Some("rank 1 \"died\""));
         assert_eq!(doc.get("series").unwrap().as_arr().unwrap().len(), 1);
@@ -718,7 +692,6 @@ mod tests {
             bytes_raw: 4000,
             bytes_written: 1000,
             write_wall_s: 0.25,
-            writer_wait_s: 0.03,
             codec: "delta".into(),
         };
         r.phases.seconds[Phase::WriterWait as usize] = 0.03;
@@ -729,7 +702,6 @@ mod tests {
         assert_eq!(io.get("bytes_raw").unwrap().as_f64(), Some(4000.0));
         assert_eq!(io.get("bytes_written").unwrap().as_f64(), Some(1000.0));
         assert_eq!(io.get("write_wall_s").unwrap().as_f64(), Some(0.25));
-        assert_eq!(io.get("writer_wait_s").unwrap().as_f64(), Some(0.03));
         assert_eq!(io.get("codec").unwrap().as_str(), Some("delta"));
         assert_eq!(io.get("compression_ratio").unwrap().as_f64(), Some(4.0));
         assert_eq!(
@@ -857,8 +829,6 @@ mod tests {
             (1, &["halo_bytes"], 'n'),
             (1, &["overset_bytes"], 'n'),
             (1, &["max_queue_depth"], 'n'),
-            (1, &["histograms", "recv_wait_ns"], 'o'),
-            (1, &["histograms", "step_wall_ns"], 'o'),
             (1, &["phases", "hidden_comm_fraction"], 'n'),
             (1, &["recoveries"], 'a'),
             (1, &["series"], 'a'),

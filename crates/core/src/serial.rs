@@ -402,15 +402,13 @@ impl SerialSim {
             .stage
             .finish()
             .map_err(|e| format!("output stream: {e}"))?;
-        let writer_wait_s = stream.wait_ns as f64 / 1e9;
-        report.phases.seconds[Phase::WriterWait as usize] = writer_wait_s;
+        report.phases.seconds[Phase::WriterWait as usize] = stream.wait_ns as f64 / 1e9;
         report.io = IoStats {
             shards_written: 0,
             snapshots_written: totals.files_written,
             bytes_raw: totals.bytes_raw,
             bytes_written: totals.bytes_written,
             write_wall_s: totals.write_wall_ns as f64 / 1e9,
-            writer_wait_s,
             codec: "none".into(),
         };
         Ok(report)
@@ -446,10 +444,6 @@ impl SerialSim {
     ) -> Result<RunReport, String> {
         let started = Instant::now();
         self.meter.reset();
-        // Per-step wall-time distribution: the serial driver fills the
-        // same report histogram the parallel drivers merge across ranks,
-        // so the JSON artifact has one shape for both.
-        let step_wall = yy_obs::Histogram::new();
         let mut series = vec![self.sample(0.0)];
         let mut last_step_ms = 0.0;
         let guard = HealthGuard::new(HealthLimits::default());
@@ -464,9 +458,7 @@ impl SerialSim {
                 None => self.dt_cache,
             };
             self.advance(dt);
-            let step_ns = step_started.elapsed().as_nanos() as u64;
-            step_wall.record(step_ns);
-            last_step_ms = step_ns as f64 / 1e6;
+            last_step_ms = step_started.elapsed().as_nanos() as f64 / 1e6;
             let scan_t0 = self.meter.timer();
             // The verdict the rank program reaches collectively, here
             // over both panels; a serial run has no checkpoint to roll
@@ -522,7 +514,6 @@ impl SerialSim {
             flops: self.meter.flops(),
             wall_seconds: started.elapsed().as_secs_f64(),
             grid_points: self.grid.total_points(),
-            step_wall: step_wall.snapshot(),
             kernels: self.meter.counters().snapshot(),
             series,
             alerts: self.telemetry.as_ref().map(|t| t.alerts().to_vec()).unwrap_or_default(),

@@ -1,11 +1,12 @@
 //! Observability, end to end: a supervised parallel run with the flight
 //! recorder armed must (a) leave a valid post-mortem Chrome trace when a
 //! rank is killed, (b) produce a schema-versioned run report whose
-//! merged histograms are populated, and (c) perturb nothing — the traced
+//! receive wait is measured, and (c) perturb nothing — the traced
 //! trajectory is bit-identical to the untraced one.
 
 use std::path::PathBuf;
 use std::time::Duration;
+use yy_obs::event::Phase;
 use yy_parcomm::FaultSpec;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
 use yycore::{ObsOpts, RunConfig, TraceMode};
@@ -82,18 +83,13 @@ fn traced_faulted_run_writes_artifacts_and_stays_bit_identical() {
     assert_eq!(fc.tracks, 8);
     assert!(fc.flow_starts > 0 && fc.flow_finishes > 0, "message flow arrows present");
 
-    // (b) Report: versioned JSON, merged histograms populated, sane.
+    // (b) Report: versioned JSON, receive wait measured, sane.
     let report = &traced.report;
-    assert!(!report.recv_wait.is_empty(), "recv-wait histogram populated");
-    assert!(!report.step_wall.is_empty(), "step-wall histogram populated");
-    assert!(report.recv_wait.p50() <= report.recv_wait.p99(), "quantiles ordered");
+    assert!(report.phases.get(Phase::Wait) > 0.0, "the faulted run waited in receives");
     assert_eq!(report.recoveries.len(), traced.recoveries.len());
     let doc = yy_obs::Json::parse(&report.to_json()).expect("report JSON parses");
     assert_eq!(doc.get("schema").unwrap().as_str(), Some("yy.runreport.v6"));
-    assert!(
-        doc.get("histograms").unwrap().get("recv_wait_ns").unwrap().get("count").is_some(),
-        "report carries the merged recv-wait histogram"
-    );
+    assert!(doc.get("histograms").is_none(), "the artifact carries no histograms section");
     // The v5 analysis section: populated on the traced run (recorders
     // armed), carried in the artifact, and the injected kill shows up
     // as a critical-path disruption.
@@ -292,24 +288,4 @@ fn serial_and_parallel_collapse_fire_the_same_edges() {
         assert_eq!(walls.len(), 16, "one fed sample per step");
         assert!(walls.iter().all(|ms| ms.is_finite()), "{walls:?}");
     }
-}
-
-/// Step-wall histograms merge across ranks: an 8-rank run over `n`
-/// steps records one step-wall sample per rank per step.
-#[test]
-fn merged_step_wall_counts_rank_times_steps() {
-    let cfg = quick_cfg();
-    let obs = ObsOpts::default();
-    let sup = run_parallel_supervised(
-        &cfg,
-        2,
-        2,
-        3,
-        0,
-        &RecoveryOpts { deadline: Duration::from_secs(30), obs, ..RecoveryOpts::default() },
-    )
-    .expect("clean run completes");
-    assert!(sup.recoveries.is_empty());
-    assert_eq!(sup.report.step_wall.count, 8 * 3, "8 ranks x 3 steps");
-    assert!(sup.report.step_wall.max > 0);
 }

@@ -2,8 +2,11 @@
 //! before the vocabularies (`yy_obs::event`) became typed and the
 //! exporters became loops over them, from these same inputs. A diff here
 //! is a format change every reader of a trace, a scrape or a report sees.
-//! `fixtures/run_report.json` has since lost the two keys no reader
-//! consumed, `histograms.queue_depth` and `io.async_mode`, and nothing else.
+//! `fixtures/run_report.json` has since lost the keys no reader consumed,
+//! the whole `histograms` line (`queue_depth`, `recv_wait_ns`,
+//! `step_wall_ns`), `io.async_mode` and `io.writer_wait_s`, and nothing else.
+//! `fixtures/exposition.prom` has since reworded the `yy_queue_depth` help
+//! line to say what is published, rank 0's high-water mark, and nothing else.
 //! `fixtures/chrome_trace.json` has lost its three `"ph":"C"` counter
 //! records, which the format no longer has, and nothing else.
 //! `fixtures/tables.txt` is the stdout of `yycore tables` at the commit

@@ -53,8 +53,8 @@ pub mod tables;
 pub use machine::EsMachine;
 pub use model::{EsModelParams, KernelCost, KernelProfile, KernelProjection, Projection, RunShape};
 pub use model::{
-    flagship_projection, in_flagship_window, project, project_kernels, WaitTail,
-    FLAGSHIP_WINDOW_TFLOPS, PAPER_FLAGSHIP_TFLOPS,
+    flagship_projection, in_flagship_window, project, project_kernels, FLAGSHIP_WINDOW_TFLOPS,
+    PAPER_FLAGSHIP_TFLOPS,
 };
 pub use tables::{
     artifacts, kernel_projection_text, table1_text, table2_rows, table2_text, table3_text,

@@ -149,13 +149,13 @@ pub fn in_flagship_window(tflops: f64) -> bool {
 }
 
 /// Flagship-shape projection from a measured hidden-communication
-/// fraction and receive-wait tail ([`Projection::with_exposed_comm`]):
-/// what the paper's 4096-process run would sustain if its exchanges were
-/// hidden, and its waits spread, as the measured run's were.
-pub fn flagship_projection(hidden: f64, tail: WaitTail) -> Projection {
+/// fraction ([`Projection::with_exposed_comm`]): what the paper's
+/// 4096-process run would sustain if its exchanges were hidden as the
+/// measured run's were.
+pub fn flagship_projection(hidden: f64) -> Projection {
     let (machine, profile) = (EsMachine::earth_simulator(), KernelProfile::yycore_default());
     project(&machine, &EsModelParams::calibrated(), &profile, &RunShape::flagship())
-        .with_exposed_comm(&machine, &profile, hidden.clamp(0.0, 1.0), tail)
+        .with_exposed_comm(&machine, &profile, hidden.clamp(0.0, 1.0))
 }
 
 impl RunShape {
@@ -306,21 +306,17 @@ impl Projection {
     /// the fraction of the per-step communication time covered by
     /// deep-interior compute while messages are in flight — measured:
     /// `RunReport::phases` of an overlapped parallel run exposes it as
-    /// `hidden_comm_fraction()` (`interior / (interior + wait)`). At
-    /// scale the slowest rank's exchange sets the step, not the median
-    /// one, so what stays exposed is inflated by the receive-wait `tail`:
-    /// `t_step = t_compute + (1 − hidden) · t_comm · tail.ratio()`.
-    /// `t_comm` keeps the modeled exchange volume; nothing hidden and a
-    /// tight tail is `self` exactly.
+    /// `hidden_comm_fraction()` (`interior / (interior + wait)`):
+    /// `t_step = t_compute + (1 − hidden) · t_comm`. `t_comm` keeps the
+    /// modeled exchange volume; nothing hidden is `self` exactly.
     pub fn with_exposed_comm(
         self,
         machine: &EsMachine,
         profile: &KernelProfile,
         hidden: f64,
-        tail: WaitTail,
     ) -> Projection {
         assert!((0.0..=1.0).contains(&hidden), "hidden fraction {hidden} must be in [0, 1]");
-        let exposed_comm = (1.0 - hidden) * self.t_comm * tail.ratio();
+        let exposed_comm = (1.0 - hidden) * self.t_comm;
         let t_step = self.t_compute + exposed_comm;
         let points = self.shape.grid_points() as f64;
         let sustained = profile.flops_per_point_step * points / t_step;
@@ -384,30 +380,6 @@ pub fn project(
     }
 }
 
-/// Receive-wait tail summary feeding [`Projection::with_exposed_comm`]:
-/// p50/p99 of the measured per-receive wait distribution (`yy-obs`
-/// histograms in the run report). Units cancel — only the ratio enters
-/// the model; the default is a tight distribution (ratio 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WaitTail {
-    /// Median per-receive wait.
-    pub p50: f64,
-    /// 99th-percentile per-receive wait.
-    pub p99: f64,
-}
-
-impl WaitTail {
-    /// Tail-inflation factor `p99 / p50`, clamped to ≥ 1. Degenerate
-    /// inputs (empty histogram, zero median) contribute no inflation.
-    pub fn ratio(&self) -> f64 {
-        if self.p50 > 0.0 && self.p99 > self.p50 {
-            self.p99 / self.p50
-        } else {
-            1.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,10 +417,10 @@ mod tests {
         assert_eq!(RunShape::flagship(), paper_shape(4096, 511));
         // With nothing hidden the helper equals the blocking `project`,
         // which the calibration pins inside the paper window.
-        let proj = flagship_projection(0.0, WaitTail::default());
+        let proj = flagship_projection(0.0);
         assert!(in_flagship_window(proj.tflops()), "{:.1} TFlops", proj.tflops());
         // Hiding communication can only raise the projection.
-        assert!(flagship_projection(1.0, WaitTail::default()).tflops() >= proj.tflops());
+        assert!(flagship_projection(1.0).tflops() >= proj.tflops());
         assert!(!in_flagship_window(9.0) && !in_flagship_window(20.0));
     }
 
@@ -488,7 +460,7 @@ mod tests {
         let (m, p, k) = setup();
         let shape = paper_shape(4096, 511);
         let blocking = project(&m, &p, &k, &shape);
-        let hide = |hidden| blocking.with_exposed_comm(&m, &k, hidden, WaitTail::default());
+        let hide = |hidden| blocking.with_exposed_comm(&m, &k, hidden);
         assert_eq!(blocking, hide(0.0), "zero hidden fraction must reduce to project()");
         let (half, full) = (hide(0.5), hide(1.0));
         // t_comm reports the *modeled* exchange volume unchanged; the step
@@ -505,66 +477,33 @@ mod tests {
         assert!(full.efficiency <= p.kappa0 + 1e-9);
     }
 
-    #[test]
-    fn wait_tail_ratio_is_clamped_and_degenerate_safe() {
-        assert_eq!(WaitTail { p50: 100.0, p99: 250.0 }.ratio(), 2.5);
-        assert_eq!(WaitTail { p50: 100.0, p99: 100.0 }.ratio(), 1.0);
-        assert_eq!(WaitTail { p50: 100.0, p99: 50.0 }.ratio(), 1.0);
-        assert_eq!(WaitTail { p50: 0.0, p99: 0.0 }.ratio(), 1.0);
-    }
-
-    #[test]
-    fn tail_inflates_exposed_comm_only() {
-        let (m, p, k) = setup();
-        let shape = paper_shape(4096, 511);
-        let flat = WaitTail { p50: 10.0, p99: 10.0 };
-        let heavy = WaitTail { p50: 10.0, p99: 40.0 };
-        let expose = |hidden, tail| project(&m, &p, &k, &shape).with_exposed_comm(&m, &k, hidden, tail);
-        // A tight distribution reproduces the tail-free projection.
-        let base = expose(0.5, WaitTail::default());
-        assert_eq!(expose(0.5, flat), base);
-        // A heavy tail slows the step and lowers sustained flops…
-        let tailed = expose(0.5, heavy);
-        assert!(tailed.t_step > base.t_step);
-        assert!(tailed.sustained < base.sustained);
-        assert!(tailed.comm_fraction > base.comm_fraction);
-        // …but a fully hidden exchange has no exposed comm to inflate.
-        let hidden = expose(1.0, heavy);
-        assert!((hidden.t_step - base.t_compute).abs() < 1e-15);
-    }
-
-    /// `(hidden, tail ratio, t_step, sustained, efficiency, comm_fraction)`
-    /// of the flagship shape, written down from the overlap-only and the
-    /// overlap-plus-tail projection functions (and their two flagship
-    /// wrappers, which agreed with them) before one exposed-communication
-    /// step replaced them.
-    const EXPOSED_FLAGSHIP: [(f64, f64, f64, f64, f64, f64); 6] = [
-        (0.0, 1.0, 0.14923084912318108, 14552613813511.129, 0.44411052897678005, 0.20783761075923166),
-        (0.0, 4.0, 0.24227819852318105, 8963658016237.945, 0.273549133796324, 0.512068907931322),
-        (0.37, 1.0, 0.1377550093638477, 15764936072966.785, 0.4811076682423946, 0.14184561029203518),
-        (0.37, 4.0, 0.19637483948584772, 11058946869354.459, 0.33749227506574886, 0.39801317572373013),
-        (1.0, 1.0, 0.11821506598984773, 18370745709675.49, 0.5606306674095303, 0.0),
-        (1.0, 4.0, 0.11821506598984773, 18370745709675.49, 0.5606306674095303, 0.0),
+    /// `(hidden, t_step, sustained, efficiency, comm_fraction)` of the
+    /// flagship shape, written down from the overlap-only projection
+    /// function (and its flagship wrapper, which agreed with it) before
+    /// one exposed-communication step replaced them.
+    const EXPOSED_FLAGSHIP: [(f64, f64, f64, f64, f64); 3] = [
+        (0.0, 0.14923084912318108, 14552613813511.129, 0.44411052897678005, 0.20783761075923166),
+        (0.37, 0.1377550093638477, 15764936072966.785, 0.4811076682423946, 0.14184561029203518),
+        (1.0, 0.11821506598984773, 18370745709675.49, 0.5606306674095303, 0.0),
     ];
 
     #[test]
     fn exposed_comm_step_reproduces_the_three_functions_it_replaced() {
         let (m, p, k) = setup();
         let blocking = project(&m, &p, &k, &RunShape::flagship());
-        for (hidden, ratio, t_step, sustained, efficiency, comm_fraction) in EXPOSED_FLAGSHIP {
-            let tail = WaitTail { p50: 10.0, p99: 10.0 * ratio };
-            let got = blocking.with_exposed_comm(&m, &k, hidden, tail);
-            assert_eq!(got.t_step, blocking.t_compute + (1.0 - hidden) * ratio * blocking.t_comm);
+        for (hidden, t_step, sustained, efficiency, comm_fraction) in EXPOSED_FLAGSHIP {
+            let got = blocking.with_exposed_comm(&m, &k, hidden);
+            assert_eq!(got.t_step, blocking.t_compute + (1.0 - hidden) * blocking.t_comm);
             assert_eq!(
                 got,
                 Projection { t_step, sustained, efficiency, comm_fraction, ..blocking },
-                "hidden {hidden}, tail ratio {ratio}"
+                "hidden {hidden}"
             );
-            // What the CLI's `hidden comm fraction` and `recv-wait tail` lines print.
-            assert_eq!(got, flagship_projection(hidden, tail));
+            // What the CLI's `hidden comm fraction` line prints.
+            assert_eq!(got, flagship_projection(hidden));
         }
-        // Nothing hidden, tight tail: `project`, field for field.
-        assert_eq!(blocking.with_exposed_comm(&m, &k, 0.0, WaitTail::default()), blocking);
+        // Nothing hidden: `project`, field for field.
+        assert_eq!(blocking.with_exposed_comm(&m, &k, 0.0), blocking);
     }
 
     fn measured_like_kernels() -> Vec<KernelCost> {

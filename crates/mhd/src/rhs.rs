@@ -1384,6 +1384,86 @@ mod tests {
         );
     }
 
+    /// `|got − want| ≤ 1e-12 · |want|` at every interior node of `range`.
+    fn assert_closed_form(
+        range: &InteriorRange,
+        what: &str,
+        mut got_want: impl FnMut(usize, isize, isize) -> (f64, f64),
+    ) {
+        for k in range.k0..range.k1 {
+            for j in range.j0..range.j1 {
+                for i in range.i0..range.i1 {
+                    let (got, want) = got_want(i, j, k);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs(),
+                        "{what} at ({i},{j},{k}): {got:e} vs closed form {want:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Uniform radial expansion, v = r r̂ at uniform ρ₀ and p₀, A = 0.
+    /// The centered difference of r³ is 3r² + Δr², so ∂ρ/∂t = −∇·f =
+    /// −ρ₀(3 + Δr²/r²) exactly. ∇p, ∇²T and j vanish, and isotropic
+    /// expansion dissipates nothing (Φ = 2µ(e:e − (∇·v)²/3) = 0), so
+    /// ∂p/∂t = −γp₀∇·v = −3γp₀. Pins the `r²` metric factor and γ in
+    /// the pressure equation, in every sweep.
+    #[test]
+    fn uniform_radial_expansion_matches_its_closed_form() {
+        let (grid, metric, forces, params) = setup(9);
+        let shape = grid.full_shape();
+        let (rho0, p0) = (1.3, 0.7);
+        let mut state = State::zeros(shape);
+        state.rho.fill(rho0);
+        state.press.fill(p0);
+        for row in state.f.r.data_mut().chunks_exact_mut(shape.nr) {
+            row.iter_mut().zip(&metric.r).for_each(|(x, &r)| *x = rho0 * r);
+        }
+        let range = InteriorRange::full_panel(&grid);
+        let mut scratch = RhsScratch::new(shape);
+        let mut out = State::zeros(shape);
+        for kernels in selectors() {
+            scratch.kernels = kernels;
+            compute_rhs(&state, &metric, &forces, &params, &range, &mut scratch, &mut out, &mut Meters::new());
+            let dr2 = metric.dr * metric.dr;
+            assert_closed_form(&range, &format!("{kernels:?} ∂ρ/∂t"), |i, j, k| {
+                (out.rho.at(i, j, k), -rho0 * (3.0 + dr2 * metric.inv_r[i] * metric.inv_r[i]))
+            });
+            assert_closed_form(&range, &format!("{kernels:?} ∂p/∂t"), |i, j, k| {
+                (out.press.at(i, j, k), -3.0 * params.gamma * p0)
+            });
+        }
+    }
+
+    /// Ohmic heating at rest: with f = 0, uniform ρ and p and an
+    /// arbitrary A, ∂A/∂t = −ηj and ∂p/∂t = (γ−1)ηj², so
+    /// η·∂p/∂t = (γ−1)|∂A/∂t|² at every node, in every sweep.
+    #[test]
+    fn ohmic_heating_at_rest_is_eta_j_squared() {
+        let (grid, metric, forces, params) = setup(9);
+        let shape = grid.full_shape();
+        let mut state = State::zeros(shape);
+        state.rho.fill(1.3);
+        state.press.fill(0.7);
+        let mut rng = Lcg(0x0b5e_55ed);
+        for a in [&mut state.a.r, &mut state.a.t, &mut state.a.p] {
+            a.data_mut().iter_mut().for_each(|x| *x = rng.below(2001) as f64 / 1000.0 - 1.0);
+        }
+        let range = InteriorRange::full_panel(&grid);
+        let mut scratch = RhsScratch::new(shape);
+        let mut out = State::zeros(shape);
+        for kernels in selectors() {
+            scratch.kernels = kernels;
+            compute_rhs(&state, &metric, &forces, &params, &range, &mut scratch, &mut out, &mut Meters::new());
+            assert!(out.press.max_abs_owned() > 0.0, "{kernels:?}: the noise drives no current");
+            assert_closed_form(&range, &format!("{kernels:?} η·∂p/∂t"), |i, j, k| {
+                let da2: f64 = [&out.a.r, &out.a.t, &out.a.p].iter().map(|a| a.at(i, j, k).powi(2)).sum();
+                (params.eta * out.press.at(i, j, k), (params.gamma - 1.0) * da2)
+            });
+        }
+    }
+
     /// Uniform magnetic field (A = r sinθ φ̂ gives B = 2ẑ): the current j
     /// and hence the Lorentz force and ohmic terms must vanish; A's
     /// tendency must be −ηj ≈ 0 when v = 0.

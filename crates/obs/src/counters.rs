@@ -20,8 +20,7 @@
 //!
 //! Snapshots reduce across ranks exactly: every tally is an integer far
 //! below 2⁵³, so an elementwise-Sum allreduce over the
-//! [`CounterSnapshot::to_f64s`] words is lossless (the same trick the
-//! histogram merge uses).
+//! [`CounterSnapshot::to_f64s`] words is lossless.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;

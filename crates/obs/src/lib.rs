@@ -3,7 +3,7 @@
 //! The paper's entire evaluation is an observability artifact: List 1 of
 //! the SC'04 paper is the `MPIPROGINF` per-process counter report from
 //! which the 15.2 TFlops headline is read. This crate grows the same
-//! discipline for the in-process runtime, in three layers:
+//! discipline for the in-process runtime, in two layers:
 //!
 //! * **Flight recorder** ([`FlightRecorder`]) — a per-rank fixed-capacity
 //!   ring buffer of timestamped [`Event`]s (solver phase spans, message
@@ -11,9 +11,6 @@
 //!   checkpoint/rollback), stored as the events themselves. Recording
 //!   is one uncontended lock; a run without a recorder
 //!   (`Option::None` in the comm layer) pays one branch per event site.
-//! * **Metrics** ([`Histogram`]) — log₂-bucketed latency histograms
-//!   with exact associative/commutative merge (so per-rank
-//!   distributions can be allreduced).
 //! * **Exporters** ([`chrome`], [`json`]) — Chrome trace-event JSON
 //!   (one track per rank, spans + message flow arrows, loadable in
 //!   Perfetto / `chrome://tracing`) and the minimal JSON writer/parser
@@ -29,7 +26,6 @@ pub mod chrome;
 pub mod counters;
 pub mod dashboard;
 pub mod event;
-pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod ring;
@@ -42,7 +38,6 @@ pub use chrome::{
 };
 pub use counters::{CounterSet, CounterSnapshot, Kernel, KernelSnapshot, KernelTally};
 pub use event::{Event, TimedEvent};
-pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use metrics::{
     prometheus_text, science_gauges_text, MetricsHub, MetricsServer, ScienceGauges,

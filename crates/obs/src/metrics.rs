@@ -86,7 +86,7 @@ pub fn prometheus_text(
     let mut out = String::with_capacity(4096);
     family(&mut out, "yy_step", "gauge", "Current solver step.");
     out.push_str(&format!("yy_step {step}\n"));
-    family(&mut out, "yy_queue_depth", "gauge", "Mailbox queue depth after the last step.");
+    family(&mut out, "yy_queue_depth", "gauge", "Rank 0's highest mailbox queue depth since the pass began.");
     out.push_str(&format!("yy_queue_depth {queue_depth}\n"));
     for (word, (name, help)) in KernelSnapshot::WORD_NAMES.iter().zip(KERNEL_WORD_HELP).enumerate() {
         let Some(help) = help else { continue };

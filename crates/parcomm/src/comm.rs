@@ -186,12 +186,6 @@ impl Comm {
         }
     }
 
-    /// Record the wall-clock time of one completed solver step (feeds
-    /// the per-step wall-time histogram in [`crate::CommStats`]).
-    pub fn record_step_ns(&self, ns: u64) {
-        self.stats.record_step_ns(ns);
-    }
-
     /// Record a solver-level event (step begin, health violation,
     /// checkpoint, …) into this rank's flight recorder, if one is
     /// installed. One branch when there is none.
@@ -295,11 +289,7 @@ impl Comm {
     /// messages get their simulated retransmission) and watching the
     /// death board.
     fn wait_match(&self, src_world: usize, tag: u64) -> Result<Envelope, CommError> {
-        let start = Instant::now();
-        let env = self.wait_match_from(src_world, tag, start)?;
-        // Blocked time feeds the receive-wait histogram; its tail is the
-        // latency the overlap pipeline failed to hide.
-        self.stats.record_wait_ns(start.elapsed().as_nanos() as u64);
+        let env = self.wait_match_from(src_world, tag)?;
         if let Some(rec) = &self.recorder {
             rec.record(Event::Recv {
                 peer: src_world as u32,
@@ -312,18 +302,15 @@ impl Comm {
         Ok(env)
     }
 
-    fn wait_match_from(
-        &self,
-        src_world: usize,
-        tag: u64,
-        start: Instant,
-    ) -> Result<Envelope, CommError> {
+    fn wait_match_from(&self, src_world: usize, tag: u64) -> Result<Envelope, CommError> {
         let my_world = self.members[self.rank];
         let mailbox = &self.world.mailboxes[my_world];
         let ctl = &self.world.ctl;
         if !ctl.bounded() {
             return Ok(mailbox.recv_match(self.context, src_world, tag));
         }
+        // Only the bounded path reads the clock: it checks the deadline.
+        let start = Instant::now();
         let mut slice = RETRY_BASE;
         let slice_cap = RETRY_BASE * 32;
         loop {

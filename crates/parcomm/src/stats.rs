@@ -7,7 +7,6 @@
 //! byte counts into projected communication time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use yy_obs::hist::{Histogram, HistogramSnapshot};
 /// The two code spaces the counters are resolved by; `yy-obs` declares
 /// them (names, codes) and this crate indexes its records by them.
 pub use yy_obs::event::{Phase as SolverPhase, TrafficClass};
@@ -20,8 +19,6 @@ pub use yy_obs::event::{Phase as SolverPhase, TrafficClass};
 pub struct StatsCell {
     class_bytes: [AtomicU64; TrafficClass::COUNT],
     phase_ns: [AtomicU64; SolverPhase::COUNT],
-    recv_wait: Histogram,
-    step_wall: Histogram,
 }
 
 impl StatsCell {
@@ -40,18 +37,6 @@ impl StatsCell {
         self.phase_ns[phase as usize].fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Record the wall-clock nanoseconds one receive spent blocked
-    /// before its message matched (the tail of this distribution is what
-    /// the overlapped pipeline cannot hide).
-    pub fn record_wait_ns(&self, ns: u64) {
-        self.recv_wait.record(ns);
-    }
-
-    /// Record the wall-clock nanoseconds of one full solver step.
-    pub fn record_step_ns(&self, ns: u64) {
-        self.step_wall.record(ns);
-    }
-
     /// An immutable copy of the current counters.
     ///
     /// The cell itself cannot see the rank's mailbox, so the caller
@@ -64,8 +49,6 @@ impl StatsCell {
             class_bytes: std::array::from_fn(|c| load(&self.class_bytes[c])),
             max_queue_depth,
             phase_ns: std::array::from_fn(|p| load(&self.phase_ns[p])),
-            recv_wait: self.recv_wait.snapshot(),
-            step_wall: self.step_wall.snapshot(),
         }
     }
 }
@@ -83,10 +66,6 @@ pub struct CommStats {
     /// `phase as usize`. `Wait` is the unhidden communication cost,
     /// `WriterWait` the unhidden cost of checkpoint/snapshot emission.
     pub phase_ns: [u64; SolverPhase::COUNT],
-    /// Distribution of per-receive blocked time (nanoseconds).
-    pub recv_wait: HistogramSnapshot,
-    /// Distribution of per-step wall time (nanoseconds).
-    pub step_wall: HistogramSnapshot,
 }
 
 impl CommStats {
@@ -103,8 +82,6 @@ impl CommStats {
             // value answers "how deep did any one queue get".
             max_queue_depth: self.max_queue_depth.max(other.max_queue_depth),
             phase_ns: std::array::from_fn(|p| self.phase_ns[p] + other.phase_ns[p]),
-            recv_wait: self.recv_wait.merged(other.recv_wait),
-            step_wall: self.step_wall.merged(other.step_wall),
         }
     }
 }
@@ -162,22 +139,6 @@ mod tests {
         let s = StatsCell::new();
         assert_eq!(s.snapshot(9).max_queue_depth, 9);
         assert_eq!(s.snapshot(0).max_queue_depth, 0);
-    }
-
-    #[test]
-    fn latency_histograms_snapshot_and_merge() {
-        let s = StatsCell::new();
-        s.record_wait_ns(1_000);
-        s.record_wait_ns(64_000);
-        s.record_step_ns(2_000_000);
-        let snap = s.snapshot(0);
-        assert_eq!(snap.recv_wait.count, 2);
-        assert_eq!(snap.recv_wait.max, 64_000);
-        assert_eq!(snap.step_wall.count, 1);
-        let m = snap.merged(snap);
-        assert_eq!(m.recv_wait.count, 4, "histograms aggregate by merge across ranks");
-        assert_eq!(m.recv_wait.max, 64_000);
-        assert_eq!(m.step_wall.sum, 4_000_000);
     }
 
     #[test]

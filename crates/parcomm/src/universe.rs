@@ -434,13 +434,6 @@ mod tests {
             // The high-water mark only grows, and both snapshots came
             // through the same live-mailbox path.
             assert!(after.max_queue_depth >= before.max_queue_depth);
-            // The barrier's internal receive also lands in the wait
-            // histogram, so compare against the pre-receive snapshot.
-            assert_eq!(
-                after.recv_wait.count,
-                before.recv_wait.count + 2,
-                "both data receives feed the wait histogram"
-            );
         }
     }
 
