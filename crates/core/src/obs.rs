@@ -3,7 +3,7 @@
 //! runs and for post-mortems of failed passes.
 //!
 //! The options here are deliberately driver-level: the recording
-//! machinery itself (flight-recorder rings, histograms, exporters) lives
+//! machinery itself (flight-recorder rings, exporters) lives
 //! in `yy-obs`; this module only decides *whether* recorders are
 //! installed for a supervised run and turns their contents into files.
 
