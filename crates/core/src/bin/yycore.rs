@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! yycore run      [key=value ...]              run a serial simulation
-//! yycore resume   <ckpt> [key=value ...]       continue from a checkpoint
 //! yycore slice    <ckpt> [out_dir]             slices from a checkpoint
 //! yycore parallel [key=value ...]              supervised parallel driver
 //! yycore merge    <shard_dir> <out.ck> [k=v]   shards -> serial checkpoint
@@ -31,9 +30,8 @@ type Cmd = fn(&[String]) -> Result<(), String>;
 
 /// Subcommand dispatch table, name for name the [`cli::COMMANDS`]
 /// synopsis (a test holds the two together).
-const COMMANDS: [(&str, Cmd); 11] = [
+const COMMANDS: [(&str, Cmd); 10] = [
     ("run", cmd_run),
-    ("resume", cmd_resume),
     ("slice", cmd_slice),
     ("parallel", cmd_parallel),
     ("merge", cmd_merge),
@@ -125,14 +123,6 @@ fn finish(report: &RunReport, a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Arm the science-telemetry layer and the dt-collapse injector on a
-/// serial simulation (no-ops unless `telemetry=1`/`dt_collapse_at=`).
-fn arm_serial(a: &Args, sim: &mut SerialSim) -> Result<(), String> {
-    sim.arm_telemetry(&a.recovery.obs)?;
-    sim.dt_inject = a.recovery.dt_inject;
-    Ok(())
-}
-
 fn save_checkpoint(ck: &Checkpoint, a: &Args) -> Result<(), String> {
     if let Some(path) = &a.ckpt {
         ck.save(path).map_err(|e| format!("writing checkpoint: {e}"))?;
@@ -141,11 +131,31 @@ fn save_checkpoint(ck: &Checkpoint, a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// What `run` and `resume` do once the stepping is over.
-fn finish_serial(sim: &SerialSim, report: &RunReport, a: &Args) -> Result<(), String> {
-    save_checkpoint(&Checkpoint::capture(sim), a)?;
-    print_alerts(report);
-    finish(report, a)
+/// The checkpoint `resume=` names: the file itself, or the newest
+/// complete shard set of a directory, merged. It must have the grid
+/// the keys describe.
+fn resume_checkpoint(a: &Args) -> Result<Option<Checkpoint>, String> {
+    let Some(path) = &a.resume else {
+        return Ok(None);
+    };
+    let ck = if is_shard_dir(path) {
+        let ck = merge_shards(&a.cfg, path, None)
+            .map_err(|e| format!("merging shards in {}: {e}", path.display()))?;
+        eprintln!("merged shard set at step {} from {}", ck.step, path.display());
+        ck
+    } else {
+        Checkpoint::load(path)
+            .map_err(|e| format!("loading resume checkpoint {}: {e}", path.display()))?
+    };
+    let shape = a.cfg.grid().full_shape();
+    if ck.shape != shape {
+        return Err(format!(
+            "resume checkpoint geometry {:?} does not match the run configuration {shape:?}; \
+             pass the nr= nth= ext= it was written with",
+            ck.shape
+        ));
+    }
+    Ok(Some(ck))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -161,47 +171,24 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         a.cfg.params.ekman()
     );
     let mut sim = SerialSim::new(a.cfg.clone());
-    arm_serial(&a, &mut sim)?;
-    let report = if a.stream.snapshot_every > 0 {
-        let report = sim.run_streaming(a.steps, a.sample, &a.stream)?;
-        eprintln!(
-            "streamed {} product file(s) ({} KiB) to {}",
-            report.io.snapshots_written,
-            report.io.bytes_written / 1024,
-            a.stream.dir.display()
-        );
-        report
-    } else {
-        sim.try_run(a.steps, a.sample)?
-    };
+    if let Some(ck) = resume_checkpoint(&a)? {
+        ck.restore(&mut sim);
+        eprintln!("resumed at step {}, t = {:.5}", sim.step, sim.time);
+    }
+    // Telemetry and the dt-collapse injector are no-ops unless
+    // `telemetry=1` / `dt_collapse_at=` armed them.
+    sim.arm_telemetry(&a.recovery.obs)?;
+    sim.dt_inject = a.recovery.dt_inject;
+    // `steps=` is the step the run ends at, as in `parallel`.
+    let report = sim.try_run(a.steps.saturating_sub(sim.step), a.sample)?;
     let b = sim.speed_breakdown();
     eprintln!(
         "signal speeds: flow {:.3e}, sound {:.3e}, alfven {:.3e}",
         b.flow, b.sound, b.alfven
     );
-    finish_serial(&sim, &report, &a)
-}
-
-fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let Some(path) = args.first() else {
-        return Err("resume needs a checkpoint path".into());
-    };
-    let a = cli::parse("resume", &args[1..])?;
-    let ck = Checkpoint::load(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
-    let shape = a.cfg.grid().full_shape();
-    if ck.shape != shape {
-        return Err(format!(
-            "resume checkpoint geometry {:?} does not match the run configuration {shape:?}; \
-             pass the nr= nth= ext= it was written with",
-            ck.shape
-        ));
-    }
-    let mut sim = SerialSim::new(a.cfg.clone());
-    ck.restore(&mut sim);
-    arm_serial(&a, &mut sim)?;
-    eprintln!("resumed at step {}, t = {:.5}", sim.step, sim.time);
-    let report = sim.try_run(a.steps, a.sample)?;
-    finish_serial(&sim, &report, &a)
+    save_checkpoint(&Checkpoint::capture(&sim), &a)?;
+    print_alerts(&report);
+    finish(&report, &a)
 }
 
 fn cmd_slice(args: &[String]) -> Result<(), String> {
@@ -237,6 +224,8 @@ fn cmd_slice(args: &[String]) -> Result<(), String> {
     let eq_t = sample_equatorial(&t_yin, &t_yang, &grid, 512);
     equatorial_disk_ppm(&eq_t, &out_dir.join("slice_eq_t.ppm"), 512)
         .map_err(|e| format!("ppm: {e}"))?;
+    std::fs::write(out_dir.join("slice_eq_t.csv"), eq_t.to_csv())
+        .map_err(|e| format!("csv: {e}"))?;
 
     let wz_yin = axial_vorticity(&ck.yin, &grid, &metric, Panel::Yin);
     let wz_yang = axial_vorticity(&ck.yang, &grid, &metric, Panel::Yang);
@@ -276,19 +265,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    a.recovery.resume_from = match &a.resume {
-        Some(path) if is_shard_dir(path) => {
-            let ck = merge_shards(&a.cfg, path, None)
-                .map_err(|e| format!("merging shards in {}: {e}", path.display()))?;
-            eprintln!("merged shard set at step {} from {}", ck.step, path.display());
-            Some(ck)
-        }
-        Some(path) => Some(
-            Checkpoint::load(path)
-                .map_err(|e| format!("loading resume checkpoint {}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
+    a.recovery.resume_from = resume_checkpoint(&a)?;
     let sup = run_parallel_supervised(&a.cfg, a.pth, a.pph, a.steps, a.sample, &a.recovery)?;
     for ev in &sup.recoveries {
         eprintln!(
@@ -379,7 +356,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
 /// the geometry the shards were written under; `step=N` picks a
 /// specific shard set (default: the newest complete one). The output
 /// is byte-identical to the checkpoint a serial run would have saved
-/// at that step, so everything that consumes checkpoints (`resume`,
+/// at that step, so everything that consumes checkpoints (`resume=`,
 /// `slice`) works on it unchanged.
 fn cmd_merge(args: &[String]) -> Result<(), String> {
     let [dir, out, keys @ ..] = args else {
@@ -575,13 +552,10 @@ mod tests {
         let a = parse("parallel", &["ckpt_dir=shards", "ckpt_compress=delta"]).unwrap();
         assert_eq!(a.recovery.ckpt_dir.as_deref(), Some(Path::new("shards")));
         assert_eq!(a.recovery.ckpt_compress, CkptCodec::Delta);
-        let a = parse("run", &["snapshot_every=5", "snap_dir=prod"]).unwrap();
-        assert_eq!(a.stream.snapshot_every, 5);
-        assert_eq!(a.stream.dir, Path::new("prod"));
-        // Defaults: raw payloads, no shards, no streaming.
+        // Defaults: raw payloads, no shards.
         let d = parse("parallel", &[]).unwrap();
         assert!(d.recovery.ckpt_dir.is_none());
-        assert_eq!((d.stream.snapshot_every, d.recovery.ckpt_compress), (0, CkptCodec::Raw));
+        assert_eq!(d.recovery.ckpt_compress, CkptCodec::Raw);
 
         // The writer thread is the only writer, and `rle` is `delta`'s
         // first link. (The key is split so ci.sh's deleted-names guard
@@ -595,8 +569,6 @@ mod tests {
         assert_eq!(err, "ckpt_compress: expected none|delta, got 'rle'");
         let err = parse_err("parallel", &["ckpt_compress=zip"]);
         assert_eq!(err, "ckpt_compress: expected none|delta, got 'zip'");
-        let err = parse_err("run", &["snapshot_every=often"]);
-        assert!(err.starts_with("snapshot_every: "), "{err}");
     }
 
     #[test]
@@ -631,12 +603,13 @@ mod tests {
             let ckpt = format!("ckpt={ck}");
             cmd_run(&strings(&[&small[..], &[ext, &ckpt]].concat())).expect("writes a checkpoint");
         }
-        let (y, x, out) = (at("y.ck"), at("x.ck"), at("out"));
-        let cases: [(Cmd, &[&str], &[&str]); 5] = [
+        let (resume_y, x, out) = (format!("resume={}", at("y.ck")), at("x.ck"), at("out"));
+        let cases: [(Cmd, &[&str], &[&str]); 6] = [
             (cmd_run, &["nr=12", "nth=9", "ext=3"], &["ext", "nth=9", "1..=2"]),
             (cmd_parallel, &["pth=1", "pph=16", "nr=12", "nth=9"], &["pph=16", "1..=14"]),
             (cmd_parallel, &["pth=0"], &["pth=0", "1..=8"]),
-            (cmd_resume, &[&y, "nr=16"], &["geometry", "nr="]),
+            (cmd_run, &[&resume_y, "nr=16"], &["geometry", "nr="]),
+            (cmd_parallel, &[&resume_y, "nr=16"], &["geometry", "nr="]),
             (cmd_slice, &[&x, &out], &["x.ck", "ext=2"]),
         ];
         for (cmd, args, names) in cases {

@@ -10,7 +10,6 @@
 use crate::config::{self, RunConfig};
 use crate::output::CkptCodec;
 use crate::parallel::{FailurePolicy, RecoveryOpts};
-use crate::serial::StreamOpts;
 use crate::telemetry::DtInject;
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -99,9 +98,8 @@ pub(crate) fn suggestion<'a>(key: &str, names: impl Iterator<Item = &'a str>) ->
 
 /// Subcommands: name, argument synopsis, one-line description. The
 /// binary's dispatch table carries the same names (tested there).
-pub const COMMANDS: [(&str, &str, &str); 11] = [
+pub const COMMANDS: [(&str, &str, &str); 10] = [
     ("run", "[key=value ...]", "run a serial simulation"),
-    ("resume", "<ckpt> [key=value ...]", "continue a serial run from a checkpoint"),
     ("slice", "<ckpt> [out_dir]", "equatorial/meridional slices from a checkpoint"),
     ("parallel", "[key=value ...]", "run the supervised flat-MPI-style parallel driver"),
     ("merge", "<shard_dir> <out.ck> [key=value ...]", "reassemble per-rank shards into a checkpoint"),
@@ -115,10 +113,9 @@ pub const COMMANDS: [(&str, &str, &str); 11] = [
 
 /// Commands that build a [`RunConfig`] — the readers of every
 /// [`config::KEYS`] row.
-pub const SOLVER: &[&str] = &["run", "resume", "parallel", "merge", "profile"];
-const STEPPED: &[&str] = &["run", "resume", "parallel", "profile"];
-const RUNS: &[&str] = &["run", "resume", "parallel"];
-const RUN: &[&str] = &["run"];
+pub const SOLVER: &[&str] = &["run", "parallel", "merge", "profile"];
+const STEPPED: &[&str] = &["run", "parallel", "profile"];
+const RUNS: &[&str] = &["run", "parallel"];
 const PAR: &[&str] = &["parallel"];
 const DOCTOR: &[&str] = &["doctor"];
 const WATCH: &[&str] = &["watch"];
@@ -135,7 +132,6 @@ pub struct Args {
     /// `obs.{series, rules}` and `dt_inject` from here too; the
     /// doctor reads `obs.trace`.
     pub recovery: RecoveryOpts,
-    pub stream: StreamOpts,
     pub steps: u64,
     pub sample: u64,
     pub pth: usize,
@@ -166,7 +162,6 @@ impl Default for Args {
         Args {
             cfg,
             recovery,
-            stream: StreamOpts::default(),
             steps: 200,
             sample: 10,
             pth: 1,
@@ -201,8 +196,8 @@ fn kill(a: &mut Args) -> &mut KillSpec {
 }
 
 /// Every key that is not a [`RunConfig`] field.
-pub const KEYS: [Key<Args>; 36] = [
-    key!("steps", "N", STEPPED, "total steps [200]", |a, v| a.steps = num(v)?),
+pub const KEYS: [Key<Args>; 33] = [
+    key!("steps", "N", STEPPED, "step the run ends at; a resumed run continues to it [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
     key!("ckpt", "PATH", RUNS, "write the final checkpoint here", |a, v| a.ckpt = Some(v.into())),
@@ -215,16 +210,12 @@ pub const KEYS: [Key<Args>; 36] = [
         |a, v| a.recovery.obs.trace = Some(v.into())),
     key!("pth", "N", PAR, "tiles per panel along theta [1]", |a, v| a.pth = num(v)?),
     key!("pph", "N", PAR, "tiles per panel along phi [2]", |a, v| a.pph = num(v)?),
-    key!("resume", "PATH", PAR,
+    key!("resume", "PATH", RUNS,
         "start from this checkpoint or shard directory (newest complete set); any layout",
         |a, v| a.resume = Some(v.into())),
     key!("metrics_port", "N", PAR, "serve the live Prometheus exposition on 127.0.0.1:N",
         |a, v| a.metrics_port = Some(num(v)?)),
     // Output pipeline (DESIGN.md §6h).
-    key!("snapshot_every", "N", RUN, "stream an equatorial slice every N steps + live energy.csv",
-        |a, v| a.stream.snapshot_every = num(v)?),
-    key!("snap_dir", "PATH", RUN, "directory for streamed products [out]",
-        |a, v| a.stream.dir = v.into()),
     key!("ckpt_every", "N", PAR, "checkpoint every N steps [0 = ends only]",
         |a, v| a.recovery.checkpoint_every = num(v)?),
     key!("ckpt_dir", "PATH", PAR, "write per-rank checkpoint shards here (see resume=, `merge`)",
@@ -233,7 +224,6 @@ pub const KEYS: [Key<Args>; 36] = [
         |a, v| a.recovery.ckpt_compress = CkptCodec::parse(v)?),
     // Fault injection and recovery.
     key!("fault_seed", "N", PAR, "fault-schedule seed [0]", |a, v| a.recovery.fault.seed = num(v)?),
-    key!("drop", "P", PAR, "message drop probability", |a, v| a.recovery.fault.drop_p = num(v)?),
     key!("delay", "P", PAR, "message delay probability", |a, v| a.recovery.fault.delay_p = num(v)?),
     key!("delay_us", "N", PAR, "maximum injected delay in microseconds [500]",
         |a, v| a.recovery.fault.max_delay = Duration::from_micros(num(v)?)),
@@ -426,7 +416,7 @@ mod tests {
     #[test]
     fn help_lists_every_row_once_and_each_command_its_own() {
         let rows: Vec<_> = all_rows().collect();
-        assert_eq!(rows.len(), 52);
+        assert_eq!(rows.len(), 49);
         for (i, (name, _, _, readers)) in rows.iter().enumerate() {
             assert!(rows[..i].iter().all(|r| r.0 != *name), "duplicate key '{name}'");
             assert!(!readers.is_empty(), "nobody reads '{name}'");

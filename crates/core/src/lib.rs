@@ -56,4 +56,4 @@ pub use parallel::{
 };
 pub use telemetry::{DtInject, ScienceTelemetry};
 pub use report::{IoStats, PhaseBreakdown, RunReport, TimeSeriesPoint};
-pub use serial::{SerialSim, StreamOpts};
+pub use serial::SerialSim;

@@ -1,4 +1,4 @@
-//! The overlapped output pipeline: per-rank checkpoint/snapshot shards,
+//! The overlapped output pipeline: per-rank checkpoint shards,
 //! delta + RLE compression, and the double-buffered writer thread.
 //!
 //! The paper's production runs emitted 500 GB 3-D snapshots while

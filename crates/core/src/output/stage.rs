@@ -13,7 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Totals the writer accumulates, returned by [`OutputStage::finish`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoTotals {
-    /// Files durably written (checkpoint shards + snapshot products).
+    /// Files durably written: shards and verbatim [`OutputStage::submit`] images.
     pub files_written: u64,
     /// Encoded bytes written to disk.
     pub bytes_written: u64,

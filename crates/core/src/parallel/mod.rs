@@ -456,8 +456,8 @@ mod tests {
         let us = Duration::from_micros(1);
         let cases = [
             (fault(FaultSpec::seeded(1).with_delay(2.0, us)), "delay"),
-            (fault(FaultSpec::seeded(1).with_drop(0.6).with_delay(0.6, us)), "drop + delay + dup"),
-            (fault(FaultSpec::seeded(1).with_drop(-0.5)), "drop"),
+            (fault(FaultSpec::seeded(1).with_delay(0.6, us).with_duplicate(0.6)), "delay + dup"),
+            (fault(FaultSpec::seeded(1).with_delay(-0.5, us)), "delay"),
             (fault(FaultSpec::seeded(1).with_duplicate(f64::NAN)), "dup"),
             (fault(FaultSpec::seeded(1).with_kill(99, 0)), "kill_rank=99"),
             (fault(FaultSpec::seeded(1).with_delay(0.5, us).with_delay_src(99)), "delay_src=99"),

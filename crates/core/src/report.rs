@@ -167,8 +167,6 @@ impl ElasticSummary {
 pub struct IoStats {
     /// Checkpoint shards durably written, summed over every rank.
     pub shards_written: u64,
-    /// Snapshot/series products written through the output stage.
-    pub snapshots_written: u64,
     /// Uncompressed payload bytes behind the writes.
     pub bytes_raw: u64,
     /// Encoded bytes that actually hit disk.
@@ -184,7 +182,6 @@ impl Default for IoStats {
     fn default() -> Self {
         IoStats {
             shards_written: 0,
-            snapshots_written: 0,
             bytes_raw: 0,
             bytes_written: 0,
             write_wall_s: 0.0,
@@ -205,12 +202,11 @@ impl IoStats {
     fn to_json(&self) -> String {
         format!(
             concat!(
-                r#"{{"shards_written":{},"snapshots_written":{},"bytes_raw":{},"#,
+                r#"{{"shards_written":{},"bytes_raw":{},"#,
                 r#""bytes_written":{},"write_wall_s":{},"#,
                 r#""codec":"{}","compression_ratio":{}}}"#
             ),
             self.shards_written,
-            self.snapshots_written,
             self.bytes_raw,
             self.bytes_written,
             num(self.write_wall_s),
@@ -272,28 +268,6 @@ pub struct RunReport {
     pub telemetry: Option<String>,
 }
 
-/// Render a diagnostics series as CSV — shared by
-/// [`RunReport::series_csv`] and the live `energy.csv` stream, so the
-/// mid-run product is a byte prefix of the final one.
-pub(crate) fn series_csv_of(series: &[TimeSeriesPoint]) -> String {
-    let mut out = String::from("step,time,dt,kinetic,magnetic,thermal,mass,max_speed,max_b\n");
-    for p in series {
-        out.push_str(&format!(
-            "{},{:.8e},{:.4e},{:.8e},{:.8e},{:.8e},{:.8e},{:.4e},{:.4e}\n",
-            p.step,
-            p.time,
-            p.dt,
-            p.diag.kinetic,
-            p.diag.magnetic,
-            p.diag.thermal,
-            p.diag.mass,
-            p.diag.max_speed,
-            p.diag.max_b
-        ));
-    }
-    out
-}
-
 /// What `yycore tables` prints: Tables I–III and the flagship List 1,
 /// projected from the flops per grid point per step a short
 /// instrumented run *measures*. Per interior point —
@@ -352,7 +326,22 @@ impl RunReport {
     /// Render the series as CSV (`step,time,dt,kinetic,magnetic,thermal,
     /// mass,max_speed,max_b`).
     pub fn series_csv(&self) -> String {
-        series_csv_of(&self.series)
+        let mut out = String::from("step,time,dt,kinetic,magnetic,thermal,mass,max_speed,max_b\n");
+        for p in &self.series {
+            out.push_str(&format!(
+                "{},{:.8e},{:.4e},{:.8e},{:.8e},{:.8e},{:.8e},{:.4e},{:.4e}\n",
+                p.step,
+                p.time,
+                p.dt,
+                p.diag.kinetic,
+                p.diag.magnetic,
+                p.diag.thermal,
+                p.diag.mass,
+                p.diag.max_speed,
+                p.diag.max_b
+            ));
+        }
+        out
     }
 
     /// Render the report as a stable, schema-versioned JSON artifact.
@@ -368,10 +357,10 @@ impl RunReport {
     /// `v5_reader_keeps_working_on_v6_output` test). The removals made
     /// without a bump: `elastic.weights`, the telemetry section's
     /// downsampling-tier members, the whole `histograms` section
-    /// (`queue_depth`, `recv_wait_ns`, `step_wall_ns`), `io.async_mode`
-    /// and `io.writer_wait_s` (a copy of `phases.writer_wait_s`) went
-    /// with the code that wrote them, because no reader ever consumed
-    /// them. All counter values are exact integers, so the artifact is
+    /// (`queue_depth`, `recv_wait_ns`, `step_wall_ns`), `io.async_mode`,
+    /// `io.writer_wait_s` (a copy of `phases.writer_wait_s`) and the io
+    /// section's count of streamed snapshot files went with the code
+    /// that wrote them, because no reader ever consumed them. All counter values are exact integers, so the artifact is
     /// bitwise reproducible for a deterministic run.
     pub fn to_json(&self) -> String {
         let kernels: Vec<String> = self
@@ -688,7 +677,6 @@ mod tests {
         let mut r = RunReport::default();
         r.io = IoStats {
             shards_written: 6,
-            snapshots_written: 2,
             bytes_raw: 4000,
             bytes_written: 1000,
             write_wall_s: 0.25,
@@ -698,7 +686,6 @@ mod tests {
         let doc = Json::parse(&r.to_json()).unwrap();
         let io = doc.get("io").expect("io section");
         assert_eq!(io.get("shards_written").unwrap().as_f64(), Some(6.0));
-        assert_eq!(io.get("snapshots_written").unwrap().as_f64(), Some(2.0));
         assert_eq!(io.get("bytes_raw").unwrap().as_f64(), Some(4000.0));
         assert_eq!(io.get("bytes_written").unwrap().as_f64(), Some(1000.0));
         assert_eq!(io.get("write_wall_s").unwrap().as_f64(), Some(0.25));

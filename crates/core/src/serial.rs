@@ -22,9 +22,7 @@
 
 use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
-use crate::output::OutputStage;
-use crate::report::{series_csv_of, IoStats, RunReport, TimeSeriesPoint};
-use std::path::PathBuf;
+use crate::report::{RunReport, TimeSeriesPoint};
 use std::sync::Arc;
 use std::time::Instant;
 use yy_field::Meters;
@@ -33,7 +31,6 @@ use yy_mesh::{
     apply_scalar, apply_vector, build_overset_columns, Metric, OversetColumn, Panel, PatchGrid,
 };
 use yy_obs::counters::{CounterSet, Kernel, KernelTally};
-use yy_obs::event::Phase;
 use yy_mhd::rhs::{sweep_rhs, InteriorRange, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
@@ -117,31 +114,6 @@ pub fn fill_pair(
     }
     apply_physical_bc(yin, t_inner, mag_bc);
     apply_physical_bc(yang, t_inner, mag_bc);
-}
-
-/// Options for [`SerialSim::run_streaming`]: where the live output
-/// products land and how often.
-#[derive(Debug, Clone)]
-pub struct StreamOpts {
-    /// Directory the products are written into (created if missing).
-    pub dir: PathBuf,
-    /// Emit an equatorial temperature slice every this many steps
-    /// (0 = only at the end; one is always written at the final step).
-    pub snapshot_every: u64,
-}
-
-impl Default for StreamOpts {
-    /// Products under `out/`, one slice at the end.
-    fn default() -> Self {
-        StreamOpts { dir: PathBuf::from("out"), snapshot_every: 0 }
-    }
-}
-
-/// Live state of an output stream during a streaming run.
-struct Stream<'a> {
-    opts: &'a StreamOpts,
-    stage: OutputStage,
-    wait_ns: u64,
 }
 
 /// The serial two-panel simulation.
@@ -371,77 +343,6 @@ impl SerialSim {
     /// simulation is left at the violating step: a serial run has no
     /// checkpoint to roll back to.
     pub fn try_run(&mut self, steps: u64, sample_every: u64) -> Result<RunReport, String> {
-        self.run_impl(steps, sample_every, None)
-    }
-
-    /// Run like [`run`](Self::run), but stream output products live
-    /// through the same double-buffered [`OutputStage`] the parallel
-    /// checkpoint shards use: the energy series lands in
-    /// `dir/energy.csv` (rewritten atomically at every sample — the
-    /// paper's Fig. 1 product, readable mid-run) and an equatorial
-    /// temperature slice lands in `dir/snapNNNNNNNNNN.eq_t.csv` every
-    /// `snapshot_every` steps plus at the end (the Fig. 2 product).
-    /// The stream only *reads* solver state — the trajectory is
-    /// bitwise-identical to a plain [`run`](Self::run).
-    pub fn run_streaming(
-        &mut self,
-        steps: u64,
-        sample_every: u64,
-        opts: &StreamOpts,
-    ) -> Result<RunReport, String> {
-        std::fs::create_dir_all(&opts.dir)
-            .map_err(|e| format!("creating output directory {}: {e}", opts.dir.display()))?;
-        let mut stream = Stream {
-            opts,
-            stage: OutputStage::new(true),
-            wait_ns: 0,
-        };
-        let mut report = self.run_impl(steps, sample_every, Some(&mut stream))?;
-        stream.wait_ns += stream.stage.flush();
-        let totals = stream
-            .stage
-            .finish()
-            .map_err(|e| format!("output stream: {e}"))?;
-        report.phases.seconds[Phase::WriterWait as usize] = stream.wait_ns as f64 / 1e9;
-        report.io = IoStats {
-            shards_written: 0,
-            snapshots_written: totals.files_written,
-            bytes_raw: totals.bytes_raw,
-            bytes_written: totals.bytes_written,
-            write_wall_s: totals.write_wall_ns as f64 / 1e9,
-            codec: "none".into(),
-        };
-        Ok(report)
-    }
-
-    /// Submit one product file through the stream, metering the
-    /// producer-side cost as the `output` kernel.
-    fn emit_product(&mut self, stream: &mut Stream<'_>, name: String, csv: String) {
-        let t0 = self.meter.timer();
-        let (mut buf, mut wait_ns) = stream.stage.acquire();
-        buf.extend_from_slice(csv.as_bytes());
-        let raw = buf.len() as u64;
-        wait_ns += stream.stage.submit(stream.opts.dir.join(name), buf, raw);
-        stream.wait_ns += wait_ns;
-        self.meter.kernel_timed(Kernel::Output, KernelTally::copy(raw, 1, 1), t0);
-    }
-
-    /// The Fig. 2 product: an equatorial temperature slice of the
-    /// current state.
-    fn emit_snapshot(&mut self, stream: &mut Stream<'_>) {
-        use crate::snapshots::{sample_equatorial, temperature};
-        let t_yin = temperature(&self.yin);
-        let t_yang = temperature(&self.yang);
-        let field = sample_equatorial(&t_yin, &t_yang, &self.grid, 256);
-        self.emit_product(stream, format!("snap{:010}.eq_t.csv", self.step), field.to_csv());
-    }
-
-    fn run_impl(
-        &mut self,
-        steps: u64,
-        sample_every: u64,
-        mut stream: Option<&mut Stream<'_>>,
-    ) -> Result<RunReport, String> {
         let started = Instant::now();
         self.meter.reset();
         let mut series = vec![self.sample(0.0)];
@@ -485,28 +386,11 @@ impl SerialSim {
             if sample_every > 0 && self.step % sample_every == 0 {
                 series.push(self.sample(dt));
                 self.feed_telemetry(&series, last_step_ms);
-                if let Some(st) = stream.as_deref_mut() {
-                    self.emit_product(st, "energy.csv".into(), series_csv_of(&series));
-                }
-            }
-            if let Some(st) = stream.as_deref_mut() {
-                // Periodic Fig. 2 slices; the final step always gets
-                // one below, so skip a coinciding periodic emission.
-                if st.opts.snapshot_every > 0
-                    && self.step % st.opts.snapshot_every == 0
-                    && self.step < end
-                {
-                    self.emit_snapshot(st);
-                }
             }
         }
         if series.last().map(|p| p.step) != Some(self.step) {
             series.push(self.sample(self.dt_cache));
             self.feed_telemetry(&series, last_step_ms);
-        }
-        if let Some(st) = stream.as_deref_mut() {
-            self.emit_snapshot(st);
-            self.emit_product(st, "energy.csv".into(), series_csv_of(&series));
         }
         Ok(RunReport {
             time: self.time,
@@ -603,44 +487,6 @@ mod tests {
             out
         };
         assert_eq!(bytes(&whole), bytes(&failed));
-    }
-
-    #[test]
-    fn streaming_run_is_bit_identical_and_emits_live_products() {
-        use crate::checkpoint::Checkpoint;
-        use crate::snapshots::{sample_equatorial, temperature};
-        let dir = std::env::temp_dir().join(format!("yy_stream_{}", std::process::id()));
-        let mut plain = SerialSim::new(quick_cfg());
-        plain.run(4, 2);
-        let mut streamed = SerialSim::new(quick_cfg());
-        let report = streamed
-            .run_streaming(
-                4,
-                2,
-                &StreamOpts { dir: dir.clone(), snapshot_every: 2 },
-            )
-            .expect("streaming run");
-        // The stream only reads state: the trajectory is untouched.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        Checkpoint::capture(&plain).write_to(&mut a).unwrap();
-        Checkpoint::capture(&streamed).write_to(&mut b).unwrap();
-        assert_eq!(a, b, "output stream perturbed the data plane");
-        // Fig. 1 product: the live energy CSV is the report's series.
-        let energy = std::fs::read_to_string(dir.join("energy.csv")).unwrap();
-        assert_eq!(energy, report.series_csv());
-        // Fig. 2 products: periodic + final equatorial slices, the final
-        // one byte-equal to an offline recomputation from the end state.
-        assert!(dir.join("snap0000000002.eq_t.csv").exists());
-        let snap = std::fs::read_to_string(dir.join("snap0000000004.eq_t.csv")).unwrap();
-        let t_yin = temperature(&streamed.yin);
-        let t_yang = temperature(&streamed.yang);
-        let expect = sample_equatorial(&t_yin, &t_yang, &streamed.grid, 256).to_csv();
-        assert_eq!(snap, expect);
-        // The io section accounts for the stream.
-        assert!(report.io.snapshots_written >= 3, "io: {:?}", report.io);
-        assert!(report.io.bytes_written > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

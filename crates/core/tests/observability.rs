@@ -27,8 +27,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn killed_run_opts(obs: ObsOpts) -> RecoveryOpts {
     RecoveryOpts {
         fault: FaultSpec::seeded(42)
-            .with_drop(0.05)
-            .with_delay(0.10, Duration::from_micros(200))
+            .with_delay(0.15, Duration::from_micros(200))
             .with_kill(1, 4),
         checkpoint_every: 2,
         deadline: Duration::from_secs(30),

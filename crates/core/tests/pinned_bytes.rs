@@ -4,11 +4,14 @@
 //! is a format change every reader of a trace, a scrape or a report sees.
 //! `fixtures/run_report.json` has since lost the keys no reader consumed,
 //! the whole `histograms` line (`queue_depth`, `recv_wait_ns`,
-//! `step_wall_ns`), `io.async_mode` and `io.writer_wait_s`, and nothing else.
+//! `step_wall_ns`), `io.async_mode`, `io.writer_wait_s` and the io
+//! section's count of streamed snapshot files, and nothing else.
 //! `fixtures/exposition.prom` has since reworded the `yy_queue_depth` help
 //! line to say what is published, rank 0's high-water mark, and nothing else.
 //! `fixtures/chrome_trace.json` has lost its three `"ph":"C"` counter
-//! records, which the format no longer has, and nothing else.
+//! records, which the format no longer has, and its `"fault drop"`
+//! instant, whose fault kind is gone with the record that wrote it, and
+//! nothing else.
 //! `fixtures/tables.txt` is the stdout of `yycore tables` at the commit
 //! before its printout moved into `yycore::report::paper_tables_text`.
 
@@ -42,7 +45,6 @@ fn every_variant() -> Vec<RankTrace> {
         te(8_000, Event::CheckpointSaved { step: 2 }),
         te(8_500, Event::HealthViolation { code: HealthCode::DensityFloor, step: 3 }),
         te(8_600, Event::Rollback { pass: 1, resume_step: 2 }),
-        te(8_700, Event::FaultInjected { kind: FaultKind::Drop, peer: 0, param: 2 }),
         te(8_750, Event::FaultInjected { kind: FaultKind::Delay, peer: 0, param: 200 }),
         te(8_800, Event::Retile { pth: 1, pph: 2, pass: 2, resume_step: 4 }),
         te(8_900, Event::Degraded { pass: 2, checkpoint_every: 4 }),
@@ -71,13 +73,13 @@ fn fixed_snapshot() -> CounterSnapshot {
 fn chrome_trace_bytes_are_pinned() {
     let doc = chrome_trace_json(&every_variant());
     assert_eq!(doc, include_str!("fixtures/chrome_trace.json"));
-    // And the pinned document reads back as the 18 events that wrote it.
+    // And the pinned document reads back as the 17 events that wrote it.
     let check = yy_obs::validate_chrome_trace(&doc).expect("valid");
     assert_eq!((check.spans, check.kills, check.retiles, check.degrades), (3, 1, 1, 1));
     assert_eq!(check.alerts, 2);
     assert_eq!((check.flow_starts, check.flow_finishes, check.tracks), (2, 1, 2));
     let streams = yy_obs::streams_from_chrome(&doc).expect("re-imports");
-    assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [6, 12]);
+    assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [6, 11]);
 }
 
 #[test]

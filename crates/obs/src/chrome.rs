@@ -401,7 +401,7 @@ mod tests {
             TimedEvent { ts_ns: 8_000, event: Event::CheckpointSaved { step: 2 } },
             TimedEvent { ts_ns: 8_500, event: Event::HealthViolation { code: HealthCode::DensityFloor, step: 3 } },
             TimedEvent { ts_ns: 8_600, event: Event::Rollback { pass: 1, resume_step: 2 } },
-            TimedEvent { ts_ns: 8_700, event: Event::FaultInjected { kind: FaultKind::Drop, peer: 0, param: 2 } },
+            TimedEvent { ts_ns: 8_700, event: Event::FaultInjected { kind: FaultKind::Duplicate, peer: 0, param: 0 } },
             TimedEvent {
                 ts_ns: 8_800,
                 event: Event::Retile { pth: 1, pph: 2, pass: 2, resume_step: 4 },

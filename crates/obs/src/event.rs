@@ -86,12 +86,10 @@ code_table! {
 code_table! {
     /// What the fault plan did to a message.
     pub enum FaultKind {
-        /// First transmission lost; `param` holds the resend count.
-        Drop = 0 => "drop",
         /// Message held back; `param` holds the injected delay in microseconds.
-        Delay = 1 => "delay",
+        Delay = 0 => "delay",
         /// Message delivered twice.
-        Duplicate = 2 => "duplicate",
+        Duplicate = 1 => "duplicate",
     }
 }
 
@@ -259,7 +257,7 @@ mod tests {
     fn name_tables_cover_codes() {
         assert_eq!(Phase::Interior.name(), "interior");
         assert_eq!(TrafficClass::Overset.name(), "overset");
-        assert_eq!(FaultKind::Drop.name(), "drop");
+        assert_eq!(FaultKind::Delay.name(), "delay");
         assert_eq!(HealthCode::NonFinite.name(), "non-finite");
         assert_eq!(AlertKind::DtCollapse.name(), "dt-collapse");
         assert_eq!(AlertKind::COUNT, 5);

@@ -7,7 +7,7 @@
 //! [`crate::mailbox`]) and routed through the universe's optional
 //! [`crate::fault::FaultPlan`]. Receives in a supervised universe run a
 //! bounded retry loop instead of blocking forever: each retry slice pumps
-//! the rank's fault limbo (releasing due retransmissions/delays), backs
+//! the rank's fault limbo (releasing due delayed messages), backs
 //! off exponentially, checks the death board, and gives up with a
 //! structured [`CommError`] when the peer is dead or the deadline
 //! expires. In a plain universe ([`crate::Universe::run`]) none of this
@@ -265,7 +265,6 @@ impl Comm {
         };
         let (kind, param) = match plan.route(src_world, dest_world, env, mailbox) {
             FaultAction::Deliver => return,
-            FaultAction::Drop { resends } => (FaultKind::Drop, resends as u64),
             FaultAction::Delay { micros } => (FaultKind::Delay, micros),
             FaultAction::Duplicate => (FaultKind::Duplicate, 0),
         };
@@ -285,9 +284,8 @@ impl Comm {
 
     /// The bounded receive loop. In a plain universe this is a direct
     /// blocking wait; under a fault plan or deadline it retries in
-    /// exponentially growing slices, pumping the fault limbo (so dropped
-    /// messages get their simulated retransmission) and watching the
-    /// death board.
+    /// exponentially growing slices, pumping the fault limbo (so delayed
+    /// messages are released when due) and watching the death board.
     fn wait_match(&self, src_world: usize, tag: u64) -> Result<Envelope, CommError> {
         let env = self.wait_match_from(src_world, tag)?;
         if let Some(rec) = &self.recorder {

@@ -8,11 +8,6 @@
 //! `(src, dst)` edge:
 //!
 //! * **Deliver** — the common case, untouched;
-//! * **Drop** — the transmission is lost; the envelope is held back and
-//!   only becomes visible after the simulated retransmission interval
-//!   (`resend_after × resends`), modelling a sender that retransmits
-//!   after its ack timer fires. `max_resends` bounds consecutive losses,
-//!   so delivery always converges;
 //! * **Delay** — the envelope is held for a seeded duration up to
 //!   `max_delay`, reordering it behind later traffic (the per-stream
 //!   sequence numbers in [`crate::mailbox::Mailbox`] restore order);
@@ -69,9 +64,7 @@ pub struct KillSpec {
 pub struct FaultSpec {
     /// Master seed of the schedule.
     pub seed: u64,
-    /// Probability a message's first transmission is lost.
-    pub drop_p: f64,
-    /// Probability a message is delayed (evaluated after `drop_p`).
+    /// Probability a message is delayed.
     pub delay_p: f64,
     /// Restrict delay injection to messages *sent by* this world rank
     /// (`None` delays every edge). Models one rank behind a congested
@@ -86,20 +79,14 @@ pub struct FaultSpec {
     pub max_delay: Duration,
     /// Probability a message is duplicated.
     pub duplicate_p: f64,
-    /// Simulated sender retransmission interval: a dropped message
-    /// reappears after `resends × resend_after`.
-    pub resend_after: Duration,
     /// Payloads smaller than this many bytes are exempt from
-    /// drop/delay/duplicate injection. Real interconnect latency is a
+    /// delay/duplicate injection. Real interconnect latency is a
     /// bandwidth-and-congestion phenomenon of the bulk data plane;
     /// setting a floor keeps the control plane (dt consensus, health
     /// reductions — tens of bytes) fast while halo/overset field
     /// traffic (kilobytes and up) suffers the injected plan. 0 means
     /// everything is eligible.
     pub data_floor_bytes: usize,
-    /// Bound on consecutive losses of one message (≥ 1); guarantees
-    /// retry convergence.
-    pub max_resends: u32,
     /// Scheduled rank kills. Multiple entries model a sequence of
     /// hardware losses — each node dies independently when it reaches
     /// its step.
@@ -111,15 +98,12 @@ impl FaultSpec {
     pub fn disabled() -> Self {
         FaultSpec {
             seed: 0,
-            drop_p: 0.0,
             delay_p: 0.0,
             delay_src: None,
             min_delay: Duration::ZERO,
             max_delay: Duration::from_millis(2),
             duplicate_p: 0.0,
             data_floor_bytes: 0,
-            resend_after: Duration::from_millis(1),
-            max_resends: 3,
             kills: Vec::new(),
         }
     }
@@ -127,12 +111,6 @@ impl FaultSpec {
     /// A disabled spec carrying `seed`, ready for the builder methods.
     pub fn seeded(seed: u64) -> Self {
         FaultSpec { seed, ..FaultSpec::disabled() }
-    }
-
-    /// Set the drop probability.
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop_p = p;
-        self
     }
 
     /// Set the delay probability and maximum delay.
@@ -187,12 +165,12 @@ impl FaultSpec {
     }
 
     /// Pre-flight validation against a universe of `nprocs` ranks: each
-    /// probability finite in `[0, 1]`, their sum at most 1, at least one
-    /// resend per drop, and every kill rank and `delay_src` a rank that
-    /// exists (a fault aimed past the layout would silently never fire).
+    /// probability finite in `[0, 1]`, their sum at most 1, and every
+    /// kill rank and `delay_src` a rank that exists (a fault aimed past
+    /// the layout would silently never fire).
     /// Names are the CLI keys.
     pub fn check(&self, nprocs: usize) -> Result<(), String> {
-        let probs = [("drop", self.drop_p), ("delay", self.delay_p), ("dup", self.duplicate_p)];
+        let probs = [("delay", self.delay_p), ("dup", self.duplicate_p)];
         for (key, p) in probs {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{key} must be a probability in [0, 1] (got {p})"));
@@ -200,10 +178,7 @@ impl FaultSpec {
         }
         let sum: f64 = probs.iter().map(|(_, p)| p).sum();
         if sum > 1.0 + 1e-12 {
-            return Err(format!("drop + delay + dup must sum to at most 1 (got {sum})"));
-        }
-        if self.max_resends == 0 {
-            return Err("max_resends must be at least 1".to_string());
+            return Err(format!("delay + dup must sum to at most 1 (got {sum})"));
         }
         let targets = self.kills.iter().map(|k| ("kill_rank", k.rank));
         for (key, rank) in targets.chain(self.delay_src.map(|r| ("delay_src", r))) {
@@ -219,7 +194,7 @@ impl FaultSpec {
 
     /// Whether this spec injects anything at all.
     pub fn is_active(&self) -> bool {
-        self.drop_p > 0.0 || self.delay_p > 0.0 || self.duplicate_p > 0.0 || !self.kills.is_empty()
+        self.delay_p > 0.0 || self.duplicate_p > 0.0 || !self.kills.is_empty()
     }
 }
 
@@ -228,11 +203,6 @@ impl FaultSpec {
 pub enum FaultAction {
     /// Deliver normally.
     Deliver,
-    /// Lose `resends` transmissions before the retransmission arrives.
-    Drop {
-        /// Number of lost transmissions (1 ..= `max_resends`).
-        resends: u32,
-    },
     /// Hold the message for `micros` microseconds.
     Delay {
         /// Injected latency in microseconds.
@@ -255,8 +225,6 @@ pub struct InjectedKill {
 /// Counters of injected events (monotonic over the plan's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Messages whose first transmission was dropped.
-    pub dropped: u64,
     /// Messages delayed.
     pub delayed: u64,
     /// Messages duplicated.
@@ -272,7 +240,7 @@ struct Held {
 }
 
 /// A live fault injector: the seeded schedule plus the limbo queues of
-/// in-flight (dropped/delayed) messages.
+/// in-flight (delayed) messages.
 ///
 /// One plan can outlive several universe incarnations — a supervisor
 /// restarting from a checkpoint keeps the same plan so the one-shot kill
@@ -288,7 +256,6 @@ pub struct FaultPlan {
     limbo: Vec<Mutex<Vec<Held>>>,
     /// One fired flag per entry of `spec.kills` (one-shot kills latch).
     kill_fired: Vec<AtomicBool>,
-    dropped: AtomicU64,
     delayed: AtomicU64,
     duplicated: AtomicU64,
 }
@@ -307,7 +274,6 @@ impl FaultPlan {
             edges: Mutex::new(HashMap::new()),
             limbo: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
             kill_fired,
-            dropped: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
         }
@@ -330,9 +296,7 @@ impl FaultPlan {
         let h = schedule_hash(s.seed, src as u64, dst as u64, n);
         let u = (h >> 11) as f64 * (1.0 / ((1u64 << 53) as f64));
         let h2 = mix64(h ^ 0xD6E8_FEB8_6659_FD93);
-        if u < s.drop_p {
-            FaultAction::Drop { resends: 1 + (h2 % s.max_resends as u64) as u32 }
-        } else if u < s.drop_p + s.delay_p {
+        if u < s.delay_p {
             // A targeted delay band leaves other senders' messages
             // untouched (no re-roll, so the schedule stays pure).
             if s.delay_src.is_some_and(|t| t != src) {
@@ -341,7 +305,7 @@ impl FaultPlan {
             let lo = s.min_delay.as_micros() as u64;
             let span = (s.max_delay.as_micros() as u64).saturating_sub(lo).max(1);
             FaultAction::Delay { micros: lo + h2 % span }
-        } else if u < s.drop_p + s.delay_p + s.duplicate_p {
+        } else if u < s.delay_p + s.duplicate_p {
             FaultAction::Duplicate
         } else {
             FaultAction::Deliver
@@ -373,11 +337,6 @@ impl FaultPlan {
         let action = self.action(src, dst, n);
         match action {
             FaultAction::Deliver => mailbox.deliver(env),
-            FaultAction::Drop { resends } => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                let due = Instant::now() + self.spec.resend_after * resends;
-                self.hold(dst, Held { due, env });
-            }
             FaultAction::Delay { micros } => {
                 self.delayed.fetch_add(1, Ordering::Relaxed);
                 let due = Instant::now() + Duration::from_micros(micros);
@@ -459,7 +418,6 @@ impl FaultPlan {
     /// Injection counters so far.
     pub fn stats(&self) -> FaultStats {
         FaultStats {
-            dropped: self.dropped.load(Ordering::Relaxed),
             delayed: self.delayed.load(Ordering::Relaxed),
             duplicated: self.duplicated.load(Ordering::Relaxed),
             kill_fired: self.kill_fired.iter().any(|f| f.load(Ordering::Relaxed)),
@@ -494,7 +452,6 @@ mod tests {
     #[test]
     fn schedule_is_deterministic_and_seed_dependent() {
         let spec = FaultSpec::seeded(42)
-            .with_drop(0.2)
             .with_delay(0.2, Duration::from_millis(1))
             .with_duplicate(0.2);
         let a = FaultPlan::new(spec.clone(), 4);
@@ -521,23 +478,24 @@ mod tests {
         assert!(!FaultSpec::disabled().is_active());
     }
 
+    /// One fixed latency: every message is held exactly this long.
+    fn held_100us(seed: u64) -> FaultSpec {
+        let us = Duration::from_micros(100);
+        FaultSpec::seeded(seed).with_delay_range(1.0, us, us)
+    }
+
     #[test]
-    fn dropped_message_surfaces_after_pump() {
-        let spec = FaultSpec {
-            drop_p: 1.0,
-            resend_after: Duration::from_micros(100),
-            ..FaultSpec::seeded(7)
-        };
-        let plan = FaultPlan::new(spec, 2);
+    fn delayed_message_surfaces_after_pump() {
+        let plan = FaultPlan::new(held_100us(7), 2);
         let mb = Mailbox::new();
         plan.route(0, 1, env(0, 0), &mb);
-        assert_eq!(mb.pending(), 0, "dropped transmission must not arrive immediately");
+        assert_eq!(mb.pending(), 0, "a delayed message must not arrive immediately");
         assert_eq!(plan.limbo_depth(1), 1);
-        // After the retransmission window the pump releases it.
+        // After the delay the pump releases it.
         std::thread::sleep(Duration::from_millis(2));
         plan.pump(1, &mb);
         assert_eq!(mb.pending(), 1);
-        assert_eq!(plan.stats().dropped, 1);
+        assert_eq!(plan.stats().delayed, 1);
     }
 
     #[test]
@@ -594,8 +552,7 @@ mod tests {
 
     #[test]
     fn begin_pass_clears_limbo() {
-        let spec = FaultSpec { drop_p: 1.0, ..FaultSpec::seeded(9) };
-        let plan = FaultPlan::new(spec, 2);
+        let plan = FaultPlan::new(held_100us(9), 2);
         let mb = Mailbox::new();
         plan.route(0, 1, env(0, 0), &mb);
         assert_eq!(plan.limbo_depth(1), 1);

@@ -36,7 +36,7 @@
 //! [`Universe::run_supervised`] launches the same rank team under a
 //! supervisor: receives are deadline-bounded with exponential-backoff
 //! retry (giving a structured [`CommError`] instead of a hang), a seeded
-//! [`fault::FaultPlan`] can drop/delay/duplicate messages or kill a rank
+//! [`fault::FaultPlan`] can delay or duplicate messages or kill a rank
 //! at a chosen step, per-stream sequence numbers in the mailbox restore
 //! exactly-once in-order delivery under those faults, and a panicking
 //! rank is reported as a [`RankFailure`] value while its peers keep

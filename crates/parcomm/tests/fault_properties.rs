@@ -1,6 +1,6 @@
 //! Property tests of the fault-injection layer on the `yy-testkit`
-//! harness: the schedule is a pure function of the seed, drop+retry
-//! always converges, a supervised universe reports exactly the rank the
+//! harness: the schedule is a pure function of the seed, held messages
+//! always arrive, a supervised universe reports exactly the rank the
 //! plan killed, and collectives suffer and survive faults like any other
 //! message.
 
@@ -13,12 +13,10 @@ use yy_parcomm::{ReduceOp, Universe};
 use yy_testkit::{check_with, tk_assert, tk_assert_eq, Config, Gen};
 
 fn random_spec(g: &mut Gen) -> FaultSpec {
-    // Probabilities kept below a combined 0.9 so Deliver stays reachable.
-    let drop_p = g.range_f64(0.0, 0.4);
+    // Probabilities kept below a combined 0.5 so Deliver stays reachable.
     let delay_p = g.range_f64(0.0, 0.3);
     let duplicate_p = g.range_f64(0.0, 0.2);
     FaultSpec::seeded(g.below(u64::MAX))
-        .with_drop(drop_p)
         .with_delay(delay_p, Duration::from_micros(g.below(2000) + 1))
         .with_duplicate(duplicate_p)
 }
@@ -45,8 +43,8 @@ fn same_seed_gives_identical_schedule() {
     );
 }
 
-/// The schedule respects the spec: actions only of enabled kinds, drop
-/// resend counts within `max_resends`, delays within `max_delay`.
+/// The schedule respects the spec: actions only of enabled kinds,
+/// delays within `max_delay`.
 #[test]
 fn schedule_respects_the_spec_bounds() {
     check_with(
@@ -58,13 +56,6 @@ fn schedule_respects_the_spec_bounds() {
             for n in 0..256_u64 {
                 match plan.action(0, 1, n) {
                     FaultAction::Deliver => {}
-                    FaultAction::Drop { resends } => {
-                        tk_assert!(spec.drop_p > 0.0, "drop scheduled with drop_p == 0");
-                        tk_assert!(
-                            (1..=spec.max_resends).contains(&resends),
-                            "resends {resends} out of bounds"
-                        );
-                    }
                     FaultAction::Delay { micros } => {
                         tk_assert!(spec.delay_p > 0.0, "delay scheduled with delay_p == 0");
                         tk_assert!(
@@ -83,14 +74,14 @@ fn schedule_respects_the_spec_bounds() {
     );
 }
 
-/// Drop+retry always converges: under arbitrary drop/delay/duplicate
-/// probabilities (drops are bounded retransmissions by construction), a
-/// pairwise exchange completes with the right values and no hang.
+/// Held messages always arrive: under arbitrary delay/duplicate
+/// probabilities (every delay is bounded by `max_delay`), a pairwise
+/// exchange completes with the right values and no hang.
 #[test]
-fn drop_retry_always_converges() {
+fn held_messages_always_arrive() {
     check_with(
         Config::with_cases(12),
-        "drop_retry_always_converges",
+        "held_messages_always_arrive",
         |g| (random_spec(g), g.range_usize(1, 8)),
         |(spec, rounds)| {
             let plan = Arc::new(FaultPlan::new(spec.clone(), 2));
@@ -202,7 +193,7 @@ fn duplicates_are_discarded_exactly_once() {
 /// The split negotiation and the collectives travel the same faultable
 /// path as field data. Under full duplication every one of their
 /// messages is duplicated — split 2(n−1), barrier 2(n−1), broadcast
-/// n−1, allreduce 2(n−1) — and under seeded drops and delays they still
+/// n−1, allreduce 2(n−1) — and under seeded delays they still
 /// return the fault-free values.
 #[test]
 fn split_and_collectives_survive_every_message_fault() {
@@ -215,8 +206,7 @@ fn split_and_collectives_survive_every_message_fault() {
                 FaultSpec::seeded(g.below(u64::MAX)).with_duplicate(1.0)
             } else {
                 FaultSpec::seeded(g.below(u64::MAX))
-                    .with_drop(g.range_f64(0.0, 0.5))
-                    .with_delay(g.range_f64(0.0, 0.4), Duration::from_micros(g.below(2000) + 1))
+                    .with_delay(g.range_f64(0.0, 0.9), Duration::from_micros(g.below(2000) + 1))
             };
             (n, spec)
         },

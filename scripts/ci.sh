@@ -30,6 +30,9 @@ bash scripts/check_simd.sh
 cargo test --release -q --offline -p yy-mhd --lib -- \
   kernel_instantiations_match_reference sink_flush_matches_unfused_combine
 cargo test --release -q --offline -p yycore --test kernel_exactness
+# The three-grid magnetic free-decay study (l = 1, 2 at tilts 0 and 90
+# degrees, observed order >= 1.9) is minutes in debug, seconds here.
+cargo test --release -q --offline --test magnetic_free_decay -- --ignored
 
 echo "==> repo benchmark smoke: the harness builds against this tree, golden verifies"
 # examples/benchmark is the one external consumer of the public API
@@ -56,7 +59,7 @@ reject() { # reject "<args>" "<message>": exit 1, the message in stderr's one er
     echo "ERROR: 'yycore $1' exited $rc saying: $out (wanted exit 1, one error: line: $2)" >&2; exit 1; }
 }
 reject "run pth=2" "key 'pth' is not read by 'run' (read by: parallel)"
-reject "parallel snapshot_every=2" "key 'snapshot_every' is not read by 'parallel' (read by: run)"
+reject "parallel step=2" "key 'step' is not read by 'parallel' (read by: merge)"
 reject "run stepz=1" "unknown config key 'stepz' (did you mean 'steps'?)"
 reject "run ext=3 nth=9" "ext must lie in 1..=2 for nth=9 (got 3)"
 reject "parallel pth=0" "layout pth=0 pph=2 does not fit"
@@ -67,6 +70,14 @@ gone="retile""_backoff_ms" # split so the deleted-names guard below does not mat
 reject "parallel $gone=1" "unknown config key '$gone'"
 reject "parallel delay=2" "delay must be a probability in [0, 1] (got 2)"
 reject "parallel kill_rank=99" "kill_rank=99 names no rank of the 4-rank layout"
+# Inputs that only replayed another path: streamed serial products
+# (`series=` and `slice` write them), the lossless drop fault (a delay),
+# and the resume command (`run resume=`).
+gone="snapshot_ever""y"
+reject "run $gone=2" "unknown config key '$gone'"
+gone="dro""p"
+reject "parallel $gone=0.1" "unknown config key '$gone'"
+reject "resume x.ck steps=4" "unknown command 'resume'"
 # A watchdog rule that could never fire fails the launch.
 soak_dir=$(mktemp -d) # scratch for these rules files and every soak below
 trap 'rm -rf "$soak_dir"' EXIT
@@ -111,15 +122,15 @@ for r in 0 1; do
 done
 reject "merge $soak_dir/huge-shards $soak_dir/huge-merged.ck" \
   "shard truncated: encoded length 18014398509481984 exceeds the 0 bytes left in the file"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 23 misplaced/unknown/unusable values refused"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 26 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor, latency histograms"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor, latency histograms, serial streaming, drop fault, resume command"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]|hist_jso[n]|HistogramSnapsho[t]|WaitTai[l]|record_wait_n[s]|record_step_n[s]|merge_his[t]' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]|hist_jso[n]|HistogramSnapsho[t]|WaitTai[l]|record_wait_n[s]|record_step_n[s]|merge_his[t]|run_streamin[g]|StreamOpt[s]|snapshots_writte[n]|emit_snapsho[t]|with_dro[p]|max_resend[s]|resend_afte[r]|cmd_resum[e]' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -146,13 +157,13 @@ stray=$(nontest_hits 'kill injected' | grep -v '^crates/obs/src/chrome.rs:' || t
   echo "ERROR: a Chrome record name outside chrome.rs:" >&2; echo "$stray" >&2; exit 1; }
 echo "OK: phase, health and reason names are single literals; record names stay in chrome.rs"
 
-echo "==> fault-injection soak: seeded drops/delays + a rank kill must recover bit-exactly"
+echo "==> fault-injection soak: seeded delays/duplicates + a rank kill must recover bit-exactly"
 soak="pth=1 pph=2 steps=6 sample=0 nr=12 nth=9"
 # Clean supervised run (checkpointing only, no faults).
 ./target/release/yycore parallel $soak ckpt_every=2 ckpt="$soak_dir/clean.ck" >/dev/null
 # Same run under seeded message faults plus a mid-run rank kill.
 ./target/release/yycore parallel $soak ckpt_every=2 ckpt="$soak_dir/fault.ck" \
-  fault_seed=42 drop=0.10 delay=0.10 delay_us=200 dup=0.05 kill_rank=1 kill_step=4 >/dev/null
+  fault_seed=42 delay=0.20 delay_us=200 dup=0.05 kill_rank=1 kill_step=4 >/dev/null
 cmp "$soak_dir/clean.ck" "$soak_dir/fault.ck"
 echo "OK: recovered trajectory is bit-identical to the fault-free run"
 
@@ -225,7 +236,7 @@ echo "==> output soak: faulted 2x2 compressed shards, restart from the merged se
 ./target/release/yycore parallel pth=2 pph=2 steps=8 sample=0 nr=12 nth=9 \
   ckpt_every=2 ckpt_dir="$soak_dir/shards" ckpt_compress=delta \
   report_json="$soak_dir/io-report.json" \
-  fault_seed=42 drop=0.10 delay=0.10 delay_us=200 kill_rank=1 kill_step=4 \
+  fault_seed=42 delay=0.20 delay_us=200 kill_rank=1 kill_step=4 \
   >/dev/null 2>&1
 # Offline merge of the mid-run set (before the kill's rollback horizon).
 ./target/release/yycore merge "$soak_dir/shards" "$soak_dir/merged4.ck" \
@@ -239,6 +250,17 @@ cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-resumed.ck"
 ./target/release/yycore parallel pth=1 pph=2 steps=8 sample=0 nr=12 nth=9 \
   resume="$soak_dir/shards" ckpt="$soak_dir/io-resumed-dir.ck" >/dev/null 2>&1
 cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-resumed-dir.ck"
+# The serial driver reads resume= through the same loader; steps= is the
+# step it ends at.
+./target/release/yycore run steps=8 sample=0 nr=12 nth=9 \
+  resume="$soak_dir/merged4.ck" ckpt="$soak_dir/io-run-resumed.ck" \
+  series="$soak_dir/io-run-resumed.csv" >/dev/null 2>&1
+cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-run-resumed.ck"
+[ "$(cut -d, -f1 "$soak_dir/io-run-resumed.csv" | tr '\n' ' ')" = "step 4 8 " ] || {
+  echo "ERROR: the resumed run's series does not run from step 4 to 8" >&2; exit 1; }
+./target/release/yycore run steps=8 sample=0 nr=12 nth=9 \
+  resume="$soak_dir/shards" ckpt="$soak_dir/io-run-resumed-dir.ck" >/dev/null 2>&1
+cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-run-resumed-dir.ck"
 echo "OK: merged-shard restarts are byte-identical to the clean serial run"
 # The v4 report's io section must carry the output-pipeline accounting.
 for key in '"io"' '"shards_written"' '"bytes_raw"' '"bytes_written"' \

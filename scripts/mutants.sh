@@ -7,8 +7,8 @@
 # below is one or more (file, old text, new text) edits to such a shared
 # definition, or the same edit to both sweeps. The script checks REV
 # (default HEAD) out into a scratch git worktree, runs the physics-facing
-# tests there unmutated (they must pass), then applies each mutant in
-# turn and prints one line per mutant:
+# tests there unmutated, `#[ignore]`d studies included (they must pass),
+# then applies each mutant in turn and prints one line per mutant:
 #   <name>  killed <first failing test>    or    <name>  survived
 # An old text that does not occur exactly once fails the script, so the
 # list cannot rot silently; so does a mutant that does not compile.
@@ -103,6 +103,18 @@ mutants() {
     crates/mhd/src/rhs.rs \
     'let j2 = j_r[q] * j_r[q] + j_t[q] * j_t[q] + j_p[q] * j_p[q];' \
     'let j2 = 0.0 * (j_r[q] * j_r[q] + j_t[q] * j_t[q] + j_p[q] * j_p[q]);'
+  m current_theta_sin2 crates/mhd/src/rhs.rs \
+    'j_t[q] = a2.grad_div[1] - a2.lap[1];' \
+    'j_t[q] = a2.grad_div[1] - a2.lap[1] - ir_w[q] * ir_w[q] * g.inv_sin2 * at.c[q + 1];' \
+    crates/mhd/src/rhs.rs \
+    'let j_t = a2.grad_div[1] - a2.lap[1];' \
+    'let j_t = a2.grad_div[1] - a2.lap[1] - ir2 * g.inv_sin2 * at_cols.c[i];'
+  m current_phi_cross crates/mhd/src/rhs.rs \
+    'j_p[q] = a2.grad_div[2] - a2.lap[2];' \
+    'j_p[q] = a2.grad_div[2] - a2.lap[2] + 2.0 * ir_w[q] * ir_w[q] * g.cot_t * g.inv_sin * at.ddp(q + 1, sp);' \
+    crates/mhd/src/rhs.rs \
+    'let j_p = a2.grad_div[2] - a2.lap[2];' \
+    'let j_p = a2.grad_div[2] - a2.lap[2] + 2.0 * ir2 * g.cot_t * g.inv_sin * at_cols.ddp(i, &sp);'
   m rk4_weight_control crates/geomath/src/rk4.rs \
     '[1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]' \
     '[1.0 / 5.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0]'
@@ -113,7 +125,8 @@ mutants() {
 run_tests() {
   (cd "$wt" && "${tests[@]}" --no-run -q) >"$1" 2>&1 || { cat "$1" >&2; die "build failed"; }
   local rc=0
-  (cd "$wt" && timeout "$per_mutant_timeout" "${tests[@]}" --no-fail-fast) >>"$1" 2>&1 || rc=$?
+  (cd "$wt" && timeout "$per_mutant_timeout" "${tests[@]}" --no-fail-fast -- --include-ignored) \
+    >>"$1" 2>&1 || rc=$?
   [ "$rc" = 0 ] && return 0
   [ "$rc" = 124 ] && { echo "(timeout after ${per_mutant_timeout}s)"; return 0; }
   local first
