@@ -5,10 +5,9 @@
 //! yycore slice    <ckpt> [out_dir]             slices from a checkpoint
 //! yycore parallel [key=value ...]              supervised parallel driver
 //! yycore merge    <shard_dir> <out.ck> [k=v]   shards -> serial checkpoint
-//! yycore profile  [key=value ...]              roofline table + ES projection
-//! yycore tables | tracecheck <trace.json>      paper tables | trace validation
-//! yycore doctor   [key=value ...]              diagnose a trace or a report
-//! yycore watch    <url|report.json> [k=v]      telemetry dashboard
+//! yycore tables                                Tables I-III and List 1
+//! yycore doctor   [key=value ...]              read a trace or a report
+//! yycore watch    <http://host:port> [k=v]     live telemetry dashboard
 //! yycore help     [command]                    every key, or one command's
 //! ```
 //!
@@ -30,14 +29,12 @@ type Cmd = fn(&[String]) -> Result<(), String>;
 
 /// Subcommand dispatch table, name for name the [`cli::COMMANDS`]
 /// synopsis (a test holds the two together).
-const COMMANDS: [(&str, Cmd); 10] = [
+const COMMANDS: [(&str, Cmd); 8] = [
     ("run", cmd_run),
     ("slice", cmd_slice),
     ("parallel", cmd_parallel),
     ("merge", cmd_merge),
-    ("profile", cmd_profile),
     ("tables", cmd_tables),
-    ("tracecheck", cmd_tracecheck),
     ("doctor", cmd_doctor),
     ("watch", cmd_watch),
     ("help", cmd_help),
@@ -100,6 +97,9 @@ fn print_alerts(report: &RunReport) {
     }
 }
 
+/// Write or print what every run leaves: the series CSV (stdout unless
+/// `series=`), the report JSON, and on stderr the kernel roofline table
+/// and the closing `done:` line.
 fn finish(report: &RunReport, a: &Args) -> Result<(), String> {
     if let Some(path) = &a.series {
         std::fs::write(path, report.series_csv()).map_err(|e| format!("writing series: {e}"))?;
@@ -112,6 +112,7 @@ fn finish(report: &RunReport, a: &Args) -> Result<(), String> {
             .map_err(|e| format!("writing report JSON: {e}"))?;
         eprintln!("wrote report JSON to {}", path.display());
     }
+    eprint!("{}", report.kernels.roofline_text());
     eprintln!(
         "done: t = {:.5}, {} steps, {:.1} MFLOPS, {:.0} flops/point/step, rhs kernels: {}",
         report.time,
@@ -377,84 +378,27 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the serial reference solver with counters armed and print the
-/// per-kernel roofline table (measured MFLOPS, arithmetic intensity,
-/// equivalent vector length), then feed the measured per-kernel profile
-/// into the Earth Simulator model: a per-kernel projection at the
-/// paper's flagship shape, plus Tables II/III and the MPIPROGINF sheet
-/// reconstructed from the *measured* kernel costs rather than the
-/// hand-derived defaults.
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use yy_esmodel::{
-        kernel_projection_text, project_kernels, EsMachine, EsModelParams, KernelProfile, RunShape,
-    };
-
-    let a = cli::parse("profile", args)?;
-    let mut sim = SerialSim::new(a.cfg.clone());
-    let interior = sim.interior_points();
-    let report = sim.try_run(a.steps, 0)?;
-    if report.kernels.total_flops() == 0 {
-        return Err("profile run recorded no flops".into());
-    }
-    println!("measured kernel profile ({} steps, {} interior points):", report.steps, interior);
-    println!("rhs kernels: {}", a.cfg.rhs_kernels.label());
-    print!("{}", report.kernels.roofline_text());
-
-    let costs = report.kernel_costs(interior, a.cfg.nr);
-    let rows = project_kernels(
-        &EsMachine::earth_simulator(),
-        &EsModelParams::calibrated(),
-        &costs,
-        &RunShape::flagship(),
-    );
-    println!();
-    println!("ES projection at the flagship shape (4096 procs, 511x514x1538):");
-    print!("{}", kernel_projection_text(&rows));
-
-    let art = yy_esmodel::artifacts(&KernelProfile::from_kernels(&costs));
-    println!();
-    print!("{}", art.tables);
-    println!(
-        "measured-profile flagship projection: {:.1} TFlops sustained \
-         ({:.0}% of peak; paper reports 15.2)",
-        art.flagship.tflops(),
-        art.flagship.efficiency * 100.0
-    );
-    println!("{}", art.list1);
-    finish(&report, &a)
-}
-
 fn cmd_tables(_args: &[String]) -> Result<(), String> {
     print!("{}", yycore::report::paper_tables_text());
     Ok(())
 }
 
-/// Validate a Chrome trace-event artifact (CI gate): the file must
-/// parse with the in-repo JSON parser, carry the required keys, and
-/// keep per-track timestamps monotone. Prints a one-line census.
-fn cmd_tracecheck(args: &[String]) -> Result<(), String> {
-    let Some(path) = args.first() else {
-        return Err("tracecheck needs a trace path".into());
-    };
-    let text = read(Path::new(path))?;
-    let check = yy_obs::validate_chrome_trace(&text)
-        .map_err(|e| format!("{path}: invalid trace: {e}"))?;
-    // An armed run always records phase spans; a span-free trace with
-    // rank tracks means the recorders silently dropped everything.
-    if check.tracks > 0 && check.spans == 0 {
-        return Err(format!("{path}: armed trace contains no phase spans"));
-    }
-    println!("{}", check.summary());
-    Ok(())
+/// The perf doctor, the one reader of the artifacts the other commands
+/// write; prints what [`doctor`] wrote, also when it then refused.
+fn cmd_doctor(args: &[String]) -> Result<(), String> {
+    let mut out = String::new();
+    let result = doctor(args, &mut out);
+    print!("{out}");
+    result
 }
 
-/// The perf doctor: interpret the observability artifacts the other
-/// commands produce. `trace=` re-imports a Chrome trace and runs the
-/// critical-path/straggler analysis; `report=` prints a report's
-/// `analysis` section.
-fn cmd_doctor(args: &[String]) -> Result<(), String> {
-    use yy_obs::{analyze, streams_from_chrome, AnalysisInput};
-    use yycore::report::analysis_from_report;
+/// `trace=` validates a Chrome trace (the census line), refuses an
+/// armed trace without phase spans, then re-imports it with its ring
+/// counts and runs the critical-path/straggler analysis; `report=`
+/// renders a report's `analysis` section and its telemetry frame.
+fn doctor(args: &[String], out: &mut String) -> Result<(), String> {
+    use yy_obs::{analyze, streams_from_chrome, validate_chrome_trace, AnalysisInput};
+    use yycore::report::{analysis_from_report, report_frame};
 
     let a = cli::parse("doctor", args)?;
     let trace = &a.recovery.obs.trace;
@@ -462,64 +406,71 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         return Err("doctor needs trace=PATH or report=PATH".into());
     }
     if let Some(path) = trace {
-        let streams = at(path, streams_from_chrome(&read(path)?))?;
-        let diagnosis = analyze(&AnalysisInput {
-            streams: &streams,
-            retained: Vec::new(),
-            predicted_imbalance: 1.0,
-        });
-        print!("{}", diagnosis.render(&format!("trace {}", path.display())));
+        let text = read(path)?;
+        let check = at(path, validate_chrome_trace(&text))?;
+        out.push_str(&format!("{}\n", check.summary()));
+        // An armed run always records phase spans; a span-free trace with
+        // rank tracks means the recorders silently dropped everything.
+        if check.tracks > 0 && check.spans == 0 {
+            return Err(format!("{}: armed trace contains no phase spans", path.display()));
+        }
+        let (streams, retained) = at(path, streams_from_chrome(&text))?;
+        let diagnosis =
+            analyze(&AnalysisInput { streams: &streams, retained, predicted_imbalance: 1.0 });
+        out.push_str(&diagnosis.render(&format!("trace {}", path.display())));
     }
     if let Some(path) = &a.report {
-        let diagnosis = at(path, analysis_from_report(&read(path)?))?;
-        print!("{}", diagnosis.render(&format!("report {}", path.display())));
+        let text = read(path)?;
+        let diagnosis = at(path, analysis_from_report(&text))?;
+        out.push_str(&diagnosis.render(&format!("report {}", path.display())));
+        // `width=` is a watch key, so this is the default width.
+        out.push_str(&at(path, report_frame(&text, a.width))?);
     }
     Ok(())
 }
 
-/// Live terminal dashboard over the science telemetry: poll a metrics
-/// endpoint (`http://host:port`) or render a v6 report artifact.
+/// Live terminal dashboard over a running run's science telemetry: poll
+/// its metrics endpoint (`http://host:port`) and redraw each frame. A
+/// finished run's report renders under `doctor report=`.
 fn cmd_watch(args: &[String]) -> Result<(), String> {
     use yy_obs::dashboard::{metrics_frame, WatchHistory};
     let Some(source) = args.first() else {
-        return Err("watch needs a metrics URL (http://host:port) or a report JSON path".into());
+        return Err("watch needs a metrics URL (http://host:port)".into());
     };
     let a = cli::parse("watch", &args[1..])?;
     // Anything scheme-qualified is a URL attempt (so an `https://`
-    // typo gets the clear unsupported-scheme error, not a file error).
-    let is_url = source.contains("://");
-    // A report artifact is a finished run — one frame unless asked
-    // otherwise; an endpoint is live — poll until interrupted.
-    let frames = a.frames.unwrap_or(if is_url { 0 } else { 1 });
+    // typo gets the clear unsupported-scheme error).
+    if !source.contains("://") {
+        return Err(format!(
+            "watch reads a live endpoint (http://host:port), not '{source}'; \
+             render a finished report with doctor report=PATH"
+        ));
+    }
     let mut history = WatchHistory::default();
     let mut shown: u64 = 0;
     loop {
-        let frame = if is_url {
-            // Retry the connection: in CI the watcher often races the
-            // run that serves the endpoint.
-            let mut attempt = 0;
-            loop {
-                match yy_obs::metrics::http_get(source) {
-                    Ok(body) => break metrics_frame(&body, &mut history, a.width),
-                    Err(_) if attempt < a.retries => {
-                        attempt += 1;
-                        std::thread::sleep(Duration::from_millis(250));
-                    }
-                    Err(e) => return Err(format!("watch: {e}")),
+        // Retry the connection: in CI the watcher often races the run
+        // that serves the endpoint.
+        let mut attempt = 0;
+        let frame = loop {
+            match yy_obs::metrics::http_get(source) {
+                Ok(body) => break metrics_frame(&body, &mut history, a.width),
+                Err(_) if attempt < a.retries => {
+                    attempt += 1;
+                    std::thread::sleep(Duration::from_millis(250));
                 }
+                Err(e) => return Err(format!("watch: {e}")),
             }
-        } else {
-            yycore::report::report_frame(&read(Path::new(source))?, a.width)?
         };
-        if frames != 1 {
-            // Live mode: redraw in place.
+        if a.frames != 1 {
+            // Redraw in place.
             print!("\x1b[2J\x1b[H");
         }
         print!("{frame}");
         use std::io::Write as _;
         std::io::stdout().flush().ok();
         shown += 1;
-        if frames > 0 && shown >= frames {
+        if a.frames > 0 && shown >= a.frames {
             break;
         }
         std::thread::sleep(Duration::from_millis(a.interval_ms));
@@ -631,10 +582,32 @@ mod tests {
         let err = run(&["trace=/nonexistent-yy-doctor.json"]);
         assert!(err.contains("reading"), "{err}");
         // A well-formed artifact's (default) analysis section renders.
-        let report = std::env::temp_dir().join(format!("yy_cli_doctor_{}.json", std::process::id()));
+        let pid = std::process::id();
+        let tmp = |name: &str| std::env::temp_dir().join(format!("yy_cli_doctor_{pid}_{name}"));
+        let report = tmp("report.json");
         std::fs::write(&report, RunReport::default().to_json()).unwrap();
         cmd_doctor(&[format!("report={}", report.display())]).expect("report= renders");
         std::fs::remove_file(&report).ok();
+        // A rank track without a single phase span: the recorders were
+        // armed and kept nothing, which the census alone would pass.
+        let spanless = tmp("spanless.json");
+        let step = r#"{"name":"step 1","ph":"i","pid":0,"tid":0,"ts":1,"args":{"step":1}}"#;
+        std::fs::write(&spanless, format!(r#"{{"traceEvents":[{step}]}}"#)).unwrap();
+        let err = run(&[&format!("trace={}", spanless.display())]);
+        assert!(err.ends_with("spanless.json: armed trace contains no phase spans"), "{err}");
+        std::fs::remove_file(&spanless).ok();
+        // A valid trace: the census line, then the analysis.
+        let set = yy_obs::RecorderSet::new(1, 0);
+        set.rank(0).record(yy_obs::Event::StepBegin { step: 0 });
+        set.rank(0).record(yy_obs::Event::Phase { phase: Phase::Interior, dur_ns: 10 });
+        let trace = tmp("trace.json");
+        std::fs::write(&trace, yycore::obs::recorders_to_chrome(&set)).unwrap();
+        let mut out = String::new();
+        doctor(&[format!("trace={}", trace.display())], &mut out).expect("trace= renders");
+        std::fs::remove_file(&trace).ok();
+        let census = out.lines().next().unwrap_or_default();
+        assert!(census.starts_with("trace ok: 4 events, 1 spans, "), "{out}");
+        assert!(out.contains("steps analyzed: "), "{out}");
     }
 
     #[test]
@@ -743,18 +716,26 @@ mod tests {
         );
     }
 
-    /// File mode: a real armed serial run's report renders every
-    /// channel's sparkline and every recorded alert edge; an unarmed
-    /// report is rejected with a pointer at `telemetry=1`.
+    /// `doctor report=` renders a real armed serial run's telemetry:
+    /// every channel's sparkline and every recorded alert edge; an
+    /// unarmed report gets a one-line pointer at `telemetry=1`.
     #[test]
-    fn report_frame_renders_an_armed_run_and_rejects_unarmed() {
+    fn doctor_renders_an_armed_report_and_notes_an_unarmed_one() {
+        let render = |report: &str| {
+            let path = std::env::temp_dir().join(format!("yy_cli_frame_{}.json", std::process::id()));
+            std::fs::write(&path, report).unwrap();
+            let mut out = String::new();
+            let result = doctor(&[format!("report={}", path.display())], &mut out);
+            std::fs::remove_file(&path).ok();
+            result.map(|()| out)
+        };
         let mut cfg = RunConfig::small();
         cfg.init.perturb_amplitude = 1e-2;
         let mut sim = SerialSim::new(cfg.clone());
         sim.arm_telemetry(&ObsOpts { series: true, ..ObsOpts::default() }).unwrap();
         sim.dt_inject = Some(yycore::DtInject { at_step: 10 });
         let report = sim.run(16, 1);
-        let frame = report_frame(&report.to_json(), 32).expect("frame renders");
+        let frame = render(&report.to_json()).expect("frame renders");
         for channel in yycore::telemetry::CHANNELS {
             assert!(frame.contains(&format!("\n{channel:<12} ")), "no {channel} panel:\n{frame}");
         }
@@ -763,9 +744,9 @@ mod tests {
         assert!(frame.contains("alert energy_blowup (dt-collapse): FIRED"), "{frame}");
 
         let mut unarmed = SerialSim::new(cfg);
-        let bare = unarmed.run(2, 0);
-        let err = report_frame(&bare.to_json(), 32).unwrap_err();
-        assert!(err.contains("telemetry=1"), "{err}");
+        let bare = render(&unarmed.run(2, 0).to_json()).expect("an unarmed report renders");
+        assert!(bare.ends_with("\ntelemetry: not armed; rerun with telemetry=1\n"), "{bare}");
+        assert!(render("{}").is_err(), "schema-less JSON rejected");
         assert!(report_frame("{}", 32).is_err(), "schema-less JSON rejected");
     }
 
@@ -776,5 +757,14 @@ mod tests {
         assert!(err.contains("only http://"), "{err}");
         let err = cmd_watch(&strings(&["report.json", "cadence=5"])).unwrap_err();
         assert_eq!(err, "watch: unknown key 'cadence'");
+        // A finished run's report is `doctor report=`'s, armed or not.
+        let path = std::env::temp_dir().join(format!("yy_cli_watch_{}.json", std::process::id()));
+        let mut sim = SerialSim::new(RunConfig::small());
+        sim.arm_telemetry(&ObsOpts { series: true, ..ObsOpts::default() }).unwrap();
+        std::fs::write(&path, sim.run(2, 1).to_json()).unwrap();
+        let err = cmd_watch(&[path.display().to_string()]).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains("doctor report="), "{err}");
     }
 }

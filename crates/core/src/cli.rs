@@ -98,23 +98,20 @@ pub(crate) fn suggestion<'a>(key: &str, names: impl Iterator<Item = &'a str>) ->
 
 /// Subcommands: name, argument synopsis, one-line description. The
 /// binary's dispatch table carries the same names (tested there).
-pub const COMMANDS: [(&str, &str, &str); 10] = [
+pub const COMMANDS: [(&str, &str, &str); 8] = [
     ("run", "[key=value ...]", "run a serial simulation"),
     ("slice", "<ckpt> [out_dir]", "equatorial/meridional slices from a checkpoint"),
     ("parallel", "[key=value ...]", "run the supervised flat-MPI-style parallel driver"),
     ("merge", "<shard_dir> <out.ck> [key=value ...]", "reassemble per-rank shards into a checkpoint"),
-    ("profile", "[key=value ...]", "serial run + per-kernel roofline table and ES projection"),
     ("tables", "", "print Tables I-III and List 1"),
-    ("tracecheck", "<trace.json>", "validate a Chrome trace artifact"),
     ("doctor", "[key=value ...]", "diagnose a trace or a report"),
-    ("watch", "<url|report.json> [key=value ...]", "terminal dashboard over the science telemetry"),
+    ("watch", "<http://host:port> [key=value ...]", "live dashboard of a running run's telemetry"),
     ("help", "[command]", "list every key, or one command's keys"),
 ];
 
 /// Commands that build a [`RunConfig`] — the readers of every
 /// [`config::KEYS`] row.
-pub const SOLVER: &[&str] = &["run", "parallel", "merge", "profile"];
-const STEPPED: &[&str] = &["run", "parallel", "profile"];
+pub const SOLVER: &[&str] = &["run", "parallel", "merge"];
 const RUNS: &[&str] = &["run", "parallel"];
 const PAR: &[&str] = &["parallel"];
 const DOCTOR: &[&str] = &["doctor"];
@@ -144,8 +141,8 @@ pub struct Args {
     pub step: Option<u64>,
     pub report: Option<PathBuf>,
     pub interval_ms: u64,
-    /// `None`: one frame from a file, unbounded from a URL.
-    pub frames: Option<u64>,
+    /// 0: unbounded.
+    pub frames: u64,
     pub width: usize,
     pub retries: u64,
 }
@@ -174,7 +171,7 @@ impl Default for Args {
             step: None,
             report: None,
             interval_ms: 1000,
-            frames: None,
+            frames: 0,
             width: 48,
             retries: 20,
         }
@@ -197,13 +194,13 @@ fn kill(a: &mut Args) -> &mut KillSpec {
 
 /// Every key that is not a [`RunConfig`] field.
 pub const KEYS: [Key<Args>; 33] = [
-    key!("steps", "N", STEPPED, "step the run ends at; a resumed run continues to it [200]", |a, v| a.steps = num(v)?),
+    key!("steps", "N", RUNS, "step the run ends at; a resumed run continues to it [200]", |a, v| a.steps = num(v)?),
     key!("sample", "N", RUNS, "diagnostics every N steps, 0 = never [10]",
         |a, v| a.sample = num(v)?),
     key!("ckpt", "PATH", RUNS, "write the final checkpoint here", |a, v| a.ckpt = Some(v.into())),
-    key!("series", "PATH", STEPPED, "write the CSV time series here [stdout]",
+    key!("series", "PATH", RUNS, "write the CSV time series here [stdout]",
         |a, v| a.series = Some(v.into())),
-    key!("report_json", "PATH", STEPPED, "write the RunReport JSON artifact here",
+    key!("report_json", "PATH", RUNS, "write the RunReport JSON artifact here",
         |a, v| a.report_json = Some(v.into())),
     key!("trace", "PATH", &["parallel", "doctor"],
         "Chrome trace: parallel writes it (+ PATH.postmortem per failed pass), doctor reads it",
@@ -251,11 +248,10 @@ pub const KEYS: [Key<Args>; 33] = [
         |a, v| a.recovery.dt_inject = Some(DtInject { at_step: num(v)? })),
     key!("step", "N", &["merge"], "shard set to merge [newest complete]",
         |a, v| a.step = Some(num(v)?)),
-    key!("report", "PATH", DOCTOR, "print the analysis section of this report artifact",
+    key!("report", "PATH", DOCTOR, "print this report's analysis section and telemetry frame",
         |a, v| a.report = Some(v.into())),
     key!("interval_ms", "N", WATCH, "poll cadence [1000]", |a, v| a.interval_ms = num(v)?),
-    key!("frames", "N", WATCH, "stop after N frames [1 from a file; 0 = unbounded from a URL]",
-        |a, v| a.frames = Some(num(v)?)),
+    key!("frames", "N", WATCH, "stop after N frames [0 = unbounded]", |a, v| a.frames = num(v)?),
     key!("width", "N", WATCH, "sparkline width in samples [48]", |a, v| a.width = num(v)?),
     key!("retries", "N", WATCH, "connection retries before giving up [20]",
         |a, v| a.retries = num(v)?),

@@ -97,13 +97,15 @@ impl ObsOpts {
 }
 
 /// Render every rank's flight-recorder contents as one Chrome
-/// trace-event JSON document (one track per rank).
+/// trace-event JSON document (one track per rank, carrying its ring's
+/// counts, so a reader knows how much of the run the rings dropped).
 pub fn recorders_to_chrome(set: &RecorderSet) -> String {
-    let tracks: Vec<RankTrace> = set
-        .snapshots()
-        .into_iter()
-        .enumerate()
-        .map(|(rank, events)| RankTrace { rank, events })
+    let tracks: Vec<RankTrace> = (0..set.len())
+        .map(|rank| {
+            let ring = set.rank(rank);
+            let (recorded, capacity) = (ring.recorded(), ring.capacity());
+            RankTrace { rank, events: ring.snapshot(), recorded, capacity }
+        })
         .collect();
     chrome_trace_json(&tracks)
 }
@@ -148,5 +150,31 @@ mod tests {
         let check = validate_chrome_trace(&recorders_to_chrome(&set)).expect("valid trace");
         assert_eq!(check.tracks, 2);
         assert_eq!(check.kills, 1);
+    }
+
+    /// Rings that wrapped say so in the trace: the analysis of the
+    /// re-imported trace reads the coverage the analysis of the rings
+    /// reads.
+    #[test]
+    fn a_wrapped_trace_keeps_its_ring_coverage() {
+        use yy_obs::event::Phase;
+        use yy_obs::{analyze, streams_from_chrome, AnalysisInput};
+        let set = RecorderSet::new(2, 64);
+        for step in 0..100 {
+            for r in 0..set.len() {
+                set.rank(r).record(Event::StepBegin { step });
+                set.rank(r).record(Event::Phase { phase: Phase::Interior, dur_ns: 10 });
+            }
+        }
+        set.rank(1).record(Event::StepBegin { step: 100 });
+        let streams = set.snapshots();
+        let retained =
+            (0..set.len()).map(|r| (set.rank(r).recorded(), set.rank(r).capacity())).collect();
+        let rings = analyze(&AnalysisInput { streams: &streams, retained, predicted_imbalance: 1.0 });
+        let (streams, retained) =
+            streams_from_chrome(&recorders_to_chrome(&set)).expect("re-imports");
+        let trace = analyze(&AnalysisInput { streams: &streams, retained, predicted_imbalance: 1.0 });
+        assert!(rings.coverage < 1.0, "64-slot rings of 200+ events: {}", rings.coverage);
+        assert_eq!(trace.coverage, rings.coverage);
     }
 }

@@ -305,24 +305,6 @@ impl RunReport {
         self.flops as f64 / self.steps as f64 / self.grid_points as f64
     }
 
-    /// The measured per-kernel profile the ES model consumes: counters
-    /// normalized to flops per point per step. FLOP tallies follow the
-    /// owned-node convention, so dividing by `interior_points` (both
-    /// panels, [`crate::SerialSim::interior_points`]) × steps is exact;
-    /// the measured equivalent vector length (points per innermost loop)
-    /// maps onto the model's fraction of the radial length `nr`.
-    pub fn kernel_costs(&self, interior_points: usize, nr: usize) -> Vec<yy_esmodel::KernelCost> {
-        let denom = self.steps as f64 * interior_points as f64;
-        (self.kernels.rows())
-            .filter(|(_, k)| k.flops > 0)
-            .map(|(kernel, k)| yy_esmodel::KernelCost {
-                name: kernel.name().to_string(),
-                flops_per_point_step: k.flops as f64 / denom,
-                vl_fraction: (k.avg_vector_length() / nr as f64).clamp(0.01, 1.0),
-            })
-            .collect()
-    }
-
     /// Render the series as CSV (`step,time,dt,kinetic,magnetic,thermal,
     /// mass,max_speed,max_b`).
     pub fn series_csv(&self) -> String {
@@ -470,15 +452,17 @@ pub fn analysis_from_report(text: &str) -> Result<Analysis, String> {
 }
 
 /// One dashboard frame from a v6 report artifact: sparklines over every
-/// telemetry channel's raw tail plus the recorded alert edges.
+/// telemetry channel's raw tail plus the recorded alert edges — or, for
+/// a run that did not arm telemetry, a one-line note saying so.
 pub fn report_frame(text: &str, width: usize) -> Result<String, String> {
     let doc = Json::parse(text).map_err(|e| format!("parsing report: {e}"))?;
     let tel = doc
         .get("telemetry")
         .ok_or("report has no telemetry section (pre-v6 artifact?)")?;
-    let channels = tel.arr_at("channels").ok_or(
-        "report's telemetry was not armed — rerun with telemetry=1 to record the series store",
-    )?;
+    if matches!(tel, Json::Null) {
+        return Ok("telemetry: not armed; rerun with telemetry=1\n".into());
+    }
+    let channels = tel.arr_at("channels").ok_or("report's telemetry has no channels array")?;
     let mut out = String::new();
     if let Some(steps) = doc.f64_at("steps") {
         out.push_str(&format!("run: {steps:.0} steps"));

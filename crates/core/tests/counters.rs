@@ -117,10 +117,10 @@ fn per_kernel_totals_are_decomposition_invariant() {
     }
 }
 
-/// The measured-run → ES-projection path of `yycore profile`. Both
+/// The measured-run → ES-projection route `yycore tables` takes. Both
 /// readings are pure functions of the exact counters, not of the host:
-/// a projection outside the paper's window means the flop/vector-length
-/// accounting changed; an RHS intensity under 2.0 flops/byte (the fused
+/// a projection outside the paper's window means the flop accounting
+/// changed; an RHS intensity under 2.0 flops/byte (the fused
 /// sweep models 2.76, the unfused one 1.25) means per-leg stencil
 /// billing came back without the model being retuned.
 #[test]
@@ -128,11 +128,11 @@ fn measured_profile_projects_into_the_flagship_window() {
     use yy_esmodel::model::{project, RunShape};
     use yy_esmodel::{in_flagship_window, EsMachine, EsModelParams, KernelProfile};
 
-    let cfg = quick_cfg();
-    let mut sim = SerialSim::new(cfg.clone());
+    let mut sim = SerialSim::new(quick_cfg());
     let interior = sim.interior_points();
     let report = sim.run(STEPS, 0);
-    let profile = KernelProfile::from_kernels(&report.kernel_costs(interior, cfg.nr));
+    let measured = report.flops as f64 / (report.steps as f64 * interior as f64);
+    let profile = KernelProfile::yycore_default().with_measured_flops(measured);
     let projection = project(
         &EsMachine::earth_simulator(),
         &EsModelParams::calibrated(),

@@ -206,7 +206,7 @@ fn seeded_collapse_fires_alerts_into_report_trace_and_gauges() {
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let check = yy_obs::validate_chrome_trace(&text).expect("trace valid");
     assert!(check.alerts >= 1, "alert instants in the trace: {check:?}");
-    let streams = yy_obs::streams_from_chrome(&text).expect("trace streams");
+    let (streams, _) = yy_obs::streams_from_chrome(&text).expect("trace streams");
     let rank0 = &streams[0];
     let mut early = 0;
     for (i, te) in rank0.iter().enumerate() {

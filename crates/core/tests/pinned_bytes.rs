@@ -10,8 +10,9 @@
 //! line to say what is published, rank 0's high-water mark, and nothing else.
 //! `fixtures/chrome_trace.json` has lost its three `"ph":"C"` counter
 //! records, which the format no longer has, and its `"fault drop"`
-//! instant, whose fault kind is gone with the record that wrote it, and
-//! nothing else.
+//! instant, whose fault kind is gone with the record that wrote it; its
+//! two `thread_name` records have gained their ring's `recorded` and
+//! `capacity`; nothing else.
 //! `fixtures/tables.txt` is the stdout of `yycore tables` at the commit
 //! before its printout moved into `yycore::report::paper_tables_text`.
 
@@ -51,7 +52,10 @@ fn every_variant() -> Vec<RankTrace> {
         te(9_200, Event::Alert { rule: 0, kind: AlertKind::DtCollapse, firing: true, step: 6 }),
         te(9_300, Event::Alert { rule: 1, kind: AlertKind::Flatline, firing: false, step: 8 }),
     ];
-    vec![RankTrace { rank: 0, events: t0 }, RankTrace { rank: 1, events: t1 }]
+    vec![
+        RankTrace { rank: 0, events: t0, recorded: 6, capacity: 8192 },
+        RankTrace { rank: 1, events: t1, recorded: 75, capacity: 11 },
+    ]
 }
 
 /// A snapshot with every word of every kernel non-zero (but the output
@@ -78,8 +82,9 @@ fn chrome_trace_bytes_are_pinned() {
     assert_eq!((check.spans, check.kills, check.retiles, check.degrades), (3, 1, 1, 1));
     assert_eq!(check.alerts, 2);
     assert_eq!((check.flow_starts, check.flow_finishes, check.tracks), (2, 1, 2));
-    let streams = yy_obs::streams_from_chrome(&doc).expect("re-imports");
+    let (streams, retained) = yy_obs::streams_from_chrome(&doc).expect("re-imports");
     assert_eq!(streams.iter().map(Vec::len).collect::<Vec<_>>(), [6, 11]);
+    assert_eq!(retained, [(6, 8192), (75, 11)]);
 }
 
 #[test]

@@ -51,12 +51,12 @@ pub mod mpiproginf;
 pub mod tables;
 
 pub use machine::EsMachine;
-pub use model::{EsModelParams, KernelCost, KernelProfile, KernelProjection, Projection, RunShape};
+pub use model::{EsModelParams, KernelProfile, Projection, RunShape};
 pub use model::{
-    flagship_projection, in_flagship_window, project, project_kernels, FLAGSHIP_WINDOW_TFLOPS,
+    flagship_projection, in_flagship_window, project, FLAGSHIP_WINDOW_TFLOPS,
     PAPER_FLAGSHIP_TFLOPS,
 };
 pub use tables::{
-    artifacts, kernel_projection_text, table1_text, table2_rows, table2_text, table3_text,
-    Artifacts, Table2Row, TABLE2_PAPER,
+    artifacts, table1_text, table2_rows, table2_text, table3_text, Artifacts, Table2Row,
+    TABLE2_PAPER,
 };

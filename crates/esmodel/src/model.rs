@@ -30,94 +30,13 @@ impl KernelProfile {
         }
     }
 
-    /// Override the measured flops/point/step (e.g. from a `RunReport`).
+    /// Override the flops/point/step with a measured count: a run's
+    /// `flops / (steps × interior points)`. The one route from a
+    /// measurement into [`project`].
     pub fn with_measured_flops(mut self, f: f64) -> Self {
         self.flops_per_point_step = f;
         self
     }
-
-    /// Build the aggregate profile from a measured per-kernel cost
-    /// split (the `yy-obs` counter table): the aggregate
-    /// flops/point/step is the exact sum of the kernels', so Tables
-    /// II/III projected from this profile are reconstructed from the
-    /// measured per-kernel counters rather than one blended constant.
-    pub fn from_kernels(kernels: &[KernelCost]) -> Self {
-        KernelProfile {
-            flops_per_point_step: kernels.iter().map(|k| k.flops_per_point_step).sum(),
-            ..KernelProfile::yycore_default()
-        }
-    }
-}
-
-/// One kernel's measured cost, normalized per grid point per step —
-/// what the counter subsystem hands the model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelCost {
-    /// Kernel name (`rhs`, `rk4_combine`, …).
-    pub name: String,
-    /// Measured floating-point operations per grid point per step.
-    pub flops_per_point_step: f64,
-    /// The kernel's measured equivalent vector length as a fraction of
-    /// the nominal radial length (1.0 = full radial columns; copy and
-    /// scan kernels with shorter inner loops report less).
-    pub vl_fraction: f64,
-}
-
-/// One kernel's row of the ES projection: how it would run on the
-/// machine, given its measured cost and vector length.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelProjection {
-    /// Kernel name.
-    pub name: String,
-    /// Measured flops per grid point per step.
-    pub flops_per_point_step: f64,
-    /// Projected vector length on the machine (nominal × measured
-    /// fraction, ≥ 1).
-    pub vector_length: f64,
-    /// Projected per-AP rate at that vector length (flops/s).
-    pub ap_rate: f64,
-    /// The kernel's share of per-step compute time.
-    pub time_fraction: f64,
-}
-
-/// Project every kernel of a measured cost split onto the machine:
-/// each kernel runs at the vector-length-dependent AP rate its own
-/// loops achieve, so short-vector kernels (combines, scans) consume a
-/// disproportionate share of step time — the per-kernel structure the
-/// paper's MPIPROGINF listing exposes and a single blended constant
-/// hides.
-pub fn project_kernels(
-    machine: &EsMachine,
-    params: &EsModelParams,
-    kernels: &[KernelCost],
-    shape: &RunShape,
-) -> Vec<KernelProjection> {
-    let vl_nominal = machine.avg_vector_length(shape.nr);
-    let rows: Vec<(f64, KernelProjection)> = kernels
-        .iter()
-        .map(|k| {
-            let vl = (vl_nominal * k.vl_fraction).max(1.0);
-            let rate = params.ap_rate(machine, vl);
-            let t = k.flops_per_point_step / rate; // per point; shares cancel the scale
-            (
-                t,
-                KernelProjection {
-                    name: k.name.clone(),
-                    flops_per_point_step: k.flops_per_point_step,
-                    vector_length: vl,
-                    ap_rate: rate,
-                    time_fraction: 0.0,
-                },
-            )
-        })
-        .collect();
-    let total: f64 = rows.iter().map(|(t, _)| t).sum();
-    rows.into_iter()
-        .map(|(t, mut p)| {
-            p.time_fraction = if total > 0.0 { t / total } else { 0.0 };
-            p
-        })
-        .collect()
 }
 
 /// A run configuration to project: process count and the global grid.
@@ -504,67 +423,6 @@ mod tests {
         }
         // Nothing hidden: `project`, field for field.
         assert_eq!(blocking.with_exposed_comm(&m, &k, 0.0), blocking);
-    }
-
-    fn measured_like_kernels() -> Vec<KernelCost> {
-        // Shaped like the counter subsystem's real output: 4 RHS sweeps
-        // at 640 flops/point dominate, the RK4 combines and health scan
-        // add the small remainder, overset interpolation is a sliver.
-        vec![
-            KernelCost { name: "rhs".into(), flops_per_point_step: 2560.0, vl_fraction: 1.0 },
-            KernelCost {
-                name: "rk4_combine".into(),
-                flops_per_point_step: 112.0,
-                vl_fraction: 1.0,
-            },
-            KernelCost {
-                name: "overset_donate".into(),
-                flops_per_point_step: 2.1,
-                vl_fraction: 1.0,
-            },
-            KernelCost {
-                name: "health_scan".into(),
-                flops_per_point_step: 10.0,
-                vl_fraction: 1.0,
-            },
-        ]
-    }
-
-    #[test]
-    fn profile_from_measured_kernels_stays_in_the_flagship_window() {
-        let (m, p, _) = setup();
-        let profile = KernelProfile::from_kernels(&measured_like_kernels());
-        let expected: f64 = measured_like_kernels()
-            .iter()
-            .map(|k| k.flops_per_point_step)
-            .sum();
-        assert_eq!(profile.flops_per_point_step, expected);
-        let proj = project(&m, &p, &profile, &paper_shape(4096, 511));
-        assert!(
-            (proj.tflops() - 15.2).abs() < 2.0,
-            "measured-split flagship projection {:.1} TFlops",
-            proj.tflops()
-        );
-    }
-
-    #[test]
-    fn per_kernel_projection_charges_short_vectors_more_time() {
-        let (m, p, _) = setup();
-        let shape = paper_shape(4096, 511);
-        let mut kernels = measured_like_kernels();
-        let rows = project_kernels(&m, &p, &kernels, &shape);
-        assert_eq!(rows.len(), kernels.len());
-        let total: f64 = rows.iter().map(|r| r.time_fraction).sum();
-        assert!((total - 1.0).abs() < 1e-12, "time shares must sum to 1");
-        // The RHS dominates flops, so it dominates time too.
-        assert!(rows[0].time_fraction > 0.9);
-        // Halving a kernel's vector length raises its time share with
-        // its flops unchanged.
-        kernels[1].vl_fraction = 0.05;
-        let short = project_kernels(&m, &p, &kernels, &shape);
-        assert!(short[1].vector_length < rows[1].vector_length);
-        assert!(short[1].ap_rate < rows[1].ap_rate);
-        assert!(short[1].time_fraction > rows[1].time_fraction);
     }
 
     #[test]

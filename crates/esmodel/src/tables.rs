@@ -181,26 +181,6 @@ pub const TABLE3_OTHERS: [Table3Entry; 4] = [
     },
 ];
 
-/// The per-kernel projection ([`crate::project_kernels`]) as text: what
-/// each measured kernel costs and how fast it would run on the machine.
-pub fn kernel_projection_text(rows: &[crate::KernelProjection]) -> String {
-    let mut s = format!(
-        "{:<16} {:>14} {:>10} {:>12} {:>8}\n",
-        "kernel", "flops/pt/step", "proj VL", "AP GFLOPS", "%time"
-    );
-    for row in rows {
-        s.push_str(&format!(
-            "{:<16} {:>14.2} {:>10.1} {:>12.2} {:>8.2}\n",
-            row.name,
-            row.flops_per_point_step,
-            row.vector_length,
-            row.ap_rate / 1e9,
-            row.time_fraction * 100.0
-        ));
-    }
-    s
-}
-
 /// Table III as text, with this code's (projected) flagship entry last.
 pub fn table3_text(profile: &KernelProfile) -> String {
     let machine = EsMachine::earth_simulator();
@@ -249,16 +229,13 @@ pub fn table3_text(profile: &KernelProfile) -> String {
 }
 
 /// What one measured profile projects to, as the paper prints it: the
-/// pieces `yycore tables` and `yycore profile` print under their own
-/// headers.
+/// pieces `yycore tables` prints after Table I.
 #[derive(Debug)]
 pub struct Artifacts {
     /// Tables II and III, each closed by a blank line.
     pub tables: String,
-    /// The flagship run's projection: Table II's headline row and the
-    /// window of List 1.
-    pub flagship: Projection,
-    /// List 1: the flagship run's `MPIPROGINF` listing.
+    /// List 1: the `MPIPROGINF` listing of the flagship run's
+    /// projection (Table II's headline row).
     pub list1: String,
 }
 
@@ -273,7 +250,6 @@ pub fn artifacts(profile: &KernelProfile) -> Artifacts {
     );
     Artifacts {
         tables: format!("{}\n{}\n", table2_text(profile), table3_text(profile)),
-        flagship,
         list1: list1_text(&ReportShape::paper_window(flagship)),
     }
 }

@@ -789,13 +789,17 @@ mod tests {
         let tracks: Vec<RankTrace> = streams
             .iter()
             .enumerate()
-            .map(|(rank, events)| RankTrace { rank, events: events.clone() })
+            .map(|(rank, events)| {
+                let n = events.len();
+                RankTrace { rank, events: events.clone(), recorded: n as u64, capacity: n }
+            })
             .collect();
         let doc = chrome_trace_json(&tracks);
-        let rebuilt = streams_from_chrome(&doc).expect("trace must re-import");
+        let (rebuilt, retained) = streams_from_chrome(&doc).expect("trace must re-import");
         let via_trace =
-            analyze(&AnalysisInput { streams: &rebuilt, retained: vec![], predicted_imbalance: 1.0 });
+            analyze(&AnalysisInput { streams: &rebuilt, retained, predicted_imbalance: 1.0 });
         assert_eq!(direct.steps_analyzed, via_trace.steps_analyzed);
+        assert_eq!(direct.coverage, via_trace.coverage);
         assert_eq!(direct.gating, via_trace.gating);
         assert_eq!(direct.rank_path, via_trace.rank_path);
         assert_eq!(direct.stragglers[0].rank, via_trace.stragglers[0].rank);

@@ -15,9 +15,11 @@
 //! `walk` over a document — [`validate_chrome_trace`] (the export's own
 //! adversary; CI runs it on every post-mortem trace a faulted run
 //! produces) counts what decodes, [`streams_from_chrome`] collects it.
-//! The round trip is exact up to two documented roundings: timestamps
-//! and durations pass through f64 microseconds, and integers through
-//! JSON numbers (exact below 2⁵³).
+//! A track's `thread_name` record carries its ring's counts (events
+//! recorded ever, capacity), so a re-imported trace knows how much its
+//! rings dropped. The round trip is exact up to two documented roundings:
+//! timestamps and durations pass through f64 microseconds, and integers
+//! through JSON numbers (exact below 2⁵³).
 
 use crate::event::{AlertKind, Event, FaultKind, HealthCode, Phase, TimedEvent, TrafficClass};
 use crate::json::{num, Json};
@@ -35,6 +37,12 @@ pub struct RankTrace {
     /// The rank's events, as returned by
     /// [`crate::FlightRecorder::snapshot`].
     pub events: Vec<TimedEvent>,
+    /// Events the rank's ring recorded ever
+    /// ([`crate::FlightRecorder::recorded`]); `events` holds the newest
+    /// `capacity` of them.
+    pub recorded: u64,
+    /// The ring's capacity ([`crate::FlightRecorder::capacity`]).
+    pub capacity: usize,
 }
 
 fn us(ts_ns: u64) -> String {
@@ -217,8 +225,8 @@ pub fn chrome_trace_json(tracks: &[RankTrace]) -> String {
     );
     for t in tracks {
         out.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{},"args":{{"name":"rank {}"}}}}"#,
-            t.rank, t.rank
+            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{},"args":{{"name":"rank {}","recorded":{},"capacity":{}}}}}"#,
+            t.rank, t.rank, t.recorded, t.capacity
         ));
     }
     for t in tracks {
@@ -263,7 +271,7 @@ pub struct TraceCheck {
 }
 
 impl TraceCheck {
-    /// The one-line census `yycore tracecheck` prints.
+    /// The one-line census `yycore doctor trace=` prints.
     pub fn summary(&self) -> String {
         format!(
             "trace ok: {} events, {} spans, {} flow arrows, {} kill(s), {} track(s), \
@@ -285,28 +293,45 @@ impl TraceCheck {
 /// monotone non-decreasing timestamps within each `tid` track — and
 /// hand each non-metadata record to `visit` as
 /// `(rank, ph, what it decodes to)`. Returns the record count, metadata
-/// included.
+/// included, and the rank-indexed `(recorded, capacity)` ring counts
+/// the tracks' name records carry (`(0, 0)` where a track has none).
 fn walk(
     text: &str,
     mut visit: impl FnMut(usize, &str, Option<TimedEvent>),
-) -> Result<usize, String> {
+) -> Result<(usize, Vec<(u64, usize)>), String> {
     let doc = Json::parse(text)?;
     let records = doc.arr_at("traceEvents").ok_or("missing traceEvents array")?;
     let mut last_ts: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut rings: Vec<(u64, usize)> = Vec::new();
     for (i, e) in records.iter().enumerate() {
         let ph = e.str_at("ph").ok_or_else(|| format!("event {i}: missing ph"))?;
         let name = e.str_at("name").ok_or_else(|| format!("event {i}: missing name"))?;
         e.f64_at("pid").ok_or_else(|| format!("event {i}: missing pid"))?;
+        let as_rank = |tid: f64| {
+            if tid >= 0.0 && tid < MAX_TRACE_RANKS as f64 && tid.fract() == 0.0 {
+                Ok(tid as usize)
+            } else {
+                Err(format!(
+                    "event {i} ({name}): tid {tid} is not an integer rank below {MAX_TRACE_RANKS}"
+                ))
+            }
+        };
         if ph == "M" {
-            continue; // metadata carries no timestamp
+            // Metadata carries no timestamp; a track's name record
+            // carries its ring's counts (traces of older binaries do not).
+            let args = e.get("args");
+            let counts = args.and_then(|a| Some((a.f64_at("recorded")?, a.f64_at("capacity")?)));
+            if let (Some(tid), Some((recorded, capacity))) = (e.f64_at("tid"), counts) {
+                let r = as_rank(tid)?;
+                if rings.len() <= r {
+                    rings.resize(r + 1, (0, 0));
+                }
+                rings[r] = (recorded as u64, capacity as usize);
+            }
+            continue;
         }
         let tid = e.f64_at("tid").ok_or_else(|| format!("event {i}: missing tid"))?;
-        if !(tid >= 0.0 && tid < MAX_TRACE_RANKS as f64 && tid.fract() == 0.0) {
-            return Err(format!(
-                "event {i} ({name}): tid {tid} is not an integer rank below {MAX_TRACE_RANKS}"
-            ));
-        }
-        let rank = tid as usize;
+        let rank = as_rank(tid)?;
         let ts = e.f64_at("ts").ok_or_else(|| format!("event {i} ({name}): missing ts"))?;
         if let Some(last) = last_ts.insert(rank, ts) {
             if ts < last {
@@ -327,7 +352,7 @@ fn walk(
         }
         visit(rank, ph, decode(ph, name, ts, e));
     }
-    Ok(records.len())
+    Ok((records.len(), rings))
 }
 
 /// Parse and structurally validate a Chrome trace produced by
@@ -336,7 +361,7 @@ fn walk(
 pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     let mut check = TraceCheck::default();
     let mut tracks = BTreeSet::new();
-    let events = walk(text, |rank, ph, decoded| {
+    let (events, _) = walk(text, |rank, ph, decoded| {
         tracks.insert(rank);
         match (ph, decoded.map(|te| te.event)) {
             ("s", _) => check.flow_starts += 1,
@@ -353,13 +378,18 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 }
 
 /// Rebuild per-rank event streams (world-rank indexed, oldest first)
-/// from a Chrome trace produced by [`chrome_trace_json`] — the offline
-/// half of `yycore doctor`, so a trace file on disk is as analyzable as
-/// a live recorder set. The trace must pass the same checks as
-/// [`validate_chrome_trace`]; every record that decodes is kept.
-pub fn streams_from_chrome(text: &str) -> Result<Vec<Vec<TimedEvent>>, String> {
+/// and the rings' `(recorded, capacity)` counts from a Chrome trace
+/// produced by [`chrome_trace_json`] — the offline half of
+/// `yycore doctor`, so a trace file on disk is as analyzable as a live
+/// recorder set: the pair is [`crate::AnalysisInput`]'s `streams` and
+/// `retained`. A track without counts reads as `(0, 0)`, complete. The
+/// trace must pass the same checks as [`validate_chrome_trace`]; every
+/// record that decodes is kept.
+pub fn streams_from_chrome(
+    text: &str,
+) -> Result<(Vec<Vec<TimedEvent>>, Vec<(u64, usize)>), String> {
     let mut streams: Vec<Vec<TimedEvent>> = Vec::new();
-    walk(text, |rank, _, decoded| {
+    let (_, mut retained) = walk(text, |rank, _, decoded| {
         if let Some(te) = decoded {
             if streams.len() <= rank {
                 streams.resize_with(rank + 1, Vec::new);
@@ -375,7 +405,8 @@ pub fn streams_from_chrome(text: &str) -> Result<Vec<Vec<TimedEvent>>, String> {
     for stream in &mut streams {
         stream.sort_by_key(|te| te.ts_ns);
     }
-    Ok(streams)
+    retained.resize(streams.len(), (0, 0));
+    Ok((streams, retained))
 }
 
 #[cfg(test)]
@@ -416,7 +447,10 @@ mod tests {
                 event: Event::Alert { rule: 0, kind: AlertKind::DtCollapse, firing: false, step: 8 },
             },
         ];
-        vec![RankTrace { rank: 0, events: t0 }, RankTrace { rank: 1, events: t1 }]
+        vec![
+            RankTrace { rank: 0, recorded: 4, capacity: 4, events: t0 },
+            RankTrace { rank: 1, recorded: 20, capacity: 10, events: t1 },
+        ]
     }
 
     #[test]
@@ -513,7 +547,7 @@ mod tests {
                 );
             }
         }
-        let streams = streams_from_chrome(&with_tid("65535")).expect("the last rank in range");
+        let (streams, _) = streams_from_chrome(&with_tid("65535")).expect("the last rank in range");
         assert_eq!(streams.len(), 65_536);
         assert_eq!(streams[65_535].len(), 1);
     }
@@ -530,7 +564,7 @@ mod tests {
         let check = validate_chrome_trace(doc).expect("structurally fine");
         assert_eq!(check.events, 5);
         assert_eq!((check.spans, check.kills, check.alerts), (1, 0, 0));
-        assert_eq!(streams_from_chrome(doc).unwrap()[0].len(), 1);
+        assert_eq!(streams_from_chrome(doc).unwrap().0[0].len(), 1);
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl CounterSnapshot {
         self.kernels.iter().map(|k| k.flops).sum()
     }
 
-    /// The roofline table `yycore profile` prints: one row per kernel
+    /// The roofline table `yycore run` and `parallel` print: one row per kernel
     /// that ran — calls, measured MFLOPS, arithmetic intensity,
     /// equivalent vector length, share of the total flops.
     pub fn roofline_text(&self) -> String {

@@ -165,11 +165,20 @@ fn a_snapshot_taken_while_the_rank_records_is_a_contiguous_run() {
     );
 }
 
+/// Ring counts for rank `rank`'s `n` retained events: a ring that
+/// dropped `rank` events before the ones it kept.
+fn counts(rank: usize, n: usize) -> (u64, usize) {
+    ((n + rank) as u64, n)
+}
+
 fn trace_of(streams: &[Vec<TimedEvent>]) -> String {
     let tracks: Vec<RankTrace> = streams
         .iter()
         .enumerate()
-        .map(|(rank, events)| RankTrace { rank, events: events.clone() })
+        .map(|(rank, events)| {
+            let (recorded, capacity) = counts(rank, events.len());
+            RankTrace { rank, events: events.clone(), recorded, capacity }
+        })
         .collect();
     chrome_trace_json(&tracks)
 }
@@ -178,8 +187,10 @@ fn trace_of(streams: &[Vec<TimedEvent>]) -> String {
 fn every_event_variant_round_trips_through_the_chrome_pair() {
     check("chrome_round_trip", every_variant, |streams| {
         let doc = trace_of(streams);
-        let back = streams_from_chrome(&doc)?;
+        let (back, retained) = streams_from_chrome(&doc)?;
         tk_assert!(&back == streams, "decoded {back:?}");
+        let want: Vec<_> = streams.iter().enumerate().map(|(r, s)| counts(r, s.len())).collect();
+        tk_assert!(retained == want, "ring counts {retained:?}");
         let check = validate_chrome_trace(&doc)?;
         tk_assert!(check.events == 3 + 13 + 3, "metadata + events + flow arrows: {check:?}");
         tk_assert!((check.flow_starts, check.flow_finishes) == (1, 2), "{check:?}");
@@ -291,10 +302,11 @@ fn no_mutation_of_a_trace_or_an_analysis_does_worse_than_err() {
             // And the two trace readers are one walk: they accept and
             // reject the same documents, for the same reason.
             match (&checked, &streams) {
-                (Ok(_), Ok(s)) => {
+                (Ok(_), Ok((s, retained))) => {
                     tk_assert!(s.len() <= MAX_TRACE_RANKS, "{} streams", s.len());
-                    let input =
-                        AnalysisInput { streams: s, retained: vec![], predicted_imbalance: 1.0 };
+                    tk_assert!(retained.len() == s.len(), "{} ring counts", retained.len());
+                    let retained = retained.clone();
+                    let input = AnalysisInput { streams: s, retained, predicted_imbalance: 1.0 };
                     let a = analyze(&input);
                     tk_assert!(a.rank_path.len() == s.len(), "{a:?}");
                 }

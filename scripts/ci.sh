@@ -78,6 +78,10 @@ reject "run $gone=2" "unknown config key '$gone'"
 gone="dro""p"
 reject "parallel $gone=0.1" "unknown config key '$gone'"
 reject "resume x.ck steps=4" "unknown command 'resume'"
+# Readers that only repeated another: every run prints the roofline
+# table, and `doctor trace=` is the trace's reader.
+reject "profile steps=1" "unknown command 'profile'"
+reject "tracecheck x.json" "unknown command 'tracecheck'"
 # A watchdog rule that could never fire fails the launch.
 soak_dir=$(mktemp -d) # scratch for these rules files and every soak below
 trap 'rm -rf "$soak_dir"' EXIT
@@ -122,15 +126,15 @@ for r in 0 1; do
 done
 reject "merge $soak_dir/huge-shards $soak_dir/huge-merged.ck" \
   "shard truncated: encoded length 18014398509481984 exceeds the 0 bytes left in the file"
-echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 26 misplaced/unknown/unusable values refused"
+echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 28 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor, latency histograms, serial streaming, drop fault, resume command"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor, latency histograms, serial streaming, drop fault, resume command, profile and tracecheck commands, per-kernel projection"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]|hist_jso[n]|HistogramSnapsho[t]|WaitTai[l]|record_wait_n[s]|record_step_n[s]|merge_his[t]|run_streamin[g]|StreamOpt[s]|snapshots_writte[n]|emit_snapsho[t]|with_dro[p]|max_resend[s]|resend_afte[r]|cmd_resum[e]' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]|hist_jso[n]|HistogramSnapsho[t]|WaitTai[l]|record_wait_n[s]|record_step_n[s]|merge_his[t]|run_streamin[g]|StreamOpt[s]|snapshots_writte[n]|emit_snapsho[t]|with_dro[p]|max_resend[s]|resend_afte[r]|cmd_resum[e]|cmd_profil[e]|cmd_tracechec[k]|project_kernel[s]|KernelProjectio[n]|kernel_projection_tex[t]|kernel_cost[s]|KernelCos[t]|from_kernel[s]' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
@@ -196,7 +200,7 @@ for key in '"elastic"' '"policy":"retile"' \
     echo "ERROR: chaos report missing $key" >&2; exit 1; }
 done
 # The Chrome trace carries the retile/degrade instants.
-chaos_tc=$(./target/release/yycore tracecheck "$soak_dir/chaos-trace.json")
+chaos_tc=$(./target/release/yycore doctor trace="$soak_dir/chaos-trace.json")
 echo "$chaos_tc" | grep -qE ' [1-9][0-9]* retile' || {
   echo "ERROR: chaos trace has no retile instants" >&2; exit 1; }
 echo "$chaos_tc" | grep -qE ' [1-9][0-9]* degrade' || {
@@ -280,26 +284,29 @@ echo "==> observability smoke: faulted supervised run leaves a post-mortem trace
   fault_seed=42 kill_rank=1 kill_step=4 >/dev/null
 test -s "$soak_dir/trace.json.postmortem" || {
   echo "ERROR: post-mortem trace missing" >&2; exit 1; }
-# tracecheck validates the Chrome trace structure and reports the kill
+# doctor trace= validates the Chrome trace structure and reports the kill
 # count; a post-mortem from a killed run must contain the kill event.
-pm=$(./target/release/yycore tracecheck "$soak_dir/trace.json.postmortem")
+pm=$(./target/release/yycore doctor trace="$soak_dir/trace.json.postmortem")
 echo "$pm"
 echo "$pm" | grep -qE ' [1-9][0-9]* kill' || {
   echo "ERROR: post-mortem trace has no kill event" >&2; exit 1; }
-./target/release/yycore tracecheck "$soak_dir/trace.json" >/dev/null
+# The trace and the report of one run read the same steps and the same
+# ring coverage: the trace carries its rings' counts.
+steps_line() { ./target/release/yycore doctor "$1" | grep 'steps analyzed:'; }
+[ "$(steps_line trace="$soak_dir/trace.json")" = "$(steps_line report="$soak_dir/report.json")" ] || {
+  echo "ERROR: doctor trace= and report= of one run disagree:" >&2
+  steps_line trace="$soak_dir/trace.json" >&2; steps_line report="$soak_dir/report.json" >&2; exit 1; }
 # Hostile artifacts are one error line, not an abort: 300 000 unclosed
 # brackets once overflowed the parser's stack, and a huge tid once sized
 # an allocation.
 head -c 300000 /dev/zero | tr '\0' '[' >"$soak_dir/deep.json"
 echo '{"traceEvents":[{"name":"step 1","ph":"i","pid":0,"tid":4000000000000,"ts":1,"args":{"step":1}}]}' \
   >"$soak_dir/tid.json"
-for reader in "tracecheck " "doctor trace=" "watch "; do
+for reader in "doctor trace=" "doctor report="; do
   reject "$reader$soak_dir/deep.json" "nesting deeper than 128 at byte 128"
 done
-for reader in "tracecheck " "doctor trace="; do
-  reject "$reader$soak_dir/tid.json" \
-    "event 0 (step 1): tid 4000000000000 is not an integer rank below 65536"
-done
+reject "doctor trace=$soak_dir/tid.json" \
+  "event 0 (step 1): tid 4000000000000 is not an integer rank below 65536"
 grep -q '"schema":"yy.runreport.v6"' "$soak_dir/report.json" || {
   echo "ERROR: report.json missing schema tag" >&2; exit 1; }
 # The v6 additions are always present: an (empty here) alerts array and
@@ -337,7 +344,7 @@ grep -q '"rule":"energy_blowup"' "$soak_dir/wreport.json" || {
   echo "ERROR: report carries no energy_blowup alert edge" >&2; exit 1; }
 grep -q '"channels"' "$soak_dir/wreport.json" || {
   echo "ERROR: report carries no telemetry series store" >&2; exit 1; }
-wtc=$(./target/release/yycore tracecheck "$soak_dir/wtrace.json")
+wtc=$(./target/release/yycore doctor trace="$soak_dir/wtrace.json")
 echo "$wtc"
 echo "$wtc" | grep -qE ' [1-9][0-9]* alert edge' || {
   echo "ERROR: trace carries no alert instants" >&2; exit 1; }
@@ -351,13 +358,15 @@ grep -q '"alerts":\[\]' "$soak_dir/wclean.json" || {
   echo "ERROR: clean armed run has non-empty report alerts" >&2; exit 1; }
 echo "OK: seeded collapse fires energy_blowup; clean armed run stays quiet"
 
-echo "==> watch smoke: dashboard renders the report artifact and the live endpoint"
-watch_out=$(./target/release/yycore watch "$soak_dir/wreport.json")
+echo "==> watch smoke: doctor renders the report's telemetry, watch the live endpoint"
+watch_out=$(./target/release/yycore doctor report="$soak_dir/wreport.json")
 echo "$watch_out" | grep -q 'alert energy_blowup (dt-collapse): FIRED' || {
-  echo "ERROR: watch (file mode) did not render the alert" >&2
+  echo "ERROR: doctor report= did not render the alert" >&2
   echo "$watch_out" >&2; exit 1; }
 echo "$watch_out" | grep -q 'kinetic' || {
-  echo "ERROR: watch (file mode) did not render channel panels" >&2; exit 1; }
+  echo "ERROR: doctor report= did not render channel panels" >&2; exit 1; }
+# A finished run's report is doctor's; watch reads a live endpoint only.
+reject "watch $soak_dir/wreport.json" "watch reads a live endpoint (http://host:port)"
 # URL mode: the seeded collapse again, serving live metrics, on a grid
 # large enough that the alert stays FIRING for seconds, and with more
 # steps than it will ever finish: the watcher must see the alert while
@@ -378,15 +387,17 @@ kill "$wpid" 2>/dev/null || true
 wait "$wpid" 2>/dev/null || true
 [ "$live_ok" = 1 ] || {
   echo "ERROR: watch (URL mode) never saw the firing alert gauge of a running run" >&2; exit 1; }
-echo "OK: yycore watch renders the report artifact and a running run's live gauges"
+echo "OK: doctor renders the report's telemetry; watch renders a running run's live gauges"
 
-echo "==> profile smoke: roofline table + measured-profile ES projection"
-profile_out=$(./target/release/yycore profile steps=3)
-echo "$profile_out" | grep -q 'measured kernel profile' || {
-  echo "ERROR: profile did not print the roofline table" >&2; exit 1; }
-echo "$profile_out" | grep -q 'measured-profile flagship projection' || {
-  echo "ERROR: profile did not print the ES projection" >&2; exit 1; }
-echo "OK: yycore profile prints the measured roofline + projection"
+echo "==> roofline smoke: every run prints its kernel table on stderr"
+for cmd in "run steps=3 sample=0" "parallel pth=1 pph=2 steps=3 sample=0 nr=12 nth=9"; do
+  roofline=$(./target/release/yycore $cmd 2>&1 >/dev/null)
+  echo "$roofline" | grep -qE '^kernel +calls +MFLOPS +flops/B +avg VL +%flops$' || {
+    echo "ERROR: '$cmd' did not print the roofline header" >&2; echo "$roofline" >&2; exit 1; }
+  echo "$roofline" | grep -qE '^rhs +[0-9]+ ' || {
+    echo "ERROR: '$cmd' did not print an rhs row" >&2; echo "$roofline" >&2; exit 1; }
+done
+echo "OK: run and parallel print the measured roofline table"
 
 echo "==> dependency audit: workspace path dependencies only"
 # Path dependencies print as `name vX.Y.Z (/abs/path)`; anything without
