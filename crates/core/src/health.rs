@@ -9,9 +9,13 @@
 //! last good checkpoint, then aborting with a descriptive error instead
 //! of a panic deep in a stencil loop.
 //!
-//! All scans cover the owned (non-ghost) region only: ghost frames are
-//! filled by halo/overset exchange and legitimately hold zeros before
-//! the first sync, so including them would trip false positives.
+//! The two floors (minimum ρ and p) cover the owned (non-ghost) region
+//! only: ghost frames are filled by halo/overset exchange and
+//! legitimately hold zeros before the first sync, so including them
+//! would trip false positives. The finiteness test reads every
+//! allocated node, padding included: a zero is finite, and a NaN in a
+//! ghost frame is as fatal as one in the owned region ([`scan_tally`]
+//! bills the owned nodes only).
 
 use yy_mhd::State;
 use yy_obs::event::HealthCode;

@@ -84,6 +84,11 @@ pub fn overlap_normalization(grid: &PatchGrid) -> f64 {
 /// `tile = None` treats `state` as a full panel. B is evaluated with the
 /// solver's stencils over the FD interior (frame and wall values excluded
 /// from `max_b` and `magnetic`; their measure is O(h) of the total).
+///
+/// The two maxima fold the squares and take one square root at the end:
+/// sqrt is monotone and correctly rounded, so `√max(x)` is `max(√x)`
+/// bit for bit (NaN and negative nodes lose to the `+0.0` start either
+/// way).
 pub fn compute_diagnostics(
     state: &State,
     grid: &PatchGrid,
@@ -104,6 +109,7 @@ pub fn compute_diagnostics(
     let gm1 = params.gamma - 1.0;
 
     let mut d = Diagnostics::default();
+    let (mut max_v2, mut max_b2) = (0.0f64, 0.0f64);
     for k in 0..shape.nph as isize {
         let wk = wp_full[(k + k_off as isize) as usize];
         for j in 0..shape.nth as isize {
@@ -125,7 +131,7 @@ pub fn compute_diagnostics(
                 d.kinetic += w * 0.5 * f2 / rho[i];
                 d.thermal += w * prs[i] / gm1;
                 d.mass += w * rho[i];
-                d.max_speed = d.max_speed.max((f2 / (rho[i] * rho[i])).sqrt());
+                max_v2 = max_v2.max(f2 / (rho[i] * rho[i]));
                 if in_b_range && i >= range.i0 && i < range.i1 {
                     let ir = metric.inv_r[i];
                     let b_r = ir * g.inv_sin
@@ -139,11 +145,13 @@ pub fn compute_diagnostics(
                             - (ar.s[i] - ar.n[i]) * sp.inv_2dt);
                     let b2 = b_r * b_r + b_t * b_t + b_p * b_p;
                     d.magnetic += w * 0.5 * b2;
-                    d.max_b = d.max_b.max(b2.sqrt());
+                    max_b2 = max_b2.max(b2);
                 }
             }
         }
     }
+    d.max_speed = max_v2.sqrt();
+    d.max_b = max_b2.sqrt();
     d
 }
 
@@ -170,6 +178,7 @@ pub fn compute_diagnostics_dedup(
     let wp = trapezoid_weights(grid.phi());
     let gm1 = params.gamma - 1.0;
     let mut d = Diagnostics::default();
+    let mut max_v2 = 0.0f64;
     let _ = range;
     for k in 0..shape.nph as isize {
         for j in 0..shape.nth as isize {
@@ -186,10 +195,12 @@ pub fn compute_diagnostics_dedup(
                 d.kinetic += w * 0.5 * f2 / rho[i];
                 d.thermal += w * prs[i] / gm1;
                 d.mass += w * rho[i];
-                d.max_speed = d.max_speed.max((f2 / (rho[i] * rho[i])).sqrt());
+                max_v2 = max_v2.max(f2 / (rho[i] * rho[i]));
             }
         }
     }
+    // One root per maximum, as in `compute_diagnostics`.
+    d.max_speed = max_v2.sqrt();
     d
 }
 
@@ -379,6 +390,77 @@ mod tests {
         assert!(approx_eq(merged.mass, full.mass, 1e-12));
         assert!(approx_eq(merged.magnetic, full.magnetic, 1e-10));
         assert!(approx_eq(merged.max_b, full.max_b, 1e-12));
+    }
+
+    /// The per-node form the two maxima replaced: `max(√x)` over the
+    /// nodes, B from the solver's curl stencils on `range`.
+    fn per_node_maxima(state: &State, metric: &Metric, range: &InteriorRange) -> (f64, f64) {
+        use crate::ops::{ColGeom, Cols, Spacings};
+        let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
+        let (r, shape) = (&metric.r, state.shape());
+        let (mut max_speed, mut max_b) = (0.0f64, 0.0f64);
+        for k in 0..shape.nph as isize {
+            for j in 0..shape.nth as isize {
+                let g = ColGeom::new(metric, j);
+                let [ar, at, ap] = [&state.a.r, &state.a.t, &state.a.p].map(|a| Cols::new(a, j, k));
+                for i in 0..shape.nr {
+                    let (rho, fr, ft, fp) = (
+                        state.rho.at(i, j, k),
+                        state.f.r.at(i, j, k),
+                        state.f.t.at(i, j, k),
+                        state.f.p.at(i, j, k),
+                    );
+                    let f2 = fr * fr + ft * ft + fp * fp;
+                    max_speed = max_speed.max((f2 / (rho * rho)).sqrt());
+                    let inside = (range.j0..range.j1).contains(&j)
+                        && (range.k0..range.k1).contains(&k)
+                        && (range.i0..range.i1).contains(&i);
+                    if inside {
+                        let ir = metric.inv_r[i];
+                        let b_r = ir * g.inv_sin
+                            * ((g.sin_s * ap.s[i] - g.sin_n * ap.n[i]) * sp.inv_2dt
+                                - (at.e[i] - at.w[i]) * sp.inv_2dp);
+                        let b_t = ir
+                            * (g.inv_sin * (ar.e[i] - ar.w[i]) * sp.inv_2dp
+                                - (r[i + 1] * ap.c[i + 1] - r[i - 1] * ap.c[i - 1]) * sp.inv_2dr);
+                        let b_p = ir
+                            * ((r[i + 1] * at.c[i + 1] - r[i - 1] * at.c[i - 1]) * sp.inv_2dr
+                                - (ar.s[i] - ar.n[i]) * sp.inv_2dt);
+                        max_b = max_b.max((b_r * b_r + b_t * b_t + b_p * b_p).sqrt());
+                    }
+                }
+            }
+        }
+        (max_speed, max_b)
+    }
+
+    /// One root per maximum equals the per-node roots bit for bit: on a
+    /// noisy state (flow and field everywhere, so the maxima are not
+    /// ties of zeros), and on an all-zero state, where every speed is
+    /// 0/0 = NaN and every |B| is 0 — both maxima must stay `+0.0`.
+    #[test]
+    fn root_of_the_maxima_matches_the_per_node_roots() {
+        let (grid, metric, mut state, params) = setup();
+        let range = InteriorRange::full_panel(&grid);
+        let mut rng = geomath::rng::DetRng::seed_from_u64(0x5eed_0d1a);
+        for a in [&mut state.f.r, &mut state.f.t, &mut state.f.p, &mut state.a.r, &mut state.a.t] {
+            a.data_mut().iter_mut().for_each(|x| *x = rng.range_f64(-0.3, 0.3));
+        }
+        let zero = State::zeros(state.shape());
+        for (what, state) in [("noisy", &state), ("zero", &zero)] {
+            let d = compute_diagnostics(state, &grid, &metric, None, &params, &range);
+            let (max_speed, max_b) = per_node_maxima(state, &metric, &range);
+            assert_eq!(d.max_speed.to_bits(), max_speed.to_bits(), "{what}: max_speed");
+            assert_eq!(d.max_b.to_bits(), max_b.to_bits(), "{what}: max_b");
+            let w = vec![0.5; grid.dims().1 * grid.dims().2];
+            let dedup = compute_diagnostics_dedup(state, &grid, &metric, &params, &range, &w);
+            assert_eq!(dedup.max_speed.to_bits(), max_speed.to_bits(), "{what}: dedup max_speed");
+            if what == "zero" {
+                assert_eq!((d.max_speed.to_bits(), d.max_b.to_bits()), (0, 0), "+0.0 both");
+            } else {
+                assert!(d.max_speed > 0.0 && d.max_b > 0.0, "{what}: {d:?}");
+            }
+        }
     }
 
     #[test]

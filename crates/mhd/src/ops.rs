@@ -108,14 +108,19 @@ impl<'a> Cols<'a> {
         self.map(|row| &row[i0 - 1..i1 + 1])
     }
 
-    /// [`Cols::new`] and [`Cols::window`] in one step: borrow the nine
-    /// stencil rows already cut to `[i0−1, i1+1)`, skipping the
-    /// intermediate full-row slices (the fused RHS builds eleven of
-    /// these per column). Identical slices to
-    /// `Cols::new(a, j, k).window(i0, i1)`.
+    /// Borrow the nine stencil rows of a *run*: the `lanes` consecutive
+    /// nodes from `(i0, j, k)` on, continuing into rows `j+1, j+2, …`
+    /// past the end of row `j` ([`yy_field::Shape::idx`] lays
+    /// consecutive θ rows end to end). Every row is cut to
+    /// `[start−1, start+lanes+1)`, so local index `li` is node `li−1` of
+    /// the run with both radial neighbours in the slice. For one column,
+    /// `lanes = i1 − i0`, these are the slices of
+    /// `Cols::new(a, j, k).window(i0, i1)`. Requires `i0 ≥ 1` and a run
+    /// that stops at least one node before the end of its last row.
     #[inline]
-    pub fn windowed(a: &'a Array3, j: isize, k: isize, i0: usize, i1: usize) -> Self {
-        let w = |j: isize, k: isize| &a.row(j, k)[i0 - 1..i1 + 1];
+    pub fn run(a: &'a Array3, j: isize, k: isize, i0: usize, lanes: usize) -> Self {
+        let (data, shape) = (a.data(), a.shape());
+        let w = |j: isize, k: isize| &data[shape.idx(i0 - 1, j, k)..][..lanes + 2];
         Cols {
             c: w(j, k),
             n: w(j - 1, k),
@@ -454,6 +459,10 @@ mod tests {
                     let cols = Cols::new(&q, j, k);
                     let geom = ColGeom::new(&m, j);
                     let win = cols.window(i0, i1);
+                    let run = Cols::run(&q, j, k, i0, i1 - i0);
+                    for (a, b) in [(win.c, run.c), (win.n, run.n), (win.se, run.se)] {
+                        assert!(std::ptr::eq(a, b), "a one-column run is the window");
+                    }
                     for i in i0..i1 {
                         let li = i - i0 + 1;
                         assert_eq!(cols.ddr(i, &sp), win.ddr(li, &sp));

@@ -71,23 +71,25 @@ pub const RHS_FLOPS_PER_POINT: u64 = 640;
 /// 12 array streams through the fused column passes (8 state + v×3 + T).
 /// Under the φ-tile blocking each array's stencil rows stream through
 /// cache roughly once per sweep, so the model charges one read per array
-/// per point; the 9 radial scratch rows (B, j, ∇p buffers, ≈2 KB)
-/// stay L1-resident and are not charged. A traffic model for the
-/// roofline, not a cache measurement. (The pre-rewrite unfused kernel
-/// modeled 8 × 7 reads/point — each state array billed once per distinct
-/// stencil leg, the cache behaviour of one mega-loop traversal.)
+/// per point; the 9 scratch rows of a run (B, j, ∇p buffers, ≤ 18 KB
+/// at [`RUN_LANES`] = 256) stay cache-resident and are not charged. A
+/// traffic model for the roofline, not a cache measurement. (The
+/// pre-rewrite unfused kernel modeled 8 × 7 reads/point — each state
+/// array billed once per distinct stencil leg, the cache behaviour of
+/// one mega-loop traversal.)
 pub const RHS_READS_PER_POINT: u64 = 17;
 
 /// Values written per interior point: v×3 + T in the precompute plus the
 /// 8 tendency arrays.
 pub const RHS_WRITES_PER_POINT: u64 = 12;
 
-/// Fused radial passes the kernel makes over each `(θ, φ)` column:
-/// continuity, B = ∇×A, the current j, ∇p, advection ×3, force assembly,
-/// viscous force, the pressure equation (advection + heating +
-/// diffusion, one pass), induction. The counter accounting bills `loops`
-/// and `vector_elements` per pass so `avg_vector_length` stays the
-/// radial interior extent regardless of decomposition or fusion degree.
+/// Fused passes the kernel makes over each `(θ, φ)` column, one call per
+/// run of θ-adjacent columns: continuity, B = ∇×A, the current j, ∇p,
+/// advection ×3, force assembly, viscous force, the pressure equation
+/// (advection + heating + diffusion, one pass), induction. The counter
+/// accounting bills `loops` and `vector_elements` per column and pass,
+/// so `avg_vector_length` stays the radial interior extent regardless
+/// of decomposition, run length or fusion degree.
 pub const RHS_PASSES_PER_COLUMN: u64 = 11;
 
 /// Which nodes an RHS evaluation updates: tile-local index ranges of the
@@ -248,15 +250,24 @@ impl OverlapSplit {
 /// per step, inside run-to-run noise (EXPERIMENTS.md).
 const PHI_BLOCK: isize = 2;
 
+/// Lane budget of a *run*, the fused sweep's unit of work: the
+/// θ-adjacent columns at one φ, which [`Shape::idx`] lays end to end,
+/// as many as fit in `RUN_LANES` lanes and never fewer than one. Short
+/// radial rows then pay the eleven pass calls and the eight flush calls
+/// once per run instead of once per column; at nr = 255 a run is one
+/// column. Not a knob — chosen by a measured sweep (EXPERIMENTS.md,
+/// "Long vectors for short rows").
+const RUN_LANES: usize = 256;
+
 /// The `[r, θ, φ]` component rows of one [`RowBufs`] field.
 type Rows3 = [Vec<f64>; 3];
 
-/// Per-column radial scratch rows for the sweeps: intermediate fields
-/// (B, the current j, ∇p; `[r, θ, φ]` components) each pass stores for
-/// later passes of the same column, and the column's eight tendency
-/// rows `k` (canonical [`State::arrays`] order) on their way to the
-/// [`RhsSink`]. Together 17 radial rows (~35 KB at nr = 255, 3 KB at
-/// nr = 24) — cache-resident by construction.
+/// Per-run scratch rows for the sweeps, one lane per node of the run:
+/// intermediate fields (B, the current j, ∇p; `[r, θ, φ]` components)
+/// each pass stores for later passes of the same run, and the run's
+/// eight tendency rows `k` (canonical [`State::arrays`] order) on their
+/// way to the [`RhsSink`]. Together 17 rows of at most
+/// `max(RUN_LANES, nr)` lanes (≈ 35 KB) — cache-resident by construction.
 #[derive(Debug, Clone)]
 struct RowBufs {
     b: Rows3,
@@ -266,13 +277,155 @@ struct RowBufs {
 }
 
 impl RowBufs {
-    fn new(nr: usize) -> Self {
-        let rows = || [vec![0.0; nr], vec![0.0; nr], vec![0.0; nr]];
-        RowBufs { b: rows(), j: rows(), gp: rows(), k: std::array::from_fn(|_| vec![0.0; nr]) }
+    fn new(lanes: usize) -> Self {
+        let rows = || [vec![0.0; lanes], vec![0.0; lanes], vec![0.0; lanes]];
+        RowBufs { b: rows(), j: rows(), gp: rows(), k: std::array::from_fn(|_| vec![0.0; lanes]) }
     }
 }
 
-/// Where a sweep's tendency `k` goes. The sweeps leave each column's
+/// The per-column scalars the RHS reads at one node: the [`ColGeom`]
+/// fields the kernels use and the Coriolis Ω of the node's column. The
+/// reference sweep and a one-column run take them from the column; a
+/// longer run reads them from the [`LaneTables`] lane by lane — the same
+/// values, so the same bits.
+#[derive(Debug, Clone, Copy)]
+struct NodeScalars {
+    cot_t: f64,
+    inv_sin: f64,
+    inv_sin2: f64,
+    sin_n: f64,
+    sin_s: f64,
+    om_r: f64,
+    om_t: f64,
+    om_p: f64,
+}
+
+impl NodeScalars {
+    fn new(metric: &Metric, forces: &ForceTables, j: isize, k: isize) -> Self {
+        let ColGeom { cot_t, inv_sin, inv_sin2, sin_n, sin_s, .. } = ColGeom::new(metric, j);
+        let (om_r, om_t, om_p) = forces.omega_at(j, k);
+        NodeScalars { cot_t, inv_sin, inv_sin2, sin_n, sin_s, om_r, om_t, om_p }
+    }
+}
+
+/// Where a kernel reads the [`NodeScalars`] of lane `q`: from one value
+/// for a run of one column — a loop invariant, held in registers — or
+/// from [`LaneRows`] for a run that crosses a seam, at one load per lane
+/// and factor. One kernel body, instantiated for each; the traversal
+/// picks by the run's column count.
+trait Scalars: Copy {
+    /// Re-cut to `n` lanes, as [`Cols::fit`] does and for the same reason.
+    fn fit(self, n: usize) -> Self;
+    /// The scalars of lane `q`.
+    fn at(&self, q: usize) -> NodeScalars;
+}
+
+impl Scalars for NodeScalars {
+    #[inline(always)]
+    fn fit(self, _: usize) -> Self {
+        self
+    }
+
+    #[inline(always)]
+    fn at(&self, _: usize) -> NodeScalars {
+        *self
+    }
+}
+
+/// A run's window of the per-lane scalar rows: lane `q` of every row is
+/// node `q` of the run.
+#[derive(Clone, Copy)]
+struct LaneRows<'a>([&'a [f64]; 8]);
+
+impl Scalars for LaneRows<'_> {
+    #[inline(always)]
+    fn fit(self, n: usize) -> Self {
+        LaneRows(self.0.map(|row| &row[..n]))
+    }
+
+    #[inline(always)]
+    fn at(&self, q: usize) -> NodeScalars {
+        let [cot_t, inv_sin, inv_sin2, sin_n, sin_s, om_r, om_t, om_p] = self.0.map(|row| row[q]);
+        NodeScalars { cot_t, inv_sin, inv_sin2, sin_n, sin_s, om_r, om_t, om_p }
+    }
+}
+
+/// The per-column scalars of the fused sweep as per-lane rows of one run
+/// (lane `q` is node `i0 + q`, counted on through the seams). The radial
+/// rows `r`, `r²` (from lane −1, for the stencil legs), `1/r` and
+/// gravity are the same for every run of a sweep, since each starts at
+/// `i0`, and are filled once per sweep. For runs of more than one column
+/// the [`NodeScalars`] rows (`scalars`, in field order) are filled too:
+/// the θ factors once per run start and φ-band, Ω once per run. A wall
+/// lane holds a column's values and is dropped by the flush.
+#[derive(Debug, Clone)]
+struct LaneTables {
+    r: Vec<f64>,
+    r2: Vec<f64>,
+    inv_r: Vec<f64>,
+    grav: Vec<f64>,
+    scalars: [Vec<f64>; 8],
+}
+
+impl LaneTables {
+    /// Rows of `lanes` lanes (`lanes + 2` for the stencil windows).
+    fn new(lanes: usize) -> Self {
+        LaneTables {
+            r: vec![0.0; lanes + 2],
+            r2: vec![0.0; lanes + 2],
+            inv_r: vec![0.0; lanes],
+            grav: vec![0.0; lanes],
+            scalars: std::array::from_fn(|_| vec![0.0; lanes]),
+        }
+    }
+
+    /// The radial rows of runs that start at node `i0`.
+    fn fill_radial(&mut self, metric: &Metric, forces: &ForceTables, i0: usize) {
+        let nr = metric.r.len();
+        for (q, (r, r2)) in self.r.iter_mut().zip(&mut self.r2).enumerate() {
+            let i = (i0 - 1 + q) % nr;
+            (*r, *r2) = (metric.r[i], metric.r2[i]);
+        }
+        for (q, (ir, g)) in self.inv_r.iter_mut().zip(&mut self.grav).enumerate() {
+            let i = (i0 + q) % nr;
+            (*ir, *g) = (metric.inv_r[i], forces.grav[i]);
+        }
+    }
+
+    /// The θ-factor rows of a run of `columns` columns from `ja` on,
+    /// `nr` lanes per column.
+    fn fill_theta(&mut self, metric: &Metric, ja: isize, columns: isize, nr: usize) {
+        let [cot_t, inv_sin, inv_sin2, sin_n, sin_s, ..] = &mut self.scalars;
+        for (c, j) in (ja..ja + columns).enumerate() {
+            let g = ColGeom::new(metric, j);
+            let col = c * nr..((c + 1) * nr).min(cot_t.len());
+            cot_t[col.clone()].fill(g.cot_t);
+            inv_sin[col.clone()].fill(g.inv_sin);
+            inv_sin2[col.clone()].fill(g.inv_sin2);
+            sin_n[col.clone()].fill(g.sin_n);
+            sin_s[col].fill(g.sin_s);
+        }
+    }
+
+    /// The Ω rows of the run of `columns` columns from `(ja, k)` on.
+    fn fill_omega(&mut self, forces: &ForceTables, ja: isize, k: isize, columns: isize, nr: usize) {
+        let [.., om_r, om_t, om_p] = &mut self.scalars;
+        for (c, j) in (ja..ja + columns).enumerate() {
+            let (r, t, p) = forces.omega_at(j, k);
+            let col = c * nr..((c + 1) * nr).min(om_r.len());
+            om_r[col.clone()].fill(r);
+            om_t[col.clone()].fill(t);
+            om_p[col].fill(p);
+        }
+    }
+
+    /// The scalar rows of the first `lanes` lanes.
+    fn rows(&self, lanes: usize) -> LaneRows<'_> {
+        LaneRows(std::array::from_fn(|f| &self.scalars[f][..lanes]))
+    }
+}
+
+/// Where a sweep's tendency `k` goes. The sweeps leave each run's
 /// eight tendency rows in cache-resident buffers and flush them here,
 /// so an RK4 stage combines `k` into the step *inside* the RHS sweep
 /// and the tendency never travels to memory.
@@ -380,10 +533,13 @@ impl<'a> RhsSink<'a> {
 /// callable without `unsafe` from a context that has `avx2` enabled
 /// (the `avx2` traversal below) and from nowhere else.
 macro_rules! isa_kernel {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+    (
+        $(#[$doc:meta])*
+        fn $name:ident $(<$g:ident: $bound:ident>)? ($($arg:ident: $ty:ty),* $(,)?) $body:block
+    ) => {
         $(#[$doc])*
         #[inline(always)]
-        fn $name($($arg: $ty),*) $body
+        fn $name $(<$g: $bound>)? ($($arg: $ty),*) $body
 
         #[allow(clippy::too_many_arguments)]
         mod $name {
@@ -391,14 +547,14 @@ macro_rules! isa_kernel {
             use super::*;
 
             #[inline(never)]
-            pub(super) fn baseline($($arg: $ty),*) {
+            pub(super) fn baseline $(<$g: $bound>)? ($($arg: $ty),*) {
                 super::$name($($arg),*)
             }
 
             #[cfg(target_arch = "x86_64")]
             #[inline(never)]
             #[target_feature(enable = "avx2")]
-            pub(super) fn avx2($($arg: $ty),*) {
+            pub(super) fn avx2 $(<$g: $bound>)? ($($arg: $ty),*) {
                 super::$name($($arg),*)
             }
         }
@@ -406,30 +562,48 @@ macro_rules! isa_kernel {
 }
 
 isa_kernel! {
-    /// One row of a [`RhsSink::Stage`] flush. A leaf kernel for the reason
-    /// the `pass_*` kernels are: slice *parameters* are `noalias`, and all
-    /// four are cut to one length, so the loop is packed f64.
-    fn flush_stage(acc: &mut [f64], next: &mut [f64], y0: &[f64], k: &[f64], b: f64, a: f64) {
-        let n = k.len();
-        let (acc, next, y0) = (&mut acc[..n], &mut next[..n], &y0[..n]);
-        for q in 0..n {
-            // Both loads before either store: the states are allocated
-            // alike, so `acc[q]` and `y0[q]` tend to sit 4 KiB-aliased, and a
-            // load behind an aliasing store stalls on it.
-            let (kq, yq, aq) = (k[q], y0[q], acc[q]);
-            next[q] = yq + a * kq;
-            acc[q] = aq + b * kq;
+    /// One run of a [`RhsSink::Stage`] flush: of every `nr` lanes, the
+    /// first `n` — a column's swept nodes — and none of the wall lanes
+    /// between them. A leaf kernel for the reason the `pass_*` kernels
+    /// are: slice *parameters* are `noalias`, and each segment cuts all
+    /// four to one length, so its loop is packed f64.
+    #[allow(clippy::too_many_arguments)]
+    fn flush_stage(
+        acc: &mut [f64],
+        next: &mut [f64],
+        y0: &[f64],
+        k: &[f64],
+        b: f64,
+        a: f64,
+        nr: usize,
+        n: usize,
+    ) {
+        let lanes = k.len();
+        let (acc, next, y0) = (&mut acc[..lanes], &mut next[..lanes], &y0[..lanes]);
+        let (acc, next) = (acc.chunks_mut(nr), next.chunks_mut(nr));
+        for ((acc, next), (y0, k)) in acc.zip(next).zip(y0.chunks(nr).zip(k.chunks(nr))) {
+            let (acc, next, y0, k) = (&mut acc[..n], &mut next[..n], &y0[..n], &k[..n]);
+            for q in 0..n {
+                // Both loads before either store: the states are allocated
+                // alike, so `acc[q]` and `y0[q]` tend to sit 4 KiB-aliased, and
+                // a load behind an aliasing store stalls on it.
+                let (kq, yq, aq) = (k[q], y0[q], acc[q]);
+                next[q] = yq + a * kq;
+                acc[q] = aq + b * kq;
+            }
         }
     }
 }
 
 isa_kernel! {
-    /// One row of a [`RhsSink::Final`] flush.
-    fn flush_final(acc: &mut [f64], k: &[f64], b: f64) {
-        let n = k.len();
-        let acc = &mut acc[..n];
-        for q in 0..n {
-            acc[q] += b * k[q];
+    /// One run of a [`RhsSink::Final`] flush, segmented as `flush_stage`.
+    fn flush_final(acc: &mut [f64], k: &[f64], b: f64, nr: usize, n: usize) {
+        let acc = &mut acc[..k.len()];
+        for (acc, k) in acc.chunks_mut(nr).zip(k.chunks(nr)) {
+            let (acc, k) = (&mut acc[..n], &k[..n]);
+            for q in 0..n {
+                acc[q] += b * k[q];
+            }
         }
     }
 }
@@ -479,8 +653,10 @@ pub struct RhsScratch {
     pub v: VectorField,
     /// Temperature `T = p/ρ` over the padded tile.
     pub temp: Array3,
-    /// Per-column radial rows for the fused passes.
+    /// Per-run rows for the fused passes.
     rows: RowBufs,
+    /// The fused sweep's per-lane θ-factor and radial tables.
+    lanes: LaneTables,
     /// Which sweep implementation runs; same arithmetic per point
     /// bit-for-bit, so only the exactness harness (and debugging) ever
     /// moves it off the default.
@@ -493,7 +669,8 @@ impl RhsScratch {
         RhsScratch {
             v: VectorField::zeros(shape),
             temp: Array3::zeros(shape),
-            rows: RowBufs::new(shape.nr),
+            rows: RowBufs::new(RUN_LANES.max(shape.nr)),
+            lanes: LaneTables::new(RUN_LANES.max(shape.nr)),
             kernels: RhsKernels::Detected,
         }
     }
@@ -514,7 +691,7 @@ fn vec_second(
     qp: &Cols,
     i: usize,
     sp: &Spacings,
-    g: &ColGeom,
+    g: &NodeScalars,
     inv_r: f64,
 ) -> VecSecond {
     let inv_r2 = inv_r * inv_r;
@@ -636,14 +813,15 @@ pub fn sweep_rhs(
         Kernel::Rhs,
         KernelTally {
             points,
-            // The radial sweep is the innermost (vectorized) loop and the
-            // fused kernel makes RHS_PASSES_PER_COLUMN of them per (j,k)
-            // column; vector_elements counts the same passes per point,
-            // so vector_elements/loops is the radial interior extent —
-            // the equivalent vector length the ES counters would report,
-            // invariant under decomposition and fusion degree. (The
-            // reference sweep bills the same model: the tally describes
-            // the kernel contract, not which implementation ran.)
+            // The model bills RHS_PASSES_PER_COLUMN radial loops per
+            // (j,k) column, however many columns one run of the fused
+            // kernel covers; vector_elements counts the same passes per
+            // point, so vector_elements/loops is the radial interior
+            // extent — the equivalent vector length the ES counters
+            // would report, invariant under decomposition, run length
+            // and fusion degree. (The reference sweep bills the same
+            // model: the tally describes the kernel contract, not which
+            // implementation ran.)
             loops: RHS_PASSES_PER_COLUMN * columns,
             vector_elements: RHS_PASSES_PER_COLUMN * points,
             flops: points * RHS_FLOPS_PER_POINT,
@@ -725,7 +903,7 @@ fn reference_sweep(
 
     for k in range.k0..range.k1 {
         for j in range.j0..range.j1 {
-            let g = ColGeom::new(metric, j);
+            let g = NodeScalars::new(metric, forces, j, k);
             let p_cols = Cols::new(&state.press, j, k);
             let t_cols = Cols::new(temp, j, k);
             let fr_cols = Cols::new(&state.f.r, j, k);
@@ -858,51 +1036,56 @@ fn reference_sweep(
                 k_at[q] = vxb_t - eta * j_t;
                 k_ap[q] = vxb_p - eta * j_p;
             }
-            let row = state.shape().idx(range.i0, j, k);
-            baseline::flush(sink, row..row + (range.i1 - range.i0), &rows.k);
+            let (row, n) = (state.shape().idx(range.i0, j, k), range.i1 - range.i0);
+            baseline::flush(sink, row..row + n, state.shape().nr, n, &rows.k);
         }
     }
 }
 
-/// Stamp one ISA instantiation of the column traversal — the fused
-/// sweep and the sink flush it ends each column with — as module `$isa`,
-/// calling the `$isa` instantiation of every leaf kernel. The text is
-/// the same for all of them; what differs is the `#[target_feature]` it
-/// is compiled under, which is what lets the `avx2` traversal call the
+/// Stamp one ISA instantiation of the run traversal — the fused sweep
+/// and the sink flush it ends each run with — as module `$isa`, calling
+/// the `$isa` instantiation of every leaf kernel. The text is the same
+/// for all of them; what differs is the `#[target_feature]` it is
+/// compiled under, which is what lets the `avx2` traversal call the
 /// `avx2` kernels as the safe functions they are (DESIGN §6f).
 macro_rules! isa_traversal {
     ($isa:ident $(, #[$feature:meta])?) => {
         mod $isa {
             use super::*;
 
-            /// The fused RHS sweep: [`RHS_PASSES_PER_COLUMN`] short stride-1
-            /// radial passes per `(θ, φ)` column instead of one
-            /// register-starved mega-loop per point, over φ-bands of
-            /// [`PHI_BLOCK`] columns.
+            /// The fused RHS sweep: [`RHS_PASSES_PER_COLUMN`] stride-1 passes
+            /// per *run* of θ-adjacent columns (up to [`RUN_LANES`] lanes,
+            /// one vector through the rows `Shape::idx` lays end to end)
+            /// instead of one register-starved mega-loop per point, over
+            /// φ-bands of [`PHI_BLOCK`] columns.
             ///
-            /// This function only traverses: per column it gathers the input
-            /// rows into a [`Column`] and calls the eleven `pass_*` leaf
-            /// kernels below, which own the radial loops. The split is what
-            /// makes those loops compile to packed f64 (see [`Cols::fit`]):
-            /// each kernel is `#[inline(never)]`, so its `&mut [f64]` outputs
-            /// are *parameters* — `noalias` against every input row, which a
-            /// row sliced out of `out: &mut State` inside one big function
-            /// never was — and it re-cuts its inputs at the top to the length
-            /// of its output (`n`, or `n + 2` for stencil rows), so no bounds
+            /// This function only traverses: per run it gathers the input
+            /// slices into a [`Run`] and calls the eleven `pass_*` leaf
+            /// kernels below, which own the loops. The split is what makes
+            /// those loops compile to packed f64 (see [`Cols::fit`]): each
+            /// kernel is `#[inline(never)]`, so its `&mut [f64]` outputs are
+            /// *parameters* — `noalias` against every input row, which a row
+            /// sliced out of `out: &mut State` inside one big function never
+            /// was — and it re-cuts its inputs at the top to the length of
+            /// its output (`n`, or `n + 2` for stencil rows), so no bounds
             /// check survives in the loop.
             ///
-            /// Intermediate per-column fields (B, j, ∇p) and the eight
-            /// tendency rows land in cache-resident radial row buffers, the
-            /// latter flushed to the [`RhsSink`] once the column's last pass
-            /// has run; a f64 store/load roundtrip is exact, expression trees
-            /// are copied from the reference sweep verbatim (vector lanes
-            /// evaluate the same IEEE operations in the same order as scalar
-            /// code, at any lane count), and the force/pressure accumulations
-            /// split the reference's left-associated sums at association
-            /// boundaries — so the result is **bit-identical** to
-            /// [`reference_sweep`] (asserted by the tests here and the
+            /// A run's lanes include the wall nodes between its columns.
+            /// Every lane evaluates the same expression tree, and the lanes
+            /// at walls read neighbours across the row seam; they are
+            /// computed and dropped, since the flush writes each column's
+            /// swept nodes only. Intermediate fields (B, j, ∇p) and the
+            /// eight tendency rows land in cache-resident row buffers; a f64
+            /// store/load roundtrip is exact, expression trees are copied
+            /// from the reference sweep verbatim (vector lanes evaluate the
+            /// same IEEE operations in the same order as scalar code, at any
+            /// lane count, on the same operands — the per-lane tables hold
+            /// the reference's per-column scalars), and the force/pressure
+            /// accumulations split the reference's left-associated sums at
+            /// association boundaries — so the result is **bit-identical**
+            /// to [`reference_sweep`] (asserted by the tests here and the
             /// cross-layout harness in `yy-core`). Columns are independent,
-            /// which makes the φ-band traversal reorder bit-exact too.
+            /// which makes the run and φ-band traversal bit-exact too.
             $(#[$feature])?
             #[allow(clippy::too_many_arguments)]
             pub(super) fn fused_sweep(
@@ -915,76 +1098,108 @@ macro_rules! isa_traversal {
                 sink: &mut RhsSink,
             ) {
                 let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
-                let (i0, i1) = (range.i0, range.i1);
-                let n = i1 - i0;
-                let (rows, v, temp) = (&mut scratch.rows, &scratch.v, &scratch.temp);
+                let shape = state.shape();
+                let (nr, i0, n) = (shape.nr, range.i0, range.i1 - range.i0);
+                // Columns per run: as many as `RUN_LANES` holds, at least one.
+                let run_columns = (1 + RUN_LANES.saturating_sub(n) / nr) as isize;
+                let (rows, tables) = (&mut scratch.rows, &mut scratch.lanes);
+                let (v, temp) = (&scratch.v, &scratch.temp);
+                tables.fill_radial(metric, forces, i0);
 
-                // φ-band blocking: process `PHI_BLOCK`-wide bands of columns
-                // with j innermost, so a band's stencil rows stay cache-hot
+                // φ-band blocking: process `PHI_BLOCK`-wide bands with the
+                // runs innermost, so a band's stencil rows stay cache-hot
                 // across the θ sweep.
                 let mut kb = range.k0;
                 while kb < range.k1 {
                     let kb1 = (kb + PHI_BLOCK).min(range.k1);
-                    for j in range.j0..range.j1 {
-                        let g = ColGeom::new(metric, j);
+                    let mut ja = range.j0;
+                    while ja < range.j1 {
+                        let columns = run_columns.min(range.j1 - ja);
+                        let lanes = (columns as usize - 1) * nr + n;
+                        if columns > 1 {
+                            tables.fill_theta(metric, ja, columns, nr);
+                        }
                         for k in kb..kb1 {
-                            let win = |a| Cols::windowed(a, j, k, i0, i1);
-                            let c = Column {
-                                p: win(&state.press),
-                                t: win(temp),
-                                fr: win(&state.f.r),
-                                ft: win(&state.f.t),
-                                fp: win(&state.f.p),
-                                vr: win(&v.r),
-                                vt: win(&v.t),
-                                vp: win(&v.p),
-                                ar: win(&state.a.r),
-                                at: win(&state.a.t),
-                                ap: win(&state.a.p),
-                                rho: &state.rho.row(j, k)[i0..i1],
-                                r: &metric.r[i0 - 1..i1 + 1],
-                                r2: &metric.r2[i0 - 1..i1 + 1],
-                                ir: &metric.inv_r[i0..i1],
-                                grav: &forces.grav[i0..i1],
-                                om: forces.omega_at(j, k),
+                            if columns > 1 {
+                                tables.fill_omega(forces, ja, k, columns, nr);
+                            }
+                            let start = shape.idx(i0, ja, k);
+                            let run = |a| Cols::run(a, ja, k, i0, lanes);
+                            let c = Run {
+                                p: run(&state.press),
+                                t: run(temp),
+                                fr: run(&state.f.r),
+                                ft: run(&state.f.t),
+                                fp: run(&state.f.p),
+                                vr: run(&v.r),
+                                vt: run(&v.t),
+                                vp: run(&v.p),
+                                ar: run(&state.a.r),
+                                at: run(&state.a.t),
+                                ap: run(&state.a.p),
+                                rho: &state.rho.data()[start..start + lanes],
+                                r: &tables.r[..lanes + 2],
+                                r2: &tables.r2[..lanes + 2],
+                                ir: &tables.inv_r[..lanes],
+                                grav: &tables.grav[..lanes],
                                 sp: &sp,
-                                g: &g,
                                 params,
                             };
-                            let [rho_o, pr_o, fr_o, ft_o, fp_o, ar_o, at_o, ap_o] =
-                                rows.k.each_mut().map(|row| &mut row[..n]);
-
-                            pass_continuity::$isa(rho_o, &c);
-                            let [b_r, b_t, b_p] = rows.b.each_mut().map(|row| &mut row[..n]);
-                            pass_curl_a::$isa(b_r, b_t, b_p, &c);
-                            let [j_r, j_t, j_p] = rows.j.each_mut().map(|row| &mut row[..n]);
-                            pass_current::$isa(j_r, j_t, j_p, &c);
-                            let [gp_r, gp_t, gp_p] = rows.gp.each_mut().map(|row| &mut row[..n]);
-                            pass_grad_p::$isa(gp_r, gp_t, gp_p, &c);
-                            pass_advect_r::$isa(fr_o, &c);
-                            pass_advect_t::$isa(ft_o, &c);
-                            pass_advect_p::$isa(fp_o, &c);
-                            pass_forces::$isa(fr_o, ft_o, fp_o, &rows.b, &rows.j, &rows.gp, &c);
-                            pass_viscous::$isa(fr_o, ft_o, fp_o, &c);
-                            pass_pressure::$isa(pr_o, &rows.gp, &rows.j, &c);
-                            pass_induction::$isa(ar_o, at_o, ap_o, &rows.b, &rows.j, &c);
-                            let row = state.shape().idx(i0, j, k);
-                            flush(sink, row..row + n, &rows.k);
+                            if columns == 1 {
+                                passes(rows, &c, NodeScalars::new(metric, forces, ja, k), lanes);
+                            } else {
+                                passes(rows, &c, tables.rows(lanes), lanes);
+                            }
+                            flush(sink, start..start + lanes, nr, n, &rows.k);
                         }
+                        ja += columns;
                     }
                     kb = kb1;
                 }
             }
 
-            /// Flush the tendency rows `k[..row.len()]` of the column whose
-            /// swept nodes sit at flat indices `row` of every state array.
+            /// The eleven passes over one run of `lanes` lanes, its
+            /// per-column scalars read from `g`.
             $(#[$feature])?
-            pub(super) fn flush(sink: &mut RhsSink, row: std::ops::Range<usize>, k: &[Vec<f64>; 8]) {
-                let n = row.len();
+            fn passes<G: Scalars>(rows: &mut RowBufs, c: &Run, g: G, lanes: usize) {
+                let [rho_o, pr_o, fr_o, ft_o, fp_o, ar_o, at_o, ap_o] =
+                    rows.k.each_mut().map(|row| &mut row[..lanes]);
+                pass_continuity::$isa(rho_o, c, g);
+                let [b_r, b_t, b_p] = rows.b.each_mut().map(|row| &mut row[..lanes]);
+                pass_curl_a::$isa(b_r, b_t, b_p, c, g);
+                let [j_r, j_t, j_p] = rows.j.each_mut().map(|row| &mut row[..lanes]);
+                pass_current::$isa(j_r, j_t, j_p, c, g);
+                let [gp_r, gp_t, gp_p] = rows.gp.each_mut().map(|row| &mut row[..lanes]);
+                pass_grad_p::$isa(gp_r, gp_t, gp_p, c, g);
+                pass_advect_r::$isa(fr_o, c, g);
+                pass_advect_t::$isa(ft_o, c, g);
+                pass_advect_p::$isa(fp_o, c, g);
+                pass_forces::$isa(fr_o, ft_o, fp_o, &rows.b, &rows.j, &rows.gp, c, g);
+                pass_viscous::$isa(fr_o, ft_o, fp_o, c, g);
+                pass_pressure::$isa(pr_o, &rows.gp, &rows.j, c, g);
+                pass_induction::$isa(ar_o, at_o, ap_o, &rows.b, &rows.j, c);
+            }
+
+            /// Flush the tendency rows `k` of a run whose lanes sit at flat
+            /// indices `span` of every state array: of every `nr` lanes the
+            /// first `n`, a column's swept nodes. The wall lanes between
+            /// them are dropped, so only swept nodes are written.
+            $(#[$feature])?
+            pub(super) fn flush(
+                sink: &mut RhsSink,
+                span: std::ops::Range<usize>,
+                nr: usize,
+                n: usize,
+                k: &[Vec<f64>; 8],
+            ) {
+                let lanes = span.len();
                 match sink {
                     RhsSink::Store(out) => {
                         for (out, k) in out.arrays_mut().into_iter().zip(k) {
-                            out.data_mut()[row.clone()].copy_from_slice(&k[..n]);
+                            let segments = out.data_mut()[span.clone()].chunks_mut(nr);
+                            for (out, k) in segments.zip(k[..lanes].chunks(nr)) {
+                                out[..n].copy_from_slice(&k[..n]);
+                            }
                         }
                     }
                     // Indexed, not zipped by value: an array `IntoIter` live
@@ -996,15 +1211,17 @@ macro_rules! isa_traversal {
                     RhsSink::Stage { acc, y0, next, b, a } => {
                         let (acc, next, y0) = (acc.arrays_mut(), next.arrays_mut(), y0.arrays());
                         for (q, k) in k.iter().enumerate() {
-                            let acc = &mut acc[q].data_mut()[row.clone()];
-                            let next = &mut next[q].data_mut()[row.clone()];
-                            flush_stage::$isa(acc, next, &y0[q].data()[row.clone()], &k[..n], *b, *a);
+                            let acc = &mut acc[q].data_mut()[span.clone()];
+                            let next = &mut next[q].data_mut()[span.clone()];
+                            let y0 = &y0[q].data()[span.clone()];
+                            flush_stage::$isa(acc, next, y0, &k[..lanes], *b, *a, nr, n);
                         }
                     }
                     RhsSink::Final { acc, b } => {
                         let acc = acc.arrays_mut();
                         for (q, k) in k.iter().enumerate() {
-                            flush_final::$isa(&mut acc[q].data_mut()[row.clone()], &k[..n], *b);
+                            let acc = &mut acc[q].data_mut()[span.clone()];
+                            flush_final::$isa(acc, &k[..lanes], *b, nr, n);
                         }
                     }
                 }
@@ -1017,11 +1234,11 @@ isa_traversal!(baseline);
 #[cfg(target_arch = "x86_64")]
 isa_traversal!(avx2, #[target_feature(enable = "avx2")]);
 
-/// Everything the leaf kernels read of one `(θ, φ)` column. Stencil rows
-/// and the `r`/`r2` tables are windowed to `[i0−1, i1+1)` (local index
-/// `q+1` ↔ node `i0+q`); the centre-only rows `rho`/`ir`/`grav` are cut
-/// to `[i0, i1)` (index `q` ↔ node `i0+q`).
-struct Column<'a> {
+/// Everything the leaf kernels read of one run but its [`Scalars`].
+/// Stencil rows and the `r`/`r2` windows hold `lanes + 2` entries (local
+/// index `q+1` ↔ lane `q`); the centre-only rows `rho`/`ir`/`grav` hold
+/// `lanes` (index `q` ↔ lane `q`).
+struct Run<'a> {
     p: Cols<'a>,
     t: Cols<'a>,
     fr: Cols<'a>,
@@ -1038,9 +1255,7 @@ struct Column<'a> {
     r2: &'a [f64],
     ir: &'a [f64],
     grav: &'a [f64],
-    om: (f64, f64, f64),
     sp: &'a Spacings,
-    g: &'a ColGeom,
     params: &'a PhysParams,
 }
 
@@ -1052,12 +1267,12 @@ fn fit3(rows: &Rows3, n: usize) -> (&[f64], &[f64], &[f64]) {
 
 isa_kernel! {
     /// Pass 1: continuity, ∂ρ/∂t = −∇·f.
-    fn pass_continuity(rho_o: &mut [f64], c: &Column) {
+    fn pass_continuity<G: Scalars>(rho_o: &mut [f64], c: &Run, g: G) {
         let n = rho_o.len();
         let (fr, ft, fp) = (c.fr.fit(n + 2), c.ft.fit(n + 2), c.fp.fit(n + 2));
-        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        let (r2_w, ir_w, sp, geo) = (&c.r2[..n + 2], &c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
             let ir2 = ir * ir;
             let div_f = ir2 * (r2_w[li + 1] * fr.c[li + 1] - r2_w[li - 1] * fr.c[li - 1]) * sp.inv_2dr
@@ -1071,13 +1286,13 @@ isa_kernel! {
 
 isa_kernel! {
     /// Pass 2: B = ∇×A into row buffers.
-    fn pass_curl_a(b_r: &mut [f64], b_t: &mut [f64], b_p: &mut [f64], c: &Column) {
+    fn pass_curl_a<G: Scalars>(b_r: &mut [f64], b_t: &mut [f64], b_p: &mut [f64], c: &Run, g: G) {
         let n = b_r.len();
         let (b_t, b_p) = (&mut b_t[..n], &mut b_p[..n]);
         let (ar, at, ap) = (c.ar.fit(n + 2), c.at.fit(n + 2), c.ap.fit(n + 2));
-        let (r_w, ir_w, sp, g) = (&c.r[..n + 2], &c.ir[..n], c.sp, c.g);
+        let (r_w, ir_w, sp, geo) = (&c.r[..n + 2], &c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
             b_r[q] = ir * g.inv_sin
                 * ((g.sin_s * ap.s[li] - g.sin_n * ap.n[li]) * sp.inv_2dt
@@ -1094,13 +1309,13 @@ isa_kernel! {
 
 isa_kernel! {
     /// Pass 3: current j = ∇(∇·A) − ∇²A into row buffers.
-    fn pass_current(j_r: &mut [f64], j_t: &mut [f64], j_p: &mut [f64], c: &Column) {
+    fn pass_current<G: Scalars>(j_r: &mut [f64], j_t: &mut [f64], j_p: &mut [f64], c: &Run, g: G) {
         let n = j_r.len();
         let (j_t, j_p) = (&mut j_t[..n], &mut j_p[..n]);
         let (ar, at, ap) = (c.ar.fit(n + 2), c.at.fit(n + 2), c.ap.fit(n + 2));
-        let (ir_w, sp, g) = (&c.ir[..n], c.sp, c.g);
+        let (ir_w, sp, geo) = (&c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let a2 = vec_second(&ar, &at, &ap, q + 1, sp, g, ir_w[q]);
+            let a2 = vec_second(&ar, &at, &ap, q + 1, sp, &geo.at(q), ir_w[q]);
             j_r[q] = a2.grad_div[0] - a2.lap[0];
             j_t[q] = a2.grad_div[1] - a2.lap[1];
             j_p[q] = a2.grad_div[2] - a2.lap[2];
@@ -1110,12 +1325,18 @@ isa_kernel! {
 
 isa_kernel! {
     /// Pass 4: pressure gradient into row buffers.
-    fn pass_grad_p(gp_r: &mut [f64], gp_t: &mut [f64], gp_p: &mut [f64], c: &Column) {
+    fn pass_grad_p<G: Scalars>(
+        gp_r: &mut [f64],
+        gp_t: &mut [f64],
+        gp_p: &mut [f64],
+        c: &Run,
+        g: G,
+    ) {
         let n = gp_r.len();
         let (gp_t, gp_p) = (&mut gp_t[..n], &mut gp_p[..n]);
-        let (p, ir_w, sp, g) = (c.p.fit(n + 2), &c.ir[..n], c.sp, c.g);
+        let (p, ir_w, sp, geo) = (c.p.fit(n + 2), &c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
             gp_r[q] = p.ddr(li, sp);
             gp_t[q] = ir * p.ddt(li, sp);
@@ -1137,7 +1358,7 @@ fn flux(
     li: usize,
     ir: f64,
     sp: &Spacings,
-    g: &ColGeom,
+    g: &NodeScalars,
 ) -> f64 {
     let ir2 = ir * ir;
     ir2 * (r2_w[li + 1] * vr.c[li + 1] * q.c[li + 1] - r2_w[li - 1] * vr.c[li - 1] * q.c[li - 1])
@@ -1149,15 +1370,15 @@ fn flux(
 
 isa_kernel! {
     /// Passes 5–7: advection, one momentum component each — out.f = −∇·(vf).
-    fn pass_advect_r(fr_o: &mut [f64], c: &Column) {
+    fn pass_advect_r<G: Scalars>(fr_o: &mut [f64], c: &Run, g: G) {
         let n = fr_o.len();
         let (fr, ft, fp) = (c.fr.fit(n + 2), c.ft.fit(n + 2), c.fp.fit(n + 2));
         let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        let (r2_w, ir_w, sp, geo) = (&c.r2[..n + 2], &c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
-            let adv_r = flux(&fr, &vr, &vt, &vp, r2_w, li, ir, sp, g)
+            let adv_r = flux(&fr, &vr, &vt, &vp, r2_w, li, ir, sp, &g)
                 - (ft.c[li] * vt.c[li] + fp.c[li] * vp.c[li]) * ir;
             fr_o[q] = -adv_r;
         }
@@ -1165,15 +1386,15 @@ isa_kernel! {
 }
 
 isa_kernel! {
-    fn pass_advect_t(ft_o: &mut [f64], c: &Column) {
+    fn pass_advect_t<G: Scalars>(ft_o: &mut [f64], c: &Run, g: G) {
         let n = ft_o.len();
         let (ft, fp) = (c.ft.fit(n + 2), c.fp.fit(n + 2));
         let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        let (r2_w, ir_w, sp, geo) = (&c.r2[..n + 2], &c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
-            let adv_t = flux(&ft, &vr, &vt, &vp, r2_w, li, ir, sp, g) + (ft.c[li] * vr.c[li]) * ir
+            let adv_t = flux(&ft, &vr, &vt, &vp, r2_w, li, ir, sp, &g) + (ft.c[li] * vr.c[li]) * ir
                 - g.cot_t * (fp.c[li] * vp.c[li]) * ir;
             ft_o[q] = -adv_t;
         }
@@ -1181,15 +1402,15 @@ isa_kernel! {
 }
 
 isa_kernel! {
-    fn pass_advect_p(fp_o: &mut [f64], c: &Column) {
+    fn pass_advect_p<G: Scalars>(fp_o: &mut [f64], c: &Run, g: G) {
         let n = fp_o.len();
         let fp = c.fp.fit(n + 2);
         let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-        let (r2_w, ir_w, sp, g) = (&c.r2[..n + 2], &c.ir[..n], c.sp, c.g);
+        let (r2_w, ir_w, sp, geo) = (&c.r2[..n + 2], &c.ir[..n], c.sp, g.fit(n));
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
-            let adv_p = flux(&fp, &vr, &vt, &vp, r2_w, li, ir, sp, g) + (fp.c[li] * vr.c[li]) * ir
+            let adv_p = flux(&fp, &vr, &vt, &vp, r2_w, li, ir, sp, &g) + (fp.c[li] * vr.c[li]) * ir
                 + g.cot_t * (fp.c[li] * vt.c[li]) * ir;
             fp_o[q] = -adv_p;
         }
@@ -1199,22 +1420,25 @@ isa_kernel! {
 isa_kernel! {
     /// Pass 8: body forces — −∇p, j×B, gravity, Coriolis — accumulated onto
     /// −advection in the reference's left-associated order.
-    fn pass_forces(
+    #[allow(clippy::too_many_arguments)]
+    fn pass_forces<G: Scalars>(
         fr_o: &mut [f64],
         ft_o: &mut [f64],
         fp_o: &mut [f64],
         b: &Rows3,
         j: &Rows3,
         gp: &Rows3,
-        c: &Column,
+        c: &Run,
+        g: G,
     ) {
         let n = fr_o.len();
         let (ft_o, fp_o) = (&mut ft_o[..n], &mut fp_o[..n]);
         let ((b_r, b_t, b_p), (j_r, j_t, j_p), (gp_r, gp_t, gp_p)) =
             (fit3(b, n), fit3(j, n), fit3(gp, n));
         let (fr, ft, fp) = (&c.fr.c[1..n + 1], &c.ft.c[1..n + 1], &c.fp.c[1..n + 1]);
-        let (rho, grav, (om_r, om_t, om_p)) = (&c.rho[..n], &c.grav[..n], c.om);
+        let (rho, grav, lane) = (&c.rho[..n], &c.grav[..n], g.fit(n));
         for q in 0..n {
+            let NodeScalars { om_r, om_t, om_p, .. } = lane.at(q);
             let jxb_r = j_t[q] * b_p[q] - j_p[q] * b_t[q];
             let jxb_t = j_p[q] * b_r[q] - j_r[q] * b_p[q];
             let jxb_p = j_r[q] * b_t[q] - j_t[q] * b_r[q];
@@ -1230,13 +1454,19 @@ isa_kernel! {
 
 isa_kernel! {
     /// Pass 9: viscous force µ(∇²v + ⅓∇(∇·v)), the final momentum addend.
-    fn pass_viscous(fr_o: &mut [f64], ft_o: &mut [f64], fp_o: &mut [f64], c: &Column) {
+    fn pass_viscous<G: Scalars>(
+        fr_o: &mut [f64],
+        ft_o: &mut [f64],
+        fp_o: &mut [f64],
+        c: &Run,
+        g: G,
+    ) {
         let n = fr_o.len();
         let (ft_o, fp_o) = (&mut ft_o[..n], &mut fp_o[..n]);
         let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-        let (ir_w, sp, g, mu) = (&c.ir[..n], c.sp, c.g, c.params.mu);
+        let (ir_w, sp, geo, mu) = (&c.ir[..n], c.sp, g.fit(n), c.params.mu);
         for q in 0..n {
-            let v2 = vec_second(&vr, &vt, &vp, q + 1, sp, g, ir_w[q]);
+            let v2 = vec_second(&vr, &vt, &vp, q + 1, sp, &geo.at(q), ir_w[q]);
             fr_o[q] += mu * (v2.lap[0] + v2.grad_div[0] / 3.0);
             ft_o[q] += mu * (v2.lap[1] + v2.grad_div[1] / 3.0);
             fp_o[q] += mu * (v2.lap[2] + v2.grad_div[2] / 3.0);
@@ -1251,16 +1481,16 @@ isa_kernel! {
     /// between the advection and heating terms, exactly as the reference
     /// does; the assembled sum keeps the reference's left-associated order,
     /// so the merge is bit-exact.
-    fn pass_pressure(pr_o: &mut [f64], gp: &Rows3, j: &Rows3, c: &Column) {
+    fn pass_pressure<G: Scalars>(pr_o: &mut [f64], gp: &Rows3, j: &Rows3, c: &Run, g: G) {
         let n = pr_o.len();
         let ((gp_r, gp_t, gp_p), (j_r, j_t, j_p)) = (fit3(gp, n), fit3(j, n));
         let (p_c, t_c) = (&c.p.c[..n + 2], c.t.fit(n + 2));
         let (vr, vt, vp) = (c.vr.fit(n + 2), c.vt.fit(n + 2), c.vp.fit(n + 2));
-        let (ir_w, sp, g) = (&c.ir[..n], c.sp, c.g);
+        let (ir_w, sp, geo) = (&c.ir[..n], c.sp, g.fit(n));
         let PhysParams { gamma, mu, kappa, eta, .. } = *c.params;
         let gm1 = gamma - 1.0;
         for q in 0..n {
-            let li = q + 1;
+            let (li, g) = (q + 1, geo.at(q));
             let ir = ir_w[q];
             let dvr_r = vr.ddr(li, sp);
             let dvt_t = vt.ddt(li, sp);
@@ -1298,7 +1528,7 @@ isa_kernel! {
         ap_o: &mut [f64],
         b: &Rows3,
         j: &Rows3,
-        c: &Column,
+        c: &Run,
     ) {
         let n = ar_o.len();
         let (at_o, ap_o) = (&mut at_o[..n], &mut ap_o[..n]);
@@ -1821,6 +2051,100 @@ mod tests {
                     for (boxes, tiling) in [(&[range][..], "whole"), (&split[..], "split")] {
                         let what = format!("n={n} sink {sink} {kernels:?} {tiling}");
                         let (acc, next) = sweep(kernels, sink, boxes);
+                        assert_bitwise(&acc, &acc_ref, &format!("{what}: acc"));
+                        assert_bitwise(&next, &next_ref, &format!("{what}: next"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs of θ-adjacent columns must not move a bit, wherever the run
+    /// boundaries fall: radial interiors of every length mod 4 (nr 10–13,
+    /// 24, 27), θ-widths of one column, two, one run less one, one run,
+    /// one run plus one and the full width, so that runs end short, end
+    /// exactly and spill one column over — through all three sinks and
+    /// both instantiations, against the reference sweep. The wall and
+    /// frame nodes of `acc` and `next` are poisoned with a *signalling*
+    /// NaN: copies keep its bits, but any arithmetic on it returns it
+    /// quieted, so a dropped wall lane that leaks into the flush, or a
+    /// swept segment that spills past `i1`, shows even as `acc += b·k`.
+    /// The forces take Yang's rotation axis, so Ω varies with φ too.
+    #[test]
+    fn runs_match_reference_at_every_run_boundary() {
+        let poison = f64::from_bits(0x7ff4_dead_beef_0041);
+        for nr in [10, 11, 12, 13, 24, 27] {
+            let n = nr - 2;
+            let m = 1 + RUN_LANES.saturating_sub(n) / nr;
+            let (grid, metric, _, params) = setup_nr(nr, m + 1);
+            let (_, nthg, nphg) = grid.dims();
+            let axis = rotation_axis(Panel::Yang);
+            let forces = ForceTables::new(&metric, nthg, nphg, 1, params.g0, params.omega, axis);
+            let shape = grid.full_shape();
+            let full = InteriorRange::full_panel(&grid);
+            let width = (full.j1 - full.j0) as usize;
+            assert!(width > m + 1, "nr={nr}: the panel must hold a run and a spill");
+            let y0 = noisy_state(&grid, &params, 0x5eed_0000 + nr as u64);
+            let mut acc0 = noisy_state(&grid, &params, 0xacc0_0000 + nr as u64);
+            let mut next0 = noisy_state(&grid, &params, 0x0e47_0000 + nr as u64);
+            // Every allocated node `(i, j, k)` outside `r`.
+            let outside = |r: InteriorRange| {
+                let (gth, gph) = (shape.gth as isize, shape.gph as isize);
+                let ks = -gph..shape.nph as isize + gph;
+                let js = move |k| (-gth..shape.nth as isize + gth).map(move |j| (j, k));
+                ks.flat_map(js).flat_map(move |(j, k)| (0..nr).map(move |i| (i, j, k))).filter(
+                    move |&(i, j, k)| {
+                        !((r.i0..r.i1).contains(&i)
+                            && (r.j0..r.j1).contains(&j)
+                            && (r.k0..r.k1).contains(&k))
+                    },
+                )
+            };
+            for state in [&mut acc0, &mut next0] {
+                for arr in state.arrays_mut() {
+                    outside(full).for_each(|(i, j, k)| arr.set(i, j, k, poison));
+                }
+            }
+            let (b, a) = (1.7e-3 / 6.0, 0.85e-3);
+            let mut scratch = RhsScratch::new(shape);
+            let mut widths = vec![1, 2, m - 1, m, m + 1, width];
+            widths.retain(|&w| w >= 1);
+            widths.dedup();
+            for w in widths {
+                // Three φ columns: a `PHI_BLOCK` band and the next one.
+                let (j1, k0, k1) = (full.j0 + w as isize, full.k0 + 1, full.k0 + 4);
+                let range = InteriorRange { j1, k0, k1, ..full };
+                for sink in 0..3 {
+                    let mut sweep = |kernels: RhsKernels| {
+                        scratch.kernels = kernels;
+                        let (mut acc, mut next) = (acc0.clone(), next0.clone());
+                        let sink = &mut match sink {
+                            0 => RhsSink::Store(&mut next),
+                            1 => RhsSink::Stage { acc: &mut acc, y0: &y0, next: &mut next, b, a },
+                            _ => RhsSink::Final { acc: &mut acc, b },
+                        };
+                        let m = &mut Meters::new();
+                        sweep_rhs(&y0, &metric, &forces, &params, &range, &mut scratch, sink, m);
+                        (acc, next)
+                    };
+                    let [reference, instantiations @ ..] = selectors();
+                    let (acc_ref, next_ref) = sweep(reference);
+                    // Outside the sweep every bit survives; the runs must
+                    // then match the reference everywhere.
+                    for (after, before) in [(&acc_ref, &acc0), (&next_ref, &next0)] {
+                        for (x, x0) in after.arrays().into_iter().zip(before.arrays()) {
+                            for (i, j, k) in outside(range) {
+                                assert_eq!(
+                                    x.at(i, j, k).to_bits(),
+                                    x0.at(i, j, k).to_bits(),
+                                    "nr={nr} width={w} sink {sink}: ({i},{j},{k}) was written"
+                                );
+                            }
+                        }
+                    }
+                    for kernels in instantiations {
+                        let what = format!("nr={nr} width={w} sink {sink} {kernels:?}");
+                        let (acc, next) = sweep(kernels);
                         assert_bitwise(&acc, &acc_ref, &format!("{what}: acc"));
                         assert_bitwise(&next, &next_ref, &format!("{what}: next"));
                     }

@@ -138,13 +138,15 @@ pub fn wave_speed_breakdown(
     params: &PhysParams,
     range: &InteriorRange,
 ) -> SpeedBreakdown {
-    let mut out = SpeedBreakdown::default();
+    // Fold the squares and take one root per maximum: sqrt is monotone
+    // and correctly rounded, so this is the per-node `max(√x)` bit for bit.
+    let (mut flow2, mut sound2, mut alfven2) = (0.0f64, 0.0f64, 0.0f64);
     for_each_speed2(state, metric, params, range, |v2, cs2, va2| {
-        out.flow = out.flow.max(v2.sqrt());
-        out.sound = out.sound.max(cs2.sqrt());
-        out.alfven = out.alfven.max(va2.sqrt());
+        flow2 = flow2.max(v2);
+        sound2 = sound2.max(cs2);
+        alfven2 = alfven2.max(va2);
     });
-    out
+    SpeedBreakdown { flow: flow2.sqrt(), sound: sound2.sqrt(), alfven: alfven2.sqrt() }
 }
 
 /// CFL time step from a wave speed and the tile's smallest spacing.

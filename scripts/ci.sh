@@ -207,6 +207,18 @@ echo "$chaos_tc" | grep -qE ' [1-9][0-9]* degrade' || {
   echo "ERROR: chaos trace has no degrade instants" >&2; exit 1; }
 echo "OK: retile recorded in v3 report and Chrome trace"
 
+echo "==> benchmark-grid soak: serial, 1x2 and 2x2 write the same checkpoint at nr=24 nth=25"
+# The soaks above run nr=12 nth=9. The benchmark's medium grid has 22
+# interior radial nodes, and the 2x2 tiles have unequal θ extents, so
+# each layout splits the sweep's runs of θ-adjacent columns differently.
+bench_grid="steps=4 sample=0 nr=24 nth=25"
+./target/release/yycore run $bench_grid ckpt="$soak_dir/bench-serial.ck" >/dev/null 2>&1
+for layout in "pth=1 pph=2" "pth=2 pph=2"; do
+  ./target/release/yycore parallel $bench_grid $layout ckpt="$soak_dir/bench-par.ck" >/dev/null 2>&1
+  cmp "$soak_dir/bench-serial.ck" "$soak_dir/bench-par.ck"
+done
+echo "OK: the benchmark grid's checkpoint is byte-identical across 1x1, 1x2 and 2x2"
+
 echo "==> doctor smoke: the chaos trace diagnosis names the kill and the re-tile"
 # The doctor re-derives the critical path from the exported trace; the
 # killed rank and the shrink it forced must both surface as disruptions.
