@@ -23,12 +23,10 @@
 //! same trajectory as one that never stopped (verified by an integration
 //! test), because the ghost/frame values are stored too.
 
-use crate::config::RunConfig;
-use crate::serial::{fill_pair, SerialSim};
+use crate::serial::SerialSim;
 use std::io::{self, Read, Write};
 use yy_field::{Array3, Shape};
-use yy_mesh::{OversetColumn, Panel, PatchGrid};
-use yy_mhd::{initialize, State};
+use yy_mhd::State;
 
 pub(crate) const MAGIC: &[u8; 8] = b"YYCORE\0\x02";
 
@@ -497,37 +495,6 @@ impl Checkpoint {
     pub fn load(path: &std::path::Path) -> io::Result<Checkpoint> {
         let mut r = io::BufReader::new(std::fs::File::open(path)?);
         Checkpoint::read_from(&mut r)
-    }
-
-    /// A step-0 checkpoint of `cfg`'s run awaiting owned blocks, its
-    /// panels *initialized* rather than zeroed: the serial driver's ghost
-    /// padding keeps its initialization values forever (syncs only
-    /// rewrite frames and walls), so a checkpoint assembled from owned
-    /// blocks is byte-identical to a serial one only if the unowned
-    /// padding carries the same initial bytes.
-    pub(crate) fn blank(cfg: &RunConfig, grid: &PatchGrid) -> Checkpoint {
-        let [yin, yang] = [Panel::Yin, Panel::Yang].map(|p| {
-            let mut s = State::zeros(grid.full_shape());
-            initialize(&mut s, grid, None, &cfg.params, &cfg.init, p);
-            s
-        });
-        Checkpoint { shape: grid.full_shape(), step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
-    }
-
-    /// Close a checkpoint whose owned blocks have all been placed: the
-    /// blocks carry owned values only, so refill the overset frames and
-    /// wall conditions exactly as the serial driver's boundary
-    /// synchronisation would, and stamp the clock.
-    pub(crate) fn seal(
-        &mut self,
-        cfg: &RunConfig,
-        cols: &[OversetColumn],
-        step: u64,
-        time: f64,
-        dt_cache: f64,
-    ) {
-        fill_pair(&mut self.yin, &mut self.yang, cols, cfg.params.t_inner, cfg.mag_bc, None);
-        (self.step, self.time, self.dt_cache) = (step, time, dt_cache);
     }
 }
 

@@ -1,31 +1,115 @@
-//! Shard-set operations: list a directory's steps, and reassemble a
-//! complete set into the serial-format [`Checkpoint`] byte-identically.
+//! Shard-set operations: keep a pass's newest owned blocks in memory,
+//! and reassemble a complete set — from memory or from shard files —
+//! into the serial-format [`Checkpoint`] byte-identically.
 
-use super::shard::{load_shard, parse_shard_name};
+use super::shard::{load_shard, parse_shard_name, ShardMeta};
 use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
-use crate::serial::overset_columns;
+use crate::serial::{fill_pair, overset_columns};
+use std::borrow::Cow;
+use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::Mutex;
 use yy_field::unpack_region;
+use yy_mesh::{Panel, PatchGrid};
+use yy_mhd::{init::InitOptions, initialize, State};
 
-/// The steps for which `dir` holds at least one shard, ascending.
-pub fn shard_steps(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut steps: Vec<u64> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some((step, _)) = parse_shard_name(&entry.file_name().to_string_lossy()) {
-            steps.push(step);
+/// One rank's owned block at one step: its shard header and the raw
+/// payload `pack_shard_payload` writes.
+pub(crate) type Block = (ShardMeta, Vec<u8>);
+
+/// A pass's in-memory shard set: per world rank, the blocks of its two
+/// newest checkpoint events. Two are enough for a complete step to
+/// exist whenever any does: a rank stores step N only after the
+/// collective health verdict of step N, which every rank reaches after
+/// its store of step N − `checkpoint_every`, so no rank runs two events
+/// ahead of another. Each rank locks only its own entry.
+pub(crate) struct ShardSet(Vec<Mutex<[Option<Block>; 2]>>);
+
+impl ShardSet {
+    /// An empty set for a world of `ranks` ranks.
+    pub(crate) fn new(ranks: usize) -> ShardSet {
+        ShardSet((0..ranks).map(|_| Mutex::default()).collect())
+    }
+
+    /// Store the block `meta` describes over its rank's older (or an
+    /// empty) generation, whose buffer `pack` refills: once both
+    /// generations exist an event allocates nothing. The generation is
+    /// out of the set while `pack` runs, so a rank that dies mid-store
+    /// leaves that step missing, never half-written.
+    pub(crate) fn store(&self, meta: ShardMeta, pack: impl FnOnce(&mut Vec<u8>)) {
+        // A poisoned entry holds whole blocks only (see above).
+        let mut gens = self.0[meta.rank as usize].lock().unwrap_or_else(|e| e.into_inner());
+        let older = (0..2).min_by_key(|&g| gens[g].as_ref().map(|(m, _)| m.step)).unwrap_or(0);
+        let mut raw = gens[older].take().map(|(_, raw)| raw).unwrap_or_default();
+        pack(&mut raw);
+        gens[older] = Some((meta, raw));
+    }
+
+    /// The stored blocks, once every rank thread has returned. Without
+    /// `older`, each rank keeps its newest block only: the final
+    /// assembly then holds one globe of blocks beside the result, not two.
+    pub(crate) fn into_blocks(self, older: bool) -> Vec<Block> {
+        let mut blocks = Vec::new();
+        for gens in self.0 {
+            let mut gens = gens.into_inner().unwrap_or_else(|e| e.into_inner());
+            gens.sort_by_key(|g| std::cmp::Reverse(g.as_ref().map(|(m, _)| m.step)));
+            blocks.extend(gens.into_iter().flatten().take(if older { 2 } else { 1 }));
+        }
+        blocks
+    }
+}
+
+/// Where a merge reads a set's owned blocks from.
+enum Source<'a> {
+    /// Shard files, each decoded through its delta chain.
+    Dir(&'a Path),
+    /// A pass's in-memory set.
+    Mem(&'a [Block]),
+}
+
+impl fmt::Display for Source<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Source::Dir(dir) => write!(f, "{}", dir.display()),
+            Source::Mem(_) => f.write_str("memory"),
         }
     }
-    steps.sort_unstable();
-    steps.dedup();
-    Ok(steps)
+}
+
+impl Source<'_> {
+    /// Every `(step, rank)` that has a block.
+    fn index(&self) -> io::Result<Vec<(u64, usize)>> {
+        match self {
+            Source::Dir(dir) => {
+                let mut index = Vec::new();
+                for entry in std::fs::read_dir(dir)? {
+                    index.extend(parse_shard_name(&entry?.file_name().to_string_lossy()));
+                }
+                Ok(index)
+            }
+            Source::Mem(blocks) => {
+                Ok(blocks.iter().map(|(m, _)| (m.step, m.rank as usize)).collect())
+            }
+        }
+    }
+
+    fn load(&self, step: u64, rank: usize) -> io::Result<(ShardMeta, Cow<'_, [u8]>)> {
+        match self {
+            Source::Dir(dir) => load_shard(dir, step, rank).map(|(m, raw)| (m, Cow::Owned(raw))),
+            Source::Mem(blocks) => blocks
+                .iter()
+                .find(|(m, _)| (m.step, m.rank) == (step, rank as u64))
+                .map(|(m, raw)| (*m, Cow::Borrowed(raw.as_slice())))
+                .ok_or_else(|| invalid(format!("no block for step {step} rank {rank} in memory"))),
+        }
+    }
 }
 
 /// Reassemble a shard set into the serial-format [`Checkpoint`] —
-/// byte-identical to the one a serial run (or the rank-0 gather path)
-/// would have written at the same step.
+/// byte-identical to the one a serial run would have written at the
+/// same step.
 ///
 /// `step` selects a specific shard set; `None` takes the newest step
 /// with a complete, mutually consistent set. The configuration must
@@ -34,28 +118,53 @@ pub fn shard_steps(dir: &Path) -> io::Result<Vec<u64>> {
 /// them from `cfg` exactly as the serial driver does, places every
 /// shard's owned block, and refills the overset frames and walls.
 pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Result<Checkpoint> {
-    let steps = shard_steps(dir)?;
+    merge(cfg, &Source::Dir(dir), step, None)
+}
+
+/// [`merge_shards`] over an in-memory set: the newest complete step,
+/// its padding taken from `padding` (the run's resume checkpoint) when
+/// given, else rebuilt from `cfg`.
+pub(crate) fn merge_blocks(
+    cfg: &RunConfig,
+    blocks: &[Block],
+    padding: Option<&Checkpoint>,
+) -> io::Result<Checkpoint> {
+    merge(cfg, &Source::Mem(blocks), None, padding)
+}
+
+fn merge(
+    cfg: &RunConfig,
+    src: &Source,
+    step: Option<u64>,
+    padding: Option<&Checkpoint>,
+) -> io::Result<Checkpoint> {
+    let index = src.index()?;
+    let mut steps: Vec<u64> = index.iter().map(|&(step, _)| step).collect();
+    steps.sort_unstable();
+    steps.dedup();
     if steps.is_empty() {
-        return Err(invalid(format!("no checkpoint shards found in {}", dir.display())));
+        return Err(invalid(format!("no checkpoint shards found in {src}")));
     }
     let candidates: Vec<u64> = match step {
         Some(s) => {
             if !steps.contains(&s) {
                 return Err(invalid(format!(
-                    "no shards for step {s} in {} (available steps: {steps:?})",
-                    dir.display()
+                    "no shards for step {s} in {src} (available steps: {steps:?})"
                 )));
             }
             vec![s]
         }
         // Newest first; fall back to older sets if the newest is
-        // incomplete (a kill can land mid-flight between two ranks'
-        // atomic renames).
+        // incomplete (a kill can land between two ranks' stores).
         None => steps.iter().rev().copied().collect(),
     };
     let mut last_err: Option<io::Error> = None;
     for s in candidates {
-        match merge_step(cfg, dir, s) {
+        let mut ranks: Vec<usize> =
+            index.iter().filter(|&&(t, _)| t == s).map(|&(_, rank)| rank).collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        match merge_step(cfg, src, s, &ranks, padding) {
             Ok(ck) => return Ok(ck),
             Err(e) => last_err = Some(e),
         }
@@ -64,24 +173,19 @@ pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Resul
     Err(last_err.expect("at least one candidate step was tried"))
 }
 
-fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> {
-    // Which ranks wrote a shard at this step?
-    let mut ranks: Vec<usize> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        if let Some((s, r)) = parse_shard_name(&entry?.file_name().to_string_lossy()) {
-            if s == step {
-                ranks.push(r);
-            }
-        }
-    }
-    ranks.sort_unstable();
-    // The caller listed this step, but the directory can change under us.
-    let Some(&first_rank) = ranks.first() else {
-        return Err(invalid(format!("no shards for step {step} in {}", dir.display())));
-    };
-    let (first, first_raw) = load_shard(dir, step, first_rank)?;
+/// Assemble the set of `step`, whose blocks `ranks` (ascending, at
+/// least one) hold: completeness, coverage and consistency checks, then
+/// placement and the frame and wall refill.
+fn merge_step(
+    cfg: &RunConfig,
+    src: &Source,
+    step: u64,
+    ranks: &[usize],
+    padding: Option<&Checkpoint>,
+) -> io::Result<Checkpoint> {
+    let (first, first_raw) = src.load(step, ranks[0])?;
     let world = (2 * first.pth * first.pph) as usize;
-    if ranks != (0..world).collect::<Vec<_>>() {
+    if !ranks.iter().copied().eq(0..world) {
         return Err(invalid(format!(
             "shard set at step {step} is incomplete: layout {}x{} needs ranks 0..{world}, \
              found {ranks:?}",
@@ -96,7 +200,7 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             first.shape, shape
         )));
     }
-    let mut ck = Checkpoint::blank(cfg, &grid);
+    let mut ck = padding.cloned().unwrap_or_else(|| blank(cfg, &grid));
     // Coverage check: each panel's interior must be tiled exactly once.
     let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
     let mut first_raw = Some(first_raw);
@@ -104,7 +208,7 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
     for rank in 0..world {
         let (meta, raw) = match first_raw.take_if(|_| rank == first.rank as usize) {
             Some(raw) => (first, raw),
-            None => load_shard(dir, step, rank)?,
+            None => src.load(step, rank)?,
         };
         for (what, a, b) in [
             ("layout", meta.pth, first.pth),
@@ -164,8 +268,30 @@ fn merge_step(cfg: &RunConfig, dir: &Path, step: u64) -> io::Result<Checkpoint> 
             )));
         }
     }
-    ck.seal(cfg, &overset_columns(&grid), step, first.time, first.dt_cache);
+    // The blocks carry owned values only: refill the overset frames and
+    // wall conditions exactly as the serial driver's sync would.
+    let cols = overset_columns(&grid);
+    fill_pair(&mut ck.yin, &mut ck.yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
+    (ck.step, ck.time, ck.dt_cache) = (step, first.time, first.dt_cache);
     Ok(ck)
+}
+
+/// A step-0 checkpoint of `cfg`'s run awaiting owned blocks, its panels
+/// *initialized* rather than zeroed: the serial driver's ghost padding
+/// keeps its initialization values forever (syncs only rewrite frames
+/// and walls), so a checkpoint assembled from owned blocks is
+/// byte-identical to a serial one only if the unowned padding carries
+/// the same initial bytes. Those are unperturbed (the seeded noise lands
+/// on owned nodes only), so the noise is skipped: the blocks overwrite
+/// every owned node anyway.
+fn blank(cfg: &RunConfig, grid: &PatchGrid) -> Checkpoint {
+    let quiet = InitOptions { perturb_amplitude: 0.0, seed_amplitude: 0.0, ..cfg.init };
+    let [yin, yang] = [Panel::Yin, Panel::Yang].map(|p| {
+        let mut s = State::zeros(grid.full_shape());
+        initialize(&mut s, grid, None, &cfg.params, &quiet, p);
+        s
+    });
+    Checkpoint { shape: grid.full_shape(), step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
 }
 
 /// Whether `path` names a shard *directory* (as opposed to a serial

@@ -25,7 +25,9 @@
 //!    decode of corrupt input can never pass the check, whatever the
 //!    codec does with the bytes. [`merge_shards`] reassembles any
 //!    complete shard set into the serial-format [`crate::checkpoint::Checkpoint`]
-//!    byte-identically (the restart-onto-any-layout property).
+//!    byte-identically (the restart-onto-any-layout property). A
+//!    supervised run keeps the same blocks in memory (`ShardSet`) as
+//!    its rollback point, assembled by the same merge.
 //!
 //! 2. **Codecs.** A zero-dependency XOR-delta against the previous
 //!    checkpoint's payload (most field bytes are unchanged between
@@ -55,7 +57,8 @@ mod shard;
 mod stage;
 
 pub use codec::{rle_decode, rle_encode, xor_with, CkptCodec};
-pub use merge::{is_shard_dir, merge_shards, shard_steps};
+pub use merge::{is_shard_dir, merge_shards};
+pub(crate) use merge::{merge_blocks, Block, ShardSet};
 pub(crate) use shard::pack_shard_payload;
 pub use shard::{parse_shard_name, shard_file_name, ShardMeta};
 pub use stage::{IoTotals, OutputStage};
@@ -302,6 +305,29 @@ mod tests {
         let (mut delta, mut file) = (Vec::new(), Vec::new());
         let used = encode_shard(m, raw, base, c, &mut delta, &mut file);
         (file, used)
+    }
+
+    /// An in-memory set keeps each rank's two newest blocks: a third
+    /// event replaces the oldest, and without `older` only the newest
+    /// is left for the final assembly.
+    #[test]
+    fn shard_set_keeps_the_two_newest_generations() {
+        let sim = sim_at(0);
+        let filled = || {
+            let set = ShardSet::new(1);
+            for step in [0, 2, 4] {
+                let meta = ShardMeta { step, ..meta_for(&sim, 0, 0) };
+                set.store(meta, |raw| *raw = vec![step as u8]);
+            }
+            set
+        };
+        let steps = |blocks: Vec<Block>| {
+            let mut v: Vec<(u64, Vec<u8>)> = blocks.into_iter().map(|(m, r)| (m.step, r)).collect();
+            v.sort();
+            v
+        };
+        assert_eq!(steps(filled().into_blocks(true)), [(2, vec![2]), (4, vec![4])]);
+        assert_eq!(steps(filled().into_blocks(false)), [(4, vec![4])]);
     }
 
     #[test]

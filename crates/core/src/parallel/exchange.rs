@@ -19,7 +19,6 @@ use yy_parcomm::Comm;
 const TAG_HALO_THETA: u64 = 11;
 const TAG_HALO_PHI: u64 = 12;
 const TAG_OVERSET: u64 = 13;
-pub(super) const TAG_GATHER: u64 = 14;
 
 /// Persistent per-rank communication scratch. Message buffers circulate
 /// as a closed loop: `send_f64s` moves a `Vec` to the receiving rank,

@@ -27,11 +27,12 @@
 //! [`run_parallel_supervised`] runs the same rank program in the
 //! supervised runtime: deterministic fault injection
 //! ([`yy_parcomm::fault`]), comm deadlines with bounded retry, per-step
-//! solver health guards ([`crate::health`]), and periodic parallel
-//! checkpoints. When a rank dies (injected kill, comm timeout, panic)
-//! the whole universe is torn down and restarted from the last good
-//! checkpoint; when the *solver* goes unhealthy the supervisor rolls
-//! back **and** halves the time step. Because delivery is exactly-once
+//! solver health guards ([`crate::health`]), and periodic checkpoint
+//! events, at which every rank stores its owned block in an in-memory
+//! shard set and sends nothing. When a rank dies (injected kill, comm
+//! timeout, panic) the whole universe is torn down and restarted from
+//! the set's newest complete step; when the *solver* goes unhealthy the
+//! supervisor rolls back **and** halves the time step. Because delivery is exactly-once
 //! and in-order even under injected drops/delays/duplicates, and
 //! because the restart replays the dt/sampling cadence at absolute step
 //! numbers, a recovered run reproduces the fault-free trajectory
@@ -53,27 +54,17 @@ use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::health::HealthLimits;
 use crate::obs::ObsOpts;
-use crate::output::CkptCodec;
+use crate::output::{merge_blocks, CkptCodec, ShardSet};
 pub use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
 use crate::report::RunReport;
 use crate::telemetry::DtInject;
 use rank::{rank_program, PassPlan};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use supervisor::{next_action, Supervisor};
 use yy_mesh::Decomp2D;
 use yy_mhd::State;
 use yy_parcomm::{FaultSpec, Universe};
-
-/// The supervisor's last-good checkpoint, replaced whole by rank 0.
-type CkptSlot = Mutex<Option<Checkpoint>>;
-
-/// A panicked rank thread cannot leave the slot half-written (it is
-/// only ever replaced whole), so a poisoned lock is still good.
-fn lock_slot(slot: &CkptSlot) -> MutexGuard<'_, Option<Checkpoint>> {
-    slot.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Result of a parallel run (assembled on world rank 0).
 pub struct ParallelReport {
@@ -92,8 +83,9 @@ pub struct ParallelReport {
 /// Execute a parallel run with `pth × pph` tiles per panel
 /// (world size = `2 · pth · pph` rank threads): the rank program of
 /// [`run_parallel_supervised`] in a plain universe, with no fault plan,
-/// no deadlines and no checkpoints. Panics on a solver health violation
-/// (there is nothing to roll back to).
+/// no deadlines and no checkpoint events but the final state's, kept
+/// only when `gather_state` asks for the panels. Panics on a solver
+/// health violation (there is nothing to roll back to).
 pub fn run_parallel(
     cfg: &RunConfig,
     pth: usize,
@@ -117,9 +109,9 @@ pub fn run_parallel(
         science: None,
     };
     // The gathered panels are the panels of a final checkpoint.
-    let slot = gather_state.then(|| Mutex::new(None));
+    let set = gather_state.then(|| ShardSet::new(2 * decomp.tiles()));
     let results = Universe::run(2 * decomp.tiles(), |world| {
-        rank_program(cfg, world, &decomp, &plan, None, slot.as_ref())
+        rank_program(cfg, world, &decomp, &plan, None, set.as_ref())
     });
     // A health verdict is collective: every rank returned the same `Err`.
     let mut rep = match results.into_iter().next() {
@@ -129,7 +121,9 @@ pub fn run_parallel(
         // `rank_program` returns `Ok(Some(_))` on rank 0, and the universe has ≥ 2 ranks.
         _ => panic!("rank 0 must produce the report"),
     };
-    if let Some(ck) = slot.and_then(|s| lock_slot(&s).take()) {
+    if let Some(set) = set {
+        let ck = merge_blocks(cfg, &set.into_blocks(false), None)
+            .unwrap_or_else(|e| panic!("assembling the final state: {e}"));
         (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
     }
     rep
@@ -190,8 +184,9 @@ pub struct RecoveryOpts {
     /// Solver health thresholds.
     pub health: HealthLimits,
     /// Observability: flight-recorder installation, the Chrome-trace
-    /// output path, ring sizing. Recording never perturbs the
-    /// trajectory — the traced and untraced runs are bitwise identical.
+    /// output path, counters, the live metrics hub and science
+    /// telemetry. Recording never perturbs the trajectory — the traced
+    /// and untraced runs are bitwise identical.
     pub obs: ObsOpts,
     /// What to do when a fault is classified as persistent (same node,
     /// same failure, twice).
@@ -203,9 +198,9 @@ pub struct RecoveryOpts {
     /// checkpoint restores onto any other layout bit-exactly.
     pub resume_from: Option<Checkpoint>,
     /// Directory for per-rank checkpoint *shards* (`None` disables disk
-    /// persistence; the in-memory rollback slot always works). Each rank
-    /// writes its owned region at every checkpoint event; any complete
-    /// shard set merges back into a serial-format checkpoint
+    /// persistence; the rollback point is kept in memory either way).
+    /// Each rank writes its owned region at every checkpoint event; any
+    /// complete shard set merges back into a serial-format checkpoint
     /// byte-identically ([`crate::output::merge_shards`]).
     pub ckpt_dir: Option<PathBuf>,
     /// Shard payload codec (`none` | `delta`).
@@ -301,7 +296,7 @@ pub struct SupervisedReport {
 ///
 /// The rank program is [`run_parallel`]'s, in a supervised universe: a
 /// `fault_tick` at the top of every step (injected kills), deadline-
-/// bounded receives, and checkpoint capture at rank 0. The supervisor
+/// bounded receives, and per-rank checkpoint events. The supervisor
 /// restarts the universe from the last good checkpoint when any rank
 /// fails, and additionally halves the time step when the failure was a
 /// solver health violation. With faults that only drop/delay/duplicate
@@ -619,5 +614,62 @@ mod tests {
         assert!(matches!(persistent(&mut st, 1), Action::Retile { .. }));
         let msg = give_up(persistent(&mut st, 0));
         assert!(msg.starts_with("giving up after 1 re-tiles: rank 0"), "{msg}");
+    }
+
+    /// The rollback point's rule on a hand-built in-memory set at the
+    /// 1×1 layout (rank 0 owns Yin, rank 1 Yang), events every 2 steps:
+    /// with rank 1 missing step 4, the next pass resumes from step 2,
+    /// equal to the serial checkpoint of step 2; with no complete step,
+    /// the pass's own resume checkpoint stands. The in-memory twin of
+    /// `shard_merge.rs`'s incomplete-set case.
+    #[test]
+    fn rollback_resumes_from_the_newest_complete_in_memory_step() {
+        use super::supervisor::resume_after;
+        use crate::output::{pack_shard_payload, ShardMeta};
+        let cfg = quick_cfg();
+        let mut sim = SerialSim::new(cfg.clone());
+        let store = |set: &ShardSet, sim: &SerialSim, rank: usize| {
+            let panel = [&sim.yin, &sim.yang][rank];
+            let shape = panel.shape();
+            let (tnth, tnph) = (shape.nth as u64, shape.nph as u64);
+            let meta = ShardMeta {
+                shape,
+                step: sim.step,
+                time: sim.time,
+                dt_cache: sim.dt_cache,
+                pth: 1,
+                pph: 1,
+                rank: rank as u64,
+                panel: rank as u64,
+                j0: 0,
+                tnth,
+                k0: 0,
+                tnph,
+                flags: 0,
+                base_step: u64::MAX,
+            };
+            set.store(meta, |raw| pack_shard_payload(panel, shape.nth, shape.nph, raw));
+        };
+        let (set, torn) = (ShardSet::new(2), ShardSet::new(2));
+        let start = Checkpoint::capture(&sim);
+        for rank in [0, 1] {
+            store(&set, &sim, rank);
+        }
+        sim.run(2, 0);
+        let at_2 = Checkpoint::capture(&sim);
+        for rank in [0, 1] {
+            store(&set, &sim, rank);
+        }
+        sim.run(2, 0);
+        // Rank 1 dies before its step-4 store; rank 0's overwrites step 0.
+        store(&set, &sim, 0);
+        store(&torn, &sim, 0);
+
+        let resumed = resume_after(&cfg, &set.into_blocks(true), None, Some(start.clone()));
+        assert_eq!(resumed.as_ref().map(|ck| ck.step), Some(2), "fallback to the complete step");
+        assert!(resumed == Some(at_2), "the step-2 assembly differs from the serial checkpoint");
+        let kept = resume_after(&cfg, &torn.into_blocks(true), None, Some(start.clone()));
+        assert!(kept == Some(start), "with no complete step the pass's resume must stand");
+        assert!(resume_after(&cfg, &ShardSet::new(2).into_blocks(true), None, None).is_none());
     }
 }

@@ -3,17 +3,18 @@
 //! keeps its early returns matched, and the per-rank shard emitter.
 
 use super::solver::RankSolver;
-use super::{CkptSlot, ParallelReport};
+use super::ParallelReport;
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
-use crate::output::{pack_shard_payload, shard_file_name, CkptCodec, OutputStage, ShardMeta};
+use crate::output::{
+    pack_shard_payload, shard_file_name, CkptCodec, OutputStage, ShardMeta, ShardSet,
+};
 use crate::report::{IoStats, TimeSeriesPoint};
 use crate::telemetry::{DtInject, ScienceTelemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use yy_mesh::routing::panel_of_world;
 use yy_mesh::Decomp2D;
 use yy_mhd::State;
 use yy_obs::counters::{CounterSnapshot, Kernel, KernelTally};
@@ -77,18 +78,17 @@ fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
 /// kills surface as panics that [`yy_parcomm::Universe::run_supervised`] converts
 /// to [`yy_parcomm::RankFailure`].
 ///
-/// `slot`, when given, receives a serial-format checkpoint of the
-/// initial state, of every `plan.checkpoint_every`-th step and of the
-/// final state (a collective gather at rank 0); `plan.shards` adds this
-/// rank's shard file at the same events. With neither, the program
-/// gathers nothing.
+/// `set`, when given, receives this rank's owned block of the initial
+/// state (fresh passes), of every `plan.checkpoint_every`-th step and of
+/// the final state; `plan.shards` adds this rank's shard file at the
+/// same events. Either is local to the rank: an event sends nothing.
 pub(super) fn rank_program(
     cfg: &RunConfig,
     world: Comm,
     decomp: &Decomp2D,
     plan: &PassPlan,
     resume: Option<&Checkpoint>,
-    slot: Option<&CkptSlot>,
+    set: Option<&ShardSet>,
 ) -> Result<Option<ParallelReport>, String> {
     let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters);
     let mut emitter = plan.shards.as_ref().map(ShardEmitter::new);
@@ -116,10 +116,10 @@ pub(super) fn rank_program(
     let mut science = plan.science.as_ref().filter(|_| world.rank() == 0).cloned();
     let mut step_wall_ms = 0.0;
 
-    // A fresh pass seeds the checkpoint slot with the initial state so
-    // even a failure before the first periodic capture can recover.
+    // A fresh pass stores the initial state so even a failure before
+    // the first periodic event can recover.
     if resume.is_none() {
-        solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
+        solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
     }
 
     // Open the counter measurement window at loop entry (setup, restore
@@ -172,7 +172,7 @@ pub(super) fn rank_program(
             && solver.step % plan.checkpoint_every == 0
             && solver.step < plan.steps
         {
-            solver.checkpoint(&state, dt_cache, slot, emitter.as_mut());
+            solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
         }
         // Live metrics, every step: allreduce the counter words (a
         // collective every rank joins — the gate is rank-uniform) and let
@@ -219,13 +219,13 @@ pub(super) fn rank_program(
         );
     }
 
-    // Final shard + writer drain *before* the counter aggregation, so
+    // Final event + writer drain *before* the counter aggregation, so
     // the writer_wait phase and the IO totals are complete. The drain is
     // local; the error verdict is collective (presence of `shards` is
     // rank-uniform), so every rank returns together on a write failure.
+    solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
     let io = match emitter {
-        Some(mut em) => {
-            em.emit(&mut solver, &state, dt_cache);
+        Some(em) => {
             world.record_phase_ns(SolverPhase::WriterWait, em.stage.flush());
             let ShardEmitter { stage, codec, .. } = em;
             let totals = stage.finish();
@@ -258,10 +258,6 @@ pub(super) fn rank_program(
     };
     let mut report = solver.aggregate_counters();
     let achieved_imbalance = solver.achieved_imbalance();
-    if let Some(slot) = slot {
-        solver.capture_checkpoint(&state, dt_cache, slot);
-        world.record_event(Event::CheckpointSaved { step: solver.step });
-    }
     if world.rank() != 0 {
         return Ok(None);
     }
@@ -304,32 +300,14 @@ impl ShardEmitter {
         }
     }
 
-    /// Pack and submit one shard of the current state. Purely local
-    /// (no collectives — a peer death cannot strand it); time blocked
-    /// on the buffer pool is charged to the `writer_wait` phase, and
-    /// the pack work to the `output` kernel slot.
-    pub(super) fn emit(&mut self, solver: &mut RankSolver, state: &State, dt_cache: f64) {
+    /// Pack and submit the shard `meta` describes. Purely local (no
+    /// collectives — a peer death cannot strand it); time blocked on the
+    /// buffer pool is charged to the `writer_wait` phase, and the pack
+    /// work to the `output` kernel slot.
+    pub(super) fn emit(&mut self, solver: &mut RankSolver, state: &State, meta: ShardMeta) {
         let t0 = solver.meter.timer();
         let (mut raw, mut wait_ns) = self.stage.acquire();
         pack_shard_payload(state, solver.tile.nth, solver.tile.nph, &mut raw);
-        let dims = solver.cart.dims();
-        let (panel, _) = panel_of_world(solver.world.rank(), dims[0] * dims[1]);
-        let meta = ShardMeta {
-            shape: solver.grid.full_shape(),
-            step: solver.step,
-            time: solver.time,
-            dt_cache,
-            pth: dims[0] as u64,
-            pph: dims[1] as u64,
-            rank: solver.world.rank() as u64,
-            panel: panel.index() as u64,
-            j0: solver.tile.j0 as u64,
-            tnth: solver.tile.nth as u64,
-            k0: solver.tile.k0 as u64,
-            tnph: solver.tile.nph as u64,
-            flags: 0,
-            base_step: u64::MAX,
-        };
         let raw_len = raw.len() as u64;
         let path = self.dir.join(shard_file_name(meta.step, solver.world.rank()));
         wait_ns += self.stage.submit_shard(path, raw, meta, self.codec);

@@ -1,19 +1,19 @@
 //! The per-rank solver: construction (panel split, tile, metric, overset
-//! schedule), the RK4 step, checkpoint capture and restore, and the
+//! schedule), the RK4 step, checkpoint events and restore, and the
 //! end-of-run counter aggregation. The boundary synchronisation its
 //! step runs on lives in [`super::exchange`].
 
-use super::exchange::{CommScratch, TAG_GATHER};
+use super::exchange::CommScratch;
 use super::rank::ShardEmitter;
-use super::{lock_slot, CkptSlot};
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
+use crate::output::{pack_shard_payload, ShardMeta, ShardSet};
 use crate::report::{PhaseBreakdown, RunReport};
 use crate::serial::overset_columns;
 use std::sync::Arc;
 use yy_field::{pack_region, unpack_region, Meters, Region};
 use yy_mesh::routing::{build_schedule, panel_of_world, OversetExchange, TargetSlot};
-use yy_mesh::{Decomp2D, Metric, OversetColumn, Panel, PatchGrid, Tile};
+use yy_mesh::{Decomp2D, Metric, PatchGrid, Tile};
 use yy_mhd::rhs::{InteriorRange, OverlapSplit, RhsScratch, RhsSink};
 use yy_mhd::tables::rotation_axis;
 use yy_mhd::{
@@ -39,9 +39,6 @@ pub(super) struct RankSolver<'a> {
     pub(super) world: &'a Comm,
     pub(super) cart: CartComm,
     pub(super) grid: PatchGrid,
-    /// The tile layout this rank was built from; gather/restore
-    /// address blocks through it.
-    decomp: Decomp2D,
     pub(super) tile: Tile,
     pub(super) metric: Metric,
     pub(super) forces: ForceTables,
@@ -76,15 +73,6 @@ pub(super) struct RankSolver<'a> {
     pub(super) meter: Meters,
     pub(super) time: f64,
     pub(super) step: u64,
-    /// Rank 0's reusable checkpoint-assembly buffer: swapped with the
-    /// supervisor's last-good slot at every capture, so steady-state
-    /// checkpointing stops reallocating two full panel states per event
-    /// (pinned by the `ckpt_alloc` regression test). Always `None` on
-    /// other ranks.
-    ckpt_scratch: Option<Checkpoint>,
-    /// Rank 0's cached overset columns for the checkpoint frame refill
-    /// (building them is the other per-capture allocation storm).
-    ckpt_cols: Option<Vec<OversetColumn>>,
 }
 
 /// The owned block of tile `t` over the full radial extent, in panel
@@ -173,7 +161,6 @@ impl<'a> RankSolver<'a> {
             world,
             cart,
             grid,
-            decomp: decomp.clone(),
             tile,
             metric,
             forces,
@@ -198,8 +185,6 @@ impl<'a> RankSolver<'a> {
             })),
             time: 0.0,
             step: 0,
-            ckpt_scratch: None,
-            ckpt_cols: None,
         };
         (solver, state)
     }
@@ -282,93 +267,47 @@ impl<'a> RankSolver<'a> {
         self.step = ck.step;
     }
 
-    /// Gather the panels and (on world rank 0) store a serial-compatible
-    /// checkpoint of the current state into the supervisor's slot. Every
-    /// rank must call this — the gather is collective.
-    ///
-    /// Rank 0 assembles into a reusable scratch checkpoint and *swaps*
-    /// it with the slot, so steady-state captures stop reallocating two
-    /// full panel states (and rebuilding the overset columns) per event.
-    /// The slot is only ever replaced whole — a rank killed mid-gather
-    /// panics this rank before the swap, leaving the last good
-    /// checkpoint untouched.
-    pub(super) fn capture_checkpoint(&mut self, state: &State, dt_cache: f64, slot: &CkptSlot) {
-        let nr = self.grid.spec().nr;
-        let owned = tile_region(&self.tile, nr, false);
-        if self.world.rank() != 0 {
-            let mut buf = Vec::with_capacity(owned.len() * 8);
-            for arr in state.arrays() {
-                pack_region(arr, owned, &mut buf);
-            }
-            self.world.send_f64s(0, TAG_GATHER, buf, TrafficClass::Control);
-            return;
+    /// This rank's owned block as a shard header at the current step.
+    fn shard_meta(&self, dt_cache: f64) -> ShardMeta {
+        let dims = self.cart.dims();
+        let (panel, _) = panel_of_world(self.world.rank(), dims[0] * dims[1]);
+        ShardMeta {
+            shape: self.grid.full_shape(),
+            step: self.step,
+            time: self.time,
+            dt_cache,
+            pth: dims[0] as u64,
+            pph: dims[1] as u64,
+            rank: self.world.rank() as u64,
+            panel: panel.index() as u64,
+            j0: self.tile.j0 as u64,
+            tnth: self.tile.nth as u64,
+            k0: self.tile.k0 as u64,
+            tnph: self.tile.nph as u64,
+            flags: 0,
+            base_step: u64::MAX,
         }
-        let full = self.grid.full_shape();
-        // Reuse the scratch checkpoint when it exists; failing that,
-        // clone the slot's occupant (the second capture of a pass: the
-        // first scratch went into the slot, and a copy is several times
-        // cheaper than a rebuild); only with neither build blank panels.
-        // Every occupant of slot and scratch carries their initialized
-        // padding — an earlier capture, or the serial-format checkpoint
-        // the run resumed from — and captures rewrite only owned blocks,
-        // frames and walls.
-        let scratch = self.ckpt_scratch.take().or_else(|| lock_slot(slot).clone());
-        let mut ck = match scratch {
-            Some(ck) if ck.shape == full => ck,
-            _ => Checkpoint::blank(&self.cfg, &self.grid),
-        };
-        let tiles = self.decomp.tiles();
-        for world_rank in 0..2 * tiles {
-            let (panel, pr) = panel_of_world(world_rank, tiles);
-            let region = tile_region(&self.decomp.tile(pr), nr, true);
-            let dst = match panel {
-                Panel::Yin => &mut ck.yin,
-                Panel::Yang => &mut ck.yang,
-            };
-            if world_rank == 0 {
-                // This rank's own block goes row by row from the state,
-                // not through a gather buffer and back.
-                for (src, dst) in state.arrays().into_iter().zip(dst.arrays_mut()) {
-                    for k in owned.k0..owned.k1 {
-                        for j in owned.j0..owned.j1 {
-                            dst.row_mut(region.j0 + j, region.k0 + k)[..nr]
-                                .copy_from_slice(&src.row(j, k)[..nr]);
-                        }
-                    }
-                }
-                continue;
-            }
-            let data = self.world.recv_f64s(world_rank, TAG_GATHER);
-            let mut rest: &[f64] = &data;
-            for arr in dst.arrays_mut() {
-                rest = unpack_region(arr, region, rest);
-            }
-            assert!(rest.is_empty());
-        }
-        // Against columns built once per solver.
-        let cols = self.ckpt_cols.get_or_insert_with(|| overset_columns(&self.grid));
-        ck.seal(&self.cfg, cols, self.step, self.time, dt_cache);
-        self.ckpt_scratch = lock_slot(slot).replace(ck);
     }
 
-    /// One checkpoint event: gather a serial-format checkpoint into
-    /// `slot` and write this rank's shard, whichever the run has. Every
-    /// rank must call this — the gather is collective.
+    /// One checkpoint event: store this rank's owned block in `set` and
+    /// write its shard, whichever the run has. Purely local — no message,
+    /// and no rank does another's work.
     pub(super) fn checkpoint(
         &mut self,
         state: &State,
         dt_cache: f64,
-        slot: Option<&CkptSlot>,
+        set: Option<&ShardSet>,
         emitter: Option<&mut ShardEmitter>,
     ) {
-        if slot.is_none() && emitter.is_none() {
+        if set.is_none() && emitter.is_none() {
             return;
         }
-        if let Some(slot) = slot {
-            self.capture_checkpoint(state, dt_cache, slot);
+        let meta = self.shard_meta(dt_cache);
+        if let Some(set) = set {
+            set.store(meta, |raw| pack_shard_payload(state, self.tile.nth, self.tile.nph, raw));
         }
         if let Some(em) = emitter {
-            em.emit(self, state, dt_cache);
+            em.emit(self, state, meta);
         }
         self.world.record_event(Event::CheckpointSaved { step: self.step });
     }
@@ -429,6 +368,7 @@ impl<'a> RankSolver<'a> {
             Some(&self.tile),
             &self.cfg.params,
             &self.range,
+            None,
         );
         let v = local.to_vec();
         let sums = self.world.allreduce_vec(&v[..4], ReduceOp::Sum);

@@ -3,15 +3,15 @@
 //! applying the decided action, and assembling the final report.
 
 use super::rank::{rank_program, PassPlan, ShardCfg};
-use super::{
-    lock_slot, CkptSlot, FailurePolicy, ParallelReport, PassStat, RecoveryOpts, SupervisedReport,
-};
+use super::{FailurePolicy, ParallelReport, PassStat, RecoveryOpts, SupervisedReport};
+use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::obs::recorders_to_chrome;
+use crate::output::{merge_blocks, Block, ShardSet};
 use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
 use crate::telemetry::ScienceTelemetry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use yy_mesh::partition::MIN_TILE_WIDTH;
 use yy_mesh::{Decomp2D, PatchGrid};
@@ -172,13 +172,26 @@ pub(super) fn next_action(st: &mut PolicyState, outcome: &PassOutcome) -> Action
     Action::Retile { node, from }
 }
 
+/// The checkpoint the pass after one with these `blocks` restores: the
+/// newest complete step among them, assembled over the unowned padding
+/// of the run's `resume_from` when it has one; with no complete step,
+/// the pass's own `resume` (`None` only on a fresh first pass).
+pub(super) fn resume_after(
+    cfg: &RunConfig,
+    blocks: &[Block],
+    padding: Option<&Checkpoint>,
+    resume: Option<Checkpoint>,
+) -> Option<Checkpoint> {
+    merge_blocks(cfg, blocks, padding).ok().or(resume)
+}
+
 /// One finished pass.
 pub(super) struct Pass {
     pub(super) outcome: PassOutcome,
     /// Rank 0's report (completed passes only).
     report: Option<ParallelReport>,
     decomp: Decomp2D,
-    /// Step of the last good checkpoint after the pass.
+    /// Step of the checkpoint the next pass resumes from.
     resume_step: u64,
 }
 
@@ -192,7 +205,9 @@ pub(super) struct Supervisor<'a> {
     /// ring contents survive the teardown of a failed pass and can be
     /// dumped as a post-mortem.
     recorders: Option<Arc<RecorderSet>>,
-    slot: CkptSlot,
+    /// The checkpoint the next pass restores, assembled once per pass
+    /// boundary; after the last pass, the final checkpoint.
+    resume: Option<Checkpoint>,
     plan: PassPlan,
     pub(super) policy: PolicyState,
     recoveries: Vec<RecoveryEvent>,
@@ -245,8 +260,8 @@ impl<'a> Supervisor<'a> {
                 .map_err(|e| format!("creating checkpoint directory {}: {e}", dir.display()))?;
         }
         // The restart-onto-any-layout path: a serial-format checkpoint from
-        // *any* producer (serial run, any tile layout) seeds the slot, and
-        // the first pass restores it exactly like a rollback would.
+        // *any* producer (serial run, any tile layout) is the first pass's
+        // resume checkpoint, restored exactly like a rollback's.
         if let Some(ck) = opts.resume_from.as_ref().filter(|ck| ck.shape != grid.full_shape()) {
             return Err(format!(
                 "resume checkpoint geometry {:?} does not match the run configuration {:?}",
@@ -263,7 +278,7 @@ impl<'a> Supervisor<'a> {
                 .is_active()
                 .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
             recorders,
-            slot: Mutex::new(opts.resume_from.clone()),
+            resume: opts.resume_from.clone(),
             plan: PassPlan {
                 steps,
                 sample_every,
@@ -296,7 +311,7 @@ impl<'a> Supervisor<'a> {
         if let Some(plan) = &self.fault {
             plan.begin_pass();
         }
-        let resume = lock_slot(&self.slot).clone();
+        let resume = self.resume.take();
         let start_step = resume.as_ref().map_or(0, |ck| ck.step);
         let sup = SupervisedOpts {
             fault: self.fault.clone(),
@@ -305,9 +320,9 @@ impl<'a> Supervisor<'a> {
             nodes: Some(node_map.clone()),
         };
         let started = Instant::now();
-        let (cfg, plan, slot) = (self.cfg, &self.plan, &self.slot);
+        let (cfg, plan, set) = (self.cfg, &self.plan, ShardSet::new(nprocs));
         let results = Universe::run_supervised(nprocs, sup, |world| {
-            rank_program(cfg, world, &decomp, plan, resume.as_ref(), Some(slot))
+            rank_program(cfg, world, &decomp, plan, resume.as_ref(), Some(&set))
         });
 
         // A rank failure (kill, comm error, panic) outranks a graceful
@@ -343,7 +358,12 @@ impl<'a> Supervisor<'a> {
             (None, Some(verdict)) => PassOutcome::Unhealthy(verdict),
             (None, None) => PassOutcome::Completed,
         };
-        let resume_step = lock_slot(&self.slot).as_ref().map_or(start_step, |ck| ck.step);
+        // The one assembly of this pass boundary. A completed pass needs
+        // only its final blocks, so the older generation goes first.
+        let completed = matches!(outcome, PassOutcome::Completed);
+        let blocks = set.into_blocks(!completed);
+        self.resume = resume_after(cfg, &blocks, self.opts.resume_from.as_ref(), resume);
+        let resume_step = self.resume.as_ref().map_or(start_step, |ck| ck.step);
         self.passes.push(PassStat {
             pass: self.policy.pass,
             pth,
@@ -406,8 +426,8 @@ impl<'a> Supervisor<'a> {
         self.recoveries.push(RecoveryEvent { pass: n, resume_step, cause });
         if retiled && self.retiles.len() == 1 {
             // First shrink enters degraded mode: capacity is gone, so
-            // widen the checkpoint cadence (gathers cost a larger
-            // fraction of the smaller machine) and flag the run.
+            // widen the checkpoint cadence (each event's pack and shard
+            // write now fall on fewer ranks) and flag the run.
             let every = self.plan.checkpoint_every.saturating_mul(2);
             self.plan.checkpoint_every = every;
             if let Some(set) = &self.recorders {
@@ -420,10 +440,9 @@ impl<'a> Supervisor<'a> {
     /// Assemble the report of a completed run: the final pass's report
     /// plus the post-run diagnosis, the trace and the supervisor's own
     /// record.
-    pub(super) fn finish(self, pass: Pass) -> Result<SupervisedReport, String> {
+    pub(super) fn finish(mut self, pass: Pass) -> Result<SupervisedReport, String> {
         let rep = pass.report.ok_or("rank 0 produced no report")?;
-        let final_checkpoint =
-            lock_slot(&self.slot).take().ok_or("no final checkpoint was captured")?;
+        let final_checkpoint = self.resume.take().ok_or("no final checkpoint was assembled")?;
         let predicted_imbalance = pass.decomp.predicted_imbalance();
         let achieved_imbalance = rep.achieved_imbalance;
         let mut report = rep.report;

@@ -319,6 +319,7 @@ impl SerialSim {
             None,
             &self.cfg.params,
             &self.range,
+            None,
         );
         let b = yy_mhd::energy::compute_diagnostics(
             &self.yang,
@@ -327,6 +328,7 @@ impl SerialSim {
             None,
             &self.cfg.params,
             &self.range,
+            None,
         );
         a.merged(b)
     }

@@ -1,19 +1,16 @@
 //! Steady-state allocation guard for the checkpoint path.
 //!
-//! The supervisor's last-good slot used to be rebuilt from scratch on
-//! every capture: two full `State::zeros` panels, a fresh `initialize`
-//! pass, and — worst of all — a new overset-column table per
-//! checkpoint. At `checkpoint_every=1` that put thousands of small
-//! allocations on the step path. Captures now recycle the previous
-//! slot occupant as scratch (`ckpt_scratch`) and build the column table
-//! once (`ckpt_cols`), so the marginal cost of an extra checkpoint is a
-//! handful of gather buffers. Likewise `Checkpoint::capture_into`
+//! A supervised run's rollback point is an in-memory shard set: at each
+//! checkpoint event every rank packs its owned block over the older of
+//! its two generations, and a serial-format checkpoint is assembled only
+//! at a pass boundary. From a rank's second event on, one more event
+//! allocates nothing payload-sized, so a run's total is bounded by the
+//! buffer count, not the event count. `Checkpoint::capture_into`
 //! refreshes a serial checkpoint fully in place. The shard path is held
 //! to the same standard: its buffers (two pool slots, the delta base,
 //! the XOR scratch, the file image) all exist by the third checkpoint
 //! event, and from then on one more event — pack, delta, RLE, CRC, write
-//! — performs no payload-sized allocation on either side of the stage,
-//! so a run's total is bounded by the buffer count, not the event count.
+//! — performs no payload-sized allocation on either side of the stage.
 //! All pins live here, in one `#[test]`, because the allocation counter
 //! is global.
 
@@ -71,7 +68,7 @@ fn quick_cfg() -> RunConfig {
 
 /// Allocations of a supervised 1×1 run over `STEPS` steps at the given
 /// checkpoint cadence (no shard directory: this isolates the in-memory
-/// slot; the file path is covered by `shard_merge.rs`).
+/// set; the file path is covered by `shard_merge.rs`).
 fn supervised_allocs(checkpoint_every: u64) -> u64 {
     let opts = RecoveryOpts {
         checkpoint_every,
@@ -85,10 +82,10 @@ fn supervised_allocs(checkpoint_every: u64) -> u64 {
 
 const STEPS: u64 = 6;
 
-/// Payload-sized allocations of a supervised 1×1 run of `STEPS` steps
-/// checkpointing every step (`STEPS + 1` events), with delta shards
+/// Payload-sized allocations of a supervised 1×1 run of `steps` steps
+/// checkpointing every step (`steps + 1` events), with delta shards
 /// going to a scratch directory or with no shard directory at all.
-fn big_allocs(shards: bool) -> u64 {
+fn big_allocs(shards: bool, steps: u64) -> u64 {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = shards.then(|| {
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -102,7 +99,7 @@ fn big_allocs(shards: bool) -> u64 {
         ..RecoveryOpts::default()
     };
     let before = BIG_ALLOCS.load(Ordering::Relaxed);
-    run_parallel_supervised(&quick_cfg(), 1, 1, STEPS, 0, &opts).expect("run completes");
+    run_parallel_supervised(&quick_cfg(), 1, 1, steps, 0, &opts).expect("run completes");
     let n = BIG_ALLOCS.load(Ordering::Relaxed) - before;
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).ok();
@@ -136,12 +133,11 @@ fn checkpoint_capture_reuses_its_buffers() {
         "capture_into allocated in steady state: {with_captures} vs control {without}"
     );
 
-    // Supervised: both runs capture at step 0 and at the end; the
-    // cadence-1 run performs `STEPS - 1` *extra* periodic captures.
-    // With the slot recycled and the column table cached, each extra
-    // capture costs only its gather buffers (a few dozen allocations);
-    // the old rebuild-everything path cost thousands (two full states,
-    // an `initialize` pass, and a fresh overset-column table each).
+    // Supervised: both runs store blocks at step 0 and at the end; the
+    // cadence-1 run performs `STEPS - 1` *extra* periodic events. Each
+    // packs over a recycled generation and sends nothing; a rebuild of
+    // the checkpoint per event (two full states, an `initialize` pass,
+    // a fresh overset-column table) would cost thousands.
     let cadence_off = supervised_allocs(0); // warm (thread-local pools etc.)
     let cadence_off = cadence_off.min(supervised_allocs(0));
     let cadence_one = supervised_allocs(1);
@@ -150,7 +146,7 @@ fn checkpoint_capture_reuses_its_buffers() {
     assert!(
         per_capture < 500,
         "an extra in-memory checkpoint costs {per_capture} allocations \
-         ({extra} over {} captures) — the slot is being rebuilt, not reused",
+         ({extra} over {} events) — the set is being rebuilt, not reused",
         STEPS - 1
     );
 
@@ -161,7 +157,12 @@ fn checkpoint_capture_reuses_its_buffers() {
     // rank's shard payload (8 arrays of owned f64s) and up.
     let shape = quick_cfg().grid().full_shape();
     BIG_FROM.store(8 * shape.nr * shape.nth * shape.nph * 8 / 2, Ordering::Relaxed);
-    let added = big_allocs(true).saturating_sub(big_allocs(false));
+    // In memory: both generations exist from each rank's second event,
+    // and a further event packs over the older one's buffer.
+    let in_memory = big_allocs(false, STEPS);
+    let extra_event = big_allocs(false, STEPS + 1) as i64 - in_memory as i64;
+    assert_eq!(extra_event, 0, "an extra in-memory event made payload-sized allocations");
+    let added = big_allocs(true, STEPS).saturating_sub(in_memory);
     assert!(added > 0, "the shard path must at least allocate its buffers");
     assert!(
         added <= 2 * 5,

@@ -14,8 +14,9 @@
 //! rank order. Note the Yin-Yang caveat: summing both panels counts the
 //! overlap region (≈ 6 % of the sphere plus the extension) twice. For the
 //! time-series *shape* this constant factor is irrelevant;
-//! [`overlap_normalization`] exposes the area ratio for callers that want
-//! calibrated absolute values.
+//! [`overlap_normalization`] corrects it on average, and
+//! [`compute_diagnostics`] given `yy_mesh::dedup_column_weights` counts
+//! every region once.
 
 use crate::params::PhysParams;
 use crate::state::State;
@@ -85,6 +86,12 @@ pub fn overlap_normalization(grid: &PatchGrid) -> f64 {
 /// solver's stencils over the FD interior (frame and wall values excluded
 /// from `max_b` and `magnetic`; their measure is O(h) of the total).
 ///
+/// `weights`, when given, holds one factor per panel column (`j · nph +
+/// k`, panel interior coordinates) on every integral: with
+/// `yy_mesh::dedup_column_weights`, the sum over both panels counts every
+/// region of the shell exactly once instead of the overlap twice. `None`
+/// is the unit weight, bit for bit.
+///
 /// The two maxima fold the squares and take one square root at the end:
 /// sqrt is monotone and correctly rounded, so `√max(x)` is `max(√x)`
 /// bit for bit (NaN and negative nodes lose to the `+0.0` start either
@@ -96,9 +103,14 @@ pub fn compute_diagnostics(
     tile: Option<&Tile>,
     params: &PhysParams,
     range: &crate::rhs::InteriorRange,
+    weights: Option<&[f64]>,
 ) -> Diagnostics {
     use crate::ops::{ColGeom, Cols, Spacings};
     let shape = state.shape();
+    let (_, nth, nph) = grid.dims();
+    if let Some(w) = weights {
+        assert_eq!(w.len(), nth * nph, "one weight per panel column");
+    }
     let (j_off, k_off) = tile.map_or((0, 0), |t| (t.j0, t.k0));
     // Global trapezoid weights restricted to this tile.
     let wr_full = trapezoid_weights(grid.r());
@@ -111,9 +123,13 @@ pub fn compute_diagnostics(
     let mut d = Diagnostics::default();
     let (mut max_v2, mut max_b2) = (0.0f64, 0.0f64);
     for k in 0..shape.nph as isize {
-        let wk = wp_full[(k + k_off as isize) as usize];
+        let gk = (k + k_off as isize) as usize;
+        let wk = wp_full[gk];
         for j in 0..shape.nth as isize {
-            let wj = wt_full[(j + j_off as isize) as usize] * metric.sin_t(j);
+            let gj = (j + j_off as isize) as usize;
+            // x · 1.0 is x exactly, so the unweighted sum keeps its bits.
+            let wcol = weights.map_or(1.0, |w| w[gj * nph + gk]);
+            let wj = wt_full[gj] * metric.sin_t(j) * wcol;
             let g = ColGeom::new(metric, j);
             let rho = state.rho.row(j, k);
             let prs = state.press.row(j, k);
@@ -155,109 +171,6 @@ pub fn compute_diagnostics(
     d
 }
 
-/// Diagnostics of a full panel with per-column overlap-deduplication
-/// weights (`yy_mesh::dedup_column_weights`): summing the result for both
-/// panels counts every region of the shell exactly once, giving
-/// *physically calibrated* energy/mass integrals rather than
-/// overlap-double-counted ones. Serial-analysis utility (per-tile
-/// decomposed variants would need the weights sliced per tile).
-pub fn compute_diagnostics_dedup(
-    state: &State,
-    grid: &PatchGrid,
-    metric: &Metric,
-    params: &PhysParams,
-    range: &crate::rhs::InteriorRange,
-    weights: &[f64],
-) -> Diagnostics {
-    let shape = state.shape();
-    let (_, nth, nph) = grid.dims();
-    assert_eq!(shape.nth, nth, "dedup diagnostics operate on full panels");
-    assert_eq!(weights.len(), nth * nph, "one weight per column");
-    let wr = trapezoid_weights(grid.r());
-    let wt = trapezoid_weights(grid.theta());
-    let wp = trapezoid_weights(grid.phi());
-    let gm1 = params.gamma - 1.0;
-    let mut d = Diagnostics::default();
-    let mut max_v2 = 0.0f64;
-    let _ = range;
-    for k in 0..shape.nph as isize {
-        for j in 0..shape.nth as isize {
-            let wdedup = weights[j as usize * nph + k as usize];
-            let wjk = wdedup * wt[j as usize] * metric.sin_t(j) * wp[k as usize];
-            let rho = state.rho.row(j, k);
-            let prs = state.press.row(j, k);
-            let fr = state.f.r.row(j, k);
-            let ft = state.f.t.row(j, k);
-            let fp = state.f.p.row(j, k);
-            for i in 0..shape.nr {
-                let w = wr[i] * metric.r[i] * metric.r[i] * wjk;
-                let f2 = fr[i] * fr[i] + ft[i] * ft[i] + fp[i] * fp[i];
-                d.kinetic += w * 0.5 * f2 / rho[i];
-                d.thermal += w * prs[i] / gm1;
-                d.mass += w * rho[i];
-                max_v2 = max_v2.max(f2 / (rho[i] * rho[i]));
-            }
-        }
-    }
-    // One root per maximum, as in `compute_diagnostics`.
-    d.max_speed = max_v2.sqrt();
-    d
-}
-
-/// Volume integral of the axial (global-ẑ) magnetic field component,
-/// `∫ B·ẑ dV`, over this tile's share of the FD interior.
-///
-/// This is the dipole-aligned field measure the geodynamo literature
-/// tracks: its sign identifies the dipole polarity, and its reversals are
-/// the "flip-flop transitions" the paper's earlier work (refs. [5], [11],
-/// [13]) studied. `axis` is the global polar axis expressed in the
-/// panel's local Cartesian frame (`yy_mhd::tables::rotation_axis`).
-pub fn axial_field_moment(
-    state: &State,
-    grid: &PatchGrid,
-    metric: &Metric,
-    tile: Option<&Tile>,
-    axis: geomath::Vec3,
-    range: &crate::rhs::InteriorRange,
-) -> f64 {
-    use crate::ops::{ColGeom, Cols, Spacings};
-    use geomath::spherical::SphericalBasis;
-    let (j_off, k_off) = tile.map_or((0, 0), |t| (t.j0, t.k0));
-    let wr = trapezoid_weights(grid.r());
-    let wt = trapezoid_weights(grid.theta());
-    let wp = trapezoid_weights(grid.phi());
-    let sp = Spacings::new(metric.dr, metric.dth, metric.dph);
-    let r = &metric.r;
-    let mut total = 0.0;
-    for k in range.k0..range.k1 {
-        let wk = wp[(k + k_off as isize) as usize];
-        for j in range.j0..range.j1 {
-            let wj = wt[(j + j_off as isize) as usize] * metric.sin_t(j);
-            let g = ColGeom::new(metric, j);
-            let ar = Cols::new(&state.a.r, j, k);
-            let at = Cols::new(&state.a.t, j, k);
-            let ap = Cols::new(&state.a.p, j, k);
-            let basis = SphericalBasis::at(metric.theta(j), metric.phi(k));
-            let (ax_r, ax_t, ax_p) = basis.from_cartesian(axis);
-            for i in range.i0..range.i1 {
-                let ir = metric.inv_r[i];
-                let b_r = ir * g.inv_sin
-                    * ((g.sin_s * ap.s[i] - g.sin_n * ap.n[i]) * sp.inv_2dt
-                        - (at.e[i] - at.w[i]) * sp.inv_2dp);
-                let b_t = ir
-                    * (g.inv_sin * (ar.e[i] - ar.w[i]) * sp.inv_2dp
-                        - (r[i + 1] * ap.c[i + 1] - r[i - 1] * ap.c[i - 1]) * sp.inv_2dr);
-                let b_p = ir
-                    * ((r[i + 1] * at.c[i + 1] - r[i - 1] * at.c[i - 1]) * sp.inv_2dr
-                        - (ar.s[i] - ar.n[i]) * sp.inv_2dt);
-                let w = wr[i] * r[i] * r[i] * wj * wk;
-                total += w * (b_r * ax_r + b_t * ax_t + b_p * ax_p);
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +192,7 @@ mod tests {
     fn static_state_has_no_kinetic_or_magnetic_energy_to_leading_order() {
         let (grid, metric, state, params) = setup();
         let range = InteriorRange::full_panel(&grid);
-        let d = compute_diagnostics(&state, &grid, &metric, None, &params, &range);
+        let d = compute_diagnostics(&state, &grid, &metric, None, &params, &range, None);
         assert_eq!(d.kinetic, 0.0);
         assert!(d.magnetic < 1e-6, "seed magnetic energy should be tiny: {}", d.magnetic);
         assert!(d.thermal > 0.0);
@@ -303,7 +216,7 @@ mod tests {
             }
         }
         let range = InteriorRange::full_panel(&grid);
-        let d = compute_diagnostics(&state, &grid, &metric, None, &params, &range);
+        let d = compute_diagnostics(&state, &grid, &metric, None, &params, &range, None);
         assert!(approx_eq(d.kinetic, 0.5 * 0.09 * d.mass, 1e-10));
         assert!(approx_eq(d.max_speed, 0.3, 1e-12));
     }
@@ -322,7 +235,7 @@ mod tests {
             }
         }
         let range = InteriorRange::full_panel(&grid);
-        let d = compute_diagnostics(&state, &grid, &metric, None, &params, &range);
+        let d = compute_diagnostics(&state, &grid, &metric, None, &params, &range, None);
         assert!(approx_eq(d.max_b, 2.0, 1e-3), "max_b {}", d.max_b);
         // Energy = 2 × (measure of the FD-interior region over which B is
         // accumulated); build that measure from the same weights.
@@ -350,7 +263,7 @@ mod tests {
     fn tile_sums_reproduce_full_panel_sums() {
         let (grid, metric, state, params) = setup();
         let full_range = InteriorRange::full_panel(&grid);
-        let full = compute_diagnostics(&state, &grid, &metric, None, &params, &full_range);
+        let full = compute_diagnostics(&state, &grid, &metric, None, &params, &full_range, None);
         let d = Decomp2D::new(2, 2, &grid);
         let mut merged = Diagnostics::default();
         for rank in 0..4 {
@@ -382,7 +295,7 @@ mod tests {
             let tm = Metric::new(&grid, &t);
             let range = InteriorRange::for_tile(&grid, &t);
             merged = merged.merged(compute_diagnostics(
-                &local, &grid, &tm, Some(&t), &params, &range,
+                &local, &grid, &tm, Some(&t), &params, &range, None,
             ));
         }
         assert!(approx_eq(merged.kinetic, full.kinetic, 1e-12));
@@ -434,33 +347,58 @@ mod tests {
         (max_speed, max_b)
     }
 
-    /// One root per maximum equals the per-node roots bit for bit: on a
-    /// noisy state (flow and field everywhere, so the maxima are not
-    /// ties of zeros), and on an all-zero state, where every speed is
-    /// 0/0 = NaN and every |B| is 0 — both maxima must stay `+0.0`.
-    #[test]
-    fn root_of_the_maxima_matches_the_per_node_roots() {
+    /// The setup state with seeded noise in f and A: flow and field
+    /// everywhere, so no maximum is a tie of zeros.
+    fn noisy() -> (PatchGrid, Metric, State, PhysParams) {
         let (grid, metric, mut state, params) = setup();
-        let range = InteriorRange::full_panel(&grid);
         let mut rng = geomath::rng::DetRng::seed_from_u64(0x5eed_0d1a);
         for a in [&mut state.f.r, &mut state.f.t, &mut state.f.p, &mut state.a.r, &mut state.a.t] {
             a.data_mut().iter_mut().for_each(|x| *x = rng.range_f64(-0.3, 0.3));
         }
+        (grid, metric, state, params)
+    }
+
+    /// One root per maximum equals the per-node roots bit for bit: on a
+    /// noisy state, and on an all-zero state, where every speed is
+    /// 0/0 = NaN and every |B| is 0 — both maxima must stay `+0.0`.
+    #[test]
+    fn root_of_the_maxima_matches_the_per_node_roots() {
+        let (grid, metric, state, params) = noisy();
+        let range = InteriorRange::full_panel(&grid);
         let zero = State::zeros(state.shape());
         for (what, state) in [("noisy", &state), ("zero", &zero)] {
-            let d = compute_diagnostics(state, &grid, &metric, None, &params, &range);
+            let d = compute_diagnostics(state, &grid, &metric, None, &params, &range, None);
             let (max_speed, max_b) = per_node_maxima(state, &metric, &range);
             assert_eq!(d.max_speed.to_bits(), max_speed.to_bits(), "{what}: max_speed");
             assert_eq!(d.max_b.to_bits(), max_b.to_bits(), "{what}: max_b");
-            let w = vec![0.5; grid.dims().1 * grid.dims().2];
-            let dedup = compute_diagnostics_dedup(state, &grid, &metric, &params, &range, &w);
-            assert_eq!(dedup.max_speed.to_bits(), max_speed.to_bits(), "{what}: dedup max_speed");
             if what == "zero" {
                 assert_eq!((d.max_speed.to_bits(), d.max_b.to_bits()), (0, 0), "+0.0 both");
             } else {
                 assert!(d.max_speed > 0.0 && d.max_b > 0.0, "{what}: {d:?}");
             }
         }
+    }
+
+    /// Column weights scale the integrals, B's included, and never the
+    /// maxima: unit weights give the unweighted bits, and a weight of ½
+    /// halves every sum exactly (a power-of-two scale rounds nothing).
+    #[test]
+    fn column_weights_scale_the_integrals_not_the_maxima() {
+        let (grid, metric, state, params) = noisy();
+        let range = InteriorRange::full_panel(&grid);
+        let diag = |w: Option<&[f64]>| {
+            compute_diagnostics(&state, &grid, &metric, None, &params, &range, w).to_vec()
+        };
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let d = diag(None);
+        let columns = grid.dims().1 * grid.dims().2;
+        assert_eq!(bits(diag(Some(&vec![1.0; columns]))), bits(d.clone()), "unit weights");
+        let half = diag(Some(&vec![0.5; columns]));
+        // `to_vec` order: the four sums, then the two maxima.
+        let want: Vec<f64> =
+            d.iter().enumerate().map(|(i, x)| if i < 4 { 0.5 * x } else { *x }).collect();
+        assert_eq!(bits(half), bits(want), "kinetic, magnetic, thermal, mass halve; maxima stay");
+        assert!(d[1] > 0.0 && d[5] > 0.0, "the noisy state has a field: {d:?}");
     }
 
     #[test]
@@ -474,117 +412,6 @@ mod tests {
             max_b: 6.0,
         };
         assert_eq!(Diagnostics::from_slice(&d.to_vec()), d);
-    }
-
-    #[test]
-    fn axial_moment_of_uniform_field_is_2_vol() {
-        // A = r sinθ φ̂ → B = 2ẑ (global), so ∫B·ẑ over the measured
-        // region is 2 × that region's volume; flipping A's sign flips
-        // the polarity — the reversal diagnostic.
-        let (grid, metric, mut state, _params) = setup();
-        let shape = state.shape();
-        // Wipe the random seed field first: A must be exactly the uniform
-        // field's potential.
-        state.a.r.fill(0.0);
-        state.a.t.fill(0.0);
-        state.a.p.fill(0.0);
-        for k in -1..(shape.nph as isize + 1) {
-            for j in -1..(shape.nth as isize + 1) {
-                let st = grid.theta().coord_signed(j).sin();
-                for i in 0..shape.nr {
-                    state.a.p.set(i, j, k, grid.r().coord(i) * st);
-                }
-            }
-        }
-        let range = InteriorRange::full_panel(&grid);
-        let axis = geomath::Vec3::new(0.0, 0.0, 1.0); // Yin frame
-        let m = axial_field_moment(&state, &grid, &metric, None, axis, &range);
-        // Region volume from the same weights.
-        let wr = trapezoid_weights(grid.r());
-        let wt = trapezoid_weights(grid.theta());
-        let wp = trapezoid_weights(grid.phi());
-        let mut vol = 0.0;
-        for k in range.k0..range.k1 {
-            for j in range.j0..range.j1 {
-                for i in range.i0..range.i1 {
-                    vol += wr[i]
-                        * metric.r[i]
-                        * metric.r[i]
-                        * wt[j as usize]
-                        * metric.sin_t(j)
-                        * wp[k as usize];
-                }
-            }
-        }
-        assert!(approx_eq(m, 2.0 * vol, 1e-2), "moment {m} vs 2·vol {}", 2.0 * vol);
-        // Polarity flip.
-        for k in -1..(shape.nph as isize + 1) {
-            for j in -1..(shape.nth as isize + 1) {
-                let st = grid.theta().coord_signed(j).sin();
-                for i in 0..shape.nr {
-                    state.a.p.set(i, j, k, -grid.r().coord(i) * st);
-                }
-            }
-        }
-        let m2 = axial_field_moment(&state, &grid, &metric, None, axis, &range);
-        assert!(approx_eq(m2, -m, 1e-10));
-    }
-
-    #[test]
-    fn axial_moment_is_frame_independent() {
-        // The same physical uniform field B = 2ẑ_global seen from the
-        // Yang panel (A in Yang-local components) must give the same
-        // moment when the Yang axis table is used.
-        use crate::tables::rotation_axis;
-        use geomath::spherical::SphericalBasis;
-        let (grid, metric, mut state, _params) = setup();
-        let shape = state.shape();
-        state.a.r.fill(0.0);
-        state.a.t.fill(0.0);
-        state.a.p.fill(0.0);
-        let axis = rotation_axis(Panel::Yang); // global ẑ in Yang frame
-        for k in -1..(shape.nph as isize + 1) {
-            for j in -1..(shape.nth as isize + 1) {
-                let theta = grid.theta().coord_signed(j);
-                let phi = grid.phi().coord_signed(k);
-                let basis = SphericalBasis::at(theta, phi);
-                for i in 0..shape.nr {
-                    // A = axis × x is the vector potential of a uniform
-                    // 2·axis field.
-                    let pos = geomath::SphericalPoint::new(grid.r().coord(i), theta, phi)
-                        .to_cartesian();
-                    let a = axis.cross(pos);
-                    let (arr, att, app) = basis.from_cartesian(a);
-                    state.a.r.set(i, j, k, arr);
-                    state.a.t.set(i, j, k, att);
-                    state.a.p.set(i, j, k, app);
-                }
-            }
-        }
-        let range = InteriorRange::full_panel(&grid);
-        let m_yang = axial_field_moment(&state, &grid, &metric, None, axis, &range);
-        // Compare against the Yin-frame construction (previous test's
-        // field): both describe B = 2ẑ_global over an identical region.
-        let mut yin_state = State::zeros(shape);
-        for k in -1..(shape.nph as isize + 1) {
-            for j in -1..(shape.nth as isize + 1) {
-                let st = grid.theta().coord_signed(j).sin();
-                for i in 0..shape.nr {
-                    yin_state.a.p.set(i, j, k, grid.r().coord(i) * st);
-                }
-            }
-        }
-        let m_yin = axial_field_moment(
-            &yin_state,
-            &grid,
-            &metric,
-            None,
-            geomath::Vec3::new(0.0, 0.0, 1.0),
-            &range,
-        );
-        // The two constructions discretize the same field with different
-        // component layouts, so they agree to stencil error, not exactly.
-        assert!(approx_eq(m_yang, m_yin, 1e-3), "yang {m_yang} vs yin {m_yin}");
     }
 
     #[test]

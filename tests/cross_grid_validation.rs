@@ -59,12 +59,12 @@ fn equilibrium_thermodynamics_agree_across_grids() {
     let weights = dedup_column_weights(&yy.grid);
     let metric = yy_mesh::Metric::full(&yy.grid);
     let range = yy_mhd::rhs::InteriorRange::full_panel(&yy.grid);
-    let d_dedup = yy_mhd::energy::compute_diagnostics_dedup(
-        &yy.yin, &yy.grid, &metric, &yy.cfg.params, &range, &weights,
-    )
-    .merged(yy_mhd::energy::compute_diagnostics_dedup(
-        &yy.yang, &yy.grid, &metric, &yy.cfg.params, &range, &weights,
-    ));
+    let params = &yy.cfg.params;
+    let dedup = |panel| {
+        let w = Some(weights.as_slice());
+        yy_mhd::energy::compute_diagnostics(panel, &yy.grid, &metric, None, params, &range, w)
+    };
+    let d_dedup = dedup(&yy.yin).merged(dedup(&yy.yang));
     // At these very coarse grids (Δθ ≈ 7.5°/15°) the two quadratures
     // themselves carry ~0.5 % error; the dedup integral must land inside
     // that and beat the crude renormalization.
