@@ -43,8 +43,68 @@ const LANE_HI: u64 = 0x8080_8080_8080_8080;
 /// `k` of the word is byte `at + k`).
 #[inline(always)]
 fn word_at(src: &[u8], at: usize) -> u64 {
-    // An `[at..at + 8]` slice is eight bytes; both callers loop on `at + 8 <= src.len()`.
+    // An `[at..at + 8]` slice is eight bytes; every caller loops on `at + 8 <= len`.
     u64::from_le_bytes(src[at..at + 8].try_into().expect("eight-byte window"))
+}
+
+/// The byte string the encoder scans: a payload, or its XOR against an
+/// equal-length delta base, formed as the scans load it — so a delta
+/// link is coded without an XOR image of the payload.
+pub(super) trait Scan: Copy {
+    fn len(self) -> usize;
+    fn byte(self, at: usize) -> u8;
+    fn word(self, at: usize) -> u64;
+    /// Append `self[from..to]` to `out`.
+    fn append(self, from: usize, to: usize, out: &mut Vec<u8>);
+}
+
+impl Scan for &[u8] {
+    #[inline(always)]
+    fn len(self) -> usize {
+        <[u8]>::len(self)
+    }
+    #[inline(always)]
+    fn byte(self, at: usize) -> u8 {
+        self[at]
+    }
+    #[inline(always)]
+    fn word(self, at: usize) -> u64 {
+        word_at(self, at)
+    }
+    #[inline(always)]
+    fn append(self, from: usize, to: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self[from..to]);
+    }
+}
+
+/// `raw ^ base`, byte by byte.
+#[derive(Clone, Copy)]
+pub(super) struct Xor<'a>(&'a [u8], &'a [u8]);
+
+impl<'a> Xor<'a> {
+    pub(super) fn new(raw: &'a [u8], base: &'a [u8]) -> Xor<'a> {
+        assert_eq!(raw.len(), base.len(), "XOR-delta base length mismatch");
+        Xor(raw, base)
+    }
+}
+
+impl Scan for Xor<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn byte(self, at: usize) -> u8 {
+        self.0[at] ^ self.1[at]
+    }
+    #[inline(always)]
+    fn word(self, at: usize) -> u64 {
+        word_at(self.0, at) ^ word_at(self.1, at)
+    }
+    #[inline(always)]
+    fn append(self, from: usize, to: usize, out: &mut Vec<u8>) {
+        out.extend(self.0[from..to].iter().zip(&self.1[from..to]).map(|(a, b)| a ^ b));
+    }
 }
 
 /// First `t >= from` where three equal bytes start (`src[t] == src[t + 1]
@@ -53,11 +113,11 @@ fn word_at(src: &[u8], at: usize) -> u64 {
 /// exactly when a triple starts at `p + k`, and the lowest set bit of
 /// the zero-byte test is exact (a borrow can only leave a zero lane).
 #[inline]
-fn next_triple(src: &[u8], from: usize) -> usize {
+fn next_triple<S: Scan>(src: S, from: usize) -> usize {
     let n = src.len();
     let mut p = from;
     while p + 10 <= n {
-        let (w0, w1, w2) = (word_at(src, p), word_at(src, p + 1), word_at(src, p + 2));
+        let (w0, w1, w2) = (src.word(p), src.word(p + 1), src.word(p + 2));
         let z = (w0 ^ w1) | (w1 ^ w2);
         let hit = z.wrapping_sub(LANE_LO) & !z & LANE_HI;
         if hit != 0 {
@@ -66,7 +126,7 @@ fn next_triple(src: &[u8], from: usize) -> usize {
         p += 8;
     }
     while p + 2 < n {
-        if src[p] == src[p + 1] && src[p + 1] == src[p + 2] {
+        if src.byte(p) == src.byte(p + 1) && src.byte(p + 1) == src.byte(p + 2) {
             return p;
         }
         p += 1;
@@ -77,18 +137,18 @@ fn next_triple(src: &[u8], from: usize) -> usize {
 /// Length of the run of `src[from]` that starts at `from`, eight bytes
 /// per compare against the broadcast byte.
 #[inline]
-fn run_len(src: &[u8], from: usize) -> usize {
+fn run_len<S: Scan>(src: S, from: usize) -> usize {
     let n = src.len();
-    let b = src[from];
+    let b = src.byte(from);
     let mut p = from;
     while p + 8 <= n {
-        let diff = word_at(src, p) ^ (b as u64 * LANE_LO);
+        let diff = src.word(p) ^ (b as u64 * LANE_LO);
         if diff != 0 {
             return p - from + (diff.trailing_zeros() / 8) as usize;
         }
         p += 8;
     }
-    while p < n && src[p] == b {
+    while p < n && src.byte(p) == b {
         p += 1;
     }
     p - from
@@ -107,65 +167,114 @@ fn run_len(src: &[u8], from: usize) -> usize {
 /// literal span is never a triple start, one inside a run always is),
 /// so both scans can go a word at a time.
 pub fn rle_encode(src: &[u8], out: &mut Vec<u8>) {
+    rle_encode_spilled(src, out, usize::MAX, |_| Ok(())).expect("a no-op spill cannot fail");
+}
+
+/// [`rle_encode`] of `src`, handing `out` to `spill` whenever a frame
+/// leaves it `spill_at` bytes or longer: the stream passes through one
+/// buffer of about that size and is never held whole.
+#[inline(always)]
+pub(super) fn rle_encode_spilled<S: Scan>(
+    src: S,
+    out: &mut Vec<u8>,
+    spill_at: usize,
+    mut spill: impl FnMut(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
     let n = src.len();
     let mut i = 0;
     while i < n {
         let t = next_triple(src, i);
-        for frame in src[i..t].chunks(128) {
-            out.push((frame.len() - 1) as u8);
-            out.extend_from_slice(frame);
+        while i < t {
+            let end = t.min(i + 128);
+            out.push((end - i - 1) as u8);
+            src.append(i, end, out);
+            i = end;
+            if out.len() >= spill_at {
+                spill(out)?;
+            }
         }
-        i = t;
         if i < n {
-            let mut run = run_len(src, i);
+            let (b, mut run) = (src.byte(i), run_len(src, i));
             while run >= 3 {
                 let take = run.min(130);
-                out.extend_from_slice(&[0x80 + (take - 3) as u8, src[i]]);
+                out.extend_from_slice(&[0x80 + (take - 3) as u8, b]);
                 i += take;
                 run -= take;
             }
+            if out.len() >= spill_at {
+                spill(out)?;
+            }
         }
     }
+    Ok(())
 }
 
-/// Decode [`rle_encode`] output into `out` (appended). `expect` is the
-/// decoded length the caller knows from the shard header; a stream that
-/// overruns or underruns it is corrupt.
-pub fn rle_decode(src: &[u8], expect: usize, out: &mut Vec<u8>) -> io::Result<()> {
-    let before = out.len();
-    let mut i = 0;
+/// One decoded frame of an RLE stream.
+enum Frame<'a> {
+    Literal(&'a [u8]),
+    Repeat(usize, u8),
+}
+
+/// Walk an [`rle_encode`] stream that must decode to exactly `expect`
+/// bytes, handing each frame to `apply` with its output offset. Every
+/// frame is checked against the stream and against `expect` first.
+#[inline(always)]
+fn rle_walk(src: &[u8], expect: usize, mut apply: impl FnMut(usize, Frame)) -> io::Result<()> {
+    let (mut i, mut at) = (0, 0);
     while i < src.len() {
         let c = src[i];
         i += 1;
-        if c < 0x80 {
+        let (len, frame) = if c < 0x80 {
             let len = c as usize + 1;
-            if i + len > src.len() {
+            let Some(bytes) = src.get(i..i + len) else {
                 return Err(invalid("shard RLE stream truncated inside a literal run".into()));
-            }
-            out.extend_from_slice(&src[i..i + len]);
+            };
             i += len;
+            (len, Frame::Literal(bytes))
         } else {
             let Some(&b) = src.get(i) else {
                 return Err(invalid("shard RLE stream truncated inside a repeat run".into()));
             };
             i += 1;
             let len = (c - 0x80) as usize + 3;
-            out.resize(out.len() + len, b);
-        }
-        if out.len() - before > expect {
+            (len, Frame::Repeat(len, b))
+        };
+        if at + len > expect {
             return Err(invalid(format!(
                 "shard RLE stream decodes past its recorded length ({expect} bytes); \
                  the file is corrupt"
             )));
         }
+        apply(at, frame);
+        at += len;
     }
-    if out.len() - before != expect {
+    if at != expect {
         return Err(invalid(format!(
-            "shard RLE stream decoded {} bytes, header records {expect}; the file is corrupt",
-            out.len() - before
+            "shard RLE stream decoded {at} bytes, header records {expect}; the file is corrupt"
         )));
     }
     Ok(())
+}
+
+/// Decode [`rle_encode`] output into `out` (appended). `expect` is the
+/// decoded length the caller knows from the shard header; a stream that
+/// overruns or underruns it is corrupt.
+pub fn rle_decode(src: &[u8], expect: usize, out: &mut Vec<u8>) -> io::Result<()> {
+    rle_walk(src, expect, |_, frame| match frame {
+        Frame::Literal(bytes) => out.extend_from_slice(bytes),
+        Frame::Repeat(len, b) => out.resize(out.len() + len, b),
+    })
+}
+
+/// XOR the decode of an [`rle_encode`] stream into `out` in place — a
+/// delta link applied to its base's payload. The stream must decode to
+/// exactly `out.len()` bytes; zero repeats, most of a delta, cost nothing.
+pub(super) fn rle_decode_xor(src: &[u8], out: &mut [u8]) -> io::Result<()> {
+    rle_walk(src, out.len(), |at, frame| match frame {
+        Frame::Literal(bytes) => xor_with(&mut out[at..at + bytes.len()], bytes),
+        Frame::Repeat(_, 0) => {}
+        Frame::Repeat(len, b) => out[at..at + len].iter_mut().for_each(|x| *x ^= b),
+    })
 }
 
 /// XOR `buf` in place with `base` (delta encode and decode are the same

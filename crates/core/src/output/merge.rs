@@ -2,22 +2,22 @@
 //! and reassemble a complete set — from memory or from shard files —
 //! into the serial-format [`Checkpoint`] byte-identically.
 
-use super::shard::{load_shard, parse_shard_name, ShardMeta};
+use super::shard::{load_shard, parse_shard_name, unpack_shard_payload, ShardMeta};
+use super::stage::OutputStage;
 use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
 use crate::serial::{fill_pair, overset_columns};
-use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
-use yy_field::unpack_region;
+use std::sync::{Arc, Mutex};
 use yy_mesh::{Panel, PatchGrid};
 use yy_mhd::{init::InitOptions, initialize, State};
 
 /// One rank's owned block at one step: its shard header and the raw
-/// payload `pack_shard_payload` writes.
-pub(crate) type Block = (ShardMeta, Vec<u8>);
+/// payload `pack_shard_payload` writes — one copy, which the writer
+/// thread shares while it writes the block's shard.
+pub(crate) type Block = (ShardMeta, Arc<Vec<u8>>);
 
 /// A pass's in-memory shard set: per world rank, the blocks of its two
 /// newest checkpoint events. Two are enough for a complete step to
@@ -34,17 +34,32 @@ impl ShardSet {
     }
 
     /// Store the block `meta` describes over its rank's older (or an
-    /// empty) generation, whose buffer `pack` refills: once both
-    /// generations exist an event allocates nothing. The generation is
-    /// out of the set while `pack` runs, so a rank that dies mid-store
-    /// leaves that step missing, never half-written.
-    pub(crate) fn store(&self, meta: ShardMeta, pack: impl FnOnce(&mut Vec<u8>)) {
+    /// empty) generation, whose buffer `pack` refills, and return it.
+    /// When the rank writes shards through `writer`, the older buffer is
+    /// first taken back from it (`OutputStage::reclaim`), and the
+    /// nanoseconds that blocked are returned for `writer_wait`; once
+    /// both generations exist an event allocates nothing payload-sized.
+    /// The generation is out of the set while `pack` runs, so a rank
+    /// that dies mid-store leaves that step missing, never half-written.
+    pub(crate) fn store(
+        &self,
+        meta: ShardMeta,
+        writer: Option<&OutputStage>,
+        pack: impl FnOnce(&mut Vec<u8>),
+    ) -> (Block, u64) {
         // A poisoned entry holds whole blocks only (see above).
         let mut gens = self.0[meta.rank as usize].lock().unwrap_or_else(|e| e.into_inner());
         let older = (0..2).min_by_key(|&g| gens[g].as_ref().map(|(m, _)| m.step)).unwrap_or(0);
-        let mut raw = gens[older].take().map(|(_, raw)| raw).unwrap_or_default();
+        let (mut raw, wait_ns) = match (gens[older].take(), writer) {
+            (None, _) => (Vec::new(), 0),
+            (Some((_, raw)), Some(stage)) => stage.reclaim(raw),
+            // Nothing but the set holds a block no writer was given.
+            (Some((_, raw)), None) => (Arc::try_unwrap(raw).unwrap_or_default(), 0),
+        };
         pack(&mut raw);
-        gens[older] = Some((meta, raw));
+        let block = (meta, Arc::new(raw));
+        gens[older] = Some(block.clone());
+        (block, wait_ns)
     }
 
     /// The stored blocks, once every rank thread has returned. Without
@@ -95,13 +110,24 @@ impl Source<'_> {
         }
     }
 
-    fn load(&self, step: u64, rank: usize) -> io::Result<(ShardMeta, Cow<'_, [u8]>)> {
+    /// The block of `(step, rank)`: from memory as stored, or decoded
+    /// from its shard file into `payload` through the `file` buffer.
+    fn load<'s>(
+        &'s self,
+        step: u64,
+        rank: usize,
+        payload: &'s mut Vec<u8>,
+        file: &mut Vec<u8>,
+    ) -> io::Result<(ShardMeta, &'s [u8])> {
         match self {
-            Source::Dir(dir) => load_shard(dir, step, rank).map(|(m, raw)| (m, Cow::Owned(raw))),
+            Source::Dir(dir) => {
+                let meta = load_shard(dir, step, rank, payload, file)?;
+                Ok((meta, payload.as_slice()))
+            }
             Source::Mem(blocks) => blocks
                 .iter()
                 .find(|(m, _)| (m.step, m.rank) == (step, rank as u64))
-                .map(|(m, raw)| (*m, Cow::Borrowed(raw.as_slice())))
+                .map(|(m, raw)| (*m, raw.as_slice()))
                 .ok_or_else(|| invalid(format!("no block for step {step} rank {rank} in memory"))),
         }
     }
@@ -183,7 +209,9 @@ fn merge_step(
     ranks: &[usize],
     padding: Option<&Checkpoint>,
 ) -> io::Result<Checkpoint> {
-    let (first, first_raw) = src.load(step, ranks[0])?;
+    // One payload and one file buffer serve every block read from disk.
+    let (mut payload, mut file) = (Vec::new(), Vec::new());
+    let (first, first_raw) = src.load(step, ranks[0], &mut payload, &mut file)?;
     let world = (2 * first.pth * first.pph) as usize;
     if !ranks.iter().copied().eq(0..world) {
         return Err(invalid(format!(
@@ -203,13 +231,7 @@ fn merge_step(
     let mut ck = padding.cloned().unwrap_or_else(|| blank(cfg, &grid));
     // Coverage check: each panel's interior must be tiled exactly once.
     let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
-    let mut first_raw = Some(first_raw);
-    let mut vals: Vec<f64> = Vec::new();
-    for rank in 0..world {
-        let (meta, raw) = match first_raw.take_if(|_| rank == first.rank as usize) {
-            Some(raw) => (first, raw),
-            None => src.load(step, rank)?,
-        };
+    let mut place = |rank: usize, meta: ShardMeta, raw: &[u8]| -> io::Result<()> {
         for (what, a, b) in [
             ("layout", meta.pth, first.pth),
             ("layout", meta.pph, first.pph),
@@ -232,6 +254,13 @@ fn merge_step(
                 meta.rank, meta.shape
             )));
         }
+        if raw.len() as u64 != meta.expected_raw_len() {
+            return Err(invalid(format!(
+                "shard set at step {step}: rank {rank}'s block is {} bytes, its tile needs {}",
+                raw.len(),
+                meta.expected_raw_len()
+            )));
+        }
         let cover = &mut covered[meta.panel as usize];
         for j in meta.j0..meta.j0 + meta.tnth {
             for k in meta.k0..meta.k0 + meta.tnph {
@@ -245,19 +274,15 @@ fn merge_step(
                 *cell = true;
             }
         }
-        // Place the owned block.
-        vals.clear();
-        // `chunks_exact(8)` yields eight-byte slices.
-        vals.extend(
-            raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-        );
-        let region = meta.global_region();
-        let mut rest: &[f64] = &vals;
         let panel = if meta.panel == 0 { &mut ck.yin } else { &mut ck.yang };
-        for arr in panel.arrays_mut() {
-            rest = unpack_region(arr, region, rest);
-        }
-        debug_assert!(rest.is_empty());
+        unpack_shard_payload(&meta, panel, raw);
+        Ok(())
+    };
+    // `ranks` is `0..world`, so the block already read is rank 0's.
+    place(0, first, first_raw)?;
+    for rank in 1..world {
+        let (meta, raw) = src.load(step, rank, &mut payload, &mut file)?;
+        place(rank, meta, raw)?;
     }
     for (p, cover) in covered.iter().enumerate() {
         if let Some(hole) = cover.iter().position(|&c| !c) {

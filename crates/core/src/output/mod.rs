@@ -34,20 +34,23 @@
 //!    nearby checkpoints, so the delta is zero-heavy) chained into a
 //!    byte-wise RLE codec (PackBits-style: literal runs and repeat runs,
 //!    worst-case expansion 1/128 + 2 bytes). Delta shards name their
-//!    base step; the merging reader walks the chain back to the nearest
-//!    self-contained shard. `ckpt_compress=` picks `none` or `delta`;
+//!    base step; the merging reader walks the chain's headers back to
+//!    the nearest self-contained shard, then decodes forward into one
+//!    payload buffer. `ckpt_compress=` picks `none` or `delta`;
 //!    a `delta` shard with no base is the self-contained RLE-only one.
 //!
-//! 3. **The writer.** [`OutputStage`] owns a two-slot buffer pool and
-//!    one writer thread per rank. The producer packs
-//!    into a free slot and hands it off; encoding and the file write
-//!    overlap the next RK4 steps when a core is free for the writer,
-//!    and are paid in full when none is — so an event is kept as cheap
-//!    as its memory traffic: word-wise scans, no per-event allocation.
-//!    When both slots are in flight the producer blocks — that
-//!    backpressure is measured and charged to the `writer_wait` phase
-//!    (and the `output` kernel counter), so the run report shows
-//!    exactly how much output cost the pipeline failed to hide. The
+//! 3. **The writer.** [`OutputStage`] runs one writer thread per rank.
+//!    A checkpoint event packs the owned region once, into the rank's
+//!    in-memory set, and the writer encodes and writes that same block
+//!    — the delta base is the set's previous block, the XOR is formed
+//!    inside the RLE scan, and the file goes out through one small
+//!    buffer — so a block is held once, and encoding and the file write
+//!    overlap the next RK4 steps when a core is free for the writer. The
+//!    next store waits until the writer has let go of the buffer it
+//!    reuses; that backpressure is measured and charged to the
+//!    `writer_wait` phase (and the `output` kernel counter), so the run
+//!    report shows exactly how much output cost the pipeline failed to
+//!    hide. A two-slot buffer pool remains for verbatim file images. The
 //!    inline write (`OutputStage::new` given `false`) survives only as the
 //!    synchronous oracle of the tests.
 
@@ -65,6 +68,7 @@ pub use stage::{IoTotals, OutputStage};
 
 #[cfg(test)]
 mod tests {
+    use super::codec::{rle_decode_xor, rle_encode_spilled, Xor};
     use super::shard::{encode_shard, read_shard, FLAG_DELTA, FLAG_RLE, NO_BASE};
     use super::*;
     use crate::checkpoint::Crc32;
@@ -195,6 +199,24 @@ mod tests {
                 let mut dec = Vec::new();
                 rle_decode(&enc, src.len(), &mut dec).map_err(|e| e.to_string())?;
                 tk_assert!(dec == *src, "RLE roundtrip changed the bytes");
+                // As a delta link: the fused scan of `src ^ base`, spilled
+                // in small pieces, is the XOR image's stream, and decoding
+                // it into `base` in place gives `src` back.
+                let base: Vec<u8> = src.iter().rev().copied().collect();
+                let image: Vec<u8> = src.iter().zip(&base).map(|(a, b)| a ^ b).collect();
+                let (mut fused, mut chunk) = (Vec::new(), Vec::new());
+                rle_encode_spilled(Xor::new(src, &base), &mut chunk, 7, |c| {
+                    fused.append(c);
+                    Ok(())
+                })
+                .map_err(|e| e.to_string())?;
+                fused.append(&mut chunk);
+                want.clear();
+                rle_encode_reference(&image, &mut want);
+                tk_assert!(fused == want, "fused XOR stream differs on {} bytes", src.len());
+                let mut back = base;
+                rle_decode_xor(&fused, &mut back).map_err(|e| e.to_string())?;
+                tk_assert!(back == *src, "in-place XOR decode changed the bytes");
                 Ok(())
             });
         }
@@ -295,16 +317,21 @@ mod tests {
         }
     }
 
-    fn no_base(_: u64) -> io::Result<Vec<u8>> {
-        panic!("self-contained shard must not resolve a base")
-    }
-
     type Encoded = (Vec<u8>, (u64, u64));
 
     fn encode(m: &ShardMeta, raw: &[u8], base: Option<(u64, &[u8])>, c: CkptCodec) -> Encoded {
-        let (mut delta, mut file) = (Vec::new(), Vec::new());
-        let used = encode_shard(m, raw, base, c, &mut delta, &mut file);
-        (file, used)
+        let mut file = io::Cursor::new(Vec::new());
+        let (flags, base_step, len) =
+            encode_shard(m, raw, base, c, &mut Vec::new(), &mut file).expect("in-memory write");
+        let file = file.into_inner();
+        assert_eq!(len, file.len() as u64, "reported file length");
+        (file, (flags, base_step))
+    }
+
+    /// Decode one shard image; a delta link is applied to `base`.
+    fn decode(file: &[u8], base: Option<&[u8]>) -> io::Result<(ShardMeta, Vec<u8>)> {
+        let mut payload = base.map_or_else(Vec::new, <[u8]>::to_vec);
+        read_shard(&mut &file[..], &mut payload).map(|meta| (meta, payload))
     }
 
     /// An in-memory set keeps each rank's two newest blocks: a third
@@ -317,12 +344,13 @@ mod tests {
             let set = ShardSet::new(1);
             for step in [0, 2, 4] {
                 let meta = ShardMeta { step, ..meta_for(&sim, 0, 0) };
-                set.store(meta, |raw| *raw = vec![step as u8]);
+                set.store(meta, None, |raw: &mut Vec<u8>| *raw = vec![step as u8]);
             }
             set
         };
         let steps = |blocks: Vec<Block>| {
-            let mut v: Vec<(u64, Vec<u8>)> = blocks.into_iter().map(|(m, r)| (m.step, r)).collect();
+            let mut v: Vec<(u64, Vec<u8>)> =
+                blocks.into_iter().map(|(m, r)| (m.step, r.to_vec())).collect();
             v.sort();
             v
         };
@@ -338,8 +366,7 @@ mod tests {
         pack_shard_payload(&sim.yin, meta.tnth as usize, meta.tnph as usize, &mut raw);
         for codec in [CkptCodec::Raw, CkptCodec::Delta] {
             let file = encode(&meta, &raw, None, codec).0;
-            let (back_meta, back_raw) =
-                read_shard(&mut file.as_slice(), &mut no_base).unwrap();
+            let (back_meta, back_raw) = decode(&file, None).unwrap();
             assert_eq!(back_raw, raw, "{codec:?} payload roundtrip");
             assert_eq!(back_meta.step, meta.step);
             assert_eq!(back_meta.shape, meta.shape);
@@ -417,9 +444,12 @@ mod tests {
             (0x1a29, 0x9c73_9ce7),
         ];
         assert_eq!(got, pinned, "shard format v3 bytes changed");
-        // The chain still decodes to the payloads it was built from.
-        let mut chain = |s: u64| Ok(if s == 0 { a.clone() } else { b.clone() });
-        assert_eq!(read_shard(&mut files[3].as_slice(), &mut chain).unwrap().1, c);
+        // The chain decodes forward into one payload, each link in place.
+        let mut payload = Vec::new();
+        for (file, want) in files[1..].iter().zip([&a, &b, &c]) {
+            read_shard(&mut file.as_slice(), &mut payload).unwrap();
+            assert_eq!(payload, *want);
+        }
     }
 
     #[test]
@@ -436,15 +466,11 @@ mod tests {
             encode(&meta1, &raw1, Some((meta0.step, &raw0)), CkptCodec::Delta);
         assert_eq!(flags, FLAG_DELTA | FLAG_RLE);
         assert_eq!(base_step, meta0.step);
-        let mut resolved = false;
-        let mut resolve = |s: u64| {
-            assert_eq!(s, meta0.step);
-            resolved = true;
-            Ok(raw0.clone())
-        };
-        let (_, back) = read_shard(&mut file.as_slice(), &mut resolve).unwrap();
-        assert!(resolved, "delta decode must consult the base");
+        let (_, back) = decode(&file, Some(&raw0)).unwrap();
         assert_eq!(back, raw1);
+        // Without its base in the payload the link is refused.
+        let err = decode(&file, None).unwrap_err();
+        assert!(err.to_string().contains("the chain is inconsistent"), "{err}");
     }
 
     #[test]
@@ -456,18 +482,15 @@ mod tests {
         let file = encode(&meta, &raw, None, CkptCodec::Delta).0;
         // Truncation anywhere names what was being read.
         for cut in [4, 60, 180, file.len() / 2, file.len() - 6, file.len() - 1] {
-            let err = read_shard(&mut &file[..cut], &mut no_base).unwrap_err();
-            assert!(
-                err.to_string().contains("truncated"),
-                "cut at {cut}: unexpected error {err}"
-            );
+            let err = decode(&file[..cut], None).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "cut at {cut}: unexpected error {err}");
         }
         // A payload bit flip must trip the CRC (or the codec's internal
         // consistency checks) — never decode silently.
         for pos in [250, file.len() / 2, file.len() - 20] {
             let mut bad = file.clone();
             bad[pos] ^= 0x04;
-            let err = read_shard(&mut bad.as_slice(), &mut no_base).unwrap_err();
+            let err = decode(&bad, None).unwrap_err();
             assert!(
                 matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
                 "flip at {pos}: unexpected error {err}"
@@ -476,7 +499,7 @@ mod tests {
         // A header bit flip in the step counter lands in the CRC too.
         let mut bad = file.clone();
         bad[48] ^= 0x01; // low byte of the step field
-        let err = read_shard(&mut bad.as_slice(), &mut no_base).unwrap_err();
+        let err = decode(&bad, None).unwrap_err();
         assert!(
             matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
             "{err}"
@@ -484,7 +507,7 @@ mod tests {
         // Old-version magic is named.
         let mut bad = file;
         bad[7] = 0x02;
-        let err = read_shard(&mut bad.as_slice(), &mut no_base).unwrap_err();
+        let err = decode(&bad, None).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 

@@ -2,11 +2,12 @@
 //! naming, payload packing, and the encoder/reader pair with the CRC
 //! over header + uncompressed payload.
 
-use super::codec::{rle_decode, rle_encode, xor_with, CkptCodec};
+use super::codec::{rle_decode, rle_decode_xor, rle_encode_spilled, xor_with, CkptCodec, Xor};
 use crate::checkpoint::{
     check_footer, invalid, read_exact_ctx, read_header, read_u64, Crc32, HashingReader, MAX_DIM,
 };
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use yy_field::{Region, Shape};
 use yy_mhd::State;
@@ -58,12 +59,12 @@ pub struct ShardMeta {
 impl ShardMeta {
     /// Bytes of the uncompressed payload this tile must carry: 8 arrays
     /// × region points × 8 bytes.
-    fn expected_raw_len(&self) -> u64 {
+    pub(super) fn expected_raw_len(&self) -> u64 {
         8 * self.shape.nr as u64 * self.tnth * self.tnph * 8
     }
 
     /// The owned block in full-panel interior coordinates.
-    pub(super) fn global_region(&self) -> Region {
+    fn global_region(&self) -> Region {
         Region {
             i0: 0,
             i1: self.shape.nr,
@@ -110,34 +111,59 @@ pub(crate) fn pack_shard_payload(state: &State, tnth: usize, tnph: usize, raw: &
     }
 }
 
-/// Serialize one shard into `out` (replacing its contents): header,
-/// encoded payload, CRC footer. `raw` is the uncompressed payload from
-/// [`pack_shard_payload`]; `base` is the previous checkpoint's step and
-/// payload when the codec is [`CkptCodec::Delta`] and one exists;
-/// `delta` is scratch for the XOR image. The encoder appends straight
-/// into the file image, so with recycled `delta`/`out` buffers an event
-/// allocates nothing. Returns the flags and base step actually used (a
-/// delta request without a base degrades to a self-contained RLE shard).
-pub(crate) fn encode_shard(
+/// Place a [`pack_shard_payload`] image of the owned block `meta`
+/// describes into `panel` (the full-panel state), each row converted
+/// straight from the bytes. The caller has checked that `raw` is as
+/// long as `meta`'s tile needs.
+pub(super) fn unpack_shard_payload(meta: &ShardMeta, panel: &mut State, raw: &[u8]) {
+    let region = meta.global_region();
+    let mut rows = raw.chunks_exact(8 * meta.shape.nr);
+    for arr in panel.arrays_mut() {
+        for k in region.k0..region.k1 {
+            for j in region.j0..region.j1 {
+                let src = rows.next().expect("the caller checked the payload length");
+                for (v, c) in arr.row_mut(j, k).iter_mut().zip(src.chunks_exact(8)) {
+                    // `chunks_exact(8)` yields eight-byte slices.
+                    *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+                }
+            }
+        }
+    }
+}
+
+/// Bytes of a v3 shard header: the magic and 20 `u64` fields.
+const HEADER_LEN: usize = 8 + 20 * 8;
+
+/// The encoded stream goes to the file in writes of about this size.
+const CHUNK: usize = 64 << 10;
+
+/// Write one shard to `out`: header, encoded payload, CRC footer. `raw`
+/// is the uncompressed payload from [`pack_shard_payload`]; `base` is
+/// the delta base's step and payload when the codec is
+/// [`CkptCodec::Delta`] and one exists. The XOR against the base is
+/// formed inside the RLE scan, and the stream reaches `out` through
+/// `chunk`, one small recycled buffer, so encoding holds no image of
+/// the payload or the file; `enc_len` is patched in place at the end.
+/// Returns the flags and base step actually used (a delta request
+/// without a base degrades to a self-contained RLE shard) and the
+/// file's length.
+pub(crate) fn encode_shard<W: Write + Seek>(
     meta: &ShardMeta,
     raw: &[u8],
     base: Option<(u64, &[u8])>,
     codec: CkptCodec,
-    delta: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-) -> (u64, u64) {
+    chunk: &mut Vec<u8>,
+    out: &mut W,
+) -> io::Result<(u64, u64, u64)> {
     let base = base.filter(|(_, prev)| prev.len() == raw.len());
     let (flags, base_step) = match (codec, base) {
         (CkptCodec::Raw, _) => (0, NO_BASE),
         (_, None) => (FLAG_RLE, NO_BASE),
         (_, Some((base_step, _))) => (FLAG_DELTA | FLAG_RLE, base_step),
     };
-    out.clear();
-    // Worst case (header + every literal frame full + footer), so the
-    // appends below never regrow a recycled buffer.
-    out.reserve(256 + raw.len() + raw.len() / 128);
-    out.extend_from_slice(SHARD_MAGIC);
-    for v in [
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(SHARD_MAGIC);
+    for (dst, v) in header[8..].chunks_exact_mut(8).zip([
         meta.shape.nr as u64,
         meta.shape.nth as u64,
         meta.shape.nph as u64,
@@ -158,46 +184,50 @@ pub(crate) fn encode_shard(
         base_step,
         raw.len() as u64,
         0, // enc_len, patched below once the payload is encoded
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
+    ]) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
-    let header_len = out.len();
+    chunk.clear();
+    chunk.extend_from_slice(&header);
+    // Bytes handed to `out` so far, the header's included.
+    let mut spilled = 0u64;
+    let mut spill = |buf: &mut Vec<u8>| {
+        out.write_all(buf)?;
+        spilled += buf.len() as u64;
+        buf.clear();
+        Ok(())
+    };
     match (codec, base) {
-        (CkptCodec::Raw, _) => out.extend_from_slice(raw),
-        (_, None) => rle_encode(raw, out),
-        (_, Some((_, prev))) => {
-            delta.clear();
-            delta.extend(raw.iter().zip(prev).map(|(a, b)| a ^ b));
-            rle_encode(delta, out);
+        (CkptCodec::Raw, _) => {
+            spill(chunk)?;
+            out.write_all(raw)?;
+            spilled += raw.len() as u64;
         }
+        (_, None) => rle_encode_spilled(raw, chunk, CHUNK, &mut spill)?,
+        (_, Some((_, prev))) => rle_encode_spilled(Xor::new(raw, prev), chunk, CHUNK, &mut spill)?,
     }
-    let enc_len = (out.len() - header_len) as u64;
-    out[header_len - 8..header_len].copy_from_slice(&enc_len.to_le_bytes());
+    let enc_len = spilled + chunk.len() as u64 - HEADER_LEN as u64;
+    header[HEADER_LEN - 8..].copy_from_slice(&enc_len.to_le_bytes());
     // The CRC covers the header and the *uncompressed* payload: hash the
     // raw bytes but write the encoded ones, so codec bugs cannot forge
     // integrity.
     let mut crc = Crc32::new();
-    crc.update(&out[..header_len]);
+    crc.update(&header);
     crc.update(raw);
-    let hashed_len = (header_len + raw.len()) as u64;
-    out.extend_from_slice(&hashed_len.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    (flags, base_step)
+    chunk.extend_from_slice(&((HEADER_LEN + raw.len()) as u64).to_le_bytes());
+    chunk.extend_from_slice(&crc.finish().to_le_bytes());
+    out.write_all(chunk)?;
+    out.seek(SeekFrom::Start(HEADER_LEN as u64 - 8))?;
+    out.write_all(&enc_len.to_le_bytes())?;
+    Ok((flags, base_step, HEADER_LEN as u64 + enc_len + 12))
 }
 
-/// Read one shard from the file image `r` (advanced past it): header and
-/// **decoded** (uncompressed) payload, with the CRC footer verified over
-/// header + uncompressed bytes. `base` resolves a delta shard's base
-/// payload by step; self-contained shards never call it. Both payload
-/// lengths are checked against the bytes actually present before
-/// anything is sized by them.
-pub(crate) fn read_shard(
-    r: &mut &[u8],
-    base: &mut dyn FnMut(u64) -> io::Result<Vec<u8>>,
-) -> io::Result<(ShardMeta, Vec<u8>)> {
-    let mut hr = HashingReader { inner: r, crc: Crc32::new(), len: 0 };
+/// Read a shard's header from `hr` and check it: magic, geometry caps,
+/// tile placement, payload lengths. Returns the header and the raw and
+/// encoded payload lengths.
+fn read_shard_header(hr: &mut HashingReader<'_, &[u8]>) -> io::Result<(ShardMeta, u64, u64)> {
     let mut magic = [0u8; 8];
-    read_exact_ctx(&mut hr, &mut magic, "shard magic")?;
+    read_exact_ctx(hr, &mut magic, "shard magic")?;
     if &magic != SHARD_MAGIC {
         return Err(if magic[..7] == SHARD_MAGIC[..7] {
             invalid(format!(
@@ -208,20 +238,20 @@ pub(crate) fn read_shard(
             invalid("not a yycore checkpoint shard (bad magic)".to_string())
         });
     }
-    let (shape, step, time, dt_cache) = read_header(&mut hr, "shard")?;
+    let (shape, step, time, dt_cache) = read_header(hr, "shard")?;
     let (nth, nph) = (shape.nth as u64, shape.nph as u64);
-    let pth = read_u64(&mut hr, "shard layout (pth)")?;
-    let pph = read_u64(&mut hr, "shard layout (pph)")?;
-    let rank = read_u64(&mut hr, "shard rank")?;
-    let panel = read_u64(&mut hr, "shard panel")?;
-    let j0 = read_u64(&mut hr, "shard tile (j0)")?;
-    let tnth = read_u64(&mut hr, "shard tile (nth)")?;
-    let k0 = read_u64(&mut hr, "shard tile (k0)")?;
-    let tnph = read_u64(&mut hr, "shard tile (nph)")?;
-    let flags = read_u64(&mut hr, "shard flags")?;
-    let base_step = read_u64(&mut hr, "shard base step")?;
-    let raw_len = read_u64(&mut hr, "shard payload length")?;
-    let enc_len = read_u64(&mut hr, "shard encoded length")?;
+    let pth = read_u64(hr, "shard layout (pth)")?;
+    let pph = read_u64(hr, "shard layout (pph)")?;
+    let rank = read_u64(hr, "shard rank")?;
+    let panel = read_u64(hr, "shard panel")?;
+    let j0 = read_u64(hr, "shard tile (j0)")?;
+    let tnth = read_u64(hr, "shard tile (nth)")?;
+    let k0 = read_u64(hr, "shard tile (k0)")?;
+    let tnph = read_u64(hr, "shard tile (nph)")?;
+    let flags = read_u64(hr, "shard flags")?;
+    let base_step = read_u64(hr, "shard base step")?;
+    let raw_len = read_u64(hr, "shard payload length")?;
+    let enc_len = read_u64(hr, "shard encoded length")?;
     let meta = ShardMeta {
         shape,
         step,
@@ -263,6 +293,35 @@ pub(crate) fn read_shard(
              bytes; header is corrupt"
         )));
     }
+    if flags & FLAG_RLE != 0 && raw_len > 65 * enc_len {
+        // A repeat frame turns 2 bytes into at most 130.
+        return Err(invalid(format!(
+            "shard payload length {raw_len} exceeds 65 x the encoded length {enc_len}, the \
+             codec's largest expansion; header is corrupt"
+        )));
+    }
+    if flags & FLAG_RLE == 0 && enc_len != raw_len {
+        return Err(invalid(format!(
+            "shard raw payload is {enc_len} bytes, header records {raw_len}"
+        )));
+    }
+    if flags & FLAG_DELTA != 0 && base_step == NO_BASE {
+        return Err(invalid(
+            "shard is flagged delta but names no base step; header is corrupt".to_string(),
+        ));
+    }
+    Ok((meta, raw_len, enc_len))
+}
+
+/// Read one shard from the file image `r` (advanced past it) into
+/// `payload`, with the CRC footer verified over header + **decoded**
+/// bytes. A self-contained shard replaces `payload`; a delta link is
+/// XOR-ed into it in place, so `payload` must hold its base's payload.
+/// Both payload lengths are checked against the bytes actually present
+/// before anything is sized by them.
+pub(crate) fn read_shard(r: &mut &[u8], payload: &mut Vec<u8>) -> io::Result<ShardMeta> {
+    let mut hr = HashingReader { inner: r, crc: Crc32::new(), len: 0 };
+    let (meta, raw_len, enc_len) = read_shard_header(&mut hr)?;
     let (header_len, mut header_crc) = (hr.len, hr.crc);
     // The encoded payload is taken from the *raw* image: the CRC hashes
     // the decoded bytes instead.
@@ -279,43 +338,31 @@ pub(crate) fn read_shard(
         ));
     };
     *hr.inner = footer;
-    let mut raw = if flags & FLAG_RLE != 0 {
-        // A repeat frame turns 2 bytes into at most 130.
-        if raw_len > 65 * enc_len {
-            return Err(invalid(format!(
-                "shard payload length {raw_len} exceeds 65 x the encoded length {enc_len}, the \
-                 codec's largest expansion; header is corrupt"
-            )));
+    let (step, rank) = (meta.step, meta.rank);
+    if meta.flags & FLAG_DELTA == 0 {
+        payload.clear();
+        if meta.flags & FLAG_RLE != 0 {
+            payload.reserve(raw_len as usize);
+            rle_decode(encoded, raw_len as usize, payload)?;
+        } else {
+            payload.extend_from_slice(encoded);
         }
-        let mut raw = Vec::with_capacity(raw_len as usize);
-        rle_decode(encoded, raw_len as usize, &mut raw)?;
-        raw
     } else {
-        if enc_len != raw_len {
+        if payload.len() as u64 != raw_len {
             return Err(invalid(format!(
-                "shard raw payload is {enc_len} bytes, header records {raw_len}"
-            )));
-        }
-        encoded.to_vec()
-    };
-    if flags & FLAG_DELTA != 0 {
-        if base_step == NO_BASE {
-            return Err(invalid(
-                "shard is flagged delta but names no base step; header is corrupt".to_string(),
-            ));
-        }
-        let prev = base(base_step)?;
-        if prev.len() != raw.len() {
-            return Err(invalid(format!(
-                "shard delta base (step {base_step}) is {} bytes, this shard is {}; \
+                "shard delta base (step {}) is {} bytes, this shard is {raw_len}; \
                  the chain is inconsistent",
-                prev.len(),
-                raw.len()
+                meta.base_step,
+                payload.len()
             )));
         }
-        xor_with(&mut raw, &prev);
+        if meta.flags & FLAG_RLE != 0 {
+            rle_decode_xor(encoded, payload)?;
+        } else {
+            xor_with(payload, encoded);
+        }
     }
-    header_crc.update(&raw);
+    header_crc.update(payload);
     check_footer(
         hr.inner,
         "shard",
@@ -323,23 +370,63 @@ pub(crate) fn read_shard(
         header_crc.finish(),
         format_args!(" (step {step}, rank {rank})"),
     )?;
-    Ok((meta, raw))
+    Ok(meta)
 }
 
-/// Load and fully decode the shard for `(step, rank)` from `dir`,
-/// following the delta chain backwards until a self-contained base.
-pub(crate) fn load_shard(dir: &Path, step: u64, rank: usize) -> io::Result<(ShardMeta, Vec<u8>)> {
+/// Read the file of `(step, rank)` in `dir` into `file` (replacing its
+/// contents): its first `limit` bytes, or all of it.
+fn read_file(
+    dir: &Path,
+    step: u64,
+    rank: usize,
+    limit: Option<usize>,
+    file: &mut Vec<u8>,
+) -> io::Result<()> {
     let path = dir.join(shard_file_name(step, rank));
-    let bytes = std::fs::read(&path).map_err(|e| {
-        io::Error::new(e.kind(), format!("reading shard {}: {e}", path.display()))
-    })?;
-    let mut resolve = |base: u64| -> io::Result<Vec<u8>> {
-        if base >= step {
+    file.clear();
+    let read = File::open(&path).and_then(|mut f| match limit {
+        Some(n) => f.take(n as u64).read_to_end(file),
+        None => {
+            file.reserve(usize::try_from(f.metadata()?.len()).unwrap_or(0));
+            f.read_to_end(file)
+        }
+    });
+    read.map(drop)
+        .map_err(|e| io::Error::new(e.kind(), format!("reading shard {}: {e}", path.display())))
+}
+
+/// Load and fully decode the shard for `(step, rank)` from `dir` into
+/// `payload`: walk the headers back along the delta chain to its
+/// self-contained base, then decode forward, each link XOR-ed into the
+/// one payload and its CRC checked, through the one `file` buffer.
+pub(crate) fn load_shard(
+    dir: &Path,
+    step: u64,
+    rank: usize,
+    payload: &mut Vec<u8>,
+    file: &mut Vec<u8>,
+) -> io::Result<ShardMeta> {
+    let mut chain = vec![step];
+    loop {
+        let link = chain[chain.len() - 1];
+        read_file(dir, link, rank, Some(HEADER_LEN), file)?;
+        let mut hr = HashingReader { inner: &mut file.as_slice(), crc: Crc32::new(), len: 0 };
+        let meta = read_shard_header(&mut hr)?.0;
+        if meta.flags & FLAG_DELTA == 0 {
+            break;
+        }
+        if meta.base_step >= link {
             return Err(invalid(format!(
-                "shard delta chain does not terminate: step {step} names base {base}"
+                "shard delta chain does not terminate: step {link} names base {} (rank {rank})",
+                meta.base_step
             )));
         }
-        Ok(load_shard(dir, base, rank)?.1)
-    };
-    read_shard(&mut bytes.as_slice(), &mut resolve)
+        chain.push(meta.base_step);
+    }
+    let mut meta = None;
+    for &link in chain.iter().rev() {
+        read_file(dir, link, rank, None, file)?;
+        meta = Some(read_shard(&mut file.as_slice(), payload)?);
+    }
+    Ok(meta.expect("a chain holds at least its own step"))
 }

@@ -1,11 +1,13 @@
-//! The writer stage: a two-slot buffer pool feeding a per-rank writer
-//! thread that encodes and writes shards behind compute. Tests also build
-//! it inline, as the synchronous oracle.
+//! The writer stage: a per-rank writer thread that encodes shards
+//! straight from the in-memory set's blocks and writes them behind
+//! compute, and a two-slot buffer pool for verbatim file images. Tests
+//! also build it inline, as the synchronous oracle.
 
 use super::codec::CkptCodec;
 use super::shard::{encode_shard, ShardMeta};
 use std::collections::VecDeque;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -13,7 +15,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Totals the writer accumulates, returned by [`OutputStage::finish`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoTotals {
-    /// Files durably written: shards and verbatim [`OutputStage::submit`] images.
+    /// Files written and renamed into place: shards and verbatim
+    /// [`OutputStage::submit`] images.
     pub files_written: u64,
     /// Encoded bytes written to disk.
     pub bytes_written: u64,
@@ -24,29 +27,25 @@ pub struct IoTotals {
     pub write_wall_ns: u64,
 }
 
-/// One queued write: either a fully serialized file image (`shard:
-/// None`, written verbatim) or a raw shard payload (`shard: Some`) that
-/// the *consumer* — the writer thread — encodes with the delta/RLE
-/// codec before writing, keeping everything but the pack memcpy off the
-/// step path.
-struct Job {
-    path: PathBuf,
-    bytes: Vec<u8>,
-    raw_len: u64,
-    shard: Option<(ShardMeta, CkptCodec)>,
+/// One queued write.
+enum Job {
+    /// A fully serialized file image, written verbatim from a pool buffer.
+    File { path: PathBuf, bytes: Vec<u8>, raw_len: u64 },
+    /// A stored block's raw payload, shared with the in-memory set, which
+    /// the *consumer* — the writer thread — encodes with the delta/RLE
+    /// codec as it writes: everything but the pack stays off the step path.
+    Shard { path: PathBuf, raw: Arc<Vec<u8>>, meta: ShardMeta, codec: CkptCodec },
 }
 
-/// Shard-encoding state owned by the consumer side: the previous raw
-/// payload (the delta base) and its step, the XOR-image scratch and the
-/// file image — recycled event to event, so encoding allocates nothing.
-/// One consumer at a time touches it — the writer thread, or the
-/// submitting producer in the inline oracle — so the mutex never contends.
+/// The consumer side's shard state: the newest block it wrote (the next
+/// delta base, shared with the in-memory set) and the one small buffer
+/// each encoded stream passes through to its file. One consumer at a
+/// time touches it — the writer thread, or the submitting producer in
+/// the inline oracle — so the mutex never contends.
 #[derive(Default)]
-struct EncState {
-    prev: Vec<u8>,
-    prev_step: Option<u64>,
-    delta: Vec<u8>,
-    out: Vec<u8>,
+struct Chain {
+    base: Option<(u64, Arc<Vec<u8>>)>,
+    chunk: Vec<u8>,
 }
 
 struct PoolState {
@@ -59,11 +58,11 @@ struct PoolState {
 
 struct Shared {
     state: Mutex<PoolState>,
-    // Signaled when a buffer returns to the pool (producer side waits).
+    // Signaled when a job completes (producer side waits).
     free_cv: Condvar,
     // Signaled when work arrives or the stage closes (writer side waits).
     work_cv: Condvar,
-    enc: Mutex<EncState>,
+    chain: Mutex<Chain>,
     files_written: AtomicU64,
     bytes_written: AtomicU64,
     bytes_raw: AtomicU64,
@@ -71,35 +70,40 @@ struct Shared {
 }
 
 impl Shared {
-    /// Encode (shard jobs) and write one job; returns the buffer to
-    /// recycle. All of this runs on the consumer side: the writer
-    /// thread, or the caller in the inline oracle.
-    fn write_one(&self, job: Job) -> Vec<u8> {
-        let Job { path, mut bytes, raw_len, shard } = job;
+    /// Encode (shard jobs) and write one job; returns a pool buffer to
+    /// recycle, if it had one. All of this runs on the consumer side: the
+    /// writer thread, or the caller in the inline oracle. Every reference
+    /// the job held to a stored block is dropped before this returns.
+    fn write_one(&self, job: Job) -> Option<Vec<u8>> {
         let t0 = std::time::Instant::now();
-        let (res, on_disk) = match shard {
-            None => (write_atomic(&path, &bytes), bytes.len() as u64),
-            Some((meta, codec)) => {
-                let mut enc = self.enc.lock().unwrap_or_else(|p| p.into_inner());
-                let EncState { prev, prev_step, delta, out } = &mut *enc;
+        let (path, res, raw_len, buf) = match job {
+            Job::File { path, bytes, raw_len } => {
+                let res = write_atomic(&path, |f| f.write_all(&bytes).map(|()| bytes.len() as u64));
+                (path, res, raw_len, Some(bytes))
+            }
+            Job::Shard { path, raw, meta, codec } => {
+                let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
+                let Chain { base, chunk } = &mut *chain;
                 // Only an *older* step is a base: re-emitting a step
                 // (a 0-step run's final shard) must not overwrite the
                 // file with a delta against itself.
-                let base = prev_step.filter(|&s| s < meta.step).map(|s| (s, prev.as_slice()));
-                encode_shard(&meta, &bytes, base, codec, delta, out);
-                let res = write_atomic(&path, out);
+                let prev = base.as_ref().filter(|(s, _)| *s < meta.step);
+                let prev = prev.map(|(s, b)| (*s, b.as_slice()));
+                let res = write_atomic(&path, |f| {
+                    encode_shard(&meta, &raw, prev, codec, chunk, f).map(|(.., len)| len)
+                });
                 if res.is_ok() {
-                    // The payload just written becomes the next delta
-                    // base; the old base buffer goes back to the pool.
-                    std::mem::swap(prev, &mut bytes);
-                    *prev_step = Some(meta.step);
+                    // The block just written becomes the next delta base
+                    // (a raw shard needs none, so holds nothing back);
+                    // the old base goes back to the set's owner.
+                    *base = (codec == CkptCodec::Delta).then(|| (meta.step, Arc::clone(&raw)));
                 }
-                (res, out.len() as u64)
+                (path, res, raw.len() as u64, None)
             }
         };
         self.write_wall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match res {
-            Ok(()) => {
+            Ok(on_disk) => {
                 self.files_written.fetch_add(1, Ordering::Relaxed);
                 self.bytes_written.fetch_add(on_disk, Ordering::Relaxed);
                 self.bytes_raw.fetch_add(raw_len, Ordering::Relaxed);
@@ -109,28 +113,33 @@ impl Shared {
                 st.err.get_or_insert_with(|| format!("writing {}: {e}", path.display()));
             }
         }
-        bytes
+        buf
     }
 }
 
-/// Write `bytes` to `path` atomically: a sibling temp file is renamed
-/// into place, so a reader (or a post-kill merge) never sees a torn
-/// file — any shard that exists is complete and CRC-checked.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write `path` atomically through `fill`, which writes the file's
+/// bytes and returns their count: a sibling temp file is renamed into
+/// place, so a reader (or a post-kill merge) never sees a torn file —
+/// any shard that exists is complete and CRC-checked.
+fn write_atomic(path: &Path, fill: impl FnOnce(&mut File) -> io::Result<u64>) -> io::Result<u64> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    let len = fill(&mut File::create(&tmp)?)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(len)
 }
 
-/// The per-rank output stage: a two-slot buffer pool feeding a dedicated
-/// writer thread, so writes hide behind compute.
+/// The per-rank output stage: a dedicated writer thread, so writes hide
+/// behind compute.
 ///
-/// Producer protocol: [`OutputStage::acquire`] a free buffer (blocking
-/// when both slots are in flight — the measured backpressure), fill it
-/// with a serialized file image, [`OutputStage::submit`] it. The stage
-/// must be [`OutputStage::finish`]ed to surface write errors.
+/// Producer protocol for a file image: [`OutputStage::acquire`] a free
+/// pool buffer (blocking when both slots are in flight — the measured
+/// backpressure), fill it, [`OutputStage::submit`] it. A shard is
+/// submitted as the in-memory set's block itself, and the set takes the
+/// block's buffer back through `reclaim`, which blocks while the writer
+/// still reads it. The stage must be [`OutputStage::finish`]ed to
+/// surface write errors.
 pub struct OutputStage {
     shared: Arc<Shared>,
     /// The writer thread; `None` for the inline oracle.
@@ -153,7 +162,7 @@ impl OutputStage {
             }),
             free_cv: Condvar::new(),
             work_cv: Condvar::new(),
-            enc: Mutex::new(EncState::default()),
+            chain: Mutex::new(Chain::default()),
             files_written: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             bytes_raw: AtomicU64::new(0),
@@ -199,23 +208,44 @@ impl OutputStage {
     /// returns the nanoseconds, which the caller charges like a blocked
     /// acquire.
     pub fn submit(&self, path: PathBuf, bytes: Vec<u8>, raw_len: u64) -> u64 {
-        self.submit_job(Job { path, bytes, raw_len, shard: None })
+        self.submit_job(Job::File { path, bytes, raw_len })
     }
 
-    /// Hand a *raw* shard payload to the writer; the consumer side
-    /// encodes it (delta chain, RLE) and writes the result, so the
-    /// producer pays only for the pack memcpy. Shards must be
-    /// submitted in step order — the consumer chains each one against
-    /// the previous payload it saw.
-    pub fn submit_shard(
+    /// Hand a stored block's *raw* payload to the writer; the consumer
+    /// side encodes it (delta chain, RLE) as it writes, so the producer
+    /// pays only for the pack. Shards must be submitted in step order —
+    /// the consumer chains each one against the previous block it wrote.
+    pub(crate) fn submit_shard(
         &self,
         path: PathBuf,
-        raw: Vec<u8>,
+        raw: Arc<Vec<u8>>,
         meta: ShardMeta,
         codec: CkptCodec,
     ) -> u64 {
-        let raw_len = raw.len() as u64;
-        self.submit_job(Job { path, bytes: raw, raw_len, shard: Some((meta, codec)) })
+        self.submit_job(Job::Shard { path, raw, meta, codec })
+    }
+
+    /// Take back the payload of a stored block once the writer no longer
+    /// reads it, as a queued shard or as the delta base of one. Returns
+    /// it with the nanoseconds spent blocked (charged to `writer_wait`).
+    /// A block the writer keeps as its base while idle — the shard after
+    /// it failed to write — stays with the writer, and an empty buffer
+    /// is returned in its place.
+    pub(crate) fn reclaim(&self, mut block: Arc<Vec<u8>>) -> (Vec<u8>, u64) {
+        let t0 = std::time::Instant::now();
+        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        // The consumer drops a job's references before it takes this
+        // lock to report the job done, so a test under the lock sees them.
+        loop {
+            block = match Arc::try_unwrap(block) {
+                Ok(raw) => return (raw, t0.elapsed().as_nanos() as u64),
+                Err(shared) => shared,
+            };
+            if st.jobs.is_empty() && st.in_flight == 0 {
+                return (Vec::new(), t0.elapsed().as_nanos() as u64);
+            }
+            st = self.shared.free_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
     }
 
     fn submit_job(&self, job: Job) -> u64 {
@@ -230,13 +260,14 @@ impl OutputStage {
             let buf = self.shared.write_one(job);
             let ns = t0.elapsed().as_nanos() as u64;
             let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.free.push(buf);
+            st.free.extend(buf);
             ns
         }
     }
 
-    /// Block until every submitted write is durable. Returns the
-    /// nanoseconds spent blocked (charged to `writer_wait`).
+    /// Block until every submitted write has been written and renamed
+    /// into place. Returns the nanoseconds spent blocked (charged to
+    /// `writer_wait`).
     pub fn flush(&self) -> u64 {
         let t0 = std::time::Instant::now();
         let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -307,7 +338,7 @@ fn writer_main(shared: &Shared) {
         let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
         st.in_flight -= 1;
         if st.free.len() < 2 {
-            st.free.push(buf);
+            st.free.extend(buf);
         }
         drop(st);
         shared.free_cv.notify_all();

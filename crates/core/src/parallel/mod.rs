@@ -648,7 +648,7 @@ mod tests {
                 flags: 0,
                 base_step: u64::MAX,
             };
-            set.store(meta, |raw| pack_shard_payload(panel, shape.nth, shape.nph, raw));
+            set.store(meta, None, |raw| pack_shard_payload(panel, shape.nth, shape.nph, raw));
         };
         let (set, torn) = (ShardSet::new(2), ShardSet::new(2));
         let start = Checkpoint::capture(&sim);

@@ -7,9 +7,7 @@ use super::ParallelReport;
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
-use crate::output::{
-    pack_shard_payload, shard_file_name, CkptCodec, OutputStage, ShardMeta, ShardSet,
-};
+use crate::output::{shard_file_name, Block, CkptCodec, OutputStage, ShardSet};
 use crate::report::{IoStats, TimeSeriesPoint};
 use crate::telemetry::{DtInject, ScienceTelemetry};
 use std::path::PathBuf;
@@ -80,8 +78,9 @@ fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
 ///
 /// `set`, when given, receives this rank's owned block of the initial
 /// state (fresh passes), of every `plan.checkpoint_every`-th step and of
-/// the final state; `plan.shards` adds this rank's shard file at the
-/// same events. Either is local to the rank: an event sends nothing.
+/// the final state; `plan.shards` (which needs `set`) adds this rank's
+/// shard file of the same blocks. Either is local to the rank: an event
+/// sends nothing.
 pub(super) fn rank_program(
     cfg: &RunConfig,
     world: Comm,
@@ -90,6 +89,8 @@ pub(super) fn rank_program(
     resume: Option<&Checkpoint>,
     set: Option<&ShardSet>,
 ) -> Result<Option<ParallelReport>, String> {
+    // Shards are written from the blocks the set holds.
+    assert!(plan.shards.is_none() || set.is_some(), "a pass writing shards needs a shard set");
     let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters);
     let mut emitter = plan.shards.as_ref().map(ShardEmitter::new);
     let mut dt_cache = match resume {
@@ -280,13 +281,13 @@ pub(super) struct ShardCfg {
     pub(super) codec: CkptCodec,
 }
 
-/// Per-rank shard emitter: packs this rank's owned region at every
-/// checkpoint event and hands the *raw* payload to the [`OutputStage`],
-/// whose writer thread does the delta/RLE encoding and the file write —
-/// so the step path pays only for the pack memcpy plus any buffer-pool
-/// backpressure.
+/// Per-rank shard emitter: hands each block the in-memory set stores
+/// to the [`OutputStage`], whose writer thread does the delta/RLE
+/// encoding and the file write from that one copy — so the step path
+/// pays only for the pack plus any wait for the writer to release the
+/// buffer the next store reuses.
 pub(super) struct ShardEmitter {
-    stage: OutputStage,
+    pub(super) stage: OutputStage,
     dir: PathBuf,
     codec: CkptCodec,
 }
@@ -300,17 +301,20 @@ impl ShardEmitter {
         }
     }
 
-    /// Pack and submit the shard `meta` describes. Purely local (no
-    /// collectives — a peer death cannot strand it); time blocked on the
-    /// buffer pool is charged to the `writer_wait` phase, and the pack
-    /// work to the `output` kernel slot.
-    pub(super) fn emit(&mut self, solver: &mut RankSolver, state: &State, meta: ShardMeta) {
-        let t0 = solver.meter.timer();
-        let (mut raw, mut wait_ns) = self.stage.acquire();
-        pack_shard_payload(state, solver.tile.nth, solver.tile.nph, &mut raw);
+    /// Submit the shard of the block just stored. Purely local (no
+    /// collectives — a peer death cannot strand it); `wait_ns`, the
+    /// store's wait for its buffer, is charged to the `writer_wait`
+    /// phase, and the store's pack since `t0` to the `output` kernel slot.
+    pub(super) fn emit(
+        &mut self,
+        solver: &mut RankSolver,
+        (meta, raw): Block,
+        wait_ns: u64,
+        t0: Option<Instant>,
+    ) {
         let raw_len = raw.len() as u64;
         let path = self.dir.join(shard_file_name(meta.step, solver.world.rank()));
-        wait_ns += self.stage.submit_shard(path, raw, meta, self.codec);
+        let wait_ns = wait_ns + self.stage.submit_shard(path, raw, meta, self.codec);
         solver.world.record_phase_ns(SolverPhase::WriterWait, wait_ns);
         // Producer-side tally: the pack traffic. The encoded size is
         // not known here (the consumer compresses later); the on-disk

@@ -289,9 +289,10 @@ impl<'a> RankSolver<'a> {
         }
     }
 
-    /// One checkpoint event: store this rank's owned block in `set` and
-    /// write its shard, whichever the run has. Purely local — no message,
-    /// and no rank does another's work.
+    /// One checkpoint event: store this rank's owned block in `set`, and
+    /// hand that same block to `emitter` for its shard when the run
+    /// writes shards (such a run always has a set). Purely local — no
+    /// message, and no rank does another's work.
     pub(super) fn checkpoint(
         &mut self,
         state: &State,
@@ -299,15 +300,15 @@ impl<'a> RankSolver<'a> {
         set: Option<&ShardSet>,
         emitter: Option<&mut ShardEmitter>,
     ) {
-        if set.is_none() && emitter.is_none() {
-            return;
-        }
+        let Some(set) = set else { return };
         let meta = self.shard_meta(dt_cache);
-        if let Some(set) = set {
-            set.store(meta, |raw| pack_shard_payload(state, self.tile.nth, self.tile.nph, raw));
-        }
+        let t0 = self.meter.timer();
+        let writer = emitter.as_ref().map(|em| &em.stage);
+        let (block, wait_ns) = set.store(meta, writer, |raw| {
+            pack_shard_payload(state, self.tile.nth, self.tile.nph, raw)
+        });
         if let Some(em) = emitter {
-            em.emit(self, state, meta);
+            em.emit(self, block, wait_ns, t0);
         }
         self.world.record_event(Event::CheckpointSaved { step: self.step });
     }

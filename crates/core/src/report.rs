@@ -165,7 +165,8 @@ impl ElasticSummary {
 /// directory was configured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoStats {
-    /// Checkpoint shards durably written, summed over every rank.
+    /// Checkpoint shards written and renamed into place, summed over
+    /// every rank.
     pub shards_written: u64,
     /// Uncompressed payload bytes behind the writes.
     pub bytes_raw: u64,

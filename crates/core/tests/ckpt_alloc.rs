@@ -6,31 +6,41 @@
 //! at a pass boundary. From a rank's second event on, one more event
 //! allocates nothing payload-sized, so a run's total is bounded by the
 //! buffer count, not the event count. `Checkpoint::capture_into`
-//! refreshes a serial checkpoint fully in place. The shard path is held
-//! to the same standard: its buffers (two pool slots, the delta base,
-//! the XOR scratch, the file image) all exist by the third checkpoint
-//! event, and from then on one more event — pack, delta, RLE, CRC, write
-//! — performs no payload-sized allocation on either side of the stage.
-//! All pins live here, in one `#[test]`, because the allocation counter
-//! is global.
+//! refreshes a serial checkpoint fully in place. The shard path adds no
+//! payload-sized buffer at all: the writer thread encodes each shard
+//! from the set's own block, against the set's previous block as the
+//! delta base, with the XOR formed inside the RLE scan, and streams the
+//! file through one 64 KiB buffer — so pack, delta, RLE, CRC and write
+//! allocate nothing payload-sized on either side of the stage. Reading
+//! back is bounded the same way: `merge_shards` decodes a delta chain
+//! forward into one payload through one file buffer, so its peak does
+//! not grow with the chain's length. All pins live here, in one
+//! `#[test]`, because the allocation counters are global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use yycore::checkpoint::Checkpoint;
+use yycore::output::merge_shards;
 use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
 use yycore::{CkptCodec, RunConfig, SerialSim};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator (deallocations are free to happen; only acquiring memory
-/// marks a path as non-steady-state).
+/// marks a path as non-steady-state), and tracks the live bytes and
+/// their peak.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Acquisitions of at least `BIG_FROM` bytes (off until a test sets it).
 static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BIG_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Bytes currently allocated, and the most there were since the last
+/// [`reset_peak`].
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn count(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -39,18 +49,34 @@ fn count(size: usize) {
     }
 }
 
+fn grow(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        grow(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
+}
+
+/// Restart the peak at the live bytes now; returns them.
+fn reset_peak() -> usize {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
 }
 
 #[global_allocator]
@@ -82,29 +108,52 @@ fn supervised_allocs(checkpoint_every: u64) -> u64 {
 
 const STEPS: u64 = 6;
 
-/// Payload-sized allocations of a supervised 1×1 run of `steps` steps
-/// checkpointing every step (`steps + 1` events), with delta shards
-/// going to a scratch directory or with no shard directory at all.
-fn big_allocs(shards: bool, steps: u64) -> u64 {
+/// A unique scratch directory (removed by the caller).
+fn scratch_dir() -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = shards.then(|| {
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("yy_ckpt_alloc_{}_{n}", std::process::id()))
-    });
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("yy_ckpt_alloc_{}_{n}", std::process::id()))
+}
+
+/// Run a supervised 1×1 run of `steps` steps checkpointing every step
+/// (`steps + 1` events), with delta shards going to `dir` when given.
+fn delta_run(steps: u64, dir: Option<PathBuf>) {
     let opts = RecoveryOpts {
         checkpoint_every: 1,
         deadline: Duration::from_secs(30),
-        ckpt_dir: dir.clone(),
+        ckpt_dir: dir,
         ckpt_compress: CkptCodec::Delta,
         ..RecoveryOpts::default()
     };
-    let before = BIG_ALLOCS.load(Ordering::Relaxed);
     run_parallel_supervised(&quick_cfg(), 1, 1, steps, 0, &opts).expect("run completes");
+}
+
+/// Payload-sized allocations of [`delta_run`], with its shards in a
+/// scratch directory or with no shard directory at all.
+fn big_allocs(shards: bool, steps: u64) -> u64 {
+    let dir = shards.then(scratch_dir);
+    let before = BIG_ALLOCS.load(Ordering::Relaxed);
+    delta_run(steps, dir.clone());
     let n = BIG_ALLOCS.load(Ordering::Relaxed) - before;
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).ok();
     }
     n
+}
+
+/// Peak bytes `merge_shards` holds above what was live before it, over
+/// the delta chain of a [`delta_run`] of `steps` steps (a chain of
+/// `steps + 1` links per rank).
+fn merge_peak(steps: u64) -> usize {
+    let dir = scratch_dir();
+    delta_run(steps, Some(dir.clone()));
+    let base = reset_peak();
+    let merged = merge_shards(&quick_cfg(), &dir, None).expect("the newest set merges");
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert_eq!(merged.step, steps);
+    drop(merged);
+    std::fs::remove_dir_all(dir).ok();
+    peak
 }
 
 #[test]
@@ -150,24 +199,34 @@ fn checkpoint_capture_reuses_its_buffers() {
         STEPS - 1
     );
 
-    // Shards: what the shard path adds over the same run without a
-    // directory is its warm-up — per rank at most three payload buffers
-    // (two pool slots and the delta base), the XOR scratch and the file
-    // image — however many events follow. "Payload-sized" is half a
-    // rank's shard payload (8 arrays of owned f64s) and up.
+    // Shards: the shard path adds no payload-sized buffer over the same
+    // run without a directory — the writer reads the set's blocks, and
+    // its one stream buffer is 64 KiB. "Payload-sized" is half a rank's
+    // shard payload (8 arrays of owned f64s) and up.
     let shape = quick_cfg().grid().full_shape();
-    BIG_FROM.store(8 * shape.nr * shape.nth * shape.nph * 8 / 2, Ordering::Relaxed);
+    let payload = 8 * shape.nr * shape.nth * shape.nph * 8;
+    BIG_FROM.store(payload / 2, Ordering::Relaxed);
     // In memory: both generations exist from each rank's second event,
     // and a further event packs over the older one's buffer.
     let in_memory = big_allocs(false, STEPS);
     let extra_event = big_allocs(false, STEPS + 1) as i64 - in_memory as i64;
     assert_eq!(extra_event, 0, "an extra in-memory event made payload-sized allocations");
-    let added = big_allocs(true, STEPS).saturating_sub(in_memory);
-    assert!(added > 0, "the shard path must at least allocate its buffers");
-    assert!(
-        added <= 2 * 5,
-        "{} checkpoint events made {added} payload-sized allocations on the shard path \
-         — more than its buffers, so some event is allocating",
+    let added = big_allocs(true, STEPS) as i64 - in_memory as i64;
+    assert_eq!(
+        added,
+        0,
+        "{} checkpoint events made payload-sized allocations on the shard path \
+         beyond the in-memory set's",
         STEPS + 1
+    );
+
+    // Merges: a 16-link chain peaks within as many payloads as a 4-link
+    // one — the walk keeps no link's file or payload alive.
+    let in_payloads = |bytes: usize| bytes.div_ceil(payload);
+    let (short, long) = (merge_peak(3), merge_peak(15));
+    assert!(
+        in_payloads(long) <= in_payloads(short),
+        "merging a 16-link chain peaked at {long} bytes, a 4-link one at {short} \
+         ({payload}-byte payloads): merge memory grows with the chain"
     );
 }

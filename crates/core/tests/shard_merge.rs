@@ -224,6 +224,60 @@ fn corrupt_or_incomplete_shards_are_rejected_with_context() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A delta chain that cannot be walked is refused with the step and the
+/// rank at fault, never a panic: a link naming a base at or after its
+/// own step, a missing middle link, and a bit flip inside a middle link.
+#[test]
+fn broken_delta_chains_are_rejected_with_context() {
+    let cfg = quick_cfg();
+    let dir = fresh_dir("chain");
+    // Rank 0's chain at step 6 runs 6 → 4 → 2 → 0.
+    sharded_run(&dir, (1, 1), CkptCodec::Delta);
+    let name = |step: u64| yycore::output::shard_file_name(step, 0);
+    let (middle, tail) = (dir.join(name(4)), dir.join(name(2)));
+    let original = std::fs::read(&middle).expect("middle link exists");
+    let merge_err = || merge_shards(&cfg, &dir, Some(TOTAL)).unwrap_err().to_string();
+
+    // A link naming itself as its base (the header's `base_step` field,
+    // the 18th u64 after the magic).
+    let mut looped = original.clone();
+    looped[8 + 17 * 8..8 + 18 * 8].copy_from_slice(&4u64.to_le_bytes());
+    std::fs::write(&middle, &looped).unwrap();
+    let err = merge_err();
+    assert!(
+        err.contains("does not terminate") && err.contains("step 4") && err.contains("rank 0"),
+        "self-based link error lacks context: {err}"
+    );
+    std::fs::write(&middle, &original).unwrap();
+
+    // A deleted middle link: the error names the file that is missing.
+    let kept = std::fs::read(&tail).unwrap();
+    std::fs::remove_file(&tail).unwrap();
+    let err = merge_err();
+    assert!(err.contains(&name(2)), "missing-link error does not name the file: {err}");
+    std::fs::write(&tail, &kept).unwrap();
+
+    // A flipped value byte of a repeat frame in the middle link decodes
+    // to the right length but the wrong bytes: the CRC of that link fails.
+    let mut at = 8 + 20 * 8;
+    while original[at] < 0x80 {
+        at += original[at] as usize + 2;
+    }
+    let mut flipped = original.clone();
+    flipped[at + 1] ^= 0x01;
+    std::fs::write(&middle, &flipped).unwrap();
+    let err = merge_err();
+    assert!(
+        err.contains("CRC mismatch") && err.contains("(step 4, rank 0)"),
+        "middle-link bit flip error lacks context: {err}"
+    );
+
+    std::fs::write(&middle, &original).unwrap();
+    let merged = merge_shards(&cfg, &dir, Some(TOTAL)).expect("restored chain merges");
+    assert_eq!(bytes(&merged), bytes(&serial_ladder()[TOTAL as usize]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The full circle the CI soak runs in release mode, here as a unit:
 /// restart *from a merged shard set* onto a different layout and land
 /// on the uninterrupted trajectory byte for byte.
