@@ -2,7 +2,9 @@
 //! and reassemble a complete set — from memory or from shard files —
 //! into the serial-format [`Checkpoint`] byte-identically.
 
-use super::shard::{load_shard, parse_shard_name, unpack_shard_payload, ShardMeta};
+use super::shard::{
+    load_shard, load_shard_header, parse_shard_name, unpack_shard_payload, ShardMeta,
+};
 use super::stage::OutputStage;
 use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
@@ -110,6 +112,16 @@ impl Source<'_> {
         }
     }
 
+    /// The header of `(step, rank)`'s block: its stored meta, or read
+    /// from its shard file alone.
+    fn header(&self, step: u64, rank: usize) -> io::Result<ShardMeta> {
+        match self {
+            Source::Dir(dir) => load_shard_header(dir, step, rank, &mut Vec::new()),
+            // A block in memory is neither copied nor decoded to load.
+            Source::Mem(_) => Ok(self.load(step, rank, &mut Vec::new(), &mut Vec::new())?.0),
+        }
+    }
+
     /// The block of `(step, rank)`: from memory as stored, or decoded
     /// from its shard file into `payload` through the `file` buffer.
     fn load<'s>(
@@ -142,14 +154,17 @@ impl Source<'_> {
 /// match the set's geometry: the unowned ghost padding of a serial
 /// checkpoint carries *initialization* values, so the merger rebuilds
 /// them from `cfg` exactly as the serial driver does, places every
-/// shard's owned block, and refills the overset frames and walls.
+/// shard's owned block, and refills the overset frames and walls. The
+/// Yin and Yang panels are assembled at once, on this thread and one
+/// spawned thread; of their errors, the lowest rank's is returned.
 pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Result<Checkpoint> {
     merge(cfg, &Source::Dir(dir), step, None)
 }
 
 /// [`merge_shards`] over an in-memory set: the newest complete step,
-/// its padding taken from `padding` (the run's resume checkpoint) when
-/// given, else rebuilt from `cfg`.
+/// each panel's padding taken from `padding` (the run's resume
+/// checkpoint) when given, else rebuilt from `cfg`, and the panels
+/// assembled on two threads as there.
 pub(crate) fn merge_blocks(
     cfg: &RunConfig,
     blocks: &[Block],
@@ -200,8 +215,13 @@ fn merge(
 }
 
 /// Assemble the set of `step`, whose blocks `ranks` (ascending, at
-/// least one) hold: completeness, coverage and consistency checks, then
-/// placement and the frame and wall refill.
+/// least one) hold. The lowest rank's header, read alone, gives the
+/// layout for the completeness check (an incomplete set reports that
+/// rank's load error first, as it always has); then the two panels are
+/// assembled at once, Yang on one spawned thread and Yin on this one
+/// ([`assemble_panel`]), and the frames and walls refilled. Each panel's bytes come from the
+/// same operations in the same order as in a one-thread assembly, and
+/// when both panels fail, Yin's error — the lower ranks' — is returned.
 fn merge_step(
     cfg: &RunConfig,
     src: &Source,
@@ -209,11 +229,10 @@ fn merge_step(
     ranks: &[usize],
     padding: Option<&Checkpoint>,
 ) -> io::Result<Checkpoint> {
-    // One payload and one file buffer serve every block read from disk.
-    let (mut payload, mut file) = (Vec::new(), Vec::new());
-    let (first, first_raw) = src.load(step, ranks[0], &mut payload, &mut file)?;
+    let first = src.header(step, ranks[0])?;
     let world = (2 * first.pth * first.pph) as usize;
     if !ranks.iter().copied().eq(0..world) {
+        src.load(step, ranks[0], &mut Vec::new(), &mut Vec::new())?;
         return Err(invalid(format!(
             "shard set at step {step} is incomplete: layout {}x{} needs ranks 0..{world}, \
              found {ranks:?}",
@@ -221,17 +240,58 @@ fn merge_step(
         )));
     }
     let grid = cfg.grid();
+    let work = |panel: Panel| {
+        let padding = padding.map(|ck| if panel == Panel::Yin { &ck.yin } else { &ck.yang });
+        assemble_panel(cfg, &grid, src, &first, panel, padding)
+    };
+    let (yin, yang) = std::thread::scope(|s| {
+        let yang = s.spawn(|| work(Panel::Yang));
+        let yin = work(Panel::Yin);
+        (yin, yang.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+    });
+    let (mut yin, mut yang) = (yin?, yang?);
+    // The blocks carry owned values only: refill the overset frames and
+    // wall conditions exactly as the serial driver's sync would.
+    let cols = overset_columns(&grid);
+    fill_pair(&mut yin, &mut yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
+    Ok(Checkpoint {
+        shape: grid.full_shape(),
+        step,
+        time: first.time,
+        dt_cache: first.dt_cache,
+        yin,
+        yang,
+    })
+}
+
+/// One panel of [`merge_step`]: its padding (`padding`, or [`blank`]'s),
+/// then its ranks in order, each loaded through this worker's own
+/// payload and file buffers, checked against rank 0's header `first`
+/// and the configuration, and placed; finally its coverage check (the
+/// interior must be tiled exactly once).
+fn assemble_panel(
+    cfg: &RunConfig,
+    grid: &PatchGrid,
+    src: &Source,
+    first: &ShardMeta,
+    panel: Panel,
+    padding: Option<&State>,
+) -> io::Result<State> {
+    let (step, p) = (first.step, panel.index());
     let shape = grid.full_shape();
-    if first.shape != shape {
-        return Err(invalid(format!(
-            "shard geometry {:?} does not match the run configuration {:?}",
-            first.shape, shape
-        )));
-    }
-    let mut ck = padding.cloned().unwrap_or_else(|| blank(cfg, &grid));
-    // Coverage check: each panel's interior must be tiled exactly once.
-    let mut covered = [vec![false; shape.nth * shape.nph], vec![false; shape.nth * shape.nph]];
-    let mut place = |rank: usize, meta: ShardMeta, raw: &[u8]| -> io::Result<()> {
+    let mut state = padding.cloned().unwrap_or_else(|| blank(cfg, grid, panel));
+    let mut cover = vec![false; shape.nth * shape.nph];
+    let (mut payload, mut file) = (Vec::new(), Vec::new());
+    let tiles = (first.pth * first.pph) as usize;
+    for rank in p * tiles..(p + 1) * tiles {
+        let (meta, raw) = src.load(step, rank, &mut payload, &mut file)?;
+        // Rank 0's header is the set's: its shape is the set's geometry.
+        if rank == 0 && meta.shape != shape {
+            return Err(invalid(format!(
+                "shard geometry {:?} does not match the run configuration {:?}",
+                meta.shape, shape
+            )));
+        }
         for (what, a, b) in [
             ("layout", meta.pth, first.pth),
             ("layout", meta.pph, first.pph),
@@ -254,6 +314,13 @@ fn merge_step(
                 meta.rank, meta.shape
             )));
         }
+        if meta.panel != p as u64 {
+            return Err(invalid(format!(
+                "shard set at step {step} is inconsistent: rank {rank} header says panel {}, \
+                 its rank is on panel {p}",
+                meta.panel
+            )));
+        }
         if raw.len() as u64 != meta.expected_raw_len() {
             return Err(invalid(format!(
                 "shard set at step {step}: rank {rank}'s block is {} bytes, its tile needs {}",
@@ -261,62 +328,42 @@ fn merge_step(
                 meta.expected_raw_len()
             )));
         }
-        let cover = &mut covered[meta.panel as usize];
         for j in meta.j0..meta.j0 + meta.tnth {
             for k in meta.k0..meta.k0 + meta.tnph {
                 let cell = &mut cover[j as usize * shape.nph + k as usize];
                 if *cell {
                     return Err(invalid(format!(
-                        "shard set at step {step} overlaps at panel {} node ({j}, {k})",
-                        meta.panel
+                        "shard set at step {step} overlaps at panel {p} node ({j}, {k})"
                     )));
                 }
                 *cell = true;
             }
         }
-        let panel = if meta.panel == 0 { &mut ck.yin } else { &mut ck.yang };
-        unpack_shard_payload(&meta, panel, raw);
-        Ok(())
-    };
-    // `ranks` is `0..world`, so the block already read is rank 0's.
-    place(0, first, first_raw)?;
-    for rank in 1..world {
-        let (meta, raw) = src.load(step, rank, &mut payload, &mut file)?;
-        place(rank, meta, raw)?;
+        unpack_shard_payload(&meta, &mut state, raw);
     }
-    for (p, cover) in covered.iter().enumerate() {
-        if let Some(hole) = cover.iter().position(|&c| !c) {
-            return Err(invalid(format!(
-                "shard set at step {step} leaves panel {p} node ({}, {}) uncovered",
-                hole / shape.nph,
-                hole % shape.nph
-            )));
-        }
+    if let Some(hole) = cover.iter().position(|&c| !c) {
+        return Err(invalid(format!(
+            "shard set at step {step} leaves panel {p} node ({}, {}) uncovered",
+            hole / shape.nph,
+            hole % shape.nph
+        )));
     }
-    // The blocks carry owned values only: refill the overset frames and
-    // wall conditions exactly as the serial driver's sync would.
-    let cols = overset_columns(&grid);
-    fill_pair(&mut ck.yin, &mut ck.yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
-    (ck.step, ck.time, ck.dt_cache) = (step, first.time, first.dt_cache);
-    Ok(ck)
+    Ok(state)
 }
 
-/// A step-0 checkpoint of `cfg`'s run awaiting owned blocks, its panels
-/// *initialized* rather than zeroed: the serial driver's ghost padding
-/// keeps its initialization values forever (syncs only rewrite frames
-/// and walls), so a checkpoint assembled from owned blocks is
+/// `panel` of a step-0 checkpoint of `cfg`'s run awaiting owned
+/// blocks, *initialized* rather than zeroed: the serial driver's ghost
+/// padding keeps its initialization values forever (syncs only rewrite
+/// frames and walls), so a checkpoint assembled from owned blocks is
 /// byte-identical to a serial one only if the unowned padding carries
 /// the same initial bytes. Those are unperturbed (the seeded noise lands
 /// on owned nodes only), so the noise is skipped: the blocks overwrite
 /// every owned node anyway.
-fn blank(cfg: &RunConfig, grid: &PatchGrid) -> Checkpoint {
+fn blank(cfg: &RunConfig, grid: &PatchGrid, panel: Panel) -> State {
     let quiet = InitOptions { perturb_amplitude: 0.0, seed_amplitude: 0.0, ..cfg.init };
-    let [yin, yang] = [Panel::Yin, Panel::Yang].map(|p| {
-        let mut s = State::zeros(grid.full_shape());
-        initialize(&mut s, grid, None, &cfg.params, &quiet, p);
-        s
-    });
-    Checkpoint { shape: grid.full_shape(), step: 0, time: 0.0, dt_cache: 0.0, yin, yang }
+    let mut s = State::zeros(grid.full_shape());
+    initialize(&mut s, grid, None, &cfg.params, &quiet, panel);
+    s
 }
 
 /// Whether `path` names a shard *directory* (as opposed to a serial

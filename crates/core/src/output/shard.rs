@@ -395,6 +395,19 @@ fn read_file(
         .map_err(|e| io::Error::new(e.kind(), format!("reading shard {}: {e}", path.display())))
 }
 
+/// Read and check the header of the shard for `(step, rank)` in `dir`,
+/// through the `file` buffer; the payload is not read.
+pub(crate) fn load_shard_header(
+    dir: &Path,
+    step: u64,
+    rank: usize,
+    file: &mut Vec<u8>,
+) -> io::Result<ShardMeta> {
+    read_file(dir, step, rank, Some(HEADER_LEN), file)?;
+    let mut hr = HashingReader { inner: &mut file.as_slice(), crc: Crc32::new(), len: 0 };
+    Ok(read_shard_header(&mut hr)?.0)
+}
+
 /// Load and fully decode the shard for `(step, rank)` from `dir` into
 /// `payload`: walk the headers back along the delta chain to its
 /// self-contained base, then decode forward, each link XOR-ed into the
@@ -409,9 +422,7 @@ pub(crate) fn load_shard(
     let mut chain = vec![step];
     loop {
         let link = chain[chain.len() - 1];
-        read_file(dir, link, rank, Some(HEADER_LEN), file)?;
-        let mut hr = HashingReader { inner: &mut file.as_slice(), crc: Crc32::new(), len: 0 };
-        let meta = read_shard_header(&mut hr)?.0;
+        let meta = load_shard_header(dir, link, rank, file)?;
         if meta.flags & FLAG_DELTA == 0 {
             break;
         }

@@ -84,9 +84,10 @@ impl Shared {
             Job::Shard { path, raw, meta, codec } => {
                 let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
                 let Chain { base, chunk } = &mut *chain;
-                // Only an *older* step is a base: re-emitting a step
-                // (a 0-step run's final shard) must not overwrite the
-                // file with a delta against itself.
+                // Only an *older* step is a base, so a step emitted
+                // twice could not overwrite its file with a delta
+                // against itself. A pass emits each step once (a 0-step
+                // pass skips its final event); the rule is a defence.
                 let prev = base.as_ref().filter(|(s, _)| *s < meta.step);
                 let prev = prev.map(|(s, b)| (*s, b.as_slice()));
                 let res = write_atomic(&path, |f| {

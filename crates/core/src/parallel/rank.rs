@@ -118,9 +118,12 @@ pub(super) fn rank_program(
     let mut step_wall_ms = 0.0;
 
     // A fresh pass stores the initial state so even a failure before
-    // the first periodic event can recover.
+    // the first periodic event can recover. `stored` is the step of this
+    // pass's last event (the same on every rank).
+    let mut stored = None;
     if resume.is_none() {
         solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+        stored = Some(solver.step);
     }
 
     // Open the counter measurement window at loop entry (setup, restore
@@ -174,6 +177,7 @@ pub(super) fn rank_program(
             && solver.step < plan.steps
         {
             solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+            stored = Some(solver.step);
         }
         // Live metrics, every step: allreduce the counter words (a
         // collective every rank joins — the gate is rank-uniform) and let
@@ -221,10 +225,13 @@ pub(super) fn rank_program(
     }
 
     // Final event + writer drain *before* the counter aggregation, so
-    // the writer_wait phase and the IO totals are complete. The drain is
-    // local; the error verdict is collective (presence of `shards` is
-    // rank-uniform), so every rank returns together on a write failure.
-    solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+    // the writer_wait phase and the IO totals are complete. A pass that
+    // advanced no step already stored this one. The drain is local; the
+    // error verdict is collective (presence of `shards` is rank-uniform),
+    // so every rank returns together on a write failure.
+    if stored != Some(solver.step) {
+        solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+    }
     let io = match emitter {
         Some(em) => {
             world.record_phase_ns(SolverPhase::WriterWait, em.stage.flush());

@@ -12,10 +12,12 @@
 //! delta base, with the XOR formed inside the RLE scan, and streams the
 //! file through one 64 KiB buffer — so pack, delta, RLE, CRC and write
 //! allocate nothing payload-sized on either side of the stage. Reading
-//! back is bounded the same way: `merge_shards` decodes a delta chain
-//! forward into one payload through one file buffer, so its peak does
-//! not grow with the chain's length. All pins live here, in one
-//! `#[test]`, because the allocation counters are global.
+//! back is bounded the same way: `merge_shards` assembles the two
+//! panels on two threads, and each panel worker decodes its ranks' delta
+//! chains forward into one payload through one file image, so the peak
+//! is one payload and one file image per panel worker beside the merged
+//! panels, and does not grow with the chain's length. All pins live
+//! here, in one `#[test]`, because the allocation counters are global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -221,12 +223,20 @@ fn checkpoint_capture_reuses_its_buffers() {
     );
 
     // Merges: a 16-link chain peaks within as many payloads as a 4-link
-    // one — the walk keeps no link's file or payload alive.
+    // one — each panel worker's walk keeps no link's file or payload
+    // alive — and the peak is the merged checkpoint's two panels plus
+    // one payload and one file image per panel worker: 8 payloads, as
+    // measured on this grid (a one-thread assembly measured 5).
     let in_payloads = |bytes: usize| bytes.div_ceil(payload);
     let (short, long) = (merge_peak(3), merge_peak(15));
     assert!(
         in_payloads(long) <= in_payloads(short),
         "merging a 16-link chain peaked at {long} bytes, a 4-link one at {short} \
          ({payload}-byte payloads): merge memory grows with the chain"
+    );
+    assert!(
+        in_payloads(short) <= 8,
+        "merging a 4-link chain peaked at {short} bytes ({payload}-byte payloads): more \
+         than two panels plus a payload and a file image per panel worker"
     );
 }

@@ -17,7 +17,7 @@ use yy_parcomm::FaultSpec;
 use yy_testkit::{check_with, tk_assert, tk_assert_eq, Config, Gen};
 use yycore::checkpoint::Checkpoint;
 use yycore::output::merge_shards;
-use yycore::parallel::{run_parallel_supervised, RecoveryOpts};
+use yycore::parallel::{run_parallel_supervised, RecoveryOpts, SupervisedReport};
 use yycore::{CkptCodec, RunConfig, SerialSim};
 
 /// Trajectory length of every sharded run in the suite.
@@ -68,7 +68,7 @@ fn serial_ladder() -> &'static Vec<Checkpoint> {
 /// Run `TOTAL` supervised steps writing shards (checkpoint cadence 2)
 /// into `dir`, returning the in-memory final checkpoint.
 fn sharded_run(dir: &PathBuf, layout: (usize, usize), codec: CkptCodec) -> Checkpoint {
-    sharded_run_of(TOTAL, dir, layout, codec)
+    sharded_run_of(TOTAL, dir, layout, codec).final_checkpoint
 }
 
 fn sharded_run_of(
@@ -76,7 +76,7 @@ fn sharded_run_of(
     dir: &PathBuf,
     (pth, pph): (usize, usize),
     codec: CkptCodec,
-) -> Checkpoint {
+) -> SupervisedReport {
     let opts = RecoveryOpts {
         checkpoint_every: 2,
         deadline: Duration::from_secs(30),
@@ -84,23 +84,43 @@ fn sharded_run_of(
         ckpt_compress: codec,
         ..RecoveryOpts::default()
     };
-    let sup = run_parallel_supervised(&quick_cfg(), pth, pph, steps, 0, &opts)
-        .expect("sharded run completes");
-    sup.final_checkpoint
+    run_parallel_supervised(&quick_cfg(), pth, pph, steps, 0, &opts)
+        .expect("sharded run completes")
 }
 
-/// A run with nothing to integrate emits its step-0 shard twice (the
-/// pre-loop seed and the final shard). The second emission must not be
-/// coded as a delta against the first — same step, so it would name
-/// itself as base and overwrite the only self-contained link.
+/// A run with nothing to integrate stores its step-0 block once per
+/// rank: the pre-loop seed is the pass's last event, so no final event
+/// repeats it. Each rank leaves one self-contained shard — the chain
+/// terminates at once — and the set merges to the serial step 0.
 #[test]
 fn zero_step_delta_run_leaves_a_terminating_chain() {
     let dir = fresh_dir("zero");
-    let final_ck = sharded_run_of(0, &dir, (1, 1), CkptCodec::Delta);
+    let sup = sharded_run_of(0, &dir, (1, 1), CkptCodec::Delta);
+    assert_eq!(sup.report.io.shards_written, 2, "a 0-step pass wrote a shard twice");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("shard dir exists")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let name = yycore::output::shard_file_name;
+    assert_eq!(files, [name(0, 0), name(0, 1)], "one file per rank");
     let merged = merge_shards(&quick_cfg(), &dir, None).expect("step-0 set merges");
     assert_eq!(bytes(&merged), bytes(&serial_ladder()[0]));
-    assert_eq!(bytes(&final_ck), bytes(&serial_ladder()[0]));
+    assert_eq!(bytes(&sup.final_checkpoint), bytes(&serial_ladder()[0]));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `shard`'s bytes with the value byte of its first repeat frame
+/// flipped: the link decodes to the right length but the wrong bytes,
+/// so its CRC fails. Frames start after the 8-byte magic and 20 u64s.
+fn flip_first_repeat(shard: &[u8]) -> Vec<u8> {
+    let mut at = 8 + 20 * 8;
+    while shard[at] < 0x80 {
+        at += shard[at] as usize + 2;
+    }
+    let mut flipped = shard.to_vec();
+    flipped[at + 1] ^= 0x01;
+    flipped
 }
 
 fn gen_case(g: &mut Gen) -> ((usize, usize), CkptCodec, u64) {
@@ -259,13 +279,7 @@ fn broken_delta_chains_are_rejected_with_context() {
 
     // A flipped value byte of a repeat frame in the middle link decodes
     // to the right length but the wrong bytes: the CRC of that link fails.
-    let mut at = 8 + 20 * 8;
-    while original[at] < 0x80 {
-        at += original[at] as usize + 2;
-    }
-    let mut flipped = original.clone();
-    flipped[at + 1] ^= 0x01;
-    std::fs::write(&middle, &flipped).unwrap();
+    std::fs::write(&middle, flip_first_repeat(&original)).unwrap();
     let err = merge_err();
     assert!(
         err.contains("CRC mismatch") && err.contains("(step 4, rank 0)"),
@@ -275,6 +289,43 @@ fn broken_delta_chains_are_rejected_with_context() {
     std::fs::write(&middle, &original).unwrap();
     let merged = merge_shards(&cfg, &dir, Some(TOTAL)).expect("restored chain merges");
     assert_eq!(bytes(&merged), bytes(&serial_ladder()[TOTAL as usize]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The two panels of a set are assembled on two threads (Yin ranks
+/// 0–3 and Yang ranks 4–7 of a 2×2 delta set): merge after merge is the
+/// serial checkpoint byte for byte, a broken Yang link is refused with
+/// its rank and step, and with one broken link in each panel the Yin
+/// rank's error — the lowest rank's — is the one returned.
+#[test]
+fn panel_workers_merge_byte_identically_and_report_the_lowest_rank() {
+    let cfg = quick_cfg();
+    let dir = fresh_dir("panels");
+    sharded_run(&dir, (2, 2), CkptCodec::Delta);
+    for _ in 0..16 {
+        let merged = merge_shards(&cfg, &dir, None).expect("the newest set merges");
+        assert_eq!(bytes(&merged), bytes(&serial_ladder()[TOTAL as usize]));
+    }
+    let link = |rank: usize| dir.join(yycore::output::shard_file_name(TOTAL, rank));
+    let (yin, yang) = (link(1), link(6));
+    let (yin_bytes, yang_bytes) = (std::fs::read(&yin).unwrap(), std::fs::read(&yang).unwrap());
+
+    std::fs::write(&yang, flip_first_repeat(&yang_bytes)).unwrap();
+    let err = merge_shards(&cfg, &dir, Some(TOTAL)).unwrap_err().to_string();
+    assert!(
+        err.contains("CRC mismatch") && err.contains("(step 6, rank 6)"),
+        "Yang link bit flip error lacks context: {err}"
+    );
+    let fallback = merge_shards(&cfg, &dir, None).expect("fallback to the step-4 set");
+    assert_eq!(fallback.step, 4, "fallback should pick the newest complete set");
+    assert_eq!(bytes(&fallback), bytes(&serial_ladder()[4]));
+
+    std::fs::write(&yin, flip_first_repeat(&yin_bytes)).unwrap();
+    let err = merge_shards(&cfg, &dir, Some(TOTAL)).unwrap_err().to_string();
+    assert!(
+        err.contains("CRC mismatch") && err.contains("(step 6, rank 1)"),
+        "with both panels broken the Yin rank's error must win: {err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -291,6 +291,22 @@ cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-run-resumed.ck"
   resume="$soak_dir/shards" ckpt="$soak_dir/io-run-resumed-dir.ck" >/dev/null 2>&1
 cmp "$soak_dir/chaos-serial.ck" "$soak_dir/io-run-resumed-dir.ck"
 echo "OK: merged-shard restarts are byte-identical to the clean serial run"
+# A pass that advances no step stores its step-0 block once per rank:
+# one file per rank, two shards written, and the merge is the serial
+# step-0 checkpoint.
+zero="steps=0 sample=0 nr=12 nth=9"
+./target/release/yycore parallel pth=1 pph=1 $zero ckpt_dir="$soak_dir/zero-shards" \
+  ckpt_compress=delta >/dev/null 2>"$soak_dir/zero.log"
+[ "$(ls "$soak_dir/zero-shards" | grep -c '\.yys$')" = 2 ] || {
+  echo "ERROR: a 0-step 1x1 run must leave exactly two shard files:" >&2
+  ls "$soak_dir/zero-shards" >&2; exit 1; }
+grep -q '^io: 2 shard(s)' "$soak_dir/zero.log" || {
+  echo "ERROR: a 0-step 1x1 run must write two shards" >&2; cat "$soak_dir/zero.log" >&2; exit 1; }
+./target/release/yycore merge "$soak_dir/zero-shards" "$soak_dir/zero-merged.ck" \
+  nr=12 nth=9 >/dev/null
+./target/release/yycore run $zero ckpt="$soak_dir/zero-serial.ck" >/dev/null 2>&1
+cmp "$soak_dir/zero-serial.ck" "$soak_dir/zero-merged.ck"
+echo "OK: a 0-step run writes each rank's step-0 shard once and merges to the serial step 0"
 # The v4 report's io section must carry the output-pipeline accounting.
 for key in '"io"' '"shards_written"' '"bytes_raw"' '"bytes_written"' \
     '"write_wall_s"' '"codec":"delta"' \
