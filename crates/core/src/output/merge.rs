@@ -1,18 +1,22 @@
-//! Shard-set operations: keep a pass's newest owned blocks in memory,
-//! and reassemble a complete set — from memory or from shard files —
-//! into the serial-format [`Checkpoint`] byte-identically.
+//! Shard-set operations: keep a pass's newest owned blocks in memory
+//! and hand each to its rank's writer, and reassemble a complete set —
+//! from memory or from shard files — into the serial-format
+//! [`Checkpoint`] byte-identically.
 
+use super::codec::CkptCodec;
 use super::shard::{
-    load_shard, load_shard_header, parse_shard_name, unpack_shard_payload, ShardMeta,
+    load_shard, load_shard_header, parse_shard_name, shard_file_name, unpack_shard_payload,
+    ShardMeta,
 };
-use super::stage::OutputStage;
+use super::stage::{IoTotals, OutputStage};
 use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
+use crate::report::IoStats;
 use crate::serial::{fill_pair, overset_columns};
 use std::fmt;
 use std::io;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 use yy_mesh::{Panel, PatchGrid};
 use yy_mhd::{init::InitOptions, initialize, State};
 
@@ -21,56 +25,112 @@ use yy_mhd::{init::InitOptions, initialize, State};
 /// thread shares while it writes the block's shard.
 pub(crate) type Block = (ShardMeta, Arc<Vec<u8>>);
 
-/// A pass's in-memory shard set: per world rank, the blocks of its two
-/// newest checkpoint events. Two are enough for a complete step to
+/// One rank's blocks of its two newest checkpoint events; `stage`, its
+/// writer, once a set that writes to disk has stored its first block;
+/// `written`, that writer's totals once drained.
+#[derive(Default)]
+struct Slot {
+    gens: [Option<Block>; 2],
+    stage: Option<OutputStage>,
+    written: IoTotals,
+}
+
+/// A pass's one checkpoint sink: per world rank, the blocks of its two
+/// newest checkpoint events and, when the set writes to disk, the
+/// rank's writer. Two generations are enough for a complete step to
 /// exist whenever any does: a rank stores step N only after the
 /// collective health verdict of step N, which every rank reaches after
 /// its store of step N − `checkpoint_every`, so no rank runs two events
-/// ahead of another. Each rank locks only its own entry.
-pub(crate) struct ShardSet(Vec<Mutex<[Option<Block>; 2]>>);
+/// ahead of another. Each rank locks only its own slot, and touches the
+/// set only through [`ShardSet::store`] and [`ShardSet::finish`] — no
+/// collectives, so a peer death cannot strand it.
+pub(crate) struct ShardSet {
+    slots: Vec<Mutex<Slot>>,
+    /// The shard directory and codec, when the set writes each block's
+    /// shard there.
+    disk: Option<(PathBuf, CkptCodec)>,
+}
 
 impl ShardSet {
-    /// An empty set for a world of `ranks` ranks.
-    pub(crate) fn new(ranks: usize) -> ShardSet {
-        ShardSet((0..ranks).map(|_| Mutex::default()).collect())
+    /// An empty set for a world of `ranks` ranks, writing its shards
+    /// into `disk`'s directory with its codec when given.
+    pub(crate) fn new(ranks: usize, disk: Option<(PathBuf, CkptCodec)>) -> ShardSet {
+        ShardSet { slots: (0..ranks).map(|_| Mutex::default()).collect(), disk }
+    }
+
+    /// A slot's lock. A poisoned slot holds whole blocks only: a
+    /// generation is out of the slot while it is packed.
+    fn slot(&self, rank: usize) -> MutexGuard<'_, Slot> {
+        self.slots[rank].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Store the block `meta` describes over its rank's older (or an
-    /// empty) generation, whose buffer `pack` refills, and return it.
-    /// When the rank writes shards through `writer`, the older buffer is
-    /// first taken back from it (`OutputStage::reclaim`), and the
-    /// nanoseconds that blocked are returned for `writer_wait`; once
-    /// both generations exist an event allocates nothing payload-sized.
-    /// The generation is out of the set while `pack` runs, so a rank
-    /// that dies mid-store leaves that step missing, never half-written.
-    pub(crate) fn store(
-        &self,
-        meta: ShardMeta,
-        writer: Option<&OutputStage>,
-        pack: impl FnOnce(&mut Vec<u8>),
-    ) -> (Block, u64) {
-        // A poisoned entry holds whole blocks only (see above).
-        let mut gens = self.0[meta.rank as usize].lock().unwrap_or_else(|e| e.into_inner());
+    /// empty) generation, whose buffer `pack` refills, and hand the
+    /// block to the rank's writer, which encodes and writes its shard
+    /// behind compute. Returns the nanoseconds this blocked on the
+    /// writer (for `writer_wait`) — taking the older buffer back once
+    /// the writer no longer reads it (`OutputStage::reclaim`) — or
+    /// `None` when the set writes nothing to disk. Once both
+    /// generations exist an event allocates nothing payload-sized. The
+    /// rank's first store spawns its writer, on the rank's own thread.
+    pub(crate) fn store(&self, meta: ShardMeta, pack: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
+        let mut slot = self.slot(meta.rank as usize);
+        let Slot { gens, stage, .. } = &mut *slot;
         let older = (0..2).min_by_key(|&g| gens[g].as_ref().map(|(m, _)| m.step)).unwrap_or(0);
-        let (mut raw, wait_ns) = match (gens[older].take(), writer) {
+        let disk = self.disk.as_ref().map(|(dir, codec)| {
+            (&*stage.get_or_insert_with(|| OutputStage::new(true)), dir, *codec)
+        });
+        let (mut raw, wait_ns) = match (gens[older].take(), &disk) {
             (None, _) => (Vec::new(), 0),
-            (Some((_, raw)), Some(stage)) => stage.reclaim(raw),
+            (Some((_, raw)), Some((stage, ..))) => stage.reclaim(raw),
             // Nothing but the set holds a block no writer was given.
             (Some((_, raw)), None) => (Arc::try_unwrap(raw).unwrap_or_default(), 0),
         };
         pack(&mut raw);
-        let block = (meta, Arc::new(raw));
-        gens[older] = Some(block.clone());
-        (block, wait_ns)
+        let raw = Arc::new(raw);
+        gens[older] = Some((meta, Arc::clone(&raw)));
+        let (stage, dir, codec) = disk?;
+        let path = dir.join(shard_file_name(meta.step, meta.rank as usize));
+        Some(wait_ns + stage.submit_shard(path, raw, meta, codec))
     }
 
-    /// The stored blocks, once every rank thread has returned. Without
-    /// `older`, each rank keeps its newest block only: the final
-    /// assembly then holds one globe of blocks beside the result, not two.
+    /// Drain `rank`'s writer: wait for its shards to be written, stop it
+    /// and keep its totals for [`ShardSet::io`]. Returns the nanoseconds
+    /// the wait blocked (for `writer_wait`) and the first write error,
+    /// or `None` when the set writes nothing to disk.
+    pub(crate) fn finish(&self, rank: usize) -> Option<(u64, Result<(), String>)> {
+        self.disk.as_ref()?;
+        let mut slot = self.slot(rank);
+        let Some(stage) = slot.stage.take() else { return Some((0, Ok(()))) };
+        let wait_ns = stage.flush();
+        let written = stage.finish().map(|totals| slot.written = totals);
+        Some((wait_ns, written))
+    }
+
+    /// Every rank's writer totals, summed, once every rank has finished.
+    pub(crate) fn io(&self) -> IoStats {
+        let Some((_, codec)) = &self.disk else { return IoStats::default() };
+        let mut io = IoStats { codec: codec.name().to_string(), ..IoStats::default() };
+        let mut wall_ns = 0;
+        for rank in 0..self.slots.len() {
+            let t = self.slot(rank).written;
+            io.shards_written += t.files_written;
+            io.bytes_raw += t.bytes_raw;
+            io.bytes_written += t.bytes_written;
+            wall_ns += t.write_wall_ns;
+        }
+        io.write_wall_s = wall_ns as f64 / 1e9;
+        io
+    }
+
+    /// The stored blocks, once every rank thread has returned; a writer
+    /// no rank finished is drained first. Without `older`, each rank
+    /// keeps its newest block only: the final assembly then holds one
+    /// globe of blocks beside the result, not two.
     pub(crate) fn into_blocks(self, older: bool) -> Vec<Block> {
         let mut blocks = Vec::new();
-        for gens in self.0 {
-            let mut gens = gens.into_inner().unwrap_or_else(|e| e.into_inner());
+        for slot in self.slots {
+            let Slot { mut gens, .. } = slot.into_inner().unwrap_or_else(|e| e.into_inner());
             gens.sort_by_key(|g| std::cmp::Reverse(g.as_ref().map(|(m, _)| m.step)));
             blocks.extend(gens.into_iter().flatten().take(if older { 2 } else { 1 }));
         }

@@ -39,20 +39,23 @@
 //!    payload buffer. `ckpt_compress=` picks `none` or `delta`;
 //!    a `delta` shard with no base is the self-contained RLE-only one.
 //!
-//! 3. **The writer.** [`OutputStage`] runs one writer thread per rank.
-//!    A checkpoint event packs the owned region once, into the rank's
-//!    in-memory set, and the writer encodes and writes that same block
-//!    — the delta base is the set's previous block, the XOR is formed
-//!    inside the RLE scan, and the file goes out through one small
-//!    buffer — so a block is held once, and encoding and the file write
-//!    overlap the next RK4 steps when a core is free for the writer. The
-//!    next store waits until the writer has let go of the buffer it
-//!    reuses; that backpressure is measured and charged to the
-//!    `writer_wait` phase (and the `output` kernel counter), so the run
-//!    report shows exactly how much output cost the pipeline failed to
-//!    hide. A two-slot buffer pool remains for verbatim file images. The
-//!    inline write (`OutputStage::new` given `false`) survives only as the
-//!    synchronous oracle of the tests.
+//! 3. **The writer.** [`OutputStage`] runs one writer thread per rank,
+//!    owned by the pass's `ShardSet` — the one sink of a checkpoint
+//!    event, which packs the rank's owned region once, keeps the block
+//!    and hands it to the writer, drains the writer at the pass's end
+//!    and totals every rank's writes for the report. The writer encodes
+//!    and writes that same block — the delta base is the set's previous
+//!    block, the XOR is formed inside the RLE scan, and the file goes
+//!    out through one small buffer — so a block is held once, and
+//!    encoding and the file write overlap the next RK4 steps when a core
+//!    is free for the writer. The next store waits until the writer has
+//!    let go of the buffer it reuses; that backpressure is measured and
+//!    charged to the `writer_wait` phase (and the `output` kernel
+//!    counter), so the run report shows exactly how much output cost the
+//!    pipeline failed to hide. The stage's two-slot buffer pool serves
+//!    only verbatim file images ([`OutputStage::acquire`] /
+//!    [`OutputStage::submit`]). The inline write (`OutputStage::new`
+//!    given `false`) survives only as the synchronous oracle of the tests.
 
 mod codec;
 mod merge;
@@ -284,6 +287,19 @@ mod tests {
         assert_eq!(parse_shard_name(&shard_file_name(42, 3)), Some((42, 3)));
         assert_eq!(parse_shard_name("stepXX.r0.yys"), None);
         assert_eq!(parse_shard_name("unrelated.txt"), None);
+        // Only a writer's own name parses: no sign, no extra digits.
+        for stray in [
+            "step+000000009.r0000.yys",
+            "step0000000004.r00001.yys",
+            "step0000000004.r+001.yys",
+            "step00000000004.r0001.yys",
+        ] {
+            assert_eq!(parse_shard_name(stray), None, "{stray}");
+        }
+        assert_eq!(
+            parse_shard_name(&shard_file_name(12_345_678_901, 10_000)),
+            Some((12_345_678_901, 10_000))
+        );
         assert!(shard_file_name(9, 0) < shard_file_name(10, 0));
     }
 
@@ -341,10 +357,10 @@ mod tests {
     fn shard_set_keeps_the_two_newest_generations() {
         let sim = sim_at(0);
         let filled = || {
-            let set = ShardSet::new(1);
+            let set = ShardSet::new(1, None);
             for step in [0, 2, 4] {
                 let meta = ShardMeta { step, ..meta_for(&sim, 0, 0) };
-                set.store(meta, None, |raw: &mut Vec<u8>| *raw = vec![step as u8]);
+                set.store(meta, |raw: &mut Vec<u8>| *raw = vec![step as u8]);
             }
             set
         };
@@ -356,6 +372,40 @@ mod tests {
         };
         assert_eq!(steps(filled().into_blocks(true)), [(2, vec![2]), (4, vec![4])]);
         assert_eq!(steps(filled().into_blocks(false)), [(4, vec![4])]);
+    }
+
+    /// A set that writes to disk hands each rank's blocks to that rank's
+    /// own writer: a shard that cannot be written fails its rank's
+    /// `finish`, not another rank's.
+    #[test]
+    fn shard_set_reports_a_write_error_at_its_ranks_finish() {
+        let dir = std::env::temp_dir().join(format!("yy_shard_set_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sim = sim_at(0);
+        let set = ShardSet::new(2, Some((dir.clone(), CkptCodec::Delta)));
+        let store = |rank: u64, step: u64| {
+            let meta = ShardMeta { step, ..meta_for(&sim, rank, rank) };
+            set.store(meta, |raw: &mut Vec<u8>| *raw = vec![step as u8; 64])
+        };
+        for rank in [0, 1] {
+            assert!(store(rank, 0).is_some(), "the set writes to disk");
+        }
+        // Remove the directory only once both writers are idle.
+        let written = |rank| dir.join(shard_file_name(0, rank)).is_file();
+        for _ in 0..10_000 {
+            if written(0) && written(1) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(written(0) && written(1), "the step-0 shards were not written");
+        std::fs::remove_dir_all(&dir).unwrap();
+        store(0, 2);
+        let err = set.finish(0).unwrap().1.unwrap_err();
+        let path = dir.join(shard_file_name(2, 0));
+        assert!(err.starts_with(&format!("writing {}", path.display())), "{err}");
+        assert_eq!(set.finish(1).unwrap().1, Ok(()));
+        assert!(ShardSet::new(1, None).finish(0).is_none(), "a set without disk has no writer");
     }
 
     #[test]
@@ -504,6 +554,17 @@ mod tests {
             matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
             "{err}"
         );
+        // Flags no writer produces — a delta without RLE, an unknown
+        // bit — are refused from the header.
+        for (at, byte) in [(136, FLAG_DELTA as u8), (136, 4 | FLAG_RLE as u8), (143, 0x80)] {
+            let mut bad = file.clone();
+            bad[at] = byte;
+            let err = decode(&bad, None).unwrap_err();
+            assert!(
+                err.to_string().contains("flags") && err.to_string().contains("corrupt"),
+                "{err}"
+            );
+        }
         // Old-version magic is named.
         let mut bad = file;
         bad[7] = 0x02;

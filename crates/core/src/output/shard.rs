@@ -2,7 +2,7 @@
 //! naming, payload packing, and the encoder/reader pair with the CRC
 //! over header + uncompressed payload.
 
-use super::codec::{rle_decode, rle_decode_xor, rle_encode_spilled, xor_with, CkptCodec, Xor};
+use super::codec::{rle_decode, rle_decode_xor, rle_encode_spilled, CkptCodec, Xor};
 use crate::checkpoint::{
     check_footer, invalid, read_exact_ctx, read_header, read_u64, Crc32, HashingReader, MAX_DIM,
 };
@@ -59,7 +59,7 @@ pub struct ShardMeta {
 impl ShardMeta {
     /// Bytes of the uncompressed payload this tile must carry: 8 arrays
     /// × region points × 8 bytes.
-    pub(super) fn expected_raw_len(&self) -> u64 {
+    pub(crate) fn expected_raw_len(&self) -> u64 {
         8 * self.shape.nr as u64 * self.tnth * self.tnph * 8
     }
 
@@ -82,13 +82,14 @@ pub fn shard_file_name(step: u64, rank: usize) -> String {
     format!("step{step:010}.r{rank:04}.yys")
 }
 
-/// Parse a [`shard_file_name`] back into `(step, rank)`.
+/// Parse a [`shard_file_name`] back into `(step, rank)`. Only the
+/// canonical name of a pair parses: an integer parse alone would also
+/// take a sign or extra leading zeros, so a stray file could name a
+/// step or rank whose canonical file does not exist.
 pub fn parse_shard_name(name: &str) -> Option<(u64, usize)> {
-    let rest = name.strip_prefix("step")?;
-    let (step, rest) = rest.split_at_checked(10)?;
-    let rest = rest.strip_prefix(".r")?;
-    let rank = rest.strip_suffix(".yys")?;
-    Some((step.parse().ok()?, rank.parse().ok()?))
+    let (step, rank) = name.strip_prefix("step")?.strip_suffix(".yys")?.split_once(".r")?;
+    let (step, rank) = (step.parse().ok()?, rank.parse().ok()?);
+    (shard_file_name(step, rank) == name).then_some((step, rank))
 }
 
 /// Pack the owned region of `state` (8 arrays, canonical order, f64
@@ -287,6 +288,11 @@ fn read_shard_header(hr: &mut HashingReader<'_, &[u8]>) -> io::Result<(ShardMeta
             meta.expected_raw_len()
         )));
     }
+    if ![0, FLAG_RLE, FLAG_DELTA | FLAG_RLE].contains(&flags) {
+        return Err(invalid(format!(
+            "shard flags {flags:#x} name no codec a writer produces; header is corrupt"
+        )));
+    }
     if enc_len > raw_len + raw_len / 128 + 16 {
         return Err(invalid(format!(
             "shard encoded length {enc_len} exceeds the codec bound for {raw_len} raw \
@@ -356,11 +362,7 @@ pub(crate) fn read_shard(r: &mut &[u8], payload: &mut Vec<u8>) -> io::Result<Sha
                 payload.len()
             )));
         }
-        if meta.flags & FLAG_RLE != 0 {
-            rle_decode_xor(encoded, payload)?;
-        } else {
-            xor_with(payload, encoded);
-        }
+        rle_decode_xor(encoded, payload)?;
     }
     header_crc.update(payload);
     check_footer(
@@ -387,7 +389,14 @@ fn read_file(
     let read = File::open(&path).and_then(|mut f| match limit {
         Some(n) => f.take(n as u64).read_to_end(file),
         None => {
-            file.reserve(usize::try_from(f.metadata()?.len()).unwrap_or(0));
+            // A short buffer is replaced by one of exactly the file's
+            // length: `reserve` would double it, copying the old one
+            // while both are held.
+            let len = usize::try_from(f.metadata()?.len()).unwrap_or(0);
+            if file.capacity() < len {
+                *file = Vec::new();
+                file.reserve_exact(len);
+            }
             f.read_to_end(file)
         }
     });

@@ -105,11 +105,10 @@ pub fn run_parallel(
         dt_inject: None,
         counters: true,
         metrics: None,
-        shards: None,
         science: None,
     };
     // The gathered panels are the panels of a final checkpoint.
-    let set = gather_state.then(|| ShardSet::new(2 * decomp.tiles()));
+    let set = gather_state.then(|| ShardSet::new(2 * decomp.tiles(), None));
     let results = Universe::run(2 * decomp.tiles(), |world| {
         rank_program(cfg, world, &decomp, &plan, None, set.as_ref())
     });
@@ -648,9 +647,9 @@ mod tests {
                 flags: 0,
                 base_step: u64::MAX,
             };
-            set.store(meta, None, |raw| pack_shard_payload(panel, shape.nth, shape.nph, raw));
+            set.store(meta, |raw| pack_shard_payload(panel, shape.nth, shape.nph, raw));
         };
-        let (set, torn) = (ShardSet::new(2), ShardSet::new(2));
+        let (set, torn) = (ShardSet::new(2, None), ShardSet::new(2, None));
         let start = Checkpoint::capture(&sim);
         for rank in [0, 1] {
             store(&set, &sim, rank);
@@ -670,6 +669,6 @@ mod tests {
         assert!(resumed == Some(at_2), "the step-2 assembly differs from the serial checkpoint");
         let kept = resume_after(&cfg, &torn.into_blocks(true), None, Some(start.clone()));
         assert!(kept == Some(start), "with no complete step the pass's resume must stand");
-        assert!(resume_after(&cfg, &ShardSet::new(2).into_blocks(true), None, None).is_none());
+        assert!(resume_after(&cfg, &ShardSet::new(2, None).into_blocks(true), None, None).is_none());
     }
 }

@@ -1,21 +1,20 @@
 //! The rank program: the one RK4 step loop every driver runs, the
-//! per-pass plan it is told, the collective verdict ([`agree`]) that
-//! keeps its early returns matched, and the per-rank shard emitter.
+//! per-pass plan it is told, and the collective verdict ([`agree`]) that
+//! keeps its early returns matched.
 
 use super::solver::RankSolver;
 use super::ParallelReport;
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
-use crate::output::{shard_file_name, Block, CkptCodec, OutputStage, ShardSet};
-use crate::report::{IoStats, TimeSeriesPoint};
+use crate::output::ShardSet;
+use crate::report::TimeSeriesPoint;
 use crate::telemetry::{DtInject, ScienceTelemetry};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 use yy_mesh::Decomp2D;
 use yy_mhd::State;
-use yy_obs::counters::{CounterSnapshot, Kernel, KernelTally};
+use yy_obs::counters::{CounterSnapshot, Kernel};
 use yy_obs::{prometheus_text, science_gauges_text, Event, MetricsHub};
 use yy_parcomm::stats::SolverPhase;
 use yy_parcomm::{Comm, ReduceOp};
@@ -36,8 +35,6 @@ pub(super) struct PassPlan {
     /// Arm the per-kernel counters.
     pub(super) counters: bool,
     pub(super) metrics: Option<Arc<MetricsHub>>,
-    /// Write this rank's owned region at every checkpoint event.
-    pub(super) shards: Option<ShardCfg>,
     /// Armed science telemetry, never fed: rank 0 of every pass feeds a
     /// fresh clone at its samples. It only reads the series, so armed
     /// runs stay bit-identical to unarmed ones.
@@ -78,9 +75,8 @@ fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
 ///
 /// `set`, when given, receives this rank's owned block of the initial
 /// state (fresh passes), of every `plan.checkpoint_every`-th step and of
-/// the final state; `plan.shards` (which needs `set`) adds this rank's
-/// shard file of the same blocks. Either is local to the rank: an event
-/// sends nothing.
+/// the final state, and writes their shards when it writes to disk. An
+/// event is local to the rank: it sends nothing.
 pub(super) fn rank_program(
     cfg: &RunConfig,
     world: Comm,
@@ -89,10 +85,7 @@ pub(super) fn rank_program(
     resume: Option<&Checkpoint>,
     set: Option<&ShardSet>,
 ) -> Result<Option<ParallelReport>, String> {
-    // Shards are written from the blocks the set holds.
-    assert!(plan.shards.is_none() || set.is_some(), "a pass writing shards needs a shard set");
     let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters);
-    let mut emitter = plan.shards.as_ref().map(ShardEmitter::new);
     let mut dt_cache = match resume {
         Some(ck) => {
             solver.restore_tile(&mut state, ck);
@@ -122,7 +115,7 @@ pub(super) fn rank_program(
     // pass's last event (the same on every rank).
     let mut stored = None;
     if resume.is_none() {
-        solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+        solver.checkpoint(&state, dt_cache, set);
         stored = Some(solver.step);
     }
 
@@ -176,7 +169,7 @@ pub(super) fn rank_program(
             && solver.step % plan.checkpoint_every == 0
             && solver.step < plan.steps
         {
-            solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+            solver.checkpoint(&state, dt_cache, set);
             stored = Some(solver.step);
         }
         // Live metrics, every step: allreduce the counter words (a
@@ -225,45 +218,18 @@ pub(super) fn rank_program(
     }
 
     // Final event + writer drain *before* the counter aggregation, so
-    // the writer_wait phase and the IO totals are complete. A pass that
-    // advanced no step already stored this one. The drain is local; the
-    // error verdict is collective (presence of `shards` is rank-uniform),
-    // so every rank returns together on a write failure.
+    // the writer_wait phase is complete. A pass that advanced no step
+    // already stored this one. The drain is local; the error verdict is
+    // collective (whether the set writes to disk is rank-uniform), so
+    // every rank returns together on a write failure.
     if stored != Some(solver.step) {
-        solver.checkpoint(&state, dt_cache, set, emitter.as_mut());
+        solver.checkpoint(&state, dt_cache, set);
     }
-    let io = match emitter {
-        Some(em) => {
-            world.record_phase_ns(SolverPhase::WriterWait, em.stage.flush());
-            let ShardEmitter { stage, codec, .. } = em;
-            let totals = stage.finish();
-            agree(
-                &world,
-                totals.as_ref().err().map(|e| {
-                    format!("rank {}: checkpoint shard write: {e}", world.rank())
-                }),
-            )?;
-            let t = totals.expect("an error on any rank returned above");
-            let sums = world.allreduce_vec(
-                &[
-                    t.files_written as f64,
-                    t.bytes_raw as f64,
-                    t.bytes_written as f64,
-                    t.write_wall_ns as f64,
-                ],
-                ReduceOp::Sum,
-            );
-            IoStats {
-                shards_written: sums[0] as u64,
-                bytes_raw: sums[1] as u64,
-                bytes_written: sums[2] as u64,
-                write_wall_s: sums[3] / 1e9,
-                codec: codec.name().to_string(),
-                ..IoStats::default()
-            }
-        }
-        None => IoStats::default(),
-    };
+    if let Some((wait_ns, written)) = set.and_then(|set| set.finish(world.rank())) {
+        world.record_phase_ns(SolverPhase::WriterWait, wait_ns);
+        let rank = world.rank();
+        agree(&world, written.err().map(|e| format!("rank {rank}: checkpoint shard write: {e}")))?;
+    }
     let mut report = solver.aggregate_counters();
     let achieved_imbalance = solver.achieved_imbalance();
     if world.rank() != 0 {
@@ -273,59 +239,10 @@ pub(super) fn rank_program(
     report.steps = plan.steps;
     report.wall_seconds = started.elapsed().as_secs_f64();
     report.grid_points = solver.grid.total_points();
-    report.io = io;
     report.series = series;
     if let Some(tel) = science {
         report.alerts = tel.alerts().to_vec();
         report.telemetry = Some(tel.store().to_json());
     }
     Ok(Some(ParallelReport { report, yin: None, yang: None, achieved_imbalance }))
-}
-
-/// Output-pipeline configuration the supervisor hands every rank.
-pub(super) struct ShardCfg {
-    pub(super) dir: PathBuf,
-    pub(super) codec: CkptCodec,
-}
-
-/// Per-rank shard emitter: hands each block the in-memory set stores
-/// to the [`OutputStage`], whose writer thread does the delta/RLE
-/// encoding and the file write from that one copy — so the step path
-/// pays only for the pack plus any wait for the writer to release the
-/// buffer the next store reuses.
-pub(super) struct ShardEmitter {
-    pub(super) stage: OutputStage,
-    dir: PathBuf,
-    codec: CkptCodec,
-}
-
-impl ShardEmitter {
-    fn new(cfg: &ShardCfg) -> ShardEmitter {
-        ShardEmitter {
-            stage: OutputStage::new(true),
-            dir: cfg.dir.clone(),
-            codec: cfg.codec,
-        }
-    }
-
-    /// Submit the shard of the block just stored. Purely local (no
-    /// collectives — a peer death cannot strand it); `wait_ns`, the
-    /// store's wait for its buffer, is charged to the `writer_wait`
-    /// phase, and the store's pack since `t0` to the `output` kernel slot.
-    pub(super) fn emit(
-        &mut self,
-        solver: &mut RankSolver,
-        (meta, raw): Block,
-        wait_ns: u64,
-        t0: Option<Instant>,
-    ) {
-        let raw_len = raw.len() as u64;
-        let path = self.dir.join(shard_file_name(meta.step, solver.world.rank()));
-        let wait_ns = wait_ns + self.stage.submit_shard(path, raw, meta, self.codec);
-        solver.world.record_phase_ns(SolverPhase::WriterWait, wait_ns);
-        // Producer-side tally: the pack traffic. The encoded size is
-        // not known here (the consumer compresses later); the on-disk
-        // byte totals live in the report's `io` section instead.
-        solver.meter.kernel_timed(Kernel::Output, KernelTally::copy(raw_len / 8, 8, 1), t0);
-    }
 }

@@ -4,7 +4,6 @@
 //! step runs on lives in [`super::exchange`].
 
 use super::exchange::CommScratch;
-use super::rank::ShardEmitter;
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::output::{pack_shard_payload, ShardMeta, ShardSet};
@@ -20,9 +19,9 @@ use yy_mhd::{
     cfl_timestep, initialize, timestep::rho_min_owned, wave_speed_max, Diagnostics, ForceTables,
     State,
 };
-use yy_obs::counters::{CounterSet, CounterSnapshot, Kernel};
+use yy_obs::counters::{CounterSet, CounterSnapshot, Kernel, KernelTally};
 use yy_obs::Event;
-use yy_parcomm::stats::TrafficClass;
+use yy_parcomm::stats::{SolverPhase, TrafficClass};
 use yy_parcomm::{CartComm, Comm, ReduceOp};
 
 /// The step-head state and the two stage states the RK4 stages
@@ -289,26 +288,23 @@ impl<'a> RankSolver<'a> {
         }
     }
 
-    /// One checkpoint event: store this rank's owned block in `set`, and
-    /// hand that same block to `emitter` for its shard when the run
-    /// writes shards (such a run always has a set). Purely local — no
+    /// One checkpoint event: store this rank's owned block in `set`,
+    /// which also writes its shard when the run writes shards. The
+    /// store's wait on the writer is charged to the `writer_wait` phase
+    /// and its pack to the `output` kernel slot; the encoded size is not
+    /// known here (the writer compresses later), so the on-disk totals
+    /// live in the report's `io` section instead. Purely local — no
     /// message, and no rank does another's work.
-    pub(super) fn checkpoint(
-        &mut self,
-        state: &State,
-        dt_cache: f64,
-        set: Option<&ShardSet>,
-        emitter: Option<&mut ShardEmitter>,
-    ) {
+    pub(super) fn checkpoint(&mut self, state: &State, dt_cache: f64, set: Option<&ShardSet>) {
         let Some(set) = set else { return };
         let meta = self.shard_meta(dt_cache);
+        let raw_len = meta.expected_raw_len();
         let t0 = self.meter.timer();
-        let writer = emitter.as_ref().map(|em| &em.stage);
-        let (block, wait_ns) = set.store(meta, writer, |raw| {
-            pack_shard_payload(state, self.tile.nth, self.tile.nph, raw)
-        });
-        if let Some(em) = emitter {
-            em.emit(self, block, wait_ns, t0);
+        let stored =
+            set.store(meta, |raw| pack_shard_payload(state, self.tile.nth, self.tile.nph, raw));
+        if let Some(wait_ns) = stored {
+            self.world.record_phase_ns(SolverPhase::WriterWait, wait_ns);
+            self.meter.kernel_timed(Kernel::Output, KernelTally::copy(raw_len / 8, 8, 1), t0);
         }
         self.world.record_event(Event::CheckpointSaved { step: self.step });
     }

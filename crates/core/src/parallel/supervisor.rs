@@ -2,7 +2,7 @@
 //! and the mechanism around it — setup, one pass of the rank program,
 //! applying the decided action, and assembling the final report.
 
-use super::rank::{rank_program, PassPlan, ShardCfg};
+use super::rank::{rank_program, PassPlan};
 use super::{FailurePolicy, ParallelReport, PassStat, RecoveryOpts, SupervisedReport};
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
@@ -248,13 +248,9 @@ impl<'a> Supervisor<'a> {
         if let (Some(path), Some(_)) = (&opts.obs.trace, &recorders) {
             std::fs::File::create(path).map_err(|e| format!("trace={}: {e}", path.display()))?;
         }
-        // Disk persistence: each rank writes its owned region into the
-        // shard directory at every checkpoint event, overlapped with
-        // compute by its writer thread.
-        let shards = opts.ckpt_dir.as_ref().map(|dir| ShardCfg {
-            dir: dir.clone(),
-            codec: opts.ckpt_compress,
-        });
+        // Disk persistence: each pass's set writes every rank's owned
+        // region into the shard directory at every checkpoint event,
+        // overlapped with compute by the rank's writer thread.
         if let Some(dir) = &opts.ckpt_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("creating checkpoint directory {}: {e}", dir.display()))?;
@@ -288,7 +284,6 @@ impl<'a> Supervisor<'a> {
                 dt_inject: opts.dt_inject,
                 counters: opts.obs.counters,
                 metrics: opts.obs.metrics_hub.clone(),
-                shards,
                 // Built here, so a bad rules file fails the launch.
                 science: ScienceTelemetry::from_opts(&opts.obs, false)?,
             },
@@ -320,7 +315,8 @@ impl<'a> Supervisor<'a> {
             nodes: Some(node_map.clone()),
         };
         let started = Instant::now();
-        let (cfg, plan, set) = (self.cfg, &self.plan, ShardSet::new(nprocs));
+        let disk = self.opts.ckpt_dir.clone().map(|dir| (dir, self.opts.ckpt_compress));
+        let (cfg, plan, set) = (self.cfg, &self.plan, ShardSet::new(nprocs, disk));
         let results = Universe::run_supervised(nprocs, sup, |world| {
             rank_program(cfg, world, &decomp, plan, resume.as_ref(), Some(&set))
         });
@@ -358,6 +354,9 @@ impl<'a> Supervisor<'a> {
             (None, Some(verdict)) => PassOutcome::Unhealthy(verdict),
             (None, None) => PassOutcome::Completed,
         };
+        if let Some(rep) = &mut report {
+            rep.report.io = set.io();
+        }
         // The one assembly of this pass boundary. A completed pass needs
         // only its final blocks, so the older generation goes first.
         let completed = matches!(outcome, PassOutcome::Completed);
