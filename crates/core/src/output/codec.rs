@@ -280,7 +280,7 @@ pub(super) fn rle_decode_xor(src: &[u8], out: &mut [u8]) -> io::Result<()> {
 /// XOR `buf` in place with `base` (delta encode and decode are the same
 /// involution). Lengths must match — a shard geometry change resets the
 /// chain instead of deltaing across it.
-pub fn xor_with(buf: &mut [u8], base: &[u8]) {
+pub(super) fn xor_with(buf: &mut [u8], base: &[u8]) {
     assert_eq!(buf.len(), base.len(), "XOR-delta base length mismatch");
     for (b, &p) in buf.iter_mut().zip(base) {
         *b ^= p;

@@ -27,7 +27,7 @@ pub(crate) type Block = (ShardMeta, Arc<Vec<u8>>);
 
 /// One rank's blocks of its two newest checkpoint events; `stage`, its
 /// writer, once a set that writes to disk has stored its first block;
-/// `written`, that writer's totals once drained.
+/// `written`, that writer's totals once the rank finished it.
 #[derive(Default)]
 struct Slot {
     gens: [Option<Block>; 2],
@@ -43,7 +43,8 @@ struct Slot {
 /// its store of step N − `checkpoint_every`, so no rank runs two events
 /// ahead of another. Each rank locks only its own slot, and touches the
 /// set only through [`ShardSet::store`] and [`ShardSet::finish`] — no
-/// collectives, so a peer death cannot strand it.
+/// collectives, so a peer death cannot strand it. The pass boundary
+/// consumes the set through [`ShardSet::drain`].
 pub(crate) struct ShardSet {
     slots: Vec<Mutex<Slot>>,
     /// The shard directory and codec, when the set writes each block's
@@ -95,46 +96,45 @@ impl ShardSet {
     }
 
     /// Drain `rank`'s writer: wait for its shards to be written, stop it
-    /// and keep its totals for [`ShardSet::io`]. Returns the nanoseconds
-    /// the wait blocked (for `writer_wait`) and the first write error,
-    /// or `None` when the set writes nothing to disk.
+    /// and keep its totals for [`ShardSet::drain`]. Returns the
+    /// nanoseconds the wait blocked (for `writer_wait`) and the first
+    /// write error, or `None` when the set writes nothing to disk.
     pub(crate) fn finish(&self, rank: usize) -> Option<(u64, Result<(), String>)> {
         self.disk.as_ref()?;
         let mut slot = self.slot(rank);
         let Some(stage) = slot.stage.take() else { return Some((0, Ok(()))) };
         let wait_ns = stage.flush();
-        let written = stage.finish().map(|totals| slot.written = totals);
-        Some((wait_ns, written))
+        let (totals, err) = stage.stop();
+        slot.written = totals;
+        Some((wait_ns, err.map_or(Ok(()), Err)))
     }
 
-    /// Every rank's writer totals, summed, once every rank has finished.
-    pub(crate) fn io(&self) -> IoStats {
-        let Some((_, codec)) = &self.disk else { return IoStats::default() };
-        let mut io = IoStats { codec: codec.name().to_string(), ..IoStats::default() };
-        let mut wall_ns = 0;
-        for rank in 0..self.slots.len() {
-            let t = self.slot(rank).written;
+    /// Close the pass, once every rank thread has returned: finish each
+    /// writer no rank finished (a killed rank's), total every rank's
+    /// writes — each file renamed into place counts, even when its
+    /// writer failed later — and hand back the stored blocks. Without
+    /// `older`, each rank keeps its newest block only: the final
+    /// assembly then holds one globe of blocks beside the result, not
+    /// two.
+    pub(crate) fn drain(self, older: bool) -> (Vec<Block>, IoStats) {
+        let mut io = IoStats::default();
+        if let Some((_, codec)) = &self.disk {
+            io.codec = codec.name().to_string();
+        }
+        let (mut blocks, mut wall_ns) = (Vec::new(), 0);
+        for slot in self.slots {
+            let Slot { mut gens, stage, written } =
+                slot.into_inner().unwrap_or_else(|e| e.into_inner());
+            let t = stage.map_or(written, |stage| stage.stop().0);
             io.shards_written += t.files_written;
             io.bytes_raw += t.bytes_raw;
             io.bytes_written += t.bytes_written;
             wall_ns += t.write_wall_ns;
-        }
-        io.write_wall_s = wall_ns as f64 / 1e9;
-        io
-    }
-
-    /// The stored blocks, once every rank thread has returned; a writer
-    /// no rank finished is drained first. Without `older`, each rank
-    /// keeps its newest block only: the final assembly then holds one
-    /// globe of blocks beside the result, not two.
-    pub(crate) fn into_blocks(self, older: bool) -> Vec<Block> {
-        let mut blocks = Vec::new();
-        for slot in self.slots {
-            let Slot { mut gens, .. } = slot.into_inner().unwrap_or_else(|e| e.into_inner());
             gens.sort_by_key(|g| std::cmp::Reverse(g.as_ref().map(|(m, _)| m.step)));
             blocks.extend(gens.into_iter().flatten().take(if older { 2 } else { 1 }));
         }
-        blocks
+        io.write_wall_s = wall_ns as f64 / 1e9;
+        (blocks, io)
     }
 }
 

@@ -55,14 +55,16 @@
 //!    pipeline failed to hide. The stage's two-slot buffer pool serves
 //!    only verbatim file images ([`OutputStage::acquire`] /
 //!    [`OutputStage::submit`]). The inline write (`OutputStage::new`
-//!    given `false`) survives only as the synchronous oracle of the tests.
+//!    given `false`) is reached from one test only, which holds it and
+//!    the threaded writer to the same expected files; no test compares
+//!    the two, so it is an oracle in name only.
 
 mod codec;
 mod merge;
 mod shard;
 mod stage;
 
-pub use codec::{rle_decode, rle_encode, xor_with, CkptCodec};
+pub use codec::{rle_decode, rle_encode, CkptCodec};
 pub use merge::{is_shard_dir, merge_shards};
 pub(crate) use merge::{merge_blocks, Block, ShardSet};
 pub(crate) use shard::pack_shard_payload;
@@ -71,7 +73,7 @@ pub use stage::{IoTotals, OutputStage};
 
 #[cfg(test)]
 mod tests {
-    use super::codec::{rle_decode_xor, rle_encode_spilled, Xor};
+    use super::codec::{rle_decode_xor, rle_encode_spilled, xor_with, Xor};
     use super::shard::{encode_shard, read_shard, FLAG_DELTA, FLAG_RLE, NO_BASE};
     use super::*;
     use crate::checkpoint::Crc32;
@@ -370,8 +372,8 @@ mod tests {
             v.sort();
             v
         };
-        assert_eq!(steps(filled().into_blocks(true)), [(2, vec![2]), (4, vec![4])]);
-        assert_eq!(steps(filled().into_blocks(false)), [(4, vec![4])]);
+        assert_eq!(steps(filled().drain(true).0), [(2, vec![2]), (4, vec![4])]);
+        assert_eq!(steps(filled().drain(false).0), [(4, vec![4])]);
     }
 
     /// A set that writes to disk hands each rank's blocks to that rank's
@@ -405,7 +407,39 @@ mod tests {
         let path = dir.join(shard_file_name(2, 0));
         assert!(err.starts_with(&format!("writing {}", path.display())), "{err}");
         assert_eq!(set.finish(1).unwrap().1, Ok(()));
+        // The failed writer's step-0 shard was renamed into place, so it counts.
+        assert_eq!(set.drain(false).1.shards_written, 2);
         assert!(ShardSet::new(1, None).finish(0).is_none(), "a set without disk has no writer");
+    }
+
+    /// The pass boundary counts a writer no rank finished: rank 1
+    /// stores two blocks and never calls `finish` (as a killed rank
+    /// does), and `drain` still writes and counts both of its shards
+    /// beside rank 0's.
+    #[test]
+    fn shard_set_drain_counts_an_unfinished_writer() {
+        let dir = std::env::temp_dir().join(format!("yy_shard_drain_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sim = sim_at(0);
+        let set = ShardSet::new(2, Some((dir.clone(), CkptCodec::Delta)));
+        for rank in [0, 1] {
+            for step in [0, 2] {
+                let meta = ShardMeta { step, ..meta_for(&sim, rank, rank) };
+                set.store(meta, |raw: &mut Vec<u8>| *raw = vec![step as u8 + 1; 64]);
+            }
+        }
+        assert_eq!(set.finish(0).unwrap().1, Ok(()));
+        let (blocks, io) = set.drain(true);
+        assert_eq!(blocks.len(), 4);
+        let on_disk: u64 = [(0, 0), (2, 0), (0, 1), (2, 1)]
+            .map(|(step, rank)| std::fs::metadata(dir.join(shard_file_name(step, rank))).unwrap())
+            .iter()
+            .map(|m| m.len())
+            .sum();
+        assert_eq!((io.shards_written, io.bytes_raw), (4, 4 * 64));
+        assert_eq!(io.bytes_written, on_disk);
+        assert_eq!(io.codec, "delta");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

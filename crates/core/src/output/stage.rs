@@ -1,7 +1,7 @@
 //! The writer stage: a per-rank writer thread that encodes shards
 //! straight from the in-memory set's blocks and writes them behind
-//! compute, and a two-slot buffer pool for verbatim file images. Tests
-//! also build it inline, as the synchronous oracle.
+//! compute, and a two-slot buffer pool for verbatim file images. One
+//! test also builds it inline, writing on the caller's thread.
 
 use super::codec::CkptCodec;
 use super::shard::{encode_shard, ShardMeta};
@@ -149,9 +149,9 @@ pub struct OutputStage {
 
 impl OutputStage {
     /// Build a stage. Every driver passes `true`, which spawns the
-    /// writer thread. `false` is the synchronous oracle, reached from
-    /// tests only: every write runs on the caller's thread inside
-    /// `submit`, which returns its nanoseconds.
+    /// writer thread. `false`, reached from one test only, writes on
+    /// the caller's thread inside `submit`, which returns its
+    /// nanoseconds.
     pub fn new(threaded: bool) -> OutputStage {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
@@ -280,42 +280,41 @@ impl OutputStage {
 
     /// Drain the queue, stop the writer thread, and surface any write
     /// error. Returns the final totals.
-    pub fn finish(mut self) -> Result<IoTotals, String> {
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.open = false;
-            drop(st);
-            self.shared.work_cv.notify_all();
-        }
-        if let Some(h) = self.handle.take() {
-            h.join().map_err(|_| "output writer thread panicked".to_string())?;
-        }
+    pub fn finish(self) -> Result<IoTotals, String> {
+        let (totals, err) = self.stop();
+        err.map_or(Ok(totals), Err)
+    }
+
+    /// Drain the queue and stop the writer thread. Returns the totals of
+    /// every file renamed into place, even when a later write failed,
+    /// and the first write error.
+    pub(crate) fn stop(mut self) -> (IoTotals, Option<String>) {
+        let panicked = self.close().then(|| "output writer thread panicked".to_string());
+        let totals = IoTotals {
+            files_written: self.shared.files_written.load(Ordering::Relaxed),
+            bytes_written: self.shared.bytes_written.load(Ordering::Relaxed),
+            bytes_raw: self.shared.bytes_raw.load(Ordering::Relaxed),
+            write_wall_ns: self.shared.write_wall_ns.load(Ordering::Relaxed),
+        };
         let st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        match &st.err {
-            Some(e) => Err(e.clone()),
-            None => Ok(IoTotals {
-                files_written: self.shared.files_written.load(Ordering::Relaxed),
-                bytes_written: self.shared.bytes_written.load(Ordering::Relaxed),
-                bytes_raw: self.shared.bytes_raw.load(Ordering::Relaxed),
-                write_wall_ns: self.shared.write_wall_ns.load(Ordering::Relaxed),
-            }),
-        }
+        (totals, panicked.or_else(|| st.err.clone()))
+    }
+
+    /// Close the queue and join the writer once it has drained it.
+    /// Returns whether the writer thread panicked.
+    fn close(&mut self) -> bool {
+        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        st.open = false;
+        drop(st);
+        self.shared.work_cv.notify_all();
+        self.handle.take().is_some_and(|h| h.join().is_err())
     }
 }
 
 impl Drop for OutputStage {
     fn drop(&mut self) {
-        // A dropped stage (failed pass teardown) must not leak the
-        // thread: close the queue and let it drain.
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.open = false;
-            drop(st);
-            self.shared.work_cv.notify_all();
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        // A stage dropped unfinished must not leak the thread.
+        self.close();
     }
 }
 

@@ -121,7 +121,7 @@ pub fn run_parallel(
         _ => panic!("rank 0 must produce the report"),
     };
     if let Some(set) = set {
-        let ck = merge_blocks(cfg, &set.into_blocks(false), None)
+        let ck = merge_blocks(cfg, &set.drain(false).0, None)
             .unwrap_or_else(|e| panic!("assembling the final state: {e}"));
         (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
     }
@@ -277,7 +277,8 @@ impl PassStat {
 /// Result of a supervised parallel run.
 #[derive(Debug, Clone)]
 pub struct SupervisedReport {
-    /// Metrics and diagnostic series of the *final* (successful) pass.
+    /// Metrics and diagnostic series of the *final* (successful) pass;
+    /// its `io` section totals every pass.
     pub report: RunReport,
     /// Checkpoint of the final state, serial-format compatible (overset
     /// frames and wall conditions filled).
@@ -664,11 +665,11 @@ mod tests {
         store(&set, &sim, 0);
         store(&torn, &sim, 0);
 
-        let resumed = resume_after(&cfg, &set.into_blocks(true), None, Some(start.clone()));
+        let resumed = resume_after(&cfg, &set.drain(true).0, None, Some(start.clone()));
         assert_eq!(resumed.as_ref().map(|ck| ck.step), Some(2), "fallback to the complete step");
         assert!(resumed == Some(at_2), "the step-2 assembly differs from the serial checkpoint");
-        let kept = resume_after(&cfg, &torn.into_blocks(true), None, Some(start.clone()));
+        let kept = resume_after(&cfg, &torn.drain(true).0, None, Some(start.clone()));
         assert!(kept == Some(start), "with no complete step the pass's resume must stand");
-        assert!(resume_after(&cfg, &ShardSet::new(2, None).into_blocks(true), None, None).is_none());
+        assert!(resume_after(&cfg, &ShardSet::new(2, None).drain(true).0, None, None).is_none());
     }
 }

@@ -8,7 +8,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::obs::recorders_to_chrome;
 use crate::output::{merge_blocks, Block, ShardSet};
-use crate::report::{ElasticSummary, RecoveryEvent, RetileRecord};
+use crate::report::{ElasticSummary, IoStats, RecoveryEvent, RetileRecord};
 use crate::telemetry::ScienceTelemetry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -214,6 +214,8 @@ pub(super) struct Supervisor<'a> {
     /// Every layout shrink so far; the run is *degraded* from the first.
     retiles: Vec<RetileRecord>,
     passes: Vec<PassStat>,
+    /// Every pass's writes so far, the report's `io` section.
+    io: IoStats,
 }
 
 impl<'a> Supervisor<'a> {
@@ -291,6 +293,7 @@ impl<'a> Supervisor<'a> {
             recoveries: Vec::new(),
             retiles: Vec::new(),
             passes: Vec::new(),
+            io: IoStats::default(),
         })
     }
 
@@ -354,13 +357,11 @@ impl<'a> Supervisor<'a> {
             (None, Some(verdict)) => PassOutcome::Unhealthy(verdict),
             (None, None) => PassOutcome::Completed,
         };
-        if let Some(rep) = &mut report {
-            rep.report.io = set.io();
-        }
         // The one assembly of this pass boundary. A completed pass needs
         // only its final blocks, so the older generation goes first.
         let completed = matches!(outcome, PassOutcome::Completed);
-        let blocks = set.into_blocks(!completed);
+        let (blocks, io) = set.drain(!completed);
+        self.io.add(&io);
         self.resume = resume_after(cfg, &blocks, self.opts.resume_from.as_ref(), resume);
         let resume_step = self.resume.as_ref().map_or(start_step, |ck| ck.step);
         self.passes.push(PassStat {
@@ -438,13 +439,14 @@ impl<'a> Supervisor<'a> {
 
     /// Assemble the report of a completed run: the final pass's report
     /// plus the post-run diagnosis, the trace and the supervisor's own
-    /// record.
+    /// record, the run's `io` total among it.
     pub(super) fn finish(mut self, pass: Pass) -> Result<SupervisedReport, String> {
         let rep = pass.report.ok_or("rank 0 produced no report")?;
         let final_checkpoint = self.resume.take().ok_or("no final checkpoint was assembled")?;
         let predicted_imbalance = pass.decomp.predicted_imbalance();
         let achieved_imbalance = rep.achieved_imbalance;
         let mut report = rep.report;
+        report.io = self.io;
         // Post-run diagnosis: read every ring once and extract the
         // per-step critical path and straggler attribution. Strictly
         // post-run — the solver never observes any of this.

@@ -161,8 +161,9 @@ impl ElasticSummary {
 }
 
 /// The `io` section of the v4 report: what the output pipeline wrote
-/// and what it cost. All-zero (with `codec="none"`) when no output
-/// directory was configured.
+/// and what it cost over the whole run — every pass, the writes of a
+/// killed rank's writer and of abandoned passes included. All-zero
+/// (with `codec="none"`) when no output directory was configured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoStats {
     /// Checkpoint shards written and renamed into place, summed over
@@ -192,6 +193,15 @@ impl Default for IoStats {
 }
 
 impl IoStats {
+    /// Add one pass's writes to this total.
+    pub(crate) fn add(&mut self, pass: &IoStats) {
+        self.shards_written += pass.shards_written;
+        self.bytes_raw += pass.bytes_raw;
+        self.bytes_written += pass.bytes_written;
+        self.write_wall_s += pass.write_wall_s;
+        self.codec.clone_from(&pass.codec);
+    }
+
     /// Uncompressed-to-written size ratio (1.0 when nothing was written).
     pub fn compression_ratio(&self) -> f64 {
         if self.bytes_written == 0 {

@@ -110,6 +110,37 @@ fn zero_step_delta_run_leaves_a_terminating_chain() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A recovered run's `io` section is the whole run's: the killed pass's
+/// shards — those of the killed rank's writer among them — count beside
+/// the final pass's. Rank 1 of the 1×1 layout dies at step 5, so the
+/// first pass writes steps 0, 2 and 4 on both ranks and the second,
+/// resumed at step 4, writes steps 6 and 8: ten files.
+#[test]
+fn recovered_run_io_counts_every_pass() {
+    let dir = fresh_dir("recovered_io");
+    let opts = RecoveryOpts {
+        fault: FaultSpec::seeded(42).with_kill(1, 5),
+        checkpoint_every: 2,
+        deadline: Duration::from_secs(30),
+        ckpt_dir: Some(dir.clone()),
+        ckpt_compress: CkptCodec::Delta,
+        ..RecoveryOpts::default()
+    };
+    let sup =
+        run_parallel_supervised(&quick_cfg(), 1, 1, 8, 0, &opts).expect("killed run recovers");
+    assert_eq!(sup.recoveries.len(), 1, "the fixture must roll back once");
+    let sizes: Vec<u64> = std::fs::read_dir(&dir)
+        .expect("shard dir exists")
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".yys"))
+        .map(|e| e.metadata().unwrap().len())
+        .collect();
+    assert_eq!(sizes.len(), 10, "shard files left");
+    assert_eq!(sup.report.io.shards_written, 10, "every pass's shards count");
+    assert_eq!(sup.report.io.bytes_written, sizes.iter().sum::<u64>(), "bytes on disk");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `shard`'s bytes with the value byte of its first repeat frame
 /// flipped: the link decodes to the right length but the wrong bytes,
 /// so its CRC fails. Frames start after the 8-byte magic and 20 u64s.

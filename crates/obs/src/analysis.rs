@@ -14,8 +14,8 @@
 //!    histogram plus a per-rank "times on critical path" table.
 //! 2. **Straggler & imbalance attribution** — per-rank compute walls vs
 //!    the mean (read against the partitioner's predicted imbalance),
-//!    send→recv lag asymmetry (a sender whose messages consistently
-//!    arrive late relative to its peers), and writer-backpressure skew,
+//!    send→recv lag asymmetry (a sender whose receivers consistently
+//!    wait on it longer than on its peers), and writer-backpressure skew,
 //!    folded into a ranked suspect list with a stated [`Reason`].
 //!
 //! Analysis degrades gracefully under ring wraparound: the fixed-capacity
@@ -268,8 +268,11 @@ struct Segment {
     /// spans are end-stamped, so this is when the rank's step work
     /// finished).
     end_ts: u64,
-    /// Receives matched inside the segment: `(src, tag16, seq, ts)`.
-    recvs: Vec<(u32, u16, u64, u64)>,
+    /// Receives matched inside the segment: `(src, tag16, seq, ts,
+    /// posted)`; `posted` is when the wait span that matched it began.
+    recvs: Vec<(u32, u16, u64, u64, Option<u64>)>,
+    /// How many of `recvs` a phase span has closed.
+    spanned: usize,
 }
 
 /// Run the critical-path + straggler diagnosis over per-rank streams.
@@ -310,6 +313,13 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
                         if let Some(seg) = segs[r].get_mut(&s) {
                             seg.phase_ns[p as usize] += dur_ns;
                             seg.end_ts = seg.end_ts.max(te.ts_ns);
+                            // A wait span ends just after the receives it
+                            // matched: the rank posted them as it began.
+                            if p == Phase::Wait {
+                                let began = Some(te.ts_ns.saturating_sub(dur_ns));
+                                seg.recvs[seg.spanned..].iter_mut().for_each(|r| r.4 = began);
+                            }
+                            seg.spanned = seg.recvs.len();
                         }
                     }
                 }
@@ -319,7 +329,7 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
                 Event::Recv { peer, tag16, seq, .. } => {
                     if let Some(s) = cur {
                         if let Some(seg) = segs[r].get_mut(&s) {
-                            seg.recvs.push((peer, tag16, seq, te.ts_ns));
+                            seg.recvs.push((peer, tag16, seq, te.ts_ns, None));
                         }
                     }
                 }
@@ -338,13 +348,17 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
         }
     }
 
-    // Send→recv lag: how long after the send each message was matched.
-    // Under an injected per-sender delay (or a genuinely slow sender)
-    // this is the stall its receivers cannot hide.
-    let lag_of = |src: u32, dst: u32, tag16: u16, seq: u64, recv_ts: u64| -> Option<u64> {
+    // Send→recv lag: how long the receiver waited for each message, from
+    // the later of the send and the start of its wait span. Under an
+    // injected per-sender delay (or a genuinely slow sender) this is the
+    // stall its receivers cannot hide; a receive no wait span measured (a
+    // collective's) has none.
+    type Recv = (u16, u64, u64, Option<u64>);
+    let lag_of = |src: u32, dst: u32, (tag16, seq, recv_ts, posted): Recv| -> Option<u64> {
+        let posted = posted?;
         let ts_list = sends.get(&(src, dst, tag16, seq))?;
         let sent = ts_list.iter().rev().find(|&&t| t <= recv_ts).or(ts_list.first())?;
-        Some(recv_ts.saturating_sub(*sent))
+        Some(recv_ts.saturating_sub((*sent).max(posted)))
     };
     let mut lag_sum = vec![0u64; nranks];
     let mut lag_n = vec![0u64; nranks];
@@ -381,8 +395,8 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
             let late = seg
                 .recvs
                 .iter()
-                .filter_map(|&(src, tag, seq, ts)| {
-                    lag_of(src, gater as u32, tag, seq, ts).map(|lag| (src, lag))
+                .filter_map(|&(src, tag, seq, ts, posted)| {
+                    lag_of(src, gater as u32, (tag, seq, ts, posted)).map(|lag| (src, lag))
                 })
                 .max_by_key(|&(_, lag)| lag);
             if let Some((src, _)) = late {
@@ -396,8 +410,8 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
     // so the late-sender signal survives even when waits were hidden.
     for (r, m) in segs.iter().enumerate() {
         for seg in m.values() {
-            for &(src, tag, seq, ts) in &seg.recvs {
-                if let Some(lag) = lag_of(src, r as u32, tag, seq, ts) {
+            for &(src, tag, seq, ts, posted) in &seg.recvs {
+                if let Some(lag) = lag_of(src, r as u32, (tag, seq, ts, posted)) {
                     if (src as usize) < nranks {
                         lag_sum[src as usize] += lag;
                         lag_n[src as usize] += 1;

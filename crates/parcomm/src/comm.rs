@@ -10,8 +10,9 @@
 //! the rank's fault limbo (releasing due delayed messages), backs
 //! off exponentially, checks the death board, and gives up with a
 //! structured [`CommError`] when the peer is dead or the deadline
-//! expires. In a plain universe ([`crate::Universe::run`]) none of this
-//! engages and receives are the original blocking waits.
+//! expires; the error unwinds the rank and reaches the caller as that
+//! rank's [`crate::RankFailure`]. With no deadline and no fault plan
+//! ([`crate::Universe::run`]) receives are plain blocking waits.
 
 use crate::fault::{FaultAction, FaultPlan, InjectedKill};
 use crate::mailbox::{Envelope, Mailbox};
@@ -77,7 +78,7 @@ pub(crate) struct RuntimeCtl {
     /// world ranks: when a supervisor re-tiles a shrunk universe onto
     /// the surviving nodes, this map keeps a persistent kill pinned to
     /// the same broken machine instead of whichever rank inherited its
-    /// old index. The identity map in plain universes.
+    /// old index. The identity map unless a supervisor passes one.
     pub nodes: Vec<usize>,
     /// Fault injection plan, if any.
     pub fault: Option<Arc<FaultPlan>>,
@@ -87,14 +88,15 @@ pub(crate) struct RuntimeCtl {
 }
 
 impl RuntimeCtl {
-    /// Control block for a plain (unsupervised, fault-free) universe.
-    pub fn plain(nprocs: usize) -> Self {
-        RuntimeCtl {
-            dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
-            nodes: (0..nprocs).collect(),
-            fault: None,
-            deadline: None,
-        }
+    /// Control block for a universe with one rank per entry of `nodes`,
+    /// none of them dead yet.
+    pub fn new(
+        nodes: Vec<usize>,
+        fault: Option<Arc<FaultPlan>>,
+        deadline: Option<Duration>,
+    ) -> Self {
+        let dead = nodes.iter().map(|_| AtomicBool::new(false)).collect();
+        RuntimeCtl { dead, nodes, fault, deadline }
     }
 
     /// Whether receives must run the bounded retry loop.
@@ -203,9 +205,8 @@ impl Comm {
 
     /// Fault-injection step hook: call once per solver step. If the
     /// universe's fault plan schedules this rank to die at `step`, the
-    /// call unwinds with an [`InjectedKill`] payload that
-    /// [`crate::Universe::run_supervised`] reports as a
-    /// [`crate::RankFailure`].
+    /// call unwinds with an [`InjectedKill`] payload that the launcher
+    /// reports as a [`crate::RankFailure`].
     pub fn fault_tick(&self, step: u64) {
         if let Some(plan) = &self.world.ctl.fault {
             let me = self.members[self.rank];
@@ -350,8 +351,8 @@ impl Comm {
             Ok(env) => env,
             // Unwind with the structured error as payload so it can
             // cross the deep collective call stacks without threading
-            // Results through every solver signature;
-            // `Universe::run_supervised` catches and classifies it.
+            // Results through every solver signature; the launcher
+            // catches and classifies it.
             Err(e) => std::panic::panic_any(e),
         }
     }
@@ -359,18 +360,10 @@ impl Comm {
     /// Blocking receive of `f64` data from `src`.
     ///
     /// In a supervised universe a deadline overrun or peer death unwinds
-    /// with a [`CommError`] payload (reported as a
-    /// [`crate::RankFailure`]); use [`Comm::recv_f64s_checked`] to handle
-    /// the error in place instead.
+    /// with a [`CommError`] payload, reported as the rank's
+    /// [`crate::RankFailure`].
     pub fn recv_f64s(&self, src: usize, tag: u64) -> Vec<f64> {
         self.take(src, tag).data
-    }
-
-    /// Like [`Comm::recv_f64s`] but returns the communication failure as
-    /// a value instead of unwinding.
-    pub fn recv_f64s_checked(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        self.check_peer(src, "source");
-        Ok(self.wait_match(self.members[src], tag)?.data)
     }
 
     /// Create sub-communicators: all callers with the same `color` form a

@@ -33,14 +33,15 @@
 //!
 //! ## Fault tolerance
 //!
-//! [`Universe::run_supervised`] launches the same rank team under a
-//! supervisor: receives are deadline-bounded with exponential-backoff
-//! retry (giving a structured [`CommError`] instead of a hang), a seeded
-//! [`fault::FaultPlan`] can delay or duplicate messages or kill a rank
-//! at a chosen step, per-stream sequence numbers in the mailbox restore
-//! exactly-once in-order delivery under those faults, and a panicking
-//! rank is reported as a [`RankFailure`] value while its peers keep
-//! running. See `DESIGN.md` § "Fault model and recovery".
+//! Every launch catches each rank's panic as a [`RankFailure`] value
+//! while its peers keep running; [`Universe::run`] re-raises the lowest
+//! failed rank's once all have returned. [`Universe::run_supervised`]
+//! hands the failures back instead, and adds deadline-bounded receives
+//! with exponential-backoff retry (a structured [`CommError`] instead of
+//! a hang) and a seeded [`fault::FaultPlan`] that can delay or duplicate
+//! messages or kill a rank at a chosen step; per-stream sequence numbers
+//! in the mailbox restore exactly-once in-order delivery under those
+//! faults. See `DESIGN.md` § "Fault model and recovery".
 
 pub mod collectives;
 pub mod comm;

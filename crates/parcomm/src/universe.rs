@@ -1,18 +1,15 @@
 //! The universe: spawn one thread per rank and hand each a world
 //! communicator. The moral equivalent of `mpirun -np N`.
 //!
-//! Two launch modes exist:
-//!
-//! * [`Universe::run`] — the original fail-fast launcher: any rank panic
-//!   propagates to the caller after all threads are joined (the analogue
-//!   of a failing `MPI_Abort`).
-//! * [`Universe::run_supervised`] — the fault-tolerant launcher: each
-//!   rank's panic is caught, classified into a structured
-//!   [`RankFailure`] (injected kill, communication error, or genuine
-//!   panic), and returned as that rank's `Err` result while the other
-//!   ranks run to completion (their receives from the dead rank resolve
-//!   to [`CommError::PeerDead`] via the shared death board). A
-//!   supervisor can then decide to restart from a checkpoint.
+//! Every launch runs one spawn loop: each rank's panic is caught, marked
+//! on the shared death board and classified into a [`RankFailure`]
+//! (injected kill, communication error, or genuine panic) while the
+//! other ranks run to completion. [`Universe::run_supervised`] bounds
+//! every receive and may install a fault plan, so receives from a dead
+//! rank resolve to [`CommError::PeerDead`], and returns the failures as
+//! values for a supervisor to recover from. [`Universe::run`] has no
+//! deadline and no fault plan, and re-raises the lowest failed rank's
+//! panic once every rank has returned.
 
 use crate::comm::{Comm, CommError, RuntimeCtl, WorldCore};
 use crate::fault::{FaultPlan, InjectedKill};
@@ -43,7 +40,7 @@ pub enum FailureKind {
     Panic,
 }
 
-/// One rank's failure, as reported by [`Universe::run_supervised`].
+/// One rank's failure, as the launcher classifies it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankFailure {
     /// World rank that failed.
@@ -94,8 +91,8 @@ impl Default for SupervisedOpts {
 
 /// Install a panic-hook filter (once per process) that silences the
 /// default "thread panicked" stderr spew for *expected* unwinds — the
-/// injected kills and structured comm errors that the supervised runtime
-/// catches and reports as values. All other panics keep the default
+/// injected kills and structured comm errors that the launcher catches
+/// and reports as values. All other panics keep the default
 /// output.
 fn install_quiet_hook() {
     static ONCE: Once = Once::new();
@@ -131,20 +128,22 @@ fn classify(rank: usize, payload: Box<dyn std::any::Any + Send>) -> RankFailure 
 }
 
 impl Universe {
-    fn spawn_all<F, B, R, W>(
+    /// The one launch: spawn `nprocs` rank threads over `ctl` and run
+    /// `body` on each. A rank that unwinds is marked on the death board
+    /// from its own thread, before join, so peers on a bounded receive
+    /// stop waiting for it, and its payload is classified as that
+    /// rank's [`RankFailure`]; the other ranks run on.
+    fn launch<F, R>(
         nprocs: usize,
-        world: Arc<WorldCore>,
+        ctl: RuntimeCtl,
         recorders: Option<Arc<RecorderSet>>,
         body: F,
-        wrap: W,
-    ) -> Vec<R>
+    ) -> Vec<Result<R, RankFailure>>
     where
-        F: Fn(Comm) -> B + Send + Sync,
-        B: Send,
+        F: Fn(Comm) -> R + Send + Sync,
         R: Send,
-        W: Fn(usize, &Arc<WorldCore>, &dyn Fn() -> B) -> R + Send + Sync,
     {
-        let members: Arc<Vec<usize>> = Arc::new((0..nprocs).collect());
+        assert!(nprocs >= 1, "universe needs at least one rank");
         if let Some(set) = &recorders {
             assert!(
                 set.len() >= nprocs,
@@ -152,75 +151,64 @@ impl Universe {
                 set.len()
             );
         }
+        install_quiet_hook();
+        let world = Arc::new(WorldCore {
+            mailboxes: (0..nprocs).map(|_| Arc::new(Mailbox::new())).collect(),
+            ctl,
+        });
+        let members: Arc<Vec<usize>> = Arc::new((0..nprocs).collect());
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nprocs);
-            for rank in 0..nprocs {
-                let world = Arc::clone(&world);
-                let members = Arc::clone(&members);
-                let recorder = recorders.as_ref().map(|set| set.rank(rank));
-                let body = &body;
-                let wrap = &wrap;
-                handles.push(scope.spawn(move || {
-                    let run = || {
-                        let comm = Comm {
-                            world: Arc::clone(&world),
-                            context: 0,
-                            rank,
-                            members: Arc::clone(&members),
-                            coll_seq: Cell::new(0),
-                            send_seq: RefCell::new(HashMap::new()),
-                            stats: Arc::new(StatsCell::new()),
-                            recorder: recorder.clone(),
-                        };
-                        body(comm)
+            let handles: Vec<_> = (0..nprocs)
+                .map(|rank| {
+                    let comm = Comm {
+                        world: Arc::clone(&world),
+                        context: 0,
+                        rank,
+                        members: Arc::clone(&members),
+                        coll_seq: Cell::new(0),
+                        send_seq: RefCell::new(HashMap::new()),
+                        stats: Arc::new(StatsCell::new()),
+                        recorder: recorders.as_ref().map(|set| set.rank(rank)),
                     };
-                    wrap(rank, &world, &run)
-                }));
-            }
+                    let (world, body) = (&world, &body);
+                    scope.spawn(move || {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(comm)))
+                            .map_err(|payload| {
+                                world.ctl.dead[rank].store(true, Ordering::Release);
+                                classify(rank, payload)
+                            })
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
-                .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(r) => r,
-                    // A plain universe is fail-fast: a rank's panic is the
-                    // caller's panic (a supervised launch catches inside
-                    // `wrap`, so its joins never fail).
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}")
-                    }
-                })
+                .map(|h| h.join().expect("a rank thread catches its own panic"))
                 .collect()
         })
     }
 
     /// Run `body` on `nprocs` rank threads; returns each rank's result in
-    /// rank order. Panics in any rank propagate (after all threads have
-    /// been joined or abandoned) — the analogue of a failing `MPI_Abort`.
+    /// rank order. Receives block with no deadline, and there is no
+    /// fault plan. Once every rank has returned, the lowest failed
+    /// rank's panic becomes the caller's — the analogue of a failing
+    /// `MPI_Abort`.
     pub fn run<F, R>(nprocs: usize, body: F) -> Vec<R>
     where
         F: Fn(Comm) -> R + Send + Sync,
         R: Send,
     {
-        assert!(nprocs >= 1, "universe needs at least one rank");
-        let world = Arc::new(WorldCore {
-            mailboxes: (0..nprocs).map(|_| Arc::new(Mailbox::new())).collect(),
-            ctl: RuntimeCtl::plain(nprocs),
-        });
-        Self::spawn_all(nprocs, world, None, body, |_rank, _world, run| run())
+        let ctl = RuntimeCtl::new((0..nprocs).collect(), None, None);
+        Self::launch(nprocs, ctl, None, body)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|f| panic!("rank {} panicked: {}", f.rank, f.message)))
+            .collect()
     }
 
     /// Run `body` on `nprocs` supervised rank threads: every receive is
     /// deadline-bounded, the optional fault plan injects its schedule,
     /// and a panicking rank becomes an `Err(RankFailure)` entry instead
-    /// of tearing the caller down. The moment a rank starts unwinding it
-    /// is marked on the shared death board, so peers blocked on it
-    /// resolve to [`CommError::PeerDead`] after draining any messages it
-    /// did send.
+    /// of tearing the caller down; peers blocked on it resolve to
+    /// [`CommError::PeerDead`] after draining any messages it did send.
     pub fn run_supervised<F, R>(
         nprocs: usize,
         opts: SupervisedOpts,
@@ -230,8 +218,7 @@ impl Universe {
         F: Fn(Comm) -> R + Send + Sync,
         R: Send,
     {
-        assert!(nprocs >= 1, "universe needs at least one rank");
-        let nodes = opts.nodes.clone().unwrap_or_else(|| (0..nprocs).collect());
+        let nodes = opts.nodes.unwrap_or_else(|| (0..nprocs).collect());
         assert_eq!(nodes.len(), nprocs, "node map must cover every world rank");
         if let Some(plan) = &opts.fault {
             let max_node = nodes.iter().copied().max().unwrap_or(0);
@@ -241,28 +228,8 @@ impl Universe {
                 plan.nprocs()
             );
         }
-        install_quiet_hook();
-        let world = Arc::new(WorldCore {
-            mailboxes: (0..nprocs).map(|_| Arc::new(Mailbox::new())).collect(),
-            ctl: RuntimeCtl {
-                dead: (0..nprocs).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
-                nodes,
-                fault: opts.fault.clone(),
-                deadline: Some(opts.deadline),
-            },
-        });
-        Self::spawn_all(nprocs, world, opts.recorders.clone(), body, |rank, world, run| {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-            match result {
-                Ok(r) => Ok(r),
-                Err(payload) => {
-                    // Mark the death in the failing thread itself, before
-                    // join, so peers stop waiting promptly.
-                    world.ctl.dead[rank].store(true, Ordering::Release);
-                    Err(classify(rank, payload))
-                }
-            }
-        })
+        let ctl = RuntimeCtl::new(nodes, opts.fault, Some(opts.deadline));
+        Self::launch(nprocs, ctl, opts.recorders, body)
     }
 }
 
@@ -530,11 +497,11 @@ mod tests {
             comm.fault_tick(0);
             // Rank 1 reaches here and waits on the dead rank 0; the death
             // board must resolve this long before the 5 s deadline.
-            comm.recv_f64s_checked(0, 7, )
+            comm.recv_f64s(0, 7)
         });
         assert!(matches!(out[0], Err(RankFailure { kind: FailureKind::InjectedKill { .. }, .. })));
-        let r1 = out[1].as_ref().expect("rank 1 survives");
-        assert_eq!(*r1, Err(CommError::PeerDead { src_world: 0, tag: 7 }));
+        let r1 = out[1].as_ref().expect_err("rank 1's receive fails");
+        assert_eq!(r1.kind, FailureKind::Comm(CommError::PeerDead { src_world: 0, tag: 7 }));
     }
 
     #[test]
@@ -543,13 +510,14 @@ mod tests {
         let out = Universe::run_supervised(2, opts, |comm| {
             if comm.rank() == 1 {
                 // Nobody ever sends: the bounded wait must give up.
-                comm.recv_f64s_checked(0, 9)
+                comm.recv_f64s(0, 9)
             } else {
-                Ok(vec![])
+                vec![]
             }
         });
-        match out[1].as_ref().expect("rank 1 itself does not fail") {
-            Err(CommError::Timeout { src_world: 0, tag: 9, waited_ms }) => {
+        assert_eq!(out[0], Ok(vec![]));
+        match &out[1].as_ref().expect_err("rank 1's receive fails").kind {
+            FailureKind::Comm(CommError::Timeout { src_world: 0, tag: 9, waited_ms }) => {
                 assert!(*waited_ms >= 30);
             }
             other => panic!("expected timeout, got {other:?}"),
@@ -564,6 +532,7 @@ mod tests {
             deadline: Duration::from_secs(5),
             ..SupervisedOpts::default()
         };
+        let first = std::sync::Mutex::new(None);
         let out = Universe::run_supervised(2, opts, |comm| {
             if comm.rank() == 0 {
                 comm.fault_tick(0);
@@ -573,13 +542,12 @@ mod tests {
             }
             // Rank 1: the pre-death message must arrive, the next wait
             // must report the death.
-            let first = comm.recv_f64s_checked(0, 4);
-            let second = comm.recv_f64s_checked(0, 4);
-            (first, second)
+            *first.lock().unwrap() = Some(comm.recv_f64s(0, 4));
+            comm.recv_f64s(0, 4);
         });
-        let (first, second) = out[1].as_ref().expect("rank 1 survives");
-        assert_eq!(first.as_deref(), Ok(&[11.0][..]));
-        assert_eq!(*second, Err(CommError::PeerDead { src_world: 0, tag: 4 }));
+        assert_eq!(first.into_inner().unwrap(), Some(vec![11.0]));
+        let r1 = out[1].as_ref().expect_err("rank 1's second receive fails");
+        assert_eq!(r1.kind, FailureKind::Comm(CommError::PeerDead { src_world: 0, tag: 4 }));
     }
 
     /// Delays and duplicates under a seeded plan: the retry loop
