@@ -26,7 +26,7 @@
 //!
 //! [`run_parallel_supervised`] runs the same rank program in the
 //! supervised runtime: deterministic fault injection
-//! ([`yy_parcomm::fault`]), comm deadlines with bounded retry, per-step
+//! ([`yy_parcomm::fault`]), a deadline on every receive, per-step
 //! solver health guards ([`crate::health`]), and periodic checkpoint
 //! events, at which every rank stores its owned block in an in-memory
 //! shard set and sends nothing. When a rank dies (injected kill, comm

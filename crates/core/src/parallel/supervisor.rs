@@ -16,7 +16,7 @@ use std::time::Instant;
 use yy_mesh::partition::MIN_TILE_WIDTH;
 use yy_mesh::{Decomp2D, PatchGrid};
 use yy_obs::{analyze, AnalysisInput, Event, RecorderSet};
-use yy_parcomm::{FailureKind, FaultPlan, RankFailure, SupervisedOpts, Universe};
+use yy_parcomm::{root_cause, FailureKind, FaultPlan, SupervisedOpts, Universe};
 
 /// How one supervised pass ended, as the recovery policy sees it.
 #[derive(Debug)]
@@ -305,10 +305,6 @@ impl<'a> Supervisor<'a> {
         let nprocs = 2 * pth * pph;
         let node_map: Vec<usize> = self.policy.survivors[..nprocs].to_vec();
         let decomp = Decomp2D::new(pth, pph, &self.grid);
-        // Messages stuck in limbo belong to the previous (dead) pass.
-        if let Some(plan) = &self.fault {
-            plan.begin_pass();
-        }
         let resume = self.resume.take();
         let start_step = resume.as_ref().map_or(0, |ck| ck.step);
         let sup = SupervisedOpts {
@@ -327,24 +323,18 @@ impl<'a> Supervisor<'a> {
         // A rank failure (kill, comm error, panic) outranks a graceful
         // health Err: health returns are collective, so they only decide
         // the outcome when every rank survived. Among rank failures the
-        // root cause — an injected kill — wins over the peer-death
-        // errors it cascades into.
-        let is_kill = |f: &RankFailure| matches!(f.kind, FailureKind::InjectedKill { .. });
-        let mut failure: Option<RankFailure> = None;
+        // root cause is blamed, not the peer deaths it cascades into.
+        let mut failures = Vec::new();
         let mut unhealthy = None;
         let mut report = None;
         for r in results {
             match r {
                 Ok(Ok(rep)) => report = report.or(rep),
                 Ok(Err(verdict)) => unhealthy = Some(verdict),
-                Err(f) => {
-                    if failure.as_ref().is_none_or(|prev| is_kill(&f) && !is_kill(prev)) {
-                        failure = Some(f);
-                    }
-                }
+                Err(f) => failures.push(f),
             }
         }
-        let outcome = match (failure, unhealthy) {
+        let outcome = match (root_cause(&failures), unhealthy) {
             (Some(f), _) => PassOutcome::RankFailed {
                 node: node_map.get(f.rank).copied().unwrap_or(f.rank),
                 sig: match &f.kind {

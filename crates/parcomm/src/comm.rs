@@ -5,33 +5,28 @@
 //!
 //! Every send is stamped with a per-stream sequence number (see
 //! [`crate::mailbox`]) and routed through the universe's optional
-//! [`crate::fault::FaultPlan`]. Receives in a supervised universe run a
-//! bounded retry loop instead of blocking forever: each retry slice pumps
-//! the rank's fault limbo (releasing due delayed messages), backs
-//! off exponentially, checks the death board, and gives up with a
-//! structured [`CommError`] when the peer is dead or the deadline
-//! expires; the error unwinds the rank and reaches the caller as that
-//! rank's [`crate::RankFailure`]. With no deadline and no fault plan
-//! ([`crate::Universe::run`]) receives are plain blocking waits.
+//! [`crate::fault::FaultPlan`]. Every receive is one
+//! [`crate::mailbox::Mailbox::recv`]: it ends at the match, at the
+//! sender's death (read from the death board) or at the universe's
+//! optional deadline. The last two become a structured [`CommError`]
+//! that unwinds the rank and reaches the caller as that rank's
+//! [`crate::RankFailure`]. A plain universe ([`crate::Universe::run`])
+//! has no deadline, so only a match or a death ends its waits.
 
 use crate::fault::{FaultAction, FaultPlan, InjectedKill};
-use crate::mailbox::{Envelope, Mailbox};
+use crate::mailbox::{Envelope, Mailbox, Unmatched};
 use crate::stats::{StatsCell, TrafficClass};
 use crate::ReduceOp;
 use yy_obs::event::FaultKind;
 use yy_obs::{Event, FlightRecorder};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// First retry slice of the bounded receive loop; doubles up to 32× per
-/// wait.
-const RETRY_BASE: Duration = Duration::from_micros(200);
-
-/// A structured communication failure, produced instead of hanging when
-/// the universe runs supervised.
+/// A structured communication failure: a receive that ended without its
+/// message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
     /// No matching message arrived within the deadline.
@@ -45,7 +40,7 @@ pub enum CommError {
         waited_ms: u64,
     },
     /// The expected sender's rank has died (panicked or was killed by
-    /// fault injection) and its already-sent messages are drained.
+    /// fault injection) and nothing more of the awaited stream is queued.
     PeerDead {
         /// World rank of the dead sender.
         src_world: usize,
@@ -69,10 +64,10 @@ impl std::fmt::Display for CommError {
 }
 
 /// Supervision state shared by every rank of a universe: the death
-/// board, the optional fault plan, and the receive-retry policy.
+/// board, the optional fault plan, and the receive deadline.
 pub(crate) struct RuntimeCtl {
-    /// `dead[w]` is set by the supervised runtime the moment world rank
-    /// `w` starts unwinding, so peers stop waiting for it.
+    /// `dead[w]` is set by the launcher the moment world rank `w`
+    /// unwinds, so peers stop waiting for it.
     pub dead: Vec<AtomicBool>,
     /// World rank → stable node id. A fault plan addresses *nodes*, not
     /// world ranks: when a supervisor re-tiles a shrunk universe onto
@@ -83,7 +78,8 @@ pub(crate) struct RuntimeCtl {
     /// Fault injection plan, if any.
     pub fault: Option<Arc<FaultPlan>>,
     /// Bound on any single receive; `None` means unbounded (plain
-    /// universes, where a missing message is a bug, not a fault).
+    /// universes, where a missing message from a live peer is a bug,
+    /// not a fault).
     pub deadline: Option<Duration>,
 }
 
@@ -97,11 +93,6 @@ impl RuntimeCtl {
     ) -> Self {
         let dead = nodes.iter().map(|_| AtomicBool::new(false)).collect();
         RuntimeCtl { dead, nodes, fault, deadline }
-    }
-
-    /// Whether receives must run the bounded retry loop.
-    fn bounded(&self) -> bool {
-        self.fault.is_some() || self.deadline.is_some()
     }
 }
 
@@ -262,7 +253,7 @@ impl Comm {
         });
         let mailbox = &self.world.mailboxes[dest_world];
         let Some(plan) = &self.world.ctl.fault else {
-            return mailbox.deliver(env);
+            return mailbox.deliver(env, None);
         };
         let (kind, param) = match plan.route(src_world, dest_world, env, mailbox) {
             FaultAction::Deliver => return,
@@ -283,12 +274,25 @@ impl Comm {
         self.post(dest, tag, data, class);
     }
 
-    /// The bounded receive loop. In a plain universe this is a direct
-    /// blocking wait; under a fault plan or deadline it retries in
-    /// exponentially growing slices, pumping the fault limbo (so delayed
-    /// messages are released when due) and watching the death board.
+    /// Wait for the next message of stream `(src_world, tag)` on this
+    /// communicator until it matches, its sender dies, or the universe's
+    /// deadline passes.
     fn wait_match(&self, src_world: usize, tag: u64) -> Result<Envelope, CommError> {
-        let env = self.wait_match_from(src_world, tag)?;
+        let ctl = &self.world.ctl;
+        let mailbox = &self.world.mailboxes[self.members[self.rank]];
+        // Only a universe with a deadline reads the clock here.
+        let start = ctl.deadline.map(|d| (Instant::now(), d));
+        let until = start.map(|(t, d)| t + d);
+        let env = mailbox
+            .recv(self.context, src_world, tag, until, &ctl.dead[src_world])
+            .map_err(|end| match end {
+                Unmatched::SenderDead => CommError::PeerDead { src_world, tag },
+                Unmatched::TimedOut => CommError::Timeout {
+                    src_world,
+                    tag,
+                    waited_ms: start.map_or(0, |(t, _)| t.elapsed().as_millis() as u64),
+                },
+            })?;
         if let Some(rec) = &self.recorder {
             rec.record(Event::Recv {
                 peer: src_world as u32,
@@ -299,50 +303,6 @@ impl Comm {
             });
         }
         Ok(env)
-    }
-
-    fn wait_match_from(&self, src_world: usize, tag: u64) -> Result<Envelope, CommError> {
-        let my_world = self.members[self.rank];
-        let mailbox = &self.world.mailboxes[my_world];
-        let ctl = &self.world.ctl;
-        if !ctl.bounded() {
-            return Ok(mailbox.recv_match(self.context, src_world, tag));
-        }
-        // Only the bounded path reads the clock: it checks the deadline.
-        let start = Instant::now();
-        let mut slice = RETRY_BASE;
-        let slice_cap = RETRY_BASE * 32;
-        loop {
-            if let Some(plan) = &ctl.fault {
-                plan.pump(my_world, mailbox);
-            }
-            if let Some(env) = mailbox.recv_match_timeout(self.context, src_world, tag, slice) {
-                return Ok(env);
-            }
-            if ctl.dead[src_world].load(Ordering::Acquire) {
-                // The peer died, but messages it sent before dying (or
-                // that sit in limbo) must still be receivable: drain the
-                // limbo one last time and re-scan before giving up.
-                if let Some(plan) = &ctl.fault {
-                    plan.pump(my_world, mailbox);
-                }
-                if let Some(env) = mailbox.try_match(self.context, src_world, tag) {
-                    return Ok(env);
-                }
-                return Err(CommError::PeerDead { src_world, tag });
-            }
-            if let Some(deadline) = ctl.deadline {
-                let waited = start.elapsed();
-                if waited >= deadline {
-                    return Err(CommError::Timeout {
-                        src_world,
-                        tag,
-                        waited_ms: waited.as_millis() as u64,
-                    });
-                }
-            }
-            slice = (slice * 2).min(slice_cap);
-        }
     }
 
     pub(crate) fn take(&self, src: usize, tag: u64) -> Envelope {
@@ -359,8 +319,8 @@ impl Comm {
 
     /// Blocking receive of `f64` data from `src`.
     ///
-    /// In a supervised universe a deadline overrun or peer death unwinds
-    /// with a [`CommError`] payload, reported as the rank's
+    /// A peer death, or a deadline overrun in a supervised universe,
+    /// unwinds with a [`CommError`] payload, reported as the rank's
     /// [`crate::RankFailure`].
     pub fn recv_f64s(&self, src: usize, tag: u64) -> Vec<f64> {
         self.take(src, tag).data

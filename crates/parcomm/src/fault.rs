@@ -8,17 +8,19 @@
 //! `(src, dst)` edge:
 //!
 //! * **Deliver** — the common case, untouched;
-//! * **Delay** — the envelope is held for a seeded duration up to
-//!   `max_delay`, reordering it behind later traffic (the per-stream
-//!   sequence numbers in [`crate::mailbox::Mailbox`] restore order);
+//! * **Delay** — the envelope is queued in the destination mailbox at
+//!   once, stamped with a due time a seeded duration up to `max_delay`
+//!   ahead; no receive matches it before then, which reorders it behind
+//!   later traffic (the per-stream sequence numbers in
+//!   [`crate::mailbox::Mailbox`] restore order);
 //! * **Duplicate** — the envelope is delivered twice; the mailbox
 //!   discards the second copy by sequence number (exactly-once
 //!   delivery).
 //!
-//! Held envelopes live in per-destination *limbo* queues and are released
-//! by the receiving rank itself: the communicator's bounded receive loop
-//! pumps its own limbo each retry slice, so no background thread exists
-//! and a sleeping universe injects nothing.
+//! A delayed envelope never leaves the mailbox system: the receiver's one
+//! wait sleeps until its due time, so no background thread exists, and a
+//! universe's mailboxes end with it, so delayed traffic it never received
+//! cannot reach the next universe a plan is reused for.
 //!
 //! The plan can also **kill one rank at a chosen step** ([`KillSpec`]):
 //! the solver calls [`crate::Comm::fault_tick`] once per step, and the
@@ -233,27 +235,20 @@ pub struct FaultStats {
     pub kill_fired: bool,
 }
 
-/// An envelope held back by the injector.
-struct Held {
-    due: Instant,
-    env: Envelope,
-}
-
-/// A live fault injector: the seeded schedule plus the limbo queues of
-/// in-flight (delayed) messages.
+/// A live fault injector: the seeded schedule, its edge counters and
+/// its kill latches.
 ///
 /// One plan can outlive several universe incarnations — a supervisor
 /// restarting from a checkpoint keeps the same plan so the one-shot kill
-/// stays fired — but must call [`FaultPlan::begin_pass`] before each
-/// incarnation so stale limbo traffic from a torn-down universe never
-/// leaks into the next one.
+/// stays fired. Delayed messages live in the mailboxes, which end with
+/// their universe, so nothing of one incarnation reaches the next.
 pub struct FaultPlan {
     spec: FaultSpec,
+    /// Number of nodes the plan covers.
+    nprocs: usize,
     /// Message counter per (src, dst) edge. Senders are single threads,
     /// but different edges share the map, hence the mutex.
     edges: Mutex<HashMap<(usize, usize), u64>>,
-    /// Held messages per destination rank.
-    limbo: Vec<Mutex<Vec<Held>>>,
     /// One fired flag per entry of `spec.kills` (one-shot kills latch).
     kill_fired: Vec<AtomicBool>,
     delayed: AtomicU64,
@@ -271,8 +266,8 @@ impl FaultPlan {
         let kill_fired = spec.kills.iter().map(|_| AtomicBool::new(false)).collect();
         FaultPlan {
             spec,
+            nprocs,
             edges: Mutex::new(HashMap::new()),
-            limbo: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
             kill_fired,
             delayed: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -286,7 +281,7 @@ impl FaultPlan {
 
     /// Number of ranks this plan covers.
     pub fn nprocs(&self) -> usize {
-        self.limbo.len()
+        self.nprocs
     }
 
     /// The seeded fate of the `n`-th message on edge `src → dst`. Pure:
@@ -324,7 +319,7 @@ impl FaultPlan {
         mailbox: &Mailbox,
     ) -> FaultAction {
         if env.byte_len() < self.spec.data_floor_bytes {
-            mailbox.deliver(env);
+            mailbox.deliver(env, None);
             return FaultAction::Deliver;
         }
         let n = {
@@ -336,11 +331,10 @@ impl FaultPlan {
         };
         let action = self.action(src, dst, n);
         match action {
-            FaultAction::Deliver => mailbox.deliver(env),
+            FaultAction::Deliver => mailbox.deliver(env, None),
             FaultAction::Delay { micros } => {
                 self.delayed.fetch_add(1, Ordering::Relaxed);
-                let due = Instant::now() + Duration::from_micros(micros);
-                self.hold(dst, Held { due, env });
+                mailbox.deliver(env, Some(Instant::now() + Duration::from_micros(micros)));
             }
             FaultAction::Duplicate => {
                 self.duplicated.fetch_add(1, Ordering::Relaxed);
@@ -348,41 +342,11 @@ impl FaultPlan {
                 // sender's buffer (and its capacity) and the mailbox
                 // discards the copy.
                 let copy = env.clone();
-                mailbox.deliver(env);
-                mailbox.deliver(copy);
+                mailbox.deliver(env, None);
+                mailbox.deliver(copy, None);
             }
         }
         action
-    }
-
-    fn hold(&self, dst: usize, held: Held) {
-        self.limbo[dst].lock().unwrap_or_else(|p| p.into_inner()).push(held);
-    }
-
-    /// Release every held message for `dst` whose due time has passed
-    /// into `mailbox`. Called by `dst`'s own receive loop each retry
-    /// slice (there is no background delivery thread).
-    pub(crate) fn pump(&self, dst: usize, mailbox: &Mailbox) {
-        let mut q = self.limbo[dst].lock().unwrap_or_else(|p| p.into_inner());
-        if q.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < q.len() {
-            if q[i].due <= now {
-                let held = q.swap_remove(i);
-                mailbox.deliver(held.env);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Number of messages currently held for `dst` (test/diagnostic
-    /// hook).
-    pub fn limbo_depth(&self, dst: usize) -> usize {
-        self.limbo[dst].lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// Whether the node `rank` must die now, at `step`. A one-shot kill
@@ -404,15 +368,6 @@ impl FaultPlan {
             }
         }
         false
-    }
-
-    /// Discard all limbo traffic. Must be called between universe
-    /// incarnations: envelopes from a torn-down universe must never be
-    /// pumped into its successor's mailboxes.
-    pub fn begin_pass(&self) {
-        for q in &self.limbo {
-            q.lock().unwrap_or_else(|p| p.into_inner()).clear();
-        }
     }
 
     /// Injection counters so far.
@@ -444,6 +399,7 @@ fn schedule_hash(seed: u64, src: u64, dst: u64, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::Unmatched;
 
     fn env(src: usize, seq: u64) -> Envelope {
         Envelope { src_world: src, context: 0, tag: 0, seq, data: vec![seq as f64] }
@@ -478,23 +434,24 @@ mod tests {
         assert!(!FaultSpec::disabled().is_active());
     }
 
-    /// One fixed latency: every message is held exactly this long.
-    fn held_100us(seed: u64) -> FaultSpec {
-        let us = Duration::from_micros(100);
-        FaultSpec::seeded(seed).with_delay_range(1.0, us, us)
-    }
-
+    /// A delayed envelope waits in the destination mailbox: a receive
+    /// that gives up before its due time leaves it queued, and a receive
+    /// with no deadline takes it once due.
     #[test]
-    fn delayed_message_surfaces_after_pump() {
-        let plan = FaultPlan::new(held_100us(7), 2);
+    fn delayed_message_is_matched_at_its_due_time() {
+        let held = Duration::from_millis(50);
+        let plan = FaultPlan::new(FaultSpec::seeded(7).with_delay_range(1.0, held, held), 2);
         let mb = Mailbox::new();
+        let live = AtomicBool::new(false);
+        let sent = Instant::now();
         plan.route(0, 1, env(0, 0), &mb);
-        assert_eq!(mb.pending(), 0, "a delayed message must not arrive immediately");
-        assert_eq!(plan.limbo_depth(1), 1);
-        // After the delay the pump releases it.
-        std::thread::sleep(Duration::from_millis(2));
-        plan.pump(1, &mb);
+        assert_eq!(mb.pending(), 1, "the delayed message waits in the mailbox");
+        let early = mb.recv(0, 0, 0, Some(sent), &live);
+        assert_eq!(early.err(), Some(Unmatched::TimedOut), "matched before its due time");
         assert_eq!(mb.pending(), 1);
+        let got = mb.recv(0, 0, 0, None, &live).expect("matched once due");
+        assert_eq!(got.data, vec![0.0]);
+        assert!(sent.elapsed() >= held);
         assert_eq!(plan.stats().delayed, 1);
     }
 
@@ -524,7 +481,6 @@ mod tests {
         let plan = FaultPlan::new(FaultSpec::seeded(1).with_persistent_kill(2, 5), 4);
         assert!(!plan.maybe_kill(2, 4));
         assert!(plan.maybe_kill(2, 5));
-        plan.begin_pass();
         assert!(plan.maybe_kill(2, 5), "a persistent fault never heals");
         assert!(plan.stats().kill_fired);
         assert!(!plan.maybe_kill(3, 5), "other nodes stay alive");
@@ -548,18 +504,5 @@ mod tests {
         }
         // Targeting still counts as an active plan.
         assert!(plan.spec().is_active());
-    }
-
-    #[test]
-    fn begin_pass_clears_limbo() {
-        let plan = FaultPlan::new(held_100us(9), 2);
-        let mb = Mailbox::new();
-        plan.route(0, 1, env(0, 0), &mb);
-        assert_eq!(plan.limbo_depth(1), 1);
-        plan.begin_pass();
-        assert_eq!(plan.limbo_depth(1), 0);
-        std::thread::sleep(Duration::from_millis(2));
-        plan.pump(1, &mb);
-        assert_eq!(mb.pending(), 0, "cleared limbo must not deliver");
     }
 }

@@ -34,13 +34,16 @@
 //! ## Fault tolerance
 //!
 //! Every launch catches each rank's panic as a [`RankFailure`] value
-//! while its peers keep running; [`Universe::run`] re-raises the lowest
-//! failed rank's once all have returned. [`Universe::run_supervised`]
-//! hands the failures back instead, and adds deadline-bounded receives
-//! with exponential-backoff retry (a structured [`CommError`] instead of
-//! a hang) and a seeded [`fault::FaultPlan`] that can delay or duplicate
-//! messages or kill a rank at a chosen step; per-stream sequence numbers
-//! in the mailbox restore exactly-once in-order delivery under those
+//! while its peers keep running, and marks the rank dead, which ends any
+//! receive waiting on it with [`CommError::PeerDead`] once nothing of
+//! the stream is left queued. [`Universe::run`] re-raises the
+//! [`root_cause`]'s panic once all ranks have returned.
+//! [`Universe::run_supervised`] hands the failures back instead, gives
+//! every receive a deadline ([`CommError::Timeout`] instead of a hang)
+//! and may install a seeded [`fault::FaultPlan`] that can delay or
+//! duplicate messages or kill a rank at a chosen step. A receive is one
+//! wait in the mailbox, whatever the universe; per-stream sequence
+//! numbers there restore exactly-once in-order delivery under those
 //! faults. See `DESIGN.md` § "Fault model and recovery".
 
 pub mod collectives;
@@ -55,7 +58,7 @@ pub use comm::{Comm, CommError};
 pub use fault::{FaultPlan, FaultSpec, FaultStats, KillSpec};
 pub use stats::{CommStats, SolverPhase};
 pub use topology::CartComm;
-pub use universe::{FailureKind, RankFailure, SupervisedOpts, Universe};
+pub use universe::{root_cause, FailureKind, RankFailure, SupervisedOpts, Universe};
 
 /// Reduction operations supported by the collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,22 +9,32 @@
 //! ## Exactly-once, in-order delivery
 //!
 //! The fault injector ([`crate::fault`]) can duplicate messages and
-//! reorder them (a delayed envelope surfaces behind later traffic). The
-//! mailbox restores the reliable-transport contract with per-stream
-//! sequence numbers: the sender stamps each message on a
-//! `(context, src, tag)` stream with an ascending `seq`, and the mailbox
-//! keeps a cursor of the next expected `seq` per stream:
+//! reorder them (a delayed envelope is queued with a due time and
+//! surfaces behind later traffic). The mailbox restores the
+//! reliable-transport contract with per-stream sequence numbers: the
+//! sender stamps each message on a `(context, src, tag)` stream with an
+//! ascending `seq`, and the mailbox keeps a cursor of the next expected
+//! `seq` per stream:
 //!
 //! * a delivery whose `seq` is behind the cursor, or equal to an
 //!   already-queued envelope of the same stream, is a duplicate and is
 //!   discarded (counted in [`Mailbox::dups_discarded`]);
 //! * a receive only matches the envelope carrying exactly the cursor
-//!   `seq`, then advances the cursor — out-of-order arrivals wait in the
-//!   queue until their predecessors surface.
+//!   `seq`, and only once its due time (if it has one) has passed, then
+//!   advances the cursor — out-of-order arrivals wait in the queue until
+//!   their predecessors surface.
 //!
-//! On the fault-free path every stream arrives pre-sorted, the cursor
-//! check degenerates to the old FIFO scan, and the overhead is one
-//! `HashMap` lookup per message.
+//! On the fault-free path every stream arrives pre-sorted, no envelope
+//! has a due time, the cursor check degenerates to a FIFO scan, and the
+//! overhead is one `HashMap` lookup per message.
+//!
+//! ## One wait
+//!
+//! [`Mailbox::recv`] is the only receive. It ends at a match, at the
+//! sender's death (its flag set and nothing more of the stream queued),
+//! or at an optional deadline. The launcher sets a dying rank's flag and
+//! then wakes every mailbox under its lock, so a receiver between its
+//! check and its wait cannot miss the death.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` only, so the crate carries no
 //! external dependencies. Two `std`-specific hazards are handled
@@ -36,13 +46,14 @@
 //!   valid, so surviving ranks can keep draining messages while the
 //!   panic unwinds (exactly what the supervised runtime needs in order
 //!   to report the *original* failure, not a poison error).
-//! * **Spurious wakeups** — `Condvar::wait_timeout` may return early
-//!   with no notification; all waits loop around a deadline and re-check
-//!   the match predicate every iteration.
+//! * **Spurious wakeups** — `Condvar::wait` may return with no
+//!   notification; the wait loops and re-checks the match, the death
+//!   flag and the deadline every iteration.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A queued message. Every message is a flat `f64` buffer, as in the
 /// paper's flat-MPI code: field data, reductions and the split
@@ -67,19 +78,26 @@ impl Envelope {
         self.data.len() * std::mem::size_of::<f64>()
     }
 
-    fn matches(&self, context: u64, src_world: usize, tag: u64) -> bool {
-        self.context == context && self.src_world == src_world && self.tag == tag
-    }
-
     fn stream(&self) -> (u64, usize, u64) {
         (self.context, self.src_world, self.tag)
     }
 }
 
-/// Queue plus reliability state, guarded by one mutex.
+/// How a [`Mailbox::recv`] ended without a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unmatched {
+    /// The sender is dead and nothing more of the stream is queued.
+    SenderDead,
+    /// The deadline passed first; the queue is untouched.
+    TimedOut,
+}
+
+/// Queue plus reliability state, guarded by one mutex. Each queued
+/// envelope carries the instant before which no receive may match it
+/// (`None`: at once).
 #[derive(Default)]
 struct Inner {
-    queue: VecDeque<Envelope>,
+    queue: VecDeque<(Envelope, Option<Instant>)>,
     /// Next expected `seq` per `(context, src, tag)` stream.
     cursors: HashMap<(u64, usize, u64), u64>,
     /// High-water mark of the queue length.
@@ -89,16 +107,18 @@ struct Inner {
 }
 
 impl Inner {
-    /// Remove and return the in-order head of stream
-    /// `(context, src_world, tag)` if it has arrived.
-    fn take_match(&mut self, context: u64, src_world: usize, tag: u64) -> Option<Envelope> {
-        let cursor = *self.cursors.get(&(context, src_world, tag)).unwrap_or(&0);
-        let pos = self
-            .queue
+    fn cursor(&self, stream: (u64, usize, u64)) -> u64 {
+        *self.cursors.get(&stream).unwrap_or(&0)
+    }
+
+    /// Queue position and due time of the stream's in-order head, if it
+    /// has arrived.
+    fn head(&self, stream: (u64, usize, u64)) -> Option<(usize, Option<Instant>)> {
+        let cursor = self.cursor(stream);
+        self.queue
             .iter()
-            .position(|e| e.matches(context, src_world, tag) && e.seq == cursor)?;
-        self.cursors.insert((context, src_world, tag), cursor + 1);
-        self.queue.remove(pos)
+            .position(|(e, _)| e.stream() == stream && e.seq == cursor)
+            .map(|pos| (pos, self.queue[pos].1))
     }
 }
 
@@ -120,87 +140,81 @@ impl Mailbox {
         self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Deposit a message (called by the sender's thread). Duplicate
-    /// deliveries — same stream and `seq` as one already received or
-    /// queued — are discarded.
-    pub fn deliver(&self, env: Envelope) {
+    /// Deposit a message (called by the sender's thread), matchable from
+    /// `due` on (`None`: at once). Duplicate deliveries — same stream and
+    /// `seq` as one already received or queued — are discarded.
+    pub fn deliver(&self, env: Envelope, due: Option<Instant>) {
         let mut inner = self.lock();
-        let cursor = *inner.cursors.get(&env.stream()).unwrap_or(&0);
+        let stream = env.stream();
         let already_queued =
-            || inner.queue.iter().any(|e| e.stream() == env.stream() && e.seq == env.seq);
-        if env.seq < cursor || already_queued() {
+            || inner.queue.iter().any(|(e, _)| e.stream() == stream && e.seq == env.seq);
+        if env.seq < inner.cursor(stream) || already_queued() {
             inner.dups_discarded += 1;
             return;
         }
-        inner.queue.push_back(env);
+        inner.queue.push_back((env, due));
         inner.max_depth = inner.max_depth.max(inner.queue.len());
         // Receivers matching on a different (src, tag) may also be parked;
         // wake them all and let them re-scan.
         self.signal.notify_all();
     }
 
-    /// Block until the in-order head of stream `(context, src_world,
-    /// tag)` is available, remove and return it.
-    pub fn recv_match(&self, context: u64, src_world: usize, tag: u64) -> Envelope {
-        let mut inner = self.lock();
-        loop {
-            if let Some(env) = inner.take_match(context, src_world, tag) {
-                return env;
-            }
-            inner = match self.signal.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
-
-    /// Like [`Mailbox::recv_match`] but gives up after `timeout`.
+    /// Wait for the in-order head of stream `(context, src_world, tag)`
+    /// and remove it. The wait ends at a match; at the sender's death,
+    /// when `src_dead` is set and nothing of the stream is queued (a dead
+    /// sender's queued message is still received once due); or at
+    /// `until`. It sleeps until a delivery or death wake-up, the due time
+    /// of the stream's queued head, or `until`, whichever comes first,
+    /// and reads the clock only when one of the last two exists.
     ///
-    /// Used by the deadline-bounded comm layer (and by tests, to turn
-    /// would-be deadlocks into failures). A message delivered in the race
-    /// window between the condvar timing out and this thread re-acquiring
-    /// the lock is still received: the final re-scan below runs under the
-    /// lock *after* the timeout fires, so the outcome is always either
-    /// `Some(matching message)` or `None` with the queue untouched —
-    /// never a lost message.
-    pub fn recv_match_timeout(
+    /// A message delivered in the race window between the deadline and
+    /// this thread re-acquiring the lock is still received: every wake-up
+    /// re-scans under the lock before the deadline is checked, so the
+    /// outcome is either the message or [`Unmatched::TimedOut`] with the
+    /// queue untouched — never a lost message.
+    pub fn recv(
         &self,
         context: u64,
         src_world: usize,
         tag: u64,
-        timeout: Duration,
-    ) -> Option<Envelope> {
-        let deadline = Instant::now() + timeout;
+        until: Option<Instant>,
+        src_dead: &AtomicBool,
+    ) -> Result<Envelope, Unmatched> {
+        let stream = (context, src_world, tag);
         let mut inner = self.lock();
         loop {
-            if let Some(env) = inner.take_match(context, src_world, tag) {
-                return Some(env);
-            }
-            // `wait_timeout` takes a duration, not a deadline; recompute
-            // the remaining budget each pass so spurious wakeups don't
-            // extend the total wait.
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, result) = match self.signal.wait_timeout(inner, deadline - now) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
+            let mut now = None;
+            let mut clock = || *now.get_or_insert_with(Instant::now);
+            let due = match inner.head(stream) {
+                Some((pos, due)) if due.is_none_or(|t| t <= clock()) => {
+                    *inner.cursors.entry(stream).or_insert(0) += 1;
+                    return Ok(inner.queue.remove(pos).expect("head position is in the queue").0);
+                }
+                Some((_, due)) => due,
+                None if src_dead.load(Ordering::Acquire) => return Err(Unmatched::SenderDead),
+                None => None,
             };
-            inner = guard;
-            if result.timed_out() {
-                // One more scan after the timeout fires, then give up.
-                return inner.take_match(context, src_world, tag);
+            if until.is_some_and(|t| clock() >= t) {
+                return Err(Unmatched::TimedOut);
             }
+            inner = match [due, until].into_iter().flatten().min() {
+                None => self.signal.wait(inner).unwrap_or_else(|p| p.into_inner()),
+                Some(t) => {
+                    let left = t.saturating_duration_since(clock());
+                    self.signal.wait_timeout(inner, left).unwrap_or_else(|p| p.into_inner()).0
+                }
+            };
         }
     }
 
-    /// Non-blocking: take the in-order head of the stream if present.
-    pub fn try_match(&self, context: u64, src_world: usize, tag: u64) -> Option<Envelope> {
-        self.lock().take_match(context, src_world, tag)
+    /// Wake every waiting receiver so it re-reads the death board. Taking
+    /// the lock first orders the wake-up after any receiver's check.
+    pub fn wake_all(&self) {
+        let _inner = self.lock();
+        self.signal.notify_all();
     }
 
-    /// Number of queued (undelivered) messages; used by shutdown checks.
+    /// Number of queued (unreceived) messages, delayed ones included.
     pub fn pending(&self) -> usize {
         self.lock().queue.len()
     }
@@ -220,6 +234,10 @@ impl Mailbox {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// The death flag of a sender that never dies.
+    static LIVE: AtomicBool = AtomicBool::new(false);
 
     fn env(src: usize, ctx: u64, tag: u64, seq: u64, val: f64) -> Envelope {
         Envelope { src_world: src, context: ctx, tag, seq, data: vec![val] }
@@ -229,26 +247,36 @@ mod tests {
         e.data[0]
     }
 
+    /// Wait with no deadline on a live sender.
+    fn recv(mb: &Mailbox, ctx: u64, src: usize, tag: u64) -> Envelope {
+        mb.recv(ctx, src, tag, None, &LIVE).expect("a live sender and no deadline")
+    }
+
+    /// Wait at most `timeout` on a live sender.
+    fn recv_within(mb: &Mailbox, ctx: u64, src: usize, tag: u64, t: Duration) -> Option<Envelope> {
+        mb.recv(ctx, src, tag, Some(Instant::now() + t), &LIVE).ok()
+    }
+
     #[test]
     fn fifo_per_matching_key() {
         let mb = Mailbox::new();
-        mb.deliver(env(0, 1, 7, 0, 1.0));
-        mb.deliver(env(0, 1, 7, 1, 2.0));
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 1.0);
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 2.0);
+        mb.deliver(env(0, 1, 7, 0, 1.0), None);
+        mb.deliver(env(0, 1, 7, 1, 2.0), None);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 1.0);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 2.0);
     }
 
     #[test]
     fn matching_respects_context_src_and_tag() {
         let mb = Mailbox::new();
-        mb.deliver(env(0, 1, 7, 0, 1.0));
-        mb.deliver(env(2, 1, 7, 0, 2.0)); // different src
-        mb.deliver(env(0, 9, 7, 0, 3.0)); // different context
-        mb.deliver(env(0, 1, 8, 0, 4.0)); // different tag
-        assert_eq!(value(mb.recv_match(1, 2, 7)), 2.0);
-        assert_eq!(value(mb.recv_match(9, 0, 7)), 3.0);
-        assert_eq!(value(mb.recv_match(1, 0, 8)), 4.0);
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 1.0);
+        mb.deliver(env(0, 1, 7, 0, 1.0), None);
+        mb.deliver(env(2, 1, 7, 0, 2.0), None); // different src
+        mb.deliver(env(0, 9, 7, 0, 3.0), None); // different context
+        mb.deliver(env(0, 1, 8, 0, 4.0), None); // different tag
+        assert_eq!(value(recv(&mb, 1, 2, 7)), 2.0);
+        assert_eq!(value(recv(&mb, 9, 0, 7)), 3.0);
+        assert_eq!(value(recv(&mb, 1, 0, 8)), 4.0);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 1.0);
         assert_eq!(mb.pending(), 0);
     }
 
@@ -256,18 +284,18 @@ mod tests {
     fn recv_blocks_until_delivery() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || value(mb2.recv_match(1, 0, 0)));
+        let handle = std::thread::spawn(move || value(recv(&mb2, 1, 0, 0)));
         std::thread::sleep(Duration::from_millis(20));
-        mb.deliver(env(0, 1, 0, 0, 42.0));
+        mb.deliver(env(0, 1, 0, 0, 42.0), None);
         assert_eq!(handle.join().unwrap(), 42.0);
     }
 
     #[test]
     fn timeout_returns_none_when_no_match() {
         let mb = Mailbox::new();
-        mb.deliver(env(0, 1, 0, 0, 1.0));
-        let got = mb.recv_match_timeout(1, 0, 99, Duration::from_millis(10));
-        assert!(got.is_none());
+        mb.deliver(env(0, 1, 0, 0, 1.0), None);
+        let got = mb.recv(1, 0, 99, Some(Instant::now() + Duration::from_millis(10)), &LIVE);
+        assert_eq!(got.err(), Some(Unmatched::TimedOut));
         assert_eq!(mb.pending(), 1);
     }
 
@@ -276,10 +304,10 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
         let handle = std::thread::spawn(move || {
-            mb2.recv_match_timeout(1, 0, 0, Duration::from_secs(5)).map(value)
+            recv_within(&mb2, 1, 0, 0, Duration::from_secs(5)).map(value)
         });
         std::thread::sleep(Duration::from_millis(20));
-        mb.deliver(env(0, 1, 0, 0, 8.0));
+        mb.deliver(env(0, 1, 0, 0, 8.0), None);
         assert_eq!(handle.join().unwrap(), Some(8.0));
     }
 
@@ -288,14 +316,14 @@ mod tests {
     #[test]
     fn out_of_order_arrivals_are_resequenced() {
         let mb = Mailbox::new();
-        mb.deliver(env(0, 1, 7, 1, 20.0));
-        mb.deliver(env(0, 1, 7, 2, 30.0));
+        mb.deliver(env(0, 1, 7, 1, 20.0), None);
+        mb.deliver(env(0, 1, 7, 2, 30.0), None);
         // seq 0 hasn't arrived; nothing matches yet.
-        assert!(mb.try_match(1, 0, 7).is_none());
-        mb.deliver(env(0, 1, 7, 0, 10.0));
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 10.0);
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 20.0);
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 30.0);
+        assert!(recv_within(&mb, 1, 0, 7, Duration::ZERO).is_none());
+        mb.deliver(env(0, 1, 7, 0, 10.0), None);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 10.0);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 20.0);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 30.0);
     }
 
     /// Duplicate deliveries — whether the original is still queued or
@@ -303,16 +331,16 @@ mod tests {
     #[test]
     fn duplicates_are_discarded() {
         let mb = Mailbox::new();
-        mb.deliver(env(0, 1, 7, 0, 1.0));
-        mb.deliver(env(0, 1, 7, 0, 1.0)); // dup while original queued
+        mb.deliver(env(0, 1, 7, 0, 1.0), None);
+        mb.deliver(env(0, 1, 7, 0, 1.0), None); // dup while original queued
         assert_eq!(mb.pending(), 1);
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 1.0);
-        mb.deliver(env(0, 1, 7, 0, 1.0)); // dup after receipt (seq < cursor)
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 1.0);
+        mb.deliver(env(0, 1, 7, 0, 1.0), None); // dup after receipt (seq < cursor)
         assert_eq!(mb.pending(), 0);
         assert_eq!(mb.dups_discarded(), 2);
         // A *new* message on the stream still gets through.
-        mb.deliver(env(0, 1, 7, 1, 2.0));
-        assert_eq!(value(mb.recv_match(1, 0, 7)), 2.0);
+        mb.deliver(env(0, 1, 7, 1, 2.0), None);
+        assert_eq!(value(recv(&mb, 1, 0, 7)), 2.0);
     }
 
     #[test]
@@ -320,14 +348,42 @@ mod tests {
         let mb = Mailbox::new();
         assert_eq!(mb.pending(), 0);
         assert_eq!(mb.max_depth(), 0);
-        mb.deliver(env(0, 1, 0, 0, 1.0));
-        mb.deliver(env(0, 1, 1, 0, 2.0));
-        mb.deliver(env(0, 1, 2, 0, 3.0));
+        mb.deliver(env(0, 1, 0, 0, 1.0), None);
+        mb.deliver(env(0, 1, 1, 0, 2.0), None);
+        mb.deliver(env(0, 1, 2, 0, 3.0), None);
         assert_eq!(mb.pending(), 3);
-        let _ = mb.recv_match(1, 0, 0);
-        let _ = mb.recv_match(1, 0, 1);
+        let _ = recv(&mb, 1, 0, 0);
+        let _ = recv(&mb, 1, 0, 1);
         assert_eq!(mb.pending(), 1);
         assert_eq!(mb.max_depth(), 3, "high-water mark survives draining");
+    }
+
+    /// A dead sender's queued message is still received once due; only
+    /// then does the wait report the death.
+    #[test]
+    fn a_dead_senders_delayed_message_is_received_then_death_reported() {
+        let mb = Mailbox::new();
+        let dead = AtomicBool::new(true);
+        let start = Instant::now();
+        mb.deliver(env(0, 1, 4, 0, 11.0), Some(start + Duration::from_millis(20)));
+        let got = mb.recv(1, 0, 4, None, &dead).map(value);
+        assert_eq!(got, Ok(11.0));
+        assert!(start.elapsed() >= Duration::from_millis(20), "matched before its due time");
+        assert_eq!(mb.recv(1, 0, 4, None, &dead).err(), Some(Unmatched::SenderDead));
+    }
+
+    /// A receiver parked with no deadline wakes when its sender is marked
+    /// dead: the flag is set first, then every waiter is woken.
+    #[test]
+    fn death_wakes_a_parked_receiver() {
+        let mb = Arc::new(Mailbox::new());
+        let dead = Arc::new(AtomicBool::new(false));
+        let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
+        let handle = std::thread::spawn(move || mb2.recv(1, 0, 0, None, &dead2).err());
+        std::thread::sleep(Duration::from_millis(20));
+        dead.store(true, Ordering::Release);
+        mb.wake_all();
+        assert_eq!(handle.join().unwrap(), Some(Unmatched::SenderDead));
     }
 
     /// Regression test for the post-timeout re-scan: deliveries that race
@@ -343,15 +399,13 @@ mod tests {
             let mb = Arc::new(Mailbox::new());
             let mb2 = Arc::clone(&mb);
             let timeout = Duration::from_micros(500);
-            let recv = std::thread::spawn(move || {
-                mb2.recv_match_timeout(1, 0, 0, timeout).map(value)
-            });
+            let recv = std::thread::spawn(move || recv_within(&mb2, 1, 0, 0, timeout).map(value));
             // Jitter the delivery around the deadline so some trials land
             // before it, some after, and some in the race window.
             if trial % 3 == 0 {
                 std::thread::sleep(Duration::from_micros(400));
             }
-            mb.deliver(env(0, 1, 0, 0, 3.5));
+            mb.deliver(env(0, 1, 0, 0, 3.5), None);
             match recv.join().unwrap() {
                 Some(v) => {
                     assert_eq!(v, 3.5);
@@ -382,10 +436,10 @@ mod tests {
         })
         .join();
         // The mutex is now poisoned; all operations must still work.
-        mb.deliver(env(0, 1, 0, 0, 1.25));
+        mb.deliver(env(0, 1, 0, 0, 1.25), None);
         assert_eq!(mb.pending(), 1);
-        assert_eq!(value(mb.recv_match(1, 0, 0)), 1.25);
-        assert!(mb.recv_match_timeout(1, 0, 0, Duration::from_millis(5)).is_none());
+        assert_eq!(value(recv(&mb, 1, 0, 0)), 1.25);
+        assert!(recv_within(&mb, 1, 0, 0, Duration::from_millis(5)).is_none());
     }
 
     #[test]

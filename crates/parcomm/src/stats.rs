@@ -59,8 +59,8 @@ pub struct CommStats {
     /// Bytes sent per [`TrafficClass`], indexed `class as usize`.
     pub class_bytes: [u64; TrafficClass::COUNT],
     /// High-water mark of this rank's mailbox queue depth (filled in by
-    /// [`crate::Comm::stats`]; soak tests assert it stays bounded under
-    /// delay injection).
+    /// [`crate::Comm::stats`]). Under a fault plan it also counts delayed
+    /// envelopes waiting in the mailbox for their due time.
     pub max_queue_depth: u64,
     /// Wall-clock nanoseconds charged to each [`SolverPhase`], indexed
     /// `phase as usize`. `Wait` is the unhidden communication cost,

@@ -2,13 +2,14 @@
 //! communicator. The moral equivalent of `mpirun -np N`.
 //!
 //! Every launch runs one spawn loop: each rank's panic is caught, marked
-//! on the shared death board and classified into a [`RankFailure`]
-//! (injected kill, communication error, or genuine panic) while the
-//! other ranks run to completion. [`Universe::run_supervised`] bounds
-//! every receive and may install a fault plan, so receives from a dead
-//! rank resolve to [`CommError::PeerDead`], and returns the failures as
-//! values for a supervisor to recover from. [`Universe::run`] has no
-//! deadline and no fault plan, and re-raises the lowest failed rank's
+//! on the shared death board (which wakes every waiting receiver) and
+//! classified into a [`RankFailure`] (injected kill, communication
+//! error, or genuine panic) while the other ranks run to completion, so
+//! a receive from a dead rank resolves to [`CommError::PeerDead`] in
+//! every universe. [`Universe::run_supervised`] also bounds every
+//! receive by a deadline, may install a fault plan, and returns the
+//! failures as values for a supervisor to recover from.
+//! [`Universe::run`] has neither, and re-raises the [`root_cause`]'s
 //! panic once every rank has returned.
 
 use crate::comm::{Comm, CommError, RuntimeCtl, WorldCore};
@@ -89,6 +90,23 @@ impl Default for SupervisedOpts {
     }
 }
 
+/// The failure that caused the others: an injected kill first, then any
+/// failure other than a dead peer, then [`CommError::PeerDead`] (always
+/// a consequence); ties go to the lowest rank. `None` when there is no
+/// failure.
+pub fn root_cause<'a>(
+    failures: impl IntoIterator<Item = &'a RankFailure>,
+) -> Option<&'a RankFailure> {
+    failures.into_iter().min_by_key(|f| {
+        let order = match f.kind {
+            FailureKind::InjectedKill { .. } => 0,
+            FailureKind::Comm(CommError::Timeout { .. }) | FailureKind::Panic => 1,
+            FailureKind::Comm(CommError::PeerDead { .. }) => 2,
+        };
+        (order, f.rank)
+    })
+}
+
 /// Install a panic-hook filter (once per process) that silences the
 /// default "thread panicked" stderr spew for *expected* unwinds — the
 /// injected kills and structured comm errors that the launcher catches
@@ -130,9 +148,9 @@ fn classify(rank: usize, payload: Box<dyn std::any::Any + Send>) -> RankFailure 
 impl Universe {
     /// The one launch: spawn `nprocs` rank threads over `ctl` and run
     /// `body` on each. A rank that unwinds is marked on the death board
-    /// from its own thread, before join, so peers on a bounded receive
-    /// stop waiting for it, and its payload is classified as that
-    /// rank's [`RankFailure`]; the other ranks run on.
+    /// from its own thread, before join, and then every mailbox is
+    /// woken, so peers waiting on it stop; its payload is classified as
+    /// that rank's [`RankFailure`]; the other ranks run on.
     fn launch<F, R>(
         nprocs: usize,
         ctl: RuntimeCtl,
@@ -175,6 +193,7 @@ impl Universe {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(comm)))
                             .map_err(|payload| {
                                 world.ctl.dead[rank].store(true, Ordering::Release);
+                                world.mailboxes.iter().for_each(|mb| mb.wake_all());
                                 classify(rank, payload)
                             })
                     })
@@ -188,20 +207,22 @@ impl Universe {
     }
 
     /// Run `body` on `nprocs` rank threads; returns each rank's result in
-    /// rank order. Receives block with no deadline, and there is no
-    /// fault plan. Once every rank has returned, the lowest failed
-    /// rank's panic becomes the caller's — the analogue of a failing
-    /// `MPI_Abort`.
+    /// rank order. Receives have no deadline (a peer's death still ends
+    /// them), and there is no fault plan. Once every rank has returned,
+    /// the [`root_cause`]'s panic becomes the caller's — the analogue of
+    /// a failing `MPI_Abort`.
     pub fn run<F, R>(nprocs: usize, body: F) -> Vec<R>
     where
         F: Fn(Comm) -> R + Send + Sync,
         R: Send,
     {
         let ctl = RuntimeCtl::new((0..nprocs).collect(), None, None);
-        Self::launch(nprocs, ctl, None, body)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|f| panic!("rank {} panicked: {}", f.rank, f.message)))
-            .collect()
+        let results = Self::launch(nprocs, ctl, None, body);
+        if let Some(f) = root_cause(results.iter().filter_map(|r| r.as_ref().err())) {
+            panic!("rank {} panicked: {}", f.rank, f.message);
+        }
+        // No rank failed, so every entry is `Ok`.
+        results.into_iter().flatten().collect()
     }
 
     /// Run `body` on `nprocs` supervised rank threads: every receive is
@@ -448,6 +469,69 @@ mod tests {
         });
     }
 
+    /// A deadline-free wait on a peer that dies ends at its death, and
+    /// the caller gets the dead peer's panic, not the waiter's
+    /// `PeerDead`. Run on a spawned thread so a hang fails the test
+    /// instead of wedging the suite.
+    #[test]
+    fn plain_wait_on_a_dying_peer_reraises_its_panic() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                Universe::run(2, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("deliberate failure");
+                    }
+                    comm.recv_f64s(1, 3)
+                })
+            });
+            let msg = run.err().and_then(|p| p.downcast_ref::<String>().cloned());
+            let _ = tx.send(msg);
+        });
+        let msg = rx.recv_timeout(Duration::from_secs(10)).expect("Universe::run hung");
+        assert_eq!(msg.as_deref(), Some("rank 1 panicked: deliberate failure"));
+    }
+
+    fn failure(rank: usize, kind: FailureKind) -> RankFailure {
+        RankFailure { rank, kind, message: String::new() }
+    }
+
+    #[test]
+    fn root_cause_ranks_kill_then_failure_then_peer_death() {
+        let dead = |src| FailureKind::Comm(CommError::PeerDead { src_world: src, tag: 0 });
+        let late = FailureKind::Comm(CommError::Timeout { src_world: 0, tag: 0, waited_ms: 9 });
+        let kill = FailureKind::InjectedKill { step: 4 };
+        let blamed = |list: &[RankFailure]| root_cause(list).map(|f| (f.rank, f.kind.clone()));
+        assert_eq!(blamed(&[]), None);
+        let list = [failure(0, dead(1)), failure(1, FailureKind::Panic)];
+        assert_eq!(blamed(&list), Some((1, FailureKind::Panic)));
+        let list = [failure(0, dead(2)), failure(2, late.clone()), failure(1, FailureKind::Panic)];
+        assert_eq!(blamed(&list), Some((1, FailureKind::Panic)), "ties go to the lowest rank");
+        let list = [failure(0, dead(2)), failure(2, late.clone())];
+        assert_eq!(blamed(&list), Some((2, late)));
+        let list = [failure(0, FailureKind::Panic), failure(3, kill.clone()), failure(1, dead(3))];
+        assert_eq!(blamed(&list), Some((3, kill)));
+        let list = [failure(2, dead(0)), failure(1, dead(0))];
+        assert_eq!(blamed(&list), Some((1, dead(0))));
+    }
+
+    /// Rank 0 waits on rank 1, which panics: rank 0 fails with
+    /// `PeerDead`, and the root cause is rank 1's panic.
+    #[test]
+    fn root_cause_blames_the_panicking_rank_not_its_waiting_peer() {
+        let out = Universe::run_supervised(2, SupervisedOpts::default(), |comm| {
+            if comm.rank() == 1 {
+                panic!("deliberate failure");
+            }
+            comm.recv_f64s(1, 3)
+        });
+        let failures: Vec<_> = out.iter().filter_map(|r| r.as_ref().err()).collect();
+        assert_eq!(failures[0].kind, FailureKind::Comm(CommError::PeerDead { src_world: 1, tag: 3 }));
+        let root = root_cause(failures).expect("two ranks failed");
+        assert_eq!((root.rank, &root.kind), (1, &FailureKind::Panic));
+        assert_eq!(root.message, "deliberate failure");
+    }
+
     #[test]
     fn supervised_clean_run_returns_all_ok() {
         let out = Universe::run_supervised(3, SupervisedOpts::default(), |comm| {
@@ -550,7 +634,61 @@ mod tests {
         assert_eq!(r1.kind, FailureKind::Comm(CommError::PeerDead { src_world: 0, tag: 4 }));
     }
 
-    /// Delays and duplicates under a seeded plan: the retry loop
+    /// A message held 20 ms and sent before its sender's kill still
+    /// arrives, at its due time; the next wait reports the death.
+    #[test]
+    fn delayed_message_sent_before_death_is_received() {
+        let held = Duration::from_millis(20);
+        let spec = FaultSpec::seeded(3).with_delay_range(1.0, held, held).with_kill(0, 1);
+        let plan = Arc::new(FaultPlan::new(spec, 2));
+        let opts = SupervisedOpts { fault: Some(Arc::clone(&plan)), ..SupervisedOpts::default() };
+        let first = std::sync::Mutex::new(None);
+        let out = Universe::run_supervised(2, opts, |comm| {
+            if comm.rank() == 0 {
+                comm.fault_tick(0);
+                comm.send_f64s(1, 4, vec![11.0], TrafficClass::Halo);
+                comm.fault_tick(1); // dies here, before the message is due
+                unreachable!("rank 0 must be killed at step 1");
+            }
+            *first.lock().unwrap() = Some(comm.recv_f64s(0, 4));
+            comm.recv_f64s(0, 4);
+        });
+        assert_eq!(plan.stats().delayed, 1);
+        assert_eq!(first.into_inner().unwrap(), Some(vec![11.0]));
+        let r1 = out[1].as_ref().expect_err("rank 1's second receive fails");
+        assert_eq!(r1.kind, FailureKind::Comm(CommError::PeerDead { src_world: 0, tag: 4 }));
+    }
+
+    /// Two universes under one plan: a delayed message nobody received
+    /// in the first ends with its mailbox and never reaches the second,
+    /// whose streams start afresh.
+    #[test]
+    fn unreceived_delay_never_reaches_the_next_universe() {
+        let held = Duration::from_millis(5);
+        let spec = FaultSpec::seeded(9).with_delay_range(1.0, held, held);
+        let plan = Arc::new(FaultPlan::new(spec, 2));
+        let run = |value: f64, receive: bool| {
+            let opts = SupervisedOpts {
+                fault: Some(Arc::clone(&plan)),
+                deadline: Duration::from_millis(200),
+                ..SupervisedOpts::default()
+            };
+            Universe::run_supervised(2, opts, |comm| {
+                if comm.rank() == 0 {
+                    comm.send_f64s(1, 5, vec![value], TrafficClass::Halo);
+                    return vec![];
+                }
+                if receive { comm.recv_f64s(0, 5) } else { vec![] }
+            })
+        };
+        assert!(run(1.0, false).iter().all(Result::is_ok));
+        std::thread::sleep(2 * held);
+        let out = run(2.0, true);
+        assert_eq!(out[1], Ok(vec![2.0]), "the first universe's message leaked into the second");
+        assert_eq!(plan.stats().delayed, 2);
+    }
+
+    /// Delays and duplicates under a seeded plan: the one wait
     /// plus sequence-cursor mailbox must deliver exactly-once, in order,
     /// with no hang.
     #[test]
@@ -611,7 +749,6 @@ mod tests {
         // same — the fault is persistent. Pass 3: the survivor map skips
         // node 1 entirely and both ranks finish.
         for pass in 0..2 {
-            plan.begin_pass();
             let out = run(vec![0, 1]);
             assert!(out[0].is_ok(), "node 0 survives pass {pass}");
             assert!(
@@ -620,7 +757,6 @@ mod tests {
                 out[1]
             );
         }
-        plan.begin_pass();
         let out = run(vec![0, 2]);
         assert_eq!(out[0].as_ref().ok(), Some(&0));
         assert_eq!(out[1].as_ref().ok(), Some(&2), "world rank 1 now runs on node 2");

@@ -4,7 +4,8 @@
 //! overall — including when a stream's envelopes arrive out of order or
 //! duplicated, which the per-stream sequence cursors must repair.
 
-use std::time::Duration;
+use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
 use yy_parcomm::mailbox::{Envelope, Mailbox};
 use yy_testkit::{check_with, tk_assert, tk_assert_eq, Config, Gen};
 
@@ -24,15 +25,18 @@ fn traffic(g: &mut Gen) -> Vec<(usize, u64, u64, u64, f64)> {
         .collect()
 }
 
+/// The death flag of a sender that never dies.
+static LIVE: AtomicBool = AtomicBool::new(false);
+
+/// A deadline `ms` milliseconds from now.
+fn within(ms: u64) -> Instant {
+    Instant::now() + Duration::from_millis(ms)
+}
+
 fn deliver_all(mb: &Mailbox, msgs: &[(usize, u64, u64, u64, f64)]) {
     for &(src, ctx, tag, seq, val) in msgs {
-        mb.deliver(Envelope {
-            src_world: src,
-            context: ctx,
-            tag,
-            seq,
-            data: vec![val],
-        });
+        let env = Envelope { src_world: src, context: ctx, tag, seq, data: vec![val] };
+        mb.deliver(env, None);
     }
 }
 
@@ -62,7 +66,8 @@ fn any_traffic_pattern_drains_fifo_per_key() {
                             .collect();
                         for (n, &want) in expect.iter().enumerate() {
                             let got = mb
-                                .recv_match_timeout(ctx, src, tag, Duration::from_millis(100))
+                                .recv(ctx, src, tag, Some(within(100)), &LIVE)
+                                .ok()
                                 .map(value);
                             tk_assert!(
                                 got == Some(want),
@@ -88,7 +93,7 @@ fn unmatched_receives_leave_the_queue_intact() {
             let mb = Mailbox::new();
             deliver_all(&mb, msgs);
             // A key no generator produces: context 99.
-            let got = mb.recv_match_timeout(99, 0, 0, Duration::from_millis(1));
+            let got = mb.recv(99, 0, 0, Some(within(1)), &LIVE).ok();
             tk_assert!(got.is_none());
             tk_assert_eq!(mb.pending(), msgs.len());
             Ok(())
@@ -125,9 +130,9 @@ fn shuffled_and_duplicated_arrivals_drain_in_stream_order() {
                     seq,
                     data: vec![val],
                 };
-                mb.deliver(make());
+                mb.deliver(make(), None);
                 if dup_mask[i] {
-                    mb.deliver(make());
+                    mb.deliver(make(), None);
                     dups += 1;
                 }
             }
@@ -143,7 +148,8 @@ fn shuffled_and_duplicated_arrivals_drain_in_stream_order() {
                             .collect();
                         for (n, &want) in expect.iter().enumerate() {
                             let got = mb
-                                .recv_match_timeout(ctx, src, tag, Duration::from_millis(100))
+                                .recv(ctx, src, tag, Some(within(100)), &LIVE)
+                                .ok()
                                 .map(value);
                             tk_assert!(
                                 got == Some(want),
