@@ -21,7 +21,11 @@
 //!
 //! Restart is bit-exact: a run continued from a checkpoint produces the
 //! same trajectory as one that never stopped (verified by an integration
-//! test), because the ghost/frame values are stored too.
+//! test), because a state is its owned points. Their overset frames and
+//! walls are stored with them, and every other padded cell (a
+//! *leftover* cell, which no stencil reads) is zero in every state a
+//! driver builds. A restore takes the owned points only, so a file whose
+//! leftover cells hold anything else resumes to the same bytes.
 
 use crate::serial::SerialSim;
 use std::io::{self, Read, Write};
@@ -405,8 +409,8 @@ impl Checkpoint {
         ck.yang.copy_from(&sim.yang);
     }
 
-    /// Restore into a freshly constructed simulation (whose configuration
-    /// must produce the same shape).
+    /// Restore into a simulation of the same shape: its owned points,
+    /// frames and walls included, and zero in every other padded cell.
     pub fn restore(&self, sim: &mut SerialSim) {
         assert_eq!(
             sim.yin.shape(),
@@ -414,8 +418,17 @@ impl Checkpoint {
             "checkpoint shape {:?} does not match the simulation",
             self.shape
         );
-        sim.yin.copy_from(&self.yin);
-        sim.yang.copy_from(&self.yang);
+        let (nth, nph) = (self.shape.nth as isize, self.shape.nph as isize);
+        for (dst, src) in [&mut sim.yin, &mut sim.yang].into_iter().zip([&self.yin, &self.yang]) {
+            dst.fill_zero();
+            for (d, s) in dst.arrays_mut().into_iter().zip(src.arrays()) {
+                for k in 0..nph {
+                    for j in 0..nth {
+                        d.row_mut(j, k).copy_from_slice(s.row(j, k));
+                    }
+                }
+            }
+        }
         sim.step = self.step;
         sim.time = self.time;
         sim.dt_cache = self.dt_cache;

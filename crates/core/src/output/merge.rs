@@ -12,13 +12,12 @@ use super::stage::{IoTotals, OutputStage};
 use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
 use crate::report::IoStats;
-use crate::serial::{fill_pair, overset_columns};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use yy_mesh::{Panel, PatchGrid};
-use yy_mhd::{init::InitOptions, initialize, State};
+use yy_mhd::State;
 
 /// One rank's owned block at one step: its shard header and the raw
 /// payload `pack_shard_payload` writes — one copy, which the writer
@@ -211,34 +210,23 @@ impl Source<'_> {
 ///
 /// `step` selects a specific shard set; `None` takes the newest step
 /// with a complete, mutually consistent set. The configuration must
-/// match the set's geometry: the unowned ghost padding of a serial
-/// checkpoint carries *initialization* values, so the merger rebuilds
-/// them from `cfg` exactly as the serial driver does, places every
-/// shard's owned block, and refills the overset frames and walls. The
-/// Yin and Yang panels are assembled at once, on this thread and one
-/// spawned thread; of their errors, the lowest rank's is returned.
+/// match the set's geometry. A state is its owned points: the merger
+/// places every shard's owned block, frames and walls as the rank's
+/// sync left them, on zeroed panels, so the leftover padding is zero, as
+/// in every driver's state. The Yin and Yang panels are assembled at
+/// once, on this thread and one spawned thread; of their errors, the
+/// lowest rank's is returned.
 pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Result<Checkpoint> {
-    merge(cfg, &Source::Dir(dir), step, None)
+    merge(&cfg.grid(), &Source::Dir(dir), step)
 }
 
 /// [`merge_shards`] over an in-memory set: the newest complete step,
-/// each panel's padding taken from `padding` (the run's resume
-/// checkpoint) when given, else rebuilt from `cfg`, and the panels
 /// assembled on two threads as there.
-pub(crate) fn merge_blocks(
-    cfg: &RunConfig,
-    blocks: &[Block],
-    padding: Option<&Checkpoint>,
-) -> io::Result<Checkpoint> {
-    merge(cfg, &Source::Mem(blocks), None, padding)
+pub(crate) fn merge_blocks(cfg: &RunConfig, blocks: &[Block]) -> io::Result<Checkpoint> {
+    merge(&cfg.grid(), &Source::Mem(blocks), None)
 }
 
-fn merge(
-    cfg: &RunConfig,
-    src: &Source,
-    step: Option<u64>,
-    padding: Option<&Checkpoint>,
-) -> io::Result<Checkpoint> {
+fn merge(grid: &PatchGrid, src: &Source, step: Option<u64>) -> io::Result<Checkpoint> {
     let index = src.index()?;
     let mut steps: Vec<u64> = index.iter().map(|&(step, _)| step).collect();
     steps.sort_unstable();
@@ -265,7 +253,7 @@ fn merge(
             index.iter().filter(|&&(t, _)| t == s).map(|&(_, rank)| rank).collect();
         ranks.sort_unstable();
         ranks.dedup();
-        match merge_step(cfg, src, s, &ranks, padding) {
+        match merge_step(grid, src, s, &ranks) {
             Ok(ck) => return Ok(ck),
             Err(e) => last_err = Some(e),
         }
@@ -279,15 +267,14 @@ fn merge(
 /// layout for the completeness check (an incomplete set reports that
 /// rank's load error first, as it always has); then the two panels are
 /// assembled at once, Yang on one spawned thread and Yin on this one
-/// ([`assemble_panel`]), and the frames and walls refilled. Each panel's bytes come from the
-/// same operations in the same order as in a one-thread assembly, and
-/// when both panels fail, Yin's error — the lower ranks' — is returned.
+/// ([`assemble_panel`]). Each panel's bytes come from the same
+/// operations in the same order as in a one-thread assembly, and when
+/// both panels fail, Yin's error — the lower ranks' — is returned.
 fn merge_step(
-    cfg: &RunConfig,
+    grid: &PatchGrid,
     src: &Source,
     step: u64,
     ranks: &[usize],
-    padding: Option<&Checkpoint>,
 ) -> io::Result<Checkpoint> {
     let first = src.header(step, ranks[0])?;
     let world = (2 * first.pth * first.pph) as usize;
@@ -299,47 +286,36 @@ fn merge_step(
             first.pth, first.pph
         )));
     }
-    let grid = cfg.grid();
-    let work = |panel: Panel| {
-        let padding = padding.map(|ck| if panel == Panel::Yin { &ck.yin } else { &ck.yang });
-        assemble_panel(cfg, &grid, src, &first, panel, padding)
-    };
+    let work = |panel: Panel| assemble_panel(grid, src, &first, panel);
     let (yin, yang) = std::thread::scope(|s| {
         let yang = s.spawn(|| work(Panel::Yang));
         let yin = work(Panel::Yin);
         (yin, yang.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
     });
-    let (mut yin, mut yang) = (yin?, yang?);
-    // The blocks carry owned values only: refill the overset frames and
-    // wall conditions exactly as the serial driver's sync would.
-    let cols = overset_columns(&grid);
-    fill_pair(&mut yin, &mut yang, &cols, cfg.params.t_inner, cfg.mag_bc, None);
     Ok(Checkpoint {
         shape: grid.full_shape(),
         step,
         time: first.time,
         dt_cache: first.dt_cache,
-        yin,
-        yang,
+        yin: yin?,
+        yang: yang?,
     })
 }
 
-/// One panel of [`merge_step`]: its padding (`padding`, or [`blank`]'s),
-/// then its ranks in order, each loaded through this worker's own
-/// payload and file buffers, checked against rank 0's header `first`
-/// and the configuration, and placed; finally its coverage check (the
-/// interior must be tiled exactly once).
+/// One panel of [`merge_step`]: a zeroed panel, then its ranks in order,
+/// each loaded through this worker's own payload and file buffers,
+/// checked against rank 0's header `first` and the configuration, and
+/// placed; finally its coverage check (the interior must be tiled
+/// exactly once). The padding no block covers stays zero.
 fn assemble_panel(
-    cfg: &RunConfig,
     grid: &PatchGrid,
     src: &Source,
     first: &ShardMeta,
     panel: Panel,
-    padding: Option<&State>,
 ) -> io::Result<State> {
     let (step, p) = (first.step, panel.index());
     let shape = grid.full_shape();
-    let mut state = padding.cloned().unwrap_or_else(|| blank(cfg, grid, panel));
+    let mut state = State::zeros(shape);
     let mut cover = vec![false; shape.nth * shape.nph];
     let (mut payload, mut file) = (Vec::new(), Vec::new());
     let tiles = (first.pth * first.pph) as usize;
@@ -409,21 +385,6 @@ fn assemble_panel(
         )));
     }
     Ok(state)
-}
-
-/// `panel` of a step-0 checkpoint of `cfg`'s run awaiting owned
-/// blocks, *initialized* rather than zeroed: the serial driver's ghost
-/// padding keeps its initialization values forever (syncs only rewrite
-/// frames and walls), so a checkpoint assembled from owned blocks is
-/// byte-identical to a serial one only if the unowned padding carries
-/// the same initial bytes. Those are unperturbed (the seeded noise lands
-/// on owned nodes only), so the noise is skipped: the blocks overwrite
-/// every owned node anyway.
-fn blank(cfg: &RunConfig, grid: &PatchGrid, panel: Panel) -> State {
-    let quiet = InitOptions { perturb_amplitude: 0.0, seed_amplitude: 0.0, ..cfg.init };
-    let mut s = State::zeros(grid.full_shape());
-    initialize(&mut s, grid, None, &cfg.params, &quiet, panel);
-    s
 }
 
 /// Whether `path` names a shard *directory* (as opposed to a serial

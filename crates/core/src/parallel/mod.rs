@@ -121,7 +121,7 @@ pub fn run_parallel(
         _ => panic!("rank 0 must produce the report"),
     };
     if let Some(set) = set {
-        let ck = merge_blocks(cfg, &set.drain(false).0, None)
+        let ck = merge_blocks(cfg, &set.drain(false).0)
             .unwrap_or_else(|e| panic!("assembling the final state: {e}"));
         (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
     }
@@ -323,6 +323,7 @@ pub fn run_parallel_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::solver::RankSolver;
     use super::supervisor::{Action, PassOutcome, PolicyState};
     use crate::serial::SerialSim;
 
@@ -330,6 +331,149 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.init.perturb_amplitude = 1e-2;
         cfg
+    }
+
+    /// `quick_cfg` on 13 × 29 columns at nr = 12: 30 debug steps in seconds.
+    fn tiny_cfg() -> RunConfig {
+        RunConfig { nr: 12, nth_nominal: 9, ..quick_cfg() }
+    }
+
+    /// Visit every leftover cell of `state`, a block whose owned columns
+    /// start at `origin` in a panel of `panel` columns: each cell of a
+    /// padded column outside the panel, but the wall nodes of `f`, which
+    /// the no-slip condition zeroes in every column. (The wall pressure
+    /// there is ρ·T of a leftover density, so it is leftover too.)
+    fn for_each_leftover(
+        state: &mut State,
+        origin: (usize, usize),
+        panel: (usize, usize),
+        mut visit: impl FnMut(&mut f64),
+    ) {
+        let sh = state.shape();
+        let (gth, gph) = (sh.gth as isize, sh.gph as isize);
+        let inside = |x: isize, at: usize, n: usize| (0..n as isize).contains(&(x + at as isize));
+        for (a, arr) in state.arrays_mut().into_iter().enumerate() {
+            // f's three components are canonical arrays 2..5.
+            let f = (2..5).contains(&a);
+            for k in -gph..sh.nph as isize + gph {
+                for j in -gth..sh.nth as isize + gth {
+                    if inside(j, origin.0, panel.0) && inside(k, origin.1, panel.1) {
+                        continue;
+                    }
+                    let row = arr.row_mut(j, k);
+                    let n = row.len();
+                    let cells = if f { &mut row[1..n - 1] } else { &mut row[..] };
+                    cells.iter_mut().for_each(&mut visit);
+                }
+            }
+        }
+    }
+
+    /// Set every leftover cell to NaN; returns how many there are.
+    fn poison(state: &mut State, origin: (usize, usize), panel: (usize, usize)) -> usize {
+        let mut n = 0;
+        for_each_leftover(state, origin, panel, |v| (*v, n) = (f64::NAN, n + 1));
+        n
+    }
+
+    /// Whether every leftover cell is NaN.
+    fn all_nan(state: &mut State, origin: (usize, usize), panel: (usize, usize)) -> bool {
+        let mut nan = true;
+        for_each_leftover(state, origin, panel, |v| nan &= v.is_nan());
+        nan
+    }
+
+    /// The owned values of `state`, bit for bit.
+    fn owned_bits(state: &State) -> Vec<u64> {
+        let sh = state.shape();
+        let mut bits = Vec::new();
+        for arr in state.arrays() {
+            for k in 0..sh.nph as isize {
+                for j in 0..sh.nth as isize {
+                    bits.extend(arr.row(j, k).iter().map(|v| v.to_bits()));
+                }
+            }
+        }
+        bits
+    }
+
+    /// Each step's dt and diagnostics, bit for bit.
+    type Trace = Vec<(u64, Vec<u64>)>;
+
+    fn trace_point(dt: f64, diag: yy_mhd::Diagnostics) -> (u64, Vec<u64>) {
+        (dt.to_bits(), diag.to_vec().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// The leftover cells are dead: no stencil, fill or scan reads them.
+    /// Serially, with every leftover cell NaN from the first step, 30
+    /// `SerialSim::advance` steps (not `try_run`: the health scan reads
+    /// padding) keep the owned values, each dt and the diagnostics
+    /// bit-identical to an unpoisoned run, and every leftover cell NaN.
+    #[test]
+    fn leftover_cells_are_dead_serially() {
+        let cfg = tiny_cfg();
+        let (_, nth, nph) = cfg.grid().dims();
+        let run = |poisoned: bool| {
+            let mut sim = SerialSim::new(cfg.clone());
+            if poisoned {
+                for state in [&mut sim.yin, &mut sim.yang] {
+                    // 88 padded columns × (8 arrays × 12 nodes − 6 walls of f).
+                    assert_eq!(poison(state, (0, 0), (nth, nph)), 7_920);
+                }
+            }
+            let mut trace = Trace::new();
+            for _ in 0..30 {
+                let dt = sim.auto_dt();
+                sim.advance(dt);
+                trace.push(trace_point(dt, sim.diagnostics()));
+            }
+            (sim, trace)
+        };
+        let ((clean, clean_trace), (mut dirty, dirty_trace)) = (run(false), run(true));
+        assert!(clean_trace == dirty_trace, "a leftover cell moved dt or the diagnostics");
+        assert!(owned_bits(&clean.yin) == owned_bits(&dirty.yin), "Yin's owned values moved");
+        assert!(owned_bits(&clean.yang) == owned_bits(&dirty.yang), "Yang's owned values moved");
+        for state in [&mut dirty.yin, &mut dirty.yang] {
+            assert!(all_nan(state, (0, 0), (nth, nph)), "a step wrote a leftover cell");
+        }
+    }
+
+    /// [`leftover_cells_are_dead_serially`] on the rank solver at 1×2 and
+    /// 2×2, each rank poisoning its own leftover cells after its first
+    /// sync and stepping with `RankSolver::advance` (not `rank_program`,
+    /// whose health scan reads padding).
+    #[test]
+    fn leftover_cells_are_dead_on_every_layout() {
+        let cfg = tiny_cfg();
+        let (_, nth, nph) = cfg.grid().dims();
+        for (pth, pph) in [(1, 2), (2, 2)] {
+            let decomp = Decomp2D::new(pth, pph, &cfg.grid());
+            let run = |poisoned: bool| {
+                Universe::run(2 * decomp.tiles(), |world| {
+                    let (mut solver, mut state) = RankSolver::new(&cfg, &world, &decomp, false);
+                    solver.sync(&mut state, None);
+                    let origin = (solver.tile.j0, solver.tile.k0);
+                    if poisoned {
+                        // Every tile of these layouts meets the panel's edge.
+                        assert!(poison(&mut state, origin, (nth, nph)) > 0);
+                    }
+                    let mut trace = Trace::new();
+                    for _ in 0..30 {
+                        let dt = solver.global_dt(&state);
+                        solver.advance(&mut state, dt);
+                        trace.push(trace_point(dt, solver.reduce_diag(&state)));
+                    }
+                    let dead = all_nan(&mut state, origin, (nth, nph));
+                    (owned_bits(&state), trace, dead)
+                })
+            };
+            let (clean, dirty) = (run(false), run(true));
+            for (rank, (c, d)) in clean.iter().zip(&dirty).enumerate() {
+                assert!(c.0 == d.0, "{pth}x{pph} rank {rank}: owned values moved");
+                assert!(c.1 == d.1, "{pth}x{pph} rank {rank}: dt or the diagnostics moved");
+                assert!(d.2, "{pth}x{pph} rank {rank}: a step wrote a leftover cell");
+            }
+        }
     }
 
     #[test]
@@ -665,11 +809,11 @@ mod tests {
         store(&set, &sim, 0);
         store(&torn, &sim, 0);
 
-        let resumed = resume_after(&cfg, &set.drain(true).0, None, Some(start.clone()));
+        let resumed = resume_after(&cfg, &set.drain(true).0, Some(start.clone()));
         assert_eq!(resumed.as_ref().map(|ck| ck.step), Some(2), "fallback to the complete step");
         assert!(resumed == Some(at_2), "the step-2 assembly differs from the serial checkpoint");
-        let kept = resume_after(&cfg, &torn.drain(true).0, None, Some(start.clone()));
+        let kept = resume_after(&cfg, &torn.drain(true).0, Some(start.clone()));
         assert!(kept == Some(start), "with no complete step the pass's resume must stand");
-        assert!(resume_after(&cfg, &ShardSet::new(2, None).drain(true).0, None, None).is_none());
+        assert!(resume_after(&cfg, &ShardSet::new(2, None).drain(true).0, None).is_none());
     }
 }

@@ -173,16 +173,15 @@ pub(super) fn next_action(st: &mut PolicyState, outcome: &PassOutcome) -> Action
 }
 
 /// The checkpoint the pass after one with these `blocks` restores: the
-/// newest complete step among them, assembled over the unowned padding
-/// of the run's `resume_from` when it has one; with no complete step,
-/// the pass's own `resume` (`None` only on a fresh first pass).
+/// newest complete step among them, its leftover padding zero as in
+/// every merge; with no complete step, the pass's own `resume` (`None`
+/// only on a fresh first pass).
 pub(super) fn resume_after(
     cfg: &RunConfig,
     blocks: &[Block],
-    padding: Option<&Checkpoint>,
     resume: Option<Checkpoint>,
 ) -> Option<Checkpoint> {
-    merge_blocks(cfg, blocks, padding).ok().or(resume)
+    merge_blocks(cfg, blocks).ok().or(resume)
 }
 
 /// One finished pass.
@@ -352,7 +351,7 @@ impl<'a> Supervisor<'a> {
         let completed = matches!(outcome, PassOutcome::Completed);
         let (blocks, io) = set.drain(!completed);
         self.io.add(&io);
-        self.resume = resume_after(cfg, &blocks, self.opts.resume_from.as_ref(), resume);
+        self.resume = resume_after(cfg, &blocks, resume);
         let resume_step = self.resume.as_ref().map_or(start_step, |ck| ck.step);
         self.passes.push(PassStat {
             pass: self.policy.pass,

@@ -1,7 +1,8 @@
 //! Checkpoint-portable restart, as a property: a checkpoint taken at
 //! any step resumes bit-identically onto *any* tile layout — serial,
 //! 1×1, 1×2, 2×2, 2×1 — including a checkpoint produced by a run that
-//! itself rolled back mid-flight. The checkpoint
+//! itself rolled back mid-flight, and one whose leftover padding (the
+//! padded columns outside the panel) is not zero. The checkpoint
 //! format is layout-free (serial full-panel geometry), so restart is a
 //! pure function of (state, remaining steps), never of the decomposition
 //! that wrote or reads it.
@@ -149,4 +150,48 @@ fn mid_rollback_checkpoint_restarts_cleanly_everywhere() {
             Ok(())
         },
     );
+}
+
+/// Visit every padded row of `ck` outside the panel — its leftover
+/// cells and the wall nodes there — with the row's array index.
+fn for_each_leftover_row(ck: &mut Checkpoint, mut visit: impl FnMut(usize, &mut [f64])) {
+    let sh = ck.shape;
+    let (gth, gph) = (sh.gth as isize, sh.gph as isize);
+    let (nth, nph) = (sh.nth as isize, sh.nph as isize);
+    for panel in [&mut ck.yin, &mut ck.yang] {
+        for (a, arr) in panel.arrays_mut().into_iter().enumerate() {
+            for k in -gph..nph + gph {
+                for j in -gth..nth + gth {
+                    if !((0..nth).contains(&j) && (0..nph).contains(&k)) {
+                        visit(a, arr.row_mut(j, k));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A checkpoint whose leftover cells are nonzero, as in files written
+/// before every driver zeroed them (they held the initial profile), resumes
+/// serially and at 1×1, 1×2 and 2×2 to the same bytes as its zeroed twin:
+/// a restore takes the owned points only. The result is zero there.
+#[test]
+fn nonzero_leftover_cells_resume_like_zero_ones() {
+    let cfg = quick_cfg();
+    let mut end = serial_ladder().last().unwrap().clone();
+    for_each_leftover_row(&mut end, |_, row| assert!(row.iter().all(|&v| v == 0.0)));
+    let reference = bytes(&end);
+    let twin = &serial_ladder()[3];
+    let mut dirty = twin.clone();
+    let nr = dirty.shape.nr;
+    for_each_leftover_row(&mut dirty, |a, row| {
+        row.iter_mut().enumerate().for_each(|(i, v)| *v = 1.0 + (a * nr + i) as f64)
+    });
+    assert!(bytes(&dirty) != bytes(twin), "the fixture must differ from its twin");
+    for layout in [None, Some((1, 1)), Some((1, 2)), Some((2, 2))] {
+        assert!(
+            resume_onto(&cfg, &dirty, layout) == reference,
+            "nonzero leftover cells changed the resume onto {layout:?}"
+        );
+    }
 }

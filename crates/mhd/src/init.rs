@@ -78,7 +78,10 @@ const STREAM_A: u64 = 2; // streams 2, 3, 4 for the three components
 /// Fill `state` with the initial condition. `tile = None` initializes a
 /// full panel (serial); `Some(tile)` a tile of a decomposed panel.
 /// Owned values depend only on *global* node indices, so every
-/// decomposition produces the same physical state.
+/// decomposition produces the same physical state. Only owned nodes are
+/// written: the padding is zero, and a driver's first sync fills the
+/// part of it a stencil reads (halos, overset frames, walls). The rest,
+/// the *leftover* cells, stays zero for the whole run.
 pub fn initialize(
     state: &mut State,
     grid: &PatchGrid,
@@ -93,39 +96,26 @@ pub fn initialize(
     let (rho_prof, p_prof) = hydrostatic_profile(params, grid.r());
     let nr = shape.nr;
     state.fill_zero();
-    let (gth, gph) = (shape.gth as isize, shape.gph as isize);
-    for k in -gph..(shape.nph as isize + gph) {
-        for j in -gth..(shape.nth as isize + gth) {
-            let owned = j >= 0 && j < shape.nth as isize && k >= 0 && k < shape.nph as isize;
+    for k in 0..shape.nph as isize {
+        for j in 0..shape.nth as isize {
+            let key = |i| node_key(panel.index(), i, j as usize + j_off, k as usize + k_off);
             for i in 0..nr {
                 state.rho.set(i, j, k, rho_prof[i]);
-                let mut p = p_prof[i];
-                if owned && i > 0 && i < nr - 1 && opts.perturb_amplitude > 0.0 {
-                    let key = node_key(
-                        panel.index(),
-                        i,
-                        (j + j_off as isize) as usize,
-                        (k + k_off as isize) as usize,
-                    );
-                    p *= 1.0 + node_noise(opts.seed, STREAM_PRESSURE, key, opts.perturb_amplitude);
+                state.press.set(i, j, k, p_prof[i]);
+                // The walls keep the unperturbed profile and no seed.
+                if i == 0 || i == nr - 1 {
+                    continue;
                 }
-                state.press.set(i, j, k, p);
-                if owned && i > 0 && i < nr - 1 && opts.seed_amplitude > 0.0 {
-                    let key = node_key(
-                        panel.index(),
-                        i,
-                        (j + j_off as isize) as usize,
-                        (k + k_off as isize) as usize,
-                    );
-                    state.a.r.set(i, j, k, node_noise(opts.seed, STREAM_A, key, opts.seed_amplitude));
-                    state
-                        .a
-                        .t
-                        .set(i, j, k, node_noise(opts.seed, STREAM_A + 1, key, opts.seed_amplitude));
-                    state
-                        .a
-                        .p
-                        .set(i, j, k, node_noise(opts.seed, STREAM_A + 2, key, opts.seed_amplitude));
+                if opts.perturb_amplitude > 0.0 {
+                    let noise =
+                        node_noise(opts.seed, STREAM_PRESSURE, key(i), opts.perturb_amplitude);
+                    state.press.set(i, j, k, p_prof[i] * (1.0 + noise));
+                }
+                if opts.seed_amplitude > 0.0 {
+                    let seed = |stream| node_noise(opts.seed, stream, key(i), opts.seed_amplitude);
+                    state.a.r.set(i, j, k, seed(STREAM_A));
+                    state.a.t.set(i, j, k, seed(STREAM_A + 1));
+                    state.a.p.set(i, j, k, seed(STREAM_A + 2));
                 }
             }
         }
@@ -208,6 +198,26 @@ mod tests {
                         assert_eq!(local.press.at(i, j, k), full.press.at(i, gj, gk));
                         assert_eq!(local.a.t.at(i, j, k), full.a.t.at(i, gj, gk));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_owned_nodes_are_written() {
+        let g = grid();
+        let mut s = State::zeros(g.full_shape());
+        s.rho.fill(f64::NAN);
+        let opts = InitOptions::default();
+        initialize(&mut s, &g, None, &PhysParams::default_laptop(), &opts, Panel::Yin);
+        let sh = s.shape();
+        let (nth, nph) = (sh.nth as isize, sh.nph as isize);
+        let (gth, gph) = (sh.gth as isize, sh.gph as isize);
+        for arr in s.arrays() {
+            for k in -gph..nph + gph {
+                for j in -gth..nth + gth {
+                    let owned = (0..nth).contains(&j) && (0..nph).contains(&k);
+                    assert!(owned || arr.row(j, k).iter().all(|&v| v == 0.0), "({j}, {k})");
                 }
             }
         }
