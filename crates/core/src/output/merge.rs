@@ -1,12 +1,12 @@
 //! Shard-set operations: keep a pass's newest owned blocks in memory
-//! and hand each to its rank's writer, and reassemble a complete set —
-//! from memory or from shard files — into the serial-format
-//! [`Checkpoint`] byte-identically.
+//! and hand each to its rank's writer, hand the newest complete step to
+//! the next pass, and reassemble a complete set — from memory or from
+//! shard files — into the serial-format [`Checkpoint`] byte-identically.
 
 use super::codec::CkptCodec;
 use super::shard::{
-    load_shard, load_shard_header, parse_shard_name, shard_file_name, unpack_shard_payload,
-    ShardMeta,
+    load_shard, load_shard_header, pack_shard_payload, parse_shard_name, place_block,
+    shard_file_name, ShardMeta,
 };
 use super::stage::{IoTotals, OutputStage};
 use crate::checkpoint::{invalid, Checkpoint};
@@ -111,28 +111,32 @@ impl ShardSet {
     /// Close the pass, once every rank thread has returned: finish each
     /// writer no rank finished (a killed rank's), total every rank's
     /// writes — each file renamed into place counts, even when its
-    /// writer failed later — and hand back the stored blocks. Without
-    /// `older`, each rank keeps its newest block only: the final
-    /// assembly then holds one globe of blocks beside the result, not
-    /// two.
-    pub(crate) fn drain(self, older: bool) -> (Vec<Block>, IoStats) {
+    /// writer failed later — and hand back the blocks of the newest step
+    /// every rank stored, in rank order, or `None` when no step is
+    /// complete. The other generation is dropped here.
+    pub(crate) fn drain(self) -> (Option<Vec<Block>>, IoStats) {
         let mut io = IoStats::default();
         if let Some((_, codec)) = &self.disk {
             io.codec = codec.name().to_string();
         }
-        let (mut blocks, mut wall_ns) = (Vec::new(), 0);
+        let (mut gens, mut wall_ns) = (Vec::new(), 0);
         for slot in self.slots {
-            let Slot { mut gens, stage, written } =
+            let Slot { gens: g, stage, written } =
                 slot.into_inner().unwrap_or_else(|e| e.into_inner());
             let t = stage.map_or(written, |stage| stage.stop().0);
             io.shards_written += t.files_written;
             io.bytes_raw += t.bytes_raw;
             io.bytes_written += t.bytes_written;
             wall_ns += t.write_wall_ns;
-            gens.sort_by_key(|g| std::cmp::Reverse(g.as_ref().map(|(m, _)| m.step)));
-            blocks.extend(gens.into_iter().flatten().take(if older { 2 } else { 1 }));
+            gens.push(g);
         }
         io.write_wall_s = wall_ns as f64 / 1e9;
+        // No rank stores two events ahead of another, so the newest
+        // complete step is the laggard's newest, if every rank holds it.
+        let newest = |g: &[Option<Block>; 2]| g.iter().flatten().map(|(m, _)| m.step).max();
+        let blocks = gens.iter().map(newest).min().flatten().and_then(|s| {
+            gens.into_iter().map(|g| g.into_iter().flatten().find(|(m, _)| m.step == s)).collect()
+        });
         (blocks, io)
     }
 }
@@ -220,10 +224,25 @@ pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Resul
     merge(&cfg.grid(), &Source::Dir(dir), step)
 }
 
-/// [`merge_shards`] over an in-memory set: the newest complete step,
-/// assembled on two threads as there.
+/// [`merge_shards`] over one step's in-memory blocks — a run's final
+/// state — assembled on two threads as there.
 pub(crate) fn merge_blocks(cfg: &RunConfig, blocks: &[Block]) -> io::Result<Checkpoint> {
     merge(&cfg.grid(), &Source::Mem(blocks), None)
+}
+
+/// The inverse of [`merge_blocks`]: a serial-format checkpoint as the
+/// blocks of a 1×1 set, rank 0 holding Yin and rank 1 Yang, each
+/// panel's owned points packed as a shard's.
+pub(crate) fn checkpoint_blocks(ck: &Checkpoint) -> Vec<Block> {
+    let (nth, nph) = (ck.shape.nth, ck.shape.nph);
+    let at = (ck.step, ck.time, ck.dt_cache);
+    let block = |p: usize, panel: &State| {
+        let mut raw = Vec::new();
+        pack_shard_payload(panel, nth, nph, &mut raw);
+        let place = [1, 1, p, p, 0, nth, 0, nph].map(|v| v as u64);
+        (ShardMeta::new(ck.shape, at, place), Arc::new(raw))
+    };
+    vec![block(0, &ck.yin), block(1, &ck.yang)]
 }
 
 fn merge(grid: &PatchGrid, src: &Source, step: Option<u64>) -> io::Result<Checkpoint> {
@@ -375,7 +394,7 @@ fn assemble_panel(
                 *cell = true;
             }
         }
-        unpack_shard_payload(&meta, &mut state, raw);
+        place_block(&meta, raw, &mut state, [0, shape.nth, 0, shape.nph]);
     }
     if let Some(hole) = cover.iter().position(|&c| !c) {
         return Err(invalid(format!(

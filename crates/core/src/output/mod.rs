@@ -27,7 +27,9 @@
 //!    complete shard set into the serial-format [`crate::checkpoint::Checkpoint`]
 //!    byte-identically (the restart-onto-any-layout property). A
 //!    supervised run keeps the same blocks in memory (`ShardSet`) as
-//!    its rollback point, assembled by the same merge.
+//!    its rollback point: each rank of the next pass places the part of
+//!    every block that meets its tile (`place_block`, the merge's own
+//!    placement), and only the final checkpoint is merged.
 //!
 //! 2. **Codecs.** A zero-dependency XOR-delta against the previous
 //!    checkpoint's payload (most field bytes are unchanged between
@@ -66,15 +68,15 @@ mod stage;
 
 pub use codec::{rle_decode, rle_encode, CkptCodec};
 pub use merge::{is_shard_dir, merge_shards};
-pub(crate) use merge::{merge_blocks, Block, ShardSet};
-pub(crate) use shard::pack_shard_payload;
+pub(crate) use merge::{checkpoint_blocks, merge_blocks, Block, ShardSet};
+pub(crate) use shard::{pack_shard_payload, place_block};
 pub use shard::{parse_shard_name, shard_file_name, ShardMeta};
 pub use stage::{IoTotals, OutputStage};
 
 #[cfg(test)]
 mod tests {
     use super::codec::{rle_decode_xor, rle_encode_spilled, xor_with, Xor};
-    use super::shard::{encode_shard, read_shard, FLAG_DELTA, FLAG_RLE, NO_BASE};
+    use super::shard::{encode_shard, read_shard, FLAG_DELTA, FLAG_RLE};
     use super::*;
     use crate::checkpoint::Crc32;
     use crate::config::RunConfig;
@@ -317,22 +319,8 @@ mod tests {
 
     fn meta_for(sim: &SerialSim, rank: u64, panel: u64) -> ShardMeta {
         let shape = sim.yin.shape();
-        ShardMeta {
-            shape,
-            step: sim.step,
-            time: sim.time,
-            dt_cache: sim.dt_cache,
-            pth: 1,
-            pph: 1,
-            rank,
-            panel,
-            j0: 0,
-            tnth: shape.nth as u64,
-            k0: 0,
-            tnph: shape.nph as u64,
-            flags: 0,
-            base_step: NO_BASE,
-        }
+        let place = [1, 1, rank, panel, 0, shape.nth as u64, 0, shape.nph as u64];
+        ShardMeta::new(shape, (sim.step, sim.time, sim.dt_cache), place)
     }
 
     type Encoded = (Vec<u8>, (u64, u64));
@@ -353,27 +341,29 @@ mod tests {
     }
 
     /// An in-memory set keeps each rank's two newest blocks: a third
-    /// event replaces the oldest, and without `older` only the newest
-    /// is left for the final assembly.
+    /// event replaces the oldest, and `drain` hands back the newest step
+    /// every rank stored, in rank order — rank 0's older generation when
+    /// rank 1 fell one event behind — or nothing when no step is complete.
     #[test]
     fn shard_set_keeps_the_two_newest_generations() {
         let sim = sim_at(0);
-        let filled = || {
-            let set = ShardSet::new(1, None);
-            for step in [0, 2, 4] {
-                let meta = ShardMeta { step, ..meta_for(&sim, 0, 0) };
-                set.store(meta, |raw: &mut Vec<u8>| *raw = vec![step as u8]);
+        let filled = |events: &[&[u64]]| {
+            let set = ShardSet::new(events.len(), None);
+            for (rank, steps) in events.iter().enumerate() {
+                for &step in *steps {
+                    let meta = ShardMeta { step, ..meta_for(&sim, rank as u64, rank as u64) };
+                    set.store(meta, |raw: &mut Vec<u8>| *raw = vec![step as u8, rank as u8]);
+                }
             }
-            set
+            set.drain().0.map(|blocks| {
+                blocks.into_iter().map(|(m, r)| (m.step, m.rank, r.to_vec())).collect::<Vec<_>>()
+            })
         };
-        let steps = |blocks: Vec<Block>| {
-            let mut v: Vec<(u64, Vec<u8>)> =
-                blocks.into_iter().map(|(m, r)| (m.step, r.to_vec())).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(steps(filled().drain(true).0), [(2, vec![2]), (4, vec![4])]);
-        assert_eq!(steps(filled().drain(false).0), [(4, vec![4])]);
+        assert_eq!(filled(&[&[0, 2, 4]]), Some(vec![(4, 0, vec![4, 0])]));
+        let behind = Some(vec![(2, 0, vec![2, 0]), (2, 1, vec![2, 1])]);
+        assert_eq!(filled(&[&[0, 2, 4], &[0, 2]]), behind);
+        assert_eq!(filled(&[&[0, 2, 4], &[0]]), None, "step 0 was overwritten on rank 0");
+        assert_eq!(filled(&[&[], &[]]), None);
     }
 
     /// A set that writes to disk hands each rank's blocks to that rank's
@@ -408,7 +398,7 @@ mod tests {
         assert!(err.starts_with(&format!("writing {}", path.display())), "{err}");
         assert_eq!(set.finish(1).unwrap().1, Ok(()));
         // The failed writer's step-0 shard was renamed into place, so it counts.
-        assert_eq!(set.drain(false).1.shards_written, 2);
+        assert_eq!(set.drain().1.shards_written, 2);
         assert!(ShardSet::new(1, None).finish(0).is_none(), "a set without disk has no writer");
     }
 
@@ -429,8 +419,9 @@ mod tests {
             }
         }
         assert_eq!(set.finish(0).unwrap().1, Ok(()));
-        let (blocks, io) = set.drain(true);
-        assert_eq!(blocks.len(), 4);
+        let (blocks, io) = set.drain();
+        let newest = blocks.map(|b| b.iter().map(|(m, _)| (m.step, m.rank)).collect::<Vec<_>>());
+        assert_eq!(newest, Some(vec![(2, 0), (2, 1)]));
         let on_disk: u64 = [(0, 0), (2, 0), (0, 1), (2, 1)]
             .map(|(step, rank)| std::fs::metadata(dir.join(shard_file_name(step, rank))).unwrap())
             .iter()
@@ -490,22 +481,8 @@ mod tests {
             pack_shard_payload(&fixture_state(shape, nudge), shape.nth, shape.nph, &mut raw);
             raw
         };
-        let meta = |step: u64| ShardMeta {
-            shape,
-            step,
-            time: step as f64 * 0.5,
-            dt_cache: 0.125,
-            pth: 1,
-            pph: 1,
-            rank: 1,
-            panel: 1,
-            j0: 0,
-            tnth: shape.nth as u64,
-            k0: 0,
-            tnph: shape.nph as u64,
-            flags: 0,
-            base_step: NO_BASE,
-        };
+        let place = [1, 1, 1, 1, 0, shape.nth as u64, 0, shape.nph as u64];
+        let meta = |step: u64| ShardMeta::new(shape, (step, step as f64 * 0.5, 0.125), place);
         let (a, b, c) = (payload(0), payload(5), payload(3));
         let files = [
             encode(&meta(0), &a, None, CkptCodec::Raw).0,

@@ -9,7 +9,7 @@ use crate::checkpoint::{
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use yy_field::{Region, Shape};
+use yy_field::Shape;
 use yy_mhd::State;
 
 /// Shard format magic: same prefix as the serial checkpoint, version 3.
@@ -63,15 +63,26 @@ impl ShardMeta {
         8 * self.shape.nr as u64 * self.tnth * self.tnph * 8
     }
 
-    /// The owned block in full-panel interior coordinates.
-    fn global_region(&self) -> Region {
-        Region {
-            i0: 0,
-            i1: self.shape.nr,
-            j0: self.j0 as isize,
-            j1: (self.j0 + self.tnth) as isize,
-            k0: self.k0 as isize,
-            k1: (self.k0 + self.tnph) as isize,
+    /// The header of a self-contained block at `(step, time, dt_cache)`;
+    /// `place` is `[pth, pph, rank, panel, j0, tnth, k0, tnph]`: the
+    /// layout that stored it, its owner and its owned columns.
+    pub(crate) fn new(shape: Shape, at: (u64, f64, f64), place: [u64; 8]) -> ShardMeta {
+        let ((step, time, dt_cache), [pth, pph, rank, panel, j0, tnth, k0, tnph]) = (at, place);
+        ShardMeta {
+            shape,
+            step,
+            time,
+            dt_cache,
+            pth,
+            pph,
+            rank,
+            panel,
+            j0,
+            tnth,
+            k0,
+            tnph,
+            flags: 0,
+            base_step: NO_BASE,
         }
     }
 }
@@ -112,18 +123,22 @@ pub(crate) fn pack_shard_payload(state: &State, tnth: usize, tnph: usize, raw: &
     }
 }
 
-/// Place a [`pack_shard_payload`] image of the owned block `meta`
-/// describes into `panel` (the full-panel state), each row converted
-/// straight from the bytes. The caller has checked that `raw` is as
-/// long as `meta`'s tile needs.
-pub(super) fn unpack_shard_payload(meta: &ShardMeta, panel: &mut State, raw: &[u8]) {
-    let region = meta.global_region();
-    let mut rows = raw.chunks_exact(8 * meta.shape.nr);
-    for arr in panel.arrays_mut() {
-        for k in region.k0..region.k1 {
-            for j in region.j0..region.j1 {
-                let src = rows.next().expect("the caller checked the payload length");
-                for (v, c) in arr.row_mut(j, k).iter_mut().zip(src.chunks_exact(8)) {
+/// Place the part of a [`pack_shard_payload`] image of the block `meta`
+/// describes that lies inside `target` — `[j0, nth, k0, nph]`, the owned
+/// columns of `dst` in full-panel interior coordinates — into `dst`,
+/// each row converted straight from the bytes; the rest of `dst` is left
+/// as it is. A merge targets the whole panel, a restore its rank's tile.
+/// The caller has checked that `raw` is as long as `meta`'s tile needs.
+pub(crate) fn place_block(meta: &ShardMeta, raw: &[u8], dst: &mut State, target: [usize; 4]) {
+    let [j0, nth, k0, nph] = target;
+    let [bj0, bnth, bk0, bnph] = [meta.j0, meta.tnth, meta.k0, meta.tnph].map(|v| v as usize);
+    let row = 8 * meta.shape.nr;
+    for (a, arr) in dst.arrays_mut().into_iter().enumerate() {
+        for k in bk0.max(k0)..(bk0 + bnph).min(k0 + nph) {
+            for j in bj0.max(j0)..(bj0 + bnth).min(j0 + nth) {
+                let at = ((a * bnph + k - bk0) * bnth + j - bj0) * row;
+                let dst_row = arr.row_mut((j - j0) as isize, (k - k0) as isize);
+                for (v, c) in dst_row.iter_mut().zip(raw[at..at + row].chunks_exact(8)) {
                     // `chunks_exact(8)` yields eight-byte slices.
                     *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
                 }
@@ -253,22 +268,9 @@ fn read_shard_header(hr: &mut HashingReader<'_, &[u8]>) -> io::Result<(ShardMeta
     let base_step = read_u64(hr, "shard base step")?;
     let raw_len = read_u64(hr, "shard payload length")?;
     let enc_len = read_u64(hr, "shard encoded length")?;
-    let meta = ShardMeta {
-        shape,
-        step,
-        time,
-        dt_cache,
-        pth,
-        pph,
-        rank,
-        panel,
-        j0,
-        tnth,
-        k0,
-        tnph,
-        flags,
-        base_step,
-    };
+    let place = [pth, pph, rank, panel, j0, tnth, k0, tnph];
+    let meta =
+        ShardMeta { flags, base_step, ..ShardMeta::new(shape, (step, time, dt_cache), place) };
     if panel > 1 {
         return Err(invalid(format!("shard panel index {panel} (must be 0 or 1)")));
     }

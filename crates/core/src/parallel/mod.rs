@@ -32,11 +32,14 @@
 //! shard set and sends nothing. When a rank dies (injected kill, comm
 //! timeout, panic) the whole universe is torn down and restarted from
 //! the set's newest complete step; when the *solver* goes unhealthy the
-//! supervisor rolls back **and** halves the time step. Because delivery is exactly-once
-//! and in-order even under injected drops/delays/duplicates, and
-//! because the restart replays the dt/sampling cadence at absolute step
-//! numbers, a recovered run reproduces the fault-free trajectory
-//! bitwise.
+//! supervisor rolls back **and** halves the time step. That step moves
+//! to the next pass as its owned blocks, never as a merged globe: each
+//! rank, on whatever layout, places the part of every block that meets
+//! its tile and syncs. Only the final checkpoint is merged. Because
+//! delivery is exactly-once and in-order even under injected
+//! delays/duplicates, and because the restart replays the dt/sampling
+//! cadence at absolute step numbers, a recovered run reproduces the
+//! fault-free trajectory bitwise.
 //!
 //! # Layout
 //!
@@ -121,7 +124,7 @@ pub fn run_parallel(
         _ => panic!("rank 0 must produce the report"),
     };
     if let Some(set) = set {
-        let ck = merge_blocks(cfg, &set.drain(false).0)
+        let ck = merge_blocks(cfg, &set.drain().0.expect("every rank stores its final state"))
             .unwrap_or_else(|e| panic!("assembling the final state: {e}"));
         (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
     }
@@ -450,7 +453,8 @@ mod tests {
             let decomp = Decomp2D::new(pth, pph, &cfg.grid());
             let run = |poisoned: bool| {
                 Universe::run(2 * decomp.tiles(), |world| {
-                    let (mut solver, mut state) = RankSolver::new(&cfg, &world, &decomp, false);
+                    let (mut solver, mut state) =
+                        RankSolver::new(&cfg, &world, &decomp, false, None);
                     solver.sync(&mut state, None);
                     let origin = (solver.tile.j0, solver.tile.k0);
                     if poisoned {
@@ -762,40 +766,23 @@ mod tests {
 
     /// The rollback point's rule on a hand-built in-memory set at the
     /// 1×1 layout (rank 0 owns Yin, rank 1 Yang), events every 2 steps:
-    /// with rank 1 missing step 4, the next pass resumes from step 2,
-    /// equal to the serial checkpoint of step 2; with no complete step,
-    /// the pass's own resume checkpoint stands. The in-memory twin of
-    /// `shard_merge.rs`'s incomplete-set case.
+    /// with rank 1 missing step 4, `drain` hands back step 2, whose
+    /// blocks merge to the serial checkpoint of step 2; with no complete
+    /// step it hands back nothing, so the pass's own start stands. The
+    /// in-memory twin of `shard_merge.rs`'s incomplete-set case.
     #[test]
     fn rollback_resumes_from_the_newest_complete_in_memory_step() {
-        use super::supervisor::resume_after;
-        use crate::output::{pack_shard_payload, ShardMeta};
+        use crate::output::checkpoint_blocks;
         let cfg = quick_cfg();
         let mut sim = SerialSim::new(cfg.clone());
         let store = |set: &ShardSet, sim: &SerialSim, rank: usize| {
-            let panel = [&sim.yin, &sim.yang][rank];
-            let shape = panel.shape();
-            let (tnth, tnph) = (shape.nth as u64, shape.nph as u64);
-            let meta = ShardMeta {
-                shape,
-                step: sim.step,
-                time: sim.time,
-                dt_cache: sim.dt_cache,
-                pth: 1,
-                pph: 1,
-                rank: rank as u64,
-                panel: rank as u64,
-                j0: 0,
-                tnth,
-                k0: 0,
-                tnph,
-                flags: 0,
-                base_step: u64::MAX,
-            };
-            set.store(meta, |raw| pack_shard_payload(panel, shape.nth, shape.nph, raw));
+            let (meta, raw) = checkpoint_blocks(&Checkpoint::capture(sim)).swap_remove(rank);
+            set.store(meta, |buf| *buf = raw.to_vec());
         };
         let (set, torn) = (ShardSet::new(2, None), ShardSet::new(2, None));
         let start = Checkpoint::capture(&sim);
+        // A checkpoint's 1×1 blocks merge back to it.
+        assert!(merge_blocks(&cfg, &checkpoint_blocks(&start)).ok() == Some(start));
         for rank in [0, 1] {
             store(&set, &sim, rank);
         }
@@ -809,11 +796,96 @@ mod tests {
         store(&set, &sim, 0);
         store(&torn, &sim, 0);
 
-        let resumed = resume_after(&cfg, &set.drain(true).0, Some(start.clone()));
-        assert_eq!(resumed.as_ref().map(|ck| ck.step), Some(2), "fallback to the complete step");
-        assert!(resumed == Some(at_2), "the step-2 assembly differs from the serial checkpoint");
-        let kept = resume_after(&cfg, &torn.drain(true).0, Some(start.clone()));
-        assert!(kept == Some(start), "with no complete step the pass's resume must stand");
-        assert!(resume_after(&cfg, &ShardSet::new(2, None).drain(true).0, None).is_none());
+        let resumed = set.drain().0.expect("step 2 is complete");
+        let held: Vec<(u64, u64)> = resumed.iter().map(|(m, _)| (m.step, m.rank)).collect();
+        assert_eq!(held, [(2, 0), (2, 1)], "fallback to the complete step, in rank order");
+        assert!(merge_blocks(&cfg, &resumed).ok() == Some(at_2), "step 2 differs from serial");
+        assert!(torn.drain().0.is_none(), "a step one rank never stored is no resume point");
+        assert!(ShardSet::new(2, None).drain().0.is_none());
+    }
+
+    /// A restore places blocks of any layout onto any other. For seeded
+    /// pairs of layouts — and 1×2 against 1×3 both ways, whose tiles
+    /// overlap in part — layout A's blocks of a serial state, packed
+    /// straight from the serial panels, restore every tile of layout B
+    /// through `RankSolver::new`: step and time from the header, every
+    /// owned value bitwise the serial panel's, every other padded cell
+    /// zero.
+    #[test]
+    fn blocks_from_any_layout_land_on_any_other_layout() {
+        use crate::output::{Block, ShardMeta};
+        use std::sync::Arc;
+        use yy_testkit::{check_with, Config};
+        const LAYOUTS: [(usize, usize); 7] =
+            [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (2, 5)];
+        let cfg = tiny_cfg();
+        let grid = cfg.grid();
+        let mut sim = SerialSim::new(cfg.clone());
+        sim.run(2, 0);
+        let panels = [&sim.yin, &sim.yang];
+        let blocks_of = |(pth, pph): (usize, usize)| -> Vec<Block> {
+            let decomp = Decomp2D::new(pth, pph, &grid);
+            let tiles = decomp.tiles();
+            (0..2 * tiles)
+                .map(|rank| {
+                    let (panel, t) = (rank / tiles, decomp.tile(rank % tiles));
+                    let mut raw = Vec::new();
+                    for arr in panels[panel].arrays() {
+                        for k in t.k0 as isize..(t.k0 + t.nph) as isize {
+                            for j in t.j0 as isize..(t.j0 + t.nth) as isize {
+                                raw.extend(arr.row(j, k).iter().flat_map(|v| v.to_le_bytes()));
+                            }
+                        }
+                    }
+                    let at = (sim.step, sim.time, sim.dt_cache);
+                    let place = [pth, pph, rank, panel, t.j0, t.nth, t.k0, t.nph];
+                    (ShardMeta::new(grid.full_shape(), at, place.map(|v| v as u64)), Arc::new(raw))
+                })
+                .collect()
+        };
+        let land = |&(from, onto): &((usize, usize), (usize, usize))| -> Result<(), String> {
+            let blocks = blocks_of(from);
+            let decomp = Decomp2D::new(onto.0, onto.1, &grid);
+            let faults = Universe::run(2 * decomp.tiles(), |world| {
+                let (solver, state) = RankSolver::new(&cfg, &world, &decomp, false, Some(&blocks));
+                let (t, rank) = (&solver.tile, world.rank());
+                if (solver.step, solver.time) != (sim.step, sim.time) {
+                    return Some(format!("rank {rank}: step and time are not the header's"));
+                }
+                let sh = state.shape();
+                let serial = panels[rank / decomp.tiles()].arrays();
+                for (a, arr) in state.arrays().into_iter().enumerate() {
+                    for k in -(sh.gph as isize)..(sh.nph + sh.gph) as isize {
+                        for j in -(sh.gth as isize)..(sh.nth + sh.gth) as isize {
+                            let owned = (0..sh.nth as isize).contains(&j)
+                                && (0..sh.nph as isize).contains(&k);
+                            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect();
+                            let want: Vec<u64> = if owned {
+                                bits(serial[a].row(j + t.j0 as isize, k + t.k0 as isize))
+                            } else {
+                                vec![0; sh.nr]
+                            };
+                            if bits(arr.row(j, k)) != want {
+                                return Some(format!("rank {rank}: array {a} column ({j}, {k})"));
+                            }
+                        }
+                    }
+                }
+                None
+            });
+            match faults.into_iter().flatten().next() {
+                Some(fault) => Err(format!("{from:?} onto {onto:?}: {fault}")),
+                None => Ok(()),
+            }
+        };
+        for pair in [((1, 2), (1, 3)), ((1, 3), (1, 2))] {
+            land(&pair).unwrap_or_else(|e| panic!("{e}"));
+        }
+        check_with(
+            Config::with_cases(8),
+            "blocks_from_any_layout_land_on_any_other_layout",
+            |g| (LAYOUTS[g.range_usize(0, 7)], LAYOUTS[g.range_usize(0, 7)]),
+            land,
+        );
     }
 }

@@ -4,10 +4,9 @@
 
 use super::solver::RankSolver;
 use super::ParallelReport;
-use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::health::{HealthGuard, HealthLimits};
-use crate::output::ShardSet;
+use crate::output::{Block, ShardSet};
 use crate::report::TimeSeriesPoint;
 use crate::telemetry::{DtInject, ScienceTelemetry};
 use std::sync::Arc;
@@ -73,26 +72,22 @@ fn agree(world: &Comm, complaint: Option<String>) -> Result<(), String> {
 /// kills surface as panics that [`yy_parcomm::Universe::run_supervised`] converts
 /// to [`yy_parcomm::RankFailure`].
 ///
-/// `set`, when given, receives this rank's owned block of the initial
-/// state (fresh passes), of every `plan.checkpoint_every`-th step and of
-/// the final state, and writes their shards when it writes to disk. An
-/// event is local to the rank: it sends nothing.
+/// `start`, when given, is one step's owned blocks, of any layout: the
+/// pass resumes from them. `set`, when given, receives this rank's owned
+/// block of the initial state (fresh passes), of every
+/// `plan.checkpoint_every`-th step and of the final state, and writes
+/// their shards when it writes to disk. An event is local to the rank:
+/// it sends nothing.
 pub(super) fn rank_program(
     cfg: &RunConfig,
     world: Comm,
     decomp: &Decomp2D,
     plan: &PassPlan,
-    resume: Option<&Checkpoint>,
+    start: Option<&[Block]>,
     set: Option<&ShardSet>,
 ) -> Result<Option<ParallelReport>, String> {
-    let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters);
-    let mut dt_cache = match resume {
-        Some(ck) => {
-            solver.restore_tile(&mut state, ck);
-            ck.dt_cache
-        }
-        None => 0.0,
-    };
+    let (mut solver, mut state) = RankSolver::new(cfg, &world, decomp, plan.counters, start);
+    let mut dt_cache = start.map_or(0.0, |blocks| blocks[0].0.dt_cache);
     solver.sync(&mut state, None);
     let mut guard = HealthGuard::new(plan.health);
 
@@ -114,7 +109,7 @@ pub(super) fn rank_program(
     // the first periodic event can recover. `stored` is the step of this
     // pass's last event (the same on every rank).
     let mut stored = None;
-    if resume.is_none() {
+    if start.is_none() {
         solver.checkpoint(&state, dt_cache, set);
         stored = Some(solver.step);
     }

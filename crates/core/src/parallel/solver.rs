@@ -1,16 +1,16 @@
 //! The per-rank solver: construction (panel split, tile, metric, overset
-//! schedule), the RK4 step, checkpoint events and restore, and the
-//! end-of-run counter aggregation. The boundary synchronisation its
+//! schedule, and the tile's state, initial or restored from the blocks
+//! that meet it), the RK4 step, checkpoint events and the end-of-run
+//! counter aggregation. The boundary synchronisation its
 //! step runs on lives in [`super::exchange`].
 
 use super::exchange::CommScratch;
-use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
-use crate::output::{pack_shard_payload, ShardMeta, ShardSet};
+use crate::output::{pack_shard_payload, place_block, Block, ShardMeta, ShardSet};
 use crate::report::{PhaseBreakdown, RunReport};
 use crate::serial::overset_columns;
 use std::sync::Arc;
-use yy_field::{pack_region, unpack_region, Meters, Region};
+use yy_field::Meters;
 use yy_mesh::routing::{build_schedule, panel_of_world, OversetExchange, TargetSlot};
 use yy_mesh::{Decomp2D, Metric, PatchGrid, Tile};
 use yy_mhd::rhs::{InteriorRange, OverlapSplit, RhsScratch, RhsSink};
@@ -74,22 +74,17 @@ pub(super) struct RankSolver<'a> {
     pub(super) step: u64,
 }
 
-/// The owned block of tile `t` over the full radial extent, in panel
-/// coordinates (`global`) or in the tile's own.
-fn tile_region(t: &Tile, nr: usize, global: bool) -> Region {
-    let (j0, k0) = if global { (t.j0 as isize, t.k0 as isize) } else { (0, 0) };
-    Region { i0: 0, i1: nr, j0, j1: j0 + t.nth as isize, k0, k1: k0 + t.nph as isize }
-}
-
 impl<'a> RankSolver<'a> {
     /// Build the per-rank solver: split the world into panel groups,
     /// carve the Cartesian tile, precompute metric/force tables and the
-    /// overset schedule, and initialize the tile state (not yet synced).
+    /// overset schedule, and build the tile state (not yet synced):
+    /// initialized, or — given a step's blocks — restored from them.
     pub(super) fn new(
         cfg: &RunConfig,
         world: &'a Comm,
         decomp: &Decomp2D,
         counters: bool,
+        start: Option<&[Block]>,
     ) -> (Self, State) {
         let tiles = decomp.tiles();
         let (panel, panel_rank) = panel_of_world(world.rank(), tiles);
@@ -152,7 +147,21 @@ impl<'a> RankSolver<'a> {
 
         let shape = tile.shape(&grid);
         let mut state = State::zeros(shape);
-        initialize(&mut state, &grid, Some(&tile), &cfg.params, &cfg.init, panel);
+        let (step, time) = match start {
+            // The owned points of every block that meets the tile, of any
+            // layout; the first sync fills the ghosts from them alone.
+            Some(blocks) => {
+                let target = [tile.j0, tile.nth, tile.k0, tile.nph];
+                for (meta, raw) in blocks.iter().filter(|(m, _)| m.panel == panel.index() as u64) {
+                    place_block(meta, raw, &mut state, target);
+                }
+                (blocks[0].0.step, blocks[0].0.time)
+            }
+            None => {
+                initialize(&mut state, &grid, Some(&tile), &cfg.params, &cfg.init, panel);
+                (0, 0.0)
+            }
+        };
 
         let mut scratch = RhsScratch::new(shape);
         scratch.kernels = cfg.rhs_kernels;
@@ -182,8 +191,8 @@ impl<'a> RankSolver<'a> {
             } else {
                 CounterSet::new()
             })),
-            time: 0.0,
-            step: 0,
+            time,
+            step,
         };
         (solver, state)
     }
@@ -239,53 +248,14 @@ impl<'a> RankSolver<'a> {
         self.comm.steps_done += 1;
     }
 
-    /// Restore this rank's owned block from a full-panel checkpoint.
-    /// Ghosts are left for the following `sync` to fill — the synced
-    /// state is a pure function of the owned values, which is what makes
-    /// checkpointed recovery bit-exact.
-    pub(super) fn restore_tile(&mut self, state: &mut State, ck: &Checkpoint) {
-        assert_eq!(
-            ck.shape,
-            self.grid.full_shape(),
-            "checkpoint geometry does not match the run configuration"
-        );
-        let tiles = self.cart.dims()[0] * self.cart.dims()[1];
-        let (panel, _) = panel_of_world(self.world.rank(), tiles);
-        let src = [&ck.yin, &ck.yang][panel.index()];
-        let nr = self.grid.spec().nr;
-        let global = tile_region(&self.tile, nr, true);
-        let local = tile_region(&self.tile, nr, false);
-        let mut buf = Vec::with_capacity(global.len());
-        for (src_arr, dst_arr) in src.arrays().into_iter().zip(state.arrays_mut()) {
-            buf.clear();
-            pack_region(src_arr, global, &mut buf);
-            let rest = unpack_region(dst_arr, local, &buf);
-            assert!(rest.is_empty());
-        }
-        self.time = ck.time;
-        self.step = ck.step;
-    }
-
     /// This rank's owned block as a shard header at the current step.
     fn shard_meta(&self, dt_cache: f64) -> ShardMeta {
         let dims = self.cart.dims();
         let (panel, _) = panel_of_world(self.world.rank(), dims[0] * dims[1]);
-        ShardMeta {
-            shape: self.grid.full_shape(),
-            step: self.step,
-            time: self.time,
-            dt_cache,
-            pth: dims[0] as u64,
-            pph: dims[1] as u64,
-            rank: self.world.rank() as u64,
-            panel: panel.index() as u64,
-            j0: self.tile.j0 as u64,
-            tnth: self.tile.nth as u64,
-            k0: self.tile.k0 as u64,
-            tnph: self.tile.nph as u64,
-            flags: 0,
-            base_step: u64::MAX,
-        }
+        let (t, rank) = (&self.tile, self.world.rank());
+        let place = [dims[0], dims[1], rank, panel.index(), t.j0, t.nth, t.k0, t.nph];
+        let at = (self.step, self.time, dt_cache);
+        ShardMeta::new(self.grid.full_shape(), at, place.map(|v| v as u64))
     }
 
     /// One checkpoint event: store this rank's owned block in `set`,

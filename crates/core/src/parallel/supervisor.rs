@@ -1,13 +1,15 @@
 //! The supervisor: the recovery policy as a pure table ([`next_action`])
 //! and the mechanism around it — setup, one pass of the rank program,
-//! applying the decided action, and assembling the final report.
+//! applying the decided action, and assembling the final report. Between
+//! passes the state moves as one step's owned blocks, which every rank
+//! of the next pass restores its tile from; only the final checkpoint is
+//! merged.
 
 use super::rank::{rank_program, PassPlan};
 use super::{FailurePolicy, ParallelReport, PassStat, RecoveryOpts, SupervisedReport};
-use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::obs::recorders_to_chrome;
-use crate::output::{merge_blocks, Block, ShardSet};
+use crate::output::{checkpoint_blocks, merge_blocks, Block, ShardSet};
 use crate::report::{ElasticSummary, IoStats, RecoveryEvent, RetileRecord};
 use crate::telemetry::ScienceTelemetry;
 use std::collections::HashMap;
@@ -172,25 +174,13 @@ pub(super) fn next_action(st: &mut PolicyState, outcome: &PassOutcome) -> Action
     Action::Retile { node, from }
 }
 
-/// The checkpoint the pass after one with these `blocks` restores: the
-/// newest complete step among them, its leftover padding zero as in
-/// every merge; with no complete step, the pass's own `resume` (`None`
-/// only on a fresh first pass).
-pub(super) fn resume_after(
-    cfg: &RunConfig,
-    blocks: &[Block],
-    resume: Option<Checkpoint>,
-) -> Option<Checkpoint> {
-    merge_blocks(cfg, blocks).ok().or(resume)
-}
-
 /// One finished pass.
 pub(super) struct Pass {
     pub(super) outcome: PassOutcome,
     /// Rank 0's report (completed passes only).
     report: Option<ParallelReport>,
     decomp: Decomp2D,
-    /// Step of the checkpoint the next pass resumes from.
+    /// Step of the blocks the next pass resumes from.
     resume_step: u64,
 }
 
@@ -204,9 +194,10 @@ pub(super) struct Supervisor<'a> {
     /// ring contents survive the teardown of a failed pass and can be
     /// dumped as a post-mortem.
     recorders: Option<Arc<RecorderSet>>,
-    /// The checkpoint the next pass restores, assembled once per pass
-    /// boundary; after the last pass, the final checkpoint.
-    resume: Option<Checkpoint>,
+    /// The blocks the next pass restores: the newest step every rank of
+    /// a pass stored, else the pass's own start; after the last pass,
+    /// the final state's. `None` only before a fresh first pass.
+    resume: Option<Vec<Block>>,
     plan: PassPlan,
     pub(super) policy: PolicyState,
     recoveries: Vec<RecoveryEvent>,
@@ -257,8 +248,8 @@ impl<'a> Supervisor<'a> {
                 .map_err(|e| format!("creating checkpoint directory {}: {e}", dir.display()))?;
         }
         // The restart-onto-any-layout path: a serial-format checkpoint from
-        // *any* producer (serial run, any tile layout) is the first pass's
-        // resume checkpoint, restored exactly like a rollback's.
+        // *any* producer (serial run, any tile layout) becomes the blocks
+        // of a 1×1 set, restored exactly like a rollback's.
         if let Some(ck) = opts.resume_from.as_ref().filter(|ck| ck.shape != grid.full_shape()) {
             return Err(format!(
                 "resume checkpoint geometry {:?} does not match the run configuration {:?}",
@@ -275,7 +266,7 @@ impl<'a> Supervisor<'a> {
                 .is_active()
                 .then(|| Arc::new(FaultPlan::new(opts.fault.clone(), req_nprocs))),
             recorders,
-            resume: opts.resume_from.clone(),
+            resume: opts.resume_from.as_ref().map(checkpoint_blocks),
             plan: PassPlan {
                 steps,
                 sample_every,
@@ -297,7 +288,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Run the rank program once, on the current layout and surviving
-    /// nodes, from the last good checkpoint; classify how it ended.
+    /// nodes, from the last good blocks; classify how it ended.
     pub(super) fn run_pass(&mut self) -> Result<Pass, String> {
         self.policy.pass += 1;
         let (pth, pph) = self.policy.layout;
@@ -305,7 +296,7 @@ impl<'a> Supervisor<'a> {
         let node_map: Vec<usize> = self.policy.survivors[..nprocs].to_vec();
         let decomp = Decomp2D::new(pth, pph, &self.grid);
         let resume = self.resume.take();
-        let start_step = resume.as_ref().map_or(0, |ck| ck.step);
+        let start_step = resume.as_ref().map_or(0, |blocks| blocks[0].0.step);
         let sup = SupervisedOpts {
             fault: self.fault.clone(),
             deadline: self.opts.deadline,
@@ -316,7 +307,7 @@ impl<'a> Supervisor<'a> {
         let disk = self.opts.ckpt_dir.clone().map(|dir| (dir, self.opts.ckpt_compress));
         let (cfg, plan, set) = (self.cfg, &self.plan, ShardSet::new(nprocs, disk));
         let results = Universe::run_supervised(nprocs, sup, |world| {
-            rank_program(cfg, world, &decomp, plan, resume.as_ref(), Some(&set))
+            rank_program(cfg, world, &decomp, plan, resume.as_deref(), Some(&set))
         });
 
         // A rank failure (kill, comm error, panic) outranks a graceful
@@ -346,13 +337,12 @@ impl<'a> Supervisor<'a> {
             (None, Some(verdict)) => PassOutcome::Unhealthy(verdict),
             (None, None) => PassOutcome::Completed,
         };
-        // The one assembly of this pass boundary. A completed pass needs
-        // only its final blocks, so the older generation goes first.
-        let completed = matches!(outcome, PassOutcome::Completed);
-        let (blocks, io) = set.drain(!completed);
+        // The pass boundary merges nothing: the next pass (or `finish`)
+        // takes the newest complete step's blocks as they are.
+        let (newest, io) = set.drain();
         self.io.add(&io);
-        self.resume = resume_after(cfg, &blocks, resume);
-        let resume_step = self.resume.as_ref().map_or(start_step, |ck| ck.step);
+        self.resume = newest.or(resume);
+        let resume_step = self.resume.as_ref().map_or(start_step, |blocks| blocks[0].0.step);
         self.passes.push(PassStat {
             pass: self.policy.pass,
             pth,
@@ -428,10 +418,15 @@ impl<'a> Supervisor<'a> {
 
     /// Assemble the report of a completed run: the final pass's report
     /// plus the post-run diagnosis, the trace and the supervisor's own
-    /// record, the run's `io` total among it.
+    /// record, the run's `io` total among it, and the run's one merge,
+    /// the final checkpoint.
     pub(super) fn finish(mut self, pass: Pass) -> Result<SupervisedReport, String> {
         let rep = pass.report.ok_or("rank 0 produced no report")?;
-        let final_checkpoint = self.resume.take().ok_or("no final checkpoint was assembled")?;
+        // The blocks go at the end of the statement, so the rest of the
+        // report is built beside one copy of the final state, not two.
+        let final_checkpoint =
+            merge_blocks(self.cfg, &self.resume.take().ok_or("the run stored no final state")?)
+                .map_err(|e| format!("assembling the final checkpoint: {e}"))?;
         let predicted_imbalance = pass.decomp.predicted_imbalance();
         let achieved_imbalance = rep.achieved_imbalance;
         let mut report = rep.report;

@@ -2,8 +2,9 @@
 //!
 //! A supervised run's rollback point is an in-memory shard set: at each
 //! checkpoint event every rank packs its owned block over the older of
-//! its two generations, and a serial-format checkpoint is assembled only
-//! at a pass boundary. From a rank's second event on, one more event
+//! its two generations. A rollback or retile restores each tile from the
+//! blocks as they are, and only the final checkpoint is merged into the
+//! serial format. From a rank's second event on, one more event
 //! allocates nothing payload-sized, so a run's total is bounded by the
 //! buffer count, not the event count. `Checkpoint::capture_into`
 //! refreshes a serial checkpoint fully in place. The shard path adds no

@@ -1,8 +1,9 @@
 //! Compile-only pin of the surface `examples/benchmark/src` builds
-//! against: `yycore`, and what it imports from the crates `yycore`
-//! depends on. The benchmark is a package of its own that tier-1 never
-//! compiles, so a move that breaks one of its imports would otherwise
-//! show only in `run.sh --smoke`.
+//! against: `yycore`, what it imports from the crates `yycore` depends
+//! on, and the signatures of the calls it makes. The benchmark is a
+//! package of its own that tier-1 never compiles, so a move that breaks
+//! one of its imports or calls would otherwise show only in
+//! `run.sh --smoke`.
 
 #![allow(unused_imports)]
 
@@ -73,4 +74,57 @@ fn benchmark_parcomm_calls_keep_their_signatures() {
         world.recv_f64s(peer, 7)[0] + world.allreduce_f64(1.0, ReduceOp::Max)
     });
     assert_eq!(out, vec![2.0, 1.0]);
+}
+
+/// The `yycore` calls the benchmark makes, at the signatures it makes
+/// them with: a renamed, re-typed or removed method fails here, not
+/// only in `run.sh --smoke`.
+#[test]
+fn benchmark_yycore_calls_keep_their_signatures() {
+    use std::io;
+    use std::path::Path;
+    use yy_mhd::{MagneticBc, PhysParams};
+    use yycore::{HealthViolation, IoTotals, ParallelReport};
+
+    let _capture: fn(&SerialSim) -> Checkpoint = Checkpoint::capture;
+    let _capture_into: fn(&SerialSim, &mut Checkpoint) = Checkpoint::capture_into;
+    let _restore: fn(&Checkpoint, &mut SerialSim) = Checkpoint::restore;
+    let _write_to: fn(&Checkpoint, &mut Vec<u8>) -> io::Result<()> = Checkpoint::write_to;
+    let _read_from: fn(&mut &'static [u8]) -> io::Result<Checkpoint> = Checkpoint::read_from;
+    let _save: fn(&Checkpoint, &Path) -> io::Result<()> = Checkpoint::save;
+    let _load: fn(&Path) -> io::Result<Checkpoint> = Checkpoint::load;
+
+    let _new: fn(RunConfig) -> SerialSim = SerialSim::new;
+    let _run: fn(&mut SerialSim, u64, u64) -> RunReport = SerialSim::run;
+    let _advance: fn(&mut SerialSim, f64) = SerialSim::advance;
+    let _auto_dt: fn(&SerialSim) -> f64 = SerialSim::auto_dt;
+    let _diagnostics: fn(&SerialSim) -> Diagnostics = SerialSim::diagnostics;
+    let _points: fn(&SerialSim) -> usize = SerialSim::interior_points;
+
+    let _fill: fn(&mut State, &mut State, &[OversetColumn], f64, MagneticBc, Option<&mut Meters>) =
+        fill_pair;
+    let _rhs: fn(
+        &State,
+        &Metric,
+        &ForceTables,
+        &PhysParams,
+        &InteriorRange,
+        &mut RhsScratch,
+        &mut State,
+        &mut Meters,
+    ) = compute_rhs;
+    let _merge: fn(&RunConfig, &Path, Option<u64>) -> io::Result<Checkpoint> = merge_shards;
+    let _par: fn(&RunConfig, usize, usize, u64, u64, bool) -> ParallelReport = run_parallel;
+    type Supervised = Result<SupervisedReport, String>;
+    let _sup: fn(&RunConfig, usize, usize, u64, u64, &RecoveryOpts) -> Supervised =
+        run_parallel_supervised;
+
+    let _stage: fn(bool) -> OutputStage = OutputStage::new;
+    let _acquire: fn(&OutputStage) -> (Vec<u8>, u64) = OutputStage::acquire;
+    let _submit: fn(&OutputStage, PathBuf, Vec<u8>, u64) -> u64 = OutputStage::submit;
+    let _flush: fn(&OutputStage) -> u64 = OutputStage::flush;
+    let _finish: fn(OutputStage) -> Result<IoTotals, String> = OutputStage::finish;
+
+    let _guard: fn(HealthLimits) -> HealthGuard = HealthGuard::new;
+    let _check: fn(&HealthGuard, &State) -> Result<(), HealthViolation> = HealthGuard::check_state;
 }

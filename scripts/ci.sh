@@ -140,13 +140,13 @@ cp "$soak_dir/loop-shards/step0000000002.r0000.yys" "$soak_dir/stray-shards/step
 reject "merge $soak_dir/stray-shards $soak_dir/stray-merged.ck" "no checkpoint shards found"
 echo "OK: $(echo "$used_keys" | wc -l) keys listed by yycore help; 30 misplaced/unknown/unusable values refused"
 
-echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor, latency histograms, serial streaming, drop fault, resume command, profile and tracecheck commands, per-kernel projection, rank-0 checkpoint gather, axial moment, dedup diagnostics twin, shard encoder's payload copies, shard emitter and its config, the checked receive, the second launch loop and the plain control block, the shard set's separate io and block hand-back, the second receive, its retry slices and the fault limbo, the merge's quiet re-initialization and its padding checkpoint"
+echo "==> deleted-names guard: bench harness, partitioner, ledger, tiers, JSONL log, verdict cross-posts, vocabulary mirrors, counter-chain twins, typed messages, ring words, endpoint hold, writer switch, rle codec, zero-gradient wall, counter tracks, collapse factor, latency histograms, serial streaming, drop fault, resume command, profile and tracecheck commands, per-kernel projection, rank-0 checkpoint gather, axial moment, dedup diagnostics twin, shard encoder's payload copies, shard emitter and its config, the checked receive, the second launch loop and the plain control block, the shard set's separate io and block hand-back, the second receive, its retry slices and the fault limbo, the merge's quiet re-initialization and its padding checkpoint, the pass-boundary merge with its tile copy and the drain's generation flag"
 # examples/benchmark is the repo's only benchmark and Decomp2D::new the
 # only partitioner. The history files may keep naming what earlier PRs
 # measured or cut with the deleted code; nothing else may (each bracket
 # keeps this pattern from matching itself).
 rc=0
-stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]|hist_jso[n]|HistogramSnapsho[t]|WaitTai[l]|record_wait_n[s]|record_step_n[s]|merge_his[t]|run_streamin[g]|StreamOpt[s]|snapshots_writte[n]|emit_snapsho[t]|with_dro[p]|max_resend[s]|resend_afte[r]|cmd_resum[e]|cmd_profil[e]|cmd_tracechec[k]|project_kernel[s]|KernelProjectio[n]|kernel_projection_tex[t]|kernel_cost[s]|KernelCos[t]|from_kernel[s]|capture_checkpoin[t]|ckpt_scratc[h]|ckpt_col[s]|TAG_GATHE[R]|CkptSlo[t]|lock_slo[t]|axial_field_momen[t]|compute_diagnostics_dedu[p]|EncStat[e]|ShardEmitte[r]|ShardCf[g]|recv_f64s_checke[d]|RuntimeCtl::plai[n]|spawn_al[l]|into_block[s]|set\.io[(][)]|recv_match_timeou[t]|try_matc[h]|limbo_dept[h]|begin_pas[s]|RETRY_BAS[E]|fn blan[k]|padding: Option<&(Checkpoin[t]|Stat[e])>' \
+stale=$(git grep -nE 'yy[-_]benc[h]($|[^m])|scripts/benc[h]\.sh|BENC[H]_(step|obs|profile|io)|YY_BENC[H]_|YY_C[I]_(OBS|STEP|IO)_TOL|YY_C[I]_RHS_INTENSITY_MIN|Weight[s]Mode|Colum[n]Costs|weighte[d]_starts|Ledge[r]Entry|ledge[r]_entry_from_report|tie[r]_widths|Jsonl[L]ogger|Critica[l]Gate|Straggle[r]Flagged|Docto[r]Gauges|docto[r]_gauges_text|retil[e]_backoff|RecvFutur[e]|phi_block[s]|phas[e]_code[^s]|clas[s]_code[^s]|phas[e]_ns_words|NPHAS[E]|prometheu[s]_text_with|FlopMete[r]|projec[t]_overlapped|flagshi[p]_projection_tail|counters::kerne[l]::|kerne[l]::(RHS|RK4_COMBINE|HALO_PACK|HALO_UNPACK|OVERSET_DONATE|OVERSET_FILL|HEALTH_SCAN|OUTPUT)|Payloa[d]::|internal_allgathe[r]|MailboxGauge[s]|recv_retrie[s]|msgs_sen[t]|record_rec[v]|es_performanc[e]|D_PHAS[E]|CLASS_UNKNOW[N]|fro[m]_code|Event::decod[e]|metrics_hol[d]_ms|ckpt_asyn[c]|sample_queue_dept[h]|CkptCodec::Rl[e]|ZeroGradien[t]|zero_gradien[t]|profile_ever[y]|CounterSampl[e]|counter_sampl[e]|CounterTrac[k]|dt_collapse_facto[r]|hist_jso[n]|HistogramSnapsho[t]|WaitTai[l]|record_wait_n[s]|record_step_n[s]|merge_his[t]|run_streamin[g]|StreamOpt[s]|snapshots_writte[n]|emit_snapsho[t]|with_dro[p]|max_resend[s]|resend_afte[r]|cmd_resum[e]|cmd_profil[e]|cmd_tracechec[k]|project_kernel[s]|KernelProjectio[n]|kernel_projection_tex[t]|kernel_cost[s]|KernelCos[t]|from_kernel[s]|capture_checkpoin[t]|ckpt_scratc[h]|ckpt_col[s]|TAG_GATHE[R]|CkptSlo[t]|lock_slo[t]|axial_field_momen[t]|compute_diagnostics_dedu[p]|EncStat[e]|ShardEmitte[r]|ShardCf[g]|recv_f64s_checke[d]|RuntimeCtl::plai[n]|spawn_al[l]|into_block[s]|set\.io[(][)]|recv_match_timeou[t]|try_matc[h]|limbo_dept[h]|begin_pas[s]|RETRY_BAS[E]|fn blan[k]|padding: Option<&(Checkpoin[t]|Stat[e])>|fn restore_til[e]|fn resume_afte[r]|tile_regio[n]|unpack_shard_payloa[d]|drain\((tru[e]|fals[e])\)' \
   -- . ':!CHANGES.md' ':!ROADMAP.md' ':!EXPERIMENTS.md' ':!ISSUE.md' ':!examples/benchmark') || rc=$?
 [ "$rc" = 1 ] || { # 1 = no match; 0 = matches, anything else = git itself failed
   echo "ERROR: references to deleted code (git grep exit $rc):" >&2
