@@ -22,7 +22,7 @@ use std::time::Duration;
 use yy_obs::event::Phase;
 use yycore::checkpoint::Checkpoint;
 use yycore::cli::{self, Args};
-use yycore::output::{is_shard_dir, merge_shards};
+use yycore::output::merge_shards;
 use yycore::{run_parallel_supervised, RunConfig, RunReport, SerialSim};
 
 type Cmd = fn(&[String]) -> Result<(), String>;
@@ -139,7 +139,7 @@ fn resume_checkpoint(a: &Args) -> Result<Option<Checkpoint>, String> {
     let Some(path) = &a.resume else {
         return Ok(None);
     };
-    let ck = if is_shard_dir(path) {
+    let ck = if path.is_dir() {
         let ck = merge_shards(&a.cfg, path, None)
             .map_err(|e| format!("merging shards in {}: {e}", path.display()))?;
         eprintln!("merged shard set at step {} from {}", ck.step, path.display());
@@ -364,7 +364,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         return Err("merge needs <shard_dir> <out.ck>".into());
     };
     let dir = Path::new(dir);
-    if !is_shard_dir(dir) {
+    if !dir.is_dir() {
         return Err(format!("{} is not a shard directory", dir.display()));
     }
     let a = cli::parse("merge", keys)?;

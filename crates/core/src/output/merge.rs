@@ -1,7 +1,8 @@
 //! Shard-set operations: keep a pass's newest owned blocks in memory
 //! and hand each to its rank's writer, hand the newest complete step to
-//! the next pass, and reassemble a complete set — from memory or from
-//! shard files — into the serial-format [`Checkpoint`] byte-identically.
+//! the next pass, and merge one step's blocks into the serial-format
+//! [`Checkpoint`] byte-identically. A shard set on disk is first decoded
+//! into the same blocks, so the merge has one input.
 
 use super::codec::CkptCodec;
 use super::shard::{
@@ -12,7 +13,6 @@ use super::stage::{IoTotals, OutputStage};
 use crate::checkpoint::{invalid, Checkpoint};
 use crate::config::RunConfig;
 use crate::report::IoStats;
-use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -141,93 +141,137 @@ impl ShardSet {
     }
 }
 
-/// Where a merge reads a set's owned blocks from.
-enum Source<'a> {
-    /// Shard files, each decoded through its delta chain.
-    Dir(&'a Path),
-    /// A pass's in-memory set.
-    Mem(&'a [Block]),
-}
-
-impl fmt::Display for Source<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Source::Dir(dir) => write!(f, "{}", dir.display()),
-            Source::Mem(_) => f.write_str("memory"),
-        }
-    }
-}
-
-impl Source<'_> {
-    /// Every `(step, rank)` that has a block.
-    fn index(&self) -> io::Result<Vec<(u64, usize)>> {
-        match self {
-            Source::Dir(dir) => {
-                let mut index = Vec::new();
-                for entry in std::fs::read_dir(dir)? {
-                    index.extend(parse_shard_name(&entry?.file_name().to_string_lossy()));
-                }
-                Ok(index)
-            }
-            Source::Mem(blocks) => {
-                Ok(blocks.iter().map(|(m, _)| (m.step, m.rank as usize)).collect())
-            }
-        }
-    }
-
-    /// The header of `(step, rank)`'s block: its stored meta, or read
-    /// from its shard file alone.
-    fn header(&self, step: u64, rank: usize) -> io::Result<ShardMeta> {
-        match self {
-            Source::Dir(dir) => load_shard_header(dir, step, rank, &mut Vec::new()),
-            // A block in memory is neither copied nor decoded to load.
-            Source::Mem(_) => Ok(self.load(step, rank, &mut Vec::new(), &mut Vec::new())?.0),
-        }
-    }
-
-    /// The block of `(step, rank)`: from memory as stored, or decoded
-    /// from its shard file into `payload` through the `file` buffer.
-    fn load<'s>(
-        &'s self,
-        step: u64,
-        rank: usize,
-        payload: &'s mut Vec<u8>,
-        file: &mut Vec<u8>,
-    ) -> io::Result<(ShardMeta, &'s [u8])> {
-        match self {
-            Source::Dir(dir) => {
-                let meta = load_shard(dir, step, rank, payload, file)?;
-                Ok((meta, payload.as_slice()))
-            }
-            Source::Mem(blocks) => blocks
-                .iter()
-                .find(|(m, _)| (m.step, m.rank) == (step, rank as u64))
-                .map(|(m, raw)| (*m, raw.as_slice()))
-                .ok_or_else(|| invalid(format!("no block for step {step} rank {rank} in memory"))),
-        }
-    }
-}
-
 /// Reassemble a shard set into the serial-format [`Checkpoint`] —
 /// byte-identical to the one a serial run would have written at the
 /// same step.
 ///
 /// `step` selects a specific shard set; `None` takes the newest step
 /// with a complete, mutually consistent set. The configuration must
-/// match the set's geometry. A state is its owned points: the merger
-/// places every shard's owned block, frames and walls as the rank's
-/// sync left them, on zeroed panels, so the leftover padding is zero, as
-/// in every driver's state. The Yin and Yang panels are assembled at
-/// once, on this thread and one spawned thread; of their errors, the
-/// lowest rank's is returned.
+/// match the set's geometry. The set is decoded into its ranks' owned
+/// blocks, each panel's on its own thread, and then merged exactly as a
+/// pass's in-memory set is: every block placed on zeroed panels, so the
+/// leftover padding is zero, as in every driver's state. A set whose
+/// shards do not decode reports that error before any disagreement
+/// between their headers.
 pub fn merge_shards(cfg: &RunConfig, dir: &Path, step: Option<u64>) -> io::Result<Checkpoint> {
-    merge(&cfg.grid(), &Source::Dir(dir), step)
+    let mut index = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        index.extend(parse_shard_name(&entry?.file_name().to_string_lossy()));
+    }
+    let mut steps: Vec<u64> = index.iter().map(|&(step, _)| step).collect();
+    steps.sort_unstable();
+    steps.dedup();
+    if steps.is_empty() {
+        return Err(invalid(format!("no checkpoint shards found in {}", dir.display())));
+    }
+    let candidates: Vec<u64> = match step {
+        Some(s) => {
+            if !steps.contains(&s) {
+                return Err(invalid(format!(
+                    "no shards for step {s} in {} (available steps: {steps:?})",
+                    dir.display()
+                )));
+            }
+            vec![s]
+        }
+        // Newest first; fall back to older sets if the newest is
+        // incomplete (a kill can land between two ranks' stores).
+        None => steps.iter().rev().copied().collect(),
+    };
+    let grid = cfg.grid();
+    let mut last_err: Option<io::Error> = None;
+    for s in candidates {
+        let mut ranks: Vec<usize> =
+            index.iter().filter(|&&(t, _)| t == s).map(|&(_, rank)| rank).collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        match read_set(dir, s, &ranks).and_then(|blocks| merge_blocks(&grid, &blocks)) {
+            Ok(ck) => return Ok(ck),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    // `steps` is non-empty (checked above) and so is either `candidates`.
+    Err(last_err.expect("at least one candidate step was tried"))
 }
 
-/// [`merge_shards`] over one step's in-memory blocks — a run's final
-/// state — assembled on two threads as there.
-pub(crate) fn merge_blocks(cfg: &RunConfig, blocks: &[Block]) -> io::Result<Checkpoint> {
-    merge(&cfg.grid(), &Source::Mem(blocks), None)
+/// Decode the set of `step` in `dir`, whose shards `ranks` (ascending,
+/// at least one) name, into its blocks in rank order. The lowest rank's
+/// header, read alone, gives the layout for the completeness check (an
+/// incomplete set reports that rank's load error first, as it always
+/// has); then each panel's ranks are decoded on their own thread, each
+/// delta chain into its block's own payload through the thread's one
+/// file image. When both panels fail, Yin's error — the lower ranks' —
+/// is returned.
+fn read_set(dir: &Path, step: u64, ranks: &[usize]) -> io::Result<Vec<Block>> {
+    let first = load_shard_header(dir, step, ranks[0], &mut Vec::new())?;
+    let tiles = (first.pth * first.pph) as usize;
+    if !ranks.iter().copied().eq(0..2 * tiles) {
+        load_shard(dir, step, ranks[0], &mut Vec::new(), &mut Vec::new())?;
+        return Err(incomplete(&first, ranks));
+    }
+    let (yin, yang) = both_panels(|panel| {
+        let mut file = Vec::new();
+        let p = panel.index();
+        (p * tiles..(p + 1) * tiles)
+            .map(|rank| {
+                let mut payload = Vec::new();
+                let meta = load_shard(dir, step, rank, &mut payload, &mut file)?;
+                Ok((meta, Arc::new(payload)))
+            })
+            .collect::<io::Result<Vec<Block>>>()
+    });
+    let mut blocks = yin?;
+    blocks.extend(yang?);
+    Ok(blocks)
+}
+
+/// The error of a set whose ranks are not exactly those `first`'s layout
+/// needs.
+fn incomplete(first: &ShardMeta, ranks: &[usize]) -> io::Error {
+    invalid(format!(
+        "shard set at step {} is incomplete: layout {}x{} needs ranks 0..{}, found {ranks:?}",
+        first.step,
+        first.pth,
+        first.pph,
+        2 * first.pth * first.pph
+    ))
+}
+
+/// `work` for both panels at once: Yang on a spawned thread, Yin on
+/// this one.
+fn both_panels<T: Send>(work: impl Fn(Panel) -> T + Sync) -> (T, T) {
+    std::thread::scope(|s| {
+        let yang = s.spawn(|| work(Panel::Yang));
+        let yin = work(Panel::Yin);
+        (yin, yang.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+    })
+}
+
+/// Merge one step's blocks, in rank order — a pass's in-memory set or
+/// a shard set read from disk — into the serial-format [`Checkpoint`]
+/// of `grid`. Rank 0's header is the set's; the two panels are
+/// assembled at once ([`assemble_panel`]), each from the same
+/// operations in the same order as in a one-thread assembly, and when
+/// both fail, Yin's error is returned.
+pub(crate) fn merge_blocks(grid: &PatchGrid, blocks: &[Block]) -> io::Result<Checkpoint> {
+    let (first, _) = blocks.first().ok_or_else(|| invalid("no blocks to merge".to_string()))?;
+    let tiles = (first.pth * first.pph) as usize;
+    if blocks.len() != 2 * tiles {
+        let ranks: Vec<usize> = blocks.iter().map(|(m, _)| m.rank as usize).collect();
+        return Err(incomplete(first, &ranks));
+    }
+    let (yin, yang) = both_panels(|panel| {
+        let p = panel.index();
+        assemble_panel(grid, first, &blocks[p * tiles..(p + 1) * tiles], panel)
+    });
+    Ok(Checkpoint {
+        shape: grid.full_shape(),
+        step: first.step,
+        time: first.time,
+        dt_cache: first.dt_cache,
+        yin: yin?,
+        yang: yang?,
+    })
 }
 
 /// The inverse of [`merge_blocks`]: a serial-format checkpoint as the
@@ -245,101 +289,21 @@ pub(crate) fn checkpoint_blocks(ck: &Checkpoint) -> Vec<Block> {
     vec![block(0, &ck.yin), block(1, &ck.yang)]
 }
 
-fn merge(grid: &PatchGrid, src: &Source, step: Option<u64>) -> io::Result<Checkpoint> {
-    let index = src.index()?;
-    let mut steps: Vec<u64> = index.iter().map(|&(step, _)| step).collect();
-    steps.sort_unstable();
-    steps.dedup();
-    if steps.is_empty() {
-        return Err(invalid(format!("no checkpoint shards found in {src}")));
-    }
-    let candidates: Vec<u64> = match step {
-        Some(s) => {
-            if !steps.contains(&s) {
-                return Err(invalid(format!(
-                    "no shards for step {s} in {src} (available steps: {steps:?})"
-                )));
-            }
-            vec![s]
-        }
-        // Newest first; fall back to older sets if the newest is
-        // incomplete (a kill can land between two ranks' stores).
-        None => steps.iter().rev().copied().collect(),
-    };
-    let mut last_err: Option<io::Error> = None;
-    for s in candidates {
-        let mut ranks: Vec<usize> =
-            index.iter().filter(|&&(t, _)| t == s).map(|&(_, rank)| rank).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        match merge_step(grid, src, s, &ranks) {
-            Ok(ck) => return Ok(ck),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    // `steps` is non-empty (checked above) and so is either `candidates`.
-    Err(last_err.expect("at least one candidate step was tried"))
-}
-
-/// Assemble the set of `step`, whose blocks `ranks` (ascending, at
-/// least one) hold. The lowest rank's header, read alone, gives the
-/// layout for the completeness check (an incomplete set reports that
-/// rank's load error first, as it always has); then the two panels are
-/// assembled at once, Yang on one spawned thread and Yin on this one
-/// ([`assemble_panel`]). Each panel's bytes come from the same
-/// operations in the same order as in a one-thread assembly, and when
-/// both panels fail, Yin's error — the lower ranks' — is returned.
-fn merge_step(
-    grid: &PatchGrid,
-    src: &Source,
-    step: u64,
-    ranks: &[usize],
-) -> io::Result<Checkpoint> {
-    let first = src.header(step, ranks[0])?;
-    let world = (2 * first.pth * first.pph) as usize;
-    if !ranks.iter().copied().eq(0..world) {
-        src.load(step, ranks[0], &mut Vec::new(), &mut Vec::new())?;
-        return Err(invalid(format!(
-            "shard set at step {step} is incomplete: layout {}x{} needs ranks 0..{world}, \
-             found {ranks:?}",
-            first.pth, first.pph
-        )));
-    }
-    let work = |panel: Panel| assemble_panel(grid, src, &first, panel);
-    let (yin, yang) = std::thread::scope(|s| {
-        let yang = s.spawn(|| work(Panel::Yang));
-        let yin = work(Panel::Yin);
-        (yin, yang.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-    });
-    Ok(Checkpoint {
-        shape: grid.full_shape(),
-        step,
-        time: first.time,
-        dt_cache: first.dt_cache,
-        yin: yin?,
-        yang: yang?,
-    })
-}
-
-/// One panel of [`merge_step`]: a zeroed panel, then its ranks in order,
-/// each loaded through this worker's own payload and file buffers,
-/// checked against rank 0's header `first` and the configuration, and
-/// placed; finally its coverage check (the interior must be tiled
-/// exactly once). The padding no block covers stays zero.
+/// One panel of [`merge_blocks`]: a zeroed panel, then its `blocks` in
+/// rank order, each checked against rank 0's header `first` and the
+/// configuration, and placed; finally its coverage check (the interior
+/// must be tiled exactly once). The padding no block covers stays zero.
 fn assemble_panel(
     grid: &PatchGrid,
-    src: &Source,
     first: &ShardMeta,
+    blocks: &[Block],
     panel: Panel,
 ) -> io::Result<State> {
     let (step, p) = (first.step, panel.index());
     let shape = grid.full_shape();
     let mut state = State::zeros(shape);
     let mut cover = vec![false; shape.nth * shape.nph];
-    let (mut payload, mut file) = (Vec::new(), Vec::new());
-    let tiles = (first.pth * first.pph) as usize;
-    for rank in p * tiles..(p + 1) * tiles {
-        let (meta, raw) = src.load(step, rank, &mut payload, &mut file)?;
+    for (rank, (meta, raw)) in (p * blocks.len()..).zip(blocks) {
         // Rank 0's header is the set's: its shape is the set's geometry.
         if rank == 0 && meta.shape != shape {
             return Err(invalid(format!(
@@ -394,7 +358,7 @@ fn assemble_panel(
                 *cell = true;
             }
         }
-        place_block(&meta, raw, &mut state, [0, shape.nth, 0, shape.nph]);
+        place_block(meta, raw, &mut state, [0, shape.nth, 0, shape.nph]);
     }
     if let Some(hole) = cover.iter().position(|&c| !c) {
         return Err(invalid(format!(
@@ -404,10 +368,4 @@ fn assemble_panel(
         )));
     }
     Ok(state)
-}
-
-/// Whether `path` names a shard *directory* (as opposed to a serial
-/// checkpoint file): used by `resume=` to pick the reader.
-pub fn is_shard_dir(path: &Path) -> bool {
-    path.is_dir()
 }

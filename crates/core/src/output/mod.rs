@@ -23,13 +23,15 @@
 //!
 //!    The CRC covers the header and the **uncompressed** payload, so a
 //!    decode of corrupt input can never pass the check, whatever the
-//!    codec does with the bytes. [`merge_shards`] reassembles any
-//!    complete shard set into the serial-format [`crate::checkpoint::Checkpoint`]
-//!    byte-identically (the restart-onto-any-layout property). A
-//!    supervised run keeps the same blocks in memory (`ShardSet`) as
-//!    its rollback point: each rank of the next pass places the part of
-//!    every block that meets its tile (`place_block`, the merge's own
-//!    placement), and only the final checkpoint is merged.
+//!    codec does with the bytes. [`merge_shards`] decodes any complete
+//!    shard set into its ranks' owned blocks and merges them into the
+//!    serial-format [`crate::checkpoint::Checkpoint`] byte-identically
+//!    (the restart-onto-any-layout property). A supervised run keeps
+//!    the same blocks in memory (`ShardSet`) as its rollback point:
+//!    each rank of the next pass places the part of every block that
+//!    meets its tile (`place_block`, the merge's own placement), and
+//!    only the final checkpoint is merged — by the same one assembler
+//!    (`merge_blocks`) a set read from disk goes through.
 //!
 //! 2. **Codecs.** A zero-dependency XOR-delta against the previous
 //!    checkpoint's payload (most field bytes are unchanged between
@@ -67,7 +69,7 @@ mod shard;
 mod stage;
 
 pub use codec::{rle_decode, rle_encode, CkptCodec};
-pub use merge::{is_shard_dir, merge_shards};
+pub use merge::merge_shards;
 pub(crate) use merge::{checkpoint_blocks, merge_blocks, Block, ShardSet};
 pub(crate) use shard::{pack_shard_payload, place_block};
 pub use shard::{parse_shard_name, shard_file_name, ShardMeta};

@@ -98,7 +98,8 @@ pub fn run_parallel(
     gather_state: bool,
 ) -> ParallelReport {
     cfg.params.validate();
-    let decomp = Decomp2D::new(pth, pph, &cfg.grid());
+    let grid = cfg.grid();
+    let decomp = Decomp2D::new(pth, pph, &grid);
     let plan = PassPlan {
         steps,
         sample_every,
@@ -124,7 +125,7 @@ pub fn run_parallel(
         _ => panic!("rank 0 must produce the report"),
     };
     if let Some(set) = set {
-        let ck = merge_blocks(cfg, &set.drain().0.expect("every rank stores its final state"))
+        let ck = merge_blocks(&grid, &set.drain().0.expect("every rank stores its final state"))
             .unwrap_or_else(|e| panic!("assembling the final state: {e}"));
         (rep.yin, rep.yang) = (Some(ck.yin), Some(ck.yang));
     }
@@ -328,7 +329,10 @@ mod tests {
     use super::*;
     use super::solver::RankSolver;
     use super::supervisor::{Action, PassOutcome, PolicyState};
+    use crate::output::{Block, ShardMeta};
     use crate::serial::SerialSim;
+    use std::sync::Arc;
+    use yy_field::Shape;
 
     fn quick_cfg() -> RunConfig {
         let mut cfg = RunConfig::small();
@@ -782,7 +786,7 @@ mod tests {
         let (set, torn) = (ShardSet::new(2, None), ShardSet::new(2, None));
         let start = Checkpoint::capture(&sim);
         // A checkpoint's 1×1 blocks merge back to it.
-        assert!(merge_blocks(&cfg, &checkpoint_blocks(&start)).ok() == Some(start));
+        assert!(merge_blocks(&cfg.grid(), &checkpoint_blocks(&start)).ok() == Some(start));
         for rank in [0, 1] {
             store(&set, &sim, rank);
         }
@@ -799,9 +803,114 @@ mod tests {
         let resumed = set.drain().0.expect("step 2 is complete");
         let held: Vec<(u64, u64)> = resumed.iter().map(|(m, _)| (m.step, m.rank)).collect();
         assert_eq!(held, [(2, 0), (2, 1)], "fallback to the complete step, in rank order");
-        assert!(merge_blocks(&cfg, &resumed).ok() == Some(at_2), "step 2 differs from serial");
+        let merged = merge_blocks(&cfg.grid(), &resumed).ok();
+        assert!(merged == Some(at_2), "step 2 differs from serial");
         assert!(torn.drain().0.is_none(), "a step one rank never stored is no resume point");
         assert!(ShardSet::new(2, None).drain().0.is_none());
+    }
+
+    /// The blocks of `sim`'s state at the `pth × pph` layout, each rank's
+    /// owned columns packed straight from the serial panels.
+    fn blocks_of(sim: &SerialSim, (pth, pph): (usize, usize)) -> Vec<Block> {
+        let grid = sim.cfg.grid();
+        let decomp = Decomp2D::new(pth, pph, &grid);
+        let tiles = decomp.tiles();
+        (0..2 * tiles)
+            .map(|rank| {
+                let (panel, t) = (rank / tiles, decomp.tile(rank % tiles));
+                let mut raw = Vec::new();
+                for arr in [&sim.yin, &sim.yang][panel].arrays() {
+                    for k in t.k0 as isize..(t.k0 + t.nph) as isize {
+                        for j in t.j0 as isize..(t.j0 + t.nth) as isize {
+                            raw.extend(arr.row(j, k).iter().flat_map(|v| v.to_le_bytes()));
+                        }
+                    }
+                }
+                let at = (sim.step, sim.time, sim.dt_cache);
+                let place = [pth, pph, rank, panel, t.j0, t.nth, t.k0, t.nph];
+                (ShardMeta::new(grid.full_shape(), at, place.map(|v| v as u64)), Arc::new(raw))
+            })
+            .collect()
+    }
+
+    /// Every check of `merge_blocks`, on a 2×2 set of a serial state: the
+    /// untouched set merges to the serial checkpoint, and a set with one
+    /// block tampered is refused, without a panic, with its message — a
+    /// header that disagrees with rank 0's on the time, step or layout,
+    /// or names another rank, panel or shape; a short payload; a
+    /// geometry that is not the run's; a tile moved back one column onto
+    /// its neighbour; a tile shrunk off its last column.
+    #[test]
+    fn merge_blocks_refuses_every_inconsistent_set() {
+        type Tamper<'a> = &'a dyn Fn(&mut ShardMeta, &mut Vec<u8>);
+        let cfg = tiny_cfg();
+        let grid = cfg.grid();
+        let mut sim = SerialSim::new(cfg);
+        sim.run(2, 0);
+        let set = blocks_of(&sim, (2, 2));
+        assert!(merge_blocks(&grid, &set).ok() == Some(Checkpoint::capture(&sim)));
+        let shape = grid.full_shape();
+        let (len, arrays) = (set[1].1.len(), sim.yin.arrays().len());
+        let moved = set[..4].iter().position(|(m, _)| m.j0 > 0).expect("a tile past column 0");
+        let (mv, h) = (set[moved].0, set[7].0);
+        let wide = Shape { nr: shape.nr + 1, ..shape };
+        let clash = |rank: usize, what: &str| {
+            format!("shard set at step 2 is inconsistent: rank {rank} {what}")
+        };
+        let cases: [(usize, Tamper, String); 10] = [
+            (1, &|m, _| m.time += 1.0, clash(1, "disagrees with rank 0 on the time")),
+            (2, &|m, _| m.step += 1, clash(2, "disagrees with rank 0 on the step")),
+            (5, &|m, _| m.pph += 1, clash(5, "disagrees with rank 0 on the layout")),
+            (3, &|m, _| m.rank = 2, clash(3, &format!("header says rank 2 shape {shape:?}"))),
+            (6, &|m, _| m.panel = 0, clash(6, "header says panel 0, its rank is on panel 1")),
+            (
+                1,
+                &|_, raw| raw.truncate(len - 8),
+                format!(
+                    "shard set at step 2: rank 1's block is {} bytes, its tile needs {len}",
+                    len - 8
+                ),
+            ),
+            (
+                7,
+                &|m, _| m.shape = wide,
+                clash(7, &format!("header says rank 7 shape {wide:?}")),
+            ),
+            (
+                0,
+                &|m, _| m.shape = wide,
+                format!("shard geometry {wide:?} does not match the run configuration {shape:?}"),
+            ),
+            (
+                moved,
+                &|m, _| m.j0 -= 1,
+                format!("shard set at step 2 overlaps at panel 0 node ({}, {})", mv.j0 - 1, mv.k0),
+            ),
+            (
+                7,
+                &|m, raw| {
+                    // Drop the tile's last column from every (array, φ) run.
+                    let col = raw.len() / arrays / (m.tnth * m.tnph) as usize;
+                    let run = col * m.tnth as usize;
+                    *raw = raw.chunks(run).flat_map(|c| &c[..run - col]).copied().collect();
+                    m.tnth -= 1;
+                },
+                format!(
+                    "shard set at step 2 leaves panel 1 node ({}, {}) uncovered",
+                    h.j0 + h.tnth - 1,
+                    h.k0
+                ),
+            ),
+        ];
+        for (rank, tamper, want) in cases {
+            let mut blocks = set.clone();
+            let (meta, raw) = &mut blocks[rank];
+            tamper(meta, Arc::make_mut(raw));
+            match merge_blocks(&grid, &blocks) {
+                Ok(_) => panic!("a set tampered at rank {rank} merged; want `{want}`"),
+                Err(e) => assert_eq!(e.to_string(), want),
+            }
+        }
     }
 
     /// A restore places blocks of any layout onto any other. For seeded
@@ -813,8 +922,6 @@ mod tests {
     /// zero.
     #[test]
     fn blocks_from_any_layout_land_on_any_other_layout() {
-        use crate::output::{Block, ShardMeta};
-        use std::sync::Arc;
         use yy_testkit::{check_with, Config};
         const LAYOUTS: [(usize, usize); 7] =
             [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (2, 5)];
@@ -823,28 +930,8 @@ mod tests {
         let mut sim = SerialSim::new(cfg.clone());
         sim.run(2, 0);
         let panels = [&sim.yin, &sim.yang];
-        let blocks_of = |(pth, pph): (usize, usize)| -> Vec<Block> {
-            let decomp = Decomp2D::new(pth, pph, &grid);
-            let tiles = decomp.tiles();
-            (0..2 * tiles)
-                .map(|rank| {
-                    let (panel, t) = (rank / tiles, decomp.tile(rank % tiles));
-                    let mut raw = Vec::new();
-                    for arr in panels[panel].arrays() {
-                        for k in t.k0 as isize..(t.k0 + t.nph) as isize {
-                            for j in t.j0 as isize..(t.j0 + t.nth) as isize {
-                                raw.extend(arr.row(j, k).iter().flat_map(|v| v.to_le_bytes()));
-                            }
-                        }
-                    }
-                    let at = (sim.step, sim.time, sim.dt_cache);
-                    let place = [pth, pph, rank, panel, t.j0, t.nth, t.k0, t.nph];
-                    (ShardMeta::new(grid.full_shape(), at, place.map(|v| v as u64)), Arc::new(raw))
-                })
-                .collect()
-        };
         let land = |&(from, onto): &((usize, usize), (usize, usize))| -> Result<(), String> {
-            let blocks = blocks_of(from);
+            let blocks = blocks_of(&sim, from);
             let decomp = Decomp2D::new(onto.0, onto.1, &grid);
             let faults = Universe::run(2 * decomp.tiles(), |world| {
                 let (solver, state) = RankSolver::new(&cfg, &world, &decomp, false, Some(&blocks));

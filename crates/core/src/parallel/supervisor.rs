@@ -425,7 +425,7 @@ impl<'a> Supervisor<'a> {
         // The blocks go at the end of the statement, so the rest of the
         // report is built beside one copy of the final state, not two.
         let final_checkpoint =
-            merge_blocks(self.cfg, &self.resume.take().ok_or("the run stored no final state")?)
+            merge_blocks(&self.grid, &self.resume.take().ok_or("the run stored no final state")?)
                 .map_err(|e| format!("assembling the final checkpoint: {e}"))?;
         let predicted_imbalance = pass.decomp.predicted_imbalance();
         let achieved_imbalance = rep.achieved_imbalance;

@@ -13,13 +13,14 @@
 //! delta base, with the XOR formed inside the RLE scan, and streams the
 //! file through one 64 KiB buffer — so pack, delta, RLE, CRC and write
 //! allocate nothing payload-sized on either side of the stage. Reading
-//! back is bounded the same way: `merge_shards` assembles the two
-//! panels on two threads, and each panel worker decodes its ranks' delta
-//! chains forward into one payload through one file image as long as
-//! the chain's longest file, so the peak is one payload and one file
-//! image per panel worker beside the merged panels, and does not grow
-//! with the chain's length. All pins live here, in one `#[test]`,
-//! because the allocation counters are global.
+//! back is bounded the same way: `merge_shards` decodes the set into
+//! blocks on two threads, one per panel, each rank's delta chain decoded
+//! forward into its own block through its thread's one file image as
+//! long as the chain's longest file, so decoding holds one block per rank
+//! plus one file image per panel thread. The file images are freed
+//! before the merged panels are allocated beside the blocks, and the
+//! peak does not grow with the chain's length. All pins live here, in
+//! one `#[test]`, because the allocation counters are global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -225,14 +226,17 @@ fn checkpoint_capture_reuses_its_buffers() {
     );
 
     // Merges: a 16-link chain peaks within as many payloads as a 4-link
-    // one — each panel worker's walk keeps no link's file or payload
-    // alive — and the peak is the merged checkpoint's two panels (each
-    // 1.17 payloads: the arrays carry their ghost padding) plus one
-    // payload and one file image per panel worker. The file image is
-    // sized to the chain's longest file (0.89 payloads here: the first
-    // delta link; the base is 0.59). Grown with `reserve`, it doubled to
-    // 1.18 payloads and the realloc held the old buffer beside the new:
-    // 7.3 payloads, 0.84 MB above the two images. Measured now: 6.1.
+    // one — each panel thread's walk keeps no link's file or payload
+    // alive. Decoding the 1×1 set holds one block per rank (one payload
+    // each) plus one file image per panel thread, sized to the chain's
+    // longest file (0.89 payloads here: the first delta link; the base
+    // is 0.59): 3.8 payloads. The images are freed before the merged
+    // checkpoint's two panels (each 1.17 payloads: the arrays carry
+    // their ghost padding) are allocated beside the blocks, so the peak
+    // is 4.35 payloads. Decoding each rank into a reused payload while
+    // both panels were already allocated peaked at 6.1, and an image
+    // grown with `reserve` (doubled, the realloc holding the old buffer
+    // beside the new) at 7.3.
     let in_payloads = |bytes: usize| bytes.div_ceil(payload);
     let (short, long) = (merge_peak(3), merge_peak(15));
     assert!(
@@ -241,8 +245,8 @@ fn checkpoint_capture_reuses_its_buffers() {
          ({payload}-byte payloads): merge memory grows with the chain"
     );
     assert!(
-        in_payloads(short) <= 7,
+        in_payloads(short) <= 5,
         "merging a 4-link chain peaked at {short} bytes ({payload}-byte payloads): more \
-         than two panels plus a payload and a file image per panel worker"
+         than two panels beside one block per rank"
     );
 }
